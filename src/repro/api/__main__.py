@@ -303,8 +303,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--engine",
         metavar="NAME",
         help=(
-            "override the spec's packet engine: 'reference' (event-faithful "
-            "default) or 'columnar' (batched large-swarm engine)"
+            "override the packet engine's epoch kernel: 'reference' (scalar "
+            "usefulness estimates, the default) or 'columnar' (min-wise card "
+            "matrix for large swarms; identical seeded results)"
         ),
     )
     parser.add_argument(

@@ -51,7 +51,6 @@ from repro.api.builders import (
     _require_swarm,
     _seeded_count,
     _source_group,
-    simulator_class,
 )
 from repro.api.registry import scenario
 from repro.api.result import RunResult
@@ -165,7 +164,7 @@ def _build_arm(spec: ExperimentSpec, arm: str) -> OverlaySimulator:
 
     rng = random.Random(derive_seed(spec.seed, "adaptive_overlay"))
     admission, rewiring = _reconfig_policies(spec, rng, policy=arm)
-    sim = simulator_class(spec)(
+    sim = OverlaySimulator(
         VirtualTopology(),
         default_family(),
         admission=admission,

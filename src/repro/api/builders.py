@@ -21,7 +21,7 @@ the legacy functions are now deprecation shims over this module.
 
 import math
 import random
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.api.registry import scenario
 from repro.api.result import RunResult
@@ -203,10 +203,13 @@ def _reconfig_policies(
     return OpenAdmission(), None  # static
 
 
-def _reconfig_sim_kwargs(spec: ExperimentSpec, swarm: SwarmSpec) -> Dict[str, float]:
-    """The epoch-scheduling kwargs every overlay builder hands the simulator."""
+def _reconfig_sim_kwargs(spec: ExperimentSpec, swarm: SwarmSpec) -> Dict[str, Any]:
+    """The epoch kwargs every overlay builder hands the simulator:
+    scheduling, scan budget, and the estimate kernel
+    (``measurement.engine="columnar"`` = the min-wise card matrix)."""
     rc = spec.reconfig
     return {
+        "card_matrix": spec.measurement.engine == "columnar",
         "reconfigure_every": (
             rc.interval if rc is not None and rc.interval > 0 else swarm.reconfigure_every
         ),
@@ -276,20 +279,6 @@ def _reject_reconfig(spec: ExperimentSpec) -> None:
         )
 
 
-def simulator_class(spec: ExperimentSpec):
-    """The engine class ``spec.measurement.engine`` selects.
-
-    ``"reference"`` is the event-faithful default; ``"columnar"`` is
-    the batched large-swarm engine, seeded-metric-identical (the parity
-    suite pins it) but built for 1k-10k node runs.
-    """
-    if spec.measurement.engine == "columnar":
-        from repro.overlay.columnar import ColumnarOverlaySimulator
-
-        return ColumnarOverlaySimulator
-    return OverlaySimulator
-
-
 def _base_simulator(
     spec: ExperimentSpec,
     rng: random.Random,
@@ -305,7 +294,7 @@ def _base_simulator(
     )
     admission, rewiring = _reconfig_policies(spec, rng)
     transport_kwargs, link_factory = _transport_setup(spec, stats, link_factory)
-    sim = simulator_class(spec)(
+    sim = OverlaySimulator(
         VirtualTopology(),
         family,
         admission=admission,
@@ -759,11 +748,7 @@ def asymmetric_bandwidth(
     strategy_name: str = "Recode/BF",
     max_ticks: int = 10_000,
 ) -> ExperimentSpec:
-    """Spec: a fast backbone class and a slow, jittery edge class.
-
-    Canonical name, matching the registry key; the historical
-    ``asymmetric_bandwidth_swarm`` remains as a deprecated alias.
-    """
+    """Spec: a fast backbone class and a slow, jittery edge class."""
     return ExperimentSpec(
         scenario="asymmetric_bandwidth",
         seed=seed,
@@ -810,23 +795,6 @@ def asymmetric_bandwidth(
         strategy=StrategySpec(name=strategy_name),
         measurement=MeasurementSpec(max_ticks=max_ticks),
     )
-
-
-def asymmetric_bandwidth_swarm(*args, **kwargs) -> ExperimentSpec:
-    """Deprecated alias for :func:`asymmetric_bandwidth`.
-
-    The registry key was always ``"asymmetric_bandwidth"``; the spec
-    constructor finally matches it.
-    """
-    import warnings
-
-    warnings.warn(
-        "asymmetric_bandwidth_swarm() is deprecated; use the canonical "
-        "asymmetric_bandwidth() (same signature, same registry key)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return asymmetric_bandwidth(*args, **kwargs)
 
 
 @scenario(
@@ -1516,7 +1484,7 @@ def build_figure1(spec: ExperimentSpec) -> BuiltExperiment:
     else:
         admission, rewiring = _reconfig_policies(spec, rng)
     transport_kwargs, link_factory = _transport_setup(spec, stats)
-    sim = simulator_class(spec)(
+    sim = OverlaySimulator(
         VirtualTopology(),
         family,
         admission=admission,
@@ -1629,7 +1597,7 @@ def build_random_overlay(spec: ExperimentSpec) -> BuiltExperiment:
     )
     admission, rewiring = _reconfig_policies(spec, rng)
     transport_kwargs, link_factory = _transport_setup(spec, stats)
-    sim = simulator_class(spec)(
+    sim = OverlaySimulator(
         VirtualTopology(physical),
         family,
         admission=admission,
@@ -1683,7 +1651,6 @@ __all__ = [
     "flash_crowd",
     "source_departure",
     "asymmetric_bandwidth",
-    "asymmetric_bandwidth_swarm",
     "correlated_regional_loss",
     "pair_transfer",
     "multi_sender_transfer",
@@ -1691,5 +1658,4 @@ __all__ = [
     "figure1",
     "random_overlay",
     "reconfig_scheme",
-    "simulator_class",
 ]

@@ -12,7 +12,7 @@ engine that serves it:
   summaries at every handshake, O(cohorts) per epoch at any population
   size (the 1M-peer acceptance path).
 * ``"packet"`` — one per-object packet-level swarm per catalog object
-  (``measurement.engine`` selects reference/columnar as usual), the
+  (``measurement.engine`` selects the epoch kernel as usual), the
   same mirrors + arrival waves + tiered links, aggregated into the
   identical metric keys.
 
@@ -31,7 +31,6 @@ from repro.api.builders import (
     _reconfig_sim_kwargs,
     _require_swarm,
     _summary_policy,
-    simulator_class,
 )
 from repro.api.registry import scenario
 from repro.api.result import RunResult
@@ -50,6 +49,7 @@ from repro.flow.demand import apportion, tier_multipliers, wave_weights, zipf_sh
 from repro.flow.engine import CohortDef, FlowSimulator
 from repro.overlay.node import OverlayNode
 from repro.overlay.scenarios import default_family
+from repro.overlay.simulator import OverlaySimulator
 from repro.overlay.topology import VirtualTopology
 from repro.seeding import derive_seed
 from repro.sim.links import ConstantRateLink
@@ -352,7 +352,7 @@ def _run_packet(spec: ExperimentSpec) -> RunResult:
                 loss_rate=pop.loss_rate,
             )
 
-        sim = simulator_class(spec)(
+        sim = OverlaySimulator(
             VirtualTopology(),
             default_family(),
             admission=admission,

@@ -465,10 +465,12 @@ class MeasurementSpec:
     resolution: float = 1.0
     record_series: bool = True
     max_packets: int = 0  # 0 = let the transfer loop derive its default
-    #: Swarm execution engine: "reference" is the per-object event loop
-    #: (the parity baseline), "columnar" the batched flat-array engine
-    #: for large swarms.  Both produce identical seeded metrics; the
-    #: default keeps every existing pin byte-identical.  Sweepable via
+    #: Reconfiguration-epoch kernel of the one packet engine:
+    #: "reference" estimates peer usefulness with scalar
+    #: ``SummaryScheme.usefulness`` calls, "columnar" prefills them from
+    #: a min-wise card matrix (numpy; scalar when it is absent or the
+    #: reconfig summary is not min-wise) — the large-swarm setting.
+    #: Both produce identical seeded metrics.  Sweepable via
     #: ``with_override("measurement.engine", ...)``.
     engine: str = "reference"
     #: Simulation fidelity: "packet" runs the per-symbol event engines

@@ -25,7 +25,7 @@ motivation):
   instead of polling useless caches.  Metrics report useful fraction
   and mean completion tick per demand rank.
 
-Both run on either overlay engine (``measurement.engine``), and their
+Both run with either epoch kernel (``measurement.engine``), and their
 miniature campaign grids sweep exactly that axis — the parity tests
 pin reference and columnar to identical seeded metrics.
 """
@@ -42,7 +42,6 @@ from repro.api.builders import (
     _seeded_count,
     _source_group,
     reconfig_scheme,
-    simulator_class,
 )
 from repro.api.registry import scenario
 from repro.api.result import RunResult
@@ -63,7 +62,7 @@ from repro.overlay.catalog import CatalogNode, CatalogScheme, ObjectCatalog
 from repro.overlay.node import OverlayNode
 from repro.overlay.reconfiguration import SketchAdmission, UtilityRewiring
 from repro.overlay.scenarios import default_family
-from repro.overlay.simulator import SimulationReport
+from repro.overlay.simulator import OverlaySimulator, SimulationReport
 from repro.overlay.topology import VirtualTopology
 from repro.seeding import derive_seed
 from repro.sim.stats import StatsRecorder
@@ -148,7 +147,7 @@ def _build_scale_free_arm(spec: ExperimentSpec, arm: str, stats: StatsRecorder):
 
     rng = random.Random(derive_seed(spec.seed, "scale_free_swarm"))
     admission, rewiring = _reconfig_policies(spec, rng, policy=arm)
-    sim = simulator_class(spec)(
+    sim = OverlaySimulator(
         VirtualTopology(),
         default_family(),
         admission=admission,
@@ -456,7 +455,7 @@ def build_cdn_catalog(spec: ExperimentSpec) -> BuiltExperiment:
             else None
         )
         admission, rewiring = _catalog_policies(spec, catalog, rng)
-        sim = simulator_class(spec)(
+        sim = OverlaySimulator(
             VirtualTopology(),
             default_family(),
             admission=admission,

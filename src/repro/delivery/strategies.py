@@ -288,13 +288,18 @@ class RecodeMWStrategy(_RecodeBase):
 #: Legend-order names, as they appear in Figures 5-8.
 STRATEGY_NAMES = ("Random", "Random/BF", "Recode", "Recode/BF", "Recode/MW")
 
+#: Bits per element of the receiver Bloom filter the legacy ``/BF``
+#: strategies consult.  Callers that pre-build ``receiver_filter`` (the
+#: overlay's per-receiver refresh) size it with this same constant.
+DEFAULT_BLOOM_BITS_PER_ELEMENT = 8
+
 
 def make_strategy(
     name: str,
     sender_set: WorkingSet,
     receiver_set: WorkingSet,
     rng: random.Random,
-    bloom_bits_per_element: int = 8,
+    bloom_bits_per_element: int = DEFAULT_BLOOM_BITS_PER_ELEMENT,
     correlation_estimate: Optional[float] = None,
     symbols_desired: Optional[int] = None,
     summary_policy=None,
@@ -320,8 +325,8 @@ def make_strategy(
     wire size need not pay the build twice).  ``receiver_filter``
     likewise supplies a pre-built Bloom filter for the legacy ``/BF``
     paths — a receiver's filter is identical however many senders
-    consult it, so batched engines build it once per receiver instead
-    of once per connection.
+    consult it, so the overlay's refresh builds it once per receiver
+    instead of once per connection.
     """
     if summary_policy is not None:
         return _make_policy_strategy(

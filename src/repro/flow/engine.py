@@ -1,8 +1,7 @@
 """The flow-level population engine: rate equations between handshakes.
 
-The packet engines (:mod:`repro.overlay.simulator`, :mod:`repro.overlay.
-columnar`) move individual encoded symbols and top out around 10k
-nodes.  :class:`FlowSimulator` trades symbol resolution for population
+The packet engine (:mod:`repro.overlay.simulator`) moves individual
+encoded symbols and tops out around 10k nodes.  :class:`FlowSimulator` trades symbol resolution for population
 scale: peers are aggregated into *cohorts* (same object, same arrival
 wave, same initial seeding), each cohort split into bandwidth *tiers*,
 and bulk transfer advances as closed-form goodput over each

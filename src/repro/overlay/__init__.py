@@ -11,11 +11,14 @@ reconfiguration when connections lose utility.
   around congested paths.
 * :mod:`repro.overlay.node` — overlay end-systems: working set, sketch
   publication, connection slots.
-* :mod:`repro.overlay.simulator` — event-driven simulation engine
+* :mod:`repro.overlay.simulator` — the one event-driven packet engine
   (built on :mod:`repro.sim`): connections deliver packets through
   pluggable link models (bandwidth-, loss- and latency-limited), nodes
   reconcile and adapt peering, metrics are collected per node.  The
-  legacy tick API is preserved — a tick is a periodic event.
+  legacy tick API is preserved — a tick is a periodic event.  Strategy
+  refreshes and reconfiguration epochs do work proportional to what
+  changed; ``card_matrix=True`` (``measurement.engine="columnar"``)
+  swaps the epoch's scalar usefulness kernel for a numpy card matrix.
 * :mod:`repro.overlay.reconfiguration` — peering policies: sketch-based
   admission control and utility-driven rewiring.
 * :mod:`repro.overlay.scenarios` — canned topologies including the

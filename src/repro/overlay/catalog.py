@@ -20,14 +20,13 @@ This module supplies the three pieces the catalog-aware scenarios use:
   zero before any symbol card is consulted, and candidates stocking
   more of the higher-priority wanted objects score proportionally
   higher.  The object inventory rides along with the calling card, so
-  ``card_wire_bytes`` charges one fill-level byte per catalog object
-  on both engines.
+  ``card_wire_bytes`` charges one fill-level byte per catalog object.
 
 The gate multiplies *on top of* ``SummaryScheme.usefulness`` rather
-than replacing it, which keeps the reference and columnar engines in
-lock-step: the columnar engine pre-fills the shared usefulness memo
-from its vectorised card matrix, and this scheme applies the same
-object factor to the memoised estimate either engine produced.
+than replacing it, which keeps the scalar and array epoch kernels in
+lock-step: the simulator's card matrix pre-fills the shared usefulness
+memo, and this scheme applies the same object factor to the memoised
+estimate either kernel produced.
 """
 
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -225,8 +224,8 @@ class CatalogScheme(SummaryScheme):
     with a stray symbol of a wanted object never ties with the origin
     that holds all of it.  A candidate fully stocked on every wanted
     object scores exactly 1 and reproduces the ungated estimate.
-    Applying the gate after the base lookup keeps the columnar engine's
-    memo prefill valid — both engines gate the *same* memoised base
+    Applying the gate after the base lookup keeps the card-matrix memo
+    prefill valid — both epoch kernels gate the *same* memoised base
     estimate.
     """
 

@@ -36,11 +36,6 @@ class OverlayNode:
     fall back to the rebuild.
     """
 
-    #: Class-wide switch for the absorb path.  Both paths publish
-    #: identical cards; the toggle exists so parity tests and the
-    #: incremental-vs-rebuild benchmarks can A/B them.
-    incremental_cards: bool = True
-
     def __init__(
         self,
         node_id: str,
@@ -101,19 +96,14 @@ class OverlayNode:
 
         New symbols since the cached stamp are absorbed via one batch
         pass over the delta (:meth:`MinwiseSketch.absorb_vectorized`);
-        a shrunk working set — or a disabled :attr:`incremental_cards`
-        toggle — rebuilds from scratch.  Both paths publish identical
-        minima.
+        a shrunk working set (``added_since`` returns ``None``) rebuilds
+        from scratch.  Both paths publish identical minima.
         """
         ws = self.working_set
         version = ws.version
         if self._sketch is not None and self._sketch_version == version:
             return self._sketch
-        if (
-            self._sketch is not None
-            and self._sketch_version is not None
-            and OverlayNode.incremental_cards
-        ):
+        if self._sketch is not None and self._sketch_version is not None:
             delta = ws.added_since(self._sketch_version)
             if delta is not None:
                 u = self._sketch.family.universe_size
@@ -154,11 +144,7 @@ class OverlayNode:
             stamp, card = entry
             if stamp == version:
                 return card
-            if (
-                OverlayNode.incremental_cards
-                and getattr(card, "supports_incremental", False)
-                and card.is_local
-            ):
+            if getattr(card, "supports_incremental", False) and card.is_local:
                 delta = ws.added_since(stamp)
                 if delta is not None:
                     if kind == "minwise":

@@ -59,9 +59,10 @@ class SummaryScheme:
 
         The memo maps ``(receiver_id, candidate_id)`` to the exact
         float :meth:`usefulness` would compute; misses are computed and
-        cached.  Batched engines prefill it with vectorised values and
-        share one dict across the admission and rewiring schemes of an
-        epoch, so the scan-once-decide-many pattern stops recomputing
+        cached.  The simulator installs one per reconfiguration epoch
+        (prefilled from its card matrix when the array kernel is on) and
+        shares the dict across the epoch's admission and rewiring
+        schemes, so the scan-once-decide-many pattern stops recomputing
         identical card comparisons.  The caller owns validity: the memo
         must be cleared (or replaced) whenever any working set may have
         changed since it was filled.

@@ -19,20 +19,45 @@ regression in ``tests/sim/test_parity.py`` pins.  Heterogeneous links
 
 The engine exercises the paper's full loop: encode → sketch → admit →
 summarise → informed transfer → adapt.
+
+This is the only packet engine.  Its two control-plane passes do work
+proportional to what changed: the strategy refresh skips connections
+whose endpoints are version-unchanged and builds a receiver's filter or
+summary once however many senders consult it, and a reconfiguration
+epoch memoises every usefulness estimate for its duration.  The one
+array kernel is opt-in (``card_matrix=True``, what
+``measurement.engine="columnar"`` selects): min-wise cards become int64
+matrix rows and each receiver's estimates are prefilled by a single
+vectorised comparison.  Without it — or without numpy, following the
+:mod:`repro.hashing.batch` contract — the same epoch computes the same
+floats through :meth:`SummaryScheme.usefulness`, so seeded runs are
+identical either way (``tests/overlay/test_columnar_parity.py``).  At
+10k nodes give the spec a ``reconfig.scan_budget``: a full candidate
+scan per receiver is O(N²) even vectorised.
 """
 
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.coding.peeler import RecodedPeeler
 from repro.coding.symbol import RecodedSymbol
 from repro.delivery.packets import Packet
-from repro.delivery.strategies import SenderStrategy, make_strategy
+from repro.delivery.strategies import (
+    DEFAULT_BLOOM_BITS_PER_ELEMENT,
+    SenderStrategy,
+    make_strategy,
+)
+from repro.delivery.working_set import DEFAULT_KEY_UNIVERSE
+from repro.hashing import batch as _batch
 from repro.hashing.permutations import PermutationFamily
 from repro.overlay.node import OverlayNode
-from repro.overlay.reconfiguration import AdmissionPolicy, ReconfigurationPolicy
+from repro.overlay.reconfiguration import (
+    AdmissionPolicy,
+    ReconfigurationPolicy,
+    SummaryScheme,
+)
 from repro.overlay.topology import PathCharacteristics, VirtualTopology
 from repro.sim.engine import EventScheduler
 from repro.sim.links import ConstantRateLink, LinkModel, drain_credit
@@ -54,11 +79,6 @@ class Connection:
     callers tweak connections mid-run, e.g. degradation tests);
     installing a custom ``link`` ends the coupling.
     """
-
-    #: Class-wide stamp bumped on any mid-run bandwidth/loss/link
-    #: reassignment; batched engines compare it to know their cached
-    #: per-connection rate/loss columns went stale.
-    mutations = 0
 
     def __init__(
         self,
@@ -96,7 +116,6 @@ class Connection:
     @bandwidth.setter
     def bandwidth(self, value: float) -> None:
         self._bandwidth = value
-        Connection.mutations += 1
         if self._auto_link:
             self._link.rate = value
 
@@ -107,7 +126,6 @@ class Connection:
     @loss_rate.setter
     def loss_rate(self, value: float) -> None:
         self._loss_rate = value
-        Connection.mutations += 1
         if self._auto_link:
             self._link.loss_rate = value
 
@@ -119,7 +137,6 @@ class Connection:
     def link(self, value: LinkModel) -> None:
         self._link = value
         self._auto_link = False
-        Connection.mutations += 1
 
     def packets_this_tick(self) -> int:
         """Integer packets for a possibly fractional bandwidth.
@@ -150,9 +167,8 @@ class SimulationReport:
     Packet counters are **cumulative over the whole run**: a packet sent
     on a connection that was later dropped by rewiring or churn still
     counts, and ``completion_ticks`` retains nodes that completed and
-    then departed.  (Before the columnar-engine release these counters
-    summed live connections only, silently erasing history on every
-    disconnect.)
+    then departed.  (Before PR 6 these counters summed live connections
+    only, silently erasing history on every disconnect.)
     """
 
     ticks: int
@@ -175,6 +191,101 @@ class SimulationReport:
         return self.packets_useful / delivered if delivered else 0.0
 
 
+class _StampedCache(dict):
+    """``node_id -> (working set, version, artefact)``.
+
+    For artefacts that are deterministic, RNG-free functions of one
+    node's working set: an entry is served while the node still holds
+    the same set *object* at the same version (identity guards node-id
+    reuse across churn).  ``remove_node`` evicts a departed node's
+    entries, so the cache never outgrows the live node set.
+    """
+
+    def fetch(self, node: OverlayNode, build: Callable[[OverlayNode], object]):
+        ws = node.working_set
+        cached = self.get(node.node_id)
+        if cached is not None and cached[0] is ws and cached[1] == ws.version:
+            return cached[2]
+        artefact = build(node)
+        self[node.node_id] = (ws, ws.version, artefact)
+        return artefact
+
+
+def _receiver_filter(node: OverlayNode):
+    """The Bloom filter :func:`make_strategy` would build for ``node``."""
+    return node.working_set.bloom_summary(
+        bits_per_element=DEFAULT_BLOOM_BITS_PER_ELEMENT
+    )
+
+
+class _MinwiseCardMatrix:
+    """Min-wise cards as int64 rows: the array kernel of an epoch.
+
+    A node's row is its card's minima with ``None`` mapped to ``-1``,
+    cached by working-set version — a budgeted epoch over a mostly idle
+    swarm re-derives only the rows whose sets changed, and those through
+    the card's incremental absorb path, so the per-epoch cost tracks new
+    symbols, not swarm size.
+    """
+
+    def __init__(self, scheme: SummaryScheme, np):
+        self.scheme = scheme
+        self.np = np
+        self.rows = _StampedCache()
+        self._ids: List[str] = []
+        self._index: Dict[str, int] = {}
+        self._matrix = None
+
+    def row_of(self, node: OverlayNode):
+        return self.rows.fetch(node, self._build_row)
+
+    def _build_row(self, node: OverlayNode):
+        minima = self.scheme.card_of(node).minima
+        return self.np.fromiter(
+            (-1 if m is None else m for m in minima),
+            dtype=self.np.int64,
+            count=len(minima),
+        )
+
+    def begin_epoch(self, eligible: List[OverlayNode]) -> None:
+        """Stack the rows of every card this epoch may scan."""
+        self._ids = [n.node_id for n in eligible]
+        self._index = {nid: i for i, nid in enumerate(self._ids)}
+        self._matrix = (
+            self.np.stack([self.row_of(n) for n in eligible]) if eligible else None
+        )
+
+    def prefill(
+        self,
+        memo: Dict[Tuple[str, str], float],
+        receiver: OverlayNode,
+        scanned: Optional[List[OverlayNode]] = None,
+    ) -> None:
+        """Memoise ``usefulness(receiver, c)`` for the stacked cards among
+        ``scanned`` (``None`` = all of them) with one matrix comparison."""
+        if self._matrix is None:
+            return
+        ids, sub = self._ids, self._matrix
+        if scanned is not None:
+            lookup = self._index.get
+            wanted = [
+                i for i in (lookup(c.node_id) for c in scanned) if i is not None
+            ]
+            if not wanted:
+                return
+            ids = [ids[i] for i in wanted]
+            sub = sub[self.np.asarray(wanted, dtype=self.np.int64)]
+        row = self.row_of(receiver)
+        matches = ((row != -1) & (sub == row)).sum(axis=1)
+        entries = int(row.shape[0])
+        rid = receiver.node_id
+        for nid, m in zip(ids, matches.tolist()):
+            if nid != rid:
+                # Exactly usefulness(): 1 - matching-positions fraction,
+                # in Python float arithmetic.
+                memo[(rid, nid)] = 1.0 - m / entries
+
+
 class OverlaySimulator:
     """Drives nodes, connections, and adaptation policies on an event clock.
 
@@ -184,9 +295,7 @@ class OverlaySimulator:
     skipped, because rebuilding from identical inputs yields an
     identical strategy — unless construction itself drew from the
     shared RNG (Recode/BF domain truncation), in which case skipping
-    would desynchronise the stream and the rebuild always runs.  Set
-    the class attribute ``incremental_refresh = False`` to force the
-    historical rebuild-everything pass (parity A/B, benchmarks).
+    would desynchronise the stream and the rebuild always runs.
 
     Args:
         topology: the virtual overlay (optionally over a physical net).
@@ -222,13 +331,11 @@ class OverlaySimulator:
             congestion controller that caps its per-tick sends (cwnd +
             pacing) and learns from acks/timeouts.  ``None`` keeps the
             historical open-loop behaviour bit-identically.
+        card_matrix: prefill each epoch's min-wise usefulness estimates
+            from an int64 card matrix when numpy is importable (the
+            array epoch kernel); seeded results are identical either
+            way, only epoch cost differs.
     """
-
-    #: Skip strategy rebuilds for connections whose endpoints' working
-    #: sets are version-unchanged (see the class docstring).  Both
-    #: settings produce bit-identical runs; False restores the
-    #: rebuild-everything refresh for A/B measurement.
-    incremental_refresh: bool = True
 
     def __init__(
         self,
@@ -247,6 +354,7 @@ class OverlaySimulator:
         stats: Optional[StatsRecorder] = None,
         scheduler: Optional[EventScheduler] = None,
         transport: Optional[TransportManager] = None,
+        card_matrix: bool = False,
     ):
         if reconfig_jitter < 0:
             raise ValueError("reconfig_jitter must be non-negative")
@@ -267,6 +375,7 @@ class OverlaySimulator:
         self.stats = stats
         self.scheduler = scheduler or EventScheduler()
         self.transport = transport
+        self.card_matrix = card_matrix
         self.nodes: Dict[str, OverlayNode] = {}
         self.connections: Dict[tuple, Connection] = {}
         self._peelers: Dict[str, RecodedPeeler] = {}
@@ -286,6 +395,12 @@ class OverlaySimulator:
         # node_id -> completed_at_tick for nodes that departed; keeps
         # completion history visible after remove_node().
         self._completion_tombstones: Dict[str, Optional[int]] = {}
+        # Per-receiver refresh artefacts (Bloom filters / policy
+        # summaries) and min-wise card rows, reused while the owning
+        # working set is version-unchanged.
+        self._receiver_filters = _StampedCache()
+        self._receiver_summaries = _StampedCache()
+        self._cards: Optional[_MinwiseCardMatrix] = None
         # The legacy tick loop as one periodic event; a shared clock
         # may already read past zero, so ticks count from its epoch.
         self._epoch = self.scheduler.now
@@ -337,6 +452,10 @@ class OverlaySimulator:
         for receiver in list(self.topology.receivers_of(node_id)):
             self.disconnect(node_id, receiver)
         self._peelers.pop(node_id, None)
+        self._receiver_filters.pop(node_id, None)
+        self._receiver_summaries.pop(node_id, None)
+        if self._cards is not None:
+            self._cards.rows.pop(node_id, None)
         if node_id in self.topology.graph:
             self.topology.graph.remove_node(node_id)
         return node
@@ -479,11 +598,11 @@ class OverlaySimulator:
 
         ``receiver_filter`` / ``receiver_summary`` forward pre-built
         receiver artefacts to :func:`make_strategy` — a receiver's
-        summary is the same for all its senders, so batched engines
-        build it once per receiver per refresh instead of once per
-        connection.  ``None`` rebuilds them per call (the reference
-        behaviour; the artefacts are deterministic, so both paths
-        produce identical strategies and RNG streams).
+        summary is the same for all its senders, so the refresh builds
+        it once per receiver instead of once per connection.  ``None``
+        builds them per call (``connect()``; the artefacts are
+        deterministic, so both paths produce identical strategies and
+        RNG streams).
         """
         if sender.is_source:
             return None
@@ -545,15 +664,40 @@ class OverlaySimulator:
         shareable) and the receiver's summary (delivered content stops
         being offered) — so connections whose endpoints are both
         unchanged since the last build are skipped (nothing to refresh),
-        unless :attr:`incremental_refresh` is off.
+        and a receiver's filter/summary is built once per version of its
+        working set, then fanned out to every connection that needs it.
+        Connection iteration order, and with it the RNG stream strategy
+        construction consumes, is that of the connection map.
         """
-        incremental = self.incremental_refresh
+        name = self.strategy_name
+        policy = self.summary_policy
+        need_filter = policy is None and name in ("Random/BF", "Recode/BF")
+        need_summary = policy is not None and name not in ("Random", "Recode")
+
+        def receiver_summary_of(node: OverlayNode):
+            return policy.build(node.working_set)
+
         for key, conn in list(self.connections.items()):
             if conn.sender.is_source or conn.receiver.is_complete:
                 continue
-            if incremental and self._strategy_fresh(conn):
+            if self._strategy_fresh(conn):
                 continue
-            conn.strategy = self._build_strategy(conn.sender, conn.receiver)
+            receiver = conn.receiver
+            receiver_filter = receiver_summary = None
+            if need_filter:
+                receiver_filter = self._receiver_filters.fetch(
+                    receiver, _receiver_filter
+                )
+            elif need_summary:
+                receiver_summary = self._receiver_summaries.fetch(
+                    receiver, receiver_summary_of
+                )
+            conn.strategy = self._build_strategy(
+                conn.sender,
+                receiver,
+                receiver_filter=receiver_filter,
+                receiver_summary=receiver_summary,
+            )
             if conn.strategy is None:
                 self.disconnect(*key)
 
@@ -645,39 +789,95 @@ class OverlaySimulator:
                 return
         self._reconfigure()
 
+    def _epoch_cards(self, scheme) -> Optional[_MinwiseCardMatrix]:
+        """The array kernel for ``scheme``, or None for the scalar path."""
+        np = _batch._numpy() if self.card_matrix else None
+        if (
+            np is None
+            or not isinstance(scheme, SummaryScheme)
+            or scheme.kind != "minwise"
+        ):
+            return None
+        if scheme.params_dict().get("universe", DEFAULT_KEY_UNIVERSE) > 1 << 62:
+            return None  # minima would overflow int64 rows
+        if self._cards is None or self._cards.scheme is not scheme:
+            self._cards = _MinwiseCardMatrix(scheme, np)
+        return self._cards
+
     def _reconfigure(self) -> None:
+        """One epoch: every incomplete receiver scans, pays, and rewires."""
         if self.rewiring is None:
             return  # policy removed between scheduling and firing
-        self.reconfig_epochs += 1
         scheme = getattr(self.rewiring, "scheme", None)
+        memoised = [
+            s
+            for s in (scheme, getattr(self.admission, "scheme", None))
+            if isinstance(s, SummaryScheme)
+        ]
+        # One memo per distinct (kind, params): equal schemes share a
+        # dict even when they are separate objects (the default-policy
+        # construction builds two), so the admission check inside
+        # connect() reuses the rewiring pass's values.
+        memos: Dict[tuple, Dict[Tuple[str, str], float]] = {}
+        for s in memoised:
+            s.set_memo(memos.setdefault((s.kind, s.params), {}))
+        try:
+            self._rewire_all(scheme, memos)
+        finally:
+            # Working sets change as soon as ticks resume; the memo
+            # must not outlive the epoch.
+            for s in memoised:
+                s.set_memo(None)
+
+    def _rewire_all(self, scheme, memos: Dict[tuple, dict]) -> None:
+        self.reconfig_epochs += 1
         all_nodes = list(self.nodes.values())
         budget = self.reconfig_budget
+        full_scan = not (budget and budget < len(all_nodes))
+        # Each scanned candidate's card crosses the wire once per
+        # receiver per epoch — the control traffic an informed policy
+        # actually costs.  Cards cannot change mid-epoch (no deliveries
+        # run between rewiring passes), so the sizes are read once; a
+        # card is charged iff its owner is a non-source with content,
+        # which is exactly membership in `wire`.
+        wire: Dict[str, int] = {}
+        cards = self._epoch_cards(scheme)
+        if scheme is not None:
+            eligible = [
+                n for n in all_nodes if not n.is_source and len(n.working_set) > 0
+            ]
+            wire = {n.node_id: scheme.card_wire_bytes(n) for n in eligible}
+            if cards is not None:
+                cards.begin_epoch(eligible)
+                memo = memos[(scheme.kind, scheme.params)]
+        wire_total = sum(wire.values())
         for receiver in all_nodes:
             if receiver.is_source or receiver.is_complete:
                 continue
+            rid = receiver.node_id
             current = [
-                self.nodes[s]
-                for s in self.topology.senders_of(receiver.node_id)
-                if s in self.nodes
+                self.nodes[s] for s in self.topology.senders_of(rid) if s in self.nodes
             ]
-            candidates = all_nodes
-            if budget and budget < len(all_nodes):
+            if full_scan:
+                candidates = all_nodes
+                self.control_bytes += wire_total - wire.get(rid, 0)
+            else:
                 candidates = self.rng.sample(all_nodes, budget)
-            if scheme is not None:
-                # Each scanned candidate's card crosses the wire once
-                # per receiver per epoch — the control traffic an
-                # informed policy actually costs.
-                for c in candidates:
-                    if (
-                        c.node_id == receiver.node_id
-                        or c.is_source
-                        or len(c.working_set) == 0
-                    ):
-                        continue
-                    self.control_bytes += scheme.card_wire_bytes(c)
+                if wire:
+                    self.control_bytes += sum(
+                        wire.get(c.node_id, 0)
+                        for c in candidates
+                        if c.node_id != rid
+                    )
+            if cards is not None:
+                # The array kernel: this receiver's estimates land in
+                # the rewiring scheme's memo before the policy asks.
+                cards.prefill(
+                    memo, receiver, None if full_scan else candidates + current
+                )
             drops, adds = self.rewiring.rewire(receiver, current, candidates)
             for d in drops:
-                self.disconnect(d.node_id, receiver.node_id)
+                self.disconnect(d.node_id, rid)
             for a in adds:
-                if self.connect(a.node_id, receiver.node_id):
+                if self.connect(a.node_id, rid):
                     self.reconfigurations += 1

@@ -184,13 +184,6 @@ class TestAsymmetricBandwidthAlias:
         spec = specs.asymmetric_bandwidth(num_fast=2, num_slow=2, seed=1)
         assert spec.scenario == "asymmetric_bandwidth"
 
-    def test_swarm_alias_warns_and_matches(self):
-        with pytest.warns(DeprecationWarning, match="asymmetric_bandwidth_swarm"):
-            alias_spec = specs.asymmetric_bandwidth_swarm(
-                num_fast=2, num_slow=2, seed=1
-            )
-        assert alias_spec == specs.asymmetric_bandwidth(num_fast=2, num_slow=2, seed=1)
-
 
 def _cli(*args, **kwargs):
     env = dict(os.environ)

@@ -1,14 +1,16 @@
-"""Parity pins: the columnar engine vs the reference, seed for seed.
+"""Kernel-parity pins: ``measurement.engine`` columnar vs reference.
 
-``ColumnarOverlaySimulator`` promises seeded-metric-identical runs —
-same tick count, same packet totals, same reconfiguration decisions,
-same control bytes — on every scenario in the catalog.  These tests
-run each scenario through both engines and compare the full report.
+There is one packet engine; ``engine="columnar"`` only swaps the epoch's
+usefulness kernel (min-wise card matrix prefill instead of scalar
+``SummaryScheme.usefulness``).  It promises seeded-metric-identical runs
+— same tick count, same packet totals, same reconfiguration decisions,
+same control bytes — on every scenario in the catalog.  These tests run
+each scenario at both ``engine`` values and compare the full report.
 
-The numpy-free classes exercise the pure-Python fallback by
-monkeypatching :func:`repro.hashing.batch._numpy` (the single gate the
-whole optional-numpy contract flows through), so this file holds its
-pins in the CI lane that has no numpy installed too.
+The numpy-free class monkeypatches :func:`repro.hashing.batch._numpy`
+(the single gate the whole optional-numpy contract flows through), under
+which both ``engine`` values take the same scalar path, so this file
+holds its pins in the CI lane that has no numpy installed too.
 """
 
 from dataclasses import replace
@@ -64,7 +66,7 @@ class TestCatalogParity:
 
     def test_adaptive_overlay_all_arms(self):
         # One spec runs the static, random, and informed arms; all
-        # three must agree between engines (the informed arm drives
+        # three must agree between kernels (the informed arm drives
         # the vectorized summary-card path).
         spec = specs.adaptive_overlay(
             mirrors_per_group=3, joiners=3, target=60, seed=2, max_ticks=4_000
@@ -74,7 +76,7 @@ class TestCatalogParity:
     @pytest.mark.parametrize("policy", ["informed", "random", "static"])
     def test_scan_budget_sampling(self, policy):
         # A candidate-scan budget makes epochs draw rng.sample(); the
-        # columnar epoch must consume the identical stream.
+        # array-kernel epoch must consume the identical stream.
         spec = (
             specs.random_overlay(num_peers=10, target=120, seed=9)
             .with_override("reconfig.policy", policy)
@@ -83,8 +85,8 @@ class TestCatalogParity:
         _assert_parity(spec)
 
     def test_non_minwise_scheme_falls_back(self):
-        # A bloom reconfig summary has no card matrix; the engine must
-        # take the memo-only fallback and still match exactly.
+        # A bloom reconfig summary has no card matrix; the epoch must
+        # take the scalar path and still match exactly.
         spec = (
             specs.random_overlay(num_peers=8, target=100, seed=3)
             .with_override("reconfig.policy", "informed")
@@ -128,24 +130,21 @@ class TestEngineKnob:
         spec = specs.random_overlay().with_override("measurement.engine", "columnar")
         assert spec.measurement.engine == "columnar"
 
-    def test_builders_pick_the_class(self):
-        from repro.api.builders import simulator_class
-        from repro.overlay.columnar import ColumnarOverlaySimulator
+    def test_engine_selects_the_epoch_kernel_not_a_class(self):
+        from repro.api import build
         from repro.overlay.simulator import OverlaySimulator
 
-        ref = specs.flash_crowd()
-        assert simulator_class(ref) is OverlaySimulator
-        assert (
-            simulator_class(_with_engine(ref, "columnar"))
-            is ColumnarOverlaySimulator
-        )
+        for engine, card_matrix in (("reference", False), ("columnar", True)):
+            sim = build(_with_engine(specs.flash_crowd(), engine)).scenario.simulator
+            assert type(sim) is OverlaySimulator
+            assert sim.card_matrix is card_matrix
 
 
 class TestMidRunMutation:
     def test_bandwidth_retune_keeps_parity(self):
         """Retuning a connection mid-run (through the setters, which
-        stamp ``Connection.mutations``) must invalidate the credit
-        columns and keep the engines identical."""
+        re-steer the auto-built link) takes effect on the next tick at
+        both ``engine`` values alike."""
         from repro.api import build
 
         def run_engine(engine):

@@ -1,13 +1,15 @@
 """Incremental summary maintenance: parity pins and rebuild-skip spies.
 
-The hot-path contract: with ``OverlayNode.incremental_cards`` and
-``OverlaySimulator.incremental_refresh`` on (the defaults), every run is
-**bit-identical** to the rebuild-on-dirty path — incremental maintenance
-is an optimisation, never a semantic.  These tests pin that across the
-seeded scenario catalog on both engines (with and without numpy), spy on
-the receiver-artefact builds to prove unchanged receivers really skip
-the rebuild, and hold the :meth:`OverlayNode.summary_card` cache-key
-regression (permuted-but-equal params tuples share one row).
+The hot-path contract: every run is **bit-identical** to rebuilding
+each card, filter and strategy from scratch whenever it is consulted —
+incremental maintenance is an optimisation, never a semantic.  Rebuild
+is no longer a mode of the library; it survives here as an oracle,
+reached by forcing the library's own fallback paths
+(:func:`_rebuild_oracle`).  These tests pin the equivalence across the
+seeded scenario catalog at both ``engine`` values (with and without
+numpy), spy on the receiver-artefact builds to prove unchanged receivers
+really skip the rebuild, and hold the :meth:`OverlayNode.summary_card`
+cache-key regression (permuted-but-equal params tuples share one row).
 """
 
 from dataclasses import replace
@@ -17,7 +19,7 @@ import pytest
 from repro.api import build, run, specs
 from repro.delivery.working_set import WorkingSet
 from repro.overlay.node import OverlayNode
-from repro.overlay.simulator import OverlaySimulator
+from repro.overlay.simulator import OverlaySimulator, _StampedCache
 
 import repro.hashing.batch as batch
 
@@ -26,12 +28,28 @@ def _with_engine(spec, engine):
     return replace(spec, measurement=replace(spec.measurement, engine=engine))
 
 
-def _run_with_toggles(spec, incremental: bool):
+def _never_fresh(self, conn):
+    return False
+
+
+def _journal_lost(self, version):
+    return None
+
+
+def _rebuild_oracle(mp):
+    """Force every fallback: cards rebuild from the whole set (the add
+    journal reports a removal), every strategy is rebuilt each refresh
+    (no endpoint stamp is ever current), and no per-receiver artefact or
+    card row is served from cache."""
+    mp.setattr(WorkingSet, "added_since", _journal_lost)
+    mp.setattr(OverlaySimulator, "_strategy_fresh", _never_fresh)
+    mp.setattr(_StampedCache, "fetch", lambda self, node, build: build(node))
+
+
+def _run(spec, rebuild: bool = False):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(OverlayNode, "incremental_cards", incremental)
-        # Columnar inherits the class attribute, so one patch covers
-        # both engines.
-        mp.setattr(OverlaySimulator, "incremental_refresh", incremental)
+        if rebuild:
+            _rebuild_oracle(mp)
         return run(spec)
 
 
@@ -60,14 +78,14 @@ CATALOG = {
 
 
 class TestIncrementalParity:
-    """Incremental == rebuild, report for report, on both engines."""
+    """Incremental == rebuild, report for report, at both ``engine`` values."""
 
     @pytest.mark.parametrize("engine", ["reference", "columnar"])
     @pytest.mark.parametrize("name", sorted(CATALOG))
     def test_scenario(self, name, engine):
         spec = _with_engine(CATALOG[name](), engine)
-        fast = _run_with_toggles(spec, True)
-        slow = _run_with_toggles(spec, False)
+        fast = _run(spec)
+        slow = _run(spec, rebuild=True)
         assert fast.metrics == slow.metrics
         if slow.report is not None:
             assert fast.report == slow.report
@@ -78,15 +96,11 @@ class TestIncrementalParity:
     def test_scenario_without_numpy(self, name, engine, monkeypatch):
         monkeypatch.setattr(batch, "_numpy", lambda: None)
         spec = _with_engine(CATALOG[name](), engine)
-        fast = _run_with_toggles(spec, True)
-        slow = _run_with_toggles(spec, False)
+        fast = _run(spec)
+        slow = _run(spec, rebuild=True)
         assert fast.metrics == slow.metrics
         if slow.report is not None:
             assert fast.report == slow.report
-
-    def test_defaults_are_incremental(self):
-        assert OverlayNode.incremental_cards is True
-        assert OverlaySimulator.incremental_refresh is True
 
 
 class TestRefreshSkip:
@@ -145,15 +159,23 @@ class TestRefreshSkip:
         assert len(calls) == first
 
     @pytest.mark.parametrize("engine", ["reference", "columnar"])
-    def test_toggle_off_restores_rebuild_per_refresh(self, engine, monkeypatch):
+    def test_never_fresh_oracle_rebuilds_every_strategy(self, engine, monkeypatch):
         sim = self._simulator(engine)
-        monkeypatch.setattr(OverlaySimulator, "incremental_refresh", False)
+        monkeypatch.setattr(OverlaySimulator, "_strategy_fresh", _never_fresh)
         calls = self._spy_on_blooms(monkeypatch)
         sim._refresh_strategies()
         first = len(calls)
         assert first > 0
+        before = {
+            key: conn.strategy
+            for key, conn in sim.connections.items()
+            if not conn.sender.is_source and not conn.receiver.is_complete
+        }
+        assert before
         sim._refresh_strategies()
-        assert len(calls) == 2 * first
+        assert all(sim.connections[k].strategy is not s for k, s in before.items())
+        # ...while the receivers' filters, version-unchanged, are reused.
+        assert len(calls) == first
 
     @pytest.mark.parametrize("engine", ["reference", "columnar"])
     def test_changed_receiver_rebuilds(self, engine, monkeypatch):
@@ -162,9 +184,8 @@ class TestRefreshSkip:
         sim._refresh_strategies()
         first = len(calls)
         # Mutate exactly one incomplete receiver's working set; only the
-        # connections feeding it should rebuild (one filter build for
-        # the columnar engine, one per inbound connection for the
-        # reference engine — both nonzero and both < the full sweep).
+        # connections it is an endpoint of should rebuild, and only its
+        # own filter with them.
         receiver = next(
             conn.receiver
             for conn in sim.connections.values()
@@ -174,10 +195,9 @@ class TestRefreshSkip:
         sim._refresh_strategies()
         rebuilt = len(calls) - first
         # Mutating the node invalidates every connection it is an
-        # endpoint of.  The reference engine re-derives the receiver
-        # filter per rebuilt connection; the columnar engine serves
-        # version-unchanged receivers from its persistent cache, so only
-        # the mutated node's own filter is rebuilt.
+        # endpoint of; version-unchanged receivers are served from the
+        # persistent cache, so only the mutated node's own filter is
+        # rebuilt.
         affected = [
             conn
             for conn in sim.connections.values()
@@ -186,10 +206,7 @@ class TestRefreshSkip:
             and (conn.receiver is receiver or conn.sender is receiver)
         ]
         assert affected
-        if sim.__class__.__name__.startswith("Columnar"):
-            assert rebuilt == 1
-        else:
-            assert rebuilt == len(affected)
+        assert rebuilt == 1
 
 
 class TestSummaryCardCache:
@@ -223,13 +240,13 @@ class TestSummaryCardCache:
         rebuilt = build_summary("bloom", node.working_set.ids, bits_per_element=8)
         assert fresh.to_payload() == rebuilt.to_payload()
 
-    def test_toggle_off_rebuilds_to_the_same_payload(self, monkeypatch):
+    def test_lost_journal_rebuilds_to_the_same_payload(self, monkeypatch):
         node = self._node()
         node.summary_card("bloom", (("bits_per_element", 8),))
         node.working_set.update(range(40, 55))
         incremental = node.summary_card("bloom", (("bits_per_element", 8),))
         node2 = self._node()
-        monkeypatch.setattr(OverlayNode, "incremental_cards", False)
+        monkeypatch.setattr(WorkingSet, "added_since", _journal_lost)
         node2.summary_card("bloom", (("bits_per_element", 8),))
         node2.working_set.update(range(40, 55))
         rebuilt = node2.summary_card("bloom", (("bits_per_element", 8),))

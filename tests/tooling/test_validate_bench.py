@@ -234,5 +234,5 @@ class TestBaselineGate:
         assert entries
         assert tolerance >= 1.0
         # The shipped baseline names the CI-lane bench entries.
-        assert "sim_incremental_columnar_1000_incremental" in entries
+        assert "sim_scaling_reference_1000" in entries
         assert "sim_scaling_columnar_1000" in entries
