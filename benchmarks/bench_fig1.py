@@ -7,17 +7,17 @@ the exact working-set layout of Figure 1 and reports completion times
 for tree-only vs fully collaborative delivery.
 """
 
-from repro.overlay import figure1_scenario
+from repro.api import build, specs
+
+
+def _figure1(**kwargs):
+    return build(specs.figure1(target=300, seed=5, **kwargs)).scenario
 
 
 def test_fig1_collaboration_vs_tree(benchmark):
     def run_both():
-        collab = figure1_scenario(target=300, seed=5).simulator.run(
-            max_ticks=6_000
-        )
-        tree = figure1_scenario(
-            target=300, seed=5, with_perpendicular=False
-        ).simulator.run(max_ticks=6_000)
+        collab = _figure1().run(max_ticks=6_000)
+        tree = _figure1(with_perpendicular=False).run(max_ticks=6_000)
         return collab, tree
 
     collab, tree = benchmark.pedantic(run_both, rounds=1, iterations=1)

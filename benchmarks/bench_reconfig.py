@@ -18,15 +18,13 @@ import time
 
 from conftest import print_series, write_bench_json
 
-from repro.overlay.node import OverlayNode
+from repro.overlay.node import OverlayNode, default_family
 from repro.overlay.reconfiguration import (
     SketchAdmission,
     SummaryScheme,
     UtilityRewiring,
 )
-from repro.overlay.scenarios import default_family
 from repro.overlay.simulator import OverlaySimulator
-from repro.overlay.topology import VirtualTopology
 from repro.seeding import derive_rng
 
 #: Summary kinds whose cards drive the epoch sweep (cheap to exact-ish).
@@ -45,7 +43,6 @@ def _build_swarm(kind, params, scan_budget=0):
     rng = derive_rng(0, "bench_reconfig", kind, scan_budget)
     scheme = SummaryScheme(kind, params)
     sim = OverlaySimulator(
-        VirtualTopology(),
         default_family(),
         admission=SketchAdmission(scheme),
         rewiring=UtilityRewiring(scheme, rng=rng),

@@ -29,10 +29,9 @@ from repro.overlay import (
     OverlaySimulator,
     SketchAdmission,
     UtilityRewiring,
-    VirtualTopology,
+    default_family,
     run_with_churn,
 )
-from repro.overlay.scenarios import default_family
 
 TARGET = 250
 NUM_PEERS = 10
@@ -86,7 +85,6 @@ def demo_churn(rng):
     print("=" * 64)
     family = default_family()
     sim = OverlaySimulator(
-        VirtualTopology(),
         family,
         admission=SketchAdmission(family),
         rewiring=UtilityRewiring(family, rng=rng),

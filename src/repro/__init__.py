@@ -27,6 +27,8 @@ Subpackages:
 * :mod:`repro.coding` — sparse parity-check codes and recoding (§5.4).
 * :mod:`repro.delivery` — strategies and transfer simulation (§6).
 * :mod:`repro.overlay` — adaptive overlay network substrate (§2).
+* :mod:`repro.topology` — graph generators and the physical path model
+  an overlay is mapped onto (§1–2).
 * :mod:`repro.protocol` — end-to-end prototype with real payloads (§6).
 * :mod:`repro.analysis` — closed-form helpers (coupon collector, Bloom
   FP, recode degree optimisation).

@@ -30,7 +30,7 @@ One shape for every experiment in the repo::
 from repro.api import registry, specs
 from repro.api.registry import UnknownScenarioError, scenario
 from repro.api.result import RESULT_SCHEMA, RunResult
-from repro.api.runner import BuiltExperiment, build, run
+from repro.api.runner import BuiltExperiment, SimScenario, build, run
 from repro.api.spec import (
     CatalogSpec,
     ChurnSpec,
@@ -70,6 +70,7 @@ __all__ = [
     "PopulationSpec",
     "TransportSpec",
     "BuiltExperiment",
+    "SimScenario",
     "build",
     "run",
     "RunResult",

@@ -65,10 +65,8 @@ from repro.api.spec import (
     StrategySpec,
     SwarmSpec,
 )
-from repro.overlay.node import OverlayNode
-from repro.overlay.scenarios import default_family
+from repro.overlay.node import OverlayNode, default_family
 from repro.overlay.simulator import OverlaySimulator, SimulationReport
-from repro.overlay.topology import VirtualTopology
 from repro.seeding import derive_seed
 from repro.sim.stats import StatsRecorder
 
@@ -165,7 +163,6 @@ def _build_arm(spec: ExperimentSpec, arm: str) -> OverlaySimulator:
     rng = random.Random(derive_seed(spec.seed, "adaptive_overlay"))
     admission, rewiring = _reconfig_policies(spec, rng, policy=arm)
     sim = OverlaySimulator(
-        VirtualTopology(),
         default_family(),
         admission=admission,
         rewiring=rewiring,

@@ -13,10 +13,11 @@ Each catalog entry has two halves:
   BuiltExperiment` ready to :meth:`~repro.api.runner.BuiltExperiment.
   run`.
 
-The swarm builders reproduce the legacy :mod:`repro.sim.scenarios`
-constructions *exactly* (same RNG draw order from the same master
-seed), which the parity tests in ``tests/api/test_api_parity.py`` pin;
-the legacy functions are now deprecation shims over this module.
+The swarm builders draw from the spec's master seed in a fixed order,
+so a seeded spec replays bit for bit; ``tests/api/test_api_parity.py``
+pins the outputs.  ``build(spec).scenario`` hands back the live
+:class:`~repro.api.runner.SimScenario` for callers that drive the
+simulator themselves.
 """
 
 import math
@@ -25,7 +26,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.api.registry import scenario
 from repro.api.result import RunResult
-from repro.api.runner import BuiltExperiment
+from repro.api.runner import BuiltExperiment, SimScenario
 from repro.api.spec import (
     ChurnSpec,
     ExperimentSpec,
@@ -49,7 +50,7 @@ from repro.delivery.transfer import (
     simulate_multi_sender_transfer,
     simulate_p2p_transfer,
 )
-from repro.overlay.node import OverlayNode
+from repro.overlay.node import OverlayNode, default_family
 from repro.overlay.reconfiguration import (
     OpenAdmission,
     RandomRewiring,
@@ -57,9 +58,7 @@ from repro.overlay.reconfiguration import (
     SummaryScheme,
     UtilityRewiring,
 )
-from repro.overlay.scenarios import default_family
 from repro.overlay.simulator import OverlaySimulator
-from repro.overlay.topology import PathCharacteristics, VirtualTopology
 from repro.protocol.peer import CodeParameters, ProtocolPeer
 from repro.protocol.session import TransferSession
 from repro.seeding import derive_rng
@@ -71,13 +70,13 @@ from repro.sim.links import (
     LatencyJitterLink,
     LinkModel,
 )
-from repro.sim.scenarios import SimScenario
 from repro.sim.sessions import (
     DEFAULT_PACKET_BUDGET_FACTOR,
     ScheduledSession,
     run_sessions,
 )
 from repro.sim.stats import StatsRecorder
+from repro.topology import PathCharacteristics, PathModel, generate
 from repro.transport import BottleneckLink, BottleneckQueue, TransportManager
 
 
@@ -160,7 +159,7 @@ def reconfig_scheme(spec: ExperimentSpec) -> SummaryScheme:
 
     ``reconfig.summary`` unset resolves to the historical min-wise
     calling card — the same permutation family every overlay node
-    publishes (:func:`~repro.overlay.scenarios.default_family`), so an
+    publishes (:func:`~repro.overlay.node.default_family`), so an
     informed run under the default scheme replays the pre-spec
     behaviour bit for bit.
     """
@@ -283,6 +282,7 @@ def _base_simulator(
     spec: ExperimentSpec,
     rng: random.Random,
     link_factory: Optional[Callable[..., LinkModel]] = None,
+    paths: Optional[PathModel] = None,
 ):
     """The shared simulator assembly every swarm builder starts from."""
     swarm = _require_swarm(spec)
@@ -295,13 +295,13 @@ def _base_simulator(
     admission, rewiring = _reconfig_policies(spec, rng)
     transport_kwargs, link_factory = _transport_setup(spec, stats, link_factory)
     sim = OverlaySimulator(
-        VirtualTopology(),
         family,
         admission=admission,
         rewiring=rewiring,
         strategy_name=spec.strategy.name,
         summary_policy=_summary_policy(spec),
         rng=rng,
+        paths=paths,
         link_factory=link_factory,
         stats=stats,
         **transport_kwargs,
@@ -1420,7 +1420,7 @@ def build_session_swarm(spec: ExperimentSpec) -> BuiltExperiment:
 
 
 # ---------------------------------------------------------------------------
-# Overlay catalog ports (the legacy repro.overlay.scenarios helpers)
+# Overlay catalog: the paper's Figure 1 and the randomised overlay
 # ---------------------------------------------------------------------------
 
 
@@ -1471,32 +1471,10 @@ def build_figure1(spec: ExperimentSpec) -> BuiltExperiment:
         "D": distinct[quarter : 2 * quarter],  # disjoint from C
         "E": distinct[half : half + quarter],
     }
-    family = default_family()
-    stats = (
-        StatsRecorder(resolution=spec.measurement.resolution)
-        if spec.measurement.record_series
-        else None
-    )
+    sim, _, stats = _base_simulator(spec, rng)
     if spec.reconfig is None:
-        # The figure contrasts fixed layouts: admission only, no
-        # rewiring (the historical construction, shim-parity-pinned).
-        admission, rewiring = SketchAdmission(family), None
-    else:
-        admission, rewiring = _reconfig_policies(spec, rng)
-    transport_kwargs, link_factory = _transport_setup(spec, stats)
-    sim = OverlaySimulator(
-        VirtualTopology(),
-        family,
-        admission=admission,
-        rewiring=rewiring,
-        strategy_name=spec.strategy.name,
-        summary_policy=_summary_policy(spec),
-        rng=rng,
-        link_factory=link_factory,
-        stats=stats,
-        **transport_kwargs,
-        **_reconfig_sim_kwargs(spec, swarm),
-    )
+        # The figure contrasts fixed layouts: admission only, no rewiring.
+        sim.rewiring = None
     scenario_obj = SimScenario("figure1", sim, stats, target)
     sim.add_node(OverlayNode("S", target, is_source=True))
     for name, ids in sets.items():
@@ -1566,9 +1544,7 @@ def random_overlay(
     supports_transport=True,
 )
 def build_random_overlay(spec: ExperimentSpec) -> BuiltExperiment:
-    """The legacy randomised construction, RNG-order-identical."""
-    from repro.overlay.topology import PhysicalNetwork
-
+    """Seeded peers behind one source, optionally over a physical net."""
     swarm = _require_swarm(spec)
     if spec.churn is not None:
         raise SpecError(
@@ -1584,32 +1560,15 @@ def build_random_overlay(spec: ExperimentSpec) -> BuiltExperiment:
     with_physical = bool(spec.param("with_physical", True))
 
     rng = random.Random(spec.seed)
-    family = default_family()
     physical = None
     if with_physical:
-        physical = PhysicalNetwork.random_network(
-            num_routers=max(4, num_peers // 2), seed=spec.seed
+        # A scale-free router core (the hub links are where redundant
+        # virtual paths pile up), link properties on their own stream.
+        physical = PathModel.over(
+            generate("scale_free", max(4, num_peers // 2), spec.seed, attach=2),
+            derive_rng(spec.seed, "topology", "links"),
         )
-    stats = (
-        StatsRecorder(resolution=spec.measurement.resolution)
-        if spec.measurement.record_series
-        else None
-    )
-    admission, rewiring = _reconfig_policies(spec, rng)
-    transport_kwargs, link_factory = _transport_setup(spec, stats)
-    sim = OverlaySimulator(
-        VirtualTopology(physical),
-        family,
-        admission=admission,
-        rewiring=rewiring,
-        strategy_name=spec.strategy.name,
-        summary_policy=_summary_policy(spec),
-        rng=rng,
-        link_factory=link_factory,
-        stats=stats,
-        **transport_kwargs,
-        **_reconfig_sim_kwargs(spec, swarm),
-    )
+    sim, _, stats = _base_simulator(spec, rng, paths=physical)
     scenario_obj = SimScenario("random_overlay", sim, stats, target)
     nodes: Dict[str, OverlayNode] = {}
     routers = physical.routers() if physical is not None else []

@@ -31,7 +31,7 @@ from repro.api.builders import (
 )
 from repro.api.registry import scenario
 from repro.api.result import RunResult
-from repro.api.runner import BuiltExperiment
+from repro.api.runner import BuiltExperiment, SimScenario
 from repro.api.spec import (
     ChurnSpec,
     ExperimentSpec,
@@ -45,7 +45,6 @@ from repro.api.spec import (
 )
 from repro.delivery.orchestrator import CandidateSender, plan_join
 from repro.overlay.node import OverlayNode
-from repro.sim.scenarios import SimScenario
 
 
 def congested_swarm(

@@ -47,10 +47,8 @@ from repro.api.spec import (
 )
 from repro.flow.demand import apportion, tier_multipliers, wave_weights, zipf_shares
 from repro.flow.engine import CohortDef, FlowSimulator
-from repro.overlay.node import OverlayNode
-from repro.overlay.scenarios import default_family
+from repro.overlay.node import OverlayNode, default_family
 from repro.overlay.simulator import OverlaySimulator
-from repro.overlay.topology import VirtualTopology
 from repro.seeding import derive_seed
 from repro.sim.links import ConstantRateLink
 
@@ -353,7 +351,6 @@ def _run_packet(spec: ExperimentSpec) -> RunResult:
             )
 
         sim = OverlaySimulator(
-            VirtualTopology(),
             default_family(),
             admission=admission,
             rewiring=rewiring,

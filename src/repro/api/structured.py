@@ -59,11 +59,9 @@ from repro.api.spec import (
     TopologySpec,
 )
 from repro.overlay.catalog import CatalogNode, CatalogScheme, ObjectCatalog
-from repro.overlay.node import OverlayNode
+from repro.overlay.node import OverlayNode, default_family
 from repro.overlay.reconfiguration import SketchAdmission, UtilityRewiring
-from repro.overlay.scenarios import default_family
 from repro.overlay.simulator import OverlaySimulator, SimulationReport
-from repro.overlay.topology import VirtualTopology
 from repro.seeding import derive_seed
 from repro.sim.stats import StatsRecorder
 
@@ -148,7 +146,6 @@ def _build_scale_free_arm(spec: ExperimentSpec, arm: str, stats: StatsRecorder):
     rng = random.Random(derive_seed(spec.seed, "scale_free_swarm"))
     admission, rewiring = _reconfig_policies(spec, rng, policy=arm)
     sim = OverlaySimulator(
-        VirtualTopology(),
         default_family(),
         admission=admission,
         rewiring=rewiring,
@@ -456,7 +453,6 @@ def build_cdn_catalog(spec: ExperimentSpec) -> BuiltExperiment:
         )
         admission, rewiring = _catalog_policies(spec, catalog, rng)
         sim = OverlaySimulator(
-            VirtualTopology(),
             default_family(),
             admission=admission,
             rewiring=rewiring,

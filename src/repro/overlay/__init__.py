@@ -6,27 +6,30 @@ dissemination, "perpendicular" peer connections exploiting complementary
 working sets (Figure 1), admission control via sketches (Section 4), and
 reconfiguration when connections lose utility.
 
-* :mod:`repro.overlay.topology` — virtual topology over a physical
-  network model; tree embedding, perpendicular edge selection, rerouting
-  around congested paths.
 * :mod:`repro.overlay.node` — overlay end-systems: working set, sketch
-  publication, connection slots.
+  publication, connection slots; :func:`default_family` is the min-wise
+  family they all publish under.
 * :mod:`repro.overlay.simulator` — the one event-driven packet engine
   (built on :mod:`repro.sim`): connections deliver packets through
   pluggable link models (bandwidth-, loss- and latency-limited), nodes
-  reconcile and adapt peering, metrics are collected per node.  The
+  reconcile and adapt peering, metrics are collected per node.  It owns
+  the overlay's edges; the physical network they map onto, when there
+  is one, is a :class:`repro.topology.PathModel`.  The
   legacy tick API is preserved — a tick is a periodic event.  Strategy
   refreshes and reconfiguration epochs do work proportional to what
   changed; ``card_matrix=True`` (``measurement.engine="columnar"``)
   swaps the epoch's scalar usefulness kernel for a numpy card matrix.
 * :mod:`repro.overlay.reconfiguration` — peering policies: sketch-based
   admission control and utility-driven rewiring.
-* :mod:`repro.overlay.scenarios` — canned topologies including the
-  paper's Figure 1 example.
+* :mod:`repro.overlay.churn` — departures, rejoins and link degradation
+  (rerouting around congested paths) driven against the simulator.
+* :mod:`repro.overlay.catalog` — multi-object catalogs over one swarm.
+
+The canned layouts (the paper's Figure 1, the randomised overlay) are
+registered scenarios: ``repro.api.build(specs.figure1(...)).scenario``.
 """
 
-from repro.overlay.topology import PhysicalNetwork, VirtualTopology
-from repro.overlay.node import OverlayNode
+from repro.overlay.node import OverlayNode, default_family
 from repro.overlay.simulator import Connection, OverlaySimulator, SimulationReport
 from repro.overlay.reconfiguration import (
     AdmissionPolicy,
@@ -37,15 +40,13 @@ from repro.overlay.reconfiguration import (
     SummaryScheme,
     UtilityRewiring,
 )
-from repro.overlay.scenarios import figure1_scenario, random_overlay_scenario
 from repro.overlay.churn import ChurnProcess, run_with_churn
 
 __all__ = [
     "ChurnProcess",
     "run_with_churn",
-    "PhysicalNetwork",
-    "VirtualTopology",
     "OverlayNode",
+    "default_family",
     "Connection",
     "OverlaySimulator",
     "SimulationReport",
@@ -56,6 +57,4 @@ __all__ = [
     "UtilityRewiring",
     "RandomRewiring",
     "SummaryScheme",
-    "figure1_scenario",
-    "random_overlay_scenario",
 ]

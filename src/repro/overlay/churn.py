@@ -17,6 +17,9 @@ from repro.overlay.node import OverlayNode
 from repro.overlay.simulator import OverlaySimulator
 from repro.seeding import default_rng
 
+#: Path loss above which :meth:`ChurnProcess.sim_reroute` drops a connection.
+REROUTE_LOSS_THRESHOLD = 0.15
+
 
 @dataclass
 class ChurnEventLog:
@@ -38,8 +41,7 @@ class ChurnProcess:
             (its working set is retained — encoded symbols never go
             stale, Section 2.3's time-invariance).
         degrade_probability: per-step chance of degrading one physical
-            link (only meaningful when the topology has a physical
-            model).
+            link (only meaningful when the simulator has a path model).
         protect: node ids that never churn (e.g. the only source).
     """
 
@@ -114,25 +116,38 @@ class ChurnProcess:
         self.log.departures.append((tick, node_id))
 
     def _roll_link_degradation(self, tick: int) -> None:
-        physical = self.sim.topology.physical
-        if physical is None or self.degrade_probability <= 0:
+        paths = self.sim.paths
+        if paths is None or self.degrade_probability <= 0:
             return
         if self.rng.random() < self.degrade_probability:
-            edges = list(physical.graph.edges)
-            if not edges:
+            links = paths.links()
+            if not links:
                 return
-            a, b = self.rng.choice(edges)
+            a, b = self.rng.choice(links)
             loss = self.rng.uniform(0.2, 0.6)
-            physical.degrade_link(a, b, loss)
+            paths.degrade_link(a, b, loss)
             self.log.link_degradations.append((tick, (a, b), loss))
             # Adaptive response: drop overlay connections over bad paths.
             self.sim_reroute()
 
     def sim_reroute(self) -> None:
-        """Drop overlay connections whose paths degraded past tolerance."""
-        dropped = self.sim.topology.reroute_degraded(loss_threshold=0.15)
-        for sender_id, receiver_id in dropped:
-            self.sim.connections.pop((sender_id, receiver_id), None)
+        """Drop overlay connections whose paths degraded past tolerance.
+
+        Models Section 2.1's "detect and avoid congested or temporarily
+        unstable areas": the simulator's rewiring policy replaces dropped
+        connections with better-suited peers, and the survivors carry
+        their path's current bandwidth and loss.
+        """
+        paths = self.sim.paths
+        if paths is None:
+            return
+        for (sender_id, receiver_id), conn in list(self.sim.connections.items()):
+            chars = paths.path_characteristics(sender_id, receiver_id)
+            if chars.loss_rate > REROUTE_LOSS_THRESHOLD:
+                self.sim.disconnect(sender_id, receiver_id)
+            else:
+                conn.bandwidth = chars.bandwidth
+                conn.loss_rate = chars.loss_rate
 
 
 def run_with_churn(

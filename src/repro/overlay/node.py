@@ -15,6 +15,12 @@ from repro.hashing.permutations import PermutationFamily
 from repro.sketches import MinwiseSketch
 
 
+def default_family(seed: int = 99, entries: int = 128) -> PermutationFamily:
+    """The min-wise permutation family every overlay node publishes its
+    calling card under (peers agree on it off-line, Section 4)."""
+    return PermutationFamily(entries, DEFAULT_KEY_UNIVERSE, seed=seed)
+
+
 class OverlayNode:
     """One end-system in the overlay.
 

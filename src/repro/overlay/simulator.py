@@ -58,11 +58,11 @@ from repro.overlay.reconfiguration import (
     ReconfigurationPolicy,
     SummaryScheme,
 )
-from repro.overlay.topology import PathCharacteristics, VirtualTopology
 from repro.sim.engine import EventScheduler
 from repro.sim.links import ConstantRateLink, LinkModel, drain_credit
 from repro.sim.stats import StatsRecorder
 from repro.seeding import default_rng
+from repro.topology.paths import UNIT_PATH, PathCharacteristics, PathModel
 from repro.transport.controller import TransportController, TransportManager
 
 #: Builds a link model for a new connection; receives the physical path
@@ -297,8 +297,13 @@ class OverlaySimulator:
     shared RNG (Recode/BF domain truncation), in which case skipping
     would desynchronise the stream and the rebuild always runs.
 
+    The simulator owns the overlay's edges: ``connections`` maps
+    ``(sender, receiver)`` to the live :class:`Connection`, and a
+    per-receiver sender index answers "who feeds this node" in the order
+    the edges were made (an edge dropped and re-made moves to the end) —
+    the order every rewiring decision, and so the RNG stream, follows.
+
     Args:
-        topology: the virtual overlay (optionally over a physical net).
         sketch_family: shared min-wise family for calling cards.
         admission/rewiring: peering policies (Section 4).
         strategy_name: sender strategy legend name (Figures 5-8).
@@ -319,6 +324,10 @@ class OverlaySimulator:
             (0 = scan every node); budgeted epochs sample the candidate
             list from the simulator RNG.
         rng: the single randomness source — seeded runs replay exactly.
+        paths: optional :class:`~repro.topology.paths.PathModel` the
+            overlay is mapped onto; each connection takes its shortest
+            physical path's characteristics.  ``None`` = every
+            connection is the unit path (bandwidth 1, no loss).
         link_factory: builds a :class:`LinkModel` per connection from
             its path characteristics; defaults to a constant-rate link
             matching the physical path (legacy behaviour).
@@ -339,7 +348,6 @@ class OverlaySimulator:
 
     def __init__(
         self,
-        topology: VirtualTopology,
         sketch_family: PermutationFamily,
         admission: Optional[AdmissionPolicy] = None,
         rewiring: Optional[ReconfigurationPolicy] = None,
@@ -350,6 +358,7 @@ class OverlaySimulator:
         reconfig_jitter: float = 0.0,
         reconfig_budget: int = 0,
         rng: Optional[random.Random] = None,
+        paths: Optional[PathModel] = None,
         link_factory: Optional[LinkFactory] = None,
         stats: Optional[StatsRecorder] = None,
         scheduler: Optional[EventScheduler] = None,
@@ -360,7 +369,6 @@ class OverlaySimulator:
             raise ValueError("reconfig_jitter must be non-negative")
         if reconfig_budget < 0:
             raise ValueError("reconfig_budget must be non-negative")
-        self.topology = topology
         self.family = sketch_family
         self.admission = admission
         self.rewiring = rewiring
@@ -371,6 +379,7 @@ class OverlaySimulator:
         self.reconfig_jitter = reconfig_jitter
         self.reconfig_budget = reconfig_budget
         self.rng = rng if rng is not None else default_rng("overlay.simulator")
+        self.paths = paths
         self.link_factory = link_factory
         self.stats = stats
         self.scheduler = scheduler or EventScheduler()
@@ -378,6 +387,8 @@ class OverlaySimulator:
         self.card_matrix = card_matrix
         self.nodes: Dict[str, OverlayNode] = {}
         self.connections: Dict[tuple, Connection] = {}
+        # receiver id -> its sender ids, in edge-creation order.
+        self._senders: Dict[str, Dict[str, None]] = {}
         self._peelers: Dict[str, RecodedPeeler] = {}
         self.tick_count = 0
         self.reconfigurations = 0
@@ -426,7 +437,6 @@ class OverlaySimulator:
             raise ValueError(f"duplicate node id {node.node_id!r}")
         node.joined_at_tick = self.tick_count
         self.nodes[node.node_id] = node
-        self.topology.add_peer(node.node_id)
         if not node.is_source:
             self._peelers[node.node_id] = RecodedPeeler(
                 known_ids=node.working_set.ids
@@ -447,24 +457,32 @@ class OverlaySimulator:
             return None
         if not node.is_source:
             self._completion_tombstones[node_id] = node.completed_at_tick
-        for sender in list(self.topology.senders_of(node_id)):
+        for sender in self.senders_of(node_id):
             self.disconnect(sender, node_id)
-        for receiver in list(self.topology.receivers_of(node_id)):
-            self.disconnect(node_id, receiver)
+        # Outgoing edges have no index of their own: departures are rare
+        # next to rewiring, which only ever asks for a node's senders.
+        for sender, receiver in list(self.connections):
+            if sender == node_id:
+                self.disconnect(node_id, receiver)
+        self._senders.pop(node_id, None)
         self._peelers.pop(node_id, None)
         self._receiver_filters.pop(node_id, None)
         self._receiver_summaries.pop(node_id, None)
         if self._cards is not None:
             self._cards.rows.pop(node_id, None)
-        if node_id in self.topology.graph:
-            self.topology.graph.remove_node(node_id)
         return node
+
+    def senders_of(self, receiver_id: str) -> List[str]:
+        """Ids of the nodes sending to ``receiver_id``, oldest edge first."""
+        return list(self._senders.get(receiver_id, ()))
 
     def connect(self, sender_id: str, receiver_id: str) -> bool:
         """Establish a connection, subject to admission control.
 
         Returns True if the connection was admitted and created.
         """
+        if sender_id == receiver_id:
+            raise ValueError("a peer cannot connect to itself")
         sender = self.nodes[sender_id]
         receiver = self.nodes[receiver_id]
         if receiver.is_source:
@@ -473,7 +491,11 @@ class OverlaySimulator:
             return False
         if self.admission is not None and not self.admission.admit(receiver, sender):
             return False
-        chars = self.topology.connect(sender_id, receiver_id)
+        chars = (
+            self.paths.path_characteristics(sender_id, receiver_id)
+            if self.paths is not None
+            else UNIT_PATH
+        )
         strategy = self._build_strategy(sender, receiver)
         link = (
             self.link_factory(chars, sender_id, receiver_id)
@@ -493,11 +515,12 @@ class OverlaySimulator:
             # A new connection is a new flow: fresh congestion state.
             conn.transport = self.transport.attach(conn.stats_name)
         self.connections[(sender_id, receiver_id)] = conn
+        self._senders.setdefault(receiver_id, {})[sender_id] = None
         return True
 
     def disconnect(self, sender_id: str, receiver_id: str) -> None:
-        self.connections.pop((sender_id, receiver_id), None)
-        self.topology.disconnect(sender_id, receiver_id)
+        if self.connections.pop((sender_id, receiver_id), None) is not None:
+            del self._senders[receiver_id][sender_id]
 
     # -- simulation ---------------------------------------------------------------
 
@@ -855,9 +878,7 @@ class OverlaySimulator:
             if receiver.is_source or receiver.is_complete:
                 continue
             rid = receiver.node_id
-            current = [
-                self.nodes[s] for s in self.topology.senders_of(rid) if s in self.nodes
-            ]
+            current = [self.nodes[s] for s in self.senders_of(rid)]
             if full_scan:
                 candidates = all_nodes
                 self.control_bytes += wire_total - wire.get(rid, 0)

@@ -1,13 +1,11 @@
 """Parity pins: the spec pipeline reproduces every legacy path exactly.
 
-Three layers of protection:
+Two layers of protection:
 
 * **Baseline pins** — the default-parameter catalog scenarios produce
   the exact seeded metrics the pre-API implementation produced (the
-  constants below were captured from the legacy ``repro.sim.scenarios``
-  before the refactor).
-* **Shim equivalence** — the deprecated legacy functions and the
-  spec-driven path yield identical reports for identical parameters.
+  constants below were captured from the hand-written scenario
+  constructors before the refactor).
 * **Delivery/figure parity** — a ``pair_transfer`` /
   ``multi_sender_transfer`` spec run matches the hand-wired
   make-scenario + make-strategy + simulate loop it replaced, and
@@ -67,50 +65,6 @@ class TestSwarmBaselinePins:
         # The flat metrics mirror the report.
         assert result.metrics["ticks"] == ticks
         assert result.completed
-
-
-class TestShimEquivalence:
-    """Each deprecated constructor matches its spec-driven twin."""
-
-    CASES = [
-        (
-            "flash_crowd",
-            dict(num_peers=12, target=50, initial_seeded=2, waves=2, wave_interval=8, seed=3),
-        ),
-        ("source_departure", dict(num_peers=6, target=60, depart_at=4.0, seed=5)),
-        (
-            "asymmetric_bandwidth",
-            dict(num_fast=3, num_slow=3, target=50, seed=7),
-        ),
-        (
-            "correlated_regional_loss",
-            dict(peers_per_region=3, target=50, seed=9),
-        ),
-    ]
-
-    @pytest.mark.parametrize("name,kwargs", CASES, ids=[c[0] for c in CASES])
-    def test_shim_and_spec_agree(self, name, kwargs):
-        import repro.sim.scenarios as legacy
-
-        legacy_fn = {
-            "flash_crowd": legacy.flash_crowd,
-            "source_departure": legacy.source_departure,
-            "asymmetric_bandwidth": legacy.asymmetric_bandwidth_swarm,
-            "correlated_regional_loss": legacy.correlated_regional_loss,
-        }[name]
-        with pytest.deprecated_call():
-            shim_report = legacy_fn(**kwargs).run(max_ticks=4000)
-        spec = SPEC_FACTORIES[name](**kwargs)
-        spec_result = run(
-            SPEC_FACTORIES[name](**kwargs, max_ticks=4000)
-        )
-        assert spec == SPEC_FACTORIES[name](**kwargs)  # constructors are pure
-        spec_report = spec_result.report
-        assert shim_report.ticks == spec_report.ticks
-        assert shim_report.packets_sent == spec_report.packets_sent
-        assert shim_report.packets_lost == spec_report.packets_lost
-        assert shim_report.packets_useful == spec_report.packets_useful
-        assert shim_report.completion_ticks == spec_report.completion_ticks
 
 
 class TestDeliveryParity:

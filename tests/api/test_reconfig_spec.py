@@ -228,50 +228,3 @@ class TestAdaptiveOverlayScenario:
         spec = registry.small_spec("adaptive_overlay").with_summary("bloom")
         with pytest.raises(SpecError, match="reconfig.summary"):
             build(spec)
-
-
-class TestOverlayShimParity:
-    """The deprecated overlay helpers equal their spec-driven twins."""
-
-    def test_figure1_shim_matches_spec(self):
-        from repro.overlay.scenarios import figure1_scenario
-
-        with pytest.deprecated_call():
-            bundle = figure1_scenario(target=200, seed=9)
-        shim_report = bundle.simulator.run(max_ticks=2000)
-        spec_report = (
-            build(specs.figure1(target=200, seed=9)).scenario.simulator.run(
-                max_ticks=2000
-            )
-        )
-        assert shim_report == spec_report
-        assert set(bundle.nodes) == {"S", "A", "B", "C", "D", "E"}
-
-    def test_random_overlay_shim_matches_spec(self):
-        from repro.overlay.scenarios import random_overlay_scenario
-
-        with pytest.deprecated_call():
-            bundle = random_overlay_scenario(
-                num_peers=8, target=80, seed=19, initial_fraction=(0.1, 0.5)
-            )
-        shim_report = bundle.simulator.run(max_ticks=2000)
-        spec_report = (
-            build(
-                specs.random_overlay(
-                    num_peers=8,
-                    target=80,
-                    seed=19,
-                    initial_fraction_lo=0.1,
-                    initial_fraction_hi=0.5,
-                )
-            ).scenario.simulator.run(max_ticks=2000)
-        )
-        assert shim_report == spec_report
-
-    def test_shim_bundle_exposes_all_nodes(self):
-        from repro.overlay.scenarios import random_overlay_scenario
-
-        with pytest.deprecated_call():
-            bundle = random_overlay_scenario(num_peers=5, target=60, seed=3)
-        assert set(bundle.nodes) == {"src0"} | {f"p{i}" for i in range(5)}
-        assert bundle.target == 60

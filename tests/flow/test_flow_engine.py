@@ -5,13 +5,13 @@ import random
 import pytest
 
 from repro.flow import CohortDef, FlowSimulator
+from repro.overlay.node import default_family
 from repro.overlay.reconfiguration import (
     RandomRewiring,
     SketchAdmission,
     SummaryScheme,
     UtilityRewiring,
 )
-from repro.overlay.scenarios import default_family
 
 
 def _scheme() -> SummaryScheme:

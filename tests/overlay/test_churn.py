@@ -9,10 +9,10 @@ from repro.overlay import (
     ChurnProcess,
     OverlayNode,
     OverlaySimulator,
-    VirtualTopology,
+    default_family,
     run_with_churn,
 )
-from repro.overlay.scenarios import default_family
+from repro.topology import PathModel
 
 
 def _random_overlay_sim(**kwargs):
@@ -21,12 +21,66 @@ def _random_overlay_sim(**kwargs):
 
 def small_sim(seed=1, target=80, peers=4):
     fam = default_family()
-    sim = OverlaySimulator(VirtualTopology(), fam, rng=random.Random(seed))
+    sim = OverlaySimulator(fam, rng=random.Random(seed))
     sim.add_node(OverlayNode("src", target, is_source=True))
     for i in range(peers):
         sim.add_node(OverlayNode(f"p{i}", target))
         sim.connect("src", f"p{i}")
     return sim
+
+
+def routed_sim():
+    """src and near share router r0; far sits across the r0-r1 trunk."""
+    net = PathModel()
+    net.add_link("r0", "r1", bandwidth=4.0, loss_rate=0.01)
+    net.attach_host("src", "r0", bandwidth=9.0)
+    net.attach_host("near", "r0", bandwidth=9.0)
+    net.attach_host("far", "r1", bandwidth=9.0)
+    sim = OverlaySimulator(default_family(), rng=random.Random(1), paths=net)
+    sim.add_node(OverlayNode("src", 50, is_source=True))
+    for name in ("near", "far"):
+        sim.add_node(OverlayNode(name, 50))
+        sim.connect("src", name)
+    return sim, net
+
+
+class TestReroute:
+    def test_surviving_connection_carries_the_degraded_path(self):
+        sim, net = routed_sim()
+        conn = sim.connections[("src", "far")]
+        assert conn.link.loss_rate == pytest.approx(0.01)
+        net.degrade_link("r0", "r1", 0.1)  # worse, but under the drop threshold
+        ChurnProcess(sim).sim_reroute()
+        assert sim.connections[("src", "far")] is conn
+        assert conn.loss_rate == pytest.approx(0.1)
+        assert conn.link.loss_rate == pytest.approx(0.1)
+        # ...and packets really are lost at the new rate.
+        sim.run(max_ticks=400)
+        assert sim.packets_lost > 0
+
+    def test_bandwidth_refresh_reaches_the_live_link(self):
+        sim, net = routed_sim()
+        net.add_link("r0", "r1", bandwidth=2.0, loss_rate=0.01)
+        ChurnProcess(sim).sim_reroute()
+        assert sim.connections[("src", "far")].link.rate == 2.0
+        assert sim.connections[("src", "near")].link.rate == 9.0
+
+    def test_degraded_connection_is_dropped_from_map_and_index(self):
+        sim, net = routed_sim()
+        net.degrade_link("r0", "r1", 0.5)
+        ChurnProcess(sim).sim_reroute()
+        assert list(sim.connections) == [("src", "near")]
+        assert sim.senders_of("far") == []
+        assert sim.senders_of("near") == ["src"]
+        # The dropped edge can be made again once the path recovers.
+        net.degrade_link("r0", "r1", 0.0)
+        assert sim.connect("src", "far")
+
+    def test_no_path_model_is_a_no_op(self):
+        sim = small_sim()
+        before = dict(sim.connections)
+        ChurnProcess(sim).sim_reroute()
+        assert sim.connections == before
 
 
 class TestChurnProcess:
@@ -45,7 +99,7 @@ class TestChurnProcess:
         churn.step()
         assert len(churn.departed) == 4  # every peer left (p=1.0)
         assert all(f"p{i}" not in sim.nodes for i in range(4))
-        assert sim.topology.connections() == []
+        assert not sim.connections
 
     def test_protected_nodes_never_leave(self):
         sim = small_sim(seed=4)

@@ -8,10 +8,9 @@ from repro.overlay import (
     OverlayNode,
     OverlaySimulator,
     SimulationReport,
-    VirtualTopology,
+    default_family,
 )
 from repro.overlay.simulator import Connection
-from repro.overlay.scenarios import default_family
 
 
 class TestFractionalBandwidth:
@@ -102,7 +101,7 @@ class TestEventClockEdges:
 
         fam = default_family()
         sim = OverlaySimulator(
-            VirtualTopology(), fam, rng=random.Random(11),
+            fam, rng=random.Random(11),
             link_factory=lambda chars, s, r: ConstantRateLink(2.0, latency=1.5),
         )
         sim.add_node(OverlayNode("s", 50, is_source=True))
@@ -119,9 +118,7 @@ class TestEventClockEdges:
 
         fam = default_family()
         sched = EventScheduler(start=5.0)
-        sim = OverlaySimulator(
-            VirtualTopology(), fam, rng=random.Random(12), scheduler=sched
-        )
+        sim = OverlaySimulator(fam, rng=random.Random(12), scheduler=sched)
         sim.add_node(OverlayNode("s", 30, is_source=True))
         sim.add_node(OverlayNode("p", 30))
         sim.connect("s", "p")
@@ -153,8 +150,7 @@ class TestLossyDelivery:
         fam = default_family()
         results = {}
         for loss in (0.0, 0.4):
-            topo = VirtualTopology()
-            sim = OverlaySimulator(topo, fam, rng=random.Random(5))
+            sim = OverlaySimulator(fam, rng=random.Random(5))
             sim.add_node(OverlayNode("s", 60, is_source=True))
             sim.add_node(OverlayNode("p", 60))
             sim.connect("s", "p")
@@ -166,7 +162,7 @@ class TestLossyDelivery:
 
     def test_empty_partial_sender_skipped(self):
         fam = default_family()
-        sim = OverlaySimulator(VirtualTopology(), fam, rng=random.Random(6))
+        sim = OverlaySimulator(fam, rng=random.Random(6))
         sim.add_node(OverlayNode("empty", 50))
         sim.add_node(OverlayNode("recv", 50, initial_ids=[1]))
         assert sim.connect("empty", "recv")
@@ -176,9 +172,7 @@ class TestLossyDelivery:
     def test_strategy_refresh_tracks_growth(self):
         """After refresh, a relay's newly acquired symbols are shareable."""
         fam = default_family()
-        sim = OverlaySimulator(
-            VirtualTopology(), fam, refresh_every=10, rng=random.Random(7)
-        )
+        sim = OverlaySimulator(fam, refresh_every=10, rng=random.Random(7))
         sim.add_node(OverlayNode("src", 40, is_source=True))
         sim.add_node(OverlayNode("relay", 40))
         sim.add_node(OverlayNode("leaf", 40))

@@ -61,12 +61,12 @@ class TestFigure1Caption:
 
     def test_tree_edges_match_figure(self):
         bundle = _figure1_bundle(target=200, seed=1, with_perpendicular=False)
-        edges = set(bundle.simulator.topology.connections())
+        edges = set(bundle.simulator.connections)
         assert edges == {("S", "A"), ("S", "B"), ("A", "C"), ("A", "D"), ("B", "E")}
 
     def test_perpendicular_edges_admitted(self, bundle):
         # With complementary working sets, the Figure 1(c) edges pass
         # sketch admission and exist in the topology.
-        edges = set(bundle.simulator.topology.connections())
+        edges = set(bundle.simulator.connections)
         assert ("B", "A") in edges  # B's half is all new to A
         assert ("C", "D") in edges and ("D", "C") in edges  # disjoint quarters

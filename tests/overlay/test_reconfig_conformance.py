@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from repro.overlay.node import OverlayNode
+from repro.overlay.node import OverlayNode, default_family
 from repro.overlay.reconfiguration import (
     OpenAdmission,
     RandomRewiring,
@@ -24,9 +24,7 @@ from repro.overlay.reconfiguration import (
     SummaryScheme,
     UtilityRewiring,
 )
-from repro.overlay.scenarios import default_family
 from repro.overlay.simulator import OverlaySimulator
-from repro.overlay.topology import VirtualTopology
 from repro.reconcile import summary_kinds
 from repro.seeding import derive_rng
 
@@ -143,7 +141,6 @@ class TestRewiringConformance:
             scheme = _scheme(kind)
             rng = derive_rng(7, "reconfig-conformance", kind)
             sim = OverlaySimulator(
-                VirtualTopology(),
                 default_family(),
                 admission=SketchAdmission(scheme),
                 rewiring=UtilityRewiring(scheme, rng=rng),
@@ -249,7 +246,6 @@ class TestScheduledEpochs:
         scheme = SummaryScheme.from_family(family)
         rng = random.Random(11)
         sim = OverlaySimulator(
-            VirtualTopology(),
             family,
             admission=SketchAdmission(scheme),
             rewiring=UtilityRewiring(scheme, rng=rng),
@@ -297,9 +293,7 @@ class TestScheduledEpochs:
         # policy after construction; epoch boundaries pick it up.
         family = default_family()
         rng = random.Random(12)
-        sim = OverlaySimulator(
-            VirtualTopology(), family, reconfigure_every=5, rng=rng
-        )
+        sim = OverlaySimulator(family, reconfigure_every=5, rng=rng)
         sim.add_node(OverlayNode("src", 40, is_source=True))
         sim.add_node(OverlayNode("p0", 40, initial_ids=range(10),
                                  max_connections=2))
@@ -315,6 +309,6 @@ class TestScheduledEpochs:
     def test_negative_jitter_and_budget_rejected(self):
         family = default_family()
         with pytest.raises(ValueError):
-            OverlaySimulator(VirtualTopology(), family, reconfig_jitter=-1.0)
+            OverlaySimulator(family, reconfig_jitter=-1.0)
         with pytest.raises(ValueError):
-            OverlaySimulator(VirtualTopology(), family, reconfig_budget=-1)
+            OverlaySimulator(family, reconfig_budget=-1)

@@ -10,9 +10,8 @@ from repro.overlay import (
     OverlaySimulator,
     SketchAdmission,
     UtilityRewiring,
-    VirtualTopology,
+    default_family,
 )
-from repro.overlay.scenarios import default_family
 
 
 def _figure1_sim(**kwargs):
@@ -127,7 +126,7 @@ class TestRewiring:
 class TestSimulator:
     def test_source_to_single_peer(self):
         fam = default_family()
-        sim = OverlaySimulator(VirtualTopology(), fam, rng=random.Random(4))
+        sim = OverlaySimulator(fam, rng=random.Random(4))
         sim.add_node(OverlayNode("s", 50, is_source=True))
         sim.add_node(OverlayNode("p", 50))
         assert sim.connect("s", "p")
@@ -137,7 +136,7 @@ class TestSimulator:
 
     def test_duplicate_node_rejected(self):
         fam = default_family()
-        sim = OverlaySimulator(VirtualTopology(), fam)
+        sim = OverlaySimulator(fam)
         sim.add_node(OverlayNode("x", 10))
         with pytest.raises(ValueError):
             sim.add_node(OverlayNode("x", 10))
@@ -145,7 +144,7 @@ class TestSimulator:
     def test_admission_blocks_connection(self):
         fam = default_family()
         sim = OverlaySimulator(
-            VirtualTopology(), fam, admission=SketchAdmission(fam),
+            fam, admission=SketchAdmission(fam),
             rng=random.Random(5),
         )
         sim.add_node(OverlayNode("a", 10, initial_ids=range(100)))

@@ -1,14 +1,28 @@
-"""Tests for the event-driven scenario library."""
+"""Tests for the event-driven scenario catalog, driven hands-on through
+``build(spec).scenario``."""
+
+from functools import partial
 
 import pytest
 
-from repro.sim.scenarios import (
-    SCENARIOS,
-    asymmetric_bandwidth_swarm,
-    correlated_regional_loss,
-    flash_crowd,
-    source_departure,
+from repro.api import build, registry, specs
+
+EVENT_SCENARIOS = (
+    "flash_crowd",
+    "source_departure",
+    "asymmetric_bandwidth",
+    "correlated_regional_loss",
 )
+
+
+def _scenario(name, **kwargs):
+    return build(getattr(specs, name)(**kwargs)).scenario
+
+
+flash_crowd = partial(_scenario, "flash_crowd")
+source_departure = partial(_scenario, "source_departure")
+asymmetric_bandwidth_swarm = partial(_scenario, "asymmetric_bandwidth")
+correlated_regional_loss = partial(_scenario, "correlated_regional_loss")
 
 
 class TestFlashCrowd:
@@ -149,15 +163,10 @@ class TestCorrelatedRegionalLoss:
 
 class TestCatalog:
     def test_catalog_names_and_types(self):
-        assert set(SCENARIOS) == {
-            "flash_crowd",
-            "source_departure",
-            "asymmetric_bandwidth",
-            "correlated_regional_loss",
-        }
+        assert set(EVENT_SCENARIOS) <= set(registry.names())
 
     @pytest.mark.slow
     def test_every_scenario_completes_at_defaults(self):
-        for name, factory in SCENARIOS.items():
-            report = factory().run(max_ticks=8000)
+        for name in EVENT_SCENARIOS:
+            report = _scenario(name).run(max_ticks=8000)
             assert report.all_complete, name
