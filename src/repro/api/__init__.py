@@ -15,11 +15,21 @@ One shape for every experiment in the repo::
   :class:`ChurnSpec`, :class:`MeasurementSpec`,
   :class:`PopulationSpec`).
 * :mod:`repro.api.registry` — the string-keyed scenario registry
-  (:func:`~repro.api.registry.scenario` decorator).
-* :mod:`repro.api.builders` — the scenario catalog: spec constructors
-  plus registered builders for the four event-driven swarm scenarios,
-  the Figure 5-8 delivery layouts, and byte-level protocol sessions.
-* :mod:`repro.api.runner` — :func:`build` / :func:`run`.
+  (:func:`~repro.api.registry.scenario` decorator).  A registration
+  *declares what it consumes*: the peer groups (``groups=``) and
+  optional spec sections (``supports=``) its builder reads.
+* :mod:`repro.api.builders` — the scenario catalog and the one swarm
+  assembly.  A scenario is a **spec constructor** (parameters -> a
+  complete spec), a **populate function** (who starts with what, who
+  is first wired to whom) and its **declared consumption**; simulator,
+  transport, join waves, the Section 4 join, departures and the
+  per-arm comparison loop are shared.  :mod:`~repro.api.congested`,
+  :mod:`~repro.api.adaptive`, :mod:`~repro.api.structured`,
+  :mod:`~repro.api.population` and :mod:`~repro.api.tradeoff` hold the
+  rest of the catalog over the same helpers.
+* :mod:`repro.api.runner` — :func:`build` / :func:`run`.  ``build`` is
+  the one consumption gate: a spec section or peer group the scenario
+  does not declare is a :class:`SpecError`, never silently ignored.
 * :mod:`repro.api.result` — :class:`RunResult` and the shared JSON
   result schema.
 

@@ -347,34 +347,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_spec(args: argparse.Namespace) -> ExperimentSpec:
-    if args.spec:
-        try:
-            with open(args.spec, "r", encoding="utf-8") as fh:
-                spec = ExperimentSpec.from_json(fh.read())
-        except OSError as exc:
-            raise SpecError(f"cannot read spec file {args.spec!r}: {exc}") from exc
-    else:
-        spec = registry.small_spec(args.scenario)
+#: The CLI's component axes: flag name (= registered component name,
+#: see :data:`repro.api.spec.COMPONENTS`) -> its argument parser.
+_COMPONENT_FLAGS = (
+    ("summary", parse_summary_arg),
+    ("reconfig", parse_reconfig_arg),
+    ("transport", parse_transport_arg),
+    ("topology", parse_topology_arg),
+    ("catalog", parse_catalog_arg),
+)
+
+
+def _apply_overrides(spec: ExperimentSpec, args: argparse.Namespace) -> ExperimentSpec:
+    """``spec`` with the CLI's seed / component / engine / fidelity
+    overrides applied (the same object back when none is given)."""
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
-    if args.summary:
-        spec = dataclasses.replace(
-            spec,
-            strategy=dataclasses.replace(
-                spec.strategy, summary=parse_summary_arg(args.summary)
-            ),
-        )
-    if args.reconfig:
-        spec = dataclasses.replace(spec, reconfig=parse_reconfig_arg(args.reconfig))
-    if args.transport:
-        spec = dataclasses.replace(
-            spec, transport=parse_transport_arg(args.transport)
-        )
-    if args.topology:
-        spec = spec.with_component_spec("topology", parse_topology_arg(args.topology))
-    if args.catalog:
-        spec = spec.with_component_spec("catalog", parse_catalog_arg(args.catalog))
+    for name, parse in _COMPONENT_FLAGS:
+        text = getattr(args, name)
+        if text:
+            spec = spec.with_component_spec(name, parse(text))
     # with_override validates the value (unknown engine/fidelity ->
     # SpecError -> exit status 2), unlike a bare dataclasses.replace.
     if args.engine:
@@ -384,8 +376,20 @@ def _load_spec(args: argparse.Namespace) -> ExperimentSpec:
     return spec
 
 
+def _load_spec(args: argparse.Namespace) -> ExperimentSpec:
+    if args.spec:
+        try:
+            with open(args.spec, "r", encoding="utf-8") as fh:
+                spec = ExperimentSpec.from_json(fh.read())
+        except OSError as exc:
+            raise SpecError(f"cannot read spec file {args.spec!r}: {exc}") from exc
+    else:
+        spec = registry.small_spec(args.scenario)
+    return _apply_overrides(spec, args)
+
+
 def _load_campaign(args: argparse.Namespace):
-    """Resolve the CLI's campaign source, with seed/summary overrides."""
+    """Resolve the CLI's campaign source, with the overrides on its base."""
     from repro.campaign import campaign_spec_from_file, small_campaign
 
     if args.campaign:
@@ -394,30 +398,7 @@ def _load_campaign(args: argparse.Namespace):
         # A scenario without a registered miniature grid has no
         # campaign to run — refuse loudly rather than sweep nothing.
         campaign = small_campaign(args.campaign_scenario, require_grid=True)
-    base = campaign.base
-    if args.seed is not None:
-        base = dataclasses.replace(base, seed=args.seed)
-    if args.summary:
-        base = dataclasses.replace(
-            base,
-            strategy=dataclasses.replace(
-                base.strategy, summary=parse_summary_arg(args.summary)
-            ),
-        )
-    if args.reconfig:
-        base = dataclasses.replace(base, reconfig=parse_reconfig_arg(args.reconfig))
-    if args.transport:
-        base = dataclasses.replace(
-            base, transport=parse_transport_arg(args.transport)
-        )
-    if args.topology:
-        base = base.with_component_spec("topology", parse_topology_arg(args.topology))
-    if args.catalog:
-        base = base.with_component_spec("catalog", parse_catalog_arg(args.catalog))
-    if args.engine:
-        base = base.with_override("measurement.engine", args.engine)
-    if args.fidelity:
-        base = base.with_override("measurement.fidelity", args.fidelity)
+    base = _apply_overrides(campaign.base, args)
     if base is not campaign.base:
         campaign = dataclasses.replace(campaign, base=base)
     return campaign
@@ -486,10 +467,7 @@ def _campaign_main(args: argparse.Namespace) -> int:
             ),
             _resolve_profile_path(args.profile, args.out, campaign=True),
         )
-    except (SpecError, registry.UnknownScenarioError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SummaryError as exc:
+    except (SpecError, registry.UnknownScenarioError, SummaryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -514,7 +492,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.list:
         # The markers say what each entry can drive: [spec] a miniature
         # --scenario run, [spec+grid] additionally a --campaign-scenario
-        # sweep, [-] registered but with no miniature spec.
+        # sweep, [-] registered but with no miniature spec; the braces
+        # hold the declared consumption build() enforces (peer groups |
+        # optional spec sections).
         for name in registry.names():
             entry = registry.get(name)
             if entry.small_spec is None:
@@ -523,7 +503,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                 tag = "spec+grid"
             else:
                 tag = "spec"
-            print(f"{name:26s} [{tag:9s}] {entry.description}")
+            groups = ",".join(entry.groups) or "-"
+            sections = " ".join(sorted(entry.supports)) or "-"
+            print(
+                f"{name:26s} [{tag:9s}] {{{groups} | {sections}}} "
+                f"{entry.description}"
+            )
         return 0
     if args.campaign or args.campaign_scenario:
         return _campaign_main(args)
@@ -549,12 +534,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             lambda: run(spec),
             _resolve_profile_path(args.profile, args.out, campaign=False),
         )
-    except (SpecError, registry.UnknownScenarioError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SummaryError as exc:
-        # A summary operation its structure cannot support (e.g. a
-        # kind/strategy combination with no information to act on).
+    except (SpecError, registry.UnknownScenarioError, SummaryError) as exc:
+        # SummaryError: a summary operation its structure cannot support
+        # (e.g. a kind/strategy combination with no information to act on).
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,27 +28,23 @@ Packet accounting is cumulative over every connection that ever
 existed — :class:`~repro.overlay.simulator.SimulationReport` counters
 are simulator-owned running totals, so an arm cannot improve its
 reported efficiency by discarding connections along with their
-redundant history.  (This scenario originally reconstructed cumulative
-totals from a :class:`~repro.sim.stats.StatsRecorder` to work around
-the report summing live connections only; the report itself is honest
-now.)  Each arm
-reports completion time, useful-symbol fraction, rewiring count, and
-the control bytes its summary cards actually cost on the wire; the
-headline ``informed_useful_gain`` metric is the informed arm's
-useful-fraction lead over the random arm.  The ``reconfig.summary
-.kind`` axis is sweepable, so a campaign turns the accuracy-vs-
-overhead of informed peering into one grid.
+redundant history.  Each arm reports completion time, useful-symbol
+fraction, rewiring count, and the control bytes its summary cards
+actually cost on the wire; the headline ``informed_useful_gain``
+metric is the informed arm's useful-fraction lead over the random arm.
+The ``reconfig.summary.kind`` axis is sweepable, so a campaign turns
+the accuracy-vs-overhead of informed peering into one grid.
 """
 
-import math
 import random
-from typing import Dict, List
+from typing import Dict, Optional, Tuple
 
 from repro.api.builders import (
-    _expect_groups,
-    _reconfig_policies,
-    _reconfig_sim_kwargs,
+    _base_simulator,
+    _require_informed_arm,
     _require_swarm,
+    _run_arms,
+    _schedule_join_waves,
     _seeded_count,
     _source_group,
 )
@@ -65,7 +61,7 @@ from repro.api.spec import (
     StrategySpec,
     SwarmSpec,
 )
-from repro.overlay.node import OverlayNode, default_family
+from repro.overlay.node import OverlayNode
 from repro.overlay.simulator import OverlaySimulator, SimulationReport
 from repro.seeding import derive_seed
 from repro.sim.stats import StatsRecorder
@@ -145,14 +141,8 @@ def adaptive_overlay(
 
 
 def _build_arm(spec: ExperimentSpec, arm: str) -> OverlaySimulator:
-    """One arm's ready-to-run simulator.
-
-    Every arm draws the identical construction stream (same mirror
-    slices, same wave schedule); runs diverge only through the
-    policies' own behaviour — the controlled comparison the paper's
-    argument needs.  Packet accounting rides the simulator's own
-    cumulative totals, so no side recorder is needed.
-    """
+    """One arm's ready-to-run simulator: the mirror swarm under ``arm``'s
+    policies (no recorder — accounting rides the simulator's totals)."""
     swarm = _require_swarm(spec)
     src_name = _source_group(swarm).member_ids()[0]
     group_a = swarm.group("a")
@@ -161,25 +151,15 @@ def _build_arm(spec: ExperimentSpec, arm: str) -> OverlaySimulator:
     target, distinct = swarm.target, swarm.distinct_symbols
 
     rng = random.Random(derive_seed(spec.seed, "adaptive_overlay"))
-    admission, rewiring = _reconfig_policies(spec, rng, policy=arm)
-    sim = OverlaySimulator(
-        default_family(),
-        admission=admission,
-        rewiring=rewiring,
-        strategy_name=spec.strategy.name,
-        rng=rng,
-        **_reconfig_sim_kwargs(spec, swarm),
-    )
+    sim = _base_simulator(spec, rng, None, arm=arm)
     sim.add_node(OverlayNode(src_name, target, is_source=True))
     # The two replica groups mirror complementary half-slices of the
     # symbol space: in-group peerings offer nothing, cross-group
     # peerings offer everything (Figure 1's C/D insight, scaled up).
     shuffled = list(range(distinct))
     rng.shuffle(shuffled)
-    slice_a = shuffled[: _seeded_count(group_a, target, distinct)]
-    slice_b = shuffled[
-        len(slice_a) : len(slice_a) + _seeded_count(group_b, target, distinct)
-    ]
+    slice_a = shuffled[: _seeded_count(group_a, swarm)]
+    slice_b = shuffled[len(slice_a) : len(slice_a) + _seeded_count(group_b, swarm)]
     for group, ids in ((group_a, slice_a), (group_b, slice_b)):
         for name in group.member_ids():
             sim.add_node(
@@ -192,36 +172,28 @@ def _build_arm(spec: ExperimentSpec, arm: str) -> OverlaySimulator:
             )
             sim.connect(src_name, name)
 
-    joiner_ids = list(joiners.member_ids())
-    churn = spec.churn
-    if churn is None or churn.join_waves < 1:
-        for pid in joiner_ids:
-            sim.add_node(
-                OverlayNode(pid, target, max_connections=joiners.max_connections)
-            )
-            sim.connect(src_name, pid)
-    else:
-        per_wave = math.ceil(len(joiner_ids) / churn.join_waves)
+    def admit(pid: str) -> None:
+        sim.add_node(OverlayNode(pid, target, max_connections=joiners.max_connections))
+        sim.connect(src_name, pid)
 
-        def make_wave(batch: List[str]):
-            def join_wave() -> None:
-                for pid in batch:
-                    sim.add_node(
-                        OverlayNode(
-                            pid, target, max_connections=joiners.max_connections
-                        )
-                    )
-                    sim.connect(src_name, pid)
-
-            return join_wave
-
-        for w in range(churn.join_waves):
-            batch = joiner_ids[w * per_wave : (w + 1) * per_wave]
-            if batch:
-                sim.scheduler.schedule_at(
-                    (w + 1) * float(churn.wave_interval) + 0.5, make_wave(batch)
-                )
+    _schedule_join_waves(sim, joiners.member_ids(), spec.churn, admit)
     return sim
+
+
+def _observe_arm(
+    arm: str,
+    sim: OverlaySimulator,
+    report: SimulationReport,
+    series: Optional[StatsRecorder],
+) -> Tuple[Dict[str, float], str]:
+    if series is not None:
+        series.gauge(0.0, arm, "ticks", float(report.ticks))
+        series.gauge(0.0, arm, "useful_fraction", report.efficiency)
+        series.gauge(0.0, arm, "control_bytes", float(report.control_bytes))
+    return (
+        {"packets_sent": float(report.packets_sent)},
+        f"reconfigurations={report.reconfigurations}",
+    )
 
 
 @scenario(
@@ -235,65 +207,15 @@ def _build_arm(spec: ExperimentSpec, arm: str) -> OverlaySimulator:
     ),
     description="Static vs random vs informed rewiring over one mirror swarm",
     small_grid=lambda: {"reconfig.summary.kind": ["minwise", "bloom", "modk"]},
+    supports=("reconfig", "churn.join_waves"),
+    groups=("a", "b", "p"),
 )
 def build_adaptive_overlay(spec: ExperimentSpec) -> BuiltExperiment:
     """Run all three arms from identical seeds; report the comparison."""
-    swarm = _require_swarm(spec)
-    _expect_groups(swarm, "a", "b", "p")
-    _source_group(swarm)
-    if spec.churn is not None and spec.churn.depart_node:
-        raise SpecError("adaptive_overlay does not support departures")
-    if spec.strategy.summary is not None:
-        raise SpecError(
-            "adaptive_overlay compares reconfiguration policies; select the "
-            "summary through reconfig.summary, not strategy.summary"
-        )
-    rc = spec.reconfig if spec.reconfig is not None else ReconfigSpec()
-    if rc.policy != "informed":
-        raise SpecError(
-            "adaptive_overlay runs every arm itself; its reconfig spec names "
-            f"the informed arm's configuration, not {rc.policy!r}"
-        )
+    _require_informed_arm(spec)
 
     def run(built: BuiltExperiment) -> RunResult:
-        metrics: Dict[str, float] = {}
-        events: List[str] = []
-        reports: Dict[str, SimulationReport] = {}
-        series = (
-            StatsRecorder(resolution=spec.measurement.resolution)
-            if spec.measurement.record_series
-            else None
-        )
-        for arm in ARMS:
-            sim = _build_arm(spec, arm)
-            report = sim.run(max_ticks=spec.measurement.max_ticks)
-            reports[arm] = report
-            fraction = report.efficiency
-            metrics[f"ticks[{arm}]"] = float(report.ticks)
-            metrics[f"packets_sent[{arm}]"] = float(report.packets_sent)
-            metrics[f"useful_fraction[{arm}]"] = fraction
-            metrics[f"reconfigurations[{arm}]"] = float(report.reconfigurations)
-            metrics[f"control_bytes[{arm}]"] = float(report.control_bytes)
-            events.append(
-                f"{arm}: ticks={report.ticks} useful_fraction={fraction:.3f} "
-                f"reconfigurations={report.reconfigurations} "
-                f"control_bytes={report.control_bytes}"
-            )
-            if series is not None:
-                series.gauge(0.0, arm, "ticks", float(report.ticks))
-                series.gauge(0.0, arm, "useful_fraction", fraction)
-                series.gauge(0.0, arm, "control_bytes", float(report.control_bytes))
-        metrics["informed_useful_gain"] = (
-            metrics["useful_fraction[informed]"] - metrics["useful_fraction[random]"]
-        )
-        return RunResult(
-            spec=spec,
-            completed=all(r.all_complete for r in reports.values()),
-            metrics=metrics,
-            stats=series,
-            events=events,
-            extras={"reports": reports},
-        )
+        return _run_arms(spec, ARMS, lambda arm: _build_arm(spec, arm), _observe_arm)
 
     return BuiltExperiment(spec=spec, kind="sweep", runner=run)
 

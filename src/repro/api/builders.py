@@ -1,32 +1,41 @@
-"""Scenario catalog: spec constructors and registered builders.
+"""Scenario catalog: spec constructors, populate functions, one assembly.
 
-Each catalog entry has two halves:
+Each catalog entry is three small things:
 
 * a **spec constructor** (e.g. :func:`flash_crowd`) mapping the
   scenario's natural parameters to a complete, declarative
   :class:`~repro.api.spec.ExperimentSpec` — the JSON-able value a user
   stores, diffs, and re-runs;
-* a **builder** registered under the scenario's name
-  (:func:`repro.api.registry.scenario`) that interprets such a spec:
-  constructs topology, nodes, link models, strategies, and scheduled
-  churn events, and returns a :class:`~repro.api.runner.
-  BuiltExperiment` ready to :meth:`~repro.api.runner.BuiltExperiment.
-  run`.
+* a **populate function** — the part that is genuinely the scenario's:
+  who starts with what, and who is first wired to whom (it draws from
+  the run's one RNG in a fixed order, so a seeded spec replays bit for
+  bit; ``tests/api/test_api_parity.py`` pins the outputs);
+* a **declared consumption** on its :func:`~repro.api.registry.scenario`
+  registration (``groups=`` / ``supports=``): the peer groups and
+  optional spec sections the populate function reads.
+  :func:`repro.api.build` rejects everything else, so no builder
+  checks for sections it ignores.
 
-The swarm builders draw from the spec's master seed in a fixed order,
-so a seeded spec replays bit for bit; ``tests/api/test_api_parity.py``
-pins the outputs.  ``build(spec).scenario`` hands back the live
+Everything the paper's Section 2 environment shares is assembled once,
+here, for every module of the catalog: :func:`_base_simulator` (the
+only ``OverlaySimulator`` construction — policies, transport, epoch
+kwargs), :func:`_build_swarm` (the head and tail around a populate
+function: RNG, shared loss chains, simulator, departure, ``kind=
+"swarm"`` result), :func:`_schedule_join_waves`, :func:`_informed_join`
+(the Section 4 ``plan_join`` admit function), :func:`_run_arms` (the
+per-arm comparison loop) and :func:`_transport_setup`.
+``build(spec).scenario`` hands back the live
 :class:`~repro.api.runner.SimScenario` for callers that drive the
 simulator themselves.
 """
 
 import math
 import random
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.registry import scenario
 from repro.api.result import RunResult
-from repro.api.runner import BuiltExperiment, SimScenario
+from repro.api.runner import BuiltExperiment, SimScenario, _source_group
 from repro.api.spec import (
     ChurnSpec,
     ExperimentSpec,
@@ -34,6 +43,7 @@ from repro.api.spec import (
     LinkSpec,
     MeasurementSpec,
     NodeSpec,
+    ReconfigSpec,
     SpecError,
     StrategySpec,
     SwarmSpec,
@@ -45,7 +55,7 @@ from repro.delivery.scenarios import (
     make_multi_sender_scenario,
     make_pair_scenario,
 )
-from repro.delivery.strategies import make_strategy
+from repro.delivery.strategies import DEFAULT_DESIRED_MARGIN, make_strategy
 from repro.delivery.transfer import (
     simulate_multi_sender_transfer,
     simulate_p2p_transfer,
@@ -58,7 +68,7 @@ from repro.overlay.reconfiguration import (
     SummaryScheme,
     UtilityRewiring,
 )
-from repro.overlay.simulator import OverlaySimulator
+from repro.overlay.simulator import OverlaySimulator, SimulationReport
 from repro.protocol.peer import CodeParameters, ProtocolPeer
 from repro.protocol.session import TransferSession
 from repro.seeding import derive_rng
@@ -84,11 +94,10 @@ from repro.transport import BottleneckLink, BottleneckQueue, TransportManager
 # Shared construction helpers
 # ---------------------------------------------------------------------------
 
-#: The receiver's request margin over an even deficit split (decoding
-#: overhead allowance plus slack for sender-domain overlap) — one
-#: constant shared by the spec constructors, the builders' fallbacks,
-#: and the figure sweeps in :mod:`repro.experiments.fig5678`.
-DEFAULT_DESIRED_MARGIN = 1.15
+#: What every scenario that builds an adaptive overlay from declared
+#: node groups over the swarm's link rules consumes (the four
+#: static-wiring scenarios and the two flash crowds add their churn).
+SWARM_SECTIONS = ("summary", "reconfig", "transport", "swarm.links")
 
 
 def _require_swarm(spec: ExperimentSpec) -> SwarmSpec:
@@ -110,32 +119,6 @@ def _summary_policy(spec: ExperimentSpec):
     return spec.strategy.summary.policy()
 
 
-def _source_group(swarm: SwarmSpec) -> NodeSpec:
-    """The swarm's single source group (the builders honour its name
-    and link-rule class; multi-source swarms are not yet expressible)."""
-    sources = [g for g in swarm.nodes if g.role == "source"]
-    if len(sources) != 1 or sources[0].count != 1:
-        raise SpecError(
-            "swarm scenarios require exactly one source group with count=1; "
-            f"got {[(g.name, g.count) for g in sources]}"
-        )
-    return sources[0]
-
-
-def _expect_groups(swarm: SwarmSpec, *names: str) -> None:
-    """Require the swarm's peer groups to be exactly ``names``.
-
-    A declared group the builder would not consume is a spec error, not
-    something to drop silently.
-    """
-    peer_groups = [g.name for g in swarm.nodes if g.role != "source"]
-    if sorted(peer_groups) != sorted(names) or len(set(peer_groups)) != len(peer_groups):
-        raise SpecError(
-            f"this scenario expects exactly the peer groups {sorted(names)}; "
-            f"the swarm declares {peer_groups}"
-        )
-
-
 def _rounds_cap(max_packets: int, senders_per_round: int) -> Optional[int]:
     """Translate a total data-packet budget into a round cap.
 
@@ -154,6 +137,22 @@ def _rounds_cap(max_packets: int, senders_per_round: int) -> Optional[int]:
     return max_packets // senders_per_round
 
 
+def _series_recorder(
+    spec: ExperimentSpec, force: bool = False
+) -> Optional[StatsRecorder]:
+    """The spec's time-series recorder, or None with series off
+    (``force`` = the runner computes its own metrics from the series)."""
+    if force or spec.measurement.record_series:
+        return StatsRecorder(resolution=spec.measurement.resolution)
+    return None
+
+
+def _reconfig(spec: ExperimentSpec) -> ReconfigSpec:
+    """The spec's reconfig selection; unset is ``ReconfigSpec()`` — the
+    informed arm at its defaults on the swarm's own epoch period."""
+    return spec.reconfig if spec.reconfig is not None else ReconfigSpec()
+
+
 def reconfig_scheme(spec: ExperimentSpec) -> SummaryScheme:
     """The :class:`SummaryScheme` a spec's reconfig selection names.
 
@@ -163,79 +162,87 @@ def reconfig_scheme(spec: ExperimentSpec) -> SummaryScheme:
     informed run under the default scheme replays the pre-spec
     behaviour bit for bit.
     """
-    rc = spec.reconfig
-    if rc is None or rc.summary is None:
+    summary = _reconfig(spec).summary
+    if summary is None:
         return SummaryScheme.from_family(default_family())
-    return SummaryScheme(rc.summary.kind, rc.summary.params_dict())
+    return SummaryScheme(summary.kind, summary.params_dict())
 
 
 def _reconfig_policies(
-    spec: ExperimentSpec, rng: random.Random, policy: Optional[str] = None
+    spec: ExperimentSpec,
+    rng: random.Random,
+    arm: Optional[str] = None,
+    scheme: Optional[SummaryScheme] = None,
 ):
     """(admission, rewiring) for a swarm spec's reconfig selection.
 
-    ``None`` reconfig keeps the historical informed defaults; an
-    explicit selection picks the arm: ``informed`` (summary-driven
-    thresholds and utility swaps), ``random`` (uninformed rewiring),
-    or ``static`` (no rewiring, structural admission only).  ``policy``
-    overrides the spec's own arm — the ``adaptive_overlay`` scenario
-    uses it to construct every arm from one spec.
+    The arms: ``informed`` (summary-driven thresholds and utility
+    swaps), ``random`` (uninformed rewiring), ``static`` (no rewiring,
+    structural admission only).  ``arm`` overrides the spec's own
+    policy (the comparison scenarios construct every arm from one
+    spec); ``scheme`` replaces the informed arm's
+    :func:`reconfig_scheme` (``cdn_catalog`` wraps it catalog-aware).
     """
-    rc = spec.reconfig
-    if policy is None:
-        if rc is None:
-            family = default_family()
-            return SketchAdmission(family), UtilityRewiring(family, rng=rng)
-        policy = rc.policy
-    if policy == "informed":
-        if rc is None:
-            from repro.api.spec import ReconfigSpec
-
-            rc = ReconfigSpec()
-        scheme = reconfig_scheme(spec)
+    rc = _reconfig(spec)
+    arm = arm or rc.policy
+    if arm == "informed":
+        scheme = scheme or reconfig_scheme(spec)
         return (
             SketchAdmission(scheme, min_usefulness=rc.min_usefulness),
             UtilityRewiring(scheme, hysteresis=rc.hysteresis, rng=rng),
         )
-    if policy == "random":
+    if arm == "random":
         return OpenAdmission(), RandomRewiring(rng=rng)
     return OpenAdmission(), None  # static
+
+
+def _require_informed_arm(spec: ExperimentSpec) -> None:
+    """A comparison scenario's reconfig spec configures its informed arm."""
+    policy = _reconfig(spec).policy
+    if policy != "informed":
+        raise SpecError(
+            f"{spec.scenario} runs every arm itself; its reconfig spec names "
+            f"the informed arm's configuration, not {policy!r}"
+        )
 
 
 def _reconfig_sim_kwargs(spec: ExperimentSpec, swarm: SwarmSpec) -> Dict[str, Any]:
     """The epoch kwargs every overlay builder hands the simulator:
     scheduling, scan budget, and the estimate kernel
     (``measurement.engine="columnar"`` = the min-wise card matrix)."""
-    rc = spec.reconfig
+    rc = _reconfig(spec)
     return {
         "card_matrix": spec.measurement.engine == "columnar",
         "reconfigure_every": (
-            rc.interval if rc is not None and rc.interval > 0 else swarm.reconfigure_every
+            rc.interval if rc.interval > 0 else swarm.reconfigure_every
         ),
-        "reconfig_jitter": rc.jitter if rc is not None else 0.0,
-        "reconfig_budget": rc.scan_budget if rc is not None else 0,
+        "reconfig_jitter": rc.jitter,
+        "reconfig_budget": rc.scan_budget,
     }
+
+
+LinkFactory = Callable[[PathCharacteristics, str, str], LinkModel]
 
 
 def _transport_setup(
     spec: ExperimentSpec,
     stats: Optional[StatsRecorder],
-    link_factory: Optional[Callable[..., LinkModel]] = None,
-):
-    """(extra simulator kwargs, link factory) for the spec's transport.
+    link_factory: Optional[LinkFactory] = None,
+) -> Tuple[Optional[EventScheduler], Optional[TransportManager], Optional[LinkFactory]]:
+    """(scheduler, transport manager, link factory) for the spec's transport.
 
-    ``transport`` unset returns the inputs untouched — the builders
-    stay on their bit-identical historical paths.  Set, it assembles
-    the subsystem: an explicit :class:`EventScheduler` (the bottleneck
-    queue reads its clock), a shared :class:`BottleneckQueue` when
-    ``bottleneck_rate > 0``, a :class:`TransportManager` handing each
-    connection its own congestion controller, and a link factory
+    ``transport`` unset returns ``(None, None, link_factory)`` — the
+    builders stay on their bit-identical historical paths.  Set, it
+    assembles the subsystem: an explicit :class:`EventScheduler` (the
+    bottleneck queue reads its clock), a shared :class:`BottleneckQueue`
+    when ``bottleneck_rate > 0``, a :class:`TransportManager` handing
+    each connection its own congestion controller, and a link factory
     wrapping every constructed link in a :class:`BottleneckLink` so all
     senders contend for the one queue.
     """
     ts = spec.transport
     if ts is None:
-        return {}, link_factory
+        return None, None, link_factory
     scheduler = EventScheduler()
     queue = None
     if ts.bottleneck_rate > 0:
@@ -264,38 +271,28 @@ def _transport_setup(
         rto_max=ts.rto_max,
         queue=queue,
     )
-    return {"scheduler": scheduler, "transport": manager}, link_factory
-
-
-def _reject_reconfig(spec: ExperimentSpec) -> None:
-    """Refuse a reconfig selection on a scenario with no overlay to adapt."""
-    if spec.reconfig is not None:
-        raise SpecError(
-            f"scenario {spec.scenario!r} has no adaptive overlay; a reconfig "
-            "spec applies to the swarm scenarios (flash_crowd, "
-            "source_departure, asymmetric_bandwidth, correlated_regional_loss, "
-            "figure1, random_overlay, adaptive_overlay)"
-        )
+    return scheduler, manager, link_factory
 
 
 def _base_simulator(
     spec: ExperimentSpec,
     rng: random.Random,
-    link_factory: Optional[Callable[..., LinkModel]] = None,
+    stats: Optional[StatsRecorder],
+    link_factory: Optional[LinkFactory] = None,
     paths: Optional[PathModel] = None,
-):
-    """The shared simulator assembly every swarm builder starts from."""
-    swarm = _require_swarm(spec)
-    family = default_family()
-    stats = (
-        StatsRecorder(resolution=spec.measurement.resolution)
-        if spec.measurement.record_series
-        else None
-    )
-    admission, rewiring = _reconfig_policies(spec, rng)
-    transport_kwargs, link_factory = _transport_setup(spec, stats, link_factory)
-    sim = OverlaySimulator(
-        family,
+    arm: Optional[str] = None,
+    scheme: Optional[SummaryScheme] = None,
+) -> OverlaySimulator:
+    """The one simulator assembly every overlay scenario starts from.
+
+    ``stats`` is the caller's recorder (usually :func:`_series_recorder`);
+    ``arm`` / ``scheme`` pass through to :func:`_reconfig_policies`.
+    Construction draws nothing from ``rng``.
+    """
+    admission, rewiring = _reconfig_policies(spec, rng, arm, scheme)
+    scheduler, manager, link_factory = _transport_setup(spec, stats, link_factory)
+    return OverlaySimulator(
+        default_family(),
         admission=admission,
         rewiring=rewiring,
         strategy_name=spec.strategy.name,
@@ -304,36 +301,48 @@ def _base_simulator(
         paths=paths,
         link_factory=link_factory,
         stats=stats,
-        **transport_kwargs,
-        **_reconfig_sim_kwargs(spec, swarm),
+        scheduler=scheduler,
+        transport=manager,
+        **_reconfig_sim_kwargs(spec, _require_swarm(spec)),
     )
-    return sim, family, stats
 
 
-def _seeded_count(rule: NodeSpec, target: int, distinct: int) -> int:
+def _seeded_count(rule: NodeSpec, swarm: SwarmSpec) -> int:
     """The (upper bound on the) initial symbol count a seeding rule yields.
 
     ``int(basis * fraction + 1e-9)`` reproduces the legacy integer
     arithmetic (``target // 2``, ``distinct // 2``, ``target // 3``)
     for the fractions the catalog stores.
     """
-    basis = target if rule.seed_basis == "target" else distinct
+    basis = swarm.target if rule.seed_basis == "target" else swarm.distinct_symbols
     return int(basis * rule.seed_fraction + 1e-9)
 
 
-def _initial_ids(
-    rng: random.Random, rule: NodeSpec, target: int, distinct: int
-) -> List[int]:
-    """Draw one member's initial working set per the group's seeding rule."""
+def _initial_ids(rng: random.Random, rule: NodeSpec, swarm: SwarmSpec) -> List[int]:
+    """Draw one member's initial working set per the group's seeding rule
+    (an ``"empty"`` group draws nothing)."""
     if rule.seeding == "empty":
         return []
-    bound = _seeded_count(rule, target, distinct)
+    distinct = swarm.distinct_symbols
+    bound = _seeded_count(rule, swarm)
     if bound <= 0:
         return []  # a fraction too small to seed a single symbol
     if rule.seeding == "fixed":
         return rng.sample(range(distinct), bound)
     # "uniform": a uniform count in [0, bound).
     return rng.sample(range(distinct), rng.randrange(0, bound))
+
+
+def _seeded_node(
+    rng: random.Random, rule: NodeSpec, swarm: SwarmSpec, node_id: str
+) -> OverlayNode:
+    """One member of ``rule``'s group, seeded per its rule."""
+    return OverlayNode(
+        node_id,
+        swarm.target,
+        initial_ids=_initial_ids(rng, rule, swarm),
+        max_connections=rule.max_connections,
+    )
 
 
 def _shared_process(
@@ -391,7 +400,7 @@ def _node_classes(swarm: SwarmSpec) -> Dict[str, str]:
 
 def _link_factory_from_rules(
     swarm: SwarmSpec, shared: Dict[str, GilbertElliottProcess]
-) -> Optional[Callable[[PathCharacteristics, str, str], LinkModel]]:
+) -> Optional[LinkFactory]:
     """A per-connection link factory applying the swarm's link rules."""
     if not swarm.links:
         return None
@@ -420,44 +429,121 @@ def _shared_processes(swarm: SwarmSpec) -> Dict[str, GilbertElliottProcess]:
 
 
 def _schedule_shared_process_steps(
-    sim: OverlaySimulator,
-    scenario_obj: SimScenario,
+    scheduler: EventScheduler,
+    stats: Optional[StatsRecorder],
     rng: random.Random,
     shared: Dict[str, GilbertElliottProcess],
+    events: Optional[List[str]] = None,
 ) -> None:
-    """Step each shared loss chain once per tick, logging transitions."""
+    """Step each shared loss chain once per time unit (mid-tick),
+    logging its transitions to ``events``."""
     for key in sorted(shared):
         process = shared[key]
-        if scenario_obj.stats is not None:
-            process.attach_stats(
-                scenario_obj.stats, entity=f"loss:{key}", clock=sim.scheduler
-            )
+        if stats is not None:
+            process.attach_stats(stats, entity=f"loss:{key}", clock=scheduler)
 
         def step(process=process, key=key) -> None:
             was_bad = process.bad
             process.step(rng)
-            if process.bad != was_bad:
+            if events is not None and process.bad != was_bad:
                 state = "bad" if process.bad else "good"
-                scenario_obj.events.append(
-                    f"t={sim.scheduler.now:g} {key} -> {state}"
-                )
+                events.append(f"t={scheduler.now:g} {key} -> {state}")
 
-        sim.scheduler.schedule_every(1.0, step, first=0.5)
+        scheduler.schedule_every(1.0, step, first=0.5)
 
 
-def _schedule_departure(
-    sim: OverlaySimulator, scenario_obj: SimScenario, churn: ChurnSpec
-) -> None:
-    """Schedule the churn spec's departure event, if any."""
-    if not churn.depart_node:
+def _schedule_departure(scn: SimScenario, churn: Optional[ChurnSpec]) -> None:
+    """Schedule the churn spec's departure event, if any (the gate has
+    checked that ``depart_node`` names a declared member)."""
+    if churn is None or not churn.depart_node:
         return
+    sim = scn.simulator
 
     def depart() -> None:
         node = sim.remove_node(churn.depart_node)
         label = "source" if node is not None and node.is_source else churn.depart_node
-        scenario_obj.events.append(f"t={sim.scheduler.now:g} {label} departed")
+        scn.events.append(f"t={sim.scheduler.now:g} {label} departed")
 
     sim.scheduler.schedule_at(churn.depart_at, depart)
+
+
+def _schedule_join_waves(
+    sim: OverlaySimulator,
+    member_ids: Sequence[str],
+    churn: Optional[ChurnSpec],
+    admit: Callable[[str], None],
+    events: Optional[List[str]] = None,
+) -> None:
+    """Admit ``member_ids`` in ``churn.join_waves`` equal batches.
+
+    Waves land mid-tick (t = k*interval + 0.5): unambiguously after
+    tick k's delivery pass and before tick k+1's, so joiners' first
+    packets flow on the next tick.  With no waves declared everyone is
+    admitted now, at construction.  ``events`` receives one line per
+    wave as it lands.
+    """
+    if churn is None or churn.join_waves < 1:
+        for pid in member_ids:
+            admit(pid)
+        return
+    per_wave = math.ceil(len(member_ids) / churn.join_waves)
+    for w in range(churn.join_waves):
+        batch = member_ids[w * per_wave : (w + 1) * per_wave]
+        if not batch:
+            continue
+
+        def join_wave(batch=batch) -> None:
+            if events is not None:
+                events.append(
+                    f"t={sim.scheduler.now:g} wave of {len(batch)} joins"
+                )
+            for pid in batch:
+                admit(pid)
+
+        sim.scheduler.schedule_at(
+            (w + 1) * float(churn.wave_interval) + 0.5, join_wave
+        )
+
+
+def _informed_join(
+    scn: SimScenario,
+    rng: random.Random,
+    swarm: SwarmSpec,
+    joiners: NodeSpec,
+    src_name: str,
+) -> Callable[[str], None]:
+    """The Section 4 join decision as an admit function: the joiner
+    plans its senders over the live calling cards (``plan_join``),
+    falling back to the source when no planned sender admits it."""
+    sim = scn.simulator
+    family = sim.family
+    plans = scn.extras.setdefault("join_plans", {})
+
+    def admit(pid: str) -> None:
+        node = _seeded_node(rng, joiners, swarm, pid)
+        sim.add_node(node)
+        candidates = [
+            CandidateSender(n.node_id, n.sketch(family), len(n.working_set))
+            for n in sim.nodes.values()
+            if not n.is_source and n.node_id != pid and len(n.working_set) > 0
+        ]
+        plan = plans[pid] = plan_join(
+            node.sketch(family),
+            len(node.working_set),
+            candidates,
+            max_senders=joiners.max_connections,
+            symbols_desired=swarm.target,
+            rng=rng,
+            now=sim.scheduler.now,
+        )
+        connected = 0
+        for sender_id in plan.selection.chosen:
+            if sim.connect(sender_id, pid):
+                connected += 1
+        if connected == 0:
+            sim.connect(src_name, pid)
+
+    return admit
 
 
 def _swarm_metrics(report) -> Dict[str, float]:
@@ -502,6 +588,97 @@ def _run_swarm(built: BuiltExperiment) -> RunResult:
         stats=scenario_obj.stats,
         events=list(scenario_obj.events),
         extras=dict(scenario_obj.extras),
+    )
+
+
+def _build_swarm(
+    spec: ExperimentSpec,
+    populate: Callable[..., None],
+    paths: Optional[PathModel] = None,
+    runner: Callable[[BuiltExperiment], RunResult] = _run_swarm,
+) -> BuiltExperiment:
+    """The head and tail every ``kind="swarm"`` scenario shares around
+    its populate function: the run's RNG, the link rules' shared loss
+    chains, the simulator and its :class:`SimScenario`; then the declared
+    departure and the loss chains' per-tick steps.
+
+    ``populate(spec, scn, rng, shared)`` is the scenario's own part: it
+    adds the nodes, wires the first connections, schedules the arrivals.
+    """
+    swarm = _require_swarm(spec)
+    rng = random.Random(spec.seed)
+    shared = _shared_processes(swarm)
+    stats = _series_recorder(spec)
+    sim = _base_simulator(
+        spec,
+        rng,
+        stats,
+        link_factory=_link_factory_from_rules(swarm, shared),
+        paths=paths,
+    )
+    scn = SimScenario(spec.scenario, sim, stats, swarm.target)
+    populate(spec, scn, rng, shared)
+    _schedule_departure(scn, spec.churn)
+    _schedule_shared_process_steps(sim.scheduler, stats, rng, shared, scn.events)
+    return BuiltExperiment(spec=spec, kind="swarm", scenario=scn, runner=runner)
+
+
+def _run_arms(
+    spec: ExperimentSpec,
+    arms: Sequence[str],
+    build_arm: Callable[[str], OverlaySimulator],
+    observe: Callable[
+        [str, OverlaySimulator, SimulationReport, Optional[StatsRecorder]],
+        Tuple[Dict[str, float], str],
+    ],
+) -> RunResult:
+    """The controlled comparison: run every arm of one spec and report
+    them side by side.
+
+    ``build_arm(arm)`` returns the arm's ready simulator (every arm
+    draws the identical construction stream; runs diverge only through
+    the policies' own behaviour).  Packet accounting rides the
+    simulator's cumulative totals, so an arm cannot improve its
+    reported efficiency by discarding connections along with their
+    redundant history.  ``observe(arm, sim, report, series)`` returns
+    the arm's scenario-specific metrics and the detail its event line
+    shows, and may add rows to the cross-arm ``series``.  The headline
+    ``informed_useful_gain`` is the informed arm's useful-fraction lead
+    over the random arm.
+    """
+    metrics: Dict[str, float] = {}
+    events: List[str] = []
+    reports: Dict[str, SimulationReport] = {}
+    series = _series_recorder(spec)
+    for arm in arms:
+        sim = build_arm(arm)
+        report = sim.run(max_ticks=spec.measurement.max_ticks)
+        reports[arm] = report
+        own, detail = observe(arm, sim, report, series)
+        arm_metrics = {
+            "ticks": float(report.ticks),
+            "useful_fraction": report.efficiency,
+            "reconfigurations": float(report.reconfigurations),
+            "control_bytes": float(report.control_bytes),
+            **own,
+        }
+        for key, value in arm_metrics.items():
+            metrics[f"{key}[{arm}]"] = value
+        events.append(
+            f"{arm}: ticks={report.ticks} "
+            f"useful_fraction={report.efficiency:.3f} {detail} "
+            f"control_bytes={report.control_bytes}"
+        )
+    metrics["informed_useful_gain"] = (
+        metrics["useful_fraction[informed]"] - metrics["useful_fraction[random]"]
+    )
+    return RunResult(
+        spec=spec,
+        completed=all(r.all_complete for r in reports.values()),
+        metrics=metrics,
+        stats=series,
+        events=events,
+        extras={"reports": reports},
     )
 
 
@@ -555,94 +732,49 @@ def flash_crowd(
     )
 
 
+def _populate_flash_crowd(spec, scn, rng, shared) -> None:
+    """Seeds behind the source now; joiners (seeded per their group's
+    rule — the catalog's are empty) run the Section 4 join decision at
+    their scheduled wave."""
+    swarm = spec.swarm
+    churn = spec.churn
+    if churn is None or churn.join_waves < 1:
+        raise SpecError(
+            f"{spec.scenario} requires a churn spec with join_waves >= 1"
+        )
+    sim = scn.simulator
+    src_name = _source_group(swarm).member_ids()[0]
+    seeds = swarm.group("seed")
+    joiners = swarm.group("p")
+    sim.add_node(OverlayNode(src_name, swarm.target, is_source=True))
+    for name in seeds.member_ids():
+        sim.add_node(_seeded_node(rng, seeds, swarm, name))
+        sim.connect(src_name, name)
+    _schedule_join_waves(
+        sim,
+        joiners.member_ids(),
+        churn,
+        _informed_join(scn, rng, swarm, joiners, src_name),
+        events=scn.events,
+    )
+
+
+#: What the flash-crowd assembly consumes (shared with ``congested_swarm``).
+FLASH_CROWD_SECTIONS = SWARM_SECTIONS + ("churn.join_waves", "churn.depart_node")
+
+
 @scenario(
     "flash_crowd",
     small_spec=lambda: flash_crowd(
         num_peers=10, target=40, initial_seeded=2, waves=2, wave_interval=5, seed=1
     ),
     description="Waves of empty peers rush a small seeded swarm",
-    supports_transport=True,
+    supports=FLASH_CROWD_SECTIONS,
+    groups=("seed", "p"),
 )
 def build_flash_crowd(spec: ExperimentSpec) -> BuiltExperiment:
     """Joiners run the Section 4 join decision at their scheduled time."""
-    swarm = _require_swarm(spec)
-    _expect_groups(swarm, "seed", "p")
-    src_name = _source_group(swarm).member_ids()[0]
-    seeds = swarm.group("seed")
-    joiners = swarm.group("p")
-    churn = spec.churn
-    if churn is None or churn.join_waves < 1:
-        raise SpecError("flash_crowd requires a churn spec with join_waves >= 1")
-    target, distinct = swarm.target, swarm.distinct_symbols
-
-    rng = random.Random(spec.seed)
-    shared = _shared_processes(swarm)
-    sim, family, stats = _base_simulator(
-        spec, rng, link_factory=_link_factory_from_rules(swarm, shared)
-    )
-    scenario_obj = SimScenario("flash_crowd", sim, stats, target)
-
-    sim.add_node(OverlayNode(src_name, target, is_source=True))
-    for name in seeds.member_ids():
-        ids = _initial_ids(rng, seeds, target, distinct)
-        sim.add_node(
-            OverlayNode(
-                name, target, initial_ids=ids, max_connections=seeds.max_connections
-            )
-        )
-        sim.connect(src_name, name)
-
-    joiner_ids = list(joiners.member_ids())
-    per_wave = math.ceil(len(joiner_ids) / churn.join_waves)
-    max_connections = joiners.max_connections
-
-    def make_wave(batch: List[str]) -> Callable[[], None]:
-        def join_wave() -> None:
-            now = sim.scheduler.now
-            scenario_obj.events.append(f"t={now:g} wave of {len(batch)} joins")
-            for pid in batch:
-                node = OverlayNode(pid, target, max_connections=max_connections)
-                sim.add_node(node)
-                candidates = [
-                    CandidateSender(n.node_id, n.sketch(family), len(n.working_set))
-                    for n in sim.nodes.values()
-                    if not n.is_source
-                    and n.node_id != pid
-                    and len(n.working_set) > 0
-                ]
-                plan = plan_join(
-                    node.sketch(family),
-                    len(node.working_set),
-                    candidates,
-                    max_senders=max_connections,
-                    symbols_desired=target,
-                    rng=rng,
-                    now=now,
-                )
-                scenario_obj.extras.setdefault("join_plans", {})[pid] = plan
-                connected = 0
-                for sender_id in plan.selection.chosen:
-                    if sim.connect(sender_id, pid):
-                        connected += 1
-                if connected == 0:
-                    sim.connect(src_name, pid)
-
-        return join_wave
-
-    # Waves land mid-tick (t = k*interval + 0.5): unambiguously after
-    # tick k's delivery pass and before tick k+1's, so joiners' first
-    # packets flow on the next tick.
-    for w in range(churn.join_waves):
-        batch = joiner_ids[w * per_wave : (w + 1) * per_wave]
-        if batch:
-            sim.scheduler.schedule_at(
-                (w + 1) * float(churn.wave_interval) + 0.5, make_wave(batch)
-            )
-    _schedule_departure(sim, scenario_obj, churn)
-    _schedule_shared_process_steps(sim, scenario_obj, rng, shared)
-    return BuiltExperiment(
-        spec=spec, kind="swarm", scenario=scenario_obj, runner=_run_swarm
-    )
+    return _build_swarm(spec, _populate_flash_crowd)
 
 
 # ---------------------------------------------------------------------------
@@ -684,51 +816,31 @@ def source_departure(
     )
 
 
-@scenario(
-    "source_departure",
-    small_spec=lambda: source_departure(num_peers=6, target=60, depart_at=5.0, seed=2),
-    description="The only source leaves mid-transfer; the swarm finishes alone",
-    supports_transport=True,
-)
-def build_source_departure(spec: ExperimentSpec) -> BuiltExperiment:
-    """Completion after the departure needs peer-to-peer reconciliation."""
-    swarm = _require_swarm(spec)
-    _expect_groups(swarm, "p")
-    if spec.churn is not None and spec.churn.join_waves:
-        raise SpecError(
-            "source_departure does not support join waves; use flash_crowd"
-        )
+def _populate_source_departure(spec, scn, rng, shared) -> None:
+    swarm = spec.swarm
+    sim = scn.simulator
     src_name = _source_group(swarm).member_ids()[0]
     peers = swarm.group("p")
-    target, distinct = swarm.target, swarm.distinct_symbols
-
-    rng = random.Random(spec.seed)
-    shared = _shared_processes(swarm)
-    sim, family, stats = _base_simulator(
-        spec, rng, link_factory=_link_factory_from_rules(swarm, shared)
-    )
-    scenario_obj = SimScenario("source_departure", sim, stats, target)
-
-    sim.add_node(OverlayNode(src_name, target, is_source=True))
-    peer_ids = list(peers.member_ids())
+    sim.add_node(OverlayNode(src_name, swarm.target, is_source=True))
+    peer_ids = peers.member_ids()
     for pid in peer_ids:
-        ids = _initial_ids(rng, peers, target, distinct)
-        sim.add_node(
-            OverlayNode(
-                pid, target, initial_ids=ids, max_connections=peers.max_connections
-            )
-        )
+        sim.add_node(_seeded_node(rng, peers, swarm, pid))
         sim.connect(src_name, pid)
     # A sparse peer mesh so perpendicular capacity exists on day one.
     for i, pid in enumerate(peer_ids):
         sim.connect(peer_ids[(i + 1) % len(peer_ids)], pid)
 
-    if spec.churn is not None:
-        _schedule_departure(sim, scenario_obj, spec.churn)
-    _schedule_shared_process_steps(sim, scenario_obj, rng, shared)
-    return BuiltExperiment(
-        spec=spec, kind="swarm", scenario=scenario_obj, runner=_run_swarm
-    )
+
+@scenario(
+    "source_departure",
+    small_spec=lambda: source_departure(num_peers=6, target=60, depart_at=5.0, seed=2),
+    description="The only source leaves mid-transfer; the swarm finishes alone",
+    supports=SWARM_SECTIONS + ("churn.depart_node",),
+    groups=("p",),
+)
+def build_source_departure(spec: ExperimentSpec) -> BuiltExperiment:
+    """Completion after the departure needs peer-to-peer reconciliation."""
+    return _build_swarm(spec, _populate_source_departure)
 
 
 # ---------------------------------------------------------------------------
@@ -797,60 +909,36 @@ def asymmetric_bandwidth(
     )
 
 
+def _populate_asymmetric_bandwidth(spec, scn, rng, shared) -> None:
+    swarm = spec.swarm
+    sim = scn.simulator
+    src_name = _source_group(swarm).member_ids()[0]
+    fast = swarm.group("fast")
+    slow = swarm.group("slow")
+    fast_ids = fast.member_ids()
+    scn.extras["fast_class"] = {src_name, *fast_ids}
+    sim.add_node(OverlayNode(src_name, swarm.target, is_source=True))
+    for name in fast_ids:
+        sim.add_node(_seeded_node(rng, fast, swarm, name))
+        sim.connect(src_name, name)
+    for i, name in enumerate(slow.member_ids()):
+        sim.add_node(_seeded_node(rng, slow, swarm, name))
+        # Edge peers bootstrap from the backbone when one exists.
+        sim.connect(fast_ids[i % len(fast_ids)] if fast_ids else src_name, name)
+
+
 @scenario(
     "asymmetric_bandwidth",
     small_spec=lambda: asymmetric_bandwidth(
         num_fast=3, num_slow=3, target=40, seed=3
     ),
     description="A fast backbone class and a slow, jittery edge class in one swarm",
-    supports_transport=True,
+    supports=SWARM_SECTIONS + ("churn.depart_node",),
+    groups=("fast", "slow"),
 )
 def build_asymmetric_bandwidth(spec: ExperimentSpec) -> BuiltExperiment:
     """Heterogeneous per-connection link models from the swarm's rules."""
-    swarm = _require_swarm(spec)
-    _expect_groups(swarm, "fast", "slow")
-    if spec.churn is not None and spec.churn.join_waves:
-        raise SpecError(
-            "asymmetric_bandwidth does not support join waves; use flash_crowd"
-        )
-    src_name = _source_group(swarm).member_ids()[0]
-    fast = swarm.group("fast")
-    slow = swarm.group("slow")
-    target, distinct = swarm.target, swarm.distinct_symbols
-
-    rng = random.Random(spec.seed)
-    shared = _shared_processes(swarm)
-    sim, family, stats = _base_simulator(
-        spec, rng, link_factory=_link_factory_from_rules(swarm, shared)
-    )
-    scenario_obj = SimScenario("asymmetric_bandwidth", sim, stats, target)
-    fast_ids = list(fast.member_ids())
-    scenario_obj.extras["fast_class"] = {src_name} | set(fast_ids)
-
-    sim.add_node(OverlayNode(src_name, target, is_source=True))
-    for name in fast_ids:
-        ids = _initial_ids(rng, fast, target, distinct)
-        sim.add_node(
-            OverlayNode(
-                name, target, initial_ids=ids, max_connections=fast.max_connections
-            )
-        )
-        sim.connect(src_name, name)
-    for i, name in enumerate(slow.member_ids()):
-        ids = _initial_ids(rng, slow, target, distinct)
-        sim.add_node(
-            OverlayNode(
-                name, target, initial_ids=ids, max_connections=slow.max_connections
-            )
-        )
-        # Edge peers bootstrap from the backbone when one exists.
-        sim.connect(fast_ids[i % len(fast_ids)] if fast_ids else src_name, name)
-    if spec.churn is not None:
-        _schedule_departure(sim, scenario_obj, spec.churn)
-    _schedule_shared_process_steps(sim, scenario_obj, rng, shared)
-    return BuiltExperiment(
-        spec=spec, kind="swarm", scenario=scenario_obj, runner=_run_swarm
-    )
+    return _build_swarm(spec, _populate_asymmetric_bandwidth)
 
 
 # ---------------------------------------------------------------------------
@@ -921,20 +1009,9 @@ def correlated_regional_loss(
     )
 
 
-@scenario(
-    "correlated_regional_loss",
-    small_spec=lambda: correlated_regional_loss(peers_per_region=3, target=40, seed=4),
-    description="Two regions bridged by a trunk with shared bursty loss",
-    supports_transport=True,
-)
-def build_correlated_regional_loss(spec: ExperimentSpec) -> BuiltExperiment:
-    """All inter-region links share one Gilbert-Elliott chain."""
-    swarm = _require_swarm(spec)
-    _expect_groups(swarm, "a", "b")
-    if spec.churn is not None and spec.churn.join_waves:
-        raise SpecError(
-            "correlated_regional_loss does not support join waves; use flash_crowd"
-        )
+def _populate_correlated_regional_loss(spec, scn, rng, shared) -> None:
+    swarm = spec.swarm
+    sim = scn.simulator
     src_name = _source_group(swarm).member_ids()[0]
     region_a = swarm.group("a")
     region_b = swarm.group("b")
@@ -943,39 +1020,14 @@ def build_correlated_regional_loss(spec: ExperimentSpec) -> BuiltExperiment:
             "correlated_regional_loss requires equal-sized region groups; "
             f"got a={region_a.count}, b={region_b.count}"
         )
-    target, distinct = swarm.target, swarm.distinct_symbols
-
-    rng = random.Random(spec.seed)
-    shared = _shared_processes(swarm)
-    sim, family, stats = _base_simulator(
-        spec, rng, link_factory=_link_factory_from_rules(swarm, shared)
-    )
-    scenario_obj = SimScenario("correlated_regional_loss", sim, stats, target)
     if "trunk" in shared:
-        scenario_obj.extras["trunk"] = shared["trunk"]
-
-    sim.add_node(OverlayNode(src_name, target, is_source=True))
-    a_ids = list(region_a.member_ids())
-    b_ids = list(region_b.member_ids())
+        scn.extras["trunk"] = shared["trunk"]
+    sim.add_node(OverlayNode(src_name, swarm.target, is_source=True))
+    a_ids = region_a.member_ids()
+    b_ids = region_b.member_ids()
     for a_name, b_name in zip(a_ids, b_ids):
-        a_init = _initial_ids(rng, region_a, target, distinct)
-        b_init = _initial_ids(rng, region_b, target, distinct)
-        sim.add_node(
-            OverlayNode(
-                a_name,
-                target,
-                initial_ids=a_init,
-                max_connections=region_a.max_connections,
-            )
-        )
-        sim.add_node(
-            OverlayNode(
-                b_name,
-                target,
-                initial_ids=b_init,
-                max_connections=region_b.max_connections,
-            )
-        )
+        sim.add_node(_seeded_node(rng, region_a, swarm, a_name))
+        sim.add_node(_seeded_node(rng, region_b, swarm, b_name))
         sim.connect(src_name, a_name)
     # Region B reaches content through the trunk initially.
     for i, b_name in enumerate(b_ids):
@@ -983,12 +1035,17 @@ def build_correlated_regional_loss(spec: ExperimentSpec) -> BuiltExperiment:
         if i > 0:
             sim.connect(b_ids[i - 1], b_name)
 
-    if spec.churn is not None:
-        _schedule_departure(sim, scenario_obj, spec.churn)
-    _schedule_shared_process_steps(sim, scenario_obj, rng, shared)
-    return BuiltExperiment(
-        spec=spec, kind="swarm", scenario=scenario_obj, runner=_run_swarm
-    )
+
+@scenario(
+    "correlated_regional_loss",
+    small_spec=lambda: correlated_regional_loss(peers_per_region=3, target=40, seed=4),
+    description="Two regions bridged by a trunk with shared bursty loss",
+    supports=SWARM_SECTIONS + ("churn.depart_node",),
+    groups=("a", "b"),
+)
+def build_correlated_regional_loss(spec: ExperimentSpec) -> BuiltExperiment:
+    """All inter-region links share one Gilbert-Elliott chain."""
+    return _build_swarm(spec, _populate_correlated_regional_loss)
 
 
 # ---------------------------------------------------------------------------
@@ -1033,15 +1090,67 @@ def pair_transfer(
     )
 
 
-def _transfer_metrics(result) -> Dict[str, float]:
-    return {
-        "overhead": result.overhead,
-        "speedup": result.speedup,
-        "rounds": float(result.rounds),
-        "packets_sent": float(result.packets_sent),
-        "useful_needed": float(result.useful_needed),
-        "receiver_final_count": float(result.receiver_final_count),
-    }
+def _even_share(spec: ExperimentSpec, layout, senders: int) -> int:
+    """An even split of the receiver's deficit over ``senders``, with
+    the request margin."""
+    deficit = layout.target - len(layout.receiver)
+    margin = spec.param("desired_margin", DEFAULT_DESIRED_MARGIN)
+    return int(math.ceil(deficit / senders * margin))
+
+
+def _run_transfer(
+    spec: ExperimentSpec,
+    layout,
+    sender_sets: Sequence,
+    rng: random.Random,
+    desired: int,
+    p2p: bool = False,
+) -> RunResult:
+    """The delivery path both transfer scenarios share: one strategy per
+    partial sender (each asked for ``desired`` symbols), the transfer
+    loop (``p2p`` = the single-sender loop instead of rounds), and the
+    collected result."""
+    receiver = SimReceiver(layout.receiver.ids, layout.target)
+    full_senders = int(spec.param("full_senders", 0))
+    strategies = [
+        make_strategy(
+            spec.strategy.name,
+            sender_set,
+            layout.receiver,
+            rng,
+            bloom_bits_per_element=spec.strategy.bloom_bits_per_element,
+            symbols_desired=int(desired),
+            summary_policy=_summary_policy(spec),
+        )
+        for sender_set in sender_sets
+    ]
+    if p2p:
+        result = simulate_p2p_transfer(
+            receiver, strategies[0], max_packets=spec.measurement.max_packets or None
+        )
+    else:
+        result = simulate_multi_sender_transfer(
+            receiver,
+            strategies,
+            full_senders=full_senders,
+            max_rounds=_rounds_cap(
+                spec.measurement.max_packets, len(strategies) + full_senders
+            ),
+        )
+    return RunResult(
+        spec=spec,
+        completed=result.completed,
+        metrics={
+            "overhead": result.overhead,
+            "speedup": result.speedup,
+            "rounds": float(result.rounds),
+            "packets_sent": float(result.packets_sent),
+            "useful_needed": float(result.useful_needed),
+            "receiver_final_count": float(result.receiver_final_count),
+        },
+        transfer=result,
+        extras={"layout": layout, "realised_correlation": layout.correlation},
+    )
 
 
 @scenario(
@@ -1049,11 +1158,11 @@ def _transfer_metrics(result) -> Dict[str, float]:
     small_spec=lambda: pair_transfer(target=120, correlation=0.2, seed=5),
     description="Figure 5/6 pair layout: one partial sender, one receiver",
     small_grid=lambda: {"params.correlation": [0.0, 0.3]},
+    supports=("summary",),
 )
 def build_pair_transfer(spec: ExperimentSpec) -> BuiltExperiment:
     """Compact/stretched pair layout + strategy + transfer loop."""
     swarm = _require_swarm(spec)
-    _reject_reconfig(spec)
 
     def run(built: BuiltExperiment) -> RunResult:
         rng = random.Random(spec.seed)
@@ -1063,47 +1172,15 @@ def build_pair_transfer(spec: ExperimentSpec) -> BuiltExperiment:
             spec.param("correlation", 0.0),
             rng,
         )
-        receiver = SimReceiver(layout.receiver.ids, layout.target)
         full_senders = int(spec.param("full_senders", 0))
-        deficit = layout.target - len(layout.receiver)
         desired = spec.param("symbols_desired")
         if desired is None:
             if full_senders == 0:
-                desired = deficit
+                desired = layout.target - len(layout.receiver)
             else:
-                desired = int(
-                    math.ceil(
-                        deficit / (1 + full_senders) * spec.param("desired_margin", DEFAULT_DESIRED_MARGIN)
-                    )
-                )
-        strategy = make_strategy(
-            spec.strategy.name,
-            layout.sender,
-            layout.receiver,
-            rng,
-            bloom_bits_per_element=spec.strategy.bloom_bits_per_element,
-            symbols_desired=int(desired),
-            summary_policy=_summary_policy(spec),
-        )
-        if full_senders == 0:
-            result = simulate_p2p_transfer(
-                receiver, strategy, max_packets=spec.measurement.max_packets or None
-            )
-        else:
-            result = simulate_multi_sender_transfer(
-                receiver,
-                [strategy],
-                full_senders=full_senders,
-                max_rounds=_rounds_cap(
-                    spec.measurement.max_packets, 1 + full_senders
-                ),
-            )
-        return RunResult(
-            spec=spec,
-            completed=result.completed,
-            metrics=_transfer_metrics(result),
-            transfer=result,
-            extras={"layout": layout, "realised_correlation": layout.correlation},
+                desired = _even_share(spec, layout, 1 + full_senders)
+        return _run_transfer(
+            spec, layout, [layout.sender], rng, desired, p2p=full_senders == 0
         )
 
     return BuiltExperiment(spec=spec, kind="transfer", runner=run)
@@ -1148,11 +1225,11 @@ def multi_sender_transfer(
     ),
     description="Figure 7/8 layout: parallel partial senders over a shared core",
     small_grid=lambda: {"strategy.name": ["Random", "Recode/BF"]},
+    supports=("summary",),
 )
 def build_multi_sender_transfer(spec: ExperimentSpec) -> BuiltExperiment:
     """Shared-core layout + per-sender strategies + round-robin loop."""
     swarm = _require_swarm(spec)
-    _reject_reconfig(spec)
 
     def run(built: BuiltExperiment) -> RunResult:
         rng = random.Random(spec.seed)
@@ -1164,38 +1241,8 @@ def build_multi_sender_transfer(spec: ExperimentSpec) -> BuiltExperiment:
             num_senders,
             rng,
         )
-        receiver = SimReceiver(layout.receiver.ids, layout.target)
-        deficit = layout.target - len(layout.receiver)
-        desired = int(
-            math.ceil(deficit / num_senders * spec.param("desired_margin", DEFAULT_DESIRED_MARGIN))
-        )
-        strategies = [
-            make_strategy(
-                spec.strategy.name,
-                sender_set,
-                layout.receiver,
-                rng,
-                bloom_bits_per_element=spec.strategy.bloom_bits_per_element,
-                symbols_desired=desired,
-                summary_policy=_summary_policy(spec),
-            )
-            for sender_set in layout.senders
-        ]
-        full_senders = int(spec.param("full_senders", 0))
-        result = simulate_multi_sender_transfer(
-            receiver,
-            strategies,
-            full_senders=full_senders,
-            max_rounds=_rounds_cap(
-                spec.measurement.max_packets, num_senders + full_senders
-            ),
-        )
-        return RunResult(
-            spec=spec,
-            completed=result.completed,
-            metrics=_transfer_metrics(result),
-            transfer=result,
-            extras={"layout": layout, "realised_correlation": layout.correlation},
+        return _run_transfer(
+            spec, layout, layout.senders, rng, _even_share(spec, layout, num_senders)
         )
 
     return BuiltExperiment(spec=spec, kind="transfer", runner=run)
@@ -1254,15 +1301,12 @@ def session_swarm(
     "session_swarm",
     small_spec=lambda: session_swarm(num_receivers=2, num_blocks=40, seed=7),
     description="One source serving N receivers with byte-level protocol sessions",
-    supports_transport=True,
+    supports=("summary", "transport", "swarm.links"),
+    groups=("dst",),
 )
 def build_session_swarm(spec: ExperimentSpec) -> BuiltExperiment:
     """Full-protocol sessions paced by link models on a shared clock."""
     swarm = _require_swarm(spec)
-    _expect_groups(swarm, "dst")
-    _reject_reconfig(spec)
-    if spec.churn is not None:
-        raise SpecError("session_swarm does not support churn")
     session_cap = None
     if spec.measurement.max_packets:
         # The spec's budget is a swarm total, split evenly per session.
@@ -1301,12 +1345,14 @@ def build_session_swarm(spec: ExperimentSpec) -> BuiltExperiment:
             content_rng.randrange(256)
             for _ in range(params.num_blocks * params.block_size)
         )
-        scheduler = EventScheduler()
-        stats = (
-            StatsRecorder(resolution=spec.measurement.resolution)
-            if spec.measurement.record_series
-            else None
+        stats = _series_recorder(spec)
+        shared: Dict[str, GilbertElliottProcess] = {}
+        # One transport assembly for sessions and swarms alike: every
+        # session's link drains through the shared bottleneck, if any.
+        scheduler, manager, link_for = _transport_setup(
+            spec, stats, lambda chars, s, r: _build_link(link_spec, shared)
         )
+        scheduler = scheduler or EventScheduler()
         policy = _summary_policy(spec)
         source = ProtocolPeer(
             src_name,
@@ -1315,27 +1361,8 @@ def build_session_swarm(spec: ExperimentSpec) -> BuiltExperiment:
             rng=derive_rng(spec.seed, "session_swarm", src_name),
             summary_policy=policy,
         )
-        ts = spec.transport
-        queue = None
-        manager = None
-        if ts is not None:
-            if ts.bottleneck_rate > 0:
-                queue = BottleneckQueue(
-                    ts.bottleneck_rate,
-                    ts.bottleneck_buffer,
-                    clock=scheduler,
-                    stats=stats,
-                )
-            manager = TransportManager(
-                ts.policy,
-                ts.params_dict(),
-                rto_min=ts.rto_min,
-                rto_max=ts.rto_max,
-                queue=queue,
-            )
         drivers = []
         sessions = {}
-        shared: Dict[str, GilbertElliottProcess] = {}
         for name in receivers.member_ids():
             peer = ProtocolPeer(
                 name,
@@ -1350,9 +1377,7 @@ def build_session_swarm(spec: ExperimentSpec) -> BuiltExperiment:
                 rng=derive_rng(spec.seed, "session_swarm", name, "session"),
             )
             sessions[name] = session
-            link = _build_link(link_spec, shared)
-            if queue is not None:
-                link = BottleneckLink(link, queue)
+            link = link_for(None, src_name, name)
             ctrl = manager.attach(name) if manager is not None else None
             drivers.append(
                 ScheduledSession(
@@ -1371,15 +1396,10 @@ def build_session_swarm(spec: ExperimentSpec) -> BuiltExperiment:
                 ).start()
             )
         # Keyed Gilbert-Elliott chains are shared across the sessions'
-        # links and stepped once per time unit, as in the swarm builders.
-        loss_rng = derive_rng(spec.seed, "session_swarm", "loss")
-        for key in sorted(shared):
-            process = shared[key]
-            if stats is not None:
-                process.attach_stats(stats, entity=f"loss:{key}", clock=scheduler)
-            scheduler.schedule_every(
-                1.0, lambda process=process: process.step(loss_rng), first=0.5
-            )
+        # links and stepped on their own stream.
+        _schedule_shared_process_steps(
+            scheduler, stats, derive_rng(spec.seed, "session_swarm", "loss"), shared
+        )
         run_sessions(scheduler, drivers, max_time=float(spec.measurement.max_ticks))
         node_sessions = {name: s.stats for name, s in sessions.items()}
         completed = all(s.completed for s in node_sessions.values())
@@ -1447,19 +1467,9 @@ def figure1(
     )
 
 
-@scenario(
-    "figure1",
-    small_spec=lambda: figure1(target=120, seed=5),
-    description="The paper's Figure 1 layout: tree vs perpendicular transfers",
-    supports_transport=True,
-)
-def build_figure1(spec: ExperimentSpec) -> BuiltExperiment:
-    """Captioned working sets + the figure's tree/perpendicular edges."""
-    swarm = _require_swarm(spec)
-    if spec.churn is not None:
-        raise SpecError("figure1 does not support churn")
-    target = swarm.target
-    rng = random.Random(spec.seed)
+def _populate_figure1(spec, scn, rng, shared) -> None:
+    sim = scn.simulator
+    target = scn.target
     distinct = list(range(target))
     rng.shuffle(distinct)
     half = target // 2
@@ -1471,11 +1481,9 @@ def build_figure1(spec: ExperimentSpec) -> BuiltExperiment:
         "D": distinct[quarter : 2 * quarter],  # disjoint from C
         "E": distinct[half : half + quarter],
     }
-    sim, _, stats = _base_simulator(spec, rng)
     if spec.reconfig is None:
         # The figure contrasts fixed layouts: admission only, no rewiring.
         sim.rewiring = None
-    scenario_obj = SimScenario("figure1", sim, stats, target)
     sim.add_node(OverlayNode("S", target, is_source=True))
     for name, ids in sets.items():
         sim.add_node(OverlayNode(name, target, initial_ids=ids))
@@ -1491,9 +1499,17 @@ def build_figure1(spec: ExperimentSpec) -> BuiltExperiment:
             ("B", "C"), ("D", "E"), ("E", "D"), ("C", "E"),
         ):
             sim.connect(sender, receiver)
-    return BuiltExperiment(
-        spec=spec, kind="swarm", scenario=scenario_obj, runner=_run_swarm
-    )
+
+
+@scenario(
+    "figure1",
+    small_spec=lambda: figure1(target=120, seed=5),
+    description="The paper's Figure 1 layout: tree vs perpendicular transfers",
+    supports=("summary", "reconfig", "transport"),
+)
+def build_figure1(spec: ExperimentSpec) -> BuiltExperiment:
+    """Captioned working sets + the figure's tree/perpendicular edges."""
+    return _build_swarm(spec, _populate_figure1)
 
 
 def random_overlay(
@@ -1541,69 +1557,60 @@ def random_overlay(
     "random_overlay",
     small_spec=lambda: random_overlay(num_peers=6, target=100, seed=8),
     description="Randomised adaptive overlay: seeded peers discover each other",
-    supports_transport=True,
+    supports=("summary", "reconfig", "transport"),
 )
 def build_random_overlay(spec: ExperimentSpec) -> BuiltExperiment:
     """Seeded peers behind one source, optionally over a physical net."""
-    swarm = _require_swarm(spec)
-    if spec.churn is not None:
-        raise SpecError(
-            "random_overlay schedules no churn itself; drive a ChurnProcess "
-            "against the built simulator instead"
-        )
-    target = swarm.target
     num_peers = int(spec.param("num_peers", 12))
     num_sources = int(spec.param("num_sources", 1))
     lo = float(spec.param("initial_fraction_lo", 0.0))
     hi = float(spec.param("initial_fraction_hi", 0.6))
     max_connections = int(spec.param("max_connections", 3))
-    with_physical = bool(spec.param("with_physical", True))
-
-    rng = random.Random(spec.seed)
     physical = None
-    if with_physical:
+    if spec.param("with_physical", True):
         # A scale-free router core (the hub links are where redundant
         # virtual paths pile up), link properties on their own stream.
         physical = PathModel.over(
             generate("scale_free", max(4, num_peers // 2), spec.seed, attach=2),
             derive_rng(spec.seed, "topology", "links"),
         )
-    sim, _, stats = _base_simulator(spec, rng, paths=physical)
-    scenario_obj = SimScenario("random_overlay", sim, stats, target)
-    nodes: Dict[str, OverlayNode] = {}
-    routers = physical.routers() if physical is not None else []
-    distinct = swarm.distinct_symbols
-    for i in range(num_sources):
-        node = OverlayNode(
-            f"src{i}", target, is_source=True,
-            fresh_id_start=(1 << 40) + i * (1 << 20),
-        )
-        nodes[node.node_id] = node
-    for i in range(num_peers):
-        frac = rng.uniform(lo, hi)
-        count = int(frac * target)
-        ids = rng.sample(range(distinct), count) if count else []
-        nodes[f"p{i}"] = OverlayNode(
-            f"p{i}", target, initial_ids=ids, max_connections=max_connections
-        )
-    for node in nodes.values():
-        if physical is not None and routers:
-            physical.attach_host(
-                node.node_id,
-                rng.choice(routers),
-                bandwidth=rng.uniform(2.0, 6.0),
-                loss_rate=rng.uniform(0.0, 0.01),
+
+    def populate(spec, scn, rng, shared) -> None:
+        sim = scn.simulator
+        target = scn.target
+        nodes: Dict[str, OverlayNode] = {}
+        routers = physical.routers() if physical is not None else []
+        distinct = spec.swarm.distinct_symbols
+        for i in range(num_sources):
+            node = OverlayNode(
+                f"src{i}", target, is_source=True,
+                fresh_id_start=(1 << 40) + i * (1 << 20),
             )
-        sim.add_node(node)
-    # Seed the overlay: every peer connects to a source, then rewiring
-    # discovers perpendicular bandwidth on its own.
-    source_ids = [n.node_id for n in nodes.values() if n.is_source]
-    for node in nodes.values():
-        if not node.is_source:
-            sim.connect(rng.choice(source_ids), node.node_id)
-    return BuiltExperiment(
-        spec=spec, kind="swarm", scenario=scenario_obj, runner=_run_swarm
-    )
+            nodes[node.node_id] = node
+        for i in range(num_peers):
+            frac = rng.uniform(lo, hi)
+            count = int(frac * target)
+            ids = rng.sample(range(distinct), count) if count else []
+            nodes[f"p{i}"] = OverlayNode(
+                f"p{i}", target, initial_ids=ids, max_connections=max_connections
+            )
+        for node in nodes.values():
+            if physical is not None and routers:
+                physical.attach_host(
+                    node.node_id,
+                    rng.choice(routers),
+                    bandwidth=rng.uniform(2.0, 6.0),
+                    loss_rate=rng.uniform(0.0, 0.01),
+                )
+            sim.add_node(node)
+        # Seed the overlay: every peer connects to a source, then rewiring
+        # discovers perpendicular bandwidth on its own.
+        source_ids = [n.node_id for n in nodes.values() if n.is_source]
+        for node in nodes.values():
+            if not node.is_source:
+                sim.connect(rng.choice(source_ids), node.node_id)
+
+    return _build_swarm(spec, populate, paths=physical)
 
 
 __all__ = [

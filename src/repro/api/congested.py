@@ -13,38 +13,19 @@ policy × reconfiguration policy, reproducing the paper's informed-vs-
 uninformed comparison under contention rather than over ideal links.
 """
 
-import math
-import random
-from typing import Callable, List
+import dataclasses
 
 from repro.api.builders import (
-    _base_simulator,
-    _expect_groups,
-    _initial_ids,
-    _link_factory_from_rules,
-    _require_swarm,
+    FLASH_CROWD_SECTIONS,
+    _build_swarm,
+    _populate_flash_crowd,
     _run_swarm,
-    _schedule_departure,
-    _schedule_shared_process_steps,
-    _shared_processes,
-    _source_group,
+    flash_crowd,
 )
 from repro.api.registry import scenario
 from repro.api.result import RunResult
-from repro.api.runner import BuiltExperiment, SimScenario
-from repro.api.spec import (
-    ChurnSpec,
-    ExperimentSpec,
-    MeasurementSpec,
-    NodeSpec,
-    ReconfigSpec,
-    SpecError,
-    StrategySpec,
-    SwarmSpec,
-    TransportSpec,
-)
-from repro.delivery.orchestrator import CandidateSender, plan_join
-from repro.overlay.node import OverlayNode
+from repro.api.runner import BuiltExperiment
+from repro.api.spec import ExperimentSpec, ReconfigSpec, SpecError, TransportSpec
 
 
 def congested_swarm(
@@ -62,7 +43,8 @@ def congested_swarm(
     strategy_name: str = "Recode/BF",
     max_ticks: int = 2_000,
 ) -> ExperimentSpec:
-    """Spec: a flash crowd whose every connection shares one bottleneck.
+    """Spec: a flash crowd (:func:`~repro.api.builders.flash_crowd`, its
+    joiners partially seeded) whose every connection shares one bottleneck.
 
     ``transport_policy`` picks the congestion controller
     (:func:`repro.transport.transport_policies` lists them);
@@ -70,49 +52,34 @@ def congested_swarm(
     / ``static``).  Both are plain spec axes, so a campaign sweeps the
     full policy × policy grid.
     """
-    if initial_seeded >= num_peers:
-        raise SpecError("need at least one non-seeded peer")
-    if waves < 1:
-        raise SpecError("need at least one join wave")
-    return ExperimentSpec(
-        scenario="congested_swarm",
+    base = flash_crowd(
+        num_peers=num_peers,
+        target=target,
+        initial_seeded=initial_seeded,
+        waves=waves,
+        wave_interval=wave_interval,
+        max_connections=max_connections,
         seed=seed,
-        swarm=SwarmSpec(
-            target=target,
-            distinct_multiplier=1.2,
-            nodes=(
-                NodeSpec(name="src", count=1, role="source"),
-                NodeSpec(
-                    name="seed",
-                    count=initial_seeded,
-                    seeding="fixed",
-                    seed_fraction=0.5,
-                    seed_basis="target",
-                    max_connections=max_connections,
-                ),
-                # Joiners arrive with partial, random working sets —
-                # under a shared bottleneck the interesting failure
-                # mode is capacity burned on duplicates, which only
-                # exists when peers already hold something.
-                NodeSpec(
-                    name="p",
-                    count=num_peers - initial_seeded,
-                    seeding="uniform",
-                    seed_fraction=0.75,
-                    seed_basis="target",
-                    max_connections=max_connections,
-                ),
-            ),
-        ),
-        strategy=StrategySpec(name=strategy_name),
-        churn=ChurnSpec(join_waves=waves, wave_interval=wave_interval),
+        strategy_name=strategy_name,
+        max_ticks=max_ticks,
+    )
+    src, seeds, joiners = base.swarm.nodes
+    # Joiners arrive with partial, random working sets — under a shared
+    # bottleneck the interesting failure mode is capacity burned on
+    # duplicates, which only exists when peers already hold something.
+    joiners = dataclasses.replace(
+        joiners, seeding="uniform", seed_fraction=0.75, seed_basis="target"
+    )
+    return dataclasses.replace(
+        base,
+        scenario="congested_swarm",
+        swarm=dataclasses.replace(base.swarm, nodes=(src, seeds, joiners)),
         reconfig=ReconfigSpec(policy=reconfig_policy),
         transport=TransportSpec(
             policy=transport_policy,
             bottleneck_rate=bottleneck_rate,
             bottleneck_buffer=bottleneck_buffer,
         ),
-        measurement=MeasurementSpec(max_ticks=max_ticks),
     )
 
 
@@ -147,99 +114,20 @@ def _run_congested(built: BuiltExperiment) -> RunResult:
         "transport.policy": ["open_loop", "aimd"],
         "reconfig.policy": ["informed", "random"],
     },
-    supports_transport=True,
+    supports=FLASH_CROWD_SECTIONS,
+    groups=("seed", "p"),
 )
 def build_congested_swarm(spec: ExperimentSpec) -> BuiltExperiment:
-    """The flash-crowd construction with a mandatory shared bottleneck."""
-    swarm = _require_swarm(spec)
-    _expect_groups(swarm, "seed", "p")
+    """The flash-crowd assembly with a mandatory shared bottleneck: the
+    two scenarios differ only in the queue every connection now drains
+    through (and the joiners' seeding rule, which is spec data)."""
     if spec.transport is None or spec.transport.bottleneck_rate <= 0:
         raise SpecError(
             "congested_swarm requires a transport spec with bottleneck_rate "
             "> 0 — without a shared queue there is nothing to congest; use "
             "flash_crowd for uncontended runs"
         )
-    src_name = _source_group(swarm).member_ids()[0]
-    seeds = swarm.group("seed")
-    joiners = swarm.group("p")
-    churn = spec.churn
-    if churn is None or churn.join_waves < 1:
-        raise SpecError(
-            "congested_swarm requires a churn spec with join_waves >= 1"
-        )
-    target, distinct = swarm.target, swarm.distinct_symbols
-
-    rng = random.Random(spec.seed)
-    shared = _shared_processes(swarm)
-    sim, family, stats = _base_simulator(
-        spec, rng, link_factory=_link_factory_from_rules(swarm, shared)
-    )
-    scenario_obj = SimScenario("congested_swarm", sim, stats, target)
-
-    sim.add_node(OverlayNode(src_name, target, is_source=True))
-    for name in seeds.member_ids():
-        ids = _initial_ids(rng, seeds, target, distinct)
-        sim.add_node(
-            OverlayNode(
-                name, target, initial_ids=ids, max_connections=seeds.max_connections
-            )
-        )
-        sim.connect(src_name, name)
-
-    joiner_ids = list(joiners.member_ids())
-    per_wave = math.ceil(len(joiner_ids) / churn.join_waves)
-    max_connections = joiners.max_connections
-
-    def make_wave(batch: List[str]) -> Callable[[], None]:
-        def join_wave() -> None:
-            now = sim.scheduler.now
-            scenario_obj.events.append(f"t={now:g} wave of {len(batch)} joins")
-            for pid in batch:
-                ids = _initial_ids(rng, joiners, target, distinct)
-                node = OverlayNode(
-                    pid, target, initial_ids=ids, max_connections=max_connections
-                )
-                sim.add_node(node)
-                candidates = [
-                    CandidateSender(n.node_id, n.sketch(family), len(n.working_set))
-                    for n in sim.nodes.values()
-                    if not n.is_source
-                    and n.node_id != pid
-                    and len(n.working_set) > 0
-                ]
-                plan = plan_join(
-                    node.sketch(family),
-                    len(node.working_set),
-                    candidates,
-                    max_senders=max_connections,
-                    symbols_desired=target,
-                    rng=rng,
-                    now=now,
-                )
-                scenario_obj.extras.setdefault("join_plans", {})[pid] = plan
-                connected = 0
-                for sender_id in plan.selection.chosen:
-                    if sim.connect(sender_id, pid):
-                        connected += 1
-                if connected == 0:
-                    sim.connect(src_name, pid)
-
-        return join_wave
-
-    # Waves land mid-tick, after tick k's delivery pass — exactly the
-    # flash_crowd convention, so the two scenarios differ only in the
-    # shared queue every one of these connections now drains through.
-    for w in range(churn.join_waves):
-        batch = joiner_ids[w * per_wave : (w + 1) * per_wave]
-        if batch:
-            sim.scheduler.schedule_at(
-                (w + 1) * float(churn.wave_interval) + 0.5, make_wave(batch)
-            )
-    _schedule_departure(sim, scenario_obj, churn)
-    _schedule_shared_process_steps(sim, scenario_obj, rng, shared)
-    return BuiltExperiment(
-        spec=spec, kind="swarm", scenario=scenario_obj, runner=_run_congested
-    )
+    return _build_swarm(spec, _populate_flash_crowd, runner=_run_congested)
 
 
 __all__ = ["congested_swarm"]

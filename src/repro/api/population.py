@@ -24,13 +24,15 @@ time against the packet engines on overlapping small-N cells.
 """
 
 import random
+from types import SimpleNamespace
 from typing import Dict, List, Tuple
 
 from repro.api.builders import (
+    _base_simulator,
+    _reconfig,
     _reconfig_policies,
     _reconfig_sim_kwargs,
     _require_swarm,
-    _summary_policy,
 )
 from repro.api.registry import scenario
 from repro.api.result import RunResult
@@ -47,8 +49,7 @@ from repro.api.spec import (
 )
 from repro.flow.demand import apportion, tier_multipliers, wave_weights, zipf_shares
 from repro.flow.engine import CohortDef, FlowSimulator
-from repro.overlay.node import OverlayNode, default_family
-from repro.overlay.simulator import OverlaySimulator
+from repro.overlay.node import OverlayNode
 from repro.seeding import derive_seed
 from repro.sim.links import ConstantRateLink
 
@@ -174,32 +175,36 @@ def _epoch_interval(spec: ExperimentSpec) -> float:
     return float(kwargs["reconfigure_every"])
 
 
-def _population_metrics(
-    spec: ExperimentSpec,
-    *,
-    population: int,
-    peers_completed: int,
-    ticks: int,
-    packets_sent: float,
-    packets_lost: float,
-    packets_useful: float,
-    completions: List[Tuple[float, int]],
-    reconfigurations: int,
-    reconfig_epochs: int,
-    control_bytes: int,
-) -> Dict[str, float]:
+#: Report counters the packet runner sums over its per-object swarms.
+_SUMMED = (
+    "packets_sent",
+    "packets_lost",
+    "packets_useful",
+    "reconfigurations",
+    "reconfig_epochs",
+    "control_bytes",
+)
+
+
+def _population_metrics(spec: ExperimentSpec, report) -> Dict[str, float]:
     """One metric vocabulary for both fidelities (the cross-validation
-    campaigns difference these keys cell by cell)."""
-    delivered = packets_sent - packets_lost
+    campaigns difference these keys cell by cell).  ``report`` is the
+    flow engine's report or the packet runner's totals over its
+    per-object swarms — the same attribute names."""
+    population, peers_completed = report.population, report.peers_completed
+    completions = report.completions
+    delivered = report.packets_sent - report.packets_lost
     metrics = {
         "population": float(population),
         "peers_completed": float(peers_completed),
         "completed_fraction": peers_completed / population if population else 0.0,
-        "ticks": float(ticks),
-        "packets_sent": float(packets_sent),
-        "packets_lost": float(packets_lost),
-        "packets_useful": float(packets_useful),
-        "useful_fraction": packets_useful / delivered if delivered > 0 else 0.0,
+        "ticks": float(report.ticks),
+        "packets_sent": float(report.packets_sent),
+        "packets_lost": float(report.packets_lost),
+        "packets_useful": float(report.packets_useful),
+        "useful_fraction": (
+            report.packets_useful / delivered if delivered > 0 else 0.0
+        ),
     }
     members = sum(m for _, m in completions)
     if members:
@@ -208,9 +213,9 @@ def _population_metrics(
             sum(t * m for t, m in completions) / members
         )
     if spec.reconfig is not None:
-        metrics["reconfigurations"] = float(reconfigurations)
-        metrics["reconfig_epochs"] = float(reconfig_epochs)
-        metrics["reconfig_control_bytes"] = float(control_bytes)
+        metrics["reconfigurations"] = float(report.reconfigurations)
+        metrics["reconfig_epochs"] = float(report.reconfig_epochs)
+        metrics["reconfig_control_bytes"] = float(report.control_bytes)
     return metrics
 
 
@@ -226,7 +231,6 @@ def _run_flow(spec: ExperimentSpec) -> RunResult:
     target, distinct = swarm.target, swarm.distinct_symbols
     rng = random.Random(derive_seed(spec.seed, "population_flash_crowd"))
     admission, rewiring = _reconfig_policies(spec, rng)
-    rc = spec.reconfig
     cohorts: List[CohortDef] = []
     for layout in _population_layout(pop):
         obj = layout.object_id
@@ -267,29 +271,16 @@ def _run_flow(spec: ExperimentSpec) -> RunResult:
         max_connections=pop.max_connections,
         admission=admission,
         rewiring=rewiring,
-        scan_budget=rc.scan_budget if rc is not None else 0,
+        scan_budget=_reconfig(spec).scan_budget,
         strategy_name=spec.strategy.name,
         sample_cap=pop.sample_cap,
         rng=rng,
     )
     report = sim.run(max_ticks=spec.measurement.max_ticks)
-    metrics = _population_metrics(
-        spec,
-        population=report.population,
-        peers_completed=report.peers_completed,
-        ticks=report.ticks,
-        packets_sent=report.packets_sent,
-        packets_lost=report.packets_lost,
-        packets_useful=report.packets_useful,
-        completions=report.completions,
-        reconfigurations=report.reconfigurations,
-        reconfig_epochs=report.reconfig_epochs,
-        control_bytes=report.control_bytes,
-    )
     return RunResult(
         spec=spec,
         completed=report.all_complete,
-        metrics=metrics,
+        metrics=_population_metrics(spec, report),
         events=list(report.events),
         extras={"flow_report": report},
     )
@@ -324,24 +315,18 @@ def _run_packet(spec: ExperimentSpec) -> RunResult:
             tier_counts_cache[members] = counts
         return counts
 
-    totals = {
-        "population": 0,
-        "peers_completed": 0,
-        "packets_sent": 0.0,
-        "packets_lost": 0.0,
-        "packets_useful": 0.0,
-        "reconfigurations": 0,
-        "reconfig_epochs": 0,
-        "control_bytes": 0,
-    }
-    completions: List[Tuple[float, int]] = []
+    totals = SimpleNamespace(
+        population=0,
+        peers_completed=0,
+        ticks=0,
+        completions=[],
+        **dict.fromkeys(_SUMMED, 0),
+    )
     events: List[str] = []
-    ticks = 0
     all_complete = True
     for layout in _population_layout(pop):
         obj = layout.object_id
         rng = random.Random(derive_seed(spec.seed, "population_flash_crowd", obj))
-        admission, rewiring = _reconfig_policies(spec, rng)
         node_mult: Dict[str, float] = {}
 
         def link_factory(chars, sender_id, receiver_id):
@@ -350,16 +335,7 @@ def _run_packet(spec: ExperimentSpec) -> RunResult:
                 loss_rate=pop.loss_rate,
             )
 
-        sim = OverlaySimulator(
-            default_family(),
-            admission=admission,
-            rewiring=rewiring,
-            strategy_name=spec.strategy.name,
-            summary_policy=_summary_policy(spec),
-            rng=rng,
-            link_factory=link_factory,
-            **_reconfig_sim_kwargs(spec, swarm),
-        )
+        sim = _base_simulator(spec, rng, None, link_factory=link_factory)
         src = f"origin{obj}"
         sim.add_node(OverlayNode(src, target, is_source=True))
         # Complementary mirror half-slices, the adaptive_overlay idiom.
@@ -408,32 +384,18 @@ def _run_packet(spec: ExperimentSpec) -> RunResult:
             sim.scheduler.schedule_at(arrival, make_wave(w, batch))
         report = sim.run(max_ticks=spec.measurement.max_ticks)
         finished = [t for t in report.completion_ticks.values() if t is not None]
-        completions.extend((float(t), 1) for t in finished)
-        totals["population"] += len(report.completion_ticks)
-        totals["peers_completed"] += len(finished)
-        totals["packets_sent"] += report.packets_sent
-        totals["packets_lost"] += report.packets_lost
-        totals["packets_useful"] += report.packets_useful
-        totals["reconfigurations"] += report.reconfigurations
-        totals["reconfig_epochs"] += report.reconfig_epochs
-        totals["control_bytes"] += report.control_bytes
-        ticks = max(ticks, report.ticks)
+        totals.completions.extend((float(t), 1) for t in finished)
+        totals.population += len(report.completion_ticks)
+        totals.peers_completed += len(finished)
+        totals.ticks = max(totals.ticks, report.ticks)
+        for key in _SUMMED:
+            setattr(totals, key, getattr(totals, key) + getattr(report, key))
         all_complete = all_complete and report.all_complete
-    metrics = _population_metrics(
-        spec,
-        population=totals["population"],
-        peers_completed=totals["peers_completed"],
-        ticks=ticks,
-        packets_sent=totals["packets_sent"],
-        packets_lost=totals["packets_lost"],
-        packets_useful=totals["packets_useful"],
-        completions=completions,
-        reconfigurations=totals["reconfigurations"],
-        reconfig_epochs=totals["reconfig_epochs"],
-        control_bytes=totals["control_bytes"],
-    )
     return RunResult(
-        spec=spec, completed=all_complete, metrics=metrics, events=events
+        spec=spec,
+        completed=all_complete,
+        metrics=_population_metrics(spec, totals),
+        events=events,
     )
 
 
@@ -461,23 +423,13 @@ def _run_packet(spec: ExperimentSpec) -> RunResult:
         "reconfig.policy": ["informed", "random"],
     },
     fidelities=("packet", "flow"),
-    uses_population=True,
+    supports=("population", "summary", "reconfig"),
 )
 def build_population_flash_crowd(spec: ExperimentSpec) -> BuiltExperiment:
     """Serve a PopulationSpec at the selected fidelity."""
-    swarm = _require_swarm(spec)
-    if swarm.nodes:
-        raise SpecError(
-            "population_flash_crowd takes its membership from the population "
-            "spec; the swarm spec must declare no node groups"
-        )
+    _require_swarm(spec)
     if spec.population is None:
         raise SpecError("population_flash_crowd requires a population spec")
-    if spec.churn is not None:
-        raise SpecError(
-            "population_flash_crowd schedules arrival waves from the "
-            "population spec; a churn spec does not apply"
-        )
     fidelity = spec.measurement.fidelity
     if fidelity == "flow":
         if spec.strategy.summary is not None:
@@ -485,7 +437,7 @@ def build_population_flash_crowd(spec: ExperimentSpec) -> BuiltExperiment:
                 "flow fidelity models transfer reconciliation in aggregate; "
                 "select the control-plane summary via reconfig.summary"
             )
-        if spec.reconfig is not None and spec.reconfig.jitter > 0:
+        if _reconfig(spec).jitter > 0:
             raise SpecError(
                 "flow fidelity has no sub-epoch clock; reconfig jitter "
                 "applies to the packet engines"

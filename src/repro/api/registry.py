@@ -10,6 +10,13 @@ Each registration also supplies a ``small_spec`` factory — a miniature
 but complete spec for that scenario — which powers the tier-1 smoke
 test (every registered scenario runs end-to-end in milliseconds) and
 the ``python -m repro.api --scenario <name>`` CLI path.
+
+A registration *declares what it consumes*: the optional spec sections
+its builder reads (``supports``, names from :data:`SECTIONS`) and the
+peer-group names it expects in ``swarm.nodes`` (``groups``).
+:func:`repro.api.build` holds every spec to that declaration — a
+section or group the builder would never read is a
+:class:`~repro.api.spec.SpecError`, not something to drop silently.
 """
 
 from dataclasses import dataclass
@@ -55,21 +62,48 @@ class ScenarioEntry:
     #: fidelity the scenario never consults rather than running the
     #: wrong engine silently.
     fidelities: Tuple[str, ...] = ("packet",)
-    #: Whether the builder consumes ``spec.population``; a population
-    #: spec on any other scenario is rejected rather than ignored.
-    uses_population: bool = False
-    #: Registered component names (see :data:`repro.api.spec.
-    #: COMPONENTS`) this builder honours beyond the summary/reconfig
-    #: pair every swarm scenario interprets.  Selecting a component on
-    #: a scenario that never consults it is rejected rather than
-    #: ignored — the same closed-world rule the spec keys follow.
+    #: The optional spec sections (:data:`SECTIONS`) this builder
+    #: reads.  Filling in a section the scenario never consults is
+    #: rejected rather than ignored — the same closed-world rule the
+    #: spec keys follow.
     supports: Tuple[str, ...] = ()
+    #: The peer-group names the builder expects in ``swarm.nodes``
+    #: (beside its one source group); empty = it reads no node groups
+    #: at all and the swarm must declare none.
+    groups: Tuple[str, ...] = ()
 
-    @property
-    def supports_transport(self) -> bool:
-        """Whether the builder wires ``spec.transport`` through its senders."""
-        return "transport" in self.supports
+    def consumes(self, section: str) -> bool:
+        """Whether the builder reads ``section`` (``"churn"`` is read by
+        a scenario declaring either of ``churn.join_waves`` /
+        ``churn.depart_node``)."""
+        return any(
+            s == section or s.startswith(section + ".") for s in self.supports
+        )
 
+
+#: Every optional spec section a registration may declare, with the
+#: reason a non-consuming scenario gives when refusing it.  The five
+#: component names match :data:`repro.api.spec.COMPONENTS`
+#: (``summary`` is ``strategy.summary``).
+SECTIONS: Dict[str, str] = {
+    "population": "has no population model",
+    "summary": (
+        "never consults strategy.summary (an overlay comparison selects its "
+        "summary through reconfig.summary, summary_tradeoff through its "
+        "'kinds' param)"
+    ),
+    "reconfig": "has no adaptive overlay",
+    "transport": "has no transport-paced senders",
+    "topology": "wires its own fixed overlay, not a generated topology",
+    "catalog": "disseminates a single object, not a multi-object catalog",
+    "swarm.links": "builds its own links, not the swarm's link rules",
+    "churn": (
+        "schedules no churn — no join waves, no departures (a population "
+        "scenario's arrival waves come from its population spec)"
+    ),
+    "churn.join_waves": "does not support join waves",
+    "churn.depart_node": "does not support departures",
+}
 
 _REGISTRY: Dict[str, ScenarioEntry] = {}
 
@@ -80,24 +114,26 @@ def scenario(
     description: str = "",
     small_grid: Optional[Callable[[], Dict[str, list]]] = None,
     fidelities: Tuple[str, ...] = ("packet",),
-    uses_population: bool = False,
-    supports_transport: bool = False,
     supports: Tuple[str, ...] = (),
+    groups: Tuple[str, ...] = (),
 ) -> Callable:
     """Class/function decorator registering a spec builder under ``name``.
 
-    ``supports`` lists the registered component names the builder
-    honours; ``supports_transport=True`` is the historical spelling of
-    ``supports=("transport",)`` and folds into it.
+    ``supports`` lists the optional spec sections (:data:`SECTIONS`)
+    the builder reads and ``groups`` the peer-group names it expects —
+    the declaration :func:`repro.api.build` enforces.
     """
+    unknown = sorted(set(supports) - set(SECTIONS))
+    if unknown:
+        raise ValueError(
+            f"scenario {name!r} declares unknown spec sections {unknown}; "
+            f"known: {sorted(SECTIONS)}"
+        )
 
     def register(builder: Callable[[ExperimentSpec], object]) -> Callable:
         if name in _REGISTRY:
             raise ValueError(f"scenario {name!r} is already registered")
         doc_lines = (builder.__doc__ or "").strip().splitlines()
-        supported = tuple(supports)
-        if supports_transport and "transport" not in supported:
-            supported += ("transport",)
         _REGISTRY[name] = ScenarioEntry(
             name=name,
             builder=builder,
@@ -105,8 +141,8 @@ def scenario(
             description=description or (doc_lines[0] if doc_lines else ""),
             small_grid=small_grid,
             fidelities=tuple(fidelities),
-            uses_population=uses_population,
-            supports=supported,
+            supports=tuple(supports),
+            groups=tuple(groups),
         )
         return builder
 
@@ -124,6 +160,11 @@ def get(name: str) -> ScenarioEntry:
 def names() -> List[str]:
     """Registered scenario names, sorted."""
     return sorted(_REGISTRY)
+
+
+def consumers(section: str) -> List[str]:
+    """Names of the registered scenarios that read ``section``."""
+    return [n for n in names() if _REGISTRY[n].consumes(section)]
 
 
 def small_spec(name: str) -> ExperimentSpec:
@@ -151,7 +192,9 @@ def small_grid(name: str) -> Dict[str, list]:
 __all__ = [
     "UnknownScenarioError",
     "ScenarioEntry",
+    "SECTIONS",
     "scenario",
+    "consumers",
     "get",
     "names",
     "small_spec",

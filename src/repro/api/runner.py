@@ -9,11 +9,11 @@ RunResult`.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.api import registry
 from repro.api.result import RunResult
-from repro.api.spec import ExperimentSpec, SpecError
+from repro.api.spec import COMPONENTS, ExperimentSpec, NodeSpec, SpecError, SwarmSpec
 from repro.overlay.simulator import OverlaySimulator, SimulationReport
 from repro.sim.stats import StatsRecorder
 
@@ -58,10 +58,12 @@ class BuiltExperiment:
 def build(spec: ExperimentSpec) -> BuiltExperiment:
     """Interpret a spec: construct the experiment without running it.
 
-    Selections the scenario would never consult are rejected here, once,
-    rather than silently ignored by each builder: a fidelity the
-    registration does not declare, or a population spec on a scenario
-    with no population model.
+    This is the one consumption gate.  Whatever the scenario's
+    registration does not declare it reads — a fidelity, an optional
+    spec section (population, summary, reconfig, transport, topology,
+    catalog, link rules, join waves, a departure), a peer group — is
+    rejected here, once, rather than silently ignored by the builder;
+    the builders themselves only check what they *require*.
     """
     entry = registry.get(spec.scenario)
     fidelity = spec.measurement.fidelity
@@ -71,33 +73,82 @@ def build(spec: ExperimentSpec) -> BuiltExperiment:
             f"{sorted(entry.fidelities)}, not {fidelity!r}; the flow fidelity "
             "applies to the population scenarios (population_flash_crowd)"
         )
-    if spec.population is not None and not entry.uses_population:
-        raise SpecError(
-            f"scenario {spec.scenario!r} has no population model; a "
-            "population spec applies to the population scenarios "
-            "(population_flash_crowd)"
-        )
-    for name, hint in _GATED_COMPONENTS:
-        if spec.component(name) is not None and name not in entry.supports:
-            supporting = sorted(
-                n for n in registry.names() if name in registry.get(n).supports
-            )
+    for section in _sections_set(spec):
+        if not entry.consumes(section):
             raise SpecError(
-                f"scenario {spec.scenario!r} {hint}; a {name} spec applies "
-                f"to: {', '.join(supporting) or '(none)'}"
+                f"scenario {spec.scenario!r} {registry.SECTIONS[section]}; "
+                f"{section} applies to: "
+                f"{', '.join(registry.consumers(section)) or '(none)'}"
             )
+    _check_membership(spec, entry)
     return entry.builder(spec)
 
 
-#: Registered components only some scenarios honour, with the reason a
-#: non-supporting scenario gives when rejecting one.  Summary and
-#: reconfig are absent deliberately: every swarm scenario interprets
-#: them, and the builders that cannot raise their own targeted errors.
-_GATED_COMPONENTS = (
-    ("transport", "has no transport-paced senders"),
-    ("topology", "wires its own fixed overlay, not a generated topology"),
-    ("catalog", "disseminates a single object, not a multi-object catalog"),
-)
+def _sections_set(spec: ExperimentSpec) -> Iterator[str]:
+    """The optional sections (:data:`registry.SECTIONS`) a spec fills in."""
+    if spec.population is not None:
+        yield "population"
+    for name in COMPONENTS:
+        if spec.component(name) is not None:
+            yield name
+    if spec.swarm is not None and spec.swarm.links:
+        yield "swarm.links"
+    if spec.churn is not None:
+        # Even an empty churn spec is refused where nothing reads it.
+        yield "churn"
+        if spec.churn.join_waves:
+            yield "churn.join_waves"
+        if spec.churn.depart_node:
+            yield "churn.depart_node"
+
+
+def _source_group(swarm: SwarmSpec) -> NodeSpec:
+    """The swarm's single source group (the builders honour its name
+    and link-rule class; multi-source swarms are not yet expressible)."""
+    sources = [g for g in swarm.nodes if g.role == "source"]
+    if len(sources) != 1 or sources[0].count != 1:
+        raise SpecError(
+            "swarm scenarios require exactly one source group with count=1; "
+            f"got {[(g.name, g.count) for g in sources]}"
+        )
+    return sources[0]
+
+
+def _check_membership(spec: ExperimentSpec, entry: registry.ScenarioEntry) -> None:
+    """Hold ``swarm.nodes`` (and a departure's target) to the declaration."""
+    if spec.swarm is None:
+        if entry.groups:
+            raise SpecError(f"scenario {spec.scenario!r} requires a swarm spec")
+        return
+    nodes = spec.swarm.nodes
+    if not entry.groups:
+        if nodes:
+            raise SpecError(
+                f"scenario {spec.scenario!r} reads no swarm.nodes (its "
+                "membership comes from its params or population spec); the "
+                f"swarm spec must declare no node groups, got "
+                f"{[g.name for g in nodes]}"
+            )
+        return
+    _source_group(spec.swarm)
+    peer_groups = [g.name for g in nodes if g.role != "source"]
+    if sorted(peer_groups) != sorted(entry.groups):
+        raise SpecError(
+            f"scenario {spec.scenario!r} expects exactly the peer groups "
+            f"{sorted(entry.groups)}; the swarm declares {peer_groups}"
+        )
+    churn = spec.churn
+    if churn is not None and churn.depart_node:
+        if not any(churn.depart_node in g.member_ids() for g in nodes):
+            declared = ", ".join(
+                ids[0] if len(ids) == 1 else f"{ids[0]}..{ids[-1]}"
+                for ids in (g.member_ids() for g in nodes)
+                if ids
+            )
+            raise SpecError(
+                f"churn.depart_node {churn.depart_node!r} names no declared "
+                f"member of the swarm; declared member ids: {declared}"
+            )
 
 
 def run(spec: ExperimentSpec) -> RunResult:

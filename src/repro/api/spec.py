@@ -20,6 +20,8 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Mapping, Optional, Tuple
 
+from repro.overlay.reconfiguration import DEFAULT_HYSTERESIS, DEFAULT_MIN_USEFULNESS
+
 #: Link model kinds a :class:`LinkSpec` may name.
 LINK_KINDS = ("constant", "latency_jitter", "gilbert_elliott")
 
@@ -46,10 +48,6 @@ FIDELITIES = ("packet", "flow")
 #: Arrival-wave shapes a :class:`PopulationSpec` may name.
 WAVE_PROFILES = ("uniform", "flash", "diurnal")
 
-#: The informed policy's historical defaults (admission threshold and
-#: swap margin), shared by the spec fields and their unset checks.
-DEFAULT_MIN_USEFULNESS = 0.02
-DEFAULT_HYSTERESIS = 0.1
 
 
 class SpecError(ValueError):

@@ -32,14 +32,16 @@ pin reference and columnar to identical seeded metrics.
 
 import math
 import random
-from typing import Dict, List
+from typing import Dict, List, Optional, Tuple
 
 from repro.api.builders import (
-    _expect_groups,
-    _reconfig_policies,
-    _reconfig_sim_kwargs,
+    _base_simulator,
+    _require_informed_arm,
     _require_swarm,
+    _run_arms,
+    _schedule_join_waves,
     _seeded_count,
+    _series_recorder,
     _source_group,
     reconfig_scheme,
 )
@@ -59,8 +61,7 @@ from repro.api.spec import (
     TopologySpec,
 )
 from repro.overlay.catalog import CatalogNode, CatalogScheme, ObjectCatalog
-from repro.overlay.node import OverlayNode, default_family
-from repro.overlay.reconfiguration import SketchAdmission, UtilityRewiring
+from repro.overlay.node import OverlayNode
 from repro.overlay.simulator import OverlaySimulator, SimulationReport
 from repro.seeding import derive_seed
 from repro.sim.stats import StatsRecorder
@@ -134,8 +135,12 @@ def _scale_free_graph(spec: ExperimentSpec):
     return swarm.topology.generate(peers.count, spec.seed)
 
 
-def _build_scale_free_arm(spec: ExperimentSpec, arm: str, stats: StatsRecorder):
-    """One arm's simulator; both arms draw identical construction streams."""
+def _build_scale_free_arm(spec: ExperimentSpec, arm: str) -> OverlaySimulator:
+    """One arm's simulator; both arms draw identical construction streams.
+
+    Each arm records its own series whatever ``record_series`` says:
+    the hub-load metrics are computed from it.
+    """
     swarm = _require_swarm(spec)
     src_name = _source_group(swarm).member_ids()[0]
     peers = swarm.group("p")
@@ -144,23 +149,14 @@ def _build_scale_free_arm(spec: ExperimentSpec, arm: str, stats: StatsRecorder):
     graph = _scale_free_graph(spec)
 
     rng = random.Random(derive_seed(spec.seed, "scale_free_swarm"))
-    admission, rewiring = _reconfig_policies(spec, rng, policy=arm)
-    sim = OverlaySimulator(
-        default_family(),
-        admission=admission,
-        rewiring=rewiring,
-        strategy_name=spec.strategy.name,
-        rng=rng,
-        stats=stats,
-        **_reconfig_sim_kwargs(spec, swarm),
-    )
+    sim = _base_simulator(spec, rng, _series_recorder(spec, force=True), arm=arm)
     sim.add_node(OverlayNode(src_name, target, is_source=True))
     # Complementary content halves by peer parity: a same-half peering
     # is pure redundancy, a cross-half peering pure gain — the Figure 1
     # mirror insight spread over the generated graph.
     shuffled = list(range(distinct))
     rng.shuffle(shuffled)
-    count = _seeded_count(peers, target, distinct)
+    count = _seeded_count(peers, swarm)
     halves = (shuffled[:count], shuffled[count : 2 * count])
     for i, name in enumerate(names):
         sim.add_node(
@@ -183,7 +179,7 @@ def _build_scale_free_arm(spec: ExperimentSpec, arm: str, stats: StatsRecorder):
     for i, name in enumerate(names):
         if i not in fed and i not in graph.hubs(1):
             sim.connect(src_name, name)
-    return sim, graph
+    return sim
 
 
 def _hub_load(stats: StatsRecorder, hub_names) -> float:
@@ -212,84 +208,51 @@ def _hub_load(stats: StatsRecorder, hub_names) -> float:
         "measurement.engine": ["reference", "columnar"],
         "swarm.topology.params.attach": [1, 2],
     },
-    supports=("topology",),
+    supports=("topology", "reconfig"),
+    groups=("p",),
 )
 def build_scale_free_swarm(spec: ExperimentSpec) -> BuiltExperiment:
     """Run both arms from identical seeds; report the hub-load story."""
     swarm = _require_swarm(spec)
-    _expect_groups(swarm, "p")
-    _source_group(swarm)
-    _scale_free_graph(spec)  # validate the topology selection up front
-    if spec.churn is not None:
-        raise SpecError("scale_free_swarm does not schedule churn")
-    if spec.strategy.summary is not None:
-        raise SpecError(
-            "scale_free_swarm compares reconfiguration policies; select the "
-            "summary through reconfig.summary, not strategy.summary"
-        )
-    rc = spec.reconfig if spec.reconfig is not None else ReconfigSpec()
-    if rc.policy != "informed":
-        raise SpecError(
-            "scale_free_swarm runs every arm itself; its reconfig spec names "
-            f"the informed arm's configuration, not {rc.policy!r}"
-        )
+    graph = _scale_free_graph(spec)  # validates the topology selection up front
+    _require_informed_arm(spec)
+    peer_names = swarm.group("p").member_ids()
+    hub_names = {peer_names[h] for h in graph.hubs(HUB_COUNT)}
+
+    def observe(
+        arm: str,
+        sim: OverlaySimulator,
+        report: SimulationReport,
+        series: Optional[StatsRecorder],
+    ) -> Tuple[Dict[str, float], str]:
+        stats = sim.stats
+        load = _hub_load(stats, hub_names)
+        if series is not None:
+            # The hub-load time series: symbol sends per bucket
+            # summed over the hub senders, one signal per arm.
+            for entity in stats.entities():
+                if "->" not in entity:
+                    continue
+                if entity.split("->", 1)[0] not in hub_names:
+                    continue
+                for t, v in stats.series(entity, "sent"):
+                    series.count(t, f"hub_load[{arm}]", "sent", v)
+            series.gauge(0.0, arm, "useful_fraction", report.efficiency)
+            series.gauge(0.0, arm, "hub_load_fraction", load)
+        return {"hub_load_fraction": load}, f"hub_load_fraction={load:.3f}"
 
     def run(built: BuiltExperiment) -> RunResult:
-        metrics: Dict[str, float] = {}
-        events: List[str] = []
-        reports: Dict[str, SimulationReport] = {}
-        series = (
-            StatsRecorder(resolution=spec.measurement.resolution)
-            if spec.measurement.record_series
-            else None
+        result = _run_arms(
+            spec,
+            SCALE_FREE_ARMS,
+            lambda arm: _build_scale_free_arm(spec, arm),
+            observe,
         )
-        for arm in SCALE_FREE_ARMS:
-            stats = StatsRecorder(resolution=spec.measurement.resolution)
-            sim, graph = _build_scale_free_arm(spec, arm, stats)
-            peer_names = _require_swarm(spec).group("p").member_ids()
-            hub_names = {peer_names[h] for h in graph.hubs(HUB_COUNT)}
-            report = sim.run(max_ticks=spec.measurement.max_ticks)
-            reports[arm] = report
-            load = _hub_load(stats, hub_names)
-            metrics[f"ticks[{arm}]"] = float(report.ticks)
-            metrics[f"useful_fraction[{arm}]"] = report.efficiency
-            metrics[f"reconfigurations[{arm}]"] = float(report.reconfigurations)
-            metrics[f"control_bytes[{arm}]"] = float(report.control_bytes)
-            metrics[f"hub_load_fraction[{arm}]"] = load
-            events.append(
-                f"{arm}: ticks={report.ticks} "
-                f"useful_fraction={report.efficiency:.3f} "
-                f"hub_load_fraction={load:.3f} "
-                f"control_bytes={report.control_bytes}"
-            )
-            if series is not None:
-                # The hub-load time series: symbol sends per bucket
-                # summed over the hub senders, one signal per arm.
-                for entity in stats.entities():
-                    if "->" not in entity:
-                        continue
-                    if entity.split("->", 1)[0] not in hub_names:
-                        continue
-                    for t, v in stats.series(entity, "sent"):
-                        series.count(t, f"hub_load[{arm}]", "sent", v)
-                series.gauge(0.0, arm, "useful_fraction", report.efficiency)
-                series.gauge(0.0, arm, "hub_load_fraction", load)
-        metrics["informed_useful_gain"] = (
-            metrics["useful_fraction[informed]"]
-            - metrics["useful_fraction[random]"]
+        result.metrics["hub_relief"] = (
+            result.metrics["hub_load_fraction[random]"]
+            - result.metrics["hub_load_fraction[informed]"]
         )
-        metrics["hub_relief"] = (
-            metrics["hub_load_fraction[random]"]
-            - metrics["hub_load_fraction[informed]"]
-        )
-        return RunResult(
-            spec=spec,
-            completed=all(r.all_complete for r in reports.values()),
-            metrics=metrics,
-            stats=series,
-            events=events,
-            extras={"reports": reports},
-        )
+        return result
 
     return BuiltExperiment(spec=spec, kind="sweep", runner=run)
 
@@ -371,22 +334,6 @@ def cdn_catalog(
     )
 
 
-def _catalog_policies(spec: ExperimentSpec, catalog: ObjectCatalog, rng):
-    """(admission, rewiring) with the informed arm catalog-aware."""
-    rc = spec.reconfig
-    policy = rc.policy if rc is not None else "informed"
-    if policy != "informed":
-        return _reconfig_policies(spec, rng)
-    if rc is None:
-        rc = ReconfigSpec()
-    base = reconfig_scheme(spec)
-    scheme = CatalogScheme(catalog, base.kind, base.params_dict())
-    return (
-        SketchAdmission(scheme, min_usefulness=rc.min_usefulness),
-        UtilityRewiring(scheme, hysteresis=rc.hysteresis, rng=rng),
-    )
-
-
 @scenario(
     "cdn_catalog",
     small_spec=lambda: cdn_catalog(
@@ -402,12 +349,12 @@ def _catalog_policies(spec: ExperimentSpec, catalog: ObjectCatalog, rng):
         "catalog.zipf_skew": [0.8, 1.2],
         "measurement.engine": ["reference", "columnar"],
     },
-    supports=("topology", "catalog"),
+    supports=("topology", "catalog", "reconfig", "churn.join_waves"),
+    groups=("cache", "edge"),
 )
 def build_cdn_catalog(spec: ExperimentSpec) -> BuiltExperiment:
     """One catalog-aware run over the CDN tier graph."""
     swarm = _require_swarm(spec)
-    _expect_groups(swarm, "cache", "edge")
     origin_name = _source_group(swarm).member_ids()[0]
     if spec.catalog is None:
         raise SpecError("cdn_catalog needs a catalog spec (catalog)")
@@ -415,11 +362,6 @@ def build_cdn_catalog(spec: ExperimentSpec) -> BuiltExperiment:
         raise SpecError(
             "cdn_catalog interprets the cdn_tiers topology; set "
             "swarm.topology.kind = 'cdn_tiers'"
-        )
-    if spec.strategy.summary is not None:
-        raise SpecError(
-            "cdn_catalog selects its summary through reconfig.summary, "
-            "not strategy.summary"
         )
     caches = swarm.group("cache")
     edges_group = swarm.group("edge")
@@ -446,20 +388,16 @@ def build_cdn_catalog(spec: ExperimentSpec) -> BuiltExperiment:
 
     def run(built: BuiltExperiment) -> RunResult:
         rng = random.Random(derive_seed(spec.seed, "cdn_catalog"))
-        stats = (
-            StatsRecorder(resolution=spec.measurement.resolution)
-            if spec.measurement.record_series
-            else None
-        )
-        admission, rewiring = _catalog_policies(spec, catalog, rng)
-        sim = OverlaySimulator(
-            default_family(),
-            admission=admission,
-            rewiring=rewiring,
-            strategy_name=spec.strategy.name,
-            rng=rng,
-            stats=stats,
-            **_reconfig_sim_kwargs(spec, swarm),
+        stats = _series_recorder(spec)
+        # Reconciliation is catalog-aware: the informed arm's scheme
+        # rejects a candidate holding none of a peer's wanted objects
+        # before its symbol card is consulted.
+        base = reconfig_scheme(spec)
+        sim = _base_simulator(
+            spec,
+            rng,
+            stats,
+            scheme=CatalogScheme(catalog, base.kind, base.params_dict()),
         )
         # The origin holds the entire catalog as a plain (non-minting)
         # fully seeded node: fresh-id minting is not object-addressable,
@@ -508,28 +446,7 @@ def build_cdn_catalog(spec: ExperimentSpec) -> BuiltExperiment:
             )
             sim.connect(node_name[parent[idx]], name)
 
-        churn = spec.churn
-        if churn is None or churn.join_waves < 1:
-            for name in edge_names:
-                admit_edge(name)
-        else:
-            per_wave = math.ceil(len(edge_names) / churn.join_waves)
-
-            def make_wave(batch: List[str]):
-                def join_wave() -> None:
-                    for name in batch:
-                        admit_edge(name)
-
-                return join_wave
-
-            for w in range(churn.join_waves):
-                batch = edge_names[w * per_wave : (w + 1) * per_wave]
-                if batch:
-                    sim.scheduler.schedule_at(
-                        (w + 1) * float(churn.wave_interval) + 0.5,
-                        make_wave(batch),
-                    )
-
+        _schedule_join_waves(sim, edge_names, spec.churn, admit_edge)
         report = sim.run(max_ticks=spec.measurement.max_ticks)
         metrics: Dict[str, float] = {
             "ticks": float(report.ticks),

@@ -32,7 +32,7 @@ from repro.api.spec import (
 )
 from repro.delivery.receiver import SimReceiver
 from repro.delivery.scenarios import COMPACT_MULTIPLIER, make_pair_scenario
-from repro.delivery.strategies import make_strategy
+from repro.delivery.strategies import DEFAULT_DESIRED_MARGIN, make_strategy
 from repro.delivery.transfer import simulate_p2p_transfer
 from repro.reconcile import SummaryPolicy, summary_kinds
 from repro.seeding import derive_rng
@@ -161,16 +161,6 @@ def build_summary_tradeoff(spec: ExperimentSpec) -> BuiltExperiment:
         raise SpecError("summary_tradeoff requires a swarm spec (target/multiplier)")
     kinds = _parse_kinds(spec)
     budgets = _parse_budgets(spec)
-    if spec.churn is not None:
-        raise SpecError("summary_tradeoff does not support churn")
-    from repro.api.builders import _reject_reconfig
-
-    _reject_reconfig(spec)
-    if spec.strategy.summary is not None:
-        raise SpecError(
-            "summary_tradeoff sweeps summary kinds itself (the 'kinds' "
-            "param); a strategy-level SummarySpec would be ignored"
-        )
 
     def run(built: BuiltExperiment) -> RunResult:
         stats = (
@@ -269,7 +259,7 @@ def _run_cell(
     remote = policy.build(layout.receiver)
     cell["wire_bytes"] = remote.wire_bytes()
 
-    desired = int(math.ceil(deficit * 1.15))
+    desired = int(math.ceil(deficit * DEFAULT_DESIRED_MARGIN))
     # One strategy-selection ladder for the whole stack: searchable
     # summaries purge the domain, sketches shift degrees, an exceeded
     # CPI bound degrades to the labelled blind fallback.

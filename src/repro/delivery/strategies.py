@@ -293,6 +293,13 @@ STRATEGY_NAMES = ("Random", "Random/BF", "Recode", "Recode/BF", "Recode/MW")
 #: overlay's per-receiver refresh) size it with this same constant.
 DEFAULT_BLOOM_BITS_PER_ELEMENT = 8
 
+#: The receiver's request margin over its (even share of the) deficit:
+#: decoding-overhead allowance plus slack for sender-domain overlap
+#: (Section 6.1's "symbols desired").  Every layer that sizes a request
+#: — overlay connections, protocol sessions, the figure sweeps, the
+#: spec constructors — reads this one constant.
+DEFAULT_DESIRED_MARGIN = 1.15
+
 
 def make_strategy(
     name: str,

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.api import ExperimentSpec, specs
-from repro.api.builders import DEFAULT_DESIRED_MARGIN
 from repro.campaign import CampaignSpec, GridAxis, run_campaign
 from repro.delivery import STRATEGY_NAMES
 from repro.delivery.scenarios import (
@@ -36,6 +35,7 @@ from repro.delivery.scenarios import (
     STRETCHED_MULTIPLIER,
     max_pair_correlation,
 )
+from repro.delivery.strategies import DEFAULT_DESIRED_MARGIN
 
 #: Receiver's request margin over an even deficit split (decoding
 #: overhead allowance plus slack for sender-domain overlap) — the one

@@ -27,6 +27,13 @@ from repro.reconcile.base import Summary
 from repro.reconcile.registry import summary_class
 from repro.seeding import default_rng
 
+#: The informed policy's defaults — admission threshold and swap margin
+#: — read by the policy constructors below and by
+#: :class:`~repro.api.spec.ReconfigSpec`'s fields alike, so "unset" in a
+#: spec and "omitted" in a constructor call are the same numbers.
+DEFAULT_MIN_USEFULNESS = 0.02
+DEFAULT_HYSTERESIS = 0.1
+
 
 class SummaryScheme:
     """Which summary kind estimates peer utility, and how.
@@ -178,7 +185,7 @@ class SketchAdmission:
     def __init__(
         self,
         scheme: Union[SummaryScheme, PermutationFamily],
-        min_usefulness: float = 0.02,
+        min_usefulness: float = DEFAULT_MIN_USEFULNESS,
     ):
         if not 0.0 <= min_usefulness <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
@@ -248,7 +255,7 @@ class UtilityRewiring:
     def __init__(
         self,
         scheme: Union[SummaryScheme, PermutationFamily],
-        hysteresis: float = 0.1,
+        hysteresis: float = DEFAULT_HYSTERESIS,
         rng: Optional[random.Random] = None,
     ):
         if hysteresis < 0:

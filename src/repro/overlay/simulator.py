@@ -46,6 +46,7 @@ from repro.coding.symbol import RecodedSymbol
 from repro.delivery.packets import Packet
 from repro.delivery.strategies import (
     DEFAULT_BLOOM_BITS_PER_ELEMENT,
+    DEFAULT_DESIRED_MARGIN,
     SenderStrategy,
     make_strategy,
 )
@@ -638,7 +639,9 @@ class OverlaySimulator:
             sender.working_set,
             receiver.working_set,
             self.rng,
-            symbols_desired=int(math.ceil(deficit / slots * 1.15)),
+            symbols_desired=int(
+                math.ceil(deficit / slots * DEFAULT_DESIRED_MARGIN)
+            ),
             summary_policy=self.summary_policy,
             receiver_summary=receiver_summary,
             receiver_filter=receiver_filter,

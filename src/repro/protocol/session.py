@@ -11,6 +11,7 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from repro.delivery.strategies import DEFAULT_DESIRED_MARGIN
 from repro.filters import BloomFilter
 from repro.protocol.messages import DataMessage, RequestMessage
 from repro.protocol.peer import ProtocolPeer
@@ -300,7 +301,7 @@ class TransferSession:
         deficit = max(
             0, self.receiver.params.recovery_target - len(self.receiver.working_set)
         )
-        desired = int(math.ceil(deficit * 1.15))
+        desired = int(math.ceil(deficit * DEFAULT_DESIRED_MARGIN))
         msg = RequestMessage(symbols_desired=desired)
         self.stats.control_bytes += msg.wire_bytes()
         if self._domain is not None and desired and len(self._domain) > desired:

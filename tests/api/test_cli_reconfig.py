@@ -86,6 +86,13 @@ class TestReconfigCli:
         assert proc.returncode == 2
         assert "error:" in proc.stderr
 
+    def test_scenario_without_an_overlay_refuses_with_the_registry_hint(self):
+        proc = _cli("--scenario", "pair_transfer", "--reconfig", "informed")
+        assert proc.returncode == 2
+        assert "no adaptive overlay" in proc.stderr
+        for name in registry.consumers("reconfig"):
+            assert name in proc.stderr
+
     def test_campaign_base_carries_the_selection(self):
         proc = _cli(
             "--campaign-scenario", "adaptive_overlay",

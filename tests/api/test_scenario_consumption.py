@@ -1,0 +1,171 @@
+"""The one consumption gate: ``build`` holds every spec to what its
+scenario's ``@scenario(...)`` registration declares it reads.
+
+Table-driven over the whole registry x every optional shape a spec can
+carry: a cell builds exactly when the registration declares the section
+(``entry.supports``) or group (``entry.groups``), and raises
+:class:`SpecError` otherwise — never silent acceptance.
+"""
+
+import dataclasses
+
+import pytest
+
+from repro.api import (
+    ChurnSpec,
+    LinkRuleSpec,
+    LinkSpec,
+    NodeSpec,
+    ReconfigSpec,
+    SpecError,
+    build,
+    registry,
+    specs,
+)
+
+
+def _base(name):
+    spec = registry.small_spec(name)
+    if name == "population_flash_crowd":
+        # The declaration is per scenario; of its two fidelities only
+        # packet has a data plane for strategy.summary to select.
+        spec = spec.with_override("measurement.fidelity", "packet")
+    return spec
+
+
+def _with_swarm(spec, **changes):
+    return dataclasses.replace(
+        spec, swarm=dataclasses.replace(spec.swarm, **changes)
+    )
+
+
+def _with_churn(spec, **changes):
+    churn = spec.churn if spec.churn is not None else ChurnSpec()
+    return dataclasses.replace(spec, churn=dataclasses.replace(churn, **changes))
+
+
+def _a_member(spec):
+    """A declared non-source member id ("p0" where none is declared)."""
+    peers = [g for g in spec.swarm.nodes if g.role != "source"]
+    return peers[-1].member_ids()[0] if peers else "p0"
+
+
+#: shape -> (spec transform, the section whose declaration admits it;
+#: None = no registration can admit it).
+SHAPES = {
+    "extra_peer_group": (
+        lambda s: _with_swarm(
+            s, nodes=s.swarm.nodes + (NodeSpec(name="extra", count=2),)
+        ),
+        None,
+    ),
+    "link_rule": (
+        lambda s: _with_swarm(
+            s,
+            links=s.swarm.links
+            + (LinkRuleSpec(link=LinkSpec(kind="constant", rate=2.0)),),
+        ),
+        "swarm.links",
+    ),
+    "join_waves": (
+        lambda s: _with_churn(s, join_waves=2, wave_interval=5.0),
+        "churn.join_waves",
+    ),
+    "depart_node": (
+        lambda s: _with_churn(s, depart_node=_a_member(s), depart_at=3.0),
+        "churn.depart_node",
+    ),
+    "unknown_depart_node": (
+        lambda s: _with_churn(s, depart_node="nobody", depart_at=3.0),
+        None,
+    ),
+    "reconfig": (
+        lambda s: s if s.reconfig is not None
+        else dataclasses.replace(s, reconfig=ReconfigSpec()),
+        "reconfig",
+    ),
+    "strategy_summary": (lambda s: s.with_summary("bloom"), "summary"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("name", registry.names())
+def test_cell_builds_exactly_when_declared(name, shape):
+    transform, section = SHAPES[shape]
+    entry = registry.get(name)
+    spec = transform(_base(name))
+    if section is not None and section in entry.supports:
+        assert build(spec).spec == spec
+    else:
+        with pytest.raises(SpecError):
+            build(spec)
+
+
+@pytest.mark.parametrize("name", registry.names())
+def test_miniature_spec_stays_inside_its_declaration(name):
+    # The base case of the table: nothing the catalog itself emits is
+    # refused, and the declared groups are exactly the emitted ones.
+    spec = registry.small_spec(name)
+    build(spec)
+    peers = [g.name for g in spec.swarm.nodes if g.role != "source"]
+    assert sorted(peers) == sorted(registry.get(name).groups)
+
+
+def test_refusal_names_the_consumers_from_the_registry():
+    spec = dataclasses.replace(specs.pair_transfer(), reconfig=ReconfigSpec())
+    with pytest.raises(SpecError) as exc:
+        build(spec)
+    message = str(exc.value)
+    assert "no adaptive overlay" in message
+    consumers = registry.consumers("reconfig")
+    assert {"congested_swarm", "scale_free_swarm", "cdn_catalog",
+            "population_flash_crowd"} <= set(consumers)
+    for name in consumers:
+        assert name in message
+
+
+def test_phantom_departure_names_the_declared_members():
+    spec = _with_churn(
+        registry.small_spec("source_departure"), depart_node="nobody"
+    )
+    with pytest.raises(SpecError) as exc:
+        build(spec)
+    message = str(exc.value)
+    assert "'nobody'" in message
+    assert "src" in message and "p0..p5" in message
+
+
+def test_registration_rejects_an_undeclarable_section():
+    with pytest.raises(ValueError, match="unknown spec sections"):
+        registry.scenario("_typo", supports=("swarm.link",))
+    assert "_typo" not in registry.names()
+
+
+class TestCongestedIsTheFlashCrowdAssembly:
+    """``congested_swarm`` = the flash-crowd assembly + a required
+    bottleneck + two extra metrics; nothing else differs."""
+
+    def _pair(self):
+        congested = registry.small_spec("congested_swarm")
+        return congested, dataclasses.replace(congested, scenario="flash_crowd")
+
+    def test_same_events_join_plans_and_metrics(self):
+        congested, flash = self._pair()
+        built_c, built_f = build(congested), build(flash)
+        result_c, result_f = built_c.run(), built_f.run()
+        assert result_c.events == result_f.events
+        plans_c = built_c.scenario.extras["join_plans"]
+        plans_f = built_f.scenario.extras["join_plans"]
+        assert list(plans_c) == list(plans_f) and plans_c
+        for pid, plan in plans_c.items():
+            assert plan.selection.chosen == plans_f[pid].selection.chosen
+        extra = {"goodput", "useful_fraction"}
+        assert set(result_c.metrics) - set(result_f.metrics) == extra
+        for key, value in result_f.metrics.items():
+            assert result_c.metrics[key] == value
+
+    def test_wave_schedule_is_transport_independent(self):
+        congested, flash = self._pair()
+        bare = dataclasses.replace(flash, transport=None)
+        waves = [e for e in build(bare).run().events if "wave of" in e]
+        assert waves == [e for e in build(congested).run().events if "wave of" in e]
