@@ -71,6 +71,7 @@ from repro.overlay.reconfiguration import (
 from repro.overlay.simulator import OverlaySimulator, SimulationReport
 from repro.protocol.peer import CodeParameters, ProtocolPeer
 from repro.protocol.session import TransferSession
+from repro.reconcile import SummaryPolicy
 from repro.seeding import derive_rng
 from repro.sim.engine import EventScheduler
 from repro.sim.links import (
@@ -106,16 +107,18 @@ def _require_swarm(spec: ExperimentSpec) -> SwarmSpec:
     return spec.swarm
 
 
-def _summary_policy(spec: ExperimentSpec):
-    """The spec's summary policy, or None for the legacy hardcoded pair.
+def _summary_policy(spec: ExperimentSpec) -> SummaryPolicy:
+    """The spec's summary policy.
 
-    ``None`` keeps :func:`~repro.delivery.strategies.make_strategy`,
-    :class:`~repro.protocol.peer.ProtocolPeer`, and
-    :class:`~repro.protocol.session.TransferSession` on their
-    bit-identical historical paths — the parity tests depend on it.
+    An unset ``strategy.summary`` is the Bloom filter at
+    ``strategy.bloom_bits_per_element`` — the same policy, byte for
+    byte, as spelling ``summary={"kind": "bloom", "params":
+    {"bits_per_element": N}}``.
     """
     if spec.strategy.summary is None:
-        return None
+        return SummaryPolicy(
+            "bloom", {"bits_per_element": spec.strategy.bloom_bits_per_element}
+        )
     return spec.strategy.summary.policy()
 
 
@@ -1118,7 +1121,6 @@ def _run_transfer(
             sender_set,
             layout.receiver,
             rng,
-            bloom_bits_per_element=spec.strategy.bloom_bits_per_element,
             symbols_desired=int(desired),
             summary_policy=_summary_policy(spec),
         )
@@ -1373,7 +1375,6 @@ def build_session_swarm(spec: ExperimentSpec) -> BuiltExperiment:
             session = TransferSession(
                 source,
                 peer,
-                bloom_bits_per_element=spec.strategy.bloom_bits_per_element,
                 rng=derive_rng(spec.seed, "session_swarm", name, "session"),
             )
             sessions[name] = session

@@ -425,10 +425,11 @@ class TransportSpec:
 class StrategySpec:
     """Sender strategy selection (the Figure 5-8 legend) and summary budget.
 
-    ``summary`` (a :class:`SummarySpec`) swaps the hardcoded
-    min-wise/Bloom structures for any registered summary kind across
-    the strategy, protocol, and session layers; ``None`` keeps the
-    historical behaviour bit-identically.
+    ``summary`` (a :class:`SummarySpec`) selects any registered summary
+    kind across the strategy, protocol, and session layers; unset, it
+    is the paper's Bloom filter at ``bloom_bits_per_element`` — the
+    same run, byte for byte, as ``SummarySpec("bloom",
+    {"bits_per_element": bloom_bits_per_element})``.
     """
 
     name: str = "Recode/BF"

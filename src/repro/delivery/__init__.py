@@ -20,10 +20,8 @@ from repro.delivery.working_set import WorkingSet
 from repro.delivery.packets import Packet
 from repro.delivery.strategies import (
     STRATEGY_NAMES,
-    RandomBFStrategy,
     RandomStrategy,
     RandomSummaryStrategy,
-    RecodeBFStrategy,
     RecodeMWStrategy,
     RecodeStrategy,
     RecodeSummaryStrategy,
@@ -55,10 +53,8 @@ __all__ = [
     "Packet",
     "SenderStrategy",
     "RandomStrategy",
-    "RandomBFStrategy",
     "RandomSummaryStrategy",
     "RecodeStrategy",
-    "RecodeBFStrategy",
     "RecodeSummaryStrategy",
     "RecodeMWStrategy",
     "STRATEGY_NAMES",

@@ -17,6 +17,10 @@ Strategies:
 * ``Recode/BF`` — recoded symbols over the Bloom-filtered subset.
 * ``Recode/MW`` — recoded symbols over the whole set with the degree
   distribution shifted by the min-wise-estimated correlation.
+
+"Bloom filter" and "min-wise" are the paper's instances: every informed
+strategy reconciles through a :class:`~repro.reconcile.SummaryPolicy`
+(:func:`make_strategy`), whose default is that Bloom filter.
 """
 
 import random
@@ -26,7 +30,8 @@ from repro.coding.degree import DegreeDistribution
 from repro.coding.recode import DEFAULT_MAX_RECODE_DEGREE, optimal_recode_degree
 from repro.delivery.packets import Packet
 from repro.delivery.working_set import WorkingSet
-from repro.filters import BloomFilter
+from repro.exact.cpi import DiscrepancyExceeded
+from repro.reconcile import DEFAULT_POLICY, SummaryPolicy
 from repro.seeding import default_rng
 
 
@@ -64,20 +69,6 @@ class SenderStrategy:
         return pool[self.rng.randrange(len(pool))]
 
 
-def _bloom_missing(pool: Sequence[int], receiver_filter) -> list:
-    """``[x for x in pool if x not in receiver_filter]``, batched.
-
-    Uses :meth:`~repro.filters.bloom.BloomFilter.contains_many` (same
-    probe rows as insertion, so identical answers) when the filter
-    offers it; tests sometimes pass plain sets, which fall back to the
-    scalar scan.
-    """
-    contains_many = getattr(receiver_filter, "contains_many", None)
-    if contains_many is None:
-        return [x for x in pool if x not in receiver_filter]
-    return [x for x, hit in zip(pool, contains_many(pool)) if not hit]
-
-
 class RandomStrategy(SenderStrategy):
     """Uniform random selection from the working set (the baseline)."""
 
@@ -85,33 +76,6 @@ class RandomStrategy(SenderStrategy):
 
     def next_packet(self) -> Packet:
         return Packet.encoded(self._uniform_id(self._pool))
-
-
-class RandomBFStrategy(SenderStrategy):
-    """Random selection restricted to symbols absent from the receiver's BF.
-
-    The filter is applied once at connection setup; false positives hide
-    some useful symbols for the whole transfer (paper Figure 5 notes BF
-    strategies plateau at the FP-induced loss).  If the filter eliminates
-    everything (identical sets up to FPs), falls back to plain random so a
-    sender never stalls silently.
-    """
-
-    name = "Random/BF"
-
-    def __init__(
-        self,
-        working_set: WorkingSet,
-        receiver_filter: BloomFilter,
-        rng: Optional[random.Random] = None,
-    ):
-        super().__init__(working_set, rng)
-        self._useful = _bloom_missing(self._pool, receiver_filter)
-        self.filtered_out = len(self._pool) - len(self._useful)
-
-    def next_packet(self) -> Packet:
-        pool = self._useful if self._useful else self._pool
-        return Packet.encoded(self._uniform_id(pool))
 
 
 class _RecodeBase(SenderStrategy):
@@ -165,42 +129,17 @@ class RecodeStrategy(_RecodeBase):
         super().__init__(working_set, domain=(), min_degree=1, rng=rng)
 
 
-class RecodeBFStrategy(_RecodeBase):
-    """Recoding restricted to the Bloom-filtered (guaranteed-useful) subset.
-
-    With the domain already purged of symbols the receiver holds, low
-    degrees are safe — the distribution starts at 1 and stays heavy-tailed
-    to tolerate parallel-download races.
-    """
-
-    name = "Recode/BF"
-
-    def __init__(
-        self,
-        working_set: WorkingSet,
-        receiver_filter: BloomFilter,
-        symbols_desired: Optional[int] = None,
-        rng: Optional[random.Random] = None,
-    ):
-        useful = _bloom_missing(list(working_set), receiver_filter)
-        super().__init__(
-            working_set,
-            domain=useful,
-            min_degree=1,
-            domain_limit=symbols_desired,
-            rng=rng,
-        )
-        self.filtered_out = len(working_set) - len(useful)
-
-
 class RandomSummaryStrategy(SenderStrategy):
     """Random selection over a summary-reconciled useful domain.
 
-    The generic form of Random/BF: the useful domain was computed from
-    *any* difference-capable :class:`~repro.reconcile.base.Summary`
-    (Bloom, counting/partitioned Bloom, ART search, exact CPI...).
-    Falls back to the whole pool when the domain is empty, like
-    :class:`RandomBFStrategy`.
+    The paper's Random/BF, for *any* difference-capable
+    :class:`~repro.reconcile.base.Summary` (Bloom, counting/partitioned
+    Bloom, ART search, exact CPI...).  The summary is applied once at
+    connection setup; false positives hide some useful symbols for the
+    whole transfer (paper Figure 5 notes BF strategies plateau at the
+    FP-induced loss).  If it eliminates everything (identical sets up
+    to FPs), falls back to plain random so a sender never stalls
+    silently.
     """
 
     name = "Random/summary"
@@ -226,10 +165,11 @@ class RandomSummaryStrategy(SenderStrategy):
 class RecodeSummaryStrategy(_RecodeBase):
     """Recoding over a summary-reconciled useful domain.
 
-    The generic form of Recode/BF, for any difference-capable summary;
-    the degree distribution starts at 1 exactly as with a Bloom-purged
-    domain, since everything in the domain is (modulo the structure's
-    stated error) useful.
+    The paper's Recode/BF, for any difference-capable summary.  With
+    the domain already purged of symbols the receiver holds (modulo the
+    structure's stated error), low degrees are safe — the distribution
+    starts at 1 and stays heavy-tailed to tolerate parallel-download
+    races.
     """
 
     name = "Recode/summary"
@@ -288,11 +228,6 @@ class RecodeMWStrategy(_RecodeBase):
 #: Legend-order names, as they appear in Figures 5-8.
 STRATEGY_NAMES = ("Random", "Random/BF", "Recode", "Recode/BF", "Recode/MW")
 
-#: Bits per element of the receiver Bloom filter the legacy ``/BF``
-#: strategies consult.  Callers that pre-build ``receiver_filter`` (the
-#: overlay's per-receiver refresh) size it with this same constant.
-DEFAULT_BLOOM_BITS_PER_ELEMENT = 8
-
 #: The receiver's request margin over its (even share of the) deficit:
 #: decoding-overhead allowance plus slack for sender-domain overlap
 #: (Section 6.1's "symbols desired").  Every layer that sizes a request
@@ -306,117 +241,44 @@ def make_strategy(
     sender_set: WorkingSet,
     receiver_set: WorkingSet,
     rng: random.Random,
-    bloom_bits_per_element: int = DEFAULT_BLOOM_BITS_PER_ELEMENT,
     correlation_estimate: Optional[float] = None,
     symbols_desired: Optional[int] = None,
-    summary_policy=None,
+    summary_policy: SummaryPolicy = DEFAULT_POLICY,
     receiver_summary=None,
-    receiver_filter: Optional[BloomFilter] = None,
 ) -> SenderStrategy:
     """Construct a strategy by legend name, building the summaries it needs.
 
-    The receiver-side artefacts (Bloom filter, min-wise estimate) are
-    derived from ``receiver_set`` exactly as the protocol would derive
-    them; ``correlation_estimate`` overrides the min-wise estimate when a
-    caller already ran sketch exchange.  ``symbols_desired`` is the count
-    the receiver requested from this sender (Section 6.1) and bounds the
-    Recode/BF recoding domain.
-
-    ``summary_policy`` (a :class:`~repro.reconcile.SummaryPolicy`)
-    swaps the hardcoded structures for any registered summary kind:
-    the ``/BF`` strategies reconcile through the policy's summary
-    (Bloom, ART, CPI, ...) and ``Recode/MW`` takes its correlation from
-    the policy's estimator.  ``None`` preserves the historical
-    behaviour bit-for-bit.  ``receiver_summary`` supplies the
-    receiver's already-built policy summary (callers that measured its
-    wire size need not pay the build twice).  ``receiver_filter``
-    likewise supplies a pre-built Bloom filter for the legacy ``/BF``
-    paths — a receiver's filter is identical however many senders
-    consult it, so the overlay's refresh builds it once per receiver
-    instead of once per connection.
+    The receiver's summary is built through ``summary_policy`` (a
+    :class:`~repro.reconcile.SummaryPolicy`; the default is the paper's
+    8-bits-per-element Bloom filter) exactly as the receiver itself
+    would, and reconciled on the sender side via the generic
+    :class:`~repro.reconcile.base.Summary` surface: the ``/BF``
+    strategies purge their domain through it (Bloom, ART, CPI, ...) and
+    ``Recode/MW`` takes its correlation from the policy's estimator
+    unless ``correlation_estimate`` supplies one (a caller that already
+    ran sketch exchange).  ``symbols_desired`` is the count the
+    receiver requested from this sender (Section 6.1) and bounds the
+    Recode/BF recoding domain.  ``receiver_summary`` supplies the
+    receiver's already-built policy summary — it is identical however
+    many senders consult it, so the overlay's refresh builds it once
+    per receiver instead of once per connection, and callers that
+    measured its wire size need not pay the build twice.
     """
-    if summary_policy is not None:
-        return _make_policy_strategy(
-            name,
-            sender_set,
-            receiver_set,
-            rng,
-            summary_policy,
-            correlation_estimate=correlation_estimate,
-            symbols_desired=symbols_desired,
-            receiver_summary=receiver_summary,
-        )
-    if name == "Random":
-        return RandomStrategy(sender_set, rng)
-    if name == "Random/BF":
-        if receiver_filter is None:
-            receiver_filter = receiver_set.bloom_summary(
-                bits_per_element=bloom_bits_per_element
-            )
-        return RandomBFStrategy(sender_set, receiver_filter, rng)
-    if name == "Recode":
-        return RecodeStrategy(sender_set, rng)
-    if name == "Recode/BF":
-        if receiver_filter is None:
-            receiver_filter = receiver_set.bloom_summary(
-                bits_per_element=bloom_bits_per_element
-            )
-        return RecodeBFStrategy(
-            sender_set,
-            receiver_filter,
-            symbols_desired=symbols_desired,
-            rng=rng,
-        )
-    if name == "Recode/MW":
-        c = correlation_estimate
-        if c is None:
-            # Ground-truth correlation stands in for the (accurate)
-            # min-wise estimate; bench_sketches quantifies the estimate
-            # error separately.
-            inter = len(sender_set.ids & receiver_set.ids)
-            c = inter / len(sender_set) if len(sender_set) else 0.0
-        return RecodeMWStrategy(sender_set, c, rng)
-    raise ValueError(f"unknown strategy {name!r}; expected one of {STRATEGY_NAMES}")
-
-
-def _policy_useful_subset(policy, sender_set, receiver_set, remote=None):
-    """The receiver-lacks subset, or None when the summary yields none.
-
-    An exact summary whose discrepancy bound proves too small (CPI)
-    provides no information — the caller then falls back to oblivious
-    selection, mirroring :class:`~repro.protocol.session.
-    TransferSession`'s handling rather than crashing the run.
-    """
-    from repro.exact.cpi import DiscrepancyExceeded
-
-    if remote is None:
-        remote = policy.build(receiver_set)
-    try:
-        return policy.useful_subset(remote, list(sender_set))
-    except DiscrepancyExceeded:
-        return None
-
-
-def _make_policy_strategy(
-    name: str,
-    sender_set: WorkingSet,
-    receiver_set: WorkingSet,
-    rng: random.Random,
-    policy,
-    correlation_estimate: Optional[float] = None,
-    symbols_desired: Optional[int] = None,
-    receiver_summary=None,
-) -> SenderStrategy:
-    """The policy-driven construction behind :func:`make_strategy`.
-
-    The receiver's summary is built through the policy (as the receiver
-    itself would) and reconciled on the sender side via the generic
-    :class:`~repro.reconcile.base.Summary` surface.
-    """
+    policy = summary_policy
     if name == "Random":
         return RandomStrategy(sender_set, rng)
     if name == "Recode":
         return RecodeStrategy(sender_set, rng)
+    if name not in STRATEGY_NAMES:
+        raise ValueError(
+            f"unknown strategy {name!r}; expected one of {STRATEGY_NAMES}"
+        )
+
+    def remote():
+        if receiver_summary is not None:
+            return receiver_summary
+        return policy.build(receiver_set)
+
     def blind(cls, base: str) -> SenderStrategy:
         # Oblivious fallback when the summary provides nothing to act
         # on — a sketch-only policy under Random (estimates cannot
@@ -426,48 +288,40 @@ def _make_policy_strategy(
         strategy.name = f"{base}/{policy.kind}-blind"
         return strategy
 
+    def useful_subset() -> Optional[list]:
+        # An exact summary whose discrepancy bound proves too small
+        # (CPI) provides no information — fall back to oblivious
+        # selection, mirroring TransferSession, rather than crash.
+        try:
+            return policy.useful_subset(remote(), list(sender_set))
+        except DiscrepancyExceeded:
+            return None
+
     if name == "Random/BF":
-        useful = (
-            _policy_useful_subset(
-                policy, sender_set, receiver_set, remote=receiver_summary
-            )
-            if policy.can_filter
-            else None
-        )
+        useful = useful_subset() if policy.can_filter else None
         if useful is None:
             return blind(RandomStrategy, "Random")
         return RandomSummaryStrategy(
             sender_set, useful, rng, label=f"Random/{policy.kind}"
         )
-    if name == "Recode/BF":
-        if policy.can_filter:
-            useful = _policy_useful_subset(
-                policy, sender_set, receiver_set, remote=receiver_summary
-            )
-            if useful is None:
-                return blind(RecodeStrategy, "Recode")
-            return RecodeSummaryStrategy(
-                sender_set,
-                useful,
-                symbols_desired=symbols_desired,
-                rng=rng,
-                label=f"Recode/{policy.kind}",
-            )
-        # An estimate-only summary (a sketch) cannot purge the domain;
-        # the informed fallback is the correlation-shifted degree of
-        # Recode/MW — the same spec runs every kind, each using all the
-        # information its summary actually provides.
-        name = "Recode/MW"
-    if name == "Recode/MW":
-        c = correlation_estimate
-        if c is None:
-            remote = (
-                receiver_summary
-                if receiver_summary is not None
-                else policy.build(receiver_set)
-            )
-            c = policy.correlation(remote, list(sender_set))
-        strategy = RecodeMWStrategy(sender_set, c, rng)
-        strategy.name = f"Recode/{policy.kind}-est"
-        return strategy
-    raise ValueError(f"unknown strategy {name!r}; expected one of {STRATEGY_NAMES}")
+    if name == "Recode/BF" and policy.can_filter:
+        useful = useful_subset()
+        if useful is None:
+            return blind(RecodeStrategy, "Recode")
+        return RecodeSummaryStrategy(
+            sender_set,
+            useful,
+            symbols_desired=symbols_desired,
+            rng=rng,
+            label=f"Recode/{policy.kind}",
+        )
+    # Recode/MW — and Recode/BF under an estimate-only summary (a
+    # sketch), which cannot purge the domain: the informed fallback is
+    # the correlation-shifted degree, so the same spec runs every kind,
+    # each using all the information its summary actually provides.
+    c = correlation_estimate
+    if c is None:
+        c = policy.correlation(remote(), list(sender_set))
+    strategy = RecodeMWStrategy(sender_set, c, rng)
+    strategy.name = f"Recode/{policy.kind}-est"
+    return strategy

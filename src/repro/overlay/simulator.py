@@ -22,8 +22,8 @@ summarise → informed transfer → adapt.
 
 This is the only packet engine.  Its two control-plane passes do work
 proportional to what changed: the strategy refresh skips connections
-whose endpoints are version-unchanged and builds a receiver's filter or
-summary once however many senders consult it, and a reconfiguration
+whose endpoints are version-unchanged and builds a receiver's summary
+once however many senders consult it, and a reconfiguration
 epoch memoises every usefulness estimate for its duration.  The one
 array kernel is opt-in (``card_matrix=True``, what
 ``measurement.engine="columnar"`` selects): min-wise cards become int64
@@ -45,7 +45,6 @@ from repro.coding.peeler import RecodedPeeler
 from repro.coding.symbol import RecodedSymbol
 from repro.delivery.packets import Packet
 from repro.delivery.strategies import (
-    DEFAULT_BLOOM_BITS_PER_ELEMENT,
     DEFAULT_DESIRED_MARGIN,
     SenderStrategy,
     make_strategy,
@@ -59,6 +58,7 @@ from repro.overlay.reconfiguration import (
     ReconfigurationPolicy,
     SummaryScheme,
 )
+from repro.reconcile import DEFAULT_POLICY, SummaryPolicy
 from repro.sim.engine import EventScheduler
 from repro.sim.links import ConstantRateLink, LinkModel, drain_credit
 from repro.sim.stats import StatsRecorder
@@ -212,13 +212,6 @@ class _StampedCache(dict):
         return artefact
 
 
-def _receiver_filter(node: OverlayNode):
-    """The Bloom filter :func:`make_strategy` would build for ``node``."""
-    return node.working_set.bloom_summary(
-        bits_per_element=DEFAULT_BLOOM_BITS_PER_ELEMENT
-    )
-
-
 class _MinwiseCardMatrix:
     """Min-wise cards as int64 rows: the array kernel of an epoch.
 
@@ -308,9 +301,9 @@ class OverlaySimulator:
         sketch_family: shared min-wise family for calling cards.
         admission/rewiring: peering policies (Section 4).
         strategy_name: sender strategy legend name (Figures 5-8).
-        summary_policy: optional :class:`~repro.reconcile.SummaryPolicy`
-            the per-connection strategies reconcile through; ``None``
-            keeps the hardcoded min-wise/Bloom structures bit-identically.
+        summary_policy: the :class:`~repro.reconcile.SummaryPolicy` the
+            per-connection strategies reconcile through (default: the
+            paper's 8-bits-per-element Bloom filter).
         reconfigure_every / refresh_every: control-plane periods, in
             ticks.  Reconfiguration epochs are their own periodic event
             on the shared scheduler (so they compose with churn,
@@ -353,7 +346,7 @@ class OverlaySimulator:
         admission: Optional[AdmissionPolicy] = None,
         rewiring: Optional[ReconfigurationPolicy] = None,
         strategy_name: str = "Recode/BF",
-        summary_policy=None,
+        summary_policy: SummaryPolicy = DEFAULT_POLICY,
         reconfigure_every: int = 20,
         refresh_every: int = 20,
         reconfig_jitter: float = 0.0,
@@ -407,10 +400,8 @@ class OverlaySimulator:
         # node_id -> completed_at_tick for nodes that departed; keeps
         # completion history visible after remove_node().
         self._completion_tombstones: Dict[str, Optional[int]] = {}
-        # Per-receiver refresh artefacts (Bloom filters / policy
-        # summaries) and min-wise card rows, reused while the owning
-        # working set is version-unchanged.
-        self._receiver_filters = _StampedCache()
+        # Per-receiver policy summaries and min-wise card rows, reused
+        # while the owning working set is version-unchanged.
         self._receiver_summaries = _StampedCache()
         self._cards: Optional[_MinwiseCardMatrix] = None
         # The legacy tick loop as one periodic event; a shared clock
@@ -467,7 +458,6 @@ class OverlaySimulator:
                 self.disconnect(node_id, receiver)
         self._senders.pop(node_id, None)
         self._peelers.pop(node_id, None)
-        self._receiver_filters.pop(node_id, None)
         self._receiver_summaries.pop(node_id, None)
         if self._cards is not None:
             self._cards.rows.pop(node_id, None)
@@ -612,21 +602,15 @@ class OverlaySimulator:
         return all(n.is_complete for n in self.nodes.values())
 
     def _build_strategy(
-        self,
-        sender: OverlayNode,
-        receiver: OverlayNode,
-        receiver_filter=None,
-        receiver_summary=None,
+        self, sender: OverlayNode, receiver: OverlayNode
     ) -> Optional[SenderStrategy]:
         """Strategy for a partial sender; sources mint fresh ids instead.
 
-        ``receiver_filter`` / ``receiver_summary`` forward pre-built
-        receiver artefacts to :func:`make_strategy` — a receiver's
-        summary is the same for all its senders, so the refresh builds
-        it once per receiver instead of once per connection.  ``None``
-        builds them per call (``connect()``; the artefacts are
-        deterministic, so both paths produce identical strategies and
-        RNG streams).
+        A receiver's summary is the same for all its senders, so an
+        informed strategy takes it from ``_receiver_summaries``: built
+        once per version of the receiver's working set, however many
+        connections consult it (the summary is deterministic and draws
+        no RNG, so cached and rebuilt runs are identical).
         """
         if sender.is_source:
             return None
@@ -634,6 +618,12 @@ class OverlaySimulator:
             return None
         deficit = max(1, receiver.target - len(receiver.working_set))
         slots = max(1, receiver.max_connections)
+        policy = self.summary_policy
+        receiver_summary = None
+        if self.strategy_name not in ("Random", "Recode"):
+            receiver_summary = self._receiver_summaries.fetch(
+                receiver, lambda node: policy.build(node.working_set)
+            )
         strategy = make_strategy(
             self.strategy_name,
             sender.working_set,
@@ -642,9 +632,8 @@ class OverlaySimulator:
             symbols_desired=int(
                 math.ceil(deficit / slots * DEFAULT_DESIRED_MARGIN)
             ),
-            summary_policy=self.summary_policy,
+            summary_policy=policy,
             receiver_summary=receiver_summary,
-            receiver_filter=receiver_filter,
         )
         # Endpoint stamp: a later refresh may skip the rebuild while
         # both working sets are the same *objects* at the same version
@@ -690,40 +679,18 @@ class OverlaySimulator:
         shareable) and the receiver's summary (delivered content stops
         being offered) — so connections whose endpoints are both
         unchanged since the last build are skipped (nothing to refresh),
-        and a receiver's filter/summary is built once per version of its
-        working set, then fanned out to every connection that needs it.
+        and a receiver's summary is built once per version of its
+        working set (:meth:`_build_strategy`), then fanned out to every
+        connection that needs it.
         Connection iteration order, and with it the RNG stream strategy
         construction consumes, is that of the connection map.
         """
-        name = self.strategy_name
-        policy = self.summary_policy
-        need_filter = policy is None and name in ("Random/BF", "Recode/BF")
-        need_summary = policy is not None and name not in ("Random", "Recode")
-
-        def receiver_summary_of(node: OverlayNode):
-            return policy.build(node.working_set)
-
         for key, conn in list(self.connections.items()):
             if conn.sender.is_source or conn.receiver.is_complete:
                 continue
             if self._strategy_fresh(conn):
                 continue
-            receiver = conn.receiver
-            receiver_filter = receiver_summary = None
-            if need_filter:
-                receiver_filter = self._receiver_filters.fetch(
-                    receiver, _receiver_filter
-                )
-            elif need_summary:
-                receiver_summary = self._receiver_summaries.fetch(
-                    receiver, receiver_summary_of
-                )
-            conn.strategy = self._build_strategy(
-                conn.sender,
-                receiver,
-                receiver_filter=receiver_filter,
-                receiver_summary=receiver_summary,
-            )
+            conn.strategy = self._build_strategy(conn.sender, conn.receiver)
             if conn.strategy is None:
                 self.disconnect(*key)
 

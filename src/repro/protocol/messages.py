@@ -4,12 +4,17 @@ Messages carry explicit byte-size accounting so sessions can report
 control overhead honestly.  Serialisation is deliberately simple (struct
 headers + raw payloads) — the point is faithful sizes, not wire-format
 innovation.
+
+Hello and summary messages have one form: each carries a
+:class:`~repro.reconcile.base.Summary` built under the peers'
+:class:`~repro.reconcile.SummaryPolicy` and charges that summary's own
+``wire_bytes`` (set-size header included).
 """
 
 import json
 import struct
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Optional
 
 
 @dataclass(frozen=True)
@@ -21,7 +26,7 @@ class ControlMessage:
 
 
 class _SummaryBearer:
-    """Shared carriage of a generic :class:`~repro.reconcile.base.Summary`.
+    """Shared carriage of a :class:`~repro.reconcile.base.Summary`.
 
     The summary's JSON payload travels as a string (keeping the message
     dataclasses frozen and hashable); ``summary_wire_bytes`` records the
@@ -34,15 +39,8 @@ class _SummaryBearer:
     summary_json: str
     summary_wire_bytes: int
 
-    @property
-    def carries_summary(self) -> bool:
-        """True when a generic summary payload is aboard."""
-        return bool(self.summary_json)
-
     def summary(self):
         """Reconstruct the carried :class:`~repro.reconcile.base.Summary`."""
-        if not self.summary_json:
-            raise ValueError("message carries no generic summary payload")
         from repro.reconcile import summary_from_payload
 
         return summary_from_payload(json.loads(self.summary_json))
@@ -60,18 +58,16 @@ class _SummaryBearer:
 class HelloMessage(ControlMessage, _SummaryBearer):
     """Calling card: working-set size plus a sketch of the set.
 
-    The legacy form carries the min-wise minima vector inline
-    (128 x 64-bit minima + 8-byte size header ≈ the paper's single 1KB
-    packet).  :meth:`carrying` instead embeds any registered
-    :class:`~repro.reconcile.base.Summary` — the hello then charges the
-    summary's own honest wire size plus the 8-byte header.
+    Built by :meth:`carrying` around any registered
+    :class:`~repro.reconcile.base.Summary`; charges the 8-byte size
+    header plus the sketch's own honest wire size (the default 128 x
+    64-bit min-wise card ≈ the paper's single 1KB packet).
     """
 
     set_size: int
-    minima: Tuple[Optional[int], ...] = ()
-    summary_kind: str = "minwise"
-    summary_json: str = ""
-    summary_wire_bytes: int = 0
+    summary_kind: str
+    summary_json: str
+    summary_wire_bytes: int
 
     @classmethod
     def carrying(cls, summary) -> "HelloMessage":
@@ -79,28 +75,22 @@ class HelloMessage(ControlMessage, _SummaryBearer):
         return cls(set_size=summary.set_size, **cls._summary_fields(summary))
 
     def wire_bytes(self) -> int:
-        if self.carries_summary:
-            return 8 + self.summary_wire_bytes
-        return 8 + 8 * len(self.minima)
+        return 8 + self.summary_wire_bytes
 
 
 @dataclass(frozen=True)
 class SummaryMessage(ControlMessage, _SummaryBearer):
     """Searchable summary of the working set.
 
-    The legacy form is a serialised Bloom filter (bits + ``(m, k,
-    seed)`` header).  :meth:`carrying` embeds any registered
-    :class:`~repro.reconcile.base.Summary` instead; ``wire_bytes`` then
-    reports that summary's own honest size.
+    Built by :meth:`carrying` around any registered
+    :class:`~repro.reconcile.base.Summary` (the default is a Bloom
+    filter: bits + ``(m, k, seed)`` header); ``wire_bytes`` reports that
+    summary's own honest size.
     """
 
-    filter_bytes: bytes = b""
-    m_bits: int = 0
-    k_hashes: int = 0
-    seed: int = 0
-    summary_kind: str = "bloom"
-    summary_json: str = ""
-    summary_wire_bytes: int = 0
+    summary_kind: str
+    summary_json: str
+    summary_wire_bytes: int
 
     @classmethod
     def carrying(cls, summary) -> "SummaryMessage":
@@ -108,9 +98,7 @@ class SummaryMessage(ControlMessage, _SummaryBearer):
         return cls(**cls._summary_fields(summary))
 
     def wire_bytes(self) -> int:
-        if self.carries_summary:
-            return self.summary_wire_bytes
-        return 12 + len(self.filter_bytes)
+        return self.summary_wire_bytes
 
 
 @dataclass(frozen=True)

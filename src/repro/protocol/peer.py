@@ -19,10 +19,12 @@ from repro.coding import (
 )
 from repro.coding.recode import DEFAULT_MAX_RECODE_DEGREE
 from repro.delivery.working_set import WorkingSet
-from repro.hashing.permutations import PermutationFamily
 from repro.protocol.messages import DataMessage, HelloMessage, SummaryMessage
-from repro.sketches import MinwiseSketch
-from repro.sketches.estimate import intersection_from_resemblance
+from repro.reconcile import (
+    DEFAULT_POLICY,
+    SummaryPolicy,
+    correlation_from_summaries,
+)
 from repro.seeding import default_rng
 
 
@@ -34,8 +36,6 @@ class CodeParameters:
     block_size: int
     stream_seed: int = 0
     decoding_overhead: float = 0.07
-    sketch_entries: int = 128
-    sketch_seed: int = 99
 
     @property
     def recovery_target(self) -> int:
@@ -54,20 +54,14 @@ class CodeParameters:
         """Payload-free encoder exposing the shared symbol structure."""
         return LTEncoder(self.num_blocks, stream_seed=self.stream_seed)
 
-    def sketch_family(self) -> PermutationFamily:
-        """The universally agreed min-wise family."""
-        return PermutationFamily(
-            self.sketch_entries, 1 << 32, seed=self.sketch_seed
-        )
-
 
 class ProtocolPeer:
     """A peer holding (some of) the encoded content, with real payloads.
 
     ``summary_policy`` selects which working-set summaries the peer
-    exchanges (a :class:`~repro.reconcile.SummaryPolicy`); ``None``
-    keeps the historical hardcoded pair — min-wise calling cards and
-    Bloom reconciliation summaries — bit-identically.  All peers in a
+    exchanges (a :class:`~repro.reconcile.SummaryPolicy`); the default
+    is the paper's pair — the 1KB min-wise calling card and an
+    8-bits-per-element Bloom reconciliation summary.  All peers in a
     session must agree on the policy, exactly as they agree on
     :class:`CodeParameters`.
     """
@@ -79,7 +73,7 @@ class ProtocolPeer:
         content: Optional[bytes] = None,
         initial_symbols: Iterable[EncodedSymbol] = (),
         rng: Optional[random.Random] = None,
-        summary_policy=None,
+        summary_policy: SummaryPolicy = DEFAULT_POLICY,
     ):
         self.peer_id = peer_id
         self.params = params
@@ -112,61 +106,26 @@ class ProtocolPeer:
     # -- calling cards ------------------------------------------------------
 
     def hello(self) -> HelloMessage:
-        """The calling card for this peer's working set.
-
-        Legacy policy (``summary_policy=None``): the paper's 1KB
-        min-wise card.  Otherwise the policy's card sketch travels as
-        a generic summary payload.
-        """
-        if self.summary_policy is not None:
-            card = self.summary_policy.build_card(self.working_set)
-            return HelloMessage.carrying(card)
-        family = self.params.sketch_family()
-        sketch = MinwiseSketch.build(
-            (i % family.universe_size for i in self.working_set), family
-        )
-        return HelloMessage(
-            set_size=len(self.working_set), minima=tuple(sketch.minima)
+        """The calling card for this peer's working set: the policy's
+        card sketch (by default the paper's 1KB min-wise card)."""
+        return HelloMessage.carrying(
+            self.summary_policy.build_card(self.working_set)
         )
 
     def estimate_peer_correlation(self, hello: HelloMessage) -> float:
         """``|ours ∩ theirs| / |ours|`` estimated from calling cards."""
         if len(self.working_set) == 0:
             return 0.0
-        if hello.carries_summary:
-            if self.summary_policy is None:
-                raise ValueError(
-                    "received a generic summary hello but this peer has no "
-                    "summary policy; peers must agree on the policy off-line"
-                )
-            from repro.reconcile import correlation_from_summaries
-
-            theirs = hello.summary()
-            ours = self.summary_policy.build_card(self.working_set)
-            return correlation_from_summaries(ours, theirs, len(self.working_set))
-        family = self.params.sketch_family()
-        ours = MinwiseSketch.build(
-            (i % family.universe_size for i in self.working_set), family
+        ours = self.summary_policy.build_card(self.working_set)
+        return correlation_from_summaries(
+            ours, hello.summary(), len(self.working_set)
         )
-        theirs = MinwiseSketch.from_minima(family, hello.minima, hello.set_size)
-        r = ours.estimate_resemblance(theirs)
-        inter = intersection_from_resemblance(r, len(self.working_set), hello.set_size)
-        return min(1.0, inter / len(self.working_set))
 
-    def summary(self, bits_per_element: int = 8) -> SummaryMessage:
-        """Reconciliation summary of the working set, for the wire.
-
-        Legacy policy: an inline Bloom filter at ``bits_per_element``.
-        Otherwise the policy's summary kind travels as a generic
-        payload with its own honest wire size.
-        """
-        if self.summary_policy is not None:
-            return SummaryMessage.carrying(
-                self.summary_policy.build(self.working_set)
-            )
-        bf = self.working_set.bloom_summary(bits_per_element=bits_per_element)
-        return SummaryMessage(
-            filter_bytes=bf.to_bytes(), m_bits=bf.m, k_hashes=bf.k, seed=bf.seed
+    def summary(self) -> SummaryMessage:
+        """The policy's reconciliation summary of the working set, for
+        the wire, with its own honest wire size."""
+        return SummaryMessage.carrying(
+            self.summary_policy.build(self.working_set)
         )
 
     # -- receiving -----------------------------------------------------------

@@ -12,9 +12,11 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.delivery.strategies import DEFAULT_DESIRED_MARGIN
-from repro.filters import BloomFilter
+from repro.exact.cpi import DiscrepancyExceeded
+from repro.filters import PartitionedSummaryStream
 from repro.protocol.messages import DataMessage, RequestMessage
 from repro.protocol.peer import ProtocolPeer
+from repro.reconcile import SummaryPolicy, correlation_from_summaries
 from repro.seeding import default_rng
 
 #: Correlation above which a receiver should reject the sender outright
@@ -88,6 +90,17 @@ class SessionStats:
         }
 
 
+def _agreed_policy(sender: ProtocolPeer, receiver: ProtocolPeer) -> SummaryPolicy:
+    """The one policy both peers carry (agreed off-line, like the code)."""
+    if sender.summary_policy != receiver.summary_policy:
+        raise ValueError(
+            "sender and receiver carry different summary policies; "
+            "peers must agree on the policy off-line (or pass an "
+            "explicit summary_policy to the session)"
+        )
+    return sender.summary_policy
+
+
 class TransferSession:
     """One sender serving one receiver with the informed protocol."""
 
@@ -95,58 +108,45 @@ class TransferSession:
         self,
         sender: ProtocolPeer,
         receiver: ProtocolPeer,
-        bloom_bits_per_element: int = 8,
         partitioned_rho: int = 0,
         rng: Optional[random.Random] = None,
         clock=None,
-        summary_policy=None,
+        summary_policy: Optional[SummaryPolicy] = None,
     ):
         """Args:
             sender/receiver: the two peers (shared code parameters).
-            bloom_bits_per_element: summary budget (legacy Bloom path).
             partitioned_rho: when > 0, use the Section 5.2 "scaling up"
                 pipeline — the receiver's summary is shipped one residue
                 partition at a time, and the sender's useful domain grows
                 as partitions arrive (for working sets too large to
-                summarise in one message).
+                summarise in one message).  A Bloom-specific protocol:
+                the session policy's kind must be ``bloom``, and its
+                ``bits_per_element`` sizes every partition filter.
             rng: randomness source.
             clock: optional simulated clock (anything with a ``now``
                 attribute, e.g. :class:`repro.sim.engine.EventScheduler`);
                 when bound, the session stamps ``started_at`` and
                 ``finished_at`` on its stats so event-driven drivers can
                 report transfer durations.
-            summary_policy: a :class:`~repro.reconcile.SummaryPolicy`
-                selecting the summaries exchanged; defaults to the
-                peers' own policy, and to the historical hardcoded
-                min-wise/Bloom pair when nobody set one.  Mutually
-                exclusive with ``partitioned_rho`` (the pipelined path
-                is a Bloom-specific protocol).
+            summary_policy: the :class:`~repro.reconcile.SummaryPolicy`
+                governing both ends of this session, whatever policies
+                the peer objects carry; omitted, the policy the two
+                peers agree on (they must carry equal ones).
         """
         if sender.params != receiver.params:
             raise ValueError("peers must share code parameters")
         if partitioned_rho < 0:
             raise ValueError("partition count must be non-negative")
-        if summary_policy is None:
-            if (
-                sender.summary_policy is not None
-                and receiver.summary_policy is not None
-                and sender.summary_policy != receiver.summary_policy
-            ):
-                raise ValueError(
-                    "sender and receiver carry different summary policies; "
-                    "peers must agree on the policy off-line (or pass an "
-                    "explicit summary_policy to the session)"
-                )
-            summary_policy = sender.summary_policy or receiver.summary_policy
-        if summary_policy is not None and partitioned_rho > 1:
+        summary_policy = summary_policy or _agreed_policy(sender, receiver)
+        if partitioned_rho > 1 and summary_policy.kind != "bloom":
             raise ValueError(
-                "partitioned_rho cannot be combined with a summary policy: "
-                "the pipelined path streams every residue partition, while "
-                "the 'partitioned_bloom' summary kind ships exactly one"
+                "partitioned_rho pipelines Bloom partition filters and "
+                f"cannot run under a {summary_policy.kind!r} summary policy "
+                "(the 'partitioned_bloom' summary kind ships exactly one "
+                "partition)"
             )
         self.sender = sender
         self.receiver = receiver
-        self.bloom_bits = bloom_bits_per_element
         self.partitioned_rho = partitioned_rho
         self.summary_policy = summary_policy
         self.rng = rng if rng is not None else default_rng("protocol.session")
@@ -185,31 +185,21 @@ class TransferSession:
         """Exchange calling cards, charge their bytes, estimate correlation.
 
         Returns the sender's ``|S ∩ R| / |S|`` estimate, or None when
-        the sender is a source (nothing to estimate against).  With a
-        session policy, both cards are built once under it — the
-        protocol-wide agreement governs even peers carrying no policy
-        of their own — and the very cards whose bytes were charged feed
-        the estimate.  Without one, the peers' legacy min-wise hellos
-        run unchanged.
+        the sender is a source (nothing to estimate against).  Both
+        cards are built once under the session policy — the
+        protocol-wide agreement governs whatever policies the peer
+        objects carry — and the very cards whose bytes were charged
+        feed the estimate.
         """
-        if self.summary_policy is None:
-            hello_r = self.receiver.hello()
-            hello_s = self.sender.hello()
-            self.stats.control_bytes += hello_r.wire_bytes() + hello_s.wire_bytes()
-            if self.sender.is_source:
-                return None
-            return self.sender.estimate_peer_correlation(hello_r)
         card_r = self.summary_policy.build_card(self.receiver.working_set)
         card_s = self.summary_policy.build_card(self.sender.working_set)
-        # A generic hello charges its 8-byte header plus the carried
-        # card's own honest size (see HelloMessage.wire_bytes).
+        # A hello charges its 8-byte header plus the carried card's own
+        # honest size (see HelloMessage.wire_bytes).
         self.stats.control_bytes += (8 + card_r.wire_bytes()) + (
             8 + card_s.wire_bytes()
         )
         if self.sender.is_source:
             return None
-        from repro.reconcile import correlation_from_summaries
-
         return correlation_from_summaries(
             card_s, card_r, len(self.sender.working_set)
         )
@@ -217,41 +207,12 @@ class TransferSession:
     def _receive_summary(self) -> None:
         """Receiver ships its summary; sender filters its domain.
 
-        With ``partitioned_rho`` set, only the first residue partition is
-        shipped here; further partitions arrive on demand via
-        :meth:`request_next_partition` as the sender drains its domain.
-        """
-        if self.summary_policy is not None:
-            self._receive_policy_summary()
-            return
-        if self.partitioned_rho > 1:
-            from repro.filters import PartitionedSummaryStream
-
-            self._partition_stream = PartitionedSummaryStream(
-                self.receiver.working_set.ids,
-                rho=self.partitioned_rho,
-                bits_per_element=self.bloom_bits,
-                seed=17,
-            )
-            self._domain = []
-            self.request_next_partition()
-            self.stats.used_summary = True
-            return
-        msg = self.receiver.summary(bits_per_element=self.bloom_bits)
-        self.stats.control_bytes += msg.wire_bytes()
-        bf = BloomFilter.from_bytes(
-            msg.filter_bytes, msg.m_bits, msg.k_hashes, msg.seed
-        )
-        self._domain = [i for i in self.sender.symbols if i not in bf]
-        self.stats.used_summary = True
-
-    def _receive_policy_summary(self) -> None:
-        """Policy path: ship the receiver's summary, filter the domain.
-
         The summary is built under the *session's* policy (the
         protocol-wide agreement), not the receiver object's own
-        attribute — a session-level policy therefore works over
-        policy-less peers, and a sender-only policy governs both ends.
+        attribute.  With ``partitioned_rho`` set, only the first
+        residue partition is shipped here; further partitions arrive on
+        demand via :meth:`request_next_partition` as the sender drains
+        its domain.
 
         Estimate-only policies (a min-wise reconciliation summary, say)
         cannot filter a domain, so no summary travels — the handshake's
@@ -260,18 +221,28 @@ class TransferSession:
         summary whose discrepancy bound proves too small (CPI) keeps
         its bytes on the books but yields no domain.
         """
-        assert self.summary_policy is not None
-        if not self.summary_policy.can_filter:
+        policy = self.summary_policy
+        if self.partitioned_rho > 1:
+            self._partition_stream = PartitionedSummaryStream(
+                self.receiver.working_set.ids,
+                rho=self.partitioned_rho,
+                # 8 = the bloom adapter's own default sizing.
+                bits_per_element=policy.params_dict().get("bits_per_element", 8),
+                seed=17,
+            )
+            self._domain = []
+            self.request_next_partition()
+            self.stats.used_summary = True
             return
-        remote = self.summary_policy.build(self.receiver.working_set)
-        # A generic summary message's wire size is the summary's own
-        # (see SummaryMessage.wire_bytes).
+        if not policy.can_filter:
+            return
+        remote = policy.build(self.receiver.working_set)
+        # A summary message's wire size is the summary's own (see
+        # SummaryMessage.wire_bytes).
         self.stats.control_bytes += remote.wire_bytes()
-        from repro.exact.cpi import DiscrepancyExceeded
-
         try:
             self._domain = list(
-                self.summary_policy.useful_subset(remote, list(self.sender.symbols))
+                policy.useful_subset(remote, list(self.sender.symbols))
             )
         except DiscrepancyExceeded:
             self._domain = None

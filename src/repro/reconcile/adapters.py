@@ -511,6 +511,17 @@ class BloomSummary(Summary):
     def may_contain(self, key: int) -> bool:
         return key in self.bloom
 
+    def missing_from(self, candidates: Iterable[int]) -> List[int]:
+        """The :meth:`may_contain` walk, batched.
+
+        :meth:`~repro.filters.bloom.BloomFilter.contains_many` probes
+        the same rows as insertion, so the answers are identical; this
+        is the per-refresh kernel of every ``/BF`` strategy.
+        """
+        pool = list(candidates)
+        hits = self.bloom.contains_many(pool)
+        return [x for x, hit in zip(pool, hits) if not hit]
+
     def merge(self, other: "BloomSummary") -> "BloomSummary":
         self._check_kind(other)
         try:
@@ -653,6 +664,9 @@ class CountingBloomSummary(BloomSummary):
 
     def may_contain(self, key: int) -> bool:
         return key in self.cbf
+
+    # Counters have no batched probe: keep the scalar walk.
+    missing_from = Summary.missing_from
 
     def merge(self, other: "CountingBloomSummary") -> "CountingBloomSummary":
         self._check_kind(other)

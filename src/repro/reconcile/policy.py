@@ -5,10 +5,12 @@ distinguishes (§3): the cheap *calling card* every hello carries
 (min-wise by default) and the *reconciliation summary* shipped when
 finer-grained information pays for itself (Bloom by default).
 :class:`~repro.protocol.peer.ProtocolPeer`, :class:`~repro.protocol.
-session.TransferSession`, and :func:`repro.delivery.strategies.
-make_strategy` consume policies instead of hardcoding min-wise/Bloom,
-which is what lets one experiment spec swap ``bloom`` for ``art`` or
-``cpi`` and measure the paper's accuracy-vs-overhead trade-off.
+session.TransferSession`, :class:`~repro.overlay.simulator.
+OverlaySimulator`, and :func:`repro.delivery.strategies.make_strategy`
+reconcile only through a policy — there is no policy-less path — which
+is what lets one experiment spec swap ``bloom`` for ``art`` or ``cpi``
+and measure the paper's accuracy-vs-overhead trade-off.  A layer nobody
+handed a policy holds :data:`DEFAULT_POLICY`.
 """
 
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
@@ -166,13 +168,15 @@ class SummaryPolicy:
         return correlation_from_summaries(mine, remote, len(local))
 
 
-#: The stack's historical behaviour: min-wise calling cards (the 1KB
-#: 128-permutation card) and 8-bits-per-element Bloom reconciliation.
+#: What every layer holds when nobody chose a summary: min-wise calling
+#: cards (the 1KB 128-permutation card, under the universally agreed
+#: family — seed 99, the one ``overlay.node.default_family`` draws) and
+#: 8-bits-per-element Bloom reconciliation.
 DEFAULT_POLICY = SummaryPolicy(
     kind="bloom",
     params={"bits_per_element": 8},
     card_kind="minwise",
-    card_params={"entries": 128},
+    card_params={"entries": 128, "seed": 99},
 )
 
 

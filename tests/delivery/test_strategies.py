@@ -6,14 +6,20 @@ import pytest
 
 from repro.delivery import (
     STRATEGY_NAMES,
-    RandomBFStrategy,
     RandomStrategy,
-    RecodeBFStrategy,
+    RandomSummaryStrategy,
     RecodeMWStrategy,
     RecodeStrategy,
+    RecodeSummaryStrategy,
     WorkingSet,
     make_strategy,
 )
+
+
+def bloom_useful(sender, receiver, bits_per_element=8):
+    """The sender ids a Bloom summary of ``receiver`` lets through."""
+    remote = receiver.summary("bloom", bits_per_element=bits_per_element)
+    return remote.missing_from(list(sender))
 
 
 def sets_with_overlap(sender_size=300, overlap=100, seed=1):
@@ -49,8 +55,7 @@ class TestRandomStrategy:
 class TestRandomBF:
     def test_filtered_pool_excludes_receiver_symbols(self):
         sender, receiver, rng = sets_with_overlap()
-        bf = receiver.bloom_summary(bits_per_element=10)
-        s = RandomBFStrategy(sender, bf, rng)
+        s = RandomSummaryStrategy(sender, bloom_useful(sender, receiver, 10), rng)
         for _ in range(100):
             p = s.next_packet()
             # Guarantee: never sends a symbol the receiver definitely has
@@ -59,12 +64,12 @@ class TestRandomBF:
 
     def test_filtered_out_counter(self):
         sender, receiver, rng = sets_with_overlap(overlap=150)
-        s = RandomBFStrategy(sender, receiver.bloom_summary(), rng)
+        s = RandomSummaryStrategy(sender, bloom_useful(sender, receiver), rng)
         assert s.filtered_out >= 150  # overlap + any false positives
 
     def test_identical_sets_fall_back_to_random(self):
         ws = WorkingSet(range(100))
-        s = RandomBFStrategy(ws, ws.bloom_summary(), random.Random(3))
+        s = RandomSummaryStrategy(ws, bloom_useful(ws, ws), random.Random(3))
         p = s.next_packet()  # must not stall or raise
         assert p.encoded_id in ws
 
@@ -80,15 +85,15 @@ class TestRecodeStrategies:
 
     def test_recode_bf_domain_excludes_receiver(self):
         sender, receiver, rng = sets_with_overlap()
-        s = RecodeBFStrategy(sender, receiver.bloom_summary(), rng=rng)
+        s = RecodeSummaryStrategy(sender, bloom_useful(sender, receiver), rng=rng)
         for _ in range(50):
             p = s.next_packet()
             assert all(i not in receiver for i in p.recoded_ids)
 
     def test_recode_bf_domain_limit(self):
         sender, receiver, rng = sets_with_overlap()
-        s = RecodeBFStrategy(
-            sender, receiver.bloom_summary(), symbols_desired=50, rng=rng
+        s = RecodeSummaryStrategy(
+            sender, bloom_useful(sender, receiver), symbols_desired=50, rng=rng
         )
         domain = set()
         for _ in range(300):
@@ -116,10 +121,17 @@ class TestRecodeStrategies:
 
 class TestFactory:
     def test_all_names_constructible(self):
+        # The informed strategies are labelled by the summary kind they
+        # reconciled through — here the default policy's Bloom filter.
+        labels = {
+            "Random/BF": "Random/bloom",
+            "Recode/BF": "Recode/bloom",
+            "Recode/MW": "Recode/bloom-est",
+        }
         sender, receiver, rng = sets_with_overlap()
         for name in STRATEGY_NAMES:
             s = make_strategy(name, sender, receiver, rng)
-            assert s.name == name
+            assert s.name == labels.get(name, name)
             s.next_packet()
 
     def test_unknown_name_rejected(self):

@@ -97,20 +97,20 @@ def test_card_rows_leave_with_their_node():
     assert rows and set(rows) <= set(sim.nodes)
 
 
-def test_receiver_filters_leave_with_their_node():
+def test_receiver_summaries_leave_with_their_node():
     sim = _informed("reference")
     # Peer-to-peer links normally form at epochs; wire a ring and dirty
-    # every set so the refresh has filters to build.
+    # every set so the refresh has summaries to build.
     peers = [n for n in sim.nodes.values() if not n.is_source]
     for sender, receiver in zip(peers, peers[1:] + peers[:1]):
         sim.connect(sender.node_id, receiver.node_id)
     for i, node in enumerate(peers):
         node.working_set.add(999_000_000 + i)
     sim._refresh_strategies()
-    cached = list(sim._receiver_filters)
+    cached = list(sim._receiver_summaries)
     assert cached
     sim.remove_node(cached[0])
-    assert cached[0] not in sim._receiver_filters
+    assert cached[0] not in sim._receiver_summaries
     sim._refresh_strategies()
-    assert set(sim._receiver_filters) <= set(sim.nodes)
+    assert set(sim._receiver_summaries) <= set(sim.nodes)
     assert sim._cards is None  # the scalar kernel never builds a matrix

@@ -20,6 +20,7 @@ from repro.api import build, run, specs
 from repro.delivery.working_set import WorkingSet
 from repro.overlay.node import OverlayNode
 from repro.overlay.simulator import OverlaySimulator, _StampedCache
+from repro.reconcile import SummaryPolicy
 
 import repro.hashing.batch as batch
 
@@ -108,8 +109,8 @@ class TestRefreshSkip:
 
     def _simulator(self, engine):
         spec = _with_engine(
-            # Random/BF builds a receiver Bloom filter and never draws
-            # RNG at construction, so refresh skips are observable.
+            # Random/BF builds a receiver summary and never draws RNG
+            # at construction, so refresh skips are observable.
             specs.random_overlay(
                 num_peers=8,
                 target=120,
@@ -134,26 +135,26 @@ class TestRefreshSkip:
             node.working_set.add(999_000_000 + i)
         return sim
 
-    def _spy_on_blooms(self, monkeypatch):
+    def _spy_on_builds(self, monkeypatch):
         calls = []
-        orig = WorkingSet.bloom_summary
+        orig = SummaryPolicy.build
 
-        def spy(ws, *args, **kwargs):
-            calls.append(ws)
-            return orig(ws, *args, **kwargs)
+        def spy(policy, ids):
+            calls.append(ids)
+            return orig(policy, ids)
 
-        monkeypatch.setattr(WorkingSet, "bloom_summary", spy)
+        monkeypatch.setattr(SummaryPolicy, "build", spy)
         return calls
 
     @pytest.mark.parametrize("engine", ["reference", "columnar"])
     def test_unchanged_receivers_build_once(self, engine, monkeypatch):
         sim = self._simulator(engine)
-        calls = self._spy_on_blooms(monkeypatch)
+        calls = self._spy_on_builds(monkeypatch)
         sim._refresh_strategies()
         first = len(calls)
         assert first > 0
         # Nothing moved between the refreshes — every connection's
-        # endpoint stamps are current, so no filter is rebuilt.
+        # endpoint stamps are current, so no summary is rebuilt.
         sim._refresh_strategies()
         sim._refresh_strategies()
         assert len(calls) == first
@@ -162,7 +163,7 @@ class TestRefreshSkip:
     def test_never_fresh_oracle_rebuilds_every_strategy(self, engine, monkeypatch):
         sim = self._simulator(engine)
         monkeypatch.setattr(OverlaySimulator, "_strategy_fresh", _never_fresh)
-        calls = self._spy_on_blooms(monkeypatch)
+        calls = self._spy_on_builds(monkeypatch)
         sim._refresh_strategies()
         first = len(calls)
         assert first > 0
@@ -174,18 +175,18 @@ class TestRefreshSkip:
         assert before
         sim._refresh_strategies()
         assert all(sim.connections[k].strategy is not s for k, s in before.items())
-        # ...while the receivers' filters, version-unchanged, are reused.
+        # ...while the receivers' summaries, version-unchanged, are reused.
         assert len(calls) == first
 
     @pytest.mark.parametrize("engine", ["reference", "columnar"])
     def test_changed_receiver_rebuilds(self, engine, monkeypatch):
         sim = self._simulator(engine)
-        calls = self._spy_on_blooms(monkeypatch)
+        calls = self._spy_on_builds(monkeypatch)
         sim._refresh_strategies()
         first = len(calls)
         # Mutate exactly one incomplete receiver's working set; only the
         # connections it is an endpoint of should rebuild, and only its
-        # own filter with them.
+        # own summary with them.
         receiver = next(
             conn.receiver
             for conn in sim.connections.values()
@@ -196,7 +197,7 @@ class TestRefreshSkip:
         rebuilt = len(calls) - first
         # Mutating the node invalidates every connection it is an
         # endpoint of; version-unchanged receivers are served from the
-        # persistent cache, so only the mutated node's own filter is
+        # persistent cache, so only the mutated node's own summary is
         # rebuilt.
         affected = [
             conn

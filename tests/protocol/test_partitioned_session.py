@@ -79,3 +79,26 @@ class TestPartitionedSession:
         held = set(receiver.working_set.ids)
         assert session._domain
         assert all(i not in held for i in session._domain)
+
+    def test_session_bloom_policy_sizes_every_partition(self):
+        """The stream has no budget of its own: a Bloom session policy
+        (the default included) carries ``bits_per_element``."""
+        from repro.reconcile import SummaryPolicy
+
+        def control_bytes(policy):
+            _, _, sender, receiver = build_pair(seed=7)
+            session = TransferSession(
+                sender, receiver, partitioned_rho=4, rng=random.Random(14),
+                summary_policy=policy,
+            )
+            assert session.handshake()
+            while session.request_next_partition():
+                pass
+            return session.stats.control_bytes
+
+        by_bits = {
+            bits: control_bytes(SummaryPolicy("bloom", {"bits_per_element": bits}))
+            for bits in (4, 8, 16)
+        }
+        assert by_bits[4] < by_bits[8] < by_bits[16]
+        assert control_bytes(None) == by_bits[8]  # the peers' DEFAULT_POLICY

@@ -44,7 +44,9 @@ class TestMessages:
         p = make_params()
         peer = ProtocolPeer("x", p, initial_symbols=p.encoder_for(make_content(p)).symbols(range(10)))
         hello = peer.hello()
-        assert hello.wire_bytes() == 8 + 8 * 128  # ≈ the paper's 1KB packet
+        # Size header + the card's own set-size header + 128 minima
+        # ≈ the paper's 1KB packet.
+        assert hello.wire_bytes() == 8 + 4 + 8 * 128
 
     def test_data_message_roundtrip_encoded(self):
         msg = DataMessage(symbol_id=42, constituent_ids=frozenset(), payload=b"abc")

@@ -224,6 +224,30 @@ class TestKindSpecifics:
             legacy.count,
         )
 
+    @pytest.mark.parametrize("numpy_lane", ["numpy", "numpy-blocked"])
+    def test_bloom_missing_from_matches_the_membership_walk(
+        self, sets, numpy_lane, monkeypatch
+    ):
+        """The batched ``missing_from`` override answers exactly as the
+        inherited ``may_contain`` walk would — order, duplicates and
+        keys past the 32-bit universe included."""
+        import repro.hashing.batch as batch
+
+        if numpy_lane == "numpy-blocked":
+            monkeypatch.setattr(batch, "_numpy", lambda: None)
+        a, b = sets
+        s = build_summary("bloom", a, bits_per_element=4)
+        rng = random.Random("bloom-missing-from")
+        candidates = sorted(b) + [rng.randrange(1 << 40) for _ in range(200)]
+        candidates += [(1 << 32) + x for x in sorted(a)[:20]] + [1 << 63, 0]
+        candidates += rng.choices(candidates, k=100)  # duplicates
+        rng.shuffle(candidates)
+        walk = [x for x in candidates if not s.may_contain(x)]
+        assert s.missing_from(candidates) == walk
+        assert s.missing_from(iter(candidates)) == walk
+        assert 0 < len(walk) < len(candidates)
+        assert s.missing_from([]) == []
+
     def test_minwise_build_matches_sketch(self, sets):
         from repro.hashing.permutations import PermutationFamily
         from repro.sketches import MinwiseSketch
