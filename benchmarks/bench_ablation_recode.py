@@ -34,11 +34,11 @@ def _run_policy(correlation, policy, budget=4_000, n_symbols=400, seed=1):
         raise ValueError(policy)
     peeler = RecodedPeeler(known_ids=receiver_known)
     sent = 0
-    start = len(peeler.known_ids)
-    while sent < budget and len(peeler.known_ids) < n_symbols:
+    start = peeler.known_count
+    while sent < budget and peeler.known_count < n_symbols:
         peeler.add_recoded(recoder.next_symbol())
         sent += 1
-    gained = len(peeler.known_ids) - start
+    gained = peeler.known_count - start
     return gained / sent if sent else 0.0
 
 

@@ -46,8 +46,16 @@ class RecodedPeeler:
     # -- status ------------------------------------------------------------
 
     @property
+    def known_count(self) -> int:
+        """How many encoded symbols the receiver holds; O(1)."""
+        return len(self._known)
+
+    @property
     def known_ids(self) -> Set[int]:
-        """Ids of encoded symbols now in the receiver's possession."""
+        """Ids of encoded symbols now in the receiver's possession.
+
+        A copy, O(n): use :attr:`known_count` on per-packet paths.
+        """
         return set(self._known)
 
     @property

@@ -42,11 +42,16 @@ class SimReceiver:
 
     @property
     def known_count(self) -> int:
-        """Distinct encoded symbols currently held."""
-        return len(self._peeler.known_ids)
+        """Distinct encoded symbols currently held; O(1)."""
+        return self._peeler.known_count
 
     @property
     def known_ids(self):
+        """Ids currently held.
+
+        A copy, O(n): use :attr:`known_count` / :attr:`is_complete` on
+        per-packet paths.
+        """
         return self._peeler.known_ids
 
     @property

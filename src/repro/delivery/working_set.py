@@ -75,7 +75,11 @@ class WorkingSet:
 
     @property
     def ids(self) -> Set[int]:
-        """A copy of the id set."""
+        """A copy of the id set, O(n).
+
+        Per-packet and per-tick paths use ``len()``, ``in`` and the set
+        relations below instead.
+        """
         return set(self._ids)
 
     def add(self, symbol_id: int) -> bool:
@@ -107,6 +111,10 @@ class WorkingSet:
         if not self._ids:
             return 1.0
         return len(self._ids & other._ids) / len(self._ids)
+
+    def difference(self, other: "WorkingSet") -> Set[int]:
+        """Ids held here that ``other`` lacks (a new set)."""
+        return self._ids - other._ids
 
     def resemblance_with(self, other: "WorkingSet") -> float:
         """True ``|self ∩ other| / |self ∪ other|``."""

@@ -431,11 +431,10 @@ class FlowSimulator:
         """Ground-truth novelty from the sampled-ID sets (not summaries)."""
         if sender.is_source:
             return 1.0
-        theirs = set(sender.rep.working_set.ids)
-        if not theirs:
-            return 0.0
-        ours = set(receiver.rep.working_set.ids)
-        return 1.0 - len(ours & theirs) / len(theirs)
+        # An empty sender is fully contained (1.0): nothing novel.
+        return 1.0 - sender.rep.working_set.containment_in(
+            receiver.rep.working_set
+        )
 
     def _advance(self, t0: float, t1: float) -> None:
         """Integrate every incomplete tier's transfer over [t0, t1)."""
@@ -522,8 +521,9 @@ class FlowSimulator:
             for _ in range(k):
                 receiver.rep.receive_symbol(sender.rep.mint_fresh_id())
             return
-        ours = set(receiver.rep.working_set.ids)
-        pool = sorted(set(sender.rep.working_set.ids) - ours)
+        pool = sorted(
+            sender.rep.working_set.difference(receiver.rep.working_set)
+        )
         if not pool:
             return
         for symbol in self.rng.sample(pool, min(k, len(pool))):

@@ -431,7 +431,7 @@ class OverlaySimulator:
         self.nodes[node.node_id] = node
         if not node.is_source:
             self._peelers[node.node_id] = RecodedPeeler(
-                known_ids=node.working_set.ids
+                known_ids=node.working_set
             )
         if self.stats is not None:
             self.stats.gauge(

@@ -90,7 +90,13 @@ class MinwiseSketch:
 
     @property
     def is_empty(self) -> bool:
-        return self._count == 0
+        """No element folded in: every position still unset.
+
+        Read off the minima, not the fold counter, so a vector
+        reconstructed by :meth:`from_minima` without a ``count`` is
+        empty only if it really is.
+        """
+        return all(m is None for m in self._minima)
 
     @property
     def minima(self) -> List[Optional[int]]:
@@ -148,14 +154,11 @@ class MinwiseSketch:
     def estimate_resemblance(self, other: "MinwiseSketch") -> float:
         """Fraction of matching positions — unbiased estimate of ``r``.
 
-        Two empty sketches resemble completely vacuously; we return 0.0 for
-        that case (no evidence of shared content) and raise if only one
-        side is empty-but-compared, since a real protocol would not sketch
-        an empty working set.
+        An unset position never matches, so two empty sketches — which
+        resemble completely only vacuously — estimate 0.0: no evidence
+        of shared content.
         """
         self._check_comparable(other)
-        if self.is_empty and other.is_empty:
-            return 0.0
         matches = sum(
             1
             for mine, theirs in zip(self._minima, other._minima)

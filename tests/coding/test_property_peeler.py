@@ -18,7 +18,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.coding import RecodedPeeler, RecodedSymbol
+from repro.coding import RecodedPeeler, RecodedSymbol, xor_payloads
 
 
 def build_batch(num_known, num_missing, num_redundant, rng):
@@ -96,3 +96,91 @@ class TestArrivalOrderInvariance:
                 peeler.add_recoded(symbol)
             outcomes.append((peeler.known_ids, peeler.recoded_useless))
         assert outcomes[0] == outcomes[1]
+
+
+# -- known_count: the O(1) completion read ----------------------------------
+
+ID_SPACE = 12
+PAYLOAD_BYTES = 4
+
+#: ("enc", id) | ("rec", frozenset of ids) over a small id space, so
+#: duplicates, degree-1 recodes and multi-symbol cascades are all common.
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("enc"), st.integers(0, ID_SPACE - 1)),
+        st.tuples(
+            st.just("rec"),
+            st.frozensets(st.integers(0, ID_SPACE - 1), min_size=1, max_size=5),
+        ),
+    ),
+    max_size=40,
+)
+
+
+def _payload(symbol_id):
+    return bytes([symbol_id + 1]) * PAYLOAD_BYTES
+
+
+def _blend(ids):
+    return xor_payloads(_payload(i) for i in ids)
+
+
+class TestKnownCountInvariant:
+    @given(
+        initial=st.frozensets(st.integers(0, ID_SPACE - 1), max_size=6),
+        ops=_ops,
+        with_payloads=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_count_tracks_the_set_under_any_interleaving(
+        self, initial, ops, with_payloads
+    ):
+        peeler = RecodedPeeler(
+            known_ids=initial,
+            payloads={i: _payload(i) for i in initial} if with_payloads else None,
+        )
+        assert peeler.known_count == len(peeler.known_ids) == len(initial)
+        for kind, arg in ops:
+            before = peeler.known_count
+            if kind == "enc":
+                recovered = peeler.add_encoded(
+                    arg, _payload(arg) if with_payloads else None
+                )
+            else:
+                recovered = peeler.add_recoded(
+                    RecodedSymbol(arg, _blend(arg) if with_payloads else None)
+                )
+            assert len(set(recovered)) == len(recovered)
+            assert peeler.known_count == before + len(recovered)
+            assert peeler.known_count == len(peeler.known_ids)
+            if with_payloads:
+                for symbol_id in recovered:
+                    assert peeler.payload_of(symbol_id) == _payload(symbol_id)
+
+    @given(initial=st.frozensets(st.integers(0, ID_SPACE - 1), max_size=6), ops=_ops)
+    @settings(max_examples=60, deadline=None)
+    def test_mutating_the_returned_set_leaves_the_peeler_alone(self, initial, ops):
+        peeler = RecodedPeeler(known_ids=initial)
+        for kind, arg in ops:
+            if kind == "enc":
+                peeler.add_encoded(arg)
+            else:
+                peeler.add_recoded(RecodedSymbol(arg))
+        held = peeler.known_ids
+        count = peeler.known_count
+        held.add(ID_SPACE + 1)
+        held.discard(next(iter(held)))
+        held.clear()
+        assert peeler.known_count == count
+        assert len(peeler.known_ids) == count
+        assert peeler.known_ids is not peeler.known_ids
+
+    def test_cascade_grows_the_count_by_everything_it_resolves(self):
+        # 5.4.2's example, fed so one arrival resolves three symbols.
+        peeler = RecodedPeeler()
+        assert peeler.add_recoded(RecodedSymbol(frozenset([5, 8]))) == []
+        assert peeler.add_recoded(RecodedSymbol(frozenset([5, 13]))) == []
+        assert peeler.known_count == 0
+        recovered = peeler.add_encoded(13)
+        assert sorted(recovered) == [5, 8, 13]
+        assert peeler.known_count == 3

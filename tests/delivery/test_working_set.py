@@ -50,6 +50,15 @@ class TestGroundTruthRelations:
     def test_resemblance_both_empty(self):
         assert WorkingSet().resemblance_with(WorkingSet()) == 0.0
 
+    def test_difference_is_a_new_set(self):
+        a = WorkingSet([1, 2, 3, 4])
+        b = WorkingSet([3, 4, 5])
+        only_a = a.difference(b)
+        assert only_a == {1, 2}
+        only_a.add(9)
+        assert 9 not in a and len(a) == 4
+        assert WorkingSet().difference(a) == set()
+
 
 class TestCallingCards:
     def test_minwise_sketch_estimates(self):

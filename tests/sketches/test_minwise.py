@@ -195,3 +195,21 @@ class TestFromMinima:
         fam = make_family()
         with pytest.raises(ValueError):
             MinwiseSketch.from_minima(fam, [1, 2, 3], count=3)
+
+    def test_two_reconstructed_cards_of_one_set_resemble_fully(self):
+        # Regression: emptiness was read off the fold counter, which
+        # from_minima defaults to 0, so two wire-side cards of the same
+        # set both looked empty and estimated 0.0.
+        fam = make_family()
+        built = MinwiseSketch.build([10, 20, 30], fam)
+        left = MinwiseSketch.from_minima(fam, built.minima)
+        right = MinwiseSketch.from_minima(fam, built.minima)
+        assert not left.is_empty
+        assert built.estimate_resemblance(left) == 1.0
+        assert left.estimate_resemblance(right) == 1.0
+
+    def test_reconstructed_empty_vector_is_still_empty(self):
+        fam = make_family()
+        blank = MinwiseSketch.from_minima(fam, [None] * len(fam), count=5)
+        assert blank.is_empty
+        assert blank.estimate_resemblance(MinwiseSketch(fam)) == 0.0
