@@ -18,7 +18,7 @@ import time
 
 from conftest import print_series, write_bench_json
 
-from repro.overlay.node import OverlayNode, default_family
+from repro.overlay.node import OverlayNode
 from repro.overlay.reconfiguration import (
     SketchAdmission,
     SummaryScheme,
@@ -43,7 +43,6 @@ def _build_swarm(kind, params, scan_budget=0):
     rng = derive_rng(0, "bench_reconfig", kind, scan_budget)
     scheme = SummaryScheme(kind, params)
     sim = OverlaySimulator(
-        default_family(),
         admission=SketchAdmission(scheme),
         rewiring=UtilityRewiring(scheme, rng=rng),
         reconfigure_every=10,

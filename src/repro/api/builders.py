@@ -60,13 +60,14 @@ from repro.delivery.transfer import (
     simulate_multi_sender_transfer,
     simulate_p2p_transfer,
 )
-from repro.overlay.node import OverlayNode, default_family
+from repro.overlay.node import OverlayNode
 from repro.overlay.reconfiguration import (
     OpenAdmission,
     RandomRewiring,
     SketchAdmission,
     SummaryScheme,
     UtilityRewiring,
+    default_scheme,
 )
 from repro.overlay.simulator import OverlaySimulator, SimulationReport
 from repro.protocol.peer import CodeParameters, ProtocolPeer
@@ -159,15 +160,14 @@ def _reconfig(spec: ExperimentSpec) -> ReconfigSpec:
 def reconfig_scheme(spec: ExperimentSpec) -> SummaryScheme:
     """The :class:`SummaryScheme` a spec's reconfig selection names.
 
-    ``reconfig.summary`` unset resolves to the historical min-wise
-    calling card — the same permutation family every overlay node
-    publishes (:func:`~repro.overlay.node.default_family`), so an
-    informed run under the default scheme replays the pre-spec
-    behaviour bit for bit.
+    ``reconfig.summary`` unset resolves to the min-wise calling card
+    joins plan over (:func:`~repro.overlay.reconfiguration.
+    default_scheme`), so under the default informed arm a node keeps
+    one card for joins, admission and rewiring alike.
     """
     summary = _reconfig(spec).summary
     if summary is None:
-        return SummaryScheme.from_family(default_family())
+        return default_scheme()
     return SummaryScheme(summary.kind, summary.params_dict())
 
 
@@ -295,7 +295,6 @@ def _base_simulator(
     admission, rewiring = _reconfig_policies(spec, rng, arm, scheme)
     scheduler, manager, link_factory = _transport_setup(spec, stats, link_factory)
     return OverlaySimulator(
-        default_family(),
         admission=admission,
         rewiring=rewiring,
         strategy_name=spec.strategy.name,
@@ -517,21 +516,25 @@ def _informed_join(
 ) -> Callable[[str], None]:
     """The Section 4 join decision as an admit function: the joiner
     plans its senders over the live calling cards (``plan_join``),
-    falling back to the source when no planned sender admits it."""
+    falling back to the source — while it is still a member — when no
+    planned sender admits it; a joiner left unconnected is wired by the
+    next reconfiguration epoch.  Joins read the default card whatever
+    ``reconfig.summary`` names."""
     sim = scn.simulator
-    family = sim.family
+    scheme = default_scheme()
     plans = scn.extras.setdefault("join_plans", {})
 
     def admit(pid: str) -> None:
         node = _seeded_node(rng, joiners, swarm, pid)
         sim.add_node(node)
+        # The true set size rides with the card: folded ids may collide.
         candidates = [
-            CandidateSender(n.node_id, n.sketch(family), len(n.working_set))
+            CandidateSender(n.node_id, scheme.card_of(n), len(n.working_set))
             for n in sim.nodes.values()
             if not n.is_source and n.node_id != pid and len(n.working_set) > 0
         ]
         plan = plans[pid] = plan_join(
-            node.sketch(family),
+            scheme.card_of(node),
             len(node.working_set),
             candidates,
             max_senders=joiners.max_connections,
@@ -543,7 +546,7 @@ def _informed_join(
         for sender_id in plan.selection.chosen:
             if sim.connect(sender_id, pid):
                 connected += 1
-        if connected == 0:
+        if connected == 0 and src_name in sim.nodes:
             sim.connect(src_name, pid)
 
     return admit

@@ -309,9 +309,10 @@ class ReconfigSpec:
     machinery), ``"random"`` (uninformed random rewiring, the control
     arm), or ``"static"`` (no rewiring at all).  ``summary`` names the
     registered :class:`~repro.reconcile.base.Summary` kind whose cards
-    drive the informed estimates; ``None`` selects the historical
-    min-wise calling card (128 permutations over the 2^32 universe,
-    family seed 99), under which a run is bit-identical to the
+    drive the informed estimates; ``None`` selects the default calling
+    card (:func:`repro.overlay.default_scheme` —
+    :data:`~repro.reconcile.DEFAULT_POLICY`'s min-wise card, the one
+    joins plan over), under which a run is bit-identical to the
     pre-spec behaviour — the parity tests pin it.
 
     ``interval`` is the epoch period in simulated time units (0 = the

@@ -9,16 +9,17 @@ the senders whose content is identical, as shown by the comparison of
 the summaries submitted by all the sender candidates."
 
 This module implements those three decisions as a greedy max-coverage
-selection over min-wise sketches, entirely from calling cards — no
-working sets cross the wire.
+selection entirely from calling cards — no working sets cross the wire.
+A card is anything offering ``estimate_resemblance(other)`` and
+``merge(other)``: the min-wise :class:`~repro.reconcile.base.Summary`
+every overlay node publishes, or the bare sketch primitive under it.
 """
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.seeding import default_rng
-from repro.sketches import MinwiseSketch
 
 #: Resemblance above which two candidates are treated as holding the
 #: same content (sketch noise tolerance).
@@ -30,7 +31,7 @@ class CandidateSender:
     """One prospective sender, known only through its calling card."""
 
     peer_id: str
-    sketch: MinwiseSketch
+    card: Any
     set_size: int
 
 
@@ -45,19 +46,19 @@ class SelectionResult:
 
 
 def estimated_union_size(
-    sketch_a: MinwiseSketch, size_a: float, sketch_b: MinwiseSketch, size_b: float
+    card_a: Any, size_a: float, card_b: Any, size_b: float
 ) -> float:
-    """``|A ∪ B|`` from two sketches and their set sizes.
+    """``|A ∪ B|`` from two cards and their set sizes.
 
     From ``r = |A ∩ B| / |A ∪ B|`` and ``|A| + |B| = |A ∪ B| + |A ∩ B|``:
     ``|A ∪ B| = (|A| + |B|) / (1 + r)``.
     """
-    r = sketch_a.estimate_resemblance(sketch_b)
+    r = card_a.estimate_resemblance(card_b)
     return (size_a + size_b) / (1.0 + r)
 
 
 def select_senders(
-    receiver_sketch: MinwiseSketch,
+    receiver_card: Any,
     receiver_size: int,
     candidates: Sequence[CandidateSender],
     max_senders: int,
@@ -66,12 +67,12 @@ def select_senders(
     """Greedy max-coverage choice of up to ``max_senders`` senders.
 
     At each step the candidate whose union with the accumulated coverage
-    sketch adds the most estimated symbols is chosen; candidates whose
+    card adds the most estimated symbols is chosen; candidates whose
     estimated gain over the *receiver alone* is negligible are rejected
     as identical-content peers (the paper's admission control).
 
     Args:
-        receiver_sketch: the receiver's own calling card.
+        receiver_card: the receiver's own calling card.
         receiver_size: the receiver's working-set size.
         candidates: prospective senders' calling cards.
         max_senders: connection slots available.
@@ -80,14 +81,14 @@ def select_senders(
     if max_senders < 0:
         raise ValueError("max_senders must be non-negative")
     result = SelectionResult()
-    coverage_sketch = receiver_sketch
+    coverage_card = receiver_card
     coverage_size = float(receiver_size)
     remaining = list(candidates)
 
     # Pre-screen: identical-to-receiver candidates are rejected outright.
     screened = []
     for cand in remaining:
-        r = receiver_sketch.estimate_resemblance(cand.sketch)
+        r = receiver_card.estimate_resemblance(cand.card)
         if r >= IDENTICAL_THRESHOLD and cand.set_size <= receiver_size:
             result.rejected_identical.append(cand.peer_id)
         else:
@@ -98,7 +99,7 @@ def select_senders(
         best: Optional[Tuple[float, CandidateSender]] = None
         for cand in remaining:
             union = estimated_union_size(
-                coverage_sketch, coverage_size, cand.sketch, cand.set_size
+                coverage_card, coverage_size, cand.card, cand.set_size
             )
             gain = union - coverage_size
             if best is None or gain > best[0]:
@@ -110,7 +111,7 @@ def select_senders(
         result.chosen.append(cand.peer_id)
         result.estimated_gains[cand.peer_id] = gain
         coverage_size += gain
-        coverage_sketch = coverage_sketch.union(cand.sketch)
+        coverage_card = coverage_card.merge(cand.card)
         remaining = [c for c in remaining if c.peer_id != cand.peer_id]
 
     result.estimated_coverage = coverage_size
@@ -119,7 +120,7 @@ def select_senders(
 
 @dataclass
 class JoinPlan:
-    """A joining receiver's complete connection plan, from sketches alone."""
+    """A joining receiver's complete connection plan, from cards alone."""
 
     selection: SelectionResult
     groups: List[List[str]]  # replica groups among the *chosen* senders
@@ -128,7 +129,7 @@ class JoinPlan:
 
 
 def plan_join(
-    receiver_sketch: MinwiseSketch,
+    receiver_card: Any,
     receiver_size: int,
     candidates: Sequence[CandidateSender],
     max_senders: int,
@@ -146,7 +147,7 @@ def plan_join(
     time-series recorders can correlate joins with delivery.
     """
     selection = select_senders(
-        receiver_sketch, receiver_size, candidates, max_senders
+        receiver_card, receiver_size, candidates, max_senders
     )
     chosen = [c for c in candidates if c.peer_id in selection.chosen]
     groups = group_identical_senders(chosen)
@@ -169,7 +170,7 @@ def group_identical_senders(
         placed = False
         for group in groups:
             rep = group[0]
-            if rep.sketch.estimate_resemblance(cand.sketch) >= threshold:
+            if rep.card.estimate_resemblance(cand.card) >= threshold:
                 group.append(cand)
                 placed = True
                 break

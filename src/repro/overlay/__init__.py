@@ -6,9 +6,8 @@ dissemination, "perpendicular" peer connections exploiting complementary
 working sets (Figure 1), admission control via sketches (Section 4), and
 reconfiguration when connections lose utility.
 
-* :mod:`repro.overlay.node` — overlay end-systems: working set, sketch
-  publication, connection slots; :func:`default_family` is the min-wise
-  family they all publish under.
+* :mod:`repro.overlay.node` — overlay end-systems: working set, cached
+  calling cards (one per summary scheme), connection slots.
 * :mod:`repro.overlay.simulator` — the one event-driven packet engine
   (built on :mod:`repro.sim`): connections deliver packets through
   pluggable link models (bandwidth-, loss- and latency-limited), nodes
@@ -20,7 +19,9 @@ reconfiguration when connections lose utility.
   changed; ``card_matrix=True`` (``measurement.engine="columnar"``)
   swaps the epoch's scalar usefulness kernel for a numpy card matrix.
 * :mod:`repro.overlay.reconfiguration` — peering policies: sketch-based
-  admission control and utility-driven rewiring.
+  admission control and utility-driven rewiring over a
+  :class:`SummaryScheme`; :func:`default_scheme` is the min-wise card
+  every node publishes when a run names no other.
 * :mod:`repro.overlay.churn` — departures, rejoins and link degradation
   (rerouting around congested paths) driven against the simulator.
 * :mod:`repro.overlay.catalog` — multi-object catalogs over one swarm.
@@ -29,7 +30,7 @@ The canned layouts (the paper's Figure 1, the randomised overlay) are
 registered scenarios: ``repro.api.build(specs.figure1(...)).scenario``.
 """
 
-from repro.overlay.node import OverlayNode, default_family
+from repro.overlay.node import OverlayNode
 from repro.overlay.simulator import Connection, OverlaySimulator, SimulationReport
 from repro.overlay.reconfiguration import (
     AdmissionPolicy,
@@ -39,6 +40,7 @@ from repro.overlay.reconfiguration import (
     SketchAdmission,
     SummaryScheme,
     UtilityRewiring,
+    default_scheme,
 )
 from repro.overlay.churn import ChurnProcess, run_with_churn
 
@@ -46,7 +48,6 @@ __all__ = [
     "ChurnProcess",
     "run_with_churn",
     "OverlayNode",
-    "default_family",
     "Connection",
     "OverlaySimulator",
     "SimulationReport",
@@ -57,4 +58,5 @@ __all__ = [
     "UtilityRewiring",
     "RandomRewiring",
     "SummaryScheme",
+    "default_scheme",
 ]

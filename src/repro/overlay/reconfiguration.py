@@ -11,18 +11,16 @@ The utility signal is pluggable: a :class:`SummaryScheme` names any
 registered :class:`~repro.reconcile.base.Summary` kind (min-wise, Bloom,
 mod-k, CPI, ...) and estimates peer usefulness through that structure's
 own reconciliation surface, with the control bytes each exchanged card
-would cost reported honestly via ``wire_bytes``.  Constructing a policy
-from a raw :class:`~repro.hashing.permutations.PermutationFamily` (the
-historical signature) coerces to a min-wise scheme over the same family
-and publishes bit-identical minima, so seeded legacy runs replay
-exactly — ``tests/sim/test_parity.py`` pins it.
+would cost reported honestly via ``wire_bytes``.  :func:`default_scheme`
+is the paper's own choice — the 1KB min-wise calling card — and the one
+card joins, admission and rewiring share when a run names no other.
 """
 
 import random
-from typing import Any, Dict, List, Mapping, Optional, Protocol, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Protocol, Tuple
 
-from repro.hashing.permutations import PermutationFamily
 from repro.overlay.node import OverlayNode
+from repro.reconcile import DEFAULT_POLICY
 from repro.reconcile.base import Summary
 from repro.reconcile.registry import summary_class
 from repro.seeding import default_rng
@@ -76,31 +74,6 @@ class SummaryScheme:
         """
         self._memo = memo
 
-    @classmethod
-    def from_family(cls, family: PermutationFamily) -> "SummaryScheme":
-        """The min-wise scheme publishing ``family``'s exact minima."""
-        return cls(
-            "minwise",
-            {
-                "entries": len(family),
-                "universe": family.universe_size,
-                "seed": family.seed,
-            },
-        )
-
-    @classmethod
-    def coerce(
-        cls, scheme: Union["SummaryScheme", PermutationFamily]
-    ) -> "SummaryScheme":
-        """Accept either a scheme or the historical family argument."""
-        if isinstance(scheme, SummaryScheme):
-            return scheme
-        if isinstance(scheme, PermutationFamily):
-            return cls.from_family(scheme)
-        raise TypeError(
-            f"expected a SummaryScheme or PermutationFamily, got {type(scheme).__name__}"
-        )
-
     def params_dict(self) -> Dict[str, Any]:
         return dict(self.params)
 
@@ -111,13 +84,12 @@ class SummaryScheme:
     def resemblance(self, ours: Summary, theirs: Summary) -> float:
         """Estimated ``|A ∩ B| / |A ∪ B|`` between two same-scheme cards.
 
-        Min-wise cards use their native matching-positions estimator —
-        the exact float the legacy sketch path produced.  Every other
-        kind derives resemblance from its symmetric-difference estimate
-        by inclusion-exclusion (the inverse map, so an unclamped
-        estimate round-trips exactly); an exceeded CPI bound reads as
-        resemblance 0.0 — a discrepancy too large to reconcile *is*
-        evidence of low overlap.
+        Min-wise cards use their native matching-positions estimator.
+        Every other kind derives resemblance from its
+        symmetric-difference estimate by inclusion-exclusion (the
+        inverse map, so an unclamped estimate round-trips exactly); an
+        exceeded CPI bound reads as resemblance 0.0 — a discrepancy too
+        large to reconcile *is* evidence of low overlap.
         """
         if self.kind == "minwise":
             return ours.estimate_resemblance(theirs)  # type: ignore[attr-defined]
@@ -165,6 +137,14 @@ class SummaryScheme:
         return f"SummaryScheme(kind={self.kind!r}, params={dict(self.params)!r})"
 
 
+def default_scheme() -> SummaryScheme:
+    """The calling card peers agree on off-line (Section 4):
+    :data:`~repro.reconcile.DEFAULT_POLICY`'s min-wise card.  Every
+    call returns an equal scheme, so every consumer reads the same
+    cached row of a node's :meth:`~OverlayNode.summary_card`."""
+    return SummaryScheme(DEFAULT_POLICY.card_kind, dict(DEFAULT_POLICY.card_params))
+
+
 class AdmissionPolicy(Protocol):
     """Decides whether a receiver should accept a candidate sender."""
 
@@ -178,18 +158,17 @@ class SketchAdmission:
 
     A threshold of 0 admits everyone except exact-duplicate working sets
     (up to summary noise); the paper's "simple admission control".  Any
-    :class:`SummaryScheme` (or, for the historical path, a raw
-    :class:`PermutationFamily`) supplies the estimate.
+    :class:`SummaryScheme` supplies the estimate.
     """
 
     def __init__(
         self,
-        scheme: Union[SummaryScheme, PermutationFamily],
+        scheme: SummaryScheme,
         min_usefulness: float = DEFAULT_MIN_USEFULNESS,
     ):
         if not 0.0 <= min_usefulness <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
-        self.scheme = SummaryScheme.coerce(scheme)
+        self.scheme = scheme
         self.min_usefulness = min_usefulness
 
     def admit(self, receiver: OverlayNode, candidate: OverlayNode) -> bool:
@@ -254,13 +233,13 @@ class UtilityRewiring:
 
     def __init__(
         self,
-        scheme: Union[SummaryScheme, PermutationFamily],
+        scheme: SummaryScheme,
         hysteresis: float = DEFAULT_HYSTERESIS,
         rng: Optional[random.Random] = None,
     ):
         if hysteresis < 0:
             raise ValueError("hysteresis must be non-negative")
-        self.scheme = SummaryScheme.coerce(scheme)
+        self.scheme = scheme
         self.hysteresis = hysteresis
         self.rng = rng if rng is not None else default_rng("overlay.reconfiguration")
 

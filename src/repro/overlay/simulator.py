@@ -51,7 +51,6 @@ from repro.delivery.strategies import (
 )
 from repro.delivery.working_set import DEFAULT_KEY_UNIVERSE
 from repro.hashing import batch as _batch
-from repro.hashing.permutations import PermutationFamily
 from repro.overlay.node import OverlayNode
 from repro.overlay.reconfiguration import (
     AdmissionPolicy,
@@ -298,7 +297,6 @@ class OverlaySimulator:
     the order every rewiring decision, and so the RNG stream, follows.
 
     Args:
-        sketch_family: shared min-wise family for calling cards.
         admission/rewiring: peering policies (Section 4).
         strategy_name: sender strategy legend name (Figures 5-8).
         summary_policy: the :class:`~repro.reconcile.SummaryPolicy` the
@@ -342,7 +340,6 @@ class OverlaySimulator:
 
     def __init__(
         self,
-        sketch_family: PermutationFamily,
         admission: Optional[AdmissionPolicy] = None,
         rewiring: Optional[ReconfigurationPolicy] = None,
         strategy_name: str = "Recode/BF",
@@ -363,7 +360,6 @@ class OverlaySimulator:
             raise ValueError("reconfig_jitter must be non-negative")
         if reconfig_budget < 0:
             raise ValueError("reconfig_budget must be non-negative")
-        self.family = sketch_family
         self.admission = admission
         self.rewiring = rewiring
         self.strategy_name = strategy_name
@@ -808,9 +804,8 @@ class OverlaySimulator:
             if isinstance(s, SummaryScheme)
         ]
         # One memo per distinct (kind, params): equal schemes share a
-        # dict even when they are separate objects (the default-policy
-        # construction builds two), so the admission check inside
-        # connect() reuses the rewiring pass's values.
+        # dict even when they are separate objects, so the admission
+        # check inside connect() reuses the rewiring pass's values.
         memos: Dict[tuple, Dict[Tuple[str, str], float]] = {}
         for s in memoised:
             s.set_memo(memos.setdefault((s.kind, s.params), {}))

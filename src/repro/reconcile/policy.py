@@ -170,8 +170,8 @@ class SummaryPolicy:
 
 #: What every layer holds when nobody chose a summary: min-wise calling
 #: cards (the 1KB 128-permutation card, under the universally agreed
-#: family — seed 99, the one ``overlay.node.default_family`` draws) and
-#: 8-bits-per-element Bloom reconciliation.
+#: family — seed 99; :func:`repro.overlay.default_scheme` reads it from
+#: here) and 8-bits-per-element Bloom reconciliation.
 DEFAULT_POLICY = SummaryPolicy(
     kind="bloom",
     params={"bits_per_element": 8},

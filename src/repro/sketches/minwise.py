@@ -11,7 +11,7 @@ Properties the paper relies on and this class implements:
 * **Incremental update** (constant work per new symbol): :meth:`add`.
 * **Union combination**: coordinate-wise minimum of two sketches is the
   sketch of the union, enabling three-party overlap checks
-  (:meth:`union`).
+  (:meth:`merge`).
 * **1KB calling card**: 128 permutations x 64-bit minima ≈ 1KB
   (:meth:`packet_size_bytes`).
 """
@@ -166,7 +166,7 @@ class MinwiseSketch:
         )
         return matches / len(self._minima)
 
-    def union(self, other: "MinwiseSketch") -> "MinwiseSketch":
+    def merge(self, other: "MinwiseSketch") -> "MinwiseSketch":
         """Sketch of ``A ∪ B`` — coordinate-wise minimum (paper, Section 4).
 
         This is what lets a receiver estimate the *combined* coverage of two

@@ -135,6 +135,35 @@ def test_phantom_departure_names_the_declared_members():
     assert "src" in message and "p0..p5" in message
 
 
+def test_joins_after_the_source_departed_with_no_content_holder():
+    # A spec the gate accepts must run: with the source gone and every
+    # seed empty a joiner's plan chooses nobody and the source fallback
+    # has nobody to reach — the joiner stays unconnected (the next epoch
+    # wires it), it does not raise KeyError('src') out of run().
+    spec = specs.flash_crowd(
+        num_peers=10, target=40, initial_seeded=2, waves=2, wave_interval=5, seed=1
+    )
+    spec = _with_swarm(
+        spec,
+        nodes=tuple(
+            dataclasses.replace(g, seeding="empty") if g.name == "seed" else g
+            for g in spec.swarm.nodes
+        ),
+    )
+    spec = _with_churn(spec, depart_node="src", depart_at=0.5)
+    spec = spec.with_override("measurement.max_ticks", 50)
+    built = build(spec)
+    result = built.run()
+    assert not result.completed
+    assert result.metrics["ticks"] == 50.0
+    assert result.metrics["packets_sent"] == 0.0
+    plans = built.scenario.extras["join_plans"]
+    assert len(plans) == 8
+    assert all(plan.selection.chosen == [] for plan in plans.values())
+    sim = built.scenario.simulator
+    assert "src" not in sim.nodes and not sim.connections
+
+
 def test_registration_rejects_an_undeclarable_section():
     with pytest.raises(ValueError, match="unknown spec sections"):
         registry.scenario("_typo", supports=("swarm.link",))

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.delivery import WorkingSet
-from repro.hashing.permutations import PermutationFamily
 
 
 class TestWorkingSetBasics:
@@ -61,31 +60,31 @@ class TestGroundTruthRelations:
 
 
 class TestCallingCards:
+    """Every summary goes through the one ``ws.summary(kind, ...)`` surface."""
+
     def test_minwise_sketch_estimates(self):
         rng = random.Random(1)
-        fam = PermutationFamily(128, 1 << 32, seed=5)
         shared = rng.sample(range(1 << 30), 500)
         a = WorkingSet(shared + rng.sample(range(1 << 31, 1 << 32), 500))
         b = WorkingSet(shared + rng.sample(range(1 << 30, 1 << 31), 500))
-        est = a.minwise_sketch(fam).estimate_resemblance(b.minwise_sketch(fam))
+        card_a, card_b = (ws.summary("minwise", entries=128, seed=5) for ws in (a, b))
+        est = card_a.estimate_resemblance(card_b)
         assert abs(est - a.resemblance_with(b)) < 0.1
 
     def test_bloom_summary_membership(self):
         ws = WorkingSet(range(500))
-        bf = ws.bloom_summary()
-        assert all(x in bf for x in range(500))
+        bf = ws.summary("bloom")
+        assert all(bf.may_contain(x) for x in range(500))
 
     def test_art_roundtrip(self):
         rng = random.Random(2)
         a = WorkingSet(rng.sample(range(1 << 30), 400))
         b = WorkingSet(list(a.ids)[:350] + rng.sample(range(1 << 31, 1 << 32), 50))
-        art_a = a.art(seed=3)
-        art_b = b.art(seed=3)
-        stats = art_b.difference_against(art_a.summary(), correction=4)
-        assert set(stats.differences) <= b.ids - a.ids
+        art_a = a.summary("art", seed=3, correction=4)
+        assert set(art_a.missing_from(b)) <= b.ids - a.ids
 
     def test_sample_sketches(self):
         ws = WorkingSet(range(1000))
-        assert len(ws.random_sample_sketch(64, random.Random(1))) == 64
-        mk = ws.modk_sketch(modulus=10)
-        assert 50 <= len(mk) <= 200
+        assert len(ws.summary("random_sample", k=64, seed=1).sample) == 64
+        mk = ws.summary("modk", modulus=10)
+        assert 50 <= len(mk.sample) <= 200

@@ -5,21 +5,16 @@ import random
 import pytest
 
 from repro.flow import CohortDef, FlowSimulator
-from repro.overlay.node import default_family
 from repro.overlay.reconfiguration import (
     RandomRewiring,
     SketchAdmission,
-    SummaryScheme,
     UtilityRewiring,
+    default_scheme,
 )
 
 
-def _scheme() -> SummaryScheme:
-    return SummaryScheme.from_family(default_family())
-
-
 def _informed(rng):
-    scheme = _scheme()
+    scheme = default_scheme()
     return SketchAdmission(scheme), UtilityRewiring(scheme, rng=rng)
 
 

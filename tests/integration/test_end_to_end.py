@@ -27,14 +27,12 @@ class TestQuickstart:
 class TestSketchToTransferPipeline:
     def test_sketch_estimate_drives_mw_strategy(self):
         """The full §4 -> §5.4 pipeline: estimate c, recode accordingly."""
-        from repro.hashing.permutations import PermutationFamily
         from repro.sketches import containment_from_resemblance
 
         rng = random.Random(1)
         sc = make_pair_scenario(600, 1.1, 0.35, rng)
-        family = PermutationFamily(128, 1 << 32, seed=44)
-        sk_recv = sc.receiver.minwise_sketch(family)
-        sk_send = sc.sender.minwise_sketch(family)
+        sk_recv = sc.receiver.summary("minwise", entries=128, seed=44)
+        sk_send = sc.sender.summary("minwise", entries=128, seed=44)
         r = sk_send.estimate_resemblance(sk_recv)
         # Correlation as the sender computes it: |A ∩ B| / |B| with B the
         # sender's set.
@@ -52,10 +50,11 @@ class TestSketchToTransferPipeline:
         """§5.3 ARTs used in place of Bloom filters for reconciled sends."""
         rng = random.Random(2)
         sc = make_pair_scenario(500, 1.1, 0.3, rng)
-        art_recv = sc.receiver.art(bits_per_element=8, seed=9)
-        art_send = sc.sender.art(bits_per_element=8, seed=9)
-        found = art_send.difference_against(art_recv.summary(), correction=4)
-        useful = set(found.differences)
+        art_recv = sc.receiver.summary(
+            "art", bits_per_element=8, seed=9, correction=4
+        )
+        useful = set(art_recv.missing_from(sc.sender))
+        assert useful
         assert useful <= sc.sender.ids - sc.receiver.ids
         # Send exactly the reconciled difference: every packet is useful.
         recv = SimReceiver(sc.receiver.ids, sc.target)

@@ -9,7 +9,6 @@ from repro.overlay import (
     ChurnProcess,
     OverlayNode,
     OverlaySimulator,
-    default_family,
     run_with_churn,
 )
 from repro.topology import PathModel
@@ -20,8 +19,7 @@ def _random_overlay_sim(**kwargs):
 
 
 def small_sim(seed=1, target=80, peers=4):
-    fam = default_family()
-    sim = OverlaySimulator(fam, rng=random.Random(seed))
+    sim = OverlaySimulator(rng=random.Random(seed))
     sim.add_node(OverlayNode("src", target, is_source=True))
     for i in range(peers):
         sim.add_node(OverlayNode(f"p{i}", target))
@@ -36,7 +34,7 @@ def routed_sim():
     net.attach_host("src", "r0", bandwidth=9.0)
     net.attach_host("near", "r0", bandwidth=9.0)
     net.attach_host("far", "r1", bandwidth=9.0)
-    sim = OverlaySimulator(default_family(), rng=random.Random(1), paths=net)
+    sim = OverlaySimulator(rng=random.Random(1), paths=net)
     sim.add_node(OverlayNode("src", 50, is_source=True))
     for name in ("near", "far"):
         sim.add_node(OverlayNode(name, 50))

@@ -8,7 +8,6 @@ from repro.overlay import (
     OverlayNode,
     OverlaySimulator,
     SimulationReport,
-    default_family,
 )
 from repro.overlay.simulator import Connection
 
@@ -99,9 +98,8 @@ class TestEventClockEdges:
         # removed while it was in flight.
         from repro.sim import ConstantRateLink
 
-        fam = default_family()
         sim = OverlaySimulator(
-            fam, rng=random.Random(11),
+            rng=random.Random(11),
             link_factory=lambda chars, s, r: ConstantRateLink(2.0, latency=1.5),
         )
         sim.add_node(OverlayNode("s", 50, is_source=True))
@@ -116,9 +114,8 @@ class TestEventClockEdges:
     def test_shared_scheduler_with_nonzero_start(self):
         from repro.sim import EventScheduler
 
-        fam = default_family()
         sched = EventScheduler(start=5.0)
-        sim = OverlaySimulator(fam, rng=random.Random(12), scheduler=sched)
+        sim = OverlaySimulator(rng=random.Random(12), scheduler=sched)
         sim.add_node(OverlayNode("s", 30, is_source=True))
         sim.add_node(OverlayNode("p", 30))
         sim.connect("s", "p")
@@ -147,10 +144,9 @@ class TestSimulationReport:
 
 class TestLossyDelivery:
     def test_loss_slows_but_does_not_block(self):
-        fam = default_family()
         results = {}
         for loss in (0.0, 0.4):
-            sim = OverlaySimulator(fam, rng=random.Random(5))
+            sim = OverlaySimulator(rng=random.Random(5))
             sim.add_node(OverlayNode("s", 60, is_source=True))
             sim.add_node(OverlayNode("p", 60))
             sim.connect("s", "p")
@@ -161,8 +157,7 @@ class TestLossyDelivery:
         assert results[0.4].packets_lost > 0
 
     def test_empty_partial_sender_skipped(self):
-        fam = default_family()
-        sim = OverlaySimulator(fam, rng=random.Random(6))
+        sim = OverlaySimulator(rng=random.Random(6))
         sim.add_node(OverlayNode("empty", 50))
         sim.add_node(OverlayNode("recv", 50, initial_ids=[1]))
         assert sim.connect("empty", "recv")
@@ -171,8 +166,7 @@ class TestLossyDelivery:
 
     def test_strategy_refresh_tracks_growth(self):
         """After refresh, a relay's newly acquired symbols are shareable."""
-        fam = default_family()
-        sim = OverlaySimulator(fam, refresh_every=10, rng=random.Random(7))
+        sim = OverlaySimulator(refresh_every=10, rng=random.Random(7))
         sim.add_node(OverlayNode("src", 40, is_source=True))
         sim.add_node(OverlayNode("relay", 40))
         sim.add_node(OverlayNode("leaf", 40))

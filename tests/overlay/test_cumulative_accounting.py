@@ -19,13 +19,13 @@ import random
 import pytest
 
 from repro.api import build, run, specs
-from repro.overlay import OverlayNode, OverlaySimulator, default_family
+from repro.overlay import OverlayNode, OverlaySimulator
 from repro.sim.links import LatencyJitterLink
 
 
 def _pair_sim(target=10, rate=2.0):
     """One source feeding one empty receiver over the default link."""
-    sim = OverlaySimulator(default_family(), rng=random.Random(0))
+    sim = OverlaySimulator(rng=random.Random(0))
     sim.add_node(OverlayNode("s", target, is_source=True))
     sim.add_node(OverlayNode("r", target, max_connections=1))
     assert sim.connect("s", "r")

@@ -264,8 +264,8 @@ class TestSummaryCardCache:
         assert card.to_payload() == rebuilt.to_payload()
 
     def test_minwise_card_folds_ids_like_sketch(self):
-        """The generic card and :meth:`sketch` publish identical minima
-        after an incremental update (both fold ids into the universe)."""
+        """The absorbed card and a from-scratch build publish identical
+        minima (both fold ids into the universe)."""
         from repro.reconcile import build_summary
 
         node = self._node()
@@ -278,3 +278,84 @@ class TestSummaryCardCache:
             entries=64,
         )
         assert card.minima == rebuilt.minima
+
+    def test_two_minwise_seeds_keep_distinct_current_cards(self):
+        """What the deleted ``OverlayNode.sketch`` got wrong (it ignored
+        which family it was asked for): each scheme's card is its own
+        family's from-scratch sketch over the folded ids, before and
+        after the set grows.  The bare primitive is the oracle."""
+        from repro.hashing.permutations import PermutationFamily
+        from repro.overlay.reconfiguration import SummaryScheme
+        from repro.sketches import MinwiseSketch
+
+        universe = 1 << 32
+        node = OverlayNode("n0", target=64, initial_ids=[3, 17, (1 << 40) + 5])
+        schemes = [
+            SummaryScheme("minwise", {"entries": 32, "seed": seed}) for seed in (5, 6)
+        ]
+
+        def check_current():
+            folded = [i % universe for i in node.working_set.ids]
+            cards = [scheme.card_of(node) for scheme in schemes]
+            for seed, card in zip((5, 6), cards):
+                family = PermutationFamily(32, universe, seed=seed)
+                assert card.minima == MinwiseSketch.build(folded, family).minima
+            assert cards[0].minima != cards[1].minima
+
+        check_current()
+        assert node.receive_symbol((1 << 41) + 9)  # folds below the universe
+        assert node.receive_symbol(2)
+        check_current()
+        permuted = node.summary_card("minwise", (("seed", 5), ("entries", 32)))
+        assert permuted is schemes[0].card_of(node)
+        assert len([key for key in node._cards if key[0] == "minwise"]) == 2
+
+
+class TestOneCallingCard:
+    """Joins, admission and rewiring read the same cached
+    ``summary_card`` row, so a node version costs one min-wise kernel
+    pass — not a join sketch plus an admission card."""
+
+    #: Outermost ``permutation_minima`` / ``permutation_minima_fold``
+    #: calls over the run below (58 when joins kept their own sketch).
+    KERNEL_PASSES = 51
+
+    def _count_kernel_passes(self, mp):
+        import repro.reconcile.adapters as adapters
+
+        calls = {"passes": 0, "depth": 0}
+
+        def counted(kernel):
+            def spy(*args, **kwargs):
+                # The scalar fold composes the plain kernel: one pass.
+                calls["passes"] += calls["depth"] == 0
+                calls["depth"] += 1
+                try:
+                    return kernel(*args, **kwargs)
+                finally:
+                    calls["depth"] -= 1
+
+            return spy
+
+        for name in ("permutation_minima", "permutation_minima_fold"):
+            spy = counted(getattr(batch, name))
+            mp.setattr(batch, name, spy)  # callers importing at call time
+            mp.setattr(adapters, name, spy)  # the adapters' bound names
+        return calls
+
+    @pytest.mark.parametrize("numpy_on", [True, False])
+    def test_informed_flash_crowd_pays_one_pass_per_version(
+        self, numpy_on, monkeypatch
+    ):
+        if not numpy_on:
+            monkeypatch.setattr(batch, "_numpy", lambda: None)
+        spec = CATALOG["flash_crowd"]()
+        assert spec.reconfig is None  # unset = the informed arm, default card
+        calls = self._count_kernel_passes(monkeypatch)
+        result = run(spec)
+        assert calls["passes"] == self.KERNEL_PASSES
+        # The run itself is the parent's, to the packet.
+        assert result.metrics["ticks"] == 55.0
+        assert result.metrics["packets_sent"] == 1452.0
+        assert result.metrics["packets_useful"] == 391.0
+        assert result.metrics["reconfigurations"] == 18.0

@@ -16,13 +16,16 @@ import random
 
 import pytest
 
-from repro.overlay.node import OverlayNode, default_family
+from repro.delivery.working_set import DEFAULT_KEY_UNIVERSE
+from repro.hashing.permutations import PermutationFamily
+from repro.overlay.node import OverlayNode
 from repro.overlay.reconfiguration import (
     OpenAdmission,
     RandomRewiring,
     SketchAdmission,
     SummaryScheme,
     UtilityRewiring,
+    default_scheme,
 )
 from repro.overlay.simulator import OverlaySimulator
 from repro.reconcile import summary_kinds
@@ -141,7 +144,6 @@ class TestRewiringConformance:
             scheme = _scheme(kind)
             rng = derive_rng(7, "reconfig-conformance", kind)
             sim = OverlaySimulator(
-                default_family(),
                 admission=SketchAdmission(scheme),
                 rewiring=UtilityRewiring(scheme, rng=rng),
                 reconfigure_every=4,
@@ -212,18 +214,31 @@ class TestOpenAdmission:
 
 
 class TestSummaryScheme:
-    def test_family_coercion_matches_legacy_usefulness(self):
-        # The Summary-driven estimate and the legacy sketch estimate
-        # must be the same float — the bit-parity cornerstone.
-        family = default_family()
-        scheme = SummaryScheme.from_family(family)
+    def test_default_scheme_usefulness_matches_the_sketch_primitive(self):
+        # The Summary-driven estimate and the bare §4 sketch's must be
+        # the same float — the bit-parity cornerstone.
+        from repro.sketches import MinwiseSketch
+
+        scheme = default_scheme()
+        family = PermutationFamily(128, DEFAULT_KEY_UNIVERSE, seed=99)
         a = _node("a", range(0, 150))
         b = _node("b", range(75, 225))
-        assert scheme.usefulness(a, b) == a.estimated_usefulness_of(b, family)
+        sketch_a, sketch_b = (
+            MinwiseSketch.build(n.working_set.ids, family) for n in (a, b)
+        )
+        assert 0.0 < scheme.usefulness(a, b) < 1.0
+        assert scheme.usefulness(a, b) == 1.0 - sketch_a.estimate_resemblance(sketch_b)
 
-    def test_coerce_rejects_other_types(self):
-        with pytest.raises(TypeError):
-            SummaryScheme.coerce("minwise")
+    def test_default_scheme_is_the_default_policys_card(self):
+        from repro.reconcile import DEFAULT_POLICY
+
+        scheme = default_scheme()
+        assert (scheme.kind, scheme.params) == (
+            DEFAULT_POLICY.card_kind,
+            DEFAULT_POLICY.card_params,
+        )
+        node = _node("n", range(40))
+        assert default_scheme().card_of(node) is scheme.card_of(node)
 
     def test_unknown_kind_rejected(self):
         from repro.reconcile import UnknownSummaryError
@@ -242,11 +257,9 @@ class TestSummaryScheme:
 
 class TestScheduledEpochs:
     def _sim(self, **kwargs):
-        family = default_family()
-        scheme = SummaryScheme.from_family(family)
+        scheme = default_scheme()
         rng = random.Random(11)
         sim = OverlaySimulator(
-            family,
             admission=SketchAdmission(scheme),
             rewiring=UtilityRewiring(scheme, rng=rng),
             rng=rng,
@@ -291,9 +304,8 @@ class TestScheduledEpochs:
     def test_late_policy_assignment_still_fires(self):
         # The historical contract: callers may install a rewiring
         # policy after construction; epoch boundaries pick it up.
-        family = default_family()
         rng = random.Random(12)
-        sim = OverlaySimulator(family, reconfigure_every=5, rng=rng)
+        sim = OverlaySimulator(reconfigure_every=5, rng=rng)
         sim.add_node(OverlayNode("src", 40, is_source=True))
         sim.add_node(OverlayNode("p0", 40, initial_ids=range(10),
                                  max_connections=2))
@@ -301,14 +313,13 @@ class TestScheduledEpochs:
                                  max_connections=2))
         sim.connect("src", "p0")
         sim.connect("src", "p1")
-        sim.rewiring = UtilityRewiring(SummaryScheme.from_family(family), rng=rng)
+        sim.rewiring = UtilityRewiring(default_scheme(), rng=rng)
         report = sim.run(max_ticks=200)
         assert report.all_complete
         assert report.reconfig_epochs > 0
 
     def test_negative_jitter_and_budget_rejected(self):
-        family = default_family()
         with pytest.raises(ValueError):
-            OverlaySimulator(family, reconfig_jitter=-1.0)
+            OverlaySimulator(reconfig_jitter=-1.0)
         with pytest.raises(ValueError):
-            OverlaySimulator(family, reconfig_budget=-1)
+            OverlaySimulator(reconfig_budget=-1)

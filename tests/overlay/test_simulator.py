@@ -5,13 +5,24 @@ import random
 import pytest
 
 from repro.api import build, specs
+from repro.delivery.working_set import DEFAULT_KEY_UNIVERSE
+from repro.hashing.permutations import PermutationFamily
 from repro.overlay import (
     OverlayNode,
     OverlaySimulator,
     SketchAdmission,
     UtilityRewiring,
-    default_family,
+    default_scheme,
 )
+from repro.sketches import MinwiseSketch
+
+
+def _oracle_sketch(node, scheme):
+    """The node's card as the bare §4 primitive builds it, from scratch."""
+    params = scheme.params_dict()
+    universe = params.get("universe", DEFAULT_KEY_UNIVERSE)
+    family = PermutationFamily(params["entries"], universe, seed=params["seed"])
+    return MinwiseSketch.build((i % universe for i in node.working_set.ids), family)
 
 
 def _figure1_sim(**kwargs):
@@ -40,54 +51,51 @@ class TestOverlayNode:
             n.mint_fresh_id()
 
     def test_sketch_refreshes_after_updates(self):
-        fam = default_family()
+        scheme = default_scheme()
         n = OverlayNode("x", target=10, initial_ids=[1, 2, 3])
-        before = n.sketch(fam).minima
+        assert scheme.card_of(n).minima == _oracle_sketch(n, scheme).minima
         n.receive_symbol(999_999)
-        after = n.sketch(fam).minima
-        assert before != after or True  # minima may or may not move...
-        # ...but the sketch must reflect the new set exactly:
-        from repro.sketches import MinwiseSketch
-
-        expected = MinwiseSketch.build(
-            (i % fam.universe_size for i in n.working_set.ids), fam
-        )
-        assert n.sketch(fam).minima == expected.minima
+        # The minima may or may not move, but the card must reflect the
+        # new set exactly:
+        assert scheme.card_of(n).minima == _oracle_sketch(n, scheme).minima
 
     def test_usefulness_identical_vs_disjoint(self):
-        fam = default_family()
+        scheme = default_scheme()
         a = OverlayNode("a", 10, initial_ids=range(100))
         twin = OverlayNode("t", 10, initial_ids=range(100))
         stranger = OverlayNode("s", 10, initial_ids=range(1000, 1100))
-        assert a.estimated_usefulness_of(twin, fam) == pytest.approx(0.0)
-        assert a.estimated_usefulness_of(stranger, fam) > 0.9
+        assert scheme.usefulness(a, twin) == pytest.approx(0.0)
+        assert scheme.usefulness(a, stranger) > 0.9
+        # Exactly the primitive's floats, not merely close to them.
+        mine = _oracle_sketch(a, scheme)
+        for other in (twin, stranger):
+            assert scheme.usefulness(a, other) == 1.0 - mine.estimate_resemblance(
+                _oracle_sketch(other, scheme)
+            )
+        assert scheme.usefulness(a, OverlayNode("src", 10, is_source=True)) == 1.0
 
 
 class TestAdmission:
     def test_rejects_identical_content(self):
-        fam = default_family()
-        policy = SketchAdmission(fam, min_usefulness=0.05)
+        policy = SketchAdmission(default_scheme(), min_usefulness=0.05)
         a = OverlayNode("a", 10, initial_ids=range(200))
         twin = OverlayNode("t", 10, initial_ids=range(200))
         assert not policy.admit(a, twin)
 
     def test_admits_source_always(self):
-        fam = default_family()
-        policy = SketchAdmission(fam)
+        policy = SketchAdmission(default_scheme())
         a = OverlayNode("a", 10, initial_ids=range(200))
         src = OverlayNode("s", 10, is_source=True)
         assert policy.admit(a, src)
 
     def test_admits_complementary_peer(self):
-        fam = default_family()
-        policy = SketchAdmission(fam)
+        policy = SketchAdmission(default_scheme())
         a = OverlayNode("a", 10, initial_ids=range(200))
         b = OverlayNode("b", 10, initial_ids=range(500, 700))
         assert policy.admit(a, b)
 
     def test_rejects_empty_candidate(self):
-        fam = default_family()
-        policy = SketchAdmission(fam)
+        policy = SketchAdmission(default_scheme())
         a = OverlayNode("a", 10, initial_ids=range(10))
         empty = OverlayNode("e", 10)
         assert not policy.admit(a, empty)
@@ -95,8 +103,7 @@ class TestAdmission:
 
 class TestRewiring:
     def test_fills_free_slots_first(self):
-        fam = default_family()
-        policy = UtilityRewiring(fam, rng=random.Random(1))
+        policy = UtilityRewiring(default_scheme(), rng=random.Random(1))
         recv = OverlayNode("r", 100, initial_ids=range(50), max_connections=2)
         c1 = OverlayNode("c1", 100, initial_ids=range(100, 150))
         drops, adds = policy.rewire(recv, [], [recv, c1])
@@ -104,8 +111,7 @@ class TestRewiring:
         assert [a.node_id for a in adds] == ["c1"]
 
     def test_swaps_only_with_hysteresis_margin(self):
-        fam = default_family()
-        policy = UtilityRewiring(fam, hysteresis=0.1, rng=random.Random(2))
+        policy = UtilityRewiring(default_scheme(), hysteresis=0.1, rng=random.Random(2))
         recv = OverlayNode("r", 100, initial_ids=range(50), max_connections=1)
         current = OverlayNode("cur", 100, initial_ids=range(50))  # useless twin
         better = OverlayNode("new", 100, initial_ids=range(500, 550))
@@ -114,8 +120,7 @@ class TestRewiring:
         assert [a.node_id for a in adds] == ["new"]
 
     def test_no_swap_between_equivalent_senders(self):
-        fam = default_family()
-        policy = UtilityRewiring(fam, hysteresis=0.1, rng=random.Random(3))
+        policy = UtilityRewiring(default_scheme(), hysteresis=0.1, rng=random.Random(3))
         recv = OverlayNode("r", 100, initial_ids=range(50), max_connections=1)
         cur = OverlayNode("cur", 100, initial_ids=range(500, 550))
         alt = OverlayNode("alt", 100, initial_ids=range(600, 650))
@@ -125,8 +130,7 @@ class TestRewiring:
 
 class TestSimulator:
     def test_source_to_single_peer(self):
-        fam = default_family()
-        sim = OverlaySimulator(fam, rng=random.Random(4))
+        sim = OverlaySimulator(rng=random.Random(4))
         sim.add_node(OverlayNode("s", 50, is_source=True))
         sim.add_node(OverlayNode("p", 50))
         assert sim.connect("s", "p")
@@ -135,16 +139,14 @@ class TestSimulator:
         assert report.completion_ticks["p"] is not None
 
     def test_duplicate_node_rejected(self):
-        fam = default_family()
-        sim = OverlaySimulator(fam)
+        sim = OverlaySimulator()
         sim.add_node(OverlayNode("x", 10))
         with pytest.raises(ValueError):
             sim.add_node(OverlayNode("x", 10))
 
     def test_admission_blocks_connection(self):
-        fam = default_family()
         sim = OverlaySimulator(
-            fam, admission=SketchAdmission(fam),
+            admission=SketchAdmission(default_scheme()),
             rng=random.Random(5),
         )
         sim.add_node(OverlayNode("a", 10, initial_ids=range(100)))

@@ -122,7 +122,7 @@ class TestMinwiseUnion:
         sb = set(rng.sample(range(UNIVERSE), 150))
         a = MinwiseSketch.build(sa, fam)
         b = MinwiseSketch.build(sb, fam)
-        assert a.union(b).minima == MinwiseSketch.build(sa | sb, fam).minima
+        assert a.merge(b).minima == MinwiseSketch.build(sa | sb, fam).minima
 
     def test_third_party_overlap_via_union(self):
         # A receiver can estimate overlap of C against A ∪ B with only
@@ -132,7 +132,7 @@ class TestMinwiseUnion:
         sa = set(rng.sample(range(UNIVERSE), 300))
         sb = set(rng.sample(range(UNIVERSE), 300))
         sc = set(rng.sample(sorted(sa), 150)) | set(rng.sample(range(UNIVERSE), 150))
-        union_sketch = MinwiseSketch.build(sa, fam).union(
+        union_sketch = MinwiseSketch.build(sa, fam).merge(
             MinwiseSketch.build(sb, fam)
         )
         c = MinwiseSketch.build(sc, fam)
@@ -144,7 +144,7 @@ class TestMinwiseUnion:
         fam = make_family()
         a = MinwiseSketch.build([1, 2, 3], fam)
         empty = MinwiseSketch(fam)
-        assert a.union(empty).minima == a.minima
+        assert a.merge(empty).minima == a.minima
 
 
 class TestVectorizedBuild:

@@ -9,12 +9,12 @@ import random
 
 import pytest
 
-from repro.overlay import OverlayNode, OverlaySimulator, default_family
+from repro.overlay import OverlayNode, OverlaySimulator
 from repro.topology import UNIT_PATH, PathModel
 
 
 def _sim(*peers, **kwargs):
-    sim = OverlaySimulator(default_family(), rng=random.Random(1), **kwargs)
+    sim = OverlaySimulator(rng=random.Random(1), **kwargs)
     sim.add_node(OverlayNode("src", 40, is_source=True))
     for i, name in enumerate(peers):
         sim.add_node(
