@@ -256,8 +256,7 @@ def _run_cell(
         return cell
 
     policy = SummaryPolicy(kind=kind, params=params)
-    remote = policy.build(layout.receiver)
-    cell["wire_bytes"] = remote.wire_bytes()
+    cell["wire_bytes"] = policy.summary_of(layout.receiver).wire_bytes()
 
     desired = int(math.ceil(deficit * DEFAULT_DESIRED_MARGIN))
     # One strategy-selection ladder for the whole stack: searchable
@@ -270,7 +269,6 @@ def _run_cell(
         rng,
         symbols_desired=desired,
         summary_policy=policy,
-        receiver_summary=remote,  # already built for the wire_bytes measure
     )
     if strategy.name.endswith("-blind"):
         events.append(

@@ -58,10 +58,6 @@ class ApproximateReconciliationTree:
             leaf_bits_per_element=self.leaf_bits_per_element,
         )
 
-    def exact_summary(self) -> ExactTreeSummary:
-        """Exact node-value summary (tests/ablations; bulky on the wire)."""
-        return ExactTreeSummary(self.trie)
-
     def difference_against(
         self, remote_summary, correction: int = 1
     ) -> SearchStats:

@@ -13,7 +13,7 @@ useful" — the peeler keeps them pending until later arrivals reduce them.
 
 from typing import Dict, Iterable, List, Optional, Set
 
-from repro.coding.symbol import EncodedSymbol, RecodedSymbol
+from repro.coding.symbol import RecodedSymbol
 
 
 class RecodedPeeler:
@@ -164,12 +164,6 @@ class RecodedPeeler:
                     waiters.discard(pid)
                     if not waiters:
                         del self._waiting[cid]
-
-    def as_encoded_symbols(
-        self, reference: Dict[int, EncodedSymbol]
-    ) -> List[EncodedSymbol]:
-        """Materialise known ids as encoded symbols via a reference map."""
-        return [reference[i] for i in self._known if i in reference]
 
 
 def _xor(a: bytes, b: bytes) -> bytes:

@@ -106,13 +106,6 @@ class Recoder:
             lower = 1
         self._distribution = DegreeDistribution.recoding(lower, self.max_degree)
 
-    def replace_symbols(self, symbols: Sequence[EncodedSymbol]) -> None:
-        """Swap in an updated (e.g. Bloom-filtered) recoding domain."""
-        if not symbols:
-            raise ValueError("cannot recode from an empty working set")
-        self._symbols = list(symbols)
-        self.max_degree = min(self.max_degree, len(self._symbols))
-
     def _draw_degree(self) -> int:
         degree = self._distribution.sample(self._rng)
         if self.minwise_shift and self.correlation is not None:

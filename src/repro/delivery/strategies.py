@@ -244,25 +244,21 @@ def make_strategy(
     correlation_estimate: Optional[float] = None,
     symbols_desired: Optional[int] = None,
     summary_policy: SummaryPolicy = DEFAULT_POLICY,
-    receiver_summary=None,
 ) -> SenderStrategy:
-    """Construct a strategy by legend name, building the summaries it needs.
+    """Construct a strategy by legend name, reading the summaries it needs.
 
-    The receiver's summary is built through ``summary_policy`` (a
-    :class:`~repro.reconcile.SummaryPolicy`; the default is the paper's
-    8-bits-per-element Bloom filter) exactly as the receiver itself
-    would, and reconciled on the sender side via the generic
+    The receiver's summary is its working set's own, under
+    ``summary_policy`` (a :class:`~repro.reconcile.SummaryPolicy`; the
+    default is the paper's 8-bits-per-element Bloom filter) — one
+    cached object however many senders consult it — and is reconciled
+    on the sender side via the generic
     :class:`~repro.reconcile.base.Summary` surface: the ``/BF``
     strategies purge their domain through it (Bloom, ART, CPI, ...) and
     ``Recode/MW`` takes its correlation from the policy's estimator
     unless ``correlation_estimate`` supplies one (a caller that already
     ran sketch exchange).  ``symbols_desired`` is the count the
     receiver requested from this sender (Section 6.1) and bounds the
-    Recode/BF recoding domain.  ``receiver_summary`` supplies the
-    receiver's already-built policy summary — it is identical however
-    many senders consult it, so the overlay's refresh builds it once
-    per receiver instead of once per connection, and callers that
-    measured its wire size need not pay the build twice.
+    Recode/BF recoding domain.
     """
     policy = summary_policy
     if name == "Random":
@@ -273,11 +269,6 @@ def make_strategy(
         raise ValueError(
             f"unknown strategy {name!r}; expected one of {STRATEGY_NAMES}"
         )
-
-    def remote():
-        if receiver_summary is not None:
-            return receiver_summary
-        return policy.build(receiver_set)
 
     def blind(cls, base: str) -> SenderStrategy:
         # Oblivious fallback when the summary provides nothing to act
@@ -293,7 +284,9 @@ def make_strategy(
         # (CPI) provides no information — fall back to oblivious
         # selection, mirroring TransferSession, rather than crash.
         try:
-            return policy.useful_subset(remote(), list(sender_set))
+            return policy.useful_subset(
+                policy.summary_of(receiver_set), list(sender_set)
+            )
         except DiscrepancyExceeded:
             return None
 
@@ -321,7 +314,7 @@ def make_strategy(
     # each using all the information its summary actually provides.
     c = correlation_estimate
     if c is None:
-        c = policy.correlation(remote(), list(sender_set))
+        c = policy.correlation(policy.summary_of(receiver_set), list(sender_set))
     strategy = RecodeMWStrategy(sender_set, c, rng)
     strategy.name = f"Recode/{policy.kind}-est"
     return strategy

@@ -1,4 +1,4 @@
-"""A peer's working set and its "calling card" summaries.
+"""A peer's working set and everything derived from it.
 
 Section 3's framing: sketches are an end-system's lightweight calling
 card; searchable summaries (Bloom filter, ART) cost more but enable
@@ -6,16 +6,28 @@ fine-grained reconciliation.  :class:`WorkingSet` owns the symbol-id set
 and builds all of them with consistent parameters.
 
 Every mutation bumps a monotonically increasing :attr:`WorkingSet.
-version` stamp, and additions are journalled so a consumer holding a
-summary stamped at version ``v`` can fetch exactly the ids added since
-``v`` via :meth:`WorkingSet.added_since` and absorb them incrementally
-(Section 4's O(1)-per-symbol maintenance) instead of rebuilding from
-the full set.  Removals invalidate the journal — shrinking a sketch is
-not incremental — so ``added_since`` then answers ``None`` and callers
-fall back to a rebuild.
+version` stamp, and additions are journalled (:meth:`WorkingSet.
+added_since`; a removal invalidates the journal — shrinking a sketch is
+not incremental).  :meth:`WorkingSet.cached` is the one place that rule
+is applied: an artefact computed from the set is served while the
+version is unchanged, absorbs the journalled delta when the set only
+grew (Section 4's O(1)-per-symbol maintenance), and is rebuilt
+otherwise.  Summaries, card-matrix rows and catalog inventories all
+live there, so a cache dies with the set it describes.
 """
 
-from typing import Iterable, Iterator, List, Optional, Set
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 #: Default universe for symbol keys: 2^32 ids is "large" relative to any
 #: simulated file while keeping minwise permutation arithmetic cheap.
@@ -36,6 +48,8 @@ class WorkingSet:
         # any removal, which no summary can absorb.
         self._log: List[int] = []
         self._log_base = 0
+        # key -> (version at which the artefact was current, artefact).
+        self._derived: Dict[Hashable, Tuple[int, Any]] = {}
 
     # -- change tracking ---------------------------------------------------
 
@@ -55,6 +69,38 @@ class WorkingSet:
         if not self._log_base <= version <= self._version:
             return None
         return self._log[version - self._log_base:]
+
+    def cached(
+        self,
+        key: Hashable,
+        build: Callable[["WorkingSet"], Any],
+        absorb: Optional[Callable[[Any, List[int]], Any]] = None,
+    ) -> Any:
+        """The artefact ``build(self)`` computes, kept current under ``key``.
+
+        Served as-is while :attr:`version` is unchanged; brought current
+        with ``absorb(artefact, added_since(stamp))`` when the set only
+        grew since the stamp and ``absorb`` is given; rebuilt otherwise.
+        ``build`` and ``absorb`` must be deterministic, RNG-free
+        functions of the set (and of ``key``), so a served artefact
+        equals a from-scratch one.  Callers share the returned object
+        and must treat it as immutable.
+        """
+        version = self._version
+        entry = self._derived.get(key)
+        if entry is not None:
+            stamp, artefact = entry
+            if stamp == version:
+                return artefact
+            if absorb is not None:
+                added = self.added_since(stamp)
+                if added is not None:
+                    artefact = absorb(artefact, added)
+                    self._derived[key] = (version, artefact)
+                    return artefact
+        artefact = build(self)
+        self._derived[key] = (version, artefact)
+        return artefact
 
     # -- set behaviour ----------------------------------------------------
 
@@ -120,7 +166,7 @@ class WorkingSet:
     # -- the generic summary surface ----------------------------------------
 
     def summary(self, kind: str, **params):
-        """Build any registered :class:`~repro.reconcile.base.Summary`.
+        """The set's registered :class:`~repro.reconcile.base.Summary`.
 
         One call covers the whole cost/precision spectrum::
 
@@ -129,9 +175,12 @@ class WorkingSet:
             ws.summary("art", bits_per_element=8)     # reconciliation tree
             ws.summary("cpi", max_discrepancy=64)     # exact baseline
 
-        This is the one surface the protocol, the strategies, and the
-        spec layer go through.
+        The first client of :meth:`cached`: one shared object per
+        ``(kind, params)`` and version — treat it as immutable — that
+        absorbs new ids when the kind is incremental.  Schemes and
+        policies read the same entry through a
+        :func:`~repro.reconcile.summary_recipe` they precompute.
         """
-        from repro.reconcile import build_summary
+        from repro.reconcile import summary_recipe
 
-        return build_summary(kind, self._ids, **params)
+        return self.cached(*summary_recipe(kind, params))

@@ -177,10 +177,6 @@ class BloomFilter:
         set_bits = sum(bin(byte).count("1") for byte in self._bits)
         return set_bits / self.m
 
-    def expected_fp_rate(self) -> float:
-        """Analytic FP rate at the current load."""
-        return false_positive_rate(self.m, self.count, self.k)
-
     def size_bytes(self) -> int:
         """Wire size of the bit array."""
         return len(self._bits)

@@ -162,17 +162,6 @@ class FlowReport:
         delivered = self.packets_sent - self.packets_lost
         return self.packets_useful / delivered if delivered > 0 else 0.0
 
-    @property
-    def last_completion_time(self) -> Optional[float]:
-        return max((t for t, _ in self.completions), default=None)
-
-    @property
-    def mean_completion_time(self) -> Optional[float]:
-        members = sum(m for _, m in self.completions)
-        if not members:
-            return None
-        return sum(t * m for t, m in self.completions) / members
-
 
 class FlowSimulator:
     """Advance cohort bulk transfers as rate equations between epochs.

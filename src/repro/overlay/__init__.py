@@ -6,8 +6,9 @@ dissemination, "perpendicular" peer connections exploiting complementary
 working sets (Figure 1), admission control via sketches (Section 4), and
 reconfiguration when connections lose utility.
 
-* :mod:`repro.overlay.node` — overlay end-systems: working set, cached
-  calling cards (one per summary scheme), connection slots.
+* :mod:`repro.overlay.node` — overlay end-systems: working set (which
+  caches the node's calling cards, one per summary scheme), connection
+  slots.
 * :mod:`repro.overlay.simulator` — the one event-driven packet engine
   (built on :mod:`repro.sim`): connections deliver packets through
   pluggable link models (bandwidth-, loss- and latency-limited), nodes

@@ -29,8 +29,9 @@ memo, and this scheme applies the same object factor to the memoised
 estimate either kernel produced.
 """
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
 
+from repro.delivery.working_set import WorkingSet
 from repro.flow.demand import apportion, zipf_shares
 from repro.overlay.node import OverlayNode
 from repro.overlay.reconfiguration import SummaryScheme
@@ -67,6 +68,12 @@ class ObjectCatalog:
         #: One id stride covers the largest object's distinct range.
         self.stride = max(self.distinct) + 1
         self.objects = len(self.targets)
+        # WorkingSet.cached arguments: (key, build, absorb).
+        self._inventory = (
+            ("catalog-inventory", self),
+            self._count,
+            self._count_more,
+        )
 
     @classmethod
     def from_specs(
@@ -105,6 +112,24 @@ class ObjectCatalog:
         """Which object a symbol id belongs to (rank index)."""
         return min(symbol_id // self.stride, self.objects - 1)
 
+    def inventory_of(self, working_set: WorkingSet) -> Dict[int, int]:
+        """Distinct symbols ``working_set`` holds per object (absent =
+        none): computed from the set and cached on it, absorbing each
+        arriving symbol in O(1)."""
+        return working_set.cached(*self._inventory)
+
+    def _count(self, ids: Iterable[int]) -> Dict[int, int]:
+        return self._count_more({}, ids)
+
+    def _count_more(
+        self, counts: Dict[int, int], added: Iterable[int]
+    ) -> Dict[int, int]:
+        # Updated in place: callers of inventory_of only read it.
+        for symbol_id in added:
+            obj = self.object_of(symbol_id)
+            counts[obj] = counts.get(obj, 0) + 1
+        return counts
+
     def symbol_ids(self, obj: int) -> range:
         """The distinct symbol ids making up object ``obj``."""
         base = obj * self.stride
@@ -140,7 +165,8 @@ class CatalogNode(OverlayNode):
     requires each demanded object to reach its own symbol target.  A
     node with empty demand is trivially complete (an origin or cache
     that only serves) while still answering inventory queries from
-    whatever it holds.
+    whatever it holds — :meth:`ObjectCatalog.inventory_of` its working
+    set, so no per-node counter can drift from the set.
     """
 
     def __init__(
@@ -157,61 +183,45 @@ class CatalogNode(OverlayNode):
             if not 0 <= obj < catalog.objects:
                 raise ValueError(f"demanded object {obj} outside catalog")
         target = sum(catalog.targets[obj] for obj in self.demand) or 1
-        self._progress: Dict[int, int] = {}
-        #: (working-set version, wanted frozenset) — recomputed only
-        #: when the set's version stamp moves, so a reconfiguration
-        #: epoch gating many candidates pays the scan once per change.
-        self._wanted_cache: Optional[Tuple[int, frozenset]] = None
+        self._wanted_key = ("catalog-wanted", catalog, self.demand)
         super().__init__(
             node_id,
             target,
             initial_ids=initial_ids,
             max_connections=max_connections,
         )
-        for symbol_id in self.working_set.ids:
-            obj = catalog.object_of(symbol_id)
-            self._progress[obj] = self._progress.get(obj, 0) + 1
 
     @property
     def is_complete(self) -> bool:
+        held = self.catalog.inventory_of(self.working_set)
         return all(
-            self._progress.get(obj, 0) >= self.catalog.targets[obj]
-            for obj in self.demand
+            held.get(obj, 0) >= self.catalog.targets[obj] for obj in self.demand
         )
-
-    def receive_symbol(self, symbol_id: int) -> bool:
-        new = super().receive_symbol(symbol_id)
-        if new:
-            obj = self.catalog.object_of(symbol_id)
-            self._progress[obj] = self._progress.get(obj, 0) + 1
-        return new
 
     def progress_of(self, obj: int) -> int:
         """Distinct symbols held for object ``obj``."""
-        return self._progress.get(obj, 0)
+        return self.catalog.inventory_of(self.working_set).get(obj, 0)
 
     def objects_held(self) -> frozenset:
         """Objects this node holds at least one symbol of."""
-        return frozenset(obj for obj, n in self._progress.items() if n > 0)
+        return frozenset(self.catalog.inventory_of(self.working_set))
 
     def wanted_objects(self) -> frozenset:
         """Demanded objects still short of their target.
 
-        Stamped with the working set's version: the inventory gate in
+        Cached on the working set: the inventory gate in
         :class:`CatalogScheme` consults this once per candidate pair,
         and between symbol arrivals the answer cannot change.
         """
-        version = self.working_set.version
-        cached = self._wanted_cache
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        wanted = frozenset(
+        return self.working_set.cached(self._wanted_key, self._wanted)
+
+    def _wanted(self, working_set: WorkingSet) -> frozenset:
+        held = self.catalog.inventory_of(working_set)
+        return frozenset(
             obj
             for obj in self.demand
-            if self._progress.get(obj, 0) < self.catalog.targets[obj]
+            if held.get(obj, 0) < self.catalog.targets[obj]
         )
-        self._wanted_cache = (version, wanted)
-        return wanted
 
 
 class CatalogScheme(SummaryScheme):

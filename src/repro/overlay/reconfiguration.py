@@ -22,7 +22,7 @@ from typing import Any, Dict, List, Mapping, Optional, Protocol, Tuple
 from repro.overlay.node import OverlayNode
 from repro.reconcile import DEFAULT_POLICY
 from repro.reconcile.base import Summary
-from repro.reconcile.registry import summary_class
+from repro.reconcile.registry import summary_recipe
 from repro.seeding import default_rng
 
 #: The informed policy's defaults — admission threshold and swap margin
@@ -39,9 +39,8 @@ class SummaryScheme:
     The overlay's counterpart of :class:`~repro.reconcile.SummaryPolicy`:
     one scheme is shared by a simulator's admission and rewiring policies
     so every utility judgement in a run flows through the same summary
-    structure.  Cards are built through
-    :meth:`~repro.overlay.node.OverlayNode.summary_card`, which stamps
-    each card with the working set's version and brings a stale card
+    structure.  A node's card is its working set's cached summary
+    (:meth:`~repro.delivery.working_set.WorkingSet.cached`), brought
     current by absorbing the journalled delta when the kind supports
     incremental updates — so a reconfiguration epoch scanning many
     candidate pairs pays per new symbol, not per working-set size.
@@ -52,11 +51,13 @@ class SummaryScheme:
     """
 
     def __init__(self, kind: str = "minwise", params: Optional[Mapping[str, Any]] = None):
-        summary_class(kind)  # fail fast on unknown kinds
         self.kind = kind
         self.params: Tuple[Tuple[str, Any], ...] = (
             tuple(sorted(params.items())) if params else ()
         )
+        # Computed once (failing fast on unknown kinds): card_of's hit
+        # path is then one dict lookup and one stamp compare.
+        self._card = summary_recipe(kind, params)
         self._memo: Optional[Dict[Tuple[str, str], float]] = None
 
     def set_memo(self, memo: Optional[Dict[Tuple[str, str], float]]) -> None:
@@ -78,8 +79,9 @@ class SummaryScheme:
         return dict(self.params)
 
     def card_of(self, node: OverlayNode) -> Summary:
-        """The node's (cached) summary card under this scheme."""
-        return node.summary_card(self.kind, self.params)
+        """The node's card under this scheme: the same cached object as
+        ``node.working_set.summary(kind, **params)``."""
+        return node.working_set.cached(*self._card)
 
     def resemblance(self, ours: Summary, theirs: Summary) -> float:
         """Estimated ``|A ∩ B| / |A ∪ B|`` between two same-scheme cards.
@@ -141,7 +143,7 @@ def default_scheme() -> SummaryScheme:
     """The calling card peers agree on off-line (Section 4):
     :data:`~repro.reconcile.DEFAULT_POLICY`'s min-wise card.  Every
     call returns an equal scheme, so every consumer reads the same
-    cached row of a node's :meth:`~OverlayNode.summary_card`."""
+    cached entry of a node's working set."""
     return SummaryScheme(DEFAULT_POLICY.card_kind, dict(DEFAULT_POLICY.card_params))
 
 

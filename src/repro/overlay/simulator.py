@@ -22,10 +22,13 @@ summarise → informed transfer → adapt.
 
 This is the only packet engine.  Its two control-plane passes do work
 proportional to what changed: the strategy refresh skips connections
-whose endpoints are version-unchanged and builds a receiver's summary
-once however many senders consult it, and a reconfiguration
-epoch memoises every usefulness estimate for its duration.  The one
-array kernel is opt-in (``card_matrix=True``, what
+whose endpoints are version-unchanged, and a reconfiguration epoch
+memoises every usefulness estimate for its duration.  Everything
+computed from one working set — a receiver's summary, a node's card,
+its card-matrix row — is cached on that set
+(:meth:`~repro.delivery.working_set.WorkingSet.cached`), so the
+simulator keeps no per-node artefact and a departure evicts nothing.
+The one array kernel is opt-in (``card_matrix=True``, what
 ``measurement.engine="columnar"`` selects): min-wise cards become int64
 matrix rows and each receiver's estimates are prefilled by a single
 vectorised comparison.  Without it — or without numpy, following the
@@ -49,7 +52,7 @@ from repro.delivery.strategies import (
     SenderStrategy,
     make_strategy,
 )
-from repro.delivery.working_set import DEFAULT_KEY_UNIVERSE
+from repro.delivery.working_set import DEFAULT_KEY_UNIVERSE, WorkingSet
 from repro.hashing import batch as _batch
 from repro.overlay.node import OverlayNode
 from repro.overlay.reconfiguration import (
@@ -191,49 +194,30 @@ class SimulationReport:
         return self.packets_useful / delivered if delivered else 0.0
 
 
-class _StampedCache(dict):
-    """``node_id -> (working set, version, artefact)``.
-
-    For artefacts that are deterministic, RNG-free functions of one
-    node's working set: an entry is served while the node still holds
-    the same set *object* at the same version (identity guards node-id
-    reuse across churn).  ``remove_node`` evicts a departed node's
-    entries, so the cache never outgrows the live node set.
-    """
-
-    def fetch(self, node: OverlayNode, build: Callable[[OverlayNode], object]):
-        ws = node.working_set
-        cached = self.get(node.node_id)
-        if cached is not None and cached[0] is ws and cached[1] == ws.version:
-            return cached[2]
-        artefact = build(node)
-        self[node.node_id] = (ws, ws.version, artefact)
-        return artefact
-
-
 class _MinwiseCardMatrix:
     """Min-wise cards as int64 rows: the array kernel of an epoch.
 
     A node's row is its card's minima with ``None`` mapped to ``-1``,
-    cached by working-set version — a budgeted epoch over a mostly idle
-    swarm re-derives only the rows whose sets changed, and those through
-    the card's incremental absorb path, so the per-epoch cost tracks new
-    symbols, not swarm size.
+    cached on the node's working set beside the card it is read from —
+    a budgeted epoch over a mostly idle swarm re-derives only the rows
+    whose sets changed, and those through the card's incremental absorb
+    path, so the per-epoch cost tracks new symbols, not swarm size.
     """
 
     def __init__(self, scheme: SummaryScheme, np):
         self.scheme = scheme
         self.np = np
-        self.rows = _StampedCache()
+        self._row_key = ("minwise-row", scheme.kind, scheme.params)
         self._ids: List[str] = []
         self._index: Dict[str, int] = {}
         self._matrix = None
 
     def row_of(self, node: OverlayNode):
-        return self.rows.fetch(node, self._build_row)
+        return node.working_set.cached(self._row_key, self._build_row)
 
-    def _build_row(self, node: OverlayNode):
-        minima = self.scheme.card_of(node).minima
+    def _build_row(self, working_set: WorkingSet):
+        scheme = self.scheme
+        minima = working_set.summary(scheme.kind, **scheme.params_dict()).minima
         return self.np.fromiter(
             (-1 if m is None else m for m in minima),
             dtype=self.np.int64,
@@ -396,9 +380,6 @@ class OverlaySimulator:
         # node_id -> completed_at_tick for nodes that departed; keeps
         # completion history visible after remove_node().
         self._completion_tombstones: Dict[str, Optional[int]] = {}
-        # Per-receiver policy summaries and min-wise card rows, reused
-        # while the owning working set is version-unchanged.
-        self._receiver_summaries = _StampedCache()
         self._cards: Optional[_MinwiseCardMatrix] = None
         # The legacy tick loop as one periodic event; a shared clock
         # may already read past zero, so ticks count from its epoch.
@@ -454,9 +435,6 @@ class OverlaySimulator:
                 self.disconnect(node_id, receiver)
         self._senders.pop(node_id, None)
         self._peelers.pop(node_id, None)
-        self._receiver_summaries.pop(node_id, None)
-        if self._cards is not None:
-            self._cards.rows.pop(node_id, None)
         return node
 
     def senders_of(self, receiver_id: str) -> List[str]:
@@ -602,11 +580,9 @@ class OverlaySimulator:
     ) -> Optional[SenderStrategy]:
         """Strategy for a partial sender; sources mint fresh ids instead.
 
-        A receiver's summary is the same for all its senders, so an
-        informed strategy takes it from ``_receiver_summaries``: built
-        once per version of the receiver's working set, however many
-        connections consult it (the summary is deterministic and draws
-        no RNG, so cached and rebuilt runs are identical).
+        A receiver's summary is the same for all its senders: an
+        informed strategy reads it from the receiver's working set,
+        which keeps one per version however many connections consult it.
         """
         if sender.is_source:
             return None
@@ -614,12 +590,6 @@ class OverlaySimulator:
             return None
         deficit = max(1, receiver.target - len(receiver.working_set))
         slots = max(1, receiver.max_connections)
-        policy = self.summary_policy
-        receiver_summary = None
-        if self.strategy_name not in ("Random", "Recode"):
-            receiver_summary = self._receiver_summaries.fetch(
-                receiver, lambda node: policy.build(node.working_set)
-            )
         strategy = make_strategy(
             self.strategy_name,
             sender.working_set,
@@ -628,8 +598,7 @@ class OverlaySimulator:
             symbols_desired=int(
                 math.ceil(deficit / slots * DEFAULT_DESIRED_MARGIN)
             ),
-            summary_policy=policy,
-            receiver_summary=receiver_summary,
+            summary_policy=self.summary_policy,
         )
         # Endpoint stamp: a later refresh may skip the rebuild while
         # both working sets are the same *objects* at the same version
@@ -675,9 +644,8 @@ class OverlaySimulator:
         shareable) and the receiver's summary (delivered content stops
         being offered) — so connections whose endpoints are both
         unchanged since the last build are skipped (nothing to refresh),
-        and a receiver's summary is built once per version of its
-        working set (:meth:`_build_strategy`), then fanned out to every
-        connection that needs it.
+        and every connection into a receiver reads the one summary its
+        working set keeps current.
         Connection iteration order, and with it the RNG stream strategy
         construction consumes, is that of the connection map.
         """

@@ -109,14 +109,14 @@ class ProtocolPeer:
         """The calling card for this peer's working set: the policy's
         card sketch (by default the paper's 1KB min-wise card)."""
         return HelloMessage.carrying(
-            self.summary_policy.build_card(self.working_set)
+            self.summary_policy.card_of(self.working_set)
         )
 
     def estimate_peer_correlation(self, hello: HelloMessage) -> float:
         """``|ours ∩ theirs| / |ours|`` estimated from calling cards."""
         if len(self.working_set) == 0:
             return 0.0
-        ours = self.summary_policy.build_card(self.working_set)
+        ours = self.summary_policy.card_of(self.working_set)
         return correlation_from_summaries(
             ours, hello.summary(), len(self.working_set)
         )
@@ -125,7 +125,7 @@ class ProtocolPeer:
         """The policy's reconciliation summary of the working set, for
         the wire, with its own honest wire size."""
         return SummaryMessage.carrying(
-            self.summary_policy.build(self.working_set)
+            self.summary_policy.summary_of(self.working_set)
         )
 
     # -- receiving -----------------------------------------------------------
@@ -151,10 +151,6 @@ class ProtocolPeer:
             if payload is not None:
                 self.decoder.add_symbol(symbol)
         return recovered
-
-    @property
-    def blocks_recovered(self) -> int:
-        return self.decoder.recovered_count
 
     @property
     def has_decoded(self) -> bool:

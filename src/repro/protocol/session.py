@@ -191,8 +191,8 @@ class TransferSession:
         objects carry — and the very cards whose bytes were charged
         feed the estimate.
         """
-        card_r = self.summary_policy.build_card(self.receiver.working_set)
-        card_s = self.summary_policy.build_card(self.sender.working_set)
+        card_r = self.summary_policy.card_of(self.receiver.working_set)
+        card_s = self.summary_policy.card_of(self.sender.working_set)
         # A hello charges its 8-byte header plus the carried card's own
         # honest size (see HelloMessage.wire_bytes).
         self.stats.control_bytes += (8 + card_r.wire_bytes()) + (
@@ -236,7 +236,7 @@ class TransferSession:
             return
         if not policy.can_filter:
             return
-        remote = policy.build(self.receiver.working_set)
+        remote = policy.summary_of(self.receiver.working_set)
         # A summary message's wire size is the summary's own (see
         # SummaryMessage.wire_bytes).
         self.stats.control_bytes += remote.wire_bytes()

@@ -36,6 +36,7 @@ from repro.reconcile.registry import (
     summary_class,
     summary_from_payload,
     summary_kinds,
+    summary_recipe,
 )
 # Importing the adapters registers every built-in kind.
 from repro.reconcile import adapters as _adapters  # noqa: F401
@@ -53,6 +54,7 @@ __all__ = [
     "summary_class",
     "summary_kinds",
     "build_summary",
+    "summary_recipe",
     "summary_from_payload",
     "SummaryPolicy",
     "DEFAULT_POLICY",

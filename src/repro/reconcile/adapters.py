@@ -88,6 +88,9 @@ class MinwiseSummary(Summary):
 
     Params: ``entries`` (permutation count, 128 ≈ the 1KB card),
     ``universe`` (key range), ``seed`` (the universally agreed family).
+    Permutations are defined over the family's universe, so ids are
+    summarised modulo it (identity for ids below it): a source's fresh
+    ids far beyond 2^32 fold the same way in every card and summary.
     """
 
     kind = "minwise"
@@ -119,8 +122,8 @@ class MinwiseSummary(Summary):
         universe: int = DEFAULT_UNIVERSE,
         seed: int = 0,
     ) -> "MinwiseSummary":
-        pool = frozenset(ids)
         family = _shared_family(entries, universe, seed)
+        pool = frozenset(i % universe for i in ids)
         minima = permutation_minima(family, pool)
         return cls(minima, len(pool), entries, universe, seed, local_ids=pool)
 
@@ -128,7 +131,7 @@ class MinwiseSummary(Summary):
         """Coordinate-wise min against the fresh ids' minima (min is
         associative, so this is exactly the union's sketch)."""
         pool = self._require_local("incremental min-wise update")
-        fresh = frozenset(new_ids) - pool
+        fresh = frozenset(i % self.universe for i in new_ids) - pool
         if not fresh:
             return self
         family = _shared_family(self.entries, self.universe, self.seed)

@@ -16,7 +16,7 @@ handed a policy holds :data:`DEFAULT_POLICY`.
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.reconcile.base import Summary, SummaryError
-from repro.reconcile.registry import build_summary, summary_class
+from repro.reconcile.registry import build_summary, summary_class, summary_recipe
 
 
 def _freeze(params: Optional[Mapping[str, Any]]) -> Tuple[Tuple[str, Any], ...]:
@@ -68,13 +68,14 @@ class SummaryPolicy:
         card_kind: str = "minwise",
         card_params: Optional[Mapping[str, Any]] = None,
     ):
-        # Fail fast on unknown kinds (same error surface as the registry).
-        summary_class(kind)
-        summary_class(card_kind)
         self.kind = kind
         self.params: Tuple[Tuple[str, Any], ...] = _freeze(params)
         self.card_kind = card_kind
         self.card_params: Tuple[Tuple[str, Any], ...] = _freeze(card_params)
+        # Computed once (failing fast on unknown kinds, the registry's
+        # own error): what a working set needs to keep each current.
+        self._summary = summary_recipe(kind, params)
+        self._card = summary_recipe(card_kind, card_params)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -101,12 +102,22 @@ class SummaryPolicy:
         return dict(self.params)
 
     def build(self, ids: Iterable[int]) -> Summary:
-        """The reconciliation summary of ``ids`` under this policy."""
+        """The reconciliation summary of bare ``ids``, from scratch."""
         return build_summary(self.kind, ids, **dict(self.params))
 
     def build_card(self, ids: Iterable[int]) -> Summary:
-        """The calling-card sketch of ``ids`` under this policy."""
+        """The calling-card sketch of bare ``ids``, from scratch."""
         return build_summary(self.card_kind, ids, **dict(self.card_params))
+
+    def summary_of(self, working_set) -> Summary:
+        """``working_set``'s reconciliation summary: the shared object
+        :meth:`~repro.delivery.working_set.WorkingSet.cached` keeps
+        current, identical to ``working_set.summary(kind, **params)``."""
+        return working_set.cached(*self._summary)
+
+    def card_of(self, working_set) -> Summary:
+        """``working_set``'s calling card, cached the same way."""
+        return working_set.cached(*self._card)
 
     # -- capability probes ---------------------------------------------------
 

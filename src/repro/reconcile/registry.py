@@ -7,7 +7,18 @@ ids, bits_per_element=8)``) or reconstruct them from wire payloads
 (:func:`summary_from_payload` dispatches on ``payload["kind"]``).
 """
 
-from typing import Any, Dict, Iterable, List, Type
+from functools import partial
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    Type,
+)
 
 from repro.reconcile.base import Summary, SummaryError
 
@@ -70,6 +81,31 @@ def build_summary(kind: str, ids: Iterable[int], **params: Any) -> Summary:
         raise SummaryError(f"invalid parameters for {kind!r} summary: {exc}") from exc
 
 
+def _build_frozen(kind: str, frozen: tuple, ids: Iterable[int]) -> Summary:
+    return build_summary(kind, ids, **dict(frozen))
+
+
+def summary_recipe(
+    kind: str, params: Optional[Mapping[str, Any]] = None
+) -> Tuple[tuple, Callable[[Iterable[int]], Summary], Optional[Callable]]:
+    """``(key, build, absorb)`` for :meth:`repro.delivery.working_set.
+    WorkingSet.cached`: the entry ``ws.summary(kind, **params)`` reads.
+
+    The key sorts ``params``, so permuted-but-equal parameters share one
+    entry; ``absorb`` is given only for kinds declaring
+    ``supports_incremental`` (a cached summary is always a local build).
+    Immutable schemes and policies compute this once, which keeps their
+    cache-hit path at one dict lookup and one stamp compare.
+    """
+    cls = summary_class(kind)
+    frozen = tuple(sorted(params.items())) if params else ()
+    return (
+        (kind, frozen),
+        partial(_build_frozen, kind, frozen),
+        cls.absorb if cls.supports_incremental else None,
+    )
+
+
 def summary_from_payload(payload: Dict[str, Any]) -> Summary:
     """Reconstruct any registered summary from its wire payload."""
     if not isinstance(payload, dict):
@@ -86,5 +122,6 @@ __all__ = [
     "summary_class",
     "summary_kinds",
     "build_summary",
+    "summary_recipe",
     "summary_from_payload",
 ]

@@ -69,14 +69,6 @@ class StatsRecorder:
         data = self._counters.get(key) or self._gauges.get(key) or {}
         return sorted(data.items())
 
-    def cumulative_series(self, entity: str, metric: str) -> List[Tuple[float, float]]:
-        """Counter series as a running total over time."""
-        running, out = 0.0, []
-        for t, v in self.series(entity, metric):
-            running += v
-            out.append((t, running))
-        return out
-
     def last(self, entity: str, metric: str) -> Optional[float]:
         """Latest gauge level (or latest counter bucket), if any."""
         samples = self.series(entity, metric)
@@ -85,11 +77,6 @@ class StatsRecorder:
     def entities(self) -> Set[str]:
         """Every entity that has recorded at least one sample."""
         return {e for e, _ in self._counters} | {e for e, _ in self._gauges}
-
-    def metrics_of(self, entity: str) -> Set[str]:
-        return {m for e, m in self._counters if e == entity} | {
-            m for e, m in self._gauges if e == entity
-        }
 
     def to_rows(self) -> List[Tuple[str, str, float, float]]:
         """Flatten everything to ``(entity, metric, time, value)`` rows."""

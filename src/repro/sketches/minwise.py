@@ -30,7 +30,6 @@ class MinwiseSketch:
     def __init__(self, family: PermutationFamily):
         self.family = family
         self._minima: List[Optional[int]] = [_EMPTY] * len(family)
-        self._count = 0  # number of elements folded in (with multiplicity)
 
     @classmethod
     def build(
@@ -62,15 +61,11 @@ class MinwiseSketch:
         if not key_list:
             return sketch
         sketch._minima = permutation_minima(family, key_list)
-        sketch._count = len(key_list)
         return sketch
 
     @classmethod
     def from_minima(
-        cls,
-        family: PermutationFamily,
-        minima: Iterable[Optional[int]],
-        count: int = 0,
+        cls, family: PermutationFamily, minima: Iterable[Optional[int]]
     ) -> "MinwiseSketch":
         """Reconstruct a sketch received over the wire.
 
@@ -85,46 +80,17 @@ class MinwiseSketch:
                 f"{len(family)}"
             )
         sketch._minima = vector
-        sketch._count = count
         return sketch
 
     @property
     def is_empty(self) -> bool:
-        """No element folded in: every position still unset.
-
-        Read off the minima, not the fold counter, so a vector
-        reconstructed by :meth:`from_minima` without a ``count`` is
-        empty only if it really is.
-        """
+        """No element folded in: every position still unset."""
         return all(m is None for m in self._minima)
 
     @property
     def minima(self) -> List[Optional[int]]:
         """The raw vector ``v(A)`` that goes on the wire."""
         return list(self._minima)
-
-    def absorb_vectorized(self, keys: Iterable[int]) -> "MinwiseSketch":
-        """A new sketch with ``keys`` folded in, via the batch kernel.
-
-        The incremental counterpart of :meth:`build_vectorized`: min is
-        associative, so the coordinate-wise minimum of the current
-        vector and the delta's :func:`~repro.hashing.batch.
-        permutation_minima` equals a from-scratch build over the union —
-        bit for bit, which the parity suites pin.  ``self`` is left
-        untouched (handed-out references stay valid); cost is one batch
-        pass over the delta instead of the whole working set.
-        """
-        from repro.hashing.batch import permutation_minima_fold
-
-        key_list = list(keys)
-        if not key_list:
-            return self
-        merged = MinwiseSketch(self.family)
-        merged._minima = permutation_minima_fold(
-            self.family, key_list, self._minima
-        )
-        merged._count = self._count + len(key_list)
-        return merged
 
     def add(self, key: int) -> None:
         """Fold one new symbol into the sketch (incremental update).
@@ -142,7 +108,6 @@ class MinwiseSketch:
             current = minima[j]
             if current is None or image < current:
                 minima[j] = image
-        self._count += 1
 
     def _check_comparable(self, other: "MinwiseSketch") -> None:
         if not self.family.compatible_with(other.family):
@@ -174,7 +139,6 @@ class MinwiseSketch:
         """
         self._check_comparable(other)
         merged = MinwiseSketch(self.family)
-        merged._count = self._count + other._count
         merged._minima = [
             theirs if mine is None else (mine if theirs is None else min(mine, theirs))
             for mine, theirs in zip(self._minima, other._minima)

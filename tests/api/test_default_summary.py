@@ -86,3 +86,55 @@ class TestSwarmsHonourBloomBits:
 
         # 2 bits/element false-positives far more useful ids away.
         assert filtered_out(2) > filtered_out(16) > 0
+
+
+class TestSwarmsRunUnderAMinwiseSummary:
+    """``--summary minwise`` on a swarm: a source's fresh ids start at
+    2**40, beyond the min-wise universe.  Cards always folded them; the
+    strategy-side receiver summary did not, so these specs — which the
+    consumption gate accepts — were refused with "key outside the
+    family's universe".  The adapter now folds for both."""
+
+    #: (ticks, packets_sent, packets_useful, packets_lost, reconfigurations)
+    PINS = {
+        "asymmetric_bandwidth": (28.0, 432.0, 176.0, 2.0, 7.0),
+        "congested_swarm": (74.0, 675.0, 180.0, 164.0, 18.0),
+        "correlated_regional_loss": (33.0, 328.0, 179.0, 1.0, 6.0),
+        "figure1": (94.0, 998.0, 199.0, 0.0, 0.0),
+        "flash_crowd": (53.0, 699.0, 236.0, 0.0, 9.0),
+        "random_overlay": (38.0, 795.0, 444.0, 11.0, 10.0),
+        "source_departure": (28.0, 289.0, 83.0, 0.0, 12.0),
+    }
+
+    @staticmethod
+    def _spec(name):
+        return registry.small_spec(name).with_component_spec(
+            "summary", SummarySpec("minwise")
+        )
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_runs_to_completion(self, name):
+        result = run(self._spec(name))
+        assert result.completed
+        metrics = result.metrics
+        assert (
+            metrics["ticks"],
+            metrics["packets_sent"],
+            metrics["packets_useful"],
+            metrics["packets_lost"],
+            metrics["reconfigurations"],
+        ) == self.PINS[name]
+
+    def test_peer_connections_recode_on_the_estimate(self):
+        from repro.api import build
+
+        sim = build(self._spec("flash_crowd")).scenario.simulator
+        sim.run(20)  # past the join waves: peers serve peers
+        labels = {
+            conn.strategy.name
+            for conn in sim.connections.values()
+            if conn.strategy is not None
+        }
+        # A sketch cannot purge a domain; Recode/BF shifts degrees by
+        # the correlation it estimates instead.
+        assert labels == {"Recode/minwise-est"}

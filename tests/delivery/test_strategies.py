@@ -174,16 +174,26 @@ class TestPolicyFactory:
             assert s.name == expect
             s.next_packet()
 
-    def test_prebuilt_receiver_summary_is_reused(self):
+    def test_unchanged_receiver_set_is_summarised_once(self, monkeypatch):
         from repro.reconcile import SummaryPolicy
+        from repro.reconcile.adapters import BloomSummary
 
+        builds = []
+        orig = BloomSummary.build.__func__
+
+        def spy(cls, ids, **params):
+            builds.append(ids)
+            return orig(cls, ids, **params)
+
+        monkeypatch.setattr(BloomSummary, "build", classmethod(spy))
         sender, receiver, rng = sets_with_overlap()
         policy = SummaryPolicy(kind="bloom")
-        remote = policy.build(receiver)
-        s1 = make_strategy(
-            "Recode/BF", sender, receiver, rng, summary_policy=policy,
-            receiver_summary=remote,
-        )
+        s1 = make_strategy("Recode/BF", sender, receiver, rng, summary_policy=policy)
         s2 = make_strategy("Recode/BF", sender, receiver, rng, summary_policy=policy)
-        # Same domain either way — the prebuilt summary is identical.
+        # Both senders read the receiver set's one cached summary.
+        assert len(builds) == 1
         assert sorted(s1._domain) == sorted(s2._domain)
+        # ...until the receiver's set changes.
+        receiver.add(max(sender) + 1)
+        make_strategy("Recode/BF", sender, receiver, rng, summary_policy=policy)
+        assert policy.summary_of(receiver).may_contain(max(sender) + 1)

@@ -4,9 +4,13 @@ Kernel level: whatever :meth:`_MinwiseCardMatrix.prefill` writes into a
 usefulness memo must be the float :meth:`SummaryScheme.usefulness` would
 have computed — bit for bit, since rewiring decisions compare these
 values against each other and against a hysteresis margin.  Cache level:
-card rows (and the refresh's per-receiver artefacts) leave with their
-node.
+card rows (and the refresh's per-receiver summaries) live on the node's
+working set, so they leave with their node — the simulator keeps no
+per-node artefact map to evict.
 """
+
+import gc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -82,35 +86,36 @@ def _run_one_epoch(sim):
         sim.tick()
 
 
-@needs_numpy
-def test_card_rows_leave_with_their_node():
-    sim = _informed("columnar")
-    _run_one_epoch(sim)
-    rows = sim._cards.rows
-    departing = [nid for nid in rows if not sim.nodes[nid].is_complete][:2]
-    assert departing
-    for nid in departing:
-        sim.remove_node(nid)
-    assert not set(departing) & set(rows)
-    _run_one_epoch(sim)
-    assert rows is sim._cards.rows
-    assert rows and set(rows) <= set(sim.nodes)
+def _derived_refs(working_set):
+    """Weak references to a working set and everything cached on it."""
+    return [weakref.ref(working_set)] + [
+        weakref.ref(artefact) for _stamp, artefact in working_set._derived.values()
+    ]
 
 
-def test_receiver_summaries_leave_with_their_node():
-    sim = _informed("reference")
+@pytest.mark.parametrize(
+    "engine", [pytest.param("columnar", marks=needs_numpy), "reference"]
+)
+def test_cached_artefacts_leave_with_their_node(engine):
+    sim = _informed(engine)
     # Peer-to-peer links normally form at epochs; wire a ring and dirty
-    # every set so the refresh has summaries to build.
+    # every set so the refresh has receiver summaries to derive.
     peers = [n for n in sim.nodes.values() if not n.is_source]
     for sender, receiver in zip(peers, peers[1:] + peers[:1]):
         sim.connect(sender.node_id, receiver.node_id)
     for i, node in enumerate(peers):
         node.working_set.add(999_000_000 + i)
     sim._refresh_strategies()
-    cached = list(sim._receiver_summaries)
-    assert cached
-    sim.remove_node(cached[0])
-    assert cached[0] not in sim._receiver_summaries
-    sim._refresh_strategies()
-    assert set(sim._receiver_summaries) <= set(sim.nodes)
-    assert sim._cards is None  # the scalar kernel never builds a matrix
+    _run_one_epoch(sim)
+    departing = next(n for n in peers if not n.is_complete).node_id
+    cached = {key[0] for key in sim.nodes[departing].working_set._derived}
+    # The card, the receiver summary and (array kernel only) the row.
+    assert {"minwise", "bloom"} <= cached
+    assert ("minwise-row" in cached) == (engine == "columnar")
+    refs = _derived_refs(sim.nodes[departing].working_set)
+    del peers, sender, receiver, node
+    sim.remove_node(departing)  # the returned node is dropped here
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
+    _run_one_epoch(sim)
+    assert departing not in sim.nodes

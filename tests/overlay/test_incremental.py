@@ -7,9 +7,10 @@ is no longer a mode of the library; it survives here as an oracle,
 reached by forcing the library's own fallback paths
 (:func:`_rebuild_oracle`).  These tests pin the equivalence across the
 seeded scenario catalog at both ``engine`` values (with and without
-numpy), spy on the receiver-artefact builds to prove unchanged receivers
-really skip the rebuild, and hold the :meth:`OverlayNode.summary_card`
-cache-key regression (permuted-but-equal params tuples share one row).
+numpy), spy on the registry's from-scratch builds to prove unchanged
+receivers really skip the rebuild (and pin how many a small spec pays),
+and hold the working-set summary cache-key regression
+(permuted-but-equal params share one entry).
 """
 
 from dataclasses import replace
@@ -19,10 +20,11 @@ import pytest
 from repro.api import build, run, specs
 from repro.delivery.working_set import WorkingSet
 from repro.overlay.node import OverlayNode
-from repro.overlay.simulator import OverlaySimulator, _StampedCache
-from repro.reconcile import SummaryPolicy
+from repro.overlay.simulator import OverlaySimulator
 
 import repro.hashing.batch as batch
+import repro.reconcile.policy as policy
+import repro.reconcile.registry as registry
 
 
 def _with_engine(spec, engine):
@@ -37,14 +39,17 @@ def _journal_lost(self, version):
     return None
 
 
+def _always_build(self, key, build, absorb=None):
+    return build(self)
+
+
 def _rebuild_oracle(mp):
-    """Force every fallback: cards rebuild from the whole set (the add
-    journal reports a removal), every strategy is rebuilt each refresh
-    (no endpoint stamp is ever current), and no per-receiver artefact or
-    card row is served from cache."""
-    mp.setattr(WorkingSet, "added_since", _journal_lost)
+    """Force every fallback: nothing computed from a working set (card,
+    receiver summary, card row, inventory) is served from cache or
+    absorbed, and every strategy is rebuilt each refresh (no endpoint
+    stamp is ever current)."""
+    mp.setattr(WorkingSet, "cached", _always_build)
     mp.setattr(OverlaySimulator, "_strategy_fresh", _never_fresh)
-    mp.setattr(_StampedCache, "fetch", lambda self, node, build: build(node))
 
 
 def _run(spec, rebuild: bool = False):
@@ -76,6 +81,20 @@ CATALOG = {
         regionals=2, edge_peers=6, objects=3, target=36, seed=5
     ),
 }
+
+
+def _spy_on_builds(mp):
+    """Record the kind of every from-scratch ``build_summary`` call."""
+    calls = []
+    orig = registry.build_summary
+
+    def spy(kind, ids, **params):
+        calls.append(kind)
+        return orig(kind, ids, **params)
+
+    mp.setattr(registry, "build_summary", spy)  # what working sets cache
+    mp.setattr(policy, "build_summary", spy)  # bare-id builds
+    return calls
 
 
 class TestIncrementalParity:
@@ -136,15 +155,11 @@ class TestRefreshSkip:
         return sim
 
     def _spy_on_builds(self, monkeypatch):
-        calls = []
-        orig = SummaryPolicy.build
-
-        def spy(policy, ids):
-            calls.append(ids)
-            return orig(policy, ids)
-
-        monkeypatch.setattr(SummaryPolicy, "build", spy)
-        return calls
+        # With the journal lost every re-derivation is a from-scratch
+        # build, which the spy can see (an absorb never reaches the
+        # registry).
+        monkeypatch.setattr(WorkingSet, "added_since", _journal_lost)
+        return _spy_on_builds(monkeypatch)
 
     @pytest.mark.parametrize("engine", ["reference", "columnar"])
     def test_unchanged_receivers_build_once(self, engine, monkeypatch):
@@ -210,57 +225,54 @@ class TestRefreshSkip:
         assert rebuilt == 1
 
 
-class TestSummaryCardCache:
-    """:meth:`OverlayNode.summary_card` cache-key and stamp semantics."""
+class TestSummaryCache:
+    """:meth:`WorkingSet.summary` cache-key and stamp semantics."""
 
-    def _node(self):
-        node = OverlayNode("n0", target=64)
-        node.working_set.update(range(40))
-        return node
+    def _ws(self):
+        return WorkingSet(range(40))
 
-    def test_permuted_params_share_one_cache_row(self):
-        node = self._node()
-        a = node.summary_card("bloom", (("bits_per_element", 8), ("k_hashes", 4)))
-        b = node.summary_card("bloom", (("k_hashes", 4), ("bits_per_element", 8)))
+    def test_permuted_params_share_one_cache_entry(self):
+        ws = self._ws()
+        a = ws.summary("bloom", bits_per_element=8, k_hashes=4)
+        b = ws.summary("bloom", k_hashes=4, bits_per_element=8)
         assert a is b
-        bloom_rows = [k for k in node._cards if k[0] == "bloom"]
-        assert len(bloom_rows) == 1
+        assert len([k for k in ws._derived if k[0] == "bloom"]) == 1
 
     def test_unchanged_version_returns_the_same_object(self):
-        node = self._node()
-        assert node.summary_card("minwise") is node.summary_card("minwise")
+        ws = self._ws()
+        assert ws.summary("minwise") is ws.summary("minwise")
 
     def test_absorb_path_matches_rebuild_path(self):
         from repro.reconcile import build_summary
 
-        node = self._node()
-        stale = node.summary_card("bloom", (("bits_per_element", 8),))
-        node.working_set.update(range(40, 55))
-        fresh = node.summary_card("bloom", (("bits_per_element", 8),))
+        ws = self._ws()
+        stale = ws.summary("bloom", bits_per_element=8)
+        ws.update(range(40, 55))
+        fresh = ws.summary("bloom", bits_per_element=8)
         assert fresh is not stale
-        rebuilt = build_summary("bloom", node.working_set.ids, bits_per_element=8)
+        rebuilt = build_summary("bloom", ws.ids, bits_per_element=8)
         assert fresh.to_payload() == rebuilt.to_payload()
 
     def test_lost_journal_rebuilds_to_the_same_payload(self, monkeypatch):
-        node = self._node()
-        node.summary_card("bloom", (("bits_per_element", 8),))
-        node.working_set.update(range(40, 55))
-        incremental = node.summary_card("bloom", (("bits_per_element", 8),))
-        node2 = self._node()
+        ws = self._ws()
+        ws.summary("bloom", bits_per_element=8)
+        ws.update(range(40, 55))
+        incremental = ws.summary("bloom", bits_per_element=8)
+        ws2 = self._ws()
         monkeypatch.setattr(WorkingSet, "added_since", _journal_lost)
-        node2.summary_card("bloom", (("bits_per_element", 8),))
-        node2.working_set.update(range(40, 55))
-        rebuilt = node2.summary_card("bloom", (("bits_per_element", 8),))
+        ws2.summary("bloom", bits_per_element=8)
+        ws2.update(range(40, 55))
+        rebuilt = ws2.summary("bloom", bits_per_element=8)
         assert incremental.to_payload() == rebuilt.to_payload()
 
     def test_removal_falls_back_to_rebuild(self):
         from repro.reconcile import build_summary
 
-        node = self._node()
-        node.summary_card("bloom", (("bits_per_element", 8),))
-        node.working_set.discard(3)  # journal invalidated
-        card = node.summary_card("bloom", (("bits_per_element", 8),))
-        rebuilt = build_summary("bloom", node.working_set.ids, bits_per_element=8)
+        ws = self._ws()
+        ws.summary("bloom", bits_per_element=8)
+        ws.discard(3)  # journal invalidated
+        card = ws.summary("bloom", bits_per_element=8)
+        rebuilt = build_summary("bloom", ws.ids, bits_per_element=8)
         assert card.to_payload() == rebuilt.to_payload()
 
     def test_minwise_card_folds_ids_like_sketch(self):
@@ -268,14 +280,12 @@ class TestSummaryCardCache:
         minima (both fold ids into the universe)."""
         from repro.reconcile import build_summary
 
-        node = self._node()
-        node.summary_card("minwise", (("entries", 64),))
-        node.working_set.update(range(40, 70))
-        card = node.summary_card("minwise", (("entries", 64),))
+        ws = self._ws()
+        ws.summary("minwise", entries=64)
+        ws.update(range(40, 70))
+        card = ws.summary("minwise", entries=64)
         rebuilt = build_summary(
-            "minwise",
-            (i % (1 << 32) for i in node.working_set.ids),
-            entries=64,
+            "minwise", (i % (1 << 32) for i in ws.ids), entries=64
         )
         assert card.minima == rebuilt.minima
 
@@ -306,15 +316,78 @@ class TestSummaryCardCache:
         assert node.receive_symbol((1 << 41) + 9)  # folds below the universe
         assert node.receive_symbol(2)
         check_current()
-        permuted = node.summary_card("minwise", (("seed", 5), ("entries", 32)))
+        permuted = node.working_set.summary("minwise", seed=5, entries=32)
         assert permuted is schemes[0].card_of(node)
-        assert len([key for key in node._cards if key[0] == "minwise"]) == 2
+        minwise = [k for k in node.working_set._derived if k[0] == "minwise"]
+        assert len(minwise) == 2
+
+    def test_replaced_working_set_never_serves_the_old_card(self):
+        """A cache keyed by version number alone served the old set's
+        card when ``node.working_set`` was replaced by a fresh set at
+        the same version; the cache now lives on the set itself."""
+        from repro.hashing.permutations import PermutationFamily
+        from repro.overlay.reconfiguration import default_scheme
+        from repro.sketches import MinwiseSketch
+
+        scheme = default_scheme()
+        node = OverlayNode("n0", target=64, initial_ids=range(40))
+        stale = scheme.card_of(node)
+        other_ids = range(1_000, 1_030)
+        node.working_set = WorkingSet(other_ids)
+        assert node.working_set.version == 0  # same stamp as the old set
+        card = scheme.card_of(node)
+        assert card is not stale
+        family = PermutationFamily(card.entries, card.universe, seed=card.seed)
+        assert card.minima == MinwiseSketch.build(other_ids, family).minima
+
+    def test_replaced_working_set_never_serves_the_old_inventory(self):
+        from repro.overlay.catalog import CatalogNode, ObjectCatalog
+
+        catalog = ObjectCatalog(
+            targets=[3, 3], distinct=[5, 5], priorities=[1.0, 1.0],
+            demand_shares=[0.5, 0.5],
+        )
+        node = CatalogNode(
+            "n0", catalog, demand=(0, 1), initial_ids=catalog.target_ids(0)
+        )
+        assert node.wanted_objects() == {1}
+        node.working_set = WorkingSet(catalog.target_ids(1))
+        assert node.wanted_objects() == {0}
+        assert node.progress_of(0) == 0 and node.progress_of(1) == 3
+        assert not node.is_complete
+
+
+class TestFromScratchBuilds:
+    """How many from-scratch ``build_summary`` calls a small spec pays.
+
+    A receiver's summary lives on its working set: every sender,
+    handshake and wire-size read shares it, and an incremental kind
+    absorbs arrivals instead of rebuilding.  (Before, the protocol
+    layer rebuilt per call and the overlay's per-receiver cache never
+    absorbed: 4 min-wise / 16 Bloom / 17 Bloom builds below.)"""
+
+    @pytest.mark.parametrize(
+        "name, builds",
+        [
+            ("session_swarm", {"minwise": 3}),
+            ("flash_crowd", {"minwise": 10, "bloom": 8}),
+            ("congested_swarm", {"minwise": 10, "bloom": 10}),
+        ],
+    )
+    def test_small_spec_build_counts(self, name, builds, monkeypatch):
+        from collections import Counter
+
+        from repro.api.registry import small_spec
+
+        calls = _spy_on_builds(monkeypatch)
+        run(small_spec(name))
+        assert Counter(calls) == builds
 
 
 class TestOneCallingCard:
-    """Joins, admission and rewiring read the same cached
-    ``summary_card`` row, so a node version costs one min-wise kernel
-    pass — not a join sketch plus an admission card."""
+    """Joins, admission and rewiring read the same cached working-set
+    summary, so a node version costs one min-wise kernel pass — not a
+    join sketch plus an admission card."""
 
     #: Outermost ``permutation_minima`` / ``permutation_minima_fold``
     #: calls over the run below (58 when joins kept their own sketch).

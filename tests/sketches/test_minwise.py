@@ -188,17 +188,17 @@ class TestFromMinima:
     def test_roundtrip(self):
         fam = make_family()
         a = MinwiseSketch.build([10, 20, 30], fam)
-        b = MinwiseSketch.from_minima(fam, a.minima, count=3)
+        b = MinwiseSketch.from_minima(fam, a.minima)
         assert a.estimate_resemblance(b) == 1.0
 
     def test_length_check(self):
         fam = make_family()
         with pytest.raises(ValueError):
-            MinwiseSketch.from_minima(fam, [1, 2, 3], count=3)
+            MinwiseSketch.from_minima(fam, [1, 2, 3])
 
     def test_two_reconstructed_cards_of_one_set_resemble_fully(self):
-        # Regression: emptiness was read off the fold counter, which
-        # from_minima defaults to 0, so two wire-side cards of the same
+        # Regression: emptiness was read off a fold counter that wire
+        # reconstruction left at 0, so two wire-side cards of the same
         # set both looked empty and estimated 0.0.
         fam = make_family()
         built = MinwiseSketch.build([10, 20, 30], fam)
@@ -210,6 +210,6 @@ class TestFromMinima:
 
     def test_reconstructed_empty_vector_is_still_empty(self):
         fam = make_family()
-        blank = MinwiseSketch.from_minima(fam, [None] * len(fam), count=5)
+        blank = MinwiseSketch.from_minima(fam, [None] * len(fam))
         assert blank.is_empty
         assert blank.estimate_resemblance(MinwiseSketch(fam)) == 0.0
