@@ -144,7 +144,7 @@ def quickstart_transfer(target: int = 500, seed: int = 1) -> str:
     for name in ("Random", "Recode/BF"):
         rng = random.Random(seed)
         scenario = make_pair_scenario(target, 1.1, 0.3, rng)
-        receiver = SimReceiver(scenario.receiver.ids, scenario.target)
+        receiver = SimReceiver(scenario.receiver, scenario.target)
         strategy = make_strategy(
             name, scenario.sender, scenario.receiver, rng,
             symbols_desired=scenario.target - len(scenario.receiver),

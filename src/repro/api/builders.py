@@ -56,10 +56,7 @@ from repro.delivery.scenarios import (
     make_pair_scenario,
 )
 from repro.delivery.strategies import DEFAULT_DESIRED_MARGIN, make_strategy
-from repro.delivery.transfer import (
-    simulate_multi_sender_transfer,
-    simulate_p2p_transfer,
-)
+from repro.delivery.transfer import simulate_multi_sender_transfer
 from repro.overlay.node import OverlayNode
 from repro.overlay.reconfiguration import (
     OpenAdmission,
@@ -1110,13 +1107,11 @@ def _run_transfer(
     sender_sets: Sequence,
     rng: random.Random,
     desired: int,
-    p2p: bool = False,
 ) -> RunResult:
     """The delivery path both transfer scenarios share: one strategy per
     partial sender (each asked for ``desired`` symbols), the transfer
-    loop (``p2p`` = the single-sender loop instead of rounds), and the
-    collected result."""
-    receiver = SimReceiver(layout.receiver.ids, layout.target)
+    loop, and the collected result."""
+    receiver = SimReceiver(layout.receiver, layout.target)
     full_senders = int(spec.param("full_senders", 0))
     strategies = [
         make_strategy(
@@ -1129,19 +1124,14 @@ def _run_transfer(
         )
         for sender_set in sender_sets
     ]
-    if p2p:
-        result = simulate_p2p_transfer(
-            receiver, strategies[0], max_packets=spec.measurement.max_packets or None
-        )
-    else:
-        result = simulate_multi_sender_transfer(
-            receiver,
-            strategies,
-            full_senders=full_senders,
-            max_rounds=_rounds_cap(
-                spec.measurement.max_packets, len(strategies) + full_senders
-            ),
-        )
+    result = simulate_multi_sender_transfer(
+        receiver,
+        strategies,
+        full_senders=full_senders,
+        max_rounds=_rounds_cap(
+            spec.measurement.max_packets, len(strategies) + full_senders
+        ),
+    )
     return RunResult(
         spec=spec,
         completed=result.completed,
@@ -1184,9 +1174,7 @@ def build_pair_transfer(spec: ExperimentSpec) -> BuiltExperiment:
                 desired = layout.target - len(layout.receiver)
             else:
                 desired = _even_share(spec, layout, 1 + full_senders)
-        return _run_transfer(
-            spec, layout, [layout.sender], rng, desired, p2p=full_senders == 0
-        )
+        return _run_transfer(spec, layout, [layout.sender], rng, desired)
 
     return BuiltExperiment(spec=spec, kind="transfer", runner=run)
 

@@ -275,7 +275,7 @@ def _run_cell(
             f"{kind}@{budget}: discrepancy bound exceeded; recoding blind"
         )
 
-    receiver = SimReceiver(layout.receiver.ids, layout.target)
+    receiver = SimReceiver(layout.receiver, layout.target)
     before = receiver.known_count
     result = simulate_p2p_transfer(
         receiver, strategy, max_packets=spec.measurement.max_packets or None

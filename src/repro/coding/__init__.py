@@ -11,10 +11,14 @@ The digital-fountain substrate everything else rides on:
   a pure function of ``(seed, i)``, so independently seeded fountains are
   uncorrelated (the paper's *additivity*) while a shared seed gives all
   peers a common symbol universe keyed by ``symbol_id``.
-* :class:`PeelingDecoder` — the substitution-rule decoder of [16].
 * :class:`Recoder` / :class:`RecodedPeeler` — Section 5.4.2: partial
   senders blend received symbols into recoded symbols; receivers peel
-  recoded symbols back to encoded symbols, then decode normally.
+  recoded symbols back to encoded symbols, then decode normally.  The
+  peeler is the one implementation of the substitution rule of [16],
+  and it peels into a set its owner already holds
+  (:meth:`RecodedPeeler.into`) or into a private one (``known_ids=``).
+* :class:`PeelingDecoder` — that same peeler run over source-block
+  indices, plus completion, content reassembly and the Gaussian tail.
 """
 
 from repro.coding.degree import DegreeDistribution

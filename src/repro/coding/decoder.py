@@ -1,18 +1,23 @@
-"""Peeling decoder with the substitution rule of [16].
+"""Decoding encoded symbols into source blocks (Section 5.4.1).
 
-Maintains a set of recovered source blocks and a graph of pending symbols.
-Whenever a symbol's unresolved neighbour set drops to one block, that
-block is recovered and substituted into every other pending symbol that
-references it — the ripple.  Decoding cost is proportional to the total
-degree of the symbols consumed, as Section 5.4.1 states.
+An encoded symbol is a blend of source blocks exactly as a recoded
+symbol is a blend of encoded symbols, and the paper decodes both with
+the substitution rule of [16].  :class:`PeelingDecoder` therefore *is*
+a :class:`~repro.coding.peeler.RecodedPeeler` whose ids are source-block
+indices: the pending graph and the ripple live there, once.  This
+module adds only what the block level needs — completion against
+``num_blocks``, content reassembly, and the Gaussian tail.  Decoding
+cost is proportional to the total degree of the symbols consumed, as
+Section 5.4.1 states.
 """
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional
 
+from repro.coding.peeler import RecodedPeeler, _xor
 from repro.coding.symbol import EncodedSymbol
 
 
-class PeelingDecoder:
+class PeelingDecoder(RecodedPeeler):
     """Incremental decoder for sparse parity-check encoded symbols.
 
     Args:
@@ -20,43 +25,41 @@ class PeelingDecoder:
         track_payloads: when False, runs identity-only (no XOR work) —
             used by the delivery simulator where only decodability
             matters.
-
-    Attributes:
-        symbols_received: total symbols fed in.
-        symbols_useless: symbols that were fully redundant on arrival
-            (every neighbour already recovered).
     """
 
     def __init__(self, num_blocks: int, track_payloads: bool = True):
         if num_blocks < 1:
             raise ValueError("need at least one source block")
+        super().__init__()
         self.num_blocks = num_blocks
         self.track_payloads = track_payloads
-        self._recovered: Dict[int, Optional[bytes]] = {}
-        # pending symbol id -> (unresolved neighbour set, payload accumulator)
-        self._pending_neighbours: Dict[int, Set[int]] = {}
-        self._pending_payload: Dict[int, Optional[bytes]] = {}
-        # block index -> ids of pending symbols waiting on it
-        self._waiting: Dict[int, Set[int]] = {}
-        self._next_internal_id = 0
-        self.symbols_received = 0
-        self.symbols_useless = 0
 
     # -- status -----------------------------------------------------------
 
     @property
+    def symbols_received(self) -> int:
+        """Total symbols fed in."""
+        return self.recoded_received
+
+    @property
+    def symbols_useless(self) -> int:
+        """Symbols that were fully redundant on arrival (every
+        neighbour already recovered)."""
+        return self.recoded_useless
+
+    @property
     def recovered_count(self) -> int:
         """Number of source blocks recovered so far."""
-        return len(self._recovered)
+        return len(self._known)
 
     @property
     def is_complete(self) -> bool:
         """True once every source block is recovered."""
-        return len(self._recovered) == self.num_blocks
+        return len(self._known) == self.num_blocks
 
     def recovered_blocks(self) -> Dict[int, Optional[bytes]]:
         """Mapping of recovered block index -> payload (or None)."""
-        return dict(self._recovered)
+        return {i: self._payloads.get(i) for i in self._known}
 
     def decoded_content(self, trim_to: Optional[int] = None) -> bytes:
         """Reassemble the original content (payload mode only).
@@ -76,7 +79,7 @@ class PeelingDecoder:
             raise RuntimeError("decoder was run in identity-only mode")
         parts = []
         for i in range(self.num_blocks):
-            payload = self._recovered[i]
+            payload = self._payloads.get(i)
             if payload is None:
                 raise RuntimeError(f"block {i} recovered without payload")
             parts.append(payload)
@@ -87,26 +90,9 @@ class PeelingDecoder:
 
     def add_symbol(self, symbol: EncodedSymbol) -> List[int]:
         """Consume one encoded symbol; return newly recovered block indices."""
-        self.symbols_received += 1
-        unresolved = set(symbol.source_indices) - self._recovered.keys()
-        payload = symbol.payload if self.track_payloads else None
-        if self.track_payloads and symbol.payload is not None:
-            # Substitute already-recovered blocks out of the payload.
-            resolved = symbol.source_indices & self._recovered.keys()
-            for idx in resolved:
-                block = self._recovered[idx]
-                if block is not None:
-                    payload = _xor(payload, block)
-        if not unresolved:
-            self.symbols_useless += 1
-            return []
-        internal_id = self._next_internal_id
-        self._next_internal_id += 1
-        self._pending_neighbours[internal_id] = unresolved
-        self._pending_payload[internal_id] = payload
-        for idx in unresolved:
-            self._waiting.setdefault(idx, set()).add(internal_id)
-        return self._ripple(internal_id)
+        return self._add_blend(
+            symbol.source_indices, symbol.payload if self.track_payloads else None
+        )
 
     def add_symbols(self, symbols: Iterable[EncodedSymbol]) -> List[int]:
         """Consume a batch; return all newly recovered block indices."""
@@ -114,40 +100,6 @@ class PeelingDecoder:
         for s in symbols:
             recovered.extend(self.add_symbol(s))
         return recovered
-
-    # -- internals ------------------------------------------------------------
-
-    def _ripple(self, start_id: int) -> List[int]:
-        """Run the substitution rule from one candidate symbol."""
-        newly_recovered: List[int] = []
-        frontier = [start_id]
-        while frontier:
-            sid = frontier.pop()
-            neighbours = self._pending_neighbours.get(sid)
-            if neighbours is None or len(neighbours) != 1:
-                continue
-            block_idx = next(iter(neighbours))
-            block_payload = self._pending_payload.get(sid)
-            self._drop_pending(sid)
-            if block_idx in self._recovered:
-                continue
-            self._recovered[block_idx] = block_payload
-            newly_recovered.append(block_idx)
-            # Substitute into every symbol waiting on this block.
-            for waiter in list(self._waiting.pop(block_idx, ())):
-                w_neigh = self._pending_neighbours.get(waiter)
-                if w_neigh is None:
-                    continue
-                w_neigh.discard(block_idx)
-                if self.track_payloads and block_payload is not None:
-                    current = self._pending_payload[waiter]
-                    if current is not None:
-                        self._pending_payload[waiter] = _xor(current, block_payload)
-                if len(w_neigh) == 1:
-                    frontier.append(waiter)
-                elif not w_neigh:
-                    self._drop_pending(waiter)
-        return newly_recovered
 
     # -- Gaussian fallback (inactivation decoding) ---------------------------
 
@@ -162,20 +114,22 @@ class PeelingDecoder:
         number of *unresolved* blocks only, so calling it after peeling
         is cheap in the common case.
 
-        Returns newly recovered block indices (possibly empty if the
-        pending system is underdetermined).
+        Returns newly recovered block indices, in no particular order
+        (possibly empty if the pending system is underdetermined).
         """
-        if not self._pending_neighbours:
+        if not self._pending_constituents:
             return []
-        unknowns = sorted({b for ns in self._pending_neighbours.values() for b in ns})
+        unknowns = sorted(
+            {b for ns in self._pending_constituents.values() for b in ns}
+        )
         pos = {b: i for i, b in enumerate(unknowns)}
         # Forward elimination with lowest-set-bit pivoting.
         pivots: Dict[int, List] = {}  # pivot bit index -> [mask, payload]
-        for sid, neighbours in self._pending_neighbours.items():
+        for pid, neighbours in self._pending_constituents.items():
             mask = 0
             for b in neighbours:
                 mask |= 1 << pos[b]
-            payload = self._pending_payload.get(sid)
+            payload = self._pending_payload.get(pid)
             while mask:
                 low = (mask & -mask).bit_length() - 1
                 if low not in pivots:
@@ -183,10 +137,7 @@ class PeelingDecoder:
                     break
                 pmask, ppayload = pivots[low]
                 mask ^= pmask
-                if payload is not None and ppayload is not None:
-                    payload = _xor(payload, ppayload)
-                else:
-                    payload = None
+                payload = _xor(payload, ppayload)
         # Back-substitution from the highest pivot down: a row's non-pivot
         # bits are all higher than its pivot, hence already processed.
         solved: Dict[int, Optional[bytes]] = {}
@@ -200,55 +151,12 @@ class PeelingDecoder:
                 if high not in solved:
                     determined = False
                     break
-                other = solved[high]
-                if payload is not None and other is not None:
-                    payload = _xor(payload, other)
-                else:
-                    payload = None
+                payload = _xor(payload, solved[high])
             if determined:
                 solved[bit] = payload
+        # A solved block is a plain arrival: the substitution rule keeps
+        # the pending graph consistent for symbols that arrive later.
         newly: List[int] = []
         for bit, payload in solved.items():
-            block_idx = unknowns[bit]
-            if block_idx in self._recovered:
-                continue
-            self._recovered[block_idx] = payload if self.track_payloads else None
-            newly.append(block_idx)
-            # Substitute into remaining pending symbols so decoder state
-            # stays consistent for any symbols that arrive later.
-            for waiter in list(self._waiting.pop(block_idx, ())):
-                w_neigh = self._pending_neighbours.get(waiter)
-                if w_neigh is None:
-                    continue
-                w_neigh.discard(block_idx)
-                if self.track_payloads and payload is not None:
-                    current = self._pending_payload[waiter]
-                    if current is not None:
-                        self._pending_payload[waiter] = _xor(current, payload)
-                if not w_neigh:
-                    self._drop_pending(waiter)
-        # Any pending symbol now down to one unknown can ripple normally.
-        for sid in [
-            s for s, ns in self._pending_neighbours.items() if len(ns) == 1
-        ]:
-            newly.extend(self._ripple(sid))
+            newly.extend(self.add_encoded(unknowns[bit], payload))
         return newly
-
-    def _drop_pending(self, sid: int) -> None:
-        neighbours = self._pending_neighbours.pop(sid, None)
-        self._pending_payload.pop(sid, None)
-        if neighbours:
-            for idx in neighbours:
-                waiters = self._waiting.get(idx)
-                if waiters is not None:
-                    waiters.discard(sid)
-                    if not waiters:
-                        del self._waiting[idx]
-
-
-def _xor(a: Optional[bytes], b: bytes) -> Optional[bytes]:
-    if a is None:
-        return None
-    return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(
-        len(a), "little"
-    )

@@ -1,23 +1,28 @@
-"""Receiver-side peeling of recoded symbols back to encoded symbols.
+"""The substitution rule of [16]: peel blends back to what they blend.
 
 Section 5.4.2's example: a peer receiving ``z1 = y13``, ``z2 = y5 ⊕ y8``
 and ``z3 = y5 ⊕ y13`` immediately recovers ``y13``, substitutes it into
-``z3`` to recover ``y5``, then recovers ``y8`` from ``z2``.  This module
-implements that substitution process over *encoded-symbol* identifiers,
-one level above :class:`~repro.coding.decoder.PeelingDecoder` which peels
-encoded symbols into source blocks.
+``z3`` to recover ``y5``, then recovers ``y8`` from ``z2``.  Section
+5.4.1 decodes encoded symbols into source blocks with the very same
+rule, so this is the one implementation: :class:`RecodedPeeler` runs it
+over *encoded-symbol* ids, and :class:`~repro.coding.decoder.
+PeelingDecoder` is this peeler run over *source-block* indices.
 
 "Recoded symbols which are not immediately useful are often eventually
 useful" — the peeler keeps them pending until later arrivals reduce them.
 """
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
 from repro.coding.symbol import RecodedSymbol
 
 
 class RecodedPeeler:
     """Tracks known encoded symbols and pending recoded symbols.
+
+    Built with ``known_ids`` the peeler owns a private copy of them;
+    built with :meth:`into` it peels into the set its owner already
+    holds.
 
     Args:
         known_ids: encoded-symbol ids the receiver already holds.
@@ -34,7 +39,7 @@ class RecodedPeeler:
         known_ids: Iterable[int] = (),
         payloads: Optional[Dict[int, bytes]] = None,
     ):
-        self._known: Set[int] = set(known_ids)
+        self._known = set(known_ids)
         self._payloads: Dict[int, bytes] = dict(payloads or {})
         self._pending_constituents: Dict[int, Set[int]] = {}
         self._pending_payload: Dict[int, Optional[bytes]] = {}
@@ -43,7 +48,29 @@ class RecodedPeeler:
         self.recoded_received = 0
         self.recoded_useless = 0
 
+    @classmethod
+    def into(
+        cls, working_set, payloads: Optional[Dict[int, bytes]] = None
+    ) -> "RecodedPeeler":
+        """A peeler that peels into ``working_set`` itself.
+
+        The set is adopted, never copied: what the peeler knows *is*
+        what the set holds, and every recovered id goes through the
+        set's own ``add`` (for a :class:`~repro.delivery.working_set.
+        WorkingSet`: its version, add journal and cached artefacts stay
+        right).  Anything set-like that also answers ``frozenset - s``
+        and ``frozenset & s`` will do.
+        """
+        peeler = cls(payloads=payloads)
+        peeler._known = working_set
+        return peeler
+
     # -- status ------------------------------------------------------------
+
+    @property
+    def known(self):
+        """The set peeled into — the adopted one itself after :meth:`into`."""
+        return self._known
 
     @property
     def known_count(self) -> int:
@@ -74,26 +101,32 @@ class RecodedPeeler:
         if symbol_id in self._known:
             return []
         self._know(symbol_id, payload)
-        return [symbol_id] + self._reduce_waiters(symbol_id)
+        recovered = [symbol_id]
+        for pid in self._substitute(symbol_id):
+            recovered.extend(self._resolve(pid))
+        return recovered
 
     def add_recoded(self, symbol: RecodedSymbol) -> List[int]:
         """Receive a recoded symbol; returns encoded ids newly recovered.
 
         A degree-1 recoded symbol is just an encoded symbol in disguise
         and resolves immediately; higher degrees resolve when all but one
-        constituent is known, possibly triggering a cascade.
+        constituent is known, possibly triggering a cascade.  Anything
+        carrying ``constituent_ids`` and ``payload`` is accepted.
         """
+        return self._add_blend(symbol.constituent_ids, symbol.payload)
+
+    # -- internals -----------------------------------------------------------------
+
+    def _add_blend(self, ids: FrozenSet[int], payload: Optional[bytes]) -> List[int]:
         self.recoded_received += 1
-        unknown = symbol.constituent_ids - self._known
+        unknown = ids - self._known
         if not unknown:
             self.recoded_useless += 1
             return []
-        payload = symbol.payload
         if payload is not None:
-            for known_id in symbol.constituent_ids & self._known:
-                kp = self._payloads.get(known_id)
-                if kp is not None:
-                    payload = _xor(payload, kp)
+            for known_id in ids & self._known:
+                payload = _xor(payload, self._payloads.get(known_id))
         pid = self._next_id
         self._next_id += 1
         self._pending_constituents[pid] = set(unknown)
@@ -104,14 +137,13 @@ class RecodedPeeler:
             return self._resolve(pid)
         return []
 
-    # -- internals -----------------------------------------------------------------
-
     def _know(self, symbol_id: int, payload: Optional[bytes]) -> None:
         self._known.add(symbol_id)
         if payload is not None:
             self._payloads[symbol_id] = payload
 
     def _resolve(self, pid: int) -> List[int]:
+        """Run the substitution rule from one candidate blend — the ripple."""
         recovered: List[int] = []
         frontier = [pid]
         while frontier:
@@ -126,33 +158,27 @@ class RecodedPeeler:
                 continue
             self._know(new_id, new_payload)
             recovered.append(new_id)
-            frontier.extend(self._reduce_ids(new_id, collect_frontier=True))
+            frontier.extend(self._substitute(new_id))
         return recovered
 
-    def _reduce_waiters(self, symbol_id: int) -> List[int]:
-        """Substitute a newly known encoded symbol into pending recodes."""
-        recovered: List[int] = []
-        for pid in self._reduce_ids(symbol_id, collect_frontier=True):
-            recovered.extend(self._resolve(pid))
-        return recovered
-
-    def _reduce_ids(self, symbol_id: int, collect_frontier: bool) -> List[int]:
+    def _substitute(self, symbol_id: int) -> List[int]:
+        """Substitute a newly known id into every blend waiting on it;
+        returns the blends now down to one unknown."""
         ready: List[int] = []
+        payload = self._payloads.get(symbol_id)
         for pid in list(self._waiting.pop(symbol_id, ())):
             constituents = self._pending_constituents.get(pid)
             if constituents is None:
                 continue
             constituents.discard(symbol_id)
-            payload = self._payloads.get(symbol_id)
-            if payload is not None:
-                current = self._pending_payload[pid]
-                if current is not None:
-                    self._pending_payload[pid] = _xor(current, payload)
+            current = self._pending_payload[pid]
+            if current is not None:
+                self._pending_payload[pid] = _xor(current, payload)
             if len(constituents) == 1:
                 ready.append(pid)
             elif not constituents:
                 self._drop(pid)
-        return ready if collect_frontier else []
+        return ready
 
     def _drop(self, pid: int) -> None:
         constituents = self._pending_constituents.pop(pid, None)
@@ -166,7 +192,11 @@ class RecodedPeeler:
                         del self._waiting[cid]
 
 
-def _xor(a: bytes, b: bytes) -> bytes:
+def _xor(a: Optional[bytes], b: Optional[bytes]) -> Optional[bytes]:
+    """``a ⊕ b``; unknown (``None``) if either side is — a blend reduced
+    by a symbol whose bytes were never tracked has no known bytes."""
+    if a is None or b is None:
+        return None
     return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(
         len(a), "little"
     )

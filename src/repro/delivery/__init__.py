@@ -8,10 +8,11 @@ This subpackage reproduces the paper's evaluation machinery:
   or recoded) exchanged by the simulator.
 * :mod:`repro.delivery.strategies` — the five Section 6.2 sender
   strategies: Random, Random/BF, Recode, Recode/BF, Recode/MW.
-* :mod:`repro.delivery.receiver` — receiver state: distinct-symbol
-  accounting plus two-level peeling of recoded symbols.
-* :mod:`repro.delivery.transfer` — single- and multi-sender transfer
-  loops with the paper's overhead/speedup/relative-rate metrics.
+* :mod:`repro.delivery.receiver` — receiver state: a recoded-symbol
+  peeler (which holds the distinct symbols) plus packet accounting.
+* :mod:`repro.delivery.transfer` — the round-robin transfer loop (one
+  sender is its one-sender case) with the paper's
+  overhead/speedup/relative-rate metrics.
 * :mod:`repro.delivery.scenarios` — compact (1.1n) and stretched (1.5n)
   working-set layouts for Figures 5-8.
 """

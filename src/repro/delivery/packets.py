@@ -2,8 +2,9 @@
 
 The Section 6 simulations only need symbol *identities* (which encoded
 symbols a packet conveys), not payload bytes — usefulness is a set
-property.  The prototype protocol in :mod:`repro.protocol` carries real
-payloads; both share this packet shape.
+property.  :class:`Packet` is what the figure loops and the overlay
+simulator move; the prototype protocol in :mod:`repro.protocol` carries
+real payloads in its own :class:`~repro.protocol.messages.DataMessage`.
 """
 
 from dataclasses import dataclass

@@ -1,9 +1,10 @@
 """Receiver state for delivery simulations.
 
-Tracks distinct encoded symbols held, peels recoded arrivals through
-:class:`~repro.coding.peeler.RecodedPeeler`, and reports completion
-against a target count that already includes decoding overhead
-(Section 6.1 simulates "a constant decoding overhead of 7%").
+A :class:`~repro.coding.peeler.RecodedPeeler` holds the distinct
+encoded symbols (the one copy of them) and peels recoded arrivals; the
+receiver adds packet counters and completion against a target count
+that already includes decoding overhead (Section 6.1 simulates "a
+constant decoding overhead of 7%").
 """
 
 from typing import Iterable, List
@@ -17,10 +18,11 @@ DEFAULT_DECODING_OVERHEAD = 0.07
 
 
 class SimReceiver:
-    """A downloading peer: working set + recoded-symbol peeler + target.
+    """A downloading peer: a recoded-symbol peeler and a target.
 
     Args:
-        initial_ids: encoded-symbol ids held at transfer start.
+        initial_ids: encoded-symbol ids held at transfer start (any
+            iterable; copied once, into the peeler).
         target: distinct encoded symbols needed to recover the file
             (decoding overhead included by the caller).
 

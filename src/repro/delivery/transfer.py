@@ -1,11 +1,13 @@
-"""Transfer loops and the paper's Figure 5-8 metrics.
+"""The transfer loop and the paper's Figure 5-8 metrics.
 
-Three simulated settings:
+Three simulated settings, one round-robin loop
+(:func:`simulate_multi_sender_transfer`):
 
 * :func:`simulate_p2p_transfer` — one partial sender feeding one receiver
-  (Figure 5).  Metric: **overhead**, packets sent divided by the number of
-  useful symbols the receiver actually needed — 1.0 is the encoded-content
-  baseline in which every packet is useful.
+  (Figure 5), the loop's one-sender case.  Metric: **overhead**, packets
+  sent divided by the number of useful symbols the receiver actually
+  needed — 1.0 is the encoded-content baseline in which every packet is
+  useful.
 * :func:`simulate_multi_sender_transfer` with ``full_senders >= 1`` —
   partial sender(s) supplementing a full sender at equal rates
   (Figure 6).  Metric: **speedup** over the full sender alone.
@@ -21,9 +23,8 @@ is missing.
 """
 
 import itertools
-import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.delivery.packets import Packet
 from repro.delivery.receiver import SimReceiver
@@ -66,27 +67,17 @@ def simulate_p2p_transfer(
 ) -> TransferResult:
     """Run a single sender until the receiver completes (Figure 5 loop).
 
+    One sender's rounds are its packets, so this is
+    :func:`simulate_multi_sender_transfer` over ``[strategy]``.
+
     Args:
         receiver: receiver state (consumed/mutated).
         strategy: the sender's packet-composition rule.
         max_packets: safety valve; ``None`` derives a generous cap from
             the target (coupon-collector runs need room to finish).
     """
-    needed = receiver.target - receiver.known_count
-    if needed <= 0:
-        return TransferResult(True, 0, 0, 0, receiver.known_count)
-    if max_packets is None:
-        max_packets = max(1000, 60 * receiver.target)
-    sent = 0
-    while not receiver.is_complete and sent < max_packets:
-        receiver.receive(strategy.next_packet())
-        sent += 1
-    return TransferResult(
-        completed=receiver.is_complete,
-        rounds=sent,
-        packets_sent=sent,
-        useful_needed=needed,
-        receiver_final_count=receiver.known_count,
+    return simulate_multi_sender_transfer(
+        receiver, [strategy], max_rounds=max_packets
     )
 
 
@@ -134,24 +125,22 @@ def simulate_multi_sender_transfer(
         return TransferResult(True, 0, 0, 0, receiver.known_count)
     if max_rounds is None:
         max_rounds = max(1000, 60 * receiver.target)
-    fulls: List[FullSender] = [
-        FullSender(fresh_id_start + i * (1 << 20)) for i in range(full_senders)
+    senders = [sender.next_packet for sender in strategies]
+    senders += [
+        FullSender(fresh_id_start + i * (1 << 20)).next_packet
+        for i in range(full_senders)
     ]
+    receive = receiver.receive
     rounds = 0
     packets = 0
-    while not receiver.is_complete and rounds < max_rounds:
+    complete = False
+    while not complete and rounds < max_rounds:
         rounds += 1
-        for sender in strategies:
-            receiver.receive(sender.next_packet())
+        for next_packet in senders:
             packets += 1
-            if receiver.is_complete:
-                break
-        if receiver.is_complete:
-            break
-        for full in fulls:
-            receiver.receive(full.next_packet())
-            packets += 1
-            if receiver.is_complete:
+            # Only a packet that recovered something can complete.
+            if receive(next_packet()) and receiver.is_complete:
+                complete = True
                 break
     return TransferResult(
         completed=receiver.is_complete,

@@ -17,6 +17,7 @@ live there, so a cache dies with the set it describes.
 """
 
 from typing import (
+    AbstractSet,
     Any,
     Callable,
     Dict,
@@ -112,6 +113,14 @@ class WorkingSet:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._ids)
+
+    # ``frozenset - ws`` / ``frozenset & ws``: what a peeler that peels
+    # into this set asks per packet, answered by one C-level set op.
+    def __rsub__(self, other: AbstractSet[int]) -> AbstractSet[int]:
+        return other - self._ids
+
+    def __rand__(self, other: AbstractSet[int]) -> AbstractSet[int]:
+        return other & self._ids
 
     @property
     def ids(self) -> Set[int]:

@@ -1,16 +1,18 @@
 """Overlay end-systems.
 
 A node owns a working set of encoded symbols and tracks completion
-against the file's recovery target.  Its calling card (Section 4) is
-its working set's cached summary — :meth:`~repro.overlay.
-reconfiguration.SummaryScheme.card_of` reads it there.  Sources hold
-full content and mint fresh symbols; partial nodes serve from what
-they hold.
+against the file's recovery target.  That set is the only record of
+what the node holds: its calling card (Section 4) is the set's cached
+summary — :meth:`~repro.overlay.reconfiguration.SummaryScheme.card_of`
+reads it there — and the simulator peels arriving packets into the set
+itself (:attr:`OverlayNode.peeler`).  Sources hold full content and
+mint fresh symbols; partial nodes serve from what they hold.
 """
 
 import itertools
 from typing import Iterable, Optional
 
+from repro.coding.peeler import RecodedPeeler
 from repro.delivery.working_set import WorkingSet
 
 
@@ -41,6 +43,9 @@ class OverlayNode:
         self.node_id = node_id
         self.target = target
         self.working_set = WorkingSet(initial_ids)
+        # Pending recoded arrivals, kept by the simulator the node is
+        # in; what it recovers goes straight into ``working_set``.
+        self.peeler: Optional[RecodedPeeler] = None
         self.is_source = is_source
         self.max_connections = max_connections
         if is_source:

@@ -26,8 +26,10 @@ whose endpoints are version-unchanged, and a reconfiguration epoch
 memoises every usefulness estimate for its duration.  Everything
 computed from one working set — a receiver's summary, a node's card,
 its card-matrix row — is cached on that set
-(:meth:`~repro.delivery.working_set.WorkingSet.cached`), so the
-simulator keeps no per-node artefact and a departure evicts nothing.
+(:meth:`~repro.delivery.working_set.WorkingSet.cached`), and what a
+node holds is stored there once: arriving packets are peeled into the
+working set itself (:meth:`~repro.coding.peeler.RecodedPeeler.into`).
+The simulator keeps no per-node artefact and a departure evicts nothing.
 The one array kernel is opt-in (``card_matrix=True``, what
 ``measurement.engine="columnar"`` selects): min-wise cards become int64
 matrix rows and each receiver's estimates are prefilled by a single
@@ -363,7 +365,6 @@ class OverlaySimulator:
         self.connections: Dict[tuple, Connection] = {}
         # receiver id -> its sender ids, in edge-creation order.
         self._senders: Dict[str, Dict[str, None]] = {}
-        self._peelers: Dict[str, RecodedPeeler] = {}
         self.tick_count = 0
         self.reconfigurations = 0
         self.reconfig_epochs = 0
@@ -405,11 +406,8 @@ class OverlaySimulator:
         if node.node_id in self.nodes:
             raise ValueError(f"duplicate node id {node.node_id!r}")
         node.joined_at_tick = self.tick_count
+        node.peeler = None  # a (re)join starts with nothing pending
         self.nodes[node.node_id] = node
-        if not node.is_source:
-            self._peelers[node.node_id] = RecodedPeeler(
-                known_ids=node.working_set
-            )
         if self.stats is not None:
             self.stats.gauge(
                 self.scheduler.now, node.node_id, "symbols", len(node.working_set)
@@ -434,7 +432,6 @@ class OverlaySimulator:
             if sender == node_id:
                 self.disconnect(node_id, receiver)
         self._senders.pop(node_id, None)
-        self._peelers.pop(node_id, None)
         return node
 
     def senders_of(self, receiver_id: str) -> List[str]:
@@ -690,7 +687,7 @@ class OverlaySimulator:
     def _arrive(self, conn: Connection, packet: Packet) -> None:
         """A packet reaches its receiver (inline or latency-delayed)."""
         receiver = conn.receiver
-        if receiver.node_id not in self._peelers:
+        if self.nodes.get(receiver.node_id) is not receiver:
             return  # receiver departed while the packet was in flight
         if receiver.is_complete:
             return  # late arrival after completion: nothing to add
@@ -710,17 +707,18 @@ class OverlaySimulator:
             receiver.completed_at_tick = self.tick_count
 
     def _deliver(self, receiver: OverlayNode, packet: Packet) -> bool:
-        """Feed a packet through the receiver's peeler; True if useful."""
-        peeler = self._peelers[receiver.node_id]
+        """Feed a packet through the receiver's peeler, which peels into
+        its working set; True if useful."""
+        peeler = receiver.peeler
+        if peeler is None or peeler.known is not receiver.working_set:
+            # First arrival, or ``working_set`` was assigned a new set:
+            # blends pending over the old one go with it.
+            peeler = receiver.peeler = RecodedPeeler.into(receiver.working_set)
         if packet.is_recoded:
             assert packet.recoded_ids is not None
-            recovered = peeler.add_recoded(RecodedSymbol(packet.recoded_ids))
-        else:
-            assert packet.encoded_id is not None
-            recovered = peeler.add_encoded(packet.encoded_id)
-        for symbol_id in recovered:
-            receiver.receive_symbol(symbol_id)
-        return bool(recovered)
+            return bool(peeler.add_recoded(RecodedSymbol(packet.recoded_ids)))
+        assert packet.encoded_id is not None
+        return bool(peeler.add_encoded(packet.encoded_id))
 
     def _on_reconfig_epoch(self) -> None:
         """One epoch boundary: run (or jitter-defer) the rewiring pass."""

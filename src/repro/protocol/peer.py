@@ -6,6 +6,7 @@ stream seed) that makes symbol ids globally meaningful, just as the
 min-wise permutation family is agreed off-line.
 """
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
@@ -18,6 +19,7 @@ from repro.coding import (
     RecodedPeeler,
 )
 from repro.coding.recode import DEFAULT_MAX_RECODE_DEGREE
+from repro.coding.symbol import xor_payloads
 from repro.delivery.working_set import WorkingSet
 from repro.protocol.messages import DataMessage, HelloMessage, SummaryMessage
 from repro.reconcile import (
@@ -40,8 +42,6 @@ class CodeParameters:
     @property
     def recovery_target(self) -> int:
         """Distinct symbols a receiver should gather before decoding."""
-        import math
-
         return int(math.ceil(self.num_blocks * (1.0 + self.decoding_overhead)))
 
     def encoder_for(self, content: bytes) -> LTEncoder:
@@ -57,6 +57,12 @@ class CodeParameters:
 
 class ProtocolPeer:
     """A peer holding (some of) the encoded content, with real payloads.
+
+    The ids held live in :attr:`working_set` alone — the recoded-symbol
+    peeler peels into it — and :attr:`symbols` maps each to its
+    :class:`EncodedSymbol`.  A symbol recovered from a blend over a
+    constituent whose bytes this peer never had is held without bytes
+    and kept out of the decoder.
 
     ``summary_policy`` selects which working-set summaries the peer
     exchanges (a :class:`~repro.reconcile.SummaryPolicy`); the default
@@ -93,8 +99,8 @@ class ProtocolPeer:
             s.symbol_id: s for s in initial_symbols
         }
         self.working_set = WorkingSet(self.symbols)
-        self._peeler = RecodedPeeler(
-            known_ids=self.symbols,
+        self._peeler = RecodedPeeler.into(
+            self.working_set,
             payloads={i: s.payload for i, s in self.symbols.items() if s.payload},
         )
         self._structure = params.structure_encoder()
@@ -133,11 +139,7 @@ class ProtocolPeer:
     def receive_data(self, msg: DataMessage) -> List[int]:
         """Ingest one data packet; returns newly recovered symbol ids."""
         if msg.is_recoded:
-            from repro.coding.symbol import RecodedSymbol
-
-            recovered = self._peeler.add_recoded(
-                RecodedSymbol(msg.constituent_ids, msg.payload)
-            )
+            recovered = self._peeler.add_recoded(msg)
         else:
             assert msg.symbol_id is not None
             recovered = self._peeler.add_encoded(msg.symbol_id, msg.payload)
@@ -147,7 +149,6 @@ class ProtocolPeer:
                 symbol_id, self._structure.neighbours(symbol_id), payload
             )
             self.symbols[symbol_id] = symbol
-            self.working_set.add(symbol_id)
             if payload is not None:
                 self.decoder.add_symbol(symbol)
         return recovered
@@ -197,8 +198,6 @@ class ProtocolPeer:
         dist = DegreeDistribution.recoding_soliton(len(pool), max_degree=max_degree)
         degree = min(dist.sample(self.rng), len(pool))
         chosen = self.rng.sample(pool, degree)
-        from repro.coding.symbol import xor_payloads
-
         payloads = [self.symbols[i].payload for i in chosen]
         if any(p is None for p in payloads):
             raise RuntimeError("cannot recode payload-free symbols")

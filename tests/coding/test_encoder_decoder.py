@@ -1,5 +1,6 @@
 """Tests for the LT encoder and peeling decoder."""
 
+import hashlib
 import random
 
 import pytest
@@ -225,3 +226,67 @@ class TestGaussianFallback:
     def test_no_pending_is_noop(self):
         dec = PeelingDecoder(10, track_payloads=False)
         assert dec.solve_remaining() == []
+
+
+class TestUntrackedConstituent:
+    def test_blend_over_a_payload_free_block_has_unknown_bytes(self):
+        # Block 0 arrives without bytes; {0, 1} carrying p0 ^ p1 cannot
+        # be reduced to p1.  Block 1 is still recovered — as unknown,
+        # never as the unreduced XOR.
+        p0, p1 = b"\x0f" * 4, b"\xf0" * 4
+        dec = PeelingDecoder(2)
+        assert dec.add_symbol(EncodedSymbol(0, frozenset([0]))) == [0]
+        blend = EncodedSymbol(1, frozenset([0, 1]), xor_payloads([p0, p1]))
+        assert dec.add_symbol(blend) == [1]
+        assert dec.is_complete
+        assert dec.recovered_blocks() == {0: None, 1: None}
+        with pytest.raises(RuntimeError, match="recovered without payload"):
+            dec.decoded_content()
+
+    def test_pending_blend_reduced_by_a_payload_free_block(self):
+        p0, p1 = b"\x0f" * 4, b"\xf0" * 4
+        dec = PeelingDecoder(2)
+        blend = EncodedSymbol(1, frozenset([0, 1]), xor_payloads([p0, p1]))
+        assert dec.add_symbol(blend) == []
+        assert dec.add_symbol(EncodedSymbol(0, frozenset([0]))) == [0, 1]
+        assert dec.recovered_blocks() == {0: None, 1: None}
+
+
+class TestMergedDecoderPin:
+    """The decoder is the recoded-symbol peeler run over block indices;
+    this digest was recorded from PR 19's decoder, which carried its own
+    ripple.  Everything observable per arrival is in it; of
+    ``solve_remaining()``'s return only the set (its order is
+    unspecified)."""
+
+    PIN = "e4d710f1e4a9a1267086f9881f907131f4b370b73bfeccefa8b427cc68319524"
+
+    @staticmethod
+    def _digest():
+        h = hashlib.sha256()
+        for seed in range(12):
+            for n in (50, 120, 260, 450):
+                for track in (True, False):
+                    rng = random.Random(1000 * seed + n)
+                    content = bytes(rng.randrange(256) for _ in range(n * 8))
+                    enc = LTEncoder.from_content(content, 8, stream_seed=seed)
+                    ids = list(range(int(1.02 * n) + n // 4))
+                    rng.shuffle(ids)
+                    early, late = ids[: int(1.02 * n)], ids[int(1.02 * n):]
+                    dec = PeelingDecoder(n, track_payloads=track)
+                    log = [dec.add_symbol(enc.symbol(i)) for i in early]
+                    log.append(sorted(dec.solve_remaining()))
+                    log.extend(dec.add_symbol(enc.symbol(i)) for i in late)
+                    state = (
+                        log,
+                        dec.symbols_received,
+                        dec.symbols_useless,
+                        dec.recovered_count,
+                        dec.is_complete,
+                        sorted(dec.recovered_blocks().items()),
+                    )
+                    h.update(repr(state).encode())
+        return h.hexdigest()
+
+    def test_digest_matches_the_separate_decoder(self):
+        assert self._digest() == self.PIN

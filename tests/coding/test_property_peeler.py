@@ -15,10 +15,12 @@ set, so they are useless at arrival under every permutation.
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.coding import RecodedPeeler, RecodedSymbol, xor_payloads
+from repro.delivery.working_set import WorkingSet
 
 
 def build_batch(num_known, num_missing, num_redundant, rng):
@@ -125,6 +127,15 @@ def _blend(ids):
     return xor_payloads(_payload(i) for i in ids)
 
 
+def _owned(known_ids=(), payloads=None):
+    return RecodedPeeler(known_ids=known_ids, payloads=payloads)
+
+
+def _adopted(known_ids=(), payloads=None):
+    return RecodedPeeler.into(WorkingSet(known_ids), payloads=payloads)
+
+
+@pytest.mark.parametrize("make_peeler", [_owned, _adopted], ids=["owned", "adopted"])
 class TestKnownCountInvariant:
     @given(
         initial=st.frozensets(st.integers(0, ID_SPACE - 1), max_size=6),
@@ -133,11 +144,11 @@ class TestKnownCountInvariant:
     )
     @settings(max_examples=200, deadline=None)
     def test_count_tracks_the_set_under_any_interleaving(
-        self, initial, ops, with_payloads
+        self, make_peeler, initial, ops, with_payloads
     ):
-        peeler = RecodedPeeler(
-            known_ids=initial,
-            payloads={i: _payload(i) for i in initial} if with_payloads else None,
+        peeler = make_peeler(
+            initial,
+            {i: _payload(i) for i in initial} if with_payloads else None,
         )
         assert peeler.known_count == len(peeler.known_ids) == len(initial)
         for kind, arg in ops:
@@ -159,8 +170,10 @@ class TestKnownCountInvariant:
 
     @given(initial=st.frozensets(st.integers(0, ID_SPACE - 1), max_size=6), ops=_ops)
     @settings(max_examples=60, deadline=None)
-    def test_mutating_the_returned_set_leaves_the_peeler_alone(self, initial, ops):
-        peeler = RecodedPeeler(known_ids=initial)
+    def test_mutating_the_returned_set_leaves_the_peeler_alone(
+        self, make_peeler, initial, ops
+    ):
+        peeler = make_peeler(initial)
         for kind, arg in ops:
             if kind == "enc":
                 peeler.add_encoded(arg)
@@ -175,9 +188,9 @@ class TestKnownCountInvariant:
         assert len(peeler.known_ids) == count
         assert peeler.known_ids is not peeler.known_ids
 
-    def test_cascade_grows_the_count_by_everything_it_resolves(self):
+    def test_cascade_grows_the_count_by_everything_it_resolves(self, make_peeler):
         # 5.4.2's example, fed so one arrival resolves three symbols.
-        peeler = RecodedPeeler()
+        peeler = make_peeler()
         assert peeler.add_recoded(RecodedSymbol(frozenset([5, 8]))) == []
         assert peeler.add_recoded(RecodedSymbol(frozenset([5, 13]))) == []
         assert peeler.known_count == 0

@@ -155,6 +155,67 @@ class TestRecodedPeeler:
         assert len(p.known_ids) == 120
 
 
+class TestUntrackedConstituent:
+    """A blend reduced by a symbol whose bytes were never tracked has no
+    known bytes: the id is recovered, its payload is unknown."""
+
+    P1, P2, P3 = b"\x01" * 4, b"\x06" * 4, b"\x18" * 4
+
+    def test_known_constituent_without_payload(self):
+        p = RecodedPeeler(known_ids=[1])
+        blend = RecodedSymbol(frozenset([1, 2]), xor_payloads([self.P1, self.P2]))
+        assert p.add_recoded(blend) == [2]
+        assert p.payload_of(2) is None  # not the unreduced P1 ^ P2
+
+    def test_pending_blend_reduced_by_a_payload_free_arrival(self):
+        p = RecodedPeeler()
+        blend = RecodedSymbol(frozenset([1, 2]), xor_payloads([self.P1, self.P2]))
+        assert p.add_recoded(blend) == []
+        assert p.add_encoded(1) == [1, 2]
+        assert p.payload_of(2) is None
+
+    def test_unknown_bytes_propagate_through_a_cascade(self):
+        p = RecodedPeeler(known_ids=[1])
+        p.add_recoded(RecodedSymbol(frozenset([2, 3]), xor_payloads([self.P2, self.P3])))
+        p.add_recoded(RecodedSymbol(frozenset([1, 2]), xor_payloads([self.P1, self.P2])))
+        assert p.known_ids == {1, 2, 3}
+        assert p.payload_of(2) is None and p.payload_of(3) is None
+
+    def test_tracked_payloads_still_reduce(self):
+        p = RecodedPeeler(known_ids=[1], payloads={1: self.P1})
+        blend = RecodedSymbol(frozenset([1, 2]), xor_payloads([self.P1, self.P2]))
+        assert p.add_recoded(blend) == [2]
+        assert p.payload_of(2) == self.P2
+
+
+class TestPeelingInto:
+    """``RecodedPeeler.into(s)`` adopts ``s``: nothing is copied."""
+
+    def test_plain_set_is_adopted(self):
+        held = {1}
+        p = RecodedPeeler.into(held)
+        assert p.known is held
+        assert p.add_recoded(RecodedSymbol(frozenset([1, 2]))) == [2]
+        assert held == {1, 2}
+        held.add(3)  # the owner's own adds are the peeler's knowledge too
+        assert p.known_count == 3
+        assert p.add_recoded(RecodedSymbol(frozenset([3, 4]))) == [4]
+
+    def test_known_ids_constructor_owns_a_copy(self):
+        held = {1}
+        p = RecodedPeeler(known_ids=held)
+        p.add_encoded(2)
+        assert held == {1} and p.known is not held
+
+    def test_blend_pending_on_an_id_the_owner_added_itself(self):
+        held = set()
+        p = RecodedPeeler.into(held)
+        assert p.add_recoded(RecodedSymbol(frozenset([1, 2]))) == []
+        held.add(1)
+        assert p.add_encoded(2) == [2]  # 1 is not "recovered" a second time
+        assert p.pending_count == 0
+
+
 class TestRecodedSymbolValidation:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,7 @@ from repro.delivery import (
     simulate_p2p_transfer,
 )
 from repro.delivery.scenarios import max_pair_correlation
-from repro.delivery.transfer import FullSender
+from repro.delivery.transfer import FullSender, TransferResult
 
 
 class TestPacket:
@@ -193,3 +193,51 @@ class TestMultiSenderTransfer:
         res = simulate_multi_sender_transfer(recv, strats)
         assert res.completed
         assert res.speedup > 1.5  # clearly beats a single full sender
+
+    def test_stops_at_the_completing_packet_mid_round(self):
+        recv = SimReceiver(range(9), 10)
+        res = simulate_multi_sender_transfer(recv, [], full_senders=3)
+        assert res.completed
+        assert (res.rounds, res.packets_sent, res.receiver_final_count) == (1, 1, 10)
+
+    def test_pending_recodes_do_not_end_a_round_early(self):
+        # A packet that recovers nothing cannot complete the receiver,
+        # however close it is; the round goes on to the next sender.
+        class Blend:
+            def next_packet(self):
+                return Packet.recoded(frozenset([100, 101]))
+
+        recv = SimReceiver(range(9), 10)
+        res = simulate_multi_sender_transfer(recv, [Blend()], full_senders=1)
+        assert (res.rounds, res.packets_sent) == (1, 2)
+        assert res.completed and recv.pending_recoded == 1
+
+    @pytest.mark.parametrize("cap", [18_000, 40])
+    @pytest.mark.parametrize("name", ["Random", "Recode", "Recode/BF"])
+    def test_one_sender_rounds_match_the_single_sender_loop(self, name, cap):
+        def single_sender_loop(receiver, strategy):
+            # The Figure 5 loop as it was written before it became the
+            # round-robin loop's one-sender case; kept as the oracle.
+            needed = receiver.target - receiver.known_count
+            sent = 0
+            while not receiver.is_complete and sent < cap:
+                receiver.receive(strategy.next_packet())
+                sent += 1
+            return TransferResult(
+                receiver.is_complete, sent, sent, needed, receiver.known_count
+            )
+
+        results = []
+        for loop in (
+            single_sender_loop,
+            lambda r, s: simulate_p2p_transfer(r, s, max_packets=cap),
+            lambda r, s: simulate_multi_sender_transfer(r, [s], max_rounds=cap),
+        ):
+            rng = random.Random(12)
+            sc = make_pair_scenario(300, 1.1, 0.2, rng)
+            recv = SimReceiver(sc.receiver, sc.target)
+            strat = make_strategy(name, sc.sender, sc.receiver, rng,
+                                  symbols_desired=sc.target - len(sc.receiver))
+            results.append(loop(recv, strat))
+        assert results[0] == results[1] == results[2]
+        assert results[0].completed == (cap != 40)

@@ -8,12 +8,27 @@ absorbed when the set only grew, rebuilt otherwise.  The machine drives
 that rule through every incremental summary kind, one rebuild-only kind
 and two plain ``cached`` keys, with ids on both sides of the min-wise
 universe, against a model set and from-scratch builds.
+
+A receiver's peeler peels *into* its working set
+(:meth:`RecodedPeeler.into`), so packets are one more way the set
+mutates: the machine feeds an adopting peeler encoded ids and blends
+of degree 1-4 (some pending until a later arrival) and holds it to the
+same rule — every id it recovers went through :meth:`WorkingSet.add`.
 """
 
-from hypothesis import settings
+import pytest
+from hypothesis import Phase, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 
+from repro.coding import RecodedPeeler, RecodedSymbol
 from repro.delivery.working_set import WorkingSet
 from repro.reconcile import build_summary, summary_class
 
@@ -51,20 +66,77 @@ def _sorted_ids(working_set):
 
 
 class WorkingSetCacheMachine(RuleBasedStateMachine):
+    adopt = staticmethod(RecodedPeeler.into)
+
     @initialize(ids=st.sets(_ids, max_size=12))
     def start(self, ids):
         self.ws = WorkingSet(ids)
         self.model = set(ids)
+        self.peeler = self.adopt(self.ws)
+        # Every blend fed and every id ever held: what a recovered id
+        # may legitimately have been reduced from and by.
+        self.blends = []
+        self.ever_held = set(ids)
 
     @rule(symbol_id=_ids)
     def add(self, symbol_id):
         assert self.ws.add(symbol_id) == (symbol_id not in self.model)
         self.model.add(symbol_id)
+        self.ever_held.add(symbol_id)
 
     @rule(ids=st.lists(_ids, max_size=8))
     def update(self, ids):
         assert self.ws.update(ids) == len(set(ids) - self.model)
         self.model.update(ids)
+        self.ever_held.update(ids)
+
+    def _peel(self, blend, feed):
+        """Feed one arrival; fold what the peeler recovered into the model."""
+        self.blends.append(blend)
+        unknown = blend - self.model
+        before = self.ws.version
+        recovered = feed()
+        # Through WorkingSet.add: journalled once each, in recovery order.
+        assert self.ws.added_since(before) == recovered
+        assert len(set(recovered)) == len(recovered)
+        assert not set(recovered) & self.model
+        if len(unknown) == 1:
+            assert recovered[:1] == list(unknown)
+        elif not unknown:
+            assert recovered == []
+        for symbol_id in recovered:
+            assert any(
+                symbol_id in b and b - {symbol_id} <= self.ever_held
+                for b in self.blends
+            )
+            self.model.add(symbol_id)
+            self.ever_held.add(symbol_id)
+
+    @rule(symbol_id=_ids)
+    def peel_encoded(self, symbol_id):
+        self._peel(
+            frozenset([symbol_id]), lambda: self.peeler.add_encoded(symbol_id)
+        )
+
+    @rule(ids=st.frozensets(_ids, min_size=1, max_size=4))
+    def peel_recoded(self, ids):
+        self._peel(ids, lambda: self.peeler.add_recoded(RecodedSymbol(ids)))
+
+    def _waited_on(self):
+        """Ids whose arrival reduces a blend still short of two or more."""
+        short = [b - self.model for b in self.blends]
+        return sorted({i for unknown in short if len(unknown) > 1 for i in unknown})
+
+    @precondition(lambda self: self._waited_on())
+    @rule(data=st.data())
+    def peel_toward_a_pending_blend(self, data):
+        self.peel_encoded(data.draw(st.sampled_from(self._waited_on())))
+
+    @invariant()
+    def peeler_reads_the_set_itself(self):
+        assert self.peeler.known is self.ws
+        assert self.peeler.known_count == len(self.ws) == len(self.model)
+        assert set(self.ws) == self.model
 
     @rule(symbol_id=_ids)
     def discard(self, symbol_id):
@@ -98,3 +170,29 @@ TestWorkingSetCache = WorkingSetCacheMachine.TestCase
 TestWorkingSetCache.settings = settings(
     max_examples=60, stateful_step_count=30, deadline=None
 )
+
+
+class _MirroringPeeler(RecodedPeeler):
+    """Writes the raw id set, skipping the version bump and the journal
+    — what a peeler keeping a private mirror of the set amounts to."""
+
+    def _know(self, symbol_id, payload):
+        self._known._ids.add(symbol_id)
+
+
+class _MutantMachine(WorkingSetCacheMachine):
+    adopt = staticmethod(_MirroringPeeler.into)
+
+
+def test_machine_rejects_a_peeler_that_bypasses_working_set_add():
+    with pytest.raises(AssertionError):
+        run_state_machine_as_test(
+            _MutantMachine,
+            settings=settings(
+                max_examples=60,
+                stateful_step_count=30,
+                deadline=None,
+                database=None,
+                phases=(Phase.generate,),
+            ),
+        )
