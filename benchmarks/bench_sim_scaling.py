@@ -6,18 +6,18 @@ with swarm size when demand arrives in waves and every joiner runs the
 sketch-orchestrated join decision.  The 256-node point doubles as the
 acceptance run for the event clock (a full flash crowd end-to-end).
 
-The engine-scaling benches compare ``MeasurementSpec.engine`` choices
-— the epoch's array kernel (``columnar``: min-wise card matrix) against
-the scalar one (``reference``), same engine either way — on an
-adaptive-overlay-style workload (informed rewiring every 5 ticks,
-uninformed ``Random`` senders — the adaptive_overlay scenario's own
-defaults, which isolate the peering axis).  The 1k point runs in the CI
-bench baseline and emits ``repro.bench_meta/1`` entries via
-``REPRO_BENCH_JSON``; the 10k columnar point is marked ``slow``
-(``--runslow``) and pins the headline claim: per node-tick, the array
-kernel at 10k nodes is >= 10x faster than the scalar kernel at 1k.  At
-10k the full candidate scan is the dominant cost with *either* kernel,
-so the 10k run sets ``reconfig.scan_budget`` — see README "Scaling up".
+The engine-scaling benches time an adaptive-overlay-style workload
+(informed rewiring every 5 ticks, uninformed ``Random`` senders — the
+adaptive_overlay scenario's own defaults, which isolate the peering
+axis).  ``MeasurementSpec.engine`` selects nothing any more — there is
+one epoch and one estimate kernel — so the two values it still accepts
+only label the ``repro.bench_meta/1`` entries the checked-in baseline
+names, and the 1k point (CI bench baseline, ``REPRO_BENCH_JSON``) pins
+that a run under either value is packet-for-packet the same; it makes
+no speed comparison between them.  The 10k point is marked ``slow``
+(``--runslow``) and reports the per-node-tick cost of a budgeted scan:
+at 10k the full candidate scan is quadratic and the dominant cost, so
+the run sets ``reconfig.scan_budget`` — see README "Scaling up".
 
 The incremental-maintenance benches time the steady state of the absorb
 path (cards, filters and strategies maintained per new symbol): the 10k
@@ -126,7 +126,7 @@ def test_scenario_catalog_under_event_clock(benchmark):
     assert all(r.all_complete for r in results.values())
 
 
-# -- engine scaling: reference vs columnar ---------------------------------
+# -- engine scaling: the adaptive-style window at 250, 1k and 10k -----------
 
 ADAPTIVE_TICKS = 10  # two 5-tick reconfiguration epochs per window
 
@@ -171,10 +171,12 @@ def _meta_entry(engine, num_peers, ticks, wall, report, scan_budget=0):
 
 
 def test_engine_scaling_1k(benchmark):
-    """CI point: both kernels at 1k nodes, identical totals, columnar faster.
+    """CI point: 1k nodes under both ``measurement.engine`` values,
+    identical totals — the field is inert, so the two windows run the
+    same code and only parity is asserted.
 
-    Full candidate scans (the informed default) on both sides — the
-    exact workload where the columnar card matrix pays off.
+    Full candidate scans (the informed default): the workload where
+    batching a receiver's card comparisons pays off most.
     """
     rows, entries, walls = [], [], {}
 
@@ -199,9 +201,9 @@ def test_engine_scaling_1k(benchmark):
     print_series("engine scaling, adaptive-style 1k (full scan)", rows)
     write_bench_json("sim_scaling", entries)
 
-    ref_wall, ref_report = walls[("reference", 1000)]
-    col_wall, col_report = walls[("columnar", 1000)]
-    # Parity at scale: the kernels must agree packet for packet...
+    _, ref_report = walls[("reference", 1000)]
+    _, col_report = walls[("columnar", 1000)]
+    # The engine value must change nothing, packet for packet.
     assert (
         col_report.packets_sent,
         col_report.packets_lost,
@@ -211,8 +213,6 @@ def test_engine_scaling_1k(benchmark):
         ref_report.packets_lost,
         ref_report.packets_useful,
     )
-    # ...and the array kernel must actually be the fast one.
-    assert col_wall < ref_wall
 
 
 # -- incremental summary maintenance: the absorb path's steady state --------
@@ -364,36 +364,26 @@ def test_flash_crowd_100k_columnar(benchmark):
 
 @pytest.mark.slow
 def test_columnar_10k_adaptive(benchmark):
-    """Acceptance: columnar at 10k >= 10x faster per node-tick than
-    the reference at 1k (both on the adaptive-style workload).
+    """The 10k adaptive-style window, budgeted scan.
 
     The 10k run uses ``reconfig.scan_budget`` — at that size a full
-    scan is quadratic with either kernel and is exactly what the budget
-    knob exists for.
+    scan is quadratic and is exactly what the budget knob exists for.
+    A reported point: there is one kernel, so nothing to race.
     """
     results = {}
 
-    def sweep():
-        results["ref_1k"] = _timed_window("reference", 1000)
-        results["col_10k"] = _timed_window(
-            "columnar", 10_000, scan_budget=32
-        )
+    def window():
+        results["col_10k"] = _timed_window("columnar", 10_000, scan_budget=32)
         return results
 
-    benchmark.pedantic(sweep, rounds=1, iterations=1)
-    ref_wall, ref_report = results["ref_1k"]
-    col_wall, col_report = results["col_10k"]
-    ref_unit = ref_wall / ADAPTIVE_TICKS / 1000 * 1e6
-    col_unit = col_wall / ADAPTIVE_TICKS / 10_000 * 1e6
+    benchmark.pedantic(window, rounds=1, iterations=1)
+    wall, report = results["col_10k"]
+    unit = wall / ADAPTIVE_TICKS / 10_000 * 1e6
     print_series(
-        "columnar 10k acceptance (adaptive-style)",
+        "10k adaptive-style window (scan budget 32)",
         [
-            f"reference  1k: wall={ref_wall:6.2f}s  "
-            f"us/node-tick={ref_unit:7.1f}  sent={ref_report.packets_sent}",
-            f"columnar  10k: wall={col_wall:6.2f}s  "
-            f"us/node-tick={col_unit:7.1f}  sent={col_report.packets_sent}",
-            f"per-node-tick speedup: {ref_unit / col_unit:.1f}x",
+            f"wall={wall:6.2f}s  us/node-tick={unit:7.1f}  "
+            f"sent={report.packets_sent}"
         ],
     )
-    assert col_report.packets_sent > 0
-    assert ref_unit / col_unit >= 10.0
+    assert report.packets_sent > 0

@@ -300,15 +300,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--engine",
-        metavar="NAME",
-        help=(
-            "override the packet engine's epoch kernel: 'reference' (scalar "
-            "usefulness estimates, the default) or 'columnar' (min-wise card "
-            "matrix for large swarms; identical seeded results)"
-        ),
-    )
-    parser.add_argument(
         "--fidelity",
         metavar="NAME",
         help=(
@@ -359,7 +350,7 @@ _COMPONENT_FLAGS = (
 
 
 def _apply_overrides(spec: ExperimentSpec, args: argparse.Namespace) -> ExperimentSpec:
-    """``spec`` with the CLI's seed / component / engine / fidelity
+    """``spec`` with the CLI's seed / component / fidelity
     overrides applied (the same object back when none is given)."""
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
@@ -367,10 +358,8 @@ def _apply_overrides(spec: ExperimentSpec, args: argparse.Namespace) -> Experime
         text = getattr(args, name)
         if text:
             spec = spec.with_component_spec(name, parse(text))
-    # with_override validates the value (unknown engine/fidelity ->
-    # SpecError -> exit status 2), unlike a bare dataclasses.replace.
-    if args.engine:
-        spec = spec.with_override("measurement.engine", args.engine)
+    # with_override validates the value (unknown fidelity -> SpecError
+    # -> exit status 2), unlike a bare dataclasses.replace.
     if args.fidelity:
         spec = spec.with_override("measurement.fidelity", args.fidelity)
     return spec

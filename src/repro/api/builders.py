@@ -208,11 +208,9 @@ def _require_informed_arm(spec: ExperimentSpec) -> None:
 
 def _reconfig_sim_kwargs(spec: ExperimentSpec, swarm: SwarmSpec) -> Dict[str, Any]:
     """The epoch kwargs every overlay builder hands the simulator:
-    scheduling, scan budget, and the estimate kernel
-    (``measurement.engine="columnar"`` = the min-wise card matrix)."""
+    scheduling and scan budget."""
     rc = _reconfig(spec)
     return {
-        "card_matrix": spec.measurement.engine == "columnar",
         "reconfigure_every": (
             rc.interval if rc.interval > 0 else swarm.reconfigure_every
         ),

@@ -11,9 +11,8 @@ engine that serves it:
   engine: cohort aggregates between epochs, real reconciliation
   summaries at every handshake, O(cohorts) per epoch at any population
   size (the 1M-peer acceptance path).
-* ``"packet"`` — one per-object packet-level swarm per catalog object
-  (``measurement.engine`` selects the epoch kernel as usual), the
-  same mirrors + arrival waves + tiered links, aggregated into the
+* ``"packet"`` — one per-object packet-level swarm per catalog object,
+  the same mirrors + arrival waves + tiered links, aggregated into the
   identical metric keys.
 
 Both fidelities construct the *same* population from the same

@@ -37,7 +37,7 @@ NODE_ROLES = ("peer", "source")
 #: Reconfiguration policy kinds a :class:`ReconfigSpec` may name.
 RECONFIG_POLICIES = ("informed", "random", "static")
 
-#: Swarm execution engines a :class:`MeasurementSpec` may select.
+#: Values ``MeasurementSpec.engine`` accepts (the field is inert).
 ENGINES = ("reference", "columnar")
 
 #: Simulation fidelities a :class:`MeasurementSpec` may select:
@@ -465,13 +465,11 @@ class MeasurementSpec:
     resolution: float = 1.0
     record_series: bool = True
     max_packets: int = 0  # 0 = let the transfer loop derive its default
-    #: Reconfiguration-epoch kernel of the one packet engine:
-    #: "reference" estimates peer usefulness with scalar
-    #: ``SummaryScheme.usefulness`` calls, "columnar" prefills them from
-    #: a min-wise card matrix (numpy; scalar when it is absent or the
-    #: reconfig summary is not min-wise) — the large-swarm setting.
-    #: Both produce identical seeded metrics.  Sweepable via
-    #: ``with_override("measurement.engine", ...)``.
+    #: Inert: validated and echoed, read by nothing.  It used to pick
+    #: between two epoch kernels; there is one now
+    #: (``SummaryScheme.usefulness_many``).  The field outlives them by
+    #: one PR because the frozen ``bench/workloads.py`` sets it and
+    #: ``benchmarks/`` overrides it (ROADMAP items 3c / 4b remove it).
     engine: str = "reference"
     #: Simulation fidelity: "packet" runs the per-symbol event engines
     #: (every existing scenario), "flow" the rate-equation population

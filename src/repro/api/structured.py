@@ -24,10 +24,6 @@ motivation):
   is consulted, so peers wanting uncached objects route to the origin
   instead of polling useless caches.  Metrics report useful fraction
   and mean completion tick per demand rank.
-
-Both run with either epoch kernel (``measurement.engine``), and their
-miniature campaign grids sweep exactly that axis — the parity tests
-pin reference and columnar to identical seeded metrics.
 """
 
 import math
@@ -204,10 +200,7 @@ def _hub_load(stats: StatsRecorder, hub_names) -> float:
         max_ticks=4_000,
     ),
     description="Random vs informed rewiring over a scale-free overlay",
-    small_grid=lambda: {
-        "measurement.engine": ["reference", "columnar"],
-        "swarm.topology.params.attach": [1, 2],
-    },
+    small_grid=lambda: {"swarm.topology.params.attach": [1, 2]},
     supports=("topology", "reconfig"),
     groups=("p",),
 )
@@ -345,10 +338,7 @@ def cdn_catalog(
         max_ticks=4_000,
     ),
     description="Multi-object flash crowd over CDN tiers, catalog-aware",
-    small_grid=lambda: {
-        "catalog.zipf_skew": [0.8, 1.2],
-        "measurement.engine": ["reference", "columnar"],
-    },
+    small_grid=lambda: {"catalog.zipf_skew": [0.8, 1.2]},
     supports=("topology", "catalog", "reconfig", "churn.join_waves"),
     groups=("cache", "edge"),
 )

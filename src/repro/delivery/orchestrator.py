@@ -13,6 +13,9 @@ selection entirely from calling cards — no working sets cross the wire.
 A card is anything offering ``estimate_resemblance(other)`` and
 ``merge(other)``: the min-wise :class:`~repro.reconcile.base.Summary`
 every overlay node publishes, or the bare sketch primitive under it.
+A card that also offers ``estimate_resemblance_many(others)`` (the
+Summary's estimate kernel) is asked once per screen and per greedy
+round instead of once per candidate.
 """
 
 import random
@@ -53,8 +56,21 @@ def estimated_union_size(
     From ``r = |A ∩ B| / |A ∪ B|`` and ``|A| + |B| = |A ∪ B| + |A ∩ B|``:
     ``|A ∪ B| = (|A| + |B|) / (1 + r)``.
     """
-    r = card_a.estimate_resemblance(card_b)
+    return _union_size(size_a, size_b, card_a.estimate_resemblance(card_b))
+
+
+def _union_size(size_a: float, size_b: float, r: float) -> float:
     return (size_a + size_b) / (1.0 + r)
+
+
+def _resemblances(card: Any, cards: List[Any]) -> List[float]:
+    """``card``'s resemblance to each of ``cards``: one call to the
+    card's estimate kernel (``estimate_resemblance_many``) when it has
+    one, pair by pair for a bare sketch — the same floats either way."""
+    many = getattr(card, "estimate_resemblance_many", None)
+    if many is not None:
+        return many(cards)
+    return [card.estimate_resemblance(c) for c in cards]
 
 
 def select_senders(
@@ -87,8 +103,9 @@ def select_senders(
 
     # Pre-screen: identical-to-receiver candidates are rejected outright.
     screened = []
-    for cand in remaining:
-        r = receiver_card.estimate_resemblance(cand.card)
+    for cand, r in zip(
+        remaining, _resemblances(receiver_card, [c.card for c in remaining])
+    ):
         if r >= IDENTICAL_THRESHOLD and cand.set_size <= receiver_size:
             result.rejected_identical.append(cand.peer_id)
         else:
@@ -97,11 +114,10 @@ def select_senders(
 
     while remaining and len(result.chosen) < max_senders:
         best: Optional[Tuple[float, CandidateSender]] = None
-        for cand in remaining:
-            union = estimated_union_size(
-                coverage_card, coverage_size, cand.card, cand.set_size
-            )
-            gain = union - coverage_size
+        for cand, r in zip(
+            remaining, _resemblances(coverage_card, [c.card for c in remaining])
+        ):
+            gain = _union_size(coverage_size, cand.set_size, r) - coverage_size
             if best is None or gain > best[0]:
                 best = (gain, cand)
         assert best is not None

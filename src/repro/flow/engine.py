@@ -20,7 +20,9 @@ through the PR-5 peering machinery —
 :class:`~repro.overlay.reconfiguration.RandomRewiring` — with control
 bytes charged at each card's real ``wire_bytes``.  "Informed vs
 random" therefore remains measurable at 1M peers, through the same
-policy objects the packet engines use.
+policy objects and the same epoch loop
+(:func:`~repro.overlay.reconfiguration.run_epoch`) the packet engine
+uses.
 
 Data-plane usefulness, by contrast, is *ground truth*: the novel
 fraction a sender offers is the exact overlap of the two sampled-ID
@@ -33,7 +35,8 @@ first and send only novel symbols, ``min(delivered, pool)``.
 
 Everything is pure scalar Python over cohort aggregates: results are
 bit-identical with and without numpy (numpy only accelerates the
-min-wise card builds, whose outputs are integer minima either way).
+min-wise card builds and comparisons, whose outputs are integer minima
+and match counts either way).
 """
 
 import math
@@ -43,6 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.flow.demand import apportion, tier_multipliers
 from repro.overlay.node import OverlayNode
+from repro.overlay.reconfiguration import run_epoch
 
 #: Sender strategies that draw symbols blind (no reconciliation before
 #: sending); every other registered strategy reconciles first.
@@ -370,49 +374,40 @@ class FlowSimulator:
     # -- control plane: epoch handshakes ------------------------------------
 
     def _reconfigure(self, now: float) -> None:
-        """One epoch: real summary cards, PR-5 policies, honest bytes."""
+        """One epoch (:func:`~repro.overlay.reconfiguration.run_epoch`)
+        over cohort representatives: real summary cards, PR-5 policies,
+        honest bytes.  A receiver scans its object's source and the
+        arrived cohorts of that object."""
         if self.rewiring is None:
             return  # static peering: boundaries are free
         self.reconfig_epochs += 1
-        scheme = getattr(self.rewiring, "scheme", None)
-        if scheme is not None:
-            # One usefulness memo per epoch, shared by admission and
-            # rewiring — the packet engines' scan-once-decide-many
-            # pattern.  Valid only within the epoch (sets then change).
-            scheme.set_memo({})
-        try:
-            for receiver in self.cohorts:
-                if not receiver.arrived or receiver.is_complete():
-                    continue
-                obj = receiver.definition.object_id
-                candidates = [self.sources[obj]] + [
-                    c
-                    for c in self.cohorts
-                    if c.definition.object_id == obj and c.arrived and c is not receiver
-                ]
-                budget = self.scan_budget
-                if budget and budget < len(candidates):
-                    candidates = self.rng.sample(candidates, budget)
-                if scheme is not None:
-                    for c in candidates:
-                        if c.is_source or len(c.rep.working_set) == 0:
-                            continue
-                        self.control_bytes += scheme.card_wire_bytes(c.rep)
-                drops, adds = self.rewiring.rewire(
-                    receiver.rep,
-                    [s.rep for s in receiver.senders],
-                    [c.rep for c in candidates],
-                )
-                for rep in drops:
-                    dropped = self._by_node_id[rep.node_id]
-                    if dropped in receiver.senders:
-                        receiver.senders.remove(dropped)
-                for rep in adds:
-                    if self._connect(self._by_node_id[rep.node_id], receiver):
-                        self.reconfigurations += 1
-        finally:
-            if scheme is not None:
-                scheme.set_memo(None)
+        by_id = self._by_node_id
+
+        def pool_of(rep: OverlayNode) -> List[OverlayNode]:
+            obj = by_id[rep.node_id].definition.object_id
+            return [self.sources[obj].rep] + [
+                c.rep
+                for c in self.cohorts
+                if c.definition.object_id == obj and c.arrived and c.rep is not rep
+            ]
+
+        for rep, control_bytes, drops, adds in run_epoch(
+            self.rewiring,
+            self.rng,
+            self.scan_budget,
+            (c.rep for c in self.cohorts if c.arrived and not c.is_complete()),
+            pool_of,
+            lambda rep: [s.rep for s in by_id[rep.node_id].senders],
+        ):
+            self.control_bytes += control_bytes
+            receiver = by_id[rep.node_id]
+            for d in drops:
+                dropped = by_id[d.node_id]
+                if dropped in receiver.senders:
+                    receiver.senders.remove(dropped)
+            for a in adds:
+                if self._connect(by_id[a.node_id], receiver):
+                    self.reconfigurations += 1
 
     # -- data plane: closed-form flow advancement ---------------------------
 

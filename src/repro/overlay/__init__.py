@@ -17,12 +17,12 @@ reconfiguration when connections lose utility.
   is one, is a :class:`repro.topology.PathModel`.  The
   legacy tick API is preserved — a tick is a periodic event.  Strategy
   refreshes and reconfiguration epochs do work proportional to what
-  changed; ``card_matrix=True`` (``measurement.engine="columnar"``)
-  swaps the epoch's scalar usefulness kernel for a numpy card matrix.
+  changed.
 * :mod:`repro.overlay.reconfiguration` — peering policies: sketch-based
   admission control and utility-driven rewiring over a
-  :class:`SummaryScheme`; :func:`default_scheme` is the min-wise card
-  every node publishes when a run names no other.
+  :class:`SummaryScheme`, and :func:`run_epoch`, the one epoch loop the
+  packet and the flow engine both run; :func:`default_scheme` is the
+  min-wise card every node publishes when a run names no other.
 * :mod:`repro.overlay.churn` — departures, rejoins and link degradation
   (rerouting around congested paths) driven against the simulator.
 * :mod:`repro.overlay.catalog` — multi-object catalogs over one swarm.

@@ -22,11 +22,9 @@ This module supplies the three pieces the catalog-aware scenarios use:
   higher.  The object inventory rides along with the calling card, so
   ``card_wire_bytes`` charges one fill-level byte per catalog object.
 
-The gate multiplies *on top of* ``SummaryScheme.usefulness`` rather
-than replacing it, which keeps the scalar and array epoch kernels in
-lock-step: the simulator's card matrix pre-fills the shared usefulness
-memo, and this scheme applies the same object factor to the memoised
-estimate either kernel produced.
+The gate multiplies *on top of* the base scheme's estimates rather
+than replacing them, so a catalog run compares symbol cards through the
+same kernel as every other run.
 """
 
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
@@ -233,10 +231,9 @@ class CatalogScheme(SummaryScheme):
     of each wanted object's symbol space the candidate holds, so a peer
     with a stray symbol of a wanted object never ties with the origin
     that holds all of it.  A candidate fully stocked on every wanted
-    object scores exactly 1 and reproduces the ungated estimate.
-    Applying the gate after the base lookup keeps the card-matrix memo
-    prefill valid — both epoch kernels gate the *same* memoised base
-    estimate.
+    object scores exactly 1 and reproduces the ungated estimate, and
+    the base estimates still come from the one kernel: the gate weighs
+    ``SummaryScheme.usefulness_many``'s batch, it never replaces it.
     """
 
     def __init__(self, catalog: ObjectCatalog, kind: str = "minwise", params: Optional[dict] = None):
@@ -271,10 +268,17 @@ class CatalogScheme(SummaryScheme):
         weight = self.object_weight(receiver, candidate)
         if weight == 0.0:
             return 0.0
-        base = super().usefulness(receiver, candidate)
-        if weight == 1.0:
-            return base
-        return weight * base
+        return weight * super().usefulness(receiver, candidate)
+
+    def usefulness_many(self, receiver, candidates) -> List[float]:
+        weights = [self.object_weight(receiver, c) for c in candidates]
+        # A zero weight settles it before any symbol card is consulted.
+        base = iter(
+            super().usefulness_many(
+                receiver, [c for c, w in zip(candidates, weights) if w != 0.0]
+            )
+        )
+        return [0.0 if w == 0.0 else w * next(base) for w in weights]
 
     def card_wire_bytes(self, node) -> int:
         # The inventory (one fill-level byte per object) rides with the card.

@@ -17,8 +17,10 @@ card joins, admission and rewiring share when a run names no other.
 """
 
 import random
-from typing import Any, Dict, List, Mapping, Optional, Protocol, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping
+from typing import Optional, Protocol, Sequence, Tuple
 
+from repro.exact.cpi import DiscrepancyExceeded
 from repro.overlay.node import OverlayNode
 from repro.reconcile import DEFAULT_POLICY
 from repro.reconcile.base import Summary
@@ -58,22 +60,6 @@ class SummaryScheme:
         # Computed once (failing fast on unknown kinds): card_of's hit
         # path is then one dict lookup and one stamp compare.
         self._card = summary_recipe(kind, params)
-        self._memo: Optional[Dict[Tuple[str, str], float]] = None
-
-    def set_memo(self, memo: Optional[Dict[Tuple[str, str], float]]) -> None:
-        """Install (or clear, with ``None``) a usefulness memo.
-
-        The memo maps ``(receiver_id, candidate_id)`` to the exact
-        float :meth:`usefulness` would compute; misses are computed and
-        cached.  The simulator installs one per reconfiguration epoch
-        (prefilled from its card matrix when the array kernel is on) and
-        shares the dict across the epoch's admission and rewiring
-        schemes, so the scan-once-decide-many pattern stops recomputing
-        identical card comparisons.  The caller owns validity: the memo
-        must be cleared (or replaced) whenever any working set may have
-        changed since it was filled.
-        """
-        self._memo = memo
 
     def params_dict(self) -> Dict[str, Any]:
         return dict(self.params)
@@ -95,8 +81,6 @@ class SummaryScheme:
         """
         if self.kind == "minwise":
             return ours.estimate_resemblance(theirs)  # type: ignore[attr-defined]
-        from repro.exact.cpi import DiscrepancyExceeded
-
         try:
             d = ours.estimate_difference(theirs)
         except DiscrepancyExceeded:
@@ -116,20 +100,30 @@ class SummaryScheme:
         """
         if candidate.is_source:
             return 1.0
-        memo = self._memo
-        if memo is not None:
-            key = (receiver.node_id, candidate.node_id)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-            value = 1.0 - self.resemblance(
-                self.card_of(receiver), self.card_of(candidate)
-            )
-            memo[key] = value
-            return value
         return 1.0 - self.resemblance(
             self.card_of(receiver), self.card_of(candidate)
         )
+
+    def usefulness_many(
+        self, receiver: OverlayNode, candidates: Sequence[OverlayNode]
+    ) -> List[float]:
+        """``[self.usefulness(receiver, c) for c in candidates]``, the
+        same floats, computed from the cards that are there: min-wise
+        cards compare in one batch (``estimate_resemblance_many``, the
+        estimate kernel of
+        :class:`~repro.reconcile.adapters.MinwiseSummary`), every other
+        kind pair by pair.  Nothing is stored, so nothing can go stale.
+        """
+        card_of = self.card_of
+        cards = [card_of(c) for c in candidates if not c.is_source]
+        if not cards:
+            return [1.0] * len(candidates)  # the receiver's card is not read
+        ours = card_of(receiver)
+        if self.kind == "minwise":
+            estimates = iter(ours.estimate_resemblance_many(cards))  # type: ignore[attr-defined]
+        else:
+            estimates = (self.resemblance(ours, theirs) for theirs in cards)
+        return [1.0 if c.is_source else 1.0 - next(estimates) for c in candidates]
 
     def card_wire_bytes(self, node: OverlayNode) -> int:
         """Honest wire cost of shipping the node's card once."""
@@ -255,23 +249,27 @@ class UtilityRewiring:
         if not usable:
             return [], []
 
-        def utility(node: OverlayNode) -> float:
-            return self.scheme.usefulness(receiver, node)
-
-        # Fill empty slots first.
+        # Fill empty slots first.  Ties keep candidate order (the sort is
+        # stable), and a swap names the first worst and the first best.
         free_slots = receiver.max_connections - len(current_senders)
-        additions: List[OverlayNode] = []
         if free_slots > 0:
-            ranked = sorted(usable, key=utility, reverse=True)
-            additions = [c for c in ranked[:free_slots] if utility(c) > 0]
-            return [], additions
+            utility = self.scheme.usefulness_many(receiver, usable)
+            ranked = sorted(
+                range(len(usable)), key=utility.__getitem__, reverse=True
+            )
+            return [], [usable[i] for i in ranked[:free_slots] if utility[i] > 0]
 
         if not current_senders:
             return [], []
-        worst = min(current_senders, key=utility)
-        best = max(usable, key=utility)
-        if utility(best) > utility(worst) + self.hysteresis:
-            return [worst], [best]
+        held = len(current_senders)
+        utility = self.scheme.usefulness_many(receiver, current_senders + usable)
+        worst = min(utility[:held])
+        best = max(utility[held:])
+        if best > worst + self.hysteresis:
+            return (
+                [current_senders[utility.index(worst)]],
+                [usable[utility.index(best, held) - held]],
+            )
         return [], []
 
 
@@ -303,3 +301,49 @@ class RandomRewiring:
         if not droppable:
             return [], []
         return [self.rng.choice(droppable)], [self.rng.choice(usable)]
+
+
+def run_epoch(
+    policy: ReconfigurationPolicy,
+    rng: random.Random,
+    budget: int,
+    receivers: Iterable[OverlayNode],
+    pool_of: Callable[[OverlayNode], List[OverlayNode]],
+    senders_of: Callable[[OverlayNode], List[OverlayNode]],
+) -> Iterator[Tuple[OverlayNode, int, List[OverlayNode], List[OverlayNode]]]:
+    """One reconfiguration epoch, for the packet and the flow engine
+    alike: every receiver scans, pays and decides.
+
+    Per receiver: take its candidate pool (a ``budget`` smaller than the
+    pool draws that many from ``rng``), price the scan — each scanned
+    card crosses the wire once, at the scheme's ``card_wire_bytes``;
+    sources and empty peers publish nothing and nobody pays for its own
+    card — and ask ``policy.rewire``.  Yields ``(receiver,
+    control_bytes, drops, adds)``.
+
+    A generator on purpose: the engine applies each decision before the
+    next receiver samples, because applying one draws from the same
+    ``rng`` (a new connection builds a strategy).  Cards cannot change
+    inside an epoch, so a size is read once, and only if scanned.
+    """
+    scheme = getattr(policy, "scheme", None)
+    card_bytes: Dict[OverlayNode, int] = {}
+    size_of = card_bytes.get
+    for receiver in receivers:
+        pool = pool_of(receiver)
+        candidates = rng.sample(pool, budget) if budget and budget < len(pool) else pool
+        control_bytes = 0
+        if scheme is not None:
+            for c in candidates:
+                if c is receiver:
+                    continue
+                size = size_of(c)
+                if size is None:
+                    size = card_bytes[c] = (
+                        0
+                        if c.is_source or len(c.working_set) == 0
+                        else scheme.card_wire_bytes(c)
+                    )
+                control_bytes += size
+        drops, adds = policy.rewire(receiver, senders_of(receiver), candidates)
+        yield receiver, control_bytes, drops, adds

@@ -23,28 +23,23 @@ summarise → informed transfer → adapt.
 This is the only packet engine.  Its two control-plane passes do work
 proportional to what changed: the strategy refresh skips connections
 whose endpoints are version-unchanged, and a reconfiguration epoch
-memoises every usefulness estimate for its duration.  Everything
-computed from one working set — a receiver's summary, a node's card,
-its card-matrix row — is cached on that set
-(:meth:`~repro.delivery.working_set.WorkingSet.cached`), and what a
-node holds is stored there once: arriving packets are peeled into the
-working set itself (:meth:`~repro.coding.peeler.RecodedPeeler.into`).
-The simulator keeps no per-node artefact and a departure evicts nothing.
-The one array kernel is opt-in (``card_matrix=True``, what
-``measurement.engine="columnar"`` selects): min-wise cards become int64
-matrix rows and each receiver's estimates are prefilled by a single
-vectorised comparison.  Without it — or without numpy, following the
-:mod:`repro.hashing.batch` contract — the same epoch computes the same
-floats through :meth:`SummaryScheme.usefulness`, so seeded runs are
-identical either way (``tests/overlay/test_columnar_parity.py``).  At
-10k nodes give the spec a ``reconfig.scan_budget``: a full candidate
-scan per receiver is O(N²) even vectorised.
+(:func:`~repro.overlay.reconfiguration.run_epoch`, the loop the flow
+engine runs too) reads only the cards it scans.  Everything computed
+from one working set — a receiver's summary, a node's card — is cached
+on that set (:meth:`~repro.delivery.working_set.WorkingSet.cached`),
+and what a node holds is stored there once: arriving packets are peeled
+into the working set itself
+(:meth:`~repro.coding.peeler.RecodedPeeler.into`).  The simulator keeps
+no per-node artefact, a departure evicts nothing, and no usefulness
+estimate outlives the call that asked for it.  At 10k nodes give the
+spec a ``reconfig.scan_budget``: a full candidate scan per receiver is
+O(N²) however the cards are compared.
 """
 
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.coding.peeler import RecodedPeeler
 from repro.coding.symbol import RecodedSymbol
@@ -54,13 +49,11 @@ from repro.delivery.strategies import (
     SenderStrategy,
     make_strategy,
 )
-from repro.delivery.working_set import DEFAULT_KEY_UNIVERSE, WorkingSet
-from repro.hashing import batch as _batch
 from repro.overlay.node import OverlayNode
 from repro.overlay.reconfiguration import (
     AdmissionPolicy,
     ReconfigurationPolicy,
-    SummaryScheme,
+    run_epoch,
 )
 from repro.reconcile import DEFAULT_POLICY, SummaryPolicy
 from repro.sim.engine import EventScheduler
@@ -196,75 +189,6 @@ class SimulationReport:
         return self.packets_useful / delivered if delivered else 0.0
 
 
-class _MinwiseCardMatrix:
-    """Min-wise cards as int64 rows: the array kernel of an epoch.
-
-    A node's row is its card's minima with ``None`` mapped to ``-1``,
-    cached on the node's working set beside the card it is read from —
-    a budgeted epoch over a mostly idle swarm re-derives only the rows
-    whose sets changed, and those through the card's incremental absorb
-    path, so the per-epoch cost tracks new symbols, not swarm size.
-    """
-
-    def __init__(self, scheme: SummaryScheme, np):
-        self.scheme = scheme
-        self.np = np
-        self._row_key = ("minwise-row", scheme.kind, scheme.params)
-        self._ids: List[str] = []
-        self._index: Dict[str, int] = {}
-        self._matrix = None
-
-    def row_of(self, node: OverlayNode):
-        return node.working_set.cached(self._row_key, self._build_row)
-
-    def _build_row(self, working_set: WorkingSet):
-        scheme = self.scheme
-        minima = working_set.summary(scheme.kind, **scheme.params_dict()).minima
-        return self.np.fromiter(
-            (-1 if m is None else m for m in minima),
-            dtype=self.np.int64,
-            count=len(minima),
-        )
-
-    def begin_epoch(self, eligible: List[OverlayNode]) -> None:
-        """Stack the rows of every card this epoch may scan."""
-        self._ids = [n.node_id for n in eligible]
-        self._index = {nid: i for i, nid in enumerate(self._ids)}
-        self._matrix = (
-            self.np.stack([self.row_of(n) for n in eligible]) if eligible else None
-        )
-
-    def prefill(
-        self,
-        memo: Dict[Tuple[str, str], float],
-        receiver: OverlayNode,
-        scanned: Optional[List[OverlayNode]] = None,
-    ) -> None:
-        """Memoise ``usefulness(receiver, c)`` for the stacked cards among
-        ``scanned`` (``None`` = all of them) with one matrix comparison."""
-        if self._matrix is None:
-            return
-        ids, sub = self._ids, self._matrix
-        if scanned is not None:
-            lookup = self._index.get
-            wanted = [
-                i for i in (lookup(c.node_id) for c in scanned) if i is not None
-            ]
-            if not wanted:
-                return
-            ids = [ids[i] for i in wanted]
-            sub = sub[self.np.asarray(wanted, dtype=self.np.int64)]
-        row = self.row_of(receiver)
-        matches = ((row != -1) & (sub == row)).sum(axis=1)
-        entries = int(row.shape[0])
-        rid = receiver.node_id
-        for nid, m in zip(ids, matches.tolist()):
-            if nid != rid:
-                # Exactly usefulness(): 1 - matching-positions fraction,
-                # in Python float arithmetic.
-                memo[(rid, nid)] = 1.0 - m / entries
-
-
 class OverlaySimulator:
     """Drives nodes, connections, and adaptation policies on an event clock.
 
@@ -318,10 +242,6 @@ class OverlaySimulator:
             congestion controller that caps its per-tick sends (cwnd +
             pacing) and learns from acks/timeouts.  ``None`` keeps the
             historical open-loop behaviour bit-identically.
-        card_matrix: prefill each epoch's min-wise usefulness estimates
-            from an int64 card matrix when numpy is importable (the
-            array epoch kernel); seeded results are identical either
-            way, only epoch cost differs.
     """
 
     def __init__(
@@ -340,7 +260,6 @@ class OverlaySimulator:
         stats: Optional[StatsRecorder] = None,
         scheduler: Optional[EventScheduler] = None,
         transport: Optional[TransportManager] = None,
-        card_matrix: bool = False,
     ):
         if reconfig_jitter < 0:
             raise ValueError("reconfig_jitter must be non-negative")
@@ -360,7 +279,6 @@ class OverlaySimulator:
         self.stats = stats
         self.scheduler = scheduler or EventScheduler()
         self.transport = transport
-        self.card_matrix = card_matrix
         self.nodes: Dict[str, OverlayNode] = {}
         self.connections: Dict[tuple, Connection] = {}
         # receiver id -> its sender ids, in edge-creation order.
@@ -381,7 +299,6 @@ class OverlaySimulator:
         # node_id -> completed_at_tick for nodes that departed; keeps
         # completion history visible after remove_node().
         self._completion_tombstones: Dict[str, Optional[int]] = {}
-        self._cards: Optional[_MinwiseCardMatrix] = None
         # The legacy tick loop as one periodic event; a shared clock
         # may already read past zero, so ticks count from its epoch.
         self._epoch = self.scheduler.now
@@ -744,90 +661,27 @@ class OverlaySimulator:
                 return
         self._reconfigure()
 
-    def _epoch_cards(self, scheme) -> Optional[_MinwiseCardMatrix]:
-        """The array kernel for ``scheme``, or None for the scalar path."""
-        np = _batch._numpy() if self.card_matrix else None
-        if (
-            np is None
-            or not isinstance(scheme, SummaryScheme)
-            or scheme.kind != "minwise"
-        ):
-            return None
-        if scheme.params_dict().get("universe", DEFAULT_KEY_UNIVERSE) > 1 << 62:
-            return None  # minima would overflow int64 rows
-        if self._cards is None or self._cards.scheme is not scheme:
-            self._cards = _MinwiseCardMatrix(scheme, np)
-        return self._cards
-
     def _reconfigure(self) -> None:
-        """One epoch: every incomplete receiver scans, pays, and rewires."""
+        """One epoch (:func:`~repro.overlay.reconfiguration.run_epoch`)
+        over the current membership: every incomplete receiver scans the
+        swarm and its decision is applied before the next one samples."""
         if self.rewiring is None:
             return  # policy removed between scheduling and firing
-        scheme = getattr(self.rewiring, "scheme", None)
-        memoised = [
-            s
-            for s in (scheme, getattr(self.admission, "scheme", None))
-            if isinstance(s, SummaryScheme)
-        ]
-        # One memo per distinct (kind, params): equal schemes share a
-        # dict even when they are separate objects, so the admission
-        # check inside connect() reuses the rewiring pass's values.
-        memos: Dict[tuple, Dict[Tuple[str, str], float]] = {}
-        for s in memoised:
-            s.set_memo(memos.setdefault((s.kind, s.params), {}))
-        try:
-            self._rewire_all(scheme, memos)
-        finally:
-            # Working sets change as soon as ticks resume; the memo
-            # must not outlive the epoch.
-            for s in memoised:
-                s.set_memo(None)
-
-    def _rewire_all(self, scheme, memos: Dict[tuple, dict]) -> None:
         self.reconfig_epochs += 1
-        all_nodes = list(self.nodes.values())
-        budget = self.reconfig_budget
-        full_scan = not (budget and budget < len(all_nodes))
-        # Each scanned candidate's card crosses the wire once per
-        # receiver per epoch — the control traffic an informed policy
-        # actually costs.  Cards cannot change mid-epoch (no deliveries
-        # run between rewiring passes), so the sizes are read once; a
-        # card is charged iff its owner is a non-source with content,
-        # which is exactly membership in `wire`.
-        wire: Dict[str, int] = {}
-        cards = self._epoch_cards(scheme)
-        if scheme is not None:
-            eligible = [
-                n for n in all_nodes if not n.is_source and len(n.working_set) > 0
-            ]
-            wire = {n.node_id: scheme.card_wire_bytes(n) for n in eligible}
-            if cards is not None:
-                cards.begin_epoch(eligible)
-                memo = memos[(scheme.kind, scheme.params)]
-        wire_total = sum(wire.values())
-        for receiver in all_nodes:
-            if receiver.is_source or receiver.is_complete:
-                continue
+        nodes = self.nodes
+        all_nodes = list(nodes.values())
+        for receiver, control_bytes, drops, adds in run_epoch(
+            self.rewiring,
+            self.rng,
+            self.reconfig_budget,
+            (n for n in all_nodes if not (n.is_source or n.is_complete)),
+            lambda receiver: all_nodes,
+            lambda receiver: [
+                nodes[s] for s in self._senders.get(receiver.node_id, ())
+            ],
+        ):
+            self.control_bytes += control_bytes
             rid = receiver.node_id
-            current = [self.nodes[s] for s in self.senders_of(rid)]
-            if full_scan:
-                candidates = all_nodes
-                self.control_bytes += wire_total - wire.get(rid, 0)
-            else:
-                candidates = self.rng.sample(all_nodes, budget)
-                if wire:
-                    self.control_bytes += sum(
-                        wire.get(c.node_id, 0)
-                        for c in candidates
-                        if c.node_id != rid
-                    )
-            if cards is not None:
-                # The array kernel: this receiver's estimates land in
-                # the rewiring scheme's memo before the policy asks.
-                cards.prefill(
-                    memo, receiver, None if full_scan else candidates + current
-                )
-            drops, adds = self.rewiring.rewire(receiver, current, candidates)
             for d in drops:
                 self.disconnect(d.node_id, rid)
             for a in adds:

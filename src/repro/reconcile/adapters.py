@@ -26,7 +26,7 @@ headers — matching the byte accounting the protocol messages report.
 """
 
 import random
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from functools import lru_cache
 
@@ -37,6 +37,7 @@ from repro.exact.hashset import HashSetSummary
 from repro.filters.bloom import BloomFilter, optimal_hash_count
 from repro.filters.counting import CountingBloomFilter
 from repro.filters.partitioned import PartitionedBloomFilter
+from repro.hashing import batch as _batch
 from repro.hashing.batch import (
     mix64_batch,
     permutation_minima,
@@ -113,6 +114,9 @@ class MinwiseSummary(Summary):
         self.universe = universe
         self.seed = seed
         self._local_ids = local_ids
+        # The minima as an int64 array, made by the first batch
+        # comparison.  An absorb returns a new card, so it never ages.
+        self._row = None
 
     @classmethod
     def build(
@@ -158,20 +162,26 @@ class MinwiseSummary(Summary):
     @classmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "MinwiseSummary":
         entries = payload_int(payload, "entries")
+        universe = payload_int(payload, "universe", DEFAULT_UNIVERSE)
+        set_size = payload_int(payload, "set_size")
+        if entries < 1 or universe < 1 or set_size < 0:
+            raise SummaryError(
+                "minwise payload needs entries >= 1, universe >= 1 and "
+                "set_size >= 0"
+            )
         minima = payload.get("minima")
         if not isinstance(minima, (list, tuple)) or len(minima) != entries:
             raise SummaryError("minwise payload needs one minimum per entry")
         for m in minima:
-            if m is not None and (isinstance(m, bool) or not isinstance(m, int)):
+            if m is not None and (
+                isinstance(m, bool) or not isinstance(m, int) or not 0 <= m < universe
+            ):
                 raise SummaryError(
-                    f"minwise minima must be integers or null, got {m!r}"
+                    f"minwise minima must be integers or null, inside "
+                    f"[0, {universe}); got {m!r}"
                 )
         return cls(
-            list(minima),
-            payload_int(payload, "set_size"),
-            entries,
-            payload_int(payload, "universe", DEFAULT_UNIVERSE),
-            payload_int(payload, "seed", 0),
+            list(minima), set_size, entries, universe, payload_int(payload, "seed", 0)
         )
 
     def compatible_build_params(self) -> Dict[str, Any]:
@@ -212,6 +222,45 @@ class MinwiseSummary(Summary):
             if a is not None and a == b
         )
         return matches / len(self.minima)
+
+    def estimate_resemblance_many(
+        self, others: Sequence["MinwiseSummary"]
+    ) -> List[float]:
+        """``[self.estimate_resemblance(o) for o in others]``, the same
+        floats bit for bit, by one array comparison when numpy is there.
+
+        This is the estimate kernel every many-candidate reader asks —
+        rewiring, the catalog gate, join planning.  A single ``other``,
+        a universe whose minima could overflow int64, or no numpy take
+        the positional loop.
+        """
+        batched = len(others) > 1 and self.universe <= 1 << 62
+        np = _batch._numpy() if batched else None
+        if np is None:
+            return [self.estimate_resemblance(o) for o in others]
+        family = (self.entries, self.universe, self.seed)
+        rows = []
+        for o in others:
+            if type(o) is not MinwiseSummary or (
+                o.entries, o.universe, o.seed
+            ) != family:
+                self._check_family(o)  # raises on a stranger
+            rows.append(o._int64_row(np))
+        mine = self._int64_row(np)
+        matches = ((np.array(rows) == mine) & (mine != -1)).sum(axis=1).tolist()
+        entries = len(self.minima)
+        if self.set_size == 0:
+            return [
+                0.0 if o.set_size == 0 else m / entries
+                for o, m in zip(others, matches)
+            ]
+        return [m / entries for m in matches]
+
+    def _int64_row(self, np):
+        if self._row is None:
+            unset_as_minus_one = [-1 if m is None else m for m in self.minima]
+            self._row = np.array(unset_as_minus_one, dtype=np.int64)
+        return self._row
 
     def estimate_difference(self, other: "MinwiseSummary") -> float:
         r = self.estimate_resemblance(other)

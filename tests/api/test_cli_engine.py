@@ -1,4 +1,5 @@
-"""CLI surface of the engine/fidelity axes: --engine and --fidelity."""
+"""CLI surface of the fidelity axis: --fidelity.  ``--engine`` is gone
+(``measurement.engine`` selects nothing); the field is still echoed."""
 
 import json
 import os
@@ -26,12 +27,12 @@ class TestSingleRunFlags:
     def test_print_spec_carries_both_selections(self):
         proc = _cli(
             "--scenario", "population_flash_crowd",
-            "--engine", "columnar", "--fidelity", "packet",
+            "--fidelity", "packet",
             "--print-spec",
         )
         assert proc.returncode == 0, proc.stderr
         payload = json.loads(proc.stdout)
-        assert payload["measurement"]["engine"] == "columnar"
+        assert payload["measurement"]["engine"] == "reference"
         assert payload["measurement"]["fidelity"] == "packet"
 
     def test_fidelity_flag_runs_the_packet_path(self):
@@ -47,6 +48,7 @@ class TestSingleRunFlags:
         assert "fidelity" in proc.stderr
 
     def test_unknown_engine_is_a_usage_error(self):
+        # argparse's refusal now: the flag itself is unknown.
         proc = _cli("--scenario", "flash_crowd", "--engine", "warp")
         assert proc.returncode == 2
         assert "engine" in proc.stderr
@@ -61,7 +63,7 @@ class TestCampaignFlags:
     def test_campaign_scenario_base_takes_the_overrides(self):
         proc = _cli(
             "--campaign-scenario", "population_flash_crowd",
-            "--fidelity", "flow", "--engine", "reference",
+            "--fidelity", "flow",
             "--print-spec",
         )
         assert proc.returncode == 0, proc.stderr

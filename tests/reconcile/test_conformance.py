@@ -306,6 +306,44 @@ class TestKindSpecifics:
         with pytest.raises(SummaryError, match="integers or null"):
             summary_from_payload(payload)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            # The first estimate used to divide by zero.
+            {"entries": 0, "minima": []},
+            # -1 is the batch kernel's "unset" sentinel; 2**70 overflowed
+            # its int64 row with a bare OverflowError.
+            {"minima": [-1, 5]},
+            {"minima": [1 << 70, 5]},
+            {"minima": [1 << 32, 5]},
+            {"universe": 0},
+            {"set_size": -1},
+        ],
+        ids=["no-entries", "negative", "beyond-int64", "at-universe",
+             "no-universe", "negative-size"],
+    )
+    def test_minwise_payload_rejects_what_no_card_can_hold(self, edit):
+        payload = build_summary("minwise", range(10), entries=2).to_payload()
+        payload.update(edit)
+        with pytest.raises(SummaryError):
+            summary_from_payload(payload)
+
+    def test_minwise_wire_card_estimates_like_the_original(self, sets, monkeypatch):
+        a, b = sets
+        cards = [
+            build_summary("minwise", ids, entries=64)
+            for ids in (a, b, a | b, set())
+        ]
+        wire = [
+            summary_from_payload(json.loads(json.dumps(c.to_payload())))
+            for c in cards
+        ]
+        expected = [[x.estimate_resemblance(y) for y in cards] for x in cards]
+        assert [[x.estimate_resemblance(y) for y in wire] for x in wire] == expected
+        assert [x.estimate_resemblance_many(wire) for x in wire] == expected
+        monkeypatch.setattr("repro.hashing.batch._numpy", lambda: None)
+        assert [x.estimate_resemblance_many(wire) for x in wire] == expected
+
     def test_cpi_wire_bytes_for_bound_matches_real_sketch(self):
         from repro.reconcile.adapters import CPISummary
 
