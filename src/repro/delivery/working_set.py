@@ -12,8 +12,9 @@ not incremental).  :meth:`WorkingSet.cached` is the one place that rule
 is applied: an artefact computed from the set is served while the
 version is unchanged, absorbs the journalled delta when the set only
 grew (Section 4's O(1)-per-symbol maintenance), and is rebuilt
-otherwise.  Summaries, card-matrix rows and catalog inventories all
-live there, so a cache dies with the set it describes.
+otherwise.  Summaries — a node's calling card among them, which is its
+own packed row — and catalog inventories all live there, so a cache
+dies with the set it describes.
 """
 
 from typing import (

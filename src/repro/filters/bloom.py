@@ -192,6 +192,9 @@ class BloomFilter:
         """Reconstruct a filter received over the wire."""
         if len(payload) != (m_bits + 7) // 8:
             raise ValueError("payload length does not match m_bits")
+        if k_hashes > 8 * len(payload):
+            # Every probe walks k indices: an unbounded k hangs the reader.
+            raise ValueError("k_hashes exceeds the payload's bit count")
         bf = cls(m_bits, k_hashes, seed)
         bf._bits = bytearray(payload)
         return bf

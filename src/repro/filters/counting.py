@@ -114,6 +114,9 @@ class CountingBloomFilter:
         """Reconstruct a filter received over the wire."""
         if len(payload) != 2 * m_buckets:
             raise ValueError("payload length does not match m_buckets")
+        if k_hashes > 8 * len(payload):
+            # Every probe walks k indices: an unbounded k hangs the reader.
+            raise ValueError("k_hashes exceeds the payload's bit count")
         cbf = cls(m_buckets, k_hashes, seed)
         cbf._counters = array("H", struct.unpack(f"<{m_buckets}H", payload))
         cbf.count = count

@@ -14,7 +14,8 @@ minimal environments; every helper falls back to the scalar kernel
 when numpy is unavailable or the inputs exceed 64-bit-safe ranges.
 """
 
-from typing import Iterable, List, Optional, Sequence
+from array import array
+from typing import Iterable, List, Sequence
 
 from repro.hashing.mix import mix64
 
@@ -59,8 +60,11 @@ def mix64_batch(keys: Sequence[int], seed: int = 0) -> List[int]:
         # beyond 64 bits need Python-int arithmetic to match exactly.
         return [mix64(x, seed) for x in key_list]
     z = _mix64_np(np.asarray(key_list, dtype=np.uint64), seed, np)
-    return [int(v) for v in z]
+    return z.tolist()
 
+
+#: A minima-row entry no key has lowered yet (``None`` on the wire).
+UNSET = -1
 
 #: Key-chunk width for the permutation-minima matrix: bounds the
 #: temporary at ``len(family) * 2^16 * 8`` bytes (64 MB at 128 maps).
@@ -84,23 +88,53 @@ def _family_columns(family, np):
     return cols
 
 
-def permutation_minima(family, keys: Iterable[int]) -> List[Optional[int]]:
+def permutation_minima(family, keys: Iterable[int]) -> array:
     """Per-permutation minima of ``keys`` under a permutation family.
 
     The batched core of :meth:`repro.sketches.MinwiseSketch.
     build_vectorized`, shared with the reconcile adapters: evaluates
     every ``(a*x + b) mod u`` map over all keys at once — one
     permutations-by-keys matrix per chunk rather than a per-map Python
-    loop.  Identical to the scalar loop; an empty key set yields
-    all-``None`` minima.
+    loop.  Identical to the scalar loop.  The result is one packed
+    ``array('q')`` row, an entry per permutation; an empty key set
+    yields a row of :data:`UNSET`.
 
     Raises:
-        ValueError: if any key falls outside ``[0, u)``.
+        ValueError: if any key falls outside ``[0, u)``, or ``u``
+            exceeds 2^63 (such minima do not fit an int64 entry).
     """
-    key_list = list(keys)
-    u = family.universe_size
+    row = array("q", [UNSET]) * len(family)
+    return _fold_into(row, family, list(keys))
+
+
+def permutation_minima_fold(
+    family, keys: Iterable[int], floor: Sequence[int]
+) -> array:
+    """Elementwise ``min(floor, permutation_minima(keys))`` in one pass.
+
+    The incremental-absorb kernel: ``floor`` is an existing minima row
+    (as :func:`permutation_minima` returns; it is copied, never
+    written) and ``keys`` the delta being folded in; min is
+    associative, so the result equals a from-scratch build over the
+    union — exact integers, so the numpy and scalar paths are
+    bit-identical.  :data:`UNSET` floor entries (an empty prior card)
+    take the delta's value.
+    """
+    if len(floor) != len(family):
+        raise ValueError(
+            f"floor vector has {len(floor)} entries, family expects "
+            f"{len(family)}"
+        )
+    return _fold_into(array("q", floor), family, list(keys))
+
+
+def _fold_into(row: array, family, key_list: List[int]) -> array:
+    """Lower ``row`` in place to the minima of ``key_list``; returns it."""
     if not key_list:
-        return [None] * len(family)
+        return row
+    u = family.universe_size
+    if u > 1 << 63:
+        raise ValueError("minima over a universe beyond 2^63 do not fit int64")
     np = _numpy()
     if np is not None and u <= 1 << 32:
         try:
@@ -117,68 +151,24 @@ def permutation_minima(family, keys: Iterable[int]) -> List[Optional[int]]:
             # the key axis caps the temporary matrix; the chunkwise
             # elementwise minimum equals the single-pass minimum.
             a, b = _family_columns(family, np)
+            # Read as uint64, UNSET is 2^64 - 1: every image lowers it.
+            merged = np.frombuffer(row, dtype=np.uint64)
             with np.errstate(over="ignore"):
-                minima = None
                 for start in range(0, len(keys64), _MINIMA_CHUNK):
                     chunk = keys64[start : start + _MINIMA_CHUNK]
                     part = ((a * chunk[None, :] + b) % np.uint64(u)).min(axis=1)
-                    minima = part if minima is None else np.minimum(minima, part)
-            return [int(v) for v in minima]
+                    np.minimum(merged, part, out=merged)
+            return row
     # Wide universes overflow uint64 (and no-numpy environments):
     # Python ints per permutation, still a single pass per map.
     for x in key_list:
         if not 0 <= x < u:
             raise ValueError("key outside the family's universe")
-    return [min((p.a * x + p.b) % u for x in key_list) for p in family]
-
-
-def permutation_minima_fold(
-    family, keys: Iterable[int], floor: Sequence[Optional[int]]
-) -> List[Optional[int]]:
-    """Elementwise ``min(floor, permutation_minima(keys))`` in one pass.
-
-    The incremental-absorb kernel: ``floor`` is an existing minima
-    vector and ``keys`` the delta being folded in; min is associative,
-    so the result equals a from-scratch build over the union — exact
-    integers, so the numpy and scalar paths are bit-identical.  ``None``
-    floor entries (an empty prior sketch) take the delta's value.  The
-    fused path avoids materialising the delta's Python list when both
-    sides are plain ints; mixed/None floors fall back to composing the
-    two scalar steps.
-    """
-    if len(floor) != len(family):
-        raise ValueError(
-            f"floor vector has {len(floor)} entries, family expects "
-            f"{len(family)}"
-        )
-    key_list = list(keys)
-    if not key_list:
-        return list(floor)
-    np = _numpy()
-    u = family.universe_size
-    if np is not None and u <= 1 << 32 and None not in floor:
-        try:
-            keys64 = np.asarray(key_list, dtype=np.uint64)
-        except (OverflowError, TypeError, ValueError):
-            keys64 = None
-        if keys64 is not None:
-            if int(keys64.max()) >= u:
-                raise ValueError("key outside the family's universe")
-            a, b = _family_columns(family, np)
-            with np.errstate(over="ignore"):
-                merged = np.fromiter(
-                    floor, dtype=np.uint64, count=len(floor)
-                )
-                for start in range(0, len(keys64), _MINIMA_CHUNK):
-                    chunk = keys64[start : start + _MINIMA_CHUNK]
-                    part = ((a * chunk[None, :] + b) % np.uint64(u)).min(axis=1)
-                    np.minimum(merged, part, out=merged)
-            return [int(v) for v in merged]
-    delta = permutation_minima(family, key_list)
-    return [
-        d if m is None else (m if d is None else min(m, d))
-        for m, d in zip(floor, delta)
-    ]
+    for j, p in enumerate(family):
+        low = min((p.a * x + p.b) % u for x in key_list)
+        if row[j] == UNSET or low < row[j]:
+            row[j] = low
+    return row
 
 
 def bloom_index_matrix(hashes, keys: Sequence[int]):
@@ -220,10 +210,11 @@ def bloom_index_rows(hashes, keys: Sequence[int]) -> List[List[int]]:
     rows = bloom_index_matrix(hashes, key_list)
     if rows is None:
         return [hashes.indices(x) for x in key_list]
-    return [[int(v) for v in row] for row in rows]
+    return rows.tolist()
 
 
 __all__ = [
+    "UNSET",
     "mix64_batch",
     "permutation_minima",
     "permutation_minima_fold",

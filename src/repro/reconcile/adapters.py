@@ -6,7 +6,7 @@ cost/precision spectrum:
 ========================  ==========  ===========================================
 kind                      section     underlying structure
 ========================  ==========  ===========================================
-``minwise``               §4          :class:`repro.sketches.MinwiseSketch`
+``minwise``               §4          one packed int64 minima row (the card)
 ``modk``                  §4          :class:`repro.sketches.ModKSketch`
 ``random_sample``         §4          :class:`repro.sketches.RandomSampleSketch`
 ``bloom``                 §5.2        :class:`repro.filters.BloomFilter`
@@ -26,6 +26,7 @@ headers — matching the byte accounting the protocol messages report.
 """
 
 import random
+from array import array
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from functools import lru_cache
@@ -39,6 +40,7 @@ from repro.filters.counting import CountingBloomFilter
 from repro.filters.partitioned import PartitionedBloomFilter
 from repro.hashing import batch as _batch
 from repro.hashing.batch import (
+    UNSET,
     mix64_batch,
     permutation_minima,
     permutation_minima_fold,
@@ -59,6 +61,14 @@ from repro.reconcile.registry import register_summary
 #: Default key universe, matching :data:`repro.delivery.working_set.
 #: DEFAULT_KEY_UNIVERSE` (kept literal to avoid a delivery import here).
 DEFAULT_UNIVERSE = 1 << 32
+
+#: Widest min-wise universe: every minimum below it fits the 8 bytes
+#: ``MinwiseSummary.wire_bytes`` charges per entry (one int64).
+MAX_MINWISE_UNIVERSE = 1 << 63
+_UNIVERSE_TOO_WIDE = (
+    "min-wise universe must not exceed 2**63: a wider one yields minima "
+    "that do not fit the 8 bytes a card entry is"
+)
 
 
 @lru_cache(maxsize=32)
@@ -88,10 +98,18 @@ class MinwiseSummary(Summary):
     """Min-wise sketch: per-permutation minima (the paper's preferred card).
 
     Params: ``entries`` (permutation count, 128 ≈ the 1KB card),
-    ``universe`` (key range), ``seed`` (the universally agreed family).
+    ``universe`` (key range, at most 2^63 so a minimum fits the 8 bytes
+    :meth:`wire_bytes` charges for it), ``seed`` (the universally
+    agreed family).
     Permutations are defined over the family's universe, so ids are
     summarised modulo it (identity for ids below it): a source's fresh
     ids far beyond 2^32 fold the same way in every card and summary.
+
+    The card *is* its row: one packed ``array('q')`` of ``entries``
+    int64 minima (:data:`~repro.hashing.batch.UNSET` where no key has
+    been folded in), which the kernels write, the estimates read and
+    numpy views without a copy.  ``None`` appears only in
+    :attr:`minima` and the payload.
     """
 
     kind = "minwise"
@@ -101,22 +119,24 @@ class MinwiseSummary(Summary):
 
     def __init__(
         self,
-        minima: List[Optional[int]],
+        row: array,
         set_size: int,
         entries: int,
         universe: int,
         seed: int,
         local_ids: Optional[frozenset] = None,
     ):
-        self.minima = list(minima)
+        self._row = row
         self.set_size = set_size
         self.entries = entries
         self.universe = universe
         self.seed = seed
         self._local_ids = local_ids
-        # The minima as an int64 array, made by the first batch
-        # comparison.  An absorb returns a new card, so it never ages.
-        self._row = None
+
+    @property
+    def minima(self) -> List[Optional[int]]:
+        """The vector that goes on the wire, ``None`` where unset."""
+        return [None if m == UNSET else m for m in self._row]
 
     @classmethod
     def build(
@@ -126,10 +146,12 @@ class MinwiseSummary(Summary):
         universe: int = DEFAULT_UNIVERSE,
         seed: int = 0,
     ) -> "MinwiseSummary":
+        if universe > MAX_MINWISE_UNIVERSE:
+            raise SummaryError(_UNIVERSE_TOO_WIDE)
         family = _shared_family(entries, universe, seed)
         pool = frozenset(i % universe for i in ids)
-        minima = permutation_minima(family, pool)
-        return cls(minima, len(pool), entries, universe, seed, local_ids=pool)
+        row = permutation_minima(family, pool)
+        return cls(row, len(pool), entries, universe, seed, local_ids=pool)
 
     def absorb(self, new_ids: Iterable[int]) -> "MinwiseSummary":
         """Coordinate-wise min against the fresh ids' minima (min is
@@ -139,7 +161,7 @@ class MinwiseSummary(Summary):
         if not fresh:
             return self
         family = _shared_family(self.entries, self.universe, self.seed)
-        merged = permutation_minima_fold(family, fresh, self.minima)
+        merged = permutation_minima_fold(family, fresh, self._row)
         union = pool | fresh
         return MinwiseSummary(
             merged, len(union), self.entries, self.universe, self.seed,
@@ -147,7 +169,7 @@ class MinwiseSummary(Summary):
         )
 
     def wire_bytes(self) -> int:
-        return 4 + 8 * len(self.minima)
+        return 4 + 8 * len(self._row)
 
     def to_payload(self) -> Dict[str, Any]:
         return {
@@ -156,7 +178,7 @@ class MinwiseSummary(Summary):
             "entries": self.entries,
             "universe": self.universe,
             "seed": self.seed,
-            "minima": list(self.minima),
+            "minima": self.minima,
         }
 
     @classmethod
@@ -169,6 +191,8 @@ class MinwiseSummary(Summary):
                 "minwise payload needs entries >= 1, universe >= 1 and "
                 "set_size >= 0"
             )
+        if universe > MAX_MINWISE_UNIVERSE:
+            raise SummaryError(_UNIVERSE_TOO_WIDE)
         minima = payload.get("minima")
         if not isinstance(minima, (list, tuple)) or len(minima) != entries:
             raise SummaryError("minwise payload needs one minimum per entry")
@@ -180,9 +204,8 @@ class MinwiseSummary(Summary):
                     f"minwise minima must be integers or null, inside "
                     f"[0, {universe}); got {m!r}"
                 )
-        return cls(
-            list(minima), set_size, entries, universe, payload_int(payload, "seed", 0)
-        )
+        row = array("q", [UNSET if m is None else m for m in minima])
+        return cls(row, set_size, entries, universe, payload_int(payload, "seed", 0))
 
     def compatible_build_params(self) -> Dict[str, Any]:
         return {"entries": self.entries, "universe": self.universe, "seed": self.seed}
@@ -202,10 +225,13 @@ class MinwiseSummary(Summary):
     def merge(self, other: "MinwiseSummary") -> "MinwiseSummary":
         """Coordinate-wise minimum — the sketch of the union (§4)."""
         self._check_family(other)
-        merged = [
-            b if a is None else (a if b is None else min(a, b))
-            for a, b in zip(self.minima, other.minima)
-        ]
+        merged = array(
+            "q",
+            [
+                b if a == UNSET else (a if b == UNSET or a < b else b)
+                for a, b in zip(self._row, other._row)
+            ],
+        )
         ids, size = self._merged_local_ids(other)
         return MinwiseSummary(
             merged, size, self.entries, self.universe, self.seed, local_ids=ids
@@ -217,11 +243,9 @@ class MinwiseSummary(Summary):
         if self.set_size == 0 and other.set_size == 0:
             return 0.0
         matches = sum(
-            1
-            for a, b in zip(self.minima, other.minima)
-            if a is not None and a == b
+            1 for a, b in zip(self._row, other._row) if a == b and a != UNSET
         )
-        return matches / len(self.minima)
+        return matches / len(self._row)
 
     def estimate_resemblance_many(
         self, others: Sequence["MinwiseSummary"]
@@ -230,37 +254,31 @@ class MinwiseSummary(Summary):
         floats bit for bit, by one array comparison when numpy is there.
 
         This is the estimate kernel every many-candidate reader asks —
-        rewiring, the catalog gate, join planning.  A single ``other``,
-        a universe whose minima could overflow int64, or no numpy take
-        the positional loop.
+        rewiring, the catalog gate, join planning.  A single ``other``
+        or no numpy take the positional loop.
         """
-        batched = len(others) > 1 and self.universe <= 1 << 62
-        np = _batch._numpy() if batched else None
+        np = _batch._numpy() if len(others) > 1 else None
         if np is None:
             return [self.estimate_resemblance(o) for o in others]
         family = (self.entries, self.universe, self.seed)
-        rows = []
         for o in others:
             if type(o) is not MinwiseSummary or (
                 o.entries, o.universe, o.seed
             ) != family:
                 self._check_family(o)  # raises on a stranger
-            rows.append(o._int64_row(np))
-        mine = self._int64_row(np)
-        matches = ((np.array(rows) == mine) & (mine != -1)).sum(axis=1).tolist()
-        entries = len(self.minima)
+        entries = len(self._row)
+        # The cards' buffers, stacked: one memcpy per row, no boxing.
+        rows = np.frombuffer(
+            b"".join(o._row for o in others), dtype=np.int64
+        ).reshape(len(others), entries)
+        mine = np.frombuffer(self._row, dtype=np.int64)
+        matches = ((rows == mine) & (mine != UNSET)).sum(axis=1).tolist()
         if self.set_size == 0:
             return [
                 0.0 if o.set_size == 0 else m / entries
                 for o, m in zip(others, matches)
             ]
         return [m / entries for m in matches]
-
-    def _int64_row(self, np):
-        if self._row is None:
-            unset_as_minus_one = [-1 if m is None else m for m in self.minima]
-            self._row = np.array(unset_as_minus_one, dtype=np.int64)
-        return self._row
 
     def estimate_difference(self, other: "MinwiseSummary") -> float:
         r = self.estimate_resemblance(other)
@@ -1190,11 +1208,14 @@ class HashSetSummaryAdapter(Summary):
 
     @classmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "HashSetSummaryAdapter":
-        summary = HashSetSummary.from_hashes(
-            payload_int_list(payload, "hashes"),
-            hash_bits=payload_int(payload, "hash_bits"),
-            seed=payload_int(payload, "seed", 0),
-        )
+        try:
+            summary = HashSetSummary.from_hashes(
+                payload_int_list(payload, "hashes"),
+                hash_bits=payload_int(payload, "hash_bits"),
+                seed=payload_int(payload, "seed", 0),
+            )
+        except ValueError as exc:
+            raise SummaryError(f"invalid hashset payload: {exc}") from exc
         return cls(summary, payload_int(payload, "set_size"))
 
     def compatible_build_params(self) -> Dict[str, Any]:

@@ -25,8 +25,12 @@ from repro.reconcile.base import Summary, SummaryError
 _REGISTRY: Dict[str, Type[Summary]] = {}
 
 
-class UnknownSummaryError(KeyError):
-    """Lookup of a summary kind nothing registered."""
+class UnknownSummaryError(SummaryError, KeyError):
+    """Lookup of a summary kind nothing registered.
+
+    A :class:`SummaryError`, so a payload naming an unknown kind is
+    refused like any other bad payload (and a ``KeyError`` as before).
+    """
 
     def __init__(self, kind: str, known: List[str]):
         super().__init__(kind)

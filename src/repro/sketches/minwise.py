@@ -60,7 +60,8 @@ class MinwiseSketch:
         sketch = cls(family)
         if not key_list:
             return sketch
-        sketch._minima = permutation_minima(family, key_list)
+        # The kernel packs an int64 row; this primitive keeps its list.
+        sketch._minima = list(permutation_minima(family, key_list))
         return sketch
 
     @classmethod

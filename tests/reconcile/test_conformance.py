@@ -86,6 +86,64 @@ class TestRegistry:
                 build_summary(kind, [1, 2], **params)
 
 
+class TestPayloadFaults:
+    """What a one-minute mutation fuzz found (ROADMAP 6c), as pins: a
+    payload is refused with :class:`SummaryError` — never accepted to
+    hang its first reader, never a bare ``ValueError`` / ``KeyError``."""
+
+    @pytest.mark.parametrize(
+        "kind, path",
+        [
+            ("bloom", ("k_hashes",)),
+            ("bloom", ("m_bits",)),
+            ("counting_bloom", ("k_hashes",)),
+            ("counting_bloom", ("m_buckets",)),
+            ("partitioned_bloom", ("k_hashes",)),
+            ("partitioned_bloom", ("m_bits",)),
+            ("art", ("leaf", "k_hashes")),
+            ("art", ("internal", "k_hashes")),
+            ("art", ("internal", "m_bits")),
+        ],
+    )
+    def test_filter_sizes_are_bound_by_the_payloads_own_bytes(self, kind, path):
+        """``k_hashes = 2**70`` used to be accepted; the first
+        ``may_contain`` then built a ``k_hashes``-long index list."""
+        payload = json.loads(json.dumps(build_summary(kind, range(40)).to_payload()))
+        wire = summary_from_payload(payload)  # the unedited payload is fine
+        assert all(wire.may_contain(x) for x in range(40))
+        holder = payload
+        for step in path[:-1]:
+            holder = holder[step]
+        holder[path[-1]] = 1 << 70
+        with pytest.raises(SummaryError):
+            summary_from_payload(payload)
+
+    def test_a_filter_may_probe_every_payload_bit_but_no_more(self):
+        s = build_summary("bloom", range(4), m_bits=16, k_hashes=16)
+        payload = s.to_payload()
+        assert summary_from_payload(payload).may_contain(3)
+        payload["k_hashes"] = 17
+        with pytest.raises(SummaryError, match="k_hashes"):
+            summary_from_payload(payload)
+
+    @pytest.mark.parametrize("bits", [0, 65, -3, 1 << 70])
+    def test_hashset_width_is_a_summary_error(self, bits):
+        payload = build_summary("hashset", range(10)).to_payload()
+        payload["hash_bits"] = bits
+        with pytest.raises(SummaryError, match="hash width"):
+            summary_from_payload(payload)
+
+    def test_an_unknown_kind_is_a_summary_error_and_still_a_key_error(self):
+        from repro.reconcile import UnknownSummaryError
+
+        assert issubclass(UnknownSummaryError, SummaryError)
+        assert issubclass(UnknownSummaryError, KeyError)
+        with pytest.raises(SummaryError, match="registered kinds"):
+            summary_from_payload({"kind": "nope", "set_size": 0})
+        with pytest.raises(SummaryError, match="registered kinds"):
+            build_summary("nope", [1, 2])
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 class TestConformance:
     def test_build_reports_set_size(self, kind, sets):
