@@ -61,10 +61,10 @@ from repro.coding import (
     DegreeDistribution,
     EncodedSymbol,
     LTEncoder,
+    Packet,
     PeelingDecoder,
     Recoder,
     RecodedPeeler,
-    RecodedSymbol,
 )
 from repro.delivery import (
     STRATEGY_NAMES,
@@ -117,11 +117,11 @@ __all__ = [
     "EncodedSymbol",
     "LTEncoder",
     "MinwiseSketch",
+    "Packet",
     "PeelingDecoder",
     "PermutationFamily",
     "Recoder",
     "RecodedPeeler",
-    "RecodedSymbol",
     "STRATEGY_NAMES",
     "SimReceiver",
     "WorkingSet",

@@ -14,7 +14,7 @@ useful" — the peeler keeps them pending until later arrivals reduce them.
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
-from repro.coding.symbol import RecodedSymbol
+from repro.coding.symbol import Packet
 
 
 class RecodedPeeler:
@@ -96,6 +96,12 @@ class RecodedPeeler:
 
     # -- ingest ----------------------------------------------------------------
 
+    def receive(self, packet: Packet) -> List[int]:
+        """Ingest one transmission; returns encoded ids newly recovered."""
+        if packet.is_recoded:
+            return self.add_recoded(packet)
+        return self.add_encoded(packet.symbol_id, packet.payload)
+
     def add_encoded(self, symbol_id: int, payload: Optional[bytes] = None) -> List[int]:
         """Receive a plain encoded symbol; returns newly recovered ids."""
         if symbol_id in self._known:
@@ -106,15 +112,14 @@ class RecodedPeeler:
             recovered.extend(self._resolve(pid))
         return recovered
 
-    def add_recoded(self, symbol: RecodedSymbol) -> List[int]:
+    def add_recoded(self, packet: Packet) -> List[int]:
         """Receive a recoded symbol; returns encoded ids newly recovered.
 
         A degree-1 recoded symbol is just an encoded symbol in disguise
         and resolves immediately; higher degrees resolve when all but one
-        constituent is known, possibly triggering a cascade.  Anything
-        carrying ``constituent_ids`` and ``payload`` is accepted.
+        constituent is known, possibly triggering a cascade.
         """
-        return self._add_blend(symbol.constituent_ids, symbol.payload)
+        return self._add_blend(packet.constituent_ids, packet.payload)
 
     # -- internals -----------------------------------------------------------------
 

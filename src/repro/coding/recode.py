@@ -23,7 +23,7 @@ import random
 from typing import Iterable, List, Optional, Sequence
 
 from repro.coding.degree import DegreeDistribution
-from repro.coding.symbol import EncodedSymbol, RecodedSymbol, xor_payloads
+from repro.coding.symbol import EncodedSymbol, Packet, xor_payloads
 from repro.seeding import default_rng
 
 #: Paper Section 6.1: "The degree distribution for recoding was created
@@ -114,7 +114,7 @@ class Recoder:
             )
         return min(degree, len(self._symbols))
 
-    def next_symbol(self) -> RecodedSymbol:
+    def next_symbol(self) -> Packet:
         """Produce one recoded symbol."""
         degree = self._draw_degree()
         chosen = self._rng.sample(self._symbols, degree)
@@ -122,9 +122,9 @@ class Recoder:
         payload = None
         if all(p is not None for p in payloads):
             payload = xor_payloads(payloads)  # type: ignore[arg-type]
-        return RecodedSymbol(frozenset(s.symbol_id for s in chosen), payload)
+        return Packet.recoded((s.symbol_id for s in chosen), payload)
 
-    def stream(self) -> Iterable[RecodedSymbol]:
+    def stream(self) -> Iterable[Packet]:
         """Endless recoded-symbol stream."""
         while True:
             yield self.next_symbol()

@@ -74,29 +74,61 @@ class EncodedSymbol:
             raise ValueError("symbol ids are non-negative")
 
 
-@dataclass(frozen=True)
-class RecodedSymbol:
-    """XOR of encoded symbols produced by a partial sender (§5.4.2).
+@dataclass(slots=True)
+class Packet:
+    """One transmission: a plain encoded symbol or a recoded blend (§5.4.2).
+
+    Exactly one of ``symbol_id`` / a non-empty ``constituent_ids`` is
+    set — anything else is refused with :class:`ValueError`.  This is
+    the one data unit every layer moves: strategies, sources and
+    recoders compose it, links carry it, :meth:`~repro.coding.peeler.
+    RecodedPeeler.receive` peels it, and :class:`~repro.protocol.
+    messages.DataMessage` is this class plus the struct wire format.
+    Nobody mutates one; it is slotted rather than frozen because a
+    frozen ``__init__`` costs more than composing the packet does.
 
     Attributes:
-        constituent_ids: ids of the encoded symbols blended together;
-            the receiver needs this list for the substitution rule.
-        payload: XOR of the constituent payloads (``None`` in identity
-            simulations).
+        symbol_id: the encoded symbol conveyed (``None`` for a blend);
+            it identifies the composition via the shared stream seed.
+        constituent_ids: ids of the encoded symbols blended together
+            (empty for a plain symbol); the receiver needs this list
+            for the substitution rule.
+        payload: the symbol's bytes or the XOR of the constituents'
+            (``None`` in identity simulations).
     """
 
-    constituent_ids: FrozenSet[int]
+    symbol_id: Optional[int] = None
+    constituent_ids: FrozenSet[int] = frozenset()
     payload: Optional[bytes] = None
+
+    def __post_init__(self):
+        if (self.symbol_id is None) != bool(self.constituent_ids):
+            raise ValueError(
+                "a packet is either one encoded symbol or a blend of >= 1"
+            )
+
+    @classmethod
+    def encoded(cls, symbol_id: int, payload: Optional[bytes] = None):
+        """A plain encoded-symbol transmission."""
+        return cls(symbol_id, frozenset(), payload)
+
+    @classmethod
+    def recoded(cls, ids: Iterable[int], payload: Optional[bytes] = None):
+        """A recoded transmission blending ``ids``."""
+        return cls(None, frozenset(ids), payload)
+
+    @property
+    def is_recoded(self) -> bool:
+        return self.symbol_id is None
 
     @property
     def degree(self) -> int:
-        """Number of constituent encoded symbols."""
-        return len(self.constituent_ids)
+        """Encoded symbols conveyed: 1, or the blend's constituent count."""
+        return len(self.constituent_ids) or 1
 
-    def header_bytes(self, id_bits: int = 64) -> int:
-        """Wire overhead: the constituent id list must travel explicitly."""
-        return (id_bits // 8) * self.degree
-
-    def __post_init__(self):
-        if not self.constituent_ids:
-            raise ValueError("a recoded symbol must cover >= 1 encoded symbol")
+    def wire_bytes(self) -> int:
+        """Bytes on the wire: a plain symbol pays its 8-byte id, a blend
+        a 2-byte count plus 8 bytes per constituent (header ∝ degree,
+        as §5.4.2 describes), then the payload."""
+        header = 2 + 8 * len(self.constituent_ids) if self.is_recoded else 8
+        return header + len(self.payload or b"")

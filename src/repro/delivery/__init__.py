@@ -4,12 +4,12 @@ This subpackage reproduces the paper's evaluation machinery:
 
 * :mod:`repro.delivery.working_set` — a peer's symbol collection plus its
   sketch/summary "calling cards".
-* :mod:`repro.delivery.packets` — identity-level transmissions (encoded
-  or recoded) exchanged by the simulator.
 * :mod:`repro.delivery.strategies` — the five Section 6.2 sender
   strategies: Random, Random/BF, Recode, Recode/BF, Recode/MW.
 * :mod:`repro.delivery.receiver` — receiver state: a recoded-symbol
   peeler (which holds the distinct symbols) plus packet accounting.
+  Strategies compose and the receiver consumes the one transmission
+  type, :class:`repro.coding.Packet` (re-exported here).
 * :mod:`repro.delivery.transfer` — the round-robin transfer loop (one
   sender is its one-sender case) with the paper's
   overhead/speedup/relative-rate metrics.
@@ -18,7 +18,7 @@ This subpackage reproduces the paper's evaluation machinery:
 """
 
 from repro.delivery.working_set import WorkingSet
-from repro.delivery.packets import Packet
+from repro.coding.symbol import Packet
 from repro.delivery.strategies import (
     STRATEGY_NAMES,
     RandomStrategy,

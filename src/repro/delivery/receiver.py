@@ -10,8 +10,7 @@ constant decoding overhead of 7%").
 from typing import Iterable, List
 
 from repro.coding.peeler import RecodedPeeler
-from repro.coding.symbol import RecodedSymbol
-from repro.delivery.packets import Packet
+from repro.coding.symbol import Packet
 
 #: The paper's simplifying assumption (Section 6.1).
 DEFAULT_DECODING_OVERHEAD = 0.07
@@ -71,14 +70,7 @@ class SimReceiver:
     def receive(self, packet: Packet) -> List[int]:
         """Consume one packet; returns encoded ids newly recovered."""
         self.packets_received += 1
-        if packet.is_recoded:
-            assert packet.recoded_ids is not None
-            recovered = self._peeler.add_recoded(
-                RecodedSymbol(packet.recoded_ids)
-            )
-        else:
-            assert packet.encoded_id is not None
-            recovered = self._peeler.add_encoded(packet.encoded_id)
+        recovered = self._peeler.receive(packet)
         if not recovered:
             self.useless_packets += 1
         return recovered

@@ -28,7 +28,7 @@ from typing import Callable, Dict, Optional, Sequence
 
 from repro.coding.degree import DegreeDistribution
 from repro.coding.recode import DEFAULT_MAX_RECODE_DEGREE, optimal_recode_degree
-from repro.delivery.packets import Packet
+from repro.coding.symbol import Packet
 from repro.delivery.working_set import WorkingSet
 from repro.exact.cpi import DiscrepancyExceeded
 from repro.reconcile import DEFAULT_POLICY, SummaryPolicy
@@ -117,7 +117,7 @@ class _RecodeBase(SenderStrategy):
     def next_packet(self) -> Packet:
         degree = self._draw_degree()
         chosen = self.rng.sample(self._domain, degree)
-        return Packet.recoded(frozenset(chosen))
+        return Packet.recoded(chosen)
 
 
 class RecodeStrategy(_RecodeBase):

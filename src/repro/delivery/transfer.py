@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.delivery.packets import Packet
+from repro.coding.symbol import Packet
 from repro.delivery.receiver import SimReceiver
 from repro.delivery.strategies import SenderStrategy
 

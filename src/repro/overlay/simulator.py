@@ -42,8 +42,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.coding.peeler import RecodedPeeler
-from repro.coding.symbol import RecodedSymbol
-from repro.delivery.packets import Packet
+from repro.coding.symbol import Packet
 from repro.delivery.strategies import (
     DEFAULT_DESIRED_MARGIN,
     SenderStrategy,
@@ -57,7 +56,7 @@ from repro.overlay.reconfiguration import (
 )
 from repro.reconcile import DEFAULT_POLICY, SummaryPolicy
 from repro.sim.engine import EventScheduler
-from repro.sim.links import ConstantRateLink, LinkModel, drain_credit
+from repro.sim.links import ConstantRateLink, LinkModel
 from repro.sim.stats import StatsRecorder
 from repro.seeding import default_rng
 from repro.topology.paths import UNIT_PATH, PathCharacteristics, PathModel
@@ -105,7 +104,6 @@ class Connection:
         self._link = (
             link if link is not None else ConstantRateLink(bandwidth, loss_rate)
         )
-        self._legacy_credit = 0.0
 
     @property
     def bandwidth(self) -> float:
@@ -135,21 +133,6 @@ class Connection:
     def link(self, value: LinkModel) -> None:
         self._link = value
         self._auto_link = False
-
-    def packets_this_tick(self) -> int:
-        """Integer packets for a possibly fractional bandwidth.
-
-        Standalone per-tick accounting over ``bandwidth`` for callers
-        driving a connection by hand: the same epsilon-floored,
-        never-negative credit rule the link models use, but on a
-        private accumulator — hand-driving a connection never drains
-        budget the event engine is charging against the live link.
-        Deterministic and RNG-free under any seeding.
-        """
-        whole, self._legacy_credit = drain_credit(
-            self._legacy_credit, self._bandwidth
-        )
-        return whole
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -428,18 +411,14 @@ class OverlaySimulator:
                 if self.stats is not None:
                     self.stats.count(now, conn.stats_name, "sent")
                 delay = conn.link.transmit(self.rng)
-                seq = ctrl.on_send(now) if ctrl is not None else 0
-                if delay is None:
-                    # Wire loss or tail drop: the controller tracked the
-                    # packet, so it occupies window until its timeout
-                    # fires and becomes an on_loss signal.
+                if ctrl is not None:
+                    ctrl.on_transmit(self.scheduler, delay, conn.link.latency)
+                if delay is None:  # wire loss or tail drop
                     conn.packets_lost += 1
                     self.packets_lost += 1
                     if self.stats is not None:
                         self.stats.count(now, conn.stats_name, "lost")
                     continue
-                if ctrl is not None:
-                    self._schedule_ack(ctrl, seq, now, delay, conn.link.latency)
                 if delay <= 0.0:
                     self._arrive(conn, packet)
                 else:
@@ -578,29 +557,6 @@ class OverlaySimulator:
         assert conn.strategy is not None
         return conn.strategy.next_packet()
 
-    def _schedule_ack(
-        self,
-        ctrl: TransportController,
-        seq: int,
-        now: float,
-        delay: float,
-        reverse_latency: float,
-    ) -> None:
-        """Return the ack for a delivered packet after the reverse path.
-
-        Acks are tiny control packets: they cross the reverse
-        propagation delay but never queue or drop (the loss signal the
-        policies react to is a *missing* ack — the rtx timeout).
-        """
-        ack_delay = delay + reverse_latency
-        if ack_delay <= 0.0:
-            ctrl.on_ack(now, seq)
-        else:
-            self.scheduler.schedule(
-                ack_delay,
-                lambda: ctrl.on_ack(self.scheduler.now, seq),
-            )
-
     def _arrive(self, conn: Connection, packet: Packet) -> None:
         """A packet reaches its receiver (inline or latency-delayed)."""
         receiver = conn.receiver
@@ -631,11 +587,7 @@ class OverlaySimulator:
             # First arrival, or ``working_set`` was assigned a new set:
             # blends pending over the old one go with it.
             peeler = receiver.peeler = RecodedPeeler.into(receiver.working_set)
-        if packet.is_recoded:
-            assert packet.recoded_ids is not None
-            return bool(peeler.add_recoded(RecodedSymbol(packet.recoded_ids)))
-        assert packet.encoded_id is not None
-        return bool(peeler.add_encoded(packet.encoded_id))
+        return bool(peeler.receive(packet))
 
     def _on_reconfig_epoch(self) -> None:
         """One epoch boundary: run (or jitter-defer) the rewiring pass."""

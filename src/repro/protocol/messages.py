@@ -14,7 +14,8 @@ Hello and summary messages have one form: each carries a
 import json
 import struct
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional
+
+from repro.coding.symbol import Packet
 
 
 @dataclass(frozen=True)
@@ -111,53 +112,42 @@ class RequestMessage(ControlMessage):
         return 4
 
 
-@dataclass(frozen=True)
-class DataMessage:
-    """One data packet: an encoded or recoded symbol with its payload.
+class DataMessage(Packet):
+    """The one :class:`~repro.coding.symbol.Packet` plus its wire format.
 
-    ``constituent_ids`` is empty for plain encoded symbols (the single
-    ``symbol_id`` identifies the composition via the shared stream seed);
-    recoded symbols enumerate their constituents, paying header bytes
-    proportional to degree exactly as Section 5.4.2 describes.
+    A plain symbol is ``<Q symbol_id`` + payload; a blend is ``<H count``
+    + ``count`` sorted ``<Q`` ids + payload.  Which of the two a blob is
+    travels out of band, hence the two parsers; both refuse a malformed
+    blob with :class:`ValueError`.
     """
 
-    symbol_id: Optional[int]
-    constituent_ids: FrozenSet[int]
-    payload: bytes
-
-    @property
-    def is_recoded(self) -> bool:
-        return bool(self.constituent_ids)
-
-    def wire_bytes(self) -> int:
-        header = 8 if not self.is_recoded else 2 + 8 * len(self.constituent_ids)
-        return header + len(self.payload)
+    __slots__ = ()
 
     def pack(self) -> bytes:
         """Serialise (used by tests to pin the format)."""
         if self.is_recoded:
-            ids: List[int] = sorted(self.constituent_ids)
-            return (
-                struct.pack("<H", len(ids))
-                + b"".join(struct.pack("<Q", i) for i in ids)
-                + self.payload
-            )
-        assert self.symbol_id is not None
+            ids = sorted(self.constituent_ids)
+            return struct.pack(f"<H{len(ids)}Q", len(ids), *ids) + self.payload
         return struct.pack("<Q", self.symbol_id) + self.payload
 
     @classmethod
     def unpack_encoded(cls, blob: bytes) -> "DataMessage":
         """Parse a plain encoded-symbol packet."""
+        if len(blob) < 8:
+            raise ValueError("truncated encoded packet: no 8-byte symbol id")
         (symbol_id,) = struct.unpack_from("<Q", blob)
-        return cls(symbol_id=symbol_id, constituent_ids=frozenset(), payload=blob[8:])
+        return cls.encoded(symbol_id, blob[8:])
 
     @classmethod
     def unpack_recoded(cls, blob: bytes) -> "DataMessage":
         """Parse a recoded packet."""
+        if len(blob) < 2:
+            raise ValueError("truncated recoded packet: no 2-byte id count")
         (count,) = struct.unpack_from("<H", blob)
+        if len(blob) < 2 + 8 * count:
+            raise ValueError(f"truncated recoded packet: {count} ids announced")
         ids = struct.unpack_from(f"<{count}Q", blob, 2)
-        return cls(
-            symbol_id=None,
-            constituent_ids=frozenset(ids),
-            payload=blob[2 + 8 * count :],
-        )
+        packet = cls.recoded(ids, blob[2 + 8 * count :])
+        if packet.degree != count:
+            raise ValueError("a recoded packet lists an id twice")
+        return packet

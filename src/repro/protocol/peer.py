@@ -19,7 +19,7 @@ from repro.coding import (
     RecodedPeeler,
 )
 from repro.coding.recode import DEFAULT_MAX_RECODE_DEGREE
-from repro.coding.symbol import xor_payloads
+from repro.coding.symbol import Packet, xor_payloads
 from repro.delivery.working_set import WorkingSet
 from repro.protocol.messages import DataMessage, HelloMessage, SummaryMessage
 from repro.reconcile import (
@@ -136,13 +136,18 @@ class ProtocolPeer:
 
     # -- receiving -----------------------------------------------------------
 
-    def receive_data(self, msg: DataMessage) -> List[int]:
-        """Ingest one data packet; returns newly recovered symbol ids."""
-        if msg.is_recoded:
-            recovered = self._peeler.add_recoded(msg)
-        else:
-            assert msg.symbol_id is not None
-            recovered = self._peeler.add_encoded(msg.symbol_id, msg.payload)
+    def receive_data(self, msg: Packet) -> List[int]:
+        """Ingest one data packet; returns newly recovered symbol ids.
+
+        A payload that is not one agreed block long is refused here,
+        before it can reach an XOR or the decoder.
+        """
+        if msg.payload is None or len(msg.payload) != self.params.block_size:
+            raise ValueError(
+                f"data payload must be {self.params.block_size} bytes "
+                "(the agreed block size)"
+            )
+        recovered = self._peeler.receive(msg)
         for symbol_id in recovered:
             payload = self._peeler.payload_of(symbol_id)
             symbol = EncodedSymbol(
@@ -179,12 +184,7 @@ class ProtocolPeer:
             raise RuntimeError(f"{self.peer_id} holds only partial content")
         symbol = self._encoder.symbol(self._next_fresh)
         self._next_fresh += 1
-        assert symbol.payload is not None
-        return DataMessage(
-            symbol_id=symbol.symbol_id,
-            constituent_ids=frozenset(),
-            payload=symbol.payload,
-        )
+        return DataMessage.encoded(symbol.symbol_id, symbol.payload)
 
     def recoded_data(
         self,
@@ -202,12 +202,7 @@ class ProtocolPeer:
         if any(p is None for p in payloads):
             raise RuntimeError("cannot recode payload-free symbols")
         if degree == 1:
-            return DataMessage(
-                symbol_id=chosen[0], constituent_ids=frozenset(),
-                payload=payloads[0],  # type: ignore[arg-type]
-            )
-        return DataMessage(
-            symbol_id=None,
-            constituent_ids=frozenset(chosen),
-            payload=xor_payloads(payloads),  # type: ignore[arg-type]
+            return DataMessage.encoded(chosen[0], payloads[0])
+        return DataMessage.recoded(
+            chosen, xor_payloads(payloads)  # type: ignore[arg-type]
         )

@@ -142,7 +142,12 @@ class ScheduledSession:
             self.packets_sent += 1
             sent_this_pump += 1
             if ctrl is not None:
-                self._transport_step(ctrl, now)
+                # The stream stays reliable (``stream_step`` already
+                # delivered the symbol); the link draw decides only
+                # what the sender learns — an ack, or a timeout.
+                ctrl.on_transmit(
+                    self.scheduler, self.link.transmit(self.rng), self.link.latency
+                )
             if self.stats is not None:
                 self.stats.count(now, self.name, "packets")
                 self.stats.gauge(
@@ -154,29 +159,6 @@ class ScheduledSession:
             self._finish()
             return False
         return None
-
-    def _transport_step(self, ctrl: TransportController, now: float) -> None:
-        """Feed one packet's wire fate to the congestion controller.
-
-        The stream stays reliable (the symbol was already delivered by
-        ``stream_step``); the link draw decides only what the *sender
-        learns*: an ack after the round trip, or — for a wire loss or
-        queue drop — nothing, until the rtx timeout turns the silence
-        into an ``on_loss`` back-off signal.
-        """
-        seq = ctrl.on_send(now)
-        assert self.rng is not None
-        fate = self.link.transmit(self.rng)
-        if fate is None:
-            return
-        ack_delay = fate + self.link.latency
-        if ack_delay <= 0.0:
-            ctrl.on_ack(now, seq)
-        else:
-            self.scheduler.schedule(
-                ack_delay,
-                lambda: ctrl.on_ack(self.scheduler.now, seq),
-            )
 
     def _done(self) -> bool:
         return self.session.receiver.has_decoded

@@ -19,6 +19,7 @@ RNG stream.
 import math
 from typing import Any, Dict, List, Optional
 
+from repro.sim.engine import EventScheduler
 from repro.sim.links import drain_credit
 from repro.transport.policies import TransportPolicy, build_policy
 from repro.transport.queue import BottleneckQueue
@@ -77,6 +78,33 @@ class TransportController:
         self.sent += 1
         self.policy.on_send(now, seq)
         return seq
+
+    def on_transmit(
+        self,
+        scheduler: EventScheduler,
+        delay: Optional[float],
+        reverse_latency: float,
+    ) -> None:
+        """Account for one packet put on the wire at ``scheduler.now``.
+
+        Numbers it, then returns its ack after ``delay`` plus the
+        reverse path.  Acks are tiny control packets: they cross the
+        reverse propagation delay but never queue or drop.  A lost
+        packet (``delay`` None — wire loss or tail drop) gets nothing:
+        it occupies window until its rtx timeout turns the silence into
+        an ``on_loss`` back-off signal.
+        """
+        now = scheduler.now
+        seq = self.on_send(now)
+        if delay is None:
+            return
+        ack_delay = delay + reverse_latency
+        if ack_delay <= 0.0:
+            self.on_ack(now, seq)
+        else:
+            scheduler.schedule(
+                ack_delay, lambda: self.on_ack(scheduler.now, seq)
+            )
 
     def on_ack(self, now: float, seq: int) -> None:
         """An ack for ``seq`` arrived (ignored if it already timed out)."""

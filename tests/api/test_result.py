@@ -83,8 +83,8 @@ class TestDefaultRngDeterminism:
 
         a = RandomStrategy(WorkingSet(range(200)))
         b = RandomStrategy(WorkingSet(range(200)))
-        assert [a.next_packet().encoded_id for _ in range(10)] != [
-            b.next_packet().encoded_id for _ in range(10)
+        assert [a.next_packet().symbol_id for _ in range(10)] != [
+            b.next_packet().symbol_id for _ in range(10)
         ]
 
     def test_unseeded_components_replay_across_processes(self):
@@ -99,7 +99,7 @@ class TestDefaultRngDeterminism:
             "from repro.delivery.strategies import RandomStrategy\n"
             "from repro.delivery.orchestrator import split_demand\n"
             "s = RandomStrategy(WorkingSet(range(50)))\n"
-            "print([s.next_packet().encoded_id for _ in range(8)])\n"
+            "print([s.next_packet().symbol_id for _ in range(8)])\n"
             "print(sorted(split_demand(10, [['a', 'b'], ['c']]).items()))\n"
         )
         env = dict(os.environ)

@@ -5,7 +5,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.coding import LTEncoder, PeelingDecoder, RecodedPeeler, RecodedSymbol
+from repro.coding import LTEncoder, PeelingDecoder, RecodedPeeler, Packet
 from repro.coding.symbol import xor_payloads
 
 
@@ -76,7 +76,7 @@ class TestPeelerProperties:
         """The peeler recovers exactly the GF(2)-peeling closure."""
         p = RecodedPeeler(known_ids=known)
         for b in blends:
-            p.add_recoded(RecodedSymbol(frozenset(b)))
+            p.add_recoded(Packet.recoded(frozenset(b)))
         # Reference: iterate to fixpoint over the same blends.
         reference = set(known)
         pending = [set(b) for b in blends]

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.coding import RecodedPeeler, RecodedSymbol, xor_payloads
+from repro.coding import RecodedPeeler, Packet, xor_payloads
 from repro.delivery.working_set import WorkingSet
 
 
@@ -31,10 +31,10 @@ def build_batch(num_known, num_missing, num_redundant, rng):
     batch = []
     for i in range(1, num_missing + 1):
         mix = rng.sample(known, rng.randrange(0, min(3, num_known) + 1))
-        batch.append(RecodedSymbol(frozenset(missing[:i]) | frozenset(mix)))
+        batch.append(Packet.recoded(frozenset(missing[:i]) | frozenset(mix)))
     for _ in range(num_redundant):
         size = rng.randrange(1, min(4, num_known) + 1)
-        batch.append(RecodedSymbol(frozenset(rng.sample(known, size))))
+        batch.append(Packet.recoded(frozenset(rng.sample(known, size))))
     return set(known), set(missing), batch
 
 
@@ -159,7 +159,7 @@ class TestKnownCountInvariant:
                 )
             else:
                 recovered = peeler.add_recoded(
-                    RecodedSymbol(arg, _blend(arg) if with_payloads else None)
+                    Packet.recoded(arg, _blend(arg) if with_payloads else None)
                 )
             assert len(set(recovered)) == len(recovered)
             assert peeler.known_count == before + len(recovered)
@@ -178,7 +178,7 @@ class TestKnownCountInvariant:
             if kind == "enc":
                 peeler.add_encoded(arg)
             else:
-                peeler.add_recoded(RecodedSymbol(arg))
+                peeler.add_recoded(Packet.recoded(arg))
         held = peeler.known_ids
         count = peeler.known_count
         held.add(ID_SPACE + 1)
@@ -191,8 +191,8 @@ class TestKnownCountInvariant:
     def test_cascade_grows_the_count_by_everything_it_resolves(self, make_peeler):
         # 5.4.2's example, fed so one arrival resolves three symbols.
         peeler = make_peeler()
-        assert peeler.add_recoded(RecodedSymbol(frozenset([5, 8]))) == []
-        assert peeler.add_recoded(RecodedSymbol(frozenset([5, 13]))) == []
+        assert peeler.add_recoded(Packet.recoded(frozenset([5, 8]))) == []
+        assert peeler.add_recoded(Packet.recoded(frozenset([5, 13]))) == []
         assert peeler.known_count == 0
         recovered = peeler.add_encoded(13)
         assert sorted(recovered) == [5, 8, 13]

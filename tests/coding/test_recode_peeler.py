@@ -7,8 +7,8 @@ import pytest
 from repro.coding import (
     LTEncoder,
     Recoder,
+    Packet,
     RecodedPeeler,
-    RecodedSymbol,
 )
 from repro.coding.recode import (
     immediate_usefulness_probability,
@@ -90,15 +90,15 @@ class TestRecodedPeeler:
     def test_paper_example(self):
         # Section 5.4.2: z1 = y13, z2 = y5^y8, z3 = y5^y13 recovers all.
         p = RecodedPeeler()
-        assert p.add_recoded(RecodedSymbol(frozenset([13]))) == [13]
-        assert p.add_recoded(RecodedSymbol(frozenset([5, 8]))) == []
-        recovered = p.add_recoded(RecodedSymbol(frozenset([5, 13])))
+        assert p.add_recoded(Packet.recoded(frozenset([13]))) == [13]
+        assert p.add_recoded(Packet.recoded(frozenset([5, 8]))) == []
+        recovered = p.add_recoded(Packet.recoded(frozenset([5, 13])))
         assert set(recovered) == {5, 8}
         assert p.known_ids == {5, 8, 13}
 
     def test_redundant_recoded_counted(self):
         p = RecodedPeeler(known_ids=[1, 2, 3])
-        assert p.add_recoded(RecodedSymbol(frozenset([1, 2]))) == []
+        assert p.add_recoded(Packet.recoded(frozenset([1, 2]))) == []
         assert p.recoded_useless == 1
 
     def test_payload_recovery(self):
@@ -108,7 +108,7 @@ class TestRecodedPeeler:
         p = RecodedPeeler(
             known_ids=[0, 1], payloads={0: by_id[0].payload, 1: by_id[1].payload}
         )
-        blend = RecodedSymbol(
+        blend = Packet.recoded(
             frozenset([0, 1, 5]),
             xor_payloads([by_id[0].payload, by_id[1].payload, by_id[5].payload]),
         )
@@ -117,8 +117,8 @@ class TestRecodedPeeler:
 
     def test_add_encoded_cascades_pending(self):
         p = RecodedPeeler()
-        p.add_recoded(RecodedSymbol(frozenset([10, 20])))
-        p.add_recoded(RecodedSymbol(frozenset([20, 30])))
+        p.add_recoded(Packet.recoded(frozenset([10, 20])))
+        p.add_recoded(Packet.recoded(frozenset([20, 30])))
         recovered = p.add_encoded(10)
         assert set(recovered) == {10, 20, 30}
 
@@ -128,7 +128,7 @@ class TestRecodedPeeler:
 
     def test_pending_count(self):
         p = RecodedPeeler()
-        p.add_recoded(RecodedSymbol(frozenset([1, 2, 3])))
+        p.add_recoded(Packet.recoded(frozenset([1, 2, 3])))
         assert p.pending_count == 1
         p.add_encoded(1)
         p.add_encoded(2)
@@ -138,7 +138,7 @@ class TestRecodedPeeler:
         # Chain z_i = y_i ^ y_{i+1}; releasing y_0 unlocks everything.
         p = RecodedPeeler()
         for i in range(50):
-            p.add_recoded(RecodedSymbol(frozenset([i, i + 1])))
+            p.add_recoded(Packet.recoded(frozenset([i, i + 1])))
         recovered = p.add_encoded(0)
         assert set(recovered) == set(range(51))
 
@@ -163,27 +163,27 @@ class TestUntrackedConstituent:
 
     def test_known_constituent_without_payload(self):
         p = RecodedPeeler(known_ids=[1])
-        blend = RecodedSymbol(frozenset([1, 2]), xor_payloads([self.P1, self.P2]))
+        blend = Packet.recoded(frozenset([1, 2]), xor_payloads([self.P1, self.P2]))
         assert p.add_recoded(blend) == [2]
         assert p.payload_of(2) is None  # not the unreduced P1 ^ P2
 
     def test_pending_blend_reduced_by_a_payload_free_arrival(self):
         p = RecodedPeeler()
-        blend = RecodedSymbol(frozenset([1, 2]), xor_payloads([self.P1, self.P2]))
+        blend = Packet.recoded(frozenset([1, 2]), xor_payloads([self.P1, self.P2]))
         assert p.add_recoded(blend) == []
         assert p.add_encoded(1) == [1, 2]
         assert p.payload_of(2) is None
 
     def test_unknown_bytes_propagate_through_a_cascade(self):
         p = RecodedPeeler(known_ids=[1])
-        p.add_recoded(RecodedSymbol(frozenset([2, 3]), xor_payloads([self.P2, self.P3])))
-        p.add_recoded(RecodedSymbol(frozenset([1, 2]), xor_payloads([self.P1, self.P2])))
+        p.add_recoded(Packet.recoded(frozenset([2, 3]), xor_payloads([self.P2, self.P3])))
+        p.add_recoded(Packet.recoded(frozenset([1, 2]), xor_payloads([self.P1, self.P2])))
         assert p.known_ids == {1, 2, 3}
         assert p.payload_of(2) is None and p.payload_of(3) is None
 
     def test_tracked_payloads_still_reduce(self):
         p = RecodedPeeler(known_ids=[1], payloads={1: self.P1})
-        blend = RecodedSymbol(frozenset([1, 2]), xor_payloads([self.P1, self.P2]))
+        blend = Packet.recoded(frozenset([1, 2]), xor_payloads([self.P1, self.P2]))
         assert p.add_recoded(blend) == [2]
         assert p.payload_of(2) == self.P2
 
@@ -195,11 +195,11 @@ class TestPeelingInto:
         held = {1}
         p = RecodedPeeler.into(held)
         assert p.known is held
-        assert p.add_recoded(RecodedSymbol(frozenset([1, 2]))) == [2]
+        assert p.add_recoded(Packet.recoded(frozenset([1, 2]))) == [2]
         assert held == {1, 2}
         held.add(3)  # the owner's own adds are the peeler's knowledge too
         assert p.known_count == 3
-        assert p.add_recoded(RecodedSymbol(frozenset([3, 4]))) == [4]
+        assert p.add_recoded(Packet.recoded(frozenset([3, 4]))) == [4]
 
     def test_known_ids_constructor_owns_a_copy(self):
         held = {1}
@@ -210,17 +210,44 @@ class TestPeelingInto:
     def test_blend_pending_on_an_id_the_owner_added_itself(self):
         held = set()
         p = RecodedPeeler.into(held)
-        assert p.add_recoded(RecodedSymbol(frozenset([1, 2]))) == []
+        assert p.add_recoded(Packet.recoded(frozenset([1, 2]))) == []
         held.add(1)
         assert p.add_encoded(2) == [2]  # 1 is not "recovered" a second time
         assert p.pending_count == 0
 
 
-class TestRecodedSymbolValidation:
+class TestReceive:
+    def test_dispatches_on_the_packet_kind(self):
+        p = RecodedPeeler(known_ids=[1])
+        assert p.receive(Packet.encoded(1)) == []
+        assert p.receive(Packet.recoded([1, 2])) == [2]
+        assert p.receive(Packet.encoded(3)) == [3]
+        assert p.recoded_received == 1  # plain symbols are not blends
+
+    def test_goes_through_the_named_entry_points(self, monkeypatch):
+        # bench/probes.py times add_recoded / add_encoded by patching
+        # them on the class; the one ingest must resolve them by name.
+        calls = []
+        for name in ("add_recoded", "add_encoded"):
+            original = getattr(RecodedPeeler, name)
+            monkeypatch.setattr(
+                RecodedPeeler, name,
+                lambda self, *a, _n=name, _f=original: calls.append(_n) or _f(self, *a),
+            )
+        p = RecodedPeeler()
+        p.receive(Packet.recoded([1, 2]))
+        p.receive(Packet.encoded(1, None))
+        assert calls == ["add_recoded", "add_encoded"]
+
+
+class TestRecodedPacketValidation:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            RecodedSymbol(frozenset())
+            Packet.recoded(frozenset())
 
     def test_header_cost_proportional_to_degree(self):
-        z = RecodedSymbol(frozenset([1, 2, 3, 4]))
-        assert z.header_bytes() == 32
+        z = Packet.recoded(frozenset([1, 2, 3, 4]))
+        assert z.degree == 4
+        assert z.wire_bytes() == 2 + 8 * 4
+        assert Packet.recoded([1, 2], b"\x00" * 5).wire_bytes() == 2 + 8 * 2 + 5
+        assert Packet.encoded(9, b"\x00" * 5).wire_bytes() == 8 + 5

@@ -1,10 +1,15 @@
-"""No transfer path copies the known set once per packet.
+"""No transfer path copies the known set — or the packet — once per packet.
 
 ``RecodedPeeler.known_ids`` and ``WorkingSet.ids`` are defensive
 copies, O(n).  The loops that ask "complete yet?" per packet, or "what
 is novel?" per flow window, read ``known_count`` / the set relations
 instead.  These tests replace the two accessors with counting spies
 and pin the call counts — deterministic counts, no wall-clock.
+
+A transmission is likewise one object from composer to peeler: the
+:class:`~repro.coding.Packet` a strategy (or a source) composes is the
+very object ``RecodedPeeler.receive`` ingests, with nothing re-wrapped
+in between.
 """
 
 import random
@@ -13,7 +18,7 @@ import pytest
 
 from repro.api import run, specs
 from repro.api.registry import small_spec
-from repro.coding import RecodedPeeler
+from repro.coding import EncodedSymbol, Packet, RecodedPeeler
 from repro.delivery import (
     STRATEGY_NAMES,
     SimReceiver,
@@ -138,3 +143,57 @@ def test_flow_advance_never_copies_a_working_set(monkeypatch):
     # source) senders mirrored into receivers' sampled-id sets.
     assert inside["advance"] > 0 and inside["peer_updates"] > 0
     assert inside["ids_reads"] == 0
+
+
+@pytest.fixture
+def packet_census(monkeypatch):
+    """Every ``Packet`` (and ``EncodedSymbol``) constructed, and every
+    object the one ingest is handed, in order."""
+    built, symbols, ingested = [], [], []
+
+    def counting(cls, log):
+        post_init = cls.__post_init__
+
+        def counted(self):
+            post_init(self)
+            log.append(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+
+    counting(Packet, built)
+    counting(EncodedSymbol, symbols)
+    receive = RecodedPeeler.receive
+
+    def counted_receive(self, packet):
+        ingested.append(packet)
+        return receive(self, packet)
+
+    monkeypatch.setattr(RecodedPeeler, "receive", counted_receive)
+    return built, symbols, ingested
+
+
+class TestOnePacketObjectFromComposerToPeeler:
+    @pytest.mark.parametrize("name", STRATEGY_NAMES)
+    def test_pair_transfer(self, name, packet_census):
+        built, symbols, ingested = packet_census
+        result = run(
+            specs.pair_transfer(
+                target=150, correlation=0.2, strategy_name=name, seed=5
+            )
+        )
+        assert len(built) == result.metrics["packets_sent"] > 0
+        assert len(ingested) == len(built)
+        assert all(got is sent for got, sent in zip(ingested, built))
+        assert all(type(p) is Packet for p in built) and not symbols
+
+    def test_overlay_run(self, packet_census):
+        built, symbols, ingested = packet_census
+        result = run(small_spec("congested_swarm"))
+        sent, lost = result.metrics["packets_sent"], result.metrics["packets_lost"]
+        assert len(built) == sent > 0 and lost > 0
+        # Lost packets, and arrivals at a complete or departed receiver,
+        # are never ingested; everything ingested is a composed object.
+        assert 0 < len(ingested) <= sent - lost
+        composed = {id(p) for p in built}
+        assert all(id(p) in composed for p in ingested)
+        assert all(type(p) is Packet for p in built) and not symbols

@@ -37,7 +37,7 @@ class TestRandomStrategy:
         for _ in range(50):
             p = s.next_packet()
             assert not p.is_recoded
-            assert p.encoded_id in sender
+            assert p.symbol_id in sender
 
     def test_empty_working_set_rejected(self):
         with pytest.raises(ValueError):
@@ -47,7 +47,7 @@ class TestRandomStrategy:
         # Stateless senders may repeat symbols (Section 2.2).
         sender = WorkingSet([1, 2, 3])
         s = RandomStrategy(sender, random.Random(2))
-        ids = [s.next_packet().encoded_id for _ in range(30)]
+        ids = [s.next_packet().symbol_id for _ in range(30)]
         assert len(set(ids)) <= 3
         assert len(ids) == 30
 
@@ -60,7 +60,7 @@ class TestRandomBF:
             p = s.next_packet()
             # Guarantee: never sends a symbol the receiver definitely has
             # (Bloom has no false negatives, so receiver ids always hit).
-            assert p.encoded_id not in receiver
+            assert p.symbol_id not in receiver
 
     def test_filtered_out_counter(self):
         sender, receiver, rng = sets_with_overlap(overlap=150)
@@ -71,7 +71,7 @@ class TestRandomBF:
         ws = WorkingSet(range(100))
         s = RandomSummaryStrategy(ws, bloom_useful(ws, ws), random.Random(3))
         p = s.next_packet()  # must not stall or raise
-        assert p.encoded_id in ws
+        assert p.symbol_id in ws
 
 
 class TestRecodeStrategies:
@@ -81,14 +81,14 @@ class TestRecodeStrategies:
         for _ in range(50):
             p = s.next_packet()
             assert p.is_recoded
-            assert p.recoded_ids <= sender.ids
+            assert p.constituent_ids <= sender.ids
 
     def test_recode_bf_domain_excludes_receiver(self):
         sender, receiver, rng = sets_with_overlap()
         s = RecodeSummaryStrategy(sender, bloom_useful(sender, receiver), rng=rng)
         for _ in range(50):
             p = s.next_packet()
-            assert all(i not in receiver for i in p.recoded_ids)
+            assert all(i not in receiver for i in p.constituent_ids)
 
     def test_recode_bf_domain_limit(self):
         sender, receiver, rng = sets_with_overlap()
@@ -97,15 +97,15 @@ class TestRecodeStrategies:
         )
         domain = set()
         for _ in range(300):
-            domain |= s.next_packet().recoded_ids
+            domain |= s.next_packet().constituent_ids
         assert len(domain) <= 50
 
     def test_recode_mw_degrees_grow_with_correlation(self):
         sender, _, rng = sets_with_overlap(sender_size=400)
         low = RecodeMWStrategy(sender, 0.1, random.Random(5))
         high = RecodeMWStrategy(sender, 0.8, random.Random(5))
-        deg_low = sum(len(low.next_packet().recoded_ids) for _ in range(200))
-        deg_high = sum(len(high.next_packet().recoded_ids) for _ in range(200))
+        deg_low = sum(len(low.next_packet().constituent_ids) for _ in range(200))
+        deg_high = sum(len(high.next_packet().constituent_ids) for _ in range(200))
         assert deg_high > deg_low
 
     def test_recode_mw_invalid_correlation(self):
@@ -116,7 +116,7 @@ class TestRecodeStrategies:
     def test_degree_cap_50(self):
         sender, _, rng = sets_with_overlap(sender_size=500)
         s = RecodeMWStrategy(sender, 0.95, rng)
-        assert all(len(s.next_packet().recoded_ids) <= 50 for _ in range(100))
+        assert all(len(s.next_packet().constituent_ids) <= 50 for _ in range(100))
 
 
 class TestFactory:

@@ -23,9 +23,9 @@ class TestPacket:
         with pytest.raises(ValueError):
             Packet()
         with pytest.raises(ValueError):
-            Packet(encoded_id=1, recoded_ids=frozenset([2]))
+            Packet(symbol_id=1, constituent_ids=frozenset([2]))
         with pytest.raises(ValueError):
-            Packet(recoded_ids=frozenset())
+            Packet.recoded(())
 
     def test_constructors(self):
         assert not Packet.encoded(5).is_recoded
@@ -62,7 +62,7 @@ class TestSimReceiver:
 class TestFullSender:
     def test_always_fresh(self):
         f = FullSender(1000)
-        ids = [f.next_packet().encoded_id for _ in range(10)]
+        ids = [f.next_packet().symbol_id for _ in range(10)]
         assert len(set(ids)) == 10
 
 

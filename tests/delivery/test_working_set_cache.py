@@ -28,7 +28,7 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
-from repro.coding import RecodedPeeler, RecodedSymbol
+from repro.coding import RecodedPeeler, Packet
 from repro.delivery.working_set import WorkingSet
 from repro.reconcile import build_summary, summary_class
 
@@ -120,7 +120,7 @@ class WorkingSetCacheMachine(RuleBasedStateMachine):
 
     @rule(ids=st.frozensets(_ids, min_size=1, max_size=4))
     def peel_recoded(self, ids):
-        self._peel(ids, lambda: self.peeler.add_recoded(RecodedSymbol(ids)))
+        self._peel(ids, lambda: self.peeler.add_recoded(Packet.recoded(ids)))
 
     def _waited_on(self):
         """Ids whose arrival reduces a blend still short of two or more."""

@@ -14,7 +14,8 @@ import weakref
 
 from repro.api import run
 from repro.api.registry import small_specs
-from repro.delivery import WorkingSet
+from repro.coding import Packet, xor_payloads
+from repro.delivery import SimReceiver, WorkingSet
 from repro.overlay import OverlayNode, OverlaySimulator
 from repro.protocol import CodeParameters, DataMessage, ProtocolPeer
 
@@ -88,6 +89,26 @@ class TestOverlayNodesPeelIntoTheirWorkingSet:
         del b
         gc.collect()
         assert peeler() is None and held() is None
+
+
+def test_a_payload_on_an_identity_level_packet_reaches_the_peeler():
+    """Both id-level receivers hand the peeler the packet itself, so
+    bytes set on it are peeled along with the ids (each used to forward
+    the ids alone)."""
+    one, two = b"\x0f" * 4, b"\xf0" * 4
+    packets = [
+        Packet.recoded([1, 2], xor_payloads([one, two])),
+        Packet.encoded(1, one),
+    ]
+    receiver = SimReceiver((), target=2)
+    node = OverlayNode("n", 2)
+    sim = OverlaySimulator(rng=random.Random(0))
+    for packet in packets:
+        receiver.receive(packet)
+        sim._deliver(node, packet)
+    for peeler in (receiver._peeler, node.peeler):
+        assert peeler.known_count == 2
+        assert (peeler.payload_of(1), peeler.payload_of(2)) == (one, two)
 
 
 def _content(params, seed=1):

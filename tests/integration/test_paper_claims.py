@@ -92,12 +92,12 @@ class TestSection54Claims:
 
     def test_substitution_rule_example(self):
         """Section 5.4.2's worked example: z1=y13, z2=y5⊕y8, z3=y5⊕y13."""
-        from repro.coding import RecodedPeeler, RecodedSymbol
+        from repro.coding import RecodedPeeler, Packet
 
         p = RecodedPeeler()
-        p.add_recoded(RecodedSymbol(frozenset([13])))
-        p.add_recoded(RecodedSymbol(frozenset([5, 8])))
-        p.add_recoded(RecodedSymbol(frozenset([5, 13])))
+        p.add_recoded(Packet.recoded(frozenset([13])))
+        p.add_recoded(Packet.recoded(frozenset([5, 8])))
+        p.add_recoded(Packet.recoded(frozenset([5, 13])))
         assert p.known_ids == {5, 8, 13}
 
     def test_degree_one_recode_redundant_with_probability_q(self):

@@ -10,28 +10,31 @@ from repro.overlay import (
     SimulationReport,
 )
 from repro.overlay.simulator import Connection
+from repro.sim.links import drain_credit
+
+
+def _ticks(bandwidth, n):
+    """Whole packets per tick when ``bandwidth`` is drained ``n`` times."""
+    sent, credit = [], 0.0
+    for _ in range(n):
+        whole, credit = drain_credit(credit, bandwidth)
+        assert credit >= 0.0
+        sent.append(whole)
+    return sent
 
 
 class TestFractionalBandwidth:
+    """``repro.sim.links.drain_credit`` is the one fractional-bandwidth
+    rule (links and pacing both charge through it); these sequences pin
+    it directly."""
+
     def test_credit_accumulates(self):
-        node = OverlayNode("s", 10, is_source=True)
-        recv = OverlayNode("r", 10)
-        conn = Connection(
-            sender=node, receiver=recv, strategy=None,
-            bandwidth=0.5, loss_rate=0.0, established_tick=0,
-        )
-        sent = [conn.packets_this_tick() for _ in range(10)]
+        sent = _ticks(0.5, 10)
         assert sum(sent) == 5  # 0.5 pkt/tick over 10 ticks
         assert max(sent) == 1
 
     def test_integral_bandwidth(self):
-        node = OverlayNode("s", 10, is_source=True)
-        recv = OverlayNode("r", 10)
-        conn = Connection(
-            sender=node, receiver=recv, strategy=None,
-            bandwidth=3.0, loss_rate=0.0, established_tick=0,
-        )
-        assert conn.packets_this_tick() == 3
+        assert _ticks(3.0, 1) == [3]
 
     def _conn(self, bandwidth):
         return Connection(
@@ -44,15 +47,12 @@ class TestFractionalBandwidth:
     def test_credit_sequence_pinned(self):
         # The exact credit sequence for bandwidth 0.3: one packet on
         # every third tick, exactly periodic (no float drift, no RNG).
-        conn = self._conn(0.3)
-        seq = [conn.packets_this_tick() for _ in range(12)]
-        assert seq == [0, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0]
+        assert _ticks(0.3, 12) == [0, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0]
 
     def test_credit_sequence_survives_float_representation(self):
         # 0.1 is inexact in binary; ten ticks must still yield exactly
         # one packet (the epsilon floor), and 1000 ticks exactly 100.
-        conn = self._conn(0.1)
-        seq = [conn.packets_this_tick() for _ in range(1000)]
+        seq = _ticks(0.1, 1000)
         assert seq[9] == 1 and sum(seq[:10]) == 1
         assert sum(seq) == 100
 
@@ -60,24 +60,15 @@ class TestFractionalBandwidth:
         import random as _random
 
         state_before = _random.getstate()
-        conn_a, conn_b = self._conn(0.7), self._conn(0.7)
-        a = [conn_a.packets_this_tick() for _ in range(10)]
-        b = [conn_b.packets_this_tick() for _ in range(10)]
-        assert a == b == [0, 1, 1, 0, 1, 1, 0, 1, 1, 1]
+        assert _ticks(0.7, 10) == _ticks(0.7, 10) == [0, 1, 1, 0, 1, 1, 0, 1, 1, 1]
         assert _random.getstate() == state_before  # no global RNG use
 
     def test_credit_cannot_drift_negative(self):
-        conn = self._conn(0.0)
-        for _ in range(50):
-            assert conn.packets_this_tick() == 0
-            assert conn._legacy_credit >= 0.0
+        assert _ticks(0.0, 50) == [0] * 50  # _ticks checks the credit
 
-    def test_hand_driving_does_not_drain_the_live_link(self):
-        # The legacy per-tick API keeps its own accumulator, so probing
-        # it never steals budget from the event engine's link charging.
+    def test_a_connection_link_charges_by_the_same_rule(self):
         conn = self._conn(0.5)
-        assert [conn.packets_this_tick() for _ in range(4)] == [0, 1, 0, 1]
-        assert conn.link.packet_budget(0.0, 4.0) == 2  # link credit untouched
+        assert conn.link.packet_budget(0.0, 4.0) == 2
 
     def test_negative_bandwidth_rejected(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
 """Property-based tests for the prototype protocol."""
 
 import random
+import struct
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,6 +38,41 @@ class TestMessageRoundTrip:
     def test_wire_bytes_match_packed_length(self, ids):
         msg = DataMessage(None, frozenset(ids), b"x" * 10)
         assert msg.wire_bytes() == len(msg.pack())
+
+    @given(blob=st.binary(max_size=64), recoded=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_any_blob_parses_to_a_valid_packet_or_is_a_value_error(
+        self, blob, recoded
+    ):
+        unpack = DataMessage.unpack_recoded if recoded else DataMessage.unpack_encoded
+        try:
+            msg = unpack(blob)
+        except ValueError:
+            return
+        assert msg.is_recoded == recoded
+        assert msg.wire_bytes() == len(blob)
+        assert unpack(msg.pack()) == msg
+
+    @given(
+        ids=st.sets(st.integers(min_value=0, max_value=2**63),
+                    min_size=1, max_size=8),
+        payload=st.binary(max_size=16),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_mutated_headers_are_value_errors(self, ids, payload, data):
+        recoded = DataMessage.recoded(ids, payload).pack()
+        header = 2 + 8 * len(ids)
+        cut = data.draw(st.integers(min_value=0, max_value=header - 1))
+        with pytest.raises(ValueError):
+            DataMessage.unpack_recoded(recoded[:cut])
+        with pytest.raises(ValueError):
+            DataMessage.unpack_encoded(recoded[: min(cut, 7)])
+        twice = sorted(ids) + [data.draw(st.sampled_from(sorted(ids)))]
+        with pytest.raises(ValueError):
+            DataMessage.unpack_recoded(
+                struct.pack(f"<H{len(twice)}Q", len(twice), *twice) + payload
+            )
 
 
 class TestSessionProperties:

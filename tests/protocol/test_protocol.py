@@ -1,6 +1,7 @@
 """Tests for the end-to-end prototype protocol."""
 
 import random
+import struct
 
 import pytest
 
@@ -69,6 +70,49 @@ class TestMessages:
         assert RequestMessage(100).wire_bytes() == 4
 
 
+class TestDataMessageRefusals:
+    """Everything malformed is a ``ValueError`` — the packet's own check —
+    never a ``struct.error``, an ``assert`` or silent acceptance."""
+
+    @pytest.mark.parametrize(
+        "symbol_id, constituent_ids",
+        [(5, frozenset([1, 2])), (None, frozenset())],
+        ids=["both", "neither"],
+    )
+    def test_neither_encoded_nor_recoded_is_refused(self, symbol_id, constituent_ids):
+        with pytest.raises(ValueError):
+            DataMessage(symbol_id, constituent_ids, b"abcd")
+
+    @pytest.mark.parametrize("cut", range(8))
+    def test_truncated_encoded_blob(self, cut):
+        blob = DataMessage.encoded(42, b"abcd").pack()
+        with pytest.raises(ValueError, match="truncated"):
+            DataMessage.unpack_encoded(blob[:cut])
+
+    @pytest.mark.parametrize("cut", [0, 1, 2, 9, 17])
+    def test_truncated_recoded_blob(self, cut):
+        blob = DataMessage.recoded([3, 9], b"abcd").pack()
+        assert len(blob) == 2 + 16 + 4
+        with pytest.raises(ValueError, match="truncated"):
+            DataMessage.unpack_recoded(blob[:cut])
+
+    def test_recoded_blob_announcing_zero_ids(self):
+        with pytest.raises(ValueError):
+            DataMessage.unpack_recoded(struct.pack("<H", 0) + b"abcd")
+
+    def test_recoded_blob_listing_an_id_twice(self):
+        # {7, 7} must not collapse to the degree-1 blend {7}, whose
+        # payload would then be "recovered" as symbol 7's bytes.
+        with pytest.raises(ValueError, match="twice"):
+            DataMessage.unpack_recoded(struct.pack("<HQQ", 2, 7, 7) + b"abcd")
+
+    def test_wire_format_is_pinned(self):
+        assert DataMessage.encoded(42, b"ab").pack() == struct.pack("<Q", 42) + b"ab"
+        assert DataMessage.recoded([9, 3], b"ab").pack() == (
+            struct.pack("<HQQ", 2, 3, 9) + b"ab"
+        )
+
+
 class TestPeer:
     def test_source_requires_matching_content(self):
         p = make_params(num_blocks=200)
@@ -95,6 +139,24 @@ class TestPeer:
         peer = ProtocolPeer("x", p)
         with pytest.raises(RuntimeError):
             peer.recoded_data()
+
+    @pytest.mark.parametrize(
+        "packet",
+        [DataMessage.encoded(3, b"ab"), DataMessage.recoded([3, 4], b"ab"),
+         DataMessage.encoded(3, b"abcdef"), DataMessage.encoded(3)],
+        ids=["plain-short", "recoded-short", "plain-long", "no-payload"],
+    )
+    def test_payload_of_the_wrong_length_is_refused_at_the_boundary(self, packet):
+        peer = ProtocolPeer("x", make_params(num_blocks=8, block_size=4))
+        with pytest.raises(ValueError, match="4 bytes"):
+            peer.receive_data(packet)
+        assert len(peer.working_set) == 0 and not peer.symbols
+
+    def test_payload_of_the_agreed_length_is_stored(self):
+        peer = ProtocolPeer("x", make_params(num_blocks=8, block_size=4))
+        assert peer.receive_data(DataMessage.encoded(3, b"abcd")) == [3]
+        assert peer.receive_data(DataMessage.recoded([3, 4], b"\x00" * 4)) == [4]
+        assert peer.symbols[4].payload == b"abcd"
 
 
 class TestSession:

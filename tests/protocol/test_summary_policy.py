@@ -97,7 +97,7 @@ class TestDefaultPolicyPins:
         for _ in range(300):
             pkt = strategy.next_packet()
             digest.update(
-                repr((pkt.encoded_id, tuple(sorted(pkt.recoded_ids or ())))).encode()
+                repr((pkt.symbol_id, tuple(sorted(pkt.constituent_ids)))).encode()
             )
         assert digest.hexdigest()[:16] == self.STRATEGY_PINS[name]
 

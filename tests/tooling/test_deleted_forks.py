@@ -1,0 +1,94 @@
+"""What a simplification PR deleted stays deleted.
+
+One row per guard: a regular expression, the paths under the repo root
+it is searched in (``*.py`` files only, so a stale ``__pycache__`` never
+matches), and the PR that removed the last match.  A row may name files
+to skip and the number of matching lines that is right.  These were
+per-PR ``grep`` steps in CI; as a tier-1 test they also run locally and
+in the no-numpy lane.
+"""
+
+import re
+from pathlib import Path
+from typing import NamedTuple, Sequence
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[2]
+
+
+class Guard(NamedTuple):
+    pr: int
+    what: str  # ... must not grow back
+    pattern: str
+    paths: Sequence[str]
+    skipped: Sequence[str] = ()
+    matches: int = 0
+
+
+GUARDS = [
+    Guard(15, "a policy-less summary fork",
+     r"summary_policy( is |=)None|receiver_filter|_bloom_missing", ["src"]),
+    Guard(16, "a per-packet copy of the known set",
+     r"set\([^()]*\.ids\)|len\([^()]*known_ids\)", ["src"]),
+    Guard(17, "a second calling-card path or a family coercion",
+     r"sketch_family|default_family|from_family|estimated_usefulness_of"
+     r"|SummaryScheme\.coerce|minwise_sketch|modk_sketch|random_sample_sketch"
+     r"|bloom_summary", ["src"]),
+    Guard(17, "repro.sketches behind the card's readers",
+     r"repro\.sketches",
+     ["src/repro/overlay", "src/repro/delivery", "src/repro/api", "src/repro/flow"]),
+    Guard(19, "a node, simulator or catalog stamp cache",
+     r"_StampedCache|_receiver_summaries|receiver_summary|_wanted_cache"
+     r"|_card_keys|summary_card", ["src"]),
+    Guard(20, "a second substitution-rule ripple",
+     r"_ripple|_drop_pending|_pending_neighbours", ["src/repro/coding/decoder.py"]),
+    Guard(20, "a receiver holding its ids twice",
+     r"known_ids=(node\.working_set|self\.working_set|self\.symbols)", ["src"]),
+    Guard(22, "a usefulness memo, card matrix or second epoch loop",
+     r"set_memo|card_matrix|_MinwiseCardMatrix|prefill|_rewire_all", ["src"]),
+    Guard(22, "array code outside the card",
+     r"\bnp\.|_numpy\(",
+     ["src/repro/overlay", "src/repro/flow", "src/repro/delivery/orchestrator.py"]),
+    Guard(23, "a boxed or second copy of a min-wise card",
+     r"_int64_row|int\(v\) for v in", ["src/repro/reconcile", "src/repro/hashing"]),
+    Guard(24, "a second transmission type or its field names",
+     r"RecodedSymbol|encoded_id|recoded_ids|delivery[./]packets", ["src"]),
+    Guard(24, "a second is_recoded dispatch beside RecodedPeeler.receive",
+     r"\.is_recoded\b", ["src/repro"],
+     ["src/repro/coding/symbol.py", "src/repro/protocol/messages.py"], 1),
+    Guard(24, "a hand-rolled send-accounting step or credit meter",
+     r"_schedule_ack|_transport_step|packets_this_tick|_legacy_credit", ["src"]),
+]
+
+
+def _matches(pattern, paths, skipped=()):
+    regex = re.compile(pattern)
+    skip = {ROOT / name for name in skipped}
+    hits = []
+    for path in paths:
+        path = ROOT / path
+        assert path.exists(), f"guarded path {path} is gone; update the row"
+        for file in [path] if path.is_file() else sorted(path.rglob("*.py")):
+            if file in skip:
+                continue
+            for number, line in enumerate(file.read_text().splitlines(), 1):
+                if regex.search(line):
+                    hits.append(f"{file.relative_to(ROOT)}:{number}: {line.strip()}")
+    return hits
+
+
+@pytest.mark.parametrize(
+    "guard", GUARDS, ids=[f"PR{g.pr}-{g.what.replace(' ', '-')}" for g in GUARDS]
+)
+def test_deleted_fork_stays_deleted(guard):
+    hits = _matches(guard.pattern, guard.paths, guard.skipped)
+    assert len(hits) == guard.matches, (
+        f"PR {guard.pr} left {guard.matches} line(s) matching {guard.what}; "
+        "found:\n" + "\n".join(hits)
+    )
+
+
+def test_the_guard_sees_a_match_when_there_is_one():
+    (hit,) = _matches(r"^class RecodedPeeler", ["src/repro/coding"])
+    assert hit.startswith("src/repro/coding/peeler.py:")

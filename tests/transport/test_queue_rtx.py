@@ -1,4 +1,5 @@
-"""Bottleneck queue, queue-wrapped links, and the rtx manager."""
+"""Bottleneck queue, queue-wrapped links, the rtx manager, and the
+controller's one send-accounting step."""
 
 import random
 
@@ -7,7 +8,13 @@ import pytest
 from repro.sim.engine import EventScheduler
 from repro.sim.links import ConstantRateLink
 from repro.sim.stats import StatsRecorder
-from repro.transport import BottleneckLink, BottleneckQueue, RtxManager
+from repro.transport import (
+    BottleneckLink,
+    BottleneckQueue,
+    RtxManager,
+    TransportController,
+    build_policy,
+)
 
 
 class Clock:
@@ -131,3 +138,33 @@ class TestRtxManager:
             RtxManager(rto_min=0.0)
         with pytest.raises(ValueError):
             RtxManager(rto_min=4.0, rto_max=2.0)
+
+
+class TestOnTransmit:
+    """Number the packet; ack it now, or after delay + reverse latency
+    on the scheduler; a lost packet waits for its rtx timeout."""
+
+    def _ctrl(self):
+        return TransportController(build_policy("aimd"), RtxManager(rto_min=2.0))
+
+    def test_zero_round_trip_acks_inline(self):
+        ctrl, sched = self._ctrl(), EventScheduler()
+        ctrl.on_transmit(sched, 0.0, 0.0)
+        assert (ctrl.sent, ctrl.acked, ctrl.inflight) == (1, 1, 0)
+
+    def test_ack_returns_after_delay_plus_reverse_latency(self):
+        ctrl, sched = self._ctrl(), EventScheduler()
+        ctrl.on_transmit(sched, 0.5, 0.25)
+        assert (ctrl.sent, ctrl.acked, ctrl.inflight) == (1, 0, 1)
+        sched.run_until(0.7)
+        assert ctrl.acked == 0
+        sched.run_until(0.75)
+        assert (ctrl.acked, ctrl.inflight) == (1, 0)
+        assert ctrl.rtx.srtt == pytest.approx(0.75)
+
+    def test_a_lost_packet_is_tracked_and_never_acked(self):
+        ctrl, sched = self._ctrl(), EventScheduler()
+        ctrl.on_transmit(sched, None, 0.25)
+        sched.run_until(10.0)
+        assert (ctrl.sent, ctrl.acked, ctrl.inflight) == (1, 0, 1)
+        assert ctrl.allowance(10.0, 4) >= 1 and ctrl.timeouts == 1
