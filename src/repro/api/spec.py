@@ -17,6 +17,7 @@ Construction helpers for the scenario catalog live in
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Mapping, Optional, Tuple
 
@@ -57,6 +58,14 @@ class SpecError(ValueError):
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise SpecError(message)
+
+
+def _require_finite(spec: object, names: Tuple[str, ...]) -> None:
+    """Infinity and NaN have no JSON spelling and poison the arithmetic
+    a spec feeds, so a float field must be finite."""
+    for name in names:
+        value = getattr(spec, name)
+        _require(math.isfinite(value), f"{name} must be finite, got {value!r}")
 
 
 def _require_int(value: object, name: str) -> None:
@@ -332,6 +341,7 @@ class ReconfigSpec:
     hysteresis: float = DEFAULT_HYSTERESIS
 
     def __post_init__(self) -> None:
+        _require_finite(self, ("interval", "jitter", "min_usefulness", "hysteresis"))
         _require(
             self.policy in RECONFIG_POLICIES,
             f"unknown reconfig policy {self.policy!r}; expected one of {RECONFIG_POLICIES}",
@@ -532,6 +542,8 @@ class PopulationSpec:
         for name in ("size", "objects", "waves", "rate_tiers", "sample_cap",
                      "max_connections"):
             _require_int(getattr(self, name), name)
+        _require_finite(self, ("zipf_skew", "wave_interval", "seeded_fraction",
+                               "rate", "loss_rate", "rate_spread"))
         _require(self.size >= 1, "population size must be at least 1")
         _require(self.objects >= 1, "objects must be at least 1")
         _require(self.zipf_skew >= 0.0, "zipf_skew must be non-negative")
@@ -641,6 +653,20 @@ class ExperimentSpec:
         _require(bool(self.scenario), "scenario name must be non-empty")
         _require_int(self.seed, "spec seed")
         object.__setattr__(self, "params", _freeze_params(self.params))
+        pop = self.population
+        if pop is not None:
+            # Every flow window's traffic is bounded by the whole run's:
+            # each peer on every connection at the top tier's rate.
+            try:
+                run_traffic = (pop.rate * (1.0 + pop.rate_spread) * pop.size
+                               * pop.max_connections * self.measurement.max_ticks)
+            except OverflowError:
+                run_traffic = math.inf
+            _require(
+                math.isfinite(run_traffic),
+                f"population rate {pop.rate!r} overflows over "
+                f"{self.measurement.max_ticks} ticks of {pop.size} peers",
+            )
 
     # -- params accessors ---------------------------------------------------
 

@@ -12,20 +12,23 @@ Failure isolation: a cell that raises — at spec application, build, or
 run time, in either execution mode — records an error entry and the
 campaign continues.  With an output directory, every finished cell is
 persisted as ``<cell_id>.json`` immediately and the full campaign as
-``campaign.json`` at the end; ``resume=True`` reuses any on-disk *ok*
-cell that validates against the schema and matches its cell id (error
-cells re-run, since their failure may have been transient), so an
-interrupted campaign restarts where it stopped.
+``campaign.json`` at the end, each written to a temp file and moved
+into place, so a crash mid-write never leaves a truncated file;
+``resume=True`` reuses any on-disk *ok* cell that validates against the
+schema and matches its cell id (error cells re-run, since their failure
+may have been transient), so an interrupted campaign restarts where it
+stopped.
 
 Workers receive cells as spec JSON and return plain dicts, so results
 replay across process (and machine) boundaries; per-cell seeds are
 already derived into the specs by the expander.
 """
 
+import contextlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import IO, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.api.output import prepare_out_file
 from repro.api.result import ResultSchemaError
@@ -108,13 +111,29 @@ def _load_cached_cell(out_dir: str, cell: CampaignCell) -> Optional[CellOutcome]
     return outcome
 
 
+def _write_replacing(path: str, write: Callable[[IO[str]], None]) -> None:
+    """``write`` into a temp file beside ``path``, then ``os.replace`` it
+    in: a write that fails leaves ``path`` as it was, absent or whole."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def _store_cell(out_dir: Optional[str], outcome: CellOutcome) -> None:
     if out_dir is None:
         return
-    path = os.path.join(out_dir, f"{outcome.cell_id}.json")
-    with open(path, "w", encoding="utf-8") as fh:
+
+    def write(fh: IO[str]) -> None:
         json.dump(outcome.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+    _write_replacing(os.path.join(out_dir, f"{outcome.cell_id}.json"), write)
 
 
 def prepare_campaign_dir(out_dir: str, resume: bool = False, force: bool = False) -> str:
@@ -218,9 +237,10 @@ def run_campaign(
         campaign=campaign, cells=[outcomes[i] for i in range(len(cells))]
     )
     if out_dir is not None:
-        final = os.path.join(out_dir, CAMPAIGN_FILE)
-        with open(final, "w", encoding="utf-8") as fh:
-            fh.write(result.to_json() + "\n")
+        _write_replacing(
+            os.path.join(out_dir, CAMPAIGN_FILE),
+            lambda fh: fh.write(result.to_json() + "\n"),
+        )
     return result
 
 

@@ -156,16 +156,6 @@ class WorkingSet:
 
     # -- ground-truth relations (used by scenario builders and tests) -----
 
-    def containment_in(self, other: "WorkingSet") -> float:
-        """True ``|self ∩ other| / |self|`` (1.0 for empty self)."""
-        if not self._ids:
-            return 1.0
-        return len(self._ids & other._ids) / len(self._ids)
-
-    def difference(self, other: "WorkingSet") -> Set[int]:
-        """Ids held here that ``other`` lacks (a new set)."""
-        return self._ids - other._ids
-
     def resemblance_with(self, other: "WorkingSet") -> float:
         """True ``|self ∩ other| / |self ∪ other|``."""
         union = self._ids | other._ids

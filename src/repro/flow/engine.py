@@ -28,6 +28,10 @@ Data-plane usefulness, by contrast, is *ground truth*: the novel
 fraction a sender offers is the exact overlap of the two sampled-ID
 sets (the summaries only steer decisions, as in the packet engines,
 where transfer usefulness is decided by actual working-set membership).
+Each object's sampled ids form one ordered id space (:class:`_IdSpace`),
+so a representative's holdings are also one Python int with a bit per
+id, cached on its working set: the overlap is a bit count and a draw
+of novel ids is a bit select, with no set copied or sorted per update.
 Senders running the uninformed ``Random`` strategy draw blind — their
 useful yield follows the coupon-collector law ``pool * (1 -
 exp(-delivered/|sender|))`` — while informed strategies reconcile
@@ -58,6 +62,77 @@ UNINFORMED_STRATEGIES = ("Random",)
 _FRESH_BASE = 1 << 40
 _FRESH_STRIDE = 1 << 20
 _OBJECT_STRIDE = 1 << 20
+
+
+class _IdSpace:
+    """One object's sampled ids in ascending order, one bit each.
+
+    The content ids (a consecutive run from ``base``) come first and the
+    source's fresh ids follow in mint order, so bit order is id order:
+    the ``j``-th lowest set bit of a bitmap is the ``j``-th smallest id
+    it holds.  ``ids`` maps bit to id (the very int objects the working
+    sets hold); :meth:`bit` maps back arithmetically and refuses an id
+    outside the space rather than set a wrong bit.
+    """
+
+    def __init__(self, content: List[int], fresh_start: int):
+        self.base = content[0]
+        self.width = len(content)
+        if content[-1] - self.base + 1 != self.width or content[-1] >= fresh_start:
+            raise ValueError("content ids must be one run below the fresh ids")
+        self.fresh_start = fresh_start
+        self.ids = content
+
+    def bit(self, symbol: int) -> int:
+        offset = symbol - self.base
+        if 0 <= offset < self.width:
+            return offset
+        offset = symbol - self.fresh_start
+        if 0 <= offset < len(self.ids) - self.width:
+            return self.width + offset
+        raise ValueError(f"id {symbol} is outside the object's id space")
+
+    def mint(self, source: OverlayNode) -> int:
+        """The source's next fresh id, appended to the space."""
+        symbol = source.mint_fresh_id()
+        if symbol != self.fresh_start + len(self.ids) - self.width:
+            raise ValueError(f"fresh id {symbol} is out of mint order")
+        self.ids.append(symbol)
+        return symbol
+
+    def bitmap(self, rep: OverlayNode) -> int:
+        """The rep's holdings as one int, built once per working set and
+        then kept current from its add journal."""
+        return rep.working_set.cached(self, self._build, self._absorb)
+
+    def _build(self, ws) -> int:
+        return self._absorb(0, ws)
+
+    def _absorb(self, bitmap: int, added) -> int:
+        bit = self.bit
+        for symbol in added:
+            bitmap |= 1 << bit(symbol)
+        return bitmap
+
+
+def _select(bits: int, j: int) -> int:
+    """Position of the ``j``-th lowest set bit of ``bits`` (0-based)."""
+    position = 0
+    width = bits.bit_length()
+    while width > 64:
+        half = width >> 1
+        low = bits & ((1 << half) - 1)
+        below = low.bit_count()
+        if j < below:
+            bits, width = low, half
+        else:
+            j -= below
+            bits >>= half
+            position += half
+            width -= half
+    for _ in range(j):
+        bits &= bits - 1  # clear the lowest set bit
+    return position + (bits & -bits).bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -110,11 +185,12 @@ class _Cohort:
     """Runtime state of one cohort: tiers + the summary representative."""
 
     def __init__(self, definition: CohortDef, rep: OverlayNode, scale: float,
-                 tiers: List[_Tier]):
+                 tiers: List[_Tier], space: _IdSpace):
         self.definition = definition
         self.rep = rep
         self.scale = scale  # sampled-ID ids per real symbol
         self.tiers = tiers
+        self.space = space  # the object's id space, shared by its cohorts
         self.senders: List["_Cohort"] = []
         self.arrived = False
         self.carry = 0.0  # fractional sampled-ID accumulation
@@ -209,12 +285,12 @@ class FlowSimulator:
         sample_cap: int = 256,
         rng: Optional[random.Random] = None,
     ):
-        if rate <= 0:
-            raise ValueError("rate must be positive")
+        if not 0 < rate < math.inf:
+            raise ValueError("rate must be positive and finite")
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError("loss_rate must lie in [0, 1)")
-        if interval <= 0:
-            raise ValueError("interval must be positive")
+        if not 0 < interval < math.inf:
+            raise ValueError("interval must be positive and finite")
         if sample_cap < 1:
             raise ValueError("sample_cap must be positive")
         self.rate = rate
@@ -240,31 +316,40 @@ class FlowSimulator:
         self.sources: Dict[int, _Cohort] = {}
         self.cohorts: List[_Cohort] = []
         self._by_node_id: Dict[str, _Cohort] = {}
-        self._object_perms: Dict[int, List[int]] = {}
+        # Each object's shuffled sampled-ID universe, needed only to
+        # slice the seeded cohorts; the object keeps its id space.
+        perms: Dict[int, List[int]] = {}
         seen_ids = set()
         for d in cohorts:
             if d.cohort_id in seen_ids:
                 raise ValueError(f"duplicate cohort id {d.cohort_id!r}")
             seen_ids.add(d.cohort_id)
-            self._ensure_source(d)
-            self.cohorts.append(self._build_cohort(d, mults))
+            if d.object_id not in self.sources:
+                perms[d.object_id] = self._add_source(d)
+            self.cohorts.append(self._build_cohort(d, mults, perms[d.object_id]))
         for c in self.cohorts:
             self._by_node_id[c.cohort_id] = c
         self.population = sum(c.members for c in self.cohorts)
 
     # -- construction -------------------------------------------------------
 
-    def _ensure_source(self, d: CohortDef) -> None:
-        """One always-on origin server per object, minting fresh ids."""
-        if d.object_id in self.sources:
-            return
+    def _add_source(self, d: CohortDef) -> List[int]:
+        """One always-on origin server per object, minting fresh ids;
+        returns the object's shuffled sampled-ID universe."""
         index = len(self.sources)
+        fresh_start = _FRESH_BASE + index * _FRESH_STRIDE
         rep = OverlayNode(
             f"origin{d.object_id}",
             d.demand,
             is_source=True,
-            fresh_id_start=_FRESH_BASE + index * _FRESH_STRIDE,
+            fresh_id_start=fresh_start,
         )
+        rep_target = max(1, min(d.demand, self.sample_cap))
+        scale = rep_target / d.demand
+        distinct_rep = max(rep_target, int(round(scale * d.distinct)))
+        base = d.object_id * _OBJECT_STRIDE
+        perm = list(range(base, base + distinct_rep))
+        self.rng.shuffle(perm)
         source = _Cohort(
             CohortDef(
                 cohort_id=rep.node_id,
@@ -276,29 +361,18 @@ class FlowSimulator:
             rep,
             scale=1.0,
             tiers=[],
+            space=_IdSpace(sorted(perm), fresh_start),
         )
         source.arrived = True
         self.sources[d.object_id] = source
         self._by_node_id[rep.node_id] = source
-
-    def _object_perm(self, d: CohortDef) -> List[int]:
-        """The object's shuffled sampled-ID universe (built once)."""
-        perm = self._object_perms.get(d.object_id)
-        if perm is None:
-            rep_target = max(1, min(d.demand, self.sample_cap))
-            scale = rep_target / d.demand
-            distinct_rep = max(rep_target, int(round(scale * d.distinct)))
-            base = d.object_id * _OBJECT_STRIDE
-            perm = list(range(base, base + distinct_rep))
-            self.rng.shuffle(perm)
-            self._object_perms[d.object_id] = perm
         return perm
 
-    def _build_cohort(self, d: CohortDef, mults: List[float]) -> _Cohort:
+    def _build_cohort(self, d: CohortDef, mults: List[float],
+                      perm: List[int]) -> _Cohort:
         rep_target = max(1, min(d.demand, self.sample_cap))
         scale = rep_target / d.demand
         initial = int(d.demand * d.initial_fraction)
-        perm = self._object_perm(d)
         rep_initial = min(len(perm), int(round(scale * initial)))
         if d.slice_index == 0:
             rep_ids = perm[:rep_initial]
@@ -316,13 +390,19 @@ class FlowSimulator:
             for m, mult in zip(members, mults)
             if m > 0
         ]
-        return _Cohort(d, rep, scale, tiers)
+        return _Cohort(d, rep, scale, tiers, self.sources[d.object_id].space)
 
     # -- run loop -----------------------------------------------------------
 
     def run(self, max_ticks: int = 10_000) -> FlowReport:
         """Advance to completion or ``max_ticks``; collect the report."""
         horizon = float(max_ticks)
+        if horizon + self.interval == horizon:
+            # ``next_epoch += interval`` would stall short of the horizon.
+            raise ValueError(
+                f"interval {self.interval!r} cannot advance the clock "
+                f"to {horizon:g}"
+            )
         arrivals = sorted(
             (c.definition.arrival, i, c) for i, c in enumerate(self.cohorts)
         )
@@ -382,14 +462,15 @@ class FlowSimulator:
             return  # static peering: boundaries are free
         self.reconfig_epochs += 1
         by_id = self._by_node_id
+        # Arrivals cannot change inside an epoch: one pool per object.
+        arrived = {obj: [s.rep] for obj, s in self.sources.items()}
+        for c in self.cohorts:
+            if c.arrived:
+                arrived[c.definition.object_id].append(c.rep)
 
         def pool_of(rep: OverlayNode) -> List[OverlayNode]:
             obj = by_id[rep.node_id].definition.object_id
-            return [self.sources[obj].rep] + [
-                c.rep
-                for c in self.cohorts
-                if c.definition.object_id == obj and c.arrived and c.rep is not rep
-            ]
+            return [r for r in arrived[obj] if r is not rep]
 
         for rep, control_bytes, drops, adds in run_epoch(
             self.rewiring,
@@ -415,10 +496,12 @@ class FlowSimulator:
         """Ground-truth novelty from the sampled-ID sets (not summaries)."""
         if sender.is_source:
             return 1.0
-        # An empty sender is fully contained (1.0): nothing novel.
-        return 1.0 - sender.rep.working_set.containment_in(
-            receiver.rep.working_set
-        )
+        held = len(sender.rep.working_set)
+        if not held:
+            return 0.0  # an empty sender is fully contained: nothing novel
+        space = receiver.space
+        shared = space.bitmap(sender.rep) & space.bitmap(receiver.rep)
+        return 1.0 - shared.bit_count() / held
 
     def _advance(self, t0: float, t1: float) -> None:
         """Integrate every incomplete tier's transfer over [t0, t1)."""
@@ -500,18 +583,25 @@ class FlowSimulator:
             self._apply_rep_update(receiver, sender, k)
 
     def _apply_rep_update(self, receiver: _Cohort, sender: _Cohort, k: int) -> None:
-        """Mirror the window's real gains into the sampled-ID sketch."""
+        """Mirror the window's real gains into the sampled-ID sketch.
+
+        A peer sender hands over ``k`` ids drawn uniformly from what it
+        holds and the receiver lacks: ``rng.sample`` picks positions in
+        that pool's ascending order, and bit order is id order, so each
+        position is a bit select — no set is built or sorted.
+        """
+        space = receiver.space
         if sender.is_source:
             for _ in range(k):
-                receiver.rep.receive_symbol(sender.rep.mint_fresh_id())
+                receiver.rep.receive_symbol(space.mint(sender.rep))
             return
-        pool = sorted(
-            sender.rep.working_set.difference(receiver.rep.working_set)
-        )
-        if not pool:
+        pool = space.bitmap(sender.rep) & ~space.bitmap(receiver.rep)
+        size = pool.bit_count()
+        if not size:
             return
-        for symbol in self.rng.sample(pool, min(k, len(pool))):
-            receiver.rep.receive_symbol(symbol)
+        ids = space.ids
+        for j in self.rng.sample(range(size), min(k, size)):
+            receiver.rep.receive_symbol(ids[_select(pool, j)])
 
     # -- reporting ----------------------------------------------------------
 

@@ -20,6 +20,10 @@ import itertools
 from typing import Any, Callable, List, Optional
 
 
+def _stalled(interval: float, time: float) -> str:
+    return f"a periodic event every {interval!r} cannot advance the clock at {time!r}"
+
+
 class EventHandle:
     """A scheduled event; keep it to :meth:`cancel` before it fires."""
 
@@ -96,7 +100,7 @@ class EventScheduler:
         The callback may return ``False`` (the literal) to stop the
         series; cancelling the returned handle also stops it.
         """
-        if interval <= 0:
+        if not interval > 0:
             raise ValueError("interval must be positive")
         time = self.now + interval if first is None else first
         if time < self.now:
@@ -141,11 +145,21 @@ class EventScheduler:
             result = handle.callback()
             self.events_processed += 1
             if handle.interval is not None and not handle.cancelled and result is not False:
-                handle.time += handle.interval
+                later = handle.time + handle.interval
+                if later == handle.time:
+                    raise ValueError(_stalled(handle.interval, later))
+                handle.time = later
                 handle.seq = next(self._seq)
                 heapq.heappush(self._heap, handle)
             return True
         return False
+
+    def _refuse_stalled_head(self, horizon: float) -> None:
+        """A periodic event whose interval is absorbed at ``horizon``
+        would fire forever without reaching it."""
+        interval = self._heap[0].interval
+        if interval is not None and horizon + interval == horizon:
+            raise ValueError(_stalled(interval, horizon))
 
     def run_until(self, time: float) -> int:
         """Execute every event with timestamp <= ``time``; returns count.
@@ -160,6 +174,7 @@ class EventScheduler:
             nxt = self.peek_time()
             if nxt is None or nxt > time:
                 break
+            self._refuse_stalled_head(time)
             self.step()
             executed += 1
         self.now = time
@@ -189,6 +204,8 @@ class EventScheduler:
             if nxt is None or (until is not None and nxt > until):
                 exhausted = True
                 break
+            if until is not None:
+                self._refuse_stalled_head(until)
             self.step()
             executed += 1
         if exhausted and until is not None and self.now < until:

@@ -254,3 +254,54 @@ class TestOutputDirAndResume:
         seen = []
         run_campaign(_campaign(seeds=1), on_cell=lambda c: seen.append(c.cell_id))
         assert len(seen) == 2
+
+
+class TestInterruptedWrites:
+    """Cell files and ``campaign.json`` are written beside their target
+    and moved into place: a write that dies half way leaves the previous
+    file (or none), never a truncated one, and resume converges."""
+
+    def test_a_cell_dump_that_raises_leaves_no_truncated_cell(
+        self, tmp_path, monkeypatch
+    ):
+        campaign = _campaign(seeds=1)
+        clean = tmp_path / "clean"
+        run_campaign(campaign, workers=1, out_dir=str(clean))
+        dumps = json.dumps
+
+        def half_dump(obj, fh, **kwargs):
+            text = dumps(obj, **kwargs)
+            fh.write(text[: len(text) // 2])
+            raise OSError("disk full")
+
+        out = tmp_path / "sweep"
+        monkeypatch.setattr(json, "dump", half_dump)
+        with pytest.raises(OSError, match="disk full"):
+            run_campaign(campaign, workers=1, out_dir=str(out))
+        monkeypatch.undo()
+        assert os.listdir(out) == []
+        run_campaign(campaign, workers=1, out_dir=str(out), resume=True)
+        assert sorted(os.listdir(out)) == sorted(os.listdir(clean))
+        for name in os.listdir(clean):
+            assert (out / name).read_bytes() == (clean / name).read_bytes()
+
+    def test_a_campaign_dump_that_raises_keeps_the_previous_file(
+        self, tmp_path, monkeypatch
+    ):
+        campaign = _campaign(seeds=1)
+        out = tmp_path / "sweep"
+        run_campaign(campaign, workers=1, out_dir=str(out))
+        before = sorted(os.listdir(out))
+        finished = (out / "campaign.json").read_bytes()
+
+        def broken(self, *args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(CampaignResult, "to_json", broken)
+        with pytest.raises(OSError, match="disk full"):
+            run_campaign(campaign, workers=1, out_dir=str(out), resume=True)
+        monkeypatch.undo()
+        assert sorted(os.listdir(out)) == before
+        assert (out / "campaign.json").read_bytes() == finished
+        run_campaign(campaign, workers=1, out_dir=str(out), resume=True)
+        assert (out / "campaign.json").read_bytes() == finished

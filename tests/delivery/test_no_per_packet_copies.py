@@ -114,8 +114,8 @@ def test_summary_tradeoff_never_copies_the_known_set(known_ids_reads):
 
 
 def test_flow_advance_never_copies_a_working_set(monkeypatch):
-    """``_advance`` (and the ``_apply_rep_update`` calls it makes) go
-    through ``containment_in`` / ``difference``, never ``ids``."""
+    """``_advance`` (and the ``_apply_rep_update`` calls it makes) read
+    each rep's cached id-space bitmap, never ``ids``."""
     ids_reads = _spy_on(monkeypatch, WorkingSet, "ids")
     inside = {"advance": 0, "peer_updates": 0, "ids_reads": 0}
 

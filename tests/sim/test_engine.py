@@ -142,3 +142,32 @@ class TestRun:
             sched.schedule_at(t, lambda: None)
         sched.run_until(5.0)
         assert sched.events_processed == 2
+
+
+class TestAClockThatCannotAdvance:
+    """A periodic interval the clock absorbs would fire forever at one
+    instant (or never reach the horizon); the scheduler refuses it."""
+
+    @pytest.mark.parametrize("drive", ["run_until", "run"])
+    def test_interval_absorbed_at_the_horizon_is_refused_before_firing(self, drive):
+        sched = EventScheduler()
+        fired = []
+        sched.schedule_every(1e-300, lambda: fired.append(sched.now))
+        with pytest.raises(ValueError, match="cannot advance the clock"):
+            if drive == "run_until":
+                sched.run_until(1.0)
+            else:
+                sched.run(until=1.0)
+        assert fired == []
+
+    def test_reschedule_that_cannot_move_the_clock_raises(self):
+        sched = EventScheduler()
+        fired = []
+        sched.schedule_every(1.0, lambda: fired.append(sched.now), first=2.0 ** 53)
+        with pytest.raises(ValueError, match="cannot advance the clock"):
+            sched.step()
+        assert fired == [2.0 ** 53]
+
+    def test_nan_interval_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            EventScheduler().schedule_every(float("nan"), lambda: None)

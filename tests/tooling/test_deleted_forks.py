@@ -59,6 +59,9 @@ GUARDS = [
      ["src/repro/coding/symbol.py", "src/repro/protocol/messages.py"], 1),
     Guard(24, "a hand-rolled send-accounting step or credit meter",
      r"_schedule_ack|_transport_step|packets_this_tick|_legacy_credit", ["src"]),
+    Guard(25, "a set-copy ground truth or a kept shuffle in the flow engine",
+     r"containment_in|\.difference\(|_object_perms",
+     ["src/repro/flow", "src/repro/delivery/working_set.py"]),
 ]
 
 
