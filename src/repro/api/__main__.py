@@ -33,33 +33,32 @@ feed the dump to ``python -m pstats`` to find the hot path.
 import argparse
 import cProfile
 import dataclasses
+import json
 import os
 import sys
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.api import registry, run
 from repro.api.output import prepare_out_file
 from repro.api.spec import (
-    CatalogSpec,
+    COMPONENTS,
     ExperimentSpec,
-    ReconfigSpec,
+    ParamsSpec,
     SpecError,
-    SummarySpec,
-    TopologySpec,
-    TransportSpec,
+    component_def,
+    contract,
+    nested_specs,
 )
 from repro.reconcile import SummaryError
 
 
 def _parse_kv_params(tail: str, flag: str) -> dict:
-    """``param=val,...`` -> dict, shared by ``--summary``/``--reconfig``.
+    """``key=val,...`` -> dict.
 
     Values parse as JSON scalars where possible (``8`` -> int,
     ``0.5`` -> float, ``true`` -> bool) and stay strings otherwise.
     Malformed input raises :class:`SpecError` (CLI exit status 2).
     """
-    import json as _json
-
     params = {}
     if tail.strip():
         for item in tail.split(","):
@@ -70,137 +69,83 @@ def _parse_kv_params(tail: str, flag: str) -> dict:
                     f"{flag} parameter {item!r} is not of the form param=val"
                 )
             try:
-                params[key] = _json.loads(value.strip())
-            except _json.JSONDecodeError:
+                params[key] = json.loads(value.strip())
+            except json.JSONDecodeError:
                 params[key] = value.strip()
     return params
 
 
-def parse_summary_arg(text: str) -> SummarySpec:
-    """Parse ``kind[:param=val,...]`` into a :class:`SummarySpec`."""
-    kind, _, tail = text.partition(":")
-    kind = kind.strip()
-    if not kind:
-        raise SpecError("--summary needs a summary kind before ':'")
-    return SummarySpec(kind=kind, params=_parse_kv_params(tail, "--summary"))
+def parse_component_arg(name: str, text: str) -> Any:
+    """Parse a component flag's ``KIND[:key=val,...]`` into its spec.
 
+    ``name`` is a registered component (:data:`~repro.api.spec.
+    COMPONENTS`): ``KIND`` fills its selector field (a component with no
+    selector, the catalog, takes only ``key=val,...``).  Each key is
+    routed by one rule: a scalar field of the component's spec class
+    sets that field; a nested spec field (reconfig's ``summary=``)
+    names the nested spec's kind and ``summary.x`` its params; any other
+    key is a param when the class has ``params``, and a
+    :class:`SpecError` (CLI exit status 2) when it has not.  Examples::
 
-def parse_reconfig_arg(text: str) -> ReconfigSpec:
-    """Parse ``policy[:param=val,...]`` into a :class:`ReconfigSpec`.
-
-    ``summary=<kind>`` selects the informed arm's summary kind and
-    ``summary.<param>=<val>`` its build parameters; every other key maps
-    to a :class:`ReconfigSpec` field (``interval``, ``jitter``,
-    ``scan_budget``, ``min_usefulness``, ``hysteresis``).  Examples::
-
-        --reconfig informed
-        --reconfig informed:summary=bloom,summary.bits_per_element=8
-        --reconfig random:interval=10
-        --reconfig static
-
-    Malformed input raises :class:`SpecError` (CLI exit status 2).
-    """
-    policy, _, tail = text.partition(":")
-    policy = policy.strip()
-    if not policy:
-        raise SpecError("--reconfig needs a policy kind before ':'")
-    fields = {}
-    summary_kind = None
-    summary_params = {}
-    for key, parsed in _parse_kv_params(tail, "--reconfig").items():
-        if key == "summary":
-            summary_kind = str(parsed)
-        elif key.startswith("summary."):
-            summary_params[key[len("summary."):]] = parsed
-        else:
-            fields[key] = parsed
-    if summary_params and summary_kind is None:
-        raise SpecError("--reconfig summary.* parameters need summary=<kind>")
-    summary = (
-        SummarySpec(kind=summary_kind, params=summary_params)
-        if summary_kind is not None
-        else None
-    )
-    try:
-        return ReconfigSpec(policy=policy, summary=summary, **fields)
-    except TypeError as exc:
-        raise SpecError(f"--reconfig: {exc}") from exc
-
-
-#: ``--transport`` keys that are TransportSpec fields; every other key
-#: becomes a policy parameter (e.g. ``beta`` for aimd).
-_TRANSPORT_FIELDS = frozenset(
-    {"bottleneck_rate", "bottleneck_buffer", "rto_min", "rto_max"}
-)
-
-
-def parse_transport_arg(text: str) -> TransportSpec:
-    """Parse ``policy[:param=val,...]`` into a :class:`TransportSpec`.
-
-    ``bottleneck_rate``/``bottleneck_buffer``/``rto_min``/``rto_max``
-    map to :class:`TransportSpec` fields; every other key is a policy
-    parameter.  Examples::
-
-        --transport open_loop
-        --transport aimd:beta=0.7,bottleneck_rate=12,bottleneck_buffer=32
-        --transport bbr_lite:probe_gain=1.5
-
-    Malformed input raises :class:`SpecError` (CLI exit status 2).
-    """
-    policy, _, tail = text.partition(":")
-    policy = policy.strip()
-    if not policy:
-        raise SpecError("--transport needs a policy kind before ':'")
-    fields = {}
-    params = {}
-    for key, parsed in _parse_kv_params(tail, "--transport").items():
-        if key in _TRANSPORT_FIELDS:
-            fields[key] = parsed
-        else:
-            params[key] = parsed
-    try:
-        return TransportSpec(policy=policy, params=params, **fields)
-    except TypeError as exc:
-        raise SpecError(f"--transport: {exc}") from exc
-
-
-def parse_topology_arg(text: str) -> TopologySpec:
-    """Parse ``kind[:param=val,...]`` into a :class:`TopologySpec`.
-
-    Every key after the kind is a generator parameter.  Examples::
-
-        --topology scale_free:attach=2
-        --topology cdn_tiers:tiers=3,fanout=4
-        --topology ring
-
-    Unknown kinds and parameters raise :class:`SpecError` (CLI exit
-    status 2), as does passing a topology to a scenario that wires its
-    own fixed overlay.
-    """
-    kind, _, tail = text.partition(":")
-    kind = kind.strip()
-    if not kind:
-        raise SpecError("--topology needs a generator kind before ':'")
-    return TopologySpec(kind=kind, params=_parse_kv_params(tail, "--topology"))
-
-
-def parse_catalog_arg(text: str) -> CatalogSpec:
-    """Parse ``field=val,...`` into a :class:`CatalogSpec`.
-
-    There is no kind selector — every key is a :class:`CatalogSpec`
-    field.  Examples::
-
-        --catalog objects=4
+        --reconfig informed:summary=bloom,summary.bits_per_element=8,scan_budget=16
         --catalog objects=6,zipf_skew=1.2,priority_tiers=3
-
-    Malformed input raises :class:`SpecError` (CLI exit status 2), as
-    does passing a catalog to a single-object scenario.
     """
-    fields = _parse_kv_params(text, "--catalog")
-    try:
-        return CatalogSpec(**fields)
-    except TypeError as exc:
-        raise SpecError(f"--catalog: {exc}") from exc
+    comp = component_def(name)
+    flag = f"--{name}"
+    fields: Dict[str, Any] = {}
+    if comp.kind_field:
+        kind, _, text = text.partition(":")
+        if not kind.strip():
+            raise SpecError(f"{flag} needs a {comp.kind_field} before ':'")
+        fields[comp.kind_field] = kind.strip()
+    scalars = {row.name for row in contract(comp.cls)
+               if row.type in (int, float, str, bool)} - {comp.kind_field}
+    nested = nested_specs(comp.cls)
+    inner: Dict[str, Dict[str, Any]] = {key: {} for key in nested}
+    params: Dict[str, Any] = {}
+    for key, value in _parse_kv_params(text, flag).items():
+        head, dot, sub = key.partition(".")
+        if key in scalars:
+            fields[key] = value
+        elif head in nested:
+            inner[head][sub if dot else "kind"] = value
+        elif issubclass(comp.cls, ParamsSpec):
+            params[key] = value
+        else:
+            raise SpecError(
+                f"{flag}: {comp.cls.__name__} has no field {key!r} "
+                f"(fields: {sorted(scalars | set(nested))})"
+            )
+    for head, given in inner.items():
+        if given:
+            if "kind" not in given:
+                raise SpecError(f"{flag} {head}.* parameters need {head}=<kind>")
+            kind = given.pop("kind")
+            fields[head] = nested[head](kind=kind, params=given)
+    if params:
+        fields["params"] = params
+    return comp.cls(**fields)
+
+
+#: Help examples for the component flags: one flag per
+#: :data:`~repro.api.spec.COMPONENTS` entry, parsed by
+#: :func:`parse_component_arg`.
+_COMPONENT_EXAMPLES = {
+    "summary": "'bloom', 'art:bits_per_element=16,correction=2', 'cpi:max_discrepancy=128'",
+    "reconfig": (
+        "'static', 'random:interval=10', "
+        "'informed:summary=bloom,summary.bits_per_element=8,scan_budget=16'"
+    ),
+    "transport": (
+        "'open_loop', 'aimd:beta=0.7,bottleneck_rate=12,bottleneck_buffer=32', "
+        "'bbr_lite:probe_gain=1.5'"
+    ),
+    "topology": (
+        "'scale_free:attach=2', 'cdn_tiers:tiers=3,fanout=4', 'ring' "
+        "(topology-aware scenarios only)"
+    ),
+    "catalog": "'objects=4,zipf_skew=1.2,priority_tiers=2' (catalog-aware scenarios only)",
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -255,50 +200,13 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="overwrite an existing --out file / finished campaign directory",
     )
-    parser.add_argument(
-        "--summary",
-        metavar="KIND[:PARAM=VAL,...]",
-        help=(
-            "override the spec's summary selection, e.g. 'bloom', "
-            "'art:bits_per_element=16,correction=2', 'cpi:max_discrepancy=128'"
-        ),
-    )
-    parser.add_argument(
-        "--reconfig",
-        metavar="POLICY[:PARAM=VAL,...]",
-        help=(
-            "override the spec's overlay reconfiguration, e.g. 'static', "
-            "'random:interval=10', "
-            "'informed:summary=bloom,summary.bits_per_element=8,scan_budget=16'"
-        ),
-    )
-    parser.add_argument(
-        "--transport",
-        metavar="POLICY[:PARAM=VAL,...]",
-        help=(
-            "override the spec's transport policy, e.g. 'open_loop', "
-            "'aimd:beta=0.7,bottleneck_rate=12,bottleneck_buffer=32', "
-            "'bbr_lite:probe_gain=1.5'"
-        ),
-    )
-    parser.add_argument(
-        "--topology",
-        metavar="KIND[:PARAM=VAL,...]",
-        help=(
-            "override the spec's overlay topology generator, e.g. "
-            "'scale_free:attach=2', 'cdn_tiers:tiers=3,fanout=4', "
-            "'clustered:clusters=4', 'ring' (topology-aware scenarios only)"
-        ),
-    )
-    parser.add_argument(
-        "--catalog",
-        metavar="FIELD=VAL[,...]",
-        help=(
-            "override the spec's multi-object catalog, e.g. "
-            "'objects=4,zipf_skew=1.2,priority_tiers=2' "
-            "(catalog-aware scenarios only)"
-        ),
-    )
+    for name, comp in COMPONENTS.items():
+        kind = comp.kind_field.upper()
+        parser.add_argument(
+            f"--{name}",
+            metavar=f"{kind}[:KEY=VAL,...]" if kind else "KEY=VAL[,...]",
+            help=f"override the spec's {name} selection, e.g. {_COMPONENT_EXAMPLES[name]}",
+        )
     parser.add_argument(
         "--fidelity",
         metavar="NAME",
@@ -338,26 +246,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: The CLI's component axes: flag name (= registered component name,
-#: see :data:`repro.api.spec.COMPONENTS`) -> its argument parser.
-_COMPONENT_FLAGS = (
-    ("summary", parse_summary_arg),
-    ("reconfig", parse_reconfig_arg),
-    ("transport", parse_transport_arg),
-    ("topology", parse_topology_arg),
-    ("catalog", parse_catalog_arg),
-)
-
-
 def _apply_overrides(spec: ExperimentSpec, args: argparse.Namespace) -> ExperimentSpec:
     """``spec`` with the CLI's seed / component / fidelity
     overrides applied (the same object back when none is given)."""
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
-    for name, parse in _COMPONENT_FLAGS:
+    for name in COMPONENTS:
         text = getattr(args, name)
         if text:
-            spec = spec.with_component_spec(name, parse(text))
+            spec = spec.with_component_spec(name, parse_component_arg(name, text))
     # with_override validates the value (unknown fidelity -> SpecError
     # -> exit status 2), unlike a bare dataclasses.replace.
     if args.fidelity:

@@ -33,10 +33,11 @@ import math
 import random
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.api.registry import scenario
+from repro.api.registry import check_params, scenario
 from repro.api.result import RunResult
 from repro.api.runner import BuiltExperiment, SimScenario, _source_group
 from repro.api.spec import (
+    Bound,
     ChurnSpec,
     ExperimentSpec,
     LinkRuleSpec,
@@ -47,6 +48,7 @@ from repro.api.spec import (
     SpecError,
     StrategySpec,
     SwarmSpec,
+    check_value,
 )
 from repro.delivery.orchestrator import CandidateSender, plan_join
 from repro.delivery.receiver import SimReceiver
@@ -702,8 +704,6 @@ def flash_crowd(
     """Spec: waves of empty peers rush a small seeded swarm."""
     if initial_seeded >= num_peers:
         raise SpecError("need at least one non-seeded peer")
-    if waves < 1:
-        raise SpecError("need at least one join wave")
     return ExperimentSpec(
         scenario="flash_crowd",
         seed=seed,
@@ -1091,12 +1091,19 @@ def pair_transfer(
     )
 
 
-def _even_share(spec: ExperimentSpec, layout, senders: int) -> int:
+#: The ``params`` both transfer scenarios read.
+TRANSFER_PARAMS = {
+    "correlation": Bound(float, 0.0, ge=0, lt=1),
+    "full_senders": Bound(int, 0, ge=0),
+    "desired_margin": Bound(float, DEFAULT_DESIRED_MARGIN, gt=0),
+}
+
+
+def _even_share(params: Dict[str, Any], layout, senders: int) -> int:
     """An even split of the receiver's deficit over ``senders``, with
     the request margin."""
     deficit = layout.target - len(layout.receiver)
-    margin = spec.param("desired_margin", DEFAULT_DESIRED_MARGIN)
-    return int(math.ceil(deficit / senders * margin))
+    return int(math.ceil(deficit / senders * params["desired_margin"]))
 
 
 def _run_transfer(
@@ -1110,7 +1117,7 @@ def _run_transfer(
     partial sender (each asked for ``desired`` symbols), the transfer
     loop, and the collected result."""
     receiver = SimReceiver(layout.receiver, layout.target)
-    full_senders = int(spec.param("full_senders", 0))
+    full_senders = check_params(spec)["full_senders"]
     strategies = [
         make_strategy(
             spec.strategy.name,
@@ -1152,26 +1159,25 @@ def _run_transfer(
     description="Figure 5/6 pair layout: one partial sender, one receiver",
     small_grid=lambda: {"params.correlation": [0.0, 0.3]},
     supports=("summary",),
+    params={**TRANSFER_PARAMS, "symbols_desired": Bound(int, None, ge=1)},
 )
 def build_pair_transfer(spec: ExperimentSpec) -> BuiltExperiment:
     """Compact/stretched pair layout + strategy + transfer loop."""
     swarm = _require_swarm(spec)
+    params = check_params(spec)
 
     def run(built: BuiltExperiment) -> RunResult:
         rng = random.Random(spec.seed)
         layout = make_pair_scenario(
-            swarm.target,
-            swarm.distinct_multiplier,
-            spec.param("correlation", 0.0),
-            rng,
+            swarm.target, swarm.distinct_multiplier, params["correlation"], rng
         )
-        full_senders = int(spec.param("full_senders", 0))
-        desired = spec.param("symbols_desired")
+        full_senders = params["full_senders"]
+        desired = params["symbols_desired"]
         if desired is None:
             if full_senders == 0:
                 desired = layout.target - len(layout.receiver)
             else:
-                desired = _even_share(spec, layout, 1 + full_senders)
+                desired = _even_share(params, layout, 1 + full_senders)
         return _run_transfer(spec, layout, [layout.sender], rng, desired)
 
     return BuiltExperiment(spec=spec, kind="transfer", runner=run)
@@ -1190,8 +1196,6 @@ def multi_sender_transfer(
     max_packets: int = 0,
 ) -> ExperimentSpec:
     """Spec: the Figure 7/8 layout — parallel partial senders, shared core."""
-    if num_senders < 1:
-        raise SpecError("need at least one sender")
     return ExperimentSpec(
         scenario="multi_sender_transfer",
         seed=seed,
@@ -1217,23 +1221,25 @@ def multi_sender_transfer(
     description="Figure 7/8 layout: parallel partial senders over a shared core",
     small_grid=lambda: {"strategy.name": ["Random", "Recode/BF"]},
     supports=("summary",),
+    params={**TRANSFER_PARAMS, "num_senders": Bound(int, 2, ge=1)},
 )
 def build_multi_sender_transfer(spec: ExperimentSpec) -> BuiltExperiment:
     """Shared-core layout + per-sender strategies + round-robin loop."""
     swarm = _require_swarm(spec)
+    params = check_params(spec)
 
     def run(built: BuiltExperiment) -> RunResult:
         rng = random.Random(spec.seed)
-        num_senders = int(spec.param("num_senders", 2))
+        num_senders = params["num_senders"]
         layout = make_multi_sender_scenario(
             swarm.target,
             swarm.distinct_multiplier,
-            spec.param("correlation", 0.0),
+            params["correlation"],
             num_senders,
             rng,
         )
         return _run_transfer(
-            spec, layout, layout.senders, rng, _even_share(spec, layout, num_senders)
+            spec, layout, layout.senders, rng, _even_share(params, layout, num_senders)
         )
 
     return BuiltExperiment(spec=spec, kind="transfer", runner=run)
@@ -1294,10 +1300,15 @@ def session_swarm(
     description="One source serving N receivers with byte-level protocol sessions",
     supports=("summary", "transport", "swarm.links"),
     groups=("dst",),
+    params={
+        "block_size": Bound(int, 32, ge=1),
+        "packet_budget_factor": Bound(float, DEFAULT_PACKET_BUDGET_FACTOR, gt=0),
+    },
 )
 def build_session_swarm(spec: ExperimentSpec) -> BuiltExperiment:
     """Full-protocol sessions paced by link models on a shared clock."""
     swarm = _require_swarm(spec)
+    params = check_params(spec)
     session_cap = None
     if spec.measurement.max_packets:
         # The spec's budget is a swarm total, split evenly per session.
@@ -1310,14 +1321,7 @@ def build_session_swarm(spec: ExperimentSpec) -> BuiltExperiment:
     else:
         # The per-session budget default, spec-addressable: a multiple
         # of the recovery target rather than a magic constant.
-        factor = float(
-            spec.param("packet_budget_factor", DEFAULT_PACKET_BUDGET_FACTOR)
-        )
-        if factor <= 0:
-            raise SpecError(
-                f"packet_budget_factor must be positive, got {factor!r}"
-            )
-        session_cap = max(1, int(factor * swarm.target))
+        session_cap = max(1, int(params["packet_budget_factor"] * swarm.target))
     src_group = _source_group(swarm)
     src_name = src_group.member_ids()[0]
     receivers = swarm.group("dst")
@@ -1326,15 +1330,15 @@ def build_session_swarm(spec: ExperimentSpec) -> BuiltExperiment:
     ) or LinkSpec(kind="constant", rate=2.0)
 
     def run(built: BuiltExperiment) -> RunResult:
-        params = CodeParameters(
+        code = CodeParameters(
             num_blocks=swarm.target,
-            block_size=int(spec.param("block_size", 32)),
+            block_size=params["block_size"],
             stream_seed=spec.seed,
         )
         content_rng = derive_rng(spec.seed, "session_swarm", "content")
         content = bytes(
             content_rng.randrange(256)
-            for _ in range(params.num_blocks * params.block_size)
+            for _ in range(code.num_blocks * code.block_size)
         )
         stats = _series_recorder(spec)
         shared: Dict[str, GilbertElliottProcess] = {}
@@ -1347,7 +1351,7 @@ def build_session_swarm(spec: ExperimentSpec) -> BuiltExperiment:
         policy = _summary_policy(spec)
         source = ProtocolPeer(
             src_name,
-            params,
+            code,
             content=content,
             rng=derive_rng(spec.seed, "session_swarm", src_name),
             summary_policy=policy,
@@ -1357,7 +1361,7 @@ def build_session_swarm(spec: ExperimentSpec) -> BuiltExperiment:
         for name in receivers.member_ids():
             peer = ProtocolPeer(
                 name,
-                params,
+                code,
                 rng=derive_rng(spec.seed, "session_swarm", name),
                 summary_policy=policy,
             )
@@ -1480,7 +1484,7 @@ def _populate_figure1(spec, scn, rng, shared) -> None:
     # Figure 1(a): the initial multicast tree.
     for parent, child in (("S", "A"), ("S", "B"), ("A", "C"), ("A", "D"), ("B", "E")):
         sim.connect(parent, child)
-    if spec.param("with_perpendicular", True):
+    if check_params(spec)["with_perpendicular"]:
         # Figure 1(c/d): collaborative transfers between complementary
         # working sets (the legend's beneficial exchanges).
         for sender, receiver in (
@@ -1496,6 +1500,7 @@ def _populate_figure1(spec, scn, rng, shared) -> None:
     small_spec=lambda: figure1(target=120, seed=5),
     description="The paper's Figure 1 layout: tree vs perpendicular transfers",
     supports=("summary", "reconfig", "transport"),
+    params={"with_perpendicular": Bound(bool, True)},
 )
 def build_figure1(spec: ExperimentSpec) -> BuiltExperiment:
     """Captioned working sets + the figure's tree/perpendicular edges."""
@@ -1522,10 +1527,6 @@ def random_overlay(
     discovers perpendicular bandwidth on its own — the Section 2
     environment.
     """
-    if num_sources < 1:
-        raise SpecError("need at least one source")
-    if not 0.0 <= initial_fraction_lo <= initial_fraction_hi <= 1.0:
-        raise SpecError("initial fractions must satisfy 0 <= lo <= hi <= 1")
     return ExperimentSpec(
         scenario="random_overlay",
         seed=seed,
@@ -1548,16 +1549,26 @@ def random_overlay(
     small_spec=lambda: random_overlay(num_peers=6, target=100, seed=8),
     description="Randomised adaptive overlay: seeded peers discover each other",
     supports=("summary", "reconfig", "transport"),
+    params={
+        "num_peers": Bound(int, 12, ge=1),
+        "num_sources": Bound(int, 1, ge=1),
+        "initial_fraction_lo": Bound(float, 0.0, ge=0, le=1),
+        "initial_fraction_hi": Bound(float, 0.6, ge=0, le=1),
+        "max_connections": Bound(int, 3, ge=0),
+        "with_physical": Bound(bool, True),
+    },
 )
 def build_random_overlay(spec: ExperimentSpec) -> BuiltExperiment:
     """Seeded peers behind one source, optionally over a physical net."""
-    num_peers = int(spec.param("num_peers", 12))
-    num_sources = int(spec.param("num_sources", 1))
-    lo = float(spec.param("initial_fraction_lo", 0.0))
-    hi = float(spec.param("initial_fraction_hi", 0.6))
-    max_connections = int(spec.param("max_connections", 3))
+    params = check_params(spec)
+    num_peers = params["num_peers"]
+    num_sources = params["num_sources"]
+    lo = params["initial_fraction_lo"]
+    hi = params["initial_fraction_hi"]
+    max_connections = params["max_connections"]
+    check_value("random_overlay.params.initial_fraction_hi", hi, float, Bound(ge=lo))
     physical = None
-    if spec.param("with_physical", True):
+    if params["with_physical"]:
         # A scale-free router core (the hub links are where redundant
         # virtual paths pile up), link properties on their own stream.
         physical = PathModel.over(

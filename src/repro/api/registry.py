@@ -12,17 +12,20 @@ test (every registered scenario runs end-to-end in milliseconds) and
 the ``python -m repro.api --scenario <name>`` CLI path.
 
 A registration *declares what it consumes*: the optional spec sections
-its builder reads (``supports``, names from :data:`SECTIONS`) and the
-peer-group names it expects in ``swarm.nodes`` (``groups``).
+its builder reads (``supports``, names from :data:`SECTIONS`), the
+peer-group names it expects in ``swarm.nodes`` (``groups``) and the
+``params`` keys it reads, each with its type, bounds and default
+(``params``, a :class:`~repro.api.spec.Bound` per key).
 :func:`repro.api.build` holds every spec to that declaration — a
-section or group the builder would never read is a
-:class:`~repro.api.spec.SpecError`, not something to drop silently.
+section, group or param the builder would never read, or a param
+outside its bounds, is a :class:`~repro.api.spec.SpecError`, not
+something to drop silently or crash on.
 """
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.api.spec import ExperimentSpec, SpecError
+from repro.api.spec import Bound, ExperimentSpec, SpecError, check_value
 
 
 class UnknownScenarioError(KeyError):
@@ -71,6 +74,9 @@ class ScenarioEntry:
     #: (beside its one source group); empty = it reads no node groups
     #: at all and the swarm must declare none.
     groups: Tuple[str, ...] = ()
+    #: The ``params`` keys the builder reads, each with its type,
+    #: bounds and the default a spec that leaves it out reads.
+    params: Mapping[str, Bound] = field(default_factory=dict)
 
     def consumes(self, section: str) -> bool:
         """Whether the builder reads ``section`` (``"churn"`` is read by
@@ -116,12 +122,14 @@ def scenario(
     fidelities: Tuple[str, ...] = ("packet",),
     supports: Tuple[str, ...] = (),
     groups: Tuple[str, ...] = (),
+    params: Optional[Mapping[str, Bound]] = None,
 ) -> Callable:
     """Class/function decorator registering a spec builder under ``name``.
 
     ``supports`` lists the optional spec sections (:data:`SECTIONS`)
-    the builder reads and ``groups`` the peer-group names it expects —
-    the declaration :func:`repro.api.build` enforces.
+    the builder reads, ``groups`` the peer-group names it expects and
+    ``params`` the ``params`` keys it reads — the declaration
+    :func:`repro.api.build` enforces.
     """
     unknown = sorted(set(supports) - set(SECTIONS))
     if unknown:
@@ -143,6 +151,7 @@ def scenario(
             fidelities=tuple(fidelities),
             supports=tuple(supports),
             groups=tuple(groups),
+            params=dict(params or {}),
         )
         return builder
 
@@ -165,6 +174,26 @@ def names() -> List[str]:
 def consumers(section: str) -> List[str]:
     """Names of the registered scenarios that read ``section``."""
     return [n for n in names() if _REGISTRY[n].consumes(section)]
+
+
+def check_params(spec: ExperimentSpec) -> Dict[str, Any]:
+    """Every param ``spec``'s scenario declares, each checked against its
+    bound (its default when the spec leaves it out); an undeclared key
+    is refused."""
+    declared = get(spec.scenario).params
+    given = spec.params_dict()
+    unknown = sorted(set(given) - set(declared))
+    if unknown:
+        raise SpecError(
+            f"scenario {spec.scenario!r} reads no params {unknown}; it reads: "
+            f"{', '.join(sorted(declared)) or '(none)'}"
+        )
+    values = {}
+    for key, bound in declared.items():
+        value = values[key] = given.get(key, bound.default)
+        if value is not None or bound.default is not None:
+            check_value(f"{spec.scenario}.params.{key}", value, bound.type, bound)
+    return values
 
 
 def small_spec(name: str) -> ExperimentSpec:
@@ -195,6 +224,7 @@ __all__ = [
     "SECTIONS",
     "scenario",
     "consumers",
+    "check_params",
     "get",
     "names",
     "small_spec",

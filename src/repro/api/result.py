@@ -16,6 +16,7 @@ benchmark suite can emit — one format to archive, diff, and plot.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -60,8 +61,8 @@ def validate_result_dict(data: Any) -> None:
     Shared by campaign ``--resume`` cell loading and the CI
     bench-baseline job (``scripts/validate_bench.py``): raises
     :class:`ResultSchemaError` on any missing, unknown, or wrongly
-    typed key, so schema drift fails loudly instead of accumulating
-    silently in archived results.
+    typed key or a non-finite metric, so schema drift fails loudly
+    instead of accumulating silently in archived results.
     """
     _schema_require(isinstance(data, dict), "result must be a JSON object")
     _schema_require(
@@ -85,6 +86,11 @@ def validate_result_dict(data: Any) -> None:
             and isinstance(value, (int, float))
             and not isinstance(value, bool),
             f"result metric {key!r} must map a string to a number",
+        )
+        # json.loads reads NaN and Infinity; no run reports either.
+        _schema_require(
+            isinstance(value, int) or math.isfinite(value),
+            f"result metric {key!r} must be finite, got {value!r}",
         )
     _schema_require(
         isinstance(data["events"], list)

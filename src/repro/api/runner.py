@@ -61,9 +61,10 @@ def build(spec: ExperimentSpec) -> BuiltExperiment:
     This is the one consumption gate.  Whatever the scenario's
     registration does not declare it reads — a fidelity, an optional
     spec section (population, summary, reconfig, transport, topology,
-    catalog, link rules, join waves, a departure), a peer group — is
-    rejected here, once, rather than silently ignored by the builder;
-    the builders themselves only check what they *require*.
+    catalog, link rules, join waves, a departure), a peer group, a
+    ``params`` key — is rejected here, once, rather than silently
+    ignored by the builder, and so is a param outside its declared
+    bounds; the builders themselves only check what they *require*.
     """
     entry = registry.get(spec.scenario)
     fidelity = spec.measurement.fidelity
@@ -81,6 +82,7 @@ def build(spec: ExperimentSpec) -> BuiltExperiment:
                 f"{', '.join(registry.consumers(section)) or '(none)'}"
             )
     _check_membership(spec, entry)
+    registry.check_params(spec)
     return entry.builder(spec)
 
 

@@ -11,6 +11,12 @@ compare, and round-trip through JSON losslessly (``spec ==
 ExperimentSpec.from_json(spec.to_json())``), so a spec file *is* the
 experiment and can be diffed, archived, and re-run bit-identically.
 
+Every field declares its contract once: the type is its annotation,
+the range and allowed values its :func:`bounded` metadata.
+:func:`check_fields` enforces the contract on every construction, and
+:func:`check_value` is the same check for scenario params and executor
+knobs; a refusal reads ``<Class>.<field> must be ..., got <value>``.
+
 Construction helpers for the scenario catalog live in
 :mod:`repro.api.builders`; :func:`repro.api.run` executes a spec.
 """
@@ -18,37 +24,12 @@ Construction helpers for the scenario catalog live in
 import dataclasses
 import json
 import math
-from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Mapping, Optional, Tuple
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Any, Dict, Mapping, NamedTuple, Optional, Tuple
+from typing import Union, get_args, get_origin, get_type_hints
 
+from repro.delivery.strategies import STRATEGY_NAMES
 from repro.overlay.reconfiguration import DEFAULT_HYSTERESIS, DEFAULT_MIN_USEFULNESS
-
-#: Link model kinds a :class:`LinkSpec` may name.
-LINK_KINDS = ("constant", "latency_jitter", "gilbert_elliott")
-
-#: Initial working-set rules a :class:`NodeSpec` may name.
-SEEDING_RULES = ("empty", "fixed", "uniform")
-
-#: Bases the seeding fraction may be taken against.
-SEED_BASES = ("target", "distinct")
-
-#: Node roles.
-NODE_ROLES = ("peer", "source")
-
-#: Reconfiguration policy kinds a :class:`ReconfigSpec` may name.
-RECONFIG_POLICIES = ("informed", "random", "static")
-
-#: Values ``MeasurementSpec.engine`` accepts (the field is inert).
-ENGINES = ("reference", "columnar")
-
-#: Simulation fidelities a :class:`MeasurementSpec` may select:
-#: ``"packet"`` runs the per-symbol event engines, ``"flow"`` the
-#: rate-equation population engine (:mod:`repro.flow`).
-FIDELITIES = ("packet", "flow")
-
-#: Arrival-wave shapes a :class:`PopulationSpec` may name.
-WAVE_PROFILES = ("uniform", "flash", "diurnal")
-
 
 
 class SpecError(ValueError):
@@ -60,60 +41,230 @@ def _require(condition: bool, message: str) -> None:
         raise SpecError(message)
 
 
-def _require_finite(spec: object, names: Tuple[str, ...]) -> None:
-    """Infinity and NaN have no JSON spelling and poison the arithmetic
-    a spec feeds, so a float field must be finite."""
-    for name in names:
+@dataclass(frozen=True)
+class Bound:
+    """What one spec value may hold besides its type.
+
+    ``ge``/``gt``/``le``/``lt`` bound a number, ``choices`` lists the
+    allowed values and ``nonempty`` refuses ``""`` and ``()``.  A spec
+    field declares its bound with :func:`bounded` and takes its type
+    from its annotation; a scenario param declares ``type`` and
+    ``default`` (what a spec that leaves the key out reads) as well.
+    """
+
+    type: Any = None
+    default: Any = None
+    ge: Optional[float] = None
+    gt: Optional[float] = None
+    le: Optional[float] = None
+    lt: Optional[float] = None
+    choices: Tuple[Any, ...] = ()
+    nonempty: bool = False
+
+    def contains(self, value: Any) -> bool:
+        return not (
+            (self.ge is not None and value < self.ge)
+            or (self.gt is not None and value <= self.gt)
+            or (self.le is not None and value > self.le)
+            or (self.lt is not None and value >= self.lt)
+        )
+
+    def range_text(self) -> str:
+        """The range in words: ``non-negative``, ``>= 16``, ``in [0, 1)``."""
+        lower = (">=", self.ge) if self.ge is not None else (">", self.gt)
+        upper = ("<=", self.le) if self.le is not None else ("<", self.lt)
+        if lower[1] is not None and upper[1] is not None:
+            left = "[" if lower[0] == ">=" else "("
+            right = "]" if upper[0] == "<=" else ")"
+            return f"in {left}{lower[1]:g}, {upper[1]:g}{right}"
+        if lower in ((">=", 0), (">", 0)):
+            return "non-negative" if lower[0] == ">=" else "positive"
+        op, limit = lower if lower[1] is not None else upper
+        return f"{op} {limit:g}"
+
+
+_NO_BOUND = Bound()
+
+#: How a refusal names each scalar type.
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "a boolean"}
+
+
+def bounded(default: Any = MISSING, **bound: Any) -> Any:
+    """A dataclass field whose :class:`Bound` is ``bound``."""
+    return field(default=default, metadata={"bound": Bound(**bound)})
+
+
+def _type_ok(value: Any, kind: Any) -> bool:
+    """Strict types: a JSON 7.5 (or true) never passes as the integer 7,
+    a float field takes an int but no bool, str and bool are exact."""
+    if kind is int or kind is float:
+        numeric = (int, float) if kind is float else int
+        return isinstance(value, numeric) and not isinstance(value, bool)
+    if kind in (str, bool):
+        return type(value) is kind
+    return isinstance(value, kind)
+
+
+def _finite(value: Any) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large to be any float
+        return False
+
+
+def check_value(where: str, value: Any, kind: Any, bound: Bound = _NO_BOUND) -> None:
+    """Refuse ``value`` unless it is a ``kind`` within ``bound``.
+
+    The one check behind every spec field, scenario param and executor
+    knob.  Infinity and NaN have no JSON spelling and poison the
+    arithmetic a spec feeds, so a float must be finite.
+    """
+
+    def refuse(what: str) -> None:
+        raise SpecError(f"{where} must be {what}, got {value!r}")
+
+    if not _type_ok(value, kind):
+        refuse(_TYPE_NAMES.get(kind) or f"a {kind.__name__}")
+    if kind is float and not _finite(value):
+        refuse("finite")
+    if bound.choices and value not in bound.choices:
+        refuse(f"one of {bound.choices}")
+    if bound.nonempty and not value:
+        refuse("non-empty")
+    if not bound.contains(value):
+        refuse(bound.range_text())
+
+
+class FieldContract(NamedTuple):
+    """One spec field's declared contract."""
+
+    name: str
+    type: Any  # the annotation, ``Optional`` unwrapped
+    optional: bool
+    bound: Bound
+
+
+_CONTRACTS: Dict[type, Tuple[FieldContract, ...]] = {}
+
+
+def contract(cls: type) -> Tuple[FieldContract, ...]:
+    """The declared contract of every field of spec class ``cls``."""
+    found = _CONTRACTS.get(cls)
+    if found is None:
+        hints = get_type_hints(cls)
+        rows = []
+        for f in fields(cls):
+            kind, optional = hints[f.name], False
+            if get_origin(kind) is Union:
+                (kind,) = [arg for arg in get_args(kind) if arg is not type(None)]
+                optional = True
+            bound = f.metadata.get("bound", _NO_BOUND)
+            rows.append(FieldContract(f.name, kind, optional, bound))
+        found = _CONTRACTS[cls] = tuple(rows)
+    return found
+
+
+def bound_of(cls: type, name: str) -> Bound:
+    """The bound spec class ``cls`` declares for field ``name``."""
+    return next(row.bound for row in contract(cls) if row.name == name)
+
+
+def _check_items(where: str, items: Any, item: Any, bound: Bound) -> Tuple[Any, ...]:
+    """An array field as a tuple, each item checked (``Any`` = a JSON scalar)."""
+    if get_origin(item) is tuple:
+        return _freeze_params(items)
+    try:
+        items = tuple(items)
+    except TypeError:
+        raise SpecError(f"{where} must be an array, got {items!r}") from None
+    for value in items:
+        if item is Any:
+            _require(
+                _is_scalar(value), f"{where} must hold finite JSON scalars, got {value!r}"
+            )
+        else:
+            check_value(where, value, item)
+    _require(items or not bound.nonempty, f"{where} must be non-empty, got ()")
+    return items
+
+
+def check_fields(spec: Any) -> None:
+    """Hold every field of a spec dataclass to its :func:`contract`.
+
+    Values are checked, never coerced — an int stays an int, so the
+    JSON a spec writes is the JSON it was given.  Only containers are
+    normalised: arrays to tuples and ``params`` to sorted pairs, so a
+    spec stays hashable.
+    """
+    owner = type(spec).__name__
+    for name, kind, optional, bound in contract(type(spec)):
         value = getattr(spec, name)
-        _require(math.isfinite(value), f"{name} must be finite, got {value!r}")
+        if value is None and optional:
+            continue
+        where = f"{owner}.{name}"
+        if get_origin(kind) is tuple:
+            items = _check_items(where, value, get_args(kind)[0], bound)
+            object.__setattr__(spec, name, items)
+        else:
+            check_value(where, value, kind, bound)
 
 
-def _require_int(value: object, name: str) -> None:
-    """Strict integer check: a JSON 7.5 (or true) must not pass as 7."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SpecError(f"{name} must be an integer, got {value!r}")
+class CheckedSpec:
+    """Base of the spec dataclasses: construction runs :func:`check_fields`;
+    a subclass adds only its genuinely cross-field checks."""
+
+    def __post_init__(self) -> None:
+        check_fields(self)
+
+
+class ParamsSpec(CheckedSpec):
+    """A spec with a ``params`` field: scalar extras as sorted pairs."""
+
+    params: Tuple[Tuple[str, Any], ...]
+
+    def param(self, key: str, default: Any = None) -> Any:
+        for k, v in self.params:
+            if k == key:
+                return v
+        return default
+
+    def params_dict(self) -> Dict[str, Any]:
+        return dict(self.params)
 
 
 @dataclass(frozen=True)
-class LinkSpec:
+class LinkSpec(CheckedSpec):
     """One link model class, by kind and parameters.
 
     ``shared_key`` couples links: every link built from rules whose
     specs carry the same non-empty key shares one loss process (the
     correlated-loss trunk of
-    :func:`repro.api.builders.correlated_regional_loss`).
+    :func:`repro.api.builders.correlated_regional_loss`).  Bounds mirror
+    the link-model constructors exactly, so a spec that validates can
+    always be built.
     """
 
-    kind: str = "constant"
-    rate: float = 1.0
-    loss_rate: float = 0.0
-    latency: float = 0.0
-    jitter: float = 0.0
+    kind: str = bounded("constant", choices=("constant", "latency_jitter", "gilbert_elliott"))
+    rate: float = bounded(1.0, ge=0)
+    loss_rate: float = bounded(0.0, ge=0, lt=1)
+    latency: float = bounded(0.0, ge=0)
+    jitter: float = bounded(0.0, ge=0)
     p_good_bad: float = 0.05
     p_bad_good: float = 0.3
-    loss_good: float = 0.0
-    loss_bad: float = 0.5
+    loss_good: float = bounded(0.0, ge=0, le=1)
+    loss_bad: float = bounded(0.5, ge=0, le=1)
     shared_key: str = ""
 
     def __post_init__(self) -> None:
-        # Bounds mirror the link-model constructors exactly, so a spec
-        # that validates can always be built.
-        _require(self.kind in LINK_KINDS, f"unknown link kind {self.kind!r}; expected one of {LINK_KINDS}")
-        _require(self.rate >= 0.0, "link rate must be non-negative")
-        _require(self.latency >= 0.0, "latency must be non-negative")
-        _require(self.jitter >= 0.0, "jitter must be non-negative")
-        _require(0.0 <= self.loss_rate < 1.0, "loss_rate must lie in [0, 1)")
-        for field_name in ("loss_good", "loss_bad"):
-            value = getattr(self, field_name)
-            _require(0.0 <= value <= 1.0, f"{field_name} must lie in [0, 1]")
+        super().__post_init__()
         if self.kind == "gilbert_elliott":
-            for field_name in ("p_good_bad", "p_bad_good"):
-                value = getattr(self, field_name)
-                _require(0.0 < value <= 1.0, f"{field_name} must lie in (0, 1]")
+            for name in ("p_good_bad", "p_bad_good"):
+                check_value(f"LinkSpec.{name} of a gilbert_elliott link",
+                            getattr(self, name), float, Bound(gt=0, le=1))
 
 
 @dataclass(frozen=True)
-class LinkRuleSpec:
+class LinkRuleSpec(CheckedSpec):
     """Maps (sender class, receiver class) to a link class; ``*`` matches all.
 
     Rules are tried in order; the first match wins.
@@ -131,7 +282,7 @@ class LinkRuleSpec:
 
 
 @dataclass(frozen=True)
-class NodeSpec:
+class NodeSpec(CheckedSpec):
     """A *group* of nodes sharing a role, class, and seeding rule.
 
     Members are named ``f"{name}{i}"`` for ``i in range(count)`` —
@@ -149,22 +300,13 @@ class NodeSpec:
     """
 
     name: str = "p"
-    count: int = 1
-    role: str = "peer"
+    count: int = bounded(1, ge=0)
+    role: str = bounded("peer", choices=("peer", "source"))
     node_class: str = ""
-    seeding: str = "empty"
-    seed_fraction: float = 0.0
-    seed_basis: str = "target"
-    max_connections: int = 3
-
-    def __post_init__(self) -> None:
-        _require_int(self.count, "node count")
-        _require_int(self.max_connections, "max_connections")
-        _require(self.count >= 0, "node count must be non-negative")
-        _require(self.role in NODE_ROLES, f"unknown node role {self.role!r}; expected one of {NODE_ROLES}")
-        _require(self.seeding in SEEDING_RULES, f"unknown seeding rule {self.seeding!r}; expected one of {SEEDING_RULES}")
-        _require(self.seed_basis in SEED_BASES, f"unknown seed basis {self.seed_basis!r}; expected one of {SEED_BASES}")
-        _require(0.0 <= self.seed_fraction <= 1.0, "seed_fraction must lie in [0, 1]")
+    seeding: str = bounded("empty", choices=("empty", "fixed", "uniform"))
+    seed_fraction: float = bounded(0.0, ge=0, le=1)
+    seed_basis: str = bounded("target", choices=("target", "distinct"))
+    max_connections: int = bounded(3, ge=0)
 
     def member_ids(self) -> Tuple[str, ...]:
         """The concrete node ids this group expands to."""
@@ -174,7 +316,7 @@ class NodeSpec:
 
 
 @dataclass(frozen=True)
-class TopologySpec:
+class TopologySpec(ParamsSpec):
     """Which structured overlay graph the swarm is wired over.
 
     ``kind`` names a registered :mod:`repro.topology` generator
@@ -187,18 +329,17 @@ class TopologySpec:
     bit-identically from the experiment seed via ``derive_seed``.
     """
 
-    kind: str = "random"
+    kind: str = bounded("random", nonempty=True)
     params: Tuple[Tuple[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
-        _require(bool(self.kind), "topology kind must be non-empty")
+        super().__post_init__()
         from repro.topology import TopologyError, generator_entry
 
         try:
             entry = generator_entry(self.kind)
         except TopologyError as exc:
             raise SpecError(str(exc)) from None
-        object.__setattr__(self, "params", _freeze_params(self.params))
         unknown = sorted(set(self.params_dict()) - set(entry.params))
         _require(
             not unknown,
@@ -206,15 +347,6 @@ class TopologySpec:
             f"{', '.join(unknown)} (accepts: "
             f"{', '.join(sorted(entry.params)) or 'none'})",
         )
-
-    def param(self, key: str, default: Any = None) -> Any:
-        for k, v in self.params:
-            if k == key:
-                return v
-        return default
-
-    def params_dict(self) -> Dict[str, Any]:
-        return dict(self.params)
 
     def generate(self, n: int, seed: int):
         """The concrete :class:`~repro.topology.GeneratedTopology`."""
@@ -227,23 +359,15 @@ class TopologySpec:
 
 
 @dataclass(frozen=True)
-class SwarmSpec:
+class SwarmSpec(CheckedSpec):
     """The population and wiring substrate of a swarm experiment."""
 
-    target: int = 100
-    distinct_multiplier: float = 1.2
+    target: int = bounded(100, gt=0)
+    distinct_multiplier: float = bounded(1.2, ge=1)
     nodes: Tuple[NodeSpec, ...] = ()
     links: Tuple[LinkRuleSpec, ...] = ()
-    reconfigure_every: int = 20
+    reconfigure_every: int = bounded(20, ge=0)
     topology: Optional[TopologySpec] = None
-
-    def __post_init__(self) -> None:
-        _require_int(self.target, "swarm target")
-        _require_int(self.reconfigure_every, "reconfigure_every")
-        _require(self.target > 0, "swarm target must be positive")
-        _require(self.distinct_multiplier >= 1.0, "distinct_multiplier must be >= 1.0")
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        object.__setattr__(self, "links", tuple(self.links))
 
     @property
     def distinct_symbols(self) -> int:
@@ -269,7 +393,7 @@ class SwarmSpec:
 
 
 @dataclass(frozen=True)
-class SummarySpec:
+class SummarySpec(ParamsSpec):
     """Which working-set summary peers exchange, and its parameters.
 
     ``kind`` names a registered :class:`~repro.reconcile.base.Summary`
@@ -280,27 +404,17 @@ class SummarySpec:
     :class:`~repro.reconcile.SummaryPolicy` (:meth:`policy`).
     """
 
-    kind: str = "bloom"
+    kind: str = bounded("bloom", nonempty=True)
     params: Tuple[Tuple[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
-        _require(bool(self.kind), "summary kind must be non-empty")
+        super().__post_init__()
         from repro.reconcile import UnknownSummaryError, summary_class
 
         try:
             summary_class(self.kind)
         except UnknownSummaryError as exc:
             raise SpecError(str(exc)) from None
-        object.__setattr__(self, "params", _freeze_params(self.params))
-
-    def param(self, key: str, default: Any = None) -> Any:
-        for k, v in self.params:
-            if k == key:
-                return v
-        return default
-
-    def params_dict(self) -> Dict[str, Any]:
-        return dict(self.params)
 
     def policy(self):
         """The :class:`~repro.reconcile.SummaryPolicy` this spec names."""
@@ -310,7 +424,7 @@ class SummarySpec:
 
 
 @dataclass(frozen=True)
-class ReconfigSpec:
+class ReconfigSpec(CheckedSpec):
     """How (and how often) the overlay adapts its peering.
 
     ``policy`` picks the adaptation arm: ``"informed"`` (summary-driven
@@ -332,28 +446,16 @@ class ReconfigSpec:
     admission threshold and swap margin.
     """
 
-    policy: str = "informed"
+    policy: str = bounded("informed", choices=("informed", "random", "static"))
     summary: Optional["SummarySpec"] = None
-    interval: float = 0.0
-    jitter: float = 0.0
-    scan_budget: int = 0
-    min_usefulness: float = DEFAULT_MIN_USEFULNESS
-    hysteresis: float = DEFAULT_HYSTERESIS
+    interval: float = bounded(0.0, ge=0)
+    jitter: float = bounded(0.0, ge=0)
+    scan_budget: int = bounded(0, ge=0)
+    min_usefulness: float = bounded(DEFAULT_MIN_USEFULNESS, ge=0, le=1)
+    hysteresis: float = bounded(DEFAULT_HYSTERESIS, ge=0)
 
     def __post_init__(self) -> None:
-        _require_finite(self, ("interval", "jitter", "min_usefulness", "hysteresis"))
-        _require(
-            self.policy in RECONFIG_POLICIES,
-            f"unknown reconfig policy {self.policy!r}; expected one of {RECONFIG_POLICIES}",
-        )
-        _require_int(self.scan_budget, "scan_budget")
-        _require(self.interval >= 0.0, "reconfig interval must be non-negative")
-        _require(self.jitter >= 0.0, "reconfig jitter must be non-negative")
-        _require(self.scan_budget >= 0, "scan_budget must be non-negative")
-        _require(
-            0.0 <= self.min_usefulness <= 1.0, "min_usefulness must lie in [0, 1]"
-        )
-        _require(self.hysteresis >= 0.0, "hysteresis must be non-negative")
+        super().__post_init__()
         if self.policy != "informed":
             # Only the informed policy consults these; accepting them on
             # the baseline arms would silently ignore a user's selection.
@@ -372,7 +474,7 @@ class ReconfigSpec:
 
 
 @dataclass(frozen=True)
-class TransportSpec:
+class TransportSpec(ParamsSpec):
     """Sender-side transport selection: congestion control and queues.
 
     ``policy`` names a registered :class:`~repro.transport.policies.
@@ -395,26 +497,16 @@ class TransportSpec:
     bit-identical parity baseline).
     """
 
-    policy: str = "open_loop"
+    policy: str = bounded("open_loop", nonempty=True)
     params: Tuple[Tuple[str, Any], ...] = ()
-    bottleneck_rate: float = 0.0
-    bottleneck_buffer: int = 32
-    rto_min: float = 2.0
+    bottleneck_rate: float = bounded(0.0, ge=0)
+    bottleneck_buffer: int = bounded(32, ge=1)
+    rto_min: float = bounded(2.0, gt=0)
     rto_max: float = 64.0
 
     def __post_init__(self) -> None:
-        _require(bool(self.policy), "transport policy must be non-empty")
-        _require_int(self.bottleneck_buffer, "bottleneck_buffer")
-        _require(
-            self.bottleneck_rate >= 0.0, "bottleneck_rate must be non-negative"
-        )
-        _require(
-            self.bottleneck_buffer >= 1,
-            "bottleneck_buffer must hold at least 1 packet",
-        )
-        _require(self.rto_min > 0.0, "rto_min must be positive")
-        _require(self.rto_max >= self.rto_min, "rto_max must be >= rto_min")
-        object.__setattr__(self, "params", _freeze_params(self.params))
+        super().__post_init__()
+        check_value("TransportSpec.rto_max", self.rto_max, float, Bound(ge=self.rto_min))
         from repro.transport import TransportError, validate_policy
 
         try:
@@ -422,18 +514,9 @@ class TransportSpec:
         except TransportError as exc:
             raise SpecError(str(exc)) from None
 
-    def param(self, key: str, default: Any = None) -> Any:
-        for k, v in self.params:
-            if k == key:
-                return v
-        return default
-
-    def params_dict(self) -> Dict[str, Any]:
-        return dict(self.params)
-
 
 @dataclass(frozen=True)
-class StrategySpec:
+class StrategySpec(CheckedSpec):
     """Sender strategy selection (the Figure 5-8 legend) and summary budget.
 
     ``summary`` (a :class:`SummarySpec`) selects any registered summary
@@ -443,44 +526,35 @@ class StrategySpec:
     {"bits_per_element": bloom_bits_per_element})``.
     """
 
-    name: str = "Recode/BF"
-    bloom_bits_per_element: int = 8
+    name: str = bounded("Recode/BF", choices=STRATEGY_NAMES)
+    bloom_bits_per_element: int = bounded(8, gt=0)
     summary: Optional["SummarySpec"] = None
 
-    def __post_init__(self) -> None:
-        _require_int(self.bloom_bits_per_element, "bloom_bits_per_element")
-        _require(self.bloom_bits_per_element > 0, "bloom_bits_per_element must be positive")
-
 
 @dataclass(frozen=True)
-class ChurnSpec:
+class ChurnSpec(CheckedSpec):
     """Scheduled membership disturbance: join waves and departures."""
 
-    join_waves: int = 0
-    wave_interval: float = 0.0
+    join_waves: int = bounded(0, ge=0)
+    wave_interval: float = bounded(0.0, ge=0)
     depart_node: str = ""
-    depart_at: float = 0.0
-
-    def __post_init__(self) -> None:
-        _require_int(self.join_waves, "join_waves")
-        _require(self.join_waves >= 0, "join_waves must be non-negative")
-        _require(self.wave_interval >= 0.0, "wave_interval must be non-negative")
+    depart_at: float = bounded(0.0, ge=0)
 
 
 @dataclass(frozen=True)
-class MeasurementSpec:
+class MeasurementSpec(CheckedSpec):
     """What to measure and how long to run."""
 
-    max_ticks: int = 10_000
-    resolution: float = 1.0
+    max_ticks: int = bounded(10_000, gt=0)
+    resolution: float = bounded(1.0, gt=0)
     record_series: bool = True
-    max_packets: int = 0  # 0 = let the transfer loop derive its default
+    max_packets: int = bounded(0, ge=0)  # 0 = let the transfer loop derive its default
     #: Inert: validated and echoed, read by nothing.  It used to pick
     #: between two epoch kernels; there is one now
     #: (``SummaryScheme.usefulness_many``).  The field outlives them by
     #: one PR because the frozen ``bench/workloads.py`` sets it and
     #: ``benchmarks/`` overrides it (ROADMAP items 3c / 4b remove it).
-    engine: str = "reference"
+    engine: str = bounded("reference", choices=("reference", "columnar"))
     #: Simulation fidelity: "packet" runs the per-symbol event engines
     #: (every existing scenario), "flow" the rate-equation population
     #: engine of :mod:`repro.flow` — bulk transfer as closed-form
@@ -488,26 +562,11 @@ class MeasurementSpec:
     #: populations.  Only scenarios registered with flow support
     #: (``population_flash_crowd``) accept it.  Sweepable via
     #: ``with_override("measurement.fidelity", ...)``.
-    fidelity: str = "packet"
-
-    def __post_init__(self) -> None:
-        _require_int(self.max_ticks, "max_ticks")
-        _require_int(self.max_packets, "max_packets")
-        _require(self.max_ticks > 0, "max_ticks must be positive")
-        _require(self.resolution > 0, "resolution must be positive")
-        _require(self.max_packets >= 0, "max_packets must be non-negative")
-        _require(
-            self.engine in ENGINES,
-            f"engine must be one of {sorted(ENGINES)}, got {self.engine!r}",
-        )
-        _require(
-            self.fidelity in FIDELITIES,
-            f"fidelity must be one of {sorted(FIDELITIES)}, got {self.fidelity!r}",
-        )
+    fidelity: str = bounded("packet", choices=("packet", "flow"))
 
 
 @dataclass(frozen=True)
-class PopulationSpec:
+class PopulationSpec(CheckedSpec):
     """A population-scale demand model for the flow-fidelity scenarios.
 
     Describes *who wants what, when*: ``size`` peers spread over
@@ -524,52 +583,23 @@ class PopulationSpec:
     real reconciliation summaries are built over at handshake time).
     """
 
-    size: int = 10_000
-    objects: int = 1
-    zipf_skew: float = 0.8
-    waves: int = 4
-    wave_profile: str = "flash"
-    wave_interval: float = 10.0
-    seeded_fraction: float = 0.1
-    rate: float = 2.0
-    loss_rate: float = 0.01
-    rate_tiers: int = 2
-    rate_spread: float = 0.25
-    sample_cap: int = 256
-    max_connections: int = 3
-
-    def __post_init__(self) -> None:
-        for name in ("size", "objects", "waves", "rate_tiers", "sample_cap",
-                     "max_connections"):
-            _require_int(getattr(self, name), name)
-        _require_finite(self, ("zipf_skew", "wave_interval", "seeded_fraction",
-                               "rate", "loss_rate", "rate_spread"))
-        _require(self.size >= 1, "population size must be at least 1")
-        _require(self.objects >= 1, "objects must be at least 1")
-        _require(self.zipf_skew >= 0.0, "zipf_skew must be non-negative")
-        _require(self.waves >= 1, "need at least one arrival wave")
-        _require(
-            self.wave_profile in WAVE_PROFILES,
-            f"unknown wave profile {self.wave_profile!r}; expected one of "
-            f"{WAVE_PROFILES}",
-        )
-        _require(self.wave_interval > 0.0, "wave_interval must be positive")
-        _require(
-            0.0 <= self.seeded_fraction < 1.0,
-            "seeded_fraction must lie in [0, 1)",
-        )
-        _require(self.rate > 0.0, "population rate must be positive")
-        _require(0.0 <= self.loss_rate < 1.0, "loss_rate must lie in [0, 1)")
-        _require(self.rate_tiers >= 1, "need at least one rate tier")
-        _require(
-            0.0 <= self.rate_spread < 1.0, "rate_spread must lie in [0, 1)"
-        )
-        _require(self.sample_cap >= 16, "sample_cap must be at least 16")
-        _require(self.max_connections >= 1, "max_connections must be at least 1")
+    size: int = bounded(10_000, ge=1)
+    objects: int = bounded(1, ge=1)
+    zipf_skew: float = bounded(0.8, ge=0)
+    waves: int = bounded(4, ge=1)
+    wave_profile: str = bounded("flash", choices=("uniform", "flash", "diurnal"))
+    wave_interval: float = bounded(10.0, gt=0)
+    seeded_fraction: float = bounded(0.1, ge=0, lt=1)
+    rate: float = bounded(2.0, gt=0)
+    loss_rate: float = bounded(0.01, ge=0, lt=1)
+    rate_tiers: int = bounded(2, ge=1)
+    rate_spread: float = bounded(0.25, ge=0, lt=1)
+    sample_cap: int = bounded(256, ge=16)
+    max_connections: int = bounded(3, ge=1)
 
 
 @dataclass(frozen=True)
-class CatalogSpec:
+class CatalogSpec(CheckedSpec):
     """A multi-object content catalog with skewed demand.
 
     ``objects`` distinct contents share the swarm's symbol target:
@@ -585,21 +615,15 @@ class CatalogSpec:
     ``priority_tiers=0``) describes the historical single-object run.
     """
 
-    objects: int = 1
-    zipf_skew: float = 0.8
-    size_skew: float = 0.0
-    priority_tiers: int = 0
+    objects: int = bounded(1, ge=1)
+    zipf_skew: float = bounded(0.8, ge=0)
+    size_skew: float = bounded(0.0, ge=0)
+    priority_tiers: int = bounded(0, ge=0)
 
     def __post_init__(self) -> None:
-        _require_int(self.objects, "catalog objects")
-        _require_int(self.priority_tiers, "priority_tiers")
-        _require(self.objects >= 1, "catalog needs at least one object")
-        _require(self.zipf_skew >= 0.0, "zipf_skew must be non-negative")
-        _require(self.size_skew >= 0.0, "size_skew must be non-negative")
-        _require(
-            0 <= self.priority_tiers <= self.objects,
-            "priority_tiers must lie in [0, objects]",
-        )
+        super().__post_init__()
+        check_value("CatalogSpec.priority_tiers", self.priority_tiers, int,
+                    Bound(le=self.objects))
 
 
 def _freeze_params(params: Any) -> Tuple[Tuple[str, Any], ...]:
@@ -620,24 +644,26 @@ def _freeze_params(params: Any) -> Tuple[Tuple[str, Any], ...]:
         _require(key not in seen, f"duplicate param key {key!r}")
         seen.add(key)
         _require(
-            value is None or isinstance(value, (bool, int, float, str)),
-            f"param {key!r} must be a JSON scalar, got {type(value).__name__}",
+            _is_scalar(value),
+            f"param {key!r} must be a finite JSON scalar, got {value!r}",
         )
     return tuple(sorted(items, key=lambda item: item[0]))
 
 
 @dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(ParamsSpec):
     """The complete declarative description of one experiment.
 
     ``scenario`` names the registered interpreter
     (:mod:`repro.api.registry`); ``seed`` is the master seed every RNG
     in the run descends from; ``params`` holds scenario-specific scalar
     extras that have no component home (stored as sorted pairs so the
-    spec stays hashable; read with :meth:`param`).
+    spec stays hashable; read with :meth:`param`).  The scenario's
+    registration declares which params it reads and their bounds;
+    :func:`repro.api.build` holds ``params`` to that declaration.
     """
 
-    scenario: str
+    scenario: str = bounded(nonempty=True)
     seed: int = 0
     swarm: Optional[SwarmSpec] = None
     strategy: StrategySpec = StrategySpec()
@@ -650,9 +676,7 @@ class ExperimentSpec:
     params: Tuple[Tuple[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
-        _require(bool(self.scenario), "scenario name must be non-empty")
-        _require_int(self.seed, "spec seed")
-        object.__setattr__(self, "params", _freeze_params(self.params))
+        super().__post_init__()
         pop = self.population
         if pop is not None:
             # Every flow window's traffic is bounded by the whole run's:
@@ -668,22 +692,9 @@ class ExperimentSpec:
                 f"{self.measurement.max_ticks} ticks of {pop.size} peers",
             )
 
-    # -- params accessors ---------------------------------------------------
-
-    def param(self, key: str, default: Any = None) -> Any:
-        for k, v in self.params:
-            if k == key:
-                return v
-        return default
-
-    def params_dict(self) -> Dict[str, Any]:
-        return dict(self.params)
-
     def with_params(self, **updates: Any) -> "ExperimentSpec":
         """A copy with ``params`` entries added/replaced."""
-        merged = self.params_dict()
-        merged.update(updates)
-        return dataclasses.replace(self, params=_freeze_params(merged))
+        return dataclasses.replace(self, params={**self.params_dict(), **updates})
 
     def with_override(self, path: str, value: Any) -> "ExperimentSpec":
         """A copy with the dotted-path field ``path`` replaced by ``value``.
@@ -700,6 +711,10 @@ class ExperimentSpec:
         """
         parts = path.split(".")
         _require(all(parts) and parts[0], f"override path {path!r} is malformed")
+        _require(
+            _is_scalar(value),
+            f"override {path!r}: value must be a finite JSON scalar, got {value!r}",
+        )
         return _override(self, parts, value, path)
 
     # -- the component registry ---------------------------------------------
@@ -816,20 +831,6 @@ class ExperimentSpec:
         return cls.from_dict(data)
 
 
-#: Components :meth:`ExperimentSpec.with_override` may instantiate when
-#: a path traverses a field currently set to ``None``.
-_DEFAULTABLE_COMPONENTS = {
-    "swarm": SwarmSpec,
-    "churn": ChurnSpec,
-    "summary": SummarySpec,
-    "reconfig": ReconfigSpec,
-    "transport": TransportSpec,
-    "population": PopulationSpec,
-    "topology": TopologySpec,
-    "catalog": CatalogSpec,
-}
-
-
 @dataclass(frozen=True)
 class ComponentDef:
     """One registered, selectable component of an :class:`ExperimentSpec`.
@@ -878,12 +879,15 @@ def _graft(obj: Any, path: Tuple[str, ...], value: Any):
         return dataclasses.replace(obj, **{head: value})
     child = getattr(obj, head)
     if child is None:
-        child = _DEFAULTABLE_COMPONENTS[head]()
+        child = nested_specs(type(obj))[head]()
     return dataclasses.replace(obj, **{head: _graft(child, rest, value)})
 
 
 def _is_scalar(value: Any) -> bool:
-    return value is None or isinstance(value, (bool, int, float, str))
+    """A JSON scalar with a JSON spelling (no NaN, no infinities)."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return value is None or isinstance(value, (bool, int, str))
 
 
 def _override(obj: Any, parts: list, value: Any, full_path: str):
@@ -891,22 +895,12 @@ def _override(obj: Any, parts: list, value: Any, full_path: str):
     head, rest = parts[0], parts[1:]
     # `params.KEY` addresses the scalar-extras mapping of the spec (or
     # of a Summary/Transport/TopologySpec) rather than a dataclass field.
-    if head == "params" and isinstance(obj, _PARAMS_CLASSES):
+    if head == "params" and isinstance(obj, ParamsSpec):
         _require(
             len(rest) == 1,
             f"override {full_path!r}: 'params' takes exactly one key segment",
         )
-        _require(_is_scalar(value), f"override {full_path!r}: value must be a JSON scalar")
-        if isinstance(obj, ExperimentSpec):
-            return obj.with_params(**{rest[0]: value})
-        merged = obj.params_dict()
-        merged[rest[0]] = value
-        try:
-            return dataclasses.replace(obj, params=_freeze_params(merged))
-        except SpecError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise SpecError(f"override {full_path!r}: {exc}") from exc
+        return dataclasses.replace(obj, params={**obj.params_dict(), rest[0]: value})
     known = {f.name for f in fields(obj)}
     _require(
         head in known,
@@ -914,35 +908,22 @@ def _override(obj: Any, parts: list, value: Any, full_path: str):
         f"(fields: {sorted(known)})",
     )
     if not rest:
-        _require(_is_scalar(value), f"override {full_path!r}: value must be a JSON scalar")
         current = getattr(obj, head)
         _require(
             not isinstance(current, tuple),
             f"override {full_path!r}: field {head!r} is an array; only scalar "
             f"fields can be overridden",
         )
-        try:
-            return dataclasses.replace(obj, **{head: value})
-        except SpecError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise SpecError(f"override {full_path!r}: {exc}") from exc
-    child = getattr(obj, head)
-    if child is None:
-        default = _DEFAULTABLE_COMPONENTS.get(head)
-        _require(
-            default is not None,
-            f"override {full_path!r}: {type(obj).__name__}.{head} is unset and "
-            f"has no default to extend (extendable when unset: "
-            f"{sorted(_DEFAULTABLE_COMPONENTS)})",
-        )
-        child = default()
+        return dataclasses.replace(obj, **{head: value})
+    nested = nested_specs(type(obj))
     _require(
-        dataclasses.is_dataclass(child),
+        head in nested,
         f"override {full_path!r}: field {head!r} is not a component spec "
-        f"(nested specs of {type(obj).__name__}: "
-        f"{sorted(_NESTED_SPEC_FIELDS.get(type(obj), {})) or ['none']})",
+        f"(nested specs of {type(obj).__name__}: {sorted(nested) or ['none']})",
     )
+    child = getattr(obj, head)
+    if child is None:  # an unset component is extended from its defaults
+        child = nested[head]()
     return dataclasses.replace(obj, **{head: _override(child, rest, value, full_path)})
 
 
@@ -968,63 +949,40 @@ def _construct(cls: type, kwargs: Mapping[str, Any]):
         raise SpecError(f"invalid {cls.__name__}: {exc}") from exc
 
 
-#: Spec classes whose ``params`` field is a frozen scalar mapping (the
-#: serialisation and override layers treat it as a dict, not a field).
-_PARAMS_CLASSES = (ExperimentSpec, SummarySpec, TransportSpec, TopologySpec)
+def _spec_class(kind: Any) -> bool:
+    return isinstance(kind, type) and issubclass(kind, CheckedSpec)
 
-#: Nested single-spec fields per dataclass: ``field -> (class,
-#: defaulted)``.  ``defaulted`` fields fall back to the class's
-#: defaults when the JSON value is ``null``/absent; the rest stay
-#: ``None``.  This one table drives :func:`_spec_from_dict`,
-#: :func:`_spec_to_dict`, and the override error messages — a new
-#: nested spec registers here instead of growing each walker a branch.
-_NESTED_SPEC_FIELDS: Dict[type, Dict[str, Tuple[type, bool]]] = {
-    ExperimentSpec: {
-        "swarm": (SwarmSpec, False),
-        "strategy": (StrategySpec, True),
-        "churn": (ChurnSpec, False),
-        "reconfig": (ReconfigSpec, False),
-        "transport": (TransportSpec, False),
-        "measurement": (MeasurementSpec, True),
-        "population": (PopulationSpec, False),
-        "catalog": (CatalogSpec, False),
-    },
-    StrategySpec: {"summary": (SummarySpec, False)},
-    ReconfigSpec: {"summary": (SummarySpec, False)},
-    SwarmSpec: {"topology": (TopologySpec, False)},
-    LinkRuleSpec: {"link": (LinkSpec, True)},
-}
 
-#: Nested spec-array fields per dataclass: ``field -> element class``.
-_LIST_SPEC_FIELDS: Dict[type, Dict[str, type]] = {
-    SwarmSpec: {"nodes": NodeSpec, "links": LinkRuleSpec},
-}
+def nested_specs(cls: type) -> Dict[str, type]:
+    """The fields of spec class ``cls`` that hold one nested spec."""
+    return {row.name: row.type for row in contract(cls) if _spec_class(row.type)}
 
 
 def _spec_from_dict(cls: type, data: Mapping[str, Any]):
-    """Build any spec dataclass from a mapping, recursing per the tables."""
+    """Build any spec dataclass from a mapping, recursing per its contract.
+
+    A nested spec given as ``null`` is ``None`` where the field is
+    optional and the class's defaults where it is not.
+    """
     _check_keys(cls, data)
     kwargs = dict(data)
-    for key, (child_cls, defaulted) in _NESTED_SPEC_FIELDS.get(cls, {}).items():
-        child = kwargs.get(key)
-        if child is not None:
-            kwargs[key] = _spec_from_dict(child_cls, child)
-        elif key in kwargs:
-            kwargs[key] = child_cls() if defaulted else None
-    for key, child_cls in _LIST_SPEC_FIELDS.get(cls, {}).items():
-        value = kwargs.get(key, ())
-        _require(
-            isinstance(value, (list, tuple)),
-            f"{cls.__name__} {key!r} must be an array of objects",
-        )
-        kwargs[key] = tuple(_spec_from_dict(child_cls, item) for item in value)
-    if cls in _PARAMS_CLASSES and "params" in kwargs:
-        params = kwargs["params"]
-        _require(
-            params is None or isinstance(params, (Mapping, list, tuple)),
-            f"{cls.__name__} params must be an object of scalars",
-        )
-        kwargs["params"] = _freeze_params(params or ())
+    for name, kind, optional, _ in contract(cls):
+        if name not in kwargs:
+            continue
+        value = kwargs[name]
+        if _spec_class(kind):
+            if value is not None:
+                kwargs[name] = _spec_from_dict(kind, value)
+            else:
+                kwargs[name] = None if optional else kind()
+        elif get_origin(kind) is tuple and _spec_class(get_args(kind)[0]):
+            _require(
+                isinstance(value, (list, tuple)),
+                f"{cls.__name__} {name!r} must be an array of objects",
+            )
+            kwargs[name] = tuple(_spec_from_dict(get_args(kind)[0], item) for item in value)
+        elif value is None and name == "params":
+            kwargs[name] = ()
     return _construct(cls, kwargs)
 
 
@@ -1033,7 +991,7 @@ def _spec_to_dict(obj: Any) -> Dict[str, Any]:
     out: Dict[str, Any] = {}
     for f in fields(obj):
         value = getattr(obj, f.name)
-        if f.name == "params" and isinstance(obj, _PARAMS_CLASSES):
+        if f.name == "params" and isinstance(obj, ParamsSpec):
             out[f.name] = dict(value)
         elif dataclasses.is_dataclass(value):
             out[f.name] = _spec_to_dict(value)
@@ -1044,8 +1002,28 @@ def _spec_to_dict(obj: Any) -> Dict[str, Any]:
     return out
 
 
+#: The allowed values of the enum-valued fields, as their bounds declare.
+LINK_KINDS = bound_of(LinkSpec, "kind").choices
+SEEDING_RULES = bound_of(NodeSpec, "seeding").choices
+SEED_BASES = bound_of(NodeSpec, "seed_basis").choices
+NODE_ROLES = bound_of(NodeSpec, "role").choices
+RECONFIG_POLICIES = bound_of(ReconfigSpec, "policy").choices
+ENGINES = bound_of(MeasurementSpec, "engine").choices
+FIDELITIES = bound_of(MeasurementSpec, "fidelity").choices
+WAVE_PROFILES = bound_of(PopulationSpec, "wave_profile").choices
+
+
 __all__ = [
     "SpecError",
+    "Bound",
+    "bounded",
+    "check_value",
+    "check_fields",
+    "contract",
+    "bound_of",
+    "CheckedSpec",
+    "ParamsSpec",
+    "nested_specs",
     "ComponentDef",
     "COMPONENTS",
     "component_def",

@@ -21,10 +21,11 @@ series aligned without re-running identical transfers.
 import math
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.api.registry import scenario
+from repro.api.registry import check_params, scenario
 from repro.api.result import RunResult
 from repro.api.runner import BuiltExperiment
 from repro.api.spec import (
+    Bound,
     ExperimentSpec,
     MeasurementSpec,
     SpecError,
@@ -88,8 +89,7 @@ def summary_tradeoff(
 
 
 def _parse_kinds(spec: ExperimentSpec) -> List[str]:
-    raw = str(spec.param("kinds", "minwise,bloom,art,cpi"))
-    kinds = [k.strip() for k in raw.split(",") if k.strip()]
+    kinds = [k.strip() for k in check_params(spec)["kinds"].split(",") if k.strip()]
     if not kinds:
         raise SpecError("summary_tradeoff needs at least one summary kind")
     known = set(summary_kinds())
@@ -104,7 +104,7 @@ def _parse_kinds(spec: ExperimentSpec) -> List[str]:
 
 
 def _parse_budgets(spec: ExperimentSpec) -> List[int]:
-    raw = str(spec.param("budgets", "4,8,16"))
+    raw = check_params(spec)["budgets"]
     try:
         budgets = [int(b.strip()) for b in raw.split(",") if b.strip()]
     except ValueError as exc:
@@ -153,6 +153,12 @@ def _params_for_budget(
         target=80, correlation=0.25, kinds="minwise,bloom", budgets="8", seed=9
     ),
     description="Sweep summary kinds x sizes: control bytes vs useful symbols",
+    params={
+        "correlation": Bound(float, 0.3, ge=0, lt=1),
+        "kinds": Bound(str, "minwise,bloom,art,cpi"),
+        "budgets": Bound(str, "4,8,16"),
+        "cpi_cap": Bound(int, DEFAULT_CPI_CAP, ge=0),
+    },
 )
 def build_summary_tradeoff(spec: ExperimentSpec) -> BuiltExperiment:
     """Per cell: build the receiver's summary, reconcile, transfer, account."""
@@ -218,12 +224,10 @@ def _run_cell(
     """One (kind, budget) cell: layout, summary, reconcile, transfer."""
     swarm = spec.swarm
     assert swarm is not None
+    params = check_params(spec)
     rng = derive_rng(spec.seed, "summary_tradeoff", kind, budget)
     layout = make_pair_scenario(
-        swarm.target,
-        swarm.distinct_multiplier,
-        float(spec.param("correlation", 0.3)),
-        rng,
+        swarm.target, swarm.distinct_multiplier, params["correlation"], rng
     )
     deficit = layout.target - len(layout.receiver)
     true_d = len(layout.sender.ids ^ layout.receiver.ids)
@@ -239,23 +243,23 @@ def _run_cell(
         "packets_sent": 0,
     }
 
-    params = _params_for_budget(kind, budget, len(layout.receiver), true_d)
-    if kind == "cpi" and true_d > int(spec.param("cpi_cap", DEFAULT_CPI_CAP)):
+    sizing = _params_for_budget(kind, budget, len(layout.receiver), true_d)
+    if kind == "cpi" and true_d > params["cpi_cap"]:
         # Report the bound's wire cost without paying Θ(d³) recovery —
         # the paper's "prohibitive unless d is small" regime, measured
         # through the same formula a run cell would report.
         from repro.reconcile.adapters import CPISummary
 
         cell["wire_bytes"] = CPISummary.wire_bytes_for_bound(
-            params["max_discrepancy"]
+            sizing["max_discrepancy"]
         )
         events.append(
             f"cpi@{budget}: discrepancy {true_d} exceeds cpi_cap="
-            f"{spec.param('cpi_cap', DEFAULT_CPI_CAP)}; cell reported, not run"
+            f"{params['cpi_cap']}; cell reported, not run"
         )
         return cell
 
-    policy = SummaryPolicy(kind=kind, params=params)
+    policy = SummaryPolicy(kind=kind, params=sizing)
     cell["wire_bytes"] = policy.summary_of(layout.receiver).wire_bytes()
 
     desired = int(math.ceil(deficit * DEFAULT_DESIRED_MARGIN))

@@ -33,7 +33,7 @@ from typing import IO, Any, Callable, Dict, List, Optional, Tuple
 from repro.api.output import prepare_out_file
 from repro.api.result import ResultSchemaError
 from repro.api.runner import run_spec_json
-from repro.api.spec import SpecError, _require, _require_int
+from repro.api.spec import Bound, SpecError, _require, check_value
 from repro.campaign.aggregate import CampaignResult, CellOutcome
 from repro.campaign.expander import CampaignCell, expand
 from repro.campaign.spec import CampaignSpec
@@ -188,8 +188,7 @@ def run_campaign(
 
     Returns the :class:`CampaignResult`, cells in index order.
     """
-    _require_int(workers, "workers")
-    _require(workers >= 1, "workers must be >= 1")
+    check_value("run_campaign.workers", workers, int, Bound(ge=1))
     _require(
         not (resume and out_dir is None),
         "resume requires an output directory (--out)",

@@ -18,20 +18,14 @@ from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.api import registry
-from repro.api.spec import (
-    ExperimentSpec,
-    SpecError,
-    _is_scalar,
-    _require,
-    _require_int,
-)
+from repro.api.spec import CheckedSpec, ExperimentSpec, SpecError, _require, bounded
 
 #: Schema tag stamped into every serialised campaign spec.
 CAMPAIGN_SPEC_SCHEMA = "repro.campaign_spec/1"
 
 
 @dataclass(frozen=True)
-class GridAxis:
+class GridAxis(CheckedSpec):
     """One sweep dimension: a dotted override path and its values.
 
     ``key`` uses :meth:`ExperimentSpec.with_override` syntax
@@ -41,30 +35,20 @@ class GridAxis:
     from the campaign's seed range and are derived per cell.
     """
 
-    key: str
-    values: Tuple[Any, ...] = ()
+    key: str = bounded(nonempty=True)
+    values: Tuple[Any, ...] = bounded((), nonempty=True)
 
     def __post_init__(self) -> None:
-        _require(
-            isinstance(self.key, str) and bool(self.key),
-            "grid axis key must be a non-empty string",
-        )
+        super().__post_init__()
         _require(
             self.key != "seed" and not self.key.startswith("seed."),
             "'seed' cannot be a grid axis; use the campaign's seeds range "
             "(cell seeds are derived per trial)",
         )
-        object.__setattr__(self, "values", tuple(self.values))
-        _require(len(self.values) > 0, f"grid axis {self.key!r} has no values")
-        for value in self.values:
-            _require(
-                _is_scalar(value),
-                f"grid axis {self.key!r} value {value!r} must be a JSON scalar",
-            )
 
 
 @dataclass(frozen=True)
-class CampaignSpec:
+class CampaignSpec(CheckedSpec):
     """The complete declarative description of one parameter sweep.
 
     ``seeds`` replicates every grid cell that many times; each
@@ -77,30 +61,24 @@ class CampaignSpec:
 
     base: ExperimentSpec
     grid: Tuple[GridAxis, ...] = ()
-    seeds: int = 1
+    seeds: int = bounded(1, ge=1)
     name: str = ""
 
     def __post_init__(self) -> None:
-        _require_int(self.seeds, "campaign seeds")
-        _require(self.seeds >= 1, "campaign seeds must be >= 1")
-        _require(
-            isinstance(self.base, ExperimentSpec),
-            "campaign base must be an ExperimentSpec",
-        )
-        object.__setattr__(self, "grid", tuple(self.grid))
+        super().__post_init__()
         seen = set()
         for axis in self.grid:
-            _require(
-                isinstance(axis, GridAxis), "campaign grid entries must be GridAxis"
-            )
             _require(axis.key not in seen, f"duplicate grid key {axis.key!r}")
             seen.add(axis.key)
-            # Every axis value must apply to the base on its own, so a
-            # typo'd path or out-of-range value fails at spec time
+            # Every axis value must apply to the base on its own — a
+            # ``params.*`` value within its scenario's declared bounds —
+            # so a typo'd path or out-of-range value fails at spec time
             # (exit 2) instead of surfacing as per-cell error entries.
             for value in axis.values:
                 try:
-                    self.base.with_override(axis.key, value)
+                    spec = self.base.with_override(axis.key, value)
+                    if axis.key.startswith("params."):
+                        registry.check_params(spec)
                 except SpecError as exc:
                     raise SpecError(
                         f"grid axis {axis.key!r} value {value!r} does not "
@@ -166,19 +144,12 @@ class CampaignSpec:
         _require("base" in data, "campaign spec is missing the 'base' key")
         base = data["base"]
         _require(isinstance(base, Mapping), "campaign 'base' must be a JSON object")
-        name = data.get("name", "")
-        _require(isinstance(name, str), "campaign 'name' must be a string")
-        try:
-            return cls(
-                base=ExperimentSpec.from_dict(base),
-                grid=tuple(_axis_from_dict(a) for a in _grid_list(data)),
-                seeds=data.get("seeds", 1),
-                name=name,
-            )
-        except SpecError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise SpecError(f"invalid campaign spec: {exc}") from exc
+        return cls(
+            base=ExperimentSpec.from_dict(base),
+            grid=tuple(_axis_from_dict(a) for a in _grid_list(data)),
+            seeds=data.get("seeds", 1),
+            name=data.get("name", ""),
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "CampaignSpec":

@@ -13,7 +13,7 @@ import sys
 import pytest
 
 from repro.api import ReconfigSpec, SpecError, registry
-from repro.api.__main__ import parse_reconfig_arg
+from repro.api.__main__ import parse_component_arg
 from repro.campaign import small_campaign
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -35,10 +35,11 @@ def _cli(*args, **kwargs):
 
 class TestParseReconfigArg:
     def test_bare_policy(self):
-        assert parse_reconfig_arg("static") == ReconfigSpec(policy="static")
+        assert parse_component_arg("reconfig", "static") == ReconfigSpec(policy="static")
 
     def test_fields_and_summary_params(self):
-        spec = parse_reconfig_arg(
+        spec = parse_component_arg(
+            "reconfig",
             "informed:summary=bloom,summary.bits_per_element=4,"
             "interval=10,jitter=0.5,scan_budget=8"
         )
@@ -51,15 +52,16 @@ class TestParseReconfigArg:
 
     def test_malformed_inputs_fold_into_spec_error(self):
         with pytest.raises(SpecError):
-            parse_reconfig_arg(":interval=5")
+            parse_component_arg("reconfig", ":interval=5")
         with pytest.raises(SpecError):
-            parse_reconfig_arg("informed:notakeyvalue")
+            parse_component_arg("reconfig", "informed:notakeyvalue")
         with pytest.raises(SpecError):
-            parse_reconfig_arg("informed:unknown_field=3")
+            parse_component_arg("reconfig", "informed:unknown_field=3")
         with pytest.raises(SpecError):
-            parse_reconfig_arg("informed:summary.bits_per_element=4")  # no kind
+            # no kind
+            parse_component_arg("reconfig", "informed:summary.bits_per_element=4")
         with pytest.raises(SpecError):
-            parse_reconfig_arg("psychic")
+            parse_component_arg("reconfig", "psychic")
 
 
 class TestReconfigCli:

@@ -105,8 +105,9 @@ class TestValidation:
             build(spec)
 
     def test_spec_constructor_validates_knobs(self):
+        # No join waves is refused where the flash crowd reads them.
         with pytest.raises(SpecError):
-            specs.congested_swarm(waves=0)
+            build(specs.congested_swarm(waves=0))
         with pytest.raises(SpecError):
             specs.congested_swarm(transport_policy="psychic")
 

@@ -27,7 +27,7 @@ class TestReconfigSpecValue:
     # contract (test_spec_roundtrip_property.py), not per-spec copies.
 
     def test_unknown_policy_rejected(self):
-        with pytest.raises(SpecError, match="reconfig policy"):
+        with pytest.raises(SpecError, match="ReconfigSpec.policy must be one of"):
             ReconfigSpec(policy="psychic")
 
     def test_informed_only_knobs_rejected_on_baseline_policies(self):

@@ -70,11 +70,11 @@ class TestValidation:
             spec.seed = 99
 
     def test_unknown_link_kind_rejected(self):
-        with pytest.raises(SpecError, match="unknown link kind"):
+        with pytest.raises(SpecError, match="LinkSpec.kind must be one of"):
             LinkSpec(kind="teleport")
 
     def test_unknown_seeding_rule_rejected(self):
-        with pytest.raises(SpecError, match="unknown seeding rule"):
+        with pytest.raises(SpecError, match="NodeSpec.seeding must be one of"):
             NodeSpec(seeding="everything")
 
     def test_negative_count_rejected(self):
@@ -219,7 +219,7 @@ class TestDeserialisationTypeErrors:
         assert run(spec).completed
 
     def test_float_count_rejected(self):
-        with pytest.raises(SpecError, match="node count must be an integer"):
+        with pytest.raises(SpecError, match="NodeSpec.count must be an integer"):
             NodeSpec(count=7.5)
         data = CATALOG["flash_crowd"]().to_dict()
         data["swarm"]["nodes"][0]["count"] = 1.5
@@ -232,7 +232,7 @@ class TestDeserialisationTypeErrors:
 
         with pytest.raises(SpecError, match="loss_rate"):
             LinkSpec(loss_rate=1.0)
-        with pytest.raises(SpecError, match=r"p_bad_good must lie in \(0, 1\]"):
+        with pytest.raises(SpecError, match=r"p_bad_good of a gilbert_elliott link must be in \(0, 1\]"):
             LinkSpec(kind="gilbert_elliott", p_bad_good=0.0)
         _build_link(LinkSpec(kind="gilbert_elliott"), {})  # defaults build
 

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from repro.api import ExperimentSpec, SpecError, StrategySpec, SummarySpec, run, specs
-from repro.api.__main__ import parse_summary_arg
+from repro.api.__main__ import parse_component_arg
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 SRC = os.path.join(REPO_ROOT, "src")
@@ -200,19 +200,19 @@ def _cli(*args, **kwargs):
 
 class TestSummaryCliFlag:
     def test_parse_summary_arg(self):
-        s = parse_summary_arg("art:bits_per_element=16,correction=2")
+        s = parse_component_arg("summary", "art:bits_per_element=16,correction=2")
         assert s == SummarySpec(
             kind="art", params={"bits_per_element": 16, "correction": 2}
         )
-        assert parse_summary_arg("bloom") == SummarySpec(kind="bloom")
+        assert parse_component_arg("summary", "bloom") == SummarySpec(kind="bloom")
 
     def test_parse_errors_are_spec_errors(self):
         with pytest.raises(SpecError):
-            parse_summary_arg(":k=1")
+            parse_component_arg("summary", ":k=1")
         with pytest.raises(SpecError):
-            parse_summary_arg("bloom:oops")
+            parse_component_arg("summary", "bloom:oops")
         with pytest.raises(SpecError):
-            parse_summary_arg("nope")
+            parse_component_arg("summary", "nope")
 
     def test_cli_summary_override_runs(self):
         proc = _cli("--scenario", "pair_transfer", "--summary", "bloom")

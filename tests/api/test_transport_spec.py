@@ -19,7 +19,7 @@ import dataclasses
 import pytest
 
 from repro.api import ExperimentSpec, SpecError, TransportSpec, run, specs
-from repro.api.__main__ import parse_transport_arg
+from repro.api.__main__ import parse_component_arg
 
 
 class TestTransportSpecValue:
@@ -120,19 +120,19 @@ class TestOpenLoopParity:
 
 class TestCliParsing:
     def test_policy_and_params(self):
-        ts = parse_transport_arg("aimd:beta=0.7,bottleneck_rate=12,rto_min=1.5")
+        ts = parse_component_arg("transport", "aimd:beta=0.7,bottleneck_rate=12,rto_min=1.5")
         assert ts == TransportSpec(
             policy="aimd", params={"beta": 0.7},
             bottleneck_rate=12, rto_min=1.5,
         )
 
     def test_bare_policy(self):
-        assert parse_transport_arg("open_loop") == TransportSpec()
+        assert parse_component_arg("transport", "open_loop") == TransportSpec()
 
     def test_malformed_input_is_a_spec_error(self):
         with pytest.raises(SpecError):
-            parse_transport_arg(":beta=0.7")
+            parse_component_arg("transport", ":beta=0.7")
         with pytest.raises(SpecError):
-            parse_transport_arg("aimd:beta")
+            parse_component_arg("transport", "aimd:beta")
         with pytest.raises(SpecError):
-            parse_transport_arg("psychic")
+            parse_component_arg("transport", "psychic")

@@ -18,7 +18,7 @@ def _base(**kwargs):
 
 class TestGridAxis:
     def test_requires_values(self):
-        with pytest.raises(SpecError, match="no values"):
+        with pytest.raises(SpecError, match="GridAxis.values must be non-empty"):
             GridAxis("strategy.name", ())
 
     def test_rejects_seed_axis(self):
@@ -125,7 +125,7 @@ class TestCampaignSpecJson:
         with pytest.raises(SpecError, match="'grid' must be an array"):
             CampaignSpec.from_dict(data)
         data["grid"] = [{"key": "strategy.name"}]
-        with pytest.raises(SpecError, match="no values"):
+        with pytest.raises(SpecError, match="GridAxis.values must be non-empty"):
             CampaignSpec.from_dict(data)
         data["grid"] = [{"key": "strategy.name", "values": ["Random"], "extra": 1}]
         with pytest.raises(SpecError, match="unknown grid axis keys"):

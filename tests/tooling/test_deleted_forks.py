@@ -62,6 +62,13 @@ GUARDS = [
     Guard(25, "a set-copy ground truth or a kept shuffle in the flow engine",
      r"containment_in|\.difference\(|_object_perms",
      ["src/repro/flow", "src/repro/delivery/working_set.py"]),
+    Guard(26, "a per-field check beside the one field contract",
+     r"_require_int|_require_finite", ["src"]),
+    Guard(26, "a per-component CLI flag parser",
+     r"def parse_(summary|reconfig|transport|topology|catalog)_arg|_TRANSPORT_FIELDS",
+     ["src/repro/api/__main__.py"]),
+    Guard(26, "a scenario param read around its declaration",
+     r"(int|float)\(spec\.param\(", ["src/repro/api"]),
 ]
 
 
