@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Regenerate every table and figure from the paper in one run.
+"""Which of the paper's claims does this repository reproduce?
 
-Prints paper-style rows for Figures 4(a), 4(b), 4(c), 5, 6, 7, 8 plus
-the Section 6.1 coding parameters and Section 4/5.2 micro-claims.
-Pass --fast for a quick smoke run, --full for publication-scale sizes.
+Evaluates every row of ``repro.experiments.claims.CLAIMS`` and prints
+one line per claim: section · id · statement · paper · ours · verdict.
+A verdict reads "holds k/n": the Figure 5-8 rows are judged on each of
+the campaign's replicate seeds, every other row once.  Pass --fast for
+a quick smoke run, --full for publication-scale sizes.
 
-Run:  python examples/reproduce_paper.py [--fast|--full]
+Run:  python examples/reproduce_paper.py [--fast|--full] [--workers N]
 """
 
 import argparse
@@ -14,114 +16,18 @@ import os
 import sys
 import time
 
-from repro.experiments import (
-    run_coding_stats,
-    run_fig4a,
-    run_fig4b,
-    run_fig4c,
-    run_fig5,
-    run_fig6,
-    run_fig78,
-    run_sketch_accuracy,
-)
-from repro.experiments.fig5678 import series_by_strategy
-
-PAPER_FIG4B = {
-    (0, 2): 0.0000, (0, 4): 0.0087, (0, 6): 0.0997, (0, 8): 0.2540,
-    (1, 2): 0.0063, (1, 4): 0.1615, (1, 6): 0.3950, (1, 8): 0.6246,
-    (2, 2): 0.0530, (2, 4): 0.3492, (2, 6): 0.6243, (2, 8): 0.8109,
-    (3, 2): 0.1323, (3, 4): 0.4800, (3, 6): 0.7424, (3, 8): 0.8679,
-    (4, 2): 0.2029, (4, 4): 0.5538, (4, 6): 0.7966, (4, 8): 0.9061,
-    (5, 2): 0.2677, (5, 4): 0.6165, (5, 6): 0.8239, (5, 8): 0.9234,
-}
+from repro.experiments.claims import evaluate
 
 
-def banner(text):
-    print("\n" + "=" * 68)
-    print(text)
-    print("=" * 68)
-
-
-def show_fig4(scale):
-    banner("Figure 4(a): ART accuracy vs leaf-filter bits (8 bits/elt total)")
-    points = run_fig4a(
-        set_size=scale["art_n"], differences=scale["art_d"],
-        trials=scale["trials"],
-    )
-    print("leaf_bits " + " ".join(f"corr={c}" for c in range(6)))
-    for leaf in (1, 2, 3, 4, 5, 6, 7):
-        row = sorted(
-            (p for p in points if p.leaf_bits == leaf), key=lambda p: p.correction
-        )
-        print(f"{leaf:9d} " + " ".join(f"{p.accuracy:6.3f}" for p in row))
-
-    banner("Figure 4(b): ART accuracy, ours vs paper (optimal split)")
-    table = run_fig4b(
-        set_size=scale["art_n"], differences=scale["art_d"],
-        trials=scale["trials"],
-    )
-    print("corr  " + "    ".join(f"{b} bits (paper)" for b in (2, 4, 6, 8)))
-    for c in range(6):
-        cells = [
-            f"{table[(c, b)]:.3f} ({PAPER_FIG4B[(c, b)]:.3f})" for b in (2, 4, 6, 8)
-        ]
-        print(f"{c:4d}  " + "  ".join(cells))
-
-    banner("Figure 4(c): Bloom filter vs ART at 8 bits/element")
-    print(f"{'structure':28s} {'accuracy':>8s} {'search s':>9s} {'big-O':>12s}")
-    for r in run_fig4c(
-        set_size=scale["art_n"], differences=scale["art_d"],
-        trials=scale["trials"],
-    ):
-        print(f"{r.name:28s} {r.accuracy:8.3f} {r.search_seconds:9.5f} "
-              f"{r.asymptotic:>12s}")
-    print("paper: Bloom 98% / O(n); ART (corr=5) 92% / O(d log n)")
-
-
-def show_delivery(scale):
-    target, trials = scale["target"], scale["trials"]
-    workers = scale["workers"]
-
-    def print_points(points, title, paper_note):
-        for scenario in ("compact", "stretched"):
-            series = series_by_strategy(points, scenario)
-            corrs = sorted({round(p.correlation, 3) for p in points
-                            if p.scenario == scenario})
-            banner(f"{title} — {scenario} ({paper_note})")
-            print("corr      " + " ".join(f"{c:6.3f}" for c in corrs))
-            for name in ("Random", "Random/BF", "Recode", "Recode/BF", "Recode/MW"):
-                pts = series.get(name, [])
-                vals = " ".join(
-                    f"{p.value:6.2f}" if not math.isnan(p.value) else "   nan"
-                    for p in pts
-                )
-                print(f"{name:9s} {vals}")
-
-    print_points(run_fig5(target=target, trials=trials, workers=workers),
-                 "Figure 5: p2p transfer overhead",
-                 "1.0 = every packet useful")
-    print_points(run_fig6(target=target, trials=trials, workers=workers),
-                 "Figure 6: speedup, full + partial sender",
-                 "2.0 = perfect second sender")
-    print_points(run_fig78(2, target=target, trials=trials, workers=workers),
-                 "Figure 7: relative rate, 2 partial senders",
-                 "vs one full sender")
-    print_points(run_fig78(4, target=target, trials=trials, workers=workers),
-                 "Figure 8: relative rate, 4 partial senders",
-                 "vs one full sender")
-
-
-def show_micro(scale):
-    banner("Section 6.1: coding parameters")
-    stats = run_coding_stats(num_blocks=scale["code_blocks"], trials=scale["trials"])
-    print(f"blocks {stats.num_blocks}: average degree {stats.average_degree:.2f} "
-          f"(paper: 11), decode overhead {stats.decoding_overhead:.3f} "
-          f"± {stats.overhead_std:.3f} (paper: 0.068 at 24k blocks)")
-
-    banner("Section 4: sketch accuracy within a 1KB calling card")
-    print(f"{'technique':15s} {'bytes':>6s} {'rmse':>7s} {'bias':>8s}")
-    for r in run_sketch_accuracy(set_size=scale["art_n"], trials=scale["trials"]):
-        print(f"{r.technique:15s} {r.packet_bytes:6d} {r.rmse:7.4f} {r.bias:8.4f}")
+def fmt(value):
+    """A measured value as the table prints it."""
+    if isinstance(value, tuple):
+        return " / ".join(fmt(v) for v in value)
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, float) and not math.isnan(value):
+        return f"{value:.3f}" if abs(value) < 10 else f"{value:.1f}"
+    return str(value)
 
 
 def main(argv=None):
@@ -134,21 +40,17 @@ def main(argv=None):
              "(default: the machine's core count)",
     )
     args = parser.parse_args(argv)
-    if args.full:
-        scale = dict(art_n=10_000, art_d=100, target=2_000, trials=5,
-                     code_blocks=23_968)
-    elif args.fast:
-        scale = dict(art_n=1_000, art_d=40, target=300, trials=1,
-                     code_blocks=500)
-    else:
-        scale = dict(art_n=5_000, art_d=100, target=1_000, trials=3,
-                     code_blocks=4_000)
-    scale["workers"] = args.workers or (os.cpu_count() or 1)
+    scale = "full" if args.full else "fast" if args.fast else "default"
     start = time.time()
-    show_fig4(scale)
-    show_delivery(scale)
-    show_micro(scale)
-    print(f"\nAll experiments regenerated in {time.time() - start:.1f}s.")
+    verdicts = evaluate(scale, workers=args.workers or (os.cpu_count() or 1))
+    for v in verdicts:
+        c = v.claim
+        verdict = "holds" if v.holds else "FAILS"
+        print(f"{c.section:8s} {c.id:42s} {c.statement} · paper {c.paper} · "
+              f"ours {fmt(v.ours)} · {verdict} {v.held}/{v.seeds} ({v.seconds:.2f}s)")
+    held = sum(v.holds for v in verdicts)
+    print(f"\n{held} of {len(verdicts)} claims hold in every seed at {scale} "
+          f"scale; evaluated in {time.time() - start:.1f}s.")
     return 0
 
 

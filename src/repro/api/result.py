@@ -58,8 +58,7 @@ def _schema_require(condition: bool, message: str) -> None:
 def validate_result_dict(data: Any) -> None:
     """Validate a dict against :data:`RESULT_SCHEMA` (closed-world).
 
-    Shared by campaign ``--resume`` cell loading and the CI
-    bench-baseline job (``scripts/validate_bench.py``): raises
+    Used by campaign cell loading (``--resume``): raises
     :class:`ResultSchemaError` on any missing, unknown, or wrongly
     typed key or a non-finite metric, so schema drift fails loudly
     instead of accumulating silently in archived results.

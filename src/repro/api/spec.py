@@ -551,9 +551,8 @@ class MeasurementSpec(CheckedSpec):
     max_packets: int = bounded(0, ge=0)  # 0 = let the transfer loop derive its default
     #: Inert: validated and echoed, read by nothing.  It used to pick
     #: between two epoch kernels; there is one now
-    #: (``SummaryScheme.usefulness_many``).  The field outlives them by
-    #: one PR because the frozen ``bench/workloads.py`` sets it and
-    #: ``benchmarks/`` overrides it (ROADMAP items 3c / 4b remove it).
+    #: (``SummaryScheme.usefulness_many``).  The field outlives them
+    #: because the frozen ``bench/workloads.py`` still sets it.
     engine: str = bounded("reference", choices=("reference", "columnar"))
     #: Simulation fidelity: "packet" runs the per-symbol event engines
     #: (every existing scenario), "flow" the rate-equation population

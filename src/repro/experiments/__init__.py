@@ -1,9 +1,11 @@
 """Experiment runners regenerating every table and figure in the paper.
 
 Each runner returns plain dataclasses with the same rows/series the paper
-reports; benchmarks time them and examples print them.  The experiment id
-to paper mapping lives in DESIGN.md's experiment index.
+reports.  Which of the paper's claims they reproduce, at which scale, is
+one table: :data:`repro.experiments.claims.CLAIMS` (printed by
+``examples/reproduce_paper.py``).
 
+* :mod:`repro.experiments.claims` — the claims table and its evaluation.
 * :mod:`repro.experiments.fig4` — ART accuracy (Figure 4a, 4b, 4c).
 * :mod:`repro.experiments.fig5678` — delivery simulations (Figures 5-8).
 * :mod:`repro.experiments.coding_stats` — Section 6.1 code parameters.

@@ -10,6 +10,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.api.spec import Bound, check_value
 from repro.coding import DegreeDistribution, LTEncoder, PeelingDecoder
 
 
@@ -35,6 +36,7 @@ def run_coding_stats(
     Identity-only decoding (no payload XOR) — overhead is a property of
     the symbol/block bipartite graph, not of the payload bytes.
     """
+    check_value("run_coding_stats.trials", trials, int, Bound(ge=1))
     distribution = distribution or DegreeDistribution.heavy_tail_heuristic(num_blocks)
     overheads = []
     for t in range(trials):

@@ -14,6 +14,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+from repro.api.spec import Bound, check_value
 from repro.art import ApproximateReconciliationTree
 from repro.filters import BloomFilter
 
@@ -34,6 +35,16 @@ class ARTAccuracyPoint:
     accuracy: float
     nodes_visited: float
     summary_bytes: int
+
+
+def _check_args(
+    where: str, set_size: int, differences: int, trials: int, least_differences: int = 0
+) -> None:
+    """Refuse a run ``_make_sets`` cannot honour or that averages nothing."""
+    check_value(
+        f"{where}.differences", differences, int, Bound(ge=least_differences, le=set_size)
+    )
+    check_value(f"{where}.trials", trials, int, Bound(ge=1))
 
 
 def _make_sets(
@@ -89,6 +100,7 @@ def run_fig4a(
     seed: int = 42,
 ) -> List[ARTAccuracyPoint]:
     """Figure 4(a): accuracy vs leaf-filter bits at fixed total budget."""
+    _check_args("run_fig4a", set_size, differences, trials)
     rng = random.Random(seed)
     points: List[ARTAccuracyPoint] = []
     for leaf_bits in leaf_bit_choices:
@@ -136,6 +148,7 @@ def run_fig4b(
     correction level by a small sweep — "the optimal distribution of bits
     between leaves and interior nodes".
     """
+    _check_args("run_fig4b", set_size, differences, trials)
     rng = random.Random(seed)
     table: Dict[Tuple[int, int], float] = {}
     for bits in bits_choices:
@@ -175,6 +188,7 @@ def run_fig4c(
     seed: int = 42,
 ) -> List[StructureComparison]:
     """Figure 4(c): Bloom filter vs ART at 8 bits per element."""
+    _check_args("run_fig4c", set_size, differences, trials, least_differences=1)
     rng = random.Random(seed)
     bf_acc, bf_time = [], []
     art_acc, art_time = [], []

@@ -25,9 +25,10 @@ Shared conventions (Section 6.3):
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from repro.api import ExperimentSpec, specs
+from repro.api.spec import Bound, check_value
 from repro.campaign import CampaignSpec, GridAxis, run_campaign
 from repro.delivery import STRATEGY_NAMES
 from repro.delivery.scenarios import (
@@ -59,6 +60,14 @@ class DeliveryPoint:
     correlation: float
     value: float  # overhead (fig 5), speedup (fig 6), relative rate (7/8)
     completed_fraction: float
+    #: Each replicate seed's value in trial order (NaN where that cell
+    #: did not complete); ``value`` is the mean of the completed ones.
+    seeds: Tuple[float, ...] = ()
+
+
+def _check_points(where: str, correlation_points: int) -> None:
+    """A curve needs two correlations: its ends are 0 and the cap."""
+    check_value(f"{where}.correlation_points", correlation_points, int, Bound(ge=2))
 
 
 def _correlations(multiplier: float, count: int) -> List[float]:
@@ -154,6 +163,10 @@ def _campaign_points(
         for name in campaign.axis(_STRATEGY_AXIS).values:
             cells = groups[(corr, name)]
             value = result.mean_metric(cells, metric)
+            seeds = [
+                c.metric(metric) if c.completed else None
+                for c in sorted(cells, key=lambda c: c.trial)
+            ]
             points.append(
                 DeliveryPoint(
                     figure=figure,
@@ -162,6 +175,7 @@ def _campaign_points(
                     correlation=corr,
                     value=value if value is not None else math.nan,
                     completed_fraction=sum(c.completed for c in cells) / len(cells),
+                    seeds=tuple(math.nan if v is None else v for v in seeds),
                 )
             )
     return points
@@ -175,6 +189,7 @@ def fig5_campaigns(
     seed: int = 7,
 ) -> Dict[float, CampaignSpec]:
     """Figure 5's two panels (by distinct-multiplier) as campaign grids."""
+    _check_points("fig5_campaigns", correlation_points)
     return {
         multiplier: _figure_campaign(
             f"fig5-{_scenario_name(multiplier)}",
@@ -195,6 +210,7 @@ def fig6_campaigns(
     seed: int = 11,
 ) -> Dict[float, CampaignSpec]:
     """Figure 6's two panels as campaign grids."""
+    _check_points("fig6_campaigns", correlation_points)
     return {
         multiplier: _figure_campaign(
             f"fig6-{_scenario_name(multiplier)}",
@@ -225,6 +241,7 @@ def fig78_campaigns(
     """Figure 7/8's two panels (``num_senders`` partial senders) as grids."""
     if num_senders < 1:
         raise ValueError("need at least one sender")
+    _check_points("fig78_campaigns", correlation_points)
     corrs = [
         max_correlation * i / (correlation_points - 1)
         for i in range(correlation_points)

@@ -11,6 +11,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
+from repro.api.spec import Bound, check_value
 from repro.delivery.working_set import DEFAULT_KEY_UNIVERSE, WorkingSet
 from repro.hashing.permutations import PermutationFamily
 from repro.sketches import (
@@ -53,6 +54,7 @@ def run_sketch_accuracy(
     All techniques are granted the same ~1KB budget: 128 minima, 128
     sampled keys, or an expected-128-element mod-k sample.
     """
+    check_value("run_sketch_accuracy.trials", trials, int, Bound(ge=1))
     rng = random.Random(seed)
     family = PermutationFamily(sketch_entries, DEFAULT_KEY_UNIVERSE, seed=seed)
     errors: Dict[str, List[float]] = {"minwise": [], "random-sample": [], "mod-k": []}

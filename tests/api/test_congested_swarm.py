@@ -16,6 +16,7 @@ import dataclasses
 import pytest
 
 from repro.api import SpecError, TransportSpec, build, registry, run, specs
+from repro.transport import transport_policies
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +70,15 @@ class TestPolicyContrast:
         ).metrics
         assert aimd["queue_drop_rate"] < open_loop["queue_drop_rate"]
         assert aimd["useful_fraction"] > open_loop["useful_fraction"]
+
+    @pytest.mark.parametrize("policy", transport_policies())
+    def test_every_policy_queues_at_the_bottleneck(self, policy):
+        spec = registry.small_spec("congested_swarm").with_override(
+            "transport.policy", policy
+        )
+        result = run(spec)
+        assert result.completed
+        assert result.metrics["queue_delay_mean"] > 0.0
 
 
 class TestInformedVsRandom:

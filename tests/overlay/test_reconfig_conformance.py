@@ -255,6 +255,28 @@ class TestSummaryScheme:
         assert scheme.card_of(node) is not first
 
 
+def _one_epoch(kind, params, scan_budget=0):
+    """A 24-peer partially seeded swarm ticked through its first epoch."""
+    target = 120
+    rng = derive_rng(0, "one-epoch", kind, scan_budget)
+    scheme = SummaryScheme(kind, params)
+    sim = OverlaySimulator(
+        admission=SketchAdmission(scheme),
+        rewiring=UtilityRewiring(scheme, rng=rng),
+        reconfigure_every=2,
+        reconfig_budget=scan_budget,
+        rng=rng,
+    )
+    sim.add_node(OverlayNode("src", target, is_source=True))
+    for i in range(24):
+        ids = rng.sample(range(int(target * 1.2)), rng.randrange(0, target // 2))
+        sim.add_node(OverlayNode(f"p{i}", target, initial_ids=ids, max_connections=3))
+        sim.connect("src", f"p{i}")
+    sim.tick()
+    sim.tick()
+    return sim
+
+
 class TestScheduledEpochs:
     def _sim(self, **kwargs):
         scheme = default_scheme()
@@ -317,6 +339,24 @@ class TestScheduledEpochs:
         report = sim.run(max_ticks=200)
         assert report.all_complete
         assert report.reconfig_epochs > 0
+
+    def test_scan_budget_orders_one_epochs_cost(self):
+        full, mid, small = (
+            _one_epoch("minwise", {"entries": 128}, scan_budget=budget).control_bytes
+            for budget in (0, 8, 2)
+        )
+        assert small < mid < full
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [("minwise", {"entries": 128}), ("bloom", {"bits_per_element": 8}),
+         ("modk", {"modulus": 16})],
+    )
+    def test_one_epoch_rewires_and_charges_cards(self, kind, params):
+        sim = _one_epoch(kind, params)
+        assert sim.report().reconfig_epochs == 1
+        assert sim.reconfigurations > 0
+        assert sim.control_bytes > 0
 
     def test_negative_jitter_and_budget_rejected(self):
         with pytest.raises(ValueError):

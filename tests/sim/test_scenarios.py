@@ -61,6 +61,16 @@ class TestFlashCrowd:
         assert report.all_complete
         assert len(sc.extras["join_plans"]) == 24 - 4
 
+    def test_256_node_crowd_plans_every_join_on_the_clock(self):
+        sc = flash_crowd(
+            num_peers=256, target=40, waves=8, wave_interval=15, initial_seeded=8
+        )
+        report = sc.run(max_ticks=20_000)
+        assert report.all_complete
+        assert len(sc.events) == 8  # every wave fired on the clock
+        # Every joiner planned its connections from live calling cards.
+        assert len(sc.extras["join_plans"]) == 256 - 8
+
     def test_stats_recorder_captured_deliveries(self):
         sc = flash_crowd(num_peers=12, target=50)
         report = sc.run(max_ticks=4000)
@@ -81,6 +91,28 @@ class TestFlashCrowdScale:
         sc = flash_crowd(num_peers=96, target=100, waves=6, wave_interval=15)
         report = sc.run(max_ticks=8000)
         assert report.all_complete
+
+    def test_100k_flash_crowd_window_delivers(self):
+        """Nearly-empty peers rushing 16 sources: eight ticks, one budgeted
+        epoch over every receiver, at 100k nodes."""
+        spec = (
+            specs.random_overlay(
+                num_peers=100_000, target=100, num_sources=16,
+                initial_fraction_lo=0.0, initial_fraction_hi=0.05,
+                seed=0, with_physical=False,
+            )
+            .with_override("strategy.name", "Random")
+            .with_override("reconfig.policy", "informed")
+            .with_override("reconfig.interval", 5.0)
+            .with_override("reconfig.scan_budget", 8)
+            .with_override("measurement.record_series", False)
+        )
+        sim = build(spec).scenario.simulator
+        for _ in range(8):
+            sim.tick()
+        report = sim.report()
+        assert report.packets_sent > 0
+        assert report.packets_useful > 0
 
 
 class TestSourceDeparture:

@@ -1,11 +1,12 @@
 """What a simplification PR deleted stays deleted.
 
 One row per guard: a regular expression, the paths under the repo root
-it is searched in (``*.py`` files only, so a stale ``__pycache__`` never
-matches), and the PR that removed the last match.  A row may name files
-to skip and the number of matching lines that is right.  These were
-per-PR ``grep`` steps in CI; as a tier-1 test they also run locally and
-in the no-numpy lane.
+it is searched in (``*.py`` files unless the row names other globs, so a
+stale ``__pycache__`` never matches), and the PR that removed the last
+match.  A row may name files to skip and the number of matching lines
+that is right.  Deleted files and directories are listed once, in
+``DELETED_PATHS``.  These were per-PR ``grep`` steps in CI; as a tier-1
+test they also run locally and in the no-numpy lane.
 """
 
 import re
@@ -15,6 +16,7 @@ from typing import NamedTuple, Sequence
 import pytest
 
 ROOT = Path(__file__).resolve().parents[2]
+THIS_FILE = "tests/tooling/test_deleted_forks.py"
 
 
 class Guard(NamedTuple):
@@ -24,6 +26,7 @@ class Guard(NamedTuple):
     paths: Sequence[str]
     skipped: Sequence[str] = ()
     matches: int = 0
+    globs: Sequence[str] = ("*.py",)
 
 
 GUARDS = [
@@ -69,17 +72,35 @@ GUARDS = [
      ["src/repro/api/__main__.py"]),
     Guard(26, "a scenario param read around its declaration",
      r"(int|float)\(spec\.param\(", ["src/repro/api"]),
+    Guard(27, "the second benchmark harness's knobs, schema or JSON writer",
+     r"REPRO_BENCH_|bench_meta|write_bench_json",
+     ["src", "tests", "bench", "examples", "scripts", ".github"],
+     [THIS_FILE], globs=("*.py", "*.yml")),
+    Guard(27, "a paper value table beside the claims table",
+     r"PAPER_FIG4B|PAPER_TABLE", ["src", "tests", "bench", "examples", "scripts"],
+     ["src/repro/experiments/claims.py", THIS_FILE]),
+]
+
+#: Deleted files and directories.
+DELETED_PATHS = [
+    "benchmarks",
+    "scripts/validate_bench.py",
+    "tests/tooling/test_validate_bench.py",
+    "tests/integration/test_paper_claims.py",
 ]
 
 
-def _matches(pattern, paths, skipped=()):
+def _matches(pattern, paths, skipped=(), globs=("*.py",)):
     regex = re.compile(pattern)
     skip = {ROOT / name for name in skipped}
     hits = []
     for path in paths:
         path = ROOT / path
         assert path.exists(), f"guarded path {path} is gone; update the row"
-        for file in [path] if path.is_file() else sorted(path.rglob("*.py")):
+        files = [path] if path.is_file() else sorted(
+            file for glob in globs for file in path.rglob(glob)
+        )
+        for file in files:
             if file in skip:
                 continue
             for number, line in enumerate(file.read_text().splitlines(), 1):
@@ -92,11 +113,16 @@ def _matches(pattern, paths, skipped=()):
     "guard", GUARDS, ids=[f"PR{g.pr}-{g.what.replace(' ', '-')}" for g in GUARDS]
 )
 def test_deleted_fork_stays_deleted(guard):
-    hits = _matches(guard.pattern, guard.paths, guard.skipped)
+    hits = _matches(guard.pattern, guard.paths, guard.skipped, guard.globs)
     assert len(hits) == guard.matches, (
         f"PR {guard.pr} left {guard.matches} line(s) matching {guard.what}; "
         "found:\n" + "\n".join(hits)
     )
+
+
+@pytest.mark.parametrize("path", DELETED_PATHS)
+def test_deleted_path_stays_deleted(path):
+    assert not (ROOT / path).exists(), f"{path} was deleted; it must not grow back"
 
 
 def test_the_guard_sees_a_match_when_there_is_one():

@@ -29,6 +29,12 @@ def test_connected_at_every_size(kind, n):
 
 
 @pytest.mark.parametrize("kind", ALL)
+@pytest.mark.parametrize("n", [100, 1_000, 10_000])
+def test_connected_at_scale(kind, n):
+    assert generate(kind, n, seed=7).is_connected()
+
+
+@pytest.mark.parametrize("kind", ALL)
 def test_deterministic_replay(kind):
     a = generate(kind, 21, seed=5)
     b = generate(kind, 21, seed=5)

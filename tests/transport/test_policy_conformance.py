@@ -59,6 +59,15 @@ class TestPolicyInvariants:
             rate = policy.pacing_rate
             assert rate is None or rate >= 0.0
 
+    def test_steady_send_ack_loop_gets_acks(self, kind):
+        ctrl = TransportController(build_policy(kind), RtxManager(), name=kind)
+        now = 0.0
+        for _ in range(2_000):
+            now += 0.1
+            for _ in range(ctrl.allowance(now, 4, window=0.1)):
+                ctrl.on_ack(now + 1.0, ctrl.on_send(now))
+        assert ctrl.acked > 0
+
     def test_controller_allowance_is_sane(self, kind):
         """Allowance never exceeds the link budget, never goes negative,
         and window bookkeeping survives heavy timeouts."""
