@@ -6,7 +6,9 @@ in order), and of its run's full result JSON (series included).  A
 change to how specs are validated, serialised, expanded or interpreted
 that moves any byte of these moves a hash.  The run hashes must hold
 with and without numpy (``repro.hashing.batch._numpy`` patched shut;
-the no-numpy lane runs the same table with numpy absent).
+the no-numpy lane runs the same table with numpy absent).  The
+population scenario's packet fidelity, which its small spec does not
+reach, is pinned the same way at one and two catalog objects.
 """
 
 import hashlib
@@ -97,6 +99,14 @@ PINS = {
 }
 
 
+#: population_flash_crowd's small spec at packet fidelity -> result JSON,
+#: by ``population.objects`` (the small spec itself runs the flow engine).
+POPULATION_PACKET_PINS = {
+    1: "8577f3fec8dc93db076173252d015905ab244ae667e46377ba80090c0162be71",
+    2: "b43dc601e5a539ffd7eab1f6022e52d06dc811697404fc42a4f9997ac6beeac1",
+}
+
+
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -124,3 +134,17 @@ def test_small_spec_result(name, numpy, monkeypatch):
         monkeypatch.setattr(batch, "_numpy", lambda: None)
     result = run(registry.small_spec(name))
     assert _sha(result.to_json(include_series=True)) == PINS[name][2]
+
+
+@pytest.mark.parametrize("numpy", ["numpy", "no-numpy"])
+@pytest.mark.parametrize("objects", sorted(POPULATION_PACKET_PINS))
+def test_population_packet_result(objects, numpy, monkeypatch):
+    if numpy == "no-numpy":
+        monkeypatch.setattr(batch, "_numpy", lambda: None)
+    spec = (
+        registry.small_spec("population_flash_crowd")
+        .with_override("measurement.fidelity", "packet")
+        .with_override("population.objects", objects)
+    )
+    result = run(spec)
+    assert _sha(result.to_json(include_series=True)) == POPULATION_PACKET_PINS[objects]
