@@ -40,9 +40,10 @@ import random
 from typing import Dict, Optional, Tuple
 
 from repro.api.builders import (
-    _base_simulator,
+    _build_swarm,
+    _mirror_halves,
     _require_informed_arm,
-    _require_swarm,
+    _require_members,
     _run_arms,
     _schedule_join_waves,
     _seeded_count,
@@ -57,7 +58,6 @@ from repro.api.spec import (
     MeasurementSpec,
     NodeSpec,
     ReconfigSpec,
-    SpecError,
     StrategySpec,
     SwarmSpec,
 )
@@ -97,8 +97,6 @@ def adaptive_overlay(
         strategy_name: sender strategy, shared by all arms (the
             default uninformed ``Random`` isolates the peering axis).
     """
-    if mirrors_per_group < 1:
-        raise SpecError("need at least one mirror per group")
     spec = ExperimentSpec(
         scenario="adaptive_overlay",
         seed=seed,
@@ -140,27 +138,24 @@ def adaptive_overlay(
     return spec
 
 
-def _build_arm(spec: ExperimentSpec, arm: str) -> OverlaySimulator:
-    """One arm's ready-to-run simulator: the mirror swarm under ``arm``'s
-    policies (no recorder — accounting rides the simulator's totals)."""
-    swarm = _require_swarm(spec)
+def _populate_mirrors(spec, scn, rng, shared) -> None:
+    """The mirror swarm: two replica groups on complementary slices
+    behind the source, joiners wired to the source as they land."""
+    swarm = spec.swarm
+    sim = scn.simulator
     src_name = _source_group(swarm).member_ids()[0]
     group_a = swarm.group("a")
     group_b = swarm.group("b")
     joiners = swarm.group("p")
-    target, distinct = swarm.target, swarm.distinct_symbols
-
-    rng = random.Random(derive_seed(spec.seed, "adaptive_overlay"))
-    sim = _base_simulator(spec, rng, None, arm=arm)
+    target = swarm.target
     sim.add_node(OverlayNode(src_name, target, is_source=True))
-    # The two replica groups mirror complementary half-slices of the
-    # symbol space: in-group peerings offer nothing, cross-group
-    # peerings offer everything (Figure 1's C/D insight, scaled up).
-    shuffled = list(range(distinct))
-    rng.shuffle(shuffled)
-    slice_a = shuffled[: _seeded_count(group_a, swarm)]
-    slice_b = shuffled[len(slice_a) : len(slice_a) + _seeded_count(group_b, swarm)]
-    for group, ids in ((group_a, slice_a), (group_b, slice_b)):
+    slices = _mirror_halves(
+        rng,
+        swarm.distinct_symbols,
+        _seeded_count(group_a, swarm),
+        _seeded_count(group_b, swarm),
+    )
+    for group, ids in zip((group_a, group_b), slices):
         for name in group.member_ids():
             sim.add_node(
                 OverlayNode(
@@ -177,7 +172,6 @@ def _build_arm(spec: ExperimentSpec, arm: str) -> OverlaySimulator:
         sim.connect(src_name, pid)
 
     _schedule_join_waves(sim, joiners.member_ids(), spec.churn, admit)
-    return sim
 
 
 def _observe_arm(
@@ -213,9 +207,16 @@ def _observe_arm(
 def build_adaptive_overlay(spec: ExperimentSpec) -> BuiltExperiment:
     """Run all three arms from identical seeds; report the comparison."""
     _require_informed_arm(spec)
+    for group in ("a", "b"):
+        _require_members(spec, group, 1, "one mirror per group")
+
+    def build_arm(arm: str) -> BuiltExperiment:
+        # No recorder: accounting rides the simulator's totals.
+        rng = random.Random(derive_seed(spec.seed, "adaptive_overlay"))
+        return _build_swarm(spec, _populate_mirrors, rng=rng, stats=None, arm=arm)
 
     def run(built: BuiltExperiment) -> RunResult:
-        return _run_arms(spec, ARMS, lambda arm: _build_arm(spec, arm), _observe_arm)
+        return _run_arms(spec, ARMS, build_arm, _observe_arm)
 
     return BuiltExperiment(spec=spec, kind="sweep", runner=run)
 

@@ -17,13 +17,12 @@ Each catalog entry is three small things:
   checks for sections it ignores.
 
 Everything the paper's Section 2 environment shares is assembled once,
-here, for every module of the catalog: :func:`_base_simulator` (the
-only ``OverlaySimulator`` construction — policies, transport, epoch
-kwargs), :func:`_build_swarm` (the head and tail around a populate
-function: RNG, shared loss chains, simulator, departure, ``kind=
-"swarm"`` result), :func:`_schedule_join_waves`, :func:`_informed_join`
-(the Section 4 ``plan_join`` admit function), :func:`_run_arms` (the
-per-arm comparison loop) and :func:`_transport_setup`.
+here, for every module of the catalog: :func:`_build_swarm` (the only
+``OverlaySimulator`` and ``SimScenario`` construction, around a
+populate function; keywords swap its defaults),
+:func:`_schedule_join_waves`, :func:`_informed_join` (the Section 4
+``plan_join`` admit function), :func:`_mirror_halves`, :func:`_run_arms`
+(the per-arm comparison loop) and :func:`_transport_setup`.
 ``build(spec).scenario`` hands back the live
 :class:`~repro.api.runner.SimScenario` for callers that drive the
 simulator themselves.
@@ -274,36 +273,18 @@ def _transport_setup(
     return scheduler, manager, link_factory
 
 
-def _base_simulator(
-    spec: ExperimentSpec,
-    rng: random.Random,
-    stats: Optional[StatsRecorder],
-    link_factory: Optional[LinkFactory] = None,
-    paths: Optional[PathModel] = None,
-    arm: Optional[str] = None,
-    scheme: Optional[SummaryScheme] = None,
-) -> OverlaySimulator:
-    """The one simulator assembly every overlay scenario starts from.
-
-    ``stats`` is the caller's recorder (usually :func:`_series_recorder`);
-    ``arm`` / ``scheme`` pass through to :func:`_reconfig_policies`.
-    Construction draws nothing from ``rng``.
-    """
-    admission, rewiring = _reconfig_policies(spec, rng, arm, scheme)
-    scheduler, manager, link_factory = _transport_setup(spec, stats, link_factory)
-    return OverlaySimulator(
-        admission=admission,
-        rewiring=rewiring,
-        strategy_name=spec.strategy.name,
-        summary_policy=_summary_policy(spec),
-        rng=rng,
-        paths=paths,
-        link_factory=link_factory,
-        stats=stats,
-        scheduler=scheduler,
-        transport=manager,
-        **_reconfig_sim_kwargs(spec, _require_swarm(spec)),
-    )
+def _require_members(
+    spec: ExperimentSpec, group: str, least: int, what: str
+) -> NodeSpec:
+    """The swarm's peer group ``group``, refused below ``least`` members
+    (``what`` names the minimum in the refusal)."""
+    rule = _require_swarm(spec).group(group)
+    if rule.count < least:
+        raise SpecError(
+            f"{spec.scenario} needs at least {what}; swarm group {group!r} "
+            f"has count {rule.count}"
+        )
+    return rule
 
 
 def _seeded_count(rule: NodeSpec, swarm: SwarmSpec) -> int:
@@ -342,6 +323,17 @@ def _seeded_node(
         initial_ids=_initial_ids(rng, rule, swarm),
         max_connections=rule.max_connections,
     )
+
+
+def _mirror_halves(
+    rng: random.Random, distinct: int, count_a: int, count_b: int
+) -> Tuple[List[int], List[int]]:
+    """Two disjoint slices of one shuffle of the symbol space, for two
+    mirror groups: an in-group peering offers nothing, a cross-group
+    peering everything (Figure 1's C/D insight, scaled up)."""
+    shuffled = list(range(distinct))
+    rng.shuffle(shuffled)
+    return shuffled[:count_a], shuffled[count_a : count_a + count_b]
 
 
 def _shared_process(
@@ -594,30 +586,52 @@ def _run_swarm(built: BuiltExperiment) -> RunResult:
     )
 
 
+_SPEC_SERIES: Any = object()  # stats default: the spec's own series choice
+
+
 def _build_swarm(
     spec: ExperimentSpec,
     populate: Callable[..., None],
+    *,
+    rng: Optional[random.Random] = None,
+    stats: Optional[StatsRecorder] = _SPEC_SERIES,
+    arm: Optional[str] = None,
+    scheme: Optional[SummaryScheme] = None,
+    link_factory: Optional[LinkFactory] = None,
     paths: Optional[PathModel] = None,
     runner: Callable[[BuiltExperiment], RunResult] = _run_swarm,
 ) -> BuiltExperiment:
-    """The head and tail every ``kind="swarm"`` scenario shares around
-    its populate function: the run's RNG, the link rules' shared loss
-    chains, the simulator and its :class:`SimScenario`; then the declared
-    departure and the loss chains' per-tick steps.
+    """The one overlay assembly: the run's RNG, the link rules' shared
+    loss chains, the simulator and its :class:`SimScenario`; then
+    ``populate(spec, scn, rng, shared)`` — the scenario's own part, the
+    first to draw from ``rng`` — the declared departure and the loss
+    chains' per-tick steps.
 
-    ``populate(spec, scn, rng, shared)`` is the scenario's own part: it
-    adds the nodes, wires the first connections, schedules the arrivals.
+    Each keyword replaces one default: ``rng`` (``Random(spec.seed)``),
+    ``stats`` (:func:`_series_recorder`; ``None`` records nothing),
+    ``arm`` / ``scheme`` (see :func:`_reconfig_policies`),
+    ``link_factory`` (the link rules), ``paths`` and ``runner``.
     """
     swarm = _require_swarm(spec)
-    rng = random.Random(spec.seed)
+    rng = rng or random.Random(spec.seed)
+    if stats is _SPEC_SERIES:
+        stats = _series_recorder(spec)
     shared = _shared_processes(swarm)
-    stats = _series_recorder(spec)
-    sim = _base_simulator(
-        spec,
-        rng,
-        stats,
-        link_factory=_link_factory_from_rules(swarm, shared),
+    link_factory = link_factory or _link_factory_from_rules(swarm, shared)
+    admission, rewiring = _reconfig_policies(spec, rng, arm, scheme)
+    scheduler, manager, link_factory = _transport_setup(spec, stats, link_factory)
+    sim = OverlaySimulator(
+        admission=admission,
+        rewiring=rewiring,
+        strategy_name=spec.strategy.name,
+        summary_policy=_summary_policy(spec),
+        rng=rng,
         paths=paths,
+        link_factory=link_factory,
+        stats=stats,
+        scheduler=scheduler,
+        transport=manager,
+        **_reconfig_sim_kwargs(spec, swarm),
     )
     scn = SimScenario(spec.scenario, sim, stats, swarm.target)
     populate(spec, scn, rng, shared)
@@ -626,10 +640,26 @@ def _build_swarm(
     return BuiltExperiment(spec=spec, kind="swarm", scenario=scn, runner=runner)
 
 
+def _run_block(
+    label: str, report: SimulationReport, detail: str = ""
+) -> Tuple[Dict[str, float], str]:
+    """One run's shared metrics and its event line."""
+    detail = f" {detail}" if detail else ""
+    return {
+        "ticks": float(report.ticks),
+        "useful_fraction": report.efficiency,
+        "reconfigurations": float(report.reconfigurations),
+        "control_bytes": float(report.control_bytes),
+    }, (
+        f"{label}: ticks={report.ticks} useful_fraction={report.efficiency:.3f}"
+        f"{detail} control_bytes={report.control_bytes}"
+    )
+
+
 def _run_arms(
     spec: ExperimentSpec,
     arms: Sequence[str],
-    build_arm: Callable[[str], OverlaySimulator],
+    build_arm: Callable[[str], BuiltExperiment],
     observe: Callable[
         [str, OverlaySimulator, SimulationReport, Optional[StatsRecorder]],
         Tuple[Dict[str, float], str],
@@ -638,7 +668,7 @@ def _run_arms(
     """The controlled comparison: run every arm of one spec and report
     them side by side.
 
-    ``build_arm(arm)`` returns the arm's ready simulator (every arm
+    ``build_arm(arm)`` is the arm's :func:`_build_swarm` (every arm
     draws the identical construction stream; runs diverge only through
     the policies' own behaviour).  Packet accounting rides the
     simulator's cumulative totals, so an arm cannot improve its
@@ -654,24 +684,14 @@ def _run_arms(
     reports: Dict[str, SimulationReport] = {}
     series = _series_recorder(spec)
     for arm in arms:
-        sim = build_arm(arm)
-        report = sim.run(max_ticks=spec.measurement.max_ticks)
+        scn = build_arm(arm).scenario
+        report = scn.run(max_ticks=spec.measurement.max_ticks)
         reports[arm] = report
-        own, detail = observe(arm, sim, report, series)
-        arm_metrics = {
-            "ticks": float(report.ticks),
-            "useful_fraction": report.efficiency,
-            "reconfigurations": float(report.reconfigurations),
-            "control_bytes": float(report.control_bytes),
-            **own,
-        }
-        for key, value in arm_metrics.items():
+        own, detail = observe(arm, scn.simulator, report, series)
+        block, line = _run_block(arm, report, detail)
+        for key, value in {**block, **own}.items():
             metrics[f"{key}[{arm}]"] = value
-        events.append(
-            f"{arm}: ticks={report.ticks} "
-            f"useful_fraction={report.efficiency:.3f} {detail} "
-            f"control_bytes={report.control_bytes}"
-        )
+        events.append(line)
     metrics["informed_useful_gain"] = (
         metrics["useful_fraction[informed]"] - metrics["useful_fraction[random]"]
     )
@@ -702,8 +722,6 @@ def flash_crowd(
     max_ticks: int = 10_000,
 ) -> ExperimentSpec:
     """Spec: waves of empty peers rush a small seeded swarm."""
-    if initial_seeded >= num_peers:
-        raise SpecError("need at least one non-seeded peer")
     return ExperimentSpec(
         scenario="flash_crowd",
         seed=seed,
@@ -743,10 +761,10 @@ def _populate_flash_crowd(spec, scn, rng, shared) -> None:
         raise SpecError(
             f"{spec.scenario} requires a churn spec with join_waves >= 1"
         )
+    joiners = _require_members(spec, "p", 1, "one non-seeded peer")
     sim = scn.simulator
     src_name = _source_group(swarm).member_ids()[0]
     seeds = swarm.group("seed")
-    joiners = swarm.group("p")
     sim.add_node(OverlayNode(src_name, swarm.target, is_source=True))
     for name in seeds.member_ids():
         sim.add_node(_seeded_node(rng, seeds, swarm, name))
@@ -1267,8 +1285,6 @@ def session_swarm(
     the result carries per-node :class:`~repro.protocol.session.
     SessionStats`.
     """
-    if num_receivers < 1:
-        raise SpecError("need at least one receiver")
     if float(max_time) != int(max_time) or max_time < 1:
         raise SpecError(
             f"max_time must be a positive whole number of time units, got {max_time!r}"
@@ -1308,11 +1324,11 @@ def session_swarm(
 def build_session_swarm(spec: ExperimentSpec) -> BuiltExperiment:
     """Full-protocol sessions paced by link models on a shared clock."""
     swarm = _require_swarm(spec)
+    receivers = _require_members(spec, "dst", 1, "one receiver")
     params = check_params(spec)
-    session_cap = None
     if spec.measurement.max_packets:
         # The spec's budget is a swarm total, split evenly per session.
-        session_cap = spec.measurement.max_packets // max(1, swarm.group("dst").count)
+        session_cap = spec.measurement.max_packets // receivers.count
         if session_cap < 1:
             raise SpecError(
                 f"max_packets={spec.measurement.max_packets} is smaller than "
@@ -1324,7 +1340,6 @@ def build_session_swarm(spec: ExperimentSpec) -> BuiltExperiment:
         session_cap = max(1, int(params["packet_budget_factor"] * swarm.target))
     src_group = _source_group(swarm)
     src_name = src_group.member_ids()[0]
-    receivers = swarm.group("dst")
     link_spec = swarm.link_for(
         src_group.node_class, receivers.node_class
     ) or LinkSpec(kind="constant", rate=2.0)

@@ -27,7 +27,8 @@ from types import SimpleNamespace
 from typing import Dict, List, Tuple
 
 from repro.api.builders import (
-    _base_simulator,
+    _build_swarm,
+    _mirror_halves,
     _reconfig,
     _reconfig_policies,
     _reconfig_sim_kwargs,
@@ -303,7 +304,7 @@ def _run_packet(spec: ExperimentSpec) -> RunResult:
     swarm = _require_swarm(spec)
     pop = spec.population
     assert pop is not None
-    target, distinct = swarm.target, swarm.distinct_symbols
+    target = swarm.target
     mults = tier_multipliers(pop.rate_tiers, pop.rate_spread)
     tier_counts_cache: Dict[int, List[int]] = {}
 
@@ -325,7 +326,6 @@ def _run_packet(spec: ExperimentSpec) -> RunResult:
     all_complete = True
     for layout in _population_layout(pop):
         obj = layout.object_id
-        rng = random.Random(derive_seed(spec.seed, "population_flash_crowd", obj))
         node_mult: Dict[str, float] = {}
 
         def link_factory(chars, sender_id, receiver_id):
@@ -334,54 +334,57 @@ def _run_packet(spec: ExperimentSpec) -> RunResult:
                 loss_rate=pop.loss_rate,
             )
 
-        sim = _base_simulator(spec, rng, None, link_factory=link_factory)
-        src = f"origin{obj}"
-        sim.add_node(OverlayNode(src, target, is_source=True))
-        # Complementary mirror half-slices, the adaptive_overlay idiom.
-        shuffled = list(range(distinct))
-        rng.shuffle(shuffled)
-        half = int(target * MIRROR_FRACTION)
-        slices = (shuffled[:half], shuffled[half : 2 * half])
-        for group, members, ids in (
-            ("a", layout.mirror_a, slices[0]),
-            ("b", layout.mirror_b, slices[1]),
-        ):
-            counts = tier_counts(members)
-            for i in range(members):
-                name = f"{group}{i}"
-                node_mult[name] = mults[_tier_of(i, counts)]
-                sim.add_node(
-                    OverlayNode(
-                        name,
-                        target,
-                        initial_ids=ids,
-                        max_connections=pop.max_connections,
-                    )
-                )
-                sim.connect(src, name)
-
-        def make_wave(wave: int, batch: int):
-            counts = tier_counts(batch)
-
-            def join_wave() -> None:
-                events.append(
-                    f"t={sim.scheduler.now:g} obj{obj} wave of {batch} joins"
-                )
-                for i in range(batch):
-                    name = f"w{wave}p{i}"
+        def populate(spec, scn, rng, shared) -> None:
+            sim = scn.simulator
+            src = f"origin{obj}"
+            sim.add_node(OverlayNode(src, target, is_source=True))
+            half = int(target * MIRROR_FRACTION)
+            slices = _mirror_halves(rng, swarm.distinct_symbols, half, half)
+            for group, members, ids in (
+                ("a", layout.mirror_a, slices[0]),
+                ("b", layout.mirror_b, slices[1]),
+            ):
+                counts = tier_counts(members)
+                for i in range(members):
+                    name = f"{group}{i}"
                     node_mult[name] = mults[_tier_of(i, counts)]
                     sim.add_node(
                         OverlayNode(
-                            name, target, max_connections=pop.max_connections
+                            name,
+                            target,
+                            initial_ids=ids,
+                            max_connections=pop.max_connections,
                         )
                     )
                     sim.connect(src, name)
 
-            return join_wave
+            def make_wave(wave: int, batch: int):
+                counts = tier_counts(batch)
 
-        for w, (arrival, batch) in enumerate(layout.waves):
-            sim.scheduler.schedule_at(arrival, make_wave(w, batch))
-        report = sim.run(max_ticks=spec.measurement.max_ticks)
+                def join_wave() -> None:
+                    events.append(
+                        f"t={sim.scheduler.now:g} obj{obj} wave of {batch} joins"
+                    )
+                    for i in range(batch):
+                        name = f"w{wave}p{i}"
+                        node_mult[name] = mults[_tier_of(i, counts)]
+                        sim.add_node(
+                            OverlayNode(
+                                name, target, max_connections=pop.max_connections
+                            )
+                        )
+                        sim.connect(src, name)
+
+                return join_wave
+
+            for w, (arrival, batch) in enumerate(layout.waves):
+                sim.scheduler.schedule_at(arrival, make_wave(w, batch))
+
+        rng = random.Random(derive_seed(spec.seed, "population_flash_crowd", obj))
+        scn = _build_swarm(
+            spec, populate, rng=rng, stats=None, link_factory=link_factory
+        ).scenario
+        report = scn.run(max_ticks=spec.measurement.max_ticks)
         finished = [t for t in report.completion_ticks.values() if t is not None]
         totals.completions.extend((float(t), 1) for t in finished)
         totals.population += len(report.completion_ticks)

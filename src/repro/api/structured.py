@@ -31,10 +31,13 @@ import random
 from typing import Dict, List, Optional, Tuple
 
 from repro.api.builders import (
-    _base_simulator,
+    _build_swarm,
+    _mirror_halves,
     _require_informed_arm,
+    _require_members,
     _require_swarm,
     _run_arms,
+    _run_block,
     _schedule_join_waves,
     _seeded_count,
     _series_recorder,
@@ -91,8 +94,6 @@ def scale_free_swarm(
             default min-wise calling card).
         seed: master seed; both arms derive identically from it.
     """
-    if num_peers < 2:
-        raise SpecError("scale_free_swarm needs at least two peers")
     spec = ExperimentSpec(
         scenario="scale_free_swarm",
         seed=seed,
@@ -119,63 +120,6 @@ def scale_free_swarm(
     if summary_kind:
         spec = spec.with_override("reconfig.summary.kind", summary_kind)
     return spec
-
-
-def _scale_free_graph(spec: ExperimentSpec):
-    swarm = _require_swarm(spec)
-    if swarm.topology is None:
-        raise SpecError(
-            "scale_free_swarm needs a swarm topology (swarm.topology)"
-        )
-    peers = swarm.group("p")
-    return swarm.topology.generate(peers.count, spec.seed)
-
-
-def _build_scale_free_arm(spec: ExperimentSpec, arm: str) -> OverlaySimulator:
-    """One arm's simulator; both arms draw identical construction streams.
-
-    Each arm records its own series whatever ``record_series`` says:
-    the hub-load metrics are computed from it.
-    """
-    swarm = _require_swarm(spec)
-    src_name = _source_group(swarm).member_ids()[0]
-    peers = swarm.group("p")
-    names = peers.member_ids()
-    target, distinct = swarm.target, swarm.distinct_symbols
-    graph = _scale_free_graph(spec)
-
-    rng = random.Random(derive_seed(spec.seed, "scale_free_swarm"))
-    sim = _base_simulator(spec, rng, _series_recorder(spec, force=True), arm=arm)
-    sim.add_node(OverlayNode(src_name, target, is_source=True))
-    # Complementary content halves by peer parity: a same-half peering
-    # is pure redundancy, a cross-half peering pure gain — the Figure 1
-    # mirror insight spread over the generated graph.
-    shuffled = list(range(distinct))
-    rng.shuffle(shuffled)
-    count = _seeded_count(peers, swarm)
-    halves = (shuffled[:count], shuffled[count : 2 * count])
-    for i, name in enumerate(names):
-        sim.add_node(
-            OverlayNode(
-                name,
-                target,
-                initial_ids=halves[i % 2],
-                max_connections=peers.max_connections,
-            )
-        )
-    # Wire the structured graph, older (hub-heavy) end serving; nodes
-    # the orientation leaves without an inbound edge are fed by the
-    # origin, which otherwise serves through the biggest hub.
-    fed = set()
-    for u, v in graph.edges:
-        sim.connect(names[u], names[v])
-        fed.add(v)
-    for hub in graph.hubs(1):
-        sim.connect(src_name, names[hub])
-    for i, name in enumerate(names):
-        if i not in fed and i not in graph.hubs(1):
-            sim.connect(src_name, name)
-    return sim
 
 
 def _hub_load(stats: StatsRecorder, hub_names) -> float:
@@ -207,10 +151,52 @@ def _hub_load(stats: StatsRecorder, hub_names) -> float:
 def build_scale_free_swarm(spec: ExperimentSpec) -> BuiltExperiment:
     """Run both arms from identical seeds; report the hub-load story."""
     swarm = _require_swarm(spec)
-    graph = _scale_free_graph(spec)  # validates the topology selection up front
+    peers = _require_members(spec, "p", 2, "two peers")
+    names = peers.member_ids()
+    if swarm.topology is None:
+        raise SpecError("scale_free_swarm needs a swarm topology (swarm.topology)")
+    graph = swarm.topology.generate(peers.count, spec.seed)
     _require_informed_arm(spec)
-    peer_names = swarm.group("p").member_ids()
-    hub_names = {peer_names[h] for h in graph.hubs(HUB_COUNT)}
+    hub_names = {names[h] for h in graph.hubs(HUB_COUNT)}
+
+    def populate(spec, scn, rng, shared) -> None:
+        sim = scn.simulator
+        src_name = _source_group(swarm).member_ids()[0]
+        sim.add_node(OverlayNode(src_name, swarm.target, is_source=True))
+        # Complementary content halves by peer parity: a same-half
+        # peering is pure redundancy, a cross-half peering pure gain —
+        # the Figure 1 mirror insight spread over the generated graph.
+        count = _seeded_count(peers, swarm)
+        halves = _mirror_halves(rng, swarm.distinct_symbols, count, count)
+        for i, name in enumerate(names):
+            sim.add_node(
+                OverlayNode(
+                    name,
+                    swarm.target,
+                    initial_ids=halves[i % 2],
+                    max_connections=peers.max_connections,
+                )
+            )
+        # Wire the structured graph, older (hub-heavy) end serving; nodes
+        # the orientation leaves without an inbound edge are fed by the
+        # origin, which otherwise serves through the biggest hub.
+        fed = set()
+        for u, v in graph.edges:
+            sim.connect(names[u], names[v])
+            fed.add(v)
+        for hub in graph.hubs(1):
+            sim.connect(src_name, names[hub])
+        for i, name in enumerate(names):
+            if i not in fed and i not in graph.hubs(1):
+                sim.connect(src_name, name)
+
+    def build_arm(arm: str) -> BuiltExperiment:
+        # Each arm records its own series whatever ``record_series``
+        # says: the hub-load metrics are computed from it.
+        rng = random.Random(derive_seed(spec.seed, "scale_free_swarm"))
+        return _build_swarm(
+            spec, populate, rng=rng, stats=_series_recorder(spec, force=True), arm=arm
+        )
 
     def observe(
         arm: str,
@@ -235,12 +221,7 @@ def build_scale_free_swarm(spec: ExperimentSpec) -> BuiltExperiment:
         return {"hub_load_fraction": load}, f"hub_load_fraction={load:.3f}"
 
     def run(built: BuiltExperiment) -> RunResult:
-        result = _run_arms(
-            spec,
-            SCALE_FREE_ARMS,
-            lambda arm: _build_scale_free_arm(spec, arm),
-            observe,
-        )
+        result = _run_arms(spec, SCALE_FREE_ARMS, build_arm, observe)
         result.metrics["hub_relief"] = (
             result.metrics["hub_load_fraction[random]"]
             - result.metrics["hub_load_fraction[informed]"]
@@ -280,8 +261,6 @@ def cdn_catalog(
     """
     if regionals < 1:
         raise SpecError("cdn_catalog needs at least one regional cache")
-    if edge_peers < 1:
-        raise SpecError("cdn_catalog needs at least one edge peer")
     return ExperimentSpec(
         scenario="cdn_catalog",
         seed=seed,
@@ -354,7 +333,7 @@ def build_cdn_catalog(spec: ExperimentSpec) -> BuiltExperiment:
             "swarm.topology.kind = 'cdn_tiers'"
         )
     caches = swarm.group("cache")
-    edges_group = swarm.group("edge")
+    edges_group = _require_members(spec, "edge", 1, "one edge peer")
     catalog = ObjectCatalog.from_specs(spec.catalog, swarm)
 
     n = 1 + caches.count + edges_group.count
@@ -375,20 +354,10 @@ def build_cdn_catalog(spec: ExperimentSpec) -> BuiltExperiment:
     parent = {}
     for u, v in graph.edges:
         parent.setdefault(v, u)
+    edge_names = list(edges_group.member_ids())
 
-    def run(built: BuiltExperiment) -> RunResult:
-        rng = random.Random(derive_seed(spec.seed, "cdn_catalog"))
-        stats = _series_recorder(spec)
-        # Reconciliation is catalog-aware: the informed arm's scheme
-        # rejects a candidate holding none of a peer's wanted objects
-        # before its symbol card is consulted.
-        base = reconfig_scheme(spec)
-        sim = _base_simulator(
-            spec,
-            rng,
-            stats,
-            scheme=CatalogScheme(catalog, base.kind, base.params_dict()),
-        )
+    def populate(spec, scn, rng, shared) -> None:
+        sim = scn.simulator
         # The origin holds the entire catalog as a plain (non-minting)
         # fully seeded node: fresh-id minting is not object-addressable,
         # and the catalog's id ranges already carry decoding margin.
@@ -418,11 +387,10 @@ def build_cdn_catalog(spec: ExperimentSpec) -> BuiltExperiment:
             sim.connect(origin_name, name)
         # Edge peers each demand one object by Zipf rank; the demand
         # map is shuffled so arrival waves do not confound rank order.
-        edge_names = list(edges_group.member_ids())
         demand_rng = random.Random(derive_seed(spec.seed, "cdn_catalog", "demand"))
         assignment = catalog.assign_demand(len(edge_names))
         demand_rng.shuffle(assignment)
-        demand_of = dict(zip(edge_names, assignment))
+        demand_of = scn.extras["demand"] = dict(zip(edge_names, assignment))
 
         def admit_edge(name: str) -> None:
             idx = tier2[edge_names.index(name)]
@@ -437,21 +405,16 @@ def build_cdn_catalog(spec: ExperimentSpec) -> BuiltExperiment:
             sim.connect(node_name[parent[idx]], name)
 
         _schedule_join_waves(sim, edge_names, spec.churn, admit_edge)
-        report = sim.run(max_ticks=spec.measurement.max_ticks)
-        metrics: Dict[str, float] = {
-            "ticks": float(report.ticks),
-            "useful_fraction": report.efficiency,
-            "reconfigurations": float(report.reconfigurations),
-            "control_bytes": float(report.control_bytes),
-        }
-        events: List[str] = [
-            f"run: ticks={report.ticks} "
-            f"useful_fraction={report.efficiency:.3f} "
-            f"control_bytes={report.control_bytes}"
-        ]
+
+    def run(built: BuiltExperiment) -> RunResult:
+        scn = built.scenario
+        report = scn.run(max_ticks=spec.measurement.max_ticks)
+        metrics, line = _run_block("run", report)
+        events: List[str] = [line]
+        demand_of = scn.extras["demand"]
         by_rank: Dict[int, List[float]] = {}
         for name in edge_names:
-            node = sim.nodes.get(name)
+            node = scn.simulator.nodes.get(name)
             if node is None or node.completed_at_tick is None:
                 continue
             by_rank.setdefault(demand_of[name], []).append(
@@ -469,12 +432,22 @@ def build_cdn_catalog(spec: ExperimentSpec) -> BuiltExperiment:
             spec=spec,
             completed=report.all_complete,
             metrics=metrics,
-            stats=stats,
+            stats=scn.stats,
             events=events,
             extras={"report": report, "demand": demand_of},
         )
 
-    return BuiltExperiment(spec=spec, kind="swarm", runner=run)
+    # Reconciliation is catalog-aware: the informed arm's scheme rejects
+    # a candidate holding none of a peer's wanted objects before its
+    # symbol card is consulted.
+    base = reconfig_scheme(spec)
+    return _build_swarm(
+        spec,
+        populate,
+        rng=random.Random(derive_seed(spec.seed, "cdn_catalog")),
+        scheme=CatalogScheme(catalog, base.kind, base.params_dict()),
+        runner=run,
+    )
 
 
 __all__ = ["SCALE_FREE_ARMS", "HUB_COUNT", "scale_free_swarm", "cdn_catalog"]

@@ -13,10 +13,12 @@ import pytest
 
 from repro.api import (
     ChurnSpec,
+    ExperimentSpec,
     LinkRuleSpec,
     LinkSpec,
     NodeSpec,
     ReconfigSpec,
+    SimScenario,
     SpecError,
     build,
     registry,
@@ -109,6 +111,48 @@ def test_miniature_spec_stays_inside_its_declaration(name):
     build(spec)
     peers = [g.name for g in spec.swarm.nodes if g.role != "source"]
     assert sorted(peers) == sorted(registry.get(name).groups)
+
+
+def _holds_source(spec, sim):
+    """The simulator holds the swarm's declared source (or, with no
+    groups declared, some source node)."""
+    declared = [g.member_ids()[0] for g in spec.swarm.nodes if g.role == "source"]
+    if declared:
+        return declared[0] in sim.nodes
+    return any(node.is_source for node in sim.nodes.values())
+
+
+@pytest.mark.parametrize("name", registry.names())
+def test_swarm_kind_hands_back_a_populated_scenario(name):
+    # kind == "swarm" promises a live scenario: the simulator exists and
+    # already holds the source before anything runs.
+    spec = registry.small_spec(name)
+    built = build(spec)
+    scn = built.scenario
+    populated = isinstance(scn, SimScenario) and _holds_source(spec, scn.simulator)
+    assert (built.kind == "swarm") == populated
+
+
+#: (scenario, group, count, the minimum the refusal names): a group
+#: count below the scenario's minimum, in a spec read from JSON.
+GROUP_MINIMA = [
+    ("session_swarm", "dst", 0, "one receiver"),
+    ("flash_crowd", "p", 0, "one non-seeded peer"),
+    ("congested_swarm", "p", 0, "one non-seeded peer"),
+    ("adaptive_overlay", "a", 0, "one mirror per group"),
+    ("scale_free_swarm", "p", 1, "two peers"),
+    ("cdn_catalog", "edge", 0, "one edge peer"),
+]
+
+
+@pytest.mark.parametrize("name, group, count, minimum", GROUP_MINIMA)
+def test_a_group_below_its_minimum_is_refused_at_build(name, group, count, minimum):
+    data = registry.small_spec(name).to_dict()
+    (node,) = [n for n in data["swarm"]["nodes"] if n["name"] == group]
+    node["count"] = count
+    spec = ExperimentSpec.from_dict(data)
+    with pytest.raises(SpecError, match=f"needs at least {minimum}; swarm group"):
+        build(spec)
 
 
 def test_refusal_names_the_consumers_from_the_registry():

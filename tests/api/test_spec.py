@@ -15,6 +15,7 @@ from repro.api import (
     SpecError,
     StrategySpec,
     SwarmSpec,
+    build,
     specs,
 )
 
@@ -112,8 +113,9 @@ class TestValidation:
             ExperimentSpec(scenario="x", params={"bad": [1, 2]})
 
     def test_flash_crowd_requires_a_joiner(self):
+        spec = specs.flash_crowd(num_peers=4, initial_seeded=4)
         with pytest.raises(SpecError, match="non-seeded"):
-            specs.flash_crowd(num_peers=4, initial_seeded=4)
+            build(spec)
 
 
 class TestAccessors:

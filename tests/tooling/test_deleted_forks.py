@@ -9,6 +9,7 @@ that is right.  Deleted files and directories are listed once, in
 test they also run locally and in the no-numpy lane.
 """
 
+import inspect
 import re
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -79,6 +80,14 @@ GUARDS = [
     Guard(27, "a paper value table beside the claims table",
      r"PAPER_FIG4B|PAPER_TABLE", ["src", "tests", "bench", "examples", "scripts"],
      ["src/repro/experiments/claims.py", THIS_FILE]),
+    Guard(28, "a second simulator assembly beside _build_swarm",
+     r"_base_simulator", ["src", "tests", "bench"], [THIS_FILE]),
+    Guard(28, "a hand-rolled OverlaySimulator (the one is in _build_swarm)",
+     r"OverlaySimulator\(", ["src/repro/api"], matches=1),
+    Guard(28, "a hand-rolled SimScenario (the one is in _build_swarm)",
+     r"SimScenario\(", ["src/repro/api"], matches=1),
+    Guard(28, "a copied mirror-halves shuffle (the one is _mirror_halves)",
+     r"list\(range\(distinct\)\)", ["src/repro/api"], matches=1),
 ]
 
 #: Deleted files and directories.
@@ -123,6 +132,16 @@ def test_deleted_fork_stays_deleted(guard):
 @pytest.mark.parametrize("path", DELETED_PATHS)
 def test_deleted_path_stays_deleted(path):
     assert not (ROOT / path).exists(), f"{path} was deleted; it must not grow back"
+
+
+def test_the_one_overlay_assembly_is_build_swarm():
+    from repro.api.builders import _build_swarm
+
+    lines, start = inspect.getsourcelines(_build_swarm)
+    inside = {f"src/repro/api/builders.py:{start + i}" for i in range(len(lines))}
+    for pattern in (r"OverlaySimulator\(", r"SimScenario\("):
+        (hit,) = _matches(pattern, ["src/repro/api"])
+        assert hit.split(": ", 1)[0] in inside, hit
 
 
 def test_the_guard_sees_a_match_when_there_is_one():
