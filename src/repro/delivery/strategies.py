@@ -36,16 +36,17 @@ from repro.seeding import default_rng
 
 
 class SenderStrategy:
-    """Base class: a sender's rule for composing the next packet."""
+    """Base class: a sender's rule for composing the next packet.
+
+    :meth:`renew` stands in for rebuilding the strategy from unchanged
+    inputs: it replays exactly the RNG draws construction made (only
+    Recode/BF's domain truncation makes any), so an engine that renews
+    instead of rebuilding consumes the same stream and composes the
+    same packets.
+    """
 
     #: Human-readable name matching the paper's legend.
     name: str = "abstract"
-
-    #: True when *constructing* this strategy consumed draws from its
-    #: RNG (Recode/BF's domain truncation).  Engines that skip a
-    #: redundant rebuild must not skip one that would have advanced the
-    #: shared RNG stream, or seeded runs diverge from the rebuild path.
-    construction_drew_rng: bool = False
 
     def __init__(self, working_set: WorkingSet, rng: Optional[random.Random] = None):
         if len(working_set) == 0:
@@ -62,6 +63,14 @@ class SenderStrategy:
     def next_packet(self) -> Packet:
         """Compose one transmission."""
         raise NotImplementedError
+
+    def renew(self) -> None:
+        """Become what a rebuild from the same, unchanged sets would be.
+
+        A rebuild re-derives everything but the RNG draws from the same
+        inputs, so renewing replays those draws and nothing else.  The
+        base strategy draws nothing at construction.
+        """
 
     # -- shared helpers ---------------------------------------------------
 
@@ -81,6 +90,9 @@ class RandomStrategy(SenderStrategy):
 class _RecodeBase(SenderStrategy):
     """Shared recoded-packet machinery for the three recoding strategies."""
 
+    #: The domain before truncation, kept only when it was truncated.
+    _full_domain: Optional[list] = None
+
     def __init__(
         self,
         working_set: WorkingSet,
@@ -98,8 +110,8 @@ class _RecodeBase(SenderStrategy):
             # appropriate small size" — recoding over a domain matched to
             # what the receiver asked for lets pending blends resolve
             # instead of scattering over symbols that will never arrive.
-            self._domain = self.rng.sample(self._domain, domain_limit)
-            self.construction_drew_rng = True
+            self._full_domain = self._domain
+            self._domain = self.rng.sample(self._full_domain, domain_limit)
         max_degree = max(1, min(max_degree, len(self._domain)))
         min_degree = max(1, min(min_degree, max_degree))
         self._distribution = DegreeDistribution.recoding_soliton(
@@ -113,6 +125,10 @@ class _RecodeBase(SenderStrategy):
         if self._degree_shift:
             d = min(self._max_degree, int(d / (1.0 - self._degree_shift)))
         return max(1, min(d, len(self._domain)))
+
+    def renew(self) -> None:
+        if self._full_domain is not None:
+            self._domain = self.rng.sample(self._full_domain, len(self._domain))
 
     def next_packet(self) -> Packet:
         degree = self._draw_degree()

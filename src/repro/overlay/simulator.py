@@ -21,8 +21,9 @@ The engine exercises the paper's full loop: encode → sketch → admit →
 summarise → informed transfer → adapt.
 
 This is the only packet engine.  Its two control-plane passes do work
-proportional to what changed: the strategy refresh skips connections
-whose endpoints are version-unchanged, and a reconfiguration epoch
+proportional to what changed: the strategy refresh rebuilds only
+connections with an endpoint that changed and renews the rest (replaying
+construction's RNG draws, never re-filtering), and a reconfiguration epoch
 (:func:`~repro.overlay.reconfiguration.run_epoch`, the loop the flow
 engine runs too) reads only the cards it scans.  Everything computed
 from one working set — a receiver's summary, a node's card — is cached
@@ -177,11 +178,12 @@ class OverlaySimulator:
 
     The periodic strategy refresh is *incremental*: a connection whose
     sender and receiver working sets are both unchanged since its
-    strategy was built (same set object, same version stamp) is
-    skipped, because rebuilding from identical inputs yields an
-    identical strategy — unless construction itself drew from the
-    shared RNG (Recode/BF domain truncation), in which case skipping
-    would desynchronise the stream and the rebuild always runs.
+    strategy was built (same set object, same version stamp) is not
+    rebuilt but renewed (:meth:`~repro.delivery.strategies.
+    SenderStrategy.renew`): a rebuild from identical inputs re-derives
+    everything but construction's RNG draws (Recode/BF domain
+    truncation), and renewing replays exactly those, so the shared
+    stream advances as the rebuild would advance it.
 
     The simulator owns the overlay's edges: ``connections`` maps
     ``(sender, receiver)`` to the live :class:`Connection`, and a
@@ -196,15 +198,16 @@ class OverlaySimulator:
             per-connection strategies reconcile through (default: the
             paper's 8-bits-per-element Bloom filter).
         reconfigure_every / refresh_every: control-plane periods, in
-            ticks.  Reconfiguration epochs are their own periodic event
-            on the shared scheduler (so they compose with churn,
-            scenario events, and ``remove_node``), scheduled right
-            after the delivery event at each epoch boundary — order-
-            identical to the historical end-of-tick pass.
+            ticks (finite and >= 0; 0 = off).  Reconfiguration epochs
+            are their own periodic event on the shared scheduler (so
+            they compose with churn, scenario events, and
+            ``remove_node``), scheduled right after the delivery event
+            at each epoch boundary — order-identical to the historical
+            end-of-tick pass.
         reconfig_jitter: each epoch's rewiring pass is deferred by a
-            uniform draw in ``[0, jitter)`` simulated time units (0 =
-            fire exactly on the boundary, the deterministic legacy
-            cadence).
+            uniform draw in ``[0, jitter)`` simulated time units (finite
+            and >= 0; 0 = fire exactly on the boundary, the
+            deterministic legacy cadence).
         reconfig_budget: candidate-scan budget per receiver per epoch
             (0 = scan every node); budgeted epochs sample the candidate
             list from the simulator RNG.
@@ -244,8 +247,15 @@ class OverlaySimulator:
         scheduler: Optional[EventScheduler] = None,
         transport: Optional[TransportManager] = None,
     ):
-        if reconfig_jitter < 0:
-            raise ValueError("reconfig_jitter must be non-negative")
+        # A negative or NaN period would refresh every tick (t % -1 == 0)
+        # or never; 0 is the one way to switch a pass off.
+        for arg, value in (
+            ("reconfigure_every", reconfigure_every),
+            ("refresh_every", refresh_every),
+            ("reconfig_jitter", reconfig_jitter),
+        ):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{arg} must be finite and >= 0, got {value!r}")
         if reconfig_budget < 0:
             raise ValueError("reconfig_budget must be non-negative")
         self.admission = admission
@@ -293,7 +303,7 @@ class OverlaySimulator:
         # fires right after that tick's delivery pass (FIFO at equal
         # times) — exactly where the historical end-of-tick pass ran.
         self._reconfig_handle = None
-        if self.reconfigure_every and self.reconfigure_every > 0:
+        if self.reconfigure_every > 0:
             self._reconfig_handle = self.scheduler.schedule_every(
                 float(self.reconfigure_every),
                 self._on_reconfig_epoch,
@@ -505,18 +515,15 @@ class OverlaySimulator:
         return strategy
 
     def _strategy_fresh(self, conn: Connection) -> bool:
-        """True when rebuilding ``conn``'s strategy would change nothing.
+        """True when both of ``conn``'s endpoint stamps are current.
 
         A strategy is a deterministic function of (sender set, receiver
-        set, receiver target/slots, strategy name, policy); with both
-        sets version-unchanged the rebuild reproduces it exactly —
-        *except* when construction drew from the shared RNG, which a
-        skip must never suppress.
+        set, receiver target/slots, strategy name, policy) and the RNG
+        draws its construction made; with both sets version-unchanged,
+        :meth:`~repro.delivery.strategies.SenderStrategy.renew` — which
+        replays those draws — leaves it exactly what a rebuild would.
         """
-        s = conn.strategy
-        if s is None or getattr(s, "construction_drew_rng", False):
-            return False
-        stamp = getattr(s, "_endpoint_stamp", None)
+        stamp = getattr(conn.strategy, "_endpoint_stamp", None)
         if stamp is None:
             return False
         sender_ws, sender_v, receiver_ws, receiver_v = stamp
@@ -536,16 +543,18 @@ class OverlaySimulator:
         refreshes both the sender's recoding domain (new content becomes
         shareable) and the receiver's summary (delivered content stops
         being offered) — so connections whose endpoints are both
-        unchanged since the last build are skipped (nothing to refresh),
-        and every connection into a receiver reads the one summary its
+        unchanged since the last build are renewed in place (nothing to
+        re-filter; only construction's RNG draws are replayed), and
+        every connection into a receiver reads the one summary its
         working set keeps current.
         Connection iteration order, and with it the RNG stream strategy
-        construction consumes, is that of the connection map.
+        construction and renewal consume, is that of the connection map.
         """
         for key, conn in list(self.connections.items()):
             if conn.sender.is_source or conn.receiver.is_complete:
                 continue
             if self._strategy_fresh(conn):
+                conn.strategy.renew()
                 continue
             conn.strategy = self._build_strategy(conn.sender, conn.receiver)
             if conn.strategy is None:

@@ -21,6 +21,7 @@ the sojourn time each admitted packet will see), ``enqueued`` and
 acceptance tests pin.
 """
 
+import math
 import random
 from typing import Optional
 
@@ -51,10 +52,14 @@ class BottleneckQueue:
         stats: Optional[StatsRecorder] = None,
         name: str = "bottleneck",
     ):
-        if rate <= 0.0:
-            raise ValueError("bottleneck rate must be positive")
-        if buffer < 1:
-            raise ValueError("bottleneck buffer must hold at least 1 packet")
+        if not (math.isfinite(rate) and rate > 0.0):
+            raise ValueError(
+                f"bottleneck rate must be finite and positive, got {rate!r}"
+            )
+        if isinstance(buffer, bool) or not isinstance(buffer, int) or buffer < 1:
+            raise ValueError(
+                f"bottleneck buffer must be an int of at least 1 packet, got {buffer!r}"
+            )
         self.rate = rate
         self.buffer = buffer
         self.clock = clock

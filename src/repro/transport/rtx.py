@@ -10,6 +10,7 @@ matches the paper's prototype, where the stream itself is loss-
 tolerant and only the sending rate needs to react.
 """
 
+import math
 from typing import Dict, List, Tuple
 
 __all__ = ["RtxManager"]
@@ -25,10 +26,14 @@ class RtxManager:
     """
 
     def __init__(self, rto_min: float = 2.0, rto_max: float = 64.0):
-        if rto_min <= 0.0:
-            raise ValueError("rto_min must be positive")
-        if rto_max < rto_min:
-            raise ValueError("rto_max must be >= rto_min")
+        # A NaN bound would compare false everywhere: a NaN rto_max makes
+        # the RTO NaN, so no tracked packet ever expires.
+        if not (math.isfinite(rto_min) and rto_min > 0.0):
+            raise ValueError(f"rto_min must be finite and positive, got {rto_min!r}")
+        if not (math.isfinite(rto_max) and rto_max >= rto_min):
+            raise ValueError(
+                f"rto_max must be finite and >= rto_min, got {rto_max!r}"
+            )
         self.rto_min = rto_min
         self.rto_max = rto_max
         self.srtt: float | None = None

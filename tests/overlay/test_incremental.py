@@ -9,7 +9,9 @@ reached by forcing the library's own fallback paths
 seeded scenario catalog at both ``engine`` values (with and without
 numpy), spy on the registry's from-scratch builds to prove unchanged
 receivers really skip the rebuild (and pin how many a small spec pays),
-and hold the working-set summary cache-key regression
+spy on the simulator's strategy builds to prove an unchanged connection
+is renewed rather than rebuilt (and pin how many the congested row
+pays), and hold the working-set summary cache-key regression
 (permuted-but-equal params share one entry).
 """
 
@@ -18,11 +20,13 @@ from dataclasses import replace
 import pytest
 
 from repro.api import build, run, specs
+from repro.delivery.strategies import make_strategy
 from repro.delivery.working_set import WorkingSet
 from repro.overlay.node import OverlayNode
 from repro.overlay.simulator import OverlaySimulator
 
 import repro.hashing.batch as batch
+import repro.overlay.simulator as simulator
 import repro.reconcile.policy as policy
 import repro.reconcile.registry as registry
 
@@ -80,6 +84,19 @@ CATALOG = {
     "cdn_catalog": lambda: specs.cdn_catalog(
         regionals=2, edge_peers=6, objects=3, target=36, seed=5
     ),
+    # Recode/BF under AIMD and a bottleneck queue, with no epochs: the
+    # refresh renews every strategy whose endpoints are unchanged.
+    "congested_aimd": lambda: specs.congested_swarm(
+        num_peers=48,
+        target=40,
+        initial_seeded=4,
+        bottleneck_rate=16,
+        bottleneck_buffer=16,
+        waves=4,
+        transport_policy="aimd",
+        reconfig_policy="static",
+        seed=29,
+    ),
 }
 
 
@@ -97,6 +114,18 @@ def _spy_on_builds(mp):
     return calls
 
 
+def _spy_on_strategy_builds(mp):
+    """Record the name of every strategy the simulator builds."""
+    built = []
+
+    def spy(name, *args, **kwargs):
+        built.append(name)
+        return make_strategy(name, *args, **kwargs)
+
+    mp.setattr(simulator, "make_strategy", spy)
+    return built
+
+
 class TestIncrementalParity:
     """Incremental == rebuild, report for report, at both ``engine`` values."""
 
@@ -112,7 +141,9 @@ class TestIncrementalParity:
         assert fast.completed == slow.completed
 
     @pytest.mark.parametrize("engine", ["reference", "columnar"])
-    @pytest.mark.parametrize("name", ["flash_crowd", "informed_scan_budget"])
+    @pytest.mark.parametrize(
+        "name", ["flash_crowd", "informed_scan_budget", "congested_aimd"]
+    )
     def test_scenario_without_numpy(self, name, engine, monkeypatch):
         monkeypatch.setattr(batch, "_numpy", lambda: None)
         spec = _with_engine(CATALOG[name](), engine)
@@ -124,18 +155,20 @@ class TestIncrementalParity:
 
 
 class TestRefreshSkip:
-    """Unchanged receivers must not pay a summary rebuild per refresh."""
+    """Unchanged receivers must not pay a summary rebuild per refresh,
+    and a strategy whose endpoints are unchanged is renewed in place —
+    Recode/BF included, whose renewal replays its domain truncation."""
 
-    def _simulator(self, engine):
+    def _simulator(self, engine, strategy_name="Random/BF"):
         spec = _with_engine(
-            # Random/BF builds a receiver summary and never draws RNG
-            # at construction, so refresh skips are observable.
+            # Both /BF strategies build a receiver summary, so refresh
+            # skips are observable.
             specs.random_overlay(
                 num_peers=8,
                 target=120,
                 seed=17,
                 initial_fraction_lo=0.2,
-                strategy_name="Random/BF",
+                strategy_name=strategy_name,
             ),
             engine,
         )
@@ -223,6 +256,52 @@ class TestRefreshSkip:
         ]
         assert affected
         assert rebuilt == 1
+
+    @pytest.mark.parametrize("engine", ["reference", "columnar"])
+    def test_recode_bf_renews_what_the_oracle_rebuilds(self, engine, monkeypatch):
+        renewing = self._simulator(engine, "Recode/BF")
+        oracle = self._simulator(engine, "Recode/BF")
+        renewing._refresh_strategies()
+        oracle._refresh_strategies()
+        before = {
+            key: conn.strategy
+            for key, conn in renewing.connections.items()
+            if conn.strategy is not None and not conn.receiver.is_complete
+        }
+        # Some domains were truncated, so renewing must draw.
+        assert any(s._full_domain is not None for s in before.values())
+        drawn_from = renewing.rng.getstate()
+        built = _spy_on_strategy_builds(monkeypatch)
+        renewing._refresh_strategies()
+        assert built == []
+        assert all(renewing.connections[k].strategy is s for k, s in before.items())
+        assert renewing.rng.getstate() != drawn_from
+        # The rebuild oracle ends in the same RNG state, over the same domains.
+        monkeypatch.setattr(OverlaySimulator, "_strategy_fresh", _never_fresh)
+        oracle._refresh_strategies()
+        assert len(built) == len(before)
+        assert oracle.rng.getstate() == renewing.rng.getstate()
+        for key, strategy in before.items():
+            assert oracle.connections[key].strategy._domain == strategy._domain
+
+
+class TestRefreshRebuildCount:
+    """How many strategies the congested row builds: only a connection
+    with a changed endpoint is rebuilt (471 when every truncated
+    Recode/BF domain was rebuilt each refresh)."""
+
+    MAKE_STRATEGY_CALLS = 249
+
+    @pytest.mark.parametrize("numpy_on", [True, False])
+    def test_congested_run_builds_only_on_change(self, numpy_on, monkeypatch):
+        if not numpy_on:
+            monkeypatch.setattr(batch, "_numpy", lambda: None)
+        built = _spy_on_strategy_builds(monkeypatch)
+        result = run(CATALOG["congested_aimd"]())
+        assert len(built) == self.MAKE_STRATEGY_CALLS
+        assert set(built) == {"Recode/BF"}
+        assert result.metrics["packets_sent"] == 3499.0
+        assert result.metrics["packets_useful"] == 497.0
 
 
 class TestSummaryCache:

@@ -363,3 +363,21 @@ class TestScheduledEpochs:
             OverlaySimulator(reconfig_jitter=-1.0)
         with pytest.raises(ValueError):
             OverlaySimulator(reconfig_budget=-1)
+
+    @pytest.mark.parametrize(
+        "arg, value",
+        [
+            ("refresh_every", -1),  # t % -1 == 0: refreshed every tick
+            ("refresh_every", float("nan")),  # never refreshed
+            ("reconfigure_every", float("nan")),  # no epoch scheduled
+            ("reconfigure_every", -5),  # no epoch scheduled
+            ("reconfig_jitter", float("nan")),  # never jittered
+        ],
+    )
+    def test_cadence_must_be_finite_and_non_negative(self, arg, value):
+        with pytest.raises(ValueError, match=arg):
+            OverlaySimulator(**{arg: value})
+
+    def test_zero_cadence_switches_the_pass_off(self):
+        sim = OverlaySimulator(reconfigure_every=0, refresh_every=0)
+        assert sim._reconfig_handle is None

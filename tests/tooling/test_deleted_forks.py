@@ -88,6 +88,8 @@ GUARDS = [
      r"SimScenario\(", ["src/repro/api"], matches=1),
     Guard(28, "a copied mirror-halves shuffle (the one is _mirror_halves)",
      r"list\(range\(distinct\)\)", ["src/repro/api"], matches=1),
+    Guard(29, "a construction-RNG exception to a fresh strategy (renew() replays)",
+     r"construction_drew_rng", ["src", "tests", "bench"], [THIS_FILE]),
 ]
 
 #: Deleted files and directories.

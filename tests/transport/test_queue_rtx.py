@@ -59,6 +59,18 @@ class TestBottleneckQueue:
         with pytest.raises(ValueError):
             BottleneckQueue(rate=1.0, buffer=0, clock=Clock())
 
+    @pytest.mark.parametrize(
+        "rate, buffer, arg",
+        [
+            (float("nan"), 8, "rate"),  # never drops
+            (1.0, 2.5, "buffer"),
+            (1.0, True, "buffer"),
+        ],
+    )
+    def test_nan_rate_and_non_int_buffer_refused(self, rate, buffer, arg):
+        with pytest.raises(ValueError, match=arg):
+            BottleneckQueue(rate=rate, buffer=buffer, clock=Clock())
+
 
 class TestBottleneckLink:
     def test_budget_delegates_delay_composes(self):
@@ -138,6 +150,17 @@ class TestRtxManager:
             RtxManager(rto_min=0.0)
         with pytest.raises(ValueError):
             RtxManager(rto_min=4.0, rto_max=2.0)
+
+    @pytest.mark.parametrize(
+        "rto_min, rto_max, arg",
+        [
+            (1.0, float("nan"), "rto_max"),  # NaN RTO: nothing ever expires
+            (float("nan"), 64.0, "rto_min"),  # silently RTO 64
+        ],
+    )
+    def test_nan_bound_refused(self, rto_min, rto_max, arg):
+        with pytest.raises(ValueError, match=arg):
+            RtxManager(rto_min, rto_max)
 
 
 class TestOnTransmit:
