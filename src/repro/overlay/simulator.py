@@ -35,6 +35,13 @@ no per-node artefact, a departure evicts nothing, and no usefulness
 estimate outlives the call that asked for it.  At 10k nodes give the
 spec a ``reconfig.scan_budget``: a full candidate scan per receiver is
 O(N²) however the cards are compared.
+
+The delivery pass and the strategy refresh walk only the connections
+into receivers that have not completed: completion is final inside a
+simulator (encoded content never goes stale, Section 2.3), so a
+receiver's incoming edges leave the pass the moment it completes.  A
+window-blocked connection still drains its link credit every tick, but
+its transport step scans for timeouts only once one can be due.
 """
 
 import math
@@ -96,6 +103,9 @@ class Connection:
         self.packets_lost = 0
         self.packets_useful = 0
         self.stats_name = f"{sender.node_id}->{receiver.node_id}"
+        #: True while the delivery pass walks this connection: it was
+        #: made into a receiver that has not completed since.
+        self.feeding = False
         #: Congestion controller installed by a transport-enabled
         #: simulator (None = historical open-loop sending).
         self.transport: Optional[TransportController] = None
@@ -191,6 +201,16 @@ class OverlaySimulator:
     the edges were made (an edge dropped and re-made moves to the end) —
     the order every rewiring decision, and so the RNG stream, follows.
 
+    Completion is final.  The delivery pass and the strategy refresh
+    walk only the connections into receivers that have not completed,
+    in connection-map order: a connection joins that walk when it is
+    made into an incomplete receiver, and a receiver's incoming edges
+    leave it when :meth:`_arrive` sees the receiver complete (a
+    receiver added complete never joins).  A receiver whose working set
+    is later replaced by a smaller one is not fed again and keeps its
+    ``completed_at_tick``.  Each visit still reads ``is_complete``: a
+    receiver can complete partway through a pass.
+
     Args:
         admission/rewiring: peering policies (Section 4).
         strategy_name: sender strategy legend name (Figures 5-8).
@@ -256,8 +276,16 @@ class OverlaySimulator:
         ):
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{arg} must be finite and >= 0, got {value!r}")
-        if reconfig_budget < 0:
-            raise ValueError("reconfig_budget must be non-negative")
+        # random.sample needs an int: 2.5 would fail at the first epoch,
+        # True would scan one candidate and NaN every node.
+        if (
+            isinstance(reconfig_budget, bool)
+            or not isinstance(reconfig_budget, int)
+            or reconfig_budget < 0
+        ):
+            raise ValueError(
+                f"reconfig_budget must be an int >= 0, got {reconfig_budget!r}"
+            )
         self.admission = admission
         self.rewiring = rewiring
         self.strategy_name = strategy_name
@@ -388,6 +416,7 @@ class OverlaySimulator:
             conn.transport = self.transport.attach(conn.stats_name)
         self.connections[(sender_id, receiver_id)] = conn
         self._senders.setdefault(receiver_id, {})[sender_id] = None
+        conn.feeding = receiver.completed_at_tick is None and not receiver.is_complete
         return True
 
     def disconnect(self, sender_id: str, receiver_id: str) -> None:
@@ -404,13 +433,16 @@ class OverlaySimulator:
     def _on_tick(self) -> None:
         """The periodic delivery/adaptation pass (the legacy tick body)."""
         self.tick_count += 1
-        now = self.scheduler.now
-        for conn in list(self.connections.values()):
-            if conn.receiver.is_complete:
+        scheduler, stats = self.scheduler, self.stats
+        now = scheduler.now
+        for conn in self._feeding_connections():
+            receiver = conn.receiver
+            if receiver.is_complete:
                 continue
             if not conn.sender.is_source and conn.strategy is None:
                 continue  # sender has nothing to offer yet
-            budget = conn.link.packet_budget(now - 1.0, now)
+            link = conn.link
+            budget = link.packet_budget(now - 1.0, now)
             ctrl = conn.transport
             if ctrl is not None:
                 budget = ctrl.allowance(now, budget)
@@ -418,24 +450,24 @@ class OverlaySimulator:
                 packet = self._compose(conn)
                 conn.packets_sent += 1
                 self.packets_sent += 1
-                if self.stats is not None:
-                    self.stats.count(now, conn.stats_name, "sent")
-                delay = conn.link.transmit(self.rng)
+                if stats is not None:
+                    stats.count(now, conn.stats_name, "sent")
+                delay = link.transmit(self.rng)
                 if ctrl is not None:
-                    ctrl.on_transmit(self.scheduler, delay, conn.link.latency)
+                    ctrl.on_transmit(scheduler, delay, link.latency)
                 if delay is None:  # wire loss or tail drop
                     conn.packets_lost += 1
                     self.packets_lost += 1
-                    if self.stats is not None:
-                        self.stats.count(now, conn.stats_name, "lost")
+                    if stats is not None:
+                        stats.count(now, conn.stats_name, "lost")
                     continue
                 if delay <= 0.0:
                     self._arrive(conn, packet)
                 else:
-                    self.scheduler.schedule(
+                    scheduler.schedule(
                         delay, lambda c=conn, p=packet: self._arrive(c, p)
                     )
-                if conn.receiver.is_complete:
+                if receiver.is_complete:
                     break
         if self.refresh_every and self.tick_count % self.refresh_every == 0:
             self._refresh_strategies()
@@ -477,6 +509,17 @@ class OverlaySimulator:
 
     def _all_complete(self) -> bool:
         return all(n.is_complete for n in self.nodes.values())
+
+    def _feeding_connections(self) -> List[Connection]:
+        """The connections a delivery pass or refresh walks: those into
+        receivers that have not completed, in connection-map order.
+
+        The index is the ``feeding`` flag on each connection, so the map
+        keeps the order and nothing else holds a dropped connection; one
+        flag test per edge costs far less than a visit, and a second
+        ordered structure would cost memory at 10k nodes.
+        """
+        return [conn for conn in self.connections.values() if conn.feeding]
 
     def _build_strategy(
         self, sender: OverlayNode, receiver: OverlayNode
@@ -548,9 +591,10 @@ class OverlaySimulator:
         every connection into a receiver reads the one summary its
         working set keeps current.
         Connection iteration order, and with it the RNG stream strategy
-        construction and renewal consume, is that of the connection map.
+        construction and renewal consume, is that of the connection map;
+        connections into completed receivers are not walked.
         """
-        for key, conn in list(self.connections.items()):
+        for conn in self._feeding_connections():
             if conn.sender.is_source or conn.receiver.is_complete:
                 continue
             if self._strategy_fresh(conn):
@@ -558,7 +602,7 @@ class OverlaySimulator:
                 continue
             conn.strategy = self._build_strategy(conn.sender, conn.receiver)
             if conn.strategy is None:
-                self.disconnect(*key)
+                self.disconnect(conn.sender.node_id, conn.receiver.node_id)
 
     def _compose(self, conn: Connection) -> Packet:
         if conn.sender.is_source:
@@ -587,6 +631,10 @@ class OverlaySimulator:
                 )
         if receiver.is_complete and receiver.completed_at_tick is None:
             receiver.completed_at_tick = self.tick_count
+            # Completion is final: the receiver's edges leave the pass.
+            rid = receiver.node_id
+            for sender_id in self._senders.get(rid, ()):
+                self.connections[(sender_id, rid)].feeding = False
 
     def _deliver(self, receiver: OverlayNode, packet: Packet) -> bool:
         """Feed a packet through the receiver's peeler, which peels into

@@ -49,12 +49,19 @@ def drain_credit(credit: float, capacity: float) -> "tuple[int, float]":
     return whole, max(0.0, credit - whole)
 
 
+def _check_finite(name: str, value: float) -> None:
+    """Refuse a negative, NaN or infinite link argument, naming it: a NaN
+    rate or latency would otherwise surface only mid-run (a ValueError in
+    ``packet_budget``, an arrival scheduled at a NaN delay)."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+
 class LinkModel:
     """Base class: capacity and loss/latency behaviour of one link."""
 
     def __init__(self, latency: float = 0.0):
-        if latency < 0:
-            raise ValueError("latency must be non-negative")
+        _check_finite("latency", latency)
         self.latency = latency
         self._credit = 0.0
 
@@ -93,8 +100,7 @@ class ConstantRateLink(LinkModel):
     """Fixed rate, independent Bernoulli loss, fixed propagation delay."""
 
     def __init__(self, rate: float, loss_rate: float = 0.0, latency: float = 0.0):
-        if rate < 0:
-            raise ValueError("rate must be non-negative")
+        _check_finite("rate", rate)
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError("loss rate must lie in [0, 1)")
         super().__init__(latency)
@@ -127,8 +133,7 @@ class LatencyJitterLink(ConstantRateLink):
         jitter: float,
         loss_rate: float = 0.0,
     ):
-        if jitter < 0:
-            raise ValueError("jitter must be non-negative")
+        _check_finite("jitter", jitter)
         super().__init__(rate, loss_rate, latency)
         self.jitter = jitter
 
@@ -277,8 +282,7 @@ class GilbertElliottLink(LinkModel):
         process: Optional[GilbertElliottProcess] = None,
         step_per_packet: Optional[bool] = None,
     ):
-        if rate < 0:
-            raise ValueError("rate must be non-negative")
+        _check_finite("rate", rate)
         super().__init__(latency)
         self.rate = rate
         if process is None:
@@ -327,10 +331,13 @@ class TraceBandwidthLink(LinkModel):
     ):
         if len(times) != len(rates) or not times:
             raise ValueError("times and rates must be equal-length and non-empty")
+        for t in times:
+            if not math.isfinite(t):
+                raise ValueError(f"trace times must be finite, got {t!r}")
+        for r in rates:
+            _check_finite("trace rates", r)
         if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
             raise ValueError("trace times must be strictly ascending")
-        if any(r < 0 for r in rates):
-            raise ValueError("trace rates must be non-negative")
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError("loss rate must lie in [0, 1)")
         super().__init__(latency)

@@ -33,7 +33,13 @@ RTT_FLOOR = 1e-3
 
 
 class TransportController:
-    """Congestion state of one connection: policy + rtx + inflight."""
+    """Congestion state of one connection: policy + rtx + inflight.
+
+    :meth:`allowance` runs once per connection per delivery window, so
+    it asks the rtx manager to scan for timeouts only once ``now`` has
+    reached its earliest-deadline bound (``RtxManager.next_deadline``);
+    a window-blocked connection with nothing due pays no table scan.
+    """
 
     def __init__(self, policy: TransportPolicy, rtx: RtxManager, name: str = ""):
         self.policy = policy
@@ -52,16 +58,20 @@ class TransportController:
         """Packets this window may send: the link budget capped by
         window room and pacing credit.  Expires timeouts first so
         freed window is usable immediately."""
-        for _seq, _sent_at in self.rtx.expire(now):
-            self.inflight = max(0, self.inflight - 1)
-            self.timeouts += 1
-            self.policy.on_loss(now)
+        rtx = self.rtx
+        if now >= rtx.next_deadline:
+            for _seq, _sent_at in rtx.expire(now):
+                self.inflight = max(0, self.inflight - 1)
+                self.timeouts += 1
+                self.policy.on_loss(now)
+        policy = self.policy
         allowed = link_budget
-        cwnd = self.policy.cwnd
+        cwnd = policy.cwnd
         if cwnd != math.inf:
-            room = int(math.floor(cwnd + 1e-9)) - self.inflight
-            allowed = min(allowed, max(0, room))
-        rate = self.policy.pacing_rate
+            room = math.floor(cwnd + 1e-9) - self.inflight
+            if room < allowed:
+                allowed = room if room > 0 else 0
+        rate = policy.pacing_rate
         if rate is not None:
             whole, self._pace_credit = drain_credit(
                 self._pace_credit, rate * window
@@ -140,6 +150,7 @@ class TransportManager:
         self.policy_kind = policy
         self.policy_params = dict(params or {})
         build_policy(policy, **self.policy_params)  # fail fast
+        RtxManager(rto_min, rto_max)  # fail fast
         self.rto_min = rto_min
         self.rto_max = rto_max
         self.queue = queue

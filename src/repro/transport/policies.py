@@ -48,6 +48,14 @@ class TransportError(ValueError):
     """Unknown policy kind or invalid policy parameters."""
 
 
+def _finite(kind: str, **params: float) -> None:
+    """Refuse a NaN or infinite float parameter, naming it: a NaN window
+    fails only at the first allowance, an infinite one is open loop."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise TransportError(f"{kind}: {name} must be finite, got {value!r}")
+
+
 class TransportPolicy:
     """Base congestion controller: the open-loop (null) contract.
 
@@ -108,6 +116,7 @@ class AimdPolicy(TransportPolicy):
         ssthresh: float = 32.0,
         beta: float = 0.5,
     ):
+        _finite("aimd", cwnd_init=cwnd_init, ssthresh=ssthresh, beta=beta)
         if cwnd_init < 1.0:
             raise TransportError("aimd: cwnd_init must be >= 1")
         if ssthresh < 1.0:
@@ -166,18 +175,31 @@ class BbrLitePolicy(TransportPolicy):
         drain_gain: float = 0.75,
         bw_window: int = 10,
     ):
+        _finite(
+            "bbr_lite",
+            cwnd_gain=cwnd_gain,
+            probe_gain=probe_gain,
+            drain_gain=drain_gain,
+        )
         if cwnd_gain < 1.0:
             raise TransportError("bbr_lite: cwnd_gain must be >= 1")
         if probe_gain <= 1.0:
             raise TransportError("bbr_lite: probe_gain must be > 1")
         if not 0.0 < drain_gain <= 1.0:
             raise TransportError("bbr_lite: drain_gain must lie in (0, 1]")
-        if int(bw_window) < 1:
-            raise TransportError("bbr_lite: bw_window must be >= 1")
+        # A round count: 2.5 would silently become 2 and True 1.
+        if (
+            isinstance(bw_window, bool)
+            or not isinstance(bw_window, int)
+            or bw_window < 1
+        ):
+            raise TransportError(
+                f"bbr_lite: bw_window must be an int >= 1, got {bw_window!r}"
+            )
         self.cwnd_gain = float(cwnd_gain)
         self._gains = (float(probe_gain), float(drain_gain)) + (1.0,) * 6
         self._cycle = 0
-        self._samples: deque = deque(maxlen=int(bw_window))
+        self._samples: deque = deque(maxlen=bw_window)
         self.min_rtt: Optional[float] = None
         self.btl_bw = 0.0
         self._round_start: Optional[float] = None

@@ -19,6 +19,14 @@ __all__ = ["RtxManager"]
 class RtxManager:
     """Adaptive-RTO tracking of in-flight packets.
 
+    ``next_deadline`` is a lower bound on the earliest deadline still
+    outstanding (``math.inf`` when nothing is): :meth:`track` lowers it,
+    a scan in :meth:`expire` recomputes it exactly, and :meth:`ack`
+    leaves it alone — an acked packet can only make the bound loose,
+    never wrong.  While ``now`` is below it no timeout can be due, so
+    :meth:`expire` returns ``[]`` without scanning the table and a
+    caller may skip the call altogether.
+
     Args:
         rto_min / rto_max: clamp bounds for the retransmission timeout,
             in simulated time units.  Until the first RTT sample the
@@ -41,6 +49,7 @@ class RtxManager:
         self.rto = min(rto_max, 2.0 * rto_min)
         #: seq -> (sent_at, deadline)
         self._outstanding: Dict[int, Tuple[float, float]] = {}
+        self.next_deadline = math.inf
         self.timeouts = 0
         self.acked = 0
 
@@ -48,7 +57,10 @@ class RtxManager:
 
     def track(self, seq: int, now: float) -> None:
         """Register a just-sent packet; its deadline is fixed at send time."""
-        self._outstanding[seq] = (now, now + self.rto)
+        deadline = now + self.rto
+        self._outstanding[seq] = (now, deadline)
+        if deadline < self.next_deadline:
+            self.next_deadline = deadline
 
     def ack(self, seq: int) -> "float | None":
         """Acknowledge ``seq``; returns its send time, or None if it
@@ -60,14 +72,22 @@ class RtxManager:
         return entry[0]
 
     def expire(self, now: float) -> List[Tuple[int, float]]:
-        """Pop every packet whose deadline passed; ``[(seq, sent_at)]``."""
-        expired = [
-            (seq, sent_at)
-            for seq, (sent_at, deadline) in self._outstanding.items()
-            if deadline <= now
-        ]
+        """Pop every packet whose deadline passed, in send order:
+        ``[(seq, sent_at)]``.  Below ``next_deadline`` nothing can be
+        due and the table is not scanned."""
+        if now < self.next_deadline:
+            return []
+        outstanding = self._outstanding
+        expired = []
+        earliest = math.inf
+        for seq, (sent_at, deadline) in outstanding.items():
+            if deadline <= now:
+                expired.append((seq, sent_at))
+            elif deadline < earliest:
+                earliest = deadline
         for seq, _ in expired:
-            del self._outstanding[seq]
+            del outstanding[seq]
+        self.next_deadline = earliest
         self.timeouts += len(expired)
         return expired
 

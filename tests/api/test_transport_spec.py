@@ -45,6 +45,15 @@ class TestTransportSpecValue:
         with pytest.raises(SpecError):
             TransportSpec(policy="aimd", params={"psychic": 1})
 
+    @pytest.mark.parametrize("bw_window", [2.5, True])
+    def test_non_int_bw_window_is_a_spec_error(self, bw_window):
+        with pytest.raises(SpecError, match="bw_window"):
+            specs.congested_swarm().with_override(
+                "transport.params.bw_window", bw_window
+            )
+        with pytest.raises(SpecError, match="bw_window"):
+            parse_component_arg("transport", f"bbr_lite:bw_window={bw_window}".lower())
+
     @pytest.mark.parametrize(
         "field, value",
         [

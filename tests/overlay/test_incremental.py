@@ -12,9 +12,12 @@ receivers really skip the rebuild (and pin how many a small spec pays),
 spy on the simulator's strategy builds to prove an unchanged connection
 is renewed rather than rebuilt (and pin how many the congested row
 pays), and hold the working-set summary cache-key regression
-(permuted-but-equal params share one entry).
+(permuted-but-equal params share one entry).  The delivery pass is held
+to a full-walk oracle the same way (:func:`_full_walk_oracle`), and the
+connection visits it saves are pinned as counts.
 """
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -24,11 +27,14 @@ from repro.delivery.strategies import make_strategy
 from repro.delivery.working_set import WorkingSet
 from repro.overlay.node import OverlayNode
 from repro.overlay.simulator import OverlaySimulator
+from repro.transport.controller import TransportController
+from repro.transport.rtx import RtxManager
 
 import repro.hashing.batch as batch
 import repro.overlay.simulator as simulator
 import repro.reconcile.policy as policy
 import repro.reconcile.registry as registry
+import repro.transport.controller as controller
 
 
 def _with_engine(spec, engine):
@@ -54,6 +60,25 @@ def _rebuild_oracle(mp):
     stamp is ever current)."""
     mp.setattr(WorkingSet, "cached", _always_build)
     mp.setattr(OverlaySimulator, "_strategy_fresh", _never_fresh)
+
+
+class _ScanEveryCall(RtxManager):
+    """An rtx manager whose earliest-deadline bound never holds a scan
+    back: every ``allowance`` call scans the outstanding table."""
+
+    next_deadline = property(lambda self: -math.inf, lambda self, value: None)
+
+
+def _every_connection(self):
+    return list(self.connections.values())
+
+
+def _full_walk_oracle(mp):
+    """Restore the full walk: every pass visits every connection (and so
+    reads ``is_complete`` on each visit), and every ``allowance`` call
+    scans for timeouts."""
+    mp.setattr(OverlaySimulator, "_feeding_connections", _every_connection)
+    mp.setattr(controller, "RtxManager", _ScanEveryCall)
 
 
 def _run(spec, rebuild: bool = False):
@@ -152,6 +177,25 @@ class TestIncrementalParity:
         assert fast.metrics == slow.metrics
         if slow.report is not None:
             assert fast.report == slow.report
+
+
+class TestFullWalkParity:
+    """Walking only feeding connections, and scanning the RTO table only
+    once a timeout can be due, == the full walk, report for report."""
+
+    @pytest.mark.parametrize("numpy_on", [True, False])
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_scenario(self, name, numpy_on, monkeypatch):
+        if not numpy_on:
+            monkeypatch.setattr(batch, "_numpy", lambda: None)
+        spec = CATALOG[name]()
+        fast = run(spec)
+        with pytest.MonkeyPatch.context() as mp:
+            _full_walk_oracle(mp)
+            slow = run(spec)
+        assert fast.metrics == slow.metrics
+        assert fast.report == slow.report
+        assert fast.completed == slow.completed
 
 
 class TestRefreshSkip:
@@ -300,6 +344,57 @@ class TestRefreshRebuildCount:
         result = run(CATALOG["congested_aimd"]())
         assert len(built) == self.MAKE_STRATEGY_CALLS
         assert set(built) == {"Recode/BF"}
+        assert result.metrics["packets_sent"] == 3499.0
+        assert result.metrics["packets_useful"] == 497.0
+
+
+def _count_pass_work(mp):
+    """Count RTO table scans, ``is_complete`` reads and ``allowance`` calls."""
+    counts = {"expire_scans": 0, "is_complete": 0, "allowance": 0}
+    expire = RtxManager.expire
+    is_complete = OverlayNode.is_complete.fget
+    allowance = TransportController.allowance
+
+    def counted_expire(self, now):
+        counts["expire_scans"] += now >= self.next_deadline
+        return expire(self, now)
+
+    def counted_is_complete(self):
+        counts["is_complete"] += 1
+        return is_complete(self)
+
+    def counted_allowance(self, *args, **kwargs):
+        counts["allowance"] += 1
+        return allowance(self, *args, **kwargs)
+
+    mp.setattr(RtxManager, "expire", counted_expire)
+    mp.setattr(OverlayNode, "is_complete", property(counted_is_complete))
+    mp.setattr(TransportController, "allowance", counted_allowance)
+    return counts
+
+
+class TestDeliveryPassCounts:
+    """What the congested row's delivery pass does: completed receivers'
+    connections are not visited, and a window-blocked connection scans
+    for timeouts only once one can be due.  The full walk scans on
+    every ``allowance`` call, as every run did before; its reads are
+    the old 28 026 plus one per connection made into a receiver with no
+    ``completed_at_tick`` (``connect`` decides whether the new edge
+    feeds).  The sends do not move."""
+
+    COUNTS = {"expire_scans": 2276, "is_complete": 17637, "allowance": 7436}
+    FULL_WALK = {"expire_scans": 7436, "is_complete": 28162, "allowance": 7436}
+
+    @pytest.mark.parametrize("oracle", [False, True], ids=["pass", "full_walk"])
+    @pytest.mark.parametrize("numpy_on", [True, False])
+    def test_congested_run(self, numpy_on, oracle, monkeypatch):
+        if not numpy_on:
+            monkeypatch.setattr(batch, "_numpy", lambda: None)
+        if oracle:
+            _full_walk_oracle(monkeypatch)
+        counts = _count_pass_work(monkeypatch)
+        result = run(CATALOG["congested_aimd"]())
+        assert counts == (self.FULL_WALK if oracle else self.COUNTS)
         assert result.metrics["packets_sent"] == 3499.0
         assert result.metrics["packets_useful"] == 497.0
 

@@ -378,6 +378,18 @@ class TestScheduledEpochs:
         with pytest.raises(ValueError, match=arg):
             OverlaySimulator(**{arg: value})
 
+    @pytest.mark.parametrize(
+        "value",
+        [
+            2.5,  # a TypeError from random.sample at the first epoch
+            True,  # silently scanned one candidate
+            float("nan"),  # silently scanned every node
+        ],
+    )
+    def test_scan_budget_must_be_a_non_bool_int(self, value):
+        with pytest.raises(ValueError, match="reconfig_budget"):
+            OverlaySimulator(reconfig_budget=value)
+
     def test_zero_cadence_switches_the_pass_off(self):
         sim = OverlaySimulator(reconfigure_every=0, refresh_every=0)
         assert sim._reconfig_handle is None

@@ -214,3 +214,27 @@ class TestTraceBandwidth:
             TraceBandwidthLink([0.0, 0.0], [1.0, 2.0])
         with pytest.raises(ValueError):
             TraceBandwidthLink([0.0], [-1.0])
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "make, arg",
+    [
+        (lambda: ConstantRateLink(NAN), "rate"),  # ValueError in packet_budget
+        (lambda: ConstantRateLink(INF), "rate"),  # OverflowError in packet_budget
+        (lambda: ConstantRateLink(1.0, latency=NAN), "latency"),  # NaN arrivals
+        (lambda: LatencyJitterLink(1.0, latency=1.0, jitter=NAN), "jitter"),
+        (lambda: GilbertElliottLink(NAN), "rate"),
+        (lambda: TraceBandwidthLink([0.0, NAN], [1.0, 2.0]), "times"),
+        (lambda: TraceBandwidthLink([0.0, 1.0], [1.0, NAN]), "rates"),
+    ],
+    ids=[
+        "constant-nan-rate", "constant-inf-rate", "constant-nan-latency",
+        "jitter-nan", "gilbert-nan-rate", "trace-nan-time", "trace-nan-rate",
+    ],
+)
+def test_non_finite_link_argument_refused(make, arg):
+    with pytest.raises(ValueError, match=arg):
+        make()

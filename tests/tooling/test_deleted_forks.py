@@ -90,6 +90,9 @@ GUARDS = [
      r"list\(range\(distinct\)\)", ["src/repro/api"], matches=1),
     Guard(29, "a construction-RNG exception to a fresh strategy (renew() replays)",
      r"construction_drew_rng", ["src", "tests", "bench"], [THIS_FILE]),
+    Guard(30, "a delivery pass or refresh that polls every connection",
+     r"for (conn|key, conn) in list\(self\.connections\.(values|items)\(\)\)",
+     ["src/repro/overlay/simulator.py"]),
 ]
 
 #: Deleted files and directories.

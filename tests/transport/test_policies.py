@@ -118,3 +118,24 @@ class TestBbrLite:
             BbrLitePolicy(probe_gain=0.5)
         with pytest.raises(TransportError):
             BbrLitePolicy(bw_window=0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "cls, param, value",
+    [
+        (AimdPolicy, "cwnd_init", NAN),  # failed only at the first allowance
+        (AimdPolicy, "cwnd_init", INF),  # an unlimited window: open loop
+        (AimdPolicy, "ssthresh", NAN),
+        (BbrLitePolicy, "cwnd_gain", NAN),
+        (BbrLitePolicy, "probe_gain", NAN),
+        (BbrLitePolicy, "probe_gain", INF),
+        (BbrLitePolicy, "bw_window", 2.5),  # silently a 2-round window
+        (BbrLitePolicy, "bw_window", True),  # silently a 1-round window
+    ],
+)
+def test_non_finite_or_non_int_param_refused(cls, param, value):
+    with pytest.raises(TransportError, match=param):
+        cls(**{param: value})

@@ -13,6 +13,7 @@ from repro.transport import (
     BottleneckQueue,
     RtxManager,
     TransportController,
+    TransportManager,
     build_policy,
 )
 
@@ -161,6 +162,20 @@ class TestRtxManager:
     def test_nan_bound_refused(self, rto_min, rto_max, arg):
         with pytest.raises(ValueError, match=arg):
             RtxManager(rto_min, rto_max)
+
+    @pytest.mark.parametrize(
+        "rto_min, rto_max, arg",
+        [
+            (-1.0, 64.0, "rto_min"),
+            (float("nan"), 64.0, "rto_min"),
+            (5.0, 1.0, "rto_max"),
+        ],
+    )
+    def test_manager_refuses_bad_bounds_before_the_first_attach(
+        self, rto_min, rto_max, arg
+    ):
+        with pytest.raises(ValueError, match=arg):
+            TransportManager("aimd", rto_min=rto_min, rto_max=rto_max)
 
 
 class TestOnTransmit:
