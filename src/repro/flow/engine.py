@@ -293,6 +293,15 @@ class FlowSimulator:
             raise ValueError("interval must be positive and finite")
         if sample_cap < 1:
             raise ValueError("sample_cap must be positive")
+        # random.sample needs an int budget: 2.5 would fail at the first
+        # epoch, -1 mid-run, True would scan one candidate and NaN every
+        # cohort; the slot count is the same kind of number.
+        for arg, value in (
+            ("scan_budget", scan_budget),
+            ("max_connections", max_connections),
+        ):
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ValueError(f"{arg} must be an int >= 0, got {value!r}")
         self.rate = rate
         self.loss_rate = loss_rate
         self.interval = float(interval)

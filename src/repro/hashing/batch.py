@@ -72,17 +72,19 @@ _MINIMA_CHUNK = 1 << 16
 
 
 def _family_columns(family, np):
-    """Cached ``(a, b)`` column vectors for a permutation family.
+    """Cached ``(a, b)`` column vectors for a family over ``u <= 2^32``.
 
     Families are shared, long-lived objects (peers fix them off-line),
-    so the uint64 coefficient columns are built once and memoised on
-    the instance.
+    so the coefficient columns are built once and memoised on the
+    instance: uint32 when ``u`` is a power of two (the kernel then
+    computes mod 2^32, see :func:`_fold_into`), uint64 otherwise.
     """
     cols = getattr(family, "_batch_columns", None)
     if cols is None:
-        count = len(family)
-        a = np.fromiter((p.a for p in family), dtype=np.uint64, count=count)
-        b = np.fromiter((p.b for p in family), dtype=np.uint64, count=count)
+        u, count = family.universe_size, len(family)
+        dtype = np.uint32 if u & (u - 1) == 0 else np.uint64
+        a = np.fromiter((p.a for p in family), dtype=dtype, count=count)
+        b = np.fromiter((p.b for p in family), dtype=dtype, count=count)
         cols = (a[:, None], b[:, None])
         family._batch_columns = cols
     return cols
@@ -147,17 +149,26 @@ def _fold_into(row: array, family, key_list: List[int]) -> array:
             # Vectorised range check replaces a per-key Python loop.
             if int(keys64.max()) >= u:
                 raise ValueError("key outside the family's universe")
-            # (a*x + b) stays below 2^64 for a < u <= 2^32.  Chunking
-            # the key axis caps the temporary matrix; the chunkwise
-            # elementwise minimum equals the single-pass minimum.
             a, b = _family_columns(family, np)
+            if a.dtype == np.uint32:
+                # u = 2^k <= 2^32: the residue is the low k bits of
+                # a*x + b, and uint32 arithmetic wraps mod 2^32, which
+                # 2^k divides.  Half-width products and a mask are exact.
+                keys, reduce, by = keys64.astype(np.uint32), np.bitwise_and, u - 1
+            else:
+                # (a*x + b) stays below 2^64 for a < u <= 2^32.
+                keys, reduce, by = keys64, np.remainder, u
+            by = a.dtype.type(by)
             # Read as uint64, UNSET is 2^64 - 1: every image lowers it.
+            # Chunking the key axis caps the temporary matrix; the
+            # chunkwise elementwise minimum equals the single-pass one.
             merged = np.frombuffer(row, dtype=np.uint64)
             with np.errstate(over="ignore"):
-                for start in range(0, len(keys64), _MINIMA_CHUNK):
-                    chunk = keys64[start : start + _MINIMA_CHUNK]
-                    part = ((a * chunk[None, :] + b) % np.uint64(u)).min(axis=1)
-                    np.minimum(merged, part, out=merged)
+                for start in range(0, len(keys), _MINIMA_CHUNK):
+                    images = a * keys[None, start : start + _MINIMA_CHUNK]
+                    images += b
+                    reduce(images, by, out=images)
+                    np.minimum(merged, images.min(axis=1), out=merged)
             return row
     # Wide universes overflow uint64 (and no-numpy environments):
     # Python ints per permutation, still a single pass per map.

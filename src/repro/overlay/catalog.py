@@ -270,12 +270,14 @@ class CatalogScheme(SummaryScheme):
             return 0.0
         return weight * super().usefulness(receiver, candidate)
 
-    def usefulness_many(self, receiver, candidates) -> List[float]:
+    def usefulness_many(self, receiver, candidates, card_of=None) -> List[float]:
         weights = [self.object_weight(receiver, c) for c in candidates]
         # A zero weight settles it before any symbol card is consulted.
         base = iter(
             super().usefulness_many(
-                receiver, [c for c, w in zip(candidates, weights) if w != 0.0]
+                receiver,
+                [c for c, w in zip(candidates, weights) if w != 0.0],
+                card_of,
             )
         )
         return [0.0 if w == 0.0 else w * next(base) for w in weights]

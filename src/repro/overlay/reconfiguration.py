@@ -16,6 +16,7 @@ is the paper's own choice — the 1KB min-wise calling card — and the one
 card joins, admission and rewiring share when a run names no other.
 """
 
+import math
 import random
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping
 from typing import Optional, Protocol, Sequence, Tuple
@@ -105,7 +106,10 @@ class SummaryScheme:
         )
 
     def usefulness_many(
-        self, receiver: OverlayNode, candidates: Sequence[OverlayNode]
+        self,
+        receiver: OverlayNode,
+        candidates: Sequence[OverlayNode],
+        card_of: Optional[Callable[[OverlayNode], Summary]] = None,
     ) -> List[float]:
         """``[self.usefulness(receiver, c) for c in candidates]``, the
         same floats, computed from the cards that are there: min-wise
@@ -113,17 +117,24 @@ class SummaryScheme:
         estimate kernel of
         :class:`~repro.reconcile.adapters.MinwiseSummary`), every other
         kind pair by pair.  Nothing is stored, so nothing can go stale.
+
+        ``card_of`` looks a node's card up (an epoch passes its
+        :class:`EpochTable`'s); ``None`` reads :meth:`card_of`.
         """
-        card_of = self.card_of
+        if card_of is None:
+            card_of = self.card_of
         cards = [card_of(c) for c in candidates if not c.is_source]
         if not cards:
             return [1.0] * len(candidates)  # the receiver's card is not read
         ours = card_of(receiver)
         if self.kind == "minwise":
-            estimates = iter(ours.estimate_resemblance_many(cards))  # type: ignore[attr-defined]
+            estimates = ours.estimate_resemblance_many(cards)  # type: ignore[attr-defined]
         else:
-            estimates = (self.resemblance(ours, theirs) for theirs in cards)
-        return [1.0 if c.is_source else 1.0 - next(estimates) for c in candidates]
+            estimates = [self.resemblance(ours, theirs) for theirs in cards]
+        if len(cards) == len(candidates):
+            return [1.0 - e for e in estimates]
+        rest = iter(estimates)
+        return [1.0 if c.is_source else 1.0 - next(rest) for c in candidates]
 
     def card_wire_bytes(self, node: OverlayNode) -> int:
         """Honest wire cost of shipping the node's card once."""
@@ -139,6 +150,11 @@ def default_scheme() -> SummaryScheme:
     call returns an equal scheme, so every consumer reads the same
     cached entry of a node's working set."""
     return SummaryScheme(DEFAULT_POLICY.card_kind, dict(DEFAULT_POLICY.card_params))
+
+
+def _can_serve(node: OverlayNode) -> bool:
+    """A source, or a peer holding something to send."""
+    return node.is_source or len(node.working_set) > 0
 
 
 class AdmissionPolicy(Protocol):
@@ -184,17 +200,69 @@ class OpenAdmission:
     """
 
     def admit(self, receiver: OverlayNode, candidate: OverlayNode) -> bool:
-        return candidate.is_source or len(candidate.working_set) > 0
+        return _can_serve(candidate)
+
+
+class _Reads(dict):
+    """``reads[node]`` is ``read(node)``, read on first use and served
+    after: C-level dict hits, one call per node."""
+
+    __slots__ = ("_read",)
+
+    def __init__(self, read: Callable[[OverlayNode], Any]):
+        super().__init__()
+        self._read = read
+
+    def __missing__(self, node: OverlayNode) -> Any:
+        value = self[node] = self._read(node)
+        return value
+
+
+class EpochTable:
+    """What one reconfiguration epoch reads about a node, read once.
+
+    ``serves[node]`` is :func:`_can_serve`; ``card_of(node)`` is the
+    scheme's :meth:`SummaryScheme.card_of`; ``wire_bytes[node]`` is what
+    a scan pays for the card — the scheme's ``card_wire_bytes``, or 0
+    for a node that publishes none (a source or an empty set).  Each is
+    read on first use and served after.  A table without a scheme has
+    only ``serves``.
+
+    The answers are the direct reads because nothing inside an epoch
+    adds an id to a set (see :func:`run_epoch`).  A table is not a
+    cache: the card still comes from ``card_of`` — the working set's
+    cached summary, which stays the only owner — and the table is
+    dropped with the epoch (or the direct ``rewire`` call) that made it.
+    """
+
+    __slots__ = ("serves", "card_of", "wire_bytes")
+
+    def __init__(self, scheme: Optional[SummaryScheme] = None):
+        serves = self.serves = _Reads(_can_serve)
+        if scheme is None:
+            self.card_of = self.wire_bytes = None
+            return
+        self.card_of = _Reads(scheme.card_of).__getitem__
+        self.wire_bytes = _Reads(
+            lambda node: 0
+            if node.is_source or not serves[node]
+            else scheme.card_wire_bytes(node)
+        )
 
 
 class ReconfigurationPolicy(Protocol):
-    """Periodically rewires a receiver's sender slots."""
+    """Periodically rewires a receiver's sender slots.
+
+    ``table`` is the epoch's :class:`EpochTable`; a direct call passes
+    none and the policy reads through a table of its own.
+    """
 
     def rewire(
         self,
         receiver: OverlayNode,
         current_senders: List[OverlayNode],
         candidates: List[OverlayNode],
+        table: Optional[EpochTable] = None,
     ) -> Tuple[List[OverlayNode], List[OverlayNode]]: ...
 
 
@@ -202,17 +270,16 @@ def _usable_candidates(
     receiver: OverlayNode,
     current_senders: List[OverlayNode],
     candidates: List[OverlayNode],
+    serves: Mapping[OverlayNode, bool],
 ) -> List[OverlayNode]:
-    """Candidates a rewiring pass may consider: not self, not already a
-    sender, and holding something to send (zero-working-set peers are
-    rejected outright)."""
-    current_ids = {s.node_id for s in current_senders}
+    """Candidates a rewiring pass may consider: not the receiver, not
+    already a sender, and able to serve (zero-working-set peers are
+    rejected outright).  An engine holds one object per node, so nodes
+    compare by identity and the filter loads no node attribute: at 10k
+    nodes those loads are cache misses."""
+    current = set(current_senders)
     return [
-        c
-        for c in candidates
-        if c.node_id != receiver.node_id
-        and c.node_id not in current_ids
-        and (c.is_source or len(c.working_set) > 0)
+        c for c in candidates if c is not receiver and c not in current and serves[c]
     ]
 
 
@@ -233,8 +300,10 @@ class UtilityRewiring:
         hysteresis: float = DEFAULT_HYSTERESIS,
         rng: Optional[random.Random] = None,
     ):
-        if hysteresis < 0:
-            raise ValueError("hysteresis must be non-negative")
+        # NaN or inf would make ``best > worst + hysteresis`` always
+        # false: the informed arm would silently never swap.
+        if not (math.isfinite(hysteresis) and hysteresis >= 0):
+            raise ValueError(f"hysteresis must be finite and >= 0, got {hysteresis!r}")
         self.scheme = scheme
         self.hysteresis = hysteresis
         self.rng = rng if rng is not None else default_rng("overlay.reconfiguration")
@@ -244,8 +313,11 @@ class UtilityRewiring:
         receiver: OverlayNode,
         current_senders: List[OverlayNode],
         candidates: List[OverlayNode],
+        table: Optional[EpochTable] = None,
     ) -> Tuple[List[OverlayNode], List[OverlayNode]]:
-        usable = _usable_candidates(receiver, current_senders, candidates)
+        if table is None:
+            table = EpochTable(self.scheme)
+        usable = _usable_candidates(receiver, current_senders, candidates, table.serves)
         if not usable:
             return [], []
 
@@ -253,7 +325,7 @@ class UtilityRewiring:
         # stable), and a swap names the first worst and the first best.
         free_slots = receiver.max_connections - len(current_senders)
         if free_slots > 0:
-            utility = self.scheme.usefulness_many(receiver, usable)
+            utility = self.scheme.usefulness_many(receiver, usable, table.card_of)
             ranked = sorted(
                 range(len(usable)), key=utility.__getitem__, reverse=True
             )
@@ -262,7 +334,9 @@ class UtilityRewiring:
         if not current_senders:
             return [], []
         held = len(current_senders)
-        utility = self.scheme.usefulness_many(receiver, current_senders + usable)
+        utility = self.scheme.usefulness_many(
+            receiver, current_senders + usable, table.card_of
+        )
         worst = min(utility[:held])
         best = max(utility[held:])
         if best > worst + self.hysteresis:
@@ -290,8 +364,10 @@ class RandomRewiring:
         receiver: OverlayNode,
         current_senders: List[OverlayNode],
         candidates: List[OverlayNode],
+        table: Optional[EpochTable] = None,
     ) -> Tuple[List[OverlayNode], List[OverlayNode]]:
-        usable = _usable_candidates(receiver, current_senders, candidates)
+        serves = (table or EpochTable()).serves
+        usable = _usable_candidates(receiver, current_senders, candidates, serves)
         if not usable:
             return [], []
         free_slots = receiver.max_connections - len(current_senders)
@@ -323,27 +399,27 @@ def run_epoch(
 
     A generator on purpose: the engine applies each decision before the
     next receiver samples, because applying one draws from the same
-    ``rng`` (a new connection builds a strategy).  Cards cannot change
-    inside an epoch, so a size is read once, and only if scanned.
+    ``rng`` (a new connection builds a strategy).
+
+    Every read about a node goes through one :class:`EpochTable` for
+    the whole epoch — whether it can serve, its card, its card's wire
+    size — so each is read once, and only if somebody needs it: the
+    scan's pricing, the policy's candidate filter and its usefulness
+    batch share it.  That is exact because cards cannot change inside
+    an epoch: the epoch runs inside one scheduler event, and applying a
+    decision (connecting, disconnecting, building a strategy) never
+    adds an id to a set.  The table dies with this call; nothing is
+    stored on the scheme, the nodes or the engine.
     """
-    scheme = getattr(policy, "scheme", None)
-    card_bytes: Dict[OverlayNode, int] = {}
-    size_of = card_bytes.get
+    table = EpochTable(getattr(policy, "scheme", None))
+    wire_bytes = table.wire_bytes
     for receiver in receivers:
         pool = pool_of(receiver)
         candidates = rng.sample(pool, budget) if budget and budget < len(pool) else pool
         control_bytes = 0
-        if scheme is not None:
+        if wire_bytes is not None:
             for c in candidates:
-                if c is receiver:
-                    continue
-                size = size_of(c)
-                if size is None:
-                    size = card_bytes[c] = (
-                        0
-                        if c.is_source or len(c.working_set) == 0
-                        else scheme.card_wire_bytes(c)
-                    )
-                control_bytes += size
-        drops, adds = policy.rewire(receiver, senders_of(receiver), candidates)
+                if c is not receiver:
+                    control_bytes += wire_bytes[c]
+        drops, adds = policy.rewire(receiver, senders_of(receiver), candidates, table)
         yield receiver, control_bytes, drops, adds

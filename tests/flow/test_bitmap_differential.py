@@ -149,7 +149,9 @@ def test_every_ground_truth_call_matches_plain_sets(
         sim = _simulator(seed, objects, policy, strategy, sample_cap, rate,
                          tiers, interval)
         sim.run(max_ticks=60)
-    assert oracle.source_draws > 0
+    # Every example has a wave to feed, but mirrors can feed it alone
+    # (two complementary slices need no source): some draw was checked.
+    assert oracle.source_draws + oracle.peer_draws > 0
 
 
 @pytest.mark.parametrize("gate", GATES)

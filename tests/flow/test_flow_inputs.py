@@ -112,3 +112,32 @@ class TestAClockThatCannotAdvance:
         kwargs = {"rate": 2.0, field: value}
         with pytest.raises(ValueError, match="finite"):
             FlowSimulator([CohortDef("a", 0, 4, demand=10, distinct=12)], **kwargs)
+
+
+class TestSlotAndScanCounts:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("scan_budget", 2.5),  # a TypeError at the first epoch
+            ("scan_budget", -1),  # a ValueError from random.sample mid-run
+            ("scan_budget", True),  # silently scanned one candidate
+            ("scan_budget", math.nan),  # silently scanned everyone
+            ("max_connections", 2.5),
+            ("max_connections", -1),
+            ("max_connections", True),
+        ],
+    )
+    def test_flow_simulator_refuses_a_non_int(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an int >= 0"):
+            FlowSimulator(
+                [CohortDef("a", 0, 4, demand=10, distinct=12)],
+                rate=2.0,
+                **{field: value},
+            )
+
+    def test_zero_is_accepted(self):
+        sim = FlowSimulator(
+            [CohortDef("a", 0, 4, demand=10, distinct=12)],
+            rate=2.0, scan_budget=0, max_connections=0,
+        )
+        assert (sim.scan_budget, sim.max_connections) == (0, 0)

@@ -14,7 +14,8 @@ is renewed rather than rebuilt (and pin how many the congested row
 pays), and hold the working-set summary cache-key regression
 (permuted-but-equal params share one entry).  The delivery pass is held
 to a full-walk oracle the same way (:func:`_full_walk_oracle`), and the
-connection visits it saves are pinned as counts.
+connection visits it saves are pinned as counts; so is an epoch's table
+(:func:`_per_read_oracle`) and the card reads it saves.
 """
 
 import math
@@ -26,11 +27,13 @@ from repro.api import build, run, specs
 from repro.delivery.strategies import make_strategy
 from repro.delivery.working_set import WorkingSet
 from repro.overlay.node import OverlayNode
+from repro.overlay.reconfiguration import SummaryScheme
 from repro.overlay.simulator import OverlaySimulator
 from repro.transport.controller import TransportController
 from repro.transport.rtx import RtxManager
 
 import repro.hashing.batch as batch
+import repro.overlay.reconfiguration as reconfiguration
 import repro.overlay.simulator as simulator
 import repro.reconcile.policy as policy
 import repro.reconcile.registry as registry
@@ -79,6 +82,29 @@ def _full_walk_oracle(mp):
     scans for timeouts."""
     mp.setattr(OverlaySimulator, "_feeding_connections", _every_connection)
     mp.setattr(controller, "RtxManager", _ScanEveryCall)
+
+
+def _read_through(self, node):
+    return self._read(node)
+
+
+def _per_read_oracle(mp):
+    """An epoch table that keeps nothing: every card, wire-size and
+    can-serve lookup reads ``scheme.card_of`` / the node again."""
+    mp.setattr(reconfiguration._Reads, "__missing__", _read_through)
+
+
+def _count_card_reads(mp):
+    """Count ``SummaryScheme.card_of`` calls (catalog schemes inherit it)."""
+    calls = {"card_of": 0}
+    card_of = SummaryScheme.card_of
+
+    def counted(self, node):
+        calls["card_of"] += 1
+        return card_of(self, node)
+
+    mp.setattr(SummaryScheme, "card_of", counted)
+    return calls
 
 
 def _run(spec, rebuild: bool = False):
@@ -196,6 +222,51 @@ class TestFullWalkParity:
         assert fast.metrics == slow.metrics
         assert fast.report == slow.report
         assert fast.completed == slow.completed
+
+
+#: The rows whose runs hold reconfiguration epochs.
+EPOCH_ROWS = sorted(set(CATALOG) - {"congested_aimd"})
+
+
+class TestEpochTableParity:
+    """Reading each node once per epoch == reading it on every lookup,
+    report for report."""
+
+    @pytest.mark.parametrize("numpy_on", [True, False])
+    @pytest.mark.parametrize("name", EPOCH_ROWS)
+    def test_scenario(self, name, numpy_on, monkeypatch):
+        if not numpy_on:
+            monkeypatch.setattr(batch, "_numpy", lambda: None)
+        calls = _count_card_reads(monkeypatch)
+        spec = CATALOG[name]()
+        fast = run(spec)
+        table_reads, calls["card_of"] = calls["card_of"], 0
+        with pytest.MonkeyPatch.context() as mp:
+            _per_read_oracle(mp)
+            slow = run(spec)
+        assert fast.metrics == slow.metrics
+        assert fast.report == slow.report
+        assert fast.completed == slow.completed
+        # The row ran epochs, and the oracle did read again.
+        assert calls["card_of"] > table_reads
+
+
+class TestEpochCardReads:
+    """How many cards the budgeted informed row fetches: 91 when every
+    candidate's card was fetched again for each receiver that scanned
+    it; with the table, each node's once per epoch (for pricing and for
+    the usefulness batch), plus admission's reads inside ``connect``."""
+
+    CARD_OF_CALLS = 60
+
+    @pytest.mark.parametrize("numpy_on", [True, False])
+    def test_informed_scan_budget(self, numpy_on, monkeypatch):
+        if not numpy_on:
+            monkeypatch.setattr(batch, "_numpy", lambda: None)
+        calls = _count_card_reads(monkeypatch)
+        result = run(CATALOG["informed_scan_budget"]())
+        assert calls["card_of"] == self.CARD_OF_CALLS
+        assert result.metrics["reconfig_epochs"] == 2.0
 
 
 class TestRefreshSkip:

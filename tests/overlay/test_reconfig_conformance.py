@@ -12,6 +12,7 @@ must satisfy the same behavioural contract:
 * a seeded run replays bit-identically under ``derive_seed``.
 """
 
+import math
 import random
 
 import pytest
@@ -202,6 +203,25 @@ class TestRandomRewiring:
         alt = _node("alt", range(200, 250))
         drops, adds = policy.rewire(receiver, [current], [alt])
         assert drops == [current] and adds == [alt]
+
+
+class TestHysteresisArgument:
+    @pytest.mark.parametrize(
+        "value",
+        [
+            math.nan,  # best > worst + nan is always false: never swapped
+            math.inf,  # never swapped either
+            -math.inf,
+            -0.1,
+        ],
+        ids=["nan", "inf", "-inf", "negative"],
+    )
+    def test_refused_with_its_name(self, value):
+        with pytest.raises(ValueError, match="hysteresis must be finite and >= 0"):
+            UtilityRewiring(default_scheme(), hysteresis=value)
+
+    def test_zero_is_a_margin(self):
+        assert UtilityRewiring(default_scheme(), hysteresis=0).hysteresis == 0
 
 
 class TestOpenAdmission:

@@ -15,7 +15,9 @@ import pytest
 from repro.flow.engine import CohortDef, FlowSimulator
 from repro.overlay.node import OverlayNode
 from repro.overlay.reconfiguration import (
+    EpochTable,
     SummaryScheme,
+    UtilityRewiring,
     _usable_candidates,
     run_epoch,
 )
@@ -57,8 +59,9 @@ class SwapOldest:
     def __init__(self):
         self.decisions = []
 
-    def rewire(self, receiver, current_senders, candidates):
-        usable = _usable_candidates(receiver, current_senders, candidates)
+    def rewire(self, receiver, current_senders, candidates, table=None):
+        serves = (table or EpochTable()).serves
+        usable = _usable_candidates(receiver, current_senders, candidates, serves)
         drops, adds = (current_senders[:1], usable[:1]) if usable else ([], [])
         self.decisions.append(
             (receiver.node_id, [d.node_id for d in drops], [a.node_id for a in adds])
@@ -135,6 +138,17 @@ def test_each_decision_is_applied_before_the_next_receiver_samples(engine):
         assert all(a < b for a, b in zip(draws, draws[1:]))
 
 
+@pytest.mark.parametrize("engine", [_packet_engine, _flow_engine])
+def test_an_epoch_stores_nothing_on_the_scheme_or_the_policy(engine):
+    scheme = SummaryScheme("minwise", {"entries": 16})
+    policy = UtilityRewiring(scheme, hysteresis=0.0, rng=random.Random(1))
+    reconfigure, topology = engine(random.Random(5), policy)
+    before = topology(), dict(vars(scheme)), dict(vars(policy))
+    reconfigure()
+    assert topology() != before[0]  # the epoch rewired
+    assert (dict(vars(scheme)), dict(vars(policy))) == before[1:]
+
+
 class _PricedScheme(SummaryScheme):
     def __init__(self):
         super().__init__("minwise", {"entries": 16})
@@ -149,7 +163,7 @@ class _Idle:
     def __init__(self, scheme):
         self.scheme = scheme
 
-    def rewire(self, receiver, current_senders, candidates):
+    def rewire(self, receiver, current_senders, candidates, table=None):
         return [], []
 
 
@@ -181,7 +195,7 @@ def test_a_budget_samples_the_pool_and_a_schemeless_policy_pays_nothing():
     seen = []
 
     class Blind:
-        def rewire(self, receiver, current_senders, candidates):
+        def rewire(self, receiver, current_senders, candidates, table=None):
             seen.append([c.node_id for c in candidates])
             return [], []
 

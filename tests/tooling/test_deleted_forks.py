@@ -93,6 +93,9 @@ GUARDS = [
     Guard(30, "a delivery pass or refresh that polls every connection",
      r"for (conn|key, conn) in list\(self\.connections\.(values|items)\(\)\)",
      ["src/repro/overlay/simulator.py"]),
+    Guard(31, "a memo or per-epoch table stored on a scheme or policy",
+     r"self\.\w*(memo|table|epoch)\w*\s*(:[^=]*)?=(?!=)",
+     ["src/repro/overlay/reconfiguration.py", "src/repro/overlay/catalog.py"]),
 ]
 
 #: Deleted files and directories.
