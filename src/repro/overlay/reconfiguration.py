@@ -130,9 +130,7 @@ class SummaryScheme:
         if self.kind == "minwise":
             estimates = ours.estimate_resemblance_many(cards)  # type: ignore[attr-defined]
         else:
-            estimates = [self.resemblance(ours, theirs) for theirs in cards]
-        if len(cards) == len(candidates):
-            return [1.0 - e for e in estimates]
+            estimates = (self.resemblance(ours, theirs) for theirs in cards)
         rest = iter(estimates)
         return [1.0 if c.is_source else 1.0 - next(rest) for c in candidates]
 
@@ -255,6 +253,11 @@ class ReconfigurationPolicy(Protocol):
 
     ``table`` is the epoch's :class:`EpochTable`; a direct call passes
     none and the policy reads through a table of its own.
+
+    A node is its object: ``receiver``, ``current_senders`` and
+    ``candidates`` must hand over the very objects the engine holds
+    (one per node).  A different object with the same ``node_id`` is
+    not recognised as the receiver or as a current sender.
     """
 
     def rewire(
@@ -274,9 +277,10 @@ def _usable_candidates(
 ) -> List[OverlayNode]:
     """Candidates a rewiring pass may consider: not the receiver, not
     already a sender, and able to serve (zero-working-set peers are
-    rejected outright).  An engine holds one object per node, so nodes
-    compare by identity and the filter loads no node attribute: at 10k
-    nodes those loads are cache misses."""
+    rejected outright).  Nodes compare by identity, which is
+    :class:`ReconfigurationPolicy`'s one-object-per-node rule: the
+    filter then loads no node attribute, and at 10k nodes those loads
+    are cache misses."""
     current = set(current_senders)
     return [
         c for c in candidates if c is not receiver and c not in current and serves[c]

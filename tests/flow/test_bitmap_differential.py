@@ -100,14 +100,16 @@ def _object(obj, demand, extra, mirrors, waves):
     return cohorts
 
 
-_objects = st.tuples(
-    st.integers(8, 60),
-    st.integers(0, 30),
-    st.lists(st.tuples(st.integers(1, 5), st.sampled_from([0.3, 0.5, 0.7])),
-             min_size=1, max_size=2),
-    st.lists(st.tuples(st.integers(1, 20), st.sampled_from([0.0, 2.5, 5.5, 7.0])),
-             min_size=1, max_size=2),
-)
+def _objects(max_mirrors):
+    return st.tuples(
+        st.integers(8, 60),
+        st.integers(0, 30),
+        st.lists(st.tuples(st.integers(1, 5), st.sampled_from([0.3, 0.5, 0.7])),
+                 min_size=1, max_size=max_mirrors),
+        st.lists(st.tuples(st.integers(1, 20),
+                           st.sampled_from([0.0, 2.5, 5.5, 7.0])),
+                 min_size=1, max_size=2),
+    )
 
 
 def _simulator(seed, objects, policy, strategy, sample_cap, rate, tiers, interval):
@@ -132,7 +134,10 @@ def _simulator(seed, objects, policy, strategy, sample_cap, rate, tiers, interva
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(0, 2**16),
-    objects=st.tuples(_objects, _objects),
+    # Two mirrors on complementary slices can hold a whole object, and
+    # an informed epoch may then drop the source before it ever sends;
+    # a lone mirror holds at most 70 %, so the first object needs it.
+    objects=st.tuples(_objects(max_mirrors=1), _objects(max_mirrors=2)),
     policy=st.sampled_from(["informed", "random", "static"]),
     strategy=st.sampled_from(["Random", "Recode/BF"]),
     sample_cap=st.sampled_from([16, 32, 256]),
@@ -149,9 +154,7 @@ def test_every_ground_truth_call_matches_plain_sets(
         sim = _simulator(seed, objects, policy, strategy, sample_cap, rate,
                          tiers, interval)
         sim.run(max_ticks=60)
-    # Every example has a wave to feed, but mirrors can feed it alone
-    # (two complementary slices need no source): some draw was checked.
-    assert oracle.source_draws + oracle.peer_draws > 0
+    assert oracle.source_draws > 0
 
 
 @pytest.mark.parametrize("gate", GATES)

@@ -9,6 +9,8 @@ must satisfy the same behavioural contract:
   a candidate the lower bar rejected);
 * sources are always admitted and never dropped by rewiring;
 * zero-working-set candidates are rejected outright;
+* the receiver and its current senders (the same objects) are never
+  offered back;
 * a seeded run replays bit-identically under ``derive_seed``.
 """
 
@@ -132,6 +134,15 @@ class TestRewiringConformance:
         assert empty not in adds
         assert receiver not in adds
 
+    def test_receiver_and_current_senders_are_never_offered(self, kind):
+        # A node is its object: passing the engine's own objects back as
+        # candidates must not add them again.
+        policy = UtilityRewiring(_scheme(kind), rng=random.Random(2))
+        receiver = _node("r", range(50), max_connections=3)
+        held = _node("held", range(500, 600))
+        drops, adds = policy.rewire(receiver, [held], [held, receiver])
+        assert (drops, adds) == ([], [])
+
     def test_fills_free_slots_with_useful_candidates(self, kind):
         policy = UtilityRewiring(_scheme(kind), rng=random.Random(3))
         receiver = _node("r", range(50), max_connections=2)
@@ -194,6 +205,13 @@ class TestRandomRewiring:
         receiver = _node("r", range(50), max_connections=3)
         empty = _node("empty", ())
         drops, adds = policy.rewire(receiver, [], [empty, receiver])
+        assert drops == [] and adds == []
+
+    def test_receiver_and_current_senders_are_never_offered(self):
+        policy = RandomRewiring(rng=random.Random(5))
+        receiver = _node("r", range(50), max_connections=3)
+        held = _node("held", range(500, 600))
+        drops, adds = policy.rewire(receiver, [held], [held, receiver])
         assert drops == [] and adds == []
 
     def test_swaps_at_capacity(self):
