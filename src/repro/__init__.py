@@ -15,15 +15,20 @@ Quickstart::
 Subpackages:
 
 * :mod:`repro.hashing` — hash families and min-wise permutations.
-* :mod:`repro.sketches` — working-set similarity estimation (§4).
-* :mod:`repro.filters` — Bloom filter summaries (§5.2).
-* :mod:`repro.art` — approximate reconciliation trees (§5.3).
-* :mod:`repro.exact` — exact reconciliation baselines (§5.1).
+* :mod:`repro.sketches` — the stand-alone min-wise sketch and the
+  resemblance / containment conversions (§4).
+* :mod:`repro.filters` — the Bloom filter (§5.2).
+* :mod:`repro.art` — the reconciliation trie and its difference search
+  (§5.3).
+* :mod:`repro.exact` — the characteristic-polynomial reconciler (§5.1).
 * :mod:`repro.reconcile` — the one :class:`~repro.reconcile.Summary`
-  interface over all of the above: a string-keyed adapter registry
-  (``build_summary("art", ids)``), wire payload round trips, and the
-  :class:`~repro.reconcile.SummaryPolicy` the protocol and strategy
-  layers consume.
+  interface and one class per summary kind — the calling cards (§4),
+  Bloom filters and ARTs (§5.2–5.3), exact baselines (§5.1) — built by
+  name (``build_summary("art", ids)``), round-tripped through wire
+  payloads, and chosen by the :class:`~repro.reconcile.SummaryPolicy`
+  the protocol and strategy layers consume.  An ART is
+  ``build_summary("art", ids)``; the ART facade class that used to be
+  exported here has left ``repro.__all__`` (README, "Layout").
 * :mod:`repro.coding` — sparse parity-check codes and recoding (§5.4).
 * :mod:`repro.delivery` — strategies and transfer simulation (§6).
 * :mod:`repro.overlay` — adaptive overlay network substrate (§2).
@@ -56,7 +61,6 @@ Declarative experiments::
 
 __version__ = "1.0.0"
 
-from repro.art import ApproximateReconciliationTree
 from repro.coding import (
     DegreeDistribution,
     EncodedSymbol,
@@ -111,7 +115,6 @@ __all__ = [
     "summary_kinds",
     "derive_rng",
     "derive_seed",
-    "ApproximateReconciliationTree",
     "BloomFilter",
     "DegreeDistribution",
     "EncodedSymbol",

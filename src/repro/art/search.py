@@ -14,17 +14,41 @@ the "never send a useless symbol" property of reconciled transfers.
 """
 
 from dataclasses import dataclass, field
-from typing import List, Protocol
+from typing import FrozenSet, List, Protocol
 
 from repro.art.tree import ReconciliationTrie, TrieNode
 
 
 class TreeSummary(Protocol):
-    """What a search needs from a summary (exact or Bloom-filtered)."""
+    """What a search needs from a summary: the ``art`` summary kind
+    (Bloom-filtered) or :class:`ExactTreeSummary`."""
 
     def matches_internal(self, value: int) -> bool: ...
 
     def matches_leaf(self, value: int) -> bool: ...
+
+
+class ExactTreeSummary:
+    """Node values shipped exactly (a "comparison tree" in Figure 3(e)
+    terms): the no-Bloom-error baseline and accuracy ceiling.  Accurate
+    up to hash collisions, but bulky."""
+
+    def __init__(self, trie: ReconciliationTrie):
+        self.seed = trie.seed
+        self._internal: FrozenSet[int] = frozenset(trie.internal_values())
+        self._leaves: FrozenSet[int] = frozenset(trie.leaf_values())
+
+    def matches_internal(self, value: int) -> bool:
+        """Whether some internal node of the summarised trie has ``value``."""
+        return value in self._internal
+
+    def matches_leaf(self, value: int) -> bool:
+        """Whether some leaf of the summarised trie has ``value``."""
+        return value in self._leaves
+
+    def size_bytes(self) -> int:
+        """Wire size if every 64-bit value were shipped explicitly."""
+        return 8 * (len(self._internal) + len(self._leaves))
 
 
 @dataclass

@@ -25,20 +25,18 @@ Implementation notes:
 """
 
 import random
-from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Set
+from typing import Iterable, List, Sequence, Set, Tuple
 
 _P = (1 << 61) - 1  # field modulus
 _KEY_LIMIT = 1 << 60  # keys must be below this; sample points at/above it
 
-#: Reserve points used only for checking the solution; every sketch
+#: Reserve points used only for checking the solution; every message
 #: sized for discrepancy ``d`` carries ``d + VERIFY_POINTS`` evaluations.
 VERIFY_POINTS = 4
-_VERIFY_POINTS = VERIFY_POINTS
 
 
 class DiscrepancyExceeded(ValueError):
-    """The true set discrepancy exceeds the bound the sketch was sized for."""
+    """The true set discrepancy exceeds the bound the message was sized for."""
 
 
 def _eval_poly(coeffs: Sequence[int], x: int) -> int:
@@ -135,21 +133,6 @@ def _solve_linear_system(matrix: List[List[int]], rhs: List[int]) -> List[int]:
     return solution
 
 
-@dataclass
-class CPISketch:
-    """Peer A's wire message: char-poly evaluations plus its set size."""
-
-    evaluations: List[int]
-    verify_evaluations: List[int]
-    set_size: int
-    max_discrepancy: int
-    seed: int
-
-    def size_bytes(self) -> int:
-        """Wire size: 8 bytes per evaluation plus a small header."""
-        return 8 * (len(self.evaluations) + len(self.verify_evaluations)) + 12
-
-
 class CharacteristicPolynomialReconciler:
     """Exact reconciliation via rational-function interpolation over GF(p)."""
 
@@ -159,7 +142,7 @@ class CharacteristicPolynomialReconciler:
         self.max_discrepancy = max_discrepancy
         self.seed = seed
         rng = random.Random(seed)
-        total = max_discrepancy + _VERIFY_POINTS
+        total = max_discrepancy + VERIFY_POINTS
         points: Set[int] = set()
         while len(points) < total:
             points.add(rng.randrange(_KEY_LIMIT, _P))
@@ -169,35 +152,36 @@ class CharacteristicPolynomialReconciler:
 
     # -- peer A -------------------------------------------------------------
 
-    def sketch(self, elements: Iterable[int]) -> CPISketch:
-        """Build peer A's evaluations message."""
+    def evaluate(self, elements: Iterable[int]) -> Tuple[List[int], List[int]]:
+        """Peer A's message: ``chi_A`` at the sample and reserve points."""
         pool = list(elements)
         for e in pool:
             if not 0 <= e < _KEY_LIMIT:
                 raise ValueError(f"key {e} outside supported universe [0, 2^60)")
-        return CPISketch(
-            evaluations=[_char_poly_eval(pool, x) for x in self._points],
-            verify_evaluations=[_char_poly_eval(pool, x) for x in self._verify_points],
-            set_size=len(pool),
-            max_discrepancy=self.max_discrepancy,
-            seed=self.seed,
+        return (
+            [_char_poly_eval(pool, x) for x in self._points],
+            [_char_poly_eval(pool, x) for x in self._verify_points],
         )
 
     # -- peer B ----------------------------------------------------------------
 
-    def difference(self, sketch: CPISketch, local_set: Iterable[int]) -> Set[int]:
-        """Recover ``S_B - S_A`` exactly from A's sketch and B's own set.
+    def difference(self, remote, local_set: Iterable[int]) -> Set[int]:
+        """Recover ``S_B - S_A`` exactly from A's message and B's own set.
+
+        ``remote`` carries A's message as received — ``evaluations``,
+        ``verify_evaluations``, ``set_size``, ``max_discrepancy`` and
+        ``seed`` (a :class:`~repro.reconcile.adapters.CPISummary`).
 
         Raises:
             DiscrepancyExceeded: if the true discrepancy exceeds the bound
                 (detected via the reserve verification points).
         """
-        if sketch.seed != self.seed or sketch.max_discrepancy != self.max_discrepancy:
-            raise ValueError("sketch was built by an incompatible reconciler")
+        if remote.seed != self.seed or remote.max_discrepancy != self.max_discrepancy:
+            raise ValueError("message was built by an incompatible reconciler")
         local = list(local_set)
         local_unique = set(local)
         m = self.max_discrepancy
-        size_diff = sketch.set_size - len(local_unique)
+        size_diff = remote.set_size - len(local_unique)
         # Degree split: dA - dB = size_diff, dA + dB <= m, both >= 0.
         d_b = (m - size_diff) // 2
         d_a = d_b + size_diff
@@ -207,7 +191,7 @@ class CharacteristicPolynomialReconciler:
             )
 
         ratios = []
-        for x, eval_a in zip(self._points, sketch.evaluations):
+        for x, eval_a in zip(self._points, remote.evaluations):
             eval_b = _char_poly_eval(local_unique, x)
             ratios.append((eval_a * pow(eval_b, _P - 2, _P)) % _P)
 
@@ -230,7 +214,7 @@ class CharacteristicPolynomialReconciler:
             poly_q = _poly_exact_div(poly_q, g)
 
         # Verify P/Q == chi_A/chi_B on the reserve points.
-        for x, eval_a in zip(self._verify_points, sketch.verify_evaluations):
+        for x, eval_a in zip(self._verify_points, remote.verify_evaluations):
             eval_b = _char_poly_eval(local_unique, x)
             lhs = (_eval_poly(poly_p, x) * eval_b) % _P
             rhs_check = (_eval_poly(poly_q, x) * eval_a) % _P

@@ -28,8 +28,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.analysis import expected_draws_to_collect, harmonic
 from repro.api import build, specs
-from repro.art import ApproximateReconciliationTree, ExactTreeSummary
-from repro.art.search import find_difference
+from repro.art.search import ExactTreeSummary, find_difference
 from repro.art.tree import ReconciliationTrie
 from repro.coding import (
     DegreeDistribution,
@@ -45,7 +44,6 @@ from repro.coding.recode import (
     optimal_recode_degree,
 )
 from repro.delivery.receiver import DEFAULT_DECODING_OVERHEAD
-from repro.exact import CharacteristicPolynomialReconciler, HashSetSummary
 from repro.experiments.coding_stats import run_coding_stats
 from repro.experiments.fig4 import run_fig4a, run_fig4b, run_fig4c
 from repro.experiments.fig5678 import DeliveryPoint, run_fig5, run_fig6, run_fig78
@@ -53,6 +51,7 @@ from repro.experiments.sketch_accuracy import run_sketch_accuracy
 from repro.filters import BloomFilter, false_positive_rate
 from repro.hashing.permutations import PermutationFamily
 from repro.protocol import CodeParameters
+from repro.reconcile import build_summary
 from repro.sketches import MinwiseSketch
 
 #: Run sizes: ``art_n`` / ``art_d`` size the Figure 4 and Section 4-5
@@ -179,21 +178,15 @@ def _reconciliation(s: Dict[str, int]) -> Dict[str, Tuple[int, float]]:
     def found(keys: Any) -> float:
         return len(set(keys) & truth) / len(truth)
 
-    hashset = HashSetSummary.with_polynomial_range(set_a, seed=1)
-    cpi = CharacteristicPolynomialReconciler(max_discrepancy=2 * d + 10, seed=2)
-    sketch = cpi.sketch(set_a)
-    bloom = BloomFilter.for_elements(set_a, bits_per_element=8)
-    art_a = ApproximateReconciliationTree(set_a, bits_per_element=8, seed=5)
-    art_b = ApproximateReconciliationTree(set_b, bits_per_element=8, seed=5)
-    summary = art_a.summary()
+    summaries = {
+        "hash-set": build_summary("hashset", set_a, seed=1),
+        "char-poly": build_summary("cpi", set_a, max_discrepancy=2 * d + 10, seed=2),
+        "bloom": build_summary("bloom", set_a, bits_per_element=8),
+        "art": build_summary("art", set_a, bits_per_element=8, seed=5, correction=5),
+    }
     return {
-        "hash-set": (hashset.size_bytes(), found(hashset.difference_from(set_b))),
-        "char-poly": (sketch.size_bytes(), found(cpi.difference(sketch, set_b))),
-        "bloom": (bloom.size_bytes(), found(bloom.missing_from(set_b))),
-        "art": (
-            summary.size_bytes(),
-            found(art_b.difference_against(summary, correction=5).differences),
-        ),
+        name: (summary.wire_bytes(), found(summary.missing_from(set_b)))
+        for name, summary in summaries.items()
     }
 
 

@@ -15,8 +15,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.api.spec import Bound, check_value
-from repro.art import ApproximateReconciliationTree
+from repro.art.search import find_difference
+from repro.art.tree import ReconciliationTrie
 from repro.filters import BloomFilter
+from repro.reconcile import build_summary
 
 #: Figure 4 experiment scale: sets of 10,000 elements differing in ~100 —
 #: the "less than 1% of symbols useful" regime ARTs were designed for.
@@ -74,20 +76,17 @@ def _accuracy_for(
     seed: int,
 ) -> Tuple[float, int, int]:
     """(accuracy, nodes visited, summary bytes) for one configuration."""
-    art_a = ApproximateReconciliationTree(
-        set_a, bits_per_element=bits_per_element,
+    art_a = build_summary(
+        "art", set_a, bits_per_element=bits_per_element,
         leaf_bits_per_element=leaf_bits, seed=seed,
     )
-    art_b = ApproximateReconciliationTree(
-        set_b, bits_per_element=bits_per_element,
-        leaf_bits_per_element=leaf_bits, seed=seed,
+    stats = find_difference(
+        ReconciliationTrie(set_b, seed=seed), art_a, correction=correction
     )
-    summary = art_a.summary()
-    stats = art_b.difference_against(summary, correction=correction)
     true_diff = set(set_b) - set(set_a)
     found = set(stats.differences) & true_diff
     accuracy = len(found) / len(true_diff) if true_diff else 1.0
-    return accuracy, stats.nodes_visited, summary.size_bytes()
+    return accuracy, stats.nodes_visited, art_a.wire_bytes()
 
 
 def run_fig4a(
@@ -202,15 +201,12 @@ def run_fig4c(
         bf_time.append(time.perf_counter() - start)
         bf_acc.append(len(set(found) & true_diff) / len(true_diff))
 
-        art_a = ApproximateReconciliationTree(
-            set_a, bits_per_element=bits_per_element, seed=seed + t
+        art_a = build_summary(
+            "art", set_a, bits_per_element=bits_per_element, seed=seed + t
         )
-        art_b = ApproximateReconciliationTree(
-            set_b, bits_per_element=bits_per_element, seed=seed + t
-        )
-        summary = art_a.summary()
+        trie_b = ReconciliationTrie(set_b, seed=seed + t)
         start = time.perf_counter()
-        stats = art_b.difference_against(summary, correction=correction)
+        stats = find_difference(trie_b, art_a, correction=correction)
         art_time.append(time.perf_counter() - start)
         art_acc.append(len(set(stats.differences) & true_diff) / len(true_diff))
     return [

@@ -14,12 +14,8 @@ from typing import Dict, List, Sequence
 from repro.api.spec import Bound, check_value
 from repro.delivery.working_set import DEFAULT_KEY_UNIVERSE, WorkingSet
 from repro.hashing.permutations import PermutationFamily
-from repro.sketches import (
-    MinwiseSketch,
-    ModKSketch,
-    RandomSampleSketch,
-    containment_from_resemblance,
-)
+from repro.reconcile import build_summary
+from repro.sketches import MinwiseSketch, containment_from_resemblance
 
 
 @dataclass
@@ -71,16 +67,20 @@ def run_sketch_accuracy(
 
             # Random sample: B samples, A reports the hit fraction
             # |B_k ∩ A| / k — an unbiased estimate of |A ∩ B| / |B|.
-            sample_b = RandomSampleSketch.build(b.ids, sketch_entries, rng)
-            errors["random-sample"].append(
-                sample_b.estimate_containment_in(a.ids) - truth
-            )
+            sample_b = build_summary(
+                "random_sample", b.ids, k=sketch_entries,
+                seed=rng.randrange(1 << 32),
+            ).sample
+            hits = sum(1 for key in sample_b if key in a)
+            errors["random-sample"].append(hits / len(sample_b) - truth)
 
+            # Mod-k: both samples keep the same keys, so |A_k ∩ B_k| /
+            # |B_k| estimates the same containment.
             modulus = max(1, set_size // sketch_entries)
-            mk_a = ModKSketch.build(a.ids, modulus, seed)
-            mk_b = ModKSketch.build(b.ids, modulus, seed)
-            if len(mk_b):
-                errors["mod-k"].append(mk_a.estimate_containment(mk_b) - truth)
+            mk_a = build_summary("modk", a.ids, modulus=modulus, seed=seed).sample
+            mk_b = build_summary("modk", b.ids, modulus=modulus, seed=seed).sample
+            if mk_b:
+                errors["mod-k"].append(len(mk_a & mk_b) / len(mk_b) - truth)
     out = []
     for name, errs in errors.items():
         rmse = math.sqrt(sum(e * e for e in errs) / len(errs))

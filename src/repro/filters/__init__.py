@@ -5,23 +5,16 @@
   False positives cost only a missed useful symbol, never a redundant
   transmission — the asymmetry the paper's approximate reconciliation
   exploits.
-* :class:`CountingBloomFilter` — supports deletion, used when a peer prunes
-  symbols (e.g. after re-encoding) and wants to keep its summary current
-  without rebuilding.
-* :class:`PartitionedBloomFilter` — the "scaling up" construction from the
-  end of Section 5.2: a filter covering only keys ``≡ beta (mod rho)``, so
-  summaries for large working sets can be pipelined incrementally.
+
+The counting filter (deletion-capable, [11]) and the partition filter
+of Section 5.2's "scaling up" construction are the ``counting_bloom``
+and ``partitioned_bloom`` summary kinds of :mod:`repro.reconcile`.
 """
 
 from repro.filters.bloom import BloomFilter, optimal_hash_count, false_positive_rate
-from repro.filters.counting import CountingBloomFilter
-from repro.filters.partitioned import PartitionedBloomFilter, PartitionedSummaryStream
 
 __all__ = [
     "BloomFilter",
-    "CountingBloomFilter",
-    "PartitionedBloomFilter",
-    "PartitionedSummaryStream",
     "false_positive_rate",
     "optimal_hash_count",
 ]

@@ -9,14 +9,13 @@ completion or byte budget exhaustion.
 import math
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Set
 
 from repro.delivery.strategies import DEFAULT_DESIRED_MARGIN
 from repro.exact.cpi import DiscrepancyExceeded
-from repro.filters import PartitionedSummaryStream
 from repro.protocol.messages import DataMessage, RequestMessage
 from repro.protocol.peer import ProtocolPeer
-from repro.reconcile import SummaryPolicy, correlation_from_summaries
+from repro.reconcile import SummaryPolicy, build_summary, correlation_from_summaries
 from repro.seeding import default_rng
 
 #: Correlation above which a receiver should reject the sender outright
@@ -153,7 +152,9 @@ class TransferSession:
         self.clock = clock
         self.stats = SessionStats()
         self._domain: Optional[List[int]] = None
-        self._partition_stream = None
+        #: The receiver's ids at the handshake: every partition filter
+        #: summarises this one snapshot.
+        self._partition_ids: Optional[Set[int]] = None
         self._next_partition = 0
         self._next_finalize: Optional[int] = None
 
@@ -223,13 +224,7 @@ class TransferSession:
         """
         policy = self.summary_policy
         if self.partitioned_rho > 1:
-            self._partition_stream = PartitionedSummaryStream(
-                self.receiver.working_set.ids,
-                rho=self.partitioned_rho,
-                # 8 = the bloom adapter's own default sizing.
-                bits_per_element=policy.params_dict().get("bits_per_element", 8),
-                seed=17,
-            )
+            self._partition_ids = self.receiver.working_set.ids  # a copy
             self._domain = []
             self.request_next_partition()
             self.stats.used_summary = True
@@ -254,17 +249,26 @@ class TransferSession:
 
         Returns False when every partition has been consumed.
         """
-        if self._partition_stream is None:
+        if self._partition_ids is None:
             return False
         if self._next_partition >= self.partitioned_rho:
             return False
-        pf = self._partition_stream.filter_for(self._next_partition)
-        self._next_partition += 1
-        self.stats.control_bytes += pf.size_bytes()
-        assert self._domain is not None
-        self._domain.extend(
-            pf.missing_from(i for i in self.sender.symbols)
+        partition = build_summary(
+            "partitioned_bloom",
+            self._partition_ids,
+            rho=self.partitioned_rho,
+            beta=self._next_partition,
+            # 8 = the bloom adapter's own default sizing.
+            bits_per_element=self.summary_policy.params_dict().get(
+                "bits_per_element", 8
+            ),
+            seed=17,
         )
+        self._next_partition += 1
+        # Charged like the one-shot summary: its wire size, header included.
+        self.stats.control_bytes += partition.wire_bytes()
+        assert self._domain is not None
+        self._domain.extend(partition.missing_from(self.sender.symbols))
         return True
 
     def _send_request(self) -> None:

@@ -1,21 +1,24 @@
-"""Registered :class:`~repro.reconcile.base.Summary` adapters.
+"""Registered :class:`~repro.reconcile.base.Summary` classes.
 
-One adapter per structure in the library, spanning the paper's whole
-cost/precision spectrum:
+One class per structure in the library, spanning the paper's whole
+cost/precision spectrum.  Each holds its structure's state itself; the
+algorithm code a class calls lives beside the registry:
 
 ========================  ==========  ===========================================
-kind                      section     underlying structure
+kind                      section     state (and the code it calls)
 ========================  ==========  ===========================================
 ``minwise``               §4          one packed int64 minima row (the card)
-``modk``                  §4          :class:`repro.sketches.ModKSketch`
-``random_sample``         §4          :class:`repro.sketches.RandomSampleSketch`
-``bloom``                 §5.2        :class:`repro.filters.BloomFilter`
-``counting_bloom``        §5.2 [11]   :class:`repro.filters.CountingBloomFilter`
-``partitioned_bloom``     §5.2        :class:`repro.filters.PartitionedBloomFilter`
-``art``                   §5.3        :class:`repro.art.ApproximateReconciliationTree`
-``cpi``                   §5.1 [19]   :class:`repro.exact.CharacteristicPolynomialReconciler`
-``hashset``               §5.1        :class:`repro.exact.HashSetSummary`
-``wholeset``              §5.1        explicit key transfer
+``modk``                  §4          the keys whose mixed hash is 0 mod k
+``random_sample``         §4          ``k`` keys drawn with replacement
+``bloom``                 §5.2        a :class:`repro.filters.BloomFilter`
+``counting_bloom``        §5.2 [11]   16-bit saturating counters
+``partitioned_bloom``     §5.2        a Bloom filter of one residue class
+``art``                   §5.3        leaf and internal Bloom filters
+                                      (:mod:`repro.art` trie and search)
+``cpi``                   §5.1 [19]   characteristic-polynomial evaluations
+                                      (:mod:`repro.exact.cpi` reconciler)
+``hashset``               §5.1        the set of truncated key hashes
+``wholeset``              §5.1        the keys themselves
 ========================  ==========  ===========================================
 
 Builds go through the vectorised kernels in :mod:`repro.hashing.batch`
@@ -26,18 +29,16 @@ headers — matching the byte accounting the protocol messages report.
 """
 
 import random
+import struct
 from array import array
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from functools import lru_cache
 
-from repro.art import ApproximateReconciliationTree, ARTSummary, find_difference
+from repro.art.search import find_difference
 from repro.art.tree import ReconciliationTrie, value_hash
-from repro.exact.cpi import CharacteristicPolynomialReconciler, CPISketch
-from repro.exact.hashset import HashSetSummary
+from repro.exact.cpi import VERIFY_POINTS, CharacteristicPolynomialReconciler
 from repro.filters.bloom import BloomFilter, optimal_hash_count
-from repro.filters.counting import CountingBloomFilter
-from repro.filters.partitioned import PartitionedBloomFilter
 from repro.hashing import batch as _batch
 from repro.hashing.batch import (
     UNSET,
@@ -45,6 +46,7 @@ from repro.hashing.batch import (
     permutation_minima,
     permutation_minima_fold,
 )
+from repro.hashing.families import BloomHashes
 from repro.hashing.mix import mix64
 from repro.hashing.permutations import PermutationFamily
 from repro.reconcile.base import (
@@ -431,11 +433,14 @@ class RandomSampleSummary(Summary):
 
     @classmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "RandomSampleSummary":
-        return cls(
-            payload_int_list(payload, "sample"),
-            payload_int(payload, "set_size"),
-            payload_int(payload, "seed", 0),
-        )
+        sample = payload_int_list(payload, "sample")
+        set_size = payload_int(payload, "set_size")
+        if set_size < 0 or (set_size == 0 and sample):
+            raise SummaryError(
+                "random-sample payload needs set_size >= 0, and an empty "
+                "set cannot produce a non-empty sample"
+            )
+        return cls(sample, set_size, payload_int(payload, "seed", 0))
 
     def estimate_difference(self, other: "RandomSampleSummary") -> float:
         """Look ``other``'s sampled keys up in our own (local) set."""
@@ -613,13 +618,22 @@ class BloomSummary(Summary):
         return clamped_symmetric_difference(i, self.set_size, other.set_size)
 
 
+#: Counting-filter buckets are unsigned 16-bit counters that saturate.
+_COUNTER_MAX = 0xFFFF
+
+
 @register_summary
 class CountingBloomSummary(BloomSummary):
     """Counting Bloom filter (§5.2 background [11]): deletion-capable.
 
-    Params: ``buckets_per_element``, ``k_hashes``, ``seed``.  Merging
-    sums counters (saturating), so long-lived peers can fold summaries
-    without losing the ability to delete later.
+    Params: ``buckets_per_element``, ``k_hashes``, ``seed`` and
+    ``m_buckets`` (pins the counter-array size, the role ``m_bits``
+    plays on :class:`BloomSummary`: fixed sizing keeps :meth:`absorb`
+    incremental instead of resize-rebuilding).  One saturating 16-bit
+    counter per bucket, so :meth:`remove` can delete a key and merging
+    sums counters: long-lived peers can fold summaries without losing
+    the ability to delete later.  A saturated counter is never
+    decremented — a documented false positive beats a false negative.
     """
 
     kind = "counting_bloom"
@@ -631,13 +645,26 @@ class CountingBloomSummary(BloomSummary):
 
     def __init__(
         self,
-        cbf: CountingBloomFilter,
+        counters: array,
+        k: int,
+        seed: int,
+        count: int,
         set_size: int,
         local_ids: Optional[frozenset] = None,
     ):
-        self.cbf = cbf
+        self._counters = counters
+        self.m = len(counters)
+        self.k = k
+        self.seed = seed
+        #: Insertions with multiplicity (a merge adds both sides').
+        self.count = count
         self.set_size = set_size
         self._local_ids = local_ids
+        self._hashes = BloomHashes(k, self.m, seed)
+
+    @staticmethod
+    def _buckets(n_ids: int, p: Dict[str, Any]) -> int:
+        return p["m_buckets"] or max(8, p["buckets_per_element"] * max(1, n_ids))
 
     @classmethod
     def build(
@@ -648,29 +675,32 @@ class CountingBloomSummary(BloomSummary):
         seed: int = 0,
         m_buckets: Optional[int] = None,
     ) -> "CountingBloomSummary":
-        """``m_buckets`` pins the counter-array size (same role as
-        ``m_bits`` on :class:`BloomSummary`): fixed sizing keeps
-        :meth:`absorb` incremental instead of resize-rebuilding."""
         pool = frozenset(ids)
-        if m_buckets:
-            cbf = CountingBloomFilter(m_buckets, k_hashes, seed)
-            for x in sorted(pool):
-                cbf.add(x)
-        else:
-            cbf = CountingBloomFilter.for_elements(
-                sorted(pool),
-                buckets_per_element=buckets_per_element,
-                k_hashes=k_hashes,
-                seed=seed,
-            )
-        out = cls(cbf, len(pool), local_ids=pool)
-        out._build_params = {
+        p = {
             "buckets_per_element": buckets_per_element,
             "k_hashes": k_hashes,
             "seed": seed,
             "m_buckets": m_buckets,
         }
+        m = cls._buckets(len(pool), p)
+        if m < 1 or k_hashes < 1:
+            raise SummaryError(
+                "a counting filter needs at least one bucket and one hash function"
+            )
+        out = cls(array("H", bytes(2 * m)), k_hashes, seed, 0, len(pool), pool)
+        out._count_in(sorted(pool))
+        out._build_params = p
         return out
+
+    def _count_in(self, keys: List[int]) -> None:
+        """Increment ``keys``' buckets; construction only (a summary
+        handed out is never mutated)."""
+        counters, hashes = self._counters, self._hashes
+        for key in keys:
+            for idx in hashes.indices(key):
+                if counters[idx] < _COUNTER_MAX:
+                    counters[idx] += 1
+        self.count += len(keys)
 
     def absorb(self, new_ids: Iterable[int]) -> "CountingBloomSummary":
         pool = self._require_local("incremental counting-bloom update")
@@ -681,71 +711,103 @@ class CountingBloomSummary(BloomSummary):
             return self
         union = pool | fresh
         p = self._build_params
-        m = p["m_buckets"] or max(
-            8, p["buckets_per_element"] * max(1, len(union))
+        if self._buckets(len(union), p) != self.m:
+            return self.build(union, **p)
+        # Saturating increments commute, so adding only the fresh ids
+        # onto copied counters equals one build over the union.
+        out = CountingBloomSummary(
+            array("H", self._counters), self.k, self.seed, self.count,
+            len(union), union,
         )
-        if m == self.cbf.m:
-            # Saturating increments commute, so adding only the fresh
-            # ids onto copied counters equals one build over the union.
-            cbf = CountingBloomFilter.from_bytes(
-                self.cbf.to_bytes(), m, self.cbf.k, self.cbf.seed,
-                count=self.cbf.count,
-            )
-            for x in sorted(fresh):
-                cbf.add(x)
-        else:
-            cbf = CountingBloomFilter.for_elements(
-                sorted(union),
-                buckets_per_element=p["buckets_per_element"],
-                k_hashes=p["k_hashes"],
-                seed=p["seed"],
-            )
-        out = CountingBloomSummary(cbf, len(union), local_ids=union)
+        out._count_in(sorted(fresh))
         out._build_params = p
         return out
 
+    def remove(self, key: int) -> "CountingBloomSummary":
+        """This summary with one occurrence of ``key`` deleted, as a new
+        object.
+
+        Refuses a key the summary does not hold — a locally built one
+        knows its ids, a received one refuses a definite absence —
+        since decrementing foreign buckets creates false negatives.
+        """
+        if not self.may_contain(key) or (
+            self._local_ids is not None and key not in self._local_ids
+        ):
+            raise SummaryError(f"key {key} is not summarised; refusing to delete it")
+        counters = array("H", self._counters)
+        for idx in self._hashes.indices(key):
+            if counters[idx] < _COUNTER_MAX:
+                counters[idx] -= 1
+        ids = None if self._local_ids is None else self._local_ids - {key}
+        out = CountingBloomSummary(
+            counters, self.k, self.seed, self.count - 1,
+            max(0, self.set_size - 1), ids,
+        )
+        out._build_params = self._build_params
+        return out
+
     def wire_bytes(self) -> int:
-        return 4 + 12 + self.cbf.size_bytes()
+        return 4 + 12 + 2 * self.m
 
     def to_payload(self) -> Dict[str, Any]:
         return {
             "kind": self.kind,
             "set_size": self.set_size,
-            "m_buckets": self.cbf.m,
-            "k_hashes": self.cbf.k,
-            "seed": self.cbf.seed,
-            "count": self.cbf.count,
-            "counters": hex_bytes(self.cbf.to_bytes()),
+            "m_buckets": self.m,
+            "k_hashes": self.k,
+            "seed": self.seed,
+            "count": self.count,
+            "counters": hex_bytes(struct.pack(f"<{self.m}H", *self._counters)),
         }
 
     @classmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "CountingBloomSummary":
-        try:
-            cbf = CountingBloomFilter.from_bytes(
-                unhex_bytes(payload.get("counters"), "counters"),
-                payload_int(payload, "m_buckets"),
-                payload_int(payload, "k_hashes"),
-                payload_int(payload, "seed", 0),
-                count=payload_int(payload, "count", 0),
+        raw = unhex_bytes(payload.get("counters"), "counters")
+        m = payload_int(payload, "m_buckets")
+        k = payload_int(payload, "k_hashes")
+        if m < 1 or len(raw) != 2 * m:
+            raise SummaryError(
+                "invalid counting-bloom payload: counters length does not "
+                "match m_buckets"
             )
-        except ValueError as exc:
-            raise SummaryError(f"invalid counting-bloom payload: {exc}") from exc
-        return cls(cbf, payload_int(payload, "set_size"))
+        if not 1 <= k <= 8 * len(raw):
+            # Every probe walks k indices: an unbounded k hangs the reader.
+            raise SummaryError(
+                "invalid counting-bloom payload: k_hashes must lie in "
+                "[1, the payload's bit count]"
+            )
+        return cls(
+            array("H", struct.unpack(f"<{m}H", raw)),
+            k,
+            payload_int(payload, "seed", 0),
+            payload_int(payload, "count", 0),
+            payload_int(payload, "set_size"),
+        )
 
     def may_contain(self, key: int) -> bool:
-        return key in self.cbf
+        counters = self._counters
+        return all(counters[idx] > 0 for idx in self._hashes.indices(key))
 
     # Counters have no batched probe: keep the scalar walk.
     missing_from = Summary.missing_from
 
     def merge(self, other: "CountingBloomSummary") -> "CountingBloomSummary":
+        """Counter-wise saturating sum: the multiset union's filter."""
         self._check_kind(other)
-        try:
-            merged = self.cbf.merge(other.cbf)
-        except ValueError as exc:
-            raise SummaryError(str(exc)) from exc
+        if (self.m, self.k, self.seed) != (other.m, other.k, other.seed):
+            raise SummaryError("filters must share (m, k, seed) to be merged")
+        counters = array(
+            "H",
+            (
+                min(_COUNTER_MAX, a + b)
+                for a, b in zip(self._counters, other._counters)
+            ),
+        )
         ids, size = self._merged_local_ids(other)
-        return CountingBloomSummary(merged, size, local_ids=ids)
+        return CountingBloomSummary(
+            counters, self.k, self.seed, self.count + other.count, size, ids
+        )
 
 
 @register_summary
@@ -754,10 +816,12 @@ class PartitionedBloomSummary(Summary):
 
     Params: ``rho`` (partition count), ``beta`` (this filter's
     residue), ``bits_per_element``, ``k_hashes``, ``seed``.  Covers
-    only keys ``≡ beta (mod rho)``: :meth:`may_contain` answers True
-    (unknown) for uncovered keys, and :meth:`missing_from` reports
-    definite differences within the covered class only — further
-    partitions pipeline over as separate summaries.
+    only the keys whose mixed hash is ``≡ beta (mod rho)``
+    (:meth:`covers`), and its Bloom filter holds those alone:
+    :meth:`may_contain` answers True (unknown) for an uncovered key,
+    and :meth:`missing_from` reports definite differences within the
+    covered class only — further partitions pipeline over as separate
+    summaries (``TransferSession.request_next_partition``).
     """
 
     kind = "partitioned_bloom"
@@ -768,13 +832,29 @@ class PartitionedBloomSummary(Summary):
 
     def __init__(
         self,
-        pf: PartitionedBloomFilter,
+        bloom: BloomFilter,
+        rho: int,
+        beta: int,
+        seed: int,
+        member_count: int,
         set_size: int,
         local_ids: Optional[frozenset] = None,
     ):
-        self.pf = pf
+        self.bloom = bloom
+        self.rho = rho
+        self.beta = beta
+        self.seed = seed
+        #: Covered ids the filter summarises.
+        self.member_count = member_count
         self.set_size = set_size
         self._local_ids = local_ids
+
+    @staticmethod
+    def _check_partition(rho: int, beta: int) -> None:
+        if rho <= 0:
+            raise SummaryError("partition count rho must be positive")
+        if not 0 <= beta < rho:
+            raise SummaryError("residue beta must lie in [0, rho)")
 
     @classmethod
     def build(
@@ -786,35 +866,35 @@ class PartitionedBloomSummary(Summary):
         k_hashes: Optional[int] = None,
         seed: int = 0,
     ) -> "PartitionedBloomSummary":
+        cls._check_partition(rho, beta)
         pool = frozenset(ids)
-        try:
-            pf = PartitionedBloomFilter(
-                sorted(pool),
-                rho=rho,
-                beta=beta,
-                bits_per_element=bits_per_element,
-                k_hashes=k_hashes,
-                seed=seed,
-            )
-        except ValueError as exc:
-            raise SummaryError(str(exc)) from exc
-        return cls(pf, len(pool), local_ids=pool)
+        key_list = sorted(pool)
+        members = [
+            x for x, h in zip(key_list, mix64_batch(key_list, seed)) if h % rho == beta
+        ]
+        bloom = BloomFilter.for_elements(
+            members, bits_per_element=bits_per_element, k_hashes=k_hashes, seed=seed
+        )
+        return cls(bloom, rho, beta, seed, len(members), len(pool), local_ids=pool)
+
+    def covers(self, key: int) -> bool:
+        """Whether this filter is authoritative for ``key`` at all."""
+        return mix64(key, self.seed) % self.rho == self.beta
 
     def wire_bytes(self) -> int:
-        return 4 + 12 + 8 + self.pf.size_bytes()  # + (rho, beta) header
+        return 4 + 12 + 8 + self.bloom.size_bytes()  # + (rho, beta) header
 
     def to_payload(self) -> Dict[str, Any]:
-        inner = self.pf.bloom
         return {
             "kind": self.kind,
             "set_size": self.set_size,
-            "rho": self.pf.rho,
-            "beta": self.pf.beta,
-            "seed": self.pf.seed,
-            "member_count": self.pf.member_count,
-            "m_bits": inner.m,
-            "k_hashes": inner.k,
-            "bits": hex_bytes(inner.to_bytes()),
+            "rho": self.rho,
+            "beta": self.beta,
+            "seed": self.seed,
+            "member_count": self.member_count,
+            "m_bits": self.bloom.m,
+            "k_hashes": self.bloom.k,
+            "bits": hex_bytes(self.bloom.to_bytes()),
         }
 
     @classmethod
@@ -827,26 +907,25 @@ class PartitionedBloomSummary(Summary):
                 payload_int(payload, "k_hashes"),
                 seed,
             )
-            pf = PartitionedBloomFilter.from_filter(
-                bloom,
-                rho=payload_int(payload, "rho"),
-                beta=payload_int(payload, "beta"),
-                seed=seed,
-                member_count=payload_int(payload, "member_count", 0),
-            )
         except ValueError as exc:
             raise SummaryError(f"invalid partitioned-bloom payload: {exc}") from exc
-        return cls(pf, payload_int(payload, "set_size"))
+        rho, beta = payload_int(payload, "rho"), payload_int(payload, "beta")
+        cls._check_partition(rho, beta)
+        return cls(
+            bloom, rho, beta, seed,
+            payload_int(payload, "member_count", 0),
+            payload_int(payload, "set_size"),
+        )
 
     def may_contain(self, key: int) -> bool:
         # Uncovered keys are unknown — "may contain" is the sound answer.
-        if not self.pf.covers(key):
-            return True
-        return key in self.pf
+        return not self.covers(key) or key in self.bloom
 
     def missing_from(self, candidates: Iterable[int]) -> List[int]:
         """Definite differences within the covered residue class."""
-        return list(self.pf.missing_from(candidates))
+        covered = [key for key in candidates if self.covers(key)]
+        hits = self.bloom.contains_many(covered)
+        return [key for key, hit in zip(covered, hits) if not hit]
 
     def estimate_difference(self, other: "Summary") -> float:
         """Extrapolate the covered class's difference to the whole set."""
@@ -855,17 +934,29 @@ class PartitionedBloomSummary(Summary):
             raise SummaryError(
                 f"cannot estimate against a {getattr(other, 'kind', '?')} summary"
             )
-        covered = [key for key in local if other.pf.covers(key)]
+        covered = [key for key in local if other.covers(key)]
         if not covered:
             return clamped_symmetric_difference(
                 float(min(self.set_size, other.set_size)),
                 self.set_size,
                 other.set_size,
             )
-        missing = sum(1 for key in covered if key not in other.pf)
+        missing = sum(1 for key in covered if key not in other.bloom)
         scale = len(local) / len(covered)
         i = len(local) - missing * scale
         return clamped_symmetric_difference(i, self.set_size, other.set_size)
+
+
+def _exact_filter(values: List[int], m_bits: int, seed: int) -> BloomFilter:
+    """A Bloom filter of exactly ``m_bits`` bits over ``values``, with
+    the hash count optimal for that load."""
+    bloom = BloomFilter(m_bits, optimal_hash_count(m_bits, max(1, len(values))), seed)
+    bloom.bulk_update(values)
+    return bloom
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @register_summary
@@ -873,11 +964,19 @@ class ARTSummaryAdapter(Summary):
     """Approximate reconciliation tree (§5.3): Bloom-folded hash trie.
 
     Params: ``bits_per_element`` (total Bloom budget),
-    ``leaf_bits_per_element`` (split; None = even), ``seed`` (the
-    agreed hash functions), ``correction`` (search tolerance for
-    internal false positives).  :meth:`missing_from` runs the paper's
-    ``O(d log n)`` trie search; :meth:`may_contain` probes the leaf
-    filter with the key's value hash.
+    ``leaf_bits_per_element`` (the leaf filter's slice; None = even
+    split), ``seed`` (the agreed hash functions), ``correction``
+    (search tolerance for internal false positives).  The node values
+    of the builder's :class:`~repro.art.tree.ReconciliationTrie` fold
+    into two Bloom filters, leaves apart from internal nodes so their
+    accuracies can be traded (§5.3's fix for premature cut-offs), each
+    sized from the exact bit budget so Figure 4's sweeps measure what
+    they claim.  The summary answers :meth:`matches_internal` /
+    :meth:`matches_leaf`, so :func:`~repro.art.search.find_difference`
+    walks a trie against it: :meth:`missing_from` runs that ``O(d log
+    n)`` search over the candidates' trie; :meth:`may_contain` probes
+    the leaf filter with the key's value hash.  A local build keeps its
+    :attr:`trie` (``None`` after wire reconstruction).
     """
 
     kind = "art"
@@ -887,17 +986,41 @@ class ARTSummaryAdapter(Summary):
 
     def __init__(
         self,
-        summary: ARTSummary,
+        leaf_filter: BloomFilter,
+        internal_filter: BloomFilter,
+        seed: int,
+        bits_per_element: float,
+        leaf_bits_per_element: float,
+        correction: int,
         set_size: int,
-        correction: int = 1,
         trie: Optional[ReconciliationTrie] = None,
         local_ids: Optional[frozenset] = None,
     ):
-        self.art_summary = summary
-        self.set_size = set_size
+        self.leaf_filter = leaf_filter
+        self.internal_filter = internal_filter
+        self.seed = seed
+        self.bits_per_element = bits_per_element
+        self.leaf_bits_per_element = leaf_bits_per_element
         self.correction = correction
-        self._trie = trie
+        self.set_size = set_size
+        self.trie = trie
         self._local_ids = local_ids
+
+    @staticmethod
+    def _check_budget(bits_per_element: Any, leaf_bits_per_element: Any) -> None:
+        if not _is_number(bits_per_element) or bits_per_element <= 0:
+            raise SummaryError("bits_per_element must be a positive number")
+        if not _is_number(leaf_bits_per_element) or not (
+            0 < leaf_bits_per_element < bits_per_element
+        ):
+            raise SummaryError(
+                "leaf bits must be positive and leave room for the internal filter"
+            )
+
+    @staticmethod
+    def _check_correction(correction: int) -> None:
+        if correction < 0:
+            raise SummaryError("correction level must be non-negative")
 
     @classmethod
     def build(
@@ -908,46 +1031,60 @@ class ARTSummaryAdapter(Summary):
         seed: int = 0,
         correction: int = 1,
     ) -> "ARTSummaryAdapter":
-        if correction < 0:
-            raise SummaryError("correction level must be non-negative")
+        cls._check_correction(correction)
+        if leaf_bits_per_element is None and _is_number(bits_per_element):
+            leaf_bits_per_element = bits_per_element / 2
+        cls._check_budget(bits_per_element, leaf_bits_per_element)
         pool = frozenset(ids)
-        try:
-            art = ApproximateReconciliationTree(
-                pool,
-                bits_per_element=bits_per_element,
-                leaf_bits_per_element=leaf_bits_per_element,
-                seed=seed,
-            )
-            summary = art.summary()
-        except ValueError as exc:
-            raise SummaryError(str(exc)) from exc
+        trie = ReconciliationTrie(pool, seed=seed)
+        n = max(1, trie.size)
+        leaf_bits = max(8, int(leaf_bits_per_element * n))
+        internal_bits = max(8, int((bits_per_element - leaf_bits_per_element) * n))
         return cls(
-            summary, len(pool), correction=correction, trie=art.trie, local_ids=pool
+            _exact_filter(trie.leaf_values(), leaf_bits, seed ^ 0x5EAF),
+            _exact_filter(trie.internal_values(), internal_bits, seed ^ 0x137EE),
+            seed,
+            bits_per_element,
+            leaf_bits_per_element,
+            correction,
+            len(pool),
+            trie=trie,
+            local_ids=pool,
         )
 
+    def matches_internal(self, value: int) -> bool:
+        """Bloom test of a node value against the internal-node filter."""
+        return value in self.internal_filter
+
+    def matches_leaf(self, value: int) -> bool:
+        """Bloom test of a node value against the leaf filter."""
+        return value in self.leaf_filter
+
     def wire_bytes(self) -> int:
-        return 4 + 2 * 12 + self.art_summary.size_bytes()
+        return (
+            4 + 2 * 12 + self.leaf_filter.size_bytes()
+            + self.internal_filter.size_bytes()
+        )
 
     def to_payload(self) -> Dict[str, Any]:
-        leaf, internal = self.art_summary.leaf_filter, self.art_summary.internal_filter
         return {
             "kind": self.kind,
             "set_size": self.set_size,
-            "seed": self.art_summary.seed,
-            "bits_per_element": self.art_summary.bits_per_element,
-            "leaf_bits_per_element": self.art_summary.leaf_bits_per_element,
+            "seed": self.seed,
+            "bits_per_element": self.bits_per_element,
+            "leaf_bits_per_element": self.leaf_bits_per_element,
             "correction": self.correction,
             "leaf": {
-                "m_bits": leaf.m,
-                "k_hashes": leaf.k,
-                "seed": leaf.seed,
-                "bits": hex_bytes(leaf.to_bytes()),
+                "m_bits": self.leaf_filter.m,
+                "k_hashes": self.leaf_filter.k,
+                "seed": self.leaf_filter.seed,
+                "bits": hex_bytes(self.leaf_filter.to_bytes()),
             },
             "internal": {
-                "m_bits": internal.m,
-                "k_hashes": internal.k,
-                "seed": internal.seed,
-                "bits": hex_bytes(internal.to_bytes()),
+                "m_bits": self.internal_filter.m,
+                "k_hashes": self.internal_filter.k,
+                "seed": self.internal_filter.seed,
+                "bits": hex_bytes(self.internal_filter.to_bytes()),
             },
         }
 
@@ -969,46 +1106,43 @@ class ARTSummaryAdapter(Summary):
     def from_payload(cls, payload: Dict[str, Any]) -> "ARTSummaryAdapter":
         bpe = payload.get("bits_per_element", 8)
         leaf_bpe = payload.get("leaf_bits_per_element")
-        summary = ARTSummary.from_filters(
+        if leaf_bpe is None and _is_number(bpe):
+            leaf_bpe = bpe / 2
+        cls._check_budget(bpe, leaf_bpe)
+        correction = payload_int(payload, "correction", 1)
+        cls._check_correction(correction)
+        return cls(
             cls._filter_from(payload.get("leaf"), "leaf"),
             cls._filter_from(payload.get("internal"), "internal"),
-            seed=payload_int(payload, "seed", 0),
-            bits_per_element=bpe,
-            leaf_bits_per_element=leaf_bpe,
-        )
-        return cls(
-            summary,
+            payload_int(payload, "seed", 0),
+            bpe,
+            leaf_bpe,
+            correction,
             payload_int(payload, "set_size"),
-            correction=payload_int(payload, "correction", 1),
         )
 
     def compatible_build_params(self) -> Dict[str, Any]:
-        return {"seed": self.art_summary.seed, "correction": self.correction}
+        return {"seed": self.seed, "correction": self.correction}
 
     def may_contain(self, key: int) -> bool:
         """Probe the leaf filter with the key's (seed-only) value hash."""
-        return self.art_summary.matches_leaf(
-            value_hash(key, self.art_summary.seed)
-        )
+        return self.matches_leaf(value_hash(key, self.seed))
 
     def missing_from(self, candidates: Iterable[int]) -> List[int]:
         """The paper's search: walk the candidates' trie against us."""
-        trie = ReconciliationTrie(candidates, seed=self.art_summary.seed)
-        stats = find_difference(trie, self.art_summary, correction=self.correction)
-        return stats.differences
+        trie = ReconciliationTrie(candidates, seed=self.seed)
+        return find_difference(trie, self, correction=self.correction).differences
 
     def estimate_difference(self, other: "Summary") -> float:
         """Search our own (local) trie against the other summary."""
         self._check_kind(other)
         self._require_local("art difference estimation")
-        assert isinstance(other, ARTSummaryAdapter)
-        if self._trie is None or self._trie.seed != other.art_summary.seed:
+        assert isinstance(other, ARTSummaryAdapter) and self.trie is not None
+        if self.seed != other.seed:
             raise SummaryError(
                 "art summaries are only comparable under the same agreed hash seed"
             )
-        stats = find_difference(
-            self._trie, other.art_summary, correction=other.correction
-        )
+        stats = find_difference(self.trie, other, correction=other.correction)
         i = self.set_size - len(stats.differences)
         return clamped_symmetric_difference(i, self.set_size, other.set_size)
 
@@ -1023,10 +1157,12 @@ class CPISummary(Summary):
     """Characteristic-polynomial evaluations (Minsky-Trachtenberg-Zippel).
 
     Params: ``max_discrepancy`` (the bound ``d`` the sketch is sized
-    for), ``seed`` (the agreed evaluation points).  ``O(d)`` words on
-    the wire; :meth:`missing_from` recovers ``candidates - S`` exactly
-    — or raises :class:`~repro.exact.cpi.DiscrepancyExceeded` when the
-    bound was too small, exactly as the protocol in [19] retries.
+    for), ``seed`` (the agreed evaluation points).  ``d`` evaluations
+    plus :data:`~repro.exact.cpi.VERIFY_POINTS` reserve ones, 8 bytes
+    each, on the wire; :meth:`missing_from` recovers ``candidates - S``
+    exactly — or raises :class:`~repro.exact.cpi.DiscrepancyExceeded`
+    when the bound was too small, exactly as the protocol in [19]
+    retries.
     """
 
     kind = "cpi"
@@ -1036,11 +1172,18 @@ class CPISummary(Summary):
 
     def __init__(
         self,
-        sketch: CPISketch,
+        evaluations: List[int],
+        verify_evaluations: List[int],
+        set_size: int,
+        max_discrepancy: int,
+        seed: int,
         local_ids: Optional[frozenset] = None,
     ):
-        self.sketch = sketch
-        self.set_size = sketch.set_size
+        self.evaluations = evaluations
+        self.verify_evaluations = verify_evaluations
+        self.set_size = set_size
+        self.max_discrepancy = max_discrepancy
+        self.seed = seed
         self._local_ids = local_ids
 
     @classmethod
@@ -1053,81 +1196,90 @@ class CPISummary(Summary):
         pool = frozenset(ids)
         try:
             reconciler = CharacteristicPolynomialReconciler(max_discrepancy, seed)
-            sketch = reconciler.sketch(sorted(pool))
+            evaluations, verify = reconciler.evaluate(sorted(pool))
         except ValueError as exc:
             raise SummaryError(str(exc)) from exc
-        return cls(sketch, local_ids=pool)
+        return cls(evaluations, verify, len(pool), max_discrepancy, seed, pool)
 
     def _reconciler(self) -> CharacteristicPolynomialReconciler:
-        return CharacteristicPolynomialReconciler(
-            self.sketch.max_discrepancy, self.sketch.seed
-        )
+        return CharacteristicPolynomialReconciler(self.max_discrepancy, self.seed)
 
     @staticmethod
     def wire_bytes_for_bound(max_discrepancy: int) -> int:
-        """Wire size a sketch sized for ``max_discrepancy`` would have.
+        """Wire size of a summary sized for ``max_discrepancy``.
 
-        Computed through the real :meth:`CPISketch.size_bytes`, so
-        reported-but-not-run cells (the ``summary_tradeoff`` scenario's
-        "prohibitively large d" regime) can never drift from the cost
-        a run cell would report.
+        :meth:`wire_bytes` reads it too, so reported-but-not-run cells
+        (the ``summary_tradeoff`` scenario's "prohibitively large d"
+        regime) can never drift from the cost a run cell would report.
         """
-        from repro.exact.cpi import VERIFY_POINTS
-
-        sketch = CPISketch(
-            evaluations=[0] * max_discrepancy,
-            verify_evaluations=[0] * VERIFY_POINTS,
-            set_size=0,
-            max_discrepancy=max_discrepancy,
-            seed=0,
-        )
-        return 4 + sketch.size_bytes()
+        return 4 + 8 * (max_discrepancy + VERIFY_POINTS) + 12
 
     def wire_bytes(self) -> int:
-        return 4 + self.sketch.size_bytes()
+        return self.wire_bytes_for_bound(self.max_discrepancy)
 
     def to_payload(self) -> Dict[str, Any]:
         return {
             "kind": self.kind,
             "set_size": self.set_size,
-            "max_discrepancy": self.sketch.max_discrepancy,
-            "seed": self.sketch.seed,
-            "evaluations": list(self.sketch.evaluations),
-            "verify_evaluations": list(self.sketch.verify_evaluations),
+            "max_discrepancy": self.max_discrepancy,
+            "seed": self.seed,
+            "evaluations": list(self.evaluations),
+            "verify_evaluations": list(self.verify_evaluations),
         }
 
     @classmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "CPISummary":
-        sketch = CPISketch(
-            evaluations=payload_int_list(payload, "evaluations"),
-            verify_evaluations=payload_int_list(payload, "verify_evaluations"),
-            set_size=payload_int(payload, "set_size"),
-            max_discrepancy=payload_int(payload, "max_discrepancy"),
-            seed=payload_int(payload, "seed", 0),
+        evaluations = payload_int_list(payload, "evaluations")
+        verify = payload_int_list(payload, "verify_evaluations")
+        max_discrepancy = payload_int(payload, "max_discrepancy")
+        # The receiver's work is Θ(d³) in the bound: a bound the payload
+        # does not carry evaluations for could stall it on one message.
+        if max_discrepancy < 1 or len(evaluations) != max_discrepancy:
+            raise SummaryError(
+                "cpi payload needs max_discrepancy >= 1 and one evaluation "
+                "per unit of it"
+            )
+        if len(verify) != VERIFY_POINTS:
+            raise SummaryError(
+                f"cpi payload needs {VERIFY_POINTS} verify_evaluations"
+            )
+        return cls(
+            evaluations,
+            verify,
+            payload_int(payload, "set_size"),
+            max_discrepancy,
+            payload_int(payload, "seed", 0),
         )
-        return cls(sketch)
 
     def missing_from(self, candidates: Iterable[int]) -> List[int]:
         """Recover ``candidates - S`` exactly (raises past the bound)."""
-        return sorted(self._reconciler().difference(self.sketch, candidates))
+        return sorted(self._reconciler().difference(self, candidates))
 
     def estimate_difference(self, other: "Summary") -> float:
         """Exact discrepancy, computed from our retained ids."""
         self._check_kind(other)
         local = self._require_local("cpi difference estimation")
         assert isinstance(other, CPISummary)
-        ours_minus_theirs = other._reconciler().difference(other.sketch, local)
+        ours_minus_theirs = other._reconciler().difference(other, local)
         i = len(local) - len(ours_minus_theirs)
         return clamped_symmetric_difference(i, self.set_size, other.set_size)
+
+
+def _polynomial_hash_bits(n_ids: int) -> int:
+    """The hash width ``poly(|S|) = |S|^3`` auto-sizing picks (§5.1)."""
+    return min(64, max(8, 3 * (max(2, n_ids) - 1).bit_length()))
 
 
 @register_summary
 class HashSetSummaryAdapter(Summary):
     """Hashed-key set (§5.1): exact up to inverse-polynomial misses.
 
-    Params: ``hash_bits`` (0 = the paper's ``poly(|S|)`` auto-sizing),
-    ``seed``.  Two hash sets compare directly, so estimation works
-    wire-to-wire without local ids.
+    Params: ``hash_bits`` (0 = the paper's ``poly(|S|)`` auto-sizing,
+    ``|S|^3``), ``seed``.  Every key is mixed and truncated to
+    ``hash_bits``; a key outside the set is missed only when its hash
+    collides with one inside, probability ~ ``|S| / 2^hash_bits``.  Two
+    hash sets compare directly, so estimation works wire-to-wire
+    without local ids.
     """
 
     kind = "hashset"
@@ -1143,28 +1295,36 @@ class HashSetSummaryAdapter(Summary):
 
     def __init__(
         self,
-        summary: HashSetSummary,
+        hashes: Iterable[int],
+        hash_bits: int,
+        seed: int,
         set_size: int,
         local_ids: Optional[frozenset] = None,
     ):
-        self.hashset = summary
+        if not 1 <= hash_bits <= 64:
+            raise SummaryError("hash width must be between 1 and 64 bits")
+        self.hashes = frozenset(hashes)
+        self.hash_bits = hash_bits
+        self.seed = seed
         self.set_size = set_size
         self._local_ids = local_ids
+
+    def _hash(self, key: int) -> int:
+        return mix64(key, self.seed) >> (64 - self.hash_bits)
 
     @classmethod
     def build(
         cls, ids: Iterable[int], hash_bits: int = 0, seed: int = 0,
     ) -> "HashSetSummaryAdapter":
         pool = frozenset(ids)
-        try:
-            if hash_bits:
-                summary = HashSetSummary(sorted(pool), hash_bits=hash_bits, seed=seed)
-            else:
-                summary = HashSetSummary.with_polynomial_range(sorted(pool), seed=seed)
-        except ValueError as exc:
-            raise SummaryError(str(exc)) from exc
-        out = cls(summary, len(pool), local_ids=pool)
+        out = cls._of(pool, hash_bits or _polynomial_hash_bits(len(pool)), seed)
         out._requested_bits = hash_bits
+        return out
+
+    @classmethod
+    def _of(cls, pool: frozenset, bits: int, seed: int) -> "HashSetSummaryAdapter":
+        out = cls((), bits, seed, len(pool), pool)
+        out.hashes = frozenset(out._hash(x) for x in pool)
         return out
 
     def absorb(self, new_ids: Iterable[int]) -> "HashSetSummaryAdapter":
@@ -1175,80 +1335,61 @@ class HashSetSummaryAdapter(Summary):
         if not fresh:
             return self
         union = pool | fresh
-        if self._requested_bits:
-            bits = self._requested_bits
+        bits = self._requested_bits or _polynomial_hash_bits(len(union))
+        if bits == self.hash_bits:
+            hashes = self.hashes | {self._hash(x) for x in fresh}
+            out = HashSetSummaryAdapter(hashes, bits, self.seed, len(union), union)
         else:
-            bits = HashSetSummary.polynomial_bits(len(union))
-        if bits == self.hashset.hash_bits:
-            hashes = self.hashset.hashes | {
-                mix64(x, self.hashset.seed) >> (64 - bits) for x in fresh
-            }
-            summary = HashSetSummary.from_hashes(
-                hashes, hash_bits=bits, seed=self.hashset.seed
-            )
-        else:
-            summary = HashSetSummary(
-                sorted(union), hash_bits=bits, seed=self.hashset.seed
-            )
-        out = HashSetSummaryAdapter(summary, len(union), local_ids=union)
+            out = self._of(union, bits, self.seed)
         out._requested_bits = self._requested_bits
         return out
 
     def wire_bytes(self) -> int:
-        return 4 + 2 + self.hashset.size_bytes()  # + hash-width header
+        # + a 2-byte hash-width header
+        return 4 + 2 + ((self.hash_bits + 7) // 8) * len(self.hashes)
 
     def to_payload(self) -> Dict[str, Any]:
         return {
             "kind": self.kind,
             "set_size": self.set_size,
-            "hash_bits": self.hashset.hash_bits,
-            "seed": self.hashset.seed,
-            "hashes": sorted(self.hashset.hashes),
+            "hash_bits": self.hash_bits,
+            "seed": self.seed,
+            "hashes": sorted(self.hashes),
         }
 
     @classmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "HashSetSummaryAdapter":
-        try:
-            summary = HashSetSummary.from_hashes(
-                payload_int_list(payload, "hashes"),
-                hash_bits=payload_int(payload, "hash_bits"),
-                seed=payload_int(payload, "seed", 0),
-            )
-        except ValueError as exc:
-            raise SummaryError(f"invalid hashset payload: {exc}") from exc
-        return cls(summary, payload_int(payload, "set_size"))
+        return cls(
+            payload_int_list(payload, "hashes"),
+            payload_int(payload, "hash_bits"),
+            payload_int(payload, "seed", 0),
+            payload_int(payload, "set_size"),
+        )
 
     def compatible_build_params(self) -> Dict[str, Any]:
-        return {"hash_bits": self.hashset.hash_bits, "seed": self.hashset.seed}
+        return {"hash_bits": self.hash_bits, "seed": self.seed}
 
     def _check_comparable(self, other: "HashSetSummaryAdapter") -> None:
         self._check_kind(other)
-        if (self.hashset.hash_bits, self.hashset.seed) != (
-            other.hashset.hash_bits,
-            other.hashset.seed,
-        ):
+        if (self.hash_bits, self.seed) != (other.hash_bits, other.seed):
             raise SummaryError(
                 "hash-set summaries are only comparable with identical "
                 "hash width and seed"
             )
 
     def may_contain(self, key: int) -> bool:
-        return key in self.hashset
+        return self._hash(key) in self.hashes
 
     def merge(self, other: "HashSetSummaryAdapter") -> "HashSetSummaryAdapter":
         self._check_comparable(other)
-        merged = HashSetSummary.from_hashes(
-            self.hashset.hashes | other.hashset.hashes,
-            hash_bits=self.hashset.hash_bits,
-            seed=self.hashset.seed,
-        )
-        ids, size = self._merged_local_ids(other, fallback=len(merged.hashes))
-        return HashSetSummaryAdapter(merged, size, local_ids=ids)
+        hashes = self.hashes | other.hashes
+        ids, size = self._merged_local_ids(other, fallback=len(hashes))
+        return HashSetSummaryAdapter(hashes, self.hash_bits, self.seed, size, ids)
 
     def estimate_difference(self, other: "HashSetSummaryAdapter") -> float:
         """Hash sets compare directly — no local ids needed."""
         self._check_comparable(other)
-        i = len(self.hashset.hashes & other.hashset.hashes)
+        i = len(self.hashes & other.hashes)
         return clamped_symmetric_difference(i, self.set_size, other.set_size)
 
 

@@ -1,24 +1,21 @@
 """Working-set similarity estimation (paper Section 4).
 
-Three coarse-grained "calling card" techniques, each designed to fit in a
-single 1KB control packet:
+Three coarse-grained "calling card" techniques fit a single 1KB control
+packet: ``k`` random keys, the keys that are ``0 mod k``, and — the
+preferred technique — per-permutation minima.  All three are summary
+kinds (``random_sample``, ``modk``, ``minwise``; build them with
+:func:`repro.reconcile.build_summary`).  This package keeps the
+stand-alone sketch the estimator tests and experiments read:
 
-* :class:`RandomSampleSketch` — send ``k`` random elements; the peer counts
-  how many it holds.  Estimates *containment* ``|A ∩ B| / |B|``.
-* :class:`ModKSketch` — send every element whose key is ``0 mod k``;
-  constant expected size, comparable sample-to-sample.  Estimates
-  containment from the two samples alone.
-* :class:`MinwiseSketch` — the preferred technique: per-permutation minima.
-  Estimates *resemblance* ``|A ∩ B| / |A ∪ B|``, supports unions, and two
-  sketches from third parties can be compared without either set.
+* :class:`MinwiseSketch` — per-permutation minima.  Estimates
+  *resemblance* ``|A ∩ B| / |A ∪ B|``, supports unions, and two sketches
+  from third parties can be compared without either set.
 
 :mod:`repro.sketches.estimate` converts between resemblance and containment
 via inclusion-exclusion, as the paper notes is possible given set sizes.
 """
 
 from repro.sketches.minwise import MinwiseSketch
-from repro.sketches.modk import ModKSketch
-from repro.sketches.random_sample import RandomSampleSketch
 from repro.sketches.estimate import (
     containment_from_resemblance,
     intersection_from_resemblance,
@@ -26,8 +23,6 @@ from repro.sketches.estimate import (
 )
 
 __all__ = [
-    "RandomSampleSketch",
-    "ModKSketch",
     "MinwiseSketch",
     "containment_from_resemblance",
     "resemblance_from_containment",

@@ -3,12 +3,8 @@
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.art import (
-    ApproximateReconciliationTree,
-    ExactTreeSummary,
-    ReconciliationTrie,
-    find_difference,
-)
+from repro.art import ExactTreeSummary, ReconciliationTrie, find_difference
+from repro.reconcile import build_summary
 
 key_sets = st.sets(st.integers(min_value=0, max_value=2**38), min_size=0, max_size=200)
 
@@ -76,13 +72,11 @@ class TestSearchProperties:
     ):
         if not common and not only_b:
             return
-        art_a = ApproximateReconciliationTree(common, bits_per_element=bits, seed=9)
-        art_b = ApproximateReconciliationTree(
-            common | only_b, bits_per_element=bits, seed=9
-        )
+        art_a = build_summary("art", common, bits_per_element=bits, seed=9)
+        trie_b = ReconciliationTrie(common | only_b, seed=9)
         # Bloom errors only ever hide differences, but an H1 collision can
         # merge a common key with a genuinely-new one, and the merged leaf
         # then (correctly) surfaces under the common key's name.
-        assume(art_a.trie.collision_count == 0 and art_b.trie.collision_count == 0)
-        stats = art_b.difference_against(art_a.summary(), correction=correction)
+        assume(art_a.trie.collision_count == 0 and trie_b.collision_count == 0)
+        stats = find_difference(trie_b, art_a, correction=correction)
         assert set(stats.differences) <= only_b

@@ -4,12 +4,8 @@ import random
 
 import pytest
 
-from repro.art import (
-    ApproximateReconciliationTree,
-    ExactTreeSummary,
-    ReconciliationTrie,
-    find_difference,
-)
+from repro.art import ExactTreeSummary, ReconciliationTrie, find_difference
+from repro.reconcile import SummaryError, build_summary
 
 
 def make_pair(n, d, seed=1):
@@ -57,10 +53,10 @@ class TestExactSearch:
         # The search may MISS differences but must never report an
         # element A actually has (the informed-transfer guarantee).
         set_a, set_b = make_pair(2000, 50, seed=9)
-        art_a = ApproximateReconciliationTree(set_a, bits_per_element=2, seed=4)
-        art_b = ApproximateReconciliationTree(set_b, bits_per_element=2, seed=4)
+        art_a = build_summary("art", set_a, bits_per_element=2, seed=4)
+        trie_b = ReconciliationTrie(set_b, seed=4)
         for correction in (0, 2, 5):
-            stats = art_b.difference_against(art_a.summary(), correction=correction)
+            stats = find_difference(trie_b, art_a, correction=correction)
             assert set(stats.differences) <= set(set_b) - set(set_a)
 
 
@@ -68,11 +64,10 @@ class TestCorrectionLevels:
     def test_accuracy_improves_with_correction(self):
         set_a, set_b = make_pair(3000, 60, seed=11)
         true_diff = set(set_b) - set(set_a)
-        art_a = ApproximateReconciliationTree(set_a, bits_per_element=4, seed=6)
-        art_b = ApproximateReconciliationTree(set_b, bits_per_element=4, seed=6)
-        summary = art_a.summary()
+        summary = build_summary("art", set_a, bits_per_element=4, seed=6)
+        trie_b = ReconciliationTrie(set_b, seed=6)
         found = {
-            c: len(set(art_b.difference_against(summary, correction=c).differences))
+            c: len(set(find_difference(trie_b, summary, correction=c).differences))
             for c in (0, 2, 5)
         }
         assert found[2] >= found[0]
@@ -81,11 +76,10 @@ class TestCorrectionLevels:
 
     def test_correction_increases_work(self):
         set_a, set_b = make_pair(3000, 60, seed=13)
-        art_a = ApproximateReconciliationTree(set_a, bits_per_element=4, seed=8)
-        art_b = ApproximateReconciliationTree(set_b, bits_per_element=4, seed=8)
-        summary = art_a.summary()
-        v0 = art_b.difference_against(summary, correction=0).nodes_visited
-        v5 = art_b.difference_against(summary, correction=5).nodes_visited
+        summary = build_summary("art", set_a, bits_per_element=4, seed=8)
+        trie_b = ReconciliationTrie(set_b, seed=8)
+        v0 = find_difference(trie_b, summary, correction=0).nodes_visited
+        v5 = find_difference(trie_b, summary, correction=5).nodes_visited
         assert v5 >= v0
 
     def test_search_cost_scales_with_difference_not_set_size(self):
@@ -103,8 +97,14 @@ class TestCorrectionLevels:
 
 
 class TestSeedMismatch:
-    def test_mismatched_seed_rejected_by_facade(self):
-        art_a = ApproximateReconciliationTree(range(100), seed=1)
-        art_b = ApproximateReconciliationTree(range(100), seed=2)
-        with pytest.raises(ValueError):
-            art_b.difference_against(art_a.summary())
+    def test_mismatched_seed_rejected(self):
+        art_a = build_summary("art", range(100), seed=1)
+        art_b = build_summary("art", range(100), seed=2)
+        with pytest.raises(SummaryError, match="seed"):
+            art_b.estimate_difference(art_a)
+
+    def test_missing_from_is_the_search_over_the_candidates_trie(self):
+        set_a, set_b = make_pair(1000, 30, seed=15)
+        summary = build_summary("art", set_a, seed=3, correction=2)
+        stats = find_difference(ReconciliationTrie(set_b, seed=3), summary, correction=2)
+        assert summary.missing_from(set_b) == stats.differences

@@ -1,10 +1,19 @@
-"""Tests for ART summaries (exact and Bloom-filtered)."""
+"""Tests for ART summaries: exact, and Bloom-filtered (the ``art`` kind)."""
 
 import random
 
 import pytest
 
-from repro.art import ARTSummary, ExactTreeSummary, ReconciliationTrie
+from repro.art import ExactTreeSummary, ReconciliationTrie
+from repro.reconcile import SummaryError, build_summary
+
+
+def art(ids, **params):
+    return build_summary("art", ids, **params)
+
+
+def filter_bytes(s):
+    return s.leaf_filter.size_bytes() + s.internal_filter.size_bytes()
 
 
 class TestExactSummary:
@@ -30,36 +39,35 @@ class TestExactSummary:
 
 class TestARTSummary:
     def test_no_false_negatives_on_node_values(self):
-        trie = ReconciliationTrie(random.Random(1).sample(range(1 << 40), 500), seed=2)
-        s = ARTSummary(trie, bits_per_element=8)
-        assert all(s.matches_internal(v) for v in trie.internal_values())
-        assert all(s.matches_leaf(v) for v in trie.leaf_values())
+        s = art(random.Random(1).sample(range(1 << 40), 500), bits_per_element=8, seed=2)
+        assert all(s.matches_internal(v) for v in s.trie.internal_values())
+        assert all(s.matches_leaf(v) for v in s.trie.leaf_values())
 
     def test_size_respects_budget(self):
-        trie = ReconciliationTrie(range(1000), seed=3)
-        s = ARTSummary(trie, bits_per_element=8)
+        s = art(range(1000), bits_per_element=8, seed=3)
         # 8 bits/elt over 1000 elements = 1000 bytes total (±rounding).
-        assert abs(s.size_bytes() - 1000) <= 16
+        assert abs(filter_bytes(s) - 1000) <= 16
+        assert s.wire_bytes() == 4 + 2 * 12 + filter_bytes(s)
 
     def test_leaf_split_controls_relative_sizes(self):
-        trie = ReconciliationTrie(range(1000), seed=4)
-        mostly_leaf = ARTSummary(trie, bits_per_element=8, leaf_bits_per_element=6)
-        mostly_internal = ARTSummary(trie, bits_per_element=8, leaf_bits_per_element=2)
-        assert mostly_leaf._leaf_filter.m > mostly_internal._leaf_filter.m
+        mostly_leaf = art(range(1000), bits_per_element=8, leaf_bits_per_element=6, seed=4)
+        mostly_internal = art(
+            range(1000), bits_per_element=8, leaf_bits_per_element=2, seed=4
+        )
+        assert mostly_leaf.leaf_filter.m > mostly_internal.leaf_filter.m
 
     def test_invalid_budgets_rejected(self):
-        trie = ReconciliationTrie(range(10), seed=5)
-        with pytest.raises(ValueError):
-            ARTSummary(trie, bits_per_element=0)
-        with pytest.raises(ValueError):
-            ARTSummary(trie, bits_per_element=8, leaf_bits_per_element=8)
-        with pytest.raises(ValueError):
-            ARTSummary(trie, bits_per_element=8, leaf_bits_per_element=0)
+        with pytest.raises(SummaryError):
+            art(range(10), bits_per_element=0, seed=5)
+        with pytest.raises(SummaryError):
+            art(range(10), bits_per_element=8, leaf_bits_per_element=8, seed=5)
+        with pytest.raises(SummaryError):
+            art(range(10), bits_per_element=8, leaf_bits_per_element=0, seed=5)
 
     def test_more_bits_fewer_false_positives(self):
-        trie = ReconciliationTrie(random.Random(6).sample(range(1 << 40), 2000), seed=6)
-        small = ARTSummary(trie, bits_per_element=2)
-        large = ARTSummary(trie, bits_per_element=12)
+        keys = random.Random(6).sample(range(1 << 40), 2000)
+        small = art(keys, bits_per_element=2, seed=6)
+        large = art(keys, bits_per_element=12, seed=6)
         probes = random.Random(7).sample(range(1 << 50, 1 << 51), 3000)
         fp_small = sum(small.matches_leaf(p) for p in probes)
         fp_large = sum(large.matches_leaf(p) for p in probes)

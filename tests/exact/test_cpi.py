@@ -1,4 +1,4 @@
-"""Tests for characteristic-polynomial reconciliation."""
+"""Tests for characteristic-polynomial reconciliation (the ``cpi`` kind)."""
 
 import random
 
@@ -11,76 +11,74 @@ from repro.exact.cpi import (
     DiscrepancyExceeded,
     _poly_gcd,
 )
+from repro.reconcile import SummaryError, build_summary
+
+
+def difference(sa, sb, max_discrepancy, seed):
+    """``S_B - S_A`` as B recovers it from A's ``cpi`` summary."""
+    summary = build_summary("cpi", sa, max_discrepancy=max_discrepancy, seed=seed)
+    return set(summary.missing_from(sb))
 
 
 class TestCPIBasics:
     def test_simple_difference(self):
-        rec = CharacteristicPolynomialReconciler(max_discrepancy=10, seed=1)
         sa = {1, 2, 3, 4, 5}
         sb = {4, 5, 6, 7}
-        assert rec.difference(rec.sketch(sa), sb) == {6, 7}
+        assert difference(sa, sb, 10, 1) == {6, 7}
 
     def test_identical_sets(self):
-        rec = CharacteristicPolynomialReconciler(max_discrepancy=6, seed=2)
         s = set(range(100, 150))
-        assert rec.difference(rec.sketch(s), s) == set()
+        assert difference(s, s, 6, 2) == set()
 
     def test_disjoint_small_sets(self):
-        rec = CharacteristicPolynomialReconciler(max_discrepancy=8, seed=3)
         sa = {10, 20, 30}
         sb = {40, 50, 60}
-        assert rec.difference(rec.sketch(sa), sb) == sb
+        assert difference(sa, sb, 8, 3) == sb
 
     def test_empty_a(self):
-        rec = CharacteristicPolynomialReconciler(max_discrepancy=6, seed=4)
         sb = {1, 2, 3}
-        assert rec.difference(rec.sketch(set()), sb) == sb
+        assert difference(set(), sb, 6, 4) == sb
 
     def test_empty_b(self):
-        rec = CharacteristicPolynomialReconciler(max_discrepancy=6, seed=5)
-        assert rec.difference(rec.sketch({1, 2, 3}), set()) == set()
+        assert difference({1, 2, 3}, set(), 6, 5) == set()
 
     def test_unequal_sizes(self):
-        rec = CharacteristicPolynomialReconciler(max_discrepancy=12, seed=6)
         sa = set(range(1000, 1010))  # |A| = 10
         sb = set(range(1005, 1008))  # subset of A, discrepancy = 7
-        assert rec.difference(rec.sketch(sa), sb) == set()
+        assert difference(sa, sb, 12, 6) == set()
 
     def test_overgenerous_bound_still_exact(self):
-        rec = CharacteristicPolynomialReconciler(max_discrepancy=40, seed=7)
         sa = {5, 6, 7}
         sb = {7, 8}
-        assert rec.difference(rec.sketch(sa), sb) == {8}
+        assert difference(sa, sb, 40, 7) == {8}
 
     def test_exceeded_bound_detected(self):
-        rec = CharacteristicPolynomialReconciler(max_discrepancy=4, seed=8)
         rng = random.Random(9)
         sa = set(rng.sample(range(1 << 40), 50))
         sb = set(rng.sample(range(1 << 40), 50))  # discrepancy ~100 >> 4
         with pytest.raises(DiscrepancyExceeded):
-            rec.difference(rec.sketch(sa), sb)
+            difference(sa, sb, 4, 8)
 
     def test_key_outside_universe_rejected(self):
-        rec = CharacteristicPolynomialReconciler(max_discrepancy=4, seed=1)
-        with pytest.raises(ValueError):
-            rec.sketch({1 << 60})
+        with pytest.raises(SummaryError):
+            build_summary("cpi", {1 << 60}, max_discrepancy=4, seed=1)
 
-    def test_incompatible_sketch_rejected(self):
-        r1 = CharacteristicPolynomialReconciler(max_discrepancy=4, seed=1)
+    def test_incompatible_message_rejected(self):
         r2 = CharacteristicPolynomialReconciler(max_discrepancy=4, seed=2)
-        sk = r1.sketch({1, 2})
+        message = build_summary("cpi", {1, 2}, max_discrepancy=4, seed=1)
         with pytest.raises(ValueError):
-            r2.difference(sk, {3})
+            r2.difference(message, {3})
 
     def test_bad_bound_rejected(self):
         with pytest.raises(ValueError):
             CharacteristicPolynomialReconciler(max_discrepancy=0)
+        with pytest.raises(SummaryError):
+            build_summary("cpi", {1}, max_discrepancy=0)
 
     def test_wire_size_linear_in_bound_not_set_size(self):
-        small = CharacteristicPolynomialReconciler(max_discrepancy=10, seed=1)
-        sk1 = small.sketch(set(range(100)))
-        sk2 = small.sketch(set(range(10_000)))
-        assert sk1.size_bytes() == sk2.size_bytes()  # O(d log u), not O(n)
+        sk1 = build_summary("cpi", set(range(100)), max_discrepancy=10, seed=1)
+        sk2 = build_summary("cpi", set(range(10_000)), max_discrepancy=10, seed=1)
+        assert sk1.wire_bytes() == sk2.wire_bytes()  # O(d log u), not O(n)
 
 
 class TestCPIProperty:
@@ -93,8 +91,7 @@ class TestCPIProperty:
     def test_recovers_exact_difference(self, common, only_a, only_b):
         sa = common | only_a
         sb = common | only_b
-        rec = CharacteristicPolynomialReconciler(max_discrepancy=20, seed=11)
-        assert rec.difference(rec.sketch(sa), sb) == only_b
+        assert difference(sa, sb, 20, 11) == only_b
 
 
 class TestPolyHelpers:

@@ -5,7 +5,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.filters import BloomFilter, CountingBloomFilter
+from repro.filters import BloomFilter
+from repro.reconcile import build_summary
 
 key_sets = st.sets(st.integers(min_value=0, max_value=2**40), min_size=1, max_size=300)
 
@@ -56,26 +57,27 @@ class TestCountingBloomProperties:
     )
     @settings(max_examples=50, deadline=None)
     def test_add_remove_all_leaves_empty_membership(self, keys):
-        cbf = CountingBloomFilter(8192, 3, seed=5)
-        for k in keys:
-            cbf.add(k)
+        cbf = build_summary(
+            "counting_bloom", keys, m_buckets=8192, k_hashes=3, seed=5
+        )
         rng = random.Random(1)
-        shuffled = keys[:]
+        shuffled = sorted(set(keys))
         rng.shuffle(shuffled)
         for k in shuffled:
-            cbf.remove(k)
+            cbf = cbf.remove(k)
         assert cbf.count == 0
+        assert not any(k in cbf for k in keys)
 
     @given(
         keys=st.sets(st.integers(min_value=0, max_value=10_000), min_size=2, max_size=80)
     )
     @settings(max_examples=50, deadline=None)
     def test_removing_one_key_never_creates_false_negative(self, keys):
-        cbf = CountingBloomFilter(16_384, 3, seed=6)
-        for k in keys:
-            cbf.add(k)
+        cbf = build_summary(
+            "counting_bloom", keys, m_buckets=16_384, k_hashes=3, seed=6
+        )
         victim = sorted(keys)[0]
-        cbf.remove(victim)
+        cbf = cbf.remove(victim)
         for k in keys:
             if k != victim:
                 assert k in cbf

@@ -12,7 +12,8 @@ import random
 import pytest
 
 from repro.hashing.permutations import PermutationFamily
-from repro.sketches import MinwiseSketch, RandomSampleSketch
+from repro.reconcile import build_summary
+from repro.sketches import MinwiseSketch
 
 UNIVERSE = 1 << 24
 
@@ -96,10 +97,12 @@ class TestRandomSampleStatistics:
         other = set(pool[size - overlap :])
         truth = len(sketched & other) / len(sketched)
         k = 128
-        estimates = [
-            RandomSampleSketch.build(sketched, k, rng).estimate_containment_in(other)
-            for _ in range(40)
-        ]
+        estimates = []
+        for _ in range(40):
+            drawn = build_summary(
+                "random_sample", sketched, k=k, seed=rng.randrange(1 << 32)
+            ).sample
+            estimates.append(sum(1 for key in drawn if key in other) / k)
         mean = sum(estimates) / len(estimates)
         se = math.sqrt(truth * (1 - truth) / k / len(estimates))
         assert abs(mean - truth) < 4 * se + 0.01

@@ -133,6 +133,26 @@ class TestPayloadFaults:
         with pytest.raises(SummaryError, match="hash width"):
             summary_from_payload(payload)
 
+    @pytest.mark.parametrize(
+        "kind, edit",
+        [
+            # The first missing_from raised a bare ValueError.
+            ("cpi", {"max_discrepancy": 0}),
+            ("cpi", {"max_discrepancy": -1}),
+            ("art", {"correction": -1}),
+            # Accepted without the evaluations the bound promises; with a
+            # bound of 100 000 the first search ran for minutes.
+            ("cpi", {"evaluations": []}),
+            ("cpi", {"max_discrepancy": 100_000}),
+            ("cpi", {"verify_evaluations": [1, 2]}),
+        ],
+    )
+    def test_a_bound_the_payload_cannot_serve_is_refused(self, kind, edit):
+        payload = build_summary(kind, range(40)).to_payload()
+        payload.update(edit)
+        with pytest.raises(SummaryError):
+            summary_from_payload(payload)
+
     def test_an_unknown_kind_is_a_summary_error_and_still_a_key_error(self):
         from repro.reconcile import UnknownSummaryError
 
@@ -326,7 +346,7 @@ class TestKindSpecifics:
     def test_partitioned_bloom_uncovered_keys_unknown(self, sets):
         a, _ = sets
         s = build_summary("partitioned_bloom", a, rho=4, beta=1)
-        uncovered = [x for x in range(200) if not s.pf.covers(x)]
+        uncovered = [x for x in range(200) if not s.covers(x)]
         assert uncovered
         # Unknown keys must answer "may contain" — never a false missing.
         assert all(s.may_contain(x) for x in uncovered)
@@ -339,7 +359,7 @@ class TestKindSpecifics:
         a, b = sets
         s = build_summary("art", a, bits_per_element=8, correction=1)
         trie = ReconciliationTrie(sorted(b), seed=0)
-        stats = find_difference(trie, s.art_summary, correction=1)
+        stats = find_difference(trie, s, correction=1)
         assert stats.nodes_visited < 2 * len(b)
 
     def test_incompatible_merge_rejected(self):

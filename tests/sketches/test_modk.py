@@ -1,43 +1,51 @@
-"""Tests for mod-k sampling sketches."""
+"""Tests for the mod-k calling card (the ``modk`` summary kind)."""
 
 import random
 
 import pytest
 
-from repro.sketches import ModKSketch
+from repro.reconcile import SummaryError, build_summary
+
+
+def modk(ids, modulus, seed=0, **params):
+    return build_summary("modk", ids, modulus=modulus, seed=seed, **params)
+
+
+def difference_truth(sa, sb):
+    return len(sa ^ sb)
 
 
 class TestModKBasics:
     def test_build_selects_expected_fraction(self):
         keys = range(100_000)
-        sk = ModKSketch.build(keys, modulus=100, seed=1)
+        sk = modk(keys, modulus=100, seed=1)
         # Expect ~1000 elements; allow wide tolerance.
-        assert 800 <= len(sk) <= 1200
+        assert 800 <= len(sk.sample) <= 1200
 
     def test_deterministic(self):
         keys = list(range(1000))
-        a = ModKSketch.build(keys, 10, seed=2)
-        b = ModKSketch.build(keys, 10, seed=2)
+        a = modk(keys, 10, seed=2)
+        b = modk(keys, 10, seed=2)
         assert a.sample == b.sample
 
     def test_rejects_bad_modulus(self):
-        with pytest.raises(ValueError):
-            ModKSketch.build([1], 0)
+        with pytest.raises(SummaryError):
+            modk([1], 0)
 
     def test_incompatible_sketches_rejected(self):
-        a = ModKSketch.build(range(100), 10, seed=1)
-        b = ModKSketch.build(range(100), 10, seed=2)
-        with pytest.raises(ValueError):
-            a.estimate_containment(b)
-        c = ModKSketch.build(range(100), 20, seed=1)
-        with pytest.raises(ValueError):
-            a.estimate_resemblance(c)
+        a = modk(range(100), 10, seed=1)
+        b = modk(range(100), 10, seed=2)
+        with pytest.raises(SummaryError):
+            a.estimate_difference(b)
+        c = modk(range(100), 20, seed=1)
+        with pytest.raises(SummaryError):
+            a.estimate_difference(c)
 
-    def test_empty_other_sample_rejected(self):
-        a = ModKSketch.build(range(1000), 5, seed=3)
-        b = ModKSketch([], 5, seed=3)
-        with pytest.raises(ValueError):
-            a.estimate_containment(b)
+    def test_empty_other_sample_reads_as_no_overlap(self):
+        a = modk(range(1000), 5, seed=3)
+        b = modk([], 5, seed=3)
+        assert not b.sample
+        assert a.estimate_difference(b) == 1000.0
 
 
 class TestModKEstimates:
@@ -52,29 +60,34 @@ class TestModKEstimates:
     def test_containment_estimate(self, containment):
         rng = random.Random(int(containment * 10) + 1)
         sa, sb = self._sets(containment, 20_000, rng)
-        a = ModKSketch.build(sa, 50, seed=5)
-        b = ModKSketch.build(sb, 50, seed=5)
+        a = modk(sa, 50, seed=5)
+        b = modk(sb, 50, seed=5)
         truth = len(sa & sb) / len(sb)
-        assert abs(a.estimate_containment(b) - truth) < 0.1
+        # The two samples keep the same keys: |A_k ∩ B_k| / |B_k| is
+        # the containment estimate ...
+        assert abs(len(a.sample & b.sample) / len(b.sample) - truth) < 0.1
+        # ... and the summary's difference estimate rests on it.
+        error = abs(a.estimate_difference(b) - difference_truth(sa, sb))
+        assert error < 0.1 * len(sb)
 
     def test_identical_sets(self):
         keys = set(range(5000))
-        a = ModKSketch.build(keys, 20, seed=7)
-        b = ModKSketch.build(keys, 20, seed=7)
-        assert a.estimate_containment(b) == 1.0
-        assert a.estimate_resemblance(b) == 1.0
+        a = modk(keys, 20, seed=7)
+        b = modk(keys, 20, seed=7)
+        assert a.sample == b.sample
+        assert a.estimate_difference(b) == 0.0
 
     def test_resemblance_disjoint(self):
-        a = ModKSketch.build(range(0, 10_000), 20, seed=9)
-        b = ModKSketch.build(range(10_000, 20_000), 20, seed=9)
-        assert a.estimate_resemblance(b) == 0.0
+        a = modk(range(0, 10_000), 20, seed=9)
+        b = modk(range(10_000, 20_000), 20, seed=9)
+        assert not a.sample & b.sample
+        assert a.estimate_difference(b) == 20_000.0
 
 
 class TestModKTruncation:
     def test_truncation_bounds_size(self):
-        sk = ModKSketch.build(range(100_000), 10, seed=11)
-        cut = sk.truncated(128)
-        assert len(cut) == 128
+        sk = modk(range(100_000), 10, seed=11, max_elements=128)
+        assert len(sk.sample) == 128
 
     def test_truncated_sketches_remain_comparable(self):
         # Bottom-k truncation on both sides keeps estimates sane.
@@ -82,17 +95,16 @@ class TestModKTruncation:
         pool = rng.sample(range(1 << 30), 30_000)
         sa = set(pool[:20_000])
         sb = set(pool[10_000:])
-        a = ModKSketch.build(sa, 10, seed=15).truncated(256)
-        b = ModKSketch.build(sb, 10, seed=15).truncated(256)
-        est = a.estimate_resemblance(b)
+        a = modk(sa, 10, seed=15, max_elements=256)
+        b = modk(sb, 10, seed=15, max_elements=256)
+        est = len(a.sample & b.sample) / len(a.sample | b.sample)
         truth = len(sa & sb) / len(sa | sb)
         assert abs(est - truth) < 0.15
 
     def test_truncation_negative_rejected(self):
-        sk = ModKSketch.build(range(100), 10)
-        with pytest.raises(ValueError):
-            sk.truncated(-1)
+        with pytest.raises(SummaryError):
+            modk(range(100), 10, max_elements=-1)
 
     def test_packet_size(self):
-        sk = ModKSketch.build(range(10_000), 100, seed=1)
-        assert sk.packet_size_bytes() == 4 + 8 * len(sk)
+        sk = modk(range(10_000), 100, seed=1)
+        assert sk.wire_bytes() == 4 + 8 * len(sk.sample)

@@ -96,6 +96,11 @@ GUARDS = [
     Guard(31, "a memo or per-epoch table stored on a scheme or policy",
      r"self\.\w*(memo|table|epoch)\w*\s*(:[^=]*)?=(?!=)",
      ["src/repro/overlay/reconfiguration.py", "src/repro/overlay/catalog.py"]),
+    Guard(32, "a second class beside a summary kind's one",
+     r"ModKSketch|RandomSampleSketch|CountingBloomFilter|PartitionedBloomFilter"
+     r"|PartitionedSummaryStream|CPISketch|ApproximateReconciliationTree"
+     r"|whole_set_difference",
+     ["src", "tests", "examples", "bench"], [THIS_FILE]),
 ]
 
 #: Deleted files and directories.
@@ -104,6 +109,13 @@ DELETED_PATHS = [
     "scripts/validate_bench.py",
     "tests/tooling/test_validate_bench.py",
     "tests/integration/test_paper_claims.py",
+    "src/repro/sketches/modk.py",
+    "src/repro/sketches/random_sample.py",
+    "src/repro/exact/hashset.py",
+    "src/repro/exact/wholeset.py",
+    "src/repro/filters/counting.py",
+    "src/repro/filters/partitioned.py",
+    "src/repro/art/summary.py",
 ]
 
 
