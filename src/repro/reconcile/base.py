@@ -62,7 +62,8 @@ class Summary(abc.ABC):
     exact: ClassVar[bool] = False
     #: True when :meth:`missing_from` is authoritative for only part of
     #: the key space (one residue partition, say) — difference *counts*
-    #: then understate the truth and must not feed correlation directly.
+    #: then understate the truth and must not feed correlation directly,
+    #: and the summary's ``covers(key)`` says which keys it speaks for.
     partial_coverage: ClassVar[bool] = False
     #: True when :meth:`absorb` can fold newly added ids into a locally
     #: built summary, producing exactly what a from-scratch rebuild over

@@ -136,14 +136,21 @@ class SummaryPolicy:
     def useful_subset(
         self, remote: Summary, candidates: Iterable[int]
     ) -> List[int]:
-        """Candidate ids the remote (summarised) peer definitely lacks.
+        """Candidate ids the remote (summarised) peer may still need.
 
         The sender-side primitive behind every informed strategy:
-        everything returned is guaranteed useful to the summariser
-        (false positives only *hide* useful ids, never invent useless
-        ones).
+        everything a summary says the summariser lacks is guaranteed
+        useful to it (false positives only *hide* useful ids, never
+        invent useless ones).  A ``partial_coverage`` summary speaks
+        for the keys it ``covers`` alone, so every candidate it does
+        not cover stays in the domain — dropping them would starve the
+        transfer of everything outside one residue class.
         """
-        return remote.missing_from(candidates)
+        if not remote.partial_coverage:
+            return remote.missing_from(candidates)
+        pool = list(candidates)
+        missing = set(remote.missing_from(pool))
+        return [key for key in pool if key in missing or not remote.covers(key)]
 
     def correlation(self, remote: Summary, local_ids: Iterable[int]) -> float:
         """Estimated ``|L ∩ R| / |L|`` for a local set against a summary.

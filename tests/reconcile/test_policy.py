@@ -57,6 +57,30 @@ class TestReconciliation:
         assert set(useful) <= b - a
         assert len(useful) > 0.8 * len(b - a)
 
+    def test_useful_subset_keeps_what_a_partition_does_not_cover(self, sets):
+        """One residue partition vouches for its class alone: a covered
+        candidate is kept only when the filter misses it, every
+        uncovered one is kept, and candidate order survives."""
+        a, b = sets
+        policy = SummaryPolicy(kind="partitioned_bloom", params={"rho": 4, "beta": 1})
+        remote = policy.build(a)
+        candidates = sorted(b)
+        useful = policy.useful_subset(remote, iter(candidates))
+        uncovered = [x for x in candidates if not remote.covers(x)]
+        assert set(useful) == set(uncovered) | set(remote.missing_from(candidates))
+        assert useful == [x for x in candidates if x in set(useful)]
+        assert {x for x in useful if remote.covers(x)} <= b - a
+        # A needed id is dropped only as a covered Bloom false positive.
+        dropped = (b - a) - set(useful)
+        assert all(remote.covers(x) and x in remote for x in dropped)
+
+    def test_a_partition_summary_carries_a_pair_transfer(self):
+        from repro.api import run, specs
+
+        spec = specs.pair_transfer(target=120, correlation=0.2)
+        result = run(spec.with_summary("partitioned_bloom"))
+        assert result.completed
+
     def test_correlation_via_difference_search(self, sets):
         a, b = sets
         policy = SummaryPolicy(kind="bloom")
