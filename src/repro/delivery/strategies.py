@@ -31,7 +31,7 @@ from repro.coding.recode import DEFAULT_MAX_RECODE_DEGREE, optimal_recode_degree
 from repro.coding.symbol import Packet
 from repro.delivery.working_set import WorkingSet
 from repro.exact.cpi import DiscrepancyExceeded
-from repro.reconcile import DEFAULT_POLICY, SummaryPolicy, summary_class
+from repro.reconcile import DEFAULT_POLICY, SummaryPolicy
 from repro.seeding import default_rng
 
 
@@ -317,11 +317,8 @@ def make_strategy(
         useful = useful_subset()
         if useful is None:
             return blind(RecodeStrategy, "Recode")
-        # A summary of part of the key space leaves ids the receiver
-        # holds in the domain: cut to the receiver's request, it would
-        # lose needed ids at random.
-        if summary_class(policy.kind).partial_coverage:
-            symbols_desired = None
+        if policy.partial_coverage:
+            symbols_desired = None  # the domain still holds held ids
         return RecodeSummaryStrategy(
             sender_set,
             useful,

@@ -15,12 +15,7 @@ from repro.delivery.strategies import DEFAULT_DESIRED_MARGIN
 from repro.exact.cpi import DiscrepancyExceeded
 from repro.protocol.messages import DataMessage, RequestMessage
 from repro.protocol.peer import ProtocolPeer
-from repro.reconcile import (
-    SummaryPolicy,
-    build_summary,
-    correlation_from_summaries,
-    summary_class,
-)
+from repro.reconcile import SummaryPolicy, build_summary, correlation_from_summaries
 from repro.seeding import default_rng
 
 #: Correlation above which a receiver should reject the sender outright
@@ -288,10 +283,7 @@ class TransferSession:
             self._domain is not None
             and desired
             and len(self._domain) > desired
-            # A partial-coverage summary leaves held ids in the domain
-            # (see SummaryPolicy.useful_subset): cutting it would lose
-            # needed ones at random.
-            and not summary_class(self.summary_policy.kind).partial_coverage
+            and not self.summary_policy.partial_coverage
         ):
             self._domain = self.rng.sample(self._domain, desired)
 

@@ -131,6 +131,14 @@ class SummaryPolicy:
         """Whether the policy's summary supports difference estimation."""
         return summary_class(self.kind).supports_estimate
 
+    @property
+    def partial_coverage(self) -> bool:
+        """Whether the policy's summary speaks for part of the key space
+        only, so a domain it filtered still holds ids the summariser has
+        (see :meth:`useful_subset`): cutting that domain to the
+        summariser's request would lose needed ids at random."""
+        return summary_class(self.kind).partial_coverage
+
     # -- reconciliation ------------------------------------------------------
 
     def useful_subset(
