@@ -4,7 +4,7 @@ The digital-fountain substrate everything else rides on:
 
 * :class:`DegreeDistribution` — ideal/robust soliton and the paper's
   heavy-tail heuristic (Section 6.1: average degree ~11, decoding
-  overhead ~7%), plus the bounded recoding distribution of Section 5.4.2.
+  overhead ~7%), plus Section 6.1's capped recoding distribution.
 * :class:`EncodedSymbol` / :class:`Packet` — a symbol with its
   source-block list, and the one transmission type: a symbol id or the
   constituent-id list of a recoded blend, with ``wire_bytes()``.
@@ -13,7 +13,8 @@ The digital-fountain substrate everything else rides on:
   uncorrelated (the paper's *additivity*) while a shared seed gives all
   peers a common symbol universe keyed by ``symbol_id``.
 * :class:`Recoder` / :class:`RecodedPeeler` — Section 5.4.2: partial
-  senders blend received symbols into recoded symbols; receivers peel
+  senders blend received symbols into recoded symbols (the recoder is
+  the one draw every strategy and protocol peer uses); receivers peel
   recoded symbols back to encoded symbols, then decode normally.  The
   peeler is the one implementation of the substitution rule of [16]
   and the one ingest (:meth:`RecodedPeeler.receive`), and it peels

@@ -11,11 +11,10 @@ choice in [16]".  We provide:
   authors' unpublished tuned distribution ("average degree of 11 ...
   average decoding overhead of 6.8%", Section 6.1): a robust soliton
   truncated at a degree cap, renormalised, with the spike preserved.
-* :meth:`DegreeDistribution.recoding` — Section 5.4.2's bounded irregular
-  distribution for recoded symbols: supported on ``[d_min, d_max]``
-  (the paper uses a limit of 50 to keep constituent lists short), heavy
-  tailed, avoiding low degrees "which may provide short-term benefit, but
-  which are often useless".
+* :meth:`DegreeDistribution.recoding_soliton` — Section 6.1's recoding
+  distribution, soliton-like over the recoding domain with a degree limit
+  of 50 and an optional Section 5.4.2 lower limit (every recoded blend is
+  drawn from it by :class:`~repro.coding.Recoder`).
 """
 
 import bisect
@@ -123,21 +122,6 @@ class DegreeDistribution:
         return base.truncated(1, min(max_degree, num_blocks))
 
     @classmethod
-    def recoding(cls, min_degree: int, max_degree: int) -> "DegreeDistribution":
-        """Bounded heavy-tail distribution for recoded symbols (§5.4.2).
-
-        Mass ``∝ 1/(d (d+1))`` over ``[min_degree, max_degree]``: irregular,
-        tails off slowly enough that high-degree symbols appear, and never
-        generates degrees below the caller's usefulness-optimal lower
-        limit.
-        """
-        if min_degree < 1:
-            raise ValueError("minimum degree must be >= 1")
-        if max_degree < min_degree:
-            raise ValueError("max_degree must be >= min_degree")
-        return cls({d: 1.0 / (d * (d + 1)) for d in range(min_degree, max_degree + 1)})
-
-    @classmethod
     def fixed(cls, degree: int) -> "DegreeDistribution":
         """Degenerate distribution (ablation baseline)."""
         return cls({degree: 1.0})
@@ -198,20 +182,6 @@ class DegreeDistribution:
         if i < len(self.degrees) and self.degrees[i] == degree:
             return self.probabilities[i]
         return 0.0
-
-    def shifted_for_correlation(
-        self, sampled_degree: int, correlation: float
-    ) -> int:
-        """The Recode/MW adjustment: degree ``floor(d / (1 - c))``, capped.
-
-        Section 6.2: "If the regular recoding algorithm randomly generates
-        a degree d symbol, generate a recoded symbol of degree
-        floor(d / (1 - c)), subject to the maximum degree."
-        """
-        if not 0.0 <= correlation < 1.0:
-            # c == 1 means identical sets; no degree makes a useful symbol.
-            raise ValueError("correlation must lie in [0, 1)")
-        return min(self.max_degree(), int(sampled_degree / (1.0 - correlation)))
 
 
 @lru_cache(maxsize=4096)

@@ -20,7 +20,7 @@ an irregular distribution.
 
 import math
 import random
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.coding.degree import DegreeDistribution
 from repro.coding.symbol import EncodedSymbol, Packet, xor_payloads
@@ -67,64 +67,73 @@ def immediate_usefulness_probability(
 
 
 class Recoder:
-    """Generates recoded symbols from a partial sender's working set.
+    """The one recoded-blend draw (Sections 5.4.2, 6.1 and 6.2).
 
-    Args:
-        symbols: the sender's encoded symbols (payloads optional).
-        max_degree: cap on constituent-list length (paper: 50).
-        correlation: estimated ``c`` from a sketch; ``None`` means fully
-            oblivious recoding (the plain "Recode" strategy).
-        minwise_shift: apply the Recode/MW degree shift
-            ``d -> floor(d / (1-c))`` instead of raising the lower limit.
-        rng: randomness source (seeded by callers for reproducibility).
+    A blend's degree comes from Section 6.1's soliton-like distribution
+    over the domain (:meth:`DegreeDistribution.recoding_soliton`: capped
+    at ``max_degree`` and the domain size, at least ``min_degree``, the
+    Section 5.4.2 lower limit), is shifted to ``floor(d / (1 - c))``
+    (capped) under a Recode/MW ``degree_shift`` ``c > 0``, and that many
+    distinct constituents are sampled.  ``Recoder(symbols)`` blends held
+    symbols, XORing their payloads when all are present;
+    :meth:`over_ids` blends a bare id domain, held without copying.
+    ``domain`` may be replaced by another of the same size (Recode/BF's
+    ``renew``); the distribution depends on the size alone.
     """
 
     def __init__(
         self,
         symbols: Sequence[EncodedSymbol],
         max_degree: int = DEFAULT_MAX_RECODE_DEGREE,
-        correlation: Optional[float] = None,
-        minwise_shift: bool = False,
+        min_degree: int = 1,
+        degree_shift: float = 0.0,
         rng: Optional[random.Random] = None,
     ):
-        if not symbols:
+        held = list(symbols)
+        self._payloads = {s.symbol_id: s.payload for s in held}
+        rng = rng if rng is not None else default_rng("coding.recode")
+        ids = [s.symbol_id for s in held]
+        self._bind(ids, max_degree, min_degree, degree_shift, rng)
+
+    @classmethod
+    def over_ids(
+        cls, domain: Sequence[int], rng: random.Random, degree_shift: float = 0.0
+    ) -> "Recoder":
+        """A payload-free recoder drawing blends of ``domain``'s ids."""
+        recoder = cls.__new__(cls)
+        recoder._payloads = None
+        recoder._bind(domain, DEFAULT_MAX_RECODE_DEGREE, 1, degree_shift, rng)
+        return recoder
+
+    def _bind(self, domain, max_degree, min_degree, degree_shift, rng) -> None:
+        if not domain:
             raise ValueError("cannot recode from an empty working set")
         if max_degree < 1:
             raise ValueError("max degree must be >= 1")
-        self._symbols: List[EncodedSymbol] = list(symbols)
-        self.max_degree = min(max_degree, len(self._symbols))
-        self.correlation = correlation
-        self.minwise_shift = minwise_shift
-        self._rng = rng if rng is not None else default_rng("coding.recode")
+        if not 0.0 <= degree_shift < 1.0:
+            raise ValueError("degree shift must lie in [0, 1)")
+        self.domain = domain
+        self.degree_shift = degree_shift
+        self._rng = rng
+        self._distribution = DegreeDistribution.recoding_soliton(
+            len(domain), min_degree=min_degree, max_degree=max_degree
+        )
+        #: The largest blend drawn: the cap, clamped to the domain.
+        self.max_degree = self._distribution.max_degree()
 
-        if correlation is not None and not minwise_shift:
-            lower = min(
-                optimal_recode_degree(len(self._symbols), correlation),
-                self.max_degree,
-            )
-        else:
-            lower = 1
-        self._distribution = DegreeDistribution.recoding(lower, self.max_degree)
-
-    def _draw_degree(self) -> int:
+    def draw(self) -> List[int]:
+        """The constituent ids of one blend, in draw order."""
         degree = self._distribution.sample(self._rng)
-        if self.minwise_shift and self.correlation is not None:
-            degree = self._distribution.shifted_for_correlation(
-                degree, min(self.correlation, 0.999)
-            )
-        return min(degree, len(self._symbols))
+        if self.degree_shift:
+            degree = min(self.max_degree, int(degree / (1.0 - self.degree_shift)))
+        return self._rng.sample(self.domain, degree)
 
     def next_symbol(self) -> Packet:
         """Produce one recoded symbol."""
-        degree = self._draw_degree()
-        chosen = self._rng.sample(self._symbols, degree)
-        payloads = [s.payload for s in chosen]
+        chosen = self.draw()
         payload = None
-        if all(p is not None for p in payloads):
-            payload = xor_payloads(payloads)  # type: ignore[arg-type]
-        return Packet.recoded((s.symbol_id for s in chosen), payload)
-
-    def stream(self) -> Iterable[Packet]:
-        """Endless recoded-symbol stream."""
-        while True:
-            yield self.next_symbol()
+        if self._payloads is not None:
+            payloads = [self._payloads[i] for i in chosen]
+            if all(p is not None for p in payloads):
+                payload = xor_payloads(payloads)  # type: ignore[arg-type]
+        return Packet.recoded(chosen, payload)

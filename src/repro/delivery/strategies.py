@@ -26,8 +26,7 @@ strategy reconciles through a :class:`~repro.reconcile.SummaryPolicy`
 import random
 from typing import Callable, Dict, Optional, Sequence
 
-from repro.coding.degree import DegreeDistribution
-from repro.coding.recode import DEFAULT_MAX_RECODE_DEGREE, optimal_recode_degree
+from repro.coding.recode import Recoder
 from repro.coding.symbol import Packet
 from repro.delivery.working_set import WorkingSet
 from repro.exact.cpi import DiscrepancyExceeded
@@ -88,7 +87,8 @@ class RandomStrategy(SenderStrategy):
 
 
 class _RecodeBase(SenderStrategy):
-    """Shared recoded-packet machinery for the three recoding strategies."""
+    """The recoding strategies' domain; every blend over it is drawn by
+    :class:`~repro.coding.Recoder`."""
 
     #: The domain before truncation, kept only when it was truncated.
     _full_domain: Optional[list] = None
@@ -97,43 +97,31 @@ class _RecodeBase(SenderStrategy):
         self,
         working_set: WorkingSet,
         domain: Sequence[int],
-        min_degree: int,
-        max_degree: int = DEFAULT_MAX_RECODE_DEGREE,
         degree_shift: float = 0.0,
         domain_limit: Optional[int] = None,
         rng: Optional[random.Random] = None,
     ):
         super().__init__(working_set, rng)
-        self._domain = list(domain) if domain else list(self._pool)
-        if domain_limit is not None and 0 < domain_limit < len(self._domain):
+        domain = list(domain) if domain else list(self._pool)
+        if domain_limit is not None and 0 < domain_limit < len(domain):
             # Section 6.1: "we restrict the recoding domain to an
             # appropriate small size" — recoding over a domain matched to
             # what the receiver asked for lets pending blends resolve
             # instead of scattering over symbols that will never arrive.
-            self._full_domain = self._domain
-            self._domain = self.rng.sample(self._full_domain, domain_limit)
-        max_degree = max(1, min(max_degree, len(self._domain)))
-        min_degree = max(1, min(min_degree, max_degree))
-        self._distribution = DegreeDistribution.recoding_soliton(
-            len(self._domain), min_degree=min_degree, max_degree=max_degree
-        )
-        self._degree_shift = degree_shift
-        self._max_degree = max_degree
+            self._full_domain = domain
+            domain = self.rng.sample(domain, domain_limit)
+        self._recoder = Recoder.over_ids(domain, self.rng, degree_shift)
 
-    def _draw_degree(self) -> int:
-        d = self._distribution.sample(self.rng)
-        if self._degree_shift:
-            d = min(self._max_degree, int(d / (1.0 - self._degree_shift)))
-        return max(1, min(d, len(self._domain)))
+    @property
+    def _domain(self) -> list:
+        return self._recoder.domain
 
     def renew(self) -> None:
         if self._full_domain is not None:
-            self._domain = self.rng.sample(self._full_domain, len(self._domain))
+            self._recoder.domain = self.rng.sample(self._full_domain, len(self._domain))
 
     def next_packet(self) -> Packet:
-        degree = self._draw_degree()
-        chosen = self.rng.sample(self._domain, degree)
-        return Packet.recoded(chosen)
+        return Packet.recoded(self._recoder.draw())
 
 
 class RecodeStrategy(_RecodeBase):
@@ -142,7 +130,7 @@ class RecodeStrategy(_RecodeBase):
     name = "Recode"
 
     def __init__(self, working_set: WorkingSet, rng: Optional[random.Random] = None):
-        super().__init__(working_set, domain=(), min_degree=1, rng=rng)
+        super().__init__(working_set, domain=(), rng=rng)
 
 
 class RandomSummaryStrategy(SenderStrategy):
@@ -201,7 +189,6 @@ class RecodeSummaryStrategy(_RecodeBase):
         super().__init__(
             working_set,
             domain=list(useful_domain),
-            min_degree=1,
             domain_limit=symbols_desired,
             rng=rng,
         )
@@ -234,7 +221,6 @@ class RecodeMWStrategy(_RecodeBase):
         super().__init__(
             working_set,
             domain=(),
-            min_degree=1,
             degree_shift=min(estimated_correlation, 0.99),
             rng=rng,
         )

@@ -211,9 +211,11 @@ def _recode_useful_fraction(correlation: float, policy: str) -> float:
     known = [s.symbol_id for s in sender[: int(correlation * n_symbols)]]
     if policy == "degree-1":
         recoder = Recoder(sender, max_degree=1, rng=rng)
+    elif policy == "informed":
+        d_star = optimal_recode_degree(n_symbols, correlation)
+        recoder = Recoder(sender, min_degree=d_star, rng=rng)
     else:
-        shift = policy == "minwise-shift"
-        recoder = Recoder(sender, correlation=correlation, minwise_shift=shift, rng=rng)
+        recoder = Recoder(sender, degree_shift=correlation, rng=rng)
     peeler = RecodedPeeler(known_ids=known)
     start, sent = peeler.known_count, 0
     while sent < budget and peeler.known_count < n_symbols:
@@ -629,7 +631,7 @@ def _section6() -> List[Claim]:
               "50",
               _fixed(lambda: (
                   DEFAULT_MAX_RECODE_DEGREE,
-                  DegreeDistribution.recoding_soliton(100_000).max_degree(),
+                  Recoder.over_ids(range(100_000), random.Random(0)).max_degree,
               )),
               lambda x: x == (50, 50)),
         Claim("s63-file-geometry", "§6.3",

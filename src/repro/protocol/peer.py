@@ -12,13 +12,12 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
 from repro.coding import (
-    DegreeDistribution,
     EncodedSymbol,
     LTEncoder,
     PeelingDecoder,
     RecodedPeeler,
+    Recoder,
 )
-from repro.coding.recode import DEFAULT_MAX_RECODE_DEGREE
 from repro.coding.symbol import Packet, xor_payloads
 from repro.delivery.working_set import WorkingSet
 from repro.protocol.messages import DataMessage, HelloMessage, SummaryMessage
@@ -186,22 +185,18 @@ class ProtocolPeer:
         self._next_fresh += 1
         return DataMessage.encoded(symbol.symbol_id, symbol.payload)
 
-    def recoded_data(
-        self,
-        domain_ids: Optional[List[int]] = None,
-        max_degree: int = DEFAULT_MAX_RECODE_DEGREE,
-    ) -> DataMessage:
-        """Partial senders: blend held symbols into one recoded packet."""
+    def recoded_data(self, domain_ids: Optional[List[int]] = None) -> DataMessage:
+        """Partial senders: blend held symbols into one recoded packet
+        (drawn by :class:`~repro.coding.Recoder`); a blend of one is
+        sent as that encoded symbol."""
         pool = domain_ids if domain_ids else list(self.symbols)
         if not pool:
             raise RuntimeError(f"{self.peer_id} has nothing to send")
-        dist = DegreeDistribution.recoding_soliton(len(pool), max_degree=max_degree)
-        degree = min(dist.sample(self.rng), len(pool))
-        chosen = self.rng.sample(pool, degree)
+        chosen = Recoder.over_ids(pool, self.rng).draw()
         payloads = [self.symbols[i].payload for i in chosen]
         if any(p is None for p in payloads):
             raise RuntimeError("cannot recode payload-free symbols")
-        if degree == 1:
+        if len(chosen) == 1:
             return DataMessage.encoded(chosen[0], payloads[0])
         return DataMessage.recoded(
             chosen, xor_payloads(payloads)  # type: ignore[arg-type]

@@ -81,17 +81,6 @@ class TestHeavyTailHeuristic:
 
 
 class TestRecodingDistributions:
-    def test_recoding_bounds(self):
-        d = DegreeDistribution.recoding(3, 50)
-        assert d.degrees[0] == 3
-        assert d.max_degree() == 50
-
-    def test_recoding_invalid(self):
-        with pytest.raises(ValueError):
-            DegreeDistribution.recoding(0, 5)
-        with pytest.raises(ValueError):
-            DegreeDistribution.recoding(5, 3)
-
     def test_recoding_soliton_paper_cap(self):
         d = DegreeDistribution.recoding_soliton(10_000)
         assert d.max_degree() <= 50  # Section 6.1: degree limit of 50
@@ -126,7 +115,7 @@ class TestSampling:
             assert 1 <= s <= d.max_degree()
 
     def test_sample_mean_converges(self):
-        d = DegreeDistribution.recoding(1, 20)
+        d = DegreeDistribution.recoding_soliton(20)
         rng = random.Random(2)
         samples = d.sample_many(20_000, rng)
         assert abs(sum(samples) / len(samples) - d.mean()) < 0.2
@@ -135,19 +124,3 @@ class TestSampling:
         d = DegreeDistribution.fixed(7)
         assert d.sample(random.Random(3)) == 7
         assert d.mean() == 7
-
-
-class TestMinwiseShift:
-    def test_shift_formula(self):
-        d = DegreeDistribution.recoding(1, 50)
-        assert d.shifted_for_correlation(5, 0.5) == 10
-        assert d.shifted_for_correlation(5, 0.0) == 5
-
-    def test_shift_capped_at_max(self):
-        d = DegreeDistribution.recoding(1, 50)
-        assert d.shifted_for_correlation(30, 0.9) == 50
-
-    def test_shift_rejects_full_correlation(self):
-        d = DegreeDistribution.recoding(1, 50)
-        with pytest.raises(ValueError):
-            d.shifted_for_correlation(5, 1.0)

@@ -81,9 +81,10 @@ class TestRecoder:
 
     def test_correlation_raises_minimum_degree(self):
         syms = self._symbols(200)
-        high_c = Recoder(syms, correlation=0.9, rng=random.Random(6))
+        d_star = optimal_recode_degree(200, 0.9)
+        high_c = Recoder(syms, min_degree=d_star, rng=random.Random(6))
         degrees = [high_c.next_symbol().degree for _ in range(100)]
-        assert min(degrees) >= optimal_recode_degree(200, 0.9)
+        assert min(degrees) >= d_star
 
 
 class TestRecodedPeeler:

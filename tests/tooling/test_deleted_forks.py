@@ -101,6 +101,10 @@ GUARDS = [
      r"|PartitionedSummaryStream|CPISketch|ApproximateReconciliationTree"
      r"|whole_set_difference",
      ["src", "tests", "examples", "bench"], [THIS_FILE]),
+    Guard(33, "a second recoding draw (the one is repro.coding.Recoder)",
+     r"recoding_soliton\(|DegreeDistribution\.recoding\b|shifted_for_correlation"
+     r"|int\([^()]*/\s*\(1(\.0)?\s*-",
+     ["src"], ["src/repro/coding/recode.py"], matches=1),
 ]
 
 #: Deleted files and directories.
