@@ -41,18 +41,36 @@ class _SummaryBearer:
     summary_wire_bytes: int
 
     def summary(self):
-        """Reconstruct the carried :class:`~repro.reconcile.base.Summary`."""
-        from repro.reconcile import summary_from_payload
+        """Reconstruct the carried :class:`~repro.reconcile.base.Summary`;
+        a body that is not one, or that a header field (:meth:`_header`)
+        disagrees with, is a :class:`~repro.reconcile.SummaryError`."""
+        from repro.reconcile import SummaryError, summary_from_payload
 
-        return summary_from_payload(json.loads(self.summary_json))
+        try:
+            payload = json.loads(self.summary_json)
+        except (TypeError, ValueError) as exc:
+            raise SummaryError(f"summary body is not JSON: {exc}") from None
+        summary = summary_from_payload(payload)
+        for field, honest in self._header(summary).items():
+            declared = getattr(self, field)
+            if declared != honest:
+                raise SummaryError(
+                    f"{type(self).__name__}.{field} is {declared!r}, but the "
+                    f"{summary.kind} summary it carries has {honest!r}"
+                )
+        return summary
+
+    @classmethod
+    def carrying(cls, summary):
+        """A message transporting any payload-bearing summary."""
+        body = json.dumps(summary.to_payload(), sort_keys=True)
+        return cls(summary_json=body, **cls._header(summary))
 
     @staticmethod
-    def _summary_fields(summary) -> dict:
-        return {
-            "summary_kind": summary.kind,
-            "summary_json": json.dumps(summary.to_payload(), sort_keys=True),
-            "summary_wire_bytes": summary.wire_bytes(),
-        }
+    def _header(summary) -> dict:
+        """The header fields that describe ``summary``."""
+        return {"summary_kind": summary.kind,
+                "summary_wire_bytes": summary.wire_bytes()}
 
 
 @dataclass(frozen=True)
@@ -70,10 +88,9 @@ class HelloMessage(ControlMessage, _SummaryBearer):
     summary_json: str
     summary_wire_bytes: int
 
-    @classmethod
-    def carrying(cls, summary) -> "HelloMessage":
-        """A hello transporting any payload-bearing summary."""
-        return cls(set_size=summary.set_size, **cls._summary_fields(summary))
+    @staticmethod
+    def _header(summary) -> dict:
+        return {"set_size": summary.set_size, **_SummaryBearer._header(summary)}
 
     def wire_bytes(self) -> int:
         return 8 + self.summary_wire_bytes
@@ -92,11 +109,6 @@ class SummaryMessage(ControlMessage, _SummaryBearer):
     summary_kind: str
     summary_json: str
     summary_wire_bytes: int
-
-    @classmethod
-    def carrying(cls, summary) -> "SummaryMessage":
-        """A summary message transporting any payload-bearing summary."""
-        return cls(**cls._summary_fields(summary))
 
     def wire_bytes(self) -> int:
         return self.summary_wire_bytes
@@ -125,6 +137,8 @@ class DataMessage(Packet):
 
     def pack(self) -> bytes:
         """Serialise (used by tests to pin the format)."""
+        if self.payload is None:
+            raise ValueError("cannot pack a data message without its payload")
         if self.is_recoded:
             ids = sorted(self.constituent_ids)
             return struct.pack(f"<H{len(ids)}Q", len(ids), *ids) + self.payload

@@ -106,6 +106,14 @@ class TestDataMessageRefusals:
         with pytest.raises(ValueError, match="twice"):
             DataMessage.unpack_recoded(struct.pack("<HQQ", 2, 7, 7) + b"abcd")
 
+    @pytest.mark.parametrize(
+        "packet", [DataMessage.encoded(42), DataMessage.recoded([3, 9])],
+        ids=["encoded", "recoded"],
+    )
+    def test_packing_a_payload_free_packet_names_the_payload(self, packet):
+        with pytest.raises(ValueError, match="payload"):
+            packet.pack()
+
     def test_wire_format_is_pinned(self):
         assert DataMessage.encoded(42, b"ab").pack() == struct.pack("<Q", 42) + b"ab"
         assert DataMessage.recoded([9, 3], b"ab").pack() == (

@@ -16,6 +16,7 @@ Two halves:
   messages report the carried summary's honest wire size.
 """
 
+import dataclasses
 import hashlib
 import random
 
@@ -25,7 +26,12 @@ from repro.delivery import make_strategy
 from repro.delivery.scenarios import make_pair_scenario
 from repro.protocol import CodeParameters, ProtocolPeer, TransferSession
 from repro.protocol.messages import HelloMessage, SummaryMessage
-from repro.reconcile import DEFAULT_POLICY, SummaryPolicy, build_summary
+from repro.reconcile import (
+    DEFAULT_POLICY,
+    SummaryError,
+    SummaryPolicy,
+    build_summary,
+)
 
 
 def make_params(num_blocks=200, block_size=24, seed=11):
@@ -120,6 +126,42 @@ class TestSummaryBearingMessages:
         # Approximate: never a false difference, and most real ones found.
         assert found <= set(range(128, 140))
         assert len(found) >= 6
+
+    @pytest.mark.parametrize("message", [HelloMessage, SummaryMessage])
+    def test_a_body_that_is_not_json_is_refused(self, message):
+        honest = message.carrying(build_summary("bloom", range(50)))
+        torn = dataclasses.replace(honest, summary_json=honest.summary_json[:-1])
+        with pytest.raises(SummaryError, match="not JSON"):
+            torn.summary()
+
+    def test_a_hello_mislabelled_as_a_card_is_refused(self):
+        # A 50-id Bloom filter (74 B honest) labelled as an 11 B min-wise card.
+        honest = HelloMessage.carrying(build_summary("bloom", range(50)))
+        assert honest.wire_bytes() == 74
+        lying = dataclasses.replace(
+            honest, summary_kind="minwise", summary_wire_bytes=3
+        )
+        assert lying.wire_bytes() == 11
+        with pytest.raises(SummaryError, match="summary_kind"):
+            lying.summary()
+
+    @pytest.mark.parametrize(
+        "message, field, value",
+        [(HelloMessage, "summary_kind", "modk"),
+         (HelloMessage, "summary_wire_bytes", 1),
+         (HelloMessage, "set_size", 49),
+         (SummaryMessage, "summary_kind", "modk"),
+         (SummaryMessage, "summary_wire_bytes", 1)],
+        ids=["hello-kind", "hello-bytes", "hello-set-size", "summary-kind",
+             "summary-bytes"],
+    )
+    def test_a_header_that_disagrees_with_its_summary_is_refused(
+        self, message, field, value
+    ):
+        honest = message.carrying(build_summary("bloom", range(50)))
+        honest.summary()
+        with pytest.raises(SummaryError, match=field):
+            dataclasses.replace(honest, **{field: value}).summary()
 
     def test_messages_stay_frozen_and_hashable(self):
         s = build_summary("wholeset", range(5))
