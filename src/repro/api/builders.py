@@ -49,6 +49,7 @@ from repro.api.spec import (
     SwarmSpec,
     check_value,
 )
+from repro.coding.symbol import FRESH_ID_BASE, FRESH_ID_STRIDE
 from repro.delivery.orchestrator import CandidateSender, plan_join
 from repro.delivery.receiver import SimReceiver
 from repro.delivery.scenarios import (
@@ -1600,7 +1601,7 @@ def build_random_overlay(spec: ExperimentSpec) -> BuiltExperiment:
         for i in range(num_sources):
             node = OverlayNode(
                 f"src{i}", target, is_source=True,
-                fresh_id_start=(1 << 40) + i * (1 << 20),
+                fresh_id_start=FRESH_ID_BASE + i * FRESH_ID_STRIDE,
             )
             nodes[node.node_id] = node
         for i in range(num_peers):

@@ -11,6 +11,12 @@ ships real bytes.
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Optional
 
+#: Where full sources mint fresh symbol ids: source ``i`` counts up from
+#: ``FRESH_ID_BASE + i * FRESH_ID_STRIDE``, far above every sampled
+#: content id, so no two minted streams share an id.
+FRESH_ID_BASE = 1 << 40
+FRESH_ID_STRIDE = 1 << 20
+
 
 def xor_payloads(payloads: Iterable[bytes]) -> bytes:
     """XOR equal-length byte strings together.

@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.coding.symbol import Packet
+from repro.coding.symbol import FRESH_ID_BASE, FRESH_ID_STRIDE, Packet
 from repro.delivery.receiver import SimReceiver
 from repro.delivery.strategies import SenderStrategy
 
@@ -101,7 +101,7 @@ def simulate_multi_sender_transfer(
     receiver: SimReceiver,
     strategies: Sequence[SenderStrategy],
     full_senders: int = 0,
-    fresh_id_start: int = 1 << 40,
+    fresh_id_start: int = FRESH_ID_BASE,
     max_rounds: Optional[int] = None,
 ) -> TransferResult:
     """Round-robin senders at equal rates until the receiver completes.
@@ -127,7 +127,7 @@ def simulate_multi_sender_transfer(
         max_rounds = max(1000, 60 * receiver.target)
     senders = [sender.next_packet for sender in strategies]
     senders += [
-        FullSender(fresh_id_start + i * (1 << 20)).next_packet
+        FullSender(fresh_id_start + i * FRESH_ID_STRIDE).next_packet
         for i in range(full_senders)
     ]
     receive = receiver.receive

@@ -48,6 +48,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.coding.symbol import FRESH_ID_BASE, FRESH_ID_STRIDE
 from repro.flow.demand import apportion, tier_multipliers
 from repro.overlay.node import OverlayNode
 from repro.overlay.reconfiguration import run_epoch
@@ -56,11 +57,8 @@ from repro.overlay.reconfiguration import run_epoch
 #: sending); every other registered strategy reconciles first.
 UNINFORMED_STRATEGIES = ("Random",)
 
-#: Rep-universe offset of each object's source (mirrors the
-#: ``random_overlay`` fresh-id spacing, so minted ids never collide
-#: with sampled content ids or another object's stream).
-_FRESH_BASE = 1 << 40
-_FRESH_STRIDE = 1 << 20
+#: Rep-universe offset of each object's content ids (its source mints
+#: fresh ids in the shared ``FRESH_ID_BASE`` layout above them).
 _OBJECT_STRIDE = 1 << 20
 
 
@@ -346,7 +344,7 @@ class FlowSimulator:
         """One always-on origin server per object, minting fresh ids;
         returns the object's shuffled sampled-ID universe."""
         index = len(self.sources)
-        fresh_start = _FRESH_BASE + index * _FRESH_STRIDE
+        fresh_start = FRESH_ID_BASE + index * FRESH_ID_STRIDE
         rep = OverlayNode(
             f"origin{d.object_id}",
             d.demand,

@@ -13,6 +13,7 @@ import itertools
 from typing import Iterable, Optional
 
 from repro.coding.peeler import RecodedPeeler
+from repro.coding.symbol import FRESH_ID_BASE
 from repro.delivery.working_set import WorkingSet
 
 
@@ -49,7 +50,7 @@ class OverlayNode:
         self.is_source = is_source
         self.max_connections = max_connections
         if is_source:
-            start = fresh_id_start if fresh_id_start is not None else (1 << 40)
+            start = fresh_id_start if fresh_id_start is not None else FRESH_ID_BASE
             self._fresh_ids = itertools.count(start)
         else:
             self._fresh_ids = None
