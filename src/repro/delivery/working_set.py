@@ -8,8 +8,9 @@ and builds all of them with consistent parameters.
 Every mutation bumps a monotonically increasing :attr:`WorkingSet.
 version` stamp, and additions are journalled (:meth:`WorkingSet.
 added_since`; a removal invalidates the journal — shrinking a sketch is
-not incremental).  :meth:`WorkingSet.cached` is the one place that rule
-is applied: an artefact computed from the set is served while the
+not incremental).  :meth:`WorkingSet.cached_many` — and
+:meth:`WorkingSet.cached`, its one-set case — is the one place that
+rule is applied: an artefact computed from the set is served while the
 version is unchanged, absorbs the journalled delta when the set only
 grew (Section 4's O(1)-per-symbol maintenance), and is rebuilt
 otherwise.  Summaries — a node's calling card among them, which is its
@@ -17,6 +18,8 @@ own packed row — and catalog inventories all live there, so a cache
 dies with the set it describes.
 """
 
+from functools import partial
+from itertools import starmap
 from typing import (
     AbstractSet,
     Any,
@@ -80,7 +83,8 @@ class WorkingSet:
     ) -> Any:
         """The artefact ``build(self)`` computes, kept current under ``key``.
 
-        Served as-is while :attr:`version` is unchanged; brought current
+        The one-set case of :meth:`cached_many`, whose rule it follows:
+        served as-is while :attr:`version` is unchanged; brought current
         with ``absorb(artefact, added_since(stamp))`` when the set only
         grew since the stamp and ``absorb`` is given; rebuilt otherwise.
         ``build`` and ``absorb`` must be deterministic, RNG-free
@@ -88,21 +92,69 @@ class WorkingSet:
         equals a from-scratch one.  Callers share the returned object
         and must treat it as immutable.
         """
-        version = self._version
+        # The served case is every card and summary read: answered
+        # here, without the batch machinery.
         entry = self._derived.get(key)
-        if entry is not None:
-            stamp, artefact = entry
-            if stamp == version:
-                return artefact
-            if absorb is not None:
-                added = self.added_since(stamp)
-                if added is not None:
-                    artefact = absorb(artefact, added)
-                    self._derived[key] = (version, artefact)
-                    return artefact
-        artefact = build(self)
-        self._derived[key] = (version, artefact)
-        return artefact
+        if entry is not None and entry[0] == self._version:
+            return entry[1]
+        return self.cached_many(
+            (self,),
+            key,
+            partial(map, build),
+            None if absorb is None else partial(starmap, absorb),
+        )[0]
+
+    @staticmethod
+    def cached_many(
+        sets: Iterable["WorkingSet"],
+        key: Hashable,
+        build_many: Callable[[List["WorkingSet"]], Iterable[Any]],
+        absorb_many: Optional[
+            Callable[[Iterator[Tuple[Any, List[int]]]], Iterable[Any]]
+        ] = None,
+    ) -> List[Any]:
+        """``[ws.cached(key, build, absorb) for ws in sets]``, with the
+        stale entries brought current together.
+
+        The rule, per set: served while its version is unchanged;
+        absorbed when it only grew since the stamp and ``absorb_many``
+        is given; rebuilt otherwise.  All absorbs are one
+        ``absorb_many(pairs)`` call over ``(artefact, added_since(stamp))``
+        pairs and all rebuilds one ``build_many(sets)`` call; each
+        yields one artefact per input, in order — what the per-set
+        ``absorb`` / ``build`` would return (``starmap(absorb, pairs)``
+        and ``map(build, sets)`` are the one-at-a-time forms).  The
+        pairs are read lazily and each artefact is stored as it
+        arrives, so the one it supersedes can go before the next is
+        made.  ``sets`` must not repeat a set.
+        """
+        order = list(sets)
+        grown: List["WorkingSet"] = []
+        stale: List["WorkingSet"] = []
+        for ws in order:
+            entry = ws._derived.get(key)
+            if entry is None:
+                stale.append(ws)
+            elif entry[0] != ws._version:
+                if absorb_many is not None and ws.added_since(entry[0]) is not None:
+                    grown.append(ws)
+                else:
+                    stale.append(ws)
+        if grown:
+            # Read lazily: a superseded artefact and its delta live only
+            # while they are in flight.
+            pairs = (ws._absorb_pair(key) for ws in grown)
+            for ws, artefact in zip(grown, absorb_many(pairs)):
+                ws._derived[key] = (ws._version, artefact)
+        if stale:
+            for ws, artefact in zip(stale, build_many(stale)):
+                ws._derived[key] = (ws._version, artefact)
+        return [ws._derived[key][1] for ws in order]
+
+    def _absorb_pair(self, key: Hashable) -> Tuple[Any, List[int]]:
+        """The entry under ``key`` and the ids added since its stamp."""
+        stamp, artefact = self._derived[key]
+        return artefact, self.added_since(stamp)
 
     # -- set behaviour ----------------------------------------------------
 

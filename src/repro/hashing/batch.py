@@ -15,7 +15,8 @@ when numpy is unavailable or the inputs exceed 64-bit-safe ranges.
 """
 
 from array import array
-from typing import Iterable, List, Sequence
+from collections import deque
+from typing import Deque, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.hashing.mix import mix64
 
@@ -66,9 +67,19 @@ def mix64_batch(keys: Sequence[int], seed: int = 0) -> List[int]:
 #: A minima-row entry no key has lowered yet (``None`` on the wire).
 UNSET = -1
 
-#: Key-chunk width for the permutation-minima matrix: bounds the
-#: temporary at ``len(family) * 2^16 * 8`` bytes (64 MB at 128 maps).
-_MINIMA_CHUNK = 1 << 16
+#: Keys per step of the minima kernel: whole key lists are gathered
+#: until a step holds at least this many, then folded in as one
+#: ``permutations x keys`` image matrix.  Small, so a batch of cards
+#: keeps few rows (and the objects a caller builds around them) in
+#: flight; a single list is never split below :data:`_MINIMA_STEP_CAP`.
+_MINIMA_CHUNK = 256
+
+#: The most keys one step takes: a longer list is folded in pieces,
+#: which bounds the image matrix at ``len(family) * 2^16`` entries.
+_MINIMA_STEP_CAP = 1 << 16
+
+#: One ``(keys, floor)`` pair of :func:`permutation_minima_many`.
+Fold = Tuple[Iterable[int], Optional[Sequence[int]]]
 
 
 def _family_columns(family, np):
@@ -77,7 +88,7 @@ def _family_columns(family, np):
     Families are shared, long-lived objects (peers fix them off-line),
     so the coefficient columns are built once and memoised on the
     instance: uint32 when ``u`` is a power of two (the kernel then
-    computes mod 2^32, see :func:`_fold_into`), uint64 otherwise.
+    computes mod 2^32, see :func:`_lower_step`), uint64 otherwise.
     """
     cols = getattr(family, "_batch_columns", None)
     if cols is None:
@@ -94,10 +105,8 @@ def permutation_minima(family, keys: Iterable[int]) -> array:
     """Per-permutation minima of ``keys`` under a permutation family.
 
     The batched core of :meth:`repro.sketches.MinwiseSketch.
-    build_vectorized`, shared with the reconcile adapters: evaluates
-    every ``(a*x + b) mod u`` map over all keys at once — one
-    permutations-by-keys matrix per chunk rather than a per-map Python
-    loop.  Identical to the scalar loop.  The result is one packed
+    build_vectorized`: the one-list case of
+    :func:`permutation_minima_many`.  The result is one packed
     ``array('q')`` row, an entry per permutation; an empty key set
     yields a row of :data:`UNSET`.
 
@@ -105,8 +114,7 @@ def permutation_minima(family, keys: Iterable[int]) -> array:
         ValueError: if any key falls outside ``[0, u)``, or ``u``
             exceeds 2^63 (such minima do not fit an int64 entry).
     """
-    row = array("q", [UNSET]) * len(family)
-    return _fold_into(row, family, list(keys))
+    return next(permutation_minima_many(family, [(keys, None)]))
 
 
 def permutation_minima_fold(
@@ -114,72 +122,158 @@ def permutation_minima_fold(
 ) -> array:
     """Elementwise ``min(floor, permutation_minima(keys))`` in one pass.
 
-    The incremental-absorb kernel: ``floor`` is an existing minima row
+    The incremental-absorb kernel, and the one-list case of
+    :func:`permutation_minima_many`: ``floor`` is an existing minima row
     (as :func:`permutation_minima` returns; it is copied, never
     written) and ``keys`` the delta being folded in; min is
     associative, so the result equals a from-scratch build over the
-    union — exact integers, so the numpy and scalar paths are
-    bit-identical.  :data:`UNSET` floor entries (an empty prior card)
-    take the delta's value.
+    union.  :data:`UNSET` floor entries (an empty prior card) take the
+    delta's value.
     """
-    if len(floor) != len(family):
-        raise ValueError(
-            f"floor vector has {len(floor)} entries, family expects "
-            f"{len(family)}"
-        )
-    return _fold_into(array("q", floor), family, list(keys))
+    return next(permutation_minima_many(family, [(keys, floor)]))
 
 
-def _fold_into(row: array, family, key_list: List[int]) -> array:
-    """Lower ``row`` in place to the minima of ``key_list``; returns it."""
-    if not key_list:
-        return row
+def permutation_minima_many(family, folds: Iterable[Fold]) -> Iterator[array]:
+    """Per-permutation minima of many key lists, in one kernel pass.
+
+    ``folds`` holds ``(keys, floor)`` pairs: ``floor`` is a minima row
+    to fold ``keys`` into (copied, never written), or ``None`` for a
+    from-scratch row.  Yields one packed ``array('q')`` row per pair,
+    in order, each equal to its own :func:`permutation_minima_fold` /
+    :func:`permutation_minima` call — exact integers, so the numpy and
+    scalar paths are bit-identical.
+
+    On the numpy path every ``(a*x + b) mod u`` map is evaluated over
+    whole lists gathered into steps of at least :data:`_MINIMA_CHUNK`
+    keys: one matrix per step, reduced per list, so a thousand small
+    lists cost one call rather than a thousand.  Pairs are read only as
+    far as the current step needs and each row is yielded as soon as
+    its step is done, so a caller can retire what a row supersedes
+    before the next one is made.
+
+    Raises:
+        ValueError: if a key falls outside ``[0, u)``, ``u`` exceeds
+            2^63 (such minima do not fit an int64 entry), or a floor
+            is not one entry per permutation.
+    """
     u = family.universe_size
-    if u > 1 << 63:
-        raise ValueError("minima over a universe beyond 2^63 do not fit int64")
-    np = _numpy()
-    if np is not None and u <= 1 << 32:
-        try:
-            # Negative or >64-bit keys fail the uint64 conversion and
-            # drop to the scalar path, whose explicit check rejects them.
-            keys64 = np.asarray(key_list, dtype=np.uint64)
-        except (OverflowError, TypeError, ValueError):
-            keys64 = None
-        if keys64 is not None:
-            # Vectorised range check replaces a per-key Python loop.
-            if int(keys64.max()) >= u:
-                raise ValueError("key outside the family's universe")
-            a, b = _family_columns(family, np)
-            if a.dtype == np.uint32:
-                # u = 2^k <= 2^32: the residue is the low k bits of
-                # a*x + b, and uint32 arithmetic wraps mod 2^32, which
-                # 2^k divides.  Half-width products and a mask are exact.
-                keys, reduce, by = keys64.astype(np.uint32), np.bitwise_and, u - 1
-            else:
-                # (a*x + b) stays below 2^64 for a < u <= 2^32.
-                keys, reduce, by = keys64, np.remainder, u
-            by = a.dtype.type(by)
-            # Read as uint64, UNSET is 2^64 - 1: every image lowers it.
-            # Chunking the key axis caps the temporary matrix; the
-            # chunkwise elementwise minimum equals the single-pass one.
-            merged = np.frombuffer(row, dtype=np.uint64)
-            with np.errstate(over="ignore"):
-                for start in range(0, len(keys), _MINIMA_CHUNK):
-                    images = a * keys[None, start : start + _MINIMA_CHUNK]
-                    images += b
-                    reduce(images, by, out=images)
-                    np.minimum(merged, images.min(axis=1), out=merged)
-            return row
+    np = _numpy() if u <= 1 << 32 else None
+    if np is not None:
+        yield from _minima_np(np, family, folds)
+        return
     # Wide universes overflow uint64 (and no-numpy environments):
     # Python ints per permutation, still a single pass per map.
-    for x in key_list:
+    for keys, floor in folds:
+        row, key_list = _row_of(floor, len(family)), list(keys)
+        if key_list:
+            if u > 1 << 63:
+                raise ValueError(
+                    "minima over a universe beyond 2^63 do not fit int64"
+                )
+            _check_keys(key_list, u)
+            for j, p in enumerate(family):
+                low = min((p.a * x + p.b) % u for x in key_list)
+                if row[j] == UNSET or low < row[j]:
+                    row[j] = low
+        yield row
+
+
+def _row_of(floor: Optional[Sequence[int]], count: int) -> array:
+    """A fresh row to lower: ``floor`` copied, or all :data:`UNSET`."""
+    if floor is None:
+        return array("q", [UNSET]) * count
+    if len(floor) != count:
+        raise ValueError(
+            f"floor vector has {len(floor)} entries, family expects {count}"
+        )
+    return array("q", floor)
+
+
+def _check_keys(keys: List[int], u: int) -> None:
+    for x in keys:
         if not 0 <= x < u:
             raise ValueError("key outside the family's universe")
-    for j, p in enumerate(family):
-        low = min((p.a * x + p.b) % u for x in key_list)
-        if row[j] == UNSET or low < row[j]:
-            row[j] = low
-    return row
+
+
+def _minima_np(np, family, folds: Iterable[Fold]) -> Iterator[array]:
+    """:func:`permutation_minima_many` over ``u <= 2^32``, step by step."""
+    count = len(family)
+    queue: Deque[array] = deque()  # rows in input order, not yet yielded
+    keys: List[int] = []  # the step being gathered: its keys, and per
+    rows: List[array] = []  # list segment in it, the row it lowers
+    starts: List[int] = []  # and where its keys begin
+    for fold_keys, floor in folds:
+        row = _row_of(floor, count)
+        queue.append(row)
+        key_list = list(fold_keys)
+        for at in range(0, len(key_list), _MINIMA_STEP_CAP):
+            rows.append(row)
+            starts.append(len(keys))
+            keys.extend(key_list[at : at + _MINIMA_STEP_CAP])
+            # A piece with more to come ends its step, so no step holds
+            # a row twice.
+            more = at + _MINIMA_STEP_CAP < len(key_list)
+            if more or len(keys) >= _MINIMA_CHUNK:
+                _lower_step(np, family, keys, rows, starts)
+                keys, rows, starts = [], [], []
+                # Every queued row is done but this one, if it has
+                # another piece to come.
+                while len(queue) > more:
+                    yield queue.popleft()
+        if not keys:
+            while queue:
+                yield queue.popleft()
+    if keys:
+        _lower_step(np, family, keys, rows, starts)
+    while queue:
+        yield queue.popleft()
+
+
+def _lower_step(
+    np, family, keys: List[int], rows: List[array], starts: List[int]
+) -> None:
+    """Lower each of ``rows`` in place to the minima of its segment of
+    ``keys``: from its start up to the next one's (or the end)."""
+    u = family.universe_size
+    try:
+        keys64 = np.asarray(keys, dtype=np.uint64)
+    except (OverflowError, TypeError, ValueError):
+        # Negative or >64-bit keys fail the uint64 conversion.
+        _check_keys(keys, u)
+        raise
+    # Vectorised range check replaces a per-key Python loop.
+    if int(keys64.max()) >= u:
+        raise ValueError("key outside the family's universe")
+    a, b = _family_columns(family, np)
+    with np.errstate(over="ignore"):
+        if a.dtype == np.uint32:
+            # u = 2^k <= 2^32: the residue is the low k bits of a*x + b,
+            # and uint32 arithmetic wraps mod 2^32, which 2^k divides.
+            # Half-width products and a mask are exact (at k = 32 the
+            # wrap alone is the reduction).
+            images = a * keys64.astype(np.uint32)[None, :]
+            images += b
+            if u != 1 << 32:
+                np.bitwise_and(images, a.dtype.type(u - 1), out=images)
+        else:
+            # (a*x + b) stays below 2^64 for a < u <= 2^32.
+            images = a * keys64[None, :]
+            images += b
+            np.remainder(images, a.dtype.type(u), out=images)
+    # Read as uint64, UNSET is 2^64 - 1: every image lowers it.
+    if len(rows) == 1:
+        row = np.frombuffer(rows[0], dtype=np.uint64)
+        np.minimum(row, images.min(axis=1), out=row)
+        return
+    part = np.minimum.reduceat(images, starts, axis=1)
+    # The rows, stacked, lowered together and copied back.
+    stack = bytearray(b"".join(rows))
+    lowered = np.frombuffer(stack, dtype=np.uint64).reshape(len(rows), -1)
+    np.minimum(lowered, part.T, out=lowered)
+    width = 8 * lowered.shape[1]
+    view = memoryview(stack)
+    for at, row in zip(range(0, len(stack), width), rows):
+        memoryview(row).cast("B")[:] = view[at : at + width]
 
 
 def bloom_index_matrix(hashes, keys: Sequence[int]):
@@ -229,6 +323,7 @@ __all__ = [
     "mix64_batch",
     "permutation_minima",
     "permutation_minima_fold",
+    "permutation_minima_many",
     "bloom_index_matrix",
     "bloom_index_rows",
 ]

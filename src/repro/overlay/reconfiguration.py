@@ -18,14 +18,16 @@ card joins, admission and rewiring share when a run names no other.
 
 import math
 import random
+from itertools import chain
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping
 from typing import Optional, Protocol, Sequence, Tuple
 
+from repro.delivery.working_set import WorkingSet
 from repro.exact.cpi import DiscrepancyExceeded
 from repro.overlay.node import OverlayNode
 from repro.reconcile import DEFAULT_POLICY
 from repro.reconcile.base import Summary
-from repro.reconcile.registry import summary_recipe
+from repro.reconcile.registry import summary_batch_recipe, summary_recipe
 from repro.seeding import default_rng
 
 #: The informed policy's defaults — admission threshold and swap margin
@@ -61,6 +63,7 @@ class SummaryScheme:
         # Computed once (failing fast on unknown kinds): card_of's hit
         # path is then one dict lookup and one stamp compare.
         self._card = summary_recipe(kind, params)
+        self._cards = summary_batch_recipe(kind, params)
 
     def params_dict(self) -> Dict[str, Any]:
         return dict(self.params)
@@ -69,6 +72,15 @@ class SummaryScheme:
         """The node's card under this scheme: the same cached object as
         ``node.working_set.summary(kind, **params)``."""
         return node.working_set.cached(*self._card)
+
+    def refresh(self, nodes: Iterable[OverlayNode]) -> None:
+        """Bring the cards of ``nodes`` current together: the entries
+        :meth:`card_of` reads, rebuilt or absorbed in one batched kernel
+        pass (:meth:`~repro.delivery.working_set.WorkingSet.cached_many`)
+        instead of one pass per card on first read.  A kind without a
+        batch kernel does nothing here; its cards stay lazy."""
+        if self._cards is not None:
+            WorkingSet.cached_many([n.working_set for n in nodes], *self._cards)
 
     def resemblance(self, ours: Summary, theirs: Summary) -> float:
         """Estimated ``|A ∩ B| / |A ∪ B|`` between two same-scheme cards.
@@ -414,11 +426,28 @@ def run_epoch(
     decision (connecting, disconnecting, building a strategy) never
     adds an id to a set.  The table dies with this call; nothing is
     stored on the scheme, the nodes or the engine.
+
+    For the same reason the cards can be brought current up front:
+    before the first receiver samples, the scheme's
+    :meth:`SummaryScheme.refresh` rebuilds or absorbs, in one batched
+    pass, the card of every node the epoch can read — each non-source
+    receiver or pool member that holds something.  The table's
+    ``card_of`` then finds them current in the working sets' caches.
     """
-    table = EpochTable(getattr(policy, "scheme", None))
+    scheme = getattr(policy, "scheme", None)
+    table = EpochTable(scheme)
+    receivers = list(receivers)
+    pools = [pool_of(receiver) for receiver in receivers]
+    if scheme is not None:
+        serves = table.serves
+        distinct_pools = {id(pool): pool for pool in pools}.values()
+        scheme.refresh(
+            node
+            for node in dict.fromkeys(chain(receivers, *distinct_pools))
+            if not node.is_source and serves[node]
+        )
     wire_bytes = table.wire_bytes
-    for receiver in receivers:
-        pool = pool_of(receiver)
+    for receiver, pool in zip(receivers, pools):
         candidates = rng.sample(pool, budget) if budget and budget < len(pool) else pool
         control_bytes = 0
         if wire_bytes is not None:

@@ -31,7 +31,19 @@ headers — matching the byte accounting the protocol messages report.
 import random
 import struct
 from array import array
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from collections import deque
+from itertools import chain
+from typing import (
+    Any,
+    Deque,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from functools import lru_cache
 
@@ -40,12 +52,7 @@ from repro.art.tree import ReconciliationTrie, value_hash
 from repro.exact.cpi import VERIFY_POINTS, CharacteristicPolynomialReconciler
 from repro.filters.bloom import BloomFilter, optimal_hash_count
 from repro.hashing import batch as _batch
-from repro.hashing.batch import (
-    UNSET,
-    mix64_batch,
-    permutation_minima,
-    permutation_minima_fold,
-)
+from repro.hashing.batch import UNSET, mix64_batch, permutation_minima_many
 from repro.hashing.families import BloomHashes
 from repro.hashing.mix import mix64
 from repro.hashing.permutations import PermutationFamily
@@ -118,6 +125,7 @@ class MinwiseSummary(Summary):
     supports_merge = True
     supports_estimate = True
     supports_incremental = True
+    supports_batch = True
 
     def __init__(
         self,
@@ -148,27 +156,78 @@ class MinwiseSummary(Summary):
         universe: int = DEFAULT_UNIVERSE,
         seed: int = 0,
     ) -> "MinwiseSummary":
+        return cls.build_many([ids], entries, universe, seed)[0]
+
+    @classmethod
+    def build_many(
+        cls,
+        id_sets: Iterable[Iterable[int]],
+        entries: int = 128,
+        universe: int = DEFAULT_UNIVERSE,
+        seed: int = 0,
+    ) -> List["MinwiseSummary"]:
+        """``[cls.build(ids, ...) for ids in id_sets]`` in one kernel
+        pass (:func:`~repro.hashing.batch.permutation_minima_many`)."""
         if universe > MAX_MINWISE_UNIVERSE:
             raise SummaryError(_UNIVERSE_TOO_WIDE)
         family = _shared_family(entries, universe, seed)
-        pool = frozenset(i % universe for i in ids)
-        row = permutation_minima(family, pool)
-        return cls(row, len(pool), entries, universe, seed, local_ids=pool)
+        # ``universe.__rmod__`` is ``i % universe``, without a Python
+        # frame per id.
+        fold = universe.__rmod__
+        pools = [frozenset(map(fold, ids)) for ids in id_sets]
+        rows = permutation_minima_many(family, ((pool, None) for pool in pools))
+        return [
+            cls(row, len(pool), entries, universe, seed, local_ids=pool)
+            for pool, row in zip(pools, rows)
+        ]
 
     def absorb(self, new_ids: Iterable[int]) -> "MinwiseSummary":
         """Coordinate-wise min against the fresh ids' minima (min is
         associative, so this is exactly the union's sketch)."""
-        pool = self._require_local("incremental min-wise update")
-        fresh = frozenset(i % self.universe for i in new_ids) - pool
-        if not fresh:
-            return self
-        family = _shared_family(self.entries, self.universe, self.seed)
-        merged = permutation_minima_fold(family, fresh, self._row)
-        union = pool | fresh
-        return MinwiseSummary(
-            merged, len(union), self.entries, self.universe, self.seed,
-            local_ids=union,
-        )
+        return next(self.absorb_many([(self, new_ids)]))
+
+    @classmethod
+    def absorb_many(
+        cls, folds: Iterable[Tuple["MinwiseSummary", Iterable[int]]]
+    ) -> Iterator["MinwiseSummary"]:
+        """``card.absorb(new_ids)`` for each ``(card, new_ids)`` pair,
+        in order, in one kernel pass over cards of one family; a card
+        nothing new folds into comes back as itself.
+
+        Lazy on both ends: pairs are read as the kernel needs keys, and
+        each card is yielded as soon as its row is done, so a caller
+        that drops the card it replaces holds a kernel step's worth of
+        cards twice, not the batch.
+        """
+        folds = iter(folds)
+        head = next(folds, None)
+        if head is None:
+            return
+        first = head[0]
+        family = _shared_family(first.entries, first.universe, first.seed)
+        queue: Deque[Tuple["MinwiseSummary", frozenset]] = deque()
+
+        def minima_folds():
+            for card, new_ids in chain([head], folds):
+                pool = card._require_local("incremental min-wise update")
+                fresh = frozenset(map(card.universe.__rmod__, new_ids)) - pool
+                queue.append((card, fresh))
+                if fresh:
+                    first._check_family(card)
+                    yield fresh, card._row
+
+        for row in permutation_minima_many(family, minima_folds()):
+            card, fresh = queue.popleft()
+            while not fresh:
+                yield card
+                card, fresh = queue.popleft()
+            union = card._local_ids | fresh
+            yield cls(
+                row, len(union), card.entries, card.universe, card.seed,
+                local_ids=union,
+            )
+        for card, _fresh in queue:
+            yield card
 
     def wire_bytes(self) -> int:
         return 4 + 8 * len(self._row)

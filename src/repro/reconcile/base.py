@@ -72,6 +72,13 @@ class Summary(abc.ABC):
     #: truncation, ART tries, CPI polynomials, ...) leave this False and
     #: keep the rebuild path.
     supports_incremental: ClassVar[bool] = False
+    #: True when the class summarises many sets in one kernel pass:
+    #: ``build_many(id_sets, **params)`` (and, when incremental,
+    #: ``absorb_many`` over ``(summary, new_ids)`` pairs) return exactly
+    #: what per-set :meth:`build` / :meth:`absorb` calls would.  Kinds
+    #: without such a kernel leave this False and are built one set at
+    #: a time.
+    supports_batch: ClassVar[bool] = False
 
     #: Number of distinct ids summarised (travels in the 4-byte header).
     set_size: int = 0

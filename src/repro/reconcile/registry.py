@@ -67,16 +67,13 @@ def summary_kinds() -> List[str]:
     return sorted(_REGISTRY)
 
 
-def build_summary(kind: str, ids: Iterable[int], **params: Any) -> Summary:
-    """Build a summary of ``ids`` by kind name.
-
-    Adapter-specific ``params`` pass through to the adapter's
-    ``build``; unknown parameters fold into :class:`SummaryError` so
-    spec-driven callers fail with one exception type.
-    """
-    cls = summary_class(kind)
+def _summary_call(
+    kind: str, make: Callable[..., Any], ids: Any, params: Dict[str, Any]
+) -> Any:
+    """``make(ids, **params)``, with bad parameters folded into
+    :class:`SummaryError` so spec-driven callers fail with one type."""
     try:
-        return cls.build(ids, **params)
+        return make(ids, **params)
     except SummaryError:
         raise
     except (TypeError, ValueError) as exc:
@@ -85,8 +82,24 @@ def build_summary(kind: str, ids: Iterable[int], **params: Any) -> Summary:
         raise SummaryError(f"invalid parameters for {kind!r} summary: {exc}") from exc
 
 
+def build_summary(kind: str, ids: Iterable[int], **params: Any) -> Summary:
+    """Build a summary of ``ids`` by kind name.
+
+    Adapter-specific ``params`` pass through to the adapter's
+    ``build``; unknown parameters fold into :class:`SummaryError` so
+    spec-driven callers fail with one exception type.
+    """
+    return _summary_call(kind, summary_class(kind).build, ids, params)
+
+
 def _build_frozen(kind: str, frozen: tuple, ids: Iterable[int]) -> Summary:
     return build_summary(kind, ids, **dict(frozen))
+
+
+def _build_many_frozen(
+    kind: str, frozen: tuple, id_sets: List[Iterable[int]]
+) -> List[Summary]:
+    return _summary_call(kind, summary_class(kind).build_many, id_sets, dict(frozen))
 
 
 def summary_recipe(
@@ -110,6 +123,25 @@ def summary_recipe(
     )
 
 
+def summary_batch_recipe(
+    kind: str, params: Optional[Mapping[str, Any]] = None
+) -> Optional[Tuple[tuple, Callable, Optional[Callable]]]:
+    """``(key, build_many, absorb_many)`` for :meth:`repro.delivery.
+    working_set.WorkingSet.cached_many` — the same entry as
+    :func:`summary_recipe`'s, brought current for many sets in one
+    kernel pass — or ``None`` for a kind without ``supports_batch``.
+    """
+    cls = summary_class(kind)
+    if not cls.supports_batch:
+        return None
+    frozen = tuple(sorted(params.items())) if params else ()
+    return (
+        (kind, frozen),
+        partial(_build_many_frozen, kind, frozen),
+        cls.absorb_many if cls.supports_incremental else None,
+    )
+
+
 def summary_from_payload(payload: Dict[str, Any]) -> Summary:
     """Reconstruct any registered summary from its wire payload."""
     if not isinstance(payload, dict):
@@ -127,5 +159,6 @@ __all__ = [
     "summary_kinds",
     "build_summary",
     "summary_recipe",
+    "summary_batch_recipe",
     "summary_from_payload",
 ]

@@ -631,12 +631,19 @@ class TestFromScratchBuilds:
 
 class TestOneCallingCard:
     """Joins, admission and rewiring read the same cached working-set
-    summary, so a node version costs one min-wise kernel pass — not a
-    join sketch plus an admission card."""
+    summary, so a node version costs one min-wise card — not a join
+    sketch plus an admission card — and an epoch brings all the cards
+    it can read current in one kernel pass."""
 
-    #: Outermost ``permutation_minima`` / ``permutation_minima_fold``
-    #: calls over the run below (58 when joins kept their own sketch).
-    KERNEL_PASSES = 51
+    #: Outermost minima-kernel calls over the run below: 58 when joins
+    #: kept their own sketch, 51 when every card was built or absorbed
+    #: by a kernel call of its own on first read.
+    KERNEL_PASSES = 26
+
+    #: ``MinwiseSummary`` constructions over the same run: 16 builds,
+    #: 35 absorbs and 39 join-planning merges, as before the epoch
+    #: batched its builds and absorbs into fewer kernel calls.
+    CARD_CONSTRUCTIONS = 90
 
     def _count_kernel_passes(self, mp):
         import repro.reconcile.adapters as adapters
@@ -645,7 +652,7 @@ class TestOneCallingCard:
 
         def counted(kernel):
             def spy(*args, **kwargs):
-                # The scalar fold composes the plain kernel: one pass.
+                # The one-list kernels call the many-list one: one pass.
                 calls["passes"] += calls["depth"] == 0
                 calls["depth"] += 1
                 try:
@@ -655,10 +662,28 @@ class TestOneCallingCard:
 
             return spy
 
-        for name in ("permutation_minima", "permutation_minima_fold"):
+        for name in (
+            "permutation_minima",
+            "permutation_minima_fold",
+            "permutation_minima_many",
+        ):
             spy = counted(getattr(batch, name))
             mp.setattr(batch, name, spy)  # callers importing at call time
-            mp.setattr(adapters, name, spy)  # the adapters' bound names
+        # The adapters bind the many-list kernel's name: point it at the spy.
+        mp.setattr(adapters, "permutation_minima_many", batch.permutation_minima_many)
+        return calls
+
+    def _count_constructions(self, mp):
+        from repro.reconcile.adapters import MinwiseSummary
+
+        calls = {"cards": 0}
+        init = MinwiseSummary.__init__
+
+        def counted(self, *args, **kwargs):
+            calls["cards"] += 1
+            init(self, *args, **kwargs)
+
+        mp.setattr(MinwiseSummary, "__init__", counted)
         return calls
 
     @pytest.mark.parametrize("numpy_on", [True, False])
@@ -670,8 +695,12 @@ class TestOneCallingCard:
         spec = CATALOG["flash_crowd"]()
         assert spec.reconfig is None  # unset = the informed arm, default card
         calls = self._count_kernel_passes(monkeypatch)
+        cards = self._count_constructions(monkeypatch)
         result = run(spec)
-        assert calls["passes"] == self.KERNEL_PASSES
+        assert (calls["passes"], cards["cards"]) == (
+            self.KERNEL_PASSES,
+            self.CARD_CONSTRUCTIONS,
+        )
         # The run itself is the parent's, to the packet.
         assert result.metrics["ticks"] == 55.0
         assert result.metrics["packets_sent"] == 1452.0
