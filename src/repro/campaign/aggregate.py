@@ -24,6 +24,7 @@ from repro.api.result import (
     validate_result_dict,
 )
 from repro.api.spec import SpecError
+from repro.campaign.expander import expand
 from repro.campaign.spec import CampaignSpec
 
 #: Schema tag stamped into every serialised campaign result.
@@ -244,8 +245,11 @@ class CampaignResult:
 def validate_campaign_dict(data: Any) -> None:
     """Validate a dict against :data:`CAMPAIGN_RESULT_SCHEMA` (closed-world).
 
-    Raises :class:`~repro.api.result.ResultSchemaError` on drift; the
-    CI bench-baseline job runs this over every emitted campaign file.
+    Beyond the shape, the file must agree with itself: its cells are
+    exactly the ones its campaign expands to (index, cell id,
+    overrides, trial and seed, in order), and its ``summary`` and
+    ``series`` are what those cells add up to.  Raises
+    :class:`~repro.api.result.ResultSchemaError` on any disagreement.
     """
     _schema_require(isinstance(data, dict), "campaign result must be a JSON object")
     _schema_require(
@@ -265,7 +269,7 @@ def validate_campaign_dict(data: Any) -> None:
         isinstance(data["campaign"], dict), "campaign result 'campaign' must be an object"
     )
     try:
-        CampaignSpec.from_dict(data["campaign"])
+        campaign = CampaignSpec.from_dict(data["campaign"])
     except SpecError as exc:
         raise ResultSchemaError(f"campaign spec block: {exc}") from None
     _schema_require(
@@ -282,15 +286,52 @@ def validate_campaign_dict(data: Any) -> None:
     )
     cells = data["cells"]
     _schema_require(isinstance(cells, list), "campaign result 'cells' must be an array")
+    outcomes = []
     for i, cell in enumerate(cells):
         try:
-            CellOutcome.from_dict(cell)
+            outcomes.append(CellOutcome.from_dict(cell))
         except ResultSchemaError as exc:
             raise ResultSchemaError(f"cell {i}: {exc}") from None
+    expanded = expand(campaign)
     _schema_require(
-        summary["cells"] == len(cells),
-        "campaign summary cell count disagrees with the cells array",
+        len(outcomes) == len(expanded),
+        f"campaign result holds {len(outcomes)} cells, its campaign expands "
+        f"to {len(expanded)}",
     )
+    for i, (outcome, cell) in enumerate(zip(outcomes, expanded)):
+        _schema_require(
+            (
+                outcome.index,
+                outcome.cell_id,
+                dict(outcome.overrides),
+                outcome.trial,
+                outcome.seed,
+            )
+            == (cell.index, cell.cell_id, dict(cell.overrides), cell.trial, cell.seed),
+            f"cell {i} is not the campaign's cell {cell.index} ({cell.cell_id}: "
+            f"overrides {dict(cell.overrides)}, trial {cell.trial}, seed "
+            f"{cell.seed})",
+        )
+    result = CampaignResult(campaign=campaign, cells=outcomes)
+    counts = {
+        "cells": result.n_cells,
+        "ok": result.n_ok,
+        "failed": result.n_failed,
+        "completed": result.n_completed,
+    }
+    _schema_require(
+        summary == counts,
+        f"campaign summary {summary} disagrees with its cells' {counts}",
+    )
+    _schema_require(
+        _canonical(data["series"]) == _canonical(result.grouped_series()),
+        "campaign series disagrees with the means of its cells",
+    )
+
+
+def _canonical(value: Any) -> str:
+    """One spelling per JSON value (NaN compares equal to itself)."""
+    return json.dumps(value, sort_keys=True)
 
 
 __all__ = [

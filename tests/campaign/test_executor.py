@@ -6,6 +6,7 @@ import os
 import pytest
 
 from repro.api import run, specs
+from repro.api.result import ResultSchemaError
 from repro.api.spec import SpecError
 from repro.campaign import (
     CampaignResult,
@@ -124,6 +125,62 @@ class TestFailureIsolation:
         raw = _run_payload(("{not json", None, False))
         assert raw["status"] == "error"
         assert raw["error"].startswith("SpecError:")
+
+
+def _summary_says_all_failed(payload):
+    payload["summary"].update(ok=0, failed=2)
+
+
+def _cells_reversed(payload):
+    payload["cells"].reverse()
+
+
+def _cell_duplicated(payload):
+    payload["cells"][1] = payload["cells"][0]
+
+
+def _series_mean_off(payload):
+    payload["series"]["params.correlation"]["0.0"]["overhead"] += 1.0
+
+
+def _override_off_grid(payload):
+    payload["cells"][0]["overrides"]["params.correlation"] = 0.7
+
+
+def _cell_dropped_and_recounted(payload):
+    payload["cells"].pop()
+    payload["summary"].update(cells=1, ok=1, completed=1)
+
+
+class TestCampaignFileAgreesWithItself:
+    """A campaign file's cells are its campaign's cells, and its
+    summary and series are what those cells add up to."""
+
+    @pytest.fixture(scope="class")
+    def payload(self):
+        return json.loads(run_campaign(_campaign(seeds=1)).to_json())
+
+    def test_the_untouched_file_validates(self, payload):
+        validate_campaign_dict(payload)
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (_summary_says_all_failed, "summary .* disagrees"),
+            (_cells_reversed, "cell 0 is not the campaign's cell 0"),
+            (_cell_duplicated, "cell 1 is not the campaign's cell 1"),
+            (_series_mean_off, "series disagrees"),
+            (_override_off_grid, "cell 0 is not the campaign's cell 0"),
+            (_cell_dropped_and_recounted, "holds 1 cells, its campaign expands to 2"),
+        ],
+    )
+    def test_a_contradiction_is_refused(self, payload, corrupt, message):
+        corrupted = json.loads(json.dumps(payload))
+        corrupt(corrupted)
+        with pytest.raises(ResultSchemaError, match=message):
+            validate_campaign_dict(corrupted)
+        with pytest.raises(ResultSchemaError, match=message):
+            CampaignResult.from_dict(corrupted)
 
 
 class TestParallelExecution:
