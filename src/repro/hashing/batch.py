@@ -199,9 +199,11 @@ def _minima_np(np, family, folds: Iterable[Fold]) -> Iterator[array]:
     """:func:`permutation_minima_many` over ``u <= 2^32``, step by step."""
     count = len(family)
     queue: Deque[array] = deque()  # rows in input order, not yet yielded
-    keys: List[int] = []  # the step being gathered: its keys, and per
-    rows: List[array] = []  # list segment in it, the row it lowers
-    starts: List[int] = []  # and where its keys begin
+    # The step being gathered: its keys and, per list segment in it, the
+    # row the segment lowers and the offset where the segment starts.
+    keys: List[int] = []
+    rows: List[array] = []
+    starts: List[int] = []
     for fold_keys, floor in folds:
         row = _row_of(floor, count)
         queue.append(row)
