@@ -32,7 +32,7 @@ from repro.overlay import (
     default_scheme,
     run_with_churn,
 )
-from repro.reconcile import DEFAULT_POLICY
+from repro.reconcile import CALLING_CARD
 
 TARGET = 250
 NUM_PEERS = 10
@@ -42,7 +42,7 @@ def demo_orchestration(rng):
     print("=" * 64)
     print("1. Sender selection from calling cards alone")
     print("=" * 64)
-    card = DEFAULT_POLICY.build_card  # ids -> the agreed min-wise card
+    card = CALLING_CARD.build  # ids -> the agreed min-wise card
     receiver_ids = set(rng.sample(range(1 << 20), 400))
     receiver_card = card(receiver_ids)
 

@@ -434,9 +434,9 @@ class ReconfigSpec(CheckedSpec):
     registered :class:`~repro.reconcile.base.Summary` kind whose cards
     drive the informed estimates; ``None`` selects the default calling
     card (:func:`repro.overlay.default_scheme` —
-    :data:`~repro.reconcile.DEFAULT_POLICY`'s min-wise card, the one
-    joins plan over), under which a run is bit-identical to the
-    pre-spec behaviour — the parity tests pin it.
+    :data:`~repro.reconcile.CALLING_CARD`, the one joins plan over),
+    under which a run is bit-identical to the pre-spec behaviour — the
+    parity tests pin it.
 
     ``interval`` is the epoch period in simulated time units (0 = the
     swarm's ``reconfigure_every``); ``jitter`` defers each epoch's pass

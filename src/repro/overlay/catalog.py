@@ -240,6 +240,16 @@ class CatalogScheme(SummaryScheme):
         super().__init__(kind, params)
         self.catalog = catalog
 
+    def __eq__(self, other: object) -> bool:
+        # A gate over another catalog weighs the same cards differently.
+        return (
+            isinstance(other, CatalogScheme)
+            and other.catalog is self.catalog
+            and super().__eq__(other)
+        )
+
+    __hash__ = SummaryScheme.__hash__
+
     def object_weight(self, receiver, candidate) -> float:
         """How much of ``receiver``'s wanted catalog ``candidate`` covers."""
         if not isinstance(receiver, CatalogNode):
@@ -263,12 +273,6 @@ class CatalogScheme(SummaryScheme):
         if share <= 0.0:
             return 0.0
         return share / total
-
-    def usefulness(self, receiver, candidate) -> float:
-        weight = self.object_weight(receiver, candidate)
-        if weight == 0.0:
-            return 0.0
-        return weight * super().usefulness(receiver, candidate)
 
     def usefulness_many(self, receiver, candidates, card_of=None) -> List[float]:
         weights = [self.object_weight(receiver, c) for c in candidates]

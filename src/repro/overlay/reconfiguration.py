@@ -19,15 +19,15 @@ card joins, admission and rewiring share when a run names no other.
 import math
 import random
 from itertools import chain
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping
+from typing import Any, Callable, Iterable, Iterator, List, Mapping
 from typing import Optional, Protocol, Sequence, Tuple
 
 from repro.delivery.working_set import WorkingSet
 from repro.exact.cpi import DiscrepancyExceeded
 from repro.overlay.node import OverlayNode
-from repro.reconcile import DEFAULT_POLICY
+from repro.reconcile import CALLING_CARD, SummaryPolicy
 from repro.reconcile.base import Summary
-from repro.reconcile.registry import summary_batch_recipe, summary_recipe
+from repro.reconcile.registry import summary_batch_recipe
 from repro.seeding import default_rng
 
 #: The informed policy's defaults — admission threshold and swap margin
@@ -38,40 +38,24 @@ DEFAULT_MIN_USEFULNESS = 0.02
 DEFAULT_HYSTERESIS = 0.1
 
 
-class SummaryScheme:
+class SummaryScheme(SummaryPolicy):
     """Which summary kind estimates peer utility, and how.
 
-    The overlay's counterpart of :class:`~repro.reconcile.SummaryPolicy`:
-    one scheme is shared by a simulator's admission and rewiring policies
-    so every utility judgement in a run flows through the same summary
-    structure.  A node's card is its working set's cached summary
-    (:meth:`~repro.delivery.working_set.WorkingSet.cached`), brought
-    current by absorbing the journalled delta when the kind supports
-    incremental updates — so a reconfiguration epoch scanning many
-    candidate pairs pays per new symbol, not per working-set size.
-
-    Args:
-        kind: registered summary kind (``"minwise"``, ``"bloom"``, ...).
-        params: that adapter's build parameters.
+    A :class:`~repro.reconcile.SummaryPolicy` — a kind and its params —
+    read as the overlay's card: one scheme is shared by a simulator's
+    admission and rewiring policies so every utility judgement in a run
+    flows through the same summary structure.  A node's card is its
+    working set's cached summary (:meth:`~repro.reconcile.
+    SummaryPolicy.summary_of`), brought current by absorbing the
+    journalled delta when the kind supports incremental updates — so a
+    reconfiguration epoch scanning many candidate pairs pays per new
+    symbol, not per working-set size.
     """
-
-    def __init__(self, kind: str = "minwise", params: Optional[Mapping[str, Any]] = None):
-        self.kind = kind
-        self.params: Tuple[Tuple[str, Any], ...] = (
-            tuple(sorted(params.items())) if params else ()
-        )
-        # Computed once (failing fast on unknown kinds): card_of's hit
-        # path is then one dict lookup and one stamp compare.
-        self._card = summary_recipe(kind, params)
-        self._cards = summary_batch_recipe(kind, params)
-
-    def params_dict(self) -> Dict[str, Any]:
-        return dict(self.params)
 
     def card_of(self, node: OverlayNode) -> Summary:
         """The node's card under this scheme: the same cached object as
         ``node.working_set.summary(kind, **params)``."""
-        return node.working_set.cached(*self._card)
+        return self.summary_of(node.working_set)
 
     def refresh(self, nodes: Iterable[OverlayNode]) -> None:
         """Bring the cards of ``nodes`` current together: the entries
@@ -79,8 +63,9 @@ class SummaryScheme:
         pass (:meth:`~repro.delivery.working_set.WorkingSet.cached_many`)
         instead of one pass per card on first read.  A kind without a
         batch kernel does nothing here; its cards stay lazy."""
-        if self._cards is not None:
-            WorkingSet.cached_many([n.working_set for n in nodes], *self._cards)
+        recipe = summary_batch_recipe(self.kind, self.params_dict())
+        if recipe is not None:
+            WorkingSet.cached_many([n.working_set for n in nodes], *recipe)
 
     def resemblance(self, ours: Summary, theirs: Summary) -> float:
         """Estimated ``|A ∩ B| / |A ∪ B|`` between two same-scheme cards.
@@ -106,16 +91,13 @@ class SummaryScheme:
         return min(1.0, max(0.0, intersection / union))
 
     def usefulness(self, receiver: OverlayNode, candidate: OverlayNode) -> float:
-        """1 - resemblance: how much new content ``candidate`` offers.
+        """1 - resemblance: how much new content ``candidate`` offers —
+        the one-candidate case of :meth:`usefulness_many`.
 
         Sources are always maximally useful (they mint fresh symbols);
         this is the admission-control signal from Section 4.
         """
-        if candidate.is_source:
-            return 1.0
-        return 1.0 - self.resemblance(
-            self.card_of(receiver), self.card_of(candidate)
-        )
+        return self.usefulness_many(receiver, (candidate,))[0]
 
     def usefulness_many(
         self,
@@ -123,10 +105,10 @@ class SummaryScheme:
         candidates: Sequence[OverlayNode],
         card_of: Optional[Callable[[OverlayNode], Summary]] = None,
     ) -> List[float]:
-        """``[self.usefulness(receiver, c) for c in candidates]``, the
-        same floats, computed from the cards that are there: min-wise
-        cards compare in one batch (``estimate_resemblance_many``, the
-        estimate kernel of
+        """``1 - resemblance`` of ``receiver``'s card and each
+        candidate's (1.0 for a source), computed from the cards that are
+        there: min-wise cards compare in one batch
+        (``estimate_resemblance_many``, the estimate kernel of
         :class:`~repro.reconcile.adapters.MinwiseSummary`), every other
         kind pair by pair.  Nothing is stored, so nothing can go stale.
 
@@ -150,16 +132,14 @@ class SummaryScheme:
         """Honest wire cost of shipping the node's card once."""
         return self.card_of(node).wire_bytes()
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"SummaryScheme(kind={self.kind!r}, params={dict(self.params)!r})"
-
 
 def default_scheme() -> SummaryScheme:
     """The calling card peers agree on off-line (Section 4):
-    :data:`~repro.reconcile.DEFAULT_POLICY`'s min-wise card.  Every
-    call returns an equal scheme, so every consumer reads the same
-    cached entry of a node's working set."""
-    return SummaryScheme(DEFAULT_POLICY.card_kind, dict(DEFAULT_POLICY.card_params))
+    :data:`~repro.reconcile.CALLING_CARD`'s kind and params.  Every
+    call returns an equal scheme, so every consumer — the protocol's
+    hellos included — reads the same cached entry of a node's working
+    set."""
+    return SummaryScheme(CALLING_CARD.kind, CALLING_CARD.params_dict())
 
 
 def _can_serve(node: OverlayNode) -> bool:

@@ -22,6 +22,7 @@ from repro.coding.symbol import Packet, xor_payloads
 from repro.delivery.working_set import WorkingSet
 from repro.protocol.messages import DataMessage, HelloMessage, SummaryMessage
 from repro.reconcile import (
+    CALLING_CARD,
     DEFAULT_POLICY,
     SummaryPolicy,
     correlation_from_summaries,
@@ -63,12 +64,13 @@ class ProtocolPeer:
     constituent whose bytes this peer never had is held without bytes
     and kept out of the decoder.
 
-    ``summary_policy`` selects which working-set summaries the peer
-    exchanges (a :class:`~repro.reconcile.SummaryPolicy`); the default
-    is the paper's pair — the 1KB min-wise calling card and an
-    8-bits-per-element Bloom reconciliation summary.  All peers in a
-    session must agree on the policy, exactly as they agree on
-    :class:`CodeParameters`.
+    ``summary_policy`` selects the reconciliation summary the peer
+    ships (a :class:`~repro.reconcile.SummaryPolicy`; by default the
+    paper's 8-bits-per-element Bloom filter).  All peers in a session
+    must agree on the policy, exactly as they agree on
+    :class:`CodeParameters`.  Every hello carries
+    :data:`~repro.reconcile.CALLING_CARD`, whatever the policy, so any
+    two peers' cards compare.
     """
 
     def __init__(
@@ -111,17 +113,15 @@ class ProtocolPeer:
     # -- calling cards ------------------------------------------------------
 
     def hello(self) -> HelloMessage:
-        """The calling card for this peer's working set: the policy's
-        card sketch (by default the paper's 1KB min-wise card)."""
-        return HelloMessage.carrying(
-            self.summary_policy.card_of(self.working_set)
-        )
+        """The calling card for this peer's working set: the paper's
+        1KB min-wise card, :data:`~repro.reconcile.CALLING_CARD`."""
+        return HelloMessage.carrying(CALLING_CARD.summary_of(self.working_set))
 
     def estimate_peer_correlation(self, hello: HelloMessage) -> float:
         """``|ours ∩ theirs| / |ours|`` estimated from calling cards."""
         if len(self.working_set) == 0:
             return 0.0
-        ours = self.summary_policy.card_of(self.working_set)
+        ours = CALLING_CARD.summary_of(self.working_set)
         return correlation_from_summaries(
             ours, hello.summary(), len(self.working_set)
         )

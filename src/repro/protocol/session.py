@@ -15,7 +15,8 @@ from repro.delivery.strategies import DEFAULT_DESIRED_MARGIN
 from repro.exact.cpi import DiscrepancyExceeded
 from repro.protocol.messages import DataMessage, RequestMessage
 from repro.protocol.peer import ProtocolPeer
-from repro.reconcile import SummaryPolicy, build_summary, correlation_from_summaries
+from repro.reconcile import CALLING_CARD, SummaryPolicy, build_summary
+from repro.reconcile import correlation_from_summaries
 from repro.seeding import default_rng
 
 #: Correlation above which a receiver should reject the sender outright
@@ -187,13 +188,12 @@ class TransferSession:
 
         Returns the sender's ``|S ∩ R| / |S|`` estimate, or None when
         the sender is a source (nothing to estimate against).  Both
-        cards are built once under the session policy — the
-        protocol-wide agreement governs whatever policies the peer
-        objects carry — and the very cards whose bytes were charged
-        feed the estimate.
+        cards are :data:`~repro.reconcile.CALLING_CARD` — the one card
+        every peer agrees on off-line, whatever the summary policy — and
+        the very cards whose bytes were charged feed the estimate.
         """
-        card_r = self.summary_policy.card_of(self.receiver.working_set)
-        card_s = self.summary_policy.card_of(self.sender.working_set)
+        card_r = CALLING_CARD.summary_of(self.receiver.working_set)
+        card_s = CALLING_CARD.summary_of(self.sender.working_set)
         # A hello charges its 8-byte header plus the carried card's own
         # honest size (see HelloMessage.wire_bytes).
         self.stats.control_bytes += (8 + card_r.wire_bytes()) + (

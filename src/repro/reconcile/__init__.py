@@ -23,9 +23,10 @@ trade-off becomes a parameter instead of a code path:
   ``minwise``, ``modk``, ``random_sample``, ``bloom``,
   ``counting_bloom``, ``partitioned_bloom``, ``art``, ``cpi``,
   ``hashset``, ``wholeset``.
-* :class:`SummaryPolicy` — how a peer pairs a calling-card sketch with
-  a reconciliation summary; consumed by :class:`~repro.protocol.peer.
-  ProtocolPeer` and the delivery strategies.
+* :class:`SummaryPolicy` — one summary choice, a kind and its params;
+  consumed by :class:`~repro.protocol.peer.ProtocolPeer` and the
+  delivery strategies.  :data:`CALLING_CARD` is the §4 card every hello
+  carries, one min-wise family for every peer.
 """
 
 from repro.reconcile.base import Summary, SummaryError
@@ -41,6 +42,7 @@ from repro.reconcile.registry import (
 # Importing the adapters registers every built-in kind.
 from repro.reconcile import adapters as _adapters  # noqa: F401
 from repro.reconcile.policy import (
+    CALLING_CARD,
     DEFAULT_POLICY,
     SummaryPolicy,
     correlation_from_summaries,
@@ -58,5 +60,6 @@ __all__ = [
     "summary_from_payload",
     "SummaryPolicy",
     "DEFAULT_POLICY",
+    "CALLING_CARD",
     "correlation_from_summaries",
 ]

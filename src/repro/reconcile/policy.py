@@ -1,16 +1,17 @@
-"""Summary policies: which summaries a peer builds, and how it uses them.
+"""Summary policies: which summary a peer builds, and how it uses it.
 
-A :class:`SummaryPolicy` bundles the two summary roles the protocol
-distinguishes (§3): the cheap *calling card* every hello carries
-(min-wise by default) and the *reconciliation summary* shipped when
-finer-grained information pays for itself (Bloom by default).
-:class:`~repro.protocol.peer.ProtocolPeer`, :class:`~repro.protocol.
-session.TransferSession`, :class:`~repro.overlay.simulator.
-OverlaySimulator`, and :func:`repro.delivery.strategies.make_strategy`
-reconcile only through a policy — there is no policy-less path — which
-is what lets one experiment spec swap ``bloom`` for ``art`` or ``cpi``
-and measure the paper's accuracy-vs-overhead trade-off.  A layer nobody
-handed a policy holds :data:`DEFAULT_POLICY`.
+A :class:`SummaryPolicy` is one summary choice, a kind and its params.
+The calling card every hello carries (§4) is :data:`CALLING_CARD`, one
+min-wise family fixed off-line for every peer; the *reconciliation
+summary* shipped when finer-grained information pays for itself (§3)
+is the peer's own policy.  :class:`~repro.protocol.peer.ProtocolPeer`,
+:class:`~repro.protocol.session.TransferSession`,
+:class:`~repro.overlay.simulator.OverlaySimulator`, and
+:func:`repro.delivery.strategies.make_strategy` reconcile only through
+a policy — there is no policy-less path — which is what lets one
+experiment spec swap ``bloom`` for ``art`` or ``cpi`` and measure the
+paper's accuracy-vs-overhead trade-off.  A layer nobody handed a policy
+holds :data:`DEFAULT_POLICY`.
 """
 
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
@@ -51,50 +52,33 @@ def correlation_from_summaries(
 
 
 class SummaryPolicy:
-    """How a peer summarises its working set and reconciles with others.
+    """How a peer summarises its working set and reconciles with others:
+    one kind and its params (equal policies name the same two).
 
     Args:
-        kind: registry key of the reconciliation summary (``"bloom"``,
-            ``"art"``, ``"cpi"``, ...).
+        kind: registry key of the summary (``"bloom"``, ``"art"``,
+            ``"cpi"``, ``"minwise"``, ...).
         params: adapter parameters for that summary.
-        card_kind: registry key of the calling-card sketch.
-        card_params: adapter parameters for the card.
     """
 
-    def __init__(
-        self,
-        kind: str = "bloom",
-        params: Optional[Mapping[str, Any]] = None,
-        card_kind: str = "minwise",
-        card_params: Optional[Mapping[str, Any]] = None,
-    ):
+    def __init__(self, kind: str = "bloom", params: Optional[Mapping[str, Any]] = None):
         self.kind = kind
         self.params: Tuple[Tuple[str, Any], ...] = _freeze(params)
-        self.card_kind = card_kind
-        self.card_params: Tuple[Tuple[str, Any], ...] = _freeze(card_params)
         # Computed once (failing fast on unknown kinds, the registry's
-        # own error): what a working set needs to keep each current.
+        # own error): what a working set needs to keep it current.
         self._summary = summary_recipe(kind, params)
-        self._card = summary_recipe(card_kind, card_params)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"SummaryPolicy(kind={self.kind!r}, params={dict(self.params)!r}, "
-            f"card_kind={self.card_kind!r})"
-        )
+        name = type(self).__name__
+        return f"{name}(kind={self.kind!r}, params={dict(self.params)!r})"
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SummaryPolicy):
             return NotImplemented
-        return (
-            self.kind,
-            self.params,
-            self.card_kind,
-            self.card_params,
-        ) == (other.kind, other.params, other.card_kind, other.card_params)
+        return (self.kind, self.params) == (other.kind, other.params)
 
     def __hash__(self) -> int:
-        return hash((self.kind, self.params, self.card_kind, self.card_params))
+        return hash((self.kind, self.params))
 
     # -- construction -------------------------------------------------------
 
@@ -102,22 +86,14 @@ class SummaryPolicy:
         return dict(self.params)
 
     def build(self, ids: Iterable[int]) -> Summary:
-        """The reconciliation summary of bare ``ids``, from scratch."""
+        """The summary of bare ``ids``, from scratch."""
         return build_summary(self.kind, ids, **dict(self.params))
 
-    def build_card(self, ids: Iterable[int]) -> Summary:
-        """The calling-card sketch of bare ``ids``, from scratch."""
-        return build_summary(self.card_kind, ids, **dict(self.card_params))
-
     def summary_of(self, working_set) -> Summary:
-        """``working_set``'s reconciliation summary: the shared object
+        """``working_set``'s summary: the shared object
         :meth:`~repro.delivery.working_set.WorkingSet.cached` keeps
         current, identical to ``working_set.summary(kind, **params)``."""
         return working_set.cached(*self._summary)
-
-    def card_of(self, working_set) -> Summary:
-        """``working_set``'s calling card, cached the same way."""
-        return working_set.cached(*self._card)
 
     # -- capability probes ---------------------------------------------------
 
@@ -194,16 +170,15 @@ class SummaryPolicy:
         return correlation_from_summaries(mine, remote, len(local))
 
 
-#: What every layer holds when nobody chose a summary: min-wise calling
-#: cards (the 1KB 128-permutation card, under the universally agreed
-#: family — seed 99; :func:`repro.overlay.default_scheme` reads it from
-#: here) and 8-bits-per-element Bloom reconciliation.
-DEFAULT_POLICY = SummaryPolicy(
-    kind="bloom",
-    params={"bits_per_element": 8},
-    card_kind="minwise",
-    card_params={"entries": 128, "seed": 99},
-)
+#: What every layer holds when nobody chose a summary: 8-bits-per-element
+#: Bloom reconciliation.
+DEFAULT_POLICY = SummaryPolicy("bloom", {"bits_per_element": 8})
+
+#: The calling card (§4) every hello carries, and the overlay's card
+#: when a run names no other (:func:`repro.overlay.default_scheme`):
+#: the 1KB 128-permutation min-wise sketch under the one permutation
+#: family peers fix off-line (seed 99), so any two cards compare.
+CALLING_CARD = SummaryPolicy("minwise", {"entries": 128, "seed": 99})
 
 
-__all__ = ["SummaryPolicy", "DEFAULT_POLICY", "correlation_from_summaries"]
+__all__ = ["SummaryPolicy", "DEFAULT_POLICY", "CALLING_CARD", "correlation_from_summaries"]

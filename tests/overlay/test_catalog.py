@@ -181,6 +181,15 @@ class TestCatalogScheme:
         candidate = CatalogNode("c", catalog)
         assert scheme.object_weight(receiver, candidate) == 1.0
 
+    def test_schemes_are_equal_only_over_the_same_catalog(self):
+        catalog = _catalog(objects=2)
+        scheme = self._scheme(catalog)
+        assert scheme == self._scheme(catalog)
+        assert hash(scheme) == hash(self._scheme(catalog))
+        assert scheme != self._scheme(_catalog(objects=2))
+        assert scheme != SummaryScheme("minwise", {"entries": 32})
+        assert SummaryScheme("minwise", {"entries": 32}) != scheme
+
     def test_card_wire_bytes_charges_the_inventory(self):
         catalog = _catalog(objects=5)
         scheme = self._scheme(catalog)

@@ -268,15 +268,26 @@ class TestSummaryScheme:
         assert scheme.usefulness(a, b) == 1.0 - sketch_a.estimate_resemblance(sketch_b)
 
     def test_default_scheme_is_the_default_policys_card(self):
-        from repro.reconcile import DEFAULT_POLICY
+        from repro.reconcile import CALLING_CARD
 
         scheme = default_scheme()
         assert (scheme.kind, scheme.params) == (
-            DEFAULT_POLICY.card_kind,
-            DEFAULT_POLICY.card_params,
+            CALLING_CARD.kind,
+            CALLING_CARD.params,
         )
         node = _node("n", range(40))
         assert default_scheme().card_of(node) is scheme.card_of(node)
+
+    def test_the_calling_card_and_the_default_scheme_share_one_card(self):
+        # A hello's card and the overlay's default card are one cached
+        # object of the working set: one family, one entry.
+        from repro.reconcile import CALLING_CARD
+
+        node = _node("n", range(40))
+        assert CALLING_CARD.summary_of(node.working_set) is default_scheme().card_of(
+            node
+        )
+        assert repr(default_scheme()).startswith("SummaryScheme(")
 
     def test_unknown_kind_rejected(self):
         from repro.reconcile import UnknownSummaryError

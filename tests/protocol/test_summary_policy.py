@@ -27,6 +27,7 @@ from repro.delivery.scenarios import make_pair_scenario
 from repro.protocol import CodeParameters, ProtocolPeer, TransferSession
 from repro.protocol.messages import HelloMessage, SummaryMessage
 from repro.reconcile import (
+    CALLING_CARD,
     DEFAULT_POLICY,
     SummaryError,
     SummaryPolicy,
@@ -262,7 +263,7 @@ class TestPolicySessions:
         with_peer_policy = control_bytes(policy)
         other_peer_policy = control_bytes(DEFAULT_POLICY)
         assert with_peer_policy == other_peer_policy
-        card = policy.build_card(range(10))
+        card = CALLING_CARD.build(range(10))
         expected = 2 * HelloMessage.carrying(card).wire_bytes() + 4
         assert with_peer_policy == expected
 
@@ -286,3 +287,42 @@ class TestPolicySessions:
         _, b = seeded_pair(params, content, policy=POLICIES["cpi"])
         with pytest.raises(ValueError, match="different summary policies"):
             TransferSession(a, b)
+
+
+class TestOneCallingCard:
+    """Every hello carries CALLING_CARD, so a policy is only a kind and
+    its params: a spec that names the default Bloom policy is the
+    default policy, and its peers talk to default peers."""
+
+    @staticmethod
+    def spec_policy():
+        from repro.api.spec import SummarySpec
+
+        return SummarySpec(kind="bloom", params=(("bits_per_element", 8),)).policy()
+
+    def test_a_spec_built_bloom8_policy_is_the_default_policy(self):
+        policy = self.spec_policy()
+        assert policy == DEFAULT_POLICY
+        assert hash(policy) == hash(DEFAULT_POLICY)
+
+    def test_a_spec_policy_peer_and_a_default_peer_complete_a_session(self):
+        params = make_params()
+        content = make_content(params)
+        a, _ = seeded_pair(params, content, policy=self.spec_policy())
+        _, b = seeded_pair(params, content)
+        stats = TransferSession(a, b, rng=random.Random(23)).run(max_packets=6000)
+        assert stats.completed
+        assert stats.used_summary
+
+    def test_correlation_is_estimated_across_the_two_peers(self):
+        params = make_params()
+        content = make_content(params)
+        a, _ = seeded_pair(params, content, policy=self.spec_policy())
+        _, b = seeded_pair(params, content)
+        # a holds 0..159, b 100..259: 60 shared of a's 160.
+        assert a.estimate_peer_correlation(b.hello()) == pytest.approx(
+            60 / 160, abs=0.15
+        )
+        assert b.estimate_peer_correlation(a.hello()) == pytest.approx(
+            60 / 160, abs=0.15
+        )

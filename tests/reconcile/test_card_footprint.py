@@ -17,7 +17,7 @@ from array import array
 import pytest
 
 import repro.hashing.batch as batch
-from repro.reconcile import DEFAULT_POLICY, summary_from_payload
+from repro.reconcile import CALLING_CARD, summary_from_payload
 
 CARDS = 1_000
 
@@ -28,7 +28,7 @@ def numpy_lane(request, monkeypatch):
         monkeypatch.setattr(batch, "_numpy", lambda: None)
 
 
-_default_card = DEFAULT_POLICY.build_card  # the 128-entry min-wise card
+_default_card = CALLING_CARD.build  # the 128-entry min-wise card
 
 
 def test_the_card_is_its_row():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.reconcile import (
+    CALLING_CARD,
     DEFAULT_POLICY,
     SummaryError,
     SummaryPolicy,
@@ -25,14 +26,10 @@ class TestConstruction:
         with pytest.raises(UnknownSummaryError):
             SummaryPolicy(kind="nope")
 
-    def test_unknown_card_kind_fails_fast(self):
-        with pytest.raises(UnknownSummaryError):
-            SummaryPolicy(card_kind="nope")
-
     def test_default_policy_is_minwise_plus_bloom(self):
-        assert DEFAULT_POLICY.card_kind == "minwise"
+        assert CALLING_CARD.kind == "minwise"
         assert DEFAULT_POLICY.kind == "bloom"
-        assert dict(DEFAULT_POLICY.card_params)["entries"] == 128
+        assert dict(CALLING_CARD.params)["entries"] == 128
 
     def test_equality_and_hash(self):
         p1 = SummaryPolicy(kind="art", params={"bits_per_element": 8})
@@ -43,9 +40,8 @@ class TestConstruction:
 
     def test_build_and_card_use_their_kinds(self, sets):
         a, _ = sets
-        policy = SummaryPolicy(kind="art", card_kind="modk")
+        policy = SummaryPolicy(kind="art")
         assert policy.build(a).kind == "art"
-        assert policy.build_card(a).kind == "modk"
 
 
 class TestReconciliation:
@@ -134,7 +130,7 @@ class TestReconciliation:
         (compatible_build_params), not the policy's params."""
         a, b = sets
         policy = SummaryPolicy(kind="bloom", params={"bits_per_element": 8})
-        card = policy.build_card(a)  # min-wise, not bloom
+        card = CALLING_CARD.build(a)  # min-wise, not bloom
         c = policy.correlation(card, sorted(b))
         truth = len(a & b) / len(b)
         assert abs(c - truth) < 0.25

@@ -105,6 +105,8 @@ GUARDS = [
      r"recoding_soliton\(|DegreeDistribution\.recoding\b|shifted_for_correlation"
      r"|int\([^()]*/\s*\(1(\.0)?\s*-",
      ["src"], ["src/repro/coding/recode.py"], matches=1),
+    Guard(35, "a policy's own calling card (the one is CALLING_CARD)",
+     r"card_kind|card_params|build_card", ["src"]),
 ]
 
 #: Deleted files and directories.
