@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.api.spec import ExperimentSpec
+from repro.api.spec import ExperimentSpec, SpecError
 from repro.delivery.transfer import TransferResult
 from repro.overlay.simulator import SimulationReport
 from repro.protocol.session import SessionStats
@@ -60,8 +60,9 @@ def validate_result_dict(data: Any) -> None:
 
     Used by campaign cell loading (``--resume``): raises
     :class:`ResultSchemaError` on any missing, unknown, or wrongly
-    typed key or a non-finite metric, so schema drift fails loudly
-    instead of accumulating silently in archived results.
+    typed key, a non-finite number, or a ``spec`` block that is no
+    spec or disagrees with ``scenario`` / ``seed``, so schema drift
+    fails loudly instead of accumulating silently in archived results.
     """
     _schema_require(isinstance(data, dict), "result must be a JSON object")
     _schema_require(
@@ -88,7 +89,7 @@ def validate_result_dict(data: Any) -> None:
         )
         # json.loads reads NaN and Infinity; no run reports either.
         _schema_require(
-            isinstance(value, int) or math.isfinite(value),
+            _is_finite_number(value),
             f"result metric {key!r} must be finite, got {value!r}",
         )
     _schema_require(
@@ -97,18 +98,43 @@ def validate_result_dict(data: Any) -> None:
         "result 'events' must be an array of strings",
     )
     _schema_require(
-        isinstance(data["node_sessions"], dict), "result 'node_sessions' must be an object"
+        isinstance(data["node_sessions"], dict)
+        and all(isinstance(v, dict) for v in data["node_sessions"].values()),
+        "result 'node_sessions' must map each node to an object",
     )
+    try:
+        spec = ExperimentSpec.from_dict(data["spec"])
+    except SpecError as exc:
+        raise ResultSchemaError(f"result 'spec' block: {exc}") from None
     _schema_require(
-        isinstance(data["spec"], dict) and isinstance(data["spec"].get("scenario"), str),
-        "result 'spec' must be an object naming its scenario",
+        (data["scenario"], data["seed"]) == (spec.scenario, spec.seed),
+        f"result names scenario {data['scenario']!r} and seed {data['seed']}, "
+        f"its spec {spec.scenario!r} and {spec.seed}",
     )
     if "series" in data:
         _schema_require(
             isinstance(data["series"], list)
-            and all(isinstance(row, list) and len(row) == 4 for row in data["series"]),
-            "result 'series' must be an array of 4-column rows",
+            and all(_is_series_row(row) for row in data["series"]),
+            "result 'series' must be an array of [entity, metric, time, value] "
+            "rows (two strings, two finite numbers)",
         )
+
+
+def _is_finite_number(value: Any) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and (isinstance(value, int) or math.isfinite(value))
+    )
+
+
+def _is_series_row(row: Any) -> bool:
+    return (
+        isinstance(row, list)
+        and len(row) == 4
+        and all(isinstance(v, str) for v in row[:2])
+        and all(_is_finite_number(v) for v in row[2:])
+    )
 
 
 @dataclass

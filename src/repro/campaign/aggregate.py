@@ -235,15 +235,12 @@ class CampaignResult:
     @classmethod
     def from_dict(cls, data: Any) -> "CampaignResult":
         """Rebuild (and validate) a serialised campaign result."""
-        validate_campaign_dict(data)
-        return cls(
-            campaign=CampaignSpec.from_dict(data["campaign"]),
-            cells=[CellOutcome.from_dict(c) for c in data["cells"]],
-        )
+        return validate_campaign_dict(data)
 
 
-def validate_campaign_dict(data: Any) -> None:
-    """Validate a dict against :data:`CAMPAIGN_RESULT_SCHEMA` (closed-world).
+def validate_campaign_dict(data: Any) -> CampaignResult:
+    """Validate a dict against :data:`CAMPAIGN_RESULT_SCHEMA` (closed-world)
+    and return the :class:`CampaignResult` it parsed — once.
 
     Beyond the shape, the file must agree with itself: its cells are
     exactly the ones its campaign expands to (index, cell id,
@@ -327,6 +324,7 @@ def validate_campaign_dict(data: Any) -> None:
         _canonical(data["series"]) == _canonical(result.grouped_series()),
         "campaign series disagrees with the means of its cells",
     )
+    return result
 
 
 def _canonical(value: Any) -> str:

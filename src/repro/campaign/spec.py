@@ -30,8 +30,8 @@ class GridAxis(CheckedSpec):
 
     ``key`` uses :meth:`ExperimentSpec.with_override` syntax
     (``"params.correlation"``, ``"strategy.name"``,
-    ``"swarm.target"``...); ``values`` are the JSON scalars the sweep
-    crosses.  ``"seed"`` is not a legal axis — replicate seeds come
+    ``"swarm.target"``...); ``values`` are the distinct JSON scalars the
+    sweep crosses.  ``"seed"`` is not a legal axis — replicate seeds come
     from the campaign's seed range and are derived per cell.
     """
 
@@ -45,6 +45,13 @@ class GridAxis(CheckedSpec):
             "'seed' cannot be a grid axis; use the campaign's seeds range "
             "(cell seeds are derived per trial)",
         )
+        # Cells are matched to their values with ``==``, so two equal
+        # values would be one run done, and counted, twice.
+        for i, value in enumerate(self.values):
+            _require(
+                value not in self.values[:i],
+                f"grid axis {self.key!r} repeats the value {value!r}",
+            )
 
 
 @dataclass(frozen=True)

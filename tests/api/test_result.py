@@ -1,6 +1,9 @@
 """RunResult / SessionStats: schemas, edge cases, determinism."""
 
 import json
+import math
+
+import pytest
 
 from repro.api import RESULT_SCHEMA, run, specs
 from repro.protocol.session import SessionStats
@@ -172,6 +175,64 @@ class TestValidateResultDict:
             data[key] = bad
             with pytest.raises(ResultSchemaError):
                 validate_result_dict(data)
+
+    # Each was accepted while only the shape of the result was checked.
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            pytest.param(
+                lambda d: d.update(scenario="flash_crowd"),
+                "names scenario",
+                id="scenario-differs-from-the-spec",
+            ),
+            pytest.param(
+                lambda d: d.update(seed=d["seed"] + 1),
+                "names scenario",
+                id="seed-differs-from-the-spec",
+            ),
+            pytest.param(
+                lambda d: d.update(
+                    spec={"scenario": "pair_transfer", "swarm": {"target": -5}}
+                ),
+                "SwarmSpec.target must be positive",
+                id="spec-block-is-not-a-valid-spec",
+            ),
+            pytest.param(
+                lambda d: d["spec"].update(wall_seconds=1.0),
+                "unknown spec keys",
+                id="spec-block-has-an-unknown-key",
+            ),
+            pytest.param(
+                lambda d: d.update(series=[[None, {}, [], "x"]]),
+                "series",
+                id="series-row-of-wrong-column-types",
+            ),
+            pytest.param(
+                lambda d: d.update(series=[["n0", "known", 0, math.nan]]),
+                "series",
+                id="series-value-not-finite",
+            ),
+            pytest.param(
+                lambda d: d.update(node_sessions={"n0": 3}),
+                "node_sessions",
+                id="node-session-not-an-object",
+            ),
+        ],
+    )
+    def test_a_result_that_contradicts_itself_is_refused(self, mutate, message):
+        from repro.api.result import ResultSchemaError, validate_result_dict
+
+        data = json.loads(json.dumps(self._result_dict()))
+        mutate(data)
+        with pytest.raises(ResultSchemaError, match=message):
+            validate_result_dict(data)
+
+    def test_well_typed_series_rows_pass(self):
+        from repro.api.result import validate_result_dict
+
+        data = self._result_dict()
+        data["series"] = [["n0", "known", 0, 3], ["n0", "known", 1.5, 4.0]]
+        validate_result_dict(data)
 
     def test_non_numeric_metric_rejected(self):
         import pytest

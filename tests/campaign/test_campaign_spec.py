@@ -1,6 +1,7 @@
 """CampaignSpec: validation, JSON round-trips, and override paths."""
 
 import dataclasses
+import re
 
 import pytest
 
@@ -24,6 +25,21 @@ class TestGridAxis:
     def test_rejects_seed_axis(self):
         with pytest.raises(SpecError, match="'seed' cannot be a grid axis"):
             GridAxis("seed", (1, 2))
+
+    @pytest.mark.parametrize(
+        "key, values, repeated",
+        [
+            ("params.correlation", (0.1, 0.1), "0.1"),
+            ("swarm.target", (60, 80, 60.0), "60.0"),
+            ("strategy.name", ("Recode", "Random", "Recode"), "'Recode'"),
+        ],
+    )
+    def test_rejects_a_repeated_value(self, key, values, repeated):
+        # Equal values would expand to the same cell, run and counted twice.
+        with pytest.raises(
+            SpecError, match=re.escape(f"grid axis {key!r} repeats the value {repeated}")
+        ):
+            GridAxis(key, values)
 
     def test_rejects_non_scalar_values(self):
         with pytest.raises(SpecError, match="JSON scalar"):
