@@ -72,7 +72,7 @@ from repro.overlay.simulator import OverlaySimulator, SimulationReport
 from repro.protocol.peer import CodeParameters, ProtocolPeer
 from repro.protocol.session import TransferSession
 from repro.reconcile import SummaryPolicy
-from repro.seeding import derive_rng
+from repro.seeding import choice, derive_rng, randbelow, sample, shuffle
 from repro.sim.engine import EventScheduler
 from repro.sim.links import (
     ConstantRateLink,
@@ -309,9 +309,9 @@ def _initial_ids(rng: random.Random, rule: NodeSpec, swarm: SwarmSpec) -> List[i
     if bound <= 0:
         return []  # a fraction too small to seed a single symbol
     if rule.seeding == "fixed":
-        return rng.sample(range(distinct), bound)
+        return sample(rng, range(distinct), bound)
     # "uniform": a uniform count in [0, bound).
-    return rng.sample(range(distinct), rng.randrange(0, bound))
+    return sample(rng, range(distinct), randbelow(rng, bound))
 
 
 def _seeded_node(
@@ -333,7 +333,7 @@ def _mirror_halves(
     mirror groups: an in-group peering offers nothing, a cross-group
     peering everything (Figure 1's C/D insight, scaled up)."""
     shuffled = list(range(distinct))
-    rng.shuffle(shuffled)
+    shuffle(rng, shuffled)
     return shuffled[:count_a], shuffled[count_a : count_a + count_b]
 
 
@@ -1353,7 +1353,7 @@ def build_session_swarm(spec: ExperimentSpec) -> BuiltExperiment:
         )
         content_rng = derive_rng(spec.seed, "session_swarm", "content")
         content = bytes(
-            content_rng.randrange(256)
+            randbelow(content_rng, 256)
             for _ in range(code.num_blocks * code.block_size)
         )
         stats = _series_recorder(spec)
@@ -1481,7 +1481,7 @@ def _populate_figure1(spec, scn, rng, shared) -> None:
     sim = scn.simulator
     target = scn.target
     distinct = list(range(target))
-    rng.shuffle(distinct)
+    shuffle(rng, distinct)
     half = target // 2
     quarter = target // 4
     sets = {
@@ -1607,7 +1607,7 @@ def build_random_overlay(spec: ExperimentSpec) -> BuiltExperiment:
         for i in range(num_peers):
             frac = rng.uniform(lo, hi)
             count = int(frac * target)
-            ids = rng.sample(range(distinct), count) if count else []
+            ids = sample(rng, range(distinct), count) if count else []
             nodes[f"p{i}"] = OverlayNode(
                 f"p{i}", target, initial_ids=ids, max_connections=max_connections
             )
@@ -1615,7 +1615,7 @@ def build_random_overlay(spec: ExperimentSpec) -> BuiltExperiment:
             if physical is not None and routers:
                 physical.attach_host(
                     node.node_id,
-                    rng.choice(routers),
+                    choice(rng, routers),
                     bandwidth=rng.uniform(2.0, 6.0),
                     loss_rate=rng.uniform(0.0, 0.01),
                 )
@@ -1625,7 +1625,7 @@ def build_random_overlay(spec: ExperimentSpec) -> BuiltExperiment:
         source_ids = [n.node_id for n in nodes.values() if n.is_source]
         for node in nodes.values():
             if not node.is_source:
-                sim.connect(rng.choice(source_ids), node.node_id)
+                sim.connect(choice(rng, source_ids), node.node_id)
 
     return _build_swarm(spec, populate, paths=physical)
 

@@ -16,11 +16,12 @@ benchmark suite can emit — one format to archive, diff, and plot.
 """
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.api.spec import ExperimentSpec, SpecError
+from repro.api import registry
+from repro.api.registry import UnknownScenarioError
+from repro.api.spec import ExperimentSpec, SpecError, _finite
 from repro.delivery.transfer import TransferResult
 from repro.overlay.simulator import SimulationReport
 from repro.protocol.session import SessionStats
@@ -61,8 +62,9 @@ def validate_result_dict(data: Any) -> None:
     Used by campaign cell loading (``--resume``): raises
     :class:`ResultSchemaError` on any missing, unknown, or wrongly
     typed key, a non-finite number, or a ``spec`` block that is no
-    spec or disagrees with ``scenario`` / ``seed``, so schema drift
-    fails loudly instead of accumulating silently in archived results.
+    spec, names no registered scenario or disagrees with ``scenario`` /
+    ``seed``, so schema drift fails loudly instead of accumulating
+    silently in archived results.
     """
     _schema_require(isinstance(data, dict), "result must be a JSON object")
     _schema_require(
@@ -104,7 +106,8 @@ def validate_result_dict(data: Any) -> None:
     )
     try:
         spec = ExperimentSpec.from_dict(data["spec"])
-    except SpecError as exc:
+        registry.get(spec.scenario)
+    except (SpecError, UnknownScenarioError) as exc:
         raise ResultSchemaError(f"result 'spec' block: {exc}") from None
     _schema_require(
         (data["scenario"], data["seed"]) == (spec.scenario, spec.seed),
@@ -121,10 +124,12 @@ def validate_result_dict(data: Any) -> None:
 
 
 def _is_finite_number(value: Any) -> bool:
+    """A number a float can hold: no bool, NaN, infinity or int too large
+    to be a float."""
     return (
         isinstance(value, (int, float))
         and not isinstance(value, bool)
-        and (isinstance(value, int) or math.isfinite(value))
+        and _finite(value)
     )
 
 

@@ -117,7 +117,9 @@ def check_value(where: str, value: Any, kind: Any, bound: Bound = _NO_BOUND) -> 
 
     The one check behind every spec field, scenario param and executor
     knob.  Infinity and NaN have no JSON spelling and poison the
-    arithmetic a spec feeds, so a float must be finite.
+    arithmetic a spec feeds, so a number must be finite — an int too
+    large for any float is refused too, or the first float it meets
+    raises ``OverflowError``.
     """
 
     def refuse(what: str) -> None:
@@ -125,8 +127,9 @@ def check_value(where: str, value: Any, kind: Any, bound: Bound = _NO_BOUND) -> 
 
     if not _type_ok(value, kind):
         refuse(_TYPE_NAMES.get(kind) or f"a {kind.__name__}")
-    if kind is float and not _finite(value):
-        refuse("finite")
+    if kind in (int, float) and not _finite(value):
+        refuse("finite" if isinstance(value, float)
+               else "finite; an int this large overflows a float")
     if bound.choices and value not in bound.choices:
         refuse(f"one of {bound.choices}")
     if bound.nonempty and not value:
@@ -883,10 +886,11 @@ def _graft(obj: Any, path: Tuple[str, ...], value: Any):
 
 
 def _is_scalar(value: Any) -> bool:
-    """A JSON scalar with a JSON spelling (no NaN, no infinities)."""
-    if isinstance(value, float):
-        return math.isfinite(value)
-    return value is None or isinstance(value, (bool, int, str))
+    """A JSON scalar with a JSON spelling (no NaN, no infinities) and,
+    if a number, one a float can hold."""
+    if isinstance(value, (int, float)):
+        return _finite(value)
+    return value is None or isinstance(value, str)
 
 
 def _override(obj: Any, parts: list, value: Any, full_path: str):

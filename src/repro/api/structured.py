@@ -62,7 +62,7 @@ from repro.api.spec import (
 from repro.overlay.catalog import CatalogNode, CatalogScheme, ObjectCatalog
 from repro.overlay.node import OverlayNode
 from repro.overlay.simulator import OverlaySimulator, SimulationReport
-from repro.seeding import derive_seed
+from repro.seeding import derive_seed, shuffle
 from repro.sim.stats import StatsRecorder
 
 #: The scale-free comparison arms, in reporting order.
@@ -389,7 +389,7 @@ def build_cdn_catalog(spec: ExperimentSpec) -> BuiltExperiment:
         # map is shuffled so arrival waves do not confound rank order.
         demand_rng = random.Random(derive_seed(spec.seed, "cdn_catalog", "demand"))
         assignment = catalog.assign_demand(len(edge_names))
-        demand_rng.shuffle(assignment)
+        shuffle(demand_rng, assignment)
         demand_of = scn.extras["demand"] = dict(zip(edge_names, assignment))
 
         def admit_edge(name: str) -> None:

@@ -18,6 +18,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.api import registry
+from repro.api.registry import UnknownScenarioError
 from repro.api.result import (
     ResultSchemaError,
     _schema_require,
@@ -267,7 +269,8 @@ def validate_campaign_dict(data: Any) -> CampaignResult:
     )
     try:
         campaign = CampaignSpec.from_dict(data["campaign"])
-    except SpecError as exc:
+        registry.get(campaign.base.scenario)
+    except (SpecError, UnknownScenarioError) as exc:
         raise ResultSchemaError(f"campaign spec block: {exc}") from None
     _schema_require(
         isinstance(data["series"], dict), "campaign result 'series' must be an object"
@@ -283,19 +286,20 @@ def validate_campaign_dict(data: Any) -> CampaignResult:
     )
     cells = data["cells"]
     _schema_require(isinstance(cells, list), "campaign result 'cells' must be an array")
+    # Counted before anything is expanded: a campaign of 10**12 seeds
+    # would take forever to list.
+    _schema_require(
+        len(cells) == campaign.total_cells,
+        f"campaign result holds {len(cells)} cells, its campaign expands "
+        f"to {campaign.total_cells}",
+    )
     outcomes = []
     for i, cell in enumerate(cells):
         try:
             outcomes.append(CellOutcome.from_dict(cell))
         except ResultSchemaError as exc:
             raise ResultSchemaError(f"cell {i}: {exc}") from None
-    expanded = expand(campaign)
-    _schema_require(
-        len(outcomes) == len(expanded),
-        f"campaign result holds {len(outcomes)} cells, its campaign expands "
-        f"to {len(expanded)}",
-    )
-    for i, (outcome, cell) in enumerate(zip(outcomes, expanded)):
+    for i, (outcome, cell) in enumerate(zip(outcomes, expand(campaign))):
         _schema_require(
             (
                 outcome.index,

@@ -20,6 +20,7 @@ from typing import Iterator, List, Optional, Sequence
 from repro.coding.degree import DegreeDistribution
 from repro.coding.symbol import EncodedSymbol, xor_payloads
 from repro.hashing.mix import mix64
+from repro.seeding import sample
 
 
 class LTEncoder:
@@ -99,7 +100,7 @@ class LTEncoder:
             raise ValueError("symbol ids are non-negative")
         rng = random.Random(mix64(symbol_id, self.stream_seed))
         degree = self.distribution.sample(rng)
-        return frozenset(rng.sample(range(self.num_blocks), degree))
+        return frozenset(sample(rng, range(self.num_blocks), degree))
 
     def symbol(self, symbol_id: int) -> EncodedSymbol:
         """Materialise one encoded symbol (with payload if content loaded)."""

@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence
 
 from repro.coding.degree import DegreeDistribution
 from repro.coding.symbol import EncodedSymbol, Packet, xor_payloads
-from repro.seeding import default_rng
+from repro.seeding import default_rng, sample
 
 #: Paper Section 6.1: "The degree distribution for recoding was created
 #: similarly with a degree limit of 50."
@@ -126,7 +126,7 @@ class Recoder:
         degree = self._distribution.sample(self._rng)
         if self.degree_shift:
             degree = min(self.max_degree, int(degree / (1.0 - self.degree_shift)))
-        return self._rng.sample(self.domain, degree)
+        return sample(self._rng, self.domain, degree)
 
     def next_symbol(self) -> Packet:
         """Produce one recoded symbol."""

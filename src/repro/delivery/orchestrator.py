@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.seeding import default_rng
+from repro.seeding import default_rng, shuffle
 
 #: Resemblance above which two candidates are treated as holding the
 #: same content (sketch noise tolerance).
@@ -216,13 +216,13 @@ def split_demand(
     base_group = symbols_desired // len(groups)
     extra_groups = symbols_desired % len(groups)
     group_order = list(range(len(groups)))
-    rng.shuffle(group_order)
+    shuffle(rng, group_order)
     for rank, gi in enumerate(group_order):
         members = list(groups[gi])
         demand = base_group + (1 if rank < extra_groups else 0)
         base_member = demand // len(members)
         extra_members = demand % len(members)
-        rng.shuffle(members)
+        shuffle(rng, members)
         for mrank, member in enumerate(members):
             allocation[member] = base_member + (1 if mrank < extra_members else 0)
     return allocation

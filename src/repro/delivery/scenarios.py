@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.delivery.working_set import WorkingSet
+from repro.seeding import sample, shuffle
 
 #: Distinct-symbol multipliers for the two Section 6.3 system shapes.
 COMPACT_MULTIPLIER = 1.1
@@ -107,9 +108,9 @@ def make_pair_scenario(
         )
     overlap = min(overlap, half)
     ids = list(range(distinct))
-    rng.shuffle(ids)
+    shuffle(rng, ids)
     receiver_ids = ids[:half]
-    sender_ids = ids[half:] + rng.sample(receiver_ids, overlap)
+    sender_ids = ids[half:] + sample(rng, receiver_ids, overlap)
     realised = overlap / (fresh + overlap) if (fresh + overlap) else 0.0
     return PairScenario(
         receiver=WorkingSet(receiver_ids),
@@ -148,7 +149,7 @@ def make_multi_sender_scenario(
     shared_count = int(round(correlation * peer_size))
     unique_count = peer_size - shared_count
     ids = list(range(distinct))
-    rng.shuffle(ids)
+    shuffle(rng, ids)
     shared = ids[:shared_count]
     cursor = shared_count
     sets: List[WorkingSet] = []

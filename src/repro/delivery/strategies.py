@@ -31,7 +31,7 @@ from repro.coding.symbol import Packet
 from repro.delivery.working_set import WorkingSet
 from repro.exact.cpi import DiscrepancyExceeded
 from repro.reconcile import DEFAULT_POLICY, SummaryPolicy
-from repro.seeding import default_rng
+from repro.seeding import default_rng, randbelow, sample
 
 
 class SenderStrategy:
@@ -74,7 +74,7 @@ class SenderStrategy:
     # -- shared helpers ---------------------------------------------------
 
     def _uniform_id(self, pool: Sequence[int]) -> int:
-        return pool[self.rng.randrange(len(pool))]
+        return pool[randbelow(self.rng, len(pool))]
 
 
 class RandomStrategy(SenderStrategy):
@@ -109,7 +109,7 @@ class _RecodeBase(SenderStrategy):
             # what the receiver asked for lets pending blends resolve
             # instead of scattering over symbols that will never arrive.
             self._full_domain = domain
-            domain = self.rng.sample(domain, domain_limit)
+            domain = sample(self.rng, domain, domain_limit)
         self._recoder = Recoder.over_ids(domain, self.rng, degree_shift)
 
     @property
@@ -118,7 +118,9 @@ class _RecodeBase(SenderStrategy):
 
     def renew(self) -> None:
         if self._full_domain is not None:
-            self._recoder.domain = self.rng.sample(self._full_domain, len(self._domain))
+            self._recoder.domain = sample(
+                self.rng, self._full_domain, len(self._domain)
+            )
 
     def next_packet(self) -> Packet:
         return Packet.recoded(self._recoder.draw())

@@ -27,6 +27,8 @@ Implementation notes:
 import random
 from typing import Iterable, List, Sequence, Set, Tuple
 
+from repro.seeding import randbelow
+
 _P = (1 << 61) - 1  # field modulus
 _KEY_LIMIT = 1 << 60  # keys must be below this; sample points at/above it
 
@@ -145,7 +147,7 @@ class CharacteristicPolynomialReconciler:
         total = max_discrepancy + VERIFY_POINTS
         points: Set[int] = set()
         while len(points) < total:
-            points.add(rng.randrange(_KEY_LIMIT, _P))
+            points.add(_KEY_LIMIT + randbelow(rng, _P - _KEY_LIMIT))
         ordered = sorted(points)
         self._points = ordered[:max_discrepancy]
         self._verify_points = ordered[max_discrepancy:]

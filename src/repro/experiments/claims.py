@@ -52,6 +52,7 @@ from repro.filters import BloomFilter, false_positive_rate
 from repro.hashing.permutations import PermutationFamily
 from repro.protocol import CodeParameters
 from repro.reconcile import build_summary
+from repro.seeding import randbelow, sample
 from repro.sketches import MinwiseSketch
 
 #: Run sizes: ``art_n`` / ``art_d`` size the Figure 4 and Section 4-5
@@ -116,8 +117,8 @@ class Verdict(NamedTuple):
 def _pair(n: int, d: int, seed: int) -> Tuple[List[int], List[int]]:
     """``(a, b)`` of size ``n`` each; ``b`` holds ``d`` keys ``a`` lacks."""
     rng = random.Random(seed)
-    common = rng.sample(range(1 << 40), n)
-    extra = rng.sample(range(1 << 41, 1 << 42), d)
+    common = sample(rng, range(1 << 40), n)
+    extra = sample(rng, range(1 << 41, 1 << 42), d)
     return common, common[d:] + extra
 
 
@@ -136,8 +137,8 @@ def _bloom_fp(s: Dict[str, int]) -> Dict[Tuple[int, int], Tuple[float, float]]:
     rates = {}
     for bits, k in ((4, 3), (8, 5)):
         rng = random.Random(bits)
-        keys = rng.sample(range(1 << 40), 10_000)
-        probes = rng.sample(range(1 << 41, 1 << 42), 30_000)
+        keys = sample(rng, range(1 << 40), 10_000)
+        probes = sample(rng, range(1 << 41, 1 << 42), 30_000)
         bf = BloomFilter.for_elements(keys, bits_per_element=bits, k_hashes=k)
         measured = sum(1 for p in probes if p in bf) / len(probes)
         rates[(bits, k)] = (false_positive_rate(bf.m, len(keys), k), measured)
@@ -154,8 +155,8 @@ def _minwise_entries(s: Dict[str, int]) -> Dict[int, float]:
         rng = random.Random(entries)
         errors = []
         for _ in range(2 * s["trials"]):
-            inter = rng.randrange(size // 20, size - size // 20)
-            pool = rng.sample(range(universe), 2 * size - inter)
+            inter = size // 20 + randbelow(rng, size - 2 * (size // 20))
+            pool = sample(rng, range(universe), 2 * size - inter)
             shared = pool[:inter]
             a = set(shared + pool[inter:size])
             b = set(shared + pool[size:])
@@ -361,8 +362,8 @@ def _section4() -> List[Claim]:
     def match_rate() -> Tuple[float, float]:
         rng = random.Random(1)
         universe = 1 << 16
-        a = set(rng.sample(range(universe), 200))
-        b = set(list(a)[:100]) | set(rng.sample(range(universe), 100))
+        a = set(sample(rng, range(universe), 200))
+        b = set(list(a)[:100]) | set(sample(rng, range(universe), 100))
         family = PermutationFamily(512, universe, seed=5)
         sa, sb = sorted(a), sorted(b)
         matches = sum(1 for perm in family if perm.min_over(sa) == perm.min_over(sb))
@@ -371,8 +372,8 @@ def _section4() -> List[Claim]:
     def union_min_violations() -> int:
         rng = random.Random(2)
         universe = 1 << 16
-        a = sorted(rng.sample(range(universe), 50))
-        b = sorted(rng.sample(range(universe), 50))
+        a = sorted(sample(rng, range(universe), 50))
+        b = sorted(sample(rng, range(universe), 50))
         union = sorted(set(a) | set(b))
         return sum(
             1
@@ -422,10 +423,10 @@ def _section52() -> List[Claim]:
 
     def useless_sends() -> int:
         rng = random.Random(3)
-        a_set = set(rng.sample(range(1 << 30), 3000))
+        a_set = set(sample(rng, range(1 << 30), 3000))
         bf = BloomFilter.for_elements(a_set, bits_per_element=6)
-        b_set = set(rng.sample(sorted(a_set), 1500)) | set(
-            rng.sample(range(1 << 31, 1 << 32), 1500)
+        b_set = set(sample(rng, sorted(a_set), 1500)) | set(
+            sample(rng, range(1 << 31, 1 << 32), 1500)
         )
         return sum(1 for s in bf.missing_from(b_set) if s in a_set)
 

@@ -19,6 +19,7 @@ from repro.art.search import find_difference
 from repro.art.tree import ReconciliationTrie
 from repro.filters import BloomFilter
 from repro.reconcile import build_summary
+from repro.seeding import randbelow, sample
 
 #: Figure 4 experiment scale: sets of 10,000 elements differing in ~100 —
 #: the "less than 1% of symbols useful" regime ARTs were designed for.
@@ -54,11 +55,11 @@ def _make_sets(
 ) -> Tuple[List[int], List[int]]:
     """A/B sets where B holds ``differences`` elements A lacks."""
     universe = 1 << 40
-    common = rng.sample(range(universe), set_size)
+    common = sample(rng, range(universe), set_size)
     extra = []
     seen = set(common)
     while len(extra) < differences:
-        x = rng.randrange(universe)
+        x = randbelow(rng, universe)
         if x not in seen:
             seen.add(x)
             extra.append(x)

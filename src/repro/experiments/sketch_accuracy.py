@@ -15,6 +15,7 @@ from repro.api.spec import Bound, check_value
 from repro.delivery.working_set import DEFAULT_KEY_UNIVERSE, WorkingSet
 from repro.hashing.permutations import PermutationFamily
 from repro.reconcile import build_summary
+from repro.seeding import randbelow, sample
 from repro.sketches import MinwiseSketch, containment_from_resemblance
 
 
@@ -32,7 +33,7 @@ class SketchAccuracy:
 def _make_pair(set_size: int, containment: float, rng: random.Random):
     """(A, B) with |A ∩ B| / |B| ≈ containment, |A| = |B| = set_size."""
     overlap = int(round(containment * set_size))
-    pool = rng.sample(range(DEFAULT_KEY_UNIVERSE), 2 * set_size - overlap)
+    pool = sample(rng, range(DEFAULT_KEY_UNIVERSE), 2 * set_size - overlap)
     b = pool[:set_size]
     a = pool[set_size - overlap :]
     return WorkingSet(a), WorkingSet(b)
@@ -69,7 +70,7 @@ def run_sketch_accuracy(
             # |B_k ∩ A| / k — an unbiased estimate of |A ∩ B| / |B|.
             sample_b = build_summary(
                 "random_sample", b.ids, k=sketch_entries,
-                seed=rng.randrange(1 << 32),
+                seed=randbelow(rng, 1 << 32),
             ).sample
             hits = sum(1 for key in sample_b if key in a)
             errors["random-sample"].append(hits / len(sample_b) - truth)

@@ -139,7 +139,7 @@ class BloomFilter:
         The numpy path probes every ``(key, hash)`` index against the
         unpacked bit array in one pass; without numpy it degrades to
         the scalar probe.  Shares :func:`~repro.hashing.batch.
-        bloom_index_rows` with :meth:`bulk_update`, so query and
+        bloom_index_matrix` with :meth:`bulk_update`, so query and
         insertion can never disagree on probe positions.
         """
         from repro.hashing.batch import _numpy, bloom_index_matrix

@@ -52,6 +52,7 @@ from repro.coding.symbol import FRESH_ID_BASE, FRESH_ID_STRIDE
 from repro.flow.demand import apportion, tier_multipliers
 from repro.overlay.node import OverlayNode
 from repro.overlay.reconfiguration import run_epoch
+from repro.seeding import sample, shuffle
 
 #: Sender strategies that draw symbols blind (no reconciliation before
 #: sending); every other registered strategy reconciles first.
@@ -356,7 +357,7 @@ class FlowSimulator:
         distinct_rep = max(rep_target, int(round(scale * d.distinct)))
         base = d.object_id * _OBJECT_STRIDE
         perm = list(range(base, base + distinct_rep))
-        self.rng.shuffle(perm)
+        shuffle(self.rng, perm)
         source = _Cohort(
             CohortDef(
                 cohort_id=rep.node_id,
@@ -593,7 +594,7 @@ class FlowSimulator:
         """Mirror the window's real gains into the sampled-ID sketch.
 
         A peer sender hands over ``k`` ids drawn uniformly from what it
-        holds and the receiver lacks: ``rng.sample`` picks positions in
+        holds and the receiver lacks: ``sample`` picks positions in
         that pool's ascending order, and bit order is id order, so each
         position is a bit select — no set is built or sorted.
         """
@@ -607,7 +608,7 @@ class FlowSimulator:
         if not size:
             return
         ids = space.ids
-        for j in self.rng.sample(range(size), min(k, size)):
+        for j in sample(self.rng, range(size), min(k, size)):
             receiver.rep.receive_symbol(ids[_select(pool, j)])
 
     # -- reporting ----------------------------------------------------------

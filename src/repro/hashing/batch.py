@@ -281,11 +281,10 @@ def _lower_step(
 def bloom_index_matrix(hashes, keys: Sequence[int]):
     """``(n, k)`` uint64 probe-index matrix, or None off the numpy path.
 
-    The array-native core of :func:`bloom_index_rows`: row ``i`` holds
-    ``hashes.indices(keys[i])`` exactly.  Returns None when numpy is
-    unavailable, the key list is empty, a key exceeds 64 bits, or the
-    ``(k+1)*m`` intermediate would overflow uint64 — callers then take
-    the scalar loop.
+    Row ``i`` holds ``hashes.indices(keys[i])`` exactly.  Returns None
+    when numpy is unavailable, the key list is empty, a key exceeds 64
+    bits, or the ``(k+1)*m`` intermediate would overflow uint64 —
+    callers then take the scalar loop.
     """
     key_list = list(keys)
     np = _numpy()
@@ -307,19 +306,6 @@ def bloom_index_matrix(hashes, keys: Sequence[int]):
         return (h1[:, None] + steps[None, :] * h2[:, None]) % np.uint64(m)
 
 
-def bloom_index_rows(hashes, keys: Sequence[int]) -> List[List[int]]:
-    """Vectorised :meth:`repro.hashing.families.BloomHashes.indices` rows.
-
-    One ``[g_0(x), ..., g_{k-1}(x)]`` row per key, identical to the
-    scalar double-hashing loop.
-    """
-    key_list = list(keys)
-    rows = bloom_index_matrix(hashes, key_list)
-    if rows is None:
-        return [hashes.indices(x) for x in key_list]
-    return rows.tolist()
-
-
 __all__ = [
     "UNSET",
     "mix64_batch",
@@ -327,5 +313,4 @@ __all__ = [
     "permutation_minima_fold",
     "permutation_minima_many",
     "bloom_index_matrix",
-    "bloom_index_rows",
 ]

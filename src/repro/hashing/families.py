@@ -15,6 +15,7 @@ import random
 from typing import Callable, List, Sequence
 
 from repro.hashing.mix import mix64
+from repro.seeding import randbelow
 
 #: A hash function: key -> bucket index.
 HashFamily = Callable[[int], int]
@@ -45,7 +46,8 @@ class UniversalHash:
     @classmethod
     def random(cls, range_size: int, rng: random.Random) -> "UniversalHash":
         """Draw one member of the family uniformly at random."""
-        return cls(range_size, rng.randrange(1, _PRIME61), rng.randrange(_PRIME61))
+        a = 1 + randbelow(rng, _PRIME61 - 1)
+        return cls(range_size, a, randbelow(rng, _PRIME61))
 
     def __call__(self, x: int) -> int:
         return ((self._a * x + self._b) % _PRIME61) % self.range_size

@@ -15,6 +15,8 @@ import math
 import random
 from typing import List, Sequence
 
+from repro.seeding import randbelow
+
 
 class LinearPermutation:
     """Bijection ``x -> (a*x + b) mod universe_size``.
@@ -58,10 +60,11 @@ def random_linear_permutation(
 ) -> LinearPermutation:
     """Draw a uniformly random invertible linear permutation of ``[0, u)``."""
     while True:
-        a = rng.randrange(1, universe_size)
+        a = 1 + randbelow(rng, universe_size - 1)
         if math.gcd(a, universe_size) == 1:
             break
-    return LinearPermutation(a, b=rng.randrange(universe_size), universe_size=universe_size)
+    b = randbelow(rng, universe_size)
+    return LinearPermutation(a, b=b, universe_size=universe_size)
 
 
 class PermutationFamily:

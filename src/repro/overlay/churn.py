@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Set
 
 from repro.overlay.node import OverlayNode
 from repro.overlay.simulator import OverlaySimulator
-from repro.seeding import default_rng
+from repro.seeding import choice, default_rng
 
 #: Path loss above which :meth:`ChurnProcess.sim_reroute` drops a connection.
 REROUTE_LOSS_THRESHOLD = 0.15
@@ -93,7 +93,7 @@ class ChurnProcess:
                     n.node_id for n in self.sim.nodes.values() if n.is_source
                 ]
                 if sources and not node.is_complete:
-                    self.sim.connect(self.rng.choice(sources), node_id)
+                    self.sim.connect(choice(self.rng, sources), node_id)
 
     def _roll_departures(self, tick: int) -> None:
         candidates = [
@@ -123,7 +123,7 @@ class ChurnProcess:
             links = paths.links()
             if not links:
                 return
-            a, b = self.rng.choice(links)
+            a, b = choice(self.rng, links)
             loss = self.rng.uniform(0.2, 0.6)
             paths.degrade_link(a, b, loss)
             self.log.link_degradations.append((tick, (a, b), loss))

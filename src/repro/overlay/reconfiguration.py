@@ -28,7 +28,7 @@ from repro.overlay.node import OverlayNode
 from repro.reconcile import CALLING_CARD, SummaryPolicy
 from repro.reconcile.base import Summary
 from repro.reconcile.registry import summary_batch_recipe
-from repro.seeding import default_rng
+from repro.seeding import choice, default_rng, sample
 
 #: The informed policy's defaults — admission threshold and swap margin
 #: — read by the policy constructors below and by
@@ -368,11 +368,11 @@ class RandomRewiring:
             return [], []
         free_slots = receiver.max_connections - len(current_senders)
         if free_slots > 0:
-            return [], self.rng.sample(usable, min(free_slots, len(usable)))
+            return [], sample(self.rng, usable, min(free_slots, len(usable)))
         droppable = [s for s in current_senders if not s.is_source]
         if not droppable:
             return [], []
-        return [self.rng.choice(droppable)], [self.rng.choice(usable)]
+        return [choice(self.rng, droppable)], [choice(self.rng, usable)]
 
 
 def run_epoch(
@@ -428,7 +428,9 @@ def run_epoch(
         )
     wire_bytes = table.wire_bytes
     for receiver, pool in zip(receivers, pools):
-        candidates = rng.sample(pool, budget) if budget and budget < len(pool) else pool
+        candidates = (
+            sample(rng, pool, budget) if budget and budget < len(pool) else pool
+        )
         control_bytes = 0
         if wire_bytes is not None:
             for c in candidates:

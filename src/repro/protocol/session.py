@@ -17,7 +17,7 @@ from repro.protocol.messages import DataMessage, RequestMessage
 from repro.protocol.peer import ProtocolPeer
 from repro.reconcile import CALLING_CARD, SummaryPolicy, build_summary
 from repro.reconcile import correlation_from_summaries
-from repro.seeding import default_rng
+from repro.seeding import default_rng, sample
 
 #: Correlation above which a receiver should reject the sender outright
 #: (Section 4's admission control: identical content offers nothing).
@@ -285,7 +285,7 @@ class TransferSession:
             and len(self._domain) > desired
             and not self.summary_policy.partial_coverage
         ):
-            self._domain = self.rng.sample(self._domain, desired)
+            self._domain = sample(self.rng, self._domain, desired)
 
     # -- transfer ---------------------------------------------------------------
 

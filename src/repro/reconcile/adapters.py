@@ -66,6 +66,7 @@ from repro.reconcile.base import (
     unhex_bytes,
 )
 from repro.reconcile.registry import register_summary
+from repro.seeding import choice
 
 #: Default key universe, matching :data:`repro.delivery.working_set.
 #: DEFAULT_KEY_UNIVERSE` (kept literal to avoid a delivery import here).
@@ -476,7 +477,7 @@ class RandomSampleSummary(Summary):
         pool = frozenset(ids)
         ordered = sorted(pool)
         rng = random.Random(seed)
-        sample = [rng.choice(ordered) for _ in range(k)] if ordered else []
+        sample = [choice(rng, ordered) for _ in range(k)] if ordered else []
         return cls(sample, len(pool), seed, local_ids=pool)
 
     def wire_bytes(self) -> int:

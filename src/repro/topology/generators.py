@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Sequence, Tuple
 
-from repro.seeding import derive_seed
+from repro.seeding import derive_seed, randbelow
 
 __all__ = [
     "GeneratedTopology",
@@ -193,7 +193,7 @@ def _normalize(
 
 def _attachment_tree(n: int, rng: random.Random) -> List[Tuple[int, int]]:
     """A random recursive tree: node ``i`` attaches to a prior node."""
-    return [(rng.randrange(i), i) for i in range(1, n)]
+    return [(randbelow(rng, i), i) for i in range(1, n)]
 
 
 @register_generator(
@@ -209,8 +209,8 @@ def _random_graph(n: int, rng: random.Random, *, degree: int = 4):
     # Top the spanning tree up to roughly n*degree/2 edges total.
     extra = max(0, n * degree // 2 - len(edges))
     for _ in range(extra):
-        u = rng.randrange(n)
-        v = rng.randrange(n)
+        u = randbelow(rng, n)
+        v = randbelow(rng, n)
         if u != v:
             edges.append((u, v))
     return _normalize("random", n, edges)
@@ -252,7 +252,7 @@ def _scale_free_graph(n: int, rng: random.Random, *, attach: int = 2):
         targets = set()
         want = min(attach, new)
         while len(targets) < want:
-            targets.add(endpoints[rng.randrange(len(endpoints))])
+            targets.add(endpoints[randbelow(rng, len(endpoints))])
         for target in targets:
             edges.append((target, new))
             endpoints.append(target)
@@ -286,19 +286,19 @@ def _clustered_graph(
     for group in members:
         # Intra-cluster recursive tree plus densifying extras.
         for pos in range(1, len(group)):
-            edges.append((group[rng.randrange(pos)], group[pos]))
+            edges.append((group[randbelow(rng, pos)], group[pos]))
         extra = max(0, len(group) * degree // 2 - max(0, len(group) - 1))
         for _ in range(extra):
-            u = group[rng.randrange(len(group))]
-            v = group[rng.randrange(len(group))]
+            u = group[randbelow(rng, len(group))]
+            v = group[randbelow(rng, len(group))]
             if u != v:
                 edges.append((u, v))
     # One bridge between each pair of adjacent clusters keeps the graph
     # connected while leaving inter-cluster capacity thin.
     for left in range(clusters - 1):
         if members[left] and members[left + 1]:
-            u = members[left][rng.randrange(len(members[left]))]
-            v = members[left + 1][rng.randrange(len(members[left + 1]))]
+            u = members[left][randbelow(rng, len(members[left]))]
+            v = members[left + 1][randbelow(rng, len(members[left + 1]))]
             edges.append((u, v))
     return _normalize("clustered", n, edges, community=community)
 

@@ -43,6 +43,10 @@ MOTIVATION = [
     ("random_overlay", "params.initial_fraction_hi", 2),
     ("random_overlay", "params.num_peers", "abc"),
     ("multi_sender_transfer", "params.correlation", "abc"),
+    # An int no float can hold passed as finite, then overflowed in build.
+    ("asymmetric_bandwidth", "swarm.target", 10**400),
+    ("asymmetric_bandwidth", "swarm.reconfigure_every", 10**400),
+    ("asymmetric_bandwidth", "strategy.bloom_bits_per_element", 10**400),
 ]
 
 #: The class each non-params path lands in, for the constructor route.
@@ -55,7 +59,8 @@ SECTION_CLASSES = {
 
 
 def _case_id(case):
-    return f"{case[1]}={case[2]!r}"
+    value = case[2]
+    return f"{case[1]}={'10**400' if value == 10**400 else repr(value)}"
 
 
 def _refused(call):
@@ -173,7 +178,10 @@ class TestOneMessageFormat:
 
 
 class TestNonFiniteScalars:
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, 10**400],
+        ids=["nan", "inf", "-inf", "int-too-large-for-a-float"],
+    )
     def test_params_and_grid_values_refuse_them(self, value):
         with pytest.raises(SpecError, match="finite JSON scalar"):
             ExperimentSpec(scenario="x", params={"a": value})

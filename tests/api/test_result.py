@@ -217,6 +217,26 @@ class TestValidateResultDict:
                 "node_sessions",
                 id="node-session-not-an-object",
             ),
+            # An int no float can hold (json.loads reads one) was a
+            # finite number until the first mean of it overflowed.
+            pytest.param(
+                lambda d: d["metrics"].update(overhead=10**400),
+                "metric 'overhead' must be finite",
+                id="metric-int-too-large-for-a-float",
+            ),
+            pytest.param(
+                lambda d: d.update(series=[["n0", "known", 10**400, 1]]),
+                "series",
+                id="series-time-int-too-large-for-a-float",
+            ),
+            pytest.param(
+                lambda d: (
+                    d.update(scenario="no_such_scenario"),
+                    d["spec"].update(scenario="no_such_scenario"),
+                ),
+                "unknown scenario 'no_such_scenario'",
+                id="scenario-not-registered",
+            ),
         ],
     )
     def test_a_result_that_contradicts_itself_is_refused(self, mutate, message):

@@ -13,6 +13,7 @@ import random
 import pytest
 
 from repro.flow.engine import CohortDef, FlowSimulator
+from repro.overlay import reconfiguration
 from repro.overlay.node import OverlayNode
 from repro.overlay.reconfiguration import (
     EpochTable,
@@ -25,8 +26,8 @@ from repro.overlay.simulator import OverlaySimulator
 
 
 class CountingRandom(random.Random):
-    """Reports each ``sample`` over overlay nodes (an epoch's candidate
-    scan) to ``on_scan`` and counts the raw draws made outside them."""
+    """Counts the raw draws made outside the epoch's candidate scans;
+    ``on_scan`` hears of each scan (see :func:`_hook_scans`)."""
 
     def __init__(self, seed):
         super().__init__(seed)
@@ -41,15 +42,23 @@ class CountingRandom(random.Random):
         self.draws += 1
         return super().getrandbits(k)
 
-    def sample(self, population, k, **kwargs):
-        if not isinstance(population[0], OverlayNode):
-            return super().sample(population, k, **kwargs)
-        self.on_scan()
-        draws = self.draws
+
+def _hook_scans(monkeypatch, rng):
+    """Report each draw over overlay nodes by ``run_epoch``'s ``sample``
+    (an epoch's candidate scan) to ``rng.on_scan``, uncounted."""
+    draw = reconfiguration.sample
+
+    def scan(r, population, k):
+        if r is not rng or not isinstance(population[0], OverlayNode):
+            return draw(r, population, k)
+        rng.on_scan()
+        draws = rng.draws
         try:
-            return super().sample(population, k, **kwargs)
+            return draw(r, population, k)
         finally:
-            self.draws = draws
+            rng.draws = draws
+
+    monkeypatch.setattr(reconfiguration, "sample", scan)
 
 
 class SwapOldest:
@@ -108,8 +117,11 @@ def _flow_engine(rng, policy):
 
 
 @pytest.mark.parametrize("engine", [_packet_engine, _flow_engine])
-def test_each_decision_is_applied_before_the_next_receiver_samples(engine):
+def test_each_decision_is_applied_before_the_next_receiver_samples(
+    engine, monkeypatch
+):
     rng = CountingRandom(5)
+    _hook_scans(monkeypatch, rng)
     policy = SwapOldest()
     reconfigure, topology = engine(rng, policy)
     # What each receiver's candidate scan finds: the topology, the

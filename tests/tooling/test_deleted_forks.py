@@ -107,6 +107,11 @@ GUARDS = [
      ["src"], ["src/repro/coding/recode.py"], matches=1),
     Guard(35, "a policy's own calling card (the one is CALLING_CARD)",
      r"card_kind|card_params|build_card", ["src"]),
+    Guard(36, "an RNG draw beside repro.seeding's (sample, shuffle, randbelow, choice)",
+     r"rng\.(sample|shuffle|randrange|randint|choice)\(", ["src"],
+     ["src/repro/seeding.py"]),
+    Guard(36, "bloom_index_rows (nothing called it; bloom_index_matrix is the kernel)",
+     r"bloom_index_rows", ["src", "tests", "bench", "examples"], [THIS_FILE]),
 ]
 
 #: Deleted files and directories.
