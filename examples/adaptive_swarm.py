@@ -3,9 +3,11 @@
 
 Demonstrates the two extension layers built on the paper's machinery:
 
-* **Churn survival** (Section 2.1): peers leave and rejoin mid-transfer;
-  because content is fountain-encoded, a rejoining peer's working set is
-  still valid and no connection state needs recovery.
+* **Churn survival** (Section 2.1): the only source leaves mid-transfer,
+  and a wave of empty peers joins a running swarm (``ChurnSpec``'s
+  ``depart_node`` and ``join_waves``); because content is
+  fountain-encoded, what every peer already holds stays valid and the
+  swarm finishes among itself.
 * **Non-local orchestration** (Section 3): before connecting, a receiver
   compares *all* candidate calling cards, rejects identical-content
   peers, greedily picks the most complementary set of senders, and
@@ -23,19 +25,8 @@ from repro.delivery.orchestrator import (
     select_senders,
     split_demand,
 )
-from repro.overlay import (
-    ChurnProcess,
-    OverlayNode,
-    OverlaySimulator,
-    SketchAdmission,
-    UtilityRewiring,
-    default_scheme,
-    run_with_churn,
-)
+from repro.api import run, specs
 from repro.reconcile import CALLING_CARD
-
-TARGET = 250
-NUM_PEERS = 10
 
 
 def demo_orchestration(rng):
@@ -70,47 +61,36 @@ def demo_orchestration(rng):
     print(f"demand split (300):   {demand}\n")
 
 
-def demo_churn(rng):
+def demo_churn():
     print("=" * 64)
     print("2. Swarm survives churn")
     print("=" * 64)
-    scheme = default_scheme()
-    sim = OverlaySimulator(
-        admission=SketchAdmission(scheme),
-        rewiring=UtilityRewiring(scheme, rng=rng),
-        strategy_name="Recode/BF",
-        rng=rng,
-    )
-    sim.add_node(OverlayNode("origin", TARGET, is_source=True))
-    for i in range(NUM_PEERS):
-        held = rng.sample(range(int(TARGET * 1.2)), rng.randrange(0, TARGET // 2))
-        sim.add_node(OverlayNode(f"peer{i}", TARGET, initial_ids=held,
-                                 max_connections=3))
-        sim.connect("origin", f"peer{i}")
-    churn = ChurnProcess(
-        sim, leave_probability=0.04, rejoin_after=25, rng=rng
-    )
-    report = run_with_churn(sim, churn, max_ticks=8_000)
-    print(f"completed: {report.all_complete} in {report.ticks} ticks")
-    print(f"departures: {len(churn.log.departures)}, "
-          f"rejoins: {len(churn.log.rejoins)}, "
-          f"rewirings: {report.reconfigurations}")
+    # ChurnSpec.depart_node: the only source leaves mid-transfer.
+    departure = run(specs.source_departure())
+    report = departure.report
+    print(f"source departure: completed={departure.completed} "
+          f"in {report.ticks} ticks, rewirings: {report.reconfigurations}")
+    for event in departure.events:
+        print(f"  {event}")
     finish = [t for t in report.completion_ticks.values() if t is not None]
     print(f"completion spread: first {min(finish)}, last {max(finish)} ticks")
-    churned = {n for _, n in churn.log.departures}
-    print(f"peers that churned and still finished: "
-          f"{sorted(n for n in churned if report.completion_ticks.get(n))}")
-    return report.all_complete
+    # ChurnSpec.join_waves: empty latecomers join a running mirror swarm,
+    # under static, random and informed rewiring.
+    waves = run(specs.adaptive_overlay())
+    print(f"join wave: completed={waves.completed}")
+    for arm in ("static", "random", "informed"):
+        print(f"  {arm:8s} ticks={waves.metrics[f'ticks[{arm}]']:.0f} "
+              f"rewirings={waves.metrics[f'reconfigurations[{arm}]']:.0f}")
+    return departure.completed and waves.completed
 
 
 def main():
     rng = random.Random(42)
     demo_orchestration(rng)
-    ok = demo_churn(rng)
-    if not ok:
+    if not demo_churn():
         print("swarm failed to complete")
         return 1
-    print("\nEvery peer — including those that left and rejoined — "
+    print("\nEvery peer — after the source left, and every latecomer — "
           "recovered the file ✓")
     return 0
 

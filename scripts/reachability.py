@@ -1,0 +1,391 @@
+#!/usr/bin/env python3
+"""Which functions under ``src/repro`` the smoke runs never call.
+
+A ``sys.settrace`` / ``threading.settrace`` hook sees call events only
+(it returns ``None``, so no line is traced) and records every code
+object that runs while :func:`drive` mirrors CI's smoke steps in this
+one process: every registered scenario's miniature spec, each
+miniature campaign grid at one worker, the claims printer at
+``--fast``, the four bench workloads at smoke scale and the CLI calls
+CI makes.  An ``ast`` walk then lists every ``def`` under
+``src/repro`` (module level and class bodies; nested functions and
+lambdas are not counted).  A def is reached when its ``def`` line or
+its first decorator's line was hit; its span runs from that first line
+to its last, docstring included.
+
+Usage::
+
+    PYTHONPATH=src python scripts/reachability.py          # report
+    PYTHONPATH=src python scripts/reachability.py --check  # the CI gate
+
+``--check`` exits 1 when an unreached function matches no row of
+:data:`ALLOWED`, or when a row excuses nothing on its own (every
+function it matches is reached or matched by another row too), so a
+row that stops earning its place must go.  Code nothing runs is
+deleted, not listed.  One process, well under a minute.
+"""
+
+import argparse
+import ast
+import contextlib
+import fnmatch
+import io
+import json
+import os
+import runpy
+import sys
+import tempfile
+import threading
+from pathlib import Path
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Set, Tuple
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+PACKAGE = SRC / "repro"
+
+
+class Allow(NamedTuple):
+    """An unreached function that stays, and why."""
+
+    module: str  # glob over dotted module names, e.g. ``repro.sim.*``
+    name: str  # glob over qualified names, e.g. ``*.to_payload``
+    reason: str
+
+
+#: What stays although no smoke step runs it.  At most 30 rows; each
+#: must excuse at least one function no other row does.
+ALLOWED: Sequence[Allow] = (
+    Allow("repro", "*",
+          "the package root's lazy names and quickstart tour, for users "
+          "who import repro directly"),
+    Allow("repro.*", "*.__repr__", "debug aids"),
+    Allow("repro.analysis.coupon", "expected_random_strategy_overhead",
+          "test oracle: the coupon-collector bound Random is held to"),
+    Allow("repro.api.spec", "*Spec.*",
+          "the README-documented with_* builders and summary accessor, and "
+          "ParamsSpec.param, the spec's params reader"),
+    Allow("repro.api.result", "RunResult.overhead",
+          "result accessor the examples and README read"),
+    Allow("repro.art.*", "*.*",
+          "trie diagnostics (depth, node_count, size_bytes) and the "
+          "TreeSummary protocol stubs"),
+    Allow("repro.campaign.*", "*",
+          "_error_text, which names a worker the OS killed (no smoke run "
+          "kills one), and CampaignSpec.from_json, which bench/phases.py's "
+          "spec round-trip probe calls (files load through read_json)"),
+    Allow("repro.coding.*", "*.*",
+          "PeelingDecoder's README-documented counters and content, its "
+          "bench-probed add_symbols, and the degree, peeler and packet "
+          "accessors tests read"),
+    Allow("repro.delivery.*", "*.*",
+          "the SenderStrategy interface stubs, the receiver's O(n) "
+          "accessors, WorkingSet's set protocol and summary(), and the "
+          "resemblance_with test oracle"),
+    Allow("repro.experiments.*", "*",
+          "figure helpers tests and the README use (best_leaf_split, "
+          "series_by_strategy)"),
+    Allow("repro.filters.bloom", "BloomFilter.*",
+          "the Bloom primitive's incremental add / update, fill ratio and "
+          "union, which the filter tests hold to the paper's analysis"),
+    Allow("repro.flow.*", "*",
+          "the demand model's refusal of a bad apportion and "
+          "FlowReport.efficiency, which the flow tests read"),
+    Allow("repro.hashing.batch", "*",
+          "the bench-probed one-list minima kernels and their key-range "
+          "refusal"),
+    Allow("repro.hashing.permutations", "*.*",
+          "invert, a test oracle, and family indexing"),
+    Allow("repro.overlay.reconfiguration", "*Policy.*",
+          "the admission and rewiring interface stubs"),
+    Allow("repro.overlay.catalog", "*.*",
+          "CatalogScheme's value equality and ObjectCatalog.target_ids, "
+          "which the catalog tests read"),
+    Allow("repro.protocol.*", "*",
+          "ROADMAP item 13's session summary path and item 15's message "
+          "wire surface (pack / unpack_*): no scenario sends from a "
+          "partial sender"),
+    Allow("repro.reconcile.adapters", "*.*",
+          "the Summary protocol the conformance suite runs for every kind, "
+          "and item 15's to_payload / from_payload, whose round trip "
+          "bench/probes.py times"),
+    Allow("repro.reconcile.base", "*",
+          "the Summary protocol's defaults and item 15's hex and int "
+          "payload helpers"),
+    Allow("repro.reconcile.policy", "SummaryPolicy.*",
+          "value hashing and the one-off build the policy tests read"),
+    Allow("repro.reconcile.registry", "summary_from_payload",
+          "item 15's wire surface: a payload back to its kind"),
+    Allow("repro.seeding", "default_rng",
+          "the rng=None fallback; every smoke run seeds explicitly"),
+    Allow("repro.sim.engine", "*",
+          "the stalled-clock refusal and the scheduler's pending / clear"),
+    Allow("repro.sim.links", "*.*",
+          "the LinkModel interface stubs, the README-documented "
+          "LatencyJitterLink, the Gilbert-Elliott stationary and empirical "
+          "rates (test oracles) and its burst-end bookkeeping, which no "
+          "miniature run lasts long enough to reach"),
+    Allow("repro.sim.s*", "*.*",
+          "ScheduledSession.duration and StatsRecorder.last, read by tests "
+          "and examples"),
+    Allow("repro.sketches.minwise", "MinwiseSketch.*",
+          "the min-wise primitive's bench-probed build_vectorized and the "
+          "accessors its tests read"),
+    Allow("repro.topology.generators", "*",
+          "the spec-selectable ring, clustered and random generators "
+          "(ROADMAP item 5e) and the is_connected test oracle"),
+    Allow("repro.topology.paths", "PathModel.*",
+          "the README-documented links / shared_links / degrade_link"),
+    Allow("repro.transport.*", "*",
+          "the policy listing unknown-kind errors print, RtxManager.inflight "
+          "and BottleneckLink.capacity_between (the inner link owns the "
+          "budget)"),
+)
+
+
+class Function(NamedTuple):
+    module: str
+    qualname: str
+    path: str
+    first: int  # first decorator's line, else the def line
+    def_line: int
+    last: int
+
+    @property
+    def lines(self) -> int:
+        return self.last - self.first + 1
+
+
+def _module_name(path: Path) -> str:
+    parts = list(path.relative_to(SRC).with_suffix("").parts)
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(parts)
+
+
+def functions() -> List[Function]:
+    """Every module-level and class-body ``def`` under ``src/repro``."""
+    found = []
+
+    def walk(body, module, path, prefix):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                walk(node.body, module, path, f"{prefix}{node.name}.")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = node.decorator_list[0].lineno if node.decorator_list else node.lineno
+                found.append(Function(
+                    module, prefix + node.name, path, first, node.lineno, node.end_lineno,
+                ))
+
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        walk(tree.body, _module_name(path), str(path), "")
+    return found
+
+
+def matching_rows(fn: Function) -> List[int]:
+    return [
+        i for i, row in enumerate(ALLOWED)
+        if fnmatch.fnmatchcase(fn.module, row.module)
+        and fnmatch.fnmatchcase(fn.qualname, row.name)
+    ]
+
+
+@contextlib.contextmanager
+def traced() -> Iterator[Set[Tuple[str, int]]]:
+    """Collect ``(co_filename, co_firstlineno)`` of every call made."""
+    hits: Set[Tuple[str, int]] = set()
+
+    def hook(frame, event, arg):
+        code = frame.f_code
+        hits.add((code.co_filename, code.co_firstlineno))
+        return None
+
+    threading.settrace(hook)
+    sys.settrace(hook)
+    try:
+        yield hits
+    finally:
+        sys.settrace(None)
+        threading.settrace(None)
+
+
+def _cli(argv: Sequence[str], expect: Sequence[int] = (0,)) -> None:
+    from repro.api.__main__ import main
+
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            status = main(list(argv))
+        except SystemExit as exc:  # argparse usage errors
+            status = exc.code
+    if status not in expect:
+        raise AssertionError(f"{argv}: exit {status}, expected {expect}\n{sink.getvalue()}")
+
+
+def _load_campaign(path: str) -> None:
+    from repro.campaign import CampaignResult
+
+    with open(path, encoding="utf-8") as fh:
+        CampaignResult.from_dict(json.load(fh))
+
+
+def drive(tmp: str) -> None:
+    """CI's smoke steps, in this process."""
+    from repro.api import registry, run, specs
+    from repro.api.result import validate_result_dict
+    from repro.campaign import run_campaign, small_campaign
+    from repro.delivery.strategies import STRATEGY_NAMES
+    from repro.reconcile import summary_kinds
+
+    names = registry.names()
+    for name, spec in registry.small_specs().items():
+        run(spec.with_override("measurement.record_series", True))
+        if registry.small_grid(name):
+            run_campaign(small_campaign(name), workers=1)
+    run(registry.small_spec("population_flash_crowd")
+        .with_override("measurement.fidelity", "packet"))
+    for strategy in STRATEGY_NAMES:
+        run(specs.pair_transfer(target=120, strategy_name=strategy))
+    # The claims printer: evaluate("fast") and one line per row.
+    printer = runpy.run_path(str(ROOT / "examples" / "reproduce_paper.py"))
+    with contextlib.redirect_stdout(io.StringIO()):
+        printer["main"](["--fast", "--workers", "1"])
+
+    sys.path.insert(0, str(ROOT))
+    from bench import workloads
+
+    for workload in workloads.WORKLOADS:
+        inp = workloads.make_input(workload, 1, scale="smoke")
+        prepared = workloads.prepare(workload, inp)
+        if workload.kind == "campaign":
+            run_campaign(inp, workers=1, out_dir=os.path.join(tmp, workload.name))
+        else:
+            prepared.run()
+
+    _cli(["--list"])
+    _cli(["--scenario", "flash_crowd", "--print-spec"])
+    for name in names:
+        out = os.path.join(tmp, f"{name}.json")
+        _cli(["--scenario", name, "--series", "--out", out], expect=(0, 1))
+        with open(out, encoding="utf-8") as fh:
+            validate_result_dict(json.load(fh))
+    for kind in summary_kinds():
+        _cli(["--scenario", "pair_transfer", "--summary", kind])
+    _cli(["--scenario", "flash_crowd", "--reconfig", "informed:summary=bloom,scan_budget=8"])
+    _cli(["--scenario", "flash_crowd", "--transport",
+          "aimd:beta=0.7,bottleneck_rate=8,bottleneck_buffer=16"])
+    _cli(["--scenario", "population_flash_crowd", "--fidelity", "packet"])
+    _cli(["--scenario", "scale_free_swarm", "--topology", "scale_free:attach=1"])
+    _cli(["--scenario", "cdn_catalog", "--catalog", "objects=3,zipf_skew=1.2,priority_tiers=2"])
+
+    spec_file = os.path.join(tmp, "spec.json")
+    result_file = os.path.join(tmp, "result.json")
+    Path(spec_file).write_text(registry.small_spec("pair_transfer").to_json())
+    _cli(["--spec", spec_file, "--out", result_file])
+    with open(result_file, encoding="utf-8") as fh:
+        validate_result_dict(json.load(fh))
+
+    campaign_file = os.path.join(tmp, "campaign.json")
+    campaign_dir = os.path.join(tmp, "campaign-out")
+    Path(campaign_file).write_text(small_campaign("pair_transfer").to_json())
+    _cli(["--campaign", campaign_file, "--out", campaign_dir])
+    _load_campaign(os.path.join(campaign_dir, "campaign.json"))
+    _cli(["--campaign", campaign_file, "--out", campaign_dir, "--resume"])
+    _load_campaign(os.path.join(campaign_dir, "campaign.json"))
+    for name in ("adaptive_overlay", "population_flash_crowd"):
+        out = os.path.join(tmp, f"{name}-campaign")
+        _cli(["--campaign-scenario", name, "--out", out])
+        _load_campaign(os.path.join(out, "campaign.json"))
+
+    # CI's refusals: each is a usage or spec error, exit 2.
+    bad_campaign = os.path.join(tmp, "bad-campaign.json")
+    Path(bad_campaign).write_text('{"grid": "not-a-grid"}')
+    for argv in (
+        ["--campaign-scenario", "flash_crowd"],
+        ["--scenario", "pair_transfer", "--transport", "open_loop"],
+        ["--scenario", "pair_transfer", "--topology", "ring"],
+        ["--scenario", "flash_crowd", "--catalog", "objects=2"],
+        ["--scenario", "scale_free_swarm", "--topology", "nosuch"],
+        ["--scenario", "flash_crowd", "--reconfig", "informed:interval=true"],
+        ["--scenario", "cdn_catalog", "--catalog", "zipf_skew=Infinity"],
+        ["--scenario", "flash_crowd", "--reconfig", "informed:scan_budget=-1"],
+        ["--scenario", "pair_transfer", "--reconfig", "informed"],
+        ["--scenario", "population_flash_crowd", "--fidelity", "warp"],
+        ["--scenario", "nosuch"],
+        ["--scenario", "pair_transfer", "--summary", "nosuch"],
+        ["--campaign", bad_campaign],
+    ):
+        _cli(argv, expect=(2,))
+
+
+def unreached(hits: Set[Tuple[str, int]]) -> List[Function]:
+    # Compare real paths: a code object's filename is whatever sys.path
+    # entry imported it, which need not be this file's resolved ROOT.
+    real = {name: os.path.realpath(name) for name in {name for name, _ in hits}}
+    hit = {(real[name], line) for name, line in hits}
+    return [
+        fn for fn in functions()
+        if (os.path.realpath(fn.path), fn.first) not in hit
+        and (os.path.realpath(fn.path), fn.def_line) not in hit
+    ]
+
+
+def report(missed: Sequence[Function], out=sys.stdout) -> None:
+    by_module: Dict[str, List[Function]] = {}
+    for fn in missed:
+        by_module.setdefault(fn.module, []).append(fn)
+    for module, fns in by_module.items():
+        print(f"{module}  ({sum(fn.lines for fn in fns)} lines)", file=out)
+        for fn in fns:
+            tag = "  [allowed]" if matching_rows(fn) else ""
+            print(f"    {fn.first}-{fn.last}  {fn.qualname}{tag}", file=out)
+    print(
+        f"unreached: {sum(fn.lines for fn in missed)} lines in {len(missed)} functions",
+        file=out,
+    )
+
+
+def check(missed: Sequence[Function], out=sys.stderr) -> List[str]:
+    """Every finding that fails the gate (empty: it passes)."""
+    findings = []
+    sole: Dict[int, int] = {}
+    for fn in missed:
+        rows = matching_rows(fn)
+        if not rows:
+            findings.append(
+                f"{fn.module}:{fn.first} {fn.qualname} is unreached and not "
+                "allowed: delete it, or run it from a smoke step"
+            )
+        elif len(rows) == 1:
+            sole[rows[0]] = sole.get(rows[0], 0) + 1
+    for i, row in enumerate(ALLOWED):
+        if i not in sole:
+            findings.append(
+                f"ALLOWED[{i}] ({row.module} {row.name}) excuses no unreached "
+                "function on its own: remove the row"
+            )
+    for finding in findings:
+        print(finding, file=out)
+    return findings
+
+
+def main(argv: Sequence[str] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--check", action="store_true",
+        help="exit 1 on an unlisted unreached function or a row that excuses nothing",
+    )
+    args = parser.parse_args(argv)
+    if str(SRC) not in sys.path:
+        sys.path.insert(0, str(SRC))
+    with tempfile.TemporaryDirectory() as tmp, traced() as hits:
+        drive(tmp)
+    missed = unreached(hits)
+    report(missed)
+    if args.check:
+        return 1 if check(missed) else 0
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

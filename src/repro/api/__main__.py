@@ -48,6 +48,7 @@ from repro.api.spec import (
     component_def,
     contract,
     nested_specs,
+    read_json,
 )
 from repro.reconcile import SummaryError
 
@@ -68,10 +69,15 @@ def _parse_kv_params(tail: str, flag: str) -> dict:
                 raise SpecError(
                     f"{flag} parameter {item!r} is not of the form param=val"
                 )
+            value = value.strip()
             try:
-                params[key] = json.loads(value.strip())
-            except json.JSONDecodeError:
-                params[key] = value.strip()
+                params[key] = read_json(f"{flag} parameter {key!r}", value)
+            except SpecError as exc:
+                # Not JSON at all: the bare word is the value.  Anything
+                # else (nesting past the parser's limit) is refused.
+                if not isinstance(exc.__cause__, json.JSONDecodeError):
+                    raise
+                params[key] = value
     return params
 
 
@@ -137,8 +143,7 @@ _COMPONENT_EXAMPLES = {
         "'informed:summary=bloom,summary.bits_per_element=8,scan_budget=16'"
     ),
     "transport": (
-        "'open_loop', 'aimd:beta=0.7,bottleneck_rate=12,bottleneck_buffer=32', "
-        "'bbr_lite:probe_gain=1.5'"
+        "'open_loop', 'aimd:beta=0.7,bottleneck_rate=12,bottleneck_buffer=32'"
     ),
     "topology": (
         "'scale_free:attach=2', 'cdn_tiers:tiers=3,fanout=4', 'ring' "
@@ -264,11 +269,7 @@ def _apply_overrides(spec: ExperimentSpec, args: argparse.Namespace) -> Experime
 
 def _load_spec(args: argparse.Namespace) -> ExperimentSpec:
     if args.spec:
-        try:
-            with open(args.spec, "r", encoding="utf-8") as fh:
-                spec = ExperimentSpec.from_json(fh.read())
-        except OSError as exc:
-            raise SpecError(f"cannot read spec file {args.spec!r}: {exc}") from exc
+        spec = ExperimentSpec.from_dict(read_json("spec", path=args.spec))
     else:
         spec = registry.small_spec(args.scenario)
     return _apply_overrides(spec, args)

@@ -41,6 +41,30 @@ def _require(condition: bool, message: str) -> None:
         raise SpecError(message)
 
 
+def read_json(what: str, text: Optional[str] = None, path: Optional[str] = None) -> Any:
+    """Parse untrusted JSON ``text``, or the UTF-8 file at ``path``.
+
+    Every way such input can fail — an unreadable file, bytes that are
+    not UTF-8, text that is not JSON, nesting deeper than the parser's
+    recursion limit — is a :class:`SpecError` naming ``what``.  A
+    syntax error is chained as the cause; callers that accept a bare
+    word (CLI params) read that to tell it from the other failures.
+    """
+    try:
+        if path is not None:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        return json.loads(text)
+    except OSError as exc:
+        raise SpecError(f"cannot read {what} file {path!r}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise SpecError(f"{what} file {path!r} is not UTF-8 text: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise SpecError(f"{what} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise SpecError(f"{what} nests deeper than the JSON parser allows") from None
+
+
 @dataclass(frozen=True)
 class Bound:
     """What one spec value may hold besides its type.
@@ -481,11 +505,11 @@ class TransportSpec(ParamsSpec):
     """Sender-side transport selection: congestion control and queues.
 
     ``policy`` names a registered :class:`~repro.transport.policies.
-    TransportPolicy` kind (``"open_loop"``, ``"aimd"``,
-    ``"bbr_lite"``); ``params`` holds that policy's scalar constructor
-    parameters, stored as sorted pairs so the spec stays hashable
-    (read with :meth:`param`).  A spec that validates always builds —
-    the policy is instantiated once during validation.
+    TransportPolicy` kind (``"open_loop"``, ``"aimd"``); ``params``
+    holds that policy's scalar constructor parameters, stored as sorted
+    pairs so the spec stays hashable (read with :meth:`param`).  A spec
+    that validates always builds — the policy is instantiated once
+    during validation.
 
     ``bottleneck_rate`` > 0 routes every connection's packets through
     one shared :class:`~repro.transport.queue.BottleneckQueue` (fluid
@@ -826,11 +850,7 @@ class ExperimentSpec(ParamsSpec):
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"spec is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(read_json("spec", text))
 
 
 @dataclass(frozen=True)
@@ -1018,6 +1038,7 @@ WAVE_PROFILES = bound_of(PopulationSpec, "wave_profile").choices
 
 __all__ = [
     "SpecError",
+    "read_json",
     "Bound",
     "bounded",
     "check_value",

@@ -33,7 +33,7 @@ from typing import IO, Any, Callable, Dict, List, Optional, Tuple
 from repro.api.output import prepare_out_file
 from repro.api.result import ResultSchemaError
 from repro.api.runner import run_spec_json
-from repro.api.spec import Bound, SpecError, _require, check_value
+from repro.api.spec import Bound, SpecError, _require, check_value, read_json
 from repro.campaign.aggregate import CampaignResult, CellOutcome
 from repro.campaign.expander import CampaignCell, expand
 from repro.campaign.spec import CampaignSpec
@@ -100,9 +100,8 @@ def _load_cached_cell(out_dir: str, cell: CampaignCell) -> Optional[CellOutcome]
     if not os.path.exists(path):
         return None
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            outcome = CellOutcome.from_dict(json.load(fh))
-    except (OSError, json.JSONDecodeError, ResultSchemaError):
+        outcome = CellOutcome.from_dict(read_json("campaign cell", path=path))
+    except (SpecError, ResultSchemaError):
         return None
     if outcome.cell_id != cell.cell_id or outcome.index != cell.index:
         return None

@@ -16,7 +16,7 @@ as a failed cell.
 import hashlib
 from dataclasses import dataclass
 from itertools import product
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.api.spec import ExperimentSpec, SpecError
 from repro.campaign.spec import CampaignSpec
@@ -43,9 +43,6 @@ class CampaignCell:
     seed: int
     spec: Optional[ExperimentSpec] = None
     error: Optional[str] = None
-
-    def overrides_dict(self) -> Dict[str, Any]:
-        return dict(self.overrides)
 
 
 def _cell_digest(

@@ -18,7 +18,14 @@ from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.api import registry
-from repro.api.spec import CheckedSpec, ExperimentSpec, SpecError, _require, bounded
+from repro.api.spec import (
+    CheckedSpec,
+    ExperimentSpec,
+    SpecError,
+    _require,
+    bounded,
+    read_json,
+)
 
 #: Schema tag stamped into every serialised campaign spec.
 CAMPAIGN_SPEC_SCHEMA = "repro.campaign_spec/1"
@@ -160,11 +167,7 @@ class CampaignSpec(CheckedSpec):
 
     @classmethod
     def from_json(cls, text: str) -> "CampaignSpec":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"campaign spec is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(read_json("campaign spec", text))
 
 
 def _grid_list(data: Mapping[str, Any]) -> List[Mapping[str, Any]]:
@@ -227,12 +230,7 @@ def small_campaign(
 
 def campaign_spec_from_file(path: str) -> CampaignSpec:
     """Load a campaign spec from a JSON file (:class:`SpecError` on failure)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise SpecError(f"cannot read campaign spec file {path!r}: {exc}") from exc
-    return CampaignSpec.from_json(text)
+    return CampaignSpec.from_dict(read_json("campaign spec", path=path))
 
 
 __all__ = [

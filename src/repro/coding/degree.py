@@ -165,10 +165,6 @@ class DegreeDistribution:
         """Draw one degree."""
         return self.degrees[bisect.bisect_left(self._cumulative, rng.random())]
 
-    def sample_many(self, count: int, rng: random.Random) -> List[int]:
-        """Draw ``count`` degrees (convenience for tests and stats)."""
-        return [self.sample(rng) for _ in range(count)]
-
     def mean(self) -> float:
         """Average degree — proportional to encode/decode cost (§5.4.1)."""
         return math.fsum(d * p for d, p in zip(self.degrees, self.probabilities))

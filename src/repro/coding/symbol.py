@@ -64,15 +64,6 @@ class EncodedSymbol:
         """Number of source blocks blended in (encode cost ∝ degree)."""
         return len(self.source_indices)
 
-    def header_bytes(self, id_bits: int = 64) -> int:
-        """Wire overhead of the composition metadata.
-
-        Section 6.1 uses 64-bit degree-sequence representations; we model
-        the header as the symbol id (seed for the neighbour PRNG) rather
-        than an explicit index list, matching practical fountain codecs.
-        """
-        return id_bits // 8
-
     def __post_init__(self):
         if not self.source_indices:
             raise ValueError("an encoded symbol must cover >= 1 source block")

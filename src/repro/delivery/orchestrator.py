@@ -48,18 +48,12 @@ class SelectionResult:
     estimated_gains: Dict[str, float] = field(default_factory=dict)
 
 
-def estimated_union_size(
-    card_a: Any, size_a: float, card_b: Any, size_b: float
-) -> float:
-    """``|A ∪ B|`` from two cards and their set sizes.
+def _union_size(size_a: float, size_b: float, r: float) -> float:
+    """``|A ∪ B|`` from the two set sizes and their resemblance ``r``.
 
     From ``r = |A ∩ B| / |A ∪ B|`` and ``|A| + |B| = |A ∪ B| + |A ∩ B|``:
     ``|A ∪ B| = (|A| + |B|) / (1 + r)``.
     """
-    return _union_size(size_a, size_b, card_a.estimate_resemblance(card_b))
-
-
-def _union_size(size_a: float, size_b: float, r: float) -> float:
     return (size_a + size_b) / (1.0 + r)
 
 

@@ -21,11 +21,8 @@ from repro.experiments.fig4 import (
 from repro.experiments.fig5678 import (
     DeliveryPoint,
     fig5_campaigns,
-    fig5_spec,
     fig6_campaigns,
-    fig6_spec,
     fig78_campaigns,
-    fig78_spec,
     run_fig5,
     run_fig6,
     run_fig78,
@@ -40,11 +37,8 @@ __all__ = [
     "run_fig4c",
     "DeliveryPoint",
     "fig5_campaigns",
-    "fig5_spec",
     "fig6_campaigns",
-    "fig6_spec",
     "fig78_campaigns",
-    "fig78_spec",
     "run_fig5",
     "run_fig6",
     "run_fig78",

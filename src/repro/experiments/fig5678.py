@@ -9,8 +9,8 @@ processes; a figure's campaign can be recovered with
 :func:`fig78_campaigns`, serialised with ``campaign.to_json()``, and
 replayed bit-identically anywhere (per-cell seeds derive from the
 sweep seed via :func:`repro.seeding.derive_seed`, never Python's
-randomised ``hash()``).  Single points remain constructible with
-:func:`fig5_spec` / :func:`fig6_spec` / :func:`fig78_spec`.
+randomised ``hash()``).  A single point is the campaign's base spec
+with the cell's correlation, strategy and seed set.
 
 Shared conventions (Section 6.3):
 
@@ -78,54 +78,6 @@ def _correlations(multiplier: float, count: int) -> List[float]:
 
 def _scenario_name(multiplier: float) -> str:
     return "compact" if multiplier <= 1.2 else "stretched"
-
-
-def fig5_spec(
-    target: int, multiplier: float, correlation: float, strategy: str, seed: int
-) -> ExperimentSpec:
-    """The spec behind one Figure 5 point (overhead, single sender)."""
-    return specs.pair_transfer(
-        target=target,
-        multiplier=multiplier,
-        correlation=correlation,
-        strategy_name=strategy,
-        seed=seed,
-    )
-
-
-def fig6_spec(
-    target: int, multiplier: float, correlation: float, strategy: str, seed: int
-) -> ExperimentSpec:
-    """The spec behind one Figure 6 point (partial + full sender)."""
-    return specs.pair_transfer(
-        target=target,
-        multiplier=multiplier,
-        correlation=correlation,
-        strategy_name=strategy,
-        seed=seed,
-        full_senders=1,
-        desired_margin=DESIRED_MARGIN,
-    )
-
-
-def fig78_spec(
-    target: int,
-    multiplier: float,
-    correlation: float,
-    strategy: str,
-    num_senders: int,
-    seed: int,
-) -> ExperimentSpec:
-    """The spec behind one Figure 7/8 point (parallel partial senders)."""
-    return specs.multi_sender_transfer(
-        target=target,
-        multiplier=multiplier,
-        correlation=correlation,
-        num_senders=num_senders,
-        strategy_name=strategy,
-        seed=seed,
-        desired_margin=DESIRED_MARGIN,
-    )
 
 
 #: The grid axes every delivery figure sweeps (x-axis and legend).

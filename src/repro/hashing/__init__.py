@@ -4,22 +4,17 @@ The paper assumes element keys "may be assumed random, since the key space
 can always be transformed by applying a (pseudo-)random hash function"
 (Section 4).  This subpackage provides that transformation layer:
 
-* :mod:`repro.hashing.mix` — deterministic 64-bit mixers (splitmix64,
-  Fibonacci multiply) used as building blocks everywhere else.
-* :mod:`repro.hashing.families` — seeded universal hash families with
-  bounded ranges, plus the double-hashing scheme used by Bloom filters.
+* :mod:`repro.hashing.mix` — the deterministic 64-bit splitmix64 mixer
+  every other hash is built on.
+* :mod:`repro.hashing.families` — the seeded double-hashing scheme used
+  by Bloom filters.
 * :mod:`repro.hashing.permutations` — linear permutations
   ``pi(x) = (a*x + b) mod U`` used by min-wise sketches (Section 4,
   Figure 2) and by the ART balancing hash (Section 5.3, Figure 3).
 """
 
-from repro.hashing.mix import fibonacci_mix, mix64, splitmix64_stream
-from repro.hashing.families import (
-    BloomHashes,
-    HashFamily,
-    UniversalHash,
-    random_hash,
-)
+from repro.hashing.mix import mix64
+from repro.hashing.families import BloomHashes
 from repro.hashing.permutations import (
     LinearPermutation,
     PermutationFamily,
@@ -28,12 +23,7 @@ from repro.hashing.permutations import (
 
 __all__ = [
     "mix64",
-    "fibonacci_mix",
-    "splitmix64_stream",
-    "HashFamily",
-    "UniversalHash",
     "BloomHashes",
-    "random_hash",
     "LinearPermutation",
     "PermutationFamily",
     "random_linear_permutation",

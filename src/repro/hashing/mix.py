@@ -1,11 +1,9 @@
-"""Deterministic 64-bit integer mixers.
+"""The deterministic 64-bit integer mixer.
 
-These are the scalar workhorses underneath every sketch and filter in the
-library.  They are pure functions of their inputs (no global state), so all
+This is the scalar workhorse underneath every sketch and filter in the
+library.  It is a pure function of its inputs (no global state), so all
 experiments are reproducible given a seed.
 """
-
-from typing import Iterator
 
 _MASK64 = (1 << 64) - 1
 
@@ -13,9 +11,6 @@ _MASK64 = (1 << 64) - 1
 _SM_GAMMA = 0x9E3779B97F4A7C15
 _SM_MUL1 = 0xBF58476D1CE4E5B9
 _SM_MUL2 = 0x94D049BB133111EB
-
-# 2^64 / phi, the Fibonacci hashing multiplier.
-_FIB_MUL = 0x9E3779B97F4A7C15
 
 
 def mix64(x: int, seed: int = 0) -> int:
@@ -36,27 +31,3 @@ def mix64(x: int, seed: int = 0) -> int:
     z = ((z ^ (z >> 30)) * _SM_MUL1) & _MASK64
     z = ((z ^ (z >> 27)) * _SM_MUL2) & _MASK64
     return z ^ (z >> 31)
-
-
-def fibonacci_mix(x: int, bits: int) -> int:
-    """Map ``x`` to a ``bits``-wide value via Fibonacci multiplicative hashing.
-
-    Cheaper than :func:`mix64`; adequate when the input is already random
-    (e.g. hashing an already-mixed key down to a Bloom filter index).
-    """
-    return ((x * _FIB_MUL) & _MASK64) >> (64 - bits)
-
-
-def splitmix64_stream(seed: int) -> Iterator[int]:
-    """Yield an endless reproducible stream of 64-bit values from ``seed``.
-
-    Used wherever the library needs "a few more seeds" without threading a
-    random.Random through every constructor.
-    """
-    state = seed & _MASK64
-    while True:
-        state = (state + _SM_GAMMA) & _MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * _SM_MUL1) & _MASK64
-        z = ((z ^ (z >> 27)) * _SM_MUL2) & _MASK64
-        yield z ^ (z >> 31)

@@ -23,8 +23,6 @@ reconfiguration when connections lose utility.
   :class:`SummaryScheme`, and :func:`run_epoch`, the one epoch loop the
   packet and the flow engine both run; :func:`default_scheme` is the
   min-wise card every node publishes when a run names no other.
-* :mod:`repro.overlay.churn` — departures, rejoins and link degradation
-  (rerouting around congested paths) driven against the simulator.
 * :mod:`repro.overlay.catalog` — multi-object catalogs over one swarm.
 
 The canned layouts (the paper's Figure 1, the randomised overlay) are
@@ -43,11 +41,8 @@ from repro.overlay.reconfiguration import (
     UtilityRewiring,
     default_scheme,
 )
-from repro.overlay.churn import ChurnProcess, run_with_churn
 
 __all__ = [
-    "ChurnProcess",
-    "run_with_churn",
     "OverlayNode",
     "Connection",
     "OverlaySimulator",

@@ -200,10 +200,6 @@ class CatalogNode(OverlayNode):
         """Distinct symbols held for object ``obj``."""
         return self.catalog.inventory_of(self.working_set).get(obj, 0)
 
-    def objects_held(self) -> frozenset:
-        """Objects this node holds at least one symbol of."""
-        return frozenset(self.catalog.inventory_of(self.working_set))
-
     def wanted_objects(self) -> frozenset:
         """Demanded objects still short of their target.
 

@@ -14,7 +14,7 @@ latency.  The default :class:`~repro.sim.links.ConstantRateLink`
 reproduces the historic tick behaviour exactly (one RNG draw per
 packet, credit-carried fractional bandwidth), which the tick-parity
 regression in ``tests/sim/test_parity.py`` pins.  Heterogeneous links
-(jitter, Gilbert-Elliott bursts, bandwidth traces) plug in through
+(jitter, Gilbert-Elliott bursts) plug in through
 ``link_factory`` without touching the delivery loop.
 
 The engine exercises the paper's full loop: encode → sketch → admit →
@@ -78,11 +78,9 @@ LinkFactory = Callable[[PathCharacteristics, str, str], LinkModel]
 class Connection:
     """A live virtual connection with its sender strategy and link model.
 
-    ``bandwidth`` and ``loss_rate`` mirror the physical path
-    characteristics.  While the connection uses its auto-built
-    constant-rate link, assigning either re-steers that link (legacy
-    callers tweak connections mid-run, e.g. degradation tests);
-    installing a custom ``link`` ends the coupling.
+    ``bandwidth`` and ``loss_rate`` record the physical path
+    characteristics the connection was made with; the ``link`` (a
+    constant-rate link over them unless one is given) is what delivers.
     """
 
     def __init__(
@@ -109,46 +107,16 @@ class Connection:
         #: Congestion controller installed by a transport-enabled
         #: simulator (None = historical open-loop sending).
         self.transport: Optional[TransportController] = None
-        self._bandwidth = bandwidth
-        self._loss_rate = loss_rate
-        self._auto_link = link is None
-        self._link = (
+        self.bandwidth = bandwidth
+        self.loss_rate = loss_rate
+        self.link: LinkModel = (
             link if link is not None else ConstantRateLink(bandwidth, loss_rate)
         )
-
-    @property
-    def bandwidth(self) -> float:
-        return self._bandwidth
-
-    @bandwidth.setter
-    def bandwidth(self, value: float) -> None:
-        self._bandwidth = value
-        if self._auto_link:
-            self._link.rate = value
-
-    @property
-    def loss_rate(self) -> float:
-        return self._loss_rate
-
-    @loss_rate.setter
-    def loss_rate(self, value: float) -> None:
-        self._loss_rate = value
-        if self._auto_link:
-            self._link.loss_rate = value
-
-    @property
-    def link(self) -> LinkModel:
-        return self._link
-
-    @link.setter
-    def link(self, value: LinkModel) -> None:
-        self._link = value
-        self._auto_link = False
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"Connection({self.sender.node_id}->{self.receiver.node_id}, "
-            f"bw={self._bandwidth:g}, loss={self._loss_rate:g})"
+            f"bw={self.bandwidth:g}, loss={self.loss_rate:g})"
         )
 
 
@@ -245,8 +213,8 @@ class OverlaySimulator:
             created by default.
         transport: optional :class:`~repro.transport.controller.
             TransportManager`; when set, every connection gets a
-            congestion controller that caps its per-tick sends (cwnd +
-            pacing) and learns from acks/timeouts.  ``None`` keeps the
+            congestion controller that caps its per-tick sends (cwnd)
+            and learns from acks/timeouts.  ``None`` keeps the
             historical open-loop behaviour bit-identically.
     """
 

@@ -48,7 +48,7 @@ class _SummaryBearer:
 
         try:
             payload = json.loads(self.summary_json)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, RecursionError) as exc:
             raise SummaryError(f"summary body is not JSON: {exc}") from None
         summary = summary_from_payload(payload)
         for field, honest in self._header(summary).items():

@@ -221,18 +221,6 @@ class Summary(abc.ABC):
                 f"{getattr(other, 'kind', type(other).__name__)!r}"
             )
 
-    @classmethod
-    def capabilities(cls) -> Dict[str, bool]:
-        """The capability flags as a dict (docs, tests, policy checks)."""
-        return {
-            "membership": cls.supports_membership,
-            "difference": cls.supports_difference,
-            "merge": cls.supports_merge,
-            "estimate": cls.supports_estimate,
-            "exact": cls.exact,
-            "incremental": cls.supports_incremental,
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<{type(self).__name__} kind={self.kind!r} n={self.set_size} "

@@ -103,11 +103,6 @@ class SummaryPolicy:
         return summary_class(self.kind).supports_difference
 
     @property
-    def can_estimate(self) -> bool:
-        """Whether the policy's summary supports difference estimation."""
-        return summary_class(self.kind).supports_estimate
-
-    @property
     def partial_coverage(self) -> bool:
         """Whether the policy's summary speaks for part of the key space
         only, so a domain it filtered still holds ids the summariser has

@@ -9,8 +9,8 @@ shared clock.
   timestamped callbacks, deterministic FIFO tie-breaking, periodic
   events (a legacy "tick" is just one of them).
 * :mod:`repro.sim.links` — :class:`LinkModel` hierarchy: constant
-  rate, latency + jitter, Gilbert-Elliott bursty loss (optionally a
-  shared chain for correlated loss), and trace-driven bandwidth.
+  rate, latency + jitter, and Gilbert-Elliott bursty loss (optionally a
+  shared chain for correlated loss).
 * :mod:`repro.sim.stats` — :class:`StatsRecorder`: per-entity/metric
   counters and gauges bucketed on the simulated clock.
 * :mod:`repro.sim.sessions` — :class:`ScheduledSession`: the Section 6
@@ -29,7 +29,6 @@ from repro.sim.links import (
     GilbertElliottProcess,
     LatencyJitterLink,
     LinkModel,
-    TraceBandwidthLink,
 )
 from repro.sim.stats import StatsRecorder
 
@@ -41,6 +40,5 @@ __all__ = [
     "LatencyJitterLink",
     "GilbertElliottLink",
     "GilbertElliottProcess",
-    "TraceBandwidthLink",
     "StatsRecorder",
 ]

@@ -19,14 +19,11 @@ Models:
 * :class:`GilbertElliottLink` — two-state Markov (good/bad) bursty
   loss; chains may be shared across links to model correlated loss
   (e.g. a congested inter-region trunk).
-* :class:`TraceBandwidthLink` — piecewise-constant bandwidth replayed
-  from a trace, in the style of trace-driven network simulators.
 """
 
-import bisect
 import math
 import random
-from typing import Optional, Sequence
+from typing import Optional
 
 #: Floor tolerance for fractional-credit accumulation: absorbs binary
 #: float representation error (0.1 summed ten times) without ever
@@ -307,63 +304,5 @@ class GilbertElliottLink(LinkModel):
         if self.step_per_packet:
             self.process.step(rng)
         if rng.random() < self.process.current_loss_rate:
-            return None
-        return self.latency
-
-
-class TraceBandwidthLink(LinkModel):
-    """Bandwidth replayed from a piecewise-constant trace.
-
-    Args:
-        times: ascending breakpoints; ``rates[i]`` holds on
-            ``[times[i], times[i+1])`` and ``rates[-1]`` forever after
-            the last breakpoint.  Before ``times[0]`` the rate is
-            ``rates[0]``.
-        rates: packets per time unit per segment.
-    """
-
-    def __init__(
-        self,
-        times: Sequence[float],
-        rates: Sequence[float],
-        loss_rate: float = 0.0,
-        latency: float = 0.0,
-    ):
-        if len(times) != len(rates) or not times:
-            raise ValueError("times and rates must be equal-length and non-empty")
-        for t in times:
-            if not math.isfinite(t):
-                raise ValueError(f"trace times must be finite, got {t!r}")
-        for r in rates:
-            _check_finite("trace rates", r)
-        if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
-            raise ValueError("trace times must be strictly ascending")
-        if not 0.0 <= loss_rate < 1.0:
-            raise ValueError("loss rate must lie in [0, 1)")
-        super().__init__(latency)
-        self.times = list(times)
-        self.rates = list(rates)
-        self.loss_rate = loss_rate
-
-    def rate_at(self, t: float) -> float:
-        """Trace rate in force at time ``t``."""
-        idx = bisect.bisect_right(self.times, t) - 1
-        return self.rates[max(0, idx)]
-
-    def capacity_between(self, t0: float, t1: float) -> float:
-        """Integral of the trace over ``[t0, t1)``."""
-        total = 0.0
-        cursor = t0
-        while cursor < t1:
-            idx = bisect.bisect_right(self.times, cursor) - 1
-            seg_rate = self.rates[max(0, idx)]
-            seg_end = self.times[idx + 1] if 0 <= idx + 1 < len(self.times) else t1
-            upto = min(t1, seg_end if seg_end > cursor else t1)
-            total += seg_rate * (upto - cursor)
-            cursor = upto
-        return total
-
-    def transmit(self, rng: random.Random) -> Optional[float]:
-        if rng.random() < self.loss_rate:
             return None
         return self.latency

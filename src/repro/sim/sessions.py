@@ -14,10 +14,9 @@ retransmits specific bytes; fresh encoded symbols substitute for lost
 ones, as in the paper's prototype — but the *sending rate* need not be
 open-loop.  With a :class:`~repro.transport.controller.
 TransportController` installed, each pump window is additionally
-capped by the controller's congestion window and pacing rate, and
-every packet's fate is drawn from the link model: a delivered packet's
-ack returns after the round trip (feeding the RTT and bandwidth
-estimators), a lost or queue-dropped packet's missing ack becomes an
+capped by the controller's congestion window, and every packet's fate
+is drawn from the link model: a delivered packet's ack returns after
+the round trip (feeding the RTT estimator), a lost or queue-dropped packet's missing ack becomes an
 rtx timeout and an ``on_loss`` signal.  Without a controller the
 historical behaviour is bit-identical: the link model contributes only
 *pacing* — a 2 pkt/tick session finishes in half the simulated time of
@@ -120,8 +119,8 @@ class ScheduledSession:
 
         Each packet is one :meth:`TransferSession.stream_step` — the
         same streaming bookkeeping ``run()`` uses, just rationed by the
-        link's capacity (and, under a transport controller, by cwnd and
-        pacing) instead of a tight loop.
+        link's capacity (and, under a transport controller, by cwnd)
+        instead of a tight loop.
         """
         if self.finished:
             return False
@@ -130,7 +129,7 @@ class ScheduledSession:
         budget = self.link.packet_budget(self._last_pump, now)
         ctrl = self.transport
         if ctrl is not None:
-            budget = ctrl.allowance(now, budget, window=now - self._last_pump)
+            budget = ctrl.allowance(now, budget)
         self._last_pump = now
         receiver = self.session.receiver
         sent_this_pump = 0

@@ -11,20 +11,18 @@ stand-alone sketch the estimator tests and experiments read:
   *resemblance* ``|A ∩ B| / |A ∪ B|``, supports unions, and two sketches
   from third parties can be compared without either set.
 
-:mod:`repro.sketches.estimate` converts between resemblance and containment
-via inclusion-exclusion, as the paper notes is possible given set sizes.
+:mod:`repro.sketches.estimate` converts resemblance to containment via
+inclusion-exclusion, as the paper notes is possible given set sizes.
 """
 
 from repro.sketches.minwise import MinwiseSketch
 from repro.sketches.estimate import (
     containment_from_resemblance,
     intersection_from_resemblance,
-    resemblance_from_containment,
 )
 
 __all__ = [
     "MinwiseSketch",
     "containment_from_resemblance",
-    "resemblance_from_containment",
     "intersection_from_resemblance",
 ]

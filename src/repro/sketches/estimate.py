@@ -34,14 +34,3 @@ def containment_from_resemblance(r: float, size_a: int, size_b: int) -> float:
         return 0.0
     c = intersection_from_resemblance(r, size_a, size_b) / size_b
     return min(1.0, max(0.0, c))
-
-
-def resemblance_from_containment(c: float, size_a: int, size_b: int) -> float:
-    """Inverse conversion: resemblance from containment ``c = |A∩B|/|B|``."""
-    if not 0.0 <= c <= 1.0:
-        raise ValueError(f"containment must lie in [0, 1], got {c}")
-    union = size_a + size_b - c * size_b
-    if union <= 0:
-        return 1.0 if (size_a or size_b) else 0.0
-    r = c * size_b / union
-    return min(1.0, max(0.0, r))

@@ -64,25 +64,6 @@ class MinwiseSketch:
         sketch._minima = list(permutation_minima(family, key_list))
         return sketch
 
-    @classmethod
-    def from_minima(
-        cls, family: PermutationFamily, minima: Iterable[Optional[int]]
-    ) -> "MinwiseSketch":
-        """Reconstruct a sketch received over the wire.
-
-        The peer trusts that the remote built its vector under the same
-        (universally agreed) family; length is checked, content cannot be.
-        """
-        sketch = cls(family)
-        vector = list(minima)
-        if len(vector) != len(family):
-            raise ValueError(
-                f"minima vector has {len(vector)} entries, family expects "
-                f"{len(family)}"
-            )
-        sketch._minima = vector
-        return sketch
-
     @property
     def is_empty(self) -> bool:
         """No element folded in: every position still unset."""

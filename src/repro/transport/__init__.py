@@ -1,11 +1,11 @@
-"""Transport subsystem: congestion control, pacing, and loss recovery.
+"""Transport subsystem: congestion control and loss recovery.
 
 Senders in the repo were historically open-loop — links pace, nothing
 pushes back.  This package closes the loop:
 
 * :mod:`repro.transport.policies` — the :class:`TransportPolicy`
-  plugin interface (on_send / on_ack / on_loss → cwnd + pacing rate)
-  with ``open_loop``, ``aimd``, and ``bbr_lite`` built-ins;
+  plugin interface (on_send / on_ack / on_loss → cwnd) with
+  ``open_loop`` and ``aimd`` built-ins;
 * :mod:`repro.transport.rtx` — :class:`RtxManager`, adaptive-RTO
   timeout-driven loss detection;
 * :mod:`repro.transport.queue` — :class:`BottleneckQueue` (fluid FIFO
@@ -23,7 +23,6 @@ POLICY[:p=v,...]`` on the CLI.
 from repro.transport.controller import TransportController, TransportManager
 from repro.transport.policies import (
     AimdPolicy,
-    BbrLitePolicy,
     OpenLoopPolicy,
     TransportError,
     TransportPolicy,
@@ -39,7 +38,6 @@ __all__ = [
     "TransportPolicy",
     "OpenLoopPolicy",
     "AimdPolicy",
-    "BbrLitePolicy",
     "build_policy",
     "transport_policies",
     "validate_policy",

@@ -3,7 +3,7 @@
 :class:`TransportController` glues one :class:`TransportPolicy` to one
 :class:`RtxManager` for one sender→receiver connection: it numbers
 outgoing packets, tracks what is in flight, expires timeouts into
-``on_loss`` events, and converts the policy's cwnd/pacing knobs into a
+``on_loss`` events, and converts the policy's congestion window into a
 per-window *send allowance* that caps the link's packet budget.
 
 :class:`TransportManager` is what a simulator holds: the policy
@@ -20,7 +20,6 @@ import math
 from typing import Any, Dict, List, Optional
 
 from repro.sim.engine import EventScheduler
-from repro.sim.links import drain_credit
 from repro.transport.policies import TransportPolicy, build_policy
 from repro.transport.queue import BottleneckQueue
 from repro.transport.rtx import RtxManager
@@ -50,33 +49,25 @@ class TransportController:
         self.acked = 0
         self.timeouts = 0
         self._next_seq = 0
-        self._pace_credit = 0.0
 
     # -- the simulator's send-side API --------------------------------------
 
-    def allowance(self, now: float, link_budget: int, window: float = 1.0) -> int:
+    def allowance(self, now: float, link_budget: int) -> int:
         """Packets this window may send: the link budget capped by
-        window room and pacing credit.  Expires timeouts first so
-        freed window is usable immediately."""
+        window room.  Expires timeouts first so freed window is usable
+        immediately."""
         rtx = self.rtx
         if now >= rtx.next_deadline:
             for _seq, _sent_at in rtx.expire(now):
                 self.inflight = max(0, self.inflight - 1)
                 self.timeouts += 1
                 self.policy.on_loss(now)
-        policy = self.policy
         allowed = link_budget
-        cwnd = policy.cwnd
+        cwnd = self.policy.cwnd
         if cwnd != math.inf:
             room = math.floor(cwnd + 1e-9) - self.inflight
             if room < allowed:
                 allowed = room if room > 0 else 0
-        rate = policy.pacing_rate
-        if rate is not None:
-            whole, self._pace_credit = drain_credit(
-                self._pace_credit, rate * window
-            )
-            allowed = min(allowed, whole)
         return allowed
 
     def on_send(self, now: float) -> int:
@@ -167,10 +158,6 @@ class TransportManager:
         return ctrl
 
     # -- aggregate reporting ------------------------------------------------
-
-    @property
-    def controllers(self) -> List[TransportController]:
-        return list(self._controllers)
 
     def totals(self) -> Dict[str, float]:
         """Fleet-wide transport counters (queue aggregates included)."""

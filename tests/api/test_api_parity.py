@@ -135,7 +135,7 @@ def _campaign_cell_seed(sweep_seed: int, correlation: float, strategy: str) -> i
 
 class TestFigurePortParity:
     def test_fig5_points_equal_direct_spec_runs(self):
-        from repro.experiments.fig5678 import fig5_spec, run_fig5
+        from repro.experiments.fig5678 import run_fig5
 
         points = run_fig5(
             target=200, trials=1, correlation_points=2, strategies=("Recode/BF",)
@@ -144,13 +144,16 @@ class TestFigurePortParity:
         assert compact
         for point in compact:
             seed = _campaign_cell_seed(7, point.correlation, "Recode/BF")
-            direct = run(fig5_spec(200, 1.1, point.correlation, "Recode/BF", seed))
+            direct = run(specs.pair_transfer(
+                target=200, multiplier=1.1, correlation=point.correlation,
+                strategy_name="Recode/BF", seed=seed,
+            ))
             assert direct.completed
             assert point.value == direct.metrics["overhead"]
             assert point.completed_fraction == 1.0
 
     def test_fig78_points_equal_direct_spec_runs(self):
-        from repro.experiments.fig5678 import fig78_spec, run_fig78
+        from repro.experiments.fig5678 import DESIRED_MARGIN, run_fig78
 
         points = run_fig78(
             2, target=200, trials=1, correlation_points=2, strategies=("Recode/BF",)
@@ -159,9 +162,11 @@ class TestFigurePortParity:
         assert stretched
         for point in stretched:
             seed = _campaign_cell_seed(13, point.correlation, "Recode/BF")
-            direct = run(
-                fig78_spec(200, 1.5, point.correlation, "Recode/BF", 2, seed)
-            )
+            direct = run(specs.multi_sender_transfer(
+                target=200, multiplier=1.5, correlation=point.correlation,
+                num_senders=2, strategy_name="Recode/BF", seed=seed,
+                desired_margin=DESIRED_MARGIN,
+            ))
             if direct.completed:
                 assert point.value == direct.metrics["speedup"]
 

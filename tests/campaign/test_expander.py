@@ -50,7 +50,7 @@ class TestExpansion:
 
     def test_overrides_applied_to_cell_specs(self):
         for cell in expand(_campaign()):
-            overrides = cell.overrides_dict()
+            overrides = dict(cell.overrides)
             assert cell.spec.param("correlation") == overrides["params.correlation"]
             assert cell.spec.strategy.name == overrides["strategy.name"]
 

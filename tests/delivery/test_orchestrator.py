@@ -12,7 +12,6 @@ import pytest
 
 from repro.delivery.orchestrator import (
     CandidateSender,
-    estimated_union_size,
     group_identical_senders,
     select_senders,
     split_demand,
@@ -41,16 +40,6 @@ def card(request):
 
 def candidate(peer_id, ids, card):
     return CandidateSender(peer_id, card(ids), len(set(ids)))
-
-
-class TestUnionEstimate:
-    def test_union_size_tracks_truth(self, card):
-        rng = random.Random(1)
-        shared = rng.sample(range(UNIVERSE), 500)
-        a = set(shared + rng.sample(range(UNIVERSE), 500))
-        b = set(shared + rng.sample(range(UNIVERSE), 500))
-        est = estimated_union_size(card(a), len(a), card(b), len(b))
-        assert abs(est - len(a | b)) / len(a | b) < 0.1
 
 
 class TestSelectSenders:

@@ -1,60 +1,8 @@
-"""Tests for hash families."""
-
-import random
+"""Tests for the Bloom filter's hash family."""
 
 import pytest
 
-from repro.hashing.families import BloomHashes, UniversalHash, random_hash
-
-
-class TestUniversalHash:
-    def test_range(self):
-        h = UniversalHash.random(100, random.Random(1))
-        assert all(0 <= h(x) < 100 for x in range(1000))
-
-    def test_rejects_bad_range(self):
-        with pytest.raises(ValueError):
-            UniversalHash(0, a=1, b=0)
-
-    def test_rejects_zero_multiplier(self):
-        with pytest.raises(ValueError):
-            UniversalHash(10, a=0, b=0)
-
-    def test_deterministic(self):
-        h = UniversalHash(50, a=12345, b=678)
-        assert h(42) == h(42)
-
-    def test_collision_rate_near_universal(self):
-        # 2-universal: Pr[h(x) == h(y)] <= 1/m for x != y.
-        rng = random.Random(2)
-        m = 64
-        collisions = trials = 0
-        for _ in range(200):
-            h = UniversalHash.random(m, rng)
-            x, y = rng.randrange(2**40), rng.randrange(2**40)
-            if x == y:
-                continue
-            trials += 1
-            collisions += h(x) == h(y)
-        assert collisions / trials < 3.0 / m  # generous CI bound
-
-    def test_random_factory_varies(self):
-        rng = random.Random(3)
-        h1 = UniversalHash.random(100, rng)
-        h2 = UniversalHash.random(100, rng)
-        assert any(h1(x) != h2(x) for x in range(50))
-
-
-class TestRandomHash:
-    def test_range_and_determinism(self):
-        h = random_hash(37, seed=5)
-        vals = [h(x) for x in range(500)]
-        assert all(0 <= v < 37 for v in vals)
-        assert vals == [h(x) for x in range(500)]
-
-    def test_seed_sensitivity(self):
-        h1, h2 = random_hash(1000, 1), random_hash(1000, 2)
-        assert any(h1(x) != h2(x) for x in range(20))
+from repro.hashing.families import BloomHashes
 
 
 class TestBloomHashes:
@@ -78,11 +26,6 @@ class TestBloomHashes:
         bh = BloomHashes(k=3, m=10_007, seed=1)
         a, b = bh.indices(111), bh.indices(222)
         assert a != b
-
-    def test_indices_many_matches_single(self):
-        bh = BloomHashes(k=4, m=50, seed=2)
-        keys = [5, 10, 15]
-        assert bh.indices_many(keys) == [bh.indices(k) for k in keys]
 
     def test_power_of_two_table_coverage(self):
         # Odd-forced h2 must cover a power-of-two table.

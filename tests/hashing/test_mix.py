@@ -1,10 +1,6 @@
-"""Tests for the 64-bit mixers."""
+"""Tests for the 64-bit mixer."""
 
-import itertools
-
-import pytest
-
-from repro.hashing.mix import fibonacci_mix, mix64, splitmix64_stream
+from repro.hashing.mix import mix64
 
 
 class TestMix64:
@@ -36,29 +32,3 @@ class TestMix64:
         for x in range(8_000):
             counts[mix64(x) % 8] += 1
         assert max(counts) - min(counts) < 300
-
-
-class TestFibonacciMix:
-    def test_width(self):
-        for bits in (1, 8, 16, 32):
-            assert 0 <= fibonacci_mix(123456789, bits) < (1 << bits)
-
-    def test_spreads_sequential_inputs(self):
-        outs = {fibonacci_mix(i, 16) for i in range(1000)}
-        assert len(outs) > 900
-
-
-class TestSplitmixStream:
-    def test_reproducible(self):
-        a = list(itertools.islice(splitmix64_stream(9), 10))
-        b = list(itertools.islice(splitmix64_stream(9), 10))
-        assert a == b
-
-    def test_different_seeds_diverge(self):
-        a = list(itertools.islice(splitmix64_stream(1), 5))
-        b = list(itertools.islice(splitmix64_stream(2), 5))
-        assert a != b
-
-    def test_values_in_range(self):
-        for v in itertools.islice(splitmix64_stream(5), 100):
-            assert 0 <= v < 2**64

@@ -111,7 +111,6 @@ class TestCatalogNode:
         ids = list(catalog.symbol_ids(0))[:5]
         node = CatalogNode("n", catalog, demand=(0,), initial_ids=ids)
         assert node.progress_of(0) == 5
-        assert node.objects_held() == {0}
         assert node.wanted_objects() == {0}
 
     def test_empty_demand_is_trivially_complete(self):

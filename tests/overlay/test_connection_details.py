@@ -74,15 +74,6 @@ class TestFractionalBandwidth:
         with pytest.raises(ValueError):
             self._conn(-1.0)
 
-    def test_replacing_link_ends_auto_coupling(self):
-        from repro.sim import GilbertElliottLink
-
-        conn = self._conn(2.0)
-        conn.link = GilbertElliottLink(3.0)
-        conn.loss_rate = 0.2  # must not try to steer the custom link
-        assert conn.link.rate == 3.0
-
-
 class TestEventClockEdges:
     def test_late_arrival_after_receiver_departs(self):
         # A latency-delayed packet must not crash when its receiver was
@@ -141,7 +132,7 @@ class TestLossyDelivery:
             sim.add_node(OverlayNode("s", 60, is_source=True))
             sim.add_node(OverlayNode("p", 60))
             sim.connect("s", "p")
-            sim.connections[("s", "p")].loss_rate = loss
+            sim.connections[("s", "p")].link.loss_rate = loss
             results[loss] = sim.run(max_ticks=1_000)
         assert results[0.0].all_complete and results[0.4].all_complete
         assert results[0.4].ticks > results[0.0].ticks

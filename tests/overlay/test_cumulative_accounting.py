@@ -37,8 +37,8 @@ class TestHandComputedTotals:
         # rate=2, loss=0, target=10: five ticks of two fresh source
         # symbols each, every packet useful.
         sim = _pair_sim(target=10, rate=2.0)
-        sim.connections[("s", "r")].bandwidth = 2.0
-        sim.connections[("s", "r")].loss_rate = 0.0
+        sim.connections[("s", "r")].link.rate = 2.0
+        sim.connections[("s", "r")].link.loss_rate = 0.0
         report = sim.run(max_ticks=100)
         assert report.ticks == 5
         assert report.packets_sent == 10
@@ -147,8 +147,8 @@ class TestLateArrivalOnDeadConnection:
 class TestCompletionTombstones:
     def test_departed_node_keeps_completion_tick(self):
         sim = _pair_sim(target=4)
-        sim.connections[("s", "r")].bandwidth = 2.0
-        sim.connections[("s", "r")].loss_rate = 0.0
+        sim.connections[("s", "r")].link.rate = 2.0
+        sim.connections[("s", "r")].link.loss_rate = 0.0
         report = sim.run(max_ticks=50)
         done_at = report.completion_ticks["r"]
         assert done_at is not None

@@ -131,9 +131,8 @@ class TestEngineKnob:
 @needs_numpy
 class TestMidRunMutation:
     def test_bandwidth_retune_keeps_parity(self):
-        """Retuning a connection mid-run (through the setters, which
-        re-steer the auto-built link) takes effect on the next tick with
-        and without numpy alike."""
+        """Retuning a connection's link mid-run takes effect on the next
+        tick with and without numpy alike."""
 
         def retuned_run():
             spec = specs.random_overlay(num_peers=6, target=100, seed=8)
@@ -141,8 +140,8 @@ class TestMidRunMutation:
 
             def throttle():
                 for conn in sim.connections.values():
-                    conn.bandwidth = conn.link.rate * 0.5
-                    conn.loss_rate = 0.05
+                    conn.link.rate *= 0.5
+                    conn.link.loss_rate = 0.05
 
             sim.scheduler.schedule_at(6.5, throttle)
             return sim.run(max_ticks=400)

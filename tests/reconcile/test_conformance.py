@@ -469,11 +469,6 @@ class TestIncrementalConformance:
             "wholeset",
         }
 
-    def test_capabilities_expose_the_incremental_flag(self):
-        for kind in ALL_KINDS:
-            cls = summary_class(kind)
-            assert cls.capabilities()["incremental"] == cls.supports_incremental
-
     @pytest.mark.parametrize("trial", range(6))
     @pytest.mark.parametrize("kind", INCREMENTAL_KINDS)
     def test_absorb_matches_rebuild_over_random_add_sequences(self, kind, trial):

@@ -101,7 +101,6 @@ class TestReconciliation:
     def test_capability_probes(self):
         assert SummaryPolicy(kind="bloom").can_filter
         assert not SummaryPolicy(kind="minwise").can_filter
-        assert SummaryPolicy(kind="minwise").can_estimate
 
     def test_correlation_identical_sets_is_one(self, sets):
         a, _ = sets

@@ -9,7 +9,6 @@ from repro.sim import (
     GilbertElliottLink,
     GilbertElliottProcess,
     LatencyJitterLink,
-    TraceBandwidthLink,
 )
 
 
@@ -174,48 +173,6 @@ class TestGilbertElliottBurstStats:
         assert rng_a.getstate() == rng_b.getstate()
 
 
-class TestTraceBandwidth:
-    def test_budget_is_trace_integral_within_one_packet(self):
-        # Satellite requirement: delivered budget == integral of the
-        # trace ± 1 packet, regardless of how the windows are sliced.
-        times = [0.0, 10.0, 20.0, 35.0]
-        rates = [2.0, 0.0, 5.0, 1.0]
-        link = TraceBandwidthLink(times, rates)
-        total = sum(link.packet_budget(t, t + 1) for t in range(50))
-        integral = 2.0 * 10 + 0.0 * 10 + 5.0 * 15 + 1.0 * 15
-        assert abs(total - integral) <= 1
-
-    def test_fractional_windows_match_integral_too(self):
-        link = TraceBandwidthLink([0.0, 5.0], [1.5, 0.25])
-        t, total = 0.0, 0
-        while t < 40.0:
-            total += link.packet_budget(t, t + 0.7)
-            t += 0.7
-        integral = 1.5 * 5 + 0.25 * (t - 5.0)
-        assert abs(total - integral) <= 1
-
-    def test_rate_at_lookup(self):
-        link = TraceBandwidthLink([0.0, 10.0], [3.0, 1.0])
-        assert link.rate_at(0.0) == 3.0
-        assert link.rate_at(9.99) == 3.0
-        assert link.rate_at(10.0) == 1.0
-        assert link.rate_at(100.0) == 1.0
-
-    def test_dead_interval_charges_nothing(self):
-        link = TraceBandwidthLink([0.0, 1.0, 2.0], [5.0, 0.0, 5.0])
-        assert link.packet_budget(0.0, 1.0) == 5
-        assert link.packet_budget(1.0, 2.0) == 0  # outage, no hoarding beyond credit
-        assert link.packet_budget(2.0, 3.0) == 5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TraceBandwidthLink([], [])
-        with pytest.raises(ValueError):
-            TraceBandwidthLink([0.0, 0.0], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            TraceBandwidthLink([0.0], [-1.0])
-
-
 NAN, INF = float("nan"), float("inf")
 
 
@@ -227,12 +184,10 @@ NAN, INF = float("nan"), float("inf")
         (lambda: ConstantRateLink(1.0, latency=NAN), "latency"),  # NaN arrivals
         (lambda: LatencyJitterLink(1.0, latency=1.0, jitter=NAN), "jitter"),
         (lambda: GilbertElliottLink(NAN), "rate"),
-        (lambda: TraceBandwidthLink([0.0, NAN], [1.0, 2.0]), "times"),
-        (lambda: TraceBandwidthLink([0.0, 1.0], [1.0, NAN]), "rates"),
     ],
     ids=[
         "constant-nan-rate", "constant-inf-rate", "constant-nan-latency",
-        "jitter-nan", "gilbert-nan-rate", "trace-nan-time", "trace-nan-rate",
+        "jitter-nan", "gilbert-nan-rate",
     ],
 )
 def test_non_finite_link_argument_refused(make, arg):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.sketches import (
     containment_from_resemblance,
     intersection_from_resemblance,
-    resemblance_from_containment,
 )
 
 
@@ -35,10 +34,6 @@ class TestConversions:
         with pytest.raises(ValueError):
             intersection_from_resemblance(-0.1, 10, 10)
 
-    def test_invalid_containment_rejected(self):
-        with pytest.raises(ValueError):
-            resemblance_from_containment(2.0, 10, 10)
-
     def test_negative_sizes_rejected(self):
         with pytest.raises(ValueError):
             intersection_from_resemblance(0.5, -1, 10)
@@ -61,7 +56,4 @@ class TestRoundTrip:
         c = inter / size_b
         assert containment_from_resemblance(r, size_a, size_b) == pytest.approx(
             c, abs=1e-9
-        )
-        assert resemblance_from_containment(c, size_a, size_b) == pytest.approx(
-            r, abs=1e-9
         )

@@ -112,6 +112,41 @@ GUARDS = [
      ["src/repro/seeding.py"]),
     Guard(36, "bloom_index_rows (nothing called it; bloom_index_matrix is the kernel)",
      r"bloom_index_rows", ["src", "tests", "bench", "examples"], [THIS_FILE]),
+] + [
+    # What the reachability trace found nothing running: one row per name.
+    Guard(40, f"{name} (nothing ran it; scripts/reachability.py)", pattern,
+          ["src", "tests", "bench", "examples", "README.md"], [THIS_FILE], *matches)
+    for name, pattern, *matches in [
+        ("ChurnProcess", r"ChurnProcess"),
+        ("ChurnEventLog", r"ChurnEventLog"),
+        ("run_with_churn", r"run_with_churn"),
+        ("sim_reroute", r"sim_reroute|REROUTE_LOSS_THRESHOLD"),
+        ("a re-steering Connection link", r"_auto_link"),
+        ("BbrLitePolicy", r"BbrLite"),
+        # One match stays: the row that names the kind to see it refused.
+        ("the bbr_lite kind", r"bbr_lite", 1),
+        ("pacing_rate", r"pacing_rate|_pace_credit"),
+        ("allowance's window", r"allowance\([^)]*window="),
+        ("TraceBandwidthLink", r"TraceBandwidthLink"),
+        ("fig5_spec / fig6_spec / fig78_spec", r"fig(5|6|78)_spec"),
+        ("MinwiseSketch.from_minima", r"from_minima"),
+        ("UniversalHash", r"UniversalHash"),
+        ("HashFamily", r"HashFamily"),
+        ("random_hash", r"random_hash"),
+        ("BloomHashes.indices_many", r"indices_many"),
+        ("fibonacci_mix", r"fibonacci_mix|_FIB_MUL"),
+        ("splitmix64_stream", r"splitmix64_stream"),
+        ("estimated_union_size", r"estimated_union_size"),
+        ("resemblance_from_containment", r"resemblance_from_containment"),
+        ("Summary.capabilities", r"\.capabilities\(\)|def capabilities"),
+        ("SummaryPolicy.can_estimate", r"can_estimate"),
+        ("DegreeDistribution.sample_many", r"sample_many"),
+        ("CatalogNode.objects_held", r"objects_held"),
+        ("EncodedSymbol.header_bytes", r"header_bytes"),
+        ("TransportManager.controllers", r"def controllers"),
+        ("AimdPolicy.ssthresh", r"def ssthresh"),
+        ("CampaignCell.overrides_dict", r"overrides_dict"),
+    ]
 ]
 
 #: Deleted files and directories.
@@ -127,6 +162,8 @@ DELETED_PATHS = [
     "src/repro/filters/counting.py",
     "src/repro/filters/partitioned.py",
     "src/repro/art/summary.py",
+    "src/repro/overlay/churn.py",
+    "tests/overlay/test_churn.py",
 ]
 
 

@@ -1,0 +1,53 @@
+"""The reachability gate's allow-list cannot rot.
+
+``scripts/reachability.py --check`` (a CI job; it traces, so it is not
+run here) fails on an unreached function no row excuses, and on a row
+that excuses nothing on its own.  This checks, without tracing, what
+can go stale between its runs: every row still matches a ``def`` under
+``src/repro``, says why, and the list stays short.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[2]
+
+
+def _load_script():
+    spec = importlib.util.spec_from_file_location(
+        "reachability", ROOT / "scripts" / "reachability.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+reachability = _load_script()
+FUNCTIONS = reachability.functions()
+
+
+def test_the_list_is_short():
+    assert len(reachability.ALLOWED) <= 30
+
+
+@pytest.mark.parametrize(
+    "index", range(len(reachability.ALLOWED)),
+    ids=[f"{row.module}:{row.name}" for row in reachability.ALLOWED],
+)
+def test_row_matches_a_def_and_gives_a_reason(index):
+    row = reachability.ALLOWED[index]
+    assert row.reason.strip()
+    assert any(index in reachability.matching_rows(fn) for fn in FUNCTIONS), (
+        f"ALLOWED[{index}] {row.module} {row.name} matches no def under "
+        "src/repro: remove the row"
+    )
+
+
+def test_the_walk_sees_methods_and_decorated_defs():
+    by_name = {(fn.module, fn.qualname): fn for fn in FUNCTIONS}
+    simulator = by_name[("repro.overlay.simulator", "OverlaySimulator.run")]
+    assert simulator.first == simulator.def_line
+    overhead = by_name[("repro.api.result", "RunResult.overhead")]
+    assert overhead.first == overhead.def_line - 1  # its @property line

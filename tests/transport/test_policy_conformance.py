@@ -5,7 +5,6 @@ newly registered policy is pulled into the contract automatically:
 
 * the congestion window never reports below 1 packet, whatever event
   sequence the policy has seen;
-* the pacing rate is never negative;
 * a seeded run is bit-identical when replayed (policies are
   deterministic and RNG-free);
 * scenarios without transport-paced senders reject a transport spec
@@ -53,18 +52,12 @@ class TestPolicyInvariants:
         for _ in _adversarial_events(policy, seed=1):
             assert policy.cwnd >= 1.0
 
-    def test_pacing_rate_never_negative(self, kind):
-        policy = build_policy(kind)
-        for _ in _adversarial_events(policy, seed=2):
-            rate = policy.pacing_rate
-            assert rate is None or rate >= 0.0
-
     def test_steady_send_ack_loop_gets_acks(self, kind):
         ctrl = TransportController(build_policy(kind), RtxManager(), name=kind)
         now = 0.0
         for _ in range(2_000):
             now += 0.1
-            for _ in range(ctrl.allowance(now, 4, window=0.1)):
+            for _ in range(ctrl.allowance(now, 4)):
                 ctrl.on_ack(now + 1.0, ctrl.on_send(now))
         assert ctrl.acked > 0
 
@@ -79,7 +72,7 @@ class TestPolicyInvariants:
         for _ in range(300):
             now += rng.uniform(0.1, 1.0)
             budget = rng.randrange(0, 6)
-            allowed = ctrl.allowance(now, budget, window=1.0)
+            allowed = ctrl.allowance(now, budget)
             assert 0 <= allowed <= budget
             for _ in range(allowed):
                 seq = ctrl.on_send(now)
@@ -152,4 +145,4 @@ def test_cli_unknown_policy_is_exit_2(capsys):
 def test_open_loop_policy_reports_unlimited():
     """The default arm really is the null controller."""
     policy = build_policy("open_loop")
-    assert policy.cwnd == math.inf and policy.pacing_rate is None
+    assert policy.cwnd == math.inf
