@@ -73,9 +73,8 @@ def demo_paced_sessions():
     stats = StatsRecorder()
     drivers = []
     for label, rate in (("dsl", 1.0), ("cable", 3.0), ("fiber", 10.0)):
-        src = ProtocolPeer(f"src-{label}", params, content=content,
-                           rng=random.Random(11))
-        dst = ProtocolPeer(f"dst-{label}", params, rng=random.Random(12))
+        src = ProtocolPeer(f"src-{label}", params, content=content)
+        dst = ProtocolPeer(f"dst-{label}", params)
         session = TransferSession(src, dst, rng=random.Random(13))
         drivers.append(
             ScheduledSession(

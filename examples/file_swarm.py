@@ -26,9 +26,9 @@ def main():
     print(f"file: {len(content)} bytes in {params.num_blocks} blocks of "
           f"{params.block_size}B; recovery target {params.recovery_target} symbols\n")
 
-    origin = ProtocolPeer("origin", params, content=content, rng=random.Random(1))
+    origin = ProtocolPeer("origin", params, content=content)
     leechers = [
-        ProtocolPeer(f"leech{i}", params, rng=random.Random(10 + i))
+        ProtocolPeer(f"leech{i}", params)
         for i in range(NUM_LEECHERS)
     ]
 

@@ -1365,22 +1365,11 @@ def build_session_swarm(spec: ExperimentSpec) -> BuiltExperiment:
         )
         scheduler = scheduler or EventScheduler()
         policy = _summary_policy(spec)
-        source = ProtocolPeer(
-            src_name,
-            code,
-            content=content,
-            rng=derive_rng(spec.seed, "session_swarm", src_name),
-            summary_policy=policy,
-        )
+        source = ProtocolPeer(src_name, code, content=content, summary_policy=policy)
         drivers = []
         sessions = {}
         for name in receivers.member_ids():
-            peer = ProtocolPeer(
-                name,
-                code,
-                rng=derive_rng(spec.seed, "session_swarm", name),
-                summary_policy=policy,
-            )
+            peer = ProtocolPeer(name, code, summary_policy=policy)
             session = TransferSession(
                 source,
                 peer,

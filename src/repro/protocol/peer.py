@@ -7,17 +7,10 @@ min-wise permutation family is agreed off-line.
 """
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
-from repro.coding import (
-    EncodedSymbol,
-    LTEncoder,
-    PeelingDecoder,
-    RecodedPeeler,
-    Recoder,
-)
+from repro.coding import EncodedSymbol, LTEncoder, PeelingDecoder, RecodedPeeler
 from repro.coding.symbol import Packet, xor_payloads
 from repro.delivery.working_set import WorkingSet
 from repro.protocol.messages import DataMessage, HelloMessage, SummaryMessage
@@ -27,7 +20,6 @@ from repro.reconcile import (
     SummaryPolicy,
     correlation_from_summaries,
 )
-from repro.seeding import default_rng
 
 
 @dataclass(frozen=True)
@@ -64,6 +56,11 @@ class ProtocolPeer:
     constituent whose bytes this peer never had is held without bytes
     and kept out of the decoder.
 
+    A peer draws nothing it sends, so it holds no RNG: a source mints
+    the next fresh symbol, and a partial sender's blends are drawn by
+    its session's :class:`~repro.delivery.strategies.SenderStrategy` —
+    the peer only adds their bytes (:meth:`data_for`).
+
     ``summary_policy`` selects the reconciliation summary the peer
     ships (a :class:`~repro.reconcile.SummaryPolicy`; by default the
     paper's 8-bits-per-element Bloom filter).  All peers in a session
@@ -79,13 +76,11 @@ class ProtocolPeer:
         params: CodeParameters,
         content: Optional[bytes] = None,
         initial_symbols: Iterable[EncodedSymbol] = (),
-        rng: Optional[random.Random] = None,
         summary_policy: SummaryPolicy = DEFAULT_POLICY,
     ):
         self.peer_id = peer_id
         self.params = params
         self.summary_policy = summary_policy
-        self.rng = rng if rng is not None else default_rng("protocol.peer", peer_id)
         self.is_source = content is not None
         self._encoder: Optional[LTEncoder] = None
         self._next_fresh = 0
@@ -185,19 +180,17 @@ class ProtocolPeer:
         self._next_fresh += 1
         return DataMessage.encoded(symbol.symbol_id, symbol.payload)
 
-    def recoded_data(self, domain_ids: Optional[List[int]] = None) -> DataMessage:
-        """Partial senders: blend held symbols into one recoded packet
-        (drawn by :class:`~repro.coding.Recoder`); a blend of one is
-        sent as that encoded symbol."""
-        pool = domain_ids if domain_ids else list(self.symbols)
-        if not pool:
-            raise RuntimeError(f"{self.peer_id} has nothing to send")
-        chosen = Recoder.over_ids(pool, self.rng).draw()
-        payloads = [self.symbols[i].payload for i in chosen]
+    def data_for(self, packet: Packet) -> DataMessage:
+        """Partial senders: ``packet`` — a blend a
+        :class:`~repro.delivery.strategies.SenderStrategy` drew over the
+        held ids — with the XOR of its constituents' blocks; a blend of
+        one is sent as that encoded symbol."""
+        ids = packet.constituent_ids or (packet.symbol_id,)
+        payloads = [self.symbols[i].payload for i in ids]
         if any(p is None for p in payloads):
             raise RuntimeError("cannot recode payload-free symbols")
-        if len(chosen) == 1:
-            return DataMessage.encoded(chosen[0], payloads[0])
+        if len(payloads) == 1:
+            return DataMessage.encoded(next(iter(ids)), payloads[0])
         return DataMessage.recoded(
-            chosen, xor_payloads(payloads)  # type: ignore[arg-type]
+            ids, xor_payloads(payloads)  # type: ignore[arg-type]
         )

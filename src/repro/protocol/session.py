@@ -1,23 +1,29 @@
 """Transfer sessions: the full protocol between two (or more) peers.
 
-A session wires peers together in memory, runs the handshake, picks the
-strategy the estimated correlation warrants, streams data packets, and
-accounts every byte.  :meth:`TransferSession.run` drives the loop to
+A session wires peers together in memory, runs the handshake, streams
+data packets, and accounts every byte.  A partial sender's packets come
+from the one sender every scenario runs, a :func:`~repro.delivery.
+strategies.make_strategy` strategy on the session's ``rng``; the peer
+only adds their bytes.  :meth:`TransferSession.run` drives the loop to
 completion or byte budget exhaustion.
 """
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Set
 
-from repro.delivery.strategies import DEFAULT_DESIRED_MARGIN
-from repro.exact.cpi import DiscrepancyExceeded
+from repro.delivery.strategies import (
+    DEFAULT_DESIRED_MARGIN,
+    RecodeSummaryStrategy,
+    SenderStrategy,
+    make_strategy,
+)
 from repro.protocol.messages import DataMessage, RequestMessage
 from repro.protocol.peer import ProtocolPeer
 from repro.reconcile import CALLING_CARD, SummaryPolicy, build_summary
 from repro.reconcile import correlation_from_summaries
-from repro.seeding import default_rng, sample
+from repro.seeding import default_rng
 
 #: Correlation above which a receiver should reject the sender outright
 #: (Section 4's admission control: identical content offers nothing).
@@ -122,7 +128,7 @@ class TransferSession:
                 summarise in one message).  A Bloom-specific protocol:
                 the session policy's kind must be ``bloom``, and its
                 ``bits_per_element`` sizes every partition filter.
-            rng: randomness source.
+            rng: the partial sender's strategy's randomness source.
             clock: optional simulated clock (anything with a ``now``
                 attribute, e.g. :class:`repro.sim.engine.EventScheduler`);
                 when bound, the session stamps ``started_at`` and
@@ -152,10 +158,18 @@ class TransferSession:
         self.rng = rng if rng is not None else default_rng("protocol.session")
         self.clock = clock
         self.stats = SessionStats()
-        self._domain: Optional[List[int]] = None
-        #: The receiver's ids at the handshake: every partition filter
-        #: summarises this one snapshot.
+        #: The partial sender's strategy: the handshake's informed one,
+        #: or an oblivious Recode rebuilt whenever the sender's set moved
+        #: past ``_recode_at`` (building it draws nothing).
+        self._strategy: Optional[SenderStrategy] = None
+        self._recode_at: Optional[int] = None
+        #: Informed sessions: the domain ids the receiver still lacks.
+        self._unheld: Optional[Set[int]] = None
+        #: Pipelined mode: the receiver's ids at the handshake (every
+        #: partition filter summarises this one snapshot), and every id
+        #: the partitions pulled.
         self._partition_ids: Optional[Set[int]] = None
+        self._pulled: List[int] = []
         self._next_partition = 0
         self._next_finalize: Optional[int] = None
 
@@ -165,8 +179,9 @@ class TransferSession:
         """Exchange calling cards; decide whether and how to proceed.
 
         Returns False if the receiver rejects the sender (identical
-        content).  On success, a Bloom summary is shipped when the
-        estimated correlation warrants fine-grained reconciliation.
+        content).  On success, the receiver states its request and, when
+        the estimated correlation warrants fine-grained reconciliation,
+        ships its summary.
         """
         if self.clock is not None and self.stats.started_at is None:
             self.stats.started_at = self.clock.now
@@ -178,9 +193,9 @@ class TransferSession:
             ):
                 self.stats.rejected = True
                 return False
-            if corr >= SUMMARY_CORRELATION:
-                self._receive_summary()
-        self._send_request()
+        desired = self._send_request()
+        if corr is not None and corr >= SUMMARY_CORRELATION:
+            self._receive_summary(desired)
         return True
 
     def _exchange_hellos(self):
@@ -205,49 +220,63 @@ class TransferSession:
             card_s, card_r, len(self.sender.working_set)
         )
 
-    def _receive_summary(self) -> None:
-        """Receiver ships its summary; sender filters its domain.
+    def _send_request(self) -> int:
+        """Receiver states how many symbols it wants (Section 6.1)."""
+        deficit = max(
+            0, self.receiver.params.recovery_target - len(self.receiver.working_set)
+        )
+        desired = int(math.ceil(deficit * DEFAULT_DESIRED_MARGIN))
+        self.stats.control_bytes += RequestMessage(symbols_desired=desired).wire_bytes()
+        return desired
+
+    def _receive_summary(self, desired: int) -> None:
+        """Receiver ships its summary; the sender recodes over it.
 
         The summary is built under the *session's* policy (the
         protocol-wide agreement), not the receiver object's own
-        attribute.  With ``partitioned_rho`` set, only the first
-        residue partition is shipped here; further partitions arrive on
-        demand via :meth:`request_next_partition` as the sender drains
-        its domain.
+        attribute, and the sender is ``make_strategy("Recode/BF", ...)``
+        under it with the request as ``symbols_desired`` — its domain
+        rule (filter, request-sized cut, partial-coverage exemption,
+        blind fallback when an exact summary's bound proves too small)
+        is that function's.  With ``partitioned_rho`` set, only the
+        first residue partition is shipped here; further partitions
+        arrive on demand via :meth:`request_next_partition` as the
+        receiver drains the domain.
 
         Estimate-only policies (a min-wise reconciliation summary, say)
         cannot filter a domain, so no summary travels — the handshake's
         correlation estimate is all the information there is, exactly
-        the cheap end of the paper's cost/precision spectrum.  An exact
-        summary whose discrepancy bound proves too small (CPI) keeps
-        its bytes on the books but yields no domain.
+        the cheap end of the paper's cost/precision spectrum.
         """
-        policy = self.summary_policy
         if self.partitioned_rho > 1:
             self._partition_ids = self.receiver.working_set.ids  # a copy
-            self._domain = []
+            self._unheld = set()
             self.request_next_partition()
             self.stats.used_summary = True
             return
+        policy = self.summary_policy
         if not policy.can_filter:
             return
-        remote = policy.summary_of(self.receiver.working_set)
         # A summary message's wire size is the summary's own (see
-        # SummaryMessage.wire_bytes).
-        self.stats.control_bytes += remote.wire_bytes()
-        try:
-            self._domain = list(
-                policy.useful_subset(remote, list(self.sender.symbols))
-            )
-        except DiscrepancyExceeded:
-            self._domain = None
-            return
-        self.stats.used_summary = True
+        # SummaryMessage.wire_bytes); make_strategy reads the same object.
+        ws = self.receiver.working_set
+        self.stats.control_bytes += policy.summary_of(ws).wire_bytes()
+        strategy = make_strategy(
+            "Recode/BF", self.sender.working_set, ws, self.rng,
+            symbols_desired=desired, summary_policy=policy,
+        )
+        if isinstance(strategy, RecodeSummaryStrategy):  # not blind
+            self.stats.used_summary = True
+            # A filter that left nothing makes the strategy blend the
+            # whole set, and no such blend is useful.
+            useful = strategy.filtered_out < len(self.sender.working_set)
+            self._inform(strategy, strategy._domain if useful else ())
 
     def request_next_partition(self) -> bool:
         """Pull one more partition filter (pipelined summaries, §5.2).
 
-        Returns False when every partition has been consumed.
+        The sender then recodes over every id the partitions pulled so
+        far.  Returns False when every partition has been consumed.
         """
         if self._partition_ids is None:
             return False
@@ -267,52 +296,54 @@ class TransferSession:
         self._next_partition += 1
         # Charged like the one-shot summary: its wire size, header included.
         self.stats.control_bytes += partition.wire_bytes()
-        assert self._domain is not None
-        self._domain.extend(partition.missing_from(self.sender.symbols))
+        pulled = partition.missing_from(self.sender.symbols)
+        self._pulled.extend(pulled)
+        if self._pulled:
+            strategy = RecodeSummaryStrategy(
+                self.sender.working_set, self._pulled, rng=self.rng
+            )
+            self._inform(strategy, pulled)
         return True
-
-    def _send_request(self) -> None:
-        """Receiver states how many symbols it wants (Section 6.1)."""
-        deficit = max(
-            0, self.receiver.params.recovery_target - len(self.receiver.working_set)
-        )
-        desired = int(math.ceil(deficit * DEFAULT_DESIRED_MARGIN))
-        msg = RequestMessage(symbols_desired=desired)
-        self.stats.control_bytes += msg.wire_bytes()
-        if (
-            self._domain is not None
-            and desired
-            and len(self._domain) > desired
-            and not self.summary_policy.partial_coverage
-        ):
-            self._domain = sample(self.rng, self._domain, desired)
 
     # -- transfer ---------------------------------------------------------------
 
-    def _domain_exhausted(self) -> bool:
-        """True when the receiver already holds every domain symbol.
-
-        Blending over a fully delivered domain can only produce redundant
-        packets; pipelined sessions use this signal to pull the next
-        partition, plain sessions to stop.
-        """
-        if self._domain is None:
-            return False
-        if not self._domain:
-            return True
+    def _inform(self, strategy: SenderStrategy, domain_ids) -> None:
+        """Send from ``strategy``; count in the ``domain_ids`` the
+        receiver lacks."""
+        self._strategy = strategy
         held = self.receiver.working_set
-        return all(i in held for i in self._domain)
+        self._unheld = (self._unheld or set()) | {
+            i for i in domain_ids if i not in held
+        }
+
+    def _drained(self) -> bool:
+        """True when the receiver holds every informed domain id:
+        blending on can only produce redundant packets (pipelined
+        sessions then pull the next partition, plain sessions stop)."""
+        return self._unheld is not None and not self._unheld
 
     def send_one(self) -> DataMessage:
         """Sender composes and transmits one data packet."""
         if self.sender.is_source:
             msg = self.sender.fresh_data()
         else:
-            msg = self.sender.recoded_data(domain_ids=self._domain)
+            version = self.sender.working_set.version
+            if self._strategy is None or (
+                self._unheld is None and self._recode_at != version
+            ):
+                self._strategy = make_strategy(
+                    "Recode", self.sender.working_set, self.receiver.working_set,
+                    self.rng,
+                )
+                self._recode_at = version
+            msg = self.sender.data_for(self._strategy.next_packet())
         self.stats.data_packets += 1
         self.stats.data_bytes += msg.wire_bytes()
-        if self.receiver.receive_data(msg):
+        recovered = self.receiver.receive_data(msg)
+        if recovered:
             self.stats.useful_packets += 1
+            if self._unheld:  # the count follows this session's deliveries
+                self._unheld.difference_update(recovered)
         return msg
 
     def stream_step(self, try_finalize: bool = True) -> bool:
@@ -329,14 +360,10 @@ class TransferSession:
         """
         if try_finalize and self.receiver.has_decoded:
             return False
-        if (
-            not self.sender.is_source
-            and self._domain is not None
-            and self._domain_exhausted()
-        ):
+        if self._drained():
             # Pipelined mode can pull another partition; otherwise
             # the sender genuinely has nothing useful left.
-            if not self.request_next_partition() or self._domain_exhausted():
+            if not self.request_next_partition() or self._drained():
                 return False
         self.send_one()
         if try_finalize:

@@ -112,11 +112,6 @@ class EventScheduler:
     # -- execution ----------------------------------------------------------
 
     @property
-    def pending(self) -> int:
-        """Live events still on the heap."""
-        return sum(1 for h in self._heap if not h.cancelled)
-
-    @property
     def pending_oneshot(self) -> int:
         """Live one-shot events still on the heap.
 
@@ -211,7 +206,3 @@ class EventScheduler:
         if exhausted and until is not None and self.now < until:
             self.now = until
         return executed
-
-    def clear(self) -> None:
-        """Drop all pending events (the clock reading is kept)."""
-        self._heap.clear()

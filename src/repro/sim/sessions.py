@@ -172,12 +172,6 @@ class ScheduledSession:
         if self._pump_handle is not None:
             self._pump_handle.cancel()
 
-    # -- results ------------------------------------------------------------
-
-    @property
-    def duration(self) -> Optional[float]:
-        return self.session.stats.duration
-
 
 def run_sessions(
     scheduler: EventScheduler,

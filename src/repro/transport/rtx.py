@@ -91,10 +91,6 @@ class RtxManager:
         self.timeouts += len(expired)
         return expired
 
-    @property
-    def inflight(self) -> int:
-        return len(self._outstanding)
-
     # -- RTT estimation -----------------------------------------------------
 
     def observe_rtt(self, rtt: float) -> None:

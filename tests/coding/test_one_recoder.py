@@ -1,14 +1,16 @@
 """Every recoded packet comes from :class:`repro.coding.Recoder`.
 
-The recoding strategies and :meth:`ProtocolPeer.recoded_data` used to
-draw their blends themselves.  Frozen copies of those two draws are kept
-here as the reference: Hypothesis checks that the one recoder emits the
-same packets (byte for byte on the wire, for the peer) and leaves the
-RNG in the same state, over domain sizes around the degree cap of 50,
-with and without the Recode/MW degree shift, and across Recode/BF's
-domain truncation followed by ``renew()``.
+The recoding strategies and the protocol peer used to draw their blends
+themselves; a protocol session now sends its strategy's packets.  Frozen
+copies of those two draws are kept here as the reference: Hypothesis
+checks that the one recoder emits the same packets (byte for byte on the
+wire, for a session's partial sender) and leaves the RNG in the same
+state, over domain sizes around the degree cap of 50, with and without
+the Recode/MW degree shift, and across Recode/BF's domain truncation
+followed by ``renew()``.
 """
 
+import math
 import random
 from typing import Optional, Sequence
 
@@ -18,9 +20,9 @@ from hypothesis import strategies as st
 
 from repro.coding import DegreeDistribution, LTEncoder, Packet, Recoder
 from repro.coding.symbol import xor_payloads
-from repro.delivery import WorkingSet
-from repro.delivery.strategies import _RecodeBase
-from repro.protocol import CodeParameters, DataMessage, ProtocolPeer
+from repro.delivery import WorkingSet, make_strategy
+from repro.delivery.strategies import DEFAULT_DESIRED_MARGIN, _RecodeBase
+from repro.protocol import CodeParameters, DataMessage, ProtocolPeer, TransferSession
 
 DOMAIN_SIZES = [1, 2, 49, 50, 51, 400]
 SHIFTS = [0.0, 0.3, 0.99]
@@ -71,7 +73,7 @@ class _FrozenRecodeBase:
 
 
 def _frozen_recoded_data(symbols, rng, domain_ids=None) -> DataMessage:
-    """``ProtocolPeer.recoded_data`` before it moved into the recoder."""
+    """The protocol peer's own blend, before it moved into the recoder."""
     pool = domain_ids if domain_ids else list(symbols)
     dist = DegreeDistribution.recoding_soliton(len(pool), max_degree=50)
     degree = min(dist.sample(rng), len(pool))
@@ -120,26 +122,51 @@ def test_the_strategies_draw_what_they_drew(size, shift, whole_pool, limit, seed
 def held_symbols():
     params = CodeParameters(num_blocks=64, block_size=8, stream_seed=3)
     content = bytes(random.Random(5).randrange(256) for _ in range(64 * 8))
-    return params, params.encoder_for(content).symbols(range(420))
+    return params, params.encoder_for(content).symbols(range(480))
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     size=st.sampled_from(DOMAIN_SIZES),
-    whole_set=st.booleans(),
+    informed=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_the_peer_sends_what_it_sent(held_symbols, size, whole_set, seed):
+def test_the_session_sends_what_the_strategy_drew(held_symbols, size, informed, seed):
+    """A partial sender's data messages carry the ids of
+    ``make_strategy``'s packets from the same stream, with the XOR of
+    their blocks: byte for byte what the peer's frozen draw sends over
+    that strategy's domain, leaving the RNG where it leaves it."""
     params, symbols = held_symbols
-    held = symbols[:size] if whole_set else symbols
-    ours, frozen = random.Random(seed), random.Random(seed)
-    peer = ProtocolPeer("p", params, initial_symbols=held, rng=ours)
-    domain = None if whole_set else [s.symbol_id for s in symbols[:size]]
+    n = size + 60
+    sender = ProtocolPeer("s", params, initial_symbols=symbols[:n])
+    # A third of the sender's ids (a filtering summary ships) or none.
+    start = n - n // 3 if informed else n
+    receiver = ProtocolPeer("r", params, initial_symbols=symbols[start:n + 20])
+    desired = math.ceil(
+        max(0, params.recovery_target - len(receiver.working_set))
+        * DEFAULT_DESIRED_MARGIN
+    )
+    session = TransferSession(sender, receiver, rng=random.Random(seed))
+    assert session.handshake()
+    assert session.stats.used_summary == informed
+    strategy = make_strategy(
+        "Recode/BF" if informed else "Recode",
+        sender.working_set,
+        receiver.working_set,
+        random.Random(seed),
+        symbols_desired=desired,
+        summary_policy=session.summary_policy,
+    )
+    frozen = random.Random()
+    frozen.setstate(session.rng.getstate())
     for _ in range(20):
-        sent = peer.recoded_data(domain)
-        expected = _frozen_recoded_data(peer.symbols, frozen, domain)
+        sent = session.send_one()
+        assert (sent.constituent_ids or {sent.symbol_id}) == (
+            strategy.next_packet().constituent_ids
+        )
+        expected = _frozen_recoded_data(sender.symbols, frozen, strategy._domain)
         assert (sent.is_recoded, sent.pack()) == (expected.is_recoded, expected.pack())
-        assert ours.getstate() == frozen.getstate()
+        assert session.rng.getstate() == frozen.getstate()
 
 
 class TestRecoderOptions:

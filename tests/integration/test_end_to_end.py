@@ -101,8 +101,8 @@ class TestProtocolScaledToPaperParameters:
         )
         rng = random.Random(12)
         content = bytes(rng.randrange(256) for _ in range(num_blocks * block_size))
-        src = ProtocolPeer("src", params, content=content, rng=random.Random(1))
-        mid = ProtocolPeer("mid", params, rng=random.Random(2))
+        src = ProtocolPeer("src", params, content=content)
+        mid = ProtocolPeer("mid", params)
         # Stage 1: source seeds a relay with ~60% of the file.
         s1 = TransferSession(src, mid, rng=random.Random(3))
         assert s1.handshake()
@@ -110,7 +110,7 @@ class TestProtocolScaledToPaperParameters:
             s1.send_one()
         assert not mid.has_decoded
         # Stage 2: a second receiver downloads from source AND relay.
-        rcv = ProtocolPeer("rcv", params, rng=random.Random(4))
+        rcv = ProtocolPeer("rcv", params)
         s2a = TransferSession(src, rcv, rng=random.Random(5))
         s2b = TransferSession(mid, rcv, rng=random.Random(6))
         assert s2a.handshake() and s2b.handshake()

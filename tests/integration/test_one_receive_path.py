@@ -15,7 +15,7 @@ import weakref
 from repro.api import run
 from repro.api.registry import small_specs
 from repro.coding import Packet, xor_payloads
-from repro.delivery import SimReceiver, WorkingSet
+from repro.delivery import SimReceiver, WorkingSet, make_strategy
 from repro.overlay import OverlayNode, OverlaySimulator
 from repro.protocol import CodeParameters, DataMessage, ProtocolPeer
 
@@ -148,10 +148,12 @@ class TestProtocolPeerPeelsIntoItsWorkingSet:
         )
         sender = ProtocolPeer(
             "s", self.PARAMS, initial_symbols=enc.symbols(range(60)),
-            rng=random.Random(5),
+        )
+        strategy = make_strategy(
+            "Recode", sender.working_set, receiver.working_set, random.Random(5)
         )
         for _ in range(400):
-            receiver.receive_data(sender.recoded_data())
+            receiver.receive_data(sender.data_for(strategy.next_packet()))
         assert len(receiver.working_set) == len(receiver.symbols) > 30
         unknown_bytes = 0
         for symbol_id, symbol in receiver.symbols.items():

@@ -14,12 +14,10 @@ def build_pair(seed=1, num_blocks=240, overlap=120):
     enc = params.encoder_for(content)
     receiver = ProtocolPeer(
         "recv", params, initial_symbols=enc.symbols(range(0, 200)),
-        rng=random.Random(seed + 1),
     )
     sender = ProtocolPeer(
         "send", params,
         initial_symbols=enc.symbols(range(200 - overlap, 460 - overlap)),
-        rng=random.Random(seed + 2),
     )
     return params, content, sender, receiver
 
@@ -77,8 +75,8 @@ class TestPartitionedSession:
         while session.request_next_partition():
             pass
         held = set(receiver.working_set.ids)
-        assert session._domain
-        assert all(i not in held for i in session._domain)
+        assert session._strategy._domain
+        assert all(i not in held for i in session._strategy._domain)
 
     def test_session_bloom_policy_sizes_every_partition(self):
         """The stream has no budget of its own: a Bloom session policy

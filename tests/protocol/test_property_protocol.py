@@ -92,10 +92,8 @@ class TestSessionProperties:
         a_ids = list(range(holder_a))
         b_start = max(0, holder_a - overlap)
         b_ids = list(range(b_start, b_start + 130))
-        receiver = ProtocolPeer("a", params, initial_symbols=enc.symbols(a_ids),
-                                rng=random.Random(seed + 1))
-        sender = ProtocolPeer("b", params, initial_symbols=enc.symbols(b_ids),
-                              rng=random.Random(seed + 2))
+        receiver = ProtocolPeer("a", params, initial_symbols=enc.symbols(a_ids))
+        sender = ProtocolPeer("b", params, initial_symbols=enc.symbols(b_ids))
         before = set(receiver.working_set.ids)
         session = TransferSession(sender, receiver, rng=random.Random(seed + 3))
         session.run(until_decoded=False, max_packets=600)

@@ -5,6 +5,8 @@ import struct
 
 import pytest
 
+from repro.coding import Packet, xor_payloads
+from repro.delivery import make_strategy
 from repro.protocol import (
     CodeParameters,
     DataMessage,
@@ -144,9 +146,27 @@ class TestPeer:
 
     def test_recode_with_nothing_rejected(self):
         p = make_params()
-        peer = ProtocolPeer("x", p)
-        with pytest.raises(RuntimeError):
-            peer.recoded_data()
+        session = TransferSession(ProtocolPeer("x", p), ProtocolPeer("y", p))
+        assert session.handshake()
+        with pytest.raises(ValueError, match="empty working set"):
+            session.send_one()
+
+    def test_a_blend_carries_the_xor_and_a_blend_of_one_goes_encoded(self):
+        p = make_params(num_blocks=8, block_size=4)
+        enc = p.encoder_for(make_content(p))
+        peer = ProtocolPeer("x", p, initial_symbols=enc.symbols(range(5)))
+        block = {i: enc.symbol(i).payload for i in range(5)}
+        assert peer.data_for(Packet.recoded([3])) == DataMessage.encoded(3, block[3])
+        assert peer.data_for(Packet.recoded([1, 3, 4])) == DataMessage.recoded(
+            [1, 3, 4], xor_payloads([block[1], block[3], block[4]])
+        )
+
+    def test_payload_free_constituents_are_refused(self):
+        p = make_params(num_blocks=8, block_size=4)
+        structure = p.structure_encoder().symbols(range(5))
+        peer = ProtocolPeer("x", p, initial_symbols=structure)
+        with pytest.raises(RuntimeError, match="payload-free"):
+            peer.data_for(Packet.recoded([1, 2]))
 
     @pytest.mark.parametrize(
         "packet",
@@ -171,8 +191,8 @@ class TestSession:
     def test_full_to_empty_decodes_and_verifies(self):
         p = make_params(300, 32)
         content = make_content(p, seed=2)
-        src = ProtocolPeer("s", p, content=content, rng=random.Random(1))
-        rcv = ProtocolPeer("r", p, rng=random.Random(2))
+        src = ProtocolPeer("s", p, content=content)
+        rcv = ProtocolPeer("r", p)
         stats = TransferSession(src, rcv, rng=random.Random(3)).run()
         assert stats.completed
         assert rcv.decoded_content(len(content)) == content
@@ -182,8 +202,8 @@ class TestSession:
         # of packet payloads" is a sub-percent fraction of the transfer.
         p = CodeParameters(num_blocks=100, block_size=1400, stream_seed=11)
         content = make_content(p, seed=6)
-        src = ProtocolPeer("s", p, content=content, rng=random.Random(1))
-        rcv = ProtocolPeer("r", p, rng=random.Random(2))
+        src = ProtocolPeer("s", p, content=content)
+        rcv = ProtocolPeer("r", p)
         stats = TransferSession(src, rcv, rng=random.Random(3)).run()
         assert stats.completed
         assert stats.control_fraction < 0.02
@@ -192,8 +212,8 @@ class TestSession:
         p = make_params(300, 32)
         content = make_content(p, seed=3)
         enc = p.encoder_for(content)
-        a = ProtocolPeer("a", p, initial_symbols=enc.symbols(range(0, 220)), rng=random.Random(4))
-        b = ProtocolPeer("b", p, initial_symbols=enc.symbols(range(120, 400)), rng=random.Random(5))
+        a = ProtocolPeer("a", p, initial_symbols=enc.symbols(range(0, 220)))
+        b = ProtocolPeer("b", p, initial_symbols=enc.symbols(range(120, 400)))
         sess = TransferSession(b, a, rng=random.Random(6))
         stats = sess.run(until_decoded=True, max_packets=3000)
         assert stats.used_summary  # correlation high enough to ship a BF
@@ -205,8 +225,8 @@ class TestSession:
         content = make_content(p, seed=4)
         enc = p.encoder_for(content)
         syms = enc.symbols(range(100))
-        a = ProtocolPeer("a", p, initial_symbols=syms, rng=random.Random(7))
-        b = ProtocolPeer("b", p, initial_symbols=list(syms), rng=random.Random(8))
+        a = ProtocolPeer("a", p, initial_symbols=syms)
+        b = ProtocolPeer("b", p, initial_symbols=list(syms))
         stats = TransferSession(b, a, rng=random.Random(9)).run()
         assert stats.rejected
         assert stats.data_packets == 0  # admission control saved the wire
@@ -225,7 +245,42 @@ class TestSession:
         # the source as *sender* which is the supported direction.
         p = make_params(150, 16)
         content = make_content(p, seed=5)
-        src = ProtocolPeer("s", p, content=content, rng=random.Random(10))
-        rcv = ProtocolPeer("r", p, rng=random.Random(11))
+        src = ProtocolPeer("s", p, content=content)
+        rcv = ProtocolPeer("r", p)
         stats = TransferSession(src, rcv, rng=random.Random(12)).run()
         assert stats.completed
+
+    def test_an_empty_useful_domain_sends_nothing(self):
+        # The receiver's Bloom filter holds every sender id: the
+        # strategy falls back to blending the whole set, and none of
+        # those blends may reach the wire.
+        p = make_params(200, 8)
+        enc = p.encoder_for(make_content(p))
+        rcv = ProtocolPeer("r", p, initial_symbols=enc.symbols(range(400)))
+        snd = ProtocolPeer("s", p, initial_symbols=enc.symbols(range(20)))
+        session = TransferSession(snd, rcv, rng=random.Random(3))
+        assert session.handshake()
+        assert session.stats.used_summary
+        assert not session.stream_step()
+        assert session.run().data_packets == 0
+
+    def test_an_uninformed_sender_that_grew_blends_the_new_ids(self):
+        p = make_params(200, 8)
+        enc = p.encoder_for(make_content(p))
+        snd = ProtocolPeer("s", p, initial_symbols=enc.symbols(range(40)))
+        rcv = ProtocolPeer("r", p, initial_symbols=enc.symbols(range(300, 340)))
+        session = TransferSession(snd, rcv, rng=random.Random(4))
+        assert session.handshake() and not session.stats.used_summary
+        for _ in range(5):
+            session.send_one()
+        for i in range(40, 60):
+            snd.receive_data(DataMessage.encoded(i, enc.symbol(i).payload))
+        # The rebuilt Recode strategy draws nothing: it sends what a
+        # fresh make_strategy on the same stream position sends.
+        stream = random.Random()
+        stream.setstate(session.rng.getstate())
+        fresh = make_strategy("Recode", snd.working_set, rcv.working_set, stream)
+        sent = [session.send_one() for _ in range(40)]
+        blends = [m.constituent_ids or {m.symbol_id} for m in sent]
+        assert blends == [fresh.next_packet().constituent_ids for _ in range(40)]
+        assert any(i >= 40 for ids in blends for i in ids)

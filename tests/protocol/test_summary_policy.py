@@ -54,14 +54,12 @@ def seeded_pair(params, content, policy=DEFAULT_POLICY):
         "a",
         params,
         initial_symbols=enc.symbols(range(0, 160)),
-        rng=random.Random(21),
         summary_policy=policy,
     )
     b = ProtocolPeer(
         "b",
         params,
         initial_symbols=enc.symbols(range(100, 260)),
-        rng=random.Random(22),
         summary_policy=policy,
     )
     return a, b

@@ -60,9 +60,9 @@ class TestCancellation:
         sched = EventScheduler()
         h = sched.schedule_at(1.0, lambda: None)
         sched.schedule_at(2.0, lambda: None)
-        assert sched.pending == 2
+        assert sched.pending_oneshot == 2
         h.cancel()
-        assert sched.pending == 1
+        assert sched.pending_oneshot == 1
 
 
 class TestPeriodic:

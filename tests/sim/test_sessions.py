@@ -13,13 +13,13 @@ def make_params(num_blocks=80, block_size=32, seed=3):
     return CodeParameters(num_blocks=num_blocks, block_size=block_size, stream_seed=seed)
 
 
-def make_pair(params, source_seed=2, receiver_seed=3, content_seed=1):
+def make_pair(params, content_seed=1):
     rng = random.Random(content_seed)
     content = bytes(
         rng.randrange(256) for _ in range(params.num_blocks * params.block_size)
     )
-    src = ProtocolPeer("src", params, content=content, rng=random.Random(source_seed))
-    dst = ProtocolPeer("dst", params, rng=random.Random(receiver_seed))
+    src = ProtocolPeer("src", params, content=content)
+    dst = ProtocolPeer("dst", params)
     return src, dst
 
 
@@ -73,8 +73,8 @@ class TestScheduledSession:
         )
         enc = params.encoder_for(content)
         symbols = list(enc.symbols(range(params.recovery_target + 10)))
-        a = ProtocolPeer("a", params, initial_symbols=symbols, rng=random.Random(2))
-        b = ProtocolPeer("b", params, initial_symbols=symbols, rng=random.Random(3))
+        a = ProtocolPeer("a", params, initial_symbols=symbols)
+        b = ProtocolPeer("b", params, initial_symbols=symbols)
         sched = EventScheduler()
         session = TransferSession(a, b, rng=random.Random(4))
         driver = ScheduledSession(sched, session, ConstantRateLink(1.0)).start()
@@ -104,7 +104,7 @@ class TestScheduledSession:
         sched = EventScheduler()
         drivers = []
         for i, rate in enumerate((1.0, 2.0, 4.0)):
-            src, dst = make_pair(params, source_seed=10 + i, receiver_seed=20 + i)
+            src, dst = make_pair(params)
             session = TransferSession(src, dst, rng=random.Random(30 + i))
             drivers.append(
                 ScheduledSession(sched, session, ConstantRateLink(rate)).start()

@@ -112,6 +112,20 @@ GUARDS = [
      ["src/repro/seeding.py"]),
     Guard(36, "bloom_index_rows (nothing called it; bloom_index_matrix is the kernel)",
      r"bloom_index_rows", ["src", "tests", "bench", "examples"], [THIS_FILE]),
+    Guard(41, "the peer's own blend draw (a session sends its strategy's packets)",
+     r"\brecoded_data", ["src", "tests", "bench", "examples"], [THIS_FILE]),
+    Guard(41, "a scan of the whole domain per packet (the session counts what is unheld)",
+     r"_domain_exhausted", ["src", "tests", "bench", "examples"], [THIS_FILE]),
+    Guard(41, "a peer RNG (a peer draws nothing it sends)",
+     r"self\.rng\b|default_rng", ["src/repro/protocol/peer.py"]),
+    Guard(41, "ScheduledSession.duration (tests read session.stats.duration)",
+     r"def duration", ["src/repro/sim"]),
+    Guard(41, "EventScheduler.pending (tests read pending_oneshot)",
+     r"def pending\b", ["src/repro/sim/engine.py"]),
+    Guard(41, "EventScheduler.clear (nothing cleared a live scheduler)",
+     r"def clear\b", ["src/repro/sim/engine.py"]),
+    Guard(41, "RtxManager.inflight (the controller keeps the count)",
+     r"def inflight", ["src/repro/transport"]),
 ] + [
     # What the reachability trace found nothing running: one row per name.
     Guard(40, f"{name} (nothing ran it; scripts/reachability.py)", pattern,

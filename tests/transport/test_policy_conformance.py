@@ -79,7 +79,7 @@ class TestPolicyInvariants:
                 if rng.random() < 0.6:  # the rest time out
                     ctrl.on_ack(now + rng.uniform(0.01, 0.4), seq)
         assert ctrl.inflight >= 0
-        assert ctrl.inflight == ctrl.rtx.inflight
+        assert ctrl.inflight == len(ctrl.rtx._outstanding)
         assert ctrl.sent == ctrl.acked + ctrl.timeouts + ctrl.inflight
 
 

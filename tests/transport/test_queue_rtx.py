@@ -125,7 +125,7 @@ class TestRtxManager:
         rtx.track(0, 0.0)   # deadline 4.0
         rtx.track(1, 3.0)   # deadline 7.0
         assert rtx.expire(4.0) == [(0, 0.0)]
-        assert rtx.inflight == 1
+        assert list(rtx._outstanding) == [1]
         assert rtx.timeouts == 1
         assert rtx.ack(0) is None  # expired: the late ack is ignored
 

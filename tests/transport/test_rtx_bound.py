@@ -79,7 +79,7 @@ class RtxBoundMachine(RuleBasedStateMachine):
         if not hasattr(self, "rtx"):
             return
         assert self.rtx.timeouts == self.timeouts
-        assert self.rtx.inflight == len(self.outstanding)
+        assert self.rtx._outstanding.keys() == self.outstanding.keys()
         earliest = min(
             (deadline for _, deadline in self.outstanding.values()),
             default=math.inf,
