@@ -8,9 +8,10 @@ Two halves:
   :data:`~repro.reconcile.DEFAULT_POLICY` and must reproduce the seeded
   behaviour of the original hardcoded min-wise/Bloom implementation.
   The literals below were recorded against it; only the control bytes
-  (the 4-byte summary header every message now charges) and the
+  (the 4-byte summary header every message now charges), the
   ``Recode/MW`` stream (estimated through the policy, no ground-truth
-  peek) were ever re-recorded.
+  peek) and the session's packet counts (its blends now come from the
+  session's strategy) were ever re-recorded.
 * **Policies** — every reconciliation-capable summary kind drives a
   full byte-accounted session to completion, and generic hello/summary
   messages report the carried summary's honest wire size.
@@ -76,8 +77,10 @@ class TestDefaultPolicyPins:
         # 2240 under the inline messages + the 4-byte summary header on
         # each of the two hellos and the one Bloom summary.
         assert stats.control_bytes == 2252
-        assert stats.data_packets == 82
-        assert stats.useful_packets == 3
+        # Re-recorded (was 82 / 3) when the blends moved from the
+        # sender peer's own rng to the session's Recode/BF strategy.
+        assert stats.data_packets == 88
+        assert stats.useful_packets == 6
         assert round(stats.estimated_correlation, 6) == 0.315789
 
     # SHA-256 prefixes of the first 300 packet identities each strategy
