@@ -19,10 +19,11 @@ Usage::
     PYTHONPATH=src python scripts/reachability.py --check  # the CI gate
 
 ``--check`` exits 1 when an unreached function matches no row of
-:data:`ALLOWED`, or when a row excuses nothing on its own (every
+:data:`ALLOWED`, when a row excuses nothing on its own (every
 function it matches is reached or matched by another row too), so a
-row that stops earning its place must go.  Code nothing runs is
-deleted, not listed.  One process, well under a minute.
+row that stops earning its place must go, or when the unreached lines
+exceed :data:`CEILING`.  Code nothing runs is deleted, not listed.
+One process, well under a minute.
 """
 
 import argparse
@@ -51,6 +52,10 @@ class Allow(NamedTuple):
     name: str  # glob over qualified names, e.g. ``*.to_payload``
     reason: str
 
+
+#: The most unreached lines ``--check`` passes.  A change that lowers
+#: the count lowers this in the same diff, so the number only falls.
+CEILING = 1412
 
 #: What stays although no smoke step runs it.  At most 30 rows; each
 #: must excuse at least one function no other row does.
@@ -101,9 +106,10 @@ ALLOWED: Sequence[Allow] = (
           "CatalogScheme's value equality and ObjectCatalog.target_ids, "
           "which the catalog tests read"),
     Allow("repro.protocol.*", "*",
-          "ROADMAP item 13's session summary path and item 15's message "
-          "wire surface (pack / unpack_*): no scenario sends from a "
-          "partial sender"),
+          "the session's partial-sender path (summary, partitions, "
+          "data_for) and run(), which no scenario reaches until "
+          "session_swarm gets a partial sender (ROADMAP items 3 and 13), "
+          "and item 15's message wire surface (pack / unpack_*)"),
     Allow("repro.reconcile.adapters", "*.*",
           "the Summary protocol the conformance suite runs for every kind, "
           "and item 15's to_payload / from_payload, whose round trip "
@@ -117,16 +123,14 @@ ALLOWED: Sequence[Allow] = (
           "item 15's wire surface: a payload back to its kind"),
     Allow("repro.seeding", "default_rng",
           "the rng=None fallback; every smoke run seeds explicitly"),
-    Allow("repro.sim.engine", "*",
-          "the stalled-clock refusal and the scheduler's pending / clear"),
+    Allow("repro.sim.engine", "*", "the stalled-clock refusal"),
     Allow("repro.sim.links", "*.*",
           "the LinkModel interface stubs, the README-documented "
           "LatencyJitterLink, the Gilbert-Elliott stationary and empirical "
           "rates (test oracles) and its burst-end bookkeeping, which no "
           "miniature run lasts long enough to reach"),
     Allow("repro.sim.s*", "*.*",
-          "ScheduledSession.duration and StatsRecorder.last, read by tests "
-          "and examples"),
+          "StatsRecorder.last, which the scenario tests read"),
     Allow("repro.sketches.minwise", "MinwiseSketch.*",
           "the min-wise primitive's bench-probed build_vectorized and the "
           "accessors its tests read"),
@@ -136,8 +140,8 @@ ALLOWED: Sequence[Allow] = (
     Allow("repro.topology.paths", "PathModel.*",
           "the README-documented links / shared_links / degrade_link"),
     Allow("repro.transport.*", "*",
-          "the policy listing unknown-kind errors print, RtxManager.inflight "
-          "and BottleneckLink.capacity_between (the inner link owns the "
+          "the policy listing unknown-kind errors print and "
+          "BottleneckLink.capacity_between (the inner link owns the "
           "budget)"),
 )
 
@@ -348,6 +352,12 @@ def report(missed: Sequence[Function], out=sys.stdout) -> None:
 def check(missed: Sequence[Function], out=sys.stderr) -> List[str]:
     """Every finding that fails the gate (empty: it passes)."""
     findings = []
+    total = sum(fn.lines for fn in missed)
+    if total > CEILING:
+        findings.append(
+            f"{total} unreached lines exceed CEILING = {CEILING}: delete "
+            "code or run it from a smoke step"
+        )
     sole: Dict[int, int] = {}
     for fn in missed:
         rows = matching_rows(fn)
@@ -373,7 +383,8 @@ def main(argv: Sequence[str] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
         "--check", action="store_true",
-        help="exit 1 on an unlisted unreached function or a row that excuses nothing",
+        help="exit 1 on an unlisted unreached function, a row that excuses "
+        "nothing, or more unreached lines than CEILING",
     )
     args = parser.parse_args(argv)
     if str(SRC) not in sys.path:

@@ -61,6 +61,10 @@ Declarative experiments::
 
 __version__ = "1.0.0"
 
+#: Bumped by every change that moves a seeded result (pinned with them);
+#: a campaign resume never reuses cells of another version.
+RESULTS_VERSION = 1
+
 from repro.coding import (
     DegreeDistribution,
     EncodedSymbol,
@@ -103,6 +107,7 @@ def __getattr__(name):
 
 __all__ = [
     "__version__",
+    "RESULTS_VERSION",
     "ExperimentSpec",
     "RunResult",
     "run",

@@ -17,7 +17,9 @@ into place, so a crash mid-write never leaves a truncated file;
 ``resume=True`` reuses any on-disk *ok* cell that validates against the
 schema and matches its cell id (error cells re-run, since their failure
 may have been transient), so an interrupted campaign restarts where it
-stopped.
+stopped.  A cell id names the spec, not the code, so a directory also
+records :data:`repro.RESULTS_VERSION` in ``VERSION``: another version's
+cells, or those of a directory without one, are deleted and re-run.
 
 Workers receive cells as spec JSON and return plain dicts, so results
 replay across process (and machine) boundaries; per-cell seeds are
@@ -27,9 +29,11 @@ already derived into the specs by the expander.
 import contextlib
 import json
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import IO, Any, Callable, Dict, List, Optional, Tuple
 
+from repro import RESULTS_VERSION
 from repro.api.output import prepare_out_file
 from repro.api.result import ResultSchemaError
 from repro.api.runner import run_spec_json
@@ -42,6 +46,9 @@ from repro.campaign.spec import CampaignSpec
 #: presence marks the directory as holding a finished campaign (and
 #: gates the clobber guard).
 CAMPAIGN_FILE = "campaign.json"
+
+#: The sidecar holding the results version a directory's cells are of.
+VERSION_FILE = "VERSION"
 
 #: Worker payload: (spec JSON or None, expander error, include_series).
 _Payload = Tuple[Optional[str], Optional[str], bool]
@@ -135,6 +142,13 @@ def _store_cell(out_dir: Optional[str], outcome: CellOutcome) -> None:
     _write_replacing(os.path.join(out_dir, f"{outcome.cell_id}.json"), write)
 
 
+def _version_of(out_dir: str) -> Optional[str]:
+    with contextlib.suppress(OSError, UnicodeDecodeError):
+        with open(os.path.join(out_dir, VERSION_FILE), encoding="utf-8") as fh:
+            return fh.read().strip()
+    return None
+
+
 def prepare_campaign_dir(out_dir: str, resume: bool = False, force: bool = False) -> str:
     """Create a campaign output directory, guarding finished campaigns.
 
@@ -193,8 +207,20 @@ def run_campaign(
         "resume requires an output directory (--out)",
     )
     cells = expand(campaign)
+    stale = False
     if out_dir is not None:
         prepare_campaign_dir(out_dir, resume=resume, force=force)
+        stale = _version_of(out_dir) != str(RESULTS_VERSION)
+    if stale:
+        # Another simulator's cells: gone before VERSION can vouch for them.
+        for cell in cells:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(_cell_path(out_dir, cell))
+        if resume:
+            warnings.warn(
+                f"{out_dir!r} holds no results of version {RESULTS_VERSION}: "
+                "re-running every cell", RuntimeWarning, stacklevel=2,
+            )
 
     outcomes: Dict[int, CellOutcome] = {}
     pending: List[CampaignCell] = []
@@ -206,9 +232,13 @@ def run_campaign(
         pending.append(cell)
 
     def finish(cell: CampaignCell, raw: Dict[str, Any]) -> None:
+        nonlocal stale
         outcome = _outcome(cell, raw)
         outcomes[cell.index] = outcome
         _store_cell(out_dir, outcome)
+        if stale:  # the first cell stored: VERSION now vouches for it
+            path, stale = os.path.join(out_dir, VERSION_FILE), False
+            _write_replacing(path, lambda fh: fh.write(f"{RESULTS_VERSION}\n"))
         if on_cell is not None:
             on_cell(outcome)
 

@@ -286,7 +286,7 @@ def make_strategy(
     def useful_subset() -> Optional[list]:
         # An exact summary whose discrepancy bound proves too small
         # (CPI) provides no information — fall back to oblivious
-        # selection, mirroring TransferSession, rather than crash.
+        # selection (a protocol session's too) rather than crash.
         try:
             return policy.useful_subset(
                 policy.summary_of(receiver_set), list(sender_set)

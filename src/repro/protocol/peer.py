@@ -56,10 +56,9 @@ class ProtocolPeer:
     constituent whose bytes this peer never had is held without bytes
     and kept out of the decoder.
 
-    A peer draws nothing it sends, so it holds no RNG: a source mints
-    the next fresh symbol, and a partial sender's blends are drawn by
-    its session's :class:`~repro.delivery.strategies.SenderStrategy` —
-    the peer only adds their bytes (:meth:`data_for`).
+    A peer draws nothing it sends (it holds no RNG): a partial sender's
+    blends come from its session's strategy, and :meth:`data_for` adds
+    their bytes.
 
     ``summary_policy`` selects the reconciliation summary the peer
     ships (a :class:`~repro.reconcile.SummaryPolicy`; by default the
@@ -181,10 +180,8 @@ class ProtocolPeer:
         return DataMessage.encoded(symbol.symbol_id, symbol.payload)
 
     def data_for(self, packet: Packet) -> DataMessage:
-        """Partial senders: ``packet`` — a blend a
-        :class:`~repro.delivery.strategies.SenderStrategy` drew over the
-        held ids — with the XOR of its constituents' blocks; a blend of
-        one is sent as that encoded symbol."""
+        """Partial senders: a strategy's ``packet`` over held ids, with the
+        XOR of its constituents' blocks (a blend of one goes encoded)."""
         ids = packet.constituent_ids or (packet.symbol_id,)
         payloads = [self.symbols[i].payload for i in ids]
         if any(p is None for p in payloads):

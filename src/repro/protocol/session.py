@@ -1,11 +1,10 @@
 """Transfer sessions: the full protocol between two (or more) peers.
 
 A session wires peers together in memory, runs the handshake, streams
-data packets, and accounts every byte.  A partial sender's packets come
-from the one sender every scenario runs, a :func:`~repro.delivery.
-strategies.make_strategy` strategy on the session's ``rng``; the peer
-only adds their bytes.  :meth:`TransferSession.run` drives the loop to
-completion or byte budget exhaustion.
+data packets — a partial sender's from the :func:`~repro.delivery.
+strategies.make_strategy` sender every scenario runs — and accounts
+every byte.  :meth:`TransferSession.run` drives the loop to completion
+or byte budget exhaustion.
 """
 
 import math
@@ -13,12 +12,8 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Set
 
-from repro.delivery.strategies import (
-    DEFAULT_DESIRED_MARGIN,
-    RecodeSummaryStrategy,
-    SenderStrategy,
-    make_strategy,
-)
+from repro.delivery.strategies import DEFAULT_DESIRED_MARGIN, make_strategy
+from repro.delivery.strategies import RecodeSummaryStrategy, SenderStrategy
 from repro.protocol.messages import DataMessage, RequestMessage
 from repro.protocol.peer import ProtocolPeer
 from repro.reconcile import CALLING_CARD, SummaryPolicy, build_summary
@@ -158,16 +153,15 @@ class TransferSession:
         self.rng = rng if rng is not None else default_rng("protocol.session")
         self.clock = clock
         self.stats = SessionStats()
-        #: The partial sender's strategy: the handshake's informed one,
-        #: or an oblivious Recode rebuilt whenever the sender's set moved
-        #: past ``_recode_at`` (building it draws nothing).
+        #: The partial sender: the handshake's informed strategy, or an
+        #: oblivious Recode rebuilt (drawing nothing) whenever the
+        #: sender's set moved past ``_recode_at``.
         self._strategy: Optional[SenderStrategy] = None
         self._recode_at: Optional[int] = None
         #: Informed sessions: the domain ids the receiver still lacks.
         self._unheld: Optional[Set[int]] = None
         #: Pipelined mode: the receiver's ids at the handshake (every
-        #: partition filter summarises this one snapshot), and every id
-        #: the partitions pulled.
+        #: partition filter summarises it) and the ids partitions pulled.
         self._partition_ids: Optional[Set[int]] = None
         self._pulled: List[int] = []
         self._next_partition = 0
@@ -179,9 +173,8 @@ class TransferSession:
         """Exchange calling cards; decide whether and how to proceed.
 
         Returns False if the receiver rejects the sender (identical
-        content).  On success, the receiver states its request and, when
-        the estimated correlation warrants fine-grained reconciliation,
-        ships its summary.
+        content).  On success, a summary is shipped with the request when
+        the estimated correlation warrants fine-grained reconciliation.
         """
         if self.clock is not None and self.stats.started_at is None:
             self.stats.started_at = self.clock.now
@@ -232,21 +225,15 @@ class TransferSession:
     def _receive_summary(self, desired: int) -> None:
         """Receiver ships its summary; the sender recodes over it.
 
-        The summary is built under the *session's* policy (the
-        protocol-wide agreement), not the receiver object's own
-        attribute, and the sender is ``make_strategy("Recode/BF", ...)``
-        under it with the request as ``symbols_desired`` — its domain
-        rule (filter, request-sized cut, partial-coverage exemption,
-        blind fallback when an exact summary's bound proves too small)
-        is that function's.  With ``partitioned_rho`` set, only the
-        first residue partition is shipped here; further partitions
-        arrive on demand via :meth:`request_next_partition` as the
-        receiver drains the domain.
-
-        Estimate-only policies (a min-wise reconciliation summary, say)
-        cannot filter a domain, so no summary travels — the handshake's
-        correlation estimate is all the information there is, exactly
-        the cheap end of the paper's cost/precision spectrum.
+        The summary is the *session's* policy's (the protocol-wide
+        agreement), and the sender is ``make_strategy("Recode/BF", ...)``
+        under it with the request as ``symbols_desired``: the filter,
+        request-sized cut, partial-coverage exemption and blind fallback
+        past an exact summary's bound are that function's.  An
+        estimate-only policy (a min-wise summary, say) cannot filter, so
+        nothing travels: the handshake's estimate is all there is.  With
+        ``partitioned_rho`` set, partitions are pulled one at a time
+        (:meth:`request_next_partition`) as the receiver drains them.
         """
         if self.partitioned_rho > 1:
             self._partition_ids = self.receiver.working_set.ids  # a copy
@@ -299,27 +286,21 @@ class TransferSession:
         pulled = partition.missing_from(self.sender.symbols)
         self._pulled.extend(pulled)
         if self._pulled:
-            strategy = RecodeSummaryStrategy(
-                self.sender.working_set, self._pulled, rng=self.rng
-            )
-            self._inform(strategy, pulled)
+            ws = self.sender.working_set
+            self._inform(RecodeSummaryStrategy(ws, self._pulled, rng=self.rng), pulled)
         return True
 
     # -- transfer ---------------------------------------------------------------
 
-    def _inform(self, strategy: SenderStrategy, domain_ids) -> None:
-        """Send from ``strategy``; count in the ``domain_ids`` the
-        receiver lacks."""
-        self._strategy = strategy
+    def _inform(self, strategy: SenderStrategy, ids) -> None:
+        """Send from ``strategy``; count in the domain ``ids`` the receiver
+        lacks."""
         held = self.receiver.working_set
-        self._unheld = (self._unheld or set()) | {
-            i for i in domain_ids if i not in held
-        }
+        self._strategy = strategy
+        self._unheld = (self._unheld or set()) | {i for i in ids if i not in held}
 
     def _drained(self) -> bool:
-        """True when the receiver holds every informed domain id:
-        blending on can only produce redundant packets (pipelined
-        sessions then pull the next partition, plain sessions stop)."""
+        """Whether the receiver holds every informed domain id."""
         return self._unheld is not None and not self._unheld
 
     def send_one(self) -> DataMessage:
@@ -327,15 +308,11 @@ class TransferSession:
         if self.sender.is_source:
             msg = self.sender.fresh_data()
         else:
-            version = self.sender.working_set.version
-            if self._strategy is None or (
-                self._unheld is None and self._recode_at != version
-            ):
-                self._strategy = make_strategy(
-                    "Recode", self.sender.working_set, self.receiver.working_set,
-                    self.rng,
-                )
-                self._recode_at = version
+            ws, rws = self.sender.working_set, self.receiver.working_set
+            stale = self._unheld is None and self._recode_at != ws.version
+            if stale or self._strategy is None:
+                self._recode_at = ws.version
+                self._strategy = make_strategy("Recode", ws, rws, self.rng)
             msg = self.sender.data_for(self._strategy.next_packet())
         self.stats.data_packets += 1
         self.stats.data_bytes += msg.wire_bytes()

@@ -4,11 +4,11 @@ A :class:`SummaryPolicy` is one summary choice, a kind and its params.
 The calling card every hello carries (§4) is :data:`CALLING_CARD`, one
 min-wise family fixed off-line for every peer; the *reconciliation
 summary* shipped when finer-grained information pays for itself (§3)
-is the peer's own policy.  :class:`~repro.protocol.peer.ProtocolPeer`,
-:class:`~repro.protocol.session.TransferSession`,
-:class:`~repro.overlay.simulator.OverlaySimulator`, and
-:func:`repro.delivery.strategies.make_strategy` reconcile only through
-a policy — there is no policy-less path — which is what lets one
+is the peer's own policy.  :class:`~repro.overlay.simulator.
+OverlaySimulator` and :func:`repro.delivery.strategies.make_strategy`
+— which a :class:`~repro.protocol.session.TransferSession`'s sender is
+— reconcile only through a policy, as protocol peers summarise only
+through theirs: there is no policy-less path, which is what lets one
 experiment spec swap ``bloom`` for ``art`` or ``cpi`` and measure the
 paper's accuracy-vs-overhead trade-off.  A layer nobody handed a policy
 holds :data:`DEFAULT_POLICY`.

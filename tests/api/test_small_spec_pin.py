@@ -12,12 +12,16 @@ reach, is pinned the same way at one and two catalog objects.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
+import repro
 import repro.hashing.batch as batch
 from repro.api import registry, run
 from repro.campaign import expand, small_campaign
+
+ROOT = Path(__file__).resolve().parents[2]
 
 #: scenario -> (small spec JSON, small campaign cells, result JSON).
 PINS = {
@@ -106,6 +110,15 @@ POPULATION_PACKET_PINS = {
     2: "b43dc601e5a539ffd7eab1f6022e52d06dc811697404fc42a4f9997ac6beeac1",
 }
 
+#: ``repro.RESULTS_VERSION`` and the sha256 of every result hash in
+#: ``PINS`` (scenario order) followed by ``bench/expected.json``'s bytes.
+#: A change that re-records either edits this row, and so bumps the
+#: version: campaign directories of the old results then re-run.
+RESULTS_VERSION_PIN = (
+    1,
+    "6d496f402915508132b69db2a31af635ef4f459941398e7560e333e184743208",
+)
+
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -148,3 +161,11 @@ def test_population_packet_result(objects, numpy, monkeypatch):
     )
     result = run(spec)
     assert _sha(result.to_json(include_series=True)) == POPULATION_PACKET_PINS[objects]
+
+
+def test_the_results_version_moves_with_the_result_pins():
+    digest = hashlib.sha256()
+    for name in sorted(PINS):
+        digest.update(PINS[name][2].encode("utf-8"))
+    digest.update((ROOT / "bench" / "expected.json").read_bytes())
+    assert (repro.RESULTS_VERSION, digest.hexdigest()) == RESULTS_VERSION_PIN

@@ -17,7 +17,9 @@ from repro.campaign import (
     run_campaign,
     validate_campaign_dict,
 )
-from repro.campaign.executor import _run_payload
+from repro import RESULTS_VERSION
+from repro.campaign import small_campaign
+from repro.campaign.executor import VERSION_FILE, _run_payload
 
 
 def _campaign(seeds=2, **base_kwargs):
@@ -313,6 +315,66 @@ class TestOutputDirAndResume:
         assert len(seen) == 2
 
 
+class TestResultsVersion:
+    """A directory records the results version its cells were computed
+    under; a resume over another version, or over a directory without
+    one, re-runs every cell and says so, and the files it writes are
+    the bytes a fresh run writes."""
+
+    @staticmethod
+    def _tamper_every_cell(out):
+        for name in os.listdir(out):
+            if name.startswith("cell-"):
+                data = json.loads((out / name).read_text())
+                data["result"]["metrics"]["sentinel"] = 1.0
+                (out / name).write_text(json.dumps(data, indent=2, sort_keys=True))
+
+    @pytest.mark.parametrize("sidecar", [None, "0\n", "not a version"])
+    def test_a_resume_over_another_version_reruns_every_cell(self, tmp_path, sidecar):
+        campaign = small_campaign("scale_free_swarm")
+        clean, out = tmp_path / "clean", tmp_path / "sweep"
+        run_campaign(campaign, workers=1, out_dir=str(clean))
+        run_campaign(campaign, workers=1, out_dir=str(out))
+        assert (out / VERSION_FILE).read_text() == f"{RESULTS_VERSION}\n"
+        self._tamper_every_cell(out)
+        if sidecar is None:
+            os.remove(out / VERSION_FILE)
+        else:
+            (out / VERSION_FILE).write_text(sidecar)
+        with pytest.warns(RuntimeWarning, match="re-running every cell"):
+            run_campaign(campaign, workers=1, out_dir=str(out), resume=True)
+        assert sorted(os.listdir(out)) == sorted(os.listdir(clean))
+        for name in os.listdir(clean):
+            assert (out / name).read_bytes() == (clean / name).read_bytes()
+
+    def test_a_resume_over_this_version_reuses_its_cells(self, tmp_path, recwarn):
+        campaign = _campaign(seeds=1)
+        out = tmp_path / "sweep"
+        run_campaign(campaign, workers=1, out_dir=str(out))
+        self._tamper_every_cell(out)
+        resumed = run_campaign(campaign, workers=1, out_dir=str(out), resume=True)
+        assert all(c.result["metrics"]["sentinel"] == 1.0 for c in resumed.cells)
+        assert not recwarn.list
+
+    def test_a_fresh_run_over_old_cells_leaves_none_to_trust(self, tmp_path):
+        # Interrupted before its first cell was stored, a fresh run over
+        # another version's directory must not leave those cells behind
+        # for a later resume to take as this version's.
+        campaign = _campaign(seeds=1)
+        out = tmp_path / "sweep"
+        run_campaign(campaign, workers=1, out_dir=str(out))
+        (out / VERSION_FILE).write_text("0\n")
+        os.remove(out / "campaign.json")
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(
+                campaign, workers=1, out_dir=str(out),
+                on_cell=lambda cell: (_ for _ in ()).throw(KeyboardInterrupt),
+            )
+        cells = [f for f in os.listdir(out) if f.startswith("cell-")]
+        assert len(cells) == 1  # the one cell this run stored
+        assert (out / VERSION_FILE).read_text() == f"{RESULTS_VERSION}\n"
+
+
 class TestInterruptedWrites:
     """Cell files and ``campaign.json`` are written beside their target
     and moved into place: a write that dies half way leaves the previous
@@ -337,7 +399,8 @@ class TestInterruptedWrites:
             run_campaign(campaign, workers=1, out_dir=str(out))
         monkeypatch.undo()
         assert os.listdir(out) == []
-        run_campaign(campaign, workers=1, out_dir=str(out), resume=True)
+        with pytest.warns(RuntimeWarning, match="re-running every cell"):
+            run_campaign(campaign, workers=1, out_dir=str(out), resume=True)
         assert sorted(os.listdir(out)) == sorted(os.listdir(clean))
         for name in os.listdir(clean):
             assert (out / name).read_bytes() == (clean / name).read_bytes()

@@ -251,13 +251,18 @@ class TestSession:
         assert stats.completed
 
     def test_an_empty_useful_domain_sends_nothing(self):
-        # The receiver's Bloom filter holds every sender id: the
-        # strategy falls back to blending the whole set, and none of
-        # those blends may reach the wire.
-        p = make_params(200, 8)
+        # The receiver's Bloom filter holds every sender id, two of them
+        # as false positives the receiver lacks: the strategy falls back
+        # to blending the whole set, and none of those blends may reach
+        # the wire.
+        p = make_params(1000, 8)
         enc = p.encoder_for(make_content(p))
         rcv = ProtocolPeer("r", p, initial_symbols=enc.symbols(range(400)))
-        snd = ProtocolPeer("s", p, initial_symbols=enc.symbols(range(20)))
+        assert not rcv.has_decoded
+        bloom = rcv.summary_policy.summary_of(rcv.working_set)
+        hidden = [i for i in range(400, 3000) if not bloom.missing_from([i])][:2]
+        ids = list(range(18)) + hidden
+        snd = ProtocolPeer("s", p, initial_symbols=enc.symbols(ids))
         session = TransferSession(snd, rcv, rng=random.Random(3))
         assert session.handshake()
         assert session.stats.used_summary

@@ -1,13 +1,15 @@
 """The reachability gate's allow-list cannot rot.
 
 ``scripts/reachability.py --check`` (a CI job; it traces, so it is not
-run here) fails on an unreached function no row excuses, and on a row
-that excuses nothing on its own.  This checks, without tracing, what
+run here) fails on an unreached function no row excuses, on a row that
+excuses nothing on its own, and on more unreached lines than its
+``CEILING``.  This checks, without tracing, what
 can go stale between its runs: every row still matches a ``def`` under
 ``src/repro``, says why, and the list stays short.
 """
 
 import importlib.util
+import io
 from pathlib import Path
 
 import pytest
@@ -30,6 +32,17 @@ FUNCTIONS = reachability.functions()
 
 def test_the_list_is_short():
     assert len(reachability.ALLOWED) <= 30
+
+
+def test_the_ceiling_is_an_int_the_check_enforces():
+    ceiling = reachability.CEILING
+    assert isinstance(ceiling, int) and not isinstance(ceiling, bool)
+    at, above = (
+        reachability.Function("repro", "f", "repro/__init__.py", 1, 1, lines)
+        for lines in (ceiling, ceiling + 1)
+    )
+    assert not any("CEILING" in f for f in reachability.check([at], io.StringIO()))
+    assert any("CEILING" in f for f in reachability.check([above], io.StringIO()))
 
 
 @pytest.mark.parametrize(
