@@ -54,17 +54,19 @@ def main():
     sessions = {}
     while not all(l.has_decoded for l in leechers):
         progressed = False
-        for receiver in leechers:
+        for i, receiver in enumerate(leechers):
             if receiver.has_decoded:
                 continue
-            sender = leechers[round_robin % NUM_LEECHERS]
+            # Each other leecher in turn (offsets 1 .. N-1, never itself).
+            offset = 1 + round_robin % (NUM_LEECHERS - 1)
+            sender = leechers[(i + offset) % NUM_LEECHERS]
             round_robin += 1
-            if sender is receiver or len(sender.working_set) == 0:
+            if len(sender.working_set) == 0:
                 continue
             key = (sender.peer_id, receiver.peer_id)
             if key not in sessions:
                 session = TransferSession(sender, receiver,
-                                          rng=random.Random(hash(key) % 10_000))
+                                          rng=random.Random("->".join(key)))
                 if not session.handshake():
                     sessions[key] = None
                     continue
