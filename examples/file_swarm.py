@@ -52,6 +52,11 @@ def main():
     total_data = sum(s.stats.data_bytes for s in seed_sessions)
     round_robin = 0
     sessions = {}
+    from_leechers = from_origin = 0
+    # Recoded blends often resolve only on later packets, so one pass
+    # without growth is no proof the leechers are drained: only a full
+    # rotation through every other leecher is.
+    stalled_passes = 0
     while not all(l.has_decoded for l in leechers):
         progressed = False
         for i, receiver in enumerate(leechers):
@@ -77,11 +82,13 @@ def main():
             before = len(receiver.working_set)
             for _ in range(8):  # a small burst per turn
                 session.send_one()
-            if len(receiver.working_set) > before:
-                progressed = True
+            gained = len(receiver.working_set) - before
+            from_leechers += gained
+            progressed = progressed or gained > 0
             if len(receiver.working_set) >= params.recovery_target:
                 receiver.try_finalize_decode()
-        if not progressed:
+        stalled_passes = 0 if progressed else stalled_passes + 1
+        if stalled_passes >= NUM_LEECHERS - 1:
             # Peers have drained each other; one origin top-up round.
             for receiver in leechers:
                 if receiver.has_decoded:
@@ -89,13 +96,17 @@ def main():
                 top_up = TransferSession(origin, receiver,
                                          rng=random.Random(99))
                 top_up.handshake()
+                before = len(receiver.working_set)
                 while not receiver.has_decoded:
                     top_up.send_one()
                     if len(receiver.working_set) >= params.recovery_target:
                         receiver.try_finalize_decode()
+                from_origin += len(receiver.working_set) - before
                 total_control += top_up.stats.control_bytes
                 total_data += top_up.stats.data_bytes
             break
+    print(f"  symbols from leechers: {from_leechers}, "
+          f"from the origin top-up: {from_origin}")
 
     for s in sessions.values():
         if s is not None:
@@ -115,6 +126,9 @@ def main():
           f"bytes ({ctrl_frac:.2%} control overhead)")
     if not all_ok:
         print("VERIFICATION FAILED")
+        return 1
+    if from_leechers == 0:
+        print("PHASE 2 FAILED: no symbol moved between leechers")
         return 1
     print("every leecher reconstructed the exact file bytes ✓")
     return 0

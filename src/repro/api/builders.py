@@ -191,7 +191,7 @@ def _reconfig_policies(
         scheme = scheme or reconfig_scheme(spec)
         return (
             SketchAdmission(scheme, min_usefulness=rc.min_usefulness),
-            UtilityRewiring(scheme, hysteresis=rc.hysteresis, rng=rng),
+            UtilityRewiring(scheme, hysteresis=rc.hysteresis),
         )
     if arm == "random":
         return OpenAdmission(), RandomRewiring(rng=rng)
@@ -594,7 +594,7 @@ def _build_swarm(
     spec: ExperimentSpec,
     populate: Callable[..., None],
     *,
-    rng: Optional[random.Random] = None,
+    rng: random.Random,
     stats: Optional[StatsRecorder] = _SPEC_SERIES,
     arm: Optional[str] = None,
     scheme: Optional[SummaryScheme] = None,
@@ -608,13 +608,13 @@ def _build_swarm(
     first to draw from ``rng`` — the declared departure and the loss
     chains' per-tick steps.
 
-    Each keyword replaces one default: ``rng`` (``Random(spec.seed)``),
-    ``stats`` (:func:`_series_recorder`; ``None`` records nothing),
-    ``arm`` / ``scheme`` (see :func:`_reconfig_policies`),
-    ``link_factory`` (the link rules), ``paths`` and ``runner``.
+    ``rng`` is the run's stream (``Random(spec.seed)`` for a single
+    arm).  Each other keyword replaces one default: ``stats``
+    (:func:`_series_recorder`; ``None`` records nothing), ``arm`` /
+    ``scheme`` (see :func:`_reconfig_policies`), ``link_factory`` (the
+    link rules), ``paths`` and ``runner``.
     """
     swarm = _require_swarm(spec)
-    rng = rng or random.Random(spec.seed)
     if stats is _SPEC_SERIES:
         stats = _series_recorder(spec)
     shared = _shared_processes(swarm)
@@ -794,7 +794,7 @@ FLASH_CROWD_SECTIONS = SWARM_SECTIONS + ("churn.join_waves", "churn.depart_node"
 )
 def build_flash_crowd(spec: ExperimentSpec) -> BuiltExperiment:
     """Joiners run the Section 4 join decision at their scheduled time."""
-    return _build_swarm(spec, _populate_flash_crowd)
+    return _build_swarm(spec, _populate_flash_crowd, rng=random.Random(spec.seed))
 
 
 # ---------------------------------------------------------------------------
@@ -860,7 +860,9 @@ def _populate_source_departure(spec, scn, rng, shared) -> None:
 )
 def build_source_departure(spec: ExperimentSpec) -> BuiltExperiment:
     """Completion after the departure needs peer-to-peer reconciliation."""
-    return _build_swarm(spec, _populate_source_departure)
+    return _build_swarm(
+        spec, _populate_source_departure, rng=random.Random(spec.seed)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -958,7 +960,9 @@ def _populate_asymmetric_bandwidth(spec, scn, rng, shared) -> None:
 )
 def build_asymmetric_bandwidth(spec: ExperimentSpec) -> BuiltExperiment:
     """Heterogeneous per-connection link models from the swarm's rules."""
-    return _build_swarm(spec, _populate_asymmetric_bandwidth)
+    return _build_swarm(
+        spec, _populate_asymmetric_bandwidth, rng=random.Random(spec.seed)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1065,7 +1069,9 @@ def _populate_correlated_regional_loss(spec, scn, rng, shared) -> None:
 )
 def build_correlated_regional_loss(spec: ExperimentSpec) -> BuiltExperiment:
     """All inter-region links share one Gilbert-Elliott chain."""
-    return _build_swarm(spec, _populate_correlated_regional_loss)
+    return _build_swarm(
+        spec, _populate_correlated_regional_loss, rng=random.Random(spec.seed)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1386,11 +1392,9 @@ def build_session_swarm(spec: ExperimentSpec) -> BuiltExperiment:
                     name=name,
                     stats=stats,
                     max_packets=session_cap,
-                    transport=ctrl,
-                    rng=(
-                        derive_rng(spec.seed, "session_swarm", name, "transport")
-                        if ctrl is not None
-                        else None
+                    transport=None if ctrl is None else (
+                        ctrl,
+                        derive_rng(spec.seed, "session_swarm", name, "transport"),
                     ),
                 ).start()
             )
@@ -1509,7 +1513,7 @@ def _populate_figure1(spec, scn, rng, shared) -> None:
 )
 def build_figure1(spec: ExperimentSpec) -> BuiltExperiment:
     """Captioned working sets + the figure's tree/perpendicular edges."""
-    return _build_swarm(spec, _populate_figure1)
+    return _build_swarm(spec, _populate_figure1, rng=random.Random(spec.seed))
 
 
 def random_overlay(
@@ -1616,7 +1620,7 @@ def build_random_overlay(spec: ExperimentSpec) -> BuiltExperiment:
             if not node.is_source:
                 sim.connect(choice(rng, source_ids), node.node_id)
 
-    return _build_swarm(spec, populate, paths=physical)
+    return _build_swarm(spec, populate, rng=random.Random(spec.seed), paths=physical)
 
 
 __all__ = [

@@ -14,6 +14,7 @@ uninformed comparison under contention rather than over ideal links.
 """
 
 import dataclasses
+import random
 
 from repro.api.builders import (
     FLASH_CROWD_SECTIONS,
@@ -127,7 +128,9 @@ def build_congested_swarm(spec: ExperimentSpec) -> BuiltExperiment:
             "> 0 — without a shared queue there is nothing to congest; use "
             "flash_crowd for uncontended runs"
         )
-    return _build_swarm(spec, _populate_flash_crowd, runner=_run_congested)
+    return _build_swarm(
+        spec, _populate_flash_crowd, rng=random.Random(spec.seed), runner=_run_congested
+    )
 
 
 __all__ = ["congested_swarm"]

@@ -46,10 +46,6 @@ class ExactTreeSummary:
         """Whether some leaf of the summarised trie has ``value``."""
         return value in self._leaves
 
-    def size_bytes(self) -> int:
-        """Wire size if every 64-bit value were shipped explicitly."""
-        return 8 * (len(self._internal) + len(self._leaves))
-
 
 @dataclass
 class SearchStats:

@@ -23,7 +23,7 @@ within some interval of the hashed universe, the corresponding nodes carry
 identical values in both tries.
 """
 
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional
 
 from repro.hashing.mix import mix64
 
@@ -182,27 +182,3 @@ class ReconciliationTrie:
         """Values of leaves (one per element, barring H1 collisions)."""
         return [n.value for n in self.nodes() if n.is_leaf]
 
-    def depth(self) -> int:
-        """Height of the collapsed trie (0 for empty or singleton tries)."""
-        best = 0
-        stack: List[Tuple[Optional[TrieNode], int]] = [(self.root, 0)]
-        while stack:
-            node, d = stack.pop()
-            if node is None:
-                continue
-            if node.is_leaf:
-                best = max(best, d)
-            else:
-                stack.append((node.left, d + 1))
-                stack.append((node.right, d + 1))
-        return best
-
-    def node_count(self) -> Tuple[int, int]:
-        """(internal, leaf) node counts."""
-        internal = leaves = 0
-        for node in self.nodes():
-            if node.is_leaf:
-                leaves += 1
-            else:
-                internal += 1
-        return internal, leaves

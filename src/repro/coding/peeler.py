@@ -85,11 +85,6 @@ class RecodedPeeler:
         """
         return set(self._known)
 
-    @property
-    def pending_count(self) -> int:
-        """Recoded symbols still waiting for reduction."""
-        return len(self._pending_constituents)
-
     def payload_of(self, symbol_id: int) -> Optional[bytes]:
         """Recovered payload of an encoded symbol, if tracked."""
         return self._payloads.get(symbol_id)

@@ -20,11 +20,11 @@ an irregular distribution.
 
 import math
 import random
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.coding.degree import DegreeDistribution
 from repro.coding.symbol import EncodedSymbol, Packet, xor_payloads
-from repro.seeding import default_rng, sample
+from repro.seeding import sample
 
 #: Paper Section 6.1: "The degree distribution for recoding was created
 #: similarly with a degree limit of 50."
@@ -87,11 +87,11 @@ class Recoder:
         max_degree: int = DEFAULT_MAX_RECODE_DEGREE,
         min_degree: int = 1,
         degree_shift: float = 0.0,
-        rng: Optional[random.Random] = None,
+        *,
+        rng: random.Random,
     ):
         held = list(symbols)
         self._payloads = {s.symbol_id: s.payload for s in held}
-        rng = rng if rng is not None else default_rng("coding.recode")
         ids = [s.symbol_id for s in held]
         self._bind(ids, max_degree, min_degree, degree_shift, rng)
 

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.seeding import default_rng, shuffle
+from repro.seeding import shuffle
 
 #: Resemblance above which two candidates are treated as holding the
 #: same content (sketch noise tolerance).
@@ -144,7 +144,7 @@ def plan_join(
     candidates: Sequence[CandidateSender],
     max_senders: int,
     symbols_desired: int,
-    rng: Optional[random.Random] = None,
+    rng: random.Random,
     now: Optional[float] = None,
 ) -> JoinPlan:
     """The full join decision: select senders, group replicas, split demand.
@@ -192,7 +192,7 @@ def group_identical_senders(
 def split_demand(
     symbols_desired: int,
     groups: Sequence[Sequence[str]],
-    rng: Optional[random.Random] = None,
+    rng: random.Random,
 ) -> Dict[str, int]:
     """Allocate a symbol demand across sender groups, balancing inside each.
 
@@ -205,7 +205,6 @@ def split_demand(
         raise ValueError("demand must be non-negative")
     if not groups:
         return {}
-    rng = rng if rng is not None else default_rng("delivery.orchestrator.split_demand")
     allocation: Dict[str, int] = {}
     base_group = symbols_desired // len(groups)
     extra_groups = symbols_desired % len(groups)

@@ -60,11 +60,6 @@ class SimReceiver:
         """True once enough distinct symbols are held to decode."""
         return self.known_count >= self.target
 
-    @property
-    def pending_recoded(self) -> int:
-        """Recoded symbols buffered but not yet reducible."""
-        return self._peeler.pending_count
-
     # -- ingest --------------------------------------------------------------
 
     def receive(self, packet: Packet) -> List[int]:

@@ -31,7 +31,7 @@ from repro.coding.symbol import Packet
 from repro.delivery.working_set import WorkingSet
 from repro.exact.cpi import DiscrepancyExceeded
 from repro.reconcile import DEFAULT_POLICY, SummaryPolicy
-from repro.seeding import default_rng, randbelow, sample
+from repro.seeding import randbelow, sample
 
 
 class SenderStrategy:
@@ -47,15 +47,11 @@ class SenderStrategy:
     #: Human-readable name matching the paper's legend.
     name: str = "abstract"
 
-    def __init__(self, working_set: WorkingSet, rng: Optional[random.Random] = None):
+    def __init__(self, working_set: WorkingSet, rng: random.Random):
         if len(working_set) == 0:
             raise ValueError("a sender with an empty working set cannot transmit")
         self.working_set = working_set
-        # No OS-seeded fallback: an unseeded strategy draws from a
-        # deterministic stream so runs replay bit-identically.
-        self.rng = rng if rng is not None else default_rng(
-            "delivery.strategies", type(self).name
-        )
+        self.rng = rng
         # Materialised list for O(1) uniform sampling.
         self._pool = list(working_set)
 
@@ -99,7 +95,8 @@ class _RecodeBase(SenderStrategy):
         domain: Sequence[int],
         degree_shift: float = 0.0,
         domain_limit: Optional[int] = None,
-        rng: Optional[random.Random] = None,
+        *,
+        rng: random.Random,
     ):
         super().__init__(working_set, rng)
         domain = list(domain) if domain else list(self._pool)
@@ -131,7 +128,7 @@ class RecodeStrategy(_RecodeBase):
 
     name = "Recode"
 
-    def __init__(self, working_set: WorkingSet, rng: Optional[random.Random] = None):
+    def __init__(self, working_set: WorkingSet, rng: random.Random):
         super().__init__(working_set, domain=(), rng=rng)
 
 
@@ -154,7 +151,7 @@ class RandomSummaryStrategy(SenderStrategy):
         self,
         working_set: WorkingSet,
         useful_domain: Sequence[int],
-        rng: Optional[random.Random] = None,
+        rng: random.Random,
         label: Optional[str] = None,
     ):
         super().__init__(working_set, rng)
@@ -185,7 +182,8 @@ class RecodeSummaryStrategy(_RecodeBase):
         working_set: WorkingSet,
         useful_domain: Sequence[int],
         symbols_desired: Optional[int] = None,
-        rng: Optional[random.Random] = None,
+        *,
+        rng: random.Random,
         label: Optional[str] = None,
     ):
         super().__init__(
@@ -214,7 +212,7 @@ class RecodeMWStrategy(_RecodeBase):
         self,
         working_set: WorkingSet,
         estimated_correlation: float,
-        rng: Optional[random.Random] = None,
+        rng: random.Random,
     ):
         if not 0.0 <= estimated_correlation <= 1.0:
             raise ValueError("correlation estimate must lie in [0, 1]")

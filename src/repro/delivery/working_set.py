@@ -5,17 +5,17 @@ card; searchable summaries (Bloom filter, ART) cost more but enable
 fine-grained reconciliation.  :class:`WorkingSet` owns the symbol-id set
 and builds all of them with consistent parameters.
 
-Every mutation bumps a monotonically increasing :attr:`WorkingSet.
-version` stamp, and additions are journalled (:meth:`WorkingSet.
-added_since`; a removal invalidates the journal — shrinking a sketch is
-not incremental).  :meth:`WorkingSet.cached_many` — and
+Every add bumps a monotonically increasing :attr:`WorkingSet.version`
+stamp and is journalled (:meth:`WorkingSet.added_since`).  A set only
+grows: under a digital fountain encoded content never goes stale, so
+nothing is removed.  :meth:`WorkingSet.cached_many` — and
 :meth:`WorkingSet.cached`, its one-set case — is the one place that
 rule is applied: an artefact computed from the set is served while the
-version is unchanged, absorbs the journalled delta when the set only
-grew (Section 4's O(1)-per-symbol maintenance), and is rebuilt
-otherwise.  Summaries — a node's calling card among them, which is its
-own packed row — and catalog inventories all live there, so a cache
-dies with the set it describes.
+version is unchanged, absorbs the journalled delta when the set grew
+(Section 4's O(1)-per-symbol maintenance), and is rebuilt otherwise.
+Summaries — a node's calling card among them, which is its own packed
+row — and catalog inventories all live there, so a cache dies with the
+set it describes.
 """
 
 from functools import partial
@@ -49,10 +49,8 @@ class WorkingSet:
         # stamped 0 can absorb everything added later.
         self._version = 0
         # Append-only journal of added ids; entry i was the add that
-        # produced version _log_base + i + 1.  Cleared (and re-based) on
-        # any removal, which no summary can absorb.
+        # produced version i + 1.
         self._log: List[int] = []
-        self._log_base = 0
         # key -> (version at which the artefact was current, artefact).
         self._derived: Dict[Hashable, Tuple[int, Any]] = {}
 
@@ -60,20 +58,19 @@ class WorkingSet:
 
     @property
     def version(self) -> int:
-        """Monotone stamp, bumped on every successful add or discard."""
+        """Monotone stamp, bumped on every successful add."""
         return self._version
 
     def added_since(self, version: int) -> Optional[List[int]]:
-        """Ids added after ``version``, or ``None`` if unrecoverable.
+        """Ids added after ``version``, or ``None`` for a version this
+        set never had.
 
-        ``None`` means a removal intervened (or ``version`` predates the
-        journal): the caller must rebuild from :attr:`ids`.  An empty
-        list means nothing changed.  Ids are returned in insertion
-        order, each exactly once.
+        An empty list means nothing changed.  Ids are returned in
+        insertion order, each exactly once.
         """
-        if not self._log_base <= version <= self._version:
+        if not 0 <= version <= self._version:
             return None
-        return self._log[version - self._log_base:]
+        return self._log[version:]
 
     def cached(
         self,
@@ -192,19 +189,6 @@ class WorkingSet:
         self._version += 1
         self._log.append(symbol_id)
         return True
-
-    def update(self, ids: Iterable[int]) -> int:
-        """Insert many; returns how many were new."""
-        return sum(1 for i in ids if self.add(i))
-
-    def discard(self, symbol_id: int) -> None:
-        if symbol_id not in self._ids:
-            return
-        self._ids.discard(symbol_id)
-        self._version += 1
-        # Removals cannot be absorbed into grown-only summaries.
-        self._log.clear()
-        self._log_base = self._version
 
     # -- ground-truth relations (used by scenario builders and tests) -----
 

@@ -282,7 +282,7 @@ class FlowSimulator:
         scan_budget: int = 0,
         strategy_name: str = "Random",
         sample_cap: int = 256,
-        rng: Optional[random.Random] = None,
+        rng: random.Random,
     ):
         if not 0 < rate < math.inf:
             raise ValueError("rate must be positive and finite")
@@ -310,7 +310,7 @@ class FlowSimulator:
         self.scan_budget = scan_budget
         self.informed_strategy = strategy_name not in UNINFORMED_STRATEGIES
         self.sample_cap = sample_cap
-        self.rng = rng if rng is not None else random.Random(0)
+        self.rng = rng
 
         self.reconfigurations = 0
         self.reconfig_epochs = 0

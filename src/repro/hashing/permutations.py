@@ -93,9 +93,6 @@ class PermutationFamily:
     def __iter__(self):
         return iter(self.permutations)
 
-    def __getitem__(self, i: int) -> LinearPermutation:
-        return self.permutations[i]
-
     def compatible_with(self, other: "PermutationFamily") -> bool:
         """True if sketches built from the two families may be compared."""
         return (

@@ -133,11 +133,6 @@ class ObjectCatalog:
         base = obj * self.stride
         return range(base, base + self.distinct[obj])
 
-    def target_ids(self, obj: int) -> range:
-        """The first ``target`` ids of ``obj`` (a canonical seed set)."""
-        base = obj * self.stride
-        return range(base, base + self.targets[obj])
-
     def assign_demand(self, peers: int) -> List[int]:
         """Which single object each of ``peers`` demands, by Zipf shares.
 

@@ -28,7 +28,7 @@ from repro.overlay.node import OverlayNode
 from repro.reconcile import CALLING_CARD, SummaryPolicy
 from repro.reconcile.base import Summary
 from repro.reconcile.registry import summary_batch_recipe
-from repro.seeding import choice, default_rng, sample
+from repro.seeding import choice, sample
 
 #: The informed policy's defaults — admission threshold and swap margin
 #: — read by the policy constructors below and by
@@ -294,7 +294,6 @@ class UtilityRewiring:
         self,
         scheme: SummaryScheme,
         hysteresis: float = DEFAULT_HYSTERESIS,
-        rng: Optional[random.Random] = None,
     ):
         # NaN or inf would make ``best > worst + hysteresis`` always
         # false: the informed arm would silently never swap.
@@ -302,7 +301,6 @@ class UtilityRewiring:
             raise ValueError(f"hysteresis must be finite and >= 0, got {hysteresis!r}")
         self.scheme = scheme
         self.hysteresis = hysteresis
-        self.rng = rng if rng is not None else default_rng("overlay.reconfiguration")
 
     def rewire(
         self,
@@ -352,8 +350,8 @@ class RandomRewiring:
     paper's informed policies are measured against.
     """
 
-    def __init__(self, rng: Optional[random.Random] = None):
-        self.rng = rng if rng is not None else default_rng("overlay.reconfiguration")
+    def __init__(self, rng: random.Random):
+        self.rng = rng
 
     def rewire(
         self,

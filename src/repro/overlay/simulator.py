@@ -66,7 +66,6 @@ from repro.reconcile import DEFAULT_POLICY, SummaryPolicy
 from repro.sim.engine import EventScheduler
 from repro.sim.links import ConstantRateLink, LinkModel
 from repro.sim.stats import StatsRecorder
-from repro.seeding import default_rng
 from repro.topology.paths import UNIT_PATH, PathCharacteristics, PathModel
 from repro.transport.controller import TransportController, TransportManager
 
@@ -228,7 +227,8 @@ class OverlaySimulator:
         refresh_every: int = 20,
         reconfig_jitter: float = 0.0,
         reconfig_budget: int = 0,
-        rng: Optional[random.Random] = None,
+        *,
+        rng: random.Random,
         paths: Optional[PathModel] = None,
         link_factory: Optional[LinkFactory] = None,
         stats: Optional[StatsRecorder] = None,
@@ -262,7 +262,7 @@ class OverlaySimulator:
         self.refresh_every = refresh_every
         self.reconfig_jitter = reconfig_jitter
         self.reconfig_budget = reconfig_budget
-        self.rng = rng if rng is not None else default_rng("overlay.simulator")
+        self.rng = rng
         self.paths = paths
         self.link_factory = link_factory
         self.stats = stats

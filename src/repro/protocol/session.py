@@ -18,7 +18,6 @@ from repro.protocol.messages import DataMessage, RequestMessage
 from repro.protocol.peer import ProtocolPeer
 from repro.reconcile import CALLING_CARD, SummaryPolicy, build_summary
 from repro.reconcile import correlation_from_summaries
-from repro.seeding import default_rng
 
 #: Correlation above which a receiver should reject the sender outright
 #: (Section 4's admission control: identical content offers nothing).
@@ -110,7 +109,8 @@ class TransferSession:
         sender: ProtocolPeer,
         receiver: ProtocolPeer,
         partitioned_rho: int = 0,
-        rng: Optional[random.Random] = None,
+        *,
+        rng: random.Random,
         clock=None,
         summary_policy: Optional[SummaryPolicy] = None,
     ):
@@ -150,7 +150,7 @@ class TransferSession:
         self.receiver = receiver
         self.partitioned_rho = partitioned_rho
         self.summary_policy = summary_policy
-        self.rng = rng if rng is not None else default_rng("protocol.session")
+        self.rng = rng
         self.clock = clock
         self.stats = SessionStats()
         #: The partial sender: the handshake's informed strategy, or an

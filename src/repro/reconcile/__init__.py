@@ -14,9 +14,10 @@ trade-off becomes a parameter instead of a code path:
 >>> useful = theirs.missing_from(their_ids)   # guaranteed-useful ids
 
 * :class:`Summary` — the abstract interface: ``build`` /
-  ``wire_bytes`` / ``to_payload`` / ``from_payload`` / ``merge`` plus
-  the capability-flagged reconciliation surface (``may_contain``,
-  ``missing_from``, ``estimate_difference``).
+  ``wire_bytes`` / ``to_payload`` / ``from_payload`` plus the
+  capability-flagged reconciliation surface (``may_contain``,
+  ``missing_from``, ``estimate_difference``); ``merge`` is the min-wise
+  card's alone.
 * :mod:`repro.reconcile.registry` — string-keyed adapter registry
   (``build_summary("art", ids)``); :func:`summary_kinds` lists it.
 * :mod:`repro.reconcile.adapters` — one adapter per structure:

@@ -123,7 +123,6 @@ class MinwiseSummary(Summary):
     """
 
     kind = "minwise"
-    supports_merge = True
     supports_estimate = True
     supports_incremental = True
     supports_batch = True
@@ -357,7 +356,6 @@ class ModKSummary(Summary):
     """
 
     kind = "modk"
-    supports_merge = True
     supports_estimate = True
 
     def __init__(
@@ -427,14 +425,6 @@ class ModKSummary(Summary):
             raise SummaryError(
                 "mod-k summaries are only comparable with identical modulus and seed"
             )
-
-    def merge(self, other: "ModKSummary") -> "ModKSummary":
-        """Sample union — the mod-k sample of the set union."""
-        self._check_comparable(other)
-        ids, size = self._merged_local_ids(other)
-        return ModKSummary(
-            self.sample | other.sample, size, self.modulus, self.seed, local_ids=ids
-        )
 
     def estimate_difference(self, other: "ModKSummary") -> float:
         self._check_comparable(other)
@@ -530,7 +520,6 @@ class BloomSummary(Summary):
     kind = "bloom"
     supports_membership = True
     supports_difference = True
-    supports_merge = True
     supports_estimate = True
     supports_incremental = True
 
@@ -657,15 +646,6 @@ class BloomSummary(Summary):
         hits = self.bloom.contains_many(pool)
         return [x for x, hit in zip(pool, hits) if not hit]
 
-    def merge(self, other: "BloomSummary") -> "BloomSummary":
-        self._check_kind(other)
-        try:
-            union = self.bloom.union(other.bloom)
-        except ValueError as exc:
-            raise SummaryError(str(exc)) from exc
-        ids, size = self._merged_local_ids(other)
-        return BloomSummary(union, size, local_ids=ids)
-
     def estimate_difference(self, other: "Summary") -> float:
         """Stream our (local) ids through the other summary's membership."""
         local = self._require_local("bloom difference estimation")
@@ -690,16 +670,13 @@ class CountingBloomSummary(BloomSummary):
     ``m_buckets`` (pins the counter-array size, the role ``m_bits``
     plays on :class:`BloomSummary`: fixed sizing keeps :meth:`absorb`
     incremental instead of resize-rebuilding).  One saturating 16-bit
-    counter per bucket, so :meth:`remove` can delete a key and merging
-    sums counters: long-lived peers can fold summaries without losing
-    the ability to delete later.  A saturated counter is never
+    counter per bucket, so :meth:`remove` can delete a key.  A saturated counter is never
     decremented — a documented false positive beats a false negative.
     """
 
     kind = "counting_bloom"
     supports_membership = True
     supports_difference = True
-    supports_merge = True
     supports_estimate = True
     supports_incremental = True
 
@@ -716,7 +693,7 @@ class CountingBloomSummary(BloomSummary):
         self.m = len(counters)
         self.k = k
         self.seed = seed
-        #: Insertions with multiplicity (a merge adds both sides').
+        #: Insertions less removals.
         self.count = count
         self.set_size = set_size
         self._local_ids = local_ids
@@ -851,23 +828,6 @@ class CountingBloomSummary(BloomSummary):
 
     # Counters have no batched probe: keep the scalar walk.
     missing_from = Summary.missing_from
-
-    def merge(self, other: "CountingBloomSummary") -> "CountingBloomSummary":
-        """Counter-wise saturating sum: the multiset union's filter."""
-        self._check_kind(other)
-        if (self.m, self.k, self.seed) != (other.m, other.k, other.seed):
-            raise SummaryError("filters must share (m, k, seed) to be merged")
-        counters = array(
-            "H",
-            (
-                min(_COUNTER_MAX, a + b)
-                for a, b in zip(self._counters, other._counters)
-            ),
-        )
-        ids, size = self._merged_local_ids(other)
-        return CountingBloomSummary(
-            counters, self.k, self.seed, self.count + other.count, size, ids
-        )
 
 
 @register_summary
@@ -1345,7 +1305,6 @@ class HashSetSummaryAdapter(Summary):
     kind = "hashset"
     supports_membership = True
     supports_difference = True
-    supports_merge = True
     supports_estimate = True
     supports_incremental = True
 
@@ -1440,12 +1399,6 @@ class HashSetSummaryAdapter(Summary):
     def may_contain(self, key: int) -> bool:
         return self._hash(key) in self.hashes
 
-    def merge(self, other: "HashSetSummaryAdapter") -> "HashSetSummaryAdapter":
-        self._check_comparable(other)
-        hashes = self.hashes | other.hashes
-        ids, size = self._merged_local_ids(other, fallback=len(hashes))
-        return HashSetSummaryAdapter(hashes, self.hash_bits, self.seed, size, ids)
-
     def estimate_difference(self, other: "HashSetSummaryAdapter") -> float:
         """Hash sets compare directly — no local ids needed."""
         self._check_comparable(other)
@@ -1458,14 +1411,13 @@ class WholeSetSummary(Summary):
     """Explicit key transfer — the trivial exact baseline (§5.1).
 
     Params: ``key_bits`` (wire width per key).  The ids *are* the
-    payload, so every capability is supported and exact; the cost is
+    payload, so membership, difference and estimate are exact; the cost is
     the ``O(|S| log u)`` wire size everything else exists to avoid.
     """
 
     kind = "wholeset"
     supports_membership = True
     supports_difference = True
-    supports_merge = True
     supports_estimate = True
     exact = True
 
@@ -1508,10 +1460,6 @@ class WholeSetSummary(Summary):
 
     def missing_from(self, candidates: Iterable[int]) -> List[int]:
         return [key for key in candidates if key not in self.ids]
-
-    def merge(self, other: "WholeSetSummary") -> "WholeSetSummary":
-        self._check_kind(other)
-        return WholeSetSummary(self.ids | other.ids, key_bits=self.key_bits)
 
     def estimate_difference(self, other: "WholeSetSummary") -> float:
         self._check_kind(other)

@@ -19,8 +19,6 @@ Capability flags (all ``False`` on the base class):
 * ``supports_difference`` — :meth:`Summary.missing_from` can compute,
   from a *received* summary, which candidate keys the summarised set
   definitely lacks (the sender-side reconciliation primitive).
-* ``supports_merge`` — :meth:`Summary.merge` combines two summaries
-  into the summary of the union (three-party overlap checks, §4).
 * ``supports_estimate`` — :meth:`Summary.estimate_difference`
   estimates the symmetric-difference size ``|A Δ B|`` against another
   summary of the same kind.
@@ -57,7 +55,6 @@ class Summary(abc.ABC):
     kind: ClassVar[str] = ""
     supports_membership: ClassVar[bool] = False
     supports_difference: ClassVar[bool] = False
-    supports_merge: ClassVar[bool] = False
     supports_estimate: ClassVar[bool] = False
     exact: ClassVar[bool] = False
     #: True when :meth:`missing_from` is authoritative for only part of
@@ -121,9 +118,6 @@ class Summary(abc.ABC):
             "single-key membership queries"
         )
 
-    def __contains__(self, key: int) -> bool:
-        return self.may_contain(key)
-
     def missing_from(self, candidates: Iterable[int]) -> List[int]:
         """Candidate keys definitely absent from the summarised set.
 
@@ -141,7 +135,11 @@ class Summary(abc.ABC):
         return [key for key in candidates if not self.may_contain(key)]
 
     def merge(self, other: "Summary") -> "Summary":
-        """Summary of the union of the two summarised sets."""
+        """Summary of the union of the two summarised sets.
+
+        Only min-wise cards merge (coordinate-wise minima, §4: join
+        planning's coverage card); every other kind refuses.
+        """
         raise SummaryError(
             f"{self.kind or type(self).__name__} summaries do not support merging"
         )
@@ -162,10 +160,6 @@ class Summary(abc.ABC):
             f"{self.kind or type(self).__name__} summaries do not support "
             "incremental updates; rebuild from the full id set"
         )
-
-    def add(self, key: int) -> "Summary":
-        """Absorb a single id — sugar over :meth:`absorb`."""
-        return self.absorb((key,))
 
     def estimate_difference(self, other: "Summary") -> float:
         """Estimated symmetric-difference size ``|A Δ B|``."""
@@ -199,20 +193,17 @@ class Summary(abc.ABC):
         """
         return {}
 
-    def _merged_local_ids(self, other: "Summary", fallback: Optional[int] = None):
+    def _merged_local_ids(self, other: "Summary"):
         """``(ids, size)`` for a merge result.
 
         The union's exact ids (and size) when both sides were built
-        locally; otherwise ``(None, fallback)`` — defaulting to the
-        larger operand's size, the tightest bound a wire-reconstructed
-        pair can assert.
+        locally; otherwise ``None`` and the larger operand's size, the
+        tightest bound a wire-reconstructed pair can assert.
         """
         if self._local_ids is not None and other._local_ids is not None:
             ids = self._local_ids | other._local_ids
             return ids, len(ids)
-        if fallback is None:
-            fallback = max(self.set_size, other.set_size)
-        return None, fallback
+        return None, max(self.set_size, other.set_size)
 
     def _check_kind(self, other: "Summary") -> None:
         if not isinstance(other, Summary) or other.kind != self.kind:

@@ -6,11 +6,12 @@ same :class:`~repro.api.ExperimentSpec` are bit-identical — across
 processes and platforms (the derivation hashes with SHA-256, never
 Python's randomised ``hash()``).
 
-Components that historically defaulted to an OS-seeded
-``random.Random()`` (sender strategies, demand splitting, protocol
-sessions, the overlay simulator) now default to a stream derived from
-:data:`DEFAULT_MASTER_SEED` and their own dotted path, so even
-"unseeded" constructions replay exactly.
+Nothing draws from a stream its caller did not hand it: every
+component that draws (sender strategies, the recoder, demand splitting,
+join planning, rewiring, protocol sessions, the overlay and flow
+simulators) takes a required ``rng``, and every stream the library
+makes descends from the run's seed (:func:`derive_rng` names one by a
+path).  There is no process-global fallback stream.
 
 Every uniform draw in ``src/`` goes through :func:`sample`,
 :func:`shuffle`, :func:`randbelow` and :func:`choice`.  Each is
@@ -22,14 +23,9 @@ same state, without a Python frame per pick.
 """
 
 import hashlib
-import itertools
 import random
 from collections.abc import Sequence
 from math import ceil, log
-
-#: Master seed used when a component is constructed without an explicit
-#: RNG; keeps default construction deterministic instead of OS-seeded.
-DEFAULT_MASTER_SEED = 0
 
 
 def derive_seed(master: int, *path: object) -> int:
@@ -51,26 +47,6 @@ def derive_seed(master: int, *path: object) -> int:
 def derive_rng(master: int, *path: object) -> random.Random:
     """A ``random.Random`` seeded by :func:`derive_seed`."""
     return random.Random(derive_seed(master, *path))
-
-
-#: Salts :func:`default_rng` so every unseeded component gets its own
-#: stream (unseeded senders must not transmit in lockstep) while a
-#: fresh process — which constructs components in the same order —
-#: still replays the same sequence of streams.
-_instance_counter = itertools.count()
-
-
-def default_rng(*path: object) -> random.Random:
-    """The deterministic stand-in for a bare ``random.Random()`` default.
-
-    Used by components whose constructors accept ``rng=None``: the
-    stream is derived from :data:`DEFAULT_MASTER_SEED`, the component's
-    dotted path, and a process-wide construction counter.  Distinct
-    instances therefore draw independent streams (no accidental
-    lockstep), yet two runs of the same program replay identically —
-    unlike the OS-seeded ``random.Random()`` these defaults replace.
-    """
-    return derive_rng(DEFAULT_MASTER_SEED, *path, next(_instance_counter))
 
 
 #: ``Random._randbelow`` when the class draws through ``getrandbits`` —
@@ -167,10 +143,8 @@ def sample(rng: random.Random, population: Sequence, k: int) -> list:
 
 
 __all__ = [
-    "DEFAULT_MASTER_SEED",
     "derive_seed",
     "derive_rng",
-    "default_rng",
     "randbelow",
     "choice",
     "shuffle",

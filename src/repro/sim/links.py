@@ -156,7 +156,6 @@ class GilbertElliottProcess:
         p_bad_good: float,
         loss_good: float = 0.0,
         loss_bad: float = 0.5,
-        start_bad: bool = False,
     ):
         for name, p in (("p_good_bad", p_good_bad), ("p_bad_good", p_bad_good)):
             if not 0.0 < p <= 1.0:
@@ -168,7 +167,7 @@ class GilbertElliottProcess:
         self.p_bad_good = p_bad_good
         self.loss_good = loss_good
         self.loss_bad = loss_bad
-        self.bad = start_bad
+        self.bad = False
         # Burst bookkeeping: step counts, completed bad bursts, and the
         # running length of the burst in progress.  Observation only —
         # attaching stats never changes the chain's RNG draws.
@@ -261,11 +260,9 @@ class GilbertElliottLink(LinkModel):
 
     Args:
         rate: packets per time unit.
-        process: an existing chain to share; when None a private chain
-            is built from the ``p_*``/``loss_*`` arguments and stepped
-            once per packet.
-        step_per_packet: step the chain on each transmit (private-chain
-            default).  Pass False for shared chains stepped externally.
+        process: an existing chain to share, stepped by its owner;
+            when None a private chain is built from the
+            ``p_*``/``loss_*`` arguments and stepped once per packet.
     """
 
     def __init__(
@@ -277,28 +274,19 @@ class GilbertElliottLink(LinkModel):
         loss_bad: float = 0.5,
         latency: float = 0.0,
         process: Optional[GilbertElliottProcess] = None,
-        step_per_packet: Optional[bool] = None,
     ):
         _check_finite("rate", rate)
         super().__init__(latency)
         self.rate = rate
+        self.step_per_packet = process is None
         if process is None:
             process = GilbertElliottProcess(
                 p_good_bad, p_bad_good, loss_good, loss_bad
             )
-            if step_per_packet is None:
-                step_per_packet = True
-        elif step_per_packet is None:
-            step_per_packet = False
         self.process = process
-        self.step_per_packet = step_per_packet
 
     def capacity_between(self, t0: float, t1: float) -> float:
         return self.rate * (t1 - t0)
-
-    @property
-    def stationary_loss_rate(self) -> float:
-        return self.process.stationary_loss_rate
 
     def transmit(self, rng: random.Random) -> Optional[float]:
         if self.step_per_packet:

@@ -26,7 +26,7 @@ progress as a time series.
 """
 
 import random
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.protocol.session import TransferSession
 from repro.sim.engine import EventScheduler
@@ -56,12 +56,11 @@ class ScheduledSession:
             and per-tick packet counts.
         max_packets: data-packet budget (default:
             :data:`DEFAULT_PACKET_BUDGET_FACTOR` × recovery target).
-        transport: optional congestion controller gating each pump
-            window; requires ``rng`` (packet fates are drawn from the
-            link model).  ``None`` keeps the historical open-loop
-            pacing bit-identically.
-        rng: randomness source for per-packet link fates under
-            ``transport``.
+        transport: optional ``(controller, rng)``: a congestion
+            controller gating each pump window, and the stream each
+            packet's fate is drawn from (the link model decides it).
+            ``None`` keeps the historical open-loop pacing
+            bit-identically.
     """
 
     def __init__(
@@ -72,13 +71,8 @@ class ScheduledSession:
         name: str = "session",
         stats: Optional[StatsRecorder] = None,
         max_packets: Optional[int] = None,
-        transport: Optional[TransportController] = None,
-        rng: Optional[random.Random] = None,
+        transport: Optional[Tuple[TransportController, random.Random]] = None,
     ):
-        if transport is not None and rng is None:
-            raise ValueError(
-                "a transport-gated session needs an rng for link fates"
-            )
         self.scheduler = scheduler
         self.session = session
         session.clock = scheduler
@@ -91,8 +85,7 @@ class ScheduledSession:
             if max_packets is not None
             else DEFAULT_PACKET_BUDGET_FACTOR * target
         )
-        self.transport = transport
-        self.rng = rng
+        self.transport, self.rng = transport or (None, None)
         self.packets_sent = 0
         self.finished = False
         self.accepted: Optional[bool] = None

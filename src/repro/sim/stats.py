@@ -16,7 +16,7 @@ few thousand samples.  ``series(entity, metric)`` returns sorted
 """
 
 import math
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 Key = Tuple[str, str]
 
@@ -68,11 +68,6 @@ class StatsRecorder:
         key = (entity, metric)
         data = self._counters.get(key) or self._gauges.get(key) or {}
         return sorted(data.items())
-
-    def last(self, entity: str, metric: str) -> Optional[float]:
-        """Latest gauge level (or latest counter bucket), if any."""
-        samples = self.series(entity, metric)
-        return samples[-1][1] if samples else None
 
     def entities(self) -> Set[str]:
         """Every entity that has recorded at least one sample."""

@@ -65,11 +65,6 @@ class MinwiseSketch:
         return sketch
 
     @property
-    def is_empty(self) -> bool:
-        """No element folded in: every position still unset."""
-        return all(m is None for m in self._minima)
-
-    @property
     def minima(self) -> List[Optional[int]]:
         """The raw vector ``v(A)`` that goes on the wire."""
         return list(self._minima)
@@ -130,6 +125,3 @@ class MinwiseSketch:
     def packet_size_bytes(self, entry_bits: int = 64) -> int:
         """Wire size of the minima vector (128 perms x 64 bits ≈ 1KB)."""
         return (entry_bits // 8) * len(self._minima)
-
-    def __len__(self) -> int:
-        return len(self._minima)

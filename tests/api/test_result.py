@@ -77,49 +77,6 @@ class TestRunResultSchema:
         assert result.metrics["completed_sessions"] == 2.0
 
 
-class TestDefaultRngDeterminism:
-    def test_unseeded_components_draw_independent_streams(self):
-        # Two unseeded senders must not transmit in lockstep (a
-        # construction counter salts each default stream).
-        from repro.delivery import WorkingSet
-        from repro.delivery.strategies import RandomStrategy
-
-        a = RandomStrategy(WorkingSet(range(200)))
-        b = RandomStrategy(WorkingSet(range(200)))
-        assert [a.next_packet().symbol_id for _ in range(10)] != [
-            b.next_packet().symbol_id for _ in range(10)
-        ]
-
-    def test_unseeded_components_replay_across_processes(self):
-        # ...yet a fresh process replays the same stream sequence: the
-        # defaults are derived, not OS-seeded.
-        import os
-        import subprocess
-        import sys
-
-        code = (
-            "from repro.delivery import WorkingSet\n"
-            "from repro.delivery.strategies import RandomStrategy\n"
-            "from repro.delivery.orchestrator import split_demand\n"
-            "s = RandomStrategy(WorkingSet(range(50)))\n"
-            "print([s.next_packet().symbol_id for _ in range(8)])\n"
-            "print(sorted(split_demand(10, [['a', 'b'], ['c']]).items()))\n"
-        )
-        env = dict(os.environ)
-        src = os.path.join(
-            os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
-            "src",
-        )
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        outputs = {
-            subprocess.run(
-                [sys.executable, "-c", code], capture_output=True, text=True, env=env
-            ).stdout
-            for _ in range(2)
-        }
-        assert len(outputs) == 1 and outputs.pop().strip()
-
-
 class TestValidateResultDict:
     """The closed-world schema gate behind campaign resume and CI."""
 

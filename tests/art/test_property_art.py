@@ -14,7 +14,8 @@ class TestTrieProperties:
     @settings(max_examples=60, deadline=None)
     def test_structural_invariants(self, keys):
         t = ReconciliationTrie(keys, seed=3)
-        internal, leaves = t.node_count()
+        leaves = sum(1 for node in t.nodes() if node.is_leaf)
+        internal = sum(1 for node in t.nodes() if not node.is_leaf)
         if t.collision_count == 0:
             assert leaves == len(keys)
         if leaves:

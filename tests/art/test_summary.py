@@ -30,12 +30,6 @@ class TestExactSummary:
         s = ExactTreeSummary(trie)
         assert not s.matches_leaf(123456789)
 
-    def test_size_accounting(self):
-        trie = ReconciliationTrie(range(100), seed=1)
-        s = ExactTreeSummary(trie)
-        internal, leaves = trie.node_count()
-        assert s.size_bytes() == 8 * (internal + leaves)
-
 
 class TestARTSummary:
     def test_no_false_negatives_on_node_values(self):

@@ -7,12 +7,25 @@ import pytest
 from repro.art.tree import ReconciliationTrie
 
 
+def internal_and_leaves(trie):
+    """(internal, leaf) node counts."""
+    leaves = sum(1 for node in trie.nodes() if node.is_leaf)
+    return sum(1 for _ in trie.nodes()) - leaves, leaves
+
+
+def height(node):
+    """Edges on the longest root-to-leaf path of the collapsed trie."""
+    if node is None or node.is_leaf:
+        return 0
+    return 1 + max(height(node.left), height(node.right))
+
+
 class TestTrieConstruction:
     def test_empty_trie(self):
         t = ReconciliationTrie([])
         assert t.root is None
         assert t.size == 0
-        assert t.depth() == 0
+        assert height(t.root) == 0
 
     def test_singleton(self):
         t = ReconciliationTrie([42])
@@ -28,7 +41,7 @@ class TestTrieConstruction:
     def test_leaf_count_equals_set_size(self):
         keys = random.Random(1).sample(range(1 << 40), 500)
         t = ReconciliationTrie(keys)
-        internal, leaves = t.node_count()
+        internal, leaves = internal_and_leaves(t)
         assert leaves == 500 - t.collision_count
         # A binary tree with L leaves has L-1 internal nodes.
         assert internal == leaves - 1
@@ -52,7 +65,7 @@ class TestTrieConstruction:
         keys = random.Random(4).sample(range(1 << 40), 2000)
         t = ReconciliationTrie(keys)
         # Paper: collapsed depth O(log |S|) whp; allow a wide constant.
-        assert t.depth() <= 4 * 11  # 4 * log2(2000)
+        assert height(t.root) <= 4 * 11  # 4 * log2(2000)
 
     def test_insertion_order_invariance(self):
         keys = random.Random(5).sample(range(1 << 40), 100)

@@ -65,7 +65,7 @@ class TestArrivalOrderInvariance:
         # was solved, nothing is left pending.
         assert peeler.known_ids == known | missing
         assert sorted(recovered) == sorted(missing)
-        assert peeler.pending_count == 0
+        assert not peeler._pending_constituents
         # Useless counts exactly the fully-redundant arrivals.
         assert peeler.recoded_received == len(batch)
         assert peeler.recoded_useless == num_redundant

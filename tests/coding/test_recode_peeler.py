@@ -63,7 +63,7 @@ class TestRecoder:
 
     def test_empty_working_set_rejected(self):
         with pytest.raises(ValueError):
-            Recoder([])
+            Recoder([], rng=random.Random(0))
 
     def test_degree_cap(self):
         syms = self._symbols(200)
@@ -127,13 +127,13 @@ class TestRecodedPeeler:
         p = RecodedPeeler(known_ids=[5])
         assert p.add_encoded(5) == []
 
-    def test_pending_count(self):
+    def test_pending_blend_resolves_via_cascade(self):
         p = RecodedPeeler()
         p.add_recoded(Packet.recoded(frozenset([1, 2, 3])))
-        assert p.pending_count == 1
+        assert len(p._pending_constituents) == 1
         p.add_encoded(1)
         p.add_encoded(2)
-        assert p.pending_count == 0  # resolved via cascade
+        assert not p._pending_constituents  # resolved via cascade
 
     def test_deep_cascade(self):
         # Chain z_i = y_i ^ y_{i+1}; releasing y_0 unlocks everything.
@@ -214,7 +214,7 @@ class TestPeelingInto:
         assert p.add_recoded(Packet.recoded(frozenset([1, 2]))) == []
         held.add(1)
         assert p.add_encoded(2) == [2]  # 1 is not "recovered" a second time
-        assert p.pending_count == 0
+        assert not p._pending_constituents
 
 
 class TestReceive:

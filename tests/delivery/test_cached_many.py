@@ -7,8 +7,8 @@ have left: the same row, ``set_size`` and ``_local_ids`` (ids beyond
 the min-wise universe fold into it, and may alias ids already held),
 the same stamp, and the same object wherever ``cached`` keeps one — a
 served card, and a grown card nothing new folds into.  Sets are
-served, grown, rebuilt after a ``discard`` and built for the first
-time in one batch; with numpy and without.
+served, grown and built for the first time in one batch; with numpy
+and without.
 """
 
 import pytest
@@ -35,7 +35,7 @@ _ids = st.one_of(
 )
 
 #: What happens to a set between its last card read and the batch.
-HISTORIES = ("served", "grown", "rebuilt", "first")
+HISTORIES = ("served", "grown", "first")
 
 
 @st.composite
@@ -60,10 +60,9 @@ def _world(plan):
     for initial, history, more in plan:
         ws = WorkingSet(initial)
         card = None if history == "first" else ws.cached(*RECIPE)
-        if history in ("grown", "rebuilt"):
-            ws.update(more)
-        if history == "rebuilt":
-            ws.discard(next(iter(ws)))
+        if history == "grown":
+            for symbol_id in more:
+                ws.add(symbol_id)
         sets.append(ws)
         before.append(card)
     return sets, before

@@ -168,8 +168,8 @@ class TestSplitDemand:
         assert all(v == 20 for v in alloc.values())
 
     def test_empty_groups(self):
-        assert split_demand(10, []) == {}
+        assert split_demand(10, [], random.Random(0)) == {}
 
     def test_negative_demand_rejected(self):
         with pytest.raises(ValueError):
-            split_demand(-1, [["a"]])
+            split_demand(-1, [["a"]], random.Random(0))

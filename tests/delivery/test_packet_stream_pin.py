@@ -49,7 +49,7 @@ def _digest() -> str:
                 ))
             state = (
                 name, seed, log,
-                receiver.useless_packets, receiver.pending_recoded,
+                receiver.useless_packets, len(receiver._peeler._pending_constituents),
                 node.peeler.recoded_received, node.peeler.recoded_useless,
             )
             h.update(repr(state).encode())

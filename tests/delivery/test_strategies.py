@@ -41,7 +41,7 @@ class TestRandomStrategy:
 
     def test_empty_working_set_rejected(self):
         with pytest.raises(ValueError):
-            RandomStrategy(WorkingSet())
+            RandomStrategy(WorkingSet(), random.Random(0))
 
     def test_with_replacement(self):
         # Stateless senders may repeat symbols (Section 2.2).
@@ -111,7 +111,7 @@ class TestRecodeStrategies:
     def test_recode_mw_invalid_correlation(self):
         sender, _, _ = sets_with_overlap()
         with pytest.raises(ValueError):
-            RecodeMWStrategy(sender, 1.5)
+            RecodeMWStrategy(sender, 1.5, random.Random(0))
 
     def test_degree_cap_50(self):
         sender, _, rng = sets_with_overlap(sender_size=500)

@@ -48,10 +48,10 @@ class TestSimReceiver:
         assert r.receive(Packet.recoded(frozenset([2, 3]))) == [3]
         assert r.is_complete
 
-    def test_pending_recoded_tracked(self):
+    def test_an_unresolved_blend_waits(self):
         r = SimReceiver([], target=10)
         r.receive(Packet.recoded(frozenset([5, 6, 7])))
-        assert r.pending_recoded == 1
+        assert len(r._peeler._pending_constituents) == 1
         assert r.useless_packets == 1
 
     def test_invalid_target(self):
@@ -210,7 +210,7 @@ class TestMultiSenderTransfer:
         recv = SimReceiver(range(9), 10)
         res = simulate_multi_sender_transfer(recv, [Blend()], full_senders=1)
         assert (res.rounds, res.packets_sent) == (1, 2)
-        assert res.completed and recv.pending_recoded == 1
+        assert res.completed and len(recv._peeler._pending_constituents) == 1
 
     @pytest.mark.parametrize("cap", [18_000, 40])
     @pytest.mark.parametrize("name", ["Random", "Recode", "Recode/BF"])

@@ -15,16 +15,6 @@ class TestWorkingSetBasics:
         assert 4 in ws
         assert len(ws) == 4
 
-    def test_update_counts_new(self):
-        ws = WorkingSet([1, 2])
-        assert ws.update([2, 3, 4]) == 2
-
-    def test_discard(self):
-        ws = WorkingSet([1])
-        ws.discard(1)
-        ws.discard(99)  # absent is fine
-        assert len(ws) == 0
-
     def test_ids_returns_copy(self):
         ws = WorkingSet([1, 2])
         ids = ws.ids

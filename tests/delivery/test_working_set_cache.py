@@ -73,22 +73,14 @@ class WorkingSetCacheMachine(RuleBasedStateMachine):
         self.ws = WorkingSet(ids)
         self.model = set(ids)
         self.peeler = self.adopt(self.ws)
-        # Every blend fed and every id ever held: what a recovered id
-        # may legitimately have been reduced from and by.
+        # Every blend fed: what a recovered id may legitimately have
+        # been reduced from (by ids the set holds; it only grows).
         self.blends = []
-        self.ever_held = set(ids)
 
     @rule(symbol_id=_ids)
     def add(self, symbol_id):
         assert self.ws.add(symbol_id) == (symbol_id not in self.model)
         self.model.add(symbol_id)
-        self.ever_held.add(symbol_id)
-
-    @rule(ids=st.lists(_ids, max_size=8))
-    def update(self, ids):
-        assert self.ws.update(ids) == len(set(ids) - self.model)
-        self.model.update(ids)
-        self.ever_held.update(ids)
 
     def _peel(self, blend, feed):
         """Feed one arrival; fold what the peeler recovered into the model."""
@@ -106,11 +98,10 @@ class WorkingSetCacheMachine(RuleBasedStateMachine):
             assert recovered == []
         for symbol_id in recovered:
             assert any(
-                symbol_id in b and b - {symbol_id} <= self.ever_held
+                symbol_id in b and b - {symbol_id} <= self.model
                 for b in self.blends
             )
             self.model.add(symbol_id)
-            self.ever_held.add(symbol_id)
 
     @rule(symbol_id=_ids)
     def peel_encoded(self, symbol_id):
@@ -137,11 +128,6 @@ class WorkingSetCacheMachine(RuleBasedStateMachine):
         assert self.peeler.known is self.ws
         assert self.peeler.known_count == len(self.ws) == len(self.model)
         assert set(self.ws) == self.model
-
-    @rule(symbol_id=_ids)
-    def discard(self, symbol_id):
-        self.ws.discard(symbol_id)
-        self.model.discard(symbol_id)
 
     @rule(kind=st.sampled_from(sorted(KINDS)))
     def summary(self, kind):

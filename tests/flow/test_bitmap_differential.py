@@ -116,7 +116,7 @@ def _simulator(seed, objects, policy, strategy, sample_cap, rate, tiers, interva
     rng = random.Random(seed)
     if policy == "informed":
         scheme = default_scheme()
-        admission, rewiring = SketchAdmission(scheme), UtilityRewiring(scheme, rng=rng)
+        admission, rewiring = SketchAdmission(scheme), UtilityRewiring(scheme)
     elif policy == "random":
         admission, rewiring = None, RandomRewiring(rng=rng)
     else:

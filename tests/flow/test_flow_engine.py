@@ -13,9 +13,9 @@ from repro.overlay.reconfiguration import (
 )
 
 
-def _informed(rng):
+def _informed():
     scheme = default_scheme()
-    return SketchAdmission(scheme), UtilityRewiring(scheme, rng=rng)
+    return SketchAdmission(scheme), UtilityRewiring(scheme)
 
 
 def _simple_cohorts(members=10, demand=50, distinct=60):
@@ -34,6 +34,7 @@ class TestConstruction:
                 CohortDef("z", 1, 4, demand=10, distinct=12),
             ],
             rate=2.0,
+            rng=random.Random(0),
         )
         assert sorted(sim.sources) == [0, 1]
         assert sim.population == 12  # sources are not population
@@ -46,6 +47,7 @@ class TestConstruction:
                     CohortDef("x", 0, 4, demand=10, distinct=12),
                 ],
                 rate=2.0,
+                rng=random.Random(0),
             )
 
     def test_cohort_def_validation(self):
@@ -105,7 +107,7 @@ class TestDeterminism:
     def test_same_seed_same_report(self):
         def build():
             rng = random.Random(42)
-            admission, rewiring = _informed(rng)
+            admission, rewiring = _informed()
             return FlowSimulator(
                 _simple_cohorts(), rate=2.0, loss_rate=0.02,
                 admission=admission, rewiring=rewiring, rng=rng,
@@ -165,7 +167,7 @@ class TestControlPlane:
 
     def test_informed_epochs_charge_real_wire_bytes(self):
         rng = random.Random(2)
-        admission, rewiring = _informed(rng)
+        admission, rewiring = _informed()
         sim = FlowSimulator(
             _simple_cohorts(), rate=2.0,
             admission=admission, rewiring=rewiring, rng=rng,
@@ -177,7 +179,7 @@ class TestControlPlane:
     def test_scan_budget_caps_control_bytes(self):
         def run(budget):
             rng = random.Random(2)
-            admission, rewiring = _informed(rng)
+            admission, rewiring = _informed()
             cohorts = [
                 CohortDef(f"c{i}", 0, 4, demand=60, distinct=72,
                           initial_fraction=0.4, slice_index=i % 2)
@@ -201,7 +203,7 @@ class TestControlPlane:
         def run(informed: bool) -> float:
             rng = random.Random(9)
             if informed:
-                admission, rewiring = _informed(rng)
+                admission, rewiring = _informed()
             else:
                 admission, rewiring = None, RandomRewiring(rng=rng)
             cohorts = [

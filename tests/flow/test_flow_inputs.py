@@ -109,7 +109,7 @@ class TestAClockThatCannotAdvance:
     @pytest.mark.parametrize("field", ["rate", "interval"])
     @pytest.mark.parametrize("value", NON_FINITE, ids=["inf", "-inf", "nan"])
     def test_flow_simulator_refuses_non_finite_rate_and_interval(self, field, value):
-        kwargs = {"rate": 2.0, field: value}
+        kwargs = {"rate": 2.0, "rng": random.Random(0), field: value}
         with pytest.raises(ValueError, match="finite"):
             FlowSimulator([CohortDef("a", 0, 4, demand=10, distinct=12)], **kwargs)
 
@@ -132,12 +132,13 @@ class TestSlotAndScanCounts:
             FlowSimulator(
                 [CohortDef("a", 0, 4, demand=10, distinct=12)],
                 rate=2.0,
+                rng=random.Random(0),
                 **{field: value},
             )
 
     def test_zero_is_accepted(self):
         sim = FlowSimulator(
             [CohortDef("a", 0, 4, demand=10, distinct=12)],
-            rate=2.0, scan_budget=0, max_connections=0,
+            rate=2.0, scan_budget=0, max_connections=0, rng=random.Random(0),
         )
         assert (sim.scan_budget, sim.max_connections) == (0, 0)

@@ -105,14 +105,6 @@ class TestTheBitmapLivesOnTheSet:
         # The old set's entry is its own: untouched by the replacement.
         assert old_set.cached(space, lambda ws: None) == old
 
-    def test_a_removal_rebuilds(self):
-        sim = _sim()
-        rep, space = sim.cohorts[0].rep, sim.cohorts[0].space
-        space.bitmap(rep)
-        gone = next(iter(rep.working_set))
-        rep.working_set.discard(gone)
-        assert space.bitmap(rep) == _plain_bitmap(space, rep.working_set)
-
 
 #: Everything on a WorkingSet that hands back a new set.
 _SET_COPIES = ("ids", "__rsub__", "__rand__", "resemblance_with")

@@ -64,10 +64,10 @@ class TestPermutationFamily:
         assert not f1.compatible_with(f3)
         assert not f1.compatible_with(f4)
 
-    def test_len_and_indexing(self):
+    def test_len_and_iteration(self):
         fam = PermutationFamily(12, 1 << 16, seed=0)
         assert len(fam) == 12
-        assert fam[0] is fam.permutations[0]
+        assert list(fam) == fam.permutations
 
     def test_rejects_empty_family(self):
         with pytest.raises(ValueError):

@@ -76,13 +76,6 @@ class TestObjectCatalogIds:
             assert all(catalog.object_of(i) == obj for i in ids)
         assert catalog.stride == max(catalog.distinct) + 1
 
-    def test_target_ids_prefix_symbol_ids(self):
-        catalog = _catalog(objects=2, target=30)
-        for obj in range(2):
-            assert list(catalog.target_ids(obj)) == list(
-                catalog.symbol_ids(obj)
-            )[: catalog.targets[obj]]
-
     def test_priority_tiers_are_monotone_in_rank(self):
         catalog = _catalog(objects=6, priority_tiers=3)
         assert list(catalog.priorities) == sorted(catalog.priorities, reverse=True)
@@ -100,7 +93,7 @@ class TestCatalogNode:
         node = CatalogNode("n", catalog, demand=(1,))
         assert node.target == catalog.targets[1]
         assert not node.is_complete
-        for symbol_id in catalog.target_ids(1):
+        for symbol_id in catalog.symbol_ids(1)[: catalog.targets[1]]:
             node.receive_symbol(symbol_id)
         assert node.is_complete
         # Symbols of undemanded objects are carried but never gate.

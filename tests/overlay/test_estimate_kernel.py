@@ -82,7 +82,8 @@ def test_many_is_exactly_the_per_pair_loop(initial, added, family):
     # wire copies: cards rebuilt from their JSON payload.
     for extra in ([], added):
         for node, ids in zip(nodes, extra):
-            node.working_set.update(ids)
+            for symbol_id in ids:
+                node.working_set.add(symbol_id)
         cards = [scheme.card_of(n) for n in nodes]
         rebuilt = [
             summary_from_payload(json.loads(json.dumps(c.to_payload())))
@@ -102,7 +103,8 @@ def test_usefulness_many_is_the_scalar_list(kind, initial, added):
     ]
     for extra in ([], added):
         for node, ids in zip(nodes[1:], extra):
-            node.working_set.update(ids)
+            for symbol_id in ids:
+                node.working_set.add(symbol_id)
         for receiver in nodes[1:]:
             assert _hexes(scheme.usefulness_many(receiver, nodes)) == _hexes(
                 scheme.usefulness(receiver, c) for c in nodes

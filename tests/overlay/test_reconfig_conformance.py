@@ -116,7 +116,7 @@ class TestAdmissionConformance:
 @pytest.mark.parametrize("kind", ALL_KINDS)
 class TestRewiringConformance:
     def test_never_drops_the_source(self, kind):
-        policy = UtilityRewiring(_scheme(kind), rng=random.Random(1))
+        policy = UtilityRewiring(_scheme(kind))
         source = OverlayNode("src", target=200, is_source=True)
         receiver = _node("r", range(50), max_connections=2)
         stale = _node("stale", range(50))  # duplicate of the receiver
@@ -125,7 +125,7 @@ class TestRewiringConformance:
         assert source not in drops
 
     def test_zero_working_set_candidates_rejected(self, kind):
-        policy = UtilityRewiring(_scheme(kind), rng=random.Random(2))
+        policy = UtilityRewiring(_scheme(kind))
         receiver = _node("r", range(50), max_connections=3)
         empty = _node("empty", ())
         full = _node("full", range(500, 600))
@@ -137,14 +137,14 @@ class TestRewiringConformance:
     def test_receiver_and_current_senders_are_never_offered(self, kind):
         # A node is its object: passing the engine's own objects back as
         # candidates must not add them again.
-        policy = UtilityRewiring(_scheme(kind), rng=random.Random(2))
+        policy = UtilityRewiring(_scheme(kind))
         receiver = _node("r", range(50), max_connections=3)
         held = _node("held", range(500, 600))
         drops, adds = policy.rewire(receiver, [held], [held, receiver])
         assert (drops, adds) == ([], [])
 
     def test_fills_free_slots_with_useful_candidates(self, kind):
-        policy = UtilityRewiring(_scheme(kind), rng=random.Random(3))
+        policy = UtilityRewiring(_scheme(kind))
         receiver = _node("r", range(50), max_connections=2)
         good = _node("good", range(500, 600))
         drops, adds = policy.rewire(receiver, [], [good])
@@ -157,7 +157,7 @@ class TestRewiringConformance:
             rng = derive_rng(7, "reconfig-conformance", kind)
             sim = OverlaySimulator(
                 admission=SketchAdmission(scheme),
-                rewiring=UtilityRewiring(scheme, rng=rng),
+                rewiring=UtilityRewiring(scheme),
                 reconfigure_every=4,
                 rng=rng,
             )
@@ -311,7 +311,7 @@ def _one_epoch(kind, params, scan_budget=0):
     scheme = SummaryScheme(kind, params)
     sim = OverlaySimulator(
         admission=SketchAdmission(scheme),
-        rewiring=UtilityRewiring(scheme, rng=rng),
+        rewiring=UtilityRewiring(scheme),
         reconfigure_every=2,
         reconfig_budget=scan_budget,
         rng=rng,
@@ -332,7 +332,7 @@ class TestScheduledEpochs:
         rng = random.Random(11)
         sim = OverlaySimulator(
             admission=SketchAdmission(scheme),
-            rewiring=UtilityRewiring(scheme, rng=rng),
+            rewiring=UtilityRewiring(scheme),
             rng=rng,
             **kwargs,
         )
@@ -384,7 +384,7 @@ class TestScheduledEpochs:
                                  max_connections=2))
         sim.connect("src", "p0")
         sim.connect("src", "p1")
-        sim.rewiring = UtilityRewiring(default_scheme(), rng=rng)
+        sim.rewiring = UtilityRewiring(default_scheme())
         report = sim.run(max_ticks=200)
         assert report.all_complete
         assert report.reconfig_epochs > 0
@@ -409,9 +409,9 @@ class TestScheduledEpochs:
 
     def test_negative_jitter_and_budget_rejected(self):
         with pytest.raises(ValueError):
-            OverlaySimulator(reconfig_jitter=-1.0)
+            OverlaySimulator(reconfig_jitter=-1.0, rng=random.Random(0))
         with pytest.raises(ValueError):
-            OverlaySimulator(reconfig_budget=-1)
+            OverlaySimulator(reconfig_budget=-1, rng=random.Random(0))
 
     @pytest.mark.parametrize(
         "arg, value",
@@ -425,7 +425,7 @@ class TestScheduledEpochs:
     )
     def test_cadence_must_be_finite_and_non_negative(self, arg, value):
         with pytest.raises(ValueError, match=arg):
-            OverlaySimulator(**{arg: value})
+            OverlaySimulator(rng=random.Random(0), **{arg: value})
 
     @pytest.mark.parametrize(
         "value",
@@ -437,8 +437,8 @@ class TestScheduledEpochs:
     )
     def test_scan_budget_must_be_a_non_bool_int(self, value):
         with pytest.raises(ValueError, match="reconfig_budget"):
-            OverlaySimulator(reconfig_budget=value)
+            OverlaySimulator(reconfig_budget=value, rng=random.Random(0))
 
     def test_zero_cadence_switches_the_pass_off(self):
-        sim = OverlaySimulator(reconfigure_every=0, refresh_every=0)
+        sim = OverlaySimulator(reconfigure_every=0, refresh_every=0, rng=random.Random(0))
         assert sim._reconfig_handle is None

@@ -111,9 +111,8 @@ def _decisions(scheme_name, hysteresis):
                 if receiver.is_source:
                     continue
                 if round_:
-                    receiver.working_set.update(
-                        rng.sample(id_pool, rng.randint(0, 3))
-                    )
+                    for symbol_id in rng.sample(id_pool, rng.randint(0, 3)):
+                        receiver.working_set.add(symbol_id)
                 others = [n for n in nodes if n is not receiver]
                 current = rng.sample(
                     others, rng.randint(0, receiver.max_connections)

@@ -153,7 +153,7 @@ def test_each_decision_is_applied_before_the_next_receiver_samples(
 @pytest.mark.parametrize("engine", [_packet_engine, _flow_engine])
 def test_an_epoch_stores_nothing_on_the_scheme_or_the_policy(engine):
     scheme = SummaryScheme("minwise", {"entries": 16})
-    policy = UtilityRewiring(scheme, hysteresis=0.0, rng=random.Random(1))
+    policy = UtilityRewiring(scheme, hysteresis=0.0)
     reconfigure, topology = engine(random.Random(5), policy)
     before = topology(), dict(vars(scheme)), dict(vars(policy))
     reconfigure()

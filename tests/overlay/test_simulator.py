@@ -103,7 +103,7 @@ class TestAdmission:
 
 class TestRewiring:
     def test_fills_free_slots_first(self):
-        policy = UtilityRewiring(default_scheme(), rng=random.Random(1))
+        policy = UtilityRewiring(default_scheme())
         recv = OverlayNode("r", 100, initial_ids=range(50), max_connections=2)
         c1 = OverlayNode("c1", 100, initial_ids=range(100, 150))
         drops, adds = policy.rewire(recv, [], [recv, c1])
@@ -111,7 +111,7 @@ class TestRewiring:
         assert [a.node_id for a in adds] == ["c1"]
 
     def test_swaps_only_with_hysteresis_margin(self):
-        policy = UtilityRewiring(default_scheme(), hysteresis=0.1, rng=random.Random(2))
+        policy = UtilityRewiring(default_scheme(), hysteresis=0.1)
         recv = OverlayNode("r", 100, initial_ids=range(50), max_connections=1)
         current = OverlayNode("cur", 100, initial_ids=range(50))  # useless twin
         better = OverlayNode("new", 100, initial_ids=range(500, 550))
@@ -120,7 +120,7 @@ class TestRewiring:
         assert [a.node_id for a in adds] == ["new"]
 
     def test_no_swap_between_equivalent_senders(self):
-        policy = UtilityRewiring(default_scheme(), hysteresis=0.1, rng=random.Random(3))
+        policy = UtilityRewiring(default_scheme(), hysteresis=0.1)
         recv = OverlayNode("r", 100, initial_ids=range(50), max_connections=1)
         cur = OverlayNode("cur", 100, initial_ids=range(500, 550))
         alt = OverlayNode("alt", 100, initial_ids=range(600, 650))
@@ -139,7 +139,7 @@ class TestSimulator:
         assert report.completion_ticks["p"] is not None
 
     def test_duplicate_node_rejected(self):
-        sim = OverlaySimulator()
+        sim = OverlaySimulator(rng=random.Random(0))
         sim.add_node(OverlayNode("x", 10))
         with pytest.raises(ValueError):
             sim.add_node(OverlayNode("x", 10))

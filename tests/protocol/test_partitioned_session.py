@@ -26,7 +26,7 @@ class TestPartitionedSession:
     def test_invalid_rho_rejected(self):
         _, _, sender, receiver = build_pair()
         with pytest.raises(ValueError):
-            TransferSession(sender, receiver, partitioned_rho=-1)
+            TransferSession(sender, receiver, partitioned_rho=-1, rng=random.Random(0))
 
     def test_pipelined_session_completes(self):
         _, content, sender, receiver = build_pair(seed=3)

@@ -146,7 +146,9 @@ class TestPeer:
 
     def test_recode_with_nothing_rejected(self):
         p = make_params()
-        session = TransferSession(ProtocolPeer("x", p), ProtocolPeer("y", p))
+        session = TransferSession(
+            ProtocolPeer("x", p), ProtocolPeer("y", p), rng=random.Random(0)
+        )
         assert session.handshake()
         with pytest.raises(ValueError, match="empty working set"):
             session.send_one()
@@ -236,7 +238,7 @@ class TestSession:
         a = ProtocolPeer("a", p1)
         b = ProtocolPeer("b", p2)
         with pytest.raises(ValueError):
-            TransferSession(a, b)
+            TransferSession(a, b, rng=random.Random(0))
 
     def test_source_not_a_valid_receiver_but_sender_ok(self):
         # Receiving into a source makes no sense in our model; the

@@ -220,7 +220,7 @@ class TestPolicySessions:
         params = make_params()
         a, b = seeded_pair(params, make_content(params), policy=POLICIES["art"])
         with pytest.raises(ValueError, match="partitioned_rho"):
-            TransferSession(a, b, partitioned_rho=4)
+            TransferSession(a, b, partitioned_rho=4, rng=random.Random(0))
 
     def test_session_level_policy_over_default_policy_peers(self):
         """The session's policy is the agreement — an explicit one
@@ -274,7 +274,7 @@ class TestPolicySessions:
         a, _ = seeded_pair(params, content, policy=POLICIES["art"])
         _, b = seeded_pair(params, content)  # DEFAULT_POLICY: disagrees
         with pytest.raises(ValueError, match="different summary policies"):
-            TransferSession(a, b)
+            TransferSession(a, b, rng=random.Random(0))
         stats = TransferSession(
             a, b, rng=random.Random(23), summary_policy=POLICIES["art"]
         ).run(max_packets=6000)
@@ -287,7 +287,7 @@ class TestPolicySessions:
         a, _ = seeded_pair(params, content, policy=POLICIES["bloom"])
         _, b = seeded_pair(params, content, policy=POLICIES["cpi"])
         with pytest.raises(ValueError, match="different summary policies"):
-            TransferSession(a, b)
+            TransferSession(a, b, rng=random.Random(0))
 
 
 class TestOneCallingCard:

@@ -12,7 +12,6 @@ import random
 import pytest
 
 from repro.reconcile import (
-    Summary,
     SummaryError,
     build_summary,
     summary_class,
@@ -208,11 +207,6 @@ class TestConformance:
         else:
             with pytest.raises(SummaryError):
                 s.missing_from(sorted(b))
-        if cls.supports_merge:
-            assert isinstance(s.merge(other), Summary)
-        else:
-            with pytest.raises(SummaryError):
-                s.merge(other)
         if cls.supports_estimate:
             assert s.estimate_difference(other) >= 0.0
         else:
@@ -226,7 +220,6 @@ class TestConformance:
             pytest.skip(f"{kind} has no membership surface")
         s = build_summary(kind, a, **params_for(kind))
         assert all(s.may_contain(x) for x in a)
-        assert all(x in s for x in a)  # __contains__ delegates
 
     def test_missing_from_is_sound(self, kind, sets):
         """Everything reported missing is genuinely missing (never a
@@ -260,24 +253,20 @@ class TestConformance:
         # Feasibility clamps always hold.
         assert abs(sa.set_size - sb.set_size) <= est <= sa.set_size + sb.set_size
 
-    def test_merge_covers_the_union(self, kind, sets):
+    def test_only_minwise_merges(self, kind, sets):
+        """The §4 union of calling cards is the one merge the system
+        makes (join planning's coverage card): min-wise merges to the
+        union's minima, every other kind refuses."""
         a, b = sets
-        cls = summary_class(kind)
-        if not cls.supports_merge:
-            pytest.skip(f"{kind} does not merge")
         sa = build_summary(kind, a, **params_for(kind))
         sb = build_summary(kind, b, **params_for(kind))
+        if kind != "minwise":
+            with pytest.raises(SummaryError, match="do not support merging"):
+                sa.merge(sb)
+            return
         merged = sa.merge(sb)
-        built = build_summary(kind, a | b, **params_for(kind))
-        if cls.supports_membership:
-            # No union element may test negative in the merged summary.
-            assert all(merged.may_contain(x) for x in a | b)
-        if kind == "minwise":
-            assert merged.minima == built.minima
-        if kind == "modk":
-            assert merged.sample == built.sample
-        if kind == "wholeset":
-            assert merged.ids == a | b
+        assert merged.minima == build_summary(kind, a | b, **params_for(kind)).minima
+        assert merged.set_size == len(a | b)
 
     def test_empty_set_builds_and_round_trips(self, kind):
         s = build_summary(kind, [], **params_for(kind))
@@ -485,7 +474,7 @@ class TestIncrementalConformance:
             summary = summary.absorb(delta)
             current.update(delta)
         extra = rng.randrange(universe)
-        summary = summary.add(extra)  # single-key sugar over absorb
+        summary = summary.absorb((extra,))  # a single new key
         current.add(extra)
         rebuilt = build_summary(kind, current, **params_for(kind))
         assert summary.to_payload() == rebuilt.to_payload()
@@ -536,5 +525,3 @@ class TestIncrementalConformance:
         s = build_summary(kind, a, **params_for(kind))
         with pytest.raises(SummaryError, match="incremental"):
             s.absorb([1])
-        with pytest.raises(SummaryError, match="incremental"):
-            s.add(1)

@@ -68,7 +68,7 @@ class TestReconciliation:
         assert {x for x in useful if remote.covers(x)} <= b - a
         # A needed id is dropped only as a covered Bloom false positive.
         dropped = (b - a) - set(useful)
-        assert all(remote.covers(x) and x in remote for x in dropped)
+        assert all(remote.covers(x) and remote.may_contain(x) for x in dropped)
 
     def test_a_partition_summary_carries_a_pair_transfer(self):
         from repro.api import run, specs

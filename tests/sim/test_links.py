@@ -92,7 +92,7 @@ class TestGilbertElliott:
         rng = random.Random(12)
         n = 60_000
         lost = sum(1 for _ in range(n) if link.transmit(rng) is None)
-        assert lost / n == pytest.approx(link.stationary_loss_rate, rel=0.08)
+        assert lost / n == pytest.approx(link.process.stationary_loss_rate, rel=0.08)
 
     def test_loss_is_bursty_not_independent(self):
         # Consecutive losses must be far likelier than the marginal rate
@@ -112,6 +112,7 @@ class TestGilbertElliott:
         a = GilbertElliottLink(1.0, process=chain)
         b = GilbertElliottLink(1.0, process=chain)
         assert not a.step_per_packet and not b.step_per_packet
+        assert GilbertElliottLink(1.0).step_per_packet  # a private chain
         rng = random.Random(1)
         chain.bad = True
         assert a.transmit(rng) is None and b.transmit(rng) is None
@@ -145,7 +146,8 @@ class TestGilbertElliottBurstStats:
         from repro.sim.stats import StatsRecorder
 
         stats = StatsRecorder(resolution=1.0)
-        p = GilbertElliottProcess(0.3, 0.5, start_bad=True)
+        p = GilbertElliottProcess(0.3, 0.5)
+        p.bad = True
         p.attach_stats(stats, entity="loss:regional")
         rng = random.Random(3)
         for _ in range(2_000):

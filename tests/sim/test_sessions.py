@@ -117,17 +117,6 @@ class TestScheduledSession:
 
 
 class TestTransportGatedSession:
-    def test_transport_requires_an_rng(self):
-        params = make_params()
-        sched = EventScheduler()
-        src, dst = make_pair(params)
-        session = TransferSession(src, dst, rng=random.Random(4))
-        from repro.transport import RtxManager, TransportController, build_policy
-
-        ctrl = TransportController(build_policy("aimd"), RtxManager(), name="t")
-        with pytest.raises(ValueError, match="needs an rng"):
-            ScheduledSession(sched, session, ConstantRateLink(2.0), transport=ctrl)
-
     def test_default_budget_scales_with_recovery_target(self):
         from repro.sim.sessions import DEFAULT_PACKET_BUDGET_FACTOR
 
@@ -154,8 +143,7 @@ class TestTransportGatedSession:
             sched,
             session,
             ConstantRateLink(4.0, loss_rate=0.1),
-            transport=ctrl,
-            rng=random.Random(5),
+            transport=(ctrl, random.Random(5)),
         ).start()
         run_sessions(sched, [driver])
         assert session.receiver.has_decoded
@@ -176,12 +164,14 @@ class TestTransportGatedSession:
             kwargs = {}
             if gated:
                 kwargs = {
-                    "transport": TransportController(
-                        build_policy("aimd", cwnd_init=1.0),
-                        RtxManager(),
-                        name="t",
+                    "transport": (
+                        TransportController(
+                            build_policy("aimd", cwnd_init=1.0),
+                            RtxManager(),
+                            name="t",
+                        ),
+                        random.Random(5),
                     ),
-                    "rng": random.Random(5),
                 }
             driver = ScheduledSession(
                 sched, session, ConstantRateLink(8.0), **kwargs

@@ -28,7 +28,6 @@ def make_sets(resemblance, size, rng):
 class TestMinwiseBasics:
     def test_empty_sketch(self):
         s = MinwiseSketch(make_family())
-        assert s.is_empty
         assert all(m is None for m in s.minima)
 
     def test_add_updates_minima(self):
@@ -158,7 +157,7 @@ class TestVectorizedBuild:
     def test_empty_set(self):
         fam = make_family()
         s = MinwiseSketch.build_vectorized([], fam)
-        assert s.is_empty
+        assert all(m is None for m in s.minima)
 
     def test_wide_universe_path(self):
         fam = PermutationFamily(16, 1 << 48, seed=2)

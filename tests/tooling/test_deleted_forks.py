@@ -18,6 +18,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[2]
 THIS_FILE = "tests/tooling/test_deleted_forks.py"
+EVERYWHERE = ["src", "tests", "bench", "examples", "README.md"]
 
 
 class Guard(NamedTuple):
@@ -160,6 +161,46 @@ GUARDS = [
         ("TransportManager.controllers", r"def controllers"),
         ("AimdPolicy.ssthresh", r"def ssthresh"),
         ("CampaignCell.overrides_dict", r"overrides_dict"),
+    ]
+] + [
+    # Callers seed every stream, only min-wise cards merge, and what
+    # only tests read is gone: one row per name.  A count of 1 over
+    # EVERYWHERE is README.md's migration row, which names the old
+    # spelling.
+    Guard(42, what, pattern, paths, [THIS_FILE], *matches)
+    for what, pattern, paths, *matches in [
+        ("default_rng (derive_rng(seed, path) names a stream)", r"\bdefault_rng\b", EVERYWHERE, 1),
+        ("the process-global construction counter", r"_instance_counter", EVERYWHERE),
+        ("DEFAULT_MASTER_SEED", r"DEFAULT_MASTER_SEED", EVERYWHERE, 1),
+        ("an rng=None default", r"rng: Optional\[random\.Random\] = None", ["src"]),
+        ("an unseeded fallback stream", r"rng if rng is not None else", ["src"]),
+        ("UtilityRewiring(rng=) (it never drew)", r"UtilityRewiring\([^)]*rng=", EVERYWHERE, 1),
+        ("Summary.supports_merge (only min-wise merges)", r"supports_merge", EVERYWHERE, 1),
+        ("a merge on a summary kind but min-wise", r"def merge",
+         ["src/repro/reconcile/adapters.py"], 1),
+        ("_merged_local_ids's fallback", r"_merged_local_ids\(.*fallback", ["src"]),
+        ("Summary.add (absorb takes one id too)", r"def add\b", ["src/repro/reconcile"]),
+        ("Summary.__contains__ (may_contain says it)", r"def __contains__",
+         ["src/repro/reconcile"]),
+        ("StatsRecorder.last", r"\.last\(|def last\b", EVERYWHERE, 1),
+        ("MinwiseSketch.is_empty", r"\bis_empty\b", EVERYWHERE, 1),
+        ("MinwiseSketch.__len__", r"def __len__", ["src/repro/sketches"]),
+        ("WorkingSet.update / discard (a working set only grows)",
+         r"(working_set|\bws2?)\.(update|discard)\(|def (update|discard)\b",
+         ["src/repro/delivery/working_set.py", "tests", "bench", "examples", "README.md"]),
+        ("the add journal's re-basing", r"_log_base", EVERYWHERE),
+        ("RecodedPeeler.pending_count", r"pending_count", EVERYWHERE, 1),
+        ("SimReceiver.pending_recoded", r"pending_recoded", EVERYWHERE, 1),
+        ("ReconciliationTrie.depth", r"\.depth\(\)|def depth\b", EVERYWHERE, 1),
+        ("ReconciliationTrie.node_count", r"node_count\(\)|def node_count", EVERYWHERE, 1),
+        ("ExactTreeSummary.size_bytes", r"def size_bytes", ["src/repro/art"]),
+        ("PermutationFamily.__getitem__", r"def __getitem__", ["src/repro/hashing"]),
+        ("ObjectCatalog.target_ids", r"target_ids", EVERYWHERE, 1),
+        # One match stays: the chain's own, which a link reads.
+        ("GilbertElliottLink.stationary_loss_rate",
+         r"def stationary_loss_rate|link\.stationary_loss_rate", EVERYWHERE, 1),
+        ("GilbertElliottLink(step_per_packet=)", r"step_per_packet=", EVERYWHERE, 1),
+        ("GilbertElliottProcess(start_bad=)", r"start_bad", EVERYWHERE, 1),
     ]
 ]
 

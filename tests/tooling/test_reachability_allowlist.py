@@ -5,9 +5,11 @@ run here) fails on an unreached function no row excuses, on a row that
 excuses nothing on its own, and on more unreached lines than its
 ``CEILING``.  This checks, without tracing, what
 can go stale between its runs: every row still matches a ``def`` under
-``src/repro``, says why, and the list stays short.
+``src/repro``, says why, and the list stays short; a row that names its
+functions names only ``def``s its modules have.
 """
 
+import fnmatch
 import importlib.util
 import io
 from pathlib import Path
@@ -45,9 +47,14 @@ def test_the_ceiling_is_an_int_the_check_enforces():
     assert any("CEILING" in f for f in reachability.check([above], io.StringIO()))
 
 
+def _row_id(row):
+    name = "|".join(row.name) if isinstance(row.name, tuple) else row.name
+    return f"{row.module}:{name}"
+
+
 @pytest.mark.parametrize(
     "index", range(len(reachability.ALLOWED)),
-    ids=[f"{row.module}:{row.name}" for row in reachability.ALLOWED],
+    ids=[_row_id(row) for row in reachability.ALLOWED],
 )
 def test_row_matches_a_def_and_gives_a_reason(index):
     row = reachability.ALLOWED[index]
@@ -56,6 +63,33 @@ def test_row_matches_a_def_and_gives_a_reason(index):
         f"ALLOWED[{index}] {row.module} {row.name} matches no def under "
         "src/repro: remove the row"
     )
+
+
+@pytest.mark.parametrize(
+    "index",
+    [i for i, row in enumerate(reachability.ALLOWED) if isinstance(row.name, tuple)],
+    ids=[_row_id(row) for row in reachability.ALLOWED if isinstance(row.name, tuple)],
+)
+def test_every_named_function_is_a_def_in_the_row_module(index):
+    # A named row lists exact qualified names: one that no longer
+    # matches a def (deleted or renamed) must leave the tuple.
+    row = reachability.ALLOWED[index]
+    assert row.name and len(set(row.name)) == len(row.name)
+    defined = {
+        fn.qualname for fn in FUNCTIONS
+        if fnmatch.fnmatchcase(fn.module, row.module)
+    }
+    assert set(row.name) <= defined, (
+        f"ALLOWED[{index}] names {sorted(set(row.name) - defined)}, which "
+        f"no def in {row.module} has"
+    )
+
+
+def test_a_named_row_excuses_only_its_names():
+    named = reachability.Function("repro.sim.engine", "_stalled", "p", 1, 1, 1)
+    beside = named._replace(qualname="_stalled_too")
+    assert reachability.matching_rows(named)
+    assert not reachability.matching_rows(beside)
 
 
 def test_the_walk_sees_methods_and_decorated_defs():
