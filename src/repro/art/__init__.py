@@ -5,8 +5,8 @@ filters — is the ``art`` summary kind:
 
 >>> from repro.reconcile import build_summary
 >>> art_a = build_summary("art", set_a, bits_per_element=8, seed=7, correction=3)
->>> art_b = build_summary("art", set_b, bits_per_element=8, seed=7)
->>> found = find_difference(art_b.trie, art_a, correction=3)
+>>> trie_b = ReconciliationTrie(set_b, seed=7)
+>>> found = find_difference(trie_b, art_a, correction=3)
 
 ``found.differences`` is a subset of ``set_b - set_a`` (never elements A
 already has); accuracy — the fraction of true differences found — is what

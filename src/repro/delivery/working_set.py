@@ -12,10 +12,11 @@ nothing is removed.  :meth:`WorkingSet.cached_many` — and
 :meth:`WorkingSet.cached`, its one-set case — is the one place that
 rule is applied: an artefact computed from the set is served while the
 version is unchanged, absorbs the journalled delta when the set grew
-(Section 4's O(1)-per-symbol maintenance), and is rebuilt otherwise.
-Summaries — a node's calling card among them, which is its own packed
-row — and catalog inventories all live there, so a cache dies with the
-set it describes.
+and it can (Section 4's O(1)-per-symbol maintenance: the min-wise
+card), and is rebuilt from the set otherwise.  Summaries — a node's
+calling card among them, which is its own packed row — and catalog
+inventories all live there, so a cache dies with the set it describes.
+The set itself is the only copy of its ids: no summary keeps one.
 """
 
 from functools import partial
@@ -61,15 +62,20 @@ class WorkingSet:
         """Monotone stamp, bumped on every successful add."""
         return self._version
 
-    def added_since(self, version: int) -> Optional[List[int]]:
-        """Ids added after ``version``, or ``None`` for a version this
-        set never had.
+    def added_since(self, version: int) -> List[int]:
+        """Ids added after ``version``, a stamp this set has had.
 
         An empty list means nothing changed.  Ids are returned in
         insertion order, each exactly once.
+
+        Raises:
+            ValueError: for a version this set never had.
         """
         if not 0 <= version <= self._version:
-            return None
+            raise ValueError(
+                f"version {version} is not one this set has had "
+                f"(0 to {self._version})"
+            )
         return self._log[version:]
 
     def cached(
@@ -82,8 +88,8 @@ class WorkingSet:
 
         The one-set case of :meth:`cached_many`, whose rule it follows:
         served as-is while :attr:`version` is unchanged; brought current
-        with ``absorb(artefact, added_since(stamp))`` when the set only
-        grew since the stamp and ``absorb`` is given; rebuilt otherwise.
+        with ``absorb(artefact, added_since(stamp))`` when the set grew
+        since the stamp and ``absorb`` is given; rebuilt otherwise.
         ``build`` and ``absorb`` must be deterministic, RNG-free
         functions of the set (and of ``key``), so a served artefact
         equals a from-scratch one.  Callers share the returned object
@@ -114,8 +120,8 @@ class WorkingSet:
         stale entries brought current together.
 
         The rule, per set: served while its version is unchanged;
-        absorbed when it only grew since the stamp and ``absorb_many``
-        is given; rebuilt otherwise.  All absorbs are one
+        absorbed when it grew since the stamp and ``absorb_many`` is
+        given; rebuilt otherwise.  All absorbs are one
         ``absorb_many(pairs)`` call over ``(artefact, added_since(stamp))``
         pairs and all rebuilds one ``build_many(sets)`` call; each
         yields one artefact per input, in order — what the per-set
@@ -133,10 +139,7 @@ class WorkingSet:
             if entry is None:
                 stale.append(ws)
             elif entry[0] != ws._version:
-                if absorb_many is not None and ws.added_since(entry[0]) is not None:
-                    grown.append(ws)
-                else:
-                    stale.append(ws)
+                (stale if absorb_many is None else grown).append(ws)
         if grown:
             # Read lazily: a superseded artefact and its delta live only
             # while they are in flight.

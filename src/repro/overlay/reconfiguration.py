@@ -19,7 +19,7 @@ card joins, admission and rewiring share when a run names no other.
 import math
 import random
 from itertools import chain
-from typing import Any, Callable, Iterable, Iterator, List, Mapping
+from typing import Any, Callable, Collection, Iterable, Iterator, List, Mapping
 from typing import Optional, Protocol, Sequence, Tuple
 
 from repro.delivery.working_set import WorkingSet
@@ -67,20 +67,24 @@ class SummaryScheme(SummaryPolicy):
         if recipe is not None:
             WorkingSet.cached_many([n.working_set for n in nodes], *recipe)
 
-    def resemblance(self, ours: Summary, theirs: Summary) -> float:
+    def resemblance(
+        self, ours: Summary, theirs: Summary, ids: Collection[int]
+    ) -> float:
         """Estimated ``|A ∩ B| / |A ∪ B|`` between two same-scheme cards.
 
-        Min-wise cards use their native matching-positions estimator.
-        Every other kind derives resemblance from its
-        symmetric-difference estimate by inclusion-exclusion (the
-        inverse map, so an unclamped estimate round-trips exactly); an
-        exceeded CPI bound reads as resemblance 0.0 — a discrepancy too
-        large to reconcile *is* evidence of low overlap.
+        ``ours`` summarises ``ids`` (``A``, the receiver's working set),
+        which the estimate of a searchable kind reads.  Min-wise cards
+        use their native matching-positions estimator.  Every other kind
+        derives resemblance from its symmetric-difference estimate by
+        inclusion-exclusion (the inverse map, so an unclamped estimate
+        round-trips exactly); an exceeded CPI bound reads as resemblance
+        0.0 — a discrepancy too large to reconcile *is* evidence of low
+        overlap.
         """
         if self.kind == "minwise":
             return ours.estimate_resemblance(theirs)  # type: ignore[attr-defined]
         try:
-            d = ours.estimate_difference(theirs)
+            d = ours.estimate_difference(theirs, ids)
         except DiscrepancyExceeded:
             return 0.0
         total = ours.set_size + theirs.set_size
@@ -124,7 +128,10 @@ class SummaryScheme(SummaryPolicy):
         if self.kind == "minwise":
             estimates = ours.estimate_resemblance_many(cards)  # type: ignore[attr-defined]
         else:
-            estimates = (self.resemblance(ours, theirs) for theirs in cards)
+            estimates = (
+                self.resemblance(ours, theirs, receiver.working_set)
+                for theirs in cards
+            )
         rest = iter(estimates)
         return [1.0 if c.is_source else 1.0 - next(rest) for c in candidates]
 

@@ -116,9 +116,7 @@ class ProtocolPeer:
         if len(self.working_set) == 0:
             return 0.0
         ours = CALLING_CARD.summary_of(self.working_set)
-        return correlation_from_summaries(
-            ours, hello.summary(), len(self.working_set)
-        )
+        return correlation_from_summaries(ours, hello.summary(), self.working_set)
 
     def summary(self) -> SummaryMessage:
         """The policy's reconciliation summary of the working set, for

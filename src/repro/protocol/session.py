@@ -209,9 +209,7 @@ class TransferSession:
         )
         if self.sender.is_source:
             return None
-        return correlation_from_summaries(
-            card_s, card_r, len(self.sender.working_set)
-        )
+        return correlation_from_summaries(card_s, card_r, self.sender.working_set)
 
     def _send_request(self) -> int:
         """Receiver states how many symbols it wants (Section 6.1)."""

@@ -35,6 +35,7 @@ from collections import deque
 from itertools import chain
 from typing import (
     Any,
+    Collection,
     Deque,
     Dict,
     Iterable,
@@ -125,23 +126,15 @@ class MinwiseSummary(Summary):
     kind = "minwise"
     supports_estimate = True
     supports_incremental = True
-    supports_batch = True
 
     def __init__(
-        self,
-        row: array,
-        set_size: int,
-        entries: int,
-        universe: int,
-        seed: int,
-        local_ids: Optional[frozenset] = None,
+        self, row: array, set_size: int, entries: int, universe: int, seed: int
     ):
         self._row = row
         self.set_size = set_size
         self.entries = entries
         self.universe = universe
         self.seed = seed
-        self._local_ids = local_ids
 
     @property
     def minima(self) -> List[Optional[int]]:
@@ -167,23 +160,28 @@ class MinwiseSummary(Summary):
         seed: int = 0,
     ) -> List["MinwiseSummary"]:
         """``[cls.build(ids, ...) for ids in id_sets]`` in one kernel
-        pass (:func:`~repro.hashing.batch.permutation_minima_many`)."""
+        pass (:func:`~repro.hashing.batch.permutation_minima_many`).
+
+        ``set_size`` counts the distinct ids given, before the fold."""
         if universe > MAX_MINWISE_UNIVERSE:
             raise SummaryError(_UNIVERSE_TOO_WIDE)
         family = _shared_family(entries, universe, seed)
         # ``universe.__rmod__`` is ``i % universe``, without a Python
         # frame per id.
         fold = universe.__rmod__
-        pools = [frozenset(map(fold, ids)) for ids in id_sets]
-        rows = permutation_minima_many(family, ((pool, None) for pool in pools))
+        pools = [frozenset(ids) for ids in id_sets]
+        rows = permutation_minima_many(
+            family, ((map(fold, pool), None) for pool in pools)
+        )
         return [
-            cls(row, len(pool), entries, universe, seed, local_ids=pool)
+            cls(row, len(pool), entries, universe, seed)
             for pool, row in zip(pools, rows)
         ]
 
     def absorb(self, new_ids: Iterable[int]) -> "MinwiseSummary":
-        """Coordinate-wise min against the fresh ids' minima (min is
-        associative, so this is exactly the union's sketch)."""
+        """Coordinate-wise min against the new ids' minima (min is
+        associative, so this is exactly the union's sketch); ``new_ids``
+        are ids not yet summarised, each once, and add to ``set_size``."""
         return next(self.absorb_many([(self, new_ids)]))
 
     @classmethod
@@ -192,7 +190,7 @@ class MinwiseSummary(Summary):
     ) -> Iterator["MinwiseSummary"]:
         """``card.absorb(new_ids)`` for each ``(card, new_ids)`` pair,
         in order, in one kernel pass over cards of one family; a card
-        nothing new folds into comes back as itself.
+        given no ids comes back as itself.
 
         Lazy on both ends: pairs are read as the kernel needs keys, and
         each card is yielded as soon as its row is done, so a caller
@@ -205,28 +203,25 @@ class MinwiseSummary(Summary):
             return
         first = head[0]
         family = _shared_family(first.entries, first.universe, first.seed)
-        queue: Deque[Tuple["MinwiseSummary", frozenset]] = deque()
+        queue: Deque[Tuple["MinwiseSummary", int]] = deque()
 
         def minima_folds():
             for card, new_ids in chain([head], folds):
-                pool = card._require_local("incremental min-wise update")
-                fresh = frozenset(map(card.universe.__rmod__, new_ids)) - pool
-                queue.append((card, fresh))
+                fresh = list(new_ids)
+                queue.append((card, len(fresh)))
                 if fresh:
                     first._check_family(card)
-                    yield fresh, card._row
+                    yield map(card.universe.__rmod__, fresh), card._row
 
         for row in permutation_minima_many(family, minima_folds()):
-            card, fresh = queue.popleft()
-            while not fresh:
+            card, added = queue.popleft()
+            while not added:
                 yield card
-                card, fresh = queue.popleft()
-            union = card._local_ids | fresh
+                card, added = queue.popleft()
             yield cls(
-                row, len(union), card.entries, card.universe, card.seed,
-                local_ids=union,
+                row, card.set_size + added, card.entries, card.universe, card.seed
             )
-        for card, _fresh in queue:
+        for card, _added in queue:
             yield card
 
     def wire_bytes(self) -> int:
@@ -284,7 +279,11 @@ class MinwiseSummary(Summary):
             )
 
     def merge(self, other: "MinwiseSummary") -> "MinwiseSummary":
-        """Coordinate-wise minimum — the sketch of the union (§4)."""
+        """Coordinate-wise minimum — the sketch of the union (§4).
+
+        Its ``set_size`` is the larger operand's: a lower bound on the
+        union's, zero only when both are, which is all join planning
+        reads of it."""
         self._check_family(other)
         merged = array(
             "q",
@@ -293,9 +292,9 @@ class MinwiseSummary(Summary):
                 for a, b in zip(self._row, other._row)
             ],
         )
-        ids, size = self._merged_local_ids(other)
         return MinwiseSummary(
-            merged, size, self.entries, self.universe, self.seed, local_ids=ids
+            merged, max(self.set_size, other.set_size),
+            self.entries, self.universe, self.seed,
         )
 
     def estimate_resemblance(self, other: "MinwiseSummary") -> float:
@@ -341,7 +340,9 @@ class MinwiseSummary(Summary):
             ]
         return [m / entries for m in matches]
 
-    def estimate_difference(self, other: "MinwiseSummary") -> float:
+    def estimate_difference(
+        self, other: "MinwiseSummary", ids: Optional[Collection[int]] = None
+    ) -> float:
         r = self.estimate_resemblance(other)
         i = _estimate_intersection_from_resemblance(r, self.set_size, other.set_size)
         return clamped_symmetric_difference(i, self.set_size, other.set_size)
@@ -364,13 +365,11 @@ class ModKSummary(Summary):
         set_size: int,
         modulus: int,
         seed: int,
-        local_ids: Optional[frozenset] = None,
     ):
         self.sample = frozenset(sample)
         self.set_size = set_size
         self.modulus = modulus
         self.seed = seed
-        self._local_ids = local_ids
 
     @classmethod
     def build(
@@ -393,7 +392,7 @@ class ModKSummary(Summary):
             # truncated samples stay comparable (§4's packet-limit fix).
             by_hash = sorted(sample, key=lambda x: mix64(x, seed))
             sample = by_hash[:max_elements]
-        return cls(sample, len(pool), modulus, seed, local_ids=pool)
+        return cls(sample, len(pool), modulus, seed)
 
     def wire_bytes(self) -> int:
         return 4 + 8 * len(self.sample)
@@ -426,7 +425,9 @@ class ModKSummary(Summary):
                 "mod-k summaries are only comparable with identical modulus and seed"
             )
 
-    def estimate_difference(self, other: "ModKSummary") -> float:
+    def estimate_difference(
+        self, other: "ModKSummary", ids: Optional[Collection[int]] = None
+    ) -> float:
         self._check_comparable(other)
         union = len(self.sample | other.sample)
         r = len(self.sample & other.sample) / union if union else 0.0
@@ -439,8 +440,9 @@ class RandomSampleSummary(Summary):
     """``k`` random keys with replacement (§4's first, simplest card).
 
     Params: ``k`` (sample size), ``seed`` (deterministic draw).  Two
-    *remote* samples cannot be compared with each other (the paper's
-    noted drawback); estimation needs one locally built side.
+    samples cannot be compared with each other (the paper's noted
+    drawback): estimation looks the other's sample up in the ids this
+    one was built from, which the caller passes.
     """
 
     kind = "random_sample"
@@ -451,12 +453,10 @@ class RandomSampleSummary(Summary):
         sample: List[int],
         set_size: int,
         seed: int,
-        local_ids: Optional[frozenset] = None,
     ):
         self.sample = list(sample)
         self.set_size = set_size
         self.seed = seed
-        self._local_ids = local_ids
 
     @classmethod
     def build(
@@ -468,7 +468,7 @@ class RandomSampleSummary(Summary):
         ordered = sorted(pool)
         rng = random.Random(seed)
         sample = [choice(rng, ordered) for _ in range(k)] if ordered else []
-        return cls(sample, len(pool), seed, local_ids=pool)
+        return cls(sample, len(pool), seed)
 
     def wire_bytes(self) -> int:
         return 4 + 8 * len(self.sample)
@@ -492,10 +492,12 @@ class RandomSampleSummary(Summary):
             )
         return cls(sample, set_size, payload_int(payload, "seed", 0))
 
-    def estimate_difference(self, other: "RandomSampleSummary") -> float:
-        """Look ``other``'s sampled keys up in our own (local) set."""
+    def estimate_difference(
+        self, other: "RandomSampleSummary", ids: Optional[Collection[int]] = None
+    ) -> float:
+        """Look ``other``'s sampled keys up in ``ids``, our own set."""
         self._check_kind(other)
-        local = self._require_local("random-sample difference estimation")
+        local = self._ids_for_estimate(ids)
         if not other.sample:
             # No observations: fall back to the size-imbalance floor.
             return clamped_symmetric_difference(0.0, self.set_size, other.set_size)
@@ -521,22 +523,10 @@ class BloomSummary(Summary):
     supports_membership = True
     supports_difference = True
     supports_estimate = True
-    supports_incremental = True
 
-    #: Build parameters retained on local builds so :meth:`absorb` can
-    #: replay the exact auto-sizing a rebuild would use; ``None`` after
-    #: wire reconstruction (absorb then refuses via ``_require_local``).
-    _build_params: Optional[Dict[str, Any]] = None
-
-    def __init__(
-        self,
-        bloom: BloomFilter,
-        set_size: int,
-        local_ids: Optional[frozenset] = None,
-    ):
+    def __init__(self, bloom: BloomFilter, set_size: int):
         self.bloom = bloom
         self.set_size = set_size
-        self._local_ids = local_ids
 
     @classmethod
     def build(
@@ -545,64 +535,14 @@ class BloomSummary(Summary):
         bits_per_element: int = 8,
         k_hashes: Optional[int] = None,
         seed: int = 0,
-        m_bits: Optional[int] = None,
     ) -> "BloomSummary":
-        """``m_bits`` pins the array size explicitly (skipping the
-        n-scaled auto-sizing), which keeps :meth:`absorb` genuinely
-        incremental: a fixed ``(m, k)`` never forces a resize rebuild.
-        """
         pool = frozenset(ids)
-        m, k = cls._sizing(len(pool), bits_per_element, k_hashes, m_bits)
+        n = max(1, len(pool))
+        m = max(8, bits_per_element * n)
+        k = k_hashes if k_hashes is not None else optimal_hash_count(m, n)
         bloom = BloomFilter(m, k, seed)
         bloom.bulk_update(sorted(pool))
-        out = cls(bloom, len(pool), local_ids=pool)
-        out._build_params = {
-            "bits_per_element": bits_per_element,
-            "k_hashes": k_hashes,
-            "seed": seed,
-            "m_bits": m_bits,
-        }
-        return out
-
-    @staticmethod
-    def _sizing(
-        n_ids: int,
-        bits_per_element: int,
-        k_hashes: Optional[int],
-        m_bits: Optional[int],
-    ) -> Tuple[int, int]:
-        n = max(1, n_ids)
-        m = m_bits if m_bits else max(8, bits_per_element * n)
-        k = k_hashes if k_hashes is not None else optimal_hash_count(m, n)
-        return m, k
-
-    def absorb(self, new_ids: Iterable[int]) -> "BloomSummary":
-        pool = self._require_local("incremental bloom update")
-        if self._build_params is None:
-            return super().absorb(new_ids)
-        fresh = frozenset(new_ids) - pool
-        if not fresh:
-            return self
-        union = pool | fresh
-        p = self._build_params
-        m, k = self._sizing(
-            len(union), p["bits_per_element"], p["k_hashes"], p["m_bits"]
-        )
-        if (m, k) == (self.bloom.m, self.bloom.k):
-            # Sizing unchanged: copy the live bits, OR in only the
-            # fresh ids (scatter-OR is order-free, so this equals one
-            # bulk build over the union bit for bit).
-            bloom = BloomFilter.from_bytes(
-                self.bloom.to_bytes(), m, k, self.bloom.seed
-            )
-            bloom.count = self.bloom.count
-            bloom.bulk_update(sorted(fresh))
-        else:
-            bloom = BloomFilter(m, k, p["seed"])
-            bloom.bulk_update(sorted(union))
-        out = BloomSummary(bloom, len(union), local_ids=union)
-        out._build_params = p
-        return out
+        return cls(bloom, len(pool))
 
     def wire_bytes(self) -> int:
         return 4 + 12 + self.bloom.size_bytes()
@@ -646,62 +586,34 @@ class BloomSummary(Summary):
         hits = self.bloom.contains_many(pool)
         return [x for x, hit in zip(pool, hits) if not hit]
 
-    def estimate_difference(self, other: "Summary") -> float:
-        """Stream our (local) ids through the other summary's membership."""
-        local = self._require_local("bloom difference estimation")
-        if not getattr(other, "supports_membership", False):
-            raise SummaryError(
-                f"cannot estimate against a {getattr(other, 'kind', '?')} summary"
-            )
-        ours_missing = sum(1 for key in local if not other.may_contain(key))
-        i = len(local) - ours_missing
-        return clamped_symmetric_difference(i, self.set_size, other.set_size)
-
 
 #: Counting-filter buckets are unsigned 16-bit counters that saturate.
 _COUNTER_MAX = 0xFFFF
 
 
 @register_summary
-class CountingBloomSummary(BloomSummary):
-    """Counting Bloom filter (§5.2 background [11]): deletion-capable.
+class CountingBloomSummary(Summary):
+    """Counting Bloom filter (§5.2 background [11]).
 
-    Params: ``buckets_per_element``, ``k_hashes``, ``seed`` and
-    ``m_buckets`` (pins the counter-array size, the role ``m_bits``
-    plays on :class:`BloomSummary`: fixed sizing keeps :meth:`absorb`
-    incremental instead of resize-rebuilding).  One saturating 16-bit
-    counter per bucket, so :meth:`remove` can delete a key.  A saturated counter is never
-    decremented — a documented false positive beats a false negative.
+    Params: ``buckets_per_element``, ``k_hashes``, ``seed``.  One
+    saturating 16-bit counter per bucket in place of each bit, so a
+    counter past 2^16 - 1 insertions stays put.
     """
 
     kind = "counting_bloom"
     supports_membership = True
     supports_difference = True
     supports_estimate = True
-    supports_incremental = True
 
-    def __init__(
-        self,
-        counters: array,
-        k: int,
-        seed: int,
-        count: int,
-        set_size: int,
-        local_ids: Optional[frozenset] = None,
-    ):
+    def __init__(self, counters: array, k: int, seed: int, count: int, set_size: int):
         self._counters = counters
         self.m = len(counters)
         self.k = k
         self.seed = seed
-        #: Insertions less removals.
+        #: Insertions counted in.
         self.count = count
         self.set_size = set_size
-        self._local_ids = local_ids
         self._hashes = BloomHashes(k, self.m, seed)
-
-    @staticmethod
-    def _buckets(n_ids: int, p: Dict[str, Any]) -> int:
-        return p["m_buckets"] or max(8, p["buckets_per_element"] * max(1, n_ids))
 
     @classmethod
     def build(
@@ -710,78 +622,17 @@ class CountingBloomSummary(BloomSummary):
         buckets_per_element: int = 8,
         k_hashes: int = 5,
         seed: int = 0,
-        m_buckets: Optional[int] = None,
     ) -> "CountingBloomSummary":
         pool = frozenset(ids)
-        p = {
-            "buckets_per_element": buckets_per_element,
-            "k_hashes": k_hashes,
-            "seed": seed,
-            "m_buckets": m_buckets,
-        }
-        m = cls._buckets(len(pool), p)
-        if m < 1 or k_hashes < 1:
-            raise SummaryError(
-                "a counting filter needs at least one bucket and one hash function"
-            )
-        out = cls(array("H", bytes(2 * m)), k_hashes, seed, 0, len(pool), pool)
-        out._count_in(sorted(pool))
-        out._build_params = p
-        return out
-
-    def _count_in(self, keys: List[int]) -> None:
-        """Increment ``keys``' buckets; construction only (a summary
-        handed out is never mutated)."""
-        counters, hashes = self._counters, self._hashes
-        for key in keys:
+        m = max(8, buckets_per_element * max(1, len(pool)))
+        if k_hashes < 1:
+            raise SummaryError("a counting filter needs at least one hash function")
+        out = cls(array("H", bytes(2 * m)), k_hashes, seed, len(pool), len(pool))
+        counters, hashes = out._counters, out._hashes
+        for key in sorted(pool):
             for idx in hashes.indices(key):
                 if counters[idx] < _COUNTER_MAX:
                     counters[idx] += 1
-        self.count += len(keys)
-
-    def absorb(self, new_ids: Iterable[int]) -> "CountingBloomSummary":
-        pool = self._require_local("incremental counting-bloom update")
-        if self._build_params is None:
-            return Summary.absorb(self, new_ids)
-        fresh = frozenset(new_ids) - pool
-        if not fresh:
-            return self
-        union = pool | fresh
-        p = self._build_params
-        if self._buckets(len(union), p) != self.m:
-            return self.build(union, **p)
-        # Saturating increments commute, so adding only the fresh ids
-        # onto copied counters equals one build over the union.
-        out = CountingBloomSummary(
-            array("H", self._counters), self.k, self.seed, self.count,
-            len(union), union,
-        )
-        out._count_in(sorted(fresh))
-        out._build_params = p
-        return out
-
-    def remove(self, key: int) -> "CountingBloomSummary":
-        """This summary with one occurrence of ``key`` deleted, as a new
-        object.
-
-        Refuses a key the summary does not hold — a locally built one
-        knows its ids, a received one refuses a definite absence —
-        since decrementing foreign buckets creates false negatives.
-        """
-        if not self.may_contain(key) or (
-            self._local_ids is not None and key not in self._local_ids
-        ):
-            raise SummaryError(f"key {key} is not summarised; refusing to delete it")
-        counters = array("H", self._counters)
-        for idx in self._hashes.indices(key):
-            if counters[idx] < _COUNTER_MAX:
-                counters[idx] -= 1
-        ids = None if self._local_ids is None else self._local_ids - {key}
-        out = CountingBloomSummary(
-            counters, self.k, self.seed, self.count - 1,
-            max(0, self.set_size - 1), ids,
-        )
-        out._build_params = self._build_params
         return out
 
     def wire_bytes(self) -> int:
@@ -826,9 +677,6 @@ class CountingBloomSummary(BloomSummary):
         counters = self._counters
         return all(counters[idx] > 0 for idx in self._hashes.indices(key))
 
-    # Counters have no batched probe: keep the scalar walk.
-    missing_from = Summary.missing_from
-
 
 @register_summary
 class PartitionedBloomSummary(Summary):
@@ -858,7 +706,6 @@ class PartitionedBloomSummary(Summary):
         seed: int,
         member_count: int,
         set_size: int,
-        local_ids: Optional[frozenset] = None,
     ):
         self.bloom = bloom
         self.rho = rho
@@ -867,7 +714,6 @@ class PartitionedBloomSummary(Summary):
         #: Covered ids the filter summarises.
         self.member_count = member_count
         self.set_size = set_size
-        self._local_ids = local_ids
 
     @staticmethod
     def _check_partition(rho: int, beta: int) -> None:
@@ -895,7 +741,7 @@ class PartitionedBloomSummary(Summary):
         bloom = BloomFilter.for_elements(
             members, bits_per_element=bits_per_element, k_hashes=k_hashes, seed=seed
         )
-        return cls(bloom, rho, beta, seed, len(members), len(pool), local_ids=pool)
+        return cls(bloom, rho, beta, seed, len(members), len(pool))
 
     def covers(self, key: int) -> bool:
         """Whether this filter is authoritative for ``key`` at all."""
@@ -947,25 +793,6 @@ class PartitionedBloomSummary(Summary):
         hits = self.bloom.contains_many(covered)
         return [key for key, hit in zip(covered, hits) if not hit]
 
-    def estimate_difference(self, other: "Summary") -> float:
-        """Extrapolate the covered class's difference to the whole set."""
-        local = self._require_local("partitioned-bloom difference estimation")
-        if not isinstance(other, PartitionedBloomSummary):
-            raise SummaryError(
-                f"cannot estimate against a {getattr(other, 'kind', '?')} summary"
-            )
-        covered = [key for key in local if other.covers(key)]
-        if not covered:
-            return clamped_symmetric_difference(
-                float(min(self.set_size, other.set_size)),
-                self.set_size,
-                other.set_size,
-            )
-        missing = sum(1 for key in covered if key not in other.bloom)
-        scale = len(local) / len(covered)
-        i = len(local) - missing * scale
-        return clamped_symmetric_difference(i, self.set_size, other.set_size)
-
 
 def _exact_filter(values: List[int], m_bits: int, seed: int) -> BloomFilter:
     """A Bloom filter of exactly ``m_bits`` bits over ``values``, with
@@ -995,8 +822,8 @@ class ARTSummaryAdapter(Summary):
     :meth:`matches_leaf`, so :func:`~repro.art.search.find_difference`
     walks a trie against it: :meth:`missing_from` runs that ``O(d log
     n)`` search over the candidates' trie; :meth:`may_contain` probes
-    the leaf filter with the key's value hash.  A local build keeps its
-    :attr:`trie` (``None`` after wire reconstruction).
+    the leaf filter with the key's value hash.  The builder's trie is
+    not kept: a search rebuilds the candidates' own.
     """
 
     kind = "art"
@@ -1013,8 +840,6 @@ class ARTSummaryAdapter(Summary):
         leaf_bits_per_element: float,
         correction: int,
         set_size: int,
-        trie: Optional[ReconciliationTrie] = None,
-        local_ids: Optional[frozenset] = None,
     ):
         self.leaf_filter = leaf_filter
         self.internal_filter = internal_filter
@@ -1023,8 +848,6 @@ class ARTSummaryAdapter(Summary):
         self.leaf_bits_per_element = leaf_bits_per_element
         self.correction = correction
         self.set_size = set_size
-        self.trie = trie
-        self._local_ids = local_ids
 
     @staticmethod
     def _check_budget(bits_per_element: Any, leaf_bits_per_element: Any) -> None:
@@ -1068,8 +891,6 @@ class ARTSummaryAdapter(Summary):
             leaf_bits_per_element,
             correction,
             len(pool),
-            trie=trie,
-            local_ids=pool,
         )
 
     def matches_internal(self, value: int) -> bool:
@@ -1153,19 +974,6 @@ class ARTSummaryAdapter(Summary):
         trie = ReconciliationTrie(candidates, seed=self.seed)
         return find_difference(trie, self, correction=self.correction).differences
 
-    def estimate_difference(self, other: "Summary") -> float:
-        """Search our own (local) trie against the other summary."""
-        self._check_kind(other)
-        self._require_local("art difference estimation")
-        assert isinstance(other, ARTSummaryAdapter) and self.trie is not None
-        if self.seed != other.seed:
-            raise SummaryError(
-                "art summaries are only comparable under the same agreed hash seed"
-            )
-        stats = find_difference(self.trie, other, correction=other.correction)
-        i = self.set_size - len(stats.differences)
-        return clamped_symmetric_difference(i, self.set_size, other.set_size)
-
 
 # ---------------------------------------------------------------------------
 # Exact baselines (§5.1)
@@ -1197,14 +1005,12 @@ class CPISummary(Summary):
         set_size: int,
         max_discrepancy: int,
         seed: int,
-        local_ids: Optional[frozenset] = None,
     ):
         self.evaluations = evaluations
         self.verify_evaluations = verify_evaluations
         self.set_size = set_size
         self.max_discrepancy = max_discrepancy
         self.seed = seed
-        self._local_ids = local_ids
 
     @classmethod
     def build(
@@ -1219,7 +1025,7 @@ class CPISummary(Summary):
             evaluations, verify = reconciler.evaluate(sorted(pool))
         except ValueError as exc:
             raise SummaryError(str(exc)) from exc
-        return cls(evaluations, verify, len(pool), max_discrepancy, seed, pool)
+        return cls(evaluations, verify, len(pool), max_discrepancy, seed)
 
     def _reconciler(self) -> CharacteristicPolynomialReconciler:
         return CharacteristicPolynomialReconciler(self.max_discrepancy, self.seed)
@@ -1275,15 +1081,6 @@ class CPISummary(Summary):
         """Recover ``candidates - S`` exactly (raises past the bound)."""
         return sorted(self._reconciler().difference(self, candidates))
 
-    def estimate_difference(self, other: "Summary") -> float:
-        """Exact discrepancy, computed from our retained ids."""
-        self._check_kind(other)
-        local = self._require_local("cpi difference estimation")
-        assert isinstance(other, CPISummary)
-        ours_minus_theirs = other._reconciler().difference(other, local)
-        i = len(local) - len(ours_minus_theirs)
-        return clamped_symmetric_difference(i, self.set_size, other.set_size)
-
 
 def _polynomial_hash_bits(n_ids: int) -> int:
     """The hash width ``poly(|S|) = |S|^3`` auto-sizing picks (§5.1)."""
@@ -1298,35 +1095,21 @@ class HashSetSummaryAdapter(Summary):
     ``|S|^3``), ``seed``.  Every key is mixed and truncated to
     ``hash_bits``; a key outside the set is missed only when its hash
     collides with one inside, probability ~ ``|S| / 2^hash_bits``.  Two
-    hash sets compare directly, so estimation works wire-to-wire
-    without local ids.
+    hash sets compare directly, so estimation reads no ids.
     """
 
     kind = "hashset"
     supports_membership = True
     supports_difference = True
     supports_estimate = True
-    supports_incremental = True
 
-    #: ``hash_bits`` as requested at build time (0 = poly auto-sizing);
-    #: ``None`` after wire reconstruction, which cannot absorb.
-    _requested_bits: Optional[int] = None
-
-    def __init__(
-        self,
-        hashes: Iterable[int],
-        hash_bits: int,
-        seed: int,
-        set_size: int,
-        local_ids: Optional[frozenset] = None,
-    ):
+    def __init__(self, hashes: Iterable[int], hash_bits: int, seed: int, set_size: int):
         if not 1 <= hash_bits <= 64:
             raise SummaryError("hash width must be between 1 and 64 bits")
         self.hashes = frozenset(hashes)
         self.hash_bits = hash_bits
         self.seed = seed
         self.set_size = set_size
-        self._local_ids = local_ids
 
     def _hash(self, key: int) -> int:
         return mix64(key, self.seed) >> (64 - self.hash_bits)
@@ -1336,31 +1119,8 @@ class HashSetSummaryAdapter(Summary):
         cls, ids: Iterable[int], hash_bits: int = 0, seed: int = 0,
     ) -> "HashSetSummaryAdapter":
         pool = frozenset(ids)
-        out = cls._of(pool, hash_bits or _polynomial_hash_bits(len(pool)), seed)
-        out._requested_bits = hash_bits
-        return out
-
-    @classmethod
-    def _of(cls, pool: frozenset, bits: int, seed: int) -> "HashSetSummaryAdapter":
-        out = cls((), bits, seed, len(pool), pool)
+        out = cls((), hash_bits or _polynomial_hash_bits(len(pool)), seed, len(pool))
         out.hashes = frozenset(out._hash(x) for x in pool)
-        return out
-
-    def absorb(self, new_ids: Iterable[int]) -> "HashSetSummaryAdapter":
-        pool = self._require_local("incremental hash-set update")
-        if self._requested_bits is None:
-            return super().absorb(new_ids)
-        fresh = frozenset(new_ids) - pool
-        if not fresh:
-            return self
-        union = pool | fresh
-        bits = self._requested_bits or _polynomial_hash_bits(len(union))
-        if bits == self.hash_bits:
-            hashes = self.hashes | {self._hash(x) for x in fresh}
-            out = HashSetSummaryAdapter(hashes, bits, self.seed, len(union), union)
-        else:
-            out = self._of(union, bits, self.seed)
-        out._requested_bits = self._requested_bits
         return out
 
     def wire_bytes(self) -> int:
@@ -1399,8 +1159,10 @@ class HashSetSummaryAdapter(Summary):
     def may_contain(self, key: int) -> bool:
         return self._hash(key) in self.hashes
 
-    def estimate_difference(self, other: "HashSetSummaryAdapter") -> float:
-        """Hash sets compare directly — no local ids needed."""
+    def estimate_difference(
+        self, other: "HashSetSummaryAdapter", ids: Optional[Collection[int]] = None
+    ) -> float:
+        """Hash sets compare directly — ``ids`` is not read."""
         self._check_comparable(other)
         i = len(self.hashes & other.hashes)
         return clamped_symmetric_difference(i, self.set_size, other.set_size)
@@ -1424,11 +1186,9 @@ class WholeSetSummary(Summary):
     def __init__(self, ids: Iterable[int], key_bits: int = 64):
         if not 8 <= key_bits <= 64:
             raise SummaryError("key width must be between 8 and 64 bits")
-        pool = frozenset(ids)
-        self.ids = pool
+        self.ids = frozenset(ids)
         self.key_bits = key_bits
-        self.set_size = len(pool)
-        self._local_ids = pool
+        self.set_size = len(self.ids)
 
     @classmethod
     def build(
@@ -1461,7 +1221,9 @@ class WholeSetSummary(Summary):
     def missing_from(self, candidates: Iterable[int]) -> List[int]:
         return [key for key in candidates if key not in self.ids]
 
-    def estimate_difference(self, other: "WholeSetSummary") -> float:
+    def estimate_difference(
+        self, other: "WholeSetSummary", ids: Optional[Collection[int]] = None
+    ) -> float:
         self._check_kind(other)
         return float(len(self.ids ^ other.ids))
 

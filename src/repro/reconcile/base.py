@@ -25,17 +25,20 @@ Capability flags (all ``False`` on the base class):
 * ``exact`` — :meth:`Summary.missing_from` returns exactly the set
   difference (no approximation beyond the structure's stated
   collision bounds).
+* ``supports_incremental`` — :meth:`Summary.absorb` folds ids in, and
+  ``build_many`` / ``absorb_many`` do many sets in one kernel pass.
 
-Some estimators need the builder's original ids (a Bloom filter can
-count which of *its own* elements fall outside a received filter, but a
-wire-reconstructed filter no longer knows its elements).  Summaries
-built locally via :meth:`Summary.build` retain their ids; summaries
-reconstructed via :meth:`Summary.from_payload` do not, and methods that
-need them raise :class:`SummaryError` with a clear message.
+A summary holds no copy of the ids it was built from: it is what a
+peer ships, and the peer's working set is the only copy.  An estimate
+that needs the builder's own ids (a Bloom filter counts which of *its
+own* ids fall outside a received filter) takes them from its caller,
+who holds the set; a summary rebuilt from its payload answers every
+estimate, ``missing_from`` and ``may_contain`` as the original does.
+:meth:`Summary.absorb` takes ids not yet summarised, each once.
 """
 
 import abc
-from typing import Any, ClassVar, Dict, Iterable, List, Optional, Sequence
+from typing import Any, ClassVar, Collection, Dict, Iterable, List, Optional
 
 
 class SummaryError(ValueError):
@@ -62,26 +65,18 @@ class Summary(abc.ABC):
     #: then understate the truth and must not feed correlation directly,
     #: and the summary's ``covers(key)`` says which keys it speaks for.
     partial_coverage: ClassVar[bool] = False
-    #: True when :meth:`absorb` can fold newly added ids into a locally
-    #: built summary, producing exactly what a from-scratch rebuild over
-    #: the union would (min-wise minima, Bloom-family bit arrays);
-    #: structures whose content depends globally on the full set (mod-k
-    #: truncation, ART tries, CPI polynomials, ...) leave this False and
-    #: keep the rebuild path.
+    #: True when :meth:`absorb` folds newly added ids in, producing
+    #: exactly what a from-scratch rebuild over the union would, and
+    #: the class summarises many sets in one kernel pass:
+    #: ``build_many(id_sets, **params)`` and ``absorb_many`` over
+    #: ``(summary, new_ids)`` pairs return what per-set :meth:`build` /
+    #: :meth:`absorb` calls would.  Only the min-wise card (§4's
+    #: O(1)-per-symbol maintenance); every other kind is rebuilt from
+    #: the set, one at a time.
     supports_incremental: ClassVar[bool] = False
-    #: True when the class summarises many sets in one kernel pass:
-    #: ``build_many(id_sets, **params)`` (and, when incremental,
-    #: ``absorb_many`` over ``(summary, new_ids)`` pairs) return exactly
-    #: what per-set :meth:`build` / :meth:`absorb` calls would.  Kinds
-    #: without such a kernel leave this False and are built one set at
-    #: a time.
-    supports_batch: ClassVar[bool] = False
 
     #: Number of distinct ids summarised (travels in the 4-byte header).
     set_size: int = 0
-
-    #: The builder's original ids; ``None`` after wire reconstruction.
-    _local_ids: Optional[frozenset] = None
 
     # -- construction -----------------------------------------------------
 
@@ -147,41 +142,48 @@ class Summary(abc.ABC):
     def absorb(self, new_ids: Iterable[int]) -> "Summary":
         """Fold newly added ids in; **bit-identical** to a full rebuild.
 
-        Returns a new summary equal — payload for payload — to
-        ``type(self).build(old_ids | set(new_ids), **same build params)``.
-        Never mutates ``self`` (cached references stay valid), requires
-        a locally built summary (wire reconstructions no longer know
-        their ids or build parameters), and may fall back to an internal
-        rebuild when the structure's auto-sizing changes with the new
-        cardinality — the contract is the output, not the work saved.
-        Ids already summarised are ignored.
+        ``new_ids`` are ids not yet summarised, each once — what
+        :meth:`~repro.delivery.working_set.WorkingSet.added_since`
+        returns.  Returns a new summary equal — payload for payload — to
+        ``type(self).build(old_ids | set(new_ids), **same build params)``
+        and never mutates ``self`` (cached references stay valid).
         """
         raise SummaryError(
             f"{self.kind or type(self).__name__} summaries do not support "
             "incremental updates; rebuild from the full id set"
         )
 
-    def estimate_difference(self, other: "Summary") -> float:
-        """Estimated symmetric-difference size ``|A Δ B|``."""
-        raise SummaryError(
-            f"{self.kind or type(self).__name__} summaries do not support "
-            "difference estimation"
+    def estimate_difference(
+        self, other: "Summary", ids: Optional[Collection[int]] = None
+    ) -> float:
+        """Estimated symmetric-difference size ``|A Δ B|``.
+
+        ``ids`` is ``A``, the set this summary was built from, as the
+        caller holds it (a set or a working set).  Kinds that compare
+        two summaries do not read it; the searchable kinds search it
+        through ``other`` (:func:`searched_intersection`), which is this
+        default.
+        """
+        if not (self.supports_estimate and self.supports_difference):
+            raise SummaryError(
+                f"{self.kind or type(self).__name__} summaries do not support "
+                "difference estimation"
+            )
+        self._check_kind(other)
+        ids = self._ids_for_estimate(ids)
+        return clamped_symmetric_difference(
+            searched_intersection(other, ids), len(ids), other.set_size
         )
 
     # -- shared helpers ---------------------------------------------------
 
-    @property
-    def is_local(self) -> bool:
-        """True when this summary still knows the ids it was built from."""
-        return self._local_ids is not None
-
-    def _require_local(self, what: str) -> frozenset:
-        if self._local_ids is None:
+    def _ids_for_estimate(self, ids: Optional[Collection[int]]) -> Collection[int]:
+        if ids is None:
             raise SummaryError(
-                f"{what} needs the summary's original ids; this {self.kind} "
-                "summary was reconstructed from the wire and no longer has them"
+                f"{self.kind} difference estimation needs the ids this "
+                "summary was built from"
             )
-        return self._local_ids
+        return ids
 
     def compatible_build_params(self) -> Dict[str, Any]:
         """Build parameters a peer needs to construct a *comparable* summary.
@@ -193,18 +195,6 @@ class Summary(abc.ABC):
         """
         return {}
 
-    def _merged_local_ids(self, other: "Summary"):
-        """``(ids, size)`` for a merge result.
-
-        The union's exact ids (and size) when both sides were built
-        locally; otherwise ``None`` and the larger operand's size, the
-        tightest bound a wire-reconstructed pair can assert.
-        """
-        if self._local_ids is not None and other._local_ids is not None:
-            ids = self._local_ids | other._local_ids
-            return ids, len(ids)
-        return None, max(self.set_size, other.set_size)
-
     def _check_kind(self, other: "Summary") -> None:
         if not isinstance(other, Summary) or other.kind != self.kind:
             raise SummaryError(
@@ -215,8 +205,29 @@ class Summary(abc.ABC):
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<{type(self).__name__} kind={self.kind!r} n={self.set_size} "
-            f"wire={self.wire_bytes()}B local={self.is_local}>"
+            f"wire={self.wire_bytes()}B>"
         )
+
+
+def searched_intersection(theirs: Summary, ids: Collection[int]) -> float:
+    """``|L ∩ R|`` estimated by searching ``L = ids`` through ``theirs``,
+    a summary of ``R`` that supports difference search.
+
+    ``|L|`` less the ids ``theirs`` says it lacks; a ``partial_coverage``
+    summary's count is extrapolated from the ids it ``covers`` (and,
+    covering none of them, reads as ``min(|L|, |R|)``).  The one
+    estimator behind every searchable kind's
+    :meth:`Summary.estimate_difference` and
+    :meth:`~repro.reconcile.policy.SummaryPolicy.correlation`.  ``ids``
+    must be distinct.
+    """
+    missing = len(theirs.missing_from(ids))
+    if not theirs.partial_coverage:
+        return len(ids) - missing
+    covered = sum(1 for key in ids if theirs.covers(key))
+    if not covered:
+        return float(min(len(ids), theirs.set_size))
+    return len(ids) - missing * (len(ids) / covered)
 
 
 def clamped_symmetric_difference(
@@ -274,6 +285,7 @@ __all__ = [
     "Summary",
     "SummaryError",
     "clamped_symmetric_difference",
+    "searched_intersection",
     "hex_bytes",
     "unhex_bytes",
     "payload_int",

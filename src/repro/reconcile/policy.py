@@ -14,35 +14,36 @@ paper's accuracy-vs-overhead trade-off.  A layer nobody handed a policy
 holds :data:`DEFAULT_POLICY`.
 """
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Collection, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.reconcile.base import Summary, SummaryError
-from repro.reconcile.registry import build_summary, summary_class, summary_recipe
-
-
-def _freeze(params: Optional[Mapping[str, Any]]) -> Tuple[Tuple[str, Any], ...]:
-    if not params:
-        return ()
-    return tuple(sorted(params.items()))
+from repro.reconcile.base import Summary, SummaryError, searched_intersection
+from repro.reconcile.registry import (
+    build_summary,
+    freeze_params,
+    summary_class,
+    summary_recipe,
+)
 
 
 def correlation_from_summaries(
-    ours: Summary, theirs: Summary, local_size: int
+    ours: Summary, theirs: Summary, local_ids: Collection[int]
 ) -> float:
     """``|L ∩ R| / |L|`` from two comparable summaries.
 
     The one inclusion-exclusion estimator behind every correlation
-    signal in the stack (§4): ``ours`` must be the locally built side,
-    ``theirs`` the received one; ``local_size`` is ``|L|``.  Used by
-    the protocol handshake, :meth:`ProtocolPeer.
-    estimate_peer_correlation`, and :meth:`SummaryPolicy.correlation`.
+    signal in the stack (§4): ``ours`` is the summary of ``local_ids``
+    (``L``, as the caller holds it: a set or a working set), ``theirs``
+    the received one.  Used by the protocol handshake,
+    :meth:`ProtocolPeer.estimate_peer_correlation`, and
+    :meth:`SummaryPolicy.correlation`.
     """
+    local_size = len(local_ids)
     if local_size <= 0:
         return 0.0
     from repro.exact.cpi import DiscrepancyExceeded
 
     try:
-        d = ours.estimate_difference(theirs)
+        d = ours.estimate_difference(theirs, local_ids)
     except DiscrepancyExceeded:
         # An exceeded CPI bound *is* evidence: the discrepancy is
         # larger than the sketch was sized for, so overlap is small.
@@ -63,7 +64,7 @@ class SummaryPolicy:
 
     def __init__(self, kind: str = "bloom", params: Optional[Mapping[str, Any]] = None):
         self.kind = kind
-        self.params: Tuple[Tuple[str, Any], ...] = _freeze(params)
+        self.params: Tuple[Tuple[str, Any], ...] = freeze_params(params)
         # Computed once (failing fast on unknown kinds, the registry's
         # own error): what a working set needs to keep it current.
         self._summary = summary_recipe(kind, params)
@@ -135,9 +136,10 @@ class SummaryPolicy:
         """Estimated ``|L ∩ R| / |L|`` for a local set against a summary.
 
         Uses the remote summary's difference search when it is
-        authoritative for the whole key space (counting local ids it
-        does *not* lack); otherwise builds a *comparable* local summary
-        — the remote's own agreement parameters, via
+        authoritative for the whole key space
+        (:func:`~repro.reconcile.base.searched_intersection`: local ids
+        it does *not* lack); otherwise builds a *comparable* local
+        summary — the remote's own agreement parameters, via
         :meth:`~repro.reconcile.base.Summary.compatible_build_params` —
         and derives the intersection from the symmetric-difference
         estimate.  The result is the degree-shift knob of Recode/MW and
@@ -150,19 +152,20 @@ class SummaryPolicy:
             from repro.exact.cpi import DiscrepancyExceeded
 
             try:
-                missing = len(remote.missing_from(local))
+                inter = searched_intersection(remote, local)
             except DiscrepancyExceeded:
                 # Bound exceeded: the sets differ more than the sketch
                 # was sized for — low overlap is the honest reading.
                 return 0.0
-            return min(1.0, max(0.0, (len(local) - missing) / len(local)))
+            return min(1.0, max(0.0, inter / len(local)))
         if not remote.supports_estimate:
             raise SummaryError(
                 f"{remote.kind} summaries support neither difference search "
                 "nor estimation; no correlation signal is available"
             )
-        mine = build_summary(remote.kind, local, **remote.compatible_build_params())
-        return correlation_from_summaries(mine, remote, len(local))
+        held = frozenset(local)
+        mine = build_summary(remote.kind, held, **remote.compatible_build_params())
+        return correlation_from_summaries(mine, remote, held)
 
 
 #: What every layer holds when nobody chose a summary: 8-bits-per-element

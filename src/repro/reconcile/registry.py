@@ -102,20 +102,25 @@ def _build_many_frozen(
     return _summary_call(kind, summary_class(kind).build_many, id_sets, dict(frozen))
 
 
+def freeze_params(params: Optional[Mapping[str, Any]]) -> Tuple[Tuple[str, Any], ...]:
+    """``params`` as a sorted tuple of items: permuted-but-equal
+    parameters freeze alike, so they share one cache entry."""
+    return tuple(sorted(params.items())) if params else ()
+
+
 def summary_recipe(
     kind: str, params: Optional[Mapping[str, Any]] = None
 ) -> Tuple[tuple, Callable[[Iterable[int]], Summary], Optional[Callable]]:
     """``(key, build, absorb)`` for :meth:`repro.delivery.working_set.
     WorkingSet.cached`: the entry ``ws.summary(kind, **params)`` reads.
 
-    The key sorts ``params``, so permuted-but-equal parameters share one
-    entry; ``absorb`` is given only for kinds declaring
-    ``supports_incremental`` (a cached summary is always a local build).
+    ``absorb`` is given only for kinds declaring
+    ``supports_incremental``; every other kind is rebuilt from the set.
     Immutable schemes and policies compute this once, which keeps their
     cache-hit path at one dict lookup and one stamp compare.
     """
     cls = summary_class(kind)
-    frozen = tuple(sorted(params.items())) if params else ()
+    frozen = freeze_params(params)
     return (
         (kind, frozen),
         partial(_build_frozen, kind, frozen),
@@ -125,21 +130,16 @@ def summary_recipe(
 
 def summary_batch_recipe(
     kind: str, params: Optional[Mapping[str, Any]] = None
-) -> Optional[Tuple[tuple, Callable, Optional[Callable]]]:
+) -> Optional[Tuple[tuple, Callable, Callable]]:
     """``(key, build_many, absorb_many)`` for :meth:`repro.delivery.
     working_set.WorkingSet.cached_many` — the same entry as
     :func:`summary_recipe`'s, brought current for many sets in one
-    kernel pass — or ``None`` for a kind without ``supports_batch``.
+    kernel pass — or ``None`` for a kind without ``supports_incremental``.
     """
-    cls = summary_class(kind)
-    if not cls.supports_batch:
+    key, _build, absorb = summary_recipe(kind, params)
+    if absorb is None:
         return None
-    frozen = tuple(sorted(params.items())) if params else ()
-    return (
-        (kind, frozen),
-        partial(_build_many_frozen, kind, frozen),
-        cls.absorb_many if cls.supports_incremental else None,
-    )
+    return key, partial(_build_many_frozen, *key), summary_class(kind).absorb_many
 
 
 def summary_from_payload(payload: Dict[str, Any]) -> Summary:

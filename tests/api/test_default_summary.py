@@ -93,17 +93,23 @@ class TestSwarmsRunUnderAMinwiseSummary:
     2**40, beyond the min-wise universe.  Cards always folded them; the
     strategy-side receiver summary did not, so these specs — which the
     consumption gate accepts — were refused with "key outside the
-    family's universe".  The adapter now folds for both."""
+    family's universe".  The adapter now folds for both.
+
+    A card's ``set_size`` counts the distinct ids it was given, before
+    the fold, so it is the set's own size even where a fresh id aliases
+    a content id.  Recode/MW's correlation reads it; while it counted
+    the folded ids, all seven pins below read otherwise (figure1: 94
+    ticks, 998 packets)."""
 
     #: (ticks, packets_sent, packets_useful, packets_lost, reconfigurations)
     PINS = {
-        "asymmetric_bandwidth": (28.0, 432.0, 176.0, 2.0, 7.0),
-        "congested_swarm": (74.0, 675.0, 180.0, 164.0, 18.0),
-        "correlated_regional_loss": (33.0, 328.0, 179.0, 1.0, 6.0),
-        "figure1": (94.0, 998.0, 199.0, 0.0, 0.0),
-        "flash_crowd": (53.0, 699.0, 236.0, 0.0, 9.0),
-        "random_overlay": (38.0, 795.0, 444.0, 11.0, 10.0),
-        "source_departure": (28.0, 289.0, 83.0, 0.0, 12.0),
+        "asymmetric_bandwidth": (29.0, 432.0, 177.0, 2.0, 7.0),
+        "congested_swarm": (76.0, 710.0, 163.0, 181.0, 19.0),
+        "correlated_regional_loss": (32.0, 334.0, 183.0, 1.0, 6.0),
+        "figure1": (85.0, 852.0, 192.0, 0.0, 0.0),
+        "flash_crowd": (55.0, 733.0, 267.0, 0.0, 10.0),
+        "random_overlay": (37.0, 801.0, 451.0, 5.0, 10.0),
+        "source_departure": (27.0, 286.0, 89.0, 0.0, 13.0),
     }
 
     @staticmethod

@@ -33,9 +33,11 @@ class TestExactSummary:
 
 class TestARTSummary:
     def test_no_false_negatives_on_node_values(self):
-        s = art(random.Random(1).sample(range(1 << 40), 500), bits_per_element=8, seed=2)
-        assert all(s.matches_internal(v) for v in s.trie.internal_values())
-        assert all(s.matches_leaf(v) for v in s.trie.leaf_values())
+        ids = random.Random(1).sample(range(1 << 40), 500)
+        s = art(ids, bits_per_element=8, seed=2)
+        trie = ReconciliationTrie(ids, seed=2)
+        assert all(s.matches_internal(v) for v in trie.internal_values())
+        assert all(s.matches_leaf(v) for v in trie.leaf_values())
 
     def test_size_respects_budget(self):
         s = art(range(1000), bits_per_element=8, seed=3)

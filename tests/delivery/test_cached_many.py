@@ -3,12 +3,12 @@
 An epoch brings every card it can read current in one batched pass
 (:meth:`repro.overlay.SummaryScheme.refresh`).  Each card that pass
 leaves must be what a per-set :meth:`WorkingSet.cached` read would
-have left: the same row, ``set_size`` and ``_local_ids`` (ids beyond
-the min-wise universe fold into it, and may alias ids already held),
-the same stamp, and the same object wherever ``cached`` keeps one — a
-served card, and a grown card nothing new folds into.  Sets are
-served, grown and built for the first time in one batch; with numpy
-and without.
+have left: the same row and ``set_size`` (ids beyond the min-wise
+universe fold into it, and may alias ids already held), the same stamp,
+and the same object wherever ``cached`` keeps one — a served card.
+Sets are served, grown and built for the first time in one batch; with
+numpy and without.  Either way an absorbed card is the build over the
+whole set, row and ``set_size``.
 """
 
 import pytest
@@ -19,6 +19,7 @@ import repro.hashing.batch as batch
 from repro.delivery.working_set import WorkingSet
 from repro.overlay.node import OverlayNode
 from repro.overlay.reconfiguration import SummaryScheme
+from repro.reconcile import build_summary
 from repro.reconcile.registry import summary_batch_recipe, summary_recipe
 
 PARAMS = {"entries": 16, "seed": 3}
@@ -77,7 +78,6 @@ def _as_seen(sets, before, cards):
         (
             card._row,
             card.set_size,
-            card._local_ids,
             ws._derived[KEY][0],
             ws.version,
             card is old,
@@ -125,6 +125,28 @@ def test_a_scheme_refresh_leaves_what_card_of_reads(lane, plan):
     assert _as_seen(many_sets, many_before, many) == _as_seen(
         one_sets, one_before, one
     )
+
+
+@pytest.mark.parametrize("lane", _lanes())
+@settings(max_examples=100, deadline=None)
+@given(initial=st.lists(_ids, max_size=12), adds=st.lists(_ids, max_size=30))
+def test_a_card_absorbed_through_the_journal_is_the_build_of_the_union(
+    lane, initial, adds
+):
+    """``absorb`` trusts ``added_since``: each new id once, counted
+    before the fold, so ``set_size`` is the set's own length."""
+    with pytest.MonkeyPatch.context() as mp:
+        if lane == "scalar":
+            mp.setattr(batch, "_numpy", lambda: None)
+        ws = WorkingSet(initial)
+        ws.cached(*RECIPE)
+        for symbol_id in adds:
+            ws.add(symbol_id)
+            card = ws.cached(*RECIPE)
+        built = build_summary("minwise", ws, **PARAMS)
+        card = ws.cached(*RECIPE)
+    assert card._row == built._row
+    assert card.set_size == built.set_size == len(ws)
 
 
 def test_kinds_without_a_batch_kernel_stay_lazy():

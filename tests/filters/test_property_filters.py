@@ -1,12 +1,9 @@
 """Property-based tests for filter invariants."""
 
-import random
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.filters import BloomFilter
-from repro.reconcile import build_summary
 
 key_sets = st.sets(st.integers(min_value=0, max_value=2**40), min_size=1, max_size=300)
 
@@ -47,37 +44,3 @@ class TestBloomProperties:
             ratio = bf.fill_ratio()
             assert ratio >= last
             last = ratio
-
-
-class TestCountingBloomProperties:
-    @given(
-        keys=st.lists(
-            st.integers(min_value=0, max_value=1000), min_size=1, max_size=100
-        )
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_add_remove_all_leaves_empty_membership(self, keys):
-        cbf = build_summary(
-            "counting_bloom", keys, m_buckets=8192, k_hashes=3, seed=5
-        )
-        rng = random.Random(1)
-        shuffled = sorted(set(keys))
-        rng.shuffle(shuffled)
-        for k in shuffled:
-            cbf = cbf.remove(k)
-        assert cbf.count == 0
-        assert not any(cbf.may_contain(k) for k in keys)
-
-    @given(
-        keys=st.sets(st.integers(min_value=0, max_value=10_000), min_size=2, max_size=80)
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_removing_one_key_never_creates_false_negative(self, keys):
-        cbf = build_summary(
-            "counting_bloom", keys, m_buckets=16_384, k_hashes=3, seed=6
-        )
-        victim = sorted(keys)[0]
-        cbf = cbf.remove(victim)
-        for k in keys:
-            if k != victim:
-                assert cbf.may_contain(k)

@@ -48,8 +48,14 @@ def _never_fresh(self, conn):
     return False
 
 
-def _journal_lost(self, version):
-    return None
+_cached_many = WorkingSet.cached_many
+
+
+def _never_absorb(sets, key, build_many, absorb_many=None):
+    """``WorkingSet.cached_many`` without its absorb: every artefact a
+    set grew past is rebuilt from the set (``cached`` reads through
+    this too)."""
+    return _cached_many(sets, key, build_many)
 
 
 def _always_build(self, key, build, absorb=None):
@@ -303,10 +309,9 @@ class TestRefreshSkip:
         return sim
 
     def _spy_on_builds(self, monkeypatch):
-        # With the journal lost every re-derivation is a from-scratch
-        # build, which the spy can see (an absorb never reaches the
-        # registry).
-        monkeypatch.setattr(WorkingSet, "added_since", _journal_lost)
+        # With no absorb every re-derivation is a from-scratch build,
+        # which the spy can see (an absorb never reaches the registry).
+        monkeypatch.setattr(WorkingSet, "cached_many", staticmethod(_never_absorb))
         return _spy_on_builds(monkeypatch)
 
     @pytest.mark.parametrize("engine", ["reference", "columnar"])
@@ -499,18 +504,18 @@ class TestSummaryCache:
         rebuilt = build_summary("bloom", ws.ids, bits_per_element=8)
         assert fresh.to_payload() == rebuilt.to_payload()
 
-    def test_lost_journal_rebuilds_to_the_same_payload(self, monkeypatch):
+    def test_a_card_never_absorbed_is_the_same_payload(self, monkeypatch):
         ws = self._ws()
-        ws.summary("bloom", bits_per_element=8)
+        ws.summary("minwise", entries=64)
         for symbol_id in range(40, 55):
             ws.add(symbol_id)
-        incremental = ws.summary("bloom", bits_per_element=8)
+        incremental = ws.summary("minwise", entries=64)
         ws2 = self._ws()
-        monkeypatch.setattr(WorkingSet, "added_since", _journal_lost)
-        ws2.summary("bloom", bits_per_element=8)
+        monkeypatch.setattr(WorkingSet, "cached_many", staticmethod(_never_absorb))
+        ws2.summary("minwise", entries=64)
         for symbol_id in range(40, 55):
             ws2.add(symbol_id)
-        rebuilt = ws2.summary("bloom", bits_per_element=8)
+        rebuilt = ws2.summary("minwise", entries=64)
         assert incremental.to_payload() == rebuilt.to_payload()
 
     def test_minwise_card_folds_ids_like_sketch(self):
@@ -600,17 +605,19 @@ class TestFromScratchBuilds:
     """How many from-scratch ``build_summary`` calls a small spec pays.
 
     A receiver's summary lives on its working set: every sender,
-    handshake and wire-size read shares it, and an incremental kind
-    absorbs arrivals instead of rebuilding.  (Before, the protocol
-    layer rebuilt per call and the overlay's per-receiver cache never
-    absorbed: 4 min-wise / 16 Bloom / 17 Bloom builds below.)"""
+    handshake and wire-size read shares it, and the min-wise card
+    absorbs arrivals instead of rebuilding.  A Bloom summary is rebuilt
+    from the set once per version it is read at: its filter is sized
+    from the set, so a grown set needs a new one.  (Before, the
+    protocol layer rebuilt per call: 4 min-wise builds for
+    session_swarm.)"""
 
     @pytest.mark.parametrize(
         "name, builds",
         [
             ("session_swarm", {"minwise": 3}),
-            ("flash_crowd", {"minwise": 10, "bloom": 8}),
-            ("congested_swarm", {"minwise": 10, "bloom": 10}),
+            ("flash_crowd", {"minwise": 10, "bloom": 16}),
+            ("congested_swarm", {"minwise": 10, "bloom": 17}),
         ],
     )
     def test_small_spec_build_counts(self, name, builds, monkeypatch):

@@ -6,7 +6,9 @@ Per-peer state bounds how many peers an end system can carry (paper
 shape: one packed int64 row, no second per-entry container on the
 object, and — measured, not asserted from the layout — under 2 KB of
 traced memory per card even after a batch comparison.  As lists of boxed
-ints plus a cached array copy, a card took over 5 KB.
+ints plus a cached array copy, a card took over 5 KB.  No summary of any
+kind keeps a copy of the set it was built from: the working set is the
+only one.
 """
 
 import json
@@ -17,7 +19,12 @@ from array import array
 import pytest
 
 import repro.hashing.batch as batch
-from repro.reconcile import CALLING_CARD, summary_from_payload
+from repro.reconcile import (
+    CALLING_CARD,
+    build_summary,
+    summary_from_payload,
+    summary_kinds,
+)
 
 CARDS = 1_000
 
@@ -44,16 +51,15 @@ def test_the_card_is_its_row():
         per_entry = [
             name
             for name, value in vars(c).items()
-            if name not in ("_row", "_local_ids") and hasattr(value, "__len__")
+            if name != "_row" and hasattr(value, "__len__")
         ]
         assert per_entry == []
-    assert vars(wire)["_local_ids"] is None
 
 
 def test_a_thousand_cards_take_under_two_kilobytes_each():
-    # What a peer holds of its neighbours: cards off the wire (no
-    # ``local_ids``).  Any in-universe minima do; drawing them skips
-    # a thousand kernel passes.
+    # What a peer holds of its neighbours: cards off the wire.  Any
+    # in-universe minima do; drawing them skips a thousand kernel
+    # passes.
     payload = _default_card(range(300)).to_payload()
     rng = random.Random("card-footprint")
     rows = [json.dumps(payload)] + [
@@ -71,6 +77,23 @@ def test_a_thousand_cards_take_under_two_kilobytes_each():
     finally:
         tracemalloc.stop()
     assert len(estimates) == CARDS and estimates[0] == 1.0
-    assert all(not c.is_local for c in cards)
     per_card = (after - before) / CARDS
     assert 8 * cards[0].entries <= per_card < 2_048
+
+
+#: The set-valued attributes a summary may have: each is what its
+#: payload ships under the same name (the keys, their truncated hashes,
+#: the mod-k sample).
+SHIPPED_SETS = {"wholeset": {"ids"}, "hashset": {"hashes"}, "modk": {"sample"}}
+
+
+@pytest.mark.parametrize("kind", summary_kinds())
+def test_no_summary_keeps_a_copy_of_its_set(kind):
+    summary = build_summary(kind, range(0, 3_000, 3))
+    sets = {
+        name
+        for name, value in vars(summary).items()
+        if isinstance(value, (set, frozenset))
+    }
+    assert sets == SHIPPED_SETS.get(kind, set())
+    assert sets <= set(summary.to_payload())

@@ -119,7 +119,7 @@ def test_a_bad_field_is_refused_or_served(message, kind, field, value):
     within_deadline(remote.wire_bytes)
     calls = []
     if remote.supports_estimate:
-        calls.append(lambda: local.estimate_difference(remote))
+        calls.append(lambda: local.estimate_difference(remote, CANDIDATES))
     if remote.supports_difference:
         calls.append(lambda: remote.missing_from(CANDIDATES))
     if remote.supports_membership:

@@ -39,7 +39,6 @@ CASES = [
     ("wholeset", {"key_bits": 12}),
     ("counting_bloom", {}),
     ("counting_bloom", {"buckets_per_element": 5, "k_hashes": 3, "seed": 7}),
-    ("counting_bloom", {"m_buckets": 256, "k_hashes": 4}),
     ("partitioned_bloom", {}),
     ("partitioned_bloom",
      {"rho": 3, "beta": 2, "bits_per_element": 6, "k_hashes": 2, "seed": 8}),
@@ -73,8 +72,6 @@ GOLDEN = {
         ["32:e5c8318c24809f50", "976:d4c64f692755a48a", "4816:7795f9079d815b50"],
     "counting_bloom,buckets_per_element=5,k_hashes=3,seed=7":
         ["32:85912547817f033e", "616:66b058e14c3ab65b", "3016:d4462d00e2beb3fc"],
-    "counting_bloom,k_hashes=4,m_buckets=256":
-        ["528:47a7dd16344baa2e", "528:58d9447eafab5c8e", "528:0d73c5e6a0861b29"],
     "partitioned_bloom":
         ["25:e8a98e629bb08309", "39:4dfd1d5f4b216db8", "89:4786c12ff9a3b3a8"],
     "partitioned_bloom,beta=2,bits_per_element=6,k_hashes=2,rho=3,seed=8":

@@ -45,7 +45,7 @@ class TestRandomSampleBasics:
 
     def test_estimate_from_empty_sample_reads_sizes_only(self):
         local = sample(range(10), k=4)
-        assert local.estimate_difference(sample([], k=4)) == 10.0
+        assert local.estimate_difference(sample([], k=4), set(range(10))) == 10.0
 
     def test_packet_size(self):
         sk = sample(range(1000), 128, seed=3)
@@ -67,7 +67,7 @@ class TestRandomSampleEstimates:
         assert abs(sum(estimates) / len(estimates) - truth) < 0.08
         # The summary's estimate is the same hit count, from the local side.
         local = sample(other, 0)
-        differences = [local.estimate_difference(r) for r in remotes]
+        differences = [local.estimate_difference(r, other) for r in remotes]
         mean = sum(differences) / len(differences)
         assert abs(mean - len(sketched ^ other)) < 0.16 * size
 
@@ -75,9 +75,10 @@ class TestRandomSampleEstimates:
         keys = set(range(500))
         sk = sample(keys, 64, seed=4)
         assert containment_in(sk, keys) == 1.0
-        assert sample(keys, 0).estimate_difference(sk) == 0.0
+        assert sample(keys, 0).estimate_difference(sk, keys) == 0.0
 
     def test_zero_containment(self):
         sk = sample(range(500), 64, seed=5)
         assert containment_in(sk, set(range(1000, 2000))) == 0.0
-        assert sample(range(1000, 2000), 0).estimate_difference(sk) == 1500.0
+        held = set(range(1000, 2000))
+        assert sample(held, 0).estimate_difference(sk, held) == 1500.0

@@ -202,6 +202,22 @@ GUARDS = [
         ("GilbertElliottLink(step_per_packet=)", r"step_per_packet=", EVERYWHERE, 1),
         ("GilbertElliottProcess(start_bad=)", r"start_bad", EVERYWHERE, 1),
     ]
+] + [
+    # A summary holds no ids, and only min-wise cards absorb: one row
+    # per name.  A count of 1 is README.md's migration row; the
+    # m_bits / m_buckets row also counts the two tests of the refusal.
+    Guard(43, what, pattern, ["src", "tests", "examples", "README.md"],
+          [THIS_FILE], *matches)
+    for what, pattern, *matches in [
+        ("a summary's copy of its ids",
+         r"_local_ids|\bis_local\b|_require_local|_merged_local_ids|local_ids=", 1),
+        ("the Bloom-family and hash-set absorbs' build parameters",
+         r"\b_build_params\b|_requested_bits"),
+        ("a pinned filter size (m_bits= / m_buckets= build parameters)",
+         r"\bm_(bits|buckets)=", 3),
+        ("CountingBloomSummary.remove (a working set only grows)",
+         r"def remove\b|cbf\.remove\("),
+    ]
 ]
 
 #: Deleted files and directories.
