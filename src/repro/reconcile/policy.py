@@ -145,7 +145,7 @@ class SummaryPolicy:
         estimate.  The result is the degree-shift knob of Recode/MW and
         the admission-control signal of §4.
         """
-        local = list(dict.fromkeys(local_ids))
+        local = frozenset(local_ids)
         if not local:
             return 0.0
         if remote.supports_difference and not remote.partial_coverage:
@@ -163,9 +163,8 @@ class SummaryPolicy:
                 f"{remote.kind} summaries support neither difference search "
                 "nor estimation; no correlation signal is available"
             )
-        held = frozenset(local)
-        mine = build_summary(remote.kind, held, **remote.compatible_build_params())
-        return correlation_from_summaries(mine, remote, held)
+        mine = build_summary(remote.kind, local, **remote.compatible_build_params())
+        return correlation_from_summaries(mine, remote, local)
 
 
 #: What every layer holds when nobody chose a summary: 8-bits-per-element
