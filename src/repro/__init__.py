@@ -63,7 +63,7 @@ __version__ = "1.0.0"
 
 #: Bumped by every change that moves a seeded result (pinned with them);
 #: a campaign resume never reuses cells of another version.
-RESULTS_VERSION = 1
+RESULTS_VERSION = 2
 
 from repro.coding import (
     DegreeDistribution,

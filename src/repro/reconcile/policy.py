@@ -16,7 +16,12 @@ holds :data:`DEFAULT_POLICY`.
 
 from typing import Any, Collection, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.reconcile.base import Summary, SummaryError, searched_intersection
+from repro.reconcile.base import (
+    Summary,
+    SummaryError,
+    clamped_symmetric_difference,
+    searched_intersection,
+)
 from repro.reconcile.registry import (
     build_summary,
     freeze_params,
@@ -135,11 +140,12 @@ class SummaryPolicy:
     def correlation(self, remote: Summary, local_ids: Iterable[int]) -> float:
         """Estimated ``|L ∩ R| / |L|`` for a local set against a summary.
 
-        Uses the remote summary's difference search when it is
-        authoritative for the whole key space
+        Uses the remote summary's difference search when it has one
         (:func:`~repro.reconcile.base.searched_intersection`: local ids
-        it does *not* lack); otherwise builds a *comparable* local
-        summary — the remote's own agreement parameters, via
+        it does *not* lack; a ``partial_coverage`` count is clamped to
+        the feasible range first, as the kind's own estimate does);
+        otherwise builds a *comparable* local summary — the remote's own
+        agreement parameters, via
         :meth:`~repro.reconcile.base.Summary.compatible_build_params` —
         and derives the intersection from the symmetric-difference
         estimate.  The result is the degree-shift knob of Recode/MW and
@@ -148,7 +154,7 @@ class SummaryPolicy:
         local = frozenset(local_ids)
         if not local:
             return 0.0
-        if remote.supports_difference and not remote.partial_coverage:
+        if remote.supports_difference:
             from repro.exact.cpi import DiscrepancyExceeded
 
             try:
@@ -157,6 +163,9 @@ class SummaryPolicy:
                 # Bound exceeded: the sets differ more than the sketch
                 # was sized for — low overlap is the honest reading.
                 return 0.0
+            if remote.partial_coverage:
+                d = clamped_symmetric_difference(inter, len(local), remote.set_size)
+                inter = (len(local) + remote.set_size - d) / 2.0
             return min(1.0, max(0.0, inter / len(local)))
         if not remote.supports_estimate:
             raise SummaryError(

@@ -11,6 +11,8 @@ from repro.reconcile import (
     SummaryPolicy,
     UnknownSummaryError,
 )
+from repro.reconcile import policy as policy_module
+from repro.reconcile.policy import correlation_from_summaries
 
 
 @pytest.fixture()
@@ -123,6 +125,25 @@ class TestReconciliation:
         remote = policy.build(range(10_000, 10_500))
         disjoint = policy.correlation(remote, range(500))
         assert disjoint < 0.2
+
+    @pytest.mark.parametrize("beta", [0, 1, 3])
+    def test_partial_coverage_correlation_searches_without_a_local_build(
+        self, sets, monkeypatch, beta
+    ):
+        """The remote's own search, clamped as the kind's estimate is:
+        the same float as inclusion-exclusion over a local summary,
+        which is never built."""
+        a, b = sets
+        policy = SummaryPolicy(kind="partitioned_bloom", params={"rho": 4, "beta": beta})
+        remote = policy.build(a)
+        mine = policy.build(b)
+        expected = correlation_from_summaries(mine, remote, frozenset(b))
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("correlation built a local summary")
+
+        monkeypatch.setattr(policy_module, "build_summary", no_build)
+        assert policy.correlation(remote, sorted(b)) == expected
 
     def test_correlation_against_a_different_kind_card(self, sets):
         """The local comparison summary adopts the remote's own family
