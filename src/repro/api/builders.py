@@ -68,7 +68,12 @@ from repro.overlay.reconfiguration import (
     UtilityRewiring,
     default_scheme,
 )
-from repro.overlay.simulator import OverlaySimulator, SimulationReport
+from repro.overlay.simulator import (
+    LinkFactory,
+    OverlaySimulator,
+    SimulationReport,
+    default_link,
+)
 from repro.protocol.peer import CodeParameters, ProtocolPeer
 from repro.protocol.session import TransferSession
 from repro.reconcile import SummaryPolicy
@@ -78,8 +83,6 @@ from repro.sim.links import (
     ConstantRateLink,
     GilbertElliottLink,
     GilbertElliottProcess,
-    LatencyJitterLink,
-    LinkModel,
 )
 from repro.sim.sessions import (
     DEFAULT_PACKET_BUDGET_FACTOR,
@@ -88,7 +91,7 @@ from repro.sim.sessions import (
 )
 from repro.sim.stats import StatsRecorder
 from repro.topology import PathCharacteristics, PathModel, generate
-from repro.transport import BottleneckLink, BottleneckQueue, TransportManager
+from repro.transport import BottleneckQueue, TransportManager
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +224,6 @@ def _reconfig_sim_kwargs(spec: ExperimentSpec, swarm: SwarmSpec) -> Dict[str, An
     }
 
 
-LinkFactory = Callable[[PathCharacteristics, str, str], LinkModel]
-
-
 def _transport_setup(
     spec: ExperimentSpec,
     stats: Optional[StatsRecorder],
@@ -237,8 +237,8 @@ def _transport_setup(
     bottleneck queue reads its clock), a shared :class:`BottleneckQueue`
     when ``bottleneck_rate > 0``, a :class:`TransportManager` handing
     each connection its own congestion controller, and a link factory
-    wrapping every constructed link in a :class:`BottleneckLink` so all
-    senders contend for the one queue.
+    giving every constructed link that ``queue`` so all senders contend
+    for the one queue.
     """
     ts = spec.transport
     if ts is None:
@@ -252,16 +252,14 @@ def _transport_setup(
             clock=scheduler,
             stats=stats,
         )
-        base_factory = link_factory
+        base_factory = link_factory or default_link
 
         def bottlenecked(
             chars: PathCharacteristics, sender_id: str, receiver_id: str
-        ) -> LinkModel:
-            if base_factory is not None:
-                inner = base_factory(chars, sender_id, receiver_id)
-            else:
-                inner = ConstantRateLink(chars.bandwidth, chars.loss_rate)
-            return BottleneckLink(inner, queue)
+        ) -> ConstantRateLink:
+            link = base_factory(chars, sender_id, receiver_id)
+            link.queue = queue
+            return link
 
         link_factory = bottlenecked
     manager = TransportManager(
@@ -355,18 +353,15 @@ def _shared_process(
 
 def _build_link(
     link_spec: LinkSpec, shared: Dict[str, GilbertElliottProcess]
-) -> LinkModel:
-    """Instantiate a link model from its spec (sharing keyed processes)."""
-    if link_spec.kind == "constant":
+) -> ConstantRateLink:
+    """Instantiate a link from its spec (sharing keyed processes); only
+    a ``latency_jitter`` spec's jitter reaches the link."""
+    if link_spec.kind in ("constant", "latency_jitter"):
         return ConstantRateLink(
-            link_spec.rate, loss_rate=link_spec.loss_rate, latency=link_spec.latency
-        )
-    if link_spec.kind == "latency_jitter":
-        return LatencyJitterLink(
             link_spec.rate,
-            latency=link_spec.latency,
-            jitter=link_spec.jitter,
             loss_rate=link_spec.loss_rate,
+            latency=link_spec.latency,
+            jitter=link_spec.jitter if link_spec.kind == "latency_jitter" else 0.0,
         )
     # gilbert_elliott
     process = _shared_process(link_spec, shared) if link_spec.shared_key else None
@@ -400,12 +395,12 @@ def _link_factory_from_rules(
 
     def factory(
         chars: PathCharacteristics, sender_id: str, receiver_id: str
-    ) -> LinkModel:
+    ) -> ConstantRateLink:
         link_spec = swarm.link_for(
             classes.get(sender_id, ""), classes.get(receiver_id, "")
         )
         if link_spec is None:
-            return ConstantRateLink(chars.bandwidth, chars.loss_rate)
+            return default_link(chars, sender_id, receiver_id)
         return _build_link(link_spec, shared)
 
     return factory

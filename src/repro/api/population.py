@@ -328,7 +328,7 @@ def _run_packet(spec: ExperimentSpec) -> RunResult:
         obj = layout.object_id
         node_mult: Dict[str, float] = {}
 
-        def link_factory(chars, sender_id, receiver_id):
+        def link_factory(chars, sender_id, receiver_id) -> ConstantRateLink:
             return ConstantRateLink(
                 pop.rate * node_mult.get(receiver_id, 1.0),
                 loss_rate=pop.loss_rate,

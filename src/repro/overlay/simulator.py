@@ -8,14 +8,16 @@ clock.  The legacy tick API survives unchanged because *a tick is just
 a periodic event*: ``tick()`` advances the clock one unit, firing the
 delivery event plus anything scheduled between ticks.
 
-Each connection carries a pluggable :class:`~repro.sim.links.LinkModel`
+Each connection carries a :class:`~repro.sim.links.ConstantRateLink`
 deciding its packet budget per window, per-packet loss, and arrival
-latency.  The default :class:`~repro.sim.links.ConstantRateLink`
+delay.  The default one (:func:`default_link`, over the physical path)
 reproduces the historic tick behaviour exactly (one RNG draw per
 packet, credit-carried fractional bandwidth), which the tick-parity
 regression in ``tests/sim/test_parity.py`` pins.  Heterogeneous links
-(jitter, Gilbert-Elliott bursts) plug in through
-``link_factory`` without touching the delivery loop.
+(jitter, Gilbert-Elliott bursts, a shared bottleneck queue) plug in
+through ``link_factory`` without touching the delivery loop.  The
+simulator's cumulative totals and the stats series are the packet
+counts; a connection keeps none of its own.
 
 The engine exercises the paper's full loop: encode → sketch → admit →
 summarise → informed transfer → adapt.
@@ -64,22 +66,29 @@ from repro.overlay.reconfiguration import (
 )
 from repro.reconcile import DEFAULT_POLICY, SummaryPolicy
 from repro.sim.engine import EventScheduler
-from repro.sim.links import ConstantRateLink, LinkModel
+from repro.sim.links import ConstantRateLink
 from repro.sim.stats import StatsRecorder
 from repro.topology.paths import UNIT_PATH, PathCharacteristics, PathModel
 from repro.transport.controller import TransportController, TransportManager
 
-#: Builds a link model for a new connection; receives the physical path
+#: Builds the link of a new connection; receives the physical path
 #: characteristics and the endpoint ids.
-LinkFactory = Callable[[PathCharacteristics, str, str], LinkModel]
+LinkFactory = Callable[[PathCharacteristics, str, str], ConstantRateLink]
+
+
+def default_link(
+    chars: PathCharacteristics, sender_id: str, receiver_id: str
+) -> ConstantRateLink:
+    """The link a connection gets when no factory (or rule) names one:
+    constant rate and loss of its physical path."""
+    return ConstantRateLink(chars.bandwidth, chars.loss_rate)
 
 
 class Connection:
-    """A live virtual connection with its sender strategy and link model.
+    """A live virtual connection with its sender strategy and link.
 
-    ``bandwidth`` and ``loss_rate`` record the physical path
-    characteristics the connection was made with; the ``link`` (a
-    constant-rate link over them unless one is given) is what delivers.
+    The ``link`` is what delivers; its ``rate`` / ``loss_rate`` are the
+    connection's path characteristics.
     """
 
     def __init__(
@@ -87,18 +96,12 @@ class Connection:
         sender: OverlayNode,
         receiver: OverlayNode,
         strategy: Optional[SenderStrategy],  # None for sources
-        bandwidth: float,
-        loss_rate: float,
-        established_tick: int,
-        link: Optional[LinkModel] = None,
+        link: ConstantRateLink,
     ):
         self.sender = sender
         self.receiver = receiver
         self.strategy = strategy
-        self.established_tick = established_tick
-        self.packets_sent = 0
-        self.packets_lost = 0
-        self.packets_useful = 0
+        self.link = link
         self.stats_name = f"{sender.node_id}->{receiver.node_id}"
         #: True while the delivery pass walks this connection: it was
         #: made into a receiver that has not completed since.
@@ -106,16 +109,11 @@ class Connection:
         #: Congestion controller installed by a transport-enabled
         #: simulator (None = historical open-loop sending).
         self.transport: Optional[TransportController] = None
-        self.bandwidth = bandwidth
-        self.loss_rate = loss_rate
-        self.link: LinkModel = (
-            link if link is not None else ConstantRateLink(bandwidth, loss_rate)
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"Connection({self.sender.node_id}->{self.receiver.node_id}, "
-            f"bw={self.bandwidth:g}, loss={self.loss_rate:g})"
+            f"bw={self.link.rate:g}, loss={self.link.loss_rate:g})"
         )
 
 
@@ -203,9 +201,9 @@ class OverlaySimulator:
             overlay is mapped onto; each connection takes its shortest
             physical path's characteristics.  ``None`` = every
             connection is the unit path (bandwidth 1, no loss).
-        link_factory: builds a :class:`LinkModel` per connection from
-            its path characteristics; defaults to a constant-rate link
-            matching the physical path (legacy behaviour).
+        link_factory: builds the :class:`~repro.sim.links.ConstantRateLink`
+            of each connection from its path characteristics; defaults
+            to :func:`default_link` (legacy behaviour).
         stats: optional :class:`StatsRecorder` capturing per-connection
             and per-node time series (zero overhead when omitted).
         scheduler: an external event clock to share; a private one is
@@ -264,7 +262,7 @@ class OverlaySimulator:
         self.reconfig_budget = reconfig_budget
         self.rng = rng
         self.paths = paths
-        self.link_factory = link_factory
+        self.link_factory = link_factory or default_link
         self.stats = stats
         self.scheduler = scheduler or EventScheduler()
         self.transport = transport
@@ -276,12 +274,10 @@ class OverlaySimulator:
         self.reconfigurations = 0
         self.reconfig_epochs = 0
         self.control_bytes = 0
-        # Cumulative packet totals owned by the simulator.  Per-
-        # connection counters die with their Connection on disconnect
-        # or churn (and a latency-delayed packet can land on an
-        # already-dropped connection), so every send/loss/useful event
-        # also bumps these — report() reads them, never the live
-        # connection map.
+        # Cumulative packet totals owned by the simulator: a connection
+        # dies on disconnect or churn (and a latency-delayed packet can
+        # land on an already-dropped one), so the counts live here, and
+        # per connection only in the stats series.
         self.packets_sent = 0
         self.packets_lost = 0
         self.packets_useful = 0
@@ -364,20 +360,11 @@ class OverlaySimulator:
             if self.paths is not None
             else UNIT_PATH
         )
-        strategy = self._build_strategy(sender, receiver)
-        link = (
-            self.link_factory(chars, sender_id, receiver_id)
-            if self.link_factory is not None
-            else None
-        )
         conn = Connection(
-            sender=sender,
-            receiver=receiver,
-            strategy=strategy,
-            bandwidth=chars.bandwidth,
-            loss_rate=chars.loss_rate,
-            established_tick=self.tick_count,
-            link=link,
+            sender,
+            receiver,
+            self._build_strategy(sender, receiver),
+            self.link_factory(chars, sender_id, receiver_id),
         )
         if self.transport is not None:
             # A new connection is a new flow: fresh congestion state.
@@ -416,7 +403,6 @@ class OverlaySimulator:
                 budget = ctrl.allowance(now, budget)
             for _ in range(budget):
                 packet = self._compose(conn)
-                conn.packets_sent += 1
                 self.packets_sent += 1
                 if stats is not None:
                     stats.count(now, conn.stats_name, "sent")
@@ -424,7 +410,6 @@ class OverlaySimulator:
                 if ctrl is not None:
                     ctrl.on_transmit(scheduler, delay, link.latency)
                 if delay is None:  # wire loss or tail drop
-                    conn.packets_lost += 1
                     self.packets_lost += 1
                     if stats is not None:
                         stats.count(now, conn.stats_name, "lost")
@@ -586,10 +571,8 @@ class OverlaySimulator:
         if receiver.is_complete:
             return  # late arrival after completion: nothing to add
         if self._deliver(receiver, packet):
-            # The simulator-level total owns this increment: the
-            # connection may already have been dropped mid-flight, in
-            # which case its own counter is a dead object's field.
-            conn.packets_useful += 1
+            # Counted here even when the connection was dropped
+            # mid-flight: the simulator's total outlives it.
             self.packets_useful += 1
             if self.stats is not None:
                 now = self.scheduler.now

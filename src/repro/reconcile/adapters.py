@@ -492,19 +492,23 @@ class RandomSampleSummary(Summary):
             )
         return cls(sample, set_size, payload_int(payload, "seed", 0))
 
+    def intersection(self, ids: Collection[int]) -> float:
+        """The share of sampled keys found in ``ids``, times ``set_size``
+        (0.0 without observations: the size-imbalance floor)."""
+        if not self.sample:
+            return 0.0
+        hits = sum(1 for key in self.sample if key in ids)
+        return hits / len(self.sample) * self.set_size
+
     def estimate_difference(
         self, other: "RandomSampleSummary", ids: Optional[Collection[int]] = None
     ) -> float:
         """Look ``other``'s sampled keys up in ``ids``, our own set."""
         self._check_kind(other)
         local = self._ids_for_estimate(ids)
-        if not other.sample:
-            # No observations: fall back to the size-imbalance floor.
-            return clamped_symmetric_difference(0.0, self.set_size, other.set_size)
-        hits = sum(1 for key in other.sample if key in local)
-        containment = hits / len(other.sample)  # |A ∩ B| / |B|, B = other
-        i = containment * other.set_size
-        return clamped_symmetric_difference(i, self.set_size, other.set_size)
+        return clamped_symmetric_difference(
+            other.intersection(local), self.set_size, other.set_size
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -172,8 +172,21 @@ class Summary(abc.ABC):
         self._check_kind(other)
         ids = self._ids_for_estimate(ids)
         return clamped_symmetric_difference(
-            searched_intersection(other, ids), len(ids), other.set_size
+            other.intersection(ids), len(ids), other.set_size
         )
+
+    def intersection(self, ids: Collection[int]) -> Optional[float]:
+        """``|L ∩ R|`` from this summary of ``R`` and the caller's own
+        distinct ids ``L``, with no summary of ``L`` built.
+
+        The searchable kinds search ``L`` through this summary
+        (:func:`searched_intersection`); a random sample looks its keys
+        up in ``L``.  ``None`` when the kind can only compare two
+        summaries (min-wise, mod-k).
+        """
+        if not self.supports_difference:
+            return None
+        return searched_intersection(self, ids)
 
     # -- shared helpers ---------------------------------------------------
 
@@ -215,8 +228,8 @@ def searched_intersection(theirs: Summary, ids: Collection[int]) -> float:
 
     ``|L|`` less the ids ``theirs`` says it lacks; a ``partial_coverage``
     summary's count is extrapolated from the ids it ``covers`` (and,
-    covering none of them, reads as ``min(|L|, |R|)``).  The one
-    estimator behind every searchable kind's
+    covering none of them, reads as ``min(|L|, |R|)``).  The searchable
+    kinds' :meth:`Summary.intersection`, behind their
     :meth:`Summary.estimate_difference` and
     :meth:`~repro.reconcile.policy.SummaryPolicy.correlation`.  ``ids``
     must be distinct.

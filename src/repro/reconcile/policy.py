@@ -20,7 +20,6 @@ from repro.reconcile.base import (
     Summary,
     SummaryError,
     clamped_symmetric_difference,
-    searched_intersection,
 )
 from repro.reconcile.registry import (
     build_summary,
@@ -140,10 +139,11 @@ class SummaryPolicy:
     def correlation(self, remote: Summary, local_ids: Iterable[int]) -> float:
         """Estimated ``|L ∩ R| / |L|`` for a local set against a summary.
 
-        Uses the remote summary's difference search when it has one
-        (:func:`~repro.reconcile.base.searched_intersection`: local ids
-        it does *not* lack; a ``partial_coverage`` count is clamped to
-        the feasible range first, as the kind's own estimate does);
+        Uses the remote summary's own intersection when it has one
+        (:meth:`~repro.reconcile.base.Summary.intersection`: a
+        searchable kind's difference search, a random sample's lookup;
+        a ``partial_coverage`` or sampled count is clamped to the
+        feasible range first, as the kind's own estimate does);
         otherwise builds a *comparable* local summary — the remote's own
         agreement parameters, via
         :meth:`~repro.reconcile.base.Summary.compatible_build_params` —
@@ -154,16 +154,16 @@ class SummaryPolicy:
         local = frozenset(local_ids)
         if not local:
             return 0.0
-        if remote.supports_difference:
-            from repro.exact.cpi import DiscrepancyExceeded
+        from repro.exact.cpi import DiscrepancyExceeded
 
-            try:
-                inter = searched_intersection(remote, local)
-            except DiscrepancyExceeded:
-                # Bound exceeded: the sets differ more than the sketch
-                # was sized for — low overlap is the honest reading.
-                return 0.0
-            if remote.partial_coverage:
+        try:
+            inter = remote.intersection(local)
+        except DiscrepancyExceeded:
+            # Bound exceeded: the sets differ more than the sketch was
+            # sized for — low overlap is the honest reading.
+            return 0.0
+        if inter is not None:
+            if remote.partial_coverage or not remote.supports_difference:
                 d = clamped_symmetric_difference(inter, len(local), remote.set_size)
                 inter = (len(local) + remote.set_size - d) / 2.0
             return min(1.0, max(0.0, inter / len(local)))

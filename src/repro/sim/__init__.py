@@ -8,13 +8,14 @@ shared clock.
 * :mod:`repro.sim.engine` — :class:`EventScheduler`: heap of
   timestamped callbacks, deterministic FIFO tie-breaking, periodic
   events (a legacy "tick" is just one of them).
-* :mod:`repro.sim.links` — :class:`LinkModel` hierarchy: constant
-  rate, latency + jitter, and Gilbert-Elliott bursty loss (optionally a
-  shared chain for correlated loss).
+* :mod:`repro.sim.links` — :class:`ConstantRateLink`, the one link
+  class: rate, loss, latency, optional jitter and shared bottleneck
+  queue; :class:`GilbertElliottLink` is the same link with bursty loss
+  (optionally a shared chain for correlated loss).
 * :mod:`repro.sim.stats` — :class:`StatsRecorder`: per-entity/metric
   counters and gauges bucketed on the simulated clock.
 * :mod:`repro.sim.sessions` — :class:`ScheduledSession`: the Section 6
-  protocol sessions paced by link models on the shared clock.
+  protocol sessions paced by links on the shared clock.
 
 The scenario catalog built on this substrate (flash crowd, source
 departure, asymmetric bandwidth, correlated regional loss) lives behind
@@ -27,17 +28,13 @@ from repro.sim.links import (
     ConstantRateLink,
     GilbertElliottLink,
     GilbertElliottProcess,
-    LatencyJitterLink,
-    LinkModel,
 )
 from repro.sim.stats import StatsRecorder
 
 __all__ = [
     "EventHandle",
     "EventScheduler",
-    "LinkModel",
     "ConstantRateLink",
-    "LatencyJitterLink",
     "GilbertElliottLink",
     "GilbertElliottProcess",
     "StatsRecorder",

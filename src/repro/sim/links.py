@@ -1,29 +1,33 @@
-"""Pluggable per-connection link models for the event engine.
+"""The per-connection link of the event engine.
 
-A :class:`LinkModel` answers two questions for the simulator:
+:class:`ConstantRateLink` is the one link class.  It answers two
+questions for the simulator:
 
-* :meth:`~LinkModel.packet_budget` — how many whole packets fit in a
-  time window, with fractional capacity carried as credit between
+* :meth:`~ConstantRateLink.packet_budget` — how many whole packets fit
+  in a time window, with fractional capacity carried as credit between
   windows (never negative, floored with an epsilon so ten windows of
   0.1 pkt really yield one packet);
-* :meth:`~LinkModel.transmit` — per packet, is it lost, and if not,
-  after what propagation delay does it arrive.
+* :meth:`~ConstantRateLink.transmit` — per packet, is it lost, and if
+  not, after what delay does it arrive.
 
-Models:
-
-* :class:`ConstantRateLink` — fixed rate, Bernoulli loss, fixed
-  latency.  With zero latency this is exactly the legacy tick
-  simulator's connection behaviour (one RNG draw per packet).
-* :class:`LatencyJitterLink` — constant rate plus uniform jitter
-  around a base propagation delay.
-* :class:`GilbertElliottLink` — two-state Markov (good/bad) bursty
-  loss; chains may be shared across links to model correlated loss
-  (e.g. a congested inter-region trunk).
+Its options cover every link the specs build: Bernoulli loss, a fixed
+latency, uniform ``jitter`` around it, and a shared bottleneck
+``queue`` (:class:`~repro.transport.queue.BottleneckQueue`) the
+surviving packets cross.  With zero latency and no jitter or queue it
+is exactly the legacy tick simulator's connection (one RNG draw per
+packet).  :class:`GilbertElliottLink` is the same link with bursty loss
+from a two-state Markov chain; chains may be shared across links to
+model correlated loss (e.g. a congested inter-region trunk).  A custom
+link subclasses :class:`ConstantRateLink` and overrides
+``packet_budget`` / ``transmit``.
 """
 
 import math
 import random
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
+
+if TYPE_CHECKING:
+    from repro.transport.queue import BottleneckQueue
 
 #: Floor tolerance for fractional-credit accumulation: absorbs binary
 #: float representation error (0.1 summed ten times) without ever
@@ -54,92 +58,82 @@ def _check_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
-class LinkModel:
-    """Base class: capacity and loss/latency behaviour of one link."""
+class ConstantRateLink:
+    """One connection's link: fixed rate, loss, latency, optional jitter
+    and an optional shared bottleneck queue.
 
-    def __init__(self, latency: float = 0.0):
-        _check_finite("latency", latency)
-        self.latency = latency
-        self._credit = 0.0
-
-    # -- capacity -----------------------------------------------------------
-
-    def capacity_between(self, t0: float, t1: float) -> float:
-        """Fractional packet capacity of the window ``[t0, t1)``."""
-        raise NotImplementedError
-
-    def packet_budget(self, t0: float, t1: float) -> int:
-        """Whole packets transmittable in ``[t0, t1)``, carrying credit.
-
-        Credit is clamped at zero (a stalled or degraded window can
-        never charge the future) and floored with :data:`CREDIT_EPS`
-        so the sequence is exactly periodic for rational rates.
-        """
-        if t1 < t0:
-            raise ValueError("window must run forward")
-        whole, self._credit = drain_credit(
-            self._credit, self.capacity_between(t0, t1)
-        )
-        return whole
-
-    # -- per-packet fate ----------------------------------------------------
-
-    def transmit(self, rng: random.Random) -> Optional[float]:
-        """Fate of one packet: None if lost, else its arrival delay.
-
-        Implementations must draw from ``rng`` a deterministic number
-        of times per call so seeded runs replay exactly.
-        """
-        raise NotImplementedError
-
-
-class ConstantRateLink(LinkModel):
-    """Fixed rate, independent Bernoulli loss, fixed propagation delay."""
-
-    def __init__(self, rate: float, loss_rate: float = 0.0, latency: float = 0.0):
-        _check_finite("rate", rate)
-        if not 0.0 <= loss_rate < 1.0:
-            raise ValueError("loss rate must lie in [0, 1)")
-        super().__init__(latency)
-        self.rate = rate
-        self.loss_rate = loss_rate
-
-    def capacity_between(self, t0: float, t1: float) -> float:
-        return self.rate * (t1 - t0)
-
-    def transmit(self, rng: random.Random) -> Optional[float]:
-        # Always one draw, even at loss_rate 0 — tick-parity depends on
-        # the legacy simulator's RNG consumption pattern.
-        if rng.random() < self.loss_rate:
-            return None
-        return self.latency
-
-
-class LatencyJitterLink(ConstantRateLink):
-    """Constant rate with uniform jitter around the base latency.
-
-    Arrival delay is ``latency + U(-jitter, +jitter)`` clamped to zero;
-    out-of-order arrival is possible (and intended) when jitter exceeds
-    the packet spacing.
+    Args:
+        rate: packets per time unit.
+        loss_rate: independent per-packet loss probability, in [0, 1).
+        latency: base propagation delay.
+        jitter: arrival delay is ``latency + U(-jitter, +jitter)``
+            clamped to zero (0 = a fixed delay); out-of-order arrival is
+            possible (and intended) when jitter exceeds the packet
+            spacing.
+        queue: a :class:`~repro.transport.queue.BottleneckQueue` every
+            packet that survives the wire also crosses, picking up its
+            sojourn time or being tail-dropped.
     """
 
     def __init__(
         self,
         rate: float,
-        latency: float,
-        jitter: float,
         loss_rate: float = 0.0,
+        latency: float = 0.0,
+        jitter: float = 0.0,
+        queue: Optional["BottleneckQueue"] = None,
     ):
+        _check_finite("rate", rate)
+        if not 0.0 <= loss_rate < 1.0:
+            raise ValueError("loss rate must lie in [0, 1)")
+        _check_finite("latency", latency)
         _check_finite("jitter", jitter)
-        super().__init__(rate, loss_rate, latency)
+        self.rate = rate
+        self.loss_rate = loss_rate
+        self.latency = latency
         self.jitter = jitter
+        self.queue = queue
+        #: The Gilbert-Elliott chain deciding loss in place of
+        #: ``loss_rate`` (set by :class:`GilbertElliottLink`), stepped
+        #: per packet when ``step_per_packet``.
+        self.process: Optional[GilbertElliottProcess] = None
+        self.step_per_packet = False
+        self._credit = 0.0
+
+    def packet_budget(self, t0: float, t1: float) -> int:
+        """Whole packets transmittable in ``[t0, t1)``, carrying credit
+        (:func:`drain_credit`)."""
+        if t1 < t0:
+            raise ValueError("window must run forward")
+        whole, self._credit = drain_credit(self._credit, self.rate * (t1 - t0))
+        return whole
 
     def transmit(self, rng: random.Random) -> Optional[float]:
-        if rng.random() < self.loss_rate:
+        """Fate of one packet: None if lost, else its arrival delay.
+
+        The draws are fixed per call so seeded runs replay exactly: a
+        private loss chain's step, then always one loss draw (even at
+        loss 0 — tick parity depends on it), then one jitter draw when
+        ``jitter`` is nonzero.  The queue draws nothing.
+        """
+        process = self.process
+        if process is None:
+            loss = self.loss_rate
+        else:
+            if self.step_per_packet:
+                process.step(rng)
+            loss = process.current_loss_rate
+        if rng.random() < loss:
             return None
-        if self.jitter == 0.0:
-            return self.latency
-        return max(0.0, self.latency + rng.uniform(-self.jitter, self.jitter))
+        delay = self.latency
+        if self.jitter:
+            delay = max(0.0, delay + rng.uniform(-self.jitter, self.jitter))
+        if self.queue is not None:
+            sojourn = self.queue.enqueue()
+            if sojourn is None:
+                return None
+            delay += sojourn
+        return delay
 
 
 class GilbertElliottProcess:
@@ -255,7 +249,7 @@ class GilbertElliottProcess:
         return pi_bad * self.loss_bad + (1.0 - pi_bad) * self.loss_good
 
 
-class GilbertElliottLink(LinkModel):
+class GilbertElliottLink(ConstantRateLink):
     """Constant-rate link with bursty (Gilbert-Elliott) loss.
 
     Args:
@@ -263,6 +257,7 @@ class GilbertElliottLink(LinkModel):
         process: an existing chain to share, stepped by its owner;
             when None a private chain is built from the
             ``p_*``/``loss_*`` arguments and stepped once per packet.
+        queue: as for :class:`ConstantRateLink`.
     """
 
     def __init__(
@@ -274,23 +269,12 @@ class GilbertElliottLink(LinkModel):
         loss_bad: float = 0.5,
         latency: float = 0.0,
         process: Optional[GilbertElliottProcess] = None,
+        queue: Optional["BottleneckQueue"] = None,
     ):
-        _check_finite("rate", rate)
-        super().__init__(latency)
-        self.rate = rate
+        super().__init__(rate, latency=latency, queue=queue)
         self.step_per_packet = process is None
         if process is None:
             process = GilbertElliottProcess(
                 p_good_bad, p_bad_good, loss_good, loss_bad
             )
         self.process = process
-
-    def capacity_between(self, t0: float, t1: float) -> float:
-        return self.rate * (t1 - t0)
-
-    def transmit(self, rng: random.Random) -> Optional[float]:
-        if self.step_per_packet:
-            self.process.step(rng)
-        if rng.random() < self.process.current_loss_rate:
-            return None
-        return self.latency

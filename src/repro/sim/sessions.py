@@ -5,7 +5,7 @@ informed-delivery protocol (handshake, summaries, recoded streaming)
 but is time-free: ``run()`` loops as fast as Python allows.  A
 :class:`ScheduledSession` places that same protocol on a shared
 :class:`~repro.sim.engine.EventScheduler`, pacing data packets by a
-:class:`~repro.sim.links.LinkModel`'s capacity so sessions, overlay
+:class:`~repro.sim.links.ConstantRateLink`'s capacity so sessions, overlay
 simulations, and scenario events advance on one clock and can be
 compared in simulated time.
 
@@ -30,7 +30,7 @@ from typing import List, Optional, Tuple
 
 from repro.protocol.session import TransferSession
 from repro.sim.engine import EventScheduler
-from repro.sim.links import LinkModel
+from repro.sim.links import ConstantRateLink
 from repro.sim.stats import StatsRecorder
 from repro.transport.controller import TransportController
 
@@ -67,7 +67,7 @@ class ScheduledSession:
         self,
         scheduler: EventScheduler,
         session: TransferSession,
-        link: LinkModel,
+        link: ConstantRateLink,
         name: str = "session",
         stats: Optional[StatsRecorder] = None,
         max_packets: Optional[int] = None,

@@ -77,7 +77,6 @@ class TransportController:
         self.rtx.track(seq, now)
         self.inflight += 1
         self.sent += 1
-        self.policy.on_send(now, seq)
         return seq
 
     def on_transmit(

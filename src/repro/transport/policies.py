@@ -1,7 +1,7 @@
 """Pluggable congestion-control policies (the ``TransportPolicy`` ABC).
 
 A policy is the sender-side brain of one connection: the simulator
-feeds it transport events (``on_send`` / ``on_ack`` / ``on_loss``) and
+feeds it transport events (``on_ack`` / ``on_loss``) and
 reads back one knob, :attr:`~TransportPolicy.cwnd` — the congestion
 window, in packets.  ``math.inf`` means window-unlimited.  Policies
 must never report a window below 1.0 (the conformance suite pins this).
@@ -12,9 +12,10 @@ regardless of which policy is installed.
 
 Built-ins (see :func:`transport_policies`):
 
-* ``open_loop`` — the null policy: infinite window.  With this policy
-  a sender behaves exactly like the historical open-loop simulator
-  (links alone pace), which keeps it safe as the default.
+* ``open_loop`` — :class:`TransportPolicy` itself, the null policy:
+  infinite window.  With this policy a sender behaves exactly like the
+  historical open-loop simulator (links alone pace), which keeps it
+  safe as the default.
 * ``aimd`` — Reno-style additive-increase/multiplicative-decrease with
   slow start; window-limited.
 """
@@ -25,7 +26,6 @@ from typing import Any, Dict, Tuple, Type
 __all__ = [
     "TransportError",
     "TransportPolicy",
-    "OpenLoopPolicy",
     "AimdPolicy",
     "build_policy",
     "transport_policies",
@@ -50,7 +50,7 @@ class TransportPolicy:
 
     Subclasses override the event hooks and the ``cwnd`` read-back
     property; the base class implements "no congestion control at
-    all" so it doubles as the ``open_loop`` built-in's behaviour.
+    all" and is registered as the ``open_loop`` built-in.
     """
 
     #: Registry key; subclasses must override.
@@ -65,20 +65,11 @@ class TransportPolicy:
 
     # -- events the simulator feeds -----------------------------------------
 
-    def on_send(self, now: float, seq: int) -> None:
-        """A data packet entered the wire."""
-
     def on_ack(self, now: float, rtt: float) -> None:
         """A packet was acknowledged after ``rtt`` time units in flight."""
 
     def on_loss(self, now: float) -> None:
         """A packet was declared lost (retransmission timeout fired)."""
-
-
-class OpenLoopPolicy(TransportPolicy):
-    """Today's behaviour: the link alone paces, nothing pushes back."""
-
-    kind = "open_loop"
 
 
 class AimdPolicy(TransportPolicy):
@@ -128,7 +119,7 @@ class AimdPolicy(TransportPolicy):
 
 #: kind -> policy class, in registration order.
 _POLICIES: Dict[str, Type[TransportPolicy]] = {
-    OpenLoopPolicy.kind: OpenLoopPolicy,
+    TransportPolicy.kind: TransportPolicy,
     AimdPolicy.kind: AimdPolicy,
 }
 

@@ -1,4 +1,4 @@
-"""Shared bottleneck queues layered onto the link-model family.
+"""The shared bottleneck queue a link's packets may cross.
 
 :class:`BottleneckQueue` is a fluid FIFO drop-tail queue: a single
 server draining at ``rate`` packets per time unit with a finite
@@ -7,12 +7,12 @@ packet), the whole queue state is one number — ``busy_until``, the
 time the server goes idle — which makes enqueue O(1) and keeps the
 model exact for any arrival pattern the event engine produces.
 
-:class:`BottleneckLink` composes a queue with any existing
-:class:`~repro.sim.links.LinkModel`: the inner link keeps its capacity
-and per-packet loss behaviour (and its RNG draw pattern), while every
-surviving packet additionally crosses the shared queue, picking up
-queueing delay or being tail-dropped.  Many links sharing one queue is
-the congested-uplink topology the ``congested_swarm`` scenario builds.
+A link built with ``queue=`` (:class:`~repro.sim.links.ConstantRateLink`)
+keeps its capacity and per-packet loss behaviour (and its RNG draw
+pattern), while every packet surviving the wire additionally crosses
+the shared queue, picking up queueing delay or being tail-dropped.
+Many links sharing one queue is the congested-uplink topology the
+``congested_swarm`` scenario builds.
 
 When a :class:`~repro.sim.stats.StatsRecorder` is attached the queue
 emits per-bucket series under its entity name: ``queue_delay`` (gauge,
@@ -22,13 +22,11 @@ acceptance tests pin.
 """
 
 import math
-import random
 from typing import Optional
 
-from repro.sim.links import LinkModel
 from repro.sim.stats import StatsRecorder
 
-__all__ = ["BottleneckQueue", "BottleneckLink"]
+__all__ = ["BottleneckQueue"]
 
 
 class BottleneckQueue:
@@ -108,35 +106,3 @@ class BottleneckQueue:
         """Mean sojourn time over admitted packets."""
         admitted = self.offered - self.dropped
         return self.delay_sum / admitted if admitted else 0.0
-
-
-class BottleneckLink(LinkModel):
-    """A per-connection link whose packets also cross a shared queue.
-
-    Capacity (and therefore packet budgets) and per-packet wire loss
-    delegate to the wrapped ``inner`` link — including its RNG draws,
-    so seeded behaviour of the access link is unchanged — and each
-    packet that survives the wire is offered to the queue: tail drop
-    loses it, otherwise its arrival delay grows by the sojourn time.
-    """
-
-    def __init__(self, inner: LinkModel, queue: BottleneckQueue):
-        super().__init__(latency=inner.latency)
-        self.inner = inner
-        self.queue = queue
-
-    def capacity_between(self, t0: float, t1: float) -> float:
-        return self.inner.capacity_between(t0, t1)
-
-    def packet_budget(self, t0: float, t1: float) -> int:
-        # The inner link owns the fractional credit.
-        return self.inner.packet_budget(t0, t1)
-
-    def transmit(self, rng: random.Random) -> Optional[float]:
-        delay = self.inner.transmit(rng)
-        if delay is None:
-            return None
-        sojourn = self.queue.enqueue()
-        if sojourn is None:
-            return None
-        return delay + sojourn

@@ -50,8 +50,6 @@ class RtxManager:
         #: seq -> (sent_at, deadline)
         self._outstanding: Dict[int, Tuple[float, float]] = {}
         self.next_deadline = math.inf
-        self.timeouts = 0
-        self.acked = 0
 
     # -- tracking -----------------------------------------------------------
 
@@ -68,7 +66,6 @@ class RtxManager:
         entry = self._outstanding.pop(seq, None)
         if entry is None:
             return None
-        self.acked += 1
         return entry[0]
 
     def expire(self, now: float) -> List[Tuple[int, float]]:
@@ -88,7 +85,6 @@ class RtxManager:
         for seq, _ in expired:
             del outstanding[seq]
         self.next_deadline = earliest
-        self.timeouts += len(expired)
         return expired
 
     # -- RTT estimation -----------------------------------------------------

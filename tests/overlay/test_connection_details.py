@@ -9,8 +9,9 @@ from repro.overlay import (
     OverlaySimulator,
     SimulationReport,
 )
-from repro.overlay.simulator import Connection
+from repro.overlay.simulator import Connection, default_link
 from repro.sim.links import drain_credit
+from repro.topology.paths import PathCharacteristics
 
 
 def _ticks(bandwidth, n):
@@ -40,8 +41,8 @@ class TestFractionalBandwidth:
         return Connection(
             sender=OverlayNode("s", 10, is_source=True),
             receiver=OverlayNode("r", 10),
-            strategy=None, bandwidth=bandwidth, loss_rate=0.0,
-            established_tick=0,
+            strategy=None,
+            link=default_link(PathCharacteristics(bandwidth, 0.0, 1), "s", "r"),
         )
 
     def test_credit_sequence_pinned(self):

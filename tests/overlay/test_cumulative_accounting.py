@@ -20,7 +20,7 @@ import pytest
 
 from repro.api import build, run, specs
 from repro.overlay import OverlayNode, OverlaySimulator
-from repro.sim.links import LatencyJitterLink
+from repro.sim.links import ConstantRateLink
 
 
 def _pair_sim(target=10, rate=2.0):
@@ -48,14 +48,17 @@ class TestHandComputedTotals:
 
     def test_totals_equal_connection_sums_without_drops(self):
         # With no disconnects the cumulative totals and the live
-        # per-connection counters are the same numbers.
+        # connections' stats series are the same numbers.
         spec = specs.figure1(target=120, seed=5)
         sim = build(spec).scenario.simulator
         report = sim.run(max_ticks=spec.measurement.max_ticks)
-        conns = sim.connections.values()
-        assert report.packets_sent == sum(c.packets_sent for c in conns)
-        assert report.packets_lost == sum(c.packets_lost for c in conns)
-        assert report.packets_useful == sum(c.packets_useful for c in conns)
+        names = [c.stats_name for c in sim.connections.values()]
+        for metric, total in (
+            ("sent", report.packets_sent),
+            ("lost", report.packets_lost),
+            ("useful", report.packets_useful),
+        ):
+            assert total == sum(sim.stats.total(n, metric) for n in names)
 
     def test_totals_match_stats_recorder_under_rewiring(self):
         # The StatsRecorder counts at the same event sites, so its
@@ -81,7 +84,9 @@ class TestHandComputedTotals:
             specs.random_overlay(num_peers=8, target=200, seed=3)
         ).scenario.simulator
         sim.run(max_ticks=10_000)
-        assert sum(c.packets_sent for c in sim.connections.values()) < sim.packets_sent
+        live = {c.stats_name for c in sim.connections.values()}
+        dropped = [e for e in sim.stats.entities() if "->" in e and e not in live]
+        assert sum(sim.stats.total(e, "sent") for e in dropped) > 0
 
 
 class TestDisconnectInvariance:
@@ -130,7 +135,7 @@ class TestLateArrivalOnDeadConnection:
         # credit the simulator totals (the receiver got the bytes).
         sim = _pair_sim(target=10)
         conn = sim.connections[("s", "r")]
-        conn.link = LatencyJitterLink(1.0, latency=2.0, jitter=0.0, loss_rate=0.0)
+        conn.link = ConstantRateLink(1.0, latency=2.0)
         sim.tick()  # sends exactly one packet, arriving at t=3
         assert sim.packets_sent == 1
         assert sim.packets_useful == 0

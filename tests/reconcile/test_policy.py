@@ -145,6 +145,25 @@ class TestReconciliation:
         monkeypatch.setattr(policy_module, "build_summary", no_build)
         assert policy.correlation(remote, sorted(b)) == expected
 
+    @pytest.mark.parametrize("k, remote_size", [(0, 300), (16, 300), (128, 40)])
+    def test_random_sample_correlation_reads_the_sample_without_a_local_build(
+        self, sets, monkeypatch, k, remote_size
+    ):
+        """The remote's sample looked up in the caller's ids, clamped as
+        the kind's estimate is: the same float as inclusion-exclusion
+        over a local sample, which is never built."""
+        a, b = sets
+        policy = SummaryPolicy(kind="random_sample", params={"k": k, "seed": 3})
+        remote = policy.build(sorted(a)[:remote_size])
+        mine = policy.build(b)
+        expected = correlation_from_summaries(mine, remote, frozenset(b))
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("correlation built a local summary")
+
+        monkeypatch.setattr(policy_module, "build_summary", no_build)
+        assert repr(policy.correlation(remote, sorted(b))) == repr(expected)
+
     def test_correlation_against_a_different_kind_card(self, sets):
         """The local comparison summary adopts the remote's own family
         (compatible_build_params), not the policy's params."""

@@ -1,5 +1,6 @@
-"""Tests for the link-model hierarchy (satellite: GE convergence, traces)."""
+"""Tests for the one link class (GE convergence, jitter, queue, draws)."""
 
+import hashlib
 import random
 
 import pytest
@@ -8,8 +9,8 @@ from repro.sim import (
     ConstantRateLink,
     GilbertElliottLink,
     GilbertElliottProcess,
-    LatencyJitterLink,
 )
+from repro.transport import BottleneckQueue
 
 
 class TestConstantRate:
@@ -59,22 +60,27 @@ class TestConstantRate:
 
 class TestLatencyJitter:
     def test_delay_within_jitter_band(self):
-        link = LatencyJitterLink(1.0, latency=5.0, jitter=2.0)
+        link = ConstantRateLink(1.0, latency=5.0, jitter=2.0)
         rng = random.Random(3)
         delays = [link.transmit(rng) for _ in range(200)]
         assert all(3.0 <= d <= 7.0 for d in delays)
 
     def test_delay_clamped_at_zero(self):
-        link = LatencyJitterLink(1.0, latency=0.5, jitter=2.0)
+        link = ConstantRateLink(1.0, latency=0.5, jitter=2.0)
         rng = random.Random(4)
         delays = [link.transmit(rng) for _ in range(200)]
         assert min(delays) == 0.0
         assert all(d >= 0.0 for d in delays)
 
     def test_zero_jitter_is_constant(self):
-        link = LatencyJitterLink(1.0, latency=1.5, jitter=0.0)
+        link = ConstantRateLink(1.0, latency=1.5, jitter=0.0)
         rng = random.Random(5)
         assert {link.transmit(rng) for _ in range(20)} == {1.5}
+        # ...and draws only the loss roll per packet.
+        mirror = random.Random(5)
+        for _ in range(20):
+            mirror.random()
+        assert rng.getstate() == mirror.getstate()
 
 
 class TestGilbertElliott:
@@ -184,7 +190,7 @@ NAN, INF = float("nan"), float("inf")
         (lambda: ConstantRateLink(NAN), "rate"),  # ValueError in packet_budget
         (lambda: ConstantRateLink(INF), "rate"),  # OverflowError in packet_budget
         (lambda: ConstantRateLink(1.0, latency=NAN), "latency"),  # NaN arrivals
-        (lambda: LatencyJitterLink(1.0, latency=1.0, jitter=NAN), "jitter"),
+        (lambda: ConstantRateLink(1.0, latency=1.0, jitter=NAN), "jitter"),
         (lambda: GilbertElliottLink(NAN), "rate"),
     ],
     ids=[
@@ -195,3 +201,85 @@ NAN, INF = float("nan"), float("inf")
 def test_non_finite_link_argument_refused(make, arg):
     with pytest.raises(ValueError, match=arg):
         make()
+
+
+class _Clock:
+    now = 0.0
+
+
+def _table_links(clock, queued):
+    """The link table's rows: ``name -> (link, shared chain or None)``."""
+    chain = GilbertElliottProcess(0.2, 0.3, loss_good=0.05, loss_bad=0.6)
+    queue = (lambda: BottleneckQueue(0.4, 2, clock)) if queued else (lambda: None)
+    rows = {
+        "constant": (ConstantRateLink(0.7, loss_rate=0.1, queue=queue()), None),
+        "latency_jitter": (
+            ConstantRateLink(
+                0.7, loss_rate=0.02, latency=1.5, jitter=2.0, queue=queue()
+            ),
+            None,
+        ),
+        "ge_private": (
+            GilbertElliottLink(
+                0.7, p_good_bad=0.2, p_bad_good=0.3, loss_good=0.05,
+                loss_bad=0.6, queue=queue(),
+            ),
+            None,
+        ),
+        "ge_shared": (GilbertElliottLink(0.7, process=chain, queue=queue()), chain),
+    }
+    suffix = "+queue" if queued else ""
+    return {name + suffix: row for name, row in rows.items()}
+
+
+def _run_table_row(link, chain, clock):
+    """40 windows at rate 0.7 on ``Random(7)``: a shared chain steps
+    before each window, then each window's budget and its packets'
+    fates; the stream's next draw pins how many draws were made."""
+    rng = random.Random(7)
+    rows = []
+    for t in range(40):
+        if chain is not None:
+            chain.step(rng)
+        clock.now = float(t + 1)
+        budget = link.packet_budget(float(t), float(t + 1))
+        rows.append((budget, tuple(link.transmit(rng) for _ in range(budget))))
+    return rows, rng.random()
+
+
+#: name -> (packets, lost, sha256 prefix of ``repr((rows, next_draw))``),
+#: recorded from the five link classes this one class replaced.
+LINK_TABLE = {
+    "constant": (28, 6, "48377a63546b7d5c"),
+    "latency_jitter": (28, 0, "ea9c183c9a207599"),
+    "ge_private": (28, 9, "46f002db069ae3bd"),
+    "ge_shared": (28, 5, "d113fbcc63d2bce1"),
+    "constant+queue": (28, 10, "f0be5c15c91b8ab3"),
+    "latency_jitter+queue": (28, 10, "bd6b5ee1a703c919"),
+    "ge_private+queue": (28, 11, "81f32be32331a226"),
+    "ge_shared+queue": (28, 11, "f03c3028dbc2c38e"),
+}
+
+
+@pytest.mark.parametrize("queued", [False, True], ids=["wire", "queued"])
+def test_link_table_is_draw_exact(queued):
+    """Every budget, fate, delay and draw of each link kind, with and
+    without a bottleneck queue, is what the replaced classes produced."""
+    clock = _Clock()
+    got = {}
+    for name, (link, chain) in _table_links(clock, queued).items():
+        rows, next_draw = _run_table_row(link, chain, clock)
+        fates = [f for _, fs in rows for f in fs]
+        digest = hashlib.sha256(repr((rows, next_draw)).encode()).hexdigest()[:16]
+        got[name] = (len(fates), sum(f is None for f in fates), digest)
+    assert got == {k: v for k, v in LINK_TABLE.items() if k in got}
+    assert len(got) == 4
+
+
+def test_link_table_reaches_jitter():
+    # The jitter row's first delivered packet: latency 1.5 plus a
+    # uniform draw in [-2, 2], clamped at zero.
+    clock = _Clock()
+    link, chain = _table_links(clock, False)["latency_jitter"]
+    rows, _ = _run_table_row(link, chain, clock)
+    assert rows[:4] == [(0, ()), (1, (0.10339669569800769,)), (1, (0.0,)), (0, ())]

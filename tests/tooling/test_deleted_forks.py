@@ -218,6 +218,19 @@ GUARDS = [
         ("CountingBloomSummary.remove (a working set only grows)",
          r"def remove\b|cbf\.remove\("),
     ]
+] + [
+    # One link class on the send path, and no send-path state nothing
+    # reads: one row per name.  A count of 1 is README.md's migration row.
+    Guard(44, what, pattern, ["src", "tests", "examples", "README.md"],
+          [THIS_FILE], *matches)
+    for what, pattern, *matches in [
+        ("the LinkModel base class", r"\bLinkModel\b", 1),
+        ("LatencyJitterLink (ConstantRateLink takes jitter=)", r"LatencyJitterLink", 1),
+        ("BottleneckLink (a link takes queue=)", r"BottleneckLink", 1),
+        ("a capacity_between step before the credit", r"capacity_between"),
+        ("OpenLoopPolicy (TransportPolicy is open_loop)", r"OpenLoopPolicy", 1),
+        ("Connection.established_tick", r"established_tick", 1),
+    ]
 ]
 
 #: Deleted files and directories.

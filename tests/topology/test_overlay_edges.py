@@ -103,7 +103,7 @@ class TestConnect:
         sim = _sim("a")
         sim.connect("src", "a")
         conn = sim.connections[("src", "a")]
-        assert (conn.bandwidth, conn.loss_rate) == (
+        assert (conn.link.rate, conn.link.loss_rate) == (
             UNIT_PATH.bandwidth, UNIT_PATH.loss_rate,
         ) == (1.0, 0.0)
 
@@ -115,6 +115,5 @@ class TestConnect:
         sim = _sim("a", paths=net)
         sim.connect("src", "a")
         conn = sim.connections[("src", "a")]
-        assert conn.bandwidth == 3.0
-        assert conn.loss_rate == pytest.approx(0.1)
         assert conn.link.rate == 3.0
+        assert conn.link.loss_rate == pytest.approx(0.1)

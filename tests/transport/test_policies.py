@@ -6,8 +6,8 @@ import pytest
 
 from repro.transport import (
     AimdPolicy,
-    OpenLoopPolicy,
     TransportError,
+    TransportPolicy,
     build_policy,
     transport_policies,
     validate_policy,
@@ -35,9 +35,9 @@ class TestRegistry:
 
 class TestOpenLoop:
     def test_never_constrains(self):
-        policy = OpenLoopPolicy()
+        policy = build_policy("open_loop")
+        assert type(policy) is TransportPolicy
         assert policy.cwnd == math.inf
-        policy.on_send(0.0, 0)
         policy.on_ack(1.0, 1.0)
         policy.on_loss(2.0)
         assert policy.cwnd == math.inf

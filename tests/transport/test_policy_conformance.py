@@ -35,10 +35,8 @@ def _adversarial_events(policy, seed=0):
     now = 0.0
     for _ in range(500):
         now += rng.uniform(0.01, 2.0)
-        kind = rng.randrange(3)
-        if kind == 0:
-            policy.on_send(now, rng.randrange(10_000))
-        elif kind == 1:
+        # A send is no policy event: only acks and losses move a window.
+        if rng.randrange(2):
             policy.on_ack(now, rng.uniform(1e-3, 5.0))
         else:
             policy.on_loss(now)
