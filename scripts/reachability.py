@@ -57,7 +57,7 @@ class Allow(NamedTuple):
 
 #: The most unreached lines ``--check`` passes.  A change that lowers
 #: the count lowers this in the same diff, so the number only falls.
-CEILING = 1051
+CEILING = 1049
 
 #: What stays although no smoke step runs it.  At most 30 rows; each
 #: must excuse at least one function no other row does.
@@ -129,10 +129,9 @@ ALLOWED: Sequence[Allow] = (
     Allow("repro.sim.engine", ("_stalled",), "the stalled-clock refusal"),
     Allow("repro.sim.links",
           ("GilbertElliottProcess.mean_burst_length",
-           "GilbertElliottProcess.empirical_loss_rate",
-           "GilbertElliottProcess.stationary_loss_rate"),
-          "the Gilbert-Elliott chain's realized and stationary rates, "
-          "which its tests read as oracles"),
+           "GilbertElliottProcess.empirical_loss_rate"),
+          "the Gilbert-Elliott chain's realized rates, which its tests "
+          "read as oracles"),
     Allow("repro.sketches.minwise",
           ("MinwiseSketch.build_vectorized", "MinwiseSketch.minima",
            "MinwiseSketch.merge"),

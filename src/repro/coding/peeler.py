@@ -32,6 +32,13 @@ class RecodedPeeler:
         recoded_received: recoded symbols fed in.
         recoded_useless: arrivals whose constituents were all already
             known (fully redundant transmissions).
+
+    The pending state holds only what something waits on: ``_waiting``
+    maps an unknown id to the blends that hold it, so a newly known id
+    that no blend holds (most plain encoded arrivals) is substituted
+    nowhere, and ``_pending_payload`` holds a blend's bytes only when it
+    has some (an id-only run stores none).  Every id learned goes
+    through ``_know``.
     """
 
     def __init__(
@@ -103,8 +110,9 @@ class RecodedPeeler:
             return []
         self._know(symbol_id, payload)
         recovered = [symbol_id]
-        for pid in self._substitute(symbol_id):
-            recovered.extend(self._resolve(pid))
+        if symbol_id in self._waiting:
+            for pid in self._substitute(symbol_id):
+                recovered.extend(self._resolve(pid))
         return recovered
 
     def add_recoded(self, packet: Packet) -> List[int]:
@@ -130,9 +138,15 @@ class RecodedPeeler:
         pid = self._next_id
         self._next_id += 1
         self._pending_constituents[pid] = set(unknown)
-        self._pending_payload[pid] = payload
+        if payload is not None:
+            self._pending_payload[pid] = payload
+        waiting = self._waiting
         for cid in unknown:
-            self._waiting.setdefault(cid, set()).add(pid)
+            waiters = waiting.get(cid)
+            if waiters is None:
+                waiting[cid] = {pid}
+            else:
+                waiters.add(pid)
         if len(unknown) == 1:
             return self._resolve(pid)
         return []
@@ -158,22 +172,28 @@ class RecodedPeeler:
                 continue
             self._know(new_id, new_payload)
             recovered.append(new_id)
-            frontier.extend(self._substitute(new_id))
+            if new_id in self._waiting:
+                frontier.extend(self._substitute(new_id))
         return recovered
 
     def _substitute(self, symbol_id: int) -> List[int]:
-        """Substitute a newly known id into every blend waiting on it;
-        returns the blends now down to one unknown."""
+        """Substitute a newly known id into every blend waiting on it
+        (callers ask only for an id in ``_waiting``); returns the blends
+        now down to one unknown."""
         ready: List[int] = []
         payload = self._payloads.get(symbol_id)
-        for pid in list(self._waiting.pop(symbol_id, ())):
+        for pid in self._waiting.pop(symbol_id):
             constituents = self._pending_constituents.get(pid)
             if constituents is None:
                 continue
             constituents.discard(symbol_id)
-            current = self._pending_payload[pid]
+            current = self._pending_payload.get(pid)
             if current is not None:
-                self._pending_payload[pid] = _xor(current, payload)
+                reduced = _xor(current, payload)
+                if reduced is None:
+                    del self._pending_payload[pid]
+                else:
+                    self._pending_payload[pid] = reduced
             if len(constituents) == 1:
                 ready.append(pid)
             elif not constituents:

@@ -51,7 +51,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.coding.symbol import FRESH_ID_BASE, FRESH_ID_STRIDE
 from repro.flow.demand import apportion, tier_multipliers
 from repro.overlay.node import OverlayNode
-from repro.overlay.reconfiguration import run_epoch
+from repro.overlay.reconfiguration import EpochTable, run_epoch
 from repro.seeding import sample, shuffle
 
 #: Sender strategies that draw symbols blind (no reconciliation before
@@ -445,7 +445,9 @@ class FlowSimulator:
         source = self.sources[cohort.definition.object_id]
         self._connect(source, cohort)
 
-    def _connect(self, sender: _Cohort, receiver: _Cohort) -> bool:
+    def _connect(
+        self, sender: _Cohort, receiver: _Cohort, table: Optional[EpochTable] = None
+    ) -> bool:
         if receiver.is_source or sender is receiver:
             return False
         if sender in receiver.senders:
@@ -453,7 +455,7 @@ class FlowSimulator:
         if len(receiver.senders) >= self.max_connections:
             return False
         if self.admission is not None and not self.admission.admit(
-            receiver.rep, sender.rep
+            receiver.rep, sender.rep, table
         ):
             return False
         receiver.senders.append(sender)
@@ -480,6 +482,7 @@ class FlowSimulator:
             obj = by_id[rep.node_id].definition.object_id
             return [r for r in arrived[obj] if r is not rep]
 
+        table = EpochTable.of(self.rewiring)
         for rep, control_bytes, drops, adds in run_epoch(
             self.rewiring,
             self.rng,
@@ -487,6 +490,7 @@ class FlowSimulator:
             (c.rep for c in self.cohorts if c.arrived and not c.is_complete()),
             pool_of,
             lambda rep: [s.rep for s in by_id[rep.node_id].senders],
+            table,
         ):
             self.control_bytes += control_bytes
             receiver = by_id[rep.node_id]
@@ -495,7 +499,7 @@ class FlowSimulator:
                 if dropped in receiver.senders:
                     receiver.senders.remove(dropped)
             for a in adds:
-                if self._connect(by_id[a.node_id], receiver):
+                if self._connect(by_id[a.node_id], receiver, table):
                     self.reconfigurations += 1
 
     # -- data plane: closed-form flow advancement ---------------------------

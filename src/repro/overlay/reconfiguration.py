@@ -158,7 +158,10 @@ class AdmissionPolicy(Protocol):
     """Decides whether a receiver should accept a candidate sender."""
 
     def admit(
-        self, receiver: OverlayNode, candidate: OverlayNode
+        self,
+        receiver: OverlayNode,
+        candidate: OverlayNode,
+        table: Optional["EpochTable"] = None,
     ) -> bool: ...
 
 
@@ -168,6 +171,15 @@ class SketchAdmission:
     A threshold of 0 admits everyone except exact-duplicate working sets
     (up to summary noise); the paper's "simple admission control".  Any
     :class:`SummaryScheme` supplies the estimate.
+
+    Admission and rewiring make one judgement off the same two cards.
+    An epoch applying a decision passes its :class:`EpochTable`, and an
+    add the decision made under this very scheme is judged by the
+    utility the decision computed for it (:meth:`EpochTable.utility`):
+    the same float, because cards cannot change inside an epoch and the
+    batched estimate equals the one-pair estimate bit for bit.  Every
+    other admission — joins, builder wiring, direct calls — passes no
+    table and estimates the pair.
     """
 
     def __init__(
@@ -180,12 +192,22 @@ class SketchAdmission:
         self.scheme = scheme
         self.min_usefulness = min_usefulness
 
-    def admit(self, receiver: OverlayNode, candidate: OverlayNode) -> bool:
+    def admit(
+        self,
+        receiver: OverlayNode,
+        candidate: OverlayNode,
+        table: Optional["EpochTable"] = None,
+    ) -> bool:
         if candidate.is_source:
             return True
         if len(candidate.working_set) == 0:
             return False
-        return self.scheme.usefulness(receiver, candidate) >= self.min_usefulness
+        utility = (
+            None if table is None else table.utility(self.scheme, receiver, candidate)
+        )
+        if utility is None:
+            utility = self.scheme.usefulness(receiver, candidate)
+        return utility >= self.min_usefulness
 
 
 class OpenAdmission:
@@ -196,7 +218,12 @@ class OpenAdmission:
     candidates cannot serve, sources always can.
     """
 
-    def admit(self, receiver: OverlayNode, candidate: OverlayNode) -> bool:
+    def admit(
+        self,
+        receiver: OverlayNode,
+        candidate: OverlayNode,
+        table: Optional["EpochTable"] = None,
+    ) -> bool:
         return _can_serve(candidate)
 
 
@@ -230,11 +257,18 @@ class EpochTable:
     cache: the card still comes from ``card_of`` — the working set's
     cached summary, which stays the only owner — and the table is
     dropped with the epoch (or the direct ``rewire`` call) that made it.
+    The one judgement it carries is the decision being applied:
+    :meth:`record` keeps one receiver's adds with the utilities that
+    chose them, the next decision replaces them, and admission reads
+    them back (:meth:`utility`) instead of estimating the pair again.
+    Nothing else a scan estimated is kept.
     """
 
-    __slots__ = ("serves", "card_of", "wire_bytes")
+    __slots__ = ("scheme", "serves", "card_of", "wire_bytes", "_decided")
 
     def __init__(self, scheme: Optional[SummaryScheme] = None):
+        self.scheme = scheme
+        self._decided = (None, {})  # (receiver, {add: utility})
         serves = self.serves = _Reads(_can_serve)
         if scheme is None:
             self.card_of = self.wire_bytes = None
@@ -246,12 +280,42 @@ class EpochTable:
             else scheme.card_wire_bytes(node)
         )
 
+    @classmethod
+    def of(cls, policy: "ReconfigurationPolicy") -> "EpochTable":
+        """The table an epoch of ``policy`` reads through: over its
+        ``scheme`` if it has one (an uninformed policy has none)."""
+        return cls(getattr(policy, "scheme", None))
+
+    def record(
+        self,
+        receiver: OverlayNode,
+        adds: List[OverlayNode],
+        utilities: Iterable[float],
+    ) -> List[OverlayNode]:
+        """Keep ``receiver``'s decision — its ``adds`` and the utility
+        each was chosen at — in place of the last one; returns ``adds``."""
+        self._decided = (receiver, dict(zip(adds, utilities)))
+        return adds
+
+    def utility(
+        self, scheme: SummaryScheme, receiver: OverlayNode, candidate: OverlayNode
+    ) -> Optional[float]:
+        """The utility the recorded decision gave ``candidate`` as a
+        sender to ``receiver`` under this very ``scheme``; ``None`` when
+        it made no such add."""
+        decided_for, utilities = self._decided
+        if receiver is not decided_for or scheme is not self.scheme:
+            return None
+        return utilities.get(candidate)
+
 
 class ReconfigurationPolicy(Protocol):
     """Periodically rewires a receiver's sender slots.
 
     ``table`` is the epoch's :class:`EpochTable`; a direct call passes
-    none and the policy reads through a table of its own.
+    none and the policy reads through a table of its own.  A policy
+    that estimated its adds may record them there
+    (:meth:`EpochTable.record`) for the admission that applies them.
 
     A node is its object: ``receiver``, ``current_senders`` and
     ``candidates`` must hand over the very objects the engine holds
@@ -316,11 +380,26 @@ class UtilityRewiring:
         candidates: List[OverlayNode],
         table: Optional[EpochTable] = None,
     ) -> Tuple[List[OverlayNode], List[OverlayNode]]:
+        """Decide, and record the adds' utilities on ``table`` for the
+        admission that applies them (:meth:`EpochTable.record`)."""
         if table is None:
             table = EpochTable(self.scheme)
+        drops, adds, utilities = self._decide(
+            receiver, current_senders, candidates, table
+        )
+        return drops, table.record(receiver, adds, utilities)
+
+    def _decide(
+        self,
+        receiver: OverlayNode,
+        current_senders: List[OverlayNode],
+        candidates: List[OverlayNode],
+        table: EpochTable,
+    ) -> Tuple[List[OverlayNode], List[OverlayNode], List[float]]:
+        """``(drops, adds, each add's utility)``."""
         usable = _usable_candidates(receiver, current_senders, candidates, table.serves)
         if not usable:
-            return [], []
+            return [], [], []
 
         # Fill empty slots first.  Ties keep candidate order (the sort is
         # stable), and a swap names the first worst and the first best.
@@ -330,10 +409,11 @@ class UtilityRewiring:
             ranked = sorted(
                 range(len(usable)), key=utility.__getitem__, reverse=True
             )
-            return [], [usable[i] for i in ranked[:free_slots] if utility[i] > 0]
+            chosen = [i for i in ranked[:free_slots] if utility[i] > 0]
+            return [], [usable[i] for i in chosen], [utility[i] for i in chosen]
 
         if not current_senders:
-            return [], []
+            return [], [], []
         held = len(current_senders)
         utility = self.scheme.usefulness_many(
             receiver, current_senders + usable, table.card_of
@@ -344,8 +424,9 @@ class UtilityRewiring:
             return (
                 [current_senders[utility.index(worst)]],
                 [usable[utility.index(best, held) - held]],
+                [best],
             )
-        return [], []
+        return [], [], []
 
 
 class RandomRewiring:
@@ -387,6 +468,7 @@ def run_epoch(
     receivers: Iterable[OverlayNode],
     pool_of: Callable[[OverlayNode], List[OverlayNode]],
     senders_of: Callable[[OverlayNode], List[OverlayNode]],
+    table: Optional[EpochTable] = None,
 ) -> Iterator[Tuple[OverlayNode, int, List[OverlayNode], List[OverlayNode]]]:
     """One reconfiguration epoch, for the packet and the flow engine
     alike: every receiver scans, pays and decides.
@@ -409,8 +491,12 @@ def run_epoch(
     batch share it.  That is exact because cards cannot change inside
     an epoch: the epoch runs inside one scheduler event, and applying a
     decision (connecting, disconnecting, building a strategy) never
-    adds an id to a set.  The table dies with this call; nothing is
-    stored on the scheme, the nodes or the engine.
+    adds an id to a set.  The engine hands in the table
+    (:meth:`EpochTable.of` the policy; ``None`` makes one) and passes
+    it to the admission that applies each decision, which reads the
+    decision's recorded utilities rather than estimating each add
+    again — so an epoch estimates each pair once.  The table dies with
+    the epoch; nothing is stored on the scheme, the nodes or the engine.
 
     For the same reason the cards can be brought current up front:
     before the first receiver samples, the scheme's
@@ -419,8 +505,9 @@ def run_epoch(
     receiver or pool member that holds something.  The table's
     ``card_of`` then finds them current in the working sets' caches.
     """
-    scheme = getattr(policy, "scheme", None)
-    table = EpochTable(scheme)
+    if table is None:
+        table = EpochTable.of(policy)
+    scheme = table.scheme
     receivers = list(receivers)
     pools = [pool_of(receiver) for receiver in receivers]
     if scheme is not None:

@@ -34,7 +34,8 @@ and what a node holds is stored there once: arriving packets are peeled
 into the working set itself
 (:meth:`~repro.coding.peeler.RecodedPeeler.into`).  The simulator keeps
 no per-node artefact, a departure evicts nothing, and no usefulness
-estimate outlives the call that asked for it.  At 10k nodes give the
+estimate outlives the epoch decision that made it (admission reads the
+decision's adds' utilities while applying it).  At 10k nodes give the
 spec a ``reconfig.scan_budget``: a full candidate scan per receiver is
 O(N²) however the cards are compared.
 
@@ -61,6 +62,7 @@ from repro.delivery.strategies import (
 from repro.overlay.node import OverlayNode
 from repro.overlay.reconfiguration import (
     AdmissionPolicy,
+    EpochTable,
     ReconfigurationPolicy,
     run_epoch,
 )
@@ -340,9 +342,13 @@ class OverlaySimulator:
         """Ids of the nodes sending to ``receiver_id``, oldest edge first."""
         return list(self._senders.get(receiver_id, ()))
 
-    def connect(self, sender_id: str, receiver_id: str) -> bool:
+    def connect(
+        self, sender_id: str, receiver_id: str, table: Optional[EpochTable] = None
+    ) -> bool:
         """Establish a connection, subject to admission control.
 
+        ``table`` is the epoch applying a rewiring decision (admission
+        reads the decision's utilities off it); other callers pass none.
         Returns True if the connection was admitted and created.
         """
         if sender_id == receiver_id:
@@ -353,7 +359,9 @@ class OverlaySimulator:
             return False
         if (sender_id, receiver_id) in self.connections:
             return False
-        if self.admission is not None and not self.admission.admit(receiver, sender):
+        if self.admission is not None and not self.admission.admit(
+            receiver, sender, table
+        ):
             return False
         chars = (
             self.paths.path_characteristics(sender_id, receiver_id)
@@ -630,6 +638,7 @@ class OverlaySimulator:
         self.reconfig_epochs += 1
         nodes = self.nodes
         all_nodes = list(nodes.values())
+        table = EpochTable.of(self.rewiring)
         for receiver, control_bytes, drops, adds in run_epoch(
             self.rewiring,
             self.rng,
@@ -639,11 +648,12 @@ class OverlaySimulator:
             lambda receiver: [
                 nodes[s] for s in self._senders.get(receiver.node_id, ())
             ],
+            table,
         ):
             self.control_bytes += control_bytes
             rid = receiver.node_id
             for d in drops:
                 self.disconnect(d.node_id, rid)
             for a in adds:
-                if self.connect(a.node_id, rid):
+                if self.connect(a.node_id, rid, table):
                     self.reconfigurations += 1

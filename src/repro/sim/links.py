@@ -252,6 +252,9 @@ class GilbertElliottProcess:
 class GilbertElliottLink(ConstantRateLink):
     """Constant-rate link with bursty (Gilbert-Elliott) loss.
 
+    ``loss_rate`` reads the chain's ``stationary_loss_rate``; assigning
+    it steers nothing, since the chain decides every packet's fate.
+
     Args:
         rate: packets per time unit.
         process: an existing chain to share, stepped by its owner;
@@ -278,3 +281,4 @@ class GilbertElliottLink(ConstantRateLink):
                 p_good_bad, p_bad_good, loss_good, loss_bad
             )
         self.process = process
+        self.loss_rate = process.stationary_loss_rate

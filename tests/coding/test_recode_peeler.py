@@ -217,6 +217,46 @@ class TestPeelingInto:
         assert not p._pending_constituents
 
 
+class TestPendingIndex:
+    """The pending state holds only what something waits on."""
+
+    def test_an_id_no_blend_waits_on_is_substituted_nowhere(self, monkeypatch):
+        substituted = []
+        substitute = RecodedPeeler._substitute
+
+        def spy(self, symbol_id):
+            substituted.append(symbol_id)
+            return substitute(self, symbol_id)
+
+        monkeypatch.setattr(RecodedPeeler, "_substitute", spy)
+        p = RecodedPeeler()
+        assert [p.add_encoded(i) for i in (1, 2)] == [[1], [2]]
+        assert p.add_recoded(Packet.recoded(frozenset([3, 4]))) == []
+        assert p.add_recoded(Packet.recoded(frozenset([4, 5]))) == []
+        assert p.add_encoded(6) == [6]
+        assert substituted == []
+        # 3 is waited on: it resolves 4, which resolves 5.
+        assert p.add_encoded(3) == [3, 4, 5]
+        assert substituted == [3, 4]
+        assert not p._waiting and not p._pending_constituents
+
+    def test_an_id_only_blend_stores_no_payload(self):
+        p = RecodedPeeler()
+        p.add_recoded(Packet.recoded(frozenset([1, 2, 3])))
+        p.add_encoded(1)
+        assert p._pending_constituents and not p._pending_payload
+        assert p._waiting == {2: {0}, 3: {0}}
+
+    def test_bytes_lost_to_an_untracked_symbol_leave_no_entry(self):
+        P1, P2, P3 = b"\x01" * 4, b"\x06" * 4, b"\x18" * 4
+        p = RecodedPeeler()
+        p.add_recoded(Packet.recoded(frozenset([1, 2, 3]), xor_payloads([P1, P2, P3])))
+        assert list(p._pending_payload) == [0]
+        p.add_encoded(1)  # no bytes: the blend's bytes become unknown
+        assert not p._pending_payload
+        assert p.add_encoded(2, P2) == [2, 3] and p.payload_of(3) is None
+
+
 class TestReceive:
     def test_dispatches_on_the_packet_kind(self):
         p = RecodedPeeler(known_ids=[1])

@@ -260,10 +260,12 @@ class TestEpochTableParity:
 class TestEpochCardReads:
     """How many cards the budgeted informed row fetches: 91 when every
     candidate's card was fetched again for each receiver that scanned
-    it; with the table, each node's once per epoch (for pricing and for
-    the usefulness batch), plus admission's reads inside ``connect``."""
+    it; 60 with the table, each node's once per epoch (for pricing and
+    for the usefulness batch) plus admission's two per add inside
+    ``connect``; 20 now that admission reads the decision's recorded
+    utilities off the table and fetches no card."""
 
-    CARD_OF_CALLS = 60
+    CARD_OF_CALLS = 20
 
     @pytest.mark.parametrize("numpy_on", [True, False])
     def test_informed_scan_budget(self, numpy_on, monkeypatch):

@@ -125,6 +125,28 @@ class TestGilbertElliott:
         chain.bad = False
         assert a.transmit(rng) == 0.0 and b.transmit(rng) == 0.0
 
+    def test_loss_rate_reads_the_stationary_mixture(self):
+        link = GilbertElliottLink(1.0, loss_good=0.2, loss_bad=0.9)
+        # pi_bad = 0.05 / 0.35 = 1/7: (0.9 + 6 * 0.2) / 7 = 0.3.
+        assert link.loss_rate == link.process.stationary_loss_rate
+        assert link.loss_rate == pytest.approx(0.3)
+        link.process.bad = True
+        assert (link.loss_rate, link.process.current_loss_rate) == (
+            pytest.approx(0.3), 0.9,
+        )
+        chain = GilbertElliottProcess(0.1, 0.3, loss_good=0.0, loss_bad=0.5)
+        assert GilbertElliottLink(1.0, process=chain).loss_rate == pytest.approx(0.125)
+
+    def test_assigning_loss_rate_steers_nothing(self):
+        # The chain decides every fate: the field is read, never drawn on.
+        steered = GilbertElliottLink(1.0, loss_good=0.2, loss_bad=0.9)
+        steered.loss_rate = 0.99
+        plain = GilbertElliottLink(1.0, loss_good=0.2, loss_bad=0.9)
+        a, b = random.Random(4), random.Random(4)
+        fates = [(steered.transmit(a), plain.transmit(b)) for _ in range(200)]
+        assert all(x == y for x, y in fates)
+        assert a.getstate() == b.getstate()
+
 
 class TestGilbertElliottBurstStats:
     """Satellite: realized burst statistics exposed by the loss chain."""
