@@ -28,5 +28,5 @@ setup(
     packages=find_packages("src"),
     python_requires=">=3.11",
     install_requires=[],
-    extras_require={"fast": ["numpy"]},
+    extras_require={"fast": ["numpy>=2"]},
 )

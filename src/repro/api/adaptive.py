@@ -37,7 +37,7 @@ the accuracy-vs-overhead of informed peering into one grid.
 """
 
 import random
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.api.builders import (
     _build_swarm,
@@ -167,9 +167,12 @@ def _populate_mirrors(spec, scn, rng, shared) -> None:
             )
             sim.connect(src_name, name)
 
-    def admit(pid: str) -> None:
-        sim.add_node(OverlayNode(pid, target, max_connections=joiners.max_connections))
-        sim.connect(src_name, pid)
+    def admit(batch: Sequence[str]) -> None:
+        for pid in batch:
+            sim.add_node(
+                OverlayNode(pid, target, max_connections=joiners.max_connections)
+            )
+            sim.connect(src_name, pid)
 
     _schedule_join_waves(sim, joiners.member_ids(), spec.churn, admit)
 

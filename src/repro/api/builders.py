@@ -50,7 +50,7 @@ from repro.api.spec import (
     check_value,
 )
 from repro.coding.symbol import FRESH_ID_BASE, FRESH_ID_STRIDE
-from repro.delivery.orchestrator import CandidateSender, plan_join
+from repro.delivery.orchestrator import CandidateSender, CandidateStack, plan_join
 from repro.delivery.receiver import SimReceiver
 from repro.delivery.scenarios import (
     COMPACT_MULTIPLIER,
@@ -458,20 +458,20 @@ def _schedule_join_waves(
     sim: OverlaySimulator,
     member_ids: Sequence[str],
     churn: Optional[ChurnSpec],
-    admit: Callable[[str], None],
+    admit: Callable[[Sequence[str]], None],
     events: Optional[List[str]] = None,
 ) -> None:
-    """Admit ``member_ids`` in ``churn.join_waves`` equal batches.
+    """Admit ``member_ids`` in ``churn.join_waves`` equal batches, each
+    batch by one ``admit(batch)`` call, in order.
 
     Waves land mid-tick (t = k*interval + 0.5): unambiguously after
     tick k's delivery pass and before tick k+1's, so joiners' first
     packets flow on the next tick.  With no waves declared everyone is
-    admitted now, at construction.  ``events`` receives one line per
-    wave as it lands.
+    admitted now, at construction, as one batch.  ``events`` receives
+    one line per wave as it lands.
     """
     if churn is None or churn.join_waves < 1:
-        for pid in member_ids:
-            admit(pid)
+        admit(member_ids)
         return
     per_wave = math.ceil(len(member_ids) / churn.join_waves)
     for w in range(churn.join_waves):
@@ -484,8 +484,7 @@ def _schedule_join_waves(
                 events.append(
                     f"t={sim.scheduler.now:g} wave of {len(batch)} joins"
                 )
-            for pid in batch:
-                admit(pid)
+            admit(batch)
 
         sim.scheduler.schedule_at(
             (w + 1) * float(churn.wave_interval) + 0.5, join_wave
@@ -498,41 +497,57 @@ def _informed_join(
     swarm: SwarmSpec,
     joiners: NodeSpec,
     src_name: str,
-) -> Callable[[str], None]:
-    """The Section 4 join decision as an admit function: the joiner
+) -> Callable[[Sequence[str]], None]:
+    """The Section 4 join decision as an admit function: each joiner
     plans its senders over the live calling cards (``plan_join``),
     falling back to the source — while it is still a member — when no
     planned sender admits it; a joiner left unconnected is wired by the
     next reconfiguration epoch.  Joins read the default card whatever
-    ``reconfig.summary`` names."""
+    ``reconfig.summary`` names.
+
+    A batch is one scheduler event, so no card changes inside it: the
+    live cards are brought current in one batched ``scheme.refresh``
+    pass and stacked once (:class:`~repro.delivery.orchestrator.
+    CandidateStack`, in ``sim.nodes`` order); a joiner that holds ids
+    joins the stack after its connects, as the next joiners' candidate.
+    The stack is dropped when the batch is done."""
     sim = scn.simulator
     scheme = default_scheme()
     plans = scn.extras.setdefault("join_plans", {})
 
-    def admit(pid: str) -> None:
-        node = _seeded_node(rng, joiners, swarm, pid)
-        sim.add_node(node)
-        # The true set size rides with the card: folded ids may collide.
-        candidates = [
-            CandidateSender(n.node_id, scheme.card_of(n), len(n.working_set))
+    def admit(batch: Sequence[str]) -> None:
+        live = [
+            n
             for n in sim.nodes.values()
-            if not n.is_source and n.node_id != pid and len(n.working_set) > 0
+            if not n.is_source and len(n.working_set) > 0
         ]
-        plan = plans[pid] = plan_join(
-            scheme.card_of(node),
-            len(node.working_set),
-            candidates,
-            max_senders=joiners.max_connections,
-            symbols_desired=swarm.target,
-            rng=rng,
-            now=sim.scheduler.now,
+        scheme.refresh(live)
+        # The true set size rides with the card: folded ids may collide.
+        stack = CandidateStack(
+            CandidateSender(n.node_id, scheme.card_of(n), len(n.working_set))
+            for n in live
         )
-        connected = 0
-        for sender_id in plan.selection.chosen:
-            if sim.connect(sender_id, pid):
-                connected += 1
-        if connected == 0 and src_name in sim.nodes:
-            sim.connect(src_name, pid)
+        for pid in batch:
+            node = _seeded_node(rng, joiners, swarm, pid)
+            sim.add_node(node)
+            card = scheme.card_of(node)
+            plan = plans[pid] = plan_join(
+                card,
+                len(node.working_set),
+                stack,
+                max_senders=joiners.max_connections,
+                symbols_desired=swarm.target,
+                rng=rng,
+                now=sim.scheduler.now,
+            )
+            connected = 0
+            for sender_id in plan.selection.chosen:
+                if sim.connect(sender_id, pid):
+                    connected += 1
+            if connected == 0 and src_name in sim.nodes:
+                sim.connect(src_name, pid)
+            if len(node.working_set) > 0:
+                stack.append(CandidateSender(pid, card, len(node.working_set)))
 
     return admit
 

@@ -28,7 +28,7 @@ motivation):
 
 import math
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api.builders import (
     _build_swarm,
@@ -392,19 +392,20 @@ def build_cdn_catalog(spec: ExperimentSpec) -> BuiltExperiment:
         shuffle(demand_rng, assignment)
         demand_of = scn.extras["demand"] = dict(zip(edge_names, assignment))
 
-        def admit_edge(name: str) -> None:
-            idx = tier2[edge_names.index(name)]
-            sim.add_node(
-                CatalogNode(
-                    name,
-                    catalog,
-                    demand=(demand_of[name],),
-                    max_connections=edges_group.max_connections,
+        def admit_edges(batch: Sequence[str]) -> None:
+            for name in batch:
+                idx = tier2[edge_names.index(name)]
+                sim.add_node(
+                    CatalogNode(
+                        name,
+                        catalog,
+                        demand=(demand_of[name],),
+                        max_connections=edges_group.max_connections,
+                    )
                 )
-            )
-            sim.connect(node_name[parent[idx]], name)
+                sim.connect(node_name[parent[idx]], name)
 
-        _schedule_join_waves(sim, edge_names, spec.churn, admit_edge)
+        _schedule_join_waves(sim, edge_names, spec.churn, admit_edges)
 
     def run(built: BuiltExperiment) -> RunResult:
         scn = built.scenario

@@ -13,15 +13,20 @@ selection entirely from calling cards — no working sets cross the wire.
 A card is anything offering ``estimate_resemblance(other)`` and
 ``merge(other)``: the min-wise :class:`~repro.reconcile.base.Summary`
 every overlay node publishes, or the bare sketch primitive under it.
-A card that also offers ``estimate_resemblance_many(others)`` (the
-Summary's estimate kernel) is asked once per screen and per greedy
-round instead of once per candidate.
+Min-wise summaries of one family are screened and chosen against one
+stacked card matrix (:class:`CandidateStack`, whose array kernel is
+the card's own, :class:`~repro.reconcile.adapters.MinwiseStack`): a
+greedy round is one array comparison and the coverage card is one
+row, lowered by an elementwise minimum.  Bare sketches, and every
+card without numpy, take the per-card loop below; both give the same
+selection, float for float.
 """
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.reconcile.adapters import MinwiseStack
 from repro.seeding import shuffle
 
 #: Resemblance above which two candidates are treated as holding the
@@ -36,6 +41,39 @@ class CandidateSender:
     peer_id: str
     card: Any
     set_size: int
+
+
+class CandidateStack(Sequence[CandidateSender]):
+    """Candidate senders with their cards stacked for the greedy cover.
+
+    A sequence of :class:`CandidateSender` whose min-wise cards also sit
+    in one :class:`~repro.reconcile.adapters.MinwiseStack`, so
+    :func:`select_senders` screens and runs every greedy round against
+    one matrix instead of re-stacking the cards per round.  A join wave
+    stacks the live cards once and appends each joiner that holds ids
+    after its connects; the stack is good only while no card in it
+    changes — one scheduler event.
+    """
+
+    def __init__(self, candidates: Iterable[CandidateSender]):
+        self._candidates: List[CandidateSender] = []
+        self._cards = MinwiseStack()
+        for cand in candidates:
+            self.append(cand)
+
+    def __len__(self) -> int:
+        return len(self._candidates)
+
+    def __getitem__(self, index):
+        return self._candidates[index]
+
+    def __iter__(self) -> Iterator[CandidateSender]:
+        return iter(self._candidates)
+
+    def append(self, candidate: CandidateSender) -> None:
+        """Add a candidate after the others, its card as the last row."""
+        self._candidates.append(candidate)
+        self._cards.append(candidate.card, candidate.set_size, candidate.peer_id)
 
 
 @dataclass
@@ -57,16 +95,6 @@ def _union_size(size_a: float, size_b: float, r: float) -> float:
     return (size_a + size_b) / (1.0 + r)
 
 
-def _resemblances(card: Any, cards: List[Any]) -> List[float]:
-    """``card``'s resemblance to each of ``cards``: one call to the
-    card's estimate kernel (``estimate_resemblance_many``) when it has
-    one, pair by pair for a bare sketch — the same floats either way."""
-    many = getattr(card, "estimate_resemblance_many", None)
-    if many is not None:
-        return many(cards)
-    return [card.estimate_resemblance(c) for c in cards]
-
-
 def select_senders(
     receiver_card: Any,
     receiver_size: int,
@@ -81,6 +109,13 @@ def select_senders(
     estimated gain over the *receiver alone* is negligible are rejected
     as identical-content peers (the paper's admission control).
 
+    Min-wise summaries of the receiver card's family are screened and
+    chosen from by one stacked matrix (:meth:`~repro.reconcile.
+    adapters.MinwiseStack.greedy_cover`) when numpy is there; any other
+    cards go card by card, to the same result.  A caller that plans
+    many receivers over one candidate set passes a
+    :class:`CandidateStack` and keeps it; a list is stacked per call.
+
     Args:
         receiver_card: the receiver's own calling card.
         receiver_size: the receiver's working-set size.
@@ -90,6 +125,19 @@ def select_senders(
     """
     if max_senders < 0:
         raise ValueError("max_senders must be non-negative")
+    if not isinstance(candidates, CandidateStack):
+        candidates = CandidateStack(candidates)
+    stacked = candidates._cards.greedy_cover(
+        receiver_card, receiver_size, max_senders, min_gain, IDENTICAL_THRESHOLD
+    )
+    if stacked is not None:
+        screened, picks, coverage = stacked
+        return SelectionResult(
+            chosen=[candidates[i].peer_id for i, _gain in picks],
+            rejected_identical=[candidates[i].peer_id for i in screened],
+            estimated_coverage=coverage,
+            estimated_gains={candidates[i].peer_id: gain for i, gain in picks},
+        )
     result = SelectionResult()
     coverage_card = receiver_card
     coverage_size = float(receiver_size)
@@ -97,9 +145,8 @@ def select_senders(
 
     # Pre-screen: identical-to-receiver candidates are rejected outright.
     screened = []
-    for cand, r in zip(
-        remaining, _resemblances(receiver_card, [c.card for c in remaining])
-    ):
+    for cand in remaining:
+        r = receiver_card.estimate_resemblance(cand.card)
         if r >= IDENTICAL_THRESHOLD and cand.set_size <= receiver_size:
             result.rejected_identical.append(cand.peer_id)
         else:
@@ -108,9 +155,8 @@ def select_senders(
 
     while remaining and len(result.chosen) < max_senders:
         best: Optional[Tuple[float, CandidateSender]] = None
-        for cand, r in zip(
-            remaining, _resemblances(coverage_card, [c.card for c in remaining])
-        ):
+        for cand in remaining:
+            r = coverage_card.estimate_resemblance(cand.card)
             gain = _union_size(coverage_size, cand.set_size, r) - coverage_size
             if best is None or gain > best[0]:
                 best = (gain, cand)

@@ -10,6 +10,7 @@ probability of 2.2%".  Both numbers fall out of
 import math
 from typing import Iterable, Iterator, List, Optional
 
+from repro.hashing import batch as _batch
 from repro.hashing.families import BloomHashes
 
 
@@ -96,15 +97,8 @@ class BloomFilter:
         free); an order of magnitude faster for the thousands-of-keys
         builds the summary adapters perform.
         """
-        from repro.hashing.batch import _numpy, bloom_index_matrix
-
         key_list = list(keys)
-        np = _numpy()
-        rows = (
-            bloom_index_matrix(self._hashes, key_list)
-            if np is not None
-            else None
-        )
+        rows = _batch.bloom_index_matrix(self._hashes, key_list)
         if rows is None:
             bits = self._bits
             for key in key_list:
@@ -114,6 +108,7 @@ class BloomFilter:
             # Unbuffered scatter-OR straight into the byte array —
             # duplicate probe positions combine exactly like the
             # scalar loop (OR is idempotent).
+            np = _batch._numpy()
             flat = rows.ravel()
             arr = np.frombuffer(self._bits, dtype=np.uint8)
             np.bitwise_or.at(
@@ -137,26 +132,21 @@ class BloomFilter:
         """Batched membership: one bool per key, same answers as ``in``.
 
         The numpy path probes every ``(key, hash)`` index against the
-        unpacked bit array in one pass; without numpy it degrades to
-        the scalar probe.  Shares :func:`~repro.hashing.batch.
-        bloom_index_matrix` with :meth:`bulk_update`, so query and
+        unpacked bit array in one pass (a view of the filter's bytes,
+        indexed by the uint64 probe matrix as it comes); without numpy
+        it degrades to the scalar probe.  Shares :func:`~repro.hashing.
+        batch.bloom_index_matrix` with :meth:`bulk_update`, so query and
         insertion can never disagree on probe positions.
         """
-        from repro.hashing.batch import _numpy, bloom_index_matrix
-
         key_list = list(keys)
-        np = _numpy()
-        rows = (
-            bloom_index_matrix(self._hashes, key_list)
-            if np is not None
-            else None
-        )
+        rows = _batch.bloom_index_matrix(self._hashes, key_list)
         if rows is None:
             return [key in self for key in key_list]
+        np = _batch._numpy()
         bits = np.unpackbits(
-            np.frombuffer(bytes(self._bits), dtype=np.uint8), bitorder="little"
+            np.frombuffer(self._bits, dtype=np.uint8), bitorder="little"
         )
-        return [bool(v) for v in bits[rows.astype(np.int64)].all(axis=1)]
+        return bits[rows].all(axis=1).tolist()
 
     def missing_from(self, candidates: Iterable[int]) -> Iterator[int]:
         """Yield candidate keys that are definitely *not* in the summarised set.

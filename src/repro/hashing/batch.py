@@ -16,6 +16,7 @@ when numpy is unavailable or the inputs exceed 64-bit-safe ranges.
 
 from array import array
 from collections import deque
+from functools import lru_cache
 from typing import Deque, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.hashing.mix import mix64
@@ -37,13 +38,30 @@ def _numpy():
     return np
 
 
-def _mix64_np(z, seed: int, np):
-    """splitmix64 over a uint64 ndarray — the array-native mix kernel."""
-    with np.errstate(over="ignore"):
-        z = z + np.uint64(((seed + 1) * _SM_GAMMA) & _MASK64)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_SM_MUL1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_SM_MUL2)
-        return z ^ (z >> np.uint64(31))
+def _mix64_np(z, offset, np):
+    """splitmix64 over a uint64 ndarray — the array-native mix kernel.
+
+    ``offset`` is :func:`_mix_offset` of the seed: one uint64, or a
+    column of them that mixes each row of ``z`` under its own seed.
+    Array arithmetic on ``uint64`` wraps without a warning, so no
+    ``errstate`` is needed (numpy scalars would warn; none occur here).
+    """
+    s1, mul1, s2, mul2, s3 = _mix_constants(np)
+    z = z + offset
+    z = (z ^ (z >> s1)) * mul1
+    z = (z ^ (z >> s2)) * mul2
+    return z ^ (z >> s3)
+
+
+@lru_cache(maxsize=1)
+def _mix_constants(np):
+    """splitmix64's shifts and multipliers as numpy uint64 scalars."""
+    return tuple(np.uint64(c) for c in (30, _SM_MUL1, 27, _SM_MUL2, 31))
+
+
+def _mix_offset(seed: int) -> int:
+    """What splitmix64 adds to a key before mixing it under ``seed``."""
+    return ((seed + 1) * _SM_GAMMA) & _MASK64
 
 
 def mix64_batch(keys: Sequence[int], seed: int = 0) -> List[int]:
@@ -60,7 +78,9 @@ def mix64_batch(keys: Sequence[int], seed: int = 0) -> List[int]:
         # mix64 masks high bits implicitly via + seed*gamma & mask; keys
         # beyond 64 bits need Python-int arithmetic to match exactly.
         return [mix64(x, seed) for x in key_list]
-    z = _mix64_np(np.asarray(key_list, dtype=np.uint64), seed, np)
+    z = _mix64_np(
+        np.asarray(key_list, dtype=np.uint64), np.uint64(_mix_offset(seed)), np
+    )
     return z.tolist()
 
 
@@ -278,32 +298,53 @@ def _lower_step(
         memoryview(row).cast("B")[:] = view[at : at + width]
 
 
+@lru_cache(maxsize=64)
+def _bloom_columns(seed1: int, seed2: int, k: int):
+    """``(offsets, steps)`` for :func:`bloom_index_matrix`: the two
+    seeds' mix offsets as a ``(2, 1)`` column and ``0..k-1`` as a row,
+    built once per hash family instead of once per probe."""
+    np = _numpy()
+    offsets = np.array(
+        [[_mix_offset(seed1)], [_mix_offset(seed2)]], dtype=np.uint64
+    )
+    return offsets, np.arange(k, dtype=np.uint64)
+
+
 def bloom_index_matrix(hashes, keys: Sequence[int]):
     """``(n, k)`` uint64 probe-index matrix, or None off the numpy path.
 
     Row ``i`` holds ``hashes.indices(keys[i])`` exactly.  Returns None
-    when numpy is unavailable, the key list is empty, a key exceeds 64
-    bits, or the ``(k+1)*m`` intermediate would overflow uint64 —
-    callers then take the scalar loop.
+    when numpy is unavailable, the key list is empty, a key falls
+    outside ``[0, 2**64)`` (numpy 2 refuses to convert it), or the
+    ``(k+1)*m`` intermediate would overflow uint64 — callers then take
+    the scalar loop.
     """
-    key_list = list(keys)
     np = _numpy()
-    if np is None or not key_list:
-        return None
-    if any(x < 0 or x > _MASK64 for x in key_list):
+    if not isinstance(keys, list):
+        keys = list(keys)
+    if np is None or not keys:
         return None
     m, k = hashes.m, hashes.k
     if m * (k + 1) >= 1 << 63:
         return None
-    # The scalar loop computes (h1 + i*h2) % m in unbounded Python ints;
-    # reducing h1 and h2 mod m first keeps every intermediate below
-    # (k+1)*m — uint64-safe — while yielding the identical residues.
-    keys64 = np.asarray(key_list, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        h1 = _mix64_np(keys64, hashes._seed1, np) % np.uint64(m)
-        h2 = (_mix64_np(keys64, hashes._seed2, np) | np.uint64(1)) % np.uint64(m)
-        steps = np.arange(k, dtype=np.uint64)
-        return (h1[:, None] + steps[None, :] * h2[:, None]) % np.uint64(m)
+    try:
+        keys64 = np.asarray(keys, dtype=np.uint64)
+    except OverflowError:
+        return None
+    offsets, steps = _bloom_columns(hashes._seed1, hashes._seed2, k)
+    # Both seeds in one (2, n) pass.  The scalar loop computes
+    # (h1 + i*h2) % m in unbounded Python ints; reducing h1 and h2 mod m
+    # first keeps every intermediate below (k+1)*m — uint64-safe —
+    # while yielding the identical residues.
+    h1, h2 = _mix64_np(keys64, offsets, np)
+    m64 = np.uint64(m)
+    h1 %= m64
+    h2 |= np.uint64(1)
+    h2 %= m64
+    rows = h2[:, None] * steps
+    rows += h1[:, None]
+    rows %= m64
+    return rows
 
 
 __all__ = [

@@ -313,9 +313,10 @@ class MinwiseSummary(Summary):
         """``[self.estimate_resemblance(o) for o in others]``, the same
         floats bit for bit, by one array comparison when numpy is there.
 
-        This is the estimate kernel every many-candidate reader asks —
-        rewiring, the catalog gate, join planning.  A single ``other``
-        or no numpy take the positional loop.
+        This is the estimate kernel rewiring and the catalog gate ask
+        (join planning keeps its own stacked matrix,
+        :class:`~repro.delivery.orchestrator.CandidateStack`).  A single
+        ``other`` or no numpy take the positional loop.
         """
         np = _batch._numpy() if len(others) > 1 else None
         if np is None:
@@ -346,6 +347,133 @@ class MinwiseSummary(Summary):
         r = self.estimate_resemblance(other)
         i = _estimate_intersection_from_resemblance(r, self.set_size, other.set_size)
         return clamped_symmetric_difference(i, self.set_size, other.set_size)
+
+
+class MinwiseStack:
+    """Min-wise cards of one family kept as one int64 matrix, and the
+    greedy cover a join planner runs over them
+    (:func:`repro.delivery.orchestrator.select_senders`): the screen and
+    every round are one array operation instead of a restack per round.
+
+    A row is a copy of a card's buffer, stacked by :meth:`append` with
+    the candidate's reported size and key; it holds while the card it
+    copied is current (a join wave is one scheduler event).  A card
+    that is not a :class:`MinwiseSummary` of the first card's family
+    unstacks the stack: :meth:`greedy_cover` then answers None, as it
+    does without numpy, and the caller compares card by card.
+    """
+
+    def __init__(self) -> None:
+        self._buffer: Optional[bytearray] = bytearray()
+        self._family: Optional[Tuple[int, int, int]] = None
+        self._card_sizes: List[int] = []
+        self._sizes: List[int] = []
+        self._keys: List[Any] = []
+
+    @staticmethod
+    def _family_of(card: Any) -> Optional[Tuple[int, int, int]]:
+        if type(card) is not MinwiseSummary:
+            return None
+        return (card.entries, card.universe, card.seed)
+
+    def append(self, card: Any, size: int, key: Any) -> None:
+        """Stack ``card``'s row after the others, with ``size`` (the
+        set size its owner reports) and ``key`` (rows sharing a key
+        leave the cover together)."""
+        if self._buffer is None:
+            return
+        family = self._family_of(card)
+        if not self._keys:
+            self._family = family
+        if family is None or family != self._family:
+            self._buffer = None
+            return
+        self._buffer += card._row
+        self._card_sizes.append(card.set_size)
+        self._sizes.append(size)
+        self._keys.append(key)
+
+    def greedy_cover(
+        self,
+        card: Any,
+        size: int,
+        picks: int,
+        min_gain: float,
+        identical: float,
+    ) -> Optional[Tuple[List[int], List[Tuple[int, float]], float]]:
+        """Greedy max-coverage from ``card`` (a set of ``size`` ids).
+
+        First every row whose resemblance to ``card`` is at least
+        ``identical`` and whose size is at most ``size`` is screened
+        out.  Then, up to ``picks`` times, the row adding the most
+        estimated ids to the cover — ``|C ∪ S| - |C|`` with ``|C ∪ S| =
+        (|C| + |S|) / (1 + r)`` — is picked while that gain is at least
+        ``min_gain``: the cover grows by it, its card is lowered to the
+        elementwise minimum with the row, and every row with the row's
+        key leaves.  Returns ``(screened rows, [(row, gain)], cover
+        size)``, or None when ``card`` cannot be compared by array.
+
+        The per-card loop's answer, float for float: a resemblance is
+        ``matches / entries`` with :meth:`MinwiseSummary.
+        estimate_resemblance_many`'s ``set_size == 0`` rule, the gains
+        take the loop's IEEE operations in its order, ``argmax`` keeps
+        the first maximum as a strict ``>`` does, and the minimum read
+        as ``uint64`` (where :data:`UNSET`, -1, is the largest value) is
+        exactly :meth:`MinwiseSummary.merge`.
+        """
+        np = _batch._numpy()
+        if (
+            np is None
+            or self._buffer is None
+            or not self._keys
+            or self._family_of(card) != self._family
+        ):
+            return None
+        count, entries = len(self._keys), self._family[0]
+        # A view of the buffer: it must be gone before the next append.
+        rows = np.frombuffer(self._buffer, dtype=np.int64).reshape(count, entries)
+        sizes = np.array(self._sizes, dtype=np.float64)
+        cover = np.frombuffer(card._row, dtype=np.int64)
+        cover_card_size = card.set_size  # the merged card's set_size
+        if cover_card_size == 0:
+            empty_cards = np.array(self._card_sizes) == 0
+
+        def resemblances():
+            r = ((rows == cover) & (cover != UNSET)).sum(axis=1) / entries
+            if cover_card_size == 0:
+                r[empty_cards] = 0.0
+            return r
+
+        live = np.ones(count, dtype=bool)
+        screened = [
+            i
+            for i in np.flatnonzero(resemblances() >= identical).tolist()
+            if self._sizes[i] <= size
+        ]
+        live[screened] = False
+        chosen: List[Tuple[int, float]] = []
+        cover_size = float(size)
+        while len(chosen) < picks:
+            remaining = np.flatnonzero(live)
+            if not len(remaining):
+                break
+            r = resemblances()[remaining]
+            gains = (cover_size + sizes[remaining]) / (1.0 + r) - cover_size
+            pick = int(np.argmax(gains))
+            gain = float(gains[pick])
+            if gain < min_gain:
+                break
+            best = int(remaining[pick])
+            chosen.append((best, gain))
+            cover_size += gain
+            cover = np.minimum(cover.view(np.uint64), rows[best].view(np.uint64))
+            cover = cover.view(np.int64)
+            cover_card_size = max(cover_card_size, self._card_sizes[best])
+            key = self._keys[best]
+            live[best] = False
+            if self._keys.count(key) > 1:
+                live[[i for i in remaining.tolist() if self._keys[i] == key]] = False
+        return screened, chosen, cover_size
 
 
 @register_summary
@@ -1235,6 +1363,7 @@ class WholeSetSummary(Summary):
 __all__ = [
     "DEFAULT_UNIVERSE",
     "MinwiseSummary",
+    "MinwiseStack",
     "ModKSummary",
     "RandomSampleSummary",
     "BloomSummary",
