@@ -68,20 +68,19 @@ def mix64_batch(keys: Sequence[int], seed: int = 0) -> List[int]:
     """Vectorised :func:`repro.hashing.mix.mix64` over many keys.
 
     Returns plain Python ints, identical to ``[mix64(x, seed) for x in
-    keys]``.
+    keys]``.  A key outside ``[0, 2**64)`` (numpy refuses to convert
+    it) sends the whole list through that scalar loop, whose
+    Python-int arithmetic matches ``mix64`` exactly.
     """
     np = _numpy()
     key_list = list(keys)
     if np is None or not key_list:
         return [mix64(x, seed) for x in key_list]
-    if any(x < 0 or x > _MASK64 for x in key_list):
-        # mix64 masks high bits implicitly via + seed*gamma & mask; keys
-        # beyond 64 bits need Python-int arithmetic to match exactly.
+    try:
+        keys64 = np.asarray(key_list, dtype=np.uint64)
+    except OverflowError:
         return [mix64(x, seed) for x in key_list]
-    z = _mix64_np(
-        np.asarray(key_list, dtype=np.uint64), np.uint64(_mix_offset(seed)), np
-    )
-    return z.tolist()
+    return _mix64_np(keys64, np.uint64(_mix_offset(seed)), np).tolist()
 
 
 #: A minima-row entry no key has lowered yet (``None`` on the wire).

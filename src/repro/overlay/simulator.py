@@ -42,15 +42,22 @@ O(N²) however the cards are compared.
 The delivery pass and the strategy refresh walk only the connections
 into receivers that have not completed: completion is final inside a
 simulator (encoded content never goes stale, Section 2.3), so a
-receiver's incoming edges leave the pass the moment it completes.  A
-window-blocked connection still drains its link credit every tick, but
-its transport step scans for timeouts only once one can be due.
+receiver's incoming edges leave the pass the moment it completes.
+Completion is an event, not a poll: a node's set grows here only when
+it joins and when an arrival is useful, so those are the places the
+simulator asks whether it is complete; the pass, the refresh and
+``run()`` read what the event left (each edge's ``feeding`` flag, the
+node's ``completed_at_tick``, the members still incomplete).  Each visit is
+one step on the link (:meth:`~repro.sim.links.ConstantRateLink.
+send_budget`): the credit step and, under a congestion controller, its
+window cap, with the timeout scan only once one can be due.
 """
 
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from functools import partial
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.coding.peeler import RecodedPeeler
 from repro.coding.symbol import Packet
@@ -170,13 +177,20 @@ class OverlaySimulator:
 
     Completion is final.  The delivery pass and the strategy refresh
     walk only the connections into receivers that have not completed,
-    in connection-map order: a connection joins that walk when it is
-    made into an incomplete receiver, and a receiver's incoming edges
-    leave it when :meth:`_arrive` sees the receiver complete (a
+    in connection-map order (an index kept beside the connection map,
+    costing one dict entry per feeding connection): a connection joins
+    that walk when it is made into an incomplete receiver, and a
+    receiver's incoming edges leave it when the receiver completes (a
     receiver added complete never joins).  A receiver whose working set
     is later replaced by a smaller one is not fed again and keeps its
-    ``completed_at_tick``.  Each visit still reads ``is_complete``: a
-    receiver can complete partway through a pass.
+    ``completed_at_tick``.  Completion is an event: :meth:`_settle`
+    reads ``is_complete`` when a node joins and after each useful
+    arrival — nothing else grows a set inside a simulator — and when a
+    member it waits on completes, stamps ``completed_at_tick``, clears
+    ``feeding`` on every edge into it (including edges later in a pass
+    already under way) and stops ``run()`` waiting on it.  A set
+    assigned from outside is looked at when the next useful packet
+    reaches it.
 
     Args:
         admission/rewiring: peering policies (Section 4).
@@ -272,6 +286,12 @@ class OverlaySimulator:
         self.connections: Dict[tuple, Connection] = {}
         # receiver id -> its sender ids, in edge-creation order.
         self._senders: Dict[str, Dict[str, None]] = {}
+        # The connections whose ``feeding`` flag is set, in
+        # connection-map order (an edge enters both maps when it is
+        # made, and leaves this one for good when it stops feeding).
+        self._feeding: Dict[tuple, Connection] = {}
+        # Ids of members still to complete: what run() waits on.
+        self._incomplete: Set[str] = set()
         self.tick_count = 0
         self.reconfigurations = 0
         self.reconfig_epochs = 0
@@ -312,6 +332,7 @@ class OverlaySimulator:
         node.joined_at_tick = self.tick_count
         node.peeler = None  # a (re)join starts with nothing pending
         self.nodes[node.node_id] = node
+        self._settle(node)
         if self.stats is not None:
             self.stats.gauge(
                 self.scheduler.now, node.node_id, "symbols", len(node.working_set)
@@ -328,6 +349,7 @@ class OverlaySimulator:
             return None
         if not node.is_source:
             self._completion_tombstones[node_id] = node.completed_at_tick
+        self._incomplete.discard(node_id)
         for sender in self.senders_of(node_id):
             self.disconnect(sender, node_id)
         # Outgoing edges have no index of their own: departures are rare
@@ -379,12 +401,15 @@ class OverlaySimulator:
             conn.transport = self.transport.attach(conn.stats_name)
         self.connections[(sender_id, receiver_id)] = conn
         self._senders.setdefault(receiver_id, {})[sender_id] = None
-        conn.feeding = receiver.completed_at_tick is None and not receiver.is_complete
+        if receiver_id in self._incomplete:
+            conn.feeding = True
+            self._feeding[(sender_id, receiver_id)] = conn
         return True
 
     def disconnect(self, sender_id: str, receiver_id: str) -> None:
         if self.connections.pop((sender_id, receiver_id), None) is not None:
             del self._senders[receiver_id][sender_id]
+            self._feeding.pop((sender_id, receiver_id), None)
 
     # -- simulation ---------------------------------------------------------------
 
@@ -396,25 +421,33 @@ class OverlaySimulator:
     def _on_tick(self) -> None:
         """The periodic delivery/adaptation pass (the legacy tick body)."""
         self.tick_count += 1
-        scheduler, stats = self.scheduler, self.stats
+        scheduler, stats, rng = self.scheduler, self.stats, self.rng
+        arrive = self._arrive
         now = scheduler.now
+        start = now - 1.0
         for conn in self._feeding_connections():
-            receiver = conn.receiver
-            if receiver.is_complete:
+            # An inline arrival earlier in this pass may have completed
+            # the receiver: its edges stopped feeding then.
+            if not conn.feeding:
                 continue
-            if not conn.sender.is_source and conn.strategy is None:
+            sender, strategy = conn.sender, conn.strategy
+            is_source = sender.is_source
+            if strategy is None and not is_source:
                 continue  # sender has nothing to offer yet
             link = conn.link
-            budget = link.packet_budget(now - 1.0, now)
             ctrl = conn.transport
-            if ctrl is not None:
-                budget = ctrl.allowance(now, budget)
+            budget = link.send_budget(start, now, ctrl)
+            if not budget:
+                continue
             for _ in range(budget):
-                packet = self._compose(conn)
+                if is_source:
+                    packet = Packet.encoded(sender.mint_fresh_id())
+                else:
+                    packet = strategy.next_packet()
                 self.packets_sent += 1
                 if stats is not None:
                     stats.count(now, conn.stats_name, "sent")
-                delay = link.transmit(self.rng)
+                delay = link.transmit(rng)
                 if ctrl is not None:
                     ctrl.on_transmit(scheduler, delay, link.latency)
                 if delay is None:  # wire loss or tail drop
@@ -423,13 +456,11 @@ class OverlaySimulator:
                         stats.count(now, conn.stats_name, "lost")
                     continue
                 if delay <= 0.0:
-                    self._arrive(conn, packet)
+                    arrive(conn, packet)
+                    if not conn.feeding:
+                        break  # that arrival completed the receiver
                 else:
-                    scheduler.schedule(
-                        delay, lambda c=conn, p=packet: self._arrive(c, p)
-                    )
-                if receiver.is_complete:
-                    break
+                    scheduler.schedule_at(now + delay, partial(arrive, conn, packet))
         if self.refresh_every and self.tick_count % self.refresh_every == 0:
             self._refresh_strategies()
 
@@ -441,8 +472,8 @@ class OverlaySimulator:
         scheduled work the simulation has not finished — early
         completion of the current membership must not skip it.
         """
-        while self.tick_count < max_ticks and not (
-            self._all_complete() and self.scheduler.pending_oneshot == 0
+        while self.tick_count < max_ticks and (
+            self._incomplete or self.scheduler.pending_oneshot
         ):
             self.tick()
         return self.report()
@@ -475,12 +506,11 @@ class OverlaySimulator:
         """The connections a delivery pass or refresh walks: those into
         receivers that have not completed, in connection-map order.
 
-        The index is the ``feeding`` flag on each connection, so the map
-        keeps the order and nothing else holds a dropped connection; one
-        flag test per edge costs far less than a visit, and a second
-        ordered structure would cost memory at 10k nodes.
+        A copy of the feeding index, so a pass may drop and complete
+        edges while it walks: an edge that stops feeding mid-pass stays
+        in the copy with its ``feeding`` flag cleared.
         """
-        return [conn for conn in self.connections.values() if conn.feeding]
+        return list(self._feeding.values())
 
     def _build_strategy(
         self, sender: OverlayNode, receiver: OverlayNode
@@ -556,7 +586,7 @@ class OverlaySimulator:
         connections into completed receivers are not walked.
         """
         for conn in self._feeding_connections():
-            if conn.sender.is_source or conn.receiver.is_complete:
+            if conn.sender.is_source or not conn.feeding:
                 continue
             if self._strategy_fresh(conn):
                 conn.strategy.renew()
@@ -565,35 +595,49 @@ class OverlaySimulator:
             if conn.strategy is None:
                 self.disconnect(conn.sender.node_id, conn.receiver.node_id)
 
-    def _compose(self, conn: Connection) -> Packet:
-        if conn.sender.is_source:
-            return Packet.encoded(conn.sender.mint_fresh_id())
-        assert conn.strategy is not None
-        return conn.strategy.next_packet()
-
     def _arrive(self, conn: Connection, packet: Packet) -> None:
         """A packet reaches its receiver (inline or latency-delayed)."""
         receiver = conn.receiver
-        if self.nodes.get(receiver.node_id) is not receiver:
+        rid = receiver.node_id
+        if self.nodes.get(rid) is not receiver:
             return  # receiver departed while the packet was in flight
-        if receiver.is_complete:
+        if receiver.completed_at_tick is not None:
             return  # late arrival after completion: nothing to add
-        if self._deliver(receiver, packet):
-            # Counted here even when the connection was dropped
-            # mid-flight: the simulator's total outlives it.
-            self.packets_useful += 1
-            if self.stats is not None:
-                now = self.scheduler.now
-                self.stats.count(now, conn.stats_name, "useful")
-                self.stats.gauge(
-                    now, receiver.node_id, "symbols", len(receiver.working_set)
-                )
-        if receiver.is_complete and receiver.completed_at_tick is None:
-            receiver.completed_at_tick = self.tick_count
-            # Completion is final: the receiver's edges leave the pass.
-            rid = receiver.node_id
-            for sender_id in self._senders.get(rid, ()):
-                self.connections[(sender_id, rid)].feeding = False
+        if not self._deliver(receiver, packet):
+            return
+        # Counted here even when the connection was dropped mid-flight:
+        # the simulator's total outlives it.
+        self.packets_useful += 1
+        if self.stats is not None:
+            now = self.scheduler.now
+            self.stats.count(now, conn.stats_name, "useful")
+            self.stats.gauge(now, rid, "symbols", len(receiver.working_set))
+        self._settle(receiver)
+
+    def _settle(self, node: OverlayNode) -> None:
+        """The one completion check, made where a member's set can have
+        grown inside this simulator: when it joins (seeded or not) and
+        after a useful arrival.
+
+        A member that is not complete (and has not completed before) is
+        one ``run()`` waits on.  One that was waited on and is complete
+        now completes: it is stamped with the tick and its incoming
+        edges stop feeding, which the delivery pass under way sees too.
+        A member that joins complete is not stamped.
+        """
+        nid = node.node_id
+        if not node.is_complete:
+            if node.completed_at_tick is None:
+                self._incomplete.add(nid)
+            return
+        if nid not in self._incomplete:
+            return
+        self._incomplete.discard(nid)
+        node.completed_at_tick = self.tick_count
+        # Completion is final: the receiver's edges leave the pass.
+        feeding = self._feeding
+        for sender_id in self._senders.get(nid, ()):
+            feeding.pop((sender_id, nid)).feeding = False
 
     def _deliver(self, receiver: OverlayNode, packet: Packet) -> bool:
         """Feed a packet through the receiver's peeler, which peels into

@@ -8,16 +8,21 @@ is an event on one shared heap, so heterogeneous processes compose
 without a global lock-step.
 
 Determinism: events at equal times run in scheduling (FIFO) order via a
-monotone sequence number, so a seeded run replays exactly.  The legacy
+monotone sequence number, so a seeded run replays exactly.  A heap
+entry is the tuple ``(time, seq, handle)``: ``seq`` is unique, so the
+heap orders entries with C tuple comparisons and never compares two
+handles; a periodic handle is pushed again under a fresh ``seq`` each
+time it fires, and a cancelled one is dropped when it reaches the
+head.  The legacy
 tick loop is recovered as a single periodic event at integer times
 (see :class:`repro.overlay.simulator.OverlaySimulator`), which is why
 the tick-parity regression in ``tests/sim/test_parity.py`` holds bit
 for bit.
 """
 
-import heapq
 import itertools
-from typing import Any, Callable, List, Optional
+from heapq import heappop, heappush
+from typing import Any, Callable, List, Optional, Tuple
 
 
 def _stalled(interval: float, time: float) -> str:
@@ -27,17 +32,15 @@ def _stalled(interval: float, time: float) -> str:
 class EventHandle:
     """A scheduled event; keep it to :meth:`cancel` before it fires."""
 
-    __slots__ = ("time", "seq", "callback", "interval", "cancelled")
+    __slots__ = ("time", "callback", "interval", "cancelled")
 
     def __init__(
         self,
         time: float,
-        seq: int,
         callback: Callable[[], Any],
         interval: Optional[float] = None,
     ):
         self.time = time
-        self.seq = seq
         self.callback = callback
         self.interval = interval  # None for one-shot events
         self.cancelled = False
@@ -45,9 +48,6 @@ class EventHandle:
     def cancel(self) -> None:
         """Prevent the event (and, for periodic events, all repeats)."""
         self.cancelled = True
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         kind = f"every {self.interval}" if self.interval else "once"
@@ -70,7 +70,8 @@ class EventScheduler:
     def __init__(self, start: float = 0.0):
         self.now = float(start)
         self.events_processed = 0
-        self._heap: List[EventHandle] = []
+        # (time, seq, handle) entries; ``seq`` breaks time ties FIFO.
+        self._heap: List[Tuple[float, int, EventHandle]] = []
         self._seq = itertools.count()
 
     # -- scheduling ---------------------------------------------------------
@@ -79,8 +80,8 @@ class EventScheduler:
         """Run ``callback`` when the clock reaches ``time``."""
         if time < self.now:
             raise ValueError(f"cannot schedule at {time} < now {self.now}")
-        handle = EventHandle(time, next(self._seq), callback)
-        heapq.heappush(self._heap, handle)
+        handle = EventHandle(time, callback)
+        heappush(self._heap, (time, next(self._seq), handle))
         return handle
 
     def schedule(self, delay: float, callback: Callable[[], Any]) -> EventHandle:
@@ -105,8 +106,8 @@ class EventScheduler:
         time = self.now + interval if first is None else first
         if time < self.now:
             raise ValueError(f"cannot schedule at {time} < now {self.now}")
-        handle = EventHandle(time, next(self._seq), callback, interval=interval)
-        heapq.heappush(self._heap, handle)
+        handle = EventHandle(time, callback, interval=interval)
+        heappush(self._heap, (time, next(self._seq), handle))
         return handle
 
     # -- execution ----------------------------------------------------------
@@ -121,56 +122,66 @@ class EventScheduler:
         that a completion check must not ignore.
         """
         return sum(
-            1 for h in self._heap if not h.cancelled and h.interval is None
+            1 for _, _, h in self._heap if not h.cancelled and h.interval is None
         )
 
     def peek_time(self) -> Optional[float]:
         """Time of the next live event, or None if the heap is drained."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heappop(heap)
+        return heap[0][0] if heap else None
+
+    def _fire(self, time: float, handle: EventHandle) -> None:
+        """Run a popped live event at ``time``; a periodic one that goes
+        on is pushed again under a fresh sequence number."""
+        self.now = time
+        result = handle.callback()
+        self.events_processed += 1
+        interval = handle.interval
+        if interval is not None and not handle.cancelled and result is not False:
+            later = time + interval
+            if later == time:
+                raise ValueError(_stalled(interval, later))
+            handle.time = later
+            heappush(self._heap, (later, next(self._seq), handle))
 
     def step(self) -> bool:
         """Execute the next event; False if nothing is pending."""
-        while self._heap:
-            handle = heapq.heappop(self._heap)
-            if handle.cancelled:
-                continue
-            self.now = handle.time
-            result = handle.callback()
-            self.events_processed += 1
-            if handle.interval is not None and not handle.cancelled and result is not False:
-                later = handle.time + handle.interval
-                if later == handle.time:
-                    raise ValueError(_stalled(handle.interval, later))
-                handle.time = later
-                handle.seq = next(self._seq)
-                heapq.heappush(self._heap, handle)
-            return True
+        heap = self._heap
+        while heap:
+            time, _, handle = heappop(heap)
+            if not handle.cancelled:
+                self._fire(time, handle)
+                return True
         return False
-
-    def _refuse_stalled_head(self, horizon: float) -> None:
-        """A periodic event whose interval is absorbed at ``horizon``
-        would fire forever without reaching it."""
-        interval = self._heap[0].interval
-        if interval is not None and horizon + interval == horizon:
-            raise ValueError(_stalled(interval, horizon))
 
     def run_until(self, time: float) -> int:
         """Execute every event with timestamp <= ``time``; returns count.
 
         The clock ends exactly at ``time`` even if the last event fired
-        earlier (or none were pending).
+        earlier (or none were pending).  A periodic event whose interval
+        is absorbed at ``time`` would fire forever without reaching it,
+        so it is refused before it runs.
         """
         if time < self.now:
             raise ValueError(f"cannot run backwards to {time} < now {self.now}")
+        heap = self._heap
+        fire = self._fire
         executed = 0
-        while True:
-            nxt = self.peek_time()
-            if nxt is None or nxt > time:
+        while heap:
+            head = heap[0]
+            handle = head[2]
+            if handle.cancelled:
+                heappop(heap)
+                continue
+            if head[0] > time:
                 break
-            self._refuse_stalled_head(time)
-            self.step()
+            interval = handle.interval
+            if interval is not None and time + interval == time:
+                raise ValueError(_stalled(interval, time))
+            heappop(heap)
+            fire(head[0], handle)
             executed += 1
         self.now = time
         return executed
@@ -200,7 +211,9 @@ class EventScheduler:
                 exhausted = True
                 break
             if until is not None:
-                self._refuse_stalled_head(until)
+                interval = self._heap[0][2].interval
+                if interval is not None and until + interval == until:
+                    raise ValueError(_stalled(interval, until))
             self.step()
             executed += 1
         if exhausted and until is not None and self.now < until:

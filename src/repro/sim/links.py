@@ -3,10 +3,16 @@
 :class:`ConstantRateLink` is the one link class.  It answers two
 questions for the simulator:
 
-* :meth:`~ConstantRateLink.packet_budget` — how many whole packets fit
-  in a time window, with fractional capacity carried as credit between
-  windows (never negative, floored with an epsilon so ten windows of
-  0.1 pkt really yield one packet);
+* :meth:`~ConstantRateLink.send_budget` — how many whole packets a
+  sender may put on the wire in a time window.  Fractional capacity is
+  carried as credit between windows (never negative, floored with an
+  epsilon so ten windows of 0.1 pkt really yield one packet); when a
+  :class:`~repro.transport.controller.TransportController` paces the
+  connection, the same step runs its timeout scan (only once one can be
+  due) and caps the budget by its window.  It is the one step per
+  connection per window that the overlay's delivery pass and a
+  scheduled session's pump both take; ``packet_budget`` is the step
+  without a controller;
 * :meth:`~ConstantRateLink.transmit` — per packet, is it lost, and if
   not, after what delay does it arrive.
 
@@ -19,14 +25,17 @@ packet).  :class:`GilbertElliottLink` is the same link with bursty loss
 from a two-state Markov chain; chains may be shared across links to
 model correlated loss (e.g. a congested inter-region trunk).  A custom
 link subclasses :class:`ConstantRateLink` and overrides
-``packet_budget`` / ``transmit``.
+``send_budget`` (capping what it grants with ``ctrl.allowance(t1,
+budget)`` when given a controller) and ``transmit``.
 """
 
 import math
 import random
+from math import floor
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
+    from repro.transport.controller import TransportController
     from repro.transport.queue import BottleneckQueue
 
 #: Floor tolerance for fractional-credit accumulation: absorbs binary
@@ -46,8 +55,9 @@ def drain_credit(credit: float, capacity: float) -> "tuple[int, float]":
     credit += capacity
     if credit < 0.0:
         credit = 0.0
-    whole = int(math.floor(credit + CREDIT_EPS))
-    return whole, max(0.0, credit - whole)
+    whole = floor(credit + CREDIT_EPS)
+    credit -= whole
+    return whole, (credit if credit > 0.0 else 0.0)
 
 
 def _check_finite(name: str, value: float) -> None:
@@ -100,13 +110,32 @@ class ConstantRateLink:
         self.step_per_packet = False
         self._credit = 0.0
 
-    def packet_budget(self, t0: float, t1: float) -> int:
-        """Whole packets transmittable in ``[t0, t1)``, carrying credit
-        (:func:`drain_credit`)."""
+    def send_budget(
+        self, t0: float, t1: float, ctrl: Optional["TransportController"] = None
+    ) -> int:
+        """Packets a sender may put on the wire in ``[t0, t1)``: the
+        credit step (:func:`drain_credit` over ``rate * (t1 - t0)``),
+        then under ``ctrl`` what ``ctrl.allowance(t1, whole)`` allows.
+
+        The allowance (timeout scan, then window cap) runs only once
+        ``t1`` reaches the controller's earliest rtx deadline; before
+        that no timeout can be due and only the window cap
+        (:meth:`~repro.transport.controller.TransportController.
+        window_cap`) applies.  Without ``ctrl`` this is
+        :meth:`packet_budget`.
+        """
         if t1 < t0:
             raise ValueError("window must run forward")
         whole, self._credit = drain_credit(self._credit, self.rate * (t1 - t0))
-        return whole
+        if ctrl is None:
+            return whole
+        if t1 >= ctrl.rtx.next_deadline:
+            return ctrl.allowance(t1, whole)
+        return ctrl.window_cap(whole) if whole else 0
+
+    #: Whole packets transmittable in ``[t0, t1)``, carrying credit
+    #: (:func:`drain_credit`): :meth:`send_budget` with no controller.
+    packet_budget = send_budget
 
     def transmit(self, rng: random.Random) -> Optional[float]:
         """Fate of one packet: None if lost, else its arrival delay.

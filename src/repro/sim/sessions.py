@@ -119,10 +119,8 @@ class ScheduledSession:
             return False
         now = self.scheduler.now
         assert self._last_pump is not None
-        budget = self.link.packet_budget(self._last_pump, now)
         ctrl = self.transport
-        if ctrl is not None:
-            budget = ctrl.allowance(now, budget)
+        budget = self.link.send_budget(self._last_pump, now, ctrl)
         self._last_pump = now
         receiver = self.session.receiver
         sent_this_pump = 0

@@ -16,7 +16,8 @@ the link models, so installing a transport never perturbs the seeded
 RNG stream.
 """
 
-import math
+from functools import partial
+from math import floor, inf
 from typing import Any, Dict, List, Optional
 
 from repro.sim.engine import EventScheduler
@@ -34,10 +35,12 @@ RTT_FLOOR = 1e-3
 class TransportController:
     """Congestion state of one connection: policy + rtx + inflight.
 
-    :meth:`allowance` runs once per connection per delivery window, so
-    it asks the rtx manager to scan for timeouts only once ``now`` has
-    reached its earliest-deadline bound (``RtxManager.next_deadline``);
-    a window-blocked connection with nothing due pays no table scan.
+    A sender asks once per connection per delivery window, through
+    :meth:`~repro.sim.links.ConstantRateLink.send_budget`: the link's
+    credit step, then :meth:`allowance` only once ``now`` has reached
+    the rtx manager's earliest-deadline bound
+    (``RtxManager.next_deadline``), else just :meth:`window_cap`; a
+    window-blocked connection with nothing due pays no table scan.
     """
 
     def __init__(self, policy: TransportPolicy, rtx: RtxManager, name: str = ""):
@@ -62,13 +65,18 @@ class TransportController:
                 self.inflight = max(0, self.inflight - 1)
                 self.timeouts += 1
                 self.policy.on_loss(now)
-        allowed = link_budget
+        return self.window_cap(link_budget)
+
+    def window_cap(self, budget: int) -> int:
+        """``budget`` capped by the window room left, never below zero
+        (the policy's ``cwnd`` floored with an epsilon, less what is in
+        flight; ``math.inf`` caps nothing)."""
         cwnd = self.policy.cwnd
-        if cwnd != math.inf:
-            room = math.floor(cwnd + 1e-9) - self.inflight
-            if room < allowed:
-                allowed = room if room > 0 else 0
-        return allowed
+        if cwnd != inf:
+            room = floor(cwnd + 1e-9) - self.inflight
+            if room < budget:
+                return room if room > 0 else 0
+        return budget
 
     def on_send(self, now: float) -> int:
         """Register one packet entering the wire; returns its seq."""
@@ -102,9 +110,9 @@ class TransportController:
         if ack_delay <= 0.0:
             self.on_ack(now, seq)
         else:
-            scheduler.schedule(
-                ack_delay, lambda: self.on_ack(scheduler.now, seq)
-            )
+            # The ack fires when the clock reads ``acked_at``.
+            acked_at = now + ack_delay
+            scheduler.schedule_at(acked_at, partial(self.on_ack, acked_at, seq))
 
     def on_ack(self, now: float, seq: int) -> None:
         """An ack for ``seq`` arrived (ignored if it already timed out)."""

@@ -82,11 +82,24 @@ def _every_connection(self):
     return list(self.connections.values())
 
 
+def _polled_feeding(conn):
+    receiver = conn.receiver
+    return receiver.completed_at_tick is None and not receiver.is_complete
+
+
 def _full_walk_oracle(mp):
-    """Restore the full walk: every pass visits every connection (and so
-    reads ``is_complete`` on each visit), and every ``allowance`` call
-    scans for timeouts."""
+    """Restore the full walk: every pass visits every connection, each
+    ``feeding`` read polls the receiver (``is_complete`` on every visit,
+    after every inline arrival and in the refresh) instead of reading
+    the flag the completion event cleared, and every connection-window
+    takes ``allowance``, which scans for timeouts."""
     mp.setattr(OverlaySimulator, "_feeding_connections", _every_connection)
+    mp.setattr(
+        simulator.Connection,
+        "feeding",
+        property(_polled_feeding, lambda conn, value: None),
+        raising=False,
+    )
     mp.setattr(controller, "RtxManager", _ScanEveryCall)
 
 
@@ -169,6 +182,26 @@ def _spy_on_builds(mp):
     mp.setattr(registry, "build_summary", spy)  # what working sets cache
     mp.setattr(policy, "build_summary", spy)  # bare-id builds
     return calls
+
+
+def _spy_on_batch_builds(mp):
+    """Count the cards every batched build makes (``WorkingSet.
+    cached_many`` → ``registry._build_many_frozen`` → the kind's
+    ``build_many``), by kind.  A one-set ``build`` that delegates to
+    ``build_many`` is not a batched build and is not counted."""
+    from collections import Counter
+
+    cards = Counter()
+    orig = registry._summary_call
+
+    def spy(kind, fn, ids, params):
+        built = orig(kind, fn, ids, params)
+        if getattr(fn, "__name__", None) == "build_many":
+            cards[kind] += len(built)
+        return built
+
+    mp.setattr(registry, "_summary_call", spy)
+    return cards
 
 
 def _spy_on_strategy_builds(mp):
@@ -453,15 +486,20 @@ def _count_pass_work(mp):
 
 class TestDeliveryPassCounts:
     """What the congested row's delivery pass does: completed receivers'
-    connections are not visited, and a window-blocked connection scans
-    for timeouts only once one can be due.  The full walk scans on
-    every ``allowance`` call, as every run did before; its reads are
-    the old 28 026 plus one per connection made into a receiver with no
-    ``completed_at_tick`` (``connect`` decides whether the new edge
-    feeds).  The sends do not move."""
+    connections are not visited, a connection-window takes
+    ``allowance`` (and its timeout scan) only once a timeout can be
+    due, and completion is read once per useful arrival — 497 — plus
+    once per node joining (49) and once per node in the closing
+    ``report()`` (49); no read is made per visit or per packet.  The
+    full walk polls ``is_complete`` on every ``feeding`` read and takes
+    ``allowance`` on every connection-window, which scans each time.
+    Before completion was an event the pass read ``is_complete`` 17 637
+    times (every visit, after every send and on every ``run()`` tick)
+    and took ``allowance`` 7 436 times; the full walk read 28 162.  The
+    sends do not move."""
 
-    COUNTS = {"expire_scans": 2276, "is_complete": 17637, "allowance": 7436}
-    FULL_WALK = {"expire_scans": 7436, "is_complete": 28162, "allowance": 7436}
+    COUNTS = {"expire_scans": 2276, "is_complete": 595, "allowance": 2276}
+    FULL_WALK = {"expire_scans": 7436, "is_complete": 8370, "allowance": 7436}
 
     @pytest.mark.parametrize("oracle", [False, True], ids=["pass", "full_walk"])
     @pytest.mark.parametrize("numpy_on", [True, False])
@@ -613,25 +651,28 @@ class TestFromScratchBuilds:
     from the set, so a grown set needs a new one.  (Before, the
     protocol layer rebuilt per call: 4 min-wise builds for
     session_swarm.)  A card that a batched refresh builds — an epoch's
-    or a join wave's — is a kernel pass, not a ``build_summary`` call;
-    :class:`TestOneCallingCard` counts those."""
+    or a join wave's — is a kernel pass, not a ``build_summary`` call:
+    ``batch_builds`` counts those cards by kind, so a regression that
+    rebuilds cards through the batch path shows too."""
 
     @pytest.mark.parametrize(
-        "name, builds",
+        "name, builds, batch_builds",
         [
-            ("session_swarm", {"minwise": 3}),
-            ("flash_crowd", {"minwise": 8, "bloom": 16}),
-            ("congested_swarm", {"minwise": 8, "bloom": 17}),
+            ("session_swarm", {"minwise": 3}, {}),
+            ("flash_crowd", {"minwise": 8, "bloom": 16}, {"minwise": 2}),
+            ("congested_swarm", {"minwise": 8, "bloom": 17}, {"minwise": 2}),
         ],
     )
-    def test_small_spec_build_counts(self, name, builds, monkeypatch):
+    def test_small_spec_build_counts(self, name, builds, batch_builds, monkeypatch):
         from collections import Counter
 
         from repro.api.registry import small_spec
 
         calls = _spy_on_builds(monkeypatch)
+        cards = _spy_on_batch_builds(monkeypatch)
         run(small_spec(name))
         assert Counter(calls) == builds
+        assert cards == batch_builds
 
 
 class TestOneCallingCard:

@@ -231,6 +231,11 @@ GUARDS = [
         ("OpenLoopPolicy (TransportPolicy is open_loop)", r"OpenLoopPolicy", 1),
         ("Connection.established_tick", r"established_tick", 1),
     ]
+] + [
+    # The event heap holds (time, seq, handle) tuples: two handles are
+    # never compared, so a handle has no ordering to grow back.
+    Guard(48, "EventHandle.__lt__ (heap entries are (time, seq, handle))",
+          r"def __lt__", ["src/repro/sim/engine.py"]),
 ]
 
 #: Deleted files and directories.
@@ -294,6 +299,16 @@ def test_the_one_overlay_assembly_is_build_swarm():
     for pattern in (r"OverlaySimulator\(", r"SimScenario\("):
         (hit,) = _matches(pattern, ["src/repro/api"])
         assert hit.split(": ", 1)[0] in inside, hit
+
+
+def test_the_delivery_pass_polls_no_completion():
+    """PR 48: completion is an event (``_arrive``); the delivery pass
+    reads the ``feeding`` flags it leaves, never ``is_complete``."""
+    from repro.overlay.simulator import OverlaySimulator
+
+    source = inspect.getsource(OverlaySimulator._on_tick)
+    assert ".is_complete" not in source
+    assert "conn.feeding" in source
 
 
 def test_the_guard_sees_a_match_when_there_is_one():
