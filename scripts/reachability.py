@@ -58,7 +58,7 @@ class Allow(NamedTuple):
 
 #: The most unreached lines ``--check`` passes.  A change that lowers
 #: the count lowers this in the same diff, so the number only falls.
-CEILING = 1045
+CEILING = 928
 
 #: What stays although no smoke step runs it.  At most 30 rows; each
 #: must excuse at least one function no other row does.
@@ -110,11 +110,11 @@ ALLOWED: Sequence[Allow] = (
           "the admission and rewiring interface stubs"),
     Allow("repro.overlay.catalog", ("CatalogScheme.__eq__",),
           "CatalogScheme's value equality, which the catalog tests read"),
-    Allow("repro.protocol.*", "*",
-          "the session's partial-sender path (summary, partitions, "
-          "data_for) and run(), which no scenario reaches until "
-          "session_swarm gets a partial sender (ROADMAP items 3 and 13), "
-          "and item 15's message wire surface (pack / unpack_*)"),
+    Allow("repro.protocol.messages",
+          ("DataMessage.pack", "DataMessage.unpack_encoded",
+           "DataMessage.unpack_recoded"),
+          "the data message's wire format, which bench/probes.py times "
+          "(protocol.data_pack_unpack_us)"),
     Allow("repro.reconcile.adapters", "*.*",
           "the Summary protocol the conformance suite runs for every kind, "
           "and item 15's to_payload / from_payload, whose round trip "
@@ -122,8 +122,10 @@ ALLOWED: Sequence[Allow] = (
     Allow("repro.reconcile.base", "*",
           "the Summary protocol's defaults and item 15's hex and int "
           "payload helpers"),
-    Allow("repro.reconcile.policy", ("SummaryPolicy.__hash__",),
-          "value hashing, which the policy tests read"),
+    Allow("repro.reconcile.policy",
+          ("SummaryPolicy.__eq__", "SummaryPolicy.__hash__"),
+          "value equality and hashing, which the policy tests read (a "
+          "session names the one policy, so no run compares two)"),
     Allow("repro.reconcile.registry", "summary_from_payload",
           "item 15's wire surface: a payload back to its kind"),
     Allow("repro.sim.engine", ("_stalled",), "the stalled-clock refusal"),

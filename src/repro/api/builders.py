@@ -1381,15 +1381,15 @@ def build_session_swarm(spec: ExperimentSpec) -> BuiltExperiment:
         )
         scheduler = scheduler or EventScheduler()
         policy = _summary_policy(spec)
-        source = ProtocolPeer(src_name, code, content=content, summary_policy=policy)
+        source = ProtocolPeer(src_name, code, content=content)
         drivers = []
         sessions = {}
         for name in receivers.member_ids():
-            peer = ProtocolPeer(name, code, summary_policy=policy)
             session = TransferSession(
                 source,
-                peer,
+                ProtocolPeer(name, code),
                 rng=derive_rng(spec.seed, "session_swarm", name, "session"),
+                summary_policy=policy,
             )
             sessions[name] = session
             link = link_for(None, src_name, name)

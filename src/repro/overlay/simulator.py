@@ -675,19 +675,21 @@ class OverlaySimulator:
 
     def _reconfigure(self) -> None:
         """One epoch (:func:`~repro.overlay.reconfiguration.run_epoch`)
-        over the current membership: every incomplete receiver scans the
-        swarm and its decision is applied before the next one samples."""
+        over the current membership: every member still to complete
+        (``_incomplete``, in node order) scans the swarm and its decision
+        is applied before the next one samples."""
         if self.rewiring is None:
             return  # policy removed between scheduling and firing
         self.reconfig_epochs += 1
         nodes = self.nodes
         all_nodes = list(nodes.values())
+        incomplete = self._incomplete
         table = EpochTable.of(self.rewiring)
         for receiver, control_bytes, drops, adds in run_epoch(
             self.rewiring,
             self.rng,
             self.reconfig_budget,
-            (n for n in all_nodes if not (n.is_source or n.is_complete)),
+            (n for n in all_nodes if n.node_id in incomplete),
             lambda receiver: all_nodes,
             lambda receiver: [
                 nodes[s] for s in self._senders.get(receiver.node_id, ())

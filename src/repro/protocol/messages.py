@@ -1,127 +1,14 @@
-"""Wire messages for the prototype protocol.
+"""The prototype protocol's data message and its wire format.
 
-Messages carry explicit byte-size accounting so sessions can report
-control overhead honestly.  Serialisation is deliberately simple (struct
-headers + raw payloads) — the point is faithful sizes, not wire-format
-innovation.
-
-Hello and summary messages have one form: each carries a
-:class:`~repro.reconcile.base.Summary` built under the peers'
-:class:`~repro.reconcile.SummaryPolicy` and charges that summary's own
-``wire_bytes`` (set-size header included).
+Serialisation is deliberately simple (struct headers + raw payloads) —
+the point is faithful sizes, not wire-format innovation.  Control bytes
+(hellos, the request, the summary) are charged by the session that
+ships them (:mod:`repro.protocol.session`), not built as messages.
 """
 
-import json
 import struct
-from dataclasses import dataclass
 
 from repro.coding.symbol import Packet
-
-
-@dataclass(frozen=True)
-class ControlMessage:
-    """Base class: anything that is not file data."""
-
-    def wire_bytes(self) -> int:
-        raise NotImplementedError
-
-
-class _SummaryBearer:
-    """Shared carriage of a :class:`~repro.reconcile.base.Summary`.
-
-    The summary's JSON payload travels as a string (keeping the message
-    dataclasses frozen and hashable); ``summary_wire_bytes`` records the
-    summary's honest serialised size, which is what byte accounting
-    charges — the JSON form is an in-memory convenience, not the wire
-    format.
-    """
-
-    summary_kind: str
-    summary_json: str
-    summary_wire_bytes: int
-
-    def summary(self):
-        """Reconstruct the carried :class:`~repro.reconcile.base.Summary`;
-        a body that is not one, or that a header field (:meth:`_header`)
-        disagrees with, is a :class:`~repro.reconcile.SummaryError`."""
-        from repro.reconcile import SummaryError, summary_from_payload
-
-        try:
-            payload = json.loads(self.summary_json)
-        except (TypeError, ValueError, RecursionError) as exc:
-            raise SummaryError(f"summary body is not JSON: {exc}") from None
-        summary = summary_from_payload(payload)
-        for field, honest in self._header(summary).items():
-            declared = getattr(self, field)
-            if declared != honest:
-                raise SummaryError(
-                    f"{type(self).__name__}.{field} is {declared!r}, but the "
-                    f"{summary.kind} summary it carries has {honest!r}"
-                )
-        return summary
-
-    @classmethod
-    def carrying(cls, summary):
-        """A message transporting any payload-bearing summary."""
-        body = json.dumps(summary.to_payload(), sort_keys=True)
-        return cls(summary_json=body, **cls._header(summary))
-
-    @staticmethod
-    def _header(summary) -> dict:
-        """The header fields that describe ``summary``."""
-        return {"summary_kind": summary.kind,
-                "summary_wire_bytes": summary.wire_bytes()}
-
-
-@dataclass(frozen=True)
-class HelloMessage(ControlMessage, _SummaryBearer):
-    """Calling card: working-set size plus a sketch of the set.
-
-    Built by :meth:`carrying` around any registered
-    :class:`~repro.reconcile.base.Summary`; charges the 8-byte size
-    header plus the sketch's own honest wire size (the default 128 x
-    64-bit min-wise card ≈ the paper's single 1KB packet).
-    """
-
-    set_size: int
-    summary_kind: str
-    summary_json: str
-    summary_wire_bytes: int
-
-    @staticmethod
-    def _header(summary) -> dict:
-        return {"set_size": summary.set_size, **_SummaryBearer._header(summary)}
-
-    def wire_bytes(self) -> int:
-        return 8 + self.summary_wire_bytes
-
-
-@dataclass(frozen=True)
-class SummaryMessage(ControlMessage, _SummaryBearer):
-    """Searchable summary of the working set.
-
-    Built by :meth:`carrying` around any registered
-    :class:`~repro.reconcile.base.Summary` (the default is a Bloom
-    filter: bits + ``(m, k, seed)`` header); ``wire_bytes`` reports that
-    summary's own honest size.
-    """
-
-    summary_kind: str
-    summary_json: str
-    summary_wire_bytes: int
-
-    def wire_bytes(self) -> int:
-        return self.summary_wire_bytes
-
-
-@dataclass(frozen=True)
-class RequestMessage(ControlMessage):
-    """Receiver -> sender: how many symbols it wants (Section 6.1)."""
-
-    symbols_desired: int
-
-    def wire_bytes(self) -> int:
-        return 4
 
 
 class DataMessage(Packet):

@@ -13,13 +13,7 @@ from typing import Dict, Iterable, List, Optional
 from repro.coding import EncodedSymbol, LTEncoder, PeelingDecoder, RecodedPeeler
 from repro.coding.symbol import Packet, xor_payloads
 from repro.delivery.working_set import WorkingSet
-from repro.protocol.messages import DataMessage, HelloMessage, SummaryMessage
-from repro.reconcile import (
-    CALLING_CARD,
-    DEFAULT_POLICY,
-    SummaryPolicy,
-    correlation_from_summaries,
-)
+from repro.protocol.messages import DataMessage
 
 
 @dataclass(frozen=True)
@@ -58,15 +52,8 @@ class ProtocolPeer:
 
     A peer draws nothing it sends (it holds no RNG): a partial sender's
     blends come from its session's strategy, and :meth:`data_for` adds
-    their bytes.
-
-    ``summary_policy`` selects the reconciliation summary the peer
-    ships (a :class:`~repro.reconcile.SummaryPolicy`; by default the
-    paper's 8-bits-per-element Bloom filter).  All peers in a session
-    must agree on the policy, exactly as they agree on
-    :class:`CodeParameters`.  Every hello carries
-    :data:`~repro.reconcile.CALLING_CARD`, whatever the policy, so any
-    two peers' cards compare.
+    their bytes.  A peer holds no summary policy either: the session
+    names the summary its receiver ships.
     """
 
     def __init__(
@@ -75,11 +62,9 @@ class ProtocolPeer:
         params: CodeParameters,
         content: Optional[bytes] = None,
         initial_symbols: Iterable[EncodedSymbol] = (),
-        summary_policy: SummaryPolicy = DEFAULT_POLICY,
     ):
         self.peer_id = peer_id
         self.params = params
-        self.summary_policy = summary_policy
         self.is_source = content is not None
         self._encoder: Optional[LTEncoder] = None
         self._next_fresh = 0
@@ -103,27 +88,6 @@ class ProtocolPeer:
         for s in self.symbols.values():
             if s.payload is not None:
                 self.decoder.add_symbol(s)
-
-    # -- calling cards ------------------------------------------------------
-
-    def hello(self) -> HelloMessage:
-        """The calling card for this peer's working set: the paper's
-        1KB min-wise card, :data:`~repro.reconcile.CALLING_CARD`."""
-        return HelloMessage.carrying(CALLING_CARD.summary_of(self.working_set))
-
-    def estimate_peer_correlation(self, hello: HelloMessage) -> float:
-        """``|ours ∩ theirs| / |ours|`` estimated from calling cards."""
-        if len(self.working_set) == 0:
-            return 0.0
-        ours = CALLING_CARD.summary_of(self.working_set)
-        return correlation_from_summaries(ours, hello.summary(), self.working_set)
-
-    def summary(self) -> SummaryMessage:
-        """The policy's reconciliation summary of the working set, for
-        the wire, with its own honest wire size."""
-        return SummaryMessage.carrying(
-            self.summary_policy.summary_of(self.working_set)
-        )
 
     # -- receiving -----------------------------------------------------------
 

@@ -1,22 +1,25 @@
-"""Transfer sessions: the full protocol between two (or more) peers.
+"""Transfer sessions: the full protocol between two peers.
 
-A session wires peers together in memory, runs the handshake, streams
-data packets — a partial sender's from the :func:`~repro.delivery.
-strategies.make_strategy` sender every scenario runs — and accounts
-every byte.  :meth:`TransferSession.run` drives the loop to completion
-or byte budget exhaustion.
+A session wires two peers together in memory, runs the handshake,
+streams data packets — a partial sender's from the :func:`~repro.
+delivery.strategies.make_strategy` sender every scenario runs — and
+accounts every byte.  :class:`repro.sim.sessions.ScheduledSession`
+drives it on the event clock, one :meth:`TransferSession.stream_step`
+per packet the link affords; a caller may also step it by hand
+(:meth:`~TransferSession.handshake`, then
+:meth:`~TransferSession.send_one`).
 """
 
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Set
+from typing import Optional, Set
 
 from repro.delivery.strategies import DEFAULT_DESIRED_MARGIN, make_strategy
 from repro.delivery.strategies import RecodeSummaryStrategy, SenderStrategy
-from repro.protocol.messages import DataMessage, RequestMessage
+from repro.protocol.messages import DataMessage
 from repro.protocol.peer import ProtocolPeer
-from repro.reconcile import CALLING_CARD, SummaryPolicy, build_summary
+from repro.reconcile import CALLING_CARD, DEFAULT_POLICY, SummaryPolicy
 from repro.reconcile import correlation_from_summaries
 
 #: Correlation above which a receiver should reject the sender outright
@@ -26,6 +29,13 @@ REJECT_CORRELATION = 0.98
 #: Correlation above which shipping a Bloom summary pays for itself —
 #: below this, oblivious recoding already wastes few packets.
 SUMMARY_CORRELATION = 0.05
+
+#: A hello's header: the sender's 8-byte working-set size, ahead of the
+#: calling card it carries (the card charges its own wire size).
+HELLO_HEADER_BYTES = 8
+
+#: A request: the 4-byte count of symbols the receiver wants (§6.1).
+REQUEST_BYTES = 4
 
 
 @dataclass
@@ -40,15 +50,15 @@ class SessionStats:
     used_summary: bool = False
     estimated_correlation: float = 0.0
     completed: bool = False
-    #: Event-clock timestamps, populated when the session is bound to a
-    #: simulated clock (see the ``clock`` constructor argument and
-    #: :class:`repro.sim.sessions.ScheduledSession`).
+    #: Event-clock timestamps, stamped by the driving
+    #: :class:`repro.sim.sessions.ScheduledSession` at its handshake and
+    #: its finish (a session stepped by hand stays unstamped).
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
 
     @property
     def duration(self) -> Optional[float]:
-        """Simulated transfer time, when run under an event clock.
+        """Simulated transfer time, when driven on an event clock.
 
         None until both endpoints are stamped; an instantaneous finish
         (a rejection in the handshake event itself) is 0.0, and a
@@ -90,17 +100,6 @@ class SessionStats:
         }
 
 
-def _agreed_policy(sender: ProtocolPeer, receiver: ProtocolPeer) -> SummaryPolicy:
-    """The one policy both peers carry (agreed off-line, like the code)."""
-    if sender.summary_policy != receiver.summary_policy:
-        raise ValueError(
-            "sender and receiver carry different summary policies; "
-            "peers must agree on the policy off-line (or pass an "
-            "explicit summary_policy to the session)"
-        )
-    return sender.summary_policy
-
-
 class TransferSession:
     """One sender serving one receiver with the informed protocol."""
 
@@ -108,50 +107,23 @@ class TransferSession:
         self,
         sender: ProtocolPeer,
         receiver: ProtocolPeer,
-        partitioned_rho: int = 0,
         *,
         rng: random.Random,
-        clock=None,
-        summary_policy: Optional[SummaryPolicy] = None,
+        summary_policy: SummaryPolicy = DEFAULT_POLICY,
     ):
         """Args:
             sender/receiver: the two peers (shared code parameters).
-            partitioned_rho: when > 0, use the Section 5.2 "scaling up"
-                pipeline — the receiver's summary is shipped one residue
-                partition at a time, and the sender's useful domain grows
-                as partitions arrive (for working sets too large to
-                summarise in one message).  A Bloom-specific protocol:
-                the session policy's kind must be ``bloom``, and its
-                ``bits_per_element`` sizes every partition filter.
             rng: the partial sender's strategy's randomness source.
-            clock: optional simulated clock (anything with a ``now``
-                attribute, e.g. :class:`repro.sim.engine.EventScheduler`);
-                when bound, the session stamps ``started_at`` and
-                ``finished_at`` on its stats so event-driven drivers can
-                report transfer durations.
             summary_policy: the :class:`~repro.reconcile.SummaryPolicy`
-                governing both ends of this session, whatever policies
-                the peer objects carry; omitted, the policy the two
-                peers agree on (they must carry equal ones).
+                whose summary the receiver ships: the session's
+                agreement, like the code parameters the peers share.
         """
         if sender.params != receiver.params:
             raise ValueError("peers must share code parameters")
-        if partitioned_rho < 0:
-            raise ValueError("partition count must be non-negative")
-        summary_policy = summary_policy or _agreed_policy(sender, receiver)
-        if partitioned_rho > 1 and summary_policy.kind != "bloom":
-            raise ValueError(
-                "partitioned_rho pipelines Bloom partition filters and "
-                f"cannot run under a {summary_policy.kind!r} summary policy "
-                "(the 'partitioned_bloom' summary kind ships exactly one "
-                "partition)"
-            )
         self.sender = sender
         self.receiver = receiver
-        self.partitioned_rho = partitioned_rho
         self.summary_policy = summary_policy
         self.rng = rng
-        self.clock = clock
         self.stats = SessionStats()
         #: The partial sender: the handshake's informed strategy, or an
         #: oblivious Recode rebuilt (drawing nothing) whenever the
@@ -160,12 +132,7 @@ class TransferSession:
         self._recode_at: Optional[int] = None
         #: Informed sessions: the domain ids the receiver still lacks.
         self._unheld: Optional[Set[int]] = None
-        #: Pipelined mode: the receiver's ids at the handshake (every
-        #: partition filter summarises it) and the ids partitions pulled.
-        self._partition_ids: Optional[Set[int]] = None
-        self._pulled: List[int] = []
-        self._next_partition = 0
-        self._next_finalize: Optional[int] = None
+        self._next_finalize = receiver.params.recovery_target
 
     # -- handshake ------------------------------------------------------------
 
@@ -176,8 +143,6 @@ class TransferSession:
         content).  On success, a summary is shipped with the request when
         the estimated correlation warrants fine-grained reconciliation.
         """
-        if self.clock is not None and self.stats.started_at is None:
-            self.stats.started_at = self.clock.now
         corr = self._exchange_hellos()
         if corr is not None:
             self.stats.estimated_correlation = corr
@@ -202,10 +167,8 @@ class TransferSession:
         """
         card_r = CALLING_CARD.summary_of(self.receiver.working_set)
         card_s = CALLING_CARD.summary_of(self.sender.working_set)
-        # A hello charges its 8-byte header plus the carried card's own
-        # honest size (see HelloMessage.wire_bytes).
-        self.stats.control_bytes += (8 + card_r.wire_bytes()) + (
-            8 + card_s.wire_bytes()
+        self.stats.control_bytes += (HELLO_HEADER_BYTES + card_r.wire_bytes()) + (
+            HELLO_HEADER_BYTES + card_s.wire_bytes()
         )
         if self.sender.is_source:
             return None
@@ -216,34 +179,24 @@ class TransferSession:
         deficit = max(
             0, self.receiver.params.recovery_target - len(self.receiver.working_set)
         )
-        desired = int(math.ceil(deficit * DEFAULT_DESIRED_MARGIN))
-        self.stats.control_bytes += RequestMessage(symbols_desired=desired).wire_bytes()
-        return desired
+        self.stats.control_bytes += REQUEST_BYTES
+        return int(math.ceil(deficit * DEFAULT_DESIRED_MARGIN))
 
     def _receive_summary(self, desired: int) -> None:
         """Receiver ships its summary; the sender recodes over it.
 
-        The summary is the *session's* policy's (the protocol-wide
-        agreement), and the sender is ``make_strategy("Recode/BF", ...)``
+        The summary is the session's policy's, charged at its own wire
+        size, and the sender is ``make_strategy("Recode/BF", ...)``
         under it with the request as ``symbols_desired``: the filter,
         request-sized cut, partial-coverage exemption and blind fallback
         past an exact summary's bound are that function's.  An
         estimate-only policy (a min-wise summary, say) cannot filter, so
-        nothing travels: the handshake's estimate is all there is.  With
-        ``partitioned_rho`` set, partitions are pulled one at a time
-        (:meth:`request_next_partition`) as the receiver drains them.
+        nothing travels: the handshake's estimate is all there is.
         """
-        if self.partitioned_rho > 1:
-            self._partition_ids = self.receiver.working_set.ids  # a copy
-            self._unheld = set()
-            self.request_next_partition()
-            self.stats.used_summary = True
-            return
         policy = self.summary_policy
         if not policy.can_filter:
             return
-        # A summary message's wire size is the summary's own (see
-        # SummaryMessage.wire_bytes); make_strategy reads the same object.
+        # make_strategy reads the very summary whose bytes are charged.
         ws = self.receiver.working_set
         self.stats.control_bytes += policy.summary_of(ws).wire_bytes()
         strategy = make_strategy(
@@ -252,54 +205,15 @@ class TransferSession:
         )
         if isinstance(strategy, RecodeSummaryStrategy):  # not blind
             self.stats.used_summary = True
+            self._strategy = strategy
             # A filter that left nothing makes the strategy blend the
             # whole set, and no such blend is useful.
-            useful = strategy.filtered_out < len(self.sender.working_set)
-            self._inform(strategy, strategy._domain if useful else ())
-
-    def request_next_partition(self) -> bool:
-        """Pull one more partition filter (pipelined summaries, §5.2).
-
-        The sender then recodes over every id the partitions pulled so
-        far.  Returns False when every partition has been consumed.
-        """
-        if self._partition_ids is None:
-            return False
-        if self._next_partition >= self.partitioned_rho:
-            return False
-        partition = build_summary(
-            "partitioned_bloom",
-            self._partition_ids,
-            rho=self.partitioned_rho,
-            beta=self._next_partition,
-            # 8 = the bloom adapter's own default sizing.
-            bits_per_element=self.summary_policy.params_dict().get(
-                "bits_per_element", 8
-            ),
-            seed=17,
-        )
-        self._next_partition += 1
-        # Charged like the one-shot summary: its wire size, header included.
-        self.stats.control_bytes += partition.wire_bytes()
-        pulled = partition.missing_from(self.sender.symbols)
-        self._pulled.extend(pulled)
-        if self._pulled:
-            ws = self.sender.working_set
-            self._inform(RecodeSummaryStrategy(ws, self._pulled, rng=self.rng), pulled)
-        return True
+            if strategy.filtered_out < len(self.sender.working_set):
+                self._unheld = {i for i in strategy._domain if i not in ws}
+            else:
+                self._unheld = set()
 
     # -- transfer ---------------------------------------------------------------
-
-    def _inform(self, strategy: SenderStrategy, ids) -> None:
-        """Send from ``strategy``; count in the domain ``ids`` the receiver
-        lacks."""
-        held = self.receiver.working_set
-        self._strategy = strategy
-        self._unheld = (self._unheld or set()) | {i for i in ids if i not in held}
-
-    def _drained(self) -> bool:
-        """Whether the receiver holds every informed domain id."""
-        return self._unheld is not None and not self._unheld
 
     def send_one(self) -> DataMessage:
         """Sender composes and transmits one data packet."""
@@ -321,69 +235,22 @@ class TransferSession:
                 self._unheld.difference_update(recovered)
         return msg
 
-    def stream_step(self, try_finalize: bool = True) -> bool:
+    def stream_step(self) -> bool:
         """One step of the streaming loop; False when it cannot continue.
 
-        The shared per-packet bookkeeping of :meth:`run` and of
-        clock-paced drivers (:class:`repro.sim.sessions.
-        ScheduledSession`): stop once the receiver decoded, pull the
-        next summary partition when the recoding domain drains
-        (pipelined mode, §5.2), transmit one packet, and — with
-        ``try_finalize`` — attempt decode finalisation each time the
-        working set grows past the next overhead step, retrying after
-        ~1% more symbols when the Gaussian fallback comes up short.
+        Stop once the receiver decoded, or once an informed sender's
+        domain holds nothing the receiver lacks; else transmit one
+        packet, and attempt decode finalisation each time the working
+        set grows past the next overhead step, retrying after ~1% more
+        symbols when the Gaussian fallback comes up short.
         """
-        if try_finalize and self.receiver.has_decoded:
+        receiver = self.receiver
+        if receiver.has_decoded:
             return False
-        if self._drained():
-            # Pipelined mode can pull another partition; otherwise
-            # the sender genuinely has nothing useful left.
-            if not self.request_next_partition() or self._drained():
-                return False
+        if self._unheld is not None and not self._unheld:
+            return False  # the informed domain is drained
         self.send_one()
-        if try_finalize:
-            target = self.receiver.params.recovery_target
-            if self._next_finalize is None:
-                self._next_finalize = target
-            if len(self.receiver.working_set) >= self._next_finalize:
-                if not self.receiver.try_finalize_decode():
-                    self._next_finalize += max(1, target // 100)
+        if len(receiver.working_set) >= self._next_finalize:
+            if not receiver.try_finalize_decode():
+                self._next_finalize += max(1, receiver.params.recovery_target // 100)
         return True
-
-    def run(
-        self,
-        max_packets: Optional[int] = None,
-        until_decoded: bool = True,
-    ) -> SessionStats:
-        """Handshake then stream until the receiver decodes (or cap).
-
-        Args:
-            max_packets: data-packet budget (default: generous multiple
-                of the recovery target).
-            until_decoded: stop at full decode; False stops when the
-                receiver merely reaches its recovery target of distinct
-                symbols.
-        """
-        if not self.handshake():
-            if self.clock is not None:
-                self.stats.finished_at = self.clock.now
-            return self.stats
-        target = self.receiver.params.recovery_target
-        if max_packets is None:
-            max_packets = 40 * target
-        sent = 0
-        self._next_finalize = target
-        while sent < max_packets:
-            if not until_decoded and len(self.receiver.working_set) >= target:
-                break
-            if not self.stream_step(try_finalize=until_decoded):
-                break
-            sent += 1
-        self.stats.completed = (
-            self.receiver.has_decoded
-            if until_decoded
-            else len(self.receiver.working_set) >= target
-        )
-        if self.clock is not None:
-            self.stats.finished_at = self.clock.now
-        return self.stats

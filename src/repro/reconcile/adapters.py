@@ -820,8 +820,8 @@ class PartitionedBloomSummary(Summary):
     (:meth:`covers`), and its Bloom filter holds those alone:
     :meth:`may_contain` answers True (unknown) for an uncovered key,
     and :meth:`missing_from` reports definite differences within the
-    covered class only — further partitions pipeline over as separate
-    summaries (``TransferSession.request_next_partition``).
+    covered class only; a session ships this one partition, and the
+    other residues would travel as separate summaries.
     """
 
     kind = "partitioned_bloom"

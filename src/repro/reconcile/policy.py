@@ -4,11 +4,11 @@ A :class:`SummaryPolicy` is one summary choice, a kind and its params.
 The calling card every hello carries (§4) is :data:`CALLING_CARD`, one
 min-wise family fixed off-line for every peer; the *reconciliation
 summary* shipped when finer-grained information pays for itself (§3)
-is the peer's own policy.  :class:`~repro.overlay.simulator.
-OverlaySimulator` and :func:`repro.delivery.strategies.make_strategy`
-— which a :class:`~repro.protocol.session.TransferSession`'s sender is
-— reconcile only through a policy, as protocol peers summarise only
-through theirs: there is no policy-less path, which is what lets one
+is a policy's.  :class:`~repro.overlay.simulator.OverlaySimulator`,
+:func:`repro.delivery.strategies.make_strategy` and a
+:class:`~repro.protocol.session.TransferSession` (whose receiver ships
+the session's policy summary) reconcile only through a policy: there
+is no policy-less path, which is what lets one
 experiment spec swap ``bloom`` for ``art`` or ``cpi`` and measure the
 paper's accuracy-vs-overhead trade-off.  A layer nobody handed a policy
 holds :data:`DEFAULT_POLICY`.
@@ -37,8 +37,8 @@ def correlation_from_summaries(
     The one inclusion-exclusion estimator behind every correlation
     signal in the stack (§4): ``ours`` is the summary of ``local_ids``
     (``L``, as the caller holds it: a set or a working set), ``theirs``
-    the received one.  Used by the protocol handshake,
-    :meth:`ProtocolPeer.estimate_peer_correlation`, and
+    the received one.  Used by the protocol session's handshake
+    (:class:`~repro.protocol.session.TransferSession`) and
     :meth:`SummaryPolicy.correlation`.
     """
     local_size = len(local_ids)

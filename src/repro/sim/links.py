@@ -11,8 +11,8 @@ questions for the simulator:
   connection, the same step runs its timeout scan (only once one can be
   due) and caps the budget by its window.  It is the one step per
   connection per window that the overlay's delivery pass and a
-  scheduled session's pump both take; ``packet_budget`` is the step
-  without a controller;
+  scheduled session's pump both take; without a controller it is the
+  credit step alone;
 * :meth:`~ConstantRateLink.transmit` — per packet, is it lost, and if
   not, after what delay does it arrive.
 
@@ -63,7 +63,7 @@ def drain_credit(credit: float, capacity: float) -> "tuple[int, float]":
 def _check_finite(name: str, value: float) -> None:
     """Refuse a negative, NaN or infinite link argument, naming it: a NaN
     rate or latency would otherwise surface only mid-run (a ValueError in
-    ``packet_budget``, an arrival scheduled at a NaN delay)."""
+    ``send_budget``, an arrival scheduled at a NaN delay)."""
     if not (math.isfinite(value) and value >= 0):
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
@@ -121,8 +121,8 @@ class ConstantRateLink:
         ``t1`` reaches the controller's earliest rtx deadline; before
         that no timeout can be due and only the window cap
         (:meth:`~repro.transport.controller.TransportController.
-        window_cap`) applies.  Without ``ctrl`` this is
-        :meth:`packet_budget`.
+        window_cap`) applies.  Without ``ctrl`` it is the credit step
+        alone: whole packets, the fraction carried to the next window.
         """
         if t1 < t0:
             raise ValueError("window must run forward")
@@ -132,10 +132,6 @@ class ConstantRateLink:
         if t1 >= ctrl.rtx.next_deadline:
             return ctrl.allowance(t1, whole)
         return ctrl.window_cap(whole) if whole else 0
-
-    #: Whole packets transmittable in ``[t0, t1)``, carrying credit
-    #: (:func:`drain_credit`): :meth:`send_budget` with no controller.
-    packet_budget = send_budget
 
     def transmit(self, rng: random.Random) -> Optional[float]:
         """Fate of one packet: None if lost, else its arrival delay.

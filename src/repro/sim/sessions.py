@@ -1,13 +1,13 @@
 """Protocol sessions under the event clock.
 
-:class:`~repro.protocol.session.TransferSession` runs the full
-informed-delivery protocol (handshake, summaries, recoded streaming)
-but is time-free: ``run()`` loops as fast as Python allows.  A
-:class:`ScheduledSession` places that same protocol on a shared
+A :class:`ScheduledSession` is the driver of a
+:class:`~repro.protocol.session.TransferSession` (handshake, summaries,
+recoded streaming): it places the session on a shared
 :class:`~repro.sim.engine.EventScheduler`, pacing data packets by a
-:class:`~repro.sim.links.ConstantRateLink`'s capacity so sessions, overlay
-simulations, and scenario events advance on one clock and can be
-compared in simulated time.
+:class:`~repro.sim.links.ConstantRateLink`'s capacity, so sessions,
+overlay simulations, and scenario events advance on one clock and can
+be compared in simulated time.  It stamps the session's start and
+finish on that clock; the session itself reads none.
 
 The protocol stream itself stays reliable — a digital fountain never
 retransmits specific bytes; fresh encoded symbols substitute for lost
@@ -48,8 +48,8 @@ class ScheduledSession:
 
     Args:
         scheduler: the shared event clock.
-        session: the protocol session to drive (its ``clock`` is bound
-            to the scheduler so its stats carry timestamps).
+        session: the protocol session to drive; its stats are stamped
+            with the scheduler's time at the handshake and the finish.
         link: capacity/latency model pacing the data stream.
         name: entity name for the stats recorder.
         stats: optional recorder capturing the receiver's symbol count
@@ -75,7 +75,6 @@ class ScheduledSession:
     ):
         self.scheduler = scheduler
         self.session = session
-        session.clock = scheduler
         self.link = link
         self.name = name
         self.stats = stats
@@ -100,6 +99,7 @@ class ScheduledSession:
         return self
 
     def _handshake(self) -> None:
+        self.session.stats.started_at = self.scheduler.now
         self.accepted = self.session.handshake()
         if not self.accepted:
             self._finish()
@@ -110,10 +110,9 @@ class ScheduledSession:
     def _pump(self):
         """One pacing window: send as many packets as the link affords.
 
-        Each packet is one :meth:`TransferSession.stream_step` — the
-        same streaming bookkeeping ``run()`` uses, just rationed by the
-        link's capacity (and, under a transport controller, by cwnd)
-        instead of a tight loop.
+        Each packet is one :meth:`TransferSession.stream_step`,
+        rationed by the link's capacity (and, under a transport
+        controller, by cwnd).
         """
         if self.finished:
             return False

@@ -1,9 +1,9 @@
 """Untrusted JSON is refused, never a traceback.
 
 Each reader of user-supplied JSON — spec and campaign files, the CLI's
-component params, resumed campaign cells, a summary message's body —
-turns bytes that are not UTF-8 and nesting deeper than the parser's
-recursion limit into its typed error, like any other malformed input.
+component params, resumed campaign cells — turns bytes that are not
+UTF-8 and nesting deeper than the parser's recursion limit into its
+typed error, like any other malformed input.
 """
 
 import dataclasses
@@ -15,8 +15,6 @@ import pytest
 from repro.api import ExperimentSpec, SpecError
 from repro.api.__main__ import main
 from repro.campaign import CampaignSpec, run_campaign, small_campaign
-from repro.protocol.messages import HelloMessage, SummaryMessage
-from repro.reconcile import SummaryError, build_summary
 
 NOT_UTF8 = b"\xff\xfe"
 TOO_DEEP = b"[" * 100_000
@@ -56,10 +54,3 @@ def test_resume_reruns_an_unreadable_cell(tmp_path, body):
     assert resumed.to_json() == first.to_json()
     json.loads((out / cell).read_text())  # re-run and rewritten
 
-
-@pytest.mark.parametrize("message", [HelloMessage, SummaryMessage])
-def test_a_body_nested_too_deep_is_a_summary_error(message):
-    honest = message.carrying(build_summary("bloom", range(50)))
-    deep = dataclasses.replace(honest, summary_json=TOO_DEEP.decode())
-    with pytest.raises(SummaryError, match="not JSON"):
-        deep.summary()

@@ -57,8 +57,8 @@ class TestPartitionedFilter:
 
 
 class TestPartitionsTogether:
-    """What the pipelined session (``TransferSession.partitioned_rho``)
-    relies on: one filter per residue, each built on demand."""
+    """What a pipelined summary stream (§5.2) relies on: one filter per
+    residue, each built on demand."""
 
     def test_partitions_tile_the_set(self):
         keys = set(random.Random(7).sample(range(1 << 30), 3000))

@@ -69,7 +69,7 @@ class TestFractionalBandwidth:
 
     def test_a_connection_link_charges_by_the_same_rule(self):
         conn = self._conn(0.5)
-        assert conn.link.packet_budget(0.0, 4.0) == 2
+        assert conn.link.send_budget(0.0, 4.0) == 2
 
     def test_negative_bandwidth_rejected(self):
         with pytest.raises(ValueError):

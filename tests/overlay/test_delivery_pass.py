@@ -201,16 +201,15 @@ def _spy_on_completion_reads(mp):
 
 class TestCompletionReads:
     """Where the congested small spec reads ``is_complete``: once per
-    node joining, once per useful arrival, once per node an epoch looks
-    at for receivers and once per node in the closing report — and
-    never in the delivery pass, its send loop, the refresh or ``run()``'s
-    loop."""
+    node joining, once per useful arrival and once per node in the
+    closing report — and never in the delivery pass, its send loop, the
+    refresh, an epoch's choice of receivers (``_incomplete``) or
+    ``run()``'s loop."""
 
     NODES = 11
 
     READS = {
         "OverlaySimulator._settle": 144,
-        "OverlaySimulator._reconfigure.<locals>.<genexpr>": 30,
         "OverlaySimulator._all_complete.<locals>.<genexpr>": 11,
     }
 

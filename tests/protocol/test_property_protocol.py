@@ -82,7 +82,7 @@ class TestSessionProperties:
         seed=st.integers(min_value=0, max_value=500),
     )
     @settings(max_examples=15, deadline=None)
-    def test_partial_session_never_regresses(self, holder_a, overlap, seed):
+    def test_partial_session_never_regresses(self, drive, holder_a, overlap, seed):
         """A session can only grow the receiver's working set, and only
         with symbols derivable from the sender's holdings."""
         params = CodeParameters(num_blocks=120, block_size=8, stream_seed=3)
@@ -96,7 +96,7 @@ class TestSessionProperties:
         sender = ProtocolPeer("b", params, initial_symbols=enc.symbols(b_ids))
         before = set(receiver.working_set.ids)
         session = TransferSession(sender, receiver, rng=random.Random(seed + 3))
-        session.run(until_decoded=False, max_packets=600)
+        drive(session, max_packets=600)
         after = set(receiver.working_set.ids)
         assert before <= after
         assert after <= before | set(b_ids)

@@ -7,14 +7,9 @@ import pytest
 
 from repro.coding import Packet, xor_payloads
 from repro.delivery import make_strategy
-from repro.protocol import (
-    CodeParameters,
-    DataMessage,
-    HelloMessage,
-    ProtocolPeer,
-    RequestMessage,
-    TransferSession,
-)
+from repro.protocol import CodeParameters, DataMessage, ProtocolPeer, TransferSession
+from repro.protocol.session import HELLO_HEADER_BYTES
+from repro.reconcile import CALLING_CARD, DEFAULT_POLICY
 
 
 def make_params(num_blocks=200, block_size=64, seed=7):
@@ -46,10 +41,10 @@ class TestMessages:
     def test_hello_is_about_1kb(self):
         p = make_params()
         peer = ProtocolPeer("x", p, initial_symbols=p.encoder_for(make_content(p)).symbols(range(10)))
-        hello = peer.hello()
+        card = CALLING_CARD.summary_of(peer.working_set)
         # Size header + the card's own set-size header + 128 minima
         # ≈ the paper's 1KB packet.
-        assert hello.wire_bytes() == 8 + 4 + 8 * 128
+        assert HELLO_HEADER_BYTES + card.wire_bytes() == 8 + 4 + 8 * 128
 
     def test_data_message_roundtrip_encoded(self):
         msg = DataMessage(symbol_id=42, constituent_ids=frozenset(), payload=b"abc")
@@ -68,8 +63,16 @@ class TestMessages:
         big = DataMessage(None, frozenset(range(10)), b"p")
         assert big.wire_bytes() > small.wire_bytes()
 
-    def test_request_size(self):
-        assert RequestMessage(100).wire_bytes() == 4
+    def test_a_source_handshake_charges_two_hellos_and_a_request(self):
+        p = make_params()
+        content = make_content(p)
+        enc = p.encoder_for(content)
+        src = ProtocolPeer("s", p, content=content)
+        rcv = ProtocolPeer("r", p, initial_symbols=enc.symbols(range(10)))
+        session = TransferSession(src, rcv, rng=random.Random(0))
+        assert session.handshake()
+        # Two 1KB hellos (header + card) and the 4-byte request.
+        assert session.stats.control_bytes == 2 * (8 + 4 + 8 * 128) + 4
 
 
 class TestDataMessageRefusals:
@@ -135,7 +138,9 @@ class TestPeer:
         enc = p.encoder_for(content)
         a = ProtocolPeer("a", p, initial_symbols=enc.symbols(range(0, 300)))
         b = ProtocolPeer("b", p, initial_symbols=enc.symbols(range(150, 450)))
-        est = b.estimate_peer_correlation(a.hello())
+        session = TransferSession(b, a, rng=random.Random(0))
+        assert session.handshake()
+        est = session.stats.estimated_correlation
         assert abs(est - 0.5) < 0.15  # 150 of B's 300 are shared
 
     def test_fresh_data_from_partial_rejected(self):
@@ -190,46 +195,46 @@ class TestPeer:
 
 
 class TestSession:
-    def test_full_to_empty_decodes_and_verifies(self):
+    def test_full_to_empty_decodes_and_verifies(self, drive):
         p = make_params(300, 32)
         content = make_content(p, seed=2)
         src = ProtocolPeer("s", p, content=content)
         rcv = ProtocolPeer("r", p)
-        stats = TransferSession(src, rcv, rng=random.Random(3)).run()
+        stats = drive(TransferSession(src, rcv, rng=random.Random(3)))
         assert stats.completed
         assert rcv.decoded_content(len(content)) == content
 
-    def test_control_overhead_tiny_at_paper_packet_size(self):
+    def test_control_overhead_tiny_at_paper_packet_size(self, drive):
         # With the paper's 1400-byte payloads, the handshake's "handful
         # of packet payloads" is a sub-percent fraction of the transfer.
         p = CodeParameters(num_blocks=100, block_size=1400, stream_seed=11)
         content = make_content(p, seed=6)
         src = ProtocolPeer("s", p, content=content)
         rcv = ProtocolPeer("r", p)
-        stats = TransferSession(src, rcv, rng=random.Random(3)).run()
+        stats = drive(TransferSession(src, rcv, rng=random.Random(3)))
         assert stats.completed
         assert stats.control_fraction < 0.02
 
-    def test_partial_peers_with_overlap(self):
+    def test_partial_peers_with_overlap(self, drive):
         p = make_params(300, 32)
         content = make_content(p, seed=3)
         enc = p.encoder_for(content)
         a = ProtocolPeer("a", p, initial_symbols=enc.symbols(range(0, 220)))
         b = ProtocolPeer("b", p, initial_symbols=enc.symbols(range(120, 400)))
         sess = TransferSession(b, a, rng=random.Random(6))
-        stats = sess.run(until_decoded=True, max_packets=3000)
+        stats = drive(sess, max_packets=3000)
         assert stats.used_summary  # correlation high enough to ship a BF
         assert stats.completed
         assert a.decoded_content(len(content)) == content
 
-    def test_identical_peers_rejected_at_handshake(self):
+    def test_identical_peers_rejected_at_handshake(self, drive):
         p = make_params(200, 16)
         content = make_content(p, seed=4)
         enc = p.encoder_for(content)
         syms = enc.symbols(range(100))
         a = ProtocolPeer("a", p, initial_symbols=syms)
         b = ProtocolPeer("b", p, initial_symbols=list(syms))
-        stats = TransferSession(b, a, rng=random.Random(9)).run()
+        stats = drive(TransferSession(b, a, rng=random.Random(9)))
         assert stats.rejected
         assert stats.data_packets == 0  # admission control saved the wire
 
@@ -240,7 +245,7 @@ class TestSession:
         with pytest.raises(ValueError):
             TransferSession(a, b, rng=random.Random(0))
 
-    def test_source_not_a_valid_receiver_but_sender_ok(self):
+    def test_source_not_a_valid_receiver_but_sender_ok(self, drive):
         # Receiving into a source makes no sense in our model; the
         # session API still allows it (it just completes immediately
         # once the source's decoder is complete) — exercise the path of
@@ -249,10 +254,10 @@ class TestSession:
         content = make_content(p, seed=5)
         src = ProtocolPeer("s", p, content=content)
         rcv = ProtocolPeer("r", p)
-        stats = TransferSession(src, rcv, rng=random.Random(12)).run()
+        stats = drive(TransferSession(src, rcv, rng=random.Random(12)))
         assert stats.completed
 
-    def test_an_empty_useful_domain_sends_nothing(self):
+    def test_an_empty_useful_domain_sends_nothing(self, drive):
         # The receiver's Bloom filter holds every sender id, two of them
         # as false positives the receiver lacks: the strategy falls back
         # to blending the whole set, and none of those blends may reach
@@ -261,15 +266,15 @@ class TestSession:
         enc = p.encoder_for(make_content(p))
         rcv = ProtocolPeer("r", p, initial_symbols=enc.symbols(range(400)))
         assert not rcv.has_decoded
-        bloom = rcv.summary_policy.summary_of(rcv.working_set)
+        bloom = DEFAULT_POLICY.summary_of(rcv.working_set)
         hidden = [i for i in range(400, 3000) if not bloom.missing_from([i])][:2]
         ids = list(range(18)) + hidden
         snd = ProtocolPeer("s", p, initial_symbols=enc.symbols(ids))
         session = TransferSession(snd, rcv, rng=random.Random(3))
-        assert session.handshake()
-        assert session.stats.used_summary
+        stats = drive(session)
+        assert stats.used_summary
+        assert stats.data_packets == 0
         assert not session.stream_step()
-        assert session.run().data_packets == 0
 
     def test_an_uninformed_sender_that_grew_blends_the_new_ids(self):
         p = make_params(200, 8)

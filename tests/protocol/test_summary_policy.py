@@ -2,22 +2,22 @@
 
 Two halves:
 
-* **Pins** — with nobody choosing a policy, :class:`~repro.protocol.
-  peer.ProtocolPeer`, :class:`~repro.protocol.session.TransferSession`,
-  and :func:`~repro.delivery.strategies.make_strategy` run under
+* **Pins** — with nobody choosing a policy,
+  :class:`~repro.protocol.session.TransferSession` and
+  :func:`~repro.delivery.strategies.make_strategy` run under
   :data:`~repro.reconcile.DEFAULT_POLICY` and must reproduce the seeded
   behaviour of the original hardcoded min-wise/Bloom implementation.
   The literals below were recorded against it; only the control bytes
-  (the 4-byte summary header every message now charges), the
+  (the 4-byte summary header every summary now charges), the
   ``Recode/MW`` stream (estimated through the policy, no ground-truth
   peek) and the session's packet counts (its blends now come from the
   session's strategy) were ever re-recorded.
 * **Policies** — every reconciliation-capable summary kind drives a
-  full byte-accounted session to completion, and generic hello/summary
-  messages report the carried summary's honest wire size.
+  full byte-accounted session to completion, the session's policy is
+  the one that names the summary, and the handshake charges the two
+  hellos and the request at the session's wire sizes.
 """
 
-import dataclasses
 import hashlib
 import random
 
@@ -26,14 +26,8 @@ import pytest
 from repro.delivery import make_strategy
 from repro.delivery.scenarios import make_pair_scenario
 from repro.protocol import CodeParameters, ProtocolPeer, TransferSession
-from repro.protocol.messages import HelloMessage, SummaryMessage
-from repro.reconcile import (
-    CALLING_CARD,
-    DEFAULT_POLICY,
-    SummaryError,
-    SummaryPolicy,
-    build_summary,
-)
+from repro.protocol.session import HELLO_HEADER_BYTES, REQUEST_BYTES
+from repro.reconcile import CALLING_CARD, DEFAULT_POLICY, SummaryPolicy
 
 
 def make_params(num_blocks=200, block_size=24, seed=11):
@@ -49,30 +43,20 @@ def make_content(params, seed=3):
     )
 
 
-def seeded_pair(params, content, policy=DEFAULT_POLICY):
+def seeded_pair(params, content):
     enc = params.encoder_for(content)
-    a = ProtocolPeer(
-        "a",
-        params,
-        initial_symbols=enc.symbols(range(0, 160)),
-        summary_policy=policy,
-    )
-    b = ProtocolPeer(
-        "b",
-        params,
-        initial_symbols=enc.symbols(range(100, 260)),
-        summary_policy=policy,
-    )
+    a = ProtocolPeer("a", params, initial_symbols=enc.symbols(range(0, 160)))
+    b = ProtocolPeer("b", params, initial_symbols=enc.symbols(range(100, 260)))
     return a, b
 
 
 class TestDefaultPolicyPins:
     """Pins recorded against the pre-reconcile hardcoded implementation."""
 
-    def test_default_session_bytes_unchanged(self):
+    def test_default_session_bytes_unchanged(self, drive):
         params = make_params()
         a, b = seeded_pair(params, make_content(params))
-        stats = TransferSession(a, b, rng=random.Random(23)).run(max_packets=5000)
+        stats = drive(TransferSession(a, b, rng=random.Random(23)), max_packets=5000)
         assert stats.completed
         # 2240 under the inline messages + the 4-byte summary header on
         # each of the two hellos and the one Bloom summary.
@@ -110,66 +94,6 @@ class TestDefaultPolicyPins:
         assert digest.hexdigest()[:16] == self.STRATEGY_PINS[name]
 
 
-class TestSummaryBearingMessages:
-    def test_hello_carries_any_summary_with_honest_bytes(self):
-        s = build_summary("modk", range(100), modulus=8)
-        hello = HelloMessage.carrying(s)
-        assert hello.set_size == 100
-        assert hello.wire_bytes() == 8 + s.wire_bytes()
-        recovered = hello.summary()
-        assert recovered.kind == "modk"
-        assert recovered.sample == s.sample
-
-    def test_summary_message_carries_any_summary(self):
-        s = build_summary("art", range(128), bits_per_element=8)
-        msg = SummaryMessage.carrying(s)
-        assert msg.wire_bytes() == s.wire_bytes()
-        found = set(msg.summary().missing_from(range(120, 140)))
-        # Approximate: never a false difference, and most real ones found.
-        assert found <= set(range(128, 140))
-        assert len(found) >= 6
-
-    @pytest.mark.parametrize("message", [HelloMessage, SummaryMessage])
-    def test_a_body_that_is_not_json_is_refused(self, message):
-        honest = message.carrying(build_summary("bloom", range(50)))
-        torn = dataclasses.replace(honest, summary_json=honest.summary_json[:-1])
-        with pytest.raises(SummaryError, match="not JSON"):
-            torn.summary()
-
-    def test_a_hello_mislabelled_as_a_card_is_refused(self):
-        # A 50-id Bloom filter (74 B honest) labelled as an 11 B min-wise card.
-        honest = HelloMessage.carrying(build_summary("bloom", range(50)))
-        assert honest.wire_bytes() == 74
-        lying = dataclasses.replace(
-            honest, summary_kind="minwise", summary_wire_bytes=3
-        )
-        assert lying.wire_bytes() == 11
-        with pytest.raises(SummaryError, match="summary_kind"):
-            lying.summary()
-
-    @pytest.mark.parametrize(
-        "message, field, value",
-        [(HelloMessage, "summary_kind", "modk"),
-         (HelloMessage, "summary_wire_bytes", 1),
-         (HelloMessage, "set_size", 49),
-         (SummaryMessage, "summary_kind", "modk"),
-         (SummaryMessage, "summary_wire_bytes", 1)],
-        ids=["hello-kind", "hello-bytes", "hello-set-size", "summary-kind",
-             "summary-bytes"],
-    )
-    def test_a_header_that_disagrees_with_its_summary_is_refused(
-        self, message, field, value
-    ):
-        honest = message.carrying(build_summary("bloom", range(50)))
-        honest.summary()
-        with pytest.raises(SummaryError, match=field):
-            dataclasses.replace(honest, **{field: value}).summary()
-
-    def test_messages_stay_frozen_and_hashable(self):
-        s = build_summary("wholeset", range(5))
-        assert hash(HelloMessage.carrying(s)) == hash(HelloMessage.carrying(s))
-
-
 POLICIES = {
     "bloom": SummaryPolicy(kind="bloom", params={"bits_per_element": 8}),
     "counting_bloom": SummaryPolicy(kind="counting_bloom"),
@@ -183,14 +107,14 @@ POLICIES = {
 
 class TestPolicySessions:
     @pytest.mark.parametrize("kind", sorted(POLICIES))
-    def test_session_completes_under_policy(self, kind):
+    def test_session_completes_under_policy(self, kind, drive):
         policy = POLICIES[kind]
         params = make_params()
         content = make_content(params)
-        a, b = seeded_pair(params, content, policy=policy)
-        session = TransferSession(a, b, rng=random.Random(23))
+        a, b = seeded_pair(params, content)
+        session = TransferSession(a, b, rng=random.Random(23), summary_policy=policy)
         assert session.summary_policy is policy
-        stats = session.run(max_packets=6000)
+        stats = drive(session, max_packets=6000)
         assert stats.completed
         assert b.decoded_content(len(content)) == content
         assert stats.control_bytes > 0
@@ -199,101 +123,64 @@ class TestPolicySessions:
 
     def test_policy_estimates_correlation(self):
         params = make_params()
-        a, b = seeded_pair(params, make_content(params), policy=POLICIES["bloom"])
-        est = b.estimate_peer_correlation(a.hello())
+        a, b = seeded_pair(params, make_content(params))
+        session = TransferSession(
+            a, b, rng=random.Random(23), summary_policy=POLICIES["bloom"]
+        )
+        assert session.handshake()
         # True overlap: 60 of a's 160 symbols are shared.
-        assert abs(est - 60 / 160) < 0.12
+        assert abs(session.stats.estimated_correlation - 60 / 160) < 0.12
 
-    def test_cpi_bound_too_small_degrades_gracefully(self):
+    def test_cpi_bound_too_small_degrades_gracefully(self, drive):
         policy = SummaryPolicy(kind="cpi", params={"max_discrepancy": 16})
         params = make_params()
-        content = make_content(params)
-        a, b = seeded_pair(params, content, policy=policy)
-        stats = TransferSession(a, b, rng=random.Random(23)).run(max_packets=6000)
+        a, b = seeded_pair(params, make_content(params))
+        stats = drive(
+            TransferSession(a, b, rng=random.Random(23), summary_policy=policy),
+            max_packets=6000,
+        )
         # Bytes were spent, the bound failed, recoding proceeded blind.
         assert not stats.used_summary
         assert stats.completed
 
-    def test_non_bloom_policy_with_partitioned_rho_rejected(self):
-        """The pipelined stream ships Bloom partitions: only a bloom
-        session policy (the default included) may combine with it."""
-        params = make_params()
-        a, b = seeded_pair(params, make_content(params), policy=POLICIES["art"])
-        with pytest.raises(ValueError, match="partitioned_rho"):
-            TransferSession(a, b, partitioned_rho=4, rng=random.Random(0))
-
-    def test_session_level_policy_over_default_policy_peers(self):
-        """The session's policy is the agreement — an explicit one
-        governs both ends, whatever the peers carry."""
+    def test_the_session_policy_decides_the_summary_bytes(self, drive):
+        """The session's policy is the one agreement on the summary: an
+        ART session charges the ART, not the default Bloom filter."""
         params = make_params()
         content = make_content(params)
-        a, b = seeded_pair(params, content)  # both peers: DEFAULT_POLICY
+        default_bytes = drive(
+            TransferSession(*seeded_pair(params, content), rng=random.Random(23)),
+            max_packets=6000,
+        ).control_bytes
+        a, b = seeded_pair(params, content)
         session = TransferSession(
             a, b, rng=random.Random(23), summary_policy=POLICIES["art"]
         )
         assert session.summary_policy is POLICIES["art"]
-        default_bytes = (
-            TransferSession(*seeded_pair(params, content), rng=random.Random(23))
-            .run(max_packets=6000)
-            .control_bytes
-        )
-        stats = session.run(max_packets=6000)
+        stats = drive(session, max_packets=6000)
         assert stats.completed
         assert stats.used_summary
-        # The ART's bytes were charged, not the peers' own Bloom filter's.
         assert stats.control_bytes != default_bytes
 
     def test_policy_handshake_charges_the_cards_it_estimates_from(self):
-        """Control bytes reflect the session policy's messages, whatever
-        policies the peer objects carry — same agreement, same bytes."""
-        from repro.protocol.messages import HelloMessage
-
+        """An estimate-only policy ships no summary: the handshake is the
+        two hellos (header + calling card, whatever the policy) and the
+        request."""
         params = make_params()
-        content = make_content(params)
-        policy = POLICIES["minwise"]  # estimate-only: hellos are the
-        # entire control exchange besides the 4-byte request
-
-        def control_bytes(peer_policy):
-            a, b = seeded_pair(params, content, policy=peer_policy)
-            session = TransferSession(
-                a, b, rng=random.Random(23), summary_policy=policy
-            )
-            assert session.handshake()
-            return session.stats.control_bytes
-
-        with_peer_policy = control_bytes(policy)
-        other_peer_policy = control_bytes(DEFAULT_POLICY)
-        assert with_peer_policy == other_peer_policy
+        a, b = seeded_pair(params, make_content(params))
+        session = TransferSession(
+            a, b, rng=random.Random(23), summary_policy=POLICIES["minwise"]
+        )
+        assert session.handshake()
         card = CALLING_CARD.build(range(10))
-        expected = 2 * HelloMessage.carrying(card).wire_bytes() + 4
-        assert with_peer_policy == expected
-
-    def test_explicit_session_policy_settles_mismatched_peers(self):
-        params = make_params()
-        content = make_content(params)
-        a, _ = seeded_pair(params, content, policy=POLICIES["art"])
-        _, b = seeded_pair(params, content)  # DEFAULT_POLICY: disagrees
-        with pytest.raises(ValueError, match="different summary policies"):
-            TransferSession(a, b, rng=random.Random(0))
-        stats = TransferSession(
-            a, b, rng=random.Random(23), summary_policy=POLICIES["art"]
-        ).run(max_packets=6000)
-        assert stats.completed
-        assert stats.used_summary
-
-    def test_mismatched_peer_policies_rejected(self):
-        params = make_params()
-        content = make_content(params)
-        a, _ = seeded_pair(params, content, policy=POLICIES["bloom"])
-        _, b = seeded_pair(params, content, policy=POLICIES["cpi"])
-        with pytest.raises(ValueError, match="different summary policies"):
-            TransferSession(a, b, rng=random.Random(0))
+        expected = 2 * (HELLO_HEADER_BYTES + card.wire_bytes()) + REQUEST_BYTES
+        assert session.stats.control_bytes == expected == 2 * (8 + 4 + 8 * 128) + 4
 
 
 class TestOneCallingCard:
     """Every hello carries CALLING_CARD, so a policy is only a kind and
     its params: a spec that names the default Bloom policy is the
-    default policy, and its peers talk to default peers."""
+    default policy, and its session is the default session."""
 
     @staticmethod
     def spec_policy():
@@ -306,24 +193,28 @@ class TestOneCallingCard:
         assert policy == DEFAULT_POLICY
         assert hash(policy) == hash(DEFAULT_POLICY)
 
-    def test_a_spec_policy_peer_and_a_default_peer_complete_a_session(self):
+    def test_a_spec_policy_session_is_the_default_session(self, drive):
         params = make_params()
         content = make_content(params)
-        a, _ = seeded_pair(params, content, policy=self.spec_policy())
-        _, b = seeded_pair(params, content)
-        stats = TransferSession(a, b, rng=random.Random(23)).run(max_packets=6000)
-        assert stats.completed
-        assert stats.used_summary
+        stats = {}
+        for name, policy in (("spec", self.spec_policy()), ("default", DEFAULT_POLICY)):
+            a, b = seeded_pair(params, content)
+            session = TransferSession(a, b, rng=random.Random(23), summary_policy=policy)
+            stats[name] = drive(session, max_packets=6000)
+        assert stats["spec"].completed
+        assert stats["spec"].used_summary
+        assert stats["spec"].to_dict() == stats["default"].to_dict()
 
     def test_correlation_is_estimated_across_the_two_peers(self):
         params = make_params()
-        content = make_content(params)
-        a, _ = seeded_pair(params, content, policy=self.spec_policy())
-        _, b = seeded_pair(params, content)
-        # a holds 0..159, b 100..259: 60 shared of a's 160.
-        assert a.estimate_peer_correlation(b.hello()) == pytest.approx(
-            60 / 160, abs=0.15
-        )
-        assert b.estimate_peer_correlation(a.hello()) == pytest.approx(
-            60 / 160, abs=0.15
-        )
+        a, b = seeded_pair(params, make_content(params))
+        # a holds 0..159, b 100..259: 60 shared of each one's 160.
+        for sender, receiver in ((a, b), (b, a)):
+            session = TransferSession(
+                sender, receiver, rng=random.Random(0),
+                summary_policy=self.spec_policy(),
+            )
+            assert session.handshake()
+            assert session.stats.estimated_correlation == pytest.approx(
+                60 / 160, abs=0.15
+            )

@@ -16,30 +16,30 @@ from repro.transport import BottleneckQueue
 class TestConstantRate:
     def test_integer_rate(self):
         link = ConstantRateLink(3.0)
-        assert [link.packet_budget(t, t + 1) for t in range(4)] == [3, 3, 3, 3]
+        assert [link.send_budget(t, t + 1) for t in range(4)] == [3, 3, 3, 3]
 
     def test_fractional_credit_sequence_is_exactly_periodic(self):
         # Ten windows of 0.1 must yield exactly one packet despite float
         # representation error (the epsilon floor).
         link = ConstantRateLink(0.1)
-        seq = [link.packet_budget(t, t + 1) for t in range(30)]
+        seq = [link.send_budget(t, t + 1) for t in range(30)]
         assert sum(seq) == 3
         assert seq[9] == seq[19] == seq[29] == 1
 
     def test_credit_never_negative(self):
         link = ConstantRateLink(0.5)
         for t in range(100):
-            assert link.packet_budget(t, t + 1) >= 0
+            assert link.send_budget(t, t + 1) >= 0
             assert link._credit >= 0.0
 
     def test_zero_length_window(self):
         link = ConstantRateLink(5.0)
-        assert link.packet_budget(1.0, 1.0) == 0
+        assert link.send_budget(1.0, 1.0) == 0
 
     def test_backwards_window_rejected(self):
         link = ConstantRateLink(1.0)
         with pytest.raises(ValueError):
-            link.packet_budget(2.0, 1.0)
+            link.send_budget(2.0, 1.0)
 
     def test_loss_roll_consumes_one_draw_always(self):
         # Tick parity depends on one RNG draw per packet even at loss 0.
@@ -209,8 +209,8 @@ NAN, INF = float("nan"), float("inf")
 @pytest.mark.parametrize(
     "make, arg",
     [
-        (lambda: ConstantRateLink(NAN), "rate"),  # ValueError in packet_budget
-        (lambda: ConstantRateLink(INF), "rate"),  # OverflowError in packet_budget
+        (lambda: ConstantRateLink(NAN), "rate"),  # ValueError in send_budget
+        (lambda: ConstantRateLink(INF), "rate"),  # OverflowError in send_budget
         (lambda: ConstantRateLink(1.0, latency=NAN), "latency"),  # NaN arrivals
         (lambda: ConstantRateLink(1.0, latency=1.0, jitter=NAN), "jitter"),
         (lambda: GilbertElliottLink(NAN), "rate"),
@@ -264,7 +264,7 @@ def _run_table_row(link, chain, clock):
         if chain is not None:
             chain.step(rng)
         clock.now = float(t + 1)
-        budget = link.packet_budget(float(t), float(t + 1))
+        budget = link.send_budget(float(t), float(t + 1))
         rows.append((budget, tuple(link.transmit(rng) for _ in range(budget))))
     return rows, rng.random()
 

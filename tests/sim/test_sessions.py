@@ -82,6 +82,9 @@ class TestScheduledSession:
         assert driver.accepted is False
         assert session.stats.rejected
         assert driver.finished
+        # Stamped by the driver at the handshake event, which finished it.
+        assert session.stats.started_at == session.stats.finished_at == 0.0
+        assert session.stats.duration == 0.0
 
     def test_stats_recorder_sees_progress_series(self):
         params = make_params()

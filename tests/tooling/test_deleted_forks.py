@@ -236,6 +236,22 @@ GUARDS = [
     # never compared, so a handle has no ordering to grow back.
     Guard(48, "EventHandle.__lt__ (heap entries are (time, seq, handle))",
           r"def __lt__", ["src/repro/sim/engine.py"]),
+] + [
+    # One protocol path: a session charges the bytes it ships, names the
+    # one summary policy, and ScheduledSession drives it.  A count is
+    # README.md's migration rows, which name the old spellings.
+    Guard(49, what, pattern, EVERYWHERE, [THIS_FILE], *matches)
+    for what, pattern, *matches in [
+        ("control-message classes, the pipelined stream, run() or a policy agreement",
+         r"HelloMessage|SummaryMessage|RequestMessage|ControlMessage|_SummaryBearer"
+         r"|summary_json|partitioned_rho|request_next_partition|until_decoded"
+         r"|_agreed_policy|estimate_peer_correlation", 5),
+        ("ConstantRateLink.packet_budget (send_budget without a controller)",
+         r"\bpacket_budget\b", 1),
+    ]
+] + [
+    Guard(49, "a clock in the protocol session (ScheduledSession stamps its stats)",
+          r"\.clock\b|\bclock\s*=", ["src/repro/protocol"]),
 ]
 
 #: Deleted files and directories.
@@ -253,6 +269,7 @@ DELETED_PATHS = [
     "src/repro/art/summary.py",
     "src/repro/overlay/churn.py",
     "tests/overlay/test_churn.py",
+    "tests/protocol/test_partitioned_session.py",
 ]
 
 

@@ -78,7 +78,7 @@ class TestQueuedLink:
         q = BottleneckQueue(rate=2.0, buffer=100, clock=clock)
         link = ConstantRateLink(3.0, latency=1.5, queue=q)
         assert link.latency == 1.5
-        assert link.packet_budget(0.0, 1.0) == 3
+        assert link.send_budget(0.0, 1.0) == 3
         # Lossless wire: the propagation delay grows by the sojourn.
         assert link.transmit(random.Random(1)) == pytest.approx(1.5 + 0.5)
         assert link.transmit(random.Random(1)) == pytest.approx(1.5 + 1.0)

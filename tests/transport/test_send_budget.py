@@ -2,8 +2,9 @@
 
 :meth:`repro.sim.links.ConstantRateLink.send_budget` runs the link's
 credit step and, under a controller, the timeout scan (only once one
-can be due) and the window cap.  It must leave exactly what
-``ctrl.allowance(t1, link.packet_budget(t0, t1))`` leaves: the same
+can be due) and the window cap.  It must leave exactly what the
+credit step alone then the full allowance,
+``ctrl.allowance(t1, link.send_budget(t0, t1))``, leaves: the same
 budget, the same link credit, the same in-flight count, rtx table,
 deadline bound and policy state.  Hypothesis drives twin links and
 controllers through the same sends, acks and windows for every
@@ -93,7 +94,7 @@ def test_send_budget_equals_allowance_of_packet_budget(
         else:
             t0, now = now, now + op[1]
             budget = fused_link.send_budget(t0, now, fused)
-            assert budget == ref.allowance(now, ref_link.packet_budget(t0, now))
+            assert budget == ref.allowance(now, ref_link.send_budget(t0, now))
         assert _state(fused_link, fused) == _state(ref_link, ref)
 
 
