@@ -16,16 +16,15 @@ import sys
 
 from repro import (
     LTEncoder,
-    MinwiseSketch,
     PeelingDecoder,
-    PermutationFamily,
     SimReceiver,
     WorkingSet,
+    build_summary,
     make_pair_scenario,
     make_strategy,
     simulate_p2p_transfer,
 )
-from repro.sketches import containment_from_resemblance
+from repro.reconcile import containment_from_resemblance
 
 
 def demo_coding():
@@ -55,15 +54,17 @@ def demo_sketches():
     print("2. Min-wise calling cards: estimate overlap in one 1KB packet")
     print("=" * 60)
     rng = random.Random(11)
-    family = PermutationFamily(128, 1 << 32, seed=99)
     scenario = make_pair_scenario(2_000, 1.1, 0.3, rng)
-    sk_recv = MinwiseSketch.build(scenario.receiver.ids, family)
-    sk_send = MinwiseSketch.build(scenario.sender.ids, family)
+    sk_recv, sk_send = (
+        build_summary("minwise", ws.ids, entries=128, universe=1 << 32, seed=99)
+        for ws in (scenario.receiver, scenario.sender)
+    )
     r = sk_send.estimate_resemblance(sk_recv)
     est = containment_from_resemblance(
         r, len(scenario.receiver), len(scenario.sender)
     )
-    print(f"sketch size: {sk_send.packet_size_bytes()} bytes")
+    print(f"card size: {8 * len(sk_send.minima)} bytes of minima "
+          f"({sk_send.wire_bytes()} on the wire)")
     print(f"estimated correlation: {est:.3f}  (true: {scenario.correlation:.3f})\n")
     return scenario, est
 

@@ -58,7 +58,7 @@ class Allow(NamedTuple):
 
 #: The most unreached lines ``--check`` passes.  A change that lowers
 #: the count lowers this in the same diff, so the number only falls.
-CEILING = 928
+CEILING = 793
 
 #: What stays although no smoke step runs it.  At most 30 rows; each
 #: must excuse at least one function no other row does.
@@ -91,20 +91,16 @@ ALLOWED: Sequence[Allow] = (
     Allow("repro.experiments.*", ("best_leaf_split", "series_by_strategy"),
           "figure helpers tests and the README use (best_leaf_split, "
           "series_by_strategy)"),
-    Allow("repro.filters.bloom",
-          ("BloomFilter.add", "BloomFilter.update", "BloomFilter.fill_ratio",
-           "BloomFilter.union", "BloomFilter.to_bytes", "BloomFilter.from_bytes"),
-          "the Bloom primitive's incremental add / update, fill ratio and "
-          "union, which the filter tests hold to the paper's analysis, and "
-          "its bytes, which the Bloom-family payloads carry (item 15)"),
     Allow("repro.flow.*", ("_spec_error", "FlowReport.efficiency"),
           "the demand model's refusal of a bad apportion and "
           "FlowReport.efficiency, which the flow tests read"),
     Allow("repro.hashing.batch",
           ("permutation_minima", "permutation_minima_fold"),
           "the bench-probed one-list minima kernels"),
-    Allow("repro.hashing.permutations", ("LinearPermutation.invert",),
-          "a test oracle"),
+    Allow("repro.hashing.permutations",
+          ("LinearPermutation.__call__", "LinearPermutation.invert"),
+          "the permutation map and its inverse, test oracles (the cards "
+          "read a family's a and b through the kernels)"),
     Allow("repro.overlay.reconfiguration",
           ("AdmissionPolicy.admit", "ReconfigurationPolicy.rewire"),
           "the admission and rewiring interface stubs"),
@@ -134,11 +130,6 @@ ALLOWED: Sequence[Allow] = (
            "GilbertElliottProcess.empirical_loss_rate"),
           "the Gilbert-Elliott chain's realized rates, which its tests "
           "read as oracles"),
-    Allow("repro.sketches.minwise",
-          ("MinwiseSketch.build_vectorized", "MinwiseSketch.minima",
-           "MinwiseSketch.merge"),
-          "the min-wise primitive's bench-probed build_vectorized, and the "
-          "minima and merge its tests read"),
     Allow("repro.topology.generators", "*",
           "the spec-selectable ring, clustered and random generators "
           "(ROADMAP item 5e) and the is_connected test oracle"),

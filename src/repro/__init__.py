@@ -15,9 +15,6 @@ Quickstart::
 Subpackages:
 
 * :mod:`repro.hashing` — hash families and min-wise permutations.
-* :mod:`repro.sketches` — the stand-alone min-wise sketch and the
-  resemblance / containment conversions (§4).
-* :mod:`repro.filters` — the Bloom filter (§5.2).
 * :mod:`repro.art` — the reconciliation trie and its difference search
   (§5.3).
 * :mod:`repro.exact` — the characteristic-polynomial reconciler (§5.1).
@@ -26,7 +23,9 @@ Subpackages:
   Bloom filters and ARTs (§5.2–5.3), exact baselines (§5.1) — built by
   name (``build_summary("art", ids)``), round-tripped through wire
   payloads, and chosen by the :class:`~repro.reconcile.SummaryPolicy`
-  the protocol and strategy layers consume.  An ART is
+  the protocol and strategy layers consume; beside them, the
+  resemblance / containment conversions and the Bloom false-positive
+  formula.  An ART is
   ``build_summary("art", ids)``; the ART facade class that used to be
   exported here has left ``repro.__all__`` (README, "Layout").
 * :mod:`repro.coding` — sparse parity-check codes and recoding (§5.4).
@@ -82,15 +81,13 @@ from repro.delivery import (
     make_strategy,
     simulate_p2p_transfer,
 )
-from repro.filters import BloomFilter
 from repro.hashing import PermutationFamily
 from repro.seeding import derive_rng, derive_seed
-from repro.sketches import MinwiseSketch
 
 
 def __getattr__(name):
     # Lazy: the experiment pipeline pulls in the overlay/protocol/sim
-    # stack, which `import repro` for a Bloom filter shouldn't pay for.
+    # stack, which `import repro` for a codec shouldn't pay for.
     if name in ("ExperimentSpec", "RunResult", "run"):
         from repro import api
 
@@ -120,11 +117,9 @@ __all__ = [
     "summary_kinds",
     "derive_rng",
     "derive_seed",
-    "BloomFilter",
     "DegreeDistribution",
     "EncodedSymbol",
     "LTEncoder",
-    "MinwiseSketch",
     "Packet",
     "PeelingDecoder",
     "PermutationFamily",

@@ -6,7 +6,7 @@ against the simulators:
 * the Coupon Collector behaviour of random selection (Section 6.3, citing
   Klamkin & Newman [14]);
 * the Bloom filter false-positive formula (Section 5.2) — in
-  :func:`repro.filters.false_positive_rate`;
+  :func:`repro.reconcile.false_positive_rate`;
 * the immediately-useful probability of a degree-``d`` recoded symbol
   (Section 5.4.2) — in
   :func:`repro.coding.recode.immediate_usefulness_probability`.

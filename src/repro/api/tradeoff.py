@@ -135,9 +135,6 @@ def _params_for_budget(
         return {"k": max(1, budget * n // 64)}
     if kind in ("bloom", "art", "partitioned_bloom"):
         return {"bits_per_element": budget}
-    if kind == "counting_bloom":
-        # 16-bit counters: a budget in bits buys budget/16 buckets.
-        return {"buckets_per_element": max(1, budget // 16)}
     if kind == "hashset":
         return {"hash_bits": min(64, max(8, budget))}
     if kind == "cpi":

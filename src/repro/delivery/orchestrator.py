@@ -12,14 +12,14 @@ This module implements those three decisions as a greedy max-coverage
 selection entirely from calling cards — no working sets cross the wire.
 A card is anything offering ``estimate_resemblance(other)`` and
 ``merge(other)``: the min-wise :class:`~repro.reconcile.base.Summary`
-every overlay node publishes, or the bare sketch primitive under it.
-Min-wise summaries of one family are screened and chosen against one
-stacked card matrix (:class:`CandidateStack`, whose array kernel is
-the card's own, :class:`~repro.reconcile.adapters.MinwiseStack`): a
-greedy round is one array comparison and the coverage card is one
-row, lowered by an elementwise minimum.  Bare sketches, and every
-card without numpy, take the per-card loop below; both give the same
-selection, float for float.
+every overlay node publishes.  Min-wise cards of one family are
+screened and chosen against one stacked card matrix
+(:class:`CandidateStack`, whose array kernel is the card's own,
+:class:`~repro.reconcile.adapters.MinwiseStack`): a greedy round is one
+array comparison and the coverage card is one row, lowered by an
+elementwise minimum.  Any other card, and every card without numpy,
+takes the per-card loop below; both give the same selection, float for
+float.
 """
 
 import random

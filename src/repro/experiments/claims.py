@@ -48,12 +48,10 @@ from repro.experiments.coding_stats import run_coding_stats
 from repro.experiments.fig4 import run_fig4a, run_fig4b, run_fig4c
 from repro.experiments.fig5678 import DeliveryPoint, run_fig5, run_fig6, run_fig78
 from repro.experiments.sketch_accuracy import run_sketch_accuracy
-from repro.filters import BloomFilter, false_positive_rate
 from repro.hashing.permutations import PermutationFamily
 from repro.protocol import CodeParameters
-from repro.reconcile import build_summary
+from repro.reconcile import build_summary, false_positive_rate
 from repro.seeding import randbelow, sample
-from repro.sketches import MinwiseSketch
 
 #: Run sizes: ``art_n`` / ``art_d`` size the Figure 4 and Section 4-5
 #: sets, ``target`` the Figure 5-8 transfers, ``trials`` the replicates
@@ -139,8 +137,8 @@ def _bloom_fp(s: Dict[str, int]) -> Dict[Tuple[int, int], Tuple[float, float]]:
         rng = random.Random(bits)
         keys = sample(rng, range(1 << 40), 10_000)
         probes = sample(rng, range(1 << 41, 1 << 42), 30_000)
-        bf = BloomFilter.for_elements(keys, bits_per_element=bits, k_hashes=k)
-        measured = sum(1 for p in probes if p in bf) / len(probes)
+        bf = build_summary("bloom", keys, bits_per_element=bits, k_hashes=k)
+        measured = sum(1 for p in probes if bf.may_contain(p)) / len(probes)
         rates[(bits, k)] = (false_positive_rate(bf.m, len(keys), k), measured)
     return rates
 
@@ -151,7 +149,7 @@ def _minwise_entries(s: Dict[str, int]) -> Dict[int, float]:
     universe = 1 << 32
     rmse = {}
     for entries in (16, 64, 128, 256):
-        family = PermutationFamily(entries, universe, seed=7)
+        params = dict(entries=entries, universe=universe, seed=7)
         rng = random.Random(entries)
         errors = []
         for _ in range(2 * s["trials"]):
@@ -161,8 +159,8 @@ def _minwise_entries(s: Dict[str, int]) -> Dict[int, float]:
             a = set(shared + pool[inter:size])
             b = set(shared + pool[size:])
             truth = len(a & b) / len(a | b)
-            est = MinwiseSketch.build(a, family).estimate_resemblance(
-                MinwiseSketch.build(b, family)
+            est = build_summary("minwise", a, **params).estimate_resemblance(
+                build_summary("minwise", b, **params)
             )
             errors.append((est - truth) ** 2)
         rmse[entries] = math.sqrt(sum(errors) / len(errors))
@@ -418,13 +416,13 @@ def _section4() -> List[Claim]:
 
 def _section52() -> List[Claim]:
     def ten_thousand_packets() -> Tuple[int, float]:
-        bf = BloomFilter.for_elements(range(10_000), bits_per_element=4, k_hashes=3)
-        return bf.m, bf.size_bytes() / 1024
+        bf = build_summary("bloom", range(10_000), bits_per_element=4, k_hashes=3)
+        return bf.m, len(bf.bits) / 1024
 
     def useless_sends() -> int:
         rng = random.Random(3)
         a_set = set(sample(rng, range(1 << 30), 3000))
-        bf = BloomFilter.for_elements(a_set, bits_per_element=6)
+        bf = build_summary("bloom", a_set, bits_per_element=6)
         b_set = set(sample(rng, sorted(a_set), 1500)) | set(
             sample(rng, range(1 << 31, 1 << 32), 1500)
         )
@@ -539,8 +537,8 @@ def _figure4() -> List[Claim]:
 
 def _section54() -> List[Claim]:
     def gigabyte_summary() -> int:
-        bf = BloomFilter.for_elements(range(20_000), bits_per_element=4, k_hashes=3)
-        return bf.size_bytes()
+        bf = build_summary("bloom", range(20_000), bits_per_element=4, k_hashes=3)
+        return len(bf.bits)
 
     def substitution_example() -> Tuple[int, ...]:
         p = RecodedPeeler()

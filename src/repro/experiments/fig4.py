@@ -17,7 +17,6 @@ from typing import Dict, List, Sequence, Tuple
 from repro.api.spec import Bound, check_value
 from repro.art.search import find_difference
 from repro.art.tree import ReconciliationTrie
-from repro.filters import BloomFilter
 from repro.reconcile import build_summary
 from repro.seeding import randbelow, sample
 
@@ -196,9 +195,9 @@ def run_fig4c(
         set_a, set_b = _make_sets(set_size, differences, rng)
         true_diff = set(set_b) - set(set_a)
 
-        bf = BloomFilter.for_elements(set_a, bits_per_element=bits_per_element)
+        bf = build_summary("bloom", set_a, bits_per_element=bits_per_element)
         start = time.perf_counter()
-        found = [x for x in set_b if x not in bf]
+        found = bf.missing_from(set_b)
         bf_time.append(time.perf_counter() - start)
         bf_acc.append(len(set(found) & true_diff) / len(true_diff))
 

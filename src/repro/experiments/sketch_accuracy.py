@@ -13,10 +13,8 @@ from typing import Dict, List, Sequence
 
 from repro.api.spec import Bound, check_value
 from repro.delivery.working_set import DEFAULT_KEY_UNIVERSE, WorkingSet
-from repro.hashing.permutations import PermutationFamily
-from repro.reconcile import build_summary
+from repro.reconcile import build_summary, containment_from_resemblance
 from repro.seeding import randbelow, sample
-from repro.sketches import MinwiseSketch, containment_from_resemblance
 
 
 @dataclass
@@ -53,15 +51,15 @@ def run_sketch_accuracy(
     """
     check_value("run_sketch_accuracy.trials", trials, int, Bound(ge=1))
     rng = random.Random(seed)
-    family = PermutationFamily(sketch_entries, DEFAULT_KEY_UNIVERSE, seed=seed)
+    card = dict(entries=sketch_entries, universe=DEFAULT_KEY_UNIVERSE, seed=seed)
     errors: Dict[str, List[float]] = {"minwise": [], "random-sample": [], "mod-k": []}
     for containment in containments:
         for _ in range(trials):
             a, b = _make_pair(set_size, containment, rng)
             truth = len(a.ids & b.ids) / len(b)
 
-            sk_a = MinwiseSketch.build(a.ids, family)
-            sk_b = MinwiseSketch.build(b.ids, family)
+            sk_a = build_summary("minwise", a.ids, **card)
+            sk_b = build_summary("minwise", b.ids, **card)
             r = sk_a.estimate_resemblance(sk_b)
             est = containment_from_resemblance(r, len(a), len(b))
             errors["minwise"].append(est - truth)

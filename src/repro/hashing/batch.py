@@ -123,9 +123,8 @@ def _family_columns(family, np):
 def permutation_minima(family, keys: Iterable[int]) -> array:
     """Per-permutation minima of ``keys`` under a permutation family.
 
-    The batched core of :meth:`repro.sketches.MinwiseSketch.
-    build_vectorized`: the one-list case of
-    :func:`permutation_minima_many`.  The result is one packed
+    The one-list case of :func:`permutation_minima_many`, which builds
+    and absorbs the ``minwise`` cards.  The result is one packed
     ``array('q')`` row, an entry per permutation; an empty key set
     yields a row of :data:`UNSET`.
 

@@ -73,8 +73,8 @@ class PermutationFamily:
     The paper requires peers to "agree on these permutations in advance; we
     assume they are fixed universally off-line".  Constructing two families
     from the same ``(count, universe_size, seed)`` yields identical
-    permutations, which is how distinct :class:`~repro.sketches.MinwiseSketch`
-    instances become comparable.
+    permutations, which is how two peers' ``minwise`` cards
+    (:class:`~repro.reconcile.adapters.MinwiseSummary`) become comparable.
     """
 
     def __init__(self, count: int, universe_size: int, seed: int = 0):
@@ -92,11 +92,3 @@ class PermutationFamily:
 
     def __iter__(self):
         return iter(self.permutations)
-
-    def compatible_with(self, other: "PermutationFamily") -> bool:
-        """True if sketches built from the two families may be compared."""
-        return (
-            self.universe_size == other.universe_size
-            and self.seed == other.seed
-            and len(self) == len(other)
-        )

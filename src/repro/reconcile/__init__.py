@@ -22,8 +22,11 @@ trade-off becomes a parameter instead of a code path:
   (``build_summary("art", ids)``); :func:`summary_kinds` lists it.
 * :mod:`repro.reconcile.adapters` — one adapter per structure:
   ``minwise``, ``modk``, ``random_sample``, ``bloom``,
-  ``counting_bloom``, ``partitioned_bloom``, ``art``, ``cpi``,
-  ``hashset``, ``wholeset``.
+  ``partitioned_bloom``, ``art``, ``cpi``, ``hashset``, ``wholeset``;
+  beside their kinds, the §4 estimators
+  (:func:`containment_from_resemblance`,
+  :func:`intersection_from_resemblance`) and the §5.2 Bloom analysis
+  (:func:`false_positive_rate`, :func:`optimal_hash_count`).
 * :class:`SummaryPolicy` — one summary choice, a kind and its params;
   consumed by :class:`~repro.protocol.peer.ProtocolPeer` and the
   delivery strategies.  :data:`CALLING_CARD` is the §4 card every hello
@@ -41,7 +44,12 @@ from repro.reconcile.registry import (
     summary_recipe,
 )
 # Importing the adapters registers every built-in kind.
-from repro.reconcile import adapters as _adapters  # noqa: F401
+from repro.reconcile.adapters import (
+    containment_from_resemblance,
+    false_positive_rate,
+    intersection_from_resemblance,
+    optimal_hash_count,
+)
 from repro.reconcile.policy import (
     CALLING_CARD,
     DEFAULT_POLICY,
@@ -63,4 +71,8 @@ __all__ = [
     "DEFAULT_POLICY",
     "CALLING_CARD",
     "correlation_from_summaries",
+    "containment_from_resemblance",
+    "intersection_from_resemblance",
+    "false_positive_rate",
+    "optimal_hash_count",
 ]

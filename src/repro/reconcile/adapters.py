@@ -10,10 +10,9 @@ kind                      section     state (and the code it calls)
 ``minwise``               §4          one packed int64 minima row (the card)
 ``modk``                  §4          the keys whose mixed hash is 0 mod k
 ``random_sample``         §4          ``k`` keys drawn with replacement
-``bloom``                 §5.2        a :class:`repro.filters.BloomFilter`
-``counting_bloom``        §5.2 [11]   16-bit saturating counters
-``partitioned_bloom``     §5.2        a Bloom filter of one residue class
-``art``                   §5.3        leaf and internal Bloom filters
+``bloom``                 §5.2        ``m`` bits probed by ``k`` hashes
+``partitioned_bloom``     §5.2        a ``bloom`` card of one residue class
+``art``                   §5.3        leaf and internal ``bloom`` cards
                                       (:mod:`repro.art` trie and search)
 ``cpi``                   §5.1 [19]   characteristic-polynomial evaluations
                                       (:mod:`repro.exact.cpi` reconciler)
@@ -28,8 +27,8 @@ set-size header plus the structure's own bytes plus its parameter
 headers — matching the byte accounting the protocol messages report.
 """
 
+import math
 import random
-import struct
 from array import array
 from collections import deque
 from itertools import chain
@@ -51,7 +50,6 @@ from functools import lru_cache
 from repro.art.search import find_difference
 from repro.art.tree import ReconciliationTrie, value_hash
 from repro.exact.cpi import VERIFY_POINTS, CharacteristicPolynomialReconciler
-from repro.filters.bloom import BloomFilter, optimal_hash_count
 from repro.hashing import batch as _batch
 from repro.hashing.batch import UNSET, mix64_batch, permutation_minima_many
 from repro.hashing.families import BloomHashes
@@ -94,9 +92,29 @@ def _shared_family(entries: int, universe: int, seed: int) -> PermutationFamily:
     return PermutationFamily(entries, universe, seed=seed)
 
 
-def _estimate_intersection_from_resemblance(r: float, n_a: int, n_b: int) -> float:
-    """``i = r (|A| + |B|) / (1 + r)`` (inclusion-exclusion, §4)."""
-    return r * (n_a + n_b) / (1.0 + r) if r > 0.0 else 0.0
+def intersection_from_resemblance(r: float, size_a: int, size_b: int) -> float:
+    """Estimated ``|A ∩ B|`` from resemblance ``r = |A ∩ B| / |A ∪ B|``
+    and the two set sizes: ``i = r (|A| + |B|) / (1 + r)``, by
+    inclusion-exclusion (§4)."""
+    return r * (size_a + size_b) / (1.0 + r) if r > 0.0 else 0.0
+
+
+def containment_from_resemblance(r: float, size_a: int, size_b: int) -> float:
+    """Estimated containment ``|A ∩ B| / |B|`` — the "correlation" axis
+    of Figures 5-8 — from resemblance ``r`` and the two set sizes.
+
+    Returns 0 for an empty ``B`` (nothing to contain).  The result is
+    clamped to ``[0, 1]``, since sampling noise in ``r`` can push the
+    raw algebra slightly outside.
+    """
+    if size_b == 0:
+        return 0.0
+    if not 0.0 <= r <= 1.0:
+        raise ValueError(f"resemblance must lie in [0, 1], got {r}")
+    if size_a < 0 or size_b < 0:
+        raise ValueError("set sizes must be non-negative")
+    c = intersection_from_resemblance(r, size_a, size_b) / size_b
+    return min(1.0, max(0.0, c))
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +363,7 @@ class MinwiseSummary(Summary):
         self, other: "MinwiseSummary", ids: Optional[Collection[int]] = None
     ) -> float:
         r = self.estimate_resemblance(other)
-        i = _estimate_intersection_from_resemblance(r, self.set_size, other.set_size)
+        i = intersection_from_resemblance(r, self.set_size, other.set_size)
         return clamped_symmetric_difference(i, self.set_size, other.set_size)
 
 
@@ -559,7 +577,7 @@ class ModKSummary(Summary):
         self._check_comparable(other)
         union = len(self.sample | other.sample)
         r = len(self.sample & other.sample) / union if union else 0.0
-        i = _estimate_intersection_from_resemblance(r, self.set_size, other.set_size)
+        i = intersection_from_resemblance(r, self.set_size, other.set_size)
         return clamped_symmetric_difference(i, self.set_size, other.set_size)
 
 
@@ -644,11 +662,41 @@ class RandomSampleSummary(Summary):
 # ---------------------------------------------------------------------------
 
 
+def false_positive_rate(m_bits: int, n_elements: int, k_hashes: int) -> float:
+    """The paper's false-positive formula ``f = (1 - e^{-kn/m})^k``.
+
+    Section 5.2's working points fall out of it: four bits per element
+    and three hashes give 14.7 %, eight bits and five hashes 2.2 %.
+    """
+    if m_bits <= 0:
+        raise ValueError("filter must have at least one bit")
+    if n_elements < 0 or k_hashes <= 0:
+        raise ValueError("need n >= 0 and k >= 1")
+    if n_elements == 0:
+        return 0.0
+    return (1.0 - math.exp(-k_hashes * n_elements / m_bits)) ** k_hashes
+
+
+def optimal_hash_count(m_bits: int, n_elements: int) -> int:
+    """``k* = (m/n) ln 2`` rounded to the nearest positive integer."""
+    if n_elements <= 0:
+        raise ValueError("need at least one element to size hashes for")
+    return max(1, round(m_bits / n_elements * math.log(2)))
+
+
 @register_summary
 class BloomSummary(Summary):
     """Bloom filter of the working set (§5.2, the searchable default).
 
-    Params: ``bits_per_element``, ``k_hashes`` (None = optimal), ``seed``.
+    Params: ``bits_per_element`` (``m = max(8, bits_per_element * n)``
+    bits), ``k_hashes`` (None = :func:`optimal_hash_count`), ``seed``.
+    The card holds its ``m`` bits in a bytearray, probed by ``k``
+    double-hashed functions (:class:`~repro.hashing.families.
+    BloomHashes`).  Insertion and :meth:`missing_from` share the
+    :func:`~repro.hashing.batch.bloom_index_matrix` kernel (a scalar
+    loop without numpy), so they never disagree on a probe position.
+    The ``partitioned_bloom`` and ``art`` kinds hold their filters as
+    cards of this class.
     """
 
     kind = "bloom"
@@ -656,8 +704,22 @@ class BloomSummary(Summary):
     supports_difference = True
     supports_estimate = True
 
-    def __init__(self, bloom: BloomFilter, set_size: int):
-        self.bloom = bloom
+    def __init__(
+        self,
+        m: int,
+        k: int,
+        seed: int = 0,
+        bits: Optional[bytearray] = None,
+        count: int = 0,
+        set_size: int = 0,
+    ):
+        self._hashes = BloomHashes(k, m, seed)  # refuses k < 1 and m < 1
+        self.m = m
+        self.k = k
+        self.seed = seed
+        self.bits = bytearray((m + 7) // 8) if bits is None else bits
+        #: Insertions counted in.
+        self.count = count
         self.set_size = set_size
 
     @classmethod
@@ -672,142 +734,102 @@ class BloomSummary(Summary):
         n = max(1, len(pool))
         m = max(8, bits_per_element * n)
         k = k_hashes if k_hashes is not None else optimal_hash_count(m, n)
-        bloom = BloomFilter(m, k, seed)
-        bloom.bulk_update(sorted(pool))
-        return cls(bloom, len(pool))
+        card = cls(m, k, seed, set_size=len(pool))
+        card._insert(sorted(pool))
+        return card
 
-    def wire_bytes(self) -> int:
-        return 4 + 12 + self.bloom.size_bytes()
-
-    def to_payload(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "set_size": self.set_size,
-            "m_bits": self.bloom.m,
-            "k_hashes": self.bloom.k,
-            "seed": self.bloom.seed,
-            "count": self.bloom.count,
-            "bits": hex_bytes(self.bloom.to_bytes()),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "BloomSummary":
-        try:
-            bloom = BloomFilter.from_bytes(
-                unhex_bytes(payload.get("bits"), "bits"),
-                payload_int(payload, "m_bits"),
-                payload_int(payload, "k_hashes"),
-                payload_int(payload, "seed", 0),
+    def _insert(self, keys: List[int]) -> None:
+        """Set every probe bit of ``keys`` (bit-OR is order free)."""
+        rows = _batch.bloom_index_matrix(self._hashes, keys)
+        if rows is None:
+            bits = self.bits
+            for key in keys:
+                for idx in self._hashes.indices(key):
+                    bits[idx >> 3] |= 1 << (idx & 7)
+        else:
+            # Unbuffered scatter-OR straight into the byte array —
+            # duplicate probe positions combine exactly like the
+            # scalar loop (OR is idempotent).
+            np = _batch._numpy()
+            flat = rows.ravel()
+            arr = np.frombuffer(self.bits, dtype=np.uint8)
+            np.bitwise_or.at(
+                arr,
+                (flat >> np.uint64(3)).astype(np.int64),
+                np.left_shift(
+                    np.uint8(1), (flat & np.uint64(7)).astype(np.uint8)
+                ),
             )
-        except ValueError as exc:
-            raise SummaryError(f"invalid bloom payload: {exc}") from exc
-        bloom.count = payload_int(payload, "count", 0)
-        return cls(bloom, payload_int(payload, "set_size"))
-
-    def may_contain(self, key: int) -> bool:
-        return key in self.bloom
-
-    def missing_from(self, candidates: Iterable[int]) -> List[int]:
-        """The :meth:`may_contain` walk, batched.
-
-        :meth:`~repro.filters.bloom.BloomFilter.contains_many` probes
-        the same rows as insertion, so the answers are identical; this
-        is the per-refresh kernel of every ``/BF`` strategy.
-        """
-        pool = list(candidates)
-        hits = self.bloom.contains_many(pool)
-        return [x for x, hit in zip(pool, hits) if not hit]
-
-
-#: Counting-filter buckets are unsigned 16-bit counters that saturate.
-_COUNTER_MAX = 0xFFFF
-
-
-@register_summary
-class CountingBloomSummary(Summary):
-    """Counting Bloom filter (§5.2 background [11]).
-
-    Params: ``buckets_per_element``, ``k_hashes``, ``seed``.  One
-    saturating 16-bit counter per bucket in place of each bit, so a
-    counter past 2^16 - 1 insertions stays put.
-    """
-
-    kind = "counting_bloom"
-    supports_membership = True
-    supports_difference = True
-    supports_estimate = True
-
-    def __init__(self, counters: array, k: int, seed: int, count: int, set_size: int):
-        self._counters = counters
-        self.m = len(counters)
-        self.k = k
-        self.seed = seed
-        #: Insertions counted in.
-        self.count = count
-        self.set_size = set_size
-        self._hashes = BloomHashes(k, self.m, seed)
-
-    @classmethod
-    def build(
-        cls,
-        ids: Iterable[int],
-        buckets_per_element: int = 8,
-        k_hashes: int = 5,
-        seed: int = 0,
-    ) -> "CountingBloomSummary":
-        pool = frozenset(ids)
-        m = max(8, buckets_per_element * max(1, len(pool)))
-        if k_hashes < 1:
-            raise SummaryError("a counting filter needs at least one hash function")
-        out = cls(array("H", bytes(2 * m)), k_hashes, seed, len(pool), len(pool))
-        counters, hashes = out._counters, out._hashes
-        for key in sorted(pool):
-            for idx in hashes.indices(key):
-                if counters[idx] < _COUNTER_MAX:
-                    counters[idx] += 1
-        return out
+        self.count += len(keys)
 
     def wire_bytes(self) -> int:
-        return 4 + 12 + 2 * self.m
+        return 4 + 12 + len(self.bits)
 
     def to_payload(self) -> Dict[str, Any]:
         return {
             "kind": self.kind,
             "set_size": self.set_size,
-            "m_buckets": self.m,
+            "m_bits": self.m,
             "k_hashes": self.k,
             "seed": self.seed,
             "count": self.count,
-            "counters": hex_bytes(struct.pack(f"<{self.m}H", *self._counters)),
+            "bits": hex_bytes(self.bits),
         }
 
     @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "CountingBloomSummary":
-        raw = unhex_bytes(payload.get("counters"), "counters")
-        m = payload_int(payload, "m_buckets")
+    def _filter_from(
+        cls, payload: Dict[str, Any], kind: str = "bloom", field: str = "bits"
+    ) -> "BloomSummary":
+        """The filter a payload's ``m_bits``, ``k_hashes``, ``seed`` and
+        hex ``bits`` (named ``field`` in errors) describe, refused unless
+        the bytes hold exactly ``m_bits`` bits and ``k_hashes`` probes."""
+        bits = unhex_bytes(payload.get("bits"), field)
+        m = payload_int(payload, "m_bits")
         k = payload_int(payload, "k_hashes")
-        if m < 1 or len(raw) != 2 * m:
+        seed = payload_int(payload, "seed", 0)
+        if len(bits) != (m + 7) // 8:
             raise SummaryError(
-                "invalid counting-bloom payload: counters length does not "
-                "match m_buckets"
+                f"invalid {kind} payload: bits length does not match m_bits"
             )
-        if not 1 <= k <= 8 * len(raw):
+        if not 1 <= k <= 8 * len(bits):
             # Every probe walks k indices: an unbounded k hangs the reader.
             raise SummaryError(
-                "invalid counting-bloom payload: k_hashes must lie in "
+                f"invalid {kind} payload: k_hashes must lie in "
                 "[1, the payload's bit count]"
             )
-        return cls(
-            array("H", struct.unpack(f"<{m}H", raw)),
-            k,
-            payload_int(payload, "seed", 0),
-            payload_int(payload, "count", 0),
-            payload_int(payload, "set_size"),
-        )
+        return cls(m, k, seed, bytearray(bits))
+
+    @classmethod
+    def from_payload(cls, payload: Dict[str, Any]) -> "BloomSummary":
+        card = cls._filter_from(payload)
+        card.count = payload_int(payload, "count", 0)
+        card.set_size = payload_int(payload, "set_size")
+        return card
 
     def may_contain(self, key: int) -> bool:
-        counters = self._counters
-        return all(counters[idx] > 0 for idx in self._hashes.indices(key))
+        bits = self.bits
+        return all(
+            bits[idx >> 3] & (1 << (idx & 7)) for idx in self._hashes.indices(key)
+        )
+
+    def missing_from(self, candidates: Iterable[int]) -> List[int]:
+        """The :meth:`may_contain` walk, batched: the per-refresh kernel
+        of every ``/BF`` strategy.
+
+        The numpy path probes every ``(key, hash)`` index against the
+        unpacked bit array in one pass (a view of the card's bytes,
+        indexed by the uint64 probe matrix as it comes).
+        """
+        pool = list(candidates)
+        rows = _batch.bloom_index_matrix(self._hashes, pool)
+        if rows is None:
+            return [x for x in pool if not self.may_contain(x)]
+        np = _batch._numpy()
+        bits = np.unpackbits(
+            np.frombuffer(self.bits, dtype=np.uint8), bitorder="little"
+        )
+        hits = bits[rows].all(axis=1).tolist()
+        return [x for x, hit in zip(pool, hits) if not hit]
 
 
 @register_summary
@@ -817,7 +839,7 @@ class PartitionedBloomSummary(Summary):
     Params: ``rho`` (partition count), ``beta`` (this filter's
     residue), ``bits_per_element``, ``k_hashes``, ``seed``.  Covers
     only the keys whose mixed hash is ``≡ beta (mod rho)``
-    (:meth:`covers`), and its Bloom filter holds those alone:
+    (:meth:`covers`), and its ``bloom`` card holds those alone:
     :meth:`may_contain` answers True (unknown) for an uncovered key,
     and :meth:`missing_from` reports definite differences within the
     covered class only; a session ships this one partition, and the
@@ -832,7 +854,7 @@ class PartitionedBloomSummary(Summary):
 
     def __init__(
         self,
-        bloom: BloomFilter,
+        bloom: BloomSummary,
         rho: int,
         beta: int,
         seed: int,
@@ -870,9 +892,7 @@ class PartitionedBloomSummary(Summary):
         members = [
             x for x, h in zip(key_list, mix64_batch(key_list, seed)) if h % rho == beta
         ]
-        bloom = BloomFilter.for_elements(
-            members, bits_per_element=bits_per_element, k_hashes=k_hashes, seed=seed
-        )
+        bloom = BloomSummary.build(members, bits_per_element, k_hashes, seed)
         return cls(bloom, rho, beta, seed, len(members), len(pool))
 
     def covers(self, key: int) -> bool:
@@ -880,7 +900,7 @@ class PartitionedBloomSummary(Summary):
         return mix64(key, self.seed) % self.rho == self.beta
 
     def wire_bytes(self) -> int:
-        return 4 + 12 + 8 + self.bloom.size_bytes()  # + (rho, beta) header
+        return 4 + 12 + 8 + len(self.bloom.bits)  # + (rho, beta) header
 
     def to_payload(self) -> Dict[str, Any]:
         return {
@@ -892,46 +912,35 @@ class PartitionedBloomSummary(Summary):
             "member_count": self.member_count,
             "m_bits": self.bloom.m,
             "k_hashes": self.bloom.k,
-            "bits": hex_bytes(self.bloom.to_bytes()),
+            "bits": hex_bytes(self.bloom.bits),
         }
 
     @classmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "PartitionedBloomSummary":
-        seed = payload_int(payload, "seed", 0)
-        try:
-            bloom = BloomFilter.from_bytes(
-                unhex_bytes(payload.get("bits"), "bits"),
-                payload_int(payload, "m_bits"),
-                payload_int(payload, "k_hashes"),
-                seed,
-            )
-        except ValueError as exc:
-            raise SummaryError(f"invalid partitioned-bloom payload: {exc}") from exc
+        bloom = BloomSummary._filter_from(payload, "partitioned-bloom")
         rho, beta = payload_int(payload, "rho"), payload_int(payload, "beta")
         cls._check_partition(rho, beta)
         return cls(
-            bloom, rho, beta, seed,
+            bloom, rho, beta, bloom.seed,
             payload_int(payload, "member_count", 0),
             payload_int(payload, "set_size"),
         )
 
     def may_contain(self, key: int) -> bool:
         # Uncovered keys are unknown — "may contain" is the sound answer.
-        return not self.covers(key) or key in self.bloom
+        return not self.covers(key) or self.bloom.may_contain(key)
 
     def missing_from(self, candidates: Iterable[int]) -> List[int]:
         """Definite differences within the covered residue class."""
-        covered = [key for key in candidates if self.covers(key)]
-        hits = self.bloom.contains_many(covered)
-        return [key for key, hit in zip(covered, hits) if not hit]
+        return self.bloom.missing_from(key for key in candidates if self.covers(key))
 
 
-def _exact_filter(values: List[int], m_bits: int, seed: int) -> BloomFilter:
+def _exact_filter(values: List[int], m_bits: int, seed: int) -> BloomSummary:
     """A Bloom filter of exactly ``m_bits`` bits over ``values``, with
     the hash count optimal for that load."""
-    bloom = BloomFilter(m_bits, optimal_hash_count(m_bits, max(1, len(values))), seed)
-    bloom.bulk_update(values)
-    return bloom
+    card = BloomSummary(m_bits, optimal_hash_count(m_bits, max(1, len(values))), seed)
+    card._insert(values)
+    return card
 
 
 def _is_number(value: Any) -> bool:
@@ -965,8 +974,8 @@ class ARTSummaryAdapter(Summary):
 
     def __init__(
         self,
-        leaf_filter: BloomFilter,
-        internal_filter: BloomFilter,
+        leaf_filter: BloomSummary,
+        internal_filter: BloomSummary,
         seed: int,
         bits_per_element: float,
         leaf_bits_per_element: float,
@@ -1027,16 +1036,16 @@ class ARTSummaryAdapter(Summary):
 
     def matches_internal(self, value: int) -> bool:
         """Bloom test of a node value against the internal-node filter."""
-        return value in self.internal_filter
+        return self.internal_filter.may_contain(value)
 
     def matches_leaf(self, value: int) -> bool:
         """Bloom test of a node value against the leaf filter."""
-        return value in self.leaf_filter
+        return self.leaf_filter.may_contain(value)
 
     def wire_bytes(self) -> int:
         return (
-            4 + 2 * 12 + self.leaf_filter.size_bytes()
-            + self.internal_filter.size_bytes()
+            4 + 2 * 12 + len(self.leaf_filter.bits)
+            + len(self.internal_filter.bits)
         )
 
     def to_payload(self) -> Dict[str, Any]:
@@ -1051,29 +1060,21 @@ class ARTSummaryAdapter(Summary):
                 "m_bits": self.leaf_filter.m,
                 "k_hashes": self.leaf_filter.k,
                 "seed": self.leaf_filter.seed,
-                "bits": hex_bytes(self.leaf_filter.to_bytes()),
+                "bits": hex_bytes(self.leaf_filter.bits),
             },
             "internal": {
                 "m_bits": self.internal_filter.m,
                 "k_hashes": self.internal_filter.k,
                 "seed": self.internal_filter.seed,
-                "bits": hex_bytes(self.internal_filter.to_bytes()),
+                "bits": hex_bytes(self.internal_filter.bits),
             },
         }
 
     @staticmethod
-    def _filter_from(payload: Any, field: str) -> BloomFilter:
+    def _filter_from(payload: Any, field: str) -> BloomSummary:
         if not isinstance(payload, dict):
             raise SummaryError(f"art payload field {field!r} must be an object")
-        try:
-            return BloomFilter.from_bytes(
-                unhex_bytes(payload.get("bits"), f"{field}.bits"),
-                payload_int(payload, "m_bits"),
-                payload_int(payload, "k_hashes"),
-                payload_int(payload, "seed", 0),
-            )
-        except ValueError as exc:
-            raise SummaryError(f"invalid art payload: {exc}") from exc
+        return BloomSummary._filter_from(payload, "art", f"{field}.bits")
 
     @classmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "ARTSummaryAdapter":
@@ -1362,12 +1363,15 @@ class WholeSetSummary(Summary):
 
 __all__ = [
     "DEFAULT_UNIVERSE",
+    "containment_from_resemblance",
+    "false_positive_rate",
+    "intersection_from_resemblance",
+    "optimal_hash_count",
     "MinwiseSummary",
     "MinwiseStack",
     "ModKSummary",
     "RandomSampleSummary",
     "BloomSummary",
-    "CountingBloomSummary",
     "PartitionedBloomSummary",
     "ARTSummaryAdapter",
     "CPISummary",

@@ -22,6 +22,7 @@ class RtxManager:
     ``next_deadline`` is a lower bound on the earliest deadline still
     outstanding (``math.inf`` when nothing is): :meth:`track` lowers it,
     a scan in :meth:`expire` recomputes it exactly, and :meth:`ack`
+    sets it to ``math.inf`` when it empties the table and otherwise
     leaves it alone — an acked packet can only make the bound loose,
     never wrong.  While ``now`` is below it no timeout can be due, so
     :meth:`expire` returns ``[]`` without scanning the table and a
@@ -66,6 +67,9 @@ class RtxManager:
         entry = self._outstanding.pop(seq, None)
         if entry is None:
             return None
+        if not self._outstanding:
+            # Nothing left to time out: no expire scan is due.
+            self.next_deadline = math.inf
         return entry[0]
 
     def expire(self, now: float) -> List[Tuple[int, float]]:

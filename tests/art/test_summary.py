@@ -13,7 +13,7 @@ def art(ids, **params):
 
 
 def filter_bytes(s):
-    return s.leaf_filter.size_bytes() + s.internal_filter.size_bytes()
+    return len(s.leaf_filter.bits) + len(s.internal_filter.bits)
 
 
 class TestExactSummary:

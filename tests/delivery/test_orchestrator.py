@@ -1,41 +1,50 @@
 """Tests for sketch-driven sender selection and load balancing.
 
 The orchestrator asks a calling card for ``estimate_resemblance`` and
-``merge`` only, so every test runs over both things that offer them: the
-bare ``MinwiseSketch`` primitive and the registered min-wise ``Summary``
-the overlay publishes.
+``merge`` only; every test runs over the registered min-wise
+``Summary`` the overlay publishes, in each of three lanes: as built, on
+the scalar path with numpy blocked (build and selection both), and as a
+receiver holds it — decoded from its JSON payload.
 """
 
+import json
 import random
 
 import pytest
 
+import repro.hashing.batch as batch
 from repro.delivery.orchestrator import (
     CandidateSender,
     group_identical_senders,
     select_senders,
     split_demand,
 )
-from repro.hashing.permutations import PermutationFamily
-from repro.reconcile import build_summary
-from repro.sketches import MinwiseSketch
+from repro.reconcile import build_summary, summary_from_payload
 
 UNIVERSE = 1 << 32
 ENTRIES, SEED = 192, 55
-FAMILY = PermutationFamily(ENTRIES, UNIVERSE, seed=SEED)
-
-CARD_FACTORIES = {
-    "sketch": lambda ids: MinwiseSketch.build_vectorized(ids, FAMILY),
-    "summary": lambda ids: build_summary(
-        "minwise", ids, entries=ENTRIES, universe=UNIVERSE, seed=SEED
-    ),
-}
+LANES = ["summary", "numpy-blocked", "wire"]
 
 
-@pytest.fixture(params=sorted(CARD_FACTORIES))
-def card(request):
-    """ids -> calling card, once per card type."""
-    return CARD_FACTORIES[request.param]
+def _built(ids):
+    return build_summary("minwise", ids, entries=ENTRIES, universe=UNIVERSE, seed=SEED)
+
+
+def _wire(ids):
+    return summary_from_payload(json.loads(json.dumps(_built(ids).to_payload())))
+
+
+def _lane(name, monkeypatch):
+    """ids -> calling card in lane ``name``; blocks numpy for that lane."""
+    if name == "numpy-blocked":
+        monkeypatch.setattr(batch, "_numpy", lambda: None)
+    return _wire if name == "wire" else _built
+
+
+@pytest.fixture(params=LANES)
+def card(request, monkeypatch):
+    """ids -> calling card, once per lane."""
+    return _lane(request.param, monkeypatch)
 
 
 def candidate(peer_id, ids, card):
@@ -124,11 +133,33 @@ class TestGrouping:
         assert len(groups) == 4
 
 
-class TestOneCardSurface:
-    """Both card types publish the same minima, so every decision made
-    from them is the same decision — to the float."""
+class TestMixedPool:
+    def test_selection_and_grouping_over_a_mixed_pool(self, card):
+        rng = random.Random(8)
+        receiver_ids = rng.sample(range(0, 1 << 18), 400)
+        pools = {
+            "overlap": receiver_ids[:300] + rng.sample(range(1 << 20, 1 << 21), 200),
+            "h1": rng.sample(range(1 << 21, 1 << 22), 500),
+            "h2": rng.sample(range(1 << 22, 1 << 23), 500),
+            "twin": list(receiver_ids),
+        }
+        pools["h1-replica"] = list(pools["h1"])
+        cands = [candidate(pid, ids, card) for pid, ids in pools.items()]
+        selection = select_senders(
+            card(receiver_ids), len(receiver_ids), cands, max_senders=3
+        )
+        assert selection.rejected_identical == ["twin"]
+        assert len(selection.chosen) == 3
+        assert frozenset({"h1", "h1-replica"}) in {
+            frozenset(g) for g in group_identical_senders(cands)
+        }
 
-    def test_selection_and_grouping_equal_across_card_types(self):
+
+class TestOneCardSurface:
+    """Every lane publishes the same minima, so every decision made from
+    them is the same decision — to the float."""
+
+    def test_selection_and_grouping_equal_across_card_types(self, monkeypatch):
         rng = random.Random(8)
         receiver_ids = rng.sample(range(0, 1 << 18), 400)
         pools = {
@@ -139,17 +170,18 @@ class TestOneCardSurface:
         }
         pools["h1-replica"] = list(pools["h1"])
         outcomes = []
-        for make in CARD_FACTORIES.values():
-            cands = [candidate(pid, ids, make) for pid, ids in pools.items()]
-            selection = select_senders(
-                make(receiver_ids), len(receiver_ids), cands, max_senders=3
-            )
-            outcomes.append((selection, group_identical_senders(cands)))
-        (by_sketch, sketch_groups), (by_summary, summary_groups) = outcomes
-        assert by_sketch == by_summary
-        assert sketch_groups == summary_groups
-        assert by_sketch.rejected_identical == ["twin"]
-        assert len(by_sketch.chosen) == 3
+        for name in LANES:
+            with monkeypatch.context() as patch:
+                make = _lane(name, patch)
+                cands = [candidate(pid, ids, make) for pid, ids in pools.items()]
+                selection = select_senders(
+                    make(receiver_ids), len(receiver_ids), cands, max_senders=3
+                )
+                outcomes.append((selection, group_identical_senders(cands)))
+        first = outcomes[0]
+        assert all(outcome == first for outcome in outcomes[1:])
+        assert first[0].rejected_identical == ["twin"]
+        assert len(first[0].chosen) == 3
 
 
 class TestSplitDemand:

@@ -23,10 +23,8 @@ from repro.delivery.orchestrator import (
     plan_join,
     select_senders,
 )
-from repro.hashing.permutations import PermutationFamily
-from repro.reconcile import build_summary
+from repro.reconcile import SummaryError, build_summary
 from repro.reconcile.adapters import MinwiseStack, MinwiseSummary
-from repro.sketches import MinwiseSketch
 
 # A small family over a small universe: equal minima, identical cards
 # and tied gains come up often.
@@ -179,13 +177,15 @@ def test_appended_rows_equal_a_fresh_stack(case, extra):
 
 
 class TestWhatStacks:
-    def test_bare_sketches_take_the_per_card_loop(self):
-        family = PermutationFamily(ENTRIES, UNIVERSE, seed=SEED)
-        sketch = MinwiseSketch.build_vectorized([1, 2, 3], family)
-        cands = [CandidateSender("a", sketch, 3)]
-        assert not _stacks(cands, sketch)
-        result = select_senders(sketch, 3, CandidateStack(cands), max_senders=1)
-        assert result.chosen == [] and result.rejected_identical == ["a"]
+    def test_a_mixed_family_takes_the_per_card_loop_which_refuses_it(self):
+        stranger = build_summary(
+            "minwise", [1, 2, 3], entries=ENTRIES, universe=UNIVERSE, seed=SEED + 1
+        )
+        cands = [CandidateSender("a", card([1, 2, 3]), 3)]
+        cands.append(CandidateSender("b", stranger, 3))
+        assert not _stacks(cands, card([1, 2, 3]))
+        with pytest.raises(SummaryError, match="family"):
+            select_senders(card([1, 2, 3]), 3, CandidateStack(cands), max_senders=1)
 
     def test_another_family_stops_the_stacking(self):
         other = build_summary(

@@ -38,7 +38,6 @@ from repro.reconcile import build_summary, summary_class
 KINDS = {
     "minwise": {"entries": 16, "seed": 3},
     "bloom": {"bits_per_element": 8, "seed": 1},
-    "counting_bloom": {"buckets_per_element": 4, "seed": 2},
     "hashset": {"hash_bits": 24, "seed": 5},
     "modk": {"modulus": 4, "seed": 7},
 }

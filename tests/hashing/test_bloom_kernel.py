@@ -3,8 +3,9 @@
 :func:`repro.hashing.batch.bloom_index_matrix` mixes both seeds in one
 ``(2, n)`` pass; row ``i`` must be ``BloomHashes.indices(keys[i])``
 exactly, and a key outside ``[0, 2**64)`` sends the caller to the
-scalar loop.  ``BloomFilter.contains_many`` must answer what ``in``
-answers, key for key, with numpy and with numpy blocked.
+scalar loop.  A ``bloom`` card must set and probe exactly the bits
+``BloomHashes.indices`` names, key for key, with numpy and with numpy
+blocked.
 """
 
 from unittest import mock
@@ -14,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.hashing.batch as batch
-from repro.filters.bloom import BloomFilter
 from repro.hashing.batch import bloom_index_matrix
 from repro.hashing.families import BloomHashes
+from repro.reconcile import build_summary
 
 needs_numpy = pytest.mark.skipif(
     batch._numpy() is None, reason="without numpy there is no kernel"
@@ -26,6 +27,25 @@ keys_st = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=60)
 #: Table sizes: tiny, odd, a power of two, and wide enough that
 #: ``h1 + i*h2`` needs the pre-reduction to stay inside uint64.
 sizes_st = st.sampled_from([1, 7, 64, 1000, 2**32 + 15, 2**58])
+
+
+def _scalar_bits(card, keys):
+    """The bytes a scalar insertion of ``keys`` into ``card``'s shape sets."""
+    hashes = BloomHashes(card.k, card.m, card.seed)
+    bits = bytearray((card.m + 7) // 8)
+    for key in keys:
+        for i in hashes.indices(key):
+            bits[i >> 3] |= 1 << (i & 7)
+    return bits
+
+
+def _scalar_missing(card, keys):
+    """The keys one of whose scalar probe bits ``card`` leaves clear."""
+    hashes = BloomHashes(card.k, card.m, card.seed)
+    return [
+        key for key in keys
+        if not all(card.bits[i >> 3] >> (i & 7) & 1 for i in hashes.indices(key))
+    ]
 
 
 @needs_numpy
@@ -62,9 +82,9 @@ def test_the_edge_keys(seed):
 def test_a_key_outside_64_bits_takes_the_scalar_loop(bad):
     hashes = BloomHashes(5, 600, 3)
     assert bloom_index_matrix(hashes, [1, bad, 2]) is None
-    bf = BloomFilter(600, 5, seed=3)
-    bf.update([1, 2])
-    assert bf.contains_many([1, bad, 2]) == [1 in bf, bad in bf, 2 in bf]
+    card = build_summary("bloom", [1, 2], bits_per_element=300, k_hashes=5, seed=3)
+    assert card.m == 600
+    assert card.missing_from([1, bad, 2]) == _scalar_missing(card, [1, bad, 2])
 
 
 def test_no_numpy_empty_keys_and_overflowing_tables_have_no_rows():
@@ -82,15 +102,16 @@ def test_no_numpy_empty_keys_and_overflowing_tables_have_no_rows():
     bits_per_element=st.sampled_from([1, 2, 8]),
     seed=st.integers(0, 2**16),
 )
-def test_contains_many_answers_what_in_answers(
+def test_a_card_sets_and_probes_the_scalar_indices(
     numpy_on, members, probes, bits_per_element, seed
 ):
-    bf = BloomFilter.for_elements(members, bits_per_element, seed=seed)
-    # Members first: every one must probe True (no false negatives).
     keys = members + probes
     gate = batch._numpy if numpy_on else (lambda: None)
     with mock.patch.object(batch, "_numpy", gate):
-        got = bf.contains_many(keys)
-    assert got == [key in bf for key in keys]
-    assert all(type(v) is bool for v in got)
-    assert all(got[: len(members)])
+        card = build_summary(
+            "bloom", members, bits_per_element=bits_per_element, seed=seed
+        )
+        missing = card.missing_from(keys)
+    assert card.bits == _scalar_bits(card, members)
+    assert missing == _scalar_missing(card, keys)
+    assert not set(missing) & set(members)  # no false negatives

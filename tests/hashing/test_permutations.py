@@ -55,15 +55,6 @@ class TestPermutationFamily:
         for p1, p2 in zip(f1, f2):
             assert (p1.a, p1.b) == (p2.a, p2.b)
 
-    def test_compatibility(self):
-        f1 = PermutationFamily(8, 1 << 10, seed=1)
-        f2 = PermutationFamily(8, 1 << 10, seed=1)
-        f3 = PermutationFamily(8, 1 << 10, seed=2)
-        f4 = PermutationFamily(9, 1 << 10, seed=1)
-        assert f1.compatible_with(f2)
-        assert not f1.compatible_with(f3)
-        assert not f1.compatible_with(f4)
-
     def test_len_and_iteration(self):
         fam = PermutationFamily(12, 1 << 16, seed=0)
         assert len(fam) == 12

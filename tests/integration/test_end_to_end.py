@@ -27,7 +27,7 @@ class TestQuickstart:
 class TestSketchToTransferPipeline:
     def test_sketch_estimate_drives_mw_strategy(self):
         """The full §4 -> §5.4 pipeline: estimate c, recode accordingly."""
-        from repro.sketches import containment_from_resemblance
+        from repro.reconcile import containment_from_resemblance
 
         rng = random.Random(1)
         sc = make_pair_scenario(600, 1.1, 0.35, rng)

@@ -11,11 +11,18 @@ import random
 
 import pytest
 
-from repro.hashing.permutations import PermutationFamily
 from repro.reconcile import build_summary
-from repro.sketches import MinwiseSketch
 
 UNIVERSE = 1 << 24
+
+
+def _resemblance(a, b, entries, seed):
+    """The min-wise card's estimate for ``a`` against ``b``."""
+    card_a, card_b = (
+        build_summary("minwise", ids, entries=entries, universe=UNIVERSE, seed=seed)
+        for ids in (a, b)
+    )
+    return card_a.estimate_resemblance(card_b)
 
 
 def _pair_with_resemblance(resemblance, size, rng):
@@ -35,12 +42,9 @@ class TestMinwiseStatistics:
         target = 0.4
         estimates = []
         for trial in range(20):
-            family = PermutationFamily(64, UNIVERSE, seed=1000 + trial)
             a, b = _pair_with_resemblance(target, 300, rng)
             truth = len(a & b) / len(a | b)
-            est = MinwiseSketch.build_vectorized(a, family).estimate_resemblance(
-                MinwiseSketch.build_vectorized(b, family)
-            )
+            est = _resemblance(a, b, 64, 1000 + trial)
             estimates.append(est - truth)
         bias = sum(estimates) / len(estimates)
         # Linear permutations are only approximately min-wise independent
@@ -54,12 +58,9 @@ class TestMinwiseStatistics:
         r_target = 0.5
         sq_errs = []
         for trial in range(25):
-            family = PermutationFamily(k, UNIVERSE, seed=2000 + trial)
             a, b = _pair_with_resemblance(r_target, 256, rng)
             truth = len(a & b) / len(a | b)
-            est = MinwiseSketch.build_vectorized(a, family).estimate_resemblance(
-                MinwiseSketch.build_vectorized(b, family)
-            )
+            est = _resemblance(a, b, k, 2000 + trial)
             sq_errs.append((est - truth) ** 2)
         measured_var = sum(sq_errs) / len(sq_errs)
         theory_var = r_target * (1 - r_target) / k
@@ -73,12 +74,9 @@ class TestMinwiseStatistics:
         for k in (32, 512):
             errs = []
             for trial in range(12):
-                family = PermutationFamily(k, UNIVERSE, seed=3000 + 31 * trial + k)
                 a, b = _pair_with_resemblance(0.5, 256, rng)
                 truth = len(a & b) / len(a | b)
-                est = MinwiseSketch.build_vectorized(a, family).estimate_resemblance(
-                    MinwiseSketch.build_vectorized(b, family)
-                )
+                est = _resemblance(a, b, k, 3000 + 31 * trial + k)
                 errs.append((est - truth) ** 2)
             rmse[k] = math.sqrt(sum(errs) / len(errs))
         # 16x more permutations -> ~4x lower RMSE; accept >= 2x.

@@ -44,7 +44,6 @@ KIND_PARAMS = {
     "modk": {"modulus": 4},
     "random_sample": {"k": 64},
     "bloom": {"bits_per_element": 8},
-    "counting_bloom": {},
     "partitioned_bloom": {},
     "art": {},
     "cpi": {"max_discrepancy": 48},
@@ -252,20 +251,21 @@ class TestOpenAdmission:
 
 
 class TestSummaryScheme:
-    def test_default_scheme_usefulness_matches_the_sketch_primitive(self):
-        # The Summary-driven estimate and the bare §4 sketch's must be
-        # the same float — the bit-parity cornerstone.
-        from repro.sketches import MinwiseSketch
-
+    def test_default_scheme_usefulness_matches_the_scalar_minima(self):
+        # The Summary-driven estimate and the §4 definition's — the share
+        # of permutations whose scalar minima agree — must be the same
+        # float: the bit-parity cornerstone.
         scheme = default_scheme()
         family = PermutationFamily(128, DEFAULT_KEY_UNIVERSE, seed=99)
         a = _node("a", range(0, 150))
         b = _node("b", range(75, 225))
-        sketch_a, sketch_b = (
-            MinwiseSketch.build(n.working_set.ids, family) for n in (a, b)
+        minima_a, minima_b = (
+            [perm.min_over(sorted(n.working_set.ids)) for perm in family]
+            for n in (a, b)
         )
+        matches = sum(x == y for x, y in zip(minima_a, minima_b))
         assert 0.0 < scheme.usefulness(a, b) < 1.0
-        assert scheme.usefulness(a, b) == 1.0 - sketch_a.estimate_resemblance(sketch_b)
+        assert scheme.usefulness(a, b) == 1.0 - matches / len(family)
 
     def test_default_scheme_is_the_default_policys_card(self):
         from repro.reconcile import CALLING_CARD

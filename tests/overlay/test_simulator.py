@@ -14,15 +14,16 @@ from repro.overlay import (
     UtilityRewiring,
     default_scheme,
 )
-from repro.sketches import MinwiseSketch
 
 
-def _oracle_sketch(node, scheme):
-    """The node's card as the bare §4 primitive builds it, from scratch."""
+def _oracle_minima(node, scheme):
+    """The node's card minima by the §4 definition, from scratch: one
+    scalar minimum per permutation over the folded ids."""
     params = scheme.params_dict()
     universe = params.get("universe", DEFAULT_KEY_UNIVERSE)
     family = PermutationFamily(params["entries"], universe, seed=params["seed"])
-    return MinwiseSketch.build((i % universe for i in node.working_set.ids), family)
+    ids = sorted({i % universe for i in node.working_set.ids})
+    return [perm.min_over(ids) for perm in family]
 
 
 def _figure1_sim(**kwargs):
@@ -53,11 +54,11 @@ class TestOverlayNode:
     def test_sketch_refreshes_after_updates(self):
         scheme = default_scheme()
         n = OverlayNode("x", target=10, initial_ids=[1, 2, 3])
-        assert scheme.card_of(n).minima == _oracle_sketch(n, scheme).minima
+        assert scheme.card_of(n).minima == _oracle_minima(n, scheme)
         n.receive_symbol(999_999)
         # The minima may or may not move, but the card must reflect the
         # new set exactly:
-        assert scheme.card_of(n).minima == _oracle_sketch(n, scheme).minima
+        assert scheme.card_of(n).minima == _oracle_minima(n, scheme)
 
     def test_usefulness_identical_vs_disjoint(self):
         scheme = default_scheme()
@@ -66,12 +67,12 @@ class TestOverlayNode:
         stranger = OverlayNode("s", 10, initial_ids=range(1000, 1100))
         assert scheme.usefulness(a, twin) == pytest.approx(0.0)
         assert scheme.usefulness(a, stranger) > 0.9
-        # Exactly the primitive's floats, not merely close to them.
-        mine = _oracle_sketch(a, scheme)
+        # Exactly the definition's floats, not merely close to them.
+        mine = _oracle_minima(a, scheme)
         for other in (twin, stranger):
-            assert scheme.usefulness(a, other) == 1.0 - mine.estimate_resemblance(
-                _oracle_sketch(other, scheme)
-            )
+            theirs = _oracle_minima(other, scheme)
+            matches = sum(m == t for m, t in zip(mine, theirs))
+            assert scheme.usefulness(a, other) == 1.0 - matches / len(mine)
         assert scheme.usefulness(a, OverlayNode("src", 10, is_source=True)) == 1.0
 
 

@@ -96,7 +96,6 @@ class TestDefaultPolicyPins:
 
 POLICIES = {
     "bloom": SummaryPolicy(kind="bloom", params={"bits_per_element": 8}),
-    "counting_bloom": SummaryPolicy(kind="counting_bloom"),
     "art": SummaryPolicy(kind="art", params={"bits_per_element": 8, "correction": 2}),
     "cpi": SummaryPolicy(kind="cpi", params={"max_discrepancy": 250}),
     "hashset": SummaryPolicy(kind="hashset"),

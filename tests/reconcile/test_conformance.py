@@ -53,7 +53,6 @@ class TestRegistry:
             "modk",
             "random_sample",
             "bloom",
-            "counting_bloom",
             "partitioned_bloom",
             "art",
             "cpi",
@@ -78,7 +77,6 @@ class TestRegistry:
         for kind, params in [
             ("minwise", {"entries": 0}),
             ("bloom", {"k_hashes": 0}),
-            ("counting_bloom", {"k_hashes": 0}),
             ("cpi", {"max_discrepancy": 0}),
         ]:
             with pytest.raises(SummaryError):
@@ -95,8 +93,6 @@ class TestPayloadFaults:
         [
             ("bloom", ("k_hashes",)),
             ("bloom", ("m_bits",)),
-            ("counting_bloom", ("k_hashes",)),
-            ("counting_bloom", ("m_buckets",)),
             ("partitioned_bloom", ("k_hashes",)),
             ("partitioned_bloom", ("m_bits",)),
             ("art", ("leaf", "k_hashes")),
@@ -119,7 +115,7 @@ class TestPayloadFaults:
 
     def test_a_filter_may_probe_every_payload_bit_but_no_more(self):
         s = build_summary("bloom", range(2), bits_per_element=8, k_hashes=16)
-        assert s.bloom.m == 16
+        assert s.m == 16
         payload = s.to_payload()
         assert summary_from_payload(payload).may_contain(3)
         payload["k_hashes"] = 17
@@ -304,20 +300,44 @@ class TestConformance:
         assert r.wire_bytes() == s.wire_bytes()
 
 
-class TestKindSpecifics:
-    def test_bloom_build_matches_scalar_filter(self, sets):
-        """The vectorised build produces the classic filter bit-for-bit."""
-        from repro.filters import BloomFilter
+@pytest.mark.parametrize(
+    "kind, other",
+    [(kind, other) for kind in ALL_KINDS for other in ALL_KINDS if other != kind],
+)
+def test_a_card_of_another_kind_is_refused(kind, other, sets):
+    """Two kinds never combine: a receiver holding one kind's card
+    refuses a peer's card of another kind, and so does a merge."""
+    a, b = sets
+    sa = build_summary(kind, a, **params_for(kind))
+    sb = build_summary(other, b, **params_for(other))
+    with pytest.raises(SummaryError, match="cannot combine"):
+        sa.estimate_difference(sb, a)
+    with pytest.raises(SummaryError):
+        sa.merge(sb)
 
+
+class TestKindSpecifics:
+    @pytest.mark.parametrize("numpy_lane", ["numpy", "numpy-blocked"])
+    def test_bloom_build_matches_the_scalar_insertion(
+        self, sets, numpy_lane, monkeypatch
+    ):
+        """The card sets the bits of the classic scalar insertion loop,
+        sized ``8 n`` bits with the optimal hash count."""
+        import repro.hashing.batch as batch
+        from repro.hashing.families import BloomHashes
+        from repro.reconcile import optimal_hash_count
+
+        if numpy_lane == "numpy-blocked":
+            monkeypatch.setattr(batch, "_numpy", lambda: None)
         a, _ = sets
         s = build_summary("bloom", a, bits_per_element=8)
-        legacy = BloomFilter.for_elements(sorted(a), bits_per_element=8)
-        assert s.bloom.to_bytes() == legacy.to_bytes()
-        assert (s.bloom.m, s.bloom.k, s.bloom.count) == (
-            legacy.m,
-            legacy.k,
-            legacy.count,
-        )
+        m = 8 * len(a)
+        assert (s.m, s.k, s.count) == (m, optimal_hash_count(m, len(a)), len(a))
+        bits = bytearray(m // 8)
+        for key in sorted(a):
+            for i in BloomHashes(s.k, m, 0).indices(key):
+                bits[i >> 3] |= 1 << (i & 7)
+        assert s.bits == bits
 
     @pytest.mark.parametrize("numpy_lane", ["numpy", "numpy-blocked"])
     def test_bloom_missing_from_matches_the_membership_walk(
@@ -343,14 +363,13 @@ class TestKindSpecifics:
         assert 0 < len(walk) < len(candidates)
         assert s.missing_from([]) == []
 
-    def test_minwise_build_matches_sketch(self, sets):
+    def test_minwise_build_matches_the_scalar_minima(self, sets):
         from repro.hashing.permutations import PermutationFamily
-        from repro.sketches import MinwiseSketch
 
         a, _ = sets
         s = build_summary("minwise", a, entries=64, seed=5)
-        sketch = MinwiseSketch.build(a, PermutationFamily(64, 1 << 32, seed=5))
-        assert s.minima == sketch.minima
+        family = PermutationFamily(64, 1 << 32, seed=5)
+        assert s.minima == [perm.min_over(sorted(a)) for perm in family]
 
     def test_cpi_raises_past_its_bound(self, sets):
         from repro.exact.cpi import DiscrepancyExceeded
@@ -387,7 +406,7 @@ class TestKindSpecifics:
 
     @pytest.mark.parametrize(
         "kind",
-        ["random_sample", "bloom", "counting_bloom", "partitioned_bloom", "art", "cpi"],
+        ["random_sample", "bloom", "partitioned_bloom", "art", "cpi"],
     )
     def test_an_estimate_that_reads_its_own_ids_asks_the_caller(self, kind, sets):
         a, b = sets

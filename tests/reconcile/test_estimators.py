@@ -1,10 +1,10 @@
-"""Tests for resemblance/containment conversions."""
+"""Tests for the resemblance/containment conversions beside the min-wise card."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sketches import (
+from repro.reconcile import (
     containment_from_resemblance,
     intersection_from_resemblance,
 )
@@ -32,11 +32,11 @@ class TestConversions:
         with pytest.raises(ValueError):
             containment_from_resemblance(1.5, 10, 10)
         with pytest.raises(ValueError):
-            intersection_from_resemblance(-0.1, 10, 10)
+            containment_from_resemblance(-0.1, 10, 10)
 
     def test_negative_sizes_rejected(self):
         with pytest.raises(ValueError):
-            intersection_from_resemblance(0.5, -1, 10)
+            containment_from_resemblance(0.5, -1, 10)
 
 
 class TestRoundTrip:

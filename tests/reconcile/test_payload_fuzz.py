@@ -7,7 +7,8 @@ non-finite floats, out-of-range integers, lists holding a bad element
 payload goes through :func:`summary_from_payload` and, if accepted,
 through the first ``wire_bytes`` /
 ``estimate_difference`` / ``missing_from`` / ``may_contain`` a receiver
-would make.  Every call has a deadline.  The only exceptions allowed
+would make.  The same holds for a payload missing one field and for a
+payload labelled with another registered kind.  Every call has a deadline.  The only exceptions allowed
 are :class:`SummaryError` and, from a CPI search,
 :class:`DiscrepancyExceeded` — that path's documented retry signal.  A
 bare ``ValueError``, a ``TypeError`` or a stall is a bug: one peer's
@@ -89,22 +90,31 @@ def _cases():
                 yield pytest.param(kind, field, value, id=f"{kind}-{field}-{value!r}")
 
 
+def _payload(kind):
+    return build_summary(kind, IDS, **PARAMS.get(kind, {})).to_payload()
+
+
+def _holder(payload, field):
+    """The object holding ``field`` (a key path), and its last key."""
+    *outer, last = field.split(".")
+    return (payload[outer[0]] if outer else payload), last
+
+
 def _received(kind, field, value):
     """What the receiver decodes: the payload with ``field`` (a key path)
     set to ``value``."""
-    payload = build_summary(kind, IDS, **PARAMS.get(kind, {})).to_payload()
-    *outer, last = field.split(".")
-    target = payload[outer[0]] if outer else payload
+    payload = _payload(kind)
+    target, last = _holder(payload, field)
     target[last] = value
     return lambda: summary_from_payload(payload)
 
 
-@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
-@pytest.mark.parametrize("kind, field, value", list(_cases()))
-def test_a_bad_field_is_refused_or_served(kind, field, value):
+def _refused_or_served(kind, decode):
+    """``decode()`` refuses with :class:`SummaryError`, or its summary
+    answers a ``kind`` receiver's first calls within the deadline."""
     local = build_summary(kind, CANDIDATES, **PARAMS.get(kind, {}))
     try:
-        remote = within_deadline(_received(kind, field, value))
+        remote = within_deadline(decode)
     except SummaryError:
         return
     within_deadline(remote.wire_bytes)
@@ -122,6 +132,45 @@ def test_a_bad_field_is_refused_or_served(kind, field, value):
             pass
         except DiscrepancyExceeded:
             assert kind == "cpi"
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+@pytest.mark.parametrize("kind, field, value", list(_cases()))
+def test_a_bad_field_is_refused_or_served(kind, field, value):
+    _refused_or_served(kind, _received(kind, field, value))
+
+
+def _missing_cases():
+    for kind in summary_kinds():
+        for field in _field_paths(_payload(kind)):
+            yield pytest.param(kind, field, id=f"{kind}-{field}")
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+@pytest.mark.parametrize("kind, field", list(_missing_cases()))
+def test_a_missing_field_is_refused_or_served(kind, field):
+    """A field left out reads as a refusal, never a bare ``KeyError``."""
+    payload = _payload(kind)
+    target, last = _holder(payload, field)
+    del target[last]
+    _refused_or_served(kind, lambda: summary_from_payload(payload))
+
+
+def _mislabelled_cases():
+    for kind in summary_kinds():
+        for label in summary_kinds():
+            if label != kind:
+                yield pytest.param(kind, label, id=f"{kind}-as-{label}")
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+@pytest.mark.parametrize("kind, label", list(_mislabelled_cases()))
+def test_a_mislabelled_payload_is_refused_or_served(kind, label):
+    """A ``kind`` body under another kind's label goes to that kind's
+    decoder, which refuses it or serves a ``label`` receiver."""
+    payload = _payload(kind)
+    payload["kind"] = label
+    _refused_or_served(label, lambda: summary_from_payload(payload))
 
 
 def _blobs():

@@ -37,8 +37,8 @@ CASES = [
     ("hashset", {"hash_bits": 20, "seed": 6}),
     ("wholeset", {}),
     ("wholeset", {"key_bits": 12}),
-    ("counting_bloom", {}),
-    ("counting_bloom", {"buckets_per_element": 5, "k_hashes": 3, "seed": 7}),
+    ("bloom", {}),
+    ("bloom", {"bits_per_element": 6, "k_hashes": 3, "seed": 11}),
     ("partitioned_bloom", {}),
     ("partitioned_bloom",
      {"rho": 3, "beta": 2, "bits_per_element": 6, "k_hashes": 2, "seed": 8}),
@@ -68,10 +68,10 @@ GOLDEN = {
         ["4:aeb9fd15571ea182", "484:b06194b8c85413e1", "2404:15a74772da83d993"],
     "wholeset,key_bits=12":
         ["4:8183a5f137b6cf75", "94:d7328685a9db6aa5", "454:1b2ed024ae3965b8"],
-    "counting_bloom":
-        ["32:e5c8318c24809f50", "976:d4c64f692755a48a", "4816:7795f9079d815b50"],
-    "counting_bloom,buckets_per_element=5,k_hashes=3,seed=7":
-        ["32:85912547817f033e", "616:66b058e14c3ab65b", "3016:d4462d00e2beb3fc"],
+    "bloom":
+        ["17:7cb1e2bdcc1a4dbd", "76:e2123fd4b073a5cf", "316:0a9f7f52eb4e54c7"],
+    "bloom,bits_per_element=6,k_hashes=3,seed=11":
+        ["17:fab752391510df92", "61:689798254e29703c", "241:2ee4a4aebf9c9c74"],
     "partitioned_bloom":
         ["25:e8a98e629bb08309", "39:4dfd1d5f4b216db8", "89:4786c12ff9a3b3a8"],
     "partitioned_bloom,beta=2,bits_per_element=6,k_hashes=2,rho=3,seed=8":

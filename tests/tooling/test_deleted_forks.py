@@ -40,9 +40,8 @@ GUARDS = [
      r"sketch_family|default_family|from_family|estimated_usefulness_of"
      r"|SummaryScheme\.coerce|minwise_sketch|modk_sketch|random_sample_sketch"
      r"|bloom_summary", ["src"]),
-    Guard(17, "repro.sketches behind the card's readers",
-     r"repro\.sketches",
-     ["src/repro/overlay", "src/repro/delivery", "src/repro/api", "src/repro/flow"]),
+    Guard(17, "a second min-wise or Bloom home beside repro.reconcile",
+     r"repro\.sketches|repro\.filters", ["src", "examples"]),
     Guard(19, "a node, simulator or catalog stamp cache",
      r"_StampedCache|_receiver_summaries|receiver_summary|_wanted_cache"
      r"|_card_keys|summary_card", ["src"]),
@@ -184,7 +183,6 @@ GUARDS = [
          ["src/repro/reconcile"]),
         ("StatsRecorder.last", r"\.last\(|def last\b", EVERYWHERE, 1),
         ("MinwiseSketch.is_empty", r"\bis_empty\b", EVERYWHERE, 1),
-        ("MinwiseSketch.__len__", r"def __len__", ["src/repro/sketches"]),
         ("WorkingSet.update / discard (a working set only grows)",
          r"(working_set|\bws2?)\.(update|discard)\(|def (update|discard)\b",
          ["src/repro/delivery/working_set.py", "tests", "bench", "examples", "README.md"]),
@@ -205,7 +203,7 @@ GUARDS = [
 ] + [
     # A summary holds no ids, and only min-wise cards absorb: one row
     # per name.  A count of 1 is README.md's migration row; the
-    # m_bits / m_buckets row also counts the two tests of the refusal.
+    # m_bits / m_buckets row also counts the test of the refusal.
     Guard(43, what, pattern, ["src", "tests", "examples", "README.md"],
           [THIS_FILE], *matches)
     for what, pattern, *matches in [
@@ -214,7 +212,7 @@ GUARDS = [
         ("the Bloom-family and hash-set absorbs' build parameters",
          r"\b_build_params\b|_requested_bits"),
         ("a pinned filter size (m_bits= / m_buckets= build parameters)",
-         r"\bm_(bits|buckets)=", 3),
+         r"\bm_(bits|buckets)=", 2),
         ("CountingBloomSummary.remove (a working set only grows)",
          r"def remove\b|cbf\.remove\("),
     ]
@@ -252,6 +250,18 @@ GUARDS = [
 ] + [
     Guard(49, "a clock in the protocol session (ScheduledSession stamps its stats)",
           r"\.clock\b|\bclock\s*=", ["src/repro/protocol"]),
+] + [
+    # One home per summary: repro.reconcile holds the min-wise card and
+    # the Bloom filter, and the counting filter answered nothing the
+    # Bloom filter does not.  A count is README.md's migration rows.
+    Guard(50, what, pattern, ["src", "tests", "examples", "README.md"],
+          [THIS_FILE], *matches)
+    for what, pattern, *matches in [
+        ("a second min-wise card, Bloom filter or the counting_bloom kind",
+         r"\b(MinwiseSketch|BloomFilter|CountingBloomSummary|counting_bloom)\b", 3),
+        ("PermutationFamily.compatible_with (a card checks its own family)",
+         r"compatible_with", 1),
+    ]
 ]
 
 #: Deleted files and directories.
@@ -270,6 +280,10 @@ DELETED_PATHS = [
     "src/repro/overlay/churn.py",
     "tests/overlay/test_churn.py",
     "tests/protocol/test_partitioned_session.py",
+    "src/repro/sketches",
+    "src/repro/filters",
+    "tests/sketches",
+    "tests/filters",
 ]
 
 

@@ -89,6 +89,8 @@ class RtxBoundMachine(RuleBasedStateMachine):
             default=math.inf,
         )
         assert self.rtx.next_deadline <= earliest
+        if not self.outstanding:  # an empty table has nothing to scan
+            assert self.rtx.next_deadline == math.inf
 
 
 RtxBoundMachine.TestCase.settings = settings(
@@ -127,3 +129,15 @@ def test_a_scan_recomputes_the_bound_and_an_ack_leaves_it():
     assert rtx.next_deadline == 31.0
     assert rtx.expire(31.0) == [(1, 1.0)]
     assert rtx.next_deadline == math.inf
+
+
+def test_an_ack_that_empties_the_table_clears_the_bound():
+    rtx = RtxManager(rto_min=1.0, rto_max=64.0)
+    rtx.track(0, 0.0)
+    rtx.track(1, 0.5)
+    assert rtx.ack(0) == 0.0
+    assert rtx.next_deadline == 2.0  # one packet left: the bound stays
+    assert rtx.ack(1) == 0.5
+    assert rtx.next_deadline == math.inf
+    rtx._outstanding = None  # a scan would fail
+    assert rtx.expire(1e9) == []
