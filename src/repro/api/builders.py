@@ -521,11 +521,10 @@ def _informed_join(
             for n in sim.nodes.values()
             if not n.is_source and len(n.working_set) > 0
         ]
-        scheme.refresh(live)
         # The true set size rides with the card: folded ids may collide.
         stack = CandidateStack(
-            CandidateSender(n.node_id, scheme.card_of(n), len(n.working_set))
-            for n in live
+            CandidateSender(n.node_id, card, len(n.working_set))
+            for n, card in zip(live, scheme.refresh(live))
         )
         for pid in batch:
             node = _seeded_node(rng, joiners, swarm, pid)

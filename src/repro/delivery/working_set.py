@@ -176,6 +176,13 @@ class WorkingSet:
         return other & self._ids
 
     @property
+    def id_set(self) -> AbstractSet[int]:
+        """The id set itself, not a copy, for a kernel that reads it in
+        place (a batched card build counts and folds it).  Read it; never
+        write it."""
+        return self._ids
+
+    @property
     def ids(self) -> Set[int]:
         """A copy of the id set, O(n).
 

@@ -194,6 +194,8 @@ class _Cohort:
         self.arrived = False
         self.carry = 0.0  # fractional sampled-ID accumulation
         self.is_source = rep.is_source
+        # Tiers still short of the demand: a source has none.
+        self.open_tiers = len(tiers)
 
     @property
     def cohort_id(self) -> str:
@@ -209,9 +211,6 @@ class _Cohort:
             return float(self.definition.demand)
         total = sum(t.count * t.members for t in self.tiers)
         return total / self.members
-
-    def is_complete(self) -> bool:
-        return self.is_source or all(t.completed_at is not None for t in self.tiers)
 
 
 @dataclass
@@ -338,6 +337,8 @@ class FlowSimulator:
         for c in self.cohorts:
             self._by_node_id[c.cohort_id] = c
         self.population = sum(c.members for c in self.cohorts)
+        # Cohorts still to complete, counted down where a last tier does.
+        self._incomplete = sum(1 for c in self.cohorts if c.open_tiers)
 
     # -- construction -------------------------------------------------------
 
@@ -430,7 +431,7 @@ class FlowSimulator:
             if now >= next_epoch - 1e-9:
                 self._reconfigure(now)
                 next_epoch += self.interval
-            if not pending and all(c.is_complete() for c in self.cohorts):
+            if not pending and not self._incomplete:
                 break
         return self._report(now, horizon)
 
@@ -487,7 +488,7 @@ class FlowSimulator:
             self.rewiring,
             self.rng,
             self.scan_budget,
-            (c.rep for c in self.cohorts if c.arrived and not c.is_complete()),
+            (c.rep for c in self.cohorts if c.arrived and c.open_tiers),
             pool_of,
             lambda rep: [s.rep for s in by_id[rep.node_id].senders],
             table,
@@ -525,7 +526,7 @@ class FlowSimulator:
         counts = {c.cohort_id: c.mean_count() for c in self.cohorts}
         rep_updates: List[Tuple[_Cohort, _Cohort, int]] = []
         for receiver in self.cohorts:
-            if not receiver.arrived or receiver.is_complete():
+            if not receiver.arrived or not receiver.open_tiers:
                 continue
             novel = {
                 s.cohort_id: self._novel_fraction(receiver, s)
@@ -573,6 +574,9 @@ class FlowSimulator:
                 tier.count += gained
                 if tier.count >= receiver.definition.demand - 1e-9:
                     tier.completed_at = t0 + phi * window
+                    receiver.open_tiers -= 1
+                    if not receiver.open_tiers:
+                        self._incomplete -= 1
                 for sid, u in useful_by_sender.items():
                     cohort_useful[sid] = cohort_useful.get(sid, 0.0) + u * (
                         tier.members / receiver.members
@@ -625,7 +629,7 @@ class FlowSimulator:
                 if t.completed_at is not None:
                     completions.append((t.completed_at, t.members))
                     completed += t.members
-        all_complete = all(c.is_complete() for c in self.cohorts)
+        all_complete = not self._incomplete
         end = max((t for t, _ in completions), default=now) if all_complete else now
         return FlowReport(
             ticks=int(math.ceil(min(end, horizon))),

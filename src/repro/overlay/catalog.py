@@ -224,7 +224,8 @@ class CatalogScheme(SummaryScheme):
     that holds all of it.  A candidate fully stocked on every wanted
     object scores exactly 1 and reproduces the ungated estimate, and
     the base estimates still come from the one kernel: the gate weighs
-    ``SummaryScheme.usefulness_many``'s batch, it never replaces it.
+    the epoch table's batch (``SummaryScheme.usefulness_many``), it
+    never replaces it.
     """
 
     def __init__(self, catalog: ObjectCatalog, kind: str = "minwise", params: Optional[dict] = None):
@@ -265,18 +266,18 @@ class CatalogScheme(SummaryScheme):
             return 0.0
         return share / total
 
-    def usefulness_many(self, receiver, candidates, card_of=None) -> List[float]:
+    def usefulness_many(self, receiver, candidates, table=None) -> List[float]:
         weights = [self.object_weight(receiver, c) for c in candidates]
         # A zero weight settles it before any symbol card is consulted.
         base = iter(
             super().usefulness_many(
                 receiver,
                 [c for c, w in zip(candidates, weights) if w != 0.0],
-                card_of,
+                table,
             )
         )
         return [0.0 if w == 0.0 else w * next(base) for w in weights]
 
-    def card_wire_bytes(self, node) -> int:
+    def card_wire_bytes(self, card) -> int:
         # The inventory (one fill-level byte per object) rides with the card.
-        return super().card_wire_bytes(node) + self.catalog.objects
+        return super().card_wire_bytes(card) + self.catalog.objects

@@ -18,16 +18,18 @@ card joins, admission and rewiring share when a run names no other.
 
 import math
 import random
+from functools import lru_cache
 from itertools import chain
-from typing import Any, Callable, Collection, Iterable, Iterator, List, Mapping
+from typing import Callable, Collection, Iterable, Iterator, List, Mapping
 from typing import Optional, Protocol, Sequence, Tuple
 
 from repro.delivery.working_set import WorkingSet
 from repro.exact.cpi import DiscrepancyExceeded
 from repro.overlay.node import OverlayNode
 from repro.reconcile import CALLING_CARD, SummaryPolicy
+from repro.reconcile.adapters import MinwiseSummary, resemblance_rows
 from repro.reconcile.base import Summary
-from repro.reconcile.registry import summary_batch_recipe
+from repro.reconcile.registry import build_summary, summary_batch_recipe
 from repro.seeding import choice, sample
 
 #: The informed policy's defaults — admission threshold and swap margin
@@ -57,15 +59,16 @@ class SummaryScheme(SummaryPolicy):
         ``node.working_set.summary(kind, **params)``."""
         return self.summary_of(node.working_set)
 
-    def refresh(self, nodes: Iterable[OverlayNode]) -> None:
-        """Bring the cards of ``nodes`` current together: the entries
-        :meth:`card_of` reads, rebuilt or absorbed in one batched kernel
-        pass (:meth:`~repro.delivery.working_set.WorkingSet.cached_many`)
-        instead of one pass per card on first read.  A kind without a
-        batch kernel does nothing here; its cards stay lazy."""
+    def refresh(self, nodes: Sequence[OverlayNode]) -> List[Summary]:
+        """The cards of ``nodes``, in order, brought current together:
+        the entries :meth:`card_of` reads, rebuilt or absorbed in one
+        batched kernel pass (:meth:`~repro.delivery.working_set.
+        WorkingSet.cached_many`) instead of one pass per card.  A kind
+        without a batch kernel reads each card in turn."""
         recipe = summary_batch_recipe(self.kind, self.params_dict())
-        if recipe is not None:
-            WorkingSet.cached_many([n.working_set for n in nodes], *recipe)
+        if recipe is None:
+            return [self.card_of(n) for n in nodes]
+        return WorkingSet.cached_many([n.working_set for n in nodes], *recipe)
 
     def resemblance(
         self, ours: Summary, theirs: Summary, ids: Collection[int]
@@ -107,37 +110,30 @@ class SummaryScheme(SummaryPolicy):
         self,
         receiver: OverlayNode,
         candidates: Sequence[OverlayNode],
-        card_of: Optional[Callable[[OverlayNode], Summary]] = None,
+        table: Optional["EpochTable"] = None,
     ) -> List[float]:
         """``1 - resemblance`` of ``receiver``'s card and each
-        candidate's (1.0 for a source), computed from the cards that are
-        there: min-wise cards compare in one batch
-        (``estimate_resemblance_many``, the estimate kernel of
-        :class:`~repro.reconcile.adapters.MinwiseSummary`), every other
-        kind pair by pair.  Nothing is stored, so nothing can go stale.
-
-        ``card_of`` looks a node's card up (an epoch passes its
-        :class:`EpochTable`'s); ``None`` reads :meth:`card_of`.
+        candidate's (1.0 for a source): :meth:`EpochTable.usefulness`
+        over ``table``, the epoch's rows, when it is a table of this
+        very scheme, and over a table of just these nodes otherwise.
+        Either way the cards are the working sets' cached ones, so
+        nothing can go stale.
         """
-        if card_of is None:
-            card_of = self.card_of
-        cards = [card_of(c) for c in candidates if not c.is_source]
-        if not cards:
-            return [1.0] * len(candidates)  # the receiver's card is not read
-        ours = card_of(receiver)
-        if self.kind == "minwise":
-            estimates = ours.estimate_resemblance_many(cards)  # type: ignore[attr-defined]
-        else:
-            estimates = (
-                self.resemblance(ours, theirs, receiver.working_set)
-                for theirs in cards
-            )
-        rest = iter(estimates)
-        return [1.0 if c.is_source else 1.0 - next(rest) for c in candidates]
+        if table is None or table.scheme is not self:
+            table = EpochTable(self, chain((receiver,), candidates))
+        return table.usefulness(receiver, candidates)
 
-    def card_wire_bytes(self, node: OverlayNode) -> int:
-        """Honest wire cost of shipping the node's card once."""
-        return self.card_of(node).wire_bytes()
+    def card_wire_bytes(self, card: Summary) -> int:
+        """Honest wire cost of shipping ``card`` once."""
+        return card.wire_bytes()
+
+
+@lru_cache(maxsize=32)
+def _blank_card(kind: str, params: tuple) -> Summary:
+    """The card of a set holding nothing: what an :class:`EpochTable`
+    compares a source or an empty peer as.  Cards are immutable and a
+    pure function of ``(kind, params, ids)``, so one serves every run."""
+    return build_summary(kind, (), **dict(params))
 
 
 def default_scheme() -> SummaryScheme:
@@ -227,35 +223,24 @@ class OpenAdmission:
         return _can_serve(candidate)
 
 
-class _Reads(dict):
-    """``reads[node]`` is ``read(node)``, read on first use and served
-    after: C-level dict hits, one call per node."""
-
-    __slots__ = ("_read",)
-
-    def __init__(self, read: Callable[[OverlayNode], Any]):
-        super().__init__()
-        self._read = read
-
-    def __missing__(self, node: OverlayNode) -> Any:
-        value = self[node] = self._read(node)
-        return value
-
-
 class EpochTable:
     """What one reconfiguration epoch reads about a node, read once.
 
-    ``serves[node]`` is :func:`_can_serve`; ``card_of(node)`` is the
-    scheme's :meth:`SummaryScheme.card_of`; ``wire_bytes[node]`` is what
-    a scan pays for the card — the scheme's ``card_wire_bytes``, or 0
-    for a node that publishes none (a source or an empty set).  Each is
-    read on first use and served after.  A table without a scheme has
-    only ``serves``.
+    :meth:`fill` reads the nodes an epoch can reach.  ``serves[node]``
+    is :func:`_can_serve`.  Over a scheme, the table brings the cards
+    of the *live* nodes — non-source peers holding something — current
+    in one :meth:`SummaryScheme.refresh` and keeps one row per node: a
+    live node's is its card's own row (a min-wise card's ``array('q')``
+    buffer, not a copy; any other kind's card itself), with the family
+    checked once, here, and every source and empty peer shares the
+    row of the scheme's card of no ids.
+    ``wire_bytes[node]`` is what a scan pays for the card — the
+    scheme's ``card_wire_bytes`` of it, or 0 for a node that publishes
+    none.  A table without a scheme has only ``serves``.
 
     The answers are the direct reads because nothing inside an epoch
     adds an id to a set (see :func:`run_epoch`).  A table is not a
-    cache: the card still comes from ``card_of`` — the working set's
-    cached summary, which stays the only owner — and the table is
+    cache: each card stays owned by its working set, and the table is
     dropped with the epoch (or the direct ``rewire`` call) that made it.
     The one judgement it carries is the decision being applied:
     :meth:`record` keeps one receiver's adds with the utilities that
@@ -264,21 +249,74 @@ class EpochTable:
     Nothing else a scan estimated is kept.
     """
 
-    __slots__ = ("scheme", "serves", "card_of", "wire_bytes", "_decided")
+    __slots__ = ("scheme", "serves", "wire_bytes", "_rows", "_blank", "_decided")
 
-    def __init__(self, scheme: Optional[SummaryScheme] = None):
+    def __init__(
+        self,
+        scheme: Optional[SummaryScheme] = None,
+        nodes: Optional[Iterable[OverlayNode]] = None,
+    ):
         self.scheme = scheme
         self._decided = (None, {})  # (receiver, {add: utility})
-        serves = self.serves = _Reads(_can_serve)
+        self.serves: dict = {}
+        self.wire_bytes: Optional[dict] = None if scheme is None else {}
+        self._rows: dict = {}
+        self._blank = None
+        if nodes is not None:
+            self.fill(nodes)
+
+    def fill(self, nodes: Iterable[OverlayNode]) -> None:
+        """Read ``nodes`` (repeats are read once): whether each can
+        serve and, over a scheme, each one's row and wire size, off one
+        refresh of the live nodes' cards."""
+        nodes = list(dict.fromkeys(nodes))
+        serving = [_can_serve(n) for n in nodes]
+        self.serves.update(zip(nodes, serving))
+        scheme = self.scheme
         if scheme is None:
-            self.card_of = self.wire_bytes = None
             return
-        self.card_of = _Reads(scheme.card_of).__getitem__
-        self.wire_bytes = _Reads(
-            lambda node: 0
-            if node.is_source or not serves[node]
-            else scheme.card_wire_bytes(node)
-        )
+        live = [n for n, can in zip(nodes, serving) if can and not n.is_source]
+        cards = scheme.refresh(live)
+        blank = _blank_card(scheme.kind, scheme.params)
+        if type(blank) is MinwiseSummary:
+            self._blank = blank.row
+            rows: Sequence = blank.rows_of(cards)
+        else:
+            self._blank = blank
+            rows = cards
+        self._rows.update(dict.fromkeys(nodes, self._blank))
+        self._rows.update(zip(live, rows))
+        self.wire_bytes.update(dict.fromkeys(nodes, 0))
+        self.wire_bytes.update(zip(live, map(scheme.card_wire_bytes, cards)))
+
+    def usefulness(
+        self, receiver: OverlayNode, candidates: Sequence[OverlayNode]
+    ) -> List[float]:
+        """``1 - resemblance`` of ``receiver``'s row and each
+        candidate's: :meth:`SummaryScheme.usefulness_many`, for nodes
+        this table has read.
+
+        Min-wise rows compare in one :func:`~repro.reconcile.adapters.
+        resemblance_rows` call, and ``1.0 - matches / entries`` is the
+        per-pair float bit for bit.  A source's or an empty peer's blank
+        row matches no position of a live receiver's, so it scores 1.0
+        without a source check; a blank receiver (an empty set) finds
+        everything fully useful, as the per-pair estimate does.  Every
+        other kind compares card by card through
+        :meth:`SummaryScheme.resemblance`, sources at 1.0.
+        """
+        rows = self._rows
+        mine = rows[receiver]
+        if not isinstance(mine, Summary):  # a min-wise row
+            if mine is self._blank or not candidates:
+                return [1.0] * len(candidates)
+            theirs = [rows[c] for c in candidates]
+            return [1.0 - r for r in resemblance_rows(mine, theirs)]
+        scheme, ids = self.scheme, receiver.working_set
+        return [
+            1.0 if c.is_source else 1.0 - scheme.resemblance(mine, rows[c], ids)
+            for c in candidates
+        ]
 
     @classmethod
     def of(cls, policy: "ReconfigurationPolicy") -> "EpochTable":
@@ -383,7 +421,9 @@ class UtilityRewiring:
         """Decide, and record the adds' utilities on ``table`` for the
         admission that applies them (:meth:`EpochTable.record`)."""
         if table is None:
-            table = EpochTable(self.scheme)
+            table = EpochTable(
+                self.scheme, chain((receiver,), current_senders, candidates)
+            )
         drops, adds, utilities = self._decide(
             receiver, current_senders, candidates, table
         )
@@ -405,7 +445,7 @@ class UtilityRewiring:
         # stable), and a swap names the first worst and the first best.
         free_slots = receiver.max_connections - len(current_senders)
         if free_slots > 0:
-            utility = self.scheme.usefulness_many(receiver, usable, table.card_of)
+            utility = self.scheme.usefulness_many(receiver, usable, table)
             ranked = sorted(
                 range(len(usable)), key=utility.__getitem__, reverse=True
             )
@@ -416,7 +456,7 @@ class UtilityRewiring:
             return [], [], []
         held = len(current_senders)
         utility = self.scheme.usefulness_many(
-            receiver, current_senders + usable, table.card_of
+            receiver, current_senders + usable, table
         )
         worst = min(utility[:held])
         best = max(utility[held:])
@@ -448,7 +488,7 @@ class RandomRewiring:
         candidates: List[OverlayNode],
         table: Optional[EpochTable] = None,
     ) -> Tuple[List[OverlayNode], List[OverlayNode]]:
-        serves = (table or EpochTable()).serves
+        serves = (table or EpochTable(None, candidates)).serves
         usable = _usable_candidates(receiver, current_senders, candidates, serves)
         if not usable:
             return [], []
@@ -485,39 +525,29 @@ def run_epoch(
     ``rng`` (a new connection builds a strategy).
 
     Every read about a node goes through one :class:`EpochTable` for
-    the whole epoch — whether it can serve, its card, its card's wire
-    size — so each is read once, and only if somebody needs it: the
-    scan's pricing, the policy's candidate filter and its usefulness
-    batch share it.  That is exact because cards cannot change inside
-    an epoch: the epoch runs inside one scheduler event, and applying a
-    decision (connecting, disconnecting, building a strategy) never
-    adds an id to a set.  The engine hands in the table
-    (:meth:`EpochTable.of` the policy; ``None`` makes one) and passes
-    it to the admission that applies each decision, which reads the
-    decision's recorded utilities rather than estimating each add
+    the whole epoch, filled before the first receiver samples over
+    every receiver and pool member (a receiver's senders come from its
+    pool): whether it can serve, and, over a scheme, one row per node
+    off one :meth:`SummaryScheme.refresh` that rebuilds or absorbs
+    every live card in one batched pass.  The scan's price is then a
+    sum of the scanned rows' wire sizes, and each usefulness batch one
+    gather and one comparison of rows
+    (:meth:`EpochTable.usefulness`).  That is exact because cards
+    cannot change inside an epoch: the epoch runs inside one scheduler
+    event, and applying a decision (connecting, disconnecting, building
+    a strategy) never adds an id to a set.  The engine hands in the
+    table (:meth:`EpochTable.of` the policy; ``None`` makes one) and
+    passes it to the admission that applies each decision, which reads
+    the decision's recorded utilities rather than estimating each add
     again — so an epoch estimates each pair once.  The table dies with
     the epoch; nothing is stored on the scheme, the nodes or the engine.
-
-    For the same reason the cards can be brought current up front:
-    before the first receiver samples, the scheme's
-    :meth:`SummaryScheme.refresh` rebuilds or absorbs, in one batched
-    pass, the card of every node the epoch can read — each non-source
-    receiver or pool member that holds something.  The table's
-    ``card_of`` then finds them current in the working sets' caches.
     """
     if table is None:
         table = EpochTable.of(policy)
-    scheme = table.scheme
     receivers = list(receivers)
     pools = [pool_of(receiver) for receiver in receivers]
-    if scheme is not None:
-        serves = table.serves
-        distinct_pools = {id(pool): pool for pool in pools}.values()
-        scheme.refresh(
-            node
-            for node in dict.fromkeys(chain(receivers, *distinct_pools))
-            if not node.is_source and serves[node]
-        )
+    distinct_pools = {id(pool): pool for pool in pools}.values()
+    table.fill(chain(receivers, *distinct_pools))
     wire_bytes = table.wire_bytes
     for receiver, pool in zip(receivers, pools):
         candidates = (
@@ -525,8 +555,8 @@ def run_epoch(
         )
         control_bytes = 0
         if wire_bytes is not None:
-            for c in candidates:
-                if c is not receiver:
-                    control_bytes += wire_bytes[c]
+            control_bytes = sum(
+                [wire_bytes[c] for c in candidates if c is not receiver]
+            )
         drops, adds = policy.rewire(receiver, senders_of(receiver), candidates, table)
         yield receiver, control_bytes, drops, adds

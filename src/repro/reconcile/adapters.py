@@ -32,6 +32,7 @@ import random
 from array import array
 from collections import deque
 from itertools import chain
+from operator import eq
 from typing import (
     Any,
     Collection,
@@ -180,14 +181,20 @@ class MinwiseSummary(Summary):
         """``[cls.build(ids, ...) for ids in id_sets]`` in one kernel
         pass (:func:`~repro.hashing.batch.permutation_minima_many`).
 
-        ``set_size`` counts the distinct ids given, before the fold."""
+        ``set_size`` counts the distinct ids given, before the fold.  A
+        ``set`` or ``frozenset`` counts them itself and is read in place
+        (a working set hands over its own); anything else is copied into
+        one first."""
         if universe > MAX_MINWISE_UNIVERSE:
             raise SummaryError(_UNIVERSE_TOO_WIDE)
         family = _shared_family(entries, universe, seed)
         # ``universe.__rmod__`` is ``i % universe``, without a Python
         # frame per id.
         fold = universe.__rmod__
-        pools = [frozenset(ids) for ids in id_sets]
+        pools = [
+            ids if isinstance(ids, (set, frozenset)) else frozenset(ids)
+            for ids in id_sets
+        ]
         rows = permutation_minima_many(
             family, ((map(fold, pool), None) for pool in pools)
         )
@@ -325,39 +332,26 @@ class MinwiseSummary(Summary):
         )
         return matches / len(self._row)
 
-    def estimate_resemblance_many(
-        self, others: Sequence["MinwiseSummary"]
-    ) -> List[float]:
-        """``[self.estimate_resemblance(o) for o in others]``, the same
-        floats bit for bit, by one array comparison when numpy is there.
+    @property
+    def row(self) -> array:
+        """The card's own packed buffer, not a copy.  Read it; never
+        write it."""
+        return self._row
 
-        This is the estimate kernel rewiring and the catalog gate ask
-        (join planning keeps its own stacked matrix,
-        :class:`~repro.delivery.orchestrator.CandidateStack`).  A single
-        ``other`` or no numpy take the positional loop.
-        """
-        np = _batch._numpy() if len(others) > 1 else None
-        if np is None:
-            return [self.estimate_resemblance(o) for o in others]
+    def rows_of(self, cards: Iterable["MinwiseSummary"]) -> List[array]:
+        """``[card.row for card in cards]``, each card first checked to
+        be a min-wise card of this card's family (a stranger raises
+        :class:`SummaryError`): the rows :func:`resemblance_rows`
+        compares, with no copy."""
         family = (self.entries, self.universe, self.seed)
-        for o in others:
-            if type(o) is not MinwiseSummary or (
-                o.entries, o.universe, o.seed
+        rows = []
+        for card in cards:
+            if type(card) is not MinwiseSummary or (
+                card.entries, card.universe, card.seed
             ) != family:
-                self._check_family(o)  # raises on a stranger
-        entries = len(self._row)
-        # The cards' buffers, stacked: one memcpy per row, no boxing.
-        rows = np.frombuffer(
-            b"".join(o._row for o in others), dtype=np.int64
-        ).reshape(len(others), entries)
-        mine = np.frombuffer(self._row, dtype=np.int64)
-        matches = ((rows == mine) & (mine != UNSET)).sum(axis=1).tolist()
-        if self.set_size == 0:
-            return [
-                0.0 if o.set_size == 0 else m / entries
-                for o, m in zip(others, matches)
-            ]
-        return [m / entries for m in matches]
+                self._check_family(card)  # raises on a stranger
+            rows.append(card._row)
+        return rows
 
     def estimate_difference(
         self, other: "MinwiseSummary", ids: Optional[Collection[int]] = None
@@ -365,6 +359,30 @@ class MinwiseSummary(Summary):
         r = self.estimate_resemblance(other)
         i = intersection_from_resemblance(r, self.set_size, other.set_size)
         return clamped_symmetric_difference(i, self.set_size, other.set_size)
+
+
+def resemblance_rows(mine: array, rows: Sequence[array]) -> List[float]:
+    """The fraction of positions at which each of ``rows`` equals
+    ``mine``: the estimate kernel of min-wise cards of one family.
+
+    ``mine`` must be the row of a card over a non-empty set — every
+    position set, so an :data:`~repro.hashing.batch.UNSET` position of a
+    row never matches, and an all-``UNSET`` row scores 0.0.  Each value
+    is then ``estimate_resemblance`` of ``mine``'s card against the
+    row's, bit for bit.  With numpy and more than one row, the rows'
+    buffers are joined (one memcpy each, no boxing) and compared in one
+    array operation; otherwise position by position.
+    """
+    entries = len(mine)
+    np = _batch._numpy() if len(rows) > 1 else None
+    if np is None:
+        return [sum(map(eq, mine, row)) / entries for row in rows]
+    stacked = np.frombuffer(b"".join(rows), dtype=np.int64)
+    matches = np.count_nonzero(
+        stacked.reshape(len(rows), entries) == np.frombuffer(mine, dtype=np.int64),
+        axis=1,
+    )
+    return [m / entries for m in matches.tolist()]
 
 
 class MinwiseStack:
@@ -433,7 +451,7 @@ class MinwiseStack:
 
         The per-card loop's answer, float for float: a resemblance is
         ``matches / entries`` with :meth:`MinwiseSummary.
-        estimate_resemblance_many`'s ``set_size == 0`` rule, the gains
+        estimate_resemblance`'s two-empty-cards rule, the gains
         take the loop's IEEE operations in its order, ``argmax`` keeps
         the first maximum as a strict ``>`` does, and the minimum read
         as ``uint64`` (where :data:`UNSET`, -1, is the largest value) is
@@ -1369,6 +1387,7 @@ __all__ = [
     "optimal_hash_count",
     "MinwiseSummary",
     "MinwiseStack",
+    "resemblance_rows",
     "ModKSummary",
     "RandomSampleSummary",
     "BloomSummary",

@@ -96,9 +96,9 @@ def _build_frozen(kind: str, frozen: tuple, ids: Iterable[int]) -> Summary:
     return build_summary(kind, ids, **dict(frozen))
 
 
-def _build_many_frozen(
-    kind: str, frozen: tuple, id_sets: List[Iterable[int]]
-) -> List[Summary]:
+def _build_many_frozen(kind: str, frozen: tuple, working_sets: list) -> List[Summary]:
+    # Each working set hands the kernel its own id set, not a copy.
+    id_sets = [ws.id_set for ws in working_sets]
     return _summary_call(kind, summary_class(kind).build_many, id_sets, dict(frozen))
 
 

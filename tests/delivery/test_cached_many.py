@@ -149,11 +149,13 @@ def test_a_card_absorbed_through_the_journal_is_the_build_of_the_union(
     assert card.set_size == built.set_size == len(ws)
 
 
-def test_kinds_without_a_batch_kernel_stay_lazy():
-    """An epoch over ``bloom`` (or ``cpi``, ``art``, ...) builds no card
-    it would not read: its refresh touches nothing."""
+def test_kinds_without_a_batch_kernel_refresh_card_by_card():
+    """An epoch over ``bloom`` (or ``cpi``, ``art``, ...) has no batch
+    kernel: its refresh reads each card in turn and hands back the very
+    entries ``card_of`` serves after."""
     assert summary_batch_recipe("bloom", {"bits_per_element": 8}) is None
     scheme = SummaryScheme("bloom", {"bits_per_element": 8})
-    node = OverlayNode("n", 100, initial_ids=range(10))
-    scheme.refresh([node])
-    assert node.working_set._derived == {}
+    nodes = [OverlayNode(f"n{i}", 100, initial_ids=range(i, i + 10)) for i in range(3)]
+    cards = scheme.refresh(nodes)
+    assert all(scheme.card_of(n) is card for n, card in zip(nodes, cards))
+    assert len(cards) == len(nodes)

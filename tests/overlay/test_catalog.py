@@ -187,4 +187,6 @@ class TestCatalogScheme:
         scheme = self._scheme(catalog)
         base = SummaryScheme("minwise", {"entries": 32})
         node = CatalogNode("n", catalog, initial_ids=list(catalog.symbol_ids(0)))
-        assert scheme.card_wire_bytes(node) == base.card_wire_bytes(node) + 5
+        card = scheme.card_of(node)
+        assert card is base.card_of(node)
+        assert scheme.card_wire_bytes(card) == base.card_wire_bytes(card) + 5

@@ -162,7 +162,7 @@ def _nodes():
 def test_admission_reads_only_the_decision_it_is_applying(monkeypatch):
     scheme = default_scheme()
     receiver, near, far = _nodes()
-    table = EpochTable(scheme)
+    table = EpochTable(scheme, (receiver, near, far))
     drops, adds = UtilityRewiring(scheme).rewire(receiver, [], [near, far], table)
     assert (drops, adds) == ([], [far, near])
 
@@ -203,7 +203,7 @@ def test_the_next_decision_replaces_the_last():
     scheme = default_scheme()
     receiver, near, far = _nodes()
     policy = UtilityRewiring(scheme)
-    table = EpochTable(scheme)
+    table = EpochTable(scheme, (receiver, near, far))
     _drops, adds = policy.rewire(receiver, [], [near, far], table)
     assert table.utility(scheme, receiver, far) is not None
     # A decision that adds nothing still replaces the record.

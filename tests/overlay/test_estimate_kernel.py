@@ -1,11 +1,17 @@
 """The one estimate kernel: a min-wise card against many cards.
 
-Kernel level: :meth:`MinwiseSummary.estimate_resemblance_many` must
-return the floats the per-pair :meth:`estimate_resemblance` loop would —
-bit for bit, with numpy and without, since rewiring decisions compare
-these values against each other and against a hysteresis margin.  Reader
+Kernel level: :func:`~repro.reconcile.adapters.resemblance_rows` over a
+non-empty card's row and its family's rows (``MinwiseSummary.rows_of``)
+must return the floats the per-pair :meth:`estimate_resemblance` loop
+would — bit for bit, with numpy and without, since rewiring decisions
+compare these values against each other and against a hysteresis
+margin.  Reader
 level: :meth:`SummaryScheme.usefulness_many` is the scalar
 ``usefulness`` list for every summary kind and through the catalog gate.
+Table level: an epoch's :class:`EpochTable` rows give every receiver
+the per-pair usefulness, hex for hex — sources, empty peers and empty
+receivers included, against the cards themselves and against their
+wire copies.
 Cache level: a card's int64 row lives on the card and the card on its
 node's working set, so both leave with their node — the simulator keeps
 no per-node artefact map to evict.
@@ -23,8 +29,9 @@ import repro.hashing.batch as batch
 from repro.api import build, specs
 from repro.overlay.catalog import CatalogNode, CatalogScheme, ObjectCatalog
 from repro.overlay.node import OverlayNode
-from repro.overlay.reconfiguration import SummaryScheme, default_scheme
+from repro.overlay.reconfiguration import EpochTable, SummaryScheme, default_scheme
 from repro.reconcile import SummaryError, build_summary, summary_kinds
+from repro.reconcile.adapters import resemblance_rows
 from repro.reconcile.registry import summary_class, summary_from_payload
 
 # A small pool (so cards overlap and tie), its twin beyond the 2**32 key
@@ -60,13 +67,19 @@ def _hexes(floats):
     return [f.hex() for f in floats]
 
 
+def _kernel(ours, cards):
+    return resemblance_rows(ours.row, ours.rows_of(cards))
+
+
 def _assert_kernel_is_the_pair_loop(cards):
-    for ours in cards:
+    # The kernel's contract: a non-empty card's row (an empty receiver
+    # never reaches it; the epoch table answers it, see below).
+    for ours in [c for c in cards if c.set_size]:
         pairs = _hexes(ours.estimate_resemblance(o) for o in cards)
-        assert _hexes(ours.estimate_resemblance_many(cards)) == pairs
+        assert _hexes(_kernel(ours, cards)) == pairs
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(batch, "_numpy", lambda: None)
-            assert _hexes(ours.estimate_resemblance_many(cards)) == pairs
+            assert _hexes(_kernel(ours, cards)) == pairs
 
 
 @settings(max_examples=60, deadline=None)
@@ -111,6 +124,87 @@ def test_usefulness_many_is_the_scalar_list(kind, initial, added):
             )
     assert scheme.usefulness_many(nodes[1], []) == []
     assert scheme.usefulness_many(nodes[1], nodes[:1]) == [1.0]
+
+
+def _wire(card):
+    return summary_from_payload(json.loads(json.dumps(card.to_payload())))
+
+
+def _pair(scheme, receiver, candidate, card_of):
+    """The one-pair usefulness, straight off two cards."""
+    if candidate.is_source:
+        return 1.0
+    return 1.0 - scheme.resemblance(
+        card_of(receiver), card_of(candidate), receiver.working_set
+    )
+
+
+@pytest.mark.parametrize("numpy_on", [True, False])
+@settings(max_examples=40, deadline=None)
+@given(initial=_id_sets, added=_id_sets, family=st.sampled_from(FAMILIES))
+def test_the_epoch_table_is_the_per_pair_usefulness(numpy_on, initial, added, family):
+    scheme = SummaryScheme("minwise", family)
+    # A source and an empty peer: each a candidate (the empty one as a
+    # current sender would be) and the empty one a receiver too.
+    nodes = [
+        OverlayNode("src", target=1_000, is_source=True),
+        OverlayNode("empty", target=1_000),
+    ] + [
+        OverlayNode(f"n{i}", target=1_000, initial_ids=ids)
+        for i, ids in enumerate(initial)
+    ]
+    with pytest.MonkeyPatch.context() as patch:
+        if not numpy_on:
+            patch.setattr(batch, "_numpy", lambda: None)
+        for extra in ([], added):
+            for node, ids in zip(nodes[2:], extra):
+                for symbol_id in ids:
+                    node.working_set.add(symbol_id)
+            table = EpochTable(scheme, nodes)
+            wire = {n: _wire(scheme.card_of(n)) for n in nodes}
+            for receiver in nodes[1:]:
+                got = _hexes(table.usefulness(receiver, nodes))
+                assert got == _hexes(scheme.usefulness(receiver, c) for c in nodes)
+                assert got == _hexes(
+                    _pair(scheme, receiver, c, scheme.card_of) for c in nodes
+                )
+                assert got == _hexes(_pair(scheme, receiver, c, wire.get) for c in nodes)
+
+
+_catalog_ids = st.sets(st.integers(min_value=0, max_value=23), max_size=24)
+
+
+@pytest.mark.parametrize("numpy_on", [True, False])
+@settings(max_examples=40, deadline=None)
+@given(
+    held=st.lists(_catalog_ids, min_size=2, max_size=6),
+    demands=st.lists(st.sets(st.sampled_from([0, 1])), min_size=6, max_size=6),
+)
+def test_the_epoch_table_weighed_by_a_catalog_gate(numpy_on, held, demands):
+    catalog = ObjectCatalog(
+        targets=[10, 10],
+        distinct=[12, 12],
+        priorities=[1.0, 0.5],
+        demand_shares=[0.6, 0.4],
+    )
+    scheme = CatalogScheme(catalog, "minwise", {"entries": 16})
+    ids = list(catalog.symbol_ids(0)) + list(catalog.symbol_ids(1))
+    nodes = [OverlayNode("src", target=10, is_source=True)] + [
+        CatalogNode(f"c{i}", catalog, demand=demand, initial_ids=[ids[j] for j in got])
+        for i, (got, demand) in enumerate(zip(held, demands))
+    ]
+    with pytest.MonkeyPatch.context() as patch:
+        if not numpy_on:
+            patch.setattr(batch, "_numpy", lambda: None)
+        table = EpochTable(scheme, nodes)
+        for receiver in nodes[1:]:
+            got = _hexes(scheme.usefulness_many(receiver, nodes, table))
+            assert got == _hexes(scheme.usefulness(receiver, c) for c in nodes)
+            assert got == _hexes(
+                scheme.object_weight(receiver, c)
+                * _pair(scheme, receiver, c, scheme.card_of)
+                for c in nodes
+            )
 
 
 @pytest.mark.parametrize("numpy_available", [True, False])
@@ -160,7 +254,7 @@ def test_mismatched_cards_are_refused_by_the_batch(numpy_available, monkeypatch)
         build_summary("bloom", range(20)),
     ):
         with pytest.raises(SummaryError):
-            ours.estimate_resemblance_many([same, stranger, same])
+            ours.rows_of([same, stranger, same])
 
 
 def _informed():

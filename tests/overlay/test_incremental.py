@@ -27,7 +27,8 @@ from repro.api import build, run, specs
 from repro.delivery.strategies import make_strategy
 from repro.delivery.working_set import WorkingSet
 from repro.overlay.node import OverlayNode
-from repro.overlay.reconfiguration import SummaryScheme
+from repro.overlay.reconfiguration import SummaryScheme, UtilityRewiring
+from repro.reconcile.adapters import MinwiseSummary
 from repro.overlay.simulator import OverlaySimulator
 from repro.transport.controller import TransportController
 from repro.transport.rtx import RtxManager
@@ -103,14 +104,50 @@ def _full_walk_oracle(mp):
     mp.setattr(controller, "RtxManager", _ScanEveryCall)
 
 
-def _read_through(self, node):
-    return self._read(node)
+class _ReadThrough(dict):
+    """A table map that keeps nothing: ``map[node]`` reads the node."""
+
+    def __init__(self, read):
+        super().__init__()
+        self._read = read
+
+    def __getitem__(self, node):
+        return self._read(node)
+
+
+def _fill_nothing(self, nodes):
+    """``EpochTable.fill`` with nothing read up front and no refresh:
+    every can-serve and wire-size lookup reads the node (and its card,
+    through ``scheme.card_of``) again."""
+    scheme, serves = self.scheme, reconfiguration._can_serve
+    self.serves = _ReadThrough(serves)
+    if scheme is not None:
+        self.wire_bytes = _ReadThrough(
+            lambda node: 0
+            if node.is_source or not serves(node)
+            else scheme.card_wire_bytes(scheme.card_of(node))
+        )
+
+
+def _pair_by_pair(self, receiver, candidates):
+    """``EpochTable.usefulness`` with no rows: each pair's two cards are
+    read through ``scheme.card_of`` and compared by the scheme's
+    one-pair estimate."""
+    scheme = self.scheme
+    ours = scheme.card_of(receiver)
+    return [
+        1.0
+        if c.is_source
+        else 1.0 - scheme.resemblance(ours, scheme.card_of(c), receiver.working_set)
+        for c in candidates
+    ]
 
 
 def _per_read_oracle(mp):
-    """An epoch table that keeps nothing: every card, wire-size and
-    can-serve lookup reads ``scheme.card_of`` / the node again."""
-    mp.setattr(reconfiguration._Reads, "__missing__", _read_through)
+    """An epoch table that keeps nothing: every can-serve, wire-size and
+    usefulness lookup reads the nodes and their cards again."""
+    mp.setattr(reconfiguration.EpochTable, "fill", _fill_nothing)
+    mp.setattr(reconfiguration.EpochTable, "usefulness", _pair_by_pair)
 
 
 def _count_card_reads(mp):
@@ -295,10 +332,11 @@ class TestEpochCardReads:
     candidate's card was fetched again for each receiver that scanned
     it; 60 with the table, each node's once per epoch (for pricing and
     for the usefulness batch) plus admission's two per add inside
-    ``connect``; 20 now that admission reads the decision's recorded
-    utilities off the table and fetches no card."""
+    ``connect``; 20 once admission read the decision's recorded
+    utilities off the table and fetched no card; none now that the
+    table keeps the cards the epoch's refresh hands back."""
 
-    CARD_OF_CALLS = 20
+    CARD_OF_CALLS = 0
 
     @pytest.mark.parametrize("numpy_on", [True, False])
     def test_informed_scan_budget(self, numpy_on, monkeypatch):
@@ -308,6 +346,60 @@ class TestEpochCardReads:
         result = run(CATALOG["informed_scan_budget"]())
         assert calls["card_of"] == self.CARD_OF_CALLS
         assert result.metrics["reconfig_epochs"] == 2.0
+
+
+class TestEpochShape:
+    """One refresh per epoch, and a receiver loop that fetches no card
+    and checks no family: every estimate is a gather of the rows the
+    table took from that refresh."""
+
+    @pytest.mark.parametrize("numpy_on", [True, False])
+    def test_informed_random_overlay(self, numpy_on, monkeypatch):
+        if not numpy_on:
+            monkeypatch.setattr(batch, "_numpy", lambda: None)
+        calls = {"refresh": 0, "card_of": 0, "_check_family": 0}
+
+        def spy(cls, name):
+            original = getattr(cls, name)
+
+            def counted(self, *args):
+                calls[name] += 1
+                return original(self, *args)
+
+            monkeypatch.setattr(cls, name, counted)
+
+        spy(SummaryScheme, "refresh")
+        spy(SummaryScheme, "card_of")
+        spy(MinwiseSummary, "_check_family")
+        receivers = []
+        decide = UtilityRewiring._decide
+
+        def deciding(self, receiver, *args):
+            receivers.append(receiver)
+            return decide(self, receiver, *args)
+
+        monkeypatch.setattr(UtilityRewiring, "_decide", deciding)
+        epochs = []
+        reconfigure = OverlaySimulator._reconfigure
+
+        def epoch(self):
+            calls.update(dict.fromkeys(calls, 0))
+            reconfigure(self)
+            epochs.append(dict(calls))
+
+        monkeypatch.setattr(OverlaySimulator, "_reconfigure", epoch)
+        result = run(_informed_random_overlay())
+        assert receivers  # the epochs asked receivers
+        assert len(epochs) == result.metrics["reconfig_epochs"] > 0
+        assert epochs == [{"refresh": 1, "card_of": 0, "_check_family": 0}] * len(
+            epochs
+        )
+
+
+def _informed_random_overlay():
+    return specs.random_overlay(
+        num_peers=8, target=120, seed=17, strategy_name="Random/BF"
+    ).with_override("reconfig.policy", "informed")
 
 
 class TestRefreshSkip:

@@ -1,7 +1,7 @@
 """Numpy-parity pins: the one fork left in the estimate path.
 
 There is one packet engine and one estimate kernel
-(``MinwiseSummary.estimate_resemblance_many``); the only choice it makes
+(``repro.reconcile.adapters.resemblance_rows``); the only choice it makes
 is whether numpy is importable — one array comparison, or the positional
 loop.  Both promise seeded-identical runs — same tick count, same packet
 totals, same reconfiguration decisions, same control bytes — on every

@@ -4,8 +4,9 @@ Both engines run it, and both must apply receiver *i*'s decision before
 receiver *i+1* samples its candidates: applying draws from the same RNG
 (a new connection builds a strategy), so deciding first and applying
 afterwards would replay a different run — ``tests/sim/test_parity.py``
-would notice only by its digest.  Pricing is lazy: a card's size is read
-once per epoch, and only if somebody scanned it.
+would notice only by its digest.  Pricing is one read per card per
+epoch, when the epoch's table is filled, and a receiver pays only for
+the cards it scanned.
 """
 
 import random
@@ -166,8 +167,8 @@ class _PricedScheme(SummaryScheme):
         super().__init__("minwise", {"entries": 16})
         self.priced = []
 
-    def card_wire_bytes(self, node):
-        self.priced.append(node.node_id)
+    def card_wire_bytes(self, card):
+        self.priced.append(card)
         return 100
 
 
@@ -179,7 +180,7 @@ class _Idle:
         return [], []
 
 
-def test_a_card_is_priced_once_and_only_if_scanned():
+def test_a_card_is_priced_once_per_epoch_and_paid_for_only_if_scanned():
     nodes = [OverlayNode("src", 10, is_source=True), OverlayNode("empty", 10)] + [
         OverlayNode(f"p{i}", 10, initial_ids=range(i, i + 3)) for i in range(6)
     ]
@@ -197,9 +198,14 @@ def test_a_card_is_priced_once_and_only_if_scanned():
         )
     }
     # p0..p2 scanned p1..p4 between them: sources, empty peers and the
-    # receiver's own card cost nothing, p5 was never scanned.
+    # receiver's own card cost nothing.  The table priced every live
+    # card it read once — the receivers' and their pools' — and p5,
+    # in no pool, never.
     assert bills == {"p0": 200, "p1": 200, "p2": 200}
-    assert sorted(scheme.priced) == ["p1", "p2", "p3", "p4"]
+    owner = {id(scheme.card_of(n)): n.node_id for n in nodes[2:]}
+    assert sorted(owner[id(card)] for card in scheme.priced) == [
+        "p0", "p1", "p2", "p3", "p4"
+    ]
 
 
 def test_a_budget_samples_the_pool_and_a_schemeless_policy_pays_nothing():

@@ -25,6 +25,7 @@ from repro.reconcile import (
     summary_from_payload,
     summary_kinds,
 )
+from repro.reconcile.adapters import resemblance_rows
 
 CARDS = 1_000
 
@@ -43,7 +44,7 @@ def test_the_card_is_its_row():
     grown = card.absorb(range(5_000, 5_100))
     both = card.merge(grown)
     wire = summary_from_payload(json.loads(json.dumps(card.to_payload())))
-    wire.estimate_resemblance_many([card, grown, both])  # caches nothing
+    resemblance_rows(wire.row, wire.rows_of([card, grown, both]))  # caches nothing
     for c in (card, grown, both, wire):
         assert type(c._row) is array and c._row.typecode == "q"
         assert len(c._row) * c._row.itemsize == 8 * c.entries
@@ -72,7 +73,7 @@ def test_a_thousand_cards_take_under_two_kilobytes_each():
     try:
         before, _ = tracemalloc.get_traced_memory()
         cards = [summary_from_payload(json.loads(row)) for row in rows]
-        estimates = cards[0].estimate_resemblance_many(cards)
+        estimates = resemblance_rows(cards[0].row, cards[0].rows_of(cards))
         after, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -18,6 +18,7 @@ from repro.reconcile import (
     summary_from_payload,
     summary_kinds,
 )
+from repro.reconcile.adapters import resemblance_rows
 
 #: Build parameters keeping every kind fast and exact kinds feasible on
 #: the conformance sets (|A Δ B| stays well under the CPI bound).
@@ -465,9 +466,14 @@ class TestKindSpecifics:
         ]
         expected = [[x.estimate_resemblance(y) for y in cards] for x in cards]
         assert [[x.estimate_resemblance(y) for y in wire] for x in wire] == expected
-        assert [x.estimate_resemblance_many(wire) for x in wire] == expected
-        monkeypatch.setattr("repro.hashing.batch._numpy", lambda: None)
-        assert [x.estimate_resemblance_many(wire) for x in wire] == expected
+        # The row kernel takes a card with every position set: a
+        # non-empty one.
+        full = [i for i, x in enumerate(wire) if x.set_size]
+        for lane in ("numpy", "scalar"):
+            if lane == "scalar":
+                monkeypatch.setattr("repro.hashing.batch._numpy", lambda: None)
+            by_rows = [resemblance_rows(wire[i].row, wire[i].rows_of(wire)) for i in full]
+            assert by_rows == [expected[i] for i in full]
 
     def test_cpi_wire_bytes_for_bound_matches_real_sketch(self):
         from repro.reconcile.adapters import CPISummary

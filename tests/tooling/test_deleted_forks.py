@@ -262,6 +262,19 @@ GUARDS = [
         ("PermutationFamily.compatible_with (a card checks its own family)",
          r"compatible_with", 1),
     ]
+] + [
+    # One card row per node per epoch: the epoch table keeps the rows
+    # its refresh hands back and compares them through resemblance_rows,
+    # so the card-list estimate went; a flow cohort counts its open
+    # tiers instead of re-scanning them.
+    Guard(51, what, pattern, paths, [THIS_FILE])
+    for what, pattern, paths in [
+        ("the epoch's per-read maps", r"class _Reads\b", ["src"]),
+        ("the card-list estimate (the epoch table compares rows)",
+         r"estimate_resemblance_many", ["src", "tests", "examples", "bench"]),
+        ("a completion re-scan in the flow engine", r"is_complete\(\)",
+         ["src/repro/flow"]),
+    ]
 ]
 
 #: Deleted files and directories.
