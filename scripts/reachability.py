@@ -58,7 +58,7 @@ class Allow(NamedTuple):
 
 #: The most unreached lines ``--check`` passes.  A change that lowers
 #: the count lowers this in the same diff, so the number only falls.
-CEILING = 793
+CEILING = 626
 
 #: What stays although no smoke step runs it.  At most 30 rows; each
 #: must excuse at least one function no other row does.
@@ -113,17 +113,18 @@ ALLOWED: Sequence[Allow] = (
           "(protocol.data_pack_unpack_us)"),
     Allow("repro.reconcile.adapters", "*.*",
           "the Summary protocol the conformance suite runs for every kind, "
-          "and item 15's to_payload / from_payload, whose round trip "
-          "bench/probes.py times"),
+          "and the WIRE layout's price of a CPI bound, which "
+          "summary_tradeoff reports for a cell past its cpi_cap"),
     Allow("repro.reconcile.base", "*",
-          "the Summary protocol's defaults and item 15's hex and int "
-          "payload helpers"),
+          "the Summary protocol's defaults and the WIRE codec's payload "
+          "half (to_payload / from_payload), whose round trip "
+          "bench/probes.py times"),
     Allow("repro.reconcile.policy",
           ("SummaryPolicy.__eq__", "SummaryPolicy.__hash__"),
           "value equality and hashing, which the policy tests read (a "
           "session names the one policy, so no run compares two)"),
     Allow("repro.reconcile.registry", "summary_from_payload",
-          "item 15's wire surface: a payload back to its kind"),
+          "the WIRE codec's entry: a payload back to its kind"),
     Allow("repro.sim.engine", ("_stalled",), "the stalled-clock refusal"),
     Allow("repro.sim.links",
           ("GilbertElliottProcess.mean_burst_length",

@@ -13,8 +13,9 @@ trade-off becomes a parameter instead of a code path:
 >>> theirs = summary_from_payload(wire)       # the receiving peer
 >>> useful = theirs.missing_from(their_ids)   # guaranteed-useful ids
 
-* :class:`Summary` — the abstract interface: ``build`` /
-  ``wire_bytes`` / ``to_payload`` / ``from_payload`` plus the
+* :class:`Summary` — the abstract interface: ``build``, the wire
+  surface each kind's ``WIRE`` layout declares once (``wire_bytes`` /
+  ``to_payload`` / ``from_payload``, one codec for every kind) and the
   capability-flagged reconciliation surface (``may_contain``,
   ``missing_from``, ``estimate_difference``); ``merge`` is the min-wise
   card's alone.

@@ -22,9 +22,10 @@ kind                      section     state (and the code it calls)
 
 Builds go through the vectorised kernels in :mod:`repro.hashing.batch`
 wherever one exists, so sweeping summary kinds over large working sets
-stays benchmarkable.  Wire sizes follow one convention: a 4-byte
-set-size header plus the structure's own bytes plus its parameter
-headers — matching the byte accounting the protocol messages report.
+stays benchmarkable.  Each class's wire form is its ``WIRE`` layout
+(:mod:`repro.reconcile.base`): a 4-byte set-size header, the
+structure's own bytes and its parameter headers — the byte accounting
+the protocol session charges; parameters agreed off-line cost nothing.
 """
 
 import math
@@ -33,6 +34,7 @@ from array import array
 from collections import deque
 from itertools import chain
 from operator import eq
+from types import SimpleNamespace
 from typing import (
     Any,
     Collection,
@@ -57,13 +59,19 @@ from repro.hashing.families import BloomHashes
 from repro.hashing.mix import mix64
 from repro.hashing.permutations import PermutationFamily
 from repro.reconcile.base import (
+    BITS,
+    INT,
+    INT_LIST,
+    NUMBER,
+    ROW,
+    SET_SIZE,
+    Field,
+    Nested,
     Summary,
     SummaryError,
+    Width,
     clamped_symmetric_difference,
-    hex_bytes,
-    payload_int,
-    payload_int_list,
-    unhex_bytes,
+    wire_size,
 )
 from repro.reconcile.registry import register_summary
 from repro.seeding import choice
@@ -73,12 +81,8 @@ from repro.seeding import choice
 DEFAULT_UNIVERSE = 1 << 32
 
 #: Widest min-wise universe: every minimum below it fits the 8 bytes
-#: ``MinwiseSummary.wire_bytes`` charges per entry (one int64).
+#: the card's ``WIRE`` layout charges per entry (one int64).
 MAX_MINWISE_UNIVERSE = 1 << 63
-_UNIVERSE_TOO_WIDE = (
-    "min-wise universe must not exceed 2**63: a wider one yields minima "
-    "that do not fit the 8 bytes a card entry is"
-)
 
 
 @lru_cache(maxsize=32)
@@ -130,7 +134,7 @@ class MinwiseSummary(Summary):
     Params: ``entries`` (permutation count, 128 ≈ the 1KB card),
     ``universe`` (key range, at most 2^63 so a minimum fits the 8 bytes
     :meth:`wire_bytes` charges for it), ``seed`` (the universally
-    agreed family).
+    agreed family, so the three cost nothing on the wire).
     Permutations are defined over the family's universe, so ids are
     summarised modulo it (identity for ids below it): a source's fresh
     ids far beyond 2^32 fold the same way in every card and summary.
@@ -145,6 +149,13 @@ class MinwiseSummary(Summary):
     kind = "minwise"
     supports_estimate = True
     supports_incremental = True
+    WIRE = (
+        SET_SIZE,
+        Field("entries", "entries", INT, low=1),
+        Field("universe", "universe", INT, low=1, high=MAX_MINWISE_UNIVERSE),
+        Field("seed", "seed", INT),
+        Field("minima", "row", ROW, low=0, high="universe", length="entries", wire=8),
+    )
 
     def __init__(
         self, row: array, set_size: int, entries: int, universe: int, seed: int
@@ -186,7 +197,7 @@ class MinwiseSummary(Summary):
         (a working set hands over its own); anything else is copied into
         one first."""
         if universe > MAX_MINWISE_UNIVERSE:
-            raise SummaryError(_UNIVERSE_TOO_WIDE)
+            raise SummaryError("min-wise universe must be at most 2**63")
         family = _shared_family(entries, universe, seed)
         # ``universe.__rmod__`` is ``i % universe``, without a Python
         # frame per id.
@@ -248,45 +259,6 @@ class MinwiseSummary(Summary):
             )
         for card, _added in queue:
             yield card
-
-    def wire_bytes(self) -> int:
-        return 4 + 8 * len(self._row)
-
-    def to_payload(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "set_size": self.set_size,
-            "entries": self.entries,
-            "universe": self.universe,
-            "seed": self.seed,
-            "minima": self.minima,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "MinwiseSummary":
-        entries = payload_int(payload, "entries")
-        universe = payload_int(payload, "universe", DEFAULT_UNIVERSE)
-        set_size = payload_int(payload, "set_size")
-        if entries < 1 or universe < 1 or set_size < 0:
-            raise SummaryError(
-                "minwise payload needs entries >= 1, universe >= 1 and "
-                "set_size >= 0"
-            )
-        if universe > MAX_MINWISE_UNIVERSE:
-            raise SummaryError(_UNIVERSE_TOO_WIDE)
-        minima = payload.get("minima")
-        if not isinstance(minima, (list, tuple)) or len(minima) != entries:
-            raise SummaryError("minwise payload needs one minimum per entry")
-        for m in minima:
-            if m is not None and (
-                isinstance(m, bool) or not isinstance(m, int) or not 0 <= m < universe
-            ):
-                raise SummaryError(
-                    f"minwise minima must be integers or null, inside "
-                    f"[0, {universe}); got {m!r}"
-                )
-        row = array("q", [UNSET if m is None else m for m in minima])
-        return cls(row, set_size, entries, universe, payload_int(payload, "seed", 0))
 
     def compatible_build_params(self) -> Dict[str, Any]:
         return {"entries": self.entries, "universe": self.universe, "seed": self.seed}
@@ -522,6 +494,12 @@ class ModKSummary(Summary):
 
     kind = "modk"
     supports_estimate = True
+    WIRE = (
+        SET_SIZE,
+        Field("modulus", "modulus", INT, low=1),
+        Field("seed", "seed", INT),
+        Field("sample", "sample", INT_LIST, wire=8),
+    )
 
     def __init__(
         self,
@@ -558,27 +536,6 @@ class ModKSummary(Summary):
             sample = by_hash[:max_elements]
         return cls(sample, len(pool), modulus, seed)
 
-    def wire_bytes(self) -> int:
-        return 4 + 8 * len(self.sample)
-
-    def to_payload(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "set_size": self.set_size,
-            "modulus": self.modulus,
-            "seed": self.seed,
-            "sample": sorted(self.sample),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "ModKSummary":
-        return cls(
-            payload_int_list(payload, "sample"),
-            payload_int(payload, "set_size"),
-            payload_int(payload, "modulus"),
-            payload_int(payload, "seed", 0),
-        )
-
     def compatible_build_params(self) -> Dict[str, Any]:
         return {"modulus": self.modulus, "seed": self.seed}
 
@@ -611,6 +568,11 @@ class RandomSampleSummary(Summary):
 
     kind = "random_sample"
     supports_estimate = True
+    WIRE = (
+        SET_SIZE,
+        Field("seed", "seed", INT),
+        Field("sample", "sample", INT_LIST, wire=8),
+    )
 
     def __init__(
         self,
@@ -619,6 +581,8 @@ class RandomSampleSummary(Summary):
         seed: int,
     ):
         self.sample = list(sample)
+        if set_size == 0 and self.sample:
+            raise SummaryError("an empty set cannot produce a non-empty sample")
         self.set_size = set_size
         self.seed = seed
 
@@ -633,28 +597,6 @@ class RandomSampleSummary(Summary):
         rng = random.Random(seed)
         sample = [choice(rng, ordered) for _ in range(k)] if ordered else []
         return cls(sample, len(pool), seed)
-
-    def wire_bytes(self) -> int:
-        return 4 + 8 * len(self.sample)
-
-    def to_payload(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "set_size": self.set_size,
-            "seed": self.seed,
-            "sample": list(self.sample),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "RandomSampleSummary":
-        sample = payload_int_list(payload, "sample")
-        set_size = payload_int(payload, "set_size")
-        if set_size < 0 or (set_size == 0 and sample):
-            raise SummaryError(
-                "random-sample payload needs set_size >= 0, and an empty "
-                "set cannot produce a non-empty sample"
-            )
-        return cls(sample, set_size, payload_int(payload, "seed", 0))
 
     def intersection(self, ids: Collection[int]) -> float:
         """The share of sampled keys found in ``ids``, times ``set_size``
@@ -702,6 +644,16 @@ def optimal_hash_count(m_bits: int, n_elements: int) -> int:
     return max(1, round(m_bits / n_elements * math.log(2)))
 
 
+#: A Bloom filter's own fields: its ``bits`` hold ``m_bits`` bits, and
+#: ``m``, ``k`` and the seed travel in a 12-byte header.
+_FILTER_FIELDS = (
+    Field("m_bits", "m", INT, low=1, wire=4),
+    Field("k_hashes", "k", INT, low=1, wire=4),
+    Field("seed", "seed", INT, wire=4),
+    Field("bits", "bits", BITS, length="m", wire=1),
+)
+
+
 @register_summary
 class BloomSummary(Summary):
     """Bloom filter of the working set (§5.2, the searchable default).
@@ -721,6 +673,7 @@ class BloomSummary(Summary):
     supports_membership = True
     supports_difference = True
     supports_estimate = True
+    WIRE = (SET_SIZE, *_FILTER_FIELDS, Field("count", "count", INT, low=0))
 
     def __init__(
         self,
@@ -736,6 +689,9 @@ class BloomSummary(Summary):
         self.k = k
         self.seed = seed
         self.bits = bytearray((m + 7) // 8) if bits is None else bits
+        if k > 8 * len(self.bits):
+            # Every probe walks k indices: an unbounded k hangs the reader.
+            raise SummaryError("k_hashes must lie in [1, the filter's bit count]")
         #: Insertions counted in.
         self.count = count
         self.set_size = set_size
@@ -780,50 +736,6 @@ class BloomSummary(Summary):
             )
         self.count += len(keys)
 
-    def wire_bytes(self) -> int:
-        return 4 + 12 + len(self.bits)
-
-    def to_payload(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "set_size": self.set_size,
-            "m_bits": self.m,
-            "k_hashes": self.k,
-            "seed": self.seed,
-            "count": self.count,
-            "bits": hex_bytes(self.bits),
-        }
-
-    @classmethod
-    def _filter_from(
-        cls, payload: Dict[str, Any], kind: str = "bloom", field: str = "bits"
-    ) -> "BloomSummary":
-        """The filter a payload's ``m_bits``, ``k_hashes``, ``seed`` and
-        hex ``bits`` (named ``field`` in errors) describe, refused unless
-        the bytes hold exactly ``m_bits`` bits and ``k_hashes`` probes."""
-        bits = unhex_bytes(payload.get("bits"), field)
-        m = payload_int(payload, "m_bits")
-        k = payload_int(payload, "k_hashes")
-        seed = payload_int(payload, "seed", 0)
-        if len(bits) != (m + 7) // 8:
-            raise SummaryError(
-                f"invalid {kind} payload: bits length does not match m_bits"
-            )
-        if not 1 <= k <= 8 * len(bits):
-            # Every probe walks k indices: an unbounded k hangs the reader.
-            raise SummaryError(
-                f"invalid {kind} payload: k_hashes must lie in "
-                "[1, the payload's bit count]"
-            )
-        return cls(m, k, seed, bytearray(bits))
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "BloomSummary":
-        card = cls._filter_from(payload)
-        card.count = payload_int(payload, "count", 0)
-        card.set_size = payload_int(payload, "set_size")
-        return card
-
     def may_contain(self, key: int) -> bool:
         bits = self.bits
         return all(
@@ -850,6 +762,10 @@ class BloomSummary(Summary):
         return [x for x, hit in zip(pool, hits) if not hit]
 
 
+#: A ``bloom`` card as the ``partitioned_bloom`` and ``art`` kinds carry it.
+_FILTER = Nested(BloomSummary, _FILTER_FIELDS)
+
+
 @register_summary
 class PartitionedBloomSummary(Summary):
     """One residue-class partition filter (§5.2's "scaling up" step).
@@ -869,20 +785,29 @@ class PartitionedBloomSummary(Summary):
     supports_difference = True
     supports_estimate = True
     partial_coverage = True
+    #: The filter's fields sit beside the partition header, its seed
+    #: the partition's.
+    WIRE = (
+        SET_SIZE,
+        Field("rho", "rho", INT, wire=4),
+        Field("beta", "beta", INT, wire=4),
+        Field("member_count", "member_count", INT, low=0),
+        Field("", "bloom", _FILTER),
+    )
 
     def __init__(
         self,
         bloom: BloomSummary,
         rho: int,
         beta: int,
-        seed: int,
         member_count: int,
         set_size: int,
     ):
+        self._check_partition(rho, beta)
         self.bloom = bloom
         self.rho = rho
         self.beta = beta
-        self.seed = seed
+        self.seed = bloom.seed
         #: Covered ids the filter summarises.
         self.member_count = member_count
         self.set_size = set_size
@@ -911,38 +836,11 @@ class PartitionedBloomSummary(Summary):
             x for x, h in zip(key_list, mix64_batch(key_list, seed)) if h % rho == beta
         ]
         bloom = BloomSummary.build(members, bits_per_element, k_hashes, seed)
-        return cls(bloom, rho, beta, seed, len(members), len(pool))
+        return cls(bloom, rho, beta, len(members), len(pool))
 
     def covers(self, key: int) -> bool:
         """Whether this filter is authoritative for ``key`` at all."""
         return mix64(key, self.seed) % self.rho == self.beta
-
-    def wire_bytes(self) -> int:
-        return 4 + 12 + 8 + len(self.bloom.bits)  # + (rho, beta) header
-
-    def to_payload(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "set_size": self.set_size,
-            "rho": self.rho,
-            "beta": self.beta,
-            "seed": self.seed,
-            "member_count": self.member_count,
-            "m_bits": self.bloom.m,
-            "k_hashes": self.bloom.k,
-            "bits": hex_bytes(self.bloom.bits),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "PartitionedBloomSummary":
-        bloom = BloomSummary._filter_from(payload, "partitioned-bloom")
-        rho, beta = payload_int(payload, "rho"), payload_int(payload, "beta")
-        cls._check_partition(rho, beta)
-        return cls(
-            bloom, rho, beta, bloom.seed,
-            payload_int(payload, "member_count", 0),
-            payload_int(payload, "set_size"),
-        )
 
     def may_contain(self, key: int) -> bool:
         # Uncovered keys are unknown — "may contain" is the sound answer.
@@ -989,6 +887,15 @@ class ARTSummaryAdapter(Summary):
     supports_membership = True
     supports_difference = True
     supports_estimate = True
+    WIRE = (
+        SET_SIZE,
+        Field("seed", "seed", INT),
+        Field("bits_per_element", "bits_per_element", NUMBER),
+        Field("leaf_bits_per_element", "leaf_bits_per_element", NUMBER),
+        Field("correction", "correction", INT),
+        Field("leaf", "leaf_filter", _FILTER),
+        Field("internal", "internal_filter", _FILTER),
+    )
 
     def __init__(
         self,
@@ -1000,6 +907,7 @@ class ARTSummaryAdapter(Summary):
         correction: int,
         set_size: int,
     ):
+        self._check_params(bits_per_element, leaf_bits_per_element, correction)
         self.leaf_filter = leaf_filter
         self.internal_filter = internal_filter
         self.seed = seed
@@ -1009,7 +917,11 @@ class ARTSummaryAdapter(Summary):
         self.set_size = set_size
 
     @staticmethod
-    def _check_budget(bits_per_element: Any, leaf_bits_per_element: Any) -> None:
+    def _check_params(
+        bits_per_element: Any, leaf_bits_per_element: Any, correction: int
+    ) -> None:
+        """The bit budget and the search tolerance, as build and decode
+        both take them."""
         if not _is_number(bits_per_element) or bits_per_element <= 0:
             raise SummaryError("bits_per_element must be a positive number")
         if not _is_number(leaf_bits_per_element) or not (
@@ -1018,9 +930,6 @@ class ARTSummaryAdapter(Summary):
             raise SummaryError(
                 "leaf bits must be positive and leave room for the internal filter"
             )
-
-    @staticmethod
-    def _check_correction(correction: int) -> None:
         if correction < 0:
             raise SummaryError("correction level must be non-negative")
 
@@ -1033,10 +942,9 @@ class ARTSummaryAdapter(Summary):
         seed: int = 0,
         correction: int = 1,
     ) -> "ARTSummaryAdapter":
-        cls._check_correction(correction)
         if leaf_bits_per_element is None and _is_number(bits_per_element):
             leaf_bits_per_element = bits_per_element / 2
-        cls._check_budget(bits_per_element, leaf_bits_per_element)
+        cls._check_params(bits_per_element, leaf_bits_per_element, correction)
         pool = frozenset(ids)
         trie = ReconciliationTrie(pool, seed=seed)
         n = max(1, trie.size)
@@ -1059,59 +967,6 @@ class ARTSummaryAdapter(Summary):
     def matches_leaf(self, value: int) -> bool:
         """Bloom test of a node value against the leaf filter."""
         return self.leaf_filter.may_contain(value)
-
-    def wire_bytes(self) -> int:
-        return (
-            4 + 2 * 12 + len(self.leaf_filter.bits)
-            + len(self.internal_filter.bits)
-        )
-
-    def to_payload(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "set_size": self.set_size,
-            "seed": self.seed,
-            "bits_per_element": self.bits_per_element,
-            "leaf_bits_per_element": self.leaf_bits_per_element,
-            "correction": self.correction,
-            "leaf": {
-                "m_bits": self.leaf_filter.m,
-                "k_hashes": self.leaf_filter.k,
-                "seed": self.leaf_filter.seed,
-                "bits": hex_bytes(self.leaf_filter.bits),
-            },
-            "internal": {
-                "m_bits": self.internal_filter.m,
-                "k_hashes": self.internal_filter.k,
-                "seed": self.internal_filter.seed,
-                "bits": hex_bytes(self.internal_filter.bits),
-            },
-        }
-
-    @staticmethod
-    def _filter_from(payload: Any, field: str) -> BloomSummary:
-        if not isinstance(payload, dict):
-            raise SummaryError(f"art payload field {field!r} must be an object")
-        return BloomSummary._filter_from(payload, "art", f"{field}.bits")
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "ARTSummaryAdapter":
-        bpe = payload.get("bits_per_element", 8)
-        leaf_bpe = payload.get("leaf_bits_per_element")
-        if leaf_bpe is None and _is_number(bpe):
-            leaf_bpe = bpe / 2
-        cls._check_budget(bpe, leaf_bpe)
-        correction = payload_int(payload, "correction", 1)
-        cls._check_correction(correction)
-        return cls(
-            cls._filter_from(payload.get("leaf"), "leaf"),
-            cls._filter_from(payload.get("internal"), "internal"),
-            payload_int(payload, "seed", 0),
-            bpe,
-            leaf_bpe,
-            correction,
-            payload_int(payload, "set_size"),
-        )
 
     def compatible_build_params(self) -> Dict[str, Any]:
         return {"seed": self.seed, "correction": self.correction}
@@ -1148,6 +1003,16 @@ class CPISummary(Summary):
     supports_difference = True
     supports_estimate = True
     exact = True
+    WIRE = (
+        SET_SIZE,
+        Field("max_discrepancy", "max_discrepancy", INT, low=1, wire=4),
+        Field("seed", "seed", INT, wire=8),
+        # The receiver's work is Θ(d³) in the bound: a bound the payload
+        # does not carry evaluations for could stall it on one message.
+        Field("evaluations", "evaluations", INT_LIST, length="max_discrepancy", wire=8),
+        Field("verify_evaluations", "verify_evaluations", INT_LIST,
+              length=VERIFY_POINTS, wire=8),
+    )
 
     def __init__(
         self,
@@ -1181,52 +1046,15 @@ class CPISummary(Summary):
     def _reconciler(self) -> CharacteristicPolynomialReconciler:
         return CharacteristicPolynomialReconciler(self.max_discrepancy, self.seed)
 
-    @staticmethod
-    def wire_bytes_for_bound(max_discrepancy: int) -> int:
-        """Wire size of a summary sized for ``max_discrepancy``.
-
-        :meth:`wire_bytes` reads it too, so reported-but-not-run cells
-        (the ``summary_tradeoff`` scenario's "prohibitively large d"
-        regime) can never drift from the cost a run cell would report.
-        """
-        return 4 + 8 * (max_discrepancy + VERIFY_POINTS) + 12
-
-    def wire_bytes(self) -> int:
-        return self.wire_bytes_for_bound(self.max_discrepancy)
-
-    def to_payload(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "set_size": self.set_size,
-            "max_discrepancy": self.max_discrepancy,
-            "seed": self.seed,
-            "evaluations": list(self.evaluations),
-            "verify_evaluations": list(self.verify_evaluations),
-        }
-
     @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "CPISummary":
-        evaluations = payload_int_list(payload, "evaluations")
-        verify = payload_int_list(payload, "verify_evaluations")
-        max_discrepancy = payload_int(payload, "max_discrepancy")
-        # The receiver's work is Θ(d³) in the bound: a bound the payload
-        # does not carry evaluations for could stall it on one message.
-        if max_discrepancy < 1 or len(evaluations) != max_discrepancy:
-            raise SummaryError(
-                "cpi payload needs max_discrepancy >= 1 and one evaluation "
-                "per unit of it"
-            )
-        if len(verify) != VERIFY_POINTS:
-            raise SummaryError(
-                f"cpi payload needs {VERIFY_POINTS} verify_evaluations"
-            )
-        return cls(
-            evaluations,
-            verify,
-            payload_int(payload, "set_size"),
-            max_discrepancy,
-            payload_int(payload, "seed", 0),
-        )
+    def wire_bytes_for_bound(cls, max_discrepancy: int) -> int:
+        """Wire size of a summary sized for ``max_discrepancy``: the
+        ``WIRE`` layout priced from the bound alone, as :meth:`wire_bytes`
+        prices a built summary, so reported-but-not-run cells (the
+        ``summary_tradeoff`` scenario's "prohibitively large d" regime)
+        can never drift from the cost a run cell would report.
+        """
+        return wire_size(cls.WIRE, SimpleNamespace(max_discrepancy=max_discrepancy))
 
     def missing_from(self, candidates: Iterable[int]) -> List[int]:
         """Recover ``candidates - S`` exactly (raises past the bound)."""
@@ -1253,6 +1081,12 @@ class HashSetSummaryAdapter(Summary):
     supports_membership = True
     supports_difference = True
     supports_estimate = True
+    WIRE = (
+        SET_SIZE,
+        Field("hash_bits", "hash_bits", INT, wire=2),
+        Field("seed", "seed", INT),
+        Field("hashes", "hashes", INT_LIST, wire=Width("hash_bits")),
+    )
 
     def __init__(self, hashes: Iterable[int], hash_bits: int, seed: int, set_size: int):
         if not 1 <= hash_bits <= 64:
@@ -1273,28 +1107,6 @@ class HashSetSummaryAdapter(Summary):
         out = cls((), hash_bits or _polynomial_hash_bits(len(pool)), seed, len(pool))
         out.hashes = frozenset(out._hash(x) for x in pool)
         return out
-
-    def wire_bytes(self) -> int:
-        # + a 2-byte hash-width header
-        return 4 + 2 + ((self.hash_bits + 7) // 8) * len(self.hashes)
-
-    def to_payload(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "set_size": self.set_size,
-            "hash_bits": self.hash_bits,
-            "seed": self.seed,
-            "hashes": sorted(self.hashes),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "HashSetSummaryAdapter":
-        return cls(
-            payload_int_list(payload, "hashes"),
-            payload_int(payload, "hash_bits"),
-            payload_int(payload, "seed", 0),
-            payload_int(payload, "set_size"),
-        )
 
     def compatible_build_params(self) -> Dict[str, Any]:
         return {"hash_bits": self.hash_bits, "seed": self.seed}
@@ -1333,38 +1145,28 @@ class WholeSetSummary(Summary):
     supports_difference = True
     supports_estimate = True
     exact = True
+    #: Keys are packed: a 12-bit key width really costs 1.5 B/key.
+    WIRE = (
+        SET_SIZE,
+        Field("key_bits", "key_bits", INT),
+        Field("ids", "ids", INT_LIST, wire=Width("key_bits", packed=True)),
+    )
 
-    def __init__(self, ids: Iterable[int], key_bits: int = 64):
+    def __init__(self, ids: Iterable[int], key_bits: int, set_size: int):
         if not 8 <= key_bits <= 64:
             raise SummaryError("key width must be between 8 and 64 bits")
         self.ids = frozenset(ids)
+        if set_size != len(self.ids):
+            raise SummaryError("set_size must count the distinct ids")
         self.key_bits = key_bits
-        self.set_size = len(self.ids)
+        self.set_size = set_size
 
     @classmethod
     def build(
         cls, ids: Iterable[int], key_bits: int = 64,
     ) -> "WholeSetSummary":
-        return cls(ids, key_bits=key_bits)
-
-    def wire_bytes(self) -> int:
-        # Ceiling division: a 12-bit key width really costs 1.5 B/key.
-        return 4 + (self.key_bits * self.set_size + 7) // 8
-
-    def to_payload(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "set_size": self.set_size,
-            "key_bits": self.key_bits,
-            "ids": sorted(self.ids),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "WholeSetSummary":
-        return cls(
-            payload_int_list(payload, "ids"),
-            key_bits=payload_int(payload, "key_bits", 64),
-        )
+        pool = frozenset(ids)
+        return cls(pool, key_bits, len(pool))
 
     def may_contain(self, key: int) -> bool:
         return key in self.ids

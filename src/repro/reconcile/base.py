@@ -11,6 +11,16 @@ an honest wire size, round-trips through a JSON-able payload, and
 exposes whichever reconciliation capabilities its structure supports,
 declared through class-level capability flags.
 
+A kind's wire form is its ``WIRE`` layout, an ordered tuple of
+:class:`Field` entries.  One codec reads every layout:
+:meth:`Summary.to_payload` renders the JSON payload,
+:meth:`Summary.from_payload` decodes one (a missing field, a wrong type,
+a value out of range or a wrong length is a :class:`SummaryError`; no
+field has a default), and :meth:`Summary.wire_bytes` sums what the
+fields cost.  A rule across fields that no layout states (a Bloom
+filter's probes against its bits, ART's bit budget, a partition's
+residue) lives in the kind's constructor, which build and decode share.
+
 Capability flags (all ``False`` on the base class):
 
 * ``supports_membership`` — :meth:`Summary.may_contain` answers
@@ -38,24 +48,90 @@ estimate, ``missing_from`` and ``may_contain`` as the original does.
 """
 
 import abc
-from typing import Any, ClassVar, Collection, Dict, Iterable, List, Optional
+import math
+from array import array
+from typing import Any, ClassVar, Collection, Dict, Iterable, List, NamedTuple
+from typing import Optional, Tuple, Union
+
+from repro.hashing.batch import UNSET
 
 
 class SummaryError(ValueError):
     """A summary operation its structure cannot support (or bad params)."""
 
 
+#: Field types.  ``INT`` is an integer (a bool is not one); ``NUMBER``
+#: a finite int or float; ``INT_LIST`` a list of integers (a set
+#: attribute travels sorted); ``ROW`` a min-wise card's packed int64
+#: row, ``null`` on the wire where :data:`~repro.hashing.batch.UNSET`;
+#: ``BITS`` a bit string, hex on the wire.  A :class:`Nested` type is a
+#: card of its own.
+INT = "int"
+NUMBER = "number"
+INT_LIST = "int list"
+ROW = "nullable-int list"
+BITS = "hex bytes"
+
+
+class Width(NamedTuple):
+    """A list item's wire width: the bits the attribute ``attr`` of an
+    earlier field holds, each item rounded up to whole bytes, or
+    ``packed`` with the others."""
+
+    attr: str
+    packed: bool = False
+
+
+class Nested(NamedTuple):
+    """A field holding a card of its own: ``cls``, built from the fields
+    of ``layout``."""
+
+    cls: type
+    layout: Tuple["Field", ...]
+
+
+class Field(NamedTuple):
+    """One entry of a kind's ``WIRE`` layout.
+
+    ``name`` is the payload key (``""`` puts a :class:`Nested` card's
+    fields beside the layout's own); ``attr`` is the attribute encoding
+    reads and the constructor keyword decoding fills.  ``low`` and
+    ``high`` bound the value, or each item of a list: ``high`` is the
+    largest value, or the ``attr`` of an earlier field the value must
+    stay below.  ``length`` is a list's item count or a bit string's bit
+    count: a number, or an earlier field's ``attr``.  ``wire`` is what
+    the field costs: bytes per value, per list item or per byte of bits
+    (0 for a parameter agreed off-line), or a :class:`Width`; a nested
+    card costs its own fields.
+    """
+
+    name: str
+    attr: str
+    type: Any
+    low: Optional[int] = None
+    high: Union[int, str, None] = None
+    length: Union[int, str, None] = None
+    wire: Union[int, Width] = 0
+
+
+#: The set-size header every layout opens with: the number of distinct
+#: ids summarised, 4 bytes in every honest ``wire_bytes``.
+SET_SIZE = Field("set_size", "set_size", INT, low=0, wire=4)
+
+
 class Summary(abc.ABC):
     """A working-set summary exchangeable between peers.
 
-    Concrete adapters set ``kind`` (the registry key) and the
-    capability flags, and implement the abstract surface.  ``set_size``
+    Concrete adapters set ``kind`` (the registry key), the capability
+    flags and the ``WIRE`` layout, and implement ``build``.  ``set_size``
     — the number of distinct summarised ids — always travels with the
-    summary; every honest ``wire_bytes`` includes its 4-byte header.
+    summary (:data:`SET_SIZE`).
     """
 
     #: Registry key (e.g. ``"bloom"``); set by every adapter.
     kind: ClassVar[str] = ""
+    #: The wire layout, in payload order; set by every adapter.
+    WIRE: ClassVar[Tuple[Field, ...]] = ()
     supports_membership: ClassVar[bool] = False
     supports_difference: ClassVar[bool] = False
     supports_estimate: ClassVar[bool] = False
@@ -85,24 +161,25 @@ class Summary(abc.ABC):
     def build(cls, ids: Iterable[int], **params: Any) -> "Summary":
         """Summarise ``ids``; adapter-specific ``params`` size the result."""
 
-    # -- wire surface -----------------------------------------------------
+    # -- wire surface (the WIRE codec) -------------------------------------
 
-    @abc.abstractmethod
     def wire_bytes(self) -> int:
-        """Honest serialised size in bytes, headers included."""
+        """Honest serialised size in bytes: what the ``WIRE`` fields cost."""
+        return wire_size(self.WIRE, self)
 
-    @abc.abstractmethod
     def to_payload(self) -> Dict[str, Any]:
-        """JSON-able payload, inverse of :meth:`from_payload`.
-
-        Always includes ``"kind"`` and ``"set_size"``; bulk binary
-        content travels as hex strings.
-        """
+        """JSON-able payload, inverse of :meth:`from_payload`: ``"kind"``
+        and the ``WIRE`` fields, in order."""
+        payload: Dict[str, Any] = {"kind": self.kind}
+        _encode(self.WIRE, self, payload)
+        return payload
 
     @classmethod
-    @abc.abstractmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "Summary":
-        """Reconstruct a summary received over the wire."""
+        """Reconstruct a summary received over the wire, refusing a
+        payload its ``WIRE`` layout (or its constructor) does not admit
+        with :class:`SummaryError`."""
+        return cls(**_decode(cls.kind, cls.WIRE, payload))
 
     # -- reconciliation surface (capability-flagged) ----------------------
 
@@ -256,51 +333,164 @@ def clamped_symmetric_difference(
     return min(float(size_a + size_b), max(float(abs(size_a - size_b)), d))
 
 
-def hex_bytes(data: bytes) -> str:
-    """Bytes -> hex string (JSON-able payload bulk)."""
-    return data.hex()
+def wire_size(layout: Tuple[Field, ...], source: Any) -> int:
+    """Bytes ``source`` costs on the wire under ``layout``.
+
+    A list or bit string with a declared ``length`` is priced from it, so
+    a layout also prices a summary of which only the sizing attributes
+    are known (:meth:`~repro.reconcile.adapters.CPISummary.
+    wire_bytes_for_bound`).
+    """
+    total = 0
+    for _name, attr, kind, _low, _high, length, wire in layout:
+        if kind is INT or kind is NUMBER:
+            total += wire
+            continue
+        if type(kind) is Nested:
+            total += wire_size(kind.layout, getattr(source, attr))
+            continue
+        if length is None:
+            count = len(getattr(source, attr))
+        else:
+            count = length if type(length) is int else getattr(source, length)
+        if kind is BITS:
+            total += (count + 7) // 8 * wire
+        elif type(wire) is int:
+            total += count * wire
+        else:
+            bits = getattr(source, wire.attr)
+            if wire.packed:
+                total += (count * bits + 7) // 8
+            else:
+                total += count * ((bits + 7) // 8)
+    return total
 
 
-def unhex_bytes(text: Any, field: str) -> bytes:
-    """Hex string -> bytes, folding bad input into :class:`SummaryError`."""
-    if not isinstance(text, str):
-        raise SummaryError(f"payload field {field!r} must be a hex string")
-    try:
-        return bytes.fromhex(text)
-    except ValueError as exc:
-        raise SummaryError(f"payload field {field!r} is not valid hex: {exc}") from exc
+def _encode(layout: Tuple[Field, ...], source: Any, out: Dict[str, Any]) -> None:
+    """Write ``source``'s ``layout`` fields into the payload ``out``."""
+    for field in layout:
+        value = getattr(source, field.attr)
+        kind = field.type
+        if type(kind) is Nested:
+            # A named card is an object of its own; an unnamed one's
+            # fields sit beside the layout's.
+            inner = out.setdefault(field.name, {}) if field.name else out
+            _encode(kind.layout, value, inner)
+        elif kind is BITS:
+            out[field.name] = value.hex()
+        elif kind is ROW:
+            out[field.name] = [None if m == UNSET else m for m in value]
+        elif kind is INT_LIST:
+            is_set = isinstance(value, frozenset)
+            out[field.name] = sorted(value) if is_set else list(value)
+        else:
+            out[field.name] = value
 
 
-def payload_int(payload: Dict[str, Any], field: str, default: Optional[int] = None) -> int:
-    """Strict integer payload accessor (bools and floats rejected)."""
-    value = payload.get(field, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SummaryError(f"payload field {field!r} must be an integer, got {value!r}")
+def _bound(value: int) -> str:
+    """``value`` for a message: ``2**k`` for a wide power of two."""
+    if value > 1 << 32 and not value & (value - 1):
+        return f"2**{value.bit_length() - 1}"
+    return str(value)
+
+
+#: What a value (an item, for a list) of each scalar type must be.
+_WANTS = {
+    INT: "be an integer",
+    NUMBER: "be a finite number",
+    INT_LIST: "hold integers",
+    ROW: "hold integers or null",
+}
+
+
+def _checked(where: str, field: Field, value: Any, values: Dict[str, Any]) -> Any:
+    """``value`` (the field's, or an item of its list), refused unless
+    it has the field's type and lies in its range."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float) if field.type is NUMBER else int)
+        or (isinstance(value, float) and not math.isfinite(value))
+    ):
+        raise SummaryError(f"{where} must {_WANTS[field.type]}, got {value!r}")
+    if field.low is not None and value < field.low:
+        raise SummaryError(f"{where} must be at least {field.low}, got {value!r}")
+    high = field.high
+    if type(high) is str and value >= values[high]:
+        raise SummaryError(
+            f"{where} must stay below {high} = {values[high]}, got {value!r}"
+        )
+    if type(high) is int and value > high:
+        raise SummaryError(f"{where} must be at most {_bound(high)}, got {value!r}")
     return value
 
 
-def payload_int_list(payload: Dict[str, Any], field: str) -> List[int]:
-    """Strict list-of-ints payload accessor."""
-    value = payload.get(field)
-    if not isinstance(value, (list, tuple)):
-        raise SummaryError(f"payload field {field!r} must be an array of integers")
-    out: List[int] = []
-    for item in value:
-        if isinstance(item, bool) or not isinstance(item, int):
+def _decode(
+    kind: str, layout: Tuple[Field, ...], obj: Dict[str, Any], prefix: str = ""
+) -> Dict[str, Any]:
+    """The constructor keywords ``obj``'s ``layout`` fields decode to.
+
+    A field's key must be present; its value must have the field's type
+    and range, and a list or bit string its declared length.  Anything
+    else is a :class:`SummaryError` naming the field (``prefix`` names a
+    nested card's fields ``leaf.bits``, say).
+    """
+    if not isinstance(obj, dict):
+        what = f"field {prefix[:-1]!r}" if prefix else "payload"
+        raise SummaryError(f"{kind} {what} must be a JSON object")
+    values: Dict[str, Any] = {}
+    for field in layout:
+        t, name = field.type, prefix + field.name
+        where = f"{kind} payload field {name!r}"
+        if field.name and field.name not in obj:
+            raise SummaryError(f"{kind} payload lacks field {name!r}")
+        raw = obj[field.name] if field.name else obj
+        if type(t) is Nested:
+            inner = _decode(kind, t.layout, raw, name + "." if field.name else prefix)
+            values[field.attr] = t.cls(**inner)
+            continue
+        if t is INT or t is NUMBER:
+            values[field.attr] = _checked(where, field, raw, values)
+            continue
+        length = field.length
+        want = values[length] if type(length) is str else length
+        if t is BITS:
+            try:
+                raw = bytearray.fromhex(raw)
+            except (TypeError, ValueError) as exc:
+                raise SummaryError(f"{where} must be a hex string: {exc}") from exc
+            want = (want + 7) // 8
+        elif not isinstance(raw, (list, tuple)):
+            raise SummaryError(f"{where} must be a list")
+        if want is not None and len(raw) != want:
+            source = next((f.name for f in layout if f.attr == length), length)
+            unit = "bytes" if t is BITS else "items"
             raise SummaryError(
-                f"payload field {field!r} must contain only integers, got {item!r}"
+                f"{where} must hold {want} {unit} ({source}), got {len(raw)}"
             )
-        out.append(item)
-    return out
+        if t is ROW:
+            items = [
+                UNSET if m is None else _checked(where, field, m, values) for m in raw
+            ]
+            raw = array("q", items)
+        elif t is INT_LIST:
+            raw = [_checked(where, field, m, values) for m in raw]
+        values[field.attr] = raw
+    return values
 
 
 __all__ = [
+    "BITS",
+    "Field",
+    "INT",
+    "INT_LIST",
+    "NUMBER",
+    "Nested",
+    "ROW",
+    "SET_SIZE",
     "Summary",
     "SummaryError",
+    "Width",
     "clamped_symmetric_difference",
     "searched_intersection",
-    "hex_bytes",
-    "unhex_bytes",
-    "payload_int",
-    "payload_int_list",
+    "wire_size",
 ]

@@ -19,6 +19,7 @@ from repro.reconcile import (
     summary_kinds,
 )
 from repro.reconcile.adapters import resemblance_rows
+from repro.reconcile.base import Nested
 
 #: Build parameters keeping every kind fast and exact kinds feasible on
 #: the conformance sets (|A Δ B| stays well under the CPI bound).
@@ -179,6 +180,24 @@ class TestConformance:
         assert r.set_size == s.set_size
         # Round-tripping again is stable.
         assert r.to_payload() == s.to_payload()
+
+    def test_payload_keys_are_the_wire_layout(self, kind, sets):
+        """Every kind declares its own ``WIRE`` layout, and its payload
+        is ``kind`` plus the layout's fields: a nested card's fields under
+        its name, or beside the others when it has none."""
+        cls = summary_class(kind)
+        assert "WIRE" in vars(cls)
+        payload = build_summary(kind, sets[0], **params_for(kind)).to_payload()
+        expected = {"kind"}
+        for field in cls.WIRE:
+            if isinstance(field.type, Nested):
+                inner = {f.name for f in field.type.layout}
+                if not field.name:
+                    expected |= inner
+                    continue
+                assert set(payload[field.name]) == inner
+            expected.add(field.name)
+        assert set(payload) == expected
 
     def test_wire_bytes_honest_and_stable(self, kind, sets):
         a, _ = sets

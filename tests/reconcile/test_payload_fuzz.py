@@ -7,8 +7,12 @@ non-finite floats, out-of-range integers, lists holding a bad element
 payload goes through :func:`summary_from_payload` and, if accepted,
 through the first ``wire_bytes`` /
 ``estimate_difference`` / ``missing_from`` / ``may_contain`` a receiver
-would make.  The same holds for a payload missing one field and for a
-payload labelled with another registered kind.  Every call has a deadline.  The only exceptions allowed
+would make.  The same holds for a payload labelled with another
+registered kind.  A payload missing any field its encoder writes, nested
+fields included, is refused: no field has a default.  So is every value
+outside the range a kind's ``WIRE`` layout or constructor states (a
+negative ``set_size``, a zero ``modulus``, a ``wholeset`` whose
+``set_size`` is not its id count).  Every call has a deadline.  The only exceptions allowed
 are :class:`SummaryError` and, from a CPI search,
 :class:`DiscrepancyExceeded` — that path's documented retry signal.  A
 bare ``ValueError``, a ``TypeError`` or a stall is a bug: one peer's
@@ -146,14 +150,58 @@ def _missing_cases():
             yield pytest.param(kind, field, id=f"{kind}-{field}")
 
 
-@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
 @pytest.mark.parametrize("kind, field", list(_missing_cases()))
-def test_a_missing_field_is_refused_or_served(kind, field):
-    """A field left out reads as a refusal, never a bare ``KeyError``."""
+def test_a_missing_field_is_refused(kind, field):
+    """A field left out is a refusal — never a default, never a bare
+    ``KeyError``."""
     payload = _payload(kind)
     target, last = _holder(payload, field)
     del target[last]
-    _refused_or_served(kind, lambda: summary_from_payload(payload))
+    with pytest.raises(SummaryError):
+        summary_from_payload(payload)
+
+
+def test_a_minwise_card_without_its_seed_is_refused():
+    """A seed-5 card's payload without ``seed`` used to decode as seed 0
+    and read resemblance 0.0 against a seed-0 card of the same set,
+    where the full payload is refused as another family."""
+    ids = range(200)
+    card = build_summary("minwise", ids, entries=16, seed=5)
+    other = build_summary("minwise", ids, entries=16, seed=0)
+    with pytest.raises(SummaryError, match="family"):
+        other.estimate_resemblance(summary_from_payload(card.to_payload()))
+    payload = card.to_payload()
+    del payload["seed"]
+    with pytest.raises(SummaryError, match="seed"):
+        summary_from_payload(payload)
+
+
+def _range_cases():
+    for kind in summary_kinds():
+        yield pytest.param(kind, "set_size", -5, id=f"{kind}-set_size=-5")
+    for kind, field, value in [
+        ("modk", "modulus", 0),
+        ("modk", "modulus", -3),
+        ("bloom", "count", -1),
+        ("partitioned_bloom", "member_count", -1),
+        # The constructor's rules, which decode runs through as build does.
+        ("partitioned_bloom", "rho", 0),
+        ("partitioned_bloom", "beta", 4),
+        ("art", "leaf_bits_per_element", 8),
+        ("art", "bits_per_element", float("inf")),
+        ("wholeset", "set_size", 0),
+        ("wholeset", "set_size", len(IDS) + 1),
+        ("wholeset", "set_size", len(IDS) - 1),
+    ]:
+        yield pytest.param(kind, field, value, id=f"{kind}-{field}={value!r}")
+
+
+@pytest.mark.parametrize("kind, field, value", list(_range_cases()))
+def test_a_value_outside_its_range_is_refused(kind, field, value):
+    """Ranges and cross-field rules a kind states are refusals, not
+    "refused or served"."""
+    with pytest.raises(SummaryError):
+        _received(kind, field, value)()
 
 
 def _mislabelled_cases():

@@ -29,6 +29,8 @@ ID_SETS = {
 #: (kind, build params) per case: each kind at its defaults and once
 #: with every parameter it has moved off its default.
 CASES = [
+    ("minwise", {}),
+    ("minwise", {"entries": 16, "universe": 1 << 63, "seed": 3}),
     ("modk", {}),
     ("modk", {"modulus": 3, "seed": 4, "max_elements": 9}),
     ("random_sample", {}),
@@ -52,6 +54,10 @@ CASES = [
 #: ``"<wire_bytes>:<sha256 of the sorted-key JSON payload, 16 hex>"`` for
 #: the empty, dense and sparse sets, per case.
 GOLDEN = {
+    "minwise":
+        ["1028:8d2c9e1c8aea02ca", "1028:14a6a8ec1bd6f483", "1028:84b1617dfdc75084"],
+    "minwise,entries=16,seed=3,universe=9223372036854775808":
+        ["132:942a7dd3065b67d4", "132:9a68f2bc280556cf", "132:47b2a1595640d81d"],
     "modk":
         ["4:54ec493d94d6fb38", "28:128b64f987cf87ef", "124:5048c13999d0a31f"],
     "modk,max_elements=9,modulus=3,seed=4":

@@ -275,6 +275,15 @@ GUARDS = [
         ("a completion re-scan in the flow engine", r"is_complete\(\)",
          ["src/repro/flow"]),
     ]
+] + [
+    # One wire layout per summary kind: each kind declares WIRE, and the
+    # codec in repro.reconcile.base renders, decodes and prices it.
+    Guard(52, "a hand-written payload encoder or decoder beside the WIRE codec",
+          r"def (to_payload|from_payload|_filter_from)\b",
+          ["src/repro/reconcile/adapters.py"]),
+    Guard(52, "a free payload helper outside the WIRE codec",
+          r"payload_int\(|payload_int_list\(|unhex_bytes\(", ["src"],
+          ["src/repro/reconcile/base.py"]),
 ]
 
 #: Deleted files and directories.
